@@ -3,20 +3,17 @@
 //!
 //! Wall-clock is **advisory** — CI machines are too noisy to gate on —
 //! so the gate runs on the deterministic `StatsSnapshot` counters each
-//! record declares in its `"gated"` list. Every gated counter has a
-//! regression *direction*:
+//! record declares in its `"gated"` list. Which way drift is a
+//! regression is the counter's [`Class`] in the `counters!` table of
+//! `stapl-rts`, not a list kept here:
 //!
-//! * traffic counters (`remote_requests`, `bulk_requests`,
-//!   `element_fallbacks`, `segment_requests`, `gather_items`,
-//!   `dir_cache_misses`, `dir_cache_stale`, and the serialized
-//!   transport's `bytes_sent` / `messages_serialized`) regress
-//!   **upward** — doing more wire work for the same scenario is the
-//!   failure; doing less is an improvement and passes (with a note, so
-//!   baselines get refreshed);
-//! * benefit counters (`localized_chunks`, `dir_cache_hits`) regress
-//!   **downward** — the optimization silently stopped applying;
-//! * anything else (e.g. `tasks_executed`) is an exactness check: drift
-//!   in either direction beyond tolerance is a regression.
+//! * `Up` (traffic, cost) regresses **upward**; doing less is an
+//!   improvement and passes (with a note, so baselines get refreshed);
+//! * `Down` (benefit) regresses **downward** — the optimization silently
+//!   stopped applying;
+//! * `Exact`: any move beyond tolerance is a regression;
+//! * a baseline that gates a `Timing` counter, or a name that is no
+//!   counter at all, is itself a gate failure.
 //!
 //! Tolerance per counter is `max(tol_abs, baseline * tol_rel)`; `--exact`
 //! sets both to zero, which is what the determinism self-test uses.
@@ -28,6 +25,8 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+
+use stapl_rts::{Class, Counter};
 
 use crate::harness::{ParsedArea, ParsedRecord};
 
@@ -57,30 +56,6 @@ impl Tolerance {
     }
 }
 
-/// The direction(s) in which drift beyond slack counts as a regression;
-/// drift the other way is an improvement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
-    Up,
-    Down,
-    Both,
-}
-
-fn direction_of(counter: &str) -> Direction {
-    match counter {
-        "remote_requests" | "bulk_requests" | "element_fallbacks" | "segment_requests"
-        | "gather_items" | "dir_cache_misses" | "dir_cache_stale" | "bytes_sent"
-        | "messages_serialized"
-        // Reliability counters (chaos area): for a fixed fault schedule
-        // more drops / redrives / rejections / poison means the recovery
-        // machinery got *less* efficient — upward drift is the regression.
-        | "frames_dropped" | "retransmits" | "checksum_failures" | "acks_sent"
-        | "poisoned_responses" => Direction::Up,
-        "localized_chunks" | "dir_cache_hits" => Direction::Down,
-        _ => Direction::Both,
-    }
-}
-
 /// The outcome of diffing one fresh run against one baseline directory.
 pub struct CompareOutcome {
     /// Human-readable report lines, in emission order.
@@ -100,6 +75,12 @@ impl CompareOutcome {
 
     pub fn report(&self) -> String {
         self.lines.join("\n")
+    }
+
+    /// Records one gate failure about `what` (an area, record or counter).
+    fn regress(&mut self, what: &str, why: String) {
+        self.regressions += 1;
+        self.lines.push(format!("REGRESSION {what}: {why}"));
     }
 }
 
@@ -157,12 +138,8 @@ pub fn compare_dirs(
         let baseline = read_area(&base_path)?;
         let fresh_path = fresh_dir.join(&file_name);
         if !fresh_path.exists() {
-            out.regressions += 1;
-            out.lines.push(format!(
-                "REGRESSION {}: fresh run produced no {} (area dropped?)",
-                baseline.area,
-                file_name.to_string_lossy()
-            ));
+            let file = file_name.to_string_lossy();
+            out.regress(&baseline.area, format!("fresh run produced no {file} (area dropped?)"));
             continue;
         }
         let fresh = read_area(&fresh_path)?;
@@ -188,11 +165,8 @@ fn compare_area(
         fresh.records.iter().map(|r| (r.id.as_str(), r)).collect();
     for b in &baseline.records {
         let Some(f) = fresh_by_id.get(b.id.as_str()) else {
-            out.regressions += 1;
-            out.lines.push(format!(
-                "REGRESSION {}/{}: record missing from fresh run",
-                baseline.area, b.id
-            ));
+            let record = format!("{}/{}", baseline.area, b.id);
+            out.regress(&record, "record missing from fresh run".to_string());
             continue;
         };
         compare_record(&baseline.area, b, f, tol, out);
@@ -217,18 +191,26 @@ fn compare_record(
     tol: Tolerance,
     out: &mut CompareOutcome,
 ) {
+    let record = format!("{area}/{}", b.id);
     for counter in &b.gated {
+        let class = match Counter::from_name(counter).map(Counter::class) {
+            Some(class @ (Class::Up | Class::Down | Class::Exact)) => class,
+            ungateable => {
+                let why = match ungateable {
+                    Some(Class::Timing(why)) => format!("is timing-dependent: {why}"),
+                    _ => "is not a counter (renamed or removed?)".to_string(),
+                };
+                out.regress(&record, format!("baseline gates {counter}, which {why}"));
+                continue;
+            }
+        };
         let base = match b.counters.get(counter) {
             Some(v) => *v,
             // Baseline predates the counter: nothing to gate against.
             None => continue,
         };
         let Some(&val) = f.counters.get(counter) else {
-            out.regressions += 1;
-            out.lines.push(format!(
-                "REGRESSION {area}/{}: gated counter {counter} missing from fresh run",
-                b.id
-            ));
+            out.regress(&record, format!("gated counter {counter} missing from fresh run"));
             continue;
         };
         out.compared += 1;
@@ -238,22 +220,17 @@ fn compare_record(
         if drift <= slack {
             continue;
         }
-        let bad = match direction_of(counter) {
-            Direction::Up => grew,
-            Direction::Down => !grew,
-            Direction::Both => true,
+        let bad = match class {
+            Class::Up => grew,
+            Class::Down => !grew,
+            Class::Exact | Class::Timing(_) => true,
         };
         if bad {
-            out.regressions += 1;
-            out.lines.push(format!(
-                "REGRESSION {area}/{}: {counter} {base} -> {val} (allowed +/-{slack})",
-                b.id
-            ));
+            out.regress(&record, format!("{counter} {base} -> {val} (allowed +/-{slack})"));
         } else {
             out.improvements += 1;
             out.lines.push(format!(
-                "improved {area}/{}: {counter} {base} -> {val} — consider refreshing baselines",
-                b.id
+                "improved {record}: {counter} {base} -> {val} — consider refreshing baselines"
             ));
         }
     }
@@ -263,8 +240,7 @@ fn compare_record(
         let ratio = f.wall_s / b.wall_s;
         if !(0.5..=2.0).contains(&ratio) {
             out.lines.push(format!(
-                "wall-clock {area}/{}: {:.2e}s -> {:.2e}s ({}) [advisory]",
-                b.id,
+                "wall-clock {record}: {:.2e}s -> {:.2e}s ({}) [advisory]",
                 b.wall_s,
                 f.wall_s,
                 pct(b.wall_s, f.wall_s)
@@ -380,6 +356,18 @@ mod tests {
         assert_eq!(out.regressions, 2);
         assert!(out.lines.iter().any(|l| l.contains("record missing")));
         assert!(out.lines.iter().any(|l| l.contains("counter remote_requests missing")));
+    }
+
+    #[test]
+    fn gating_an_unknown_or_timing_counter_is_a_gate_failure() {
+        for (name, why) in [("no_such_counter", "not a counter"), ("retransmits", "timing")] {
+            let b = area(vec![rec("a", &[name], &[(name, 10)], 1.0)]);
+            let f = area(vec![rec("a", &[name], &[(name, 10)], 1.0)]);
+            let mut out = outcome();
+            compare_area(&b, &f, Tolerance::default_gate(), &mut out);
+            assert_eq!((out.regressions, out.compared), (1, 0), "{name}");
+            assert!(out.lines[0].contains(why), "{}", out.lines[0]);
+        }
     }
 
     #[test]

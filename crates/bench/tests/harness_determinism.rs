@@ -16,12 +16,13 @@ fn gated_counters_are_identical_across_runs() {
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.id, rb.id, "{area}: record order drifted");
             assert_eq!(ra.gated, rb.gated, "{area}/{}: gated set drifted", ra.id);
-            for g in &ra.gated {
+            for &g in &ra.gated {
                 assert_eq!(
-                    ra.counters.counter(g),
-                    rb.counters.counter(g),
-                    "{area}/{}: gated counter {g} differs between runs",
-                    ra.id
+                    ra.counters.get(g),
+                    rb.counters.get(g),
+                    "{area}/{}: gated counter {} differs between runs",
+                    ra.id,
+                    g.name()
                 );
             }
         }

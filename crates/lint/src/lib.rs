@@ -3,8 +3,8 @@
 //! The STAPL runtime's correctness story rests on discipline the type
 //! system cannot see: handlers must not block (they run inside the
 //! polling loop), collectives must be reached by every location, storage
-//! borrows must not be held across poll points, counters must stay wired
-//! to gates, knobs to docs, and `unsafe` to stated invariants. This crate
+//! borrows must not be held across poll points, knobs must stay wired to
+//! docs, and `unsafe` to stated invariants. This crate
 //! checks those rules as named, suppressible lints over a hand-rolled
 //! token-level lexer (no `syn` — the workspace builds offline with
 //! vendored deps only). See DESIGN.md "Static analysis: stapl-lint".
@@ -16,9 +16,11 @@
 //! | L1   | blocking-in-handler   | blocking calls in RMI-handler closures   |
 //! | L2   | borrow-across-poll    | borrow guards live across poll points    |
 //! | L3   | divergent-collective  | collectives under location-id guards     |
-//! | L4   | counter-gate-drift    | stats ↔ increments ↔ baselines ↔ trace   |
 //! | L5   | knob-doc-drift        | `STAPL_*` env vars ↔ README knob table   |
 //! | L6   | undocumented-unsafe   | `unsafe` without `// SAFETY:`            |
+//!
+//! (L4, counter-gate-drift, is retired: counters are declared once in the
+//! `counters!` table of `stapl-rts`, so there is no drift to detect.)
 
 pub mod lexer;
 pub mod rules;
@@ -31,24 +33,22 @@ use std::path::{Path, PathBuf};
 use lexer::LexedFile;
 use suppress::Suppression;
 
-/// The six lint rules. Suppressible by slug or code via
+/// The lint rules. Suppressible by slug or code via
 /// `// stapl-lint: allow(<rule>)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     BlockingInHandler,
     BorrowAcrossPoll,
     DivergentCollective,
-    CounterGateDrift,
     KnobDocDrift,
     UndocumentedUnsafe,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 5] = [
         Rule::BlockingInHandler,
         Rule::BorrowAcrossPoll,
         Rule::DivergentCollective,
-        Rule::CounterGateDrift,
         Rule::KnobDocDrift,
         Rule::UndocumentedUnsafe,
     ];
@@ -59,19 +59,18 @@ impl Rule {
             Rule::BlockingInHandler => "blocking-in-handler",
             Rule::BorrowAcrossPoll => "borrow-across-poll",
             Rule::DivergentCollective => "divergent-collective",
-            Rule::CounterGateDrift => "counter-gate-drift",
             Rule::KnobDocDrift => "knob-doc-drift",
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
         }
     }
 
-    /// Short code (`L1`..`L6`), also accepted in `allow(...)`.
+    /// Short code (`L1`..`L6`; `L4` is retired), also accepted in
+    /// `allow(...)`.
     pub fn code(self) -> &'static str {
         match self {
             Rule::BlockingInHandler => "L1",
             Rule::BorrowAcrossPoll => "L2",
             Rule::DivergentCollective => "L3",
-            Rule::CounterGateDrift => "L4",
             Rule::KnobDocDrift => "L5",
             Rule::UndocumentedUnsafe => "L6",
         }
@@ -160,7 +159,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Lints the given files (paths shown relative to `root` when possible)
 /// plus, when `root` is a stapl workspace and `with_workspace_checks`,
-/// the cross-file L4/L5 rules.
+/// the cross-file L5 rule.
 pub fn run(root: &Path, files: &[PathBuf], with_workspace_checks: bool) -> LintRun {
     let mut lexed: BTreeMap<String, LexedFile> = BTreeMap::new();
     for path in files {
@@ -183,7 +182,7 @@ pub fn run(root: &Path, files: &[PathBuf], with_workspace_checks: bool) -> LintR
         sups.extend(suppress::collect(rel, file));
     }
     if with_workspace_checks && workspace::is_workspace_root(root) {
-        findings.extend(workspace::check(root, &lexed));
+        findings.extend(workspace::check(root));
     }
 
     findings.sort_by(|a, b| {

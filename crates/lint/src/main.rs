@@ -6,9 +6,9 @@
 //!
 //! With no PATHs, sweeps the workspace under `--root` (default: the
 //! current directory, walking up to the workspace root if invoked from a
-//! crate directory) and runs the cross-file L4/L5 checks. With explicit
-//! PATHs, lints just those files/directories and skips L4/L5 (they only
-//! make sense against the whole workspace).
+//! crate directory) and runs the cross-file L5 check. With explicit
+//! PATHs, lints just those files/directories and skips L5 (it only
+//! makes sense against the whole workspace).
 //!
 //! Exit status: 0 clean, 1 findings present (or, under `--deny-all`,
 //! unused suppressions), 2 usage error.
@@ -29,8 +29,8 @@ options:
   --help                show this help
 
 rules: blocking-in-handler (L1), borrow-across-poll (L2),
-       divergent-collective (L3), counter-gate-drift (L4),
-       knob-doc-drift (L5), undocumented-unsafe (L6)
+       divergent-collective (L3), knob-doc-drift (L5),
+       undocumented-unsafe (L6)
 suppress with: // stapl-lint: allow(<rule>[, <rule>...]) — justification";
 
 fn main() -> ExitCode {

@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn field_suppression_covers_one_declaration() {
-        let src = "struct S {\n    // stapl-lint: allow(counter-gate-drift) — timing-dependent\n    pub a: AtomicU64,\n    pub b: AtomicU64,\n}";
+        let src = "struct S {\n    // stapl-lint: allow(undocumented-unsafe) — see the struct docs\n    pub a: AtomicU64,\n    pub b: AtomicU64,\n}";
         let f = lex(src);
         let sups = collect("s.rs", &f);
         assert!(sups[0].from <= 3 && 3 <= sups[0].to, "covers its own field");

@@ -1,65 +1,43 @@
-//! Cross-file workspace checks: L4 counter/trace/gate drift and L5
-//! knob-doc drift.
+//! Cross-file workspace check: L5 knob-doc drift.
 //!
-//! These rules tie four artifacts together that otherwise drift apart
-//! silently:
-//!
-//! * **L4** — every counter field of `rts/src/stats.rs` must (a) be
-//!   incremented somewhere in the workspace (`bump!(loc, field)` or
-//!   `.field.fetch_add`), (b) appear in at least one `"gated"` list in
-//!   `bench/baselines/BENCH_*.json` (deterministic counters are gated;
-//!   timing-dependent ones carry an explicit suppression stating why
-//!   not), and (c) if `TraceEventKind::gating_counter()` pairs a trace
-//!   event with it — the DESIGN.md determinism contract — the name must
-//!   be a real counter *and* gated. Stale names in baselines' gated
-//!   lists are flagged too.
-//! * **L5** — every `STAPL_*` env var read in `rts/src/config.rs` (plus
-//!   the `STAPL_FAULTS` sub-keys matched in `rts/src/fault.rs`) must
-//!   appear in the README knob table, and every `STAPL_*` var the README
-//!   knob table documents must be read by `config.rs`.
+//! Every `STAPL_*` env var read in `rts/src/config.rs` (plus the
+//! `STAPL_FAULTS` sub-keys matched in `rts/src/fault.rs`) must appear in
+//! the README knob table, and every `STAPL_*` var the README knob table
+//! documents must be read by `config.rs`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::lexer::{lex, matching_close, str_lit_value, LexedFile, TokKind};
+use crate::lexer::{lex, str_lit_value, LexedFile, TokKind};
 use crate::{Finding, Rule};
 
-/// Relative paths of the artifacts the workspace checks correlate. A
-/// directory missing any of them is not a stapl workspace root and the
-/// checks are skipped (the CLI reports which probe failed under
-/// `--verbose`-style debugging via the returned option).
+/// Relative paths of the artifacts the workspace check correlates. A
+/// directory missing `config` or `readme` is not a stapl workspace root
+/// and the check is skipped.
 pub struct WorkspacePaths {
-    pub stats: &'static str,
-    pub trace: &'static str,
     pub config: &'static str,
     pub fault: &'static str,
-    pub baselines: &'static str,
     pub readme: &'static str,
 }
 
 impl Default for WorkspacePaths {
     fn default() -> Self {
         WorkspacePaths {
-            stats: "crates/rts/src/stats.rs",
-            trace: "crates/rts/src/trace.rs",
             config: "crates/rts/src/config.rs",
             fault: "crates/rts/src/fault.rs",
-            baselines: "bench/baselines",
             readme: "README.md",
         }
     }
 }
 
-/// True when `root` has the artifacts the workspace checks need.
+/// True when `root` has the artifacts the workspace check needs.
 pub fn is_workspace_root(root: &Path) -> bool {
     let p = WorkspacePaths::default();
-    root.join(p.stats).is_file() && root.join(p.config).is_file() && root.join(p.readme).is_file()
+    root.join(p.config).is_file() && root.join(p.readme).is_file()
 }
 
-/// Runs L4 + L5 against `root`. `swept` supplies the already-lexed
-/// workspace files (path → lexed) so increment scanning doesn't re-read
-/// the tree; files outside the sweep are read on demand.
-pub fn check(root: &Path, swept: &BTreeMap<String, LexedFile>) -> Vec<Finding> {
+/// Runs L5 against `root`.
+pub fn check(root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     let p = WorkspacePaths::default();
     let lexed = |rel: &str| -> Option<LexedFile> {
@@ -67,93 +45,6 @@ pub fn check(root: &Path, swept: &BTreeMap<String, LexedFile>) -> Vec<Finding> {
         std::fs::read_to_string(abs).ok().map(|s| lex(&s))
     };
 
-    // ---- L4: counters vs increments vs baselines vs trace pairing ----
-    if let Some(stats) = lexed(p.stats) {
-        let counters = counter_fields(&stats);
-        let incremented = incremented_counters(swept, p.stats);
-        let gated = gated_counters(&root.join(p.baselines));
-        let trace_paired = lexed(p.trace).map(|t| trace_paired_counters(&t)).unwrap_or_default();
-
-        for (name, line) in &counters {
-            if !incremented.contains(name) {
-                out.push(Finding {
-                    file: p.stats.to_string(),
-                    line: *line,
-                    rule: Rule::CounterGateDrift,
-                    message: format!(
-                        "counter `{name}` is never incremented anywhere in the \
-                         workspace (no `bump!` or `fetch_add` site)"
-                    ),
-                    hint: "dead counters mislead dashboards: wire it up or remove \
-                           the field (and note the removal in DESIGN.md)"
-                        .to_string(),
-                });
-            }
-            if !gated.contains_key(name.as_str()) {
-                out.push(Finding {
-                    file: p.stats.to_string(),
-                    line: *line,
-                    rule: Rule::CounterGateDrift,
-                    message: format!(
-                        "counter `{name}` appears in no \"gated\" list under \
-                         bench/baselines/ — regressions in it are invisible to CI"
-                    ),
-                    hint: "add it to a harness area's gated counters (plus the \
-                           baselines), or suppress here stating why it is \
-                           timing-dependent and ungateable"
-                        .to_string(),
-                });
-            }
-        }
-        for (name, line) in &trace_paired {
-            if !counters.iter().any(|(c, _)| c == name) {
-                out.push(Finding {
-                    file: p.trace.to_string(),
-                    line: *line,
-                    rule: Rule::CounterGateDrift,
-                    message: format!(
-                        "`TraceEventKind::gating_counter` names `{name}`, which is \
-                         not a counter field of rts/src/stats.rs"
-                    ),
-                    hint: "the determinism contract maps trace kinds to real \
-                           counters — fix the name or the field"
-                        .to_string(),
-                });
-            } else if !gated.contains_key(name.as_str()) {
-                out.push(Finding {
-                    file: p.trace.to_string(),
-                    line: *line,
-                    rule: Rule::CounterGateDrift,
-                    message: format!(
-                        "counter `{name}` is trace-paired (deterministic by the \
-                         DESIGN.md contract) but appears in no \"gated\" list \
-                         under bench/baselines/"
-                    ),
-                    hint: "a counter the determinism contract vouches for should \
-                           be regression-gated: add it to an area's gated list"
-                        .to_string(),
-                });
-            }
-        }
-        for (name, (file, line)) in &gated {
-            if !counters.iter().any(|(c, _)| c == name) {
-                out.push(Finding {
-                    file: file.clone(),
-                    line: *line,
-                    rule: Rule::CounterGateDrift,
-                    message: format!(
-                        "baseline gates `{name}`, which is not a counter field of \
-                         rts/src/stats.rs (renamed or removed?)"
-                    ),
-                    hint: "regenerate the baselines or fix the gated list — a \
-                           stale name gates nothing"
-                        .to_string(),
-                });
-            }
-        }
-    }
-
-    // ---- L5: STAPL_* knobs vs the README knob table ----
     if let Some(config) = lexed(p.config) {
         let read_vars = stapl_literals(&config);
         let readme_text = std::fs::read_to_string(root.join(p.readme)).unwrap_or_default();
@@ -209,151 +100,6 @@ pub fn check(root: &Path, swept: &BTreeMap<String, LexedFile>) -> Vec<Finding> {
         }
     }
 
-    out
-}
-
-/// `(name, line)` of every `AtomicU64` field of `struct Stats`.
-fn counter_fields(stats: &LexedFile) -> Vec<(String, u32)> {
-    let toks = &stats.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].kind == TokKind::Ident
-            && toks[i].text == "Stats"
-            && i >= 1
-            && toks[i - 1].text == "struct"
-        {
-            let Some(open) = toks[i..].iter().position(|t| t.text == "{").map(|o| i + o) else {
-                continue;
-            };
-            let close = matching_close(toks, open);
-            let mut j = open + 1;
-            while j + 2 < close {
-                // Pattern: `name : AtomicU64 ,`
-                if toks[j].kind == TokKind::Ident
-                    && toks[j + 1].text == ":"
-                    && toks[j + 2].text == "AtomicU64"
-                {
-                    out.push((toks[j].text.clone(), toks[j].line));
-                    j += 3;
-                } else {
-                    j += 1;
-                }
-            }
-            break;
-        }
-    }
-    out
-}
-
-/// Counter names that some swept file (other than stats.rs itself) bumps
-/// via `bump!(loc, name[, n])` or `.name.fetch_add(...)`.
-fn incremented_counters(
-    swept: &BTreeMap<String, LexedFile>,
-    stats_rel: &str,
-) -> std::collections::BTreeSet<String> {
-    let mut out = std::collections::BTreeSet::new();
-    for (path, file) in swept {
-        if path.ends_with(stats_rel) {
-            continue;
-        }
-        let toks = &file.toks;
-        for i in 0..toks.len() {
-            // `bump!(loc, field)` — any ident inside the macro args.
-            if toks[i].kind == TokKind::Ident
-                && toks[i].text == "bump"
-                && toks.get(i + 1).is_some_and(|t| t.text == "!")
-                && toks.get(i + 2).is_some_and(|t| t.text == "(")
-            {
-                let close = matching_close(toks, i + 2);
-                for t in &toks[i + 3..close] {
-                    if t.kind == TokKind::Ident {
-                        out.insert(t.text.clone());
-                    }
-                }
-            }
-            // `.field . fetch_add (`
-            if toks[i].kind == TokKind::Ident
-                && i > 0
-                && toks[i - 1].text == "."
-                && toks.get(i + 1).is_some_and(|t| t.text == ".")
-                && toks.get(i + 2).is_some_and(|t| t.text == "fetch_add")
-            {
-                out.insert(toks[i].text.clone());
-            }
-        }
-    }
-    out
-}
-
-/// Counter names appearing in any `"gated": [...]` list under the
-/// baselines dir, mapped to one `(file, line)` occurrence.
-fn gated_counters(dir: &Path) -> BTreeMap<String, (String, u32)> {
-    let mut out = BTreeMap::new();
-    let Ok(entries) = std::fs::read_dir(dir) else { return out };
-    let mut paths: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    paths.sort();
-    for path in paths {
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        let rel = path
-            .file_name()
-            .map(|n| format!("bench/baselines/{}", n.to_string_lossy()))
-            .unwrap_or_default();
-        for (lineno, line) in text.lines().enumerate() {
-            let Some(pos) = line.find("\"gated\"") else { continue };
-            let Some(open) = line[pos..].find('[') else { continue };
-            let Some(close) = line[pos + open..].find(']') else { continue };
-            let list = &line[pos + open + 1..pos + open + close];
-            for item in list.split(',') {
-                let name = item.trim().trim_matches('"');
-                if !name.is_empty() {
-                    out.entry(name.to_string())
-                        .or_insert_with(|| (rel.clone(), lineno as u32 + 1));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Counter names returned as `Some("name")` by
-/// `TraceEventKind::gating_counter` in trace.rs, with lines.
-fn trace_paired_counters(trace: &LexedFile) -> Vec<(String, u32)> {
-    let toks = &trace.toks;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !(toks[i].kind == TokKind::Ident
-            && toks[i].text == "gating_counter"
-            && toks.get(i + 1).is_some_and(|t| t.text == "("))
-        {
-            continue;
-        }
-        // Body: the next `{` after the signature.
-        let Some(open) = toks[i..].iter().position(|t| t.text == "{").map(|o| i + o) else {
-            continue;
-        };
-        let close = matching_close(toks, open);
-        let mut j = open;
-        while j + 2 < close {
-            if toks[j].kind == TokKind::Ident
-                && toks[j].text == "Some"
-                && toks[j + 1].text == "("
-                && toks[j + 2].kind == TokKind::Lit
-            {
-                if let Some(name) = str_lit_value(&toks[j + 2].text) {
-                    out.push((name.to_string(), toks[j + 2].line));
-                }
-            }
-            j += 1;
-        }
-        break;
-    }
     out
 }
 
@@ -433,33 +179,7 @@ mod tests {
     use crate::lexer::lex;
 
     #[test]
-    fn counter_fields_parse() {
-        let f = lex("pub(crate) struct Stats { pub a: AtomicU64, pub b_c: AtomicU64 }\nstruct Other { x: u64 }");
-        let fields = counter_fields(&f);
-        let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["a", "b_c"]);
-    }
-
-    #[test]
-    fn increments_found_via_bump_and_fetch_add() {
-        let mut swept = BTreeMap::new();
-        swept.insert(
-            "crates/rts/src/location.rs".to_string(),
-            lex("fn f(loc: &L) { bump!(loc, hits); loc.stats.misses.fetch_add(1, O); }"),
-        );
-        let inc = incremented_counters(&swept, "crates/rts/src/stats.rs");
-        assert!(inc.contains("hits"));
-        assert!(inc.contains("misses"));
-        assert!(!inc.contains("stats"));
-    }
-
-    #[test]
-    fn trace_pairs_and_fault_keys_parse() {
-        let t = lex("impl K { pub fn gating_counter(self) -> Option<&'static str> { match self { K::A => Some(\"remote_requests\"), K::B => None } } }");
-        let pairs = trace_paired_counters(&t);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].0, "remote_requests");
-
+    fn fault_keys_parse() {
         let f = lex("fn parse() { match key { \"drop\" => x(), \"delay_us\" => y(), _ => return Err(format!(\"bad {k}\")) } }");
         let keys = fault_subkeys(&f);
         let names: Vec<&str> = keys.iter().map(|(n, _)| n.as_str()).collect();

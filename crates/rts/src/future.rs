@@ -44,9 +44,9 @@ pub enum RmiError {
         handler: &'static str,
         /// How long the wait spun before giving up.
         elapsed: Duration,
-        /// Transport retransmissions observed by this location at expiry
-        /// (a rising number means the fabric is lossy but alive; zero on
-        /// a lossless fabric means the peer never replied).
+        /// Batches the waiting location itself had redriven by expiry (a
+        /// rising number means the fabric is lossy but alive; zero on a
+        /// lossless fabric means the peer never replied).
         retransmits: u64,
     },
     /// The remote handler panicked; the serialized path caught it and
@@ -176,7 +176,7 @@ impl<R: 'static> RmiFuture<R> {
                                 peer,
                                 handler,
                                 elapsed,
-                                retransmits: loc.stats().retransmits,
+                                retransmits: loc.local_stats().retransmits,
                             });
                         }
                     }

@@ -65,7 +65,7 @@ pub use fault::FaultSchedule;
 pub use future::{RmiError, RmiFuture};
 pub use location::{Handle, LocId, Location, ReplyToken};
 pub use spmd::{execute, execute_collect, execute_collect_traced};
-pub use stats::StatsSnapshot;
+pub use stats::{Class, Counter, StatsSnapshot};
 pub use trace::{
     LatencyHistogram, LocationTrace, RunTrace, TraceEvent, TraceEventKind, TraceSummary,
     HISTOGRAM_NAMES, KIND_COUNT,

@@ -19,7 +19,7 @@ use crate::barrier::PollBarrier;
 use crate::collective::CollectiveBoard;
 use crate::config::RtsConfig;
 use crate::future::{FutureInner, PoisonedResponse, RmiFuture};
-use crate::stats::{LocalStats, Stats, StatsSnapshot};
+use crate::stats::{Counter, CounterBlock, StatsSnapshot};
 use crate::trace::{LocationTrace, TraceBuf, TraceEventKind};
 use crate::transport::{
     decode_batch, encode_frame, make_endpoint, Batch, Payload, StageOutcome, Staged, Transport,
@@ -64,21 +64,13 @@ pub(crate) struct Shared {
     /// The full sender side of the fabric; each location's transport
     /// endpoint clones these at construction.
     pub senders: Vec<Sender<Batch>>,
-    /// Requests enqueued for a remote location (incremented *before* the
-    /// request becomes visible, even while still in an aggregation buffer).
-    pub sent: AtomicU64,
-    /// Requests fully executed at their destination.
-    pub handled: AtomicU64,
-    /// Requests whose carrying batch has been *acknowledged* back to its
-    /// sender (reliable transports only; stays 0 on transports that do not
-    /// track acks). The fence additionally requires `acked == sent` on an
-    /// ack-tracking fabric, so it cannot complete while a dropped batch is
-    /// still awaiting retransmission.
-    pub acked: AtomicU64,
+    /// Every location's counter block, indexed by location id. The only
+    /// counter storage of the execution: [`Location::stats`] and the
+    /// fence's quiescence test sum over it at read time.
+    pub counters: Vec<Arc<CounterBlock>>,
     pub barrier: PollBarrier,
     pub fence_done: AtomicU64, // 0 = undecided/no, 1 = done (leader-written)
     pub board: CollectiveBoard,
-    pub stats: Stats,
     /// Epoch of this execution: all trace timestamps are monotonic
     /// nanoseconds relative to this instant, so the per-location timelines
     /// of one run share a clock.
@@ -122,26 +114,12 @@ struct LocInner {
     outbuf_since: RefCell<Vec<Option<std::time::Instant>>>,
     slots: RefCell<HashMap<u64, Box<dyn Any>>>,
     next_slot: Cell<u64>,
-    /// This location's private counter twins (see [`LocalStats`]).
-    local_stats: LocalStats,
+    /// This location's own block of `shared.counters`, cloned out so a
+    /// bump is one load away from `LocInner`.
+    counters: Arc<CounterBlock>,
     /// The trace ring buffer; `None` unless `RtsConfig::trace` is set, so
     /// the disabled hot path pays exactly one branch.
     trace: Option<RefCell<TraceBuf>>,
-}
-
-/// Bumps a counter in both the global atomic [`Stats`] and this location's
-/// [`LocalStats`] twin. All increments happen on the owning thread, so the
-/// per-location snapshots sum to the global snapshot by construction.
-macro_rules! bump {
-    ($loc:expr, $field:ident) => {
-        bump!($loc, $field, 1)
-    };
-    ($loc:expr, $field:ident, $n:expr) => {{
-        let n: u64 = $n;
-        $loc.inner.shared.stats.$field.fetch_add(n, Ordering::Relaxed);
-        let c = &$loc.inner.local_stats.$field;
-        c.set(c.get() + n);
-    }};
 }
 
 /// A per-thread handle to the runtime. Cloning is cheap; the clone refers
@@ -158,6 +136,7 @@ impl Location {
         let transport = make_endpoint(&shared.cfg, id, shared.senders.clone(), rx, nlocs);
         let serializes = transport.serializes();
         let tracks_acks = transport.tracks_acks();
+        let counters = shared.counters[id].clone();
         Location {
             inner: Rc::new(LocInner {
                 id,
@@ -171,7 +150,7 @@ impl Location {
                 outbuf_since: RefCell::new(vec![None; nlocs]),
                 slots: RefCell::new(HashMap::new()),
                 next_slot: Cell::new(0),
-                local_stats: LocalStats::default(),
+                counters,
                 trace,
             }),
         }
@@ -192,17 +171,22 @@ impl Location {
         &self.inner.shared.cfg
     }
 
-    /// Snapshot of the global communication counters.
+    /// Snapshot of the global communication counters: the sum of every
+    /// location's [`Location::local_stats`], taken now.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.shared.stats.snapshot()
+        let blocks = &self.inner.shared.counters;
+        blocks.iter().fold(StatsSnapshot::default(), |acc, b| acc.add(&b.snapshot()))
     }
 
     /// Snapshot of the counters attributable to *this* location only: the
     /// work its thread performed (requests it enqueued, responses it sent,
-    /// tasks it executed, ...). Summing `local_stats()` over all locations
-    /// of an execution equals [`Location::stats`].
+    /// tasks it executed, ...).
     pub fn local_stats(&self) -> StatsSnapshot {
-        self.inner.local_stats.snapshot()
+        self.inner.counters.snapshot()
+    }
+
+    fn bump(&self, c: Counter, n: u64) {
+        self.inner.counters.bump(c, n);
     }
 
     // ------------------------------------------------------------------
@@ -259,17 +243,17 @@ impl Location {
 
     /// Records one executed PARAGRAPH task in the global counters.
     pub fn note_task_executed(&self) {
-        bump!(self, tasks_executed);
+        self.bump(Counter::tasks_executed, 1);
     }
 
     /// Records one PARAGRAPH task that ran away from its home location.
     pub fn note_task_stolen(&self) {
-        bump!(self, tasks_stolen);
+        self.bump(Counter::tasks_stolen, 1);
     }
 
     /// Records one steal probe issued by an idle executor.
     pub fn note_steal_request(&self) {
-        bump!(self, steal_requests);
+        self.bump(Counter::steal_requests, 1);
         self.trace_instant(TraceEventKind::StealProbe, 0);
     }
 
@@ -279,19 +263,19 @@ impl Location {
 
     /// Records one directory-routed request sent straight to a cached owner.
     pub fn note_dir_cache_hit(&self) {
-        bump!(self, dir_cache_hits);
+        self.bump(Counter::dir_cache_hits, 1);
         self.trace_instant(TraceEventKind::DirCacheHit, 0);
     }
 
     /// Records one directory-routed request that paid the home-location hop.
     pub fn note_dir_cache_miss(&self) {
-        bump!(self, dir_cache_misses);
+        self.bump(Counter::dir_cache_misses, 1);
         self.trace_instant(TraceEventKind::DirCacheMiss, 0);
     }
 
     /// Records one stale cached-owner guess that re-forwarded through home.
     pub fn note_dir_cache_stale(&self) {
-        bump!(self, dir_cache_stale);
+        self.bump(Counter::dir_cache_stale, 1);
         self.trace_instant(TraceEventKind::DirCacheStale, 0);
     }
 
@@ -311,7 +295,7 @@ impl Location {
     /// `items` elements shipped as a single message (`0` when the count is
     /// not known at issue time, e.g. a fetch).
     pub fn note_bulk_request(&self, items: u64) {
-        bump!(self, bulk_requests);
+        self.bump(Counter::bulk_requests, 1);
         self.trace_instant(TraceEventKind::BulkTransfer, items);
         if self.inner.serializes {
             self.inner.wire_hint.set(Some(WireKind::Bulk));
@@ -320,13 +304,13 @@ impl Location {
 
     /// Records one chunk served by a direct local slice borrow.
     pub fn note_localized_chunk(&self) {
-        bump!(self, localized_chunks);
+        self.bump(Counter::localized_chunks, 1);
     }
 
     /// Records `n` elements that fell back to element-at-a-time processing
     /// where a chunk/bulk path was requested.
     pub fn note_element_fallbacks(&self, n: u64) {
-        bump!(self, element_fallbacks, n);
+        self.bump(Counter::element_fallbacks, n);
     }
 
     /// Records one segment RMI: a whole (owner, base-container segment) of
@@ -334,7 +318,7 @@ impl Location {
     /// dynamic-container bulk transport (`0` when the count is not known at
     /// issue time).
     pub fn note_segment_request(&self, items: u64) {
-        bump!(self, segment_requests);
+        self.bump(Counter::segment_requests, 1);
         self.trace_instant(TraceEventKind::SegmentTransfer, items);
         if self.inner.serializes {
             self.inner.wire_hint.set(Some(WireKind::Segment));
@@ -344,7 +328,7 @@ impl Location {
     /// Records `n` items shipped as payload by a data-collecting gather or
     /// broadcast — the bytes-on-the-wire proxy of the simulated machine.
     pub fn note_gather_items(&self, n: u64) {
-        bump!(self, gather_items, n);
+        self.bump(Counter::gather_items, n);
         self.trace_instant(TraceEventKind::GatherItems, n);
     }
 
@@ -437,7 +421,7 @@ impl Location {
         F: FnOnce(&T, &Location) + Send + 'static,
     {
         if dest == self.id() {
-            bump!(self, local_invocations);
+            self.bump(Counter::local_invocations, 1);
             let obj = self.lookup::<T>(h);
             f(&obj, self);
             return;
@@ -487,7 +471,7 @@ impl Location {
         F: FnOnce(&T, &Location) -> R + Send + 'static,
     {
         if dest == self.id() {
-            bump!(self, local_invocations);
+            self.bump(Counter::local_invocations, 1);
             let obj = self.lookup::<T>(h);
             let r = f(&obj, self);
             return RmiFuture::ready(r);
@@ -586,7 +570,7 @@ impl Location {
         // per-location twin of `responses_sent` is bumped on the thread
         // that sends the response and `local_stats()` sums to the global
         // counter no matter which path produced the reply.
-        bump!(self, responses_sent);
+        self.bump(Counter::responses_sent, 1);
         self.trace_instant(TraceEventKind::RmiReply, dest as u64);
         self.enqueue_with_kind(dest, WireKind::Response, move |loc: &Location| {
             loc.fill_slot(slot, Box::new(r));
@@ -599,7 +583,7 @@ impl Location {
     /// [`PoisonedResponse`] instead of a value: the handler panicked, and
     /// only the issuing future should fail. Serialized backend only.
     fn send_poison(&self, dest: LocId, slot: u64, handler: &'static str, message: String) {
-        bump!(self, poisoned_responses);
+        self.bump(Counter::poisoned_responses, 1);
         self.trace_instant(TraceEventKind::PoisonedResponse, dest as u64);
         if dest == self.id() {
             self.fill_slot(slot, Box::new(PoisonedResponse { handler, message }));
@@ -607,7 +591,7 @@ impl Location {
         }
         // A poison is still a response on the wire: count it as one so the
         // responses_sent twin stays the send-side mirror of reply traffic.
-        bump!(self, responses_sent);
+        self.bump(Counter::responses_sent, 1);
         self.enqueue_with_kind(dest, WireKind::Response, move |loc: &Location| {
             loc.fill_slot(slot, Box::new(PoisonedResponse { handler, message }));
         });
@@ -672,11 +656,9 @@ impl Location {
     /// Closure-backend staging: the pre-transport `enqueue` body, verbatim.
     fn stage_closure(&self, dest: LocId, req: Request) {
         debug_assert_ne!(dest, self.id());
-        let shared = &self.inner.shared;
         // Count at enqueue time (not flush time) so the fence's quiescence
         // check observes buffered-but-unflushed requests.
-        shared.sent.fetch_add(1, Ordering::SeqCst);
-        bump!(self, remote_requests);
+        self.bump(Counter::remote_requests, 1);
         self.trace_instant(TraceEventKind::RmiSend, dest as u64);
         let outcome = self.inner.transport.stage(dest, Staged::Closure(req));
         self.after_stage(dest, outcome);
@@ -694,13 +676,11 @@ impl Location {
         scratch.clear();
         let nbytes = encode_frame(&mut scratch, kind, f);
         let elapsed = t0.elapsed().as_nanos() as u64;
-        bump!(self, messages_serialized);
-        bump!(self, bytes_sent, nbytes as u64);
-        bump!(self, serialize_ns, elapsed);
+        self.bump(Counter::messages_serialized, 1);
+        self.bump(Counter::bytes_sent, nbytes as u64);
+        self.bump(Counter::serialize_ns, elapsed);
         self.trace_instant(TraceEventKind::Serialize, nbytes as u64);
-        let shared = &self.inner.shared;
-        shared.sent.fetch_add(1, Ordering::SeqCst);
-        bump!(self, remote_requests);
+        self.bump(Counter::remote_requests, 1);
         self.trace_instant(TraceEventKind::RmiSend, dest as u64);
         let outcome = self.inner.transport.stage(dest, Staged::Frame(&scratch));
         drop(scratch);
@@ -726,7 +706,7 @@ impl Location {
             return;
         };
         self.inner.outbuf_since.borrow_mut()[dest] = None;
-        bump!(self, batches_sent);
+        self.bump(Counter::batches_sent, 1);
         self.trace_instant(TraceEventKind::Flush, info.nreqs as u64);
         if info.bytes != 0 {
             self.trace_instant(TraceEventKind::WireFlush, info.bytes as u64);
@@ -764,7 +744,7 @@ impl Location {
                 Some(since) if now.duration_since(since) >= max_age
             );
             if aged {
-                bump!(self, aged_flushes);
+                self.bump(Counter::aged_flushes, 1);
                 self.trace_instant(TraceEventKind::AgedFlush, dest as u64);
                 self.flush(dest);
             }
@@ -802,34 +782,36 @@ impl Location {
     }
 
     /// Moves the transport's accumulated reliability events (drops,
-    /// retransmits, checksum rejections, acks) into the global counters,
-    /// the trace timeline, and the fence's `acked` progress counter.
+    /// retransmits, checksum rejections, acks) into this location's
+    /// counters, the trace timeline, and the fence's `acked` progress.
     fn reap_transport_events(&self) {
         let ev = self.inner.transport.take_events();
         if ev.frames_dropped != 0 {
-            bump!(self, frames_dropped, ev.frames_dropped);
+            self.bump(Counter::frames_dropped, ev.frames_dropped);
             self.trace_instant(TraceEventKind::FaultDrop, ev.frames_dropped);
         }
         if ev.retransmits != 0 {
-            bump!(self, retransmits, ev.retransmits);
+            self.bump(Counter::retransmits, ev.retransmits);
             self.trace_instant(TraceEventKind::Retransmit, ev.retransmits);
         }
         if ev.checksum_failures != 0 {
-            bump!(self, checksum_failures, ev.checksum_failures);
+            self.bump(Counter::checksum_failures, ev.checksum_failures);
             self.trace_instant(TraceEventKind::ChecksumFail, ev.checksum_failures);
         }
         if ev.acks_sent != 0 {
-            bump!(self, acks_sent, ev.acks_sent);
+            self.bump(Counter::acks_sent, ev.acks_sent);
             self.trace_instant(TraceEventKind::AckSent, ev.acks_sent);
         }
+        if ev.duplicates_discarded != 0 {
+            self.bump(Counter::duplicates_discarded, ev.duplicates_discarded);
+        }
         if ev.frames_acked != 0 {
-            self.inner.shared.acked.fetch_add(ev.frames_acked, Ordering::SeqCst);
+            self.inner.counters.note_acked(ev.frames_acked);
         }
     }
 
     fn deliver(&self, batch: Batch) -> usize {
-        let shared = &self.inner.shared;
-        let cfg = &shared.cfg;
+        let cfg = &self.inner.shared.cfg;
         let n = batch.len();
         if cfg.cross_node(batch.src, self.id()) {
             let total =
@@ -844,7 +826,7 @@ impl Location {
                 for req in reqs {
                     self.trace_instant(TraceEventKind::RmiExecute, src);
                     req(self);
-                    shared.handled.fetch_add(1, Ordering::SeqCst);
+                    self.inner.counters.note_handled();
                 }
             }
             Payload::Frames { bytes, nreqs } => {
@@ -858,9 +840,9 @@ impl Location {
                     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         thunk(msg.payload, self)
                     }));
-                    shared.handled.fetch_add(1, Ordering::SeqCst);
+                    self.inner.counters.note_handled();
                     if let Err(p) = caught {
-                        bump!(self, poisoned_responses);
+                        self.bump(Counter::poisoned_responses, 1);
                         self.trace_instant(
                             TraceEventKind::PoisonedResponse,
                             self.id() as u64,
@@ -928,14 +910,15 @@ impl Location {
     /// forwarding chains) — has been executed, globally.
     ///
     /// Implemented as termination detection: repeat (flush, drain, barrier)
-    /// rounds until the global sent == handled counters are stable and
-    /// equal while all locations are inside the fence.
+    /// rounds until, with all locations inside the fence, the requests
+    /// handled and the requests sent — summed over the per-location
+    /// counter blocks — are equal.
     pub fn rmi_fence(&self) {
         let t0 = self.trace_clock();
         let mut rounds = 0u64;
         let shared = self.inner.shared.clone();
         loop {
-            bump!(self, fence_rounds);
+            self.bump(Counter::fence_rounds, 1);
             rounds += 1;
             self.flush_all();
             while self.poll() > 0 {}
@@ -946,16 +929,33 @@ impl Location {
             while self.poll() > 0 {}
             self.barrier();
             if self.id() == 0 {
-                let sent = shared.sent.load(Ordering::SeqCst);
-                let mut quiescent = sent == shared.handled.load(Ordering::SeqCst);
+                // Peers are still polling — and running handlers — inside
+                // the barrier below while these sums are taken, so the read
+                // order carries the proof: `handled` first, `remote_requests`
+                // (= sent) second. A request is counted sent before it can
+                // run and handled only after its handler, forwards
+                // included, has returned; so whatever the first scan counts
+                // as handled the second counts as sent, along with
+                // everything those handlers sent. Equality therefore means
+                // nothing was in flight between the scans, and with every
+                // location in the fence only a request in flight could send
+                // another. Reading `sent` first lets a forwarding handler
+                // run between the scans, move both sums by one, and balance
+                // the books with its hop unexecuted.
+                let sum = |f: fn(&CounterBlock) -> u64| -> u64 {
+                    shared.counters.iter().map(|b| f(b)).sum()
+                };
+                let handled = sum(CounterBlock::handled);
+                let sent = sum(|b| b.get(Counter::remote_requests));
                 // On an ack-tracking fabric every request's carrying batch
                 // must also have been acknowledged: executed-but-unacked
                 // requests mean a sender may still retransmit (and the
                 // fault injector may still be holding a reordered batch),
-                // so the system is not yet quiet.
-                if quiescent && self.inner.tracks_acks {
-                    quiescent = shared.acked.load(Ordering::SeqCst) == sent;
-                }
+                // so the system is not yet quiet. Read last: once nothing
+                // is left to send, `sent` is final and `acked` only rises
+                // toward it.
+                let quiescent = handled == sent
+                    && (!self.inner.tracks_acks || sum(CounterBlock::acked) == sent);
                 shared.fence_done.store(quiescent as u64, Ordering::SeqCst);
             }
             self.barrier();

@@ -11,7 +11,7 @@ use crate::collective::CollectiveBoard;
 use crate::config::RtsConfig;
 use crate::location::{Location, Shared};
 use crate::transport::Batch;
-use crate::stats::Stats;
+use crate::stats::CounterBlock;
 use crate::trace::RunTrace;
 
 /// Runs `f` on `nlocs` locations (one OS thread each) in SPMD fashion and
@@ -53,13 +53,10 @@ where
         nlocs,
         cfg,
         senders,
-        sent: AtomicU64::new(0),
-        handled: AtomicU64::new(0),
-        acked: AtomicU64::new(0),
+        counters: (0..nlocs).map(|_| Arc::new(CounterBlock::new())).collect(),
         barrier: PollBarrier::new(nlocs),
         fence_done: AtomicU64::new(0),
         board: CollectiveBoard::new(nlocs),
-        stats: Stats::default(),
         epoch: std::time::Instant::now(),
         trace_sink: Mutex::new((0..nlocs).map(|_| None).collect()),
     });

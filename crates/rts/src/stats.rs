@@ -1,263 +1,258 @@
 //! Runtime counters used by tests and benchmarks to observe communication
 //! behavior (e.g., counting forwarding hops or aggregation effectiveness).
+//!
+//! A counter is declared **once**, as a row of the [`counters!`] table
+//! below: name, doc comment, and gate [`Class`]. The table generates
+//! [`Counter`], the public fields of [`StatsSnapshot`], and the slots of
+//! the per-location [`CounterBlock`] — the only place counts are stored.
+//! Global numbers ([`crate::Location::stats`], the fence's quiescence
+//! test) are sums over the blocks taken at read time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-#[derive(Default)]
-pub(crate) struct Stats {
+/// How the bench gate may treat a counter (see `stapl-bench`'s
+/// `compare`). The first three are deterministic for a seeded scenario
+/// and name the drift direction that is a regression; `Timing` counters
+/// depend on thread interleaving or the wall clock and are never gated —
+/// the string says why.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// Traffic or cost: doing more for the same scenario is the failure.
+    Up,
+    /// Benefit: the optimization silently stopped applying.
+    Down,
+    /// Exactness check: drift either way is a regression.
+    Exact,
+    /// Not reproducible run to run, so not gateable.
+    Timing(&'static str),
+}
+
+/// Declares every counter: `/// doc` then `name: Class,`.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident: $class:expr,)*) => {
+        /// One runtime counter; variants are spelled like the
+        /// [`StatsSnapshot`] field they index.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[$doc])* $name,)*
+        }
+
+        impl Counter {
+            /// Every counter, in declaration order (the order `to_json`
+            /// emits and the benchmark JSON schema uses).
+            pub const ALL: &'static [Counter] = &[$(Counter::$name),*];
+            const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// The counter's gate class.
+            pub fn class(self) -> Class {
+                use Class::*;
+                match self {
+                    $(Counter::$name => $class,)*
+                }
+            }
+        }
+
+        /// A point-in-time copy of the runtime counters: one location's
+        /// ([`crate::Location::local_stats`]) or the sum over all
+        /// locations of one execution ([`crate::Location::stats`]).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl StatsSnapshot {
+            /// The value of counter `c`.
+            pub fn get(&self, c: Counter) -> u64 {
+                match c {
+                    $(Counter::$name => self.$name,)*
+                }
+            }
+
+            fn from_fn(f: impl Fn(Counter) -> u64) -> StatsSnapshot {
+                StatsSnapshot { $($name: f(Counter::$name),)* }
+            }
+        }
+    };
+}
+
+counters! {
     /// RMI requests executed on the location that issued them (fast path).
-    pub local_invocations: AtomicU64,
-    /// RMI requests shipped to another location.
-    pub remote_requests: AtomicU64,
+    local_invocations: Exact,
+    /// RMI requests shipped to another location. Bumped *before* the
+    /// request becomes visible (even while it sits in an aggregation
+    /// buffer), so the sum over locations is the fence's `sent` count.
+    remote_requests: Up,
     /// Message batches actually pushed into channels.
-    // stapl-lint: allow(counter-gate-drift) — batch boundaries depend on
-    // when the poller drains the aggregation buffer, so the count is
-    // timing-dependent and ungateable (see the transport-area note).
-    pub batches_sent: AtomicU64,
+    batches_sent: Timing("batch boundaries depend on when the poller drains the buffer"),
     /// Synchronous / split-phase responses sent back.
-    pub responses_sent: AtomicU64,
+    responses_sent: Exact,
     /// Number of `rmi_fence` rounds executed (termination-detection loops).
-    // stapl-lint: allow(counter-gate-drift) — fence rounds repeat until
-    // traffic quiesces; how many loops that takes is scheduler timing.
-    pub fence_rounds: AtomicU64,
+    fence_rounds: Timing("rounds repeat until traffic quiesces; how many is scheduling"),
     /// PARAGRAPH tasks executed (on any location, home or thief).
-    pub tasks_executed: AtomicU64,
+    tasks_executed: Exact,
     /// PARAGRAPH tasks that ran on a location other than their home
     /// because an idle location stole them.
-    // stapl-lint: allow(counter-gate-drift) — which tasks get stolen
-    // depends on thread timing; only `tasks_executed` is deterministic
-    // (see EXECUTOR_GATED in the bench harness).
-    pub tasks_stolen: AtomicU64,
+    tasks_stolen: Timing("which tasks get stolen depends on thread timing"),
     /// Steal probes issued by idle executors (successful or not).
-    // stapl-lint: allow(counter-gate-drift) — probe traffic tracks idle
-    // time, i.e. scheduler timing; never gateable.
-    pub steal_requests: AtomicU64,
+    steal_requests: Timing("probe traffic tracks idle time"),
     /// Directory-routed requests sent straight to a cached owner (the
     /// optimistic one-hop path that skips the home location).
-    pub dir_cache_hits: AtomicU64,
+    dir_cache_hits: Down,
     /// Directory-routed requests that had no usable cache entry and paid
     /// the home-location hop (counted only when caching is enabled).
-    pub dir_cache_misses: AtomicU64,
+    dir_cache_misses: Up,
     /// Cached-owner guesses that turned out stale: the element had moved,
     /// and the request self-healed by re-forwarding through its home.
-    pub dir_cache_stale: AtomicU64,
+    dir_cache_stale: Up,
     /// Aggregation buffers force-flushed because their oldest request
     /// exceeded `flush_age_us` (the adaptive-flush path).
-    // stapl-lint: allow(counter-gate-drift) — fires on a wall-clock age
-    // threshold, so the count is timing by definition.
-    pub aged_flushes: AtomicU64,
+    aged_flushes: Timing("fires on a wall-clock age threshold"),
     /// Bulk-range RMIs issued: one per (owner, contiguous run) shipped as a
     /// single message by `get_range`/`set_range`/`apply_range`.
-    pub bulk_requests: AtomicU64,
+    bulk_requests: Up,
     /// Chunks served by a direct local slice borrow (one `RefCell` borrow
     /// for the whole chunk) — the view-localization fast path.
-    pub localized_chunks: AtomicU64,
+    localized_chunks: Down,
     /// Elements processed one-at-a-time where a chunk/bulk path was asked
     /// for but unavailable (non-contiguous storage, runs below
     /// `bulk_threshold`, or a view without a localized override).
-    pub element_fallbacks: AtomicU64,
+    element_fallbacks: Up,
     /// Segment RMIs issued by the dynamic-container bulk transport: one
     /// per (owner, base-container segment) shipped as a single message by
     /// `get_segment`/`append_segment`/`set_segment`/`apply_segment` and
     /// the grouped MapReduce merge.
-    pub segment_requests: AtomicU64,
+    segment_requests: Up,
     /// Items shipped as payload by the data-collecting operations
     /// (`collect_ordered` gathers, opt-in broadcasts): the simulated
     /// bytes-on-the-wire proxy the O(N·P) → O(N) assertions measure.
-    pub gather_items: AtomicU64,
+    gather_items: Up,
     /// Bytes of request/response wire frames produced by the serialized
     /// transport (frame header + shallow closure representation). Zero
     /// under the closure backend. Batch framing overhead (the per-flush
     /// control frame) is *excluded*: flush counts are timing-dependent and
     /// this counter must stay deterministic so it can be gated.
-    pub bytes_sent: AtomicU64,
+    bytes_sent: Up,
     /// RMI requests/responses encoded into wire frames by the serialized
     /// transport (equals `remote_requests` there; zero under closures).
-    pub messages_serialized: AtomicU64,
+    messages_serialized: Up,
     /// Nanoseconds spent encoding wire frames (serialized transport only).
-    /// Pure timing — never gate it.
-    // stapl-lint: allow(counter-gate-drift) — see above: a nanosecond
-    // total can never be regression-gated on counts.
-    pub serialize_ns: AtomicU64,
-    /// Wire frames discarded by the fabric or the receiver: fault-injected
-    /// drops, corrupt-batch rejections, and duplicate-batch discards
-    /// (counted in frames; zero on a fault-free fabric).
-    pub frames_dropped: AtomicU64,
+    serialize_ns: Timing("a nanosecond total is wall-clock, not a count"),
+    /// Wire frames lost to *injected* damage: fault-injected drops and
+    /// corrupt-batch rejections, counted in frames. A pure function of
+    /// (fault seed, src, dest, seq); zero on a fault-free fabric.
+    frames_dropped: Up,
     /// Batches re-sent by the reliable-delivery retransmit timer.
-    pub retransmits: AtomicU64,
+    retransmits: Timing("the RTO also redrives batches that were merely late, not lost"),
     /// Inbound batches rejected by wire validation (per-frame CRC-32 or
     /// framing) before any frame was decoded.
-    pub checksum_failures: AtomicU64,
+    checksum_failures: Up,
     /// Standalone pure-ack batches sent by the reliable-delivery protocol.
-    pub acks_sent: AtomicU64,
+    acks_sent: Timing("every duplicate is re-acked, so it inherits the RTO's timing"),
+    /// Wire frames of duplicate batches discarded by the receiver's dedup
+    /// window: injected dups and redrives that raced the original.
+    duplicates_discarded: Timing("counts spurious RTO redrives of merely-late batches"),
     /// Handler panics caught on the serialized path and converted into
     /// poisoned responses (failing only the issuing future) or, for
     /// fire-and-forget requests, contained to the delivering location.
-    pub poisoned_responses: AtomicU64,
+    poisoned_responses: Up,
 }
 
-impl Stats {
+impl Counter {
+    /// The counter's name — its [`StatsSnapshot`] field and JSON key.
+    pub fn name(self) -> &'static str {
+        Counter::NAMES[self as usize]
+    }
+
+    /// Looks a counter up by name; `None` for unknown names.
+    pub fn from_name(name: &str) -> Option<Counter> {
+        Counter::ALL.iter().copied().find(|c| c.name() == name)
+    }
+}
+
+/// One location's counters — the only copy. Written solely by the owning
+/// thread, so a bump is `store(load + n)` with no read-modify-write and no
+/// line shared between writers (the block is aligned past the adjacent-line
+/// prefetcher's reach); any thread may read. Owner stores are `Release`
+/// and reads `Acquire`, so a reader that observes a count also observes
+/// every count the owner — or anyone it synchronized with through a
+/// channel or barrier — published before it. The fence's read order in
+/// `rmi_fence` leans on exactly that.
+#[repr(align(128))]
+pub(crate) struct CounterBlock {
+    cells: [AtomicU64; Counter::ALL.len()],
+    /// Requests fully executed on this location.
+    handled: AtomicU64,
+    /// Requests this location sent whose carrying batch the destination
+    /// has acknowledged (stays 0 on fabrics that do not track acks).
+    acked: AtomicU64,
+}
+
+fn owner_add(cell: &AtomicU64, n: u64) {
+    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Release);
+}
+
+impl CounterBlock {
+    pub(crate) fn new() -> CounterBlock {
+        CounterBlock {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            handled: AtomicU64::new(0),
+            acked: AtomicU64::new(0),
+        }
+    }
+
+    /// Adds `n` to counter `c`. Owning thread only.
+    pub(crate) fn bump(&self, c: Counter, n: u64) {
+        owner_add(&self.cells[c as usize], n);
+    }
+
+    /// Records one request fully executed here. Owning thread only.
+    pub(crate) fn note_handled(&self) {
+        owner_add(&self.handled, 1);
+    }
+
+    /// Records `n` sent requests newly covered by an ack. Owning thread only.
+    pub(crate) fn note_acked(&self, n: u64) {
+        owner_add(&self.acked, n);
+    }
+
+    pub(crate) fn get(&self, c: Counter) -> u64 {
+        self.cells[c as usize].load(Ordering::Acquire)
+    }
+
+    pub(crate) fn handled(&self) -> u64 {
+        self.handled.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn acked(&self) -> u64 {
+        self.acked.load(Ordering::Acquire)
+    }
+
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            local_invocations: self.local_invocations.load(Ordering::Relaxed),
-            remote_requests: self.remote_requests.load(Ordering::Relaxed),
-            batches_sent: self.batches_sent.load(Ordering::Relaxed),
-            responses_sent: self.responses_sent.load(Ordering::Relaxed),
-            fence_rounds: self.fence_rounds.load(Ordering::Relaxed),
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
-            steal_requests: self.steal_requests.load(Ordering::Relaxed),
-            dir_cache_hits: self.dir_cache_hits.load(Ordering::Relaxed),
-            dir_cache_misses: self.dir_cache_misses.load(Ordering::Relaxed),
-            dir_cache_stale: self.dir_cache_stale.load(Ordering::Relaxed),
-            aged_flushes: self.aged_flushes.load(Ordering::Relaxed),
-            bulk_requests: self.bulk_requests.load(Ordering::Relaxed),
-            localized_chunks: self.localized_chunks.load(Ordering::Relaxed),
-            element_fallbacks: self.element_fallbacks.load(Ordering::Relaxed),
-            segment_requests: self.segment_requests.load(Ordering::Relaxed),
-            gather_items: self.gather_items.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            messages_serialized: self.messages_serialized.load(Ordering::Relaxed),
-            serialize_ns: self.serialize_ns.load(Ordering::Relaxed),
-            frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            acks_sent: self.acks_sent.load(Ordering::Relaxed),
-            poisoned_responses: self.poisoned_responses.load(Ordering::Relaxed),
-        }
+        StatsSnapshot::from_fn(|c| self.get(c))
     }
 }
 
-/// Expands `$m!(field, field, ...)` with every counter field of
-/// [`StatsSnapshot`], in declaration order. Single source of truth for the
-/// name-indexed access, the JSON serialization, and `since`: adding a
-/// counter here (and to both structs) extends all of them at once.
-macro_rules! with_counter_fields {
-    // Braced expansion so `$m` may expand to items (e.g. `LocalStats`) as
-    // well as expressions.
-    ($m:ident) => {
-        $m! {
-            local_invocations,
-            remote_requests,
-            batches_sent,
-            responses_sent,
-            fence_rounds,
-            tasks_executed,
-            tasks_stolen,
-            steal_requests,
-            dir_cache_hits,
-            dir_cache_misses,
-            dir_cache_stale,
-            aged_flushes,
-            bulk_requests,
-            localized_chunks,
-            element_fallbacks,
-            segment_requests,
-            gather_items,
-            bytes_sent,
-            messages_serialized,
-            serialize_ns,
-            frames_dropped,
-            retransmits,
-            checksum_failures,
-            acks_sent,
-            poisoned_responses
-        }
-    };
-}
-
-/// Per-location twins of [`Stats`]: plain `Cell`s bumped only by the owning
-/// thread, so the per-location attribution costs no atomic traffic beyond
-/// what the global counters already pay. Every increment site updates both
-/// (see the `bump!` macro in `location.rs`), which makes the invariant
-/// "per-location snapshots sum to the global snapshot" hold by
-/// construction — and testable.
-macro_rules! def_local_stats {
-    ($($f:ident),*) => {
-        #[derive(Default)]
-        pub(crate) struct LocalStats {
-            $(pub $f: std::cell::Cell<u64>,)*
-        }
-
-        impl LocalStats {
-            pub(crate) fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot { $($f: self.$f.get()),* }
-            }
-        }
-    };
-}
-with_counter_fields!(def_local_stats);
-
 impl StatsSnapshot {
-    /// Adds every counter of `other` into `self` (saturating). Used to
-    /// check that per-location snapshots sum to the global aggregate.
-    pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        macro_rules! add {
-            ($($f:ident),*) => {
-                StatsSnapshot { $($f: self.$f.saturating_add(other.$f)),* }
-            };
-        }
-        with_counter_fields!(add)
-    }
-}
-
-/// A point-in-time copy of the global runtime counters (aggregated over all
-/// locations of one execution).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub local_invocations: u64,
-    pub remote_requests: u64,
-    pub batches_sent: u64,
-    pub responses_sent: u64,
-    pub fence_rounds: u64,
-    pub tasks_executed: u64,
-    pub tasks_stolen: u64,
-    pub steal_requests: u64,
-    pub dir_cache_hits: u64,
-    pub dir_cache_misses: u64,
-    pub dir_cache_stale: u64,
-    pub aged_flushes: u64,
-    pub bulk_requests: u64,
-    pub localized_chunks: u64,
-    pub element_fallbacks: u64,
-    pub segment_requests: u64,
-    pub gather_items: u64,
-    pub bytes_sent: u64,
-    pub messages_serialized: u64,
-    pub serialize_ns: u64,
-    pub frames_dropped: u64,
-    pub retransmits: u64,
-    pub checksum_failures: u64,
-    pub acks_sent: u64,
-    pub poisoned_responses: u64,
-}
-
-impl StatsSnapshot {
-    /// Every counter name, in declaration order (the order `to_json` emits
-    /// and the benchmark JSON schema uses).
+    /// Every counter name, in declaration order.
     pub fn counter_names() -> &'static [&'static str] {
-        macro_rules! names {
-            ($($f:ident),*) => { &[$(stringify!($f)),*] };
-        }
-        with_counter_fields!(names)
+        Counter::NAMES
     }
 
     /// Looks a counter up by name; `None` for unknown names.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        macro_rules! get {
-            ($($f:ident),*) => {
-                match name { $(stringify!($f) => Some(self.$f),)* _ => None }
-            };
-        }
-        with_counter_fields!(get)
+        Counter::from_name(name).map(|c| self.get(c))
     }
 
     /// All `(name, value)` pairs, in declaration order.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        macro_rules! pairs {
-            ($($f:ident),*) => { vec![$((stringify!($f), self.$f)),*] };
-        }
-        with_counter_fields!(pairs)
+        Counter::ALL.iter().map(|&c| (c.name(), self.get(c))).collect()
+    }
+
+    /// Adds every counter of `other` into `self` (saturating): how
+    /// per-location snapshots become the execution-wide one.
+    pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
+        StatsSnapshot::from_fn(|c| self.get(c).saturating_add(other.get(c)))
     }
 
     /// The per-counter delta against an `earlier` snapshot of the same
@@ -266,29 +261,15 @@ impl StatsSnapshot {
     /// snapshot after setup, run the kernel, and subtract — back-to-back
     /// scenarios in one process then cannot cross-contaminate records.
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        macro_rules! sub {
-            ($($f:ident),*) => {
-                StatsSnapshot { $($f: self.$f.saturating_sub(earlier.$f)),* }
-            };
-        }
-        with_counter_fields!(sub)
+        StatsSnapshot::from_fn(|c| self.get(c).saturating_sub(earlier.get(c)))
     }
 
     /// Serializes the counters as a single-line JSON object,
     /// `{"local_invocations":N,...}`, in declaration order.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (name, v)) in self.counters().into_iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('"');
-            s.push_str(name);
-            s.push_str("\":");
-            s.push_str(&v.to_string());
-        }
-        s.push('}');
-        s
+        let pairs: Vec<String> =
+            self.counters().iter().map(|(name, v)| format!("\"{name}\":{v}")).collect();
+        format!("{{{}}}", pairs.join(","))
     }
 
     /// Parses a JSON object of `"name": integer` pairs as produced by
@@ -298,7 +279,7 @@ impl StatsSnapshot {
     /// non-integer value).
     pub fn from_json(json: &str) -> Option<StatsSnapshot> {
         let body = json.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut snap = StatsSnapshot::default();
+        let mut vals = [0u64; Counter::ALL.len()];
         for pair in body.split(',') {
             let pair = pair.trim();
             if pair.is_empty() {
@@ -307,14 +288,11 @@ impl StatsSnapshot {
             let (key, value) = pair.split_once(':')?;
             let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
             let value: u64 = value.trim().parse().ok()?;
-            macro_rules! set {
-                ($($f:ident),*) => {
-                    match key { $(stringify!($f) => snap.$f = value,)* _ => {} }
-                };
+            if let Some(c) = Counter::from_name(key) {
+                vals[c as usize] = value;
             }
-            with_counter_fields!(set);
         }
-        Some(snap)
+        Some(StatsSnapshot::from_fn(|c| vals[c as usize]))
     }
 }
 
@@ -498,38 +476,47 @@ mod tests {
         assert!(s.steal_fraction().is_finite()); // >1 is fine; it must not be NaN/inf
     }
 
+    /// The table's four projections agree: `Counter::ALL`, the name list,
+    /// `from_name`, the snapshot fields behind `get`/`counter`, and JSON.
     #[test]
-    fn counter_names_match_fields() {
+    fn table_projections_agree() {
         let names = StatsSnapshot::counter_names();
-        assert_eq!(names.len(), 25);
-        assert_eq!(names[0], "local_invocations");
-        assert_eq!(names[16], "gather_items");
-        assert_eq!(names[17], "bytes_sent");
-        assert_eq!(names[19], "serialize_ns");
-        assert_eq!(names[20], "frames_dropped");
-        assert_eq!(names[24], "poisoned_responses");
-        let s = StatsSnapshot { gather_items: 9, ..Default::default() };
-        assert_eq!(s.counter("gather_items"), Some(9));
-        assert_eq!(s.counter("no_such_counter"), None);
-        assert_eq!(s.counters().len(), names.len());
+        assert_eq!(names.len(), Counter::ALL.len());
+        let mut json = String::from("{");
+        for (i, (&c, &name)) in Counter::ALL.iter().zip(names).enumerate() {
+            assert_eq!(c as usize, i, "{name} out of declaration order");
+            assert_eq!(c.name(), name);
+            assert_eq!(Counter::from_name(name), Some(c));
+            assert_eq!(names.iter().filter(|n| **n == name).count(), 1, "duplicate {name}");
+            if let Class::Timing(why) = c.class() {
+                assert!(!why.is_empty(), "{name}: a Timing counter must say why");
+            }
+            // A distinct value per counter, so a swapped pair cannot pass.
+            json.push_str(&format!("{}\"{name}\":{}", if i > 0 { "," } else { "" }, i * 3 + 1));
+        }
+        json.push('}');
+        assert_eq!(Counter::from_name("no_such_counter"), None);
+        let snap = StatsSnapshot::from_json(&json).unwrap();
+        assert_eq!(snap.counter("no_such_counter"), None);
+        for (i, (&c, (name, v))) in Counter::ALL.iter().zip(snap.counters()).enumerate() {
+            assert_eq!((name, v), (c.name(), i as u64 * 3 + 1));
+            assert_eq!(snap.get(c), v);
+            assert_eq!(snap.counter(name), Some(v));
+        }
+        assert_eq!(StatsSnapshot::from_json(&snap.to_json()), Some(snap));
     }
 
     #[test]
-    fn json_round_trips_distinct_values() {
-        // Give every field a distinct value so a swapped pair cannot pass.
-        let mut json = String::from("{");
-        for (i, name) in StatsSnapshot::counter_names().iter().enumerate() {
-            if i > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!("\"{name}\":{}", (i as u64 + 1) * 3));
-        }
-        json.push('}');
-        let snap = StatsSnapshot::from_json(&json).unwrap();
-        for (i, (_, v)) in snap.counters().into_iter().enumerate() {
-            assert_eq!(v, (i as u64 + 1) * 3);
-        }
-        assert_eq!(StatsSnapshot::from_json(&snap.to_json()), Some(snap));
+    fn block_snapshot_reads_what_the_owner_bumped() {
+        let block = CounterBlock::new();
+        block.bump(Counter::gather_items, 4);
+        block.bump(Counter::gather_items, 5);
+        block.note_handled();
+        block.note_acked(3);
+        let expect = StatsSnapshot { gather_items: 9, ..Default::default() };
+        assert_eq!(block.snapshot(), expect);
+        assert_eq!((block.handled(), block.acked()), (1, 3));
+        assert_eq!(std::mem::align_of::<CounterBlock>(), 128);
     }
 
     #[test]

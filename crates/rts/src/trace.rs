@@ -36,7 +36,7 @@
 use std::collections::VecDeque;
 
 use crate::location::LocId;
-use crate::stats::StatsSnapshot;
+use crate::stats::{Counter, StatsSnapshot};
 
 /// Number of [`TraceEventKind`] variants (array-index upper bound).
 pub const KIND_COUNT: usize = 27;
@@ -101,9 +101,8 @@ pub enum TraceEventKind {
     /// A serialized byte batch pushed into a channel (`arg` = batch bytes,
     /// including the leading control frame).
     WireFlush,
-    /// Wire frames discarded by the fabric or receiver — injected drops,
-    /// corrupt rejections, duplicate discards (`arg` = frames dropped
-    /// since the last reap).
+    /// Wire frames lost to injected drops or corrupt rejections (`arg` =
+    /// frames dropped since the last reap).
     FaultDrop,
     /// Batches re-sent by the retransmit timer (`arg` = count since the
     /// last reap).
@@ -218,29 +217,28 @@ impl TraceEventKind {
     /// (flush activity, fence rounds, barriers, steals) that must never be
     /// gated — the same split the harness applies to the counters
     /// themselves.
-    pub fn gating_counter(self) -> Option<&'static str> {
+    pub fn gating_counter(self) -> Option<Counter> {
         match self {
             TraceEventKind::RmiSend
             | TraceEventKind::RmiExecute
             | TraceEventKind::SyncRmiSpan
             | TraceEventKind::FutureWaitSpan
             | TraceEventKind::CollectiveSpan
-            | TraceEventKind::Migration => Some("remote_requests"),
-            TraceEventKind::RmiReply => Some("responses_sent"),
-            TraceEventKind::Serialize => Some("messages_serialized"),
-            TraceEventKind::BulkTransfer => Some("bulk_requests"),
-            TraceEventKind::SegmentTransfer => Some("segment_requests"),
-            TraceEventKind::GatherItems => Some("gather_items"),
-            TraceEventKind::DirCacheHit => Some("dir_cache_hits"),
-            TraceEventKind::DirCacheMiss => Some("dir_cache_misses"),
-            TraceEventKind::DirCacheStale => Some("dir_cache_stale"),
-            TraceEventKind::TaskSpan => Some("tasks_executed"),
+            | TraceEventKind::Migration => Some(Counter::remote_requests),
+            TraceEventKind::RmiReply => Some(Counter::responses_sent),
+            TraceEventKind::Serialize => Some(Counter::messages_serialized),
+            TraceEventKind::BulkTransfer => Some(Counter::bulk_requests),
+            TraceEventKind::SegmentTransfer => Some(Counter::segment_requests),
+            TraceEventKind::GatherItems => Some(Counter::gather_items),
+            TraceEventKind::DirCacheHit => Some(Counter::dir_cache_hits),
+            TraceEventKind::DirCacheMiss => Some(Counter::dir_cache_misses),
+            TraceEventKind::DirCacheStale => Some(Counter::dir_cache_stale),
+            TraceEventKind::TaskSpan => Some(Counter::tasks_executed),
             // A caught handler panic is as deterministic as the workload
-            // that panicked; the reliability events below depend on flush
-            // boundaries and timer races, so they are never gated as trace
-            // counts (the *stats* counters can be, in fault scenarios
-            // engineered to be batch-deterministic).
-            TraceEventKind::PoisonedResponse => Some("poisoned_responses"),
+            // that panicked; the reliability events below are recorded
+            // once per reap, so their *event* count follows poll timing
+            // even where the counter they carry is deterministic.
+            TraceEventKind::PoisonedResponse => Some(Counter::poisoned_responses),
             TraceEventKind::Flush
             | TraceEventKind::WireFlush
             | TraceEventKind::AgedFlush

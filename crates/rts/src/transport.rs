@@ -562,9 +562,11 @@ pub(crate) struct FlushInfo {
 /// preserving the rule that the endpoint itself never touches counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct TransportEvents {
-    /// Frames discarded: fault-injected drops, corrupt-batch rejections,
-    /// and duplicate-batch discards (counted in frames, not batches).
+    /// Frames lost to injected damage: fault-injected drops and
+    /// corrupt-batch rejections (counted in frames, not batches).
     pub frames_dropped: u64,
+    /// Frames of duplicate batches discarded by the dedup window.
+    pub duplicates_discarded: u64,
     /// Batches re-sent by the retransmit timer.
     pub retransmits: u64,
     /// Batches rejected by wire validation (checksum/framing) before any
@@ -580,6 +582,7 @@ pub(crate) struct TransportEvents {
 #[derive(Default)]
 struct EventCells {
     frames_dropped: Cell<u64>,
+    duplicates_discarded: Cell<u64>,
     retransmits: Cell<u64>,
     checksum_failures: Cell<u64>,
     acks_sent: Cell<u64>,
@@ -590,6 +593,7 @@ impl EventCells {
     fn take(&self) -> TransportEvents {
         TransportEvents {
             frames_dropped: self.frames_dropped.take(),
+            duplicates_discarded: self.duplicates_discarded.take(),
             retransmits: self.retransmits.take(),
             checksum_failures: self.checksum_failures.take(),
             acks_sent: self.acks_sent.take(),
@@ -937,7 +941,7 @@ impl SerializedTransport {
             Admit::ReAck => {
                 // Duplicate (a retransmit raced the ack, or an injected
                 // dup): discard, but re-ack in case the first ack was lost.
-                cell_add(&self.events.frames_dropped, nreqs as u64);
+                cell_add(&self.events.duplicates_discarded, nreqs as u64);
                 self.send_ack(src);
                 None
             }

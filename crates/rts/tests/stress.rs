@@ -30,6 +30,43 @@ fn forwarding_chain_of_depth_nlocs_drains_in_one_fence() {
     });
 }
 
+/// Fenced chains the test below runs per location count; sized to stay
+/// under ~4 s in a debug build on a 2-core host.
+const CHAIN_FENCES: usize = 1500;
+
+/// Pins the fence leader's read order (`handled` before `sent`). While
+/// the leader sums the counters its peers are still executing handlers,
+/// and a handler that forwards moves both sides at once — so reading
+/// `sent` first can balance the books with a hop still in flight. Long
+/// bouncing chains under an unbuffered fabric keep such a handler running
+/// at nearly every verdict; each fence must still see its chain land.
+#[test]
+fn fence_waits_for_every_hop_of_a_bouncing_chain() {
+    fn hop(loc: &Location, h: stapl_rts::Handle, remaining: usize) {
+        if remaining == 0 {
+            *loc.lookup::<RefCell<u64>>(h).borrow_mut() += 1;
+            return;
+        }
+        // Never self: the offset is in 1..nlocs.
+        let next = (loc.id() + 1 + remaining % (loc.nlocs() - 1)) % loc.nlocs();
+        loc.async_rmi(next, h, move |_: &RefCell<u64>, l| hop(l, h, remaining - 1));
+    }
+    for p in [3usize, 4, 6] {
+        execute(RtsConfig::unbuffered(), p, move |loc| {
+            let (h, rep) = loc.register(RefCell::new(0u64));
+            loc.rmi_fence();
+            for iter in 1..=CHAIN_FENCES {
+                if loc.id() == iter % p {
+                    hop(loc, h, 40 + iter % 17);
+                }
+                loc.rmi_fence();
+                let landed = loc.allreduce_sum(*rep.borrow());
+                assert_eq!(landed, iter as u64, "P={p}: fence {iter} returned before its chain");
+            }
+        });
+    }
+}
+
 #[test]
 fn reply_token_completes_across_forward() {
     execute(RtsConfig::default(), 3, |loc| {
