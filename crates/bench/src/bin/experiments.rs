@@ -1605,7 +1605,10 @@ fn chaos_exp() {
     let mut t = Table::new(
         "Chaos soak: mixed container traffic under escalating fault schedules \
          (serialized backend, ack/retransmit recovery)",
-        &["profile", "P", "time", "dropped", "retransmits", "crc rejects", "acks", "divergence"],
+        &[
+            "profile", "P", "time", "dropped", "retransmits", "crc rejects", "dups discarded",
+            "acks", "divergence",
+        ],
     );
 
     // Mixed soak workload: an all-pairs async-increment storm (many small
@@ -1692,6 +1695,7 @@ fn chaos_exp() {
                 d.frames_dropped.to_string(),
                 d.retransmits.to_string(),
                 d.checksum_failures.to_string(),
+                d.duplicates_discarded.to_string(),
                 d.acks_sent.to_string(),
                 if diverged { "DIVERGED".into() } else { "none".into() },
             ]);

@@ -8,6 +8,8 @@
 //! location closed-form address resolution — no directory traffic, the
 //! static-container optimization of Section V.C.
 
+use std::cell::RefCell;
+
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::distribution::{GidRun, IndexDistribution};
 use stapl_core::domain::Range1d;
@@ -19,8 +21,8 @@ use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::{CyclicMapper, PartitionMapper};
 use stapl_core::partition::{BalancedPartition, IndexPartition, IndexSubDomain};
 use stapl_core::pobject::PObject;
-use stapl_core::thread_safety::{methods, ThreadSafety};
-use stapl_rts::{Location, RmiFuture};
+use stapl_core::thread_safety::{methods, MethodId, ThreadSafety};
+use stapl_rts::{LocId, Location, RmiFuture};
 
 /// Storage strategy of the pArray base containers — the knob behind the
 /// paper's memory-consumption study (Fig. 34): one contiguous allocation
@@ -58,16 +60,15 @@ impl<T: Clone> ArrayBc<T> {
         ArrayBc { sd, store }
     }
 
-    fn get(&self, gid: usize) -> &T {
-        let off = self.sd.offset(gid);
+    /// The value at storage offset `off` (the sub-domain's linearization).
+    fn at(&self, off: usize) -> &T {
         match &self.store {
             Store::Contiguous(v) => &v[off],
             Store::Boxed(v) => &v[off],
         }
     }
 
-    fn get_mut(&mut self, gid: usize) -> &mut T {
-        let off = self.sd.offset(gid);
+    fn at_mut(&mut self, off: usize) -> &mut T {
         match &mut self.store {
             Store::Contiguous(v) => &mut v[off],
             Store::Boxed(v) => &mut v[off],
@@ -115,7 +116,7 @@ impl<T: Clone> ArrayBc<T> {
             Some(s) => out.extend_from_slice(s),
             None => {
                 for g in gids.iter() {
-                    out.push(self.get(g).clone());
+                    out.push(self.at(self.sd.offset(g)).clone());
                 }
             }
         }
@@ -131,7 +132,7 @@ impl<T: Clone> ArrayBc<T> {
             Some(s) => s.clone_from_slice(vals),
             None => {
                 for (g, v) in gids.iter().zip(vals) {
-                    *self.get_mut(g) = v.clone();
+                    *self.at_mut(self.sd.offset(g)) = v.clone();
                 }
             }
         }
@@ -147,7 +148,7 @@ impl<T: Clone> ArrayBc<T> {
             }
             None => {
                 for g in gids.iter() {
-                    f(g, self.get_mut(g));
+                    f(g, self.at_mut(self.sd.offset(g)));
                 }
             }
         }
@@ -156,53 +157,17 @@ impl<T: Clone> ArrayBc<T> {
     /// Short-circuiting in-order iteration; returns false when `f` asked
     /// to stop.
     fn try_for_each<F: FnMut(usize, &T) -> bool>(&self, mut f: F) -> bool {
-        match &self.store {
-            Store::Contiguous(v) => {
-                for (k, g) in self.sd.iter().enumerate() {
-                    if !f(g, &v[k]) {
-                        return false;
-                    }
-                }
-            }
-            Store::Boxed(v) => {
-                for (k, g) in self.sd.iter().enumerate() {
-                    if !f(g, &v[k]) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        self.sd.iter().enumerate().all(|(k, g)| f(g, self.at(k)))
     }
 
     /// In-order (gid, value) iteration of the sub-domain.
     fn for_each<F: FnMut(usize, &T)>(&self, mut f: F) {
-        match &self.store {
-            Store::Contiguous(v) => {
-                for (k, g) in self.sd.iter().enumerate() {
-                    f(g, &v[k]);
-                }
-            }
-            Store::Boxed(v) => {
-                for (k, g) in self.sd.iter().enumerate() {
-                    f(g, &v[k]);
-                }
-            }
-        }
+        self.sd.iter().enumerate().for_each(|(k, g)| f(g, self.at(k)));
     }
 
     fn for_each_mut<F: FnMut(usize, &mut T)>(&mut self, mut f: F) {
-        match &mut self.store {
-            Store::Contiguous(v) => {
-                for (k, g) in self.sd.iter().enumerate() {
-                    f(g, &mut v[k]);
-                }
-            }
-            Store::Boxed(v) => {
-                for (k, g) in self.sd.iter().enumerate() {
-                    f(g, &mut v[k]);
-                }
-            }
+        for (k, g) in self.sd.clone().iter().enumerate() {
+            f(g, self.at_mut(k));
         }
     }
 }
@@ -248,30 +213,72 @@ pub struct ArrayRep<T> {
     staging: Option<(LocationManager<ArrayBc<T>>, IndexDistribution)>,
 }
 
+/// What an owner says when a shipped element method finds no local slot.
+const NOT_HERE: &str = "pArray element shipped to a location that does not hold it";
+
 impl<T: Send + Clone + 'static> ArrayRep<T> {
-    fn set_local(&mut self, bcid: Bcid, gid: usize, v: T) {
-        let this = &mut *self;
-        let _g = this.ths.guard(methods::SET, gid as u64, bcid);
-        *this.lm.get_mut(bcid).expect("set: bcid not on this location").get_mut(gid) = v;
+    /// Address resolution (Fig. 7), local sub-domains first: the (bcid,
+    /// storage offset) of `gid` when a local bContainer holds it, else the
+    /// location to ship the method to. A gid inside a local sub-domain is
+    /// in bounds by construction, so the bounds check is on the miss path.
+    fn resolve(&self, gid: usize) -> Result<(Bcid, usize), LocId> {
+        // One local bContainer (every default constructor): "is it mine" is
+        // the sub-domain's range compare, no partition or mapper call.
+        let mut local = self.lm.iter();
+        if let (Some((bcid, bc)), None) = (local.next(), local.next()) {
+            if bc.sd.contains(gid) {
+                return Ok((bcid, bc.sd.offset(gid)));
+            }
+        }
+        let n = self.dist.global_size();
+        assert!(gid < n, "pArray index {gid} out of bounds (size {n})");
+        let bcid = self.dist.partition().find(gid);
+        match self.lm.get(bcid) {
+            Some(bc) => Ok((bcid, bc.sd.offset(gid))),
+            None => Err(self.dist.mapper().map(bcid)),
+        }
     }
 
-    fn get_local(&self, bcid: Bcid, gid: usize) -> T {
-        let _g = self.ths.guard(methods::GET, gid as u64, bcid);
-        self.lm.get(bcid).expect("get: bcid not on this location").get(gid).clone()
+    /// The element-method skeleton on one location's representative: under
+    /// one borrow, resolves `gid` and — when a local bContainer holds it —
+    /// runs `f` on the element under `method`'s guard; else hands `f` back
+    /// with the owner to ship it to, where the same function runs it.
+    #[inline]
+    fn with<R, F>(cell: &RefCell<Self>, method: MethodId, gid: usize, f: F) -> Result<R, (LocId, F)>
+    where
+        F: FnOnce(&T) -> R,
+    {
+        let rep = cell.borrow();
+        match rep.resolve(gid) {
+            Ok((bcid, off)) => {
+                let _g = rep.ths.guard(method, gid as u64, bcid);
+                Ok(f(rep.lm.get(bcid).expect("resolved to a local bContainer").at(off)))
+            }
+            Err(owner) => Err((owner, f)),
+        }
     }
 
-    fn apply_local<R>(&mut self, bcid: Bcid, gid: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        let this = &mut *self;
-        let _g = this.ths.guard(methods::APPLY, gid as u64, bcid);
-        f(this.lm.get_mut(bcid).expect("apply: bcid not on this location").get_mut(gid))
+    /// Mutable counterpart of [`ArrayRep::with`].
+    #[inline]
+    fn with_mut<R, F>(cell: &RefCell<Self>, method: MethodId, gid: usize, f: F) -> Result<R, (LocId, F)>
+    where
+        F: FnOnce(&mut T) -> R,
+    {
+        let rep = &mut *cell.borrow_mut();
+        match rep.resolve(gid) {
+            Ok((bcid, off)) => {
+                let _g = rep.ths.guard(method, gid as u64, bcid);
+                Ok(f(rep.lm.get_mut(bcid).expect("resolved to a local bContainer").at_mut(off)))
+            }
+            Err(owner) => Err((owner, f)),
+        }
     }
 
-    /// Bulk read of one storage-contiguous run (one guard, one borrow).
-    fn get_range_local(&self, bcid: Bcid, gids: Range1d) -> Vec<T> {
+    /// Bulk read of one storage-contiguous run (one guard, one borrow),
+    /// appended to `out`.
+    fn get_range_local(&self, bcid: Bcid, gids: Range1d, out: &mut Vec<T>) {
         let _g = self.ths.guard(methods::GET, gids.lo as u64, bcid);
-        let mut out = Vec::with_capacity(gids.len());
-        self.lm.get(bcid).expect("get_range: bcid not on this location").extend_range(gids, &mut out);
-        out
+        self.lm.get(bcid).expect("get_range: bcid not on this location").extend_range(gids, out);
     }
 
     /// Bulk write of one storage-contiguous run.
@@ -386,20 +393,23 @@ impl<T: Send + Clone + 'static> PArray<T> {
         a
     }
 
-    fn locate(&self, gid: usize) -> (Bcid, usize) {
-        let rep = self.obj.local();
-        assert!(
-            gid < rep.dist.global_size(),
-            "pArray index {gid} out of bounds (size {})",
-            rep.dist.global_size()
-        );
-        rep.dist.locate(gid)
+    /// The asynchronous element methods: `f` on element `gid`, here or shipped.
+    #[inline]
+    fn update(&self, method: MethodId, gid: usize, f: impl FnOnce(&mut T) + Send + 'static) {
+        if let Err((owner, f)) = ArrayRep::with_mut(self.obj.rep_cell(), method, gid, f) {
+            self.obj.invoke_at(owner, move |cell, _| {
+                ArrayRep::with_mut(cell, method, gid, f).ok().expect(NOT_HERE)
+            });
+        }
     }
 
     /// The distribution's (bcid, location) for `gid` — exposed for tests
     /// and benchmarks that reason about placement.
-    pub fn locate_element(&self, gid: usize) -> (Bcid, usize) {
-        self.locate(gid)
+    pub fn locate_element(&self, gid: usize) -> (Bcid, LocId) {
+        let rep = self.obj.local();
+        let n = rep.dist.global_size();
+        assert!(gid < n, "pArray index {gid} out of bounds (size {n})");
+        rep.dist.locate(gid)
     }
 
     /// **Collective.** Re-partitions and re-maps the data (Section V.G):
@@ -460,8 +470,7 @@ impl<T: Send + Clone + 'static> PArray<T> {
             let mut moves: Vec<(usize, usize, Bcid, T)> = Vec::new(); // (dest, gid, bcid, v)
             for (_, bc) in rep.lm.iter() {
                 bc.for_each(|gid, v| {
-                    let nb = new_dist.partition().find(gid);
-                    let nl = new_dist.mapper().map(nb);
+                    let (nb, nl) = new_dist.locate(gid);
                     moves.push((nl, gid, nb, v.clone()));
                 });
             }
@@ -471,7 +480,8 @@ impl<T: Send + Clone + 'static> PArray<T> {
                     let mut rep = cell.borrow_mut();
                     let staging =
                         &mut rep.staging.as_mut().expect("staging missing during redistribution").0;
-                    *staging.get_mut(nb).expect("staging bcid").get_mut(gid) = v;
+                    let bc = staging.get_mut(nb).expect("staging bcid");
+                    *bc.at_mut(bc.sd.offset(gid)) = v;
                 });
             }
         }
@@ -516,11 +526,6 @@ impl<T: Send + Clone + 'static> PArray<T> {
             Box::new(stapl_core::mapper::GeneralMapper::new(nlocs, assignment)),
         );
     }
-
-    /// Runtime statistics pass-through for benches.
-    pub fn location_handle(&self) -> &Location {
-        self.obj.location()
-    }
 }
 
 impl<T: Send + Clone + 'static> PContainer for PArray<T> {
@@ -553,47 +558,41 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
     type Value = T;
 
     fn get_element(&self, gid: usize) -> T {
-        let (bcid, owner) = self.locate(gid);
-        if owner == self.obj.location().id() {
-            self.obj.local().get_local(bcid, gid)
-        } else {
-            self.obj.invoke_ret_at(owner, move |cell, _| cell.borrow().get_local(bcid, gid))
-        }
+        ArrayRep::with(self.obj.rep_cell(), methods::GET, gid, T::clone).unwrap_or_else(|(owner, get)| {
+            self.obj.invoke_ret_at(owner, move |cell, _| {
+                ArrayRep::with(cell, methods::GET, gid, get).ok().expect(NOT_HERE)
+            })
+        })
     }
 
     fn split_get_element(&self, gid: usize) -> RmiFuture<T> {
-        let (bcid, owner) = self.locate(gid);
-        self.obj.invoke_split_at(owner, move |cell, _| cell.borrow().get_local(bcid, gid))
+        match ArrayRep::with(self.obj.rep_cell(), methods::GET, gid, T::clone) {
+            Ok(v) => {
+                // A split-phase method counts as an invocation wherever it runs.
+                self.obj.location().note_local_invocation();
+                RmiFuture::ready(v)
+            }
+            Err((owner, get)) => self.obj.invoke_split_at(owner, move |cell, _| {
+                ArrayRep::with(cell, methods::GET, gid, get).ok().expect(NOT_HERE)
+            }),
+        }
     }
 
     fn is_local(&self, gid: usize) -> bool {
-        let (_, owner) = self.locate(gid);
-        owner == self.obj.location().id()
+        self.obj.local().resolve(gid).is_ok()
     }
 }
 
 impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
     fn set_element(&self, gid: usize, v: T) {
-        let (bcid, owner) = self.locate(gid);
-        if owner == self.obj.location().id() {
-            self.obj.local_mut().set_local(bcid, gid, v);
-        } else {
-            self.obj.invoke_at(owner, move |cell, _| cell.borrow_mut().set_local(bcid, gid, v));
-        }
+        self.update(methods::SET, gid, move |slot| *slot = v);
     }
 
     fn apply_set<F>(&self, gid: usize, f: F)
     where
         F: FnOnce(&mut T) + Send + 'static,
     {
-        let (bcid, owner) = self.locate(gid);
-        if owner == self.obj.location().id() {
-            self.obj.local_mut().apply_local(bcid, gid, f);
-        } else {
-            self.obj.invoke_at(owner, move |cell, _| {
-                cell.borrow_mut().apply_local(bcid, gid, f);
-            });
-        }
+        self.update(methods::APPLY, gid, f);
     }
 
     fn apply_get<R, F>(&self, gid: usize, f: F) -> R
@@ -601,13 +600,11 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        let (bcid, owner) = self.locate(gid);
-        if owner == self.obj.location().id() {
-            self.obj.local_mut().apply_local(bcid, gid, f)
-        } else {
-            self.obj
-                .invoke_ret_at(owner, move |cell, _| cell.borrow_mut().apply_local(bcid, gid, f))
-        }
+        ArrayRep::with_mut(self.obj.rep_cell(), methods::APPLY, gid, f).unwrap_or_else(|(owner, f)| {
+            self.obj.invoke_ret_at(owner, move |cell, _| {
+                ArrayRep::with_mut(cell, methods::APPLY, gid, f).ok().expect(NOT_HERE)
+            })
+        })
     }
 }
 
@@ -690,7 +687,9 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
                     loc.note_bulk_request(run.gids.len() as u64);
                     let (bcid, gids) = (run.bcid, run.gids);
                     RangePart::Bulk(self.obj.invoke_split_at(run.owner, move |cell, _| {
-                        cell.borrow().get_range_local(bcid, gids)
+                        let mut vals = Vec::with_capacity(gids.len());
+                        cell.borrow().get_range_local(bcid, gids, &mut vals);
+                        vals
                     }))
                 } else {
                     loc.note_element_fallbacks(run.gids.len() as u64);
@@ -706,12 +705,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
             match part {
                 RangePart::Local(bcid, gids) => {
                     loc.note_localized_chunk();
-                    let rep = self.obj.local();
-                    let _g = rep.ths.guard(methods::GET, gids.lo as u64, bcid);
-                    rep.lm
-                        .get(bcid)
-                        .expect("get_range: local run's bcid missing")
-                        .extend_range(gids, &mut out);
+                    self.obj.local().get_range_local(bcid, gids, &mut out);
                 }
                 RangePart::Bulk(fut) => out.extend(fut.get()),
                 RangePart::Elems(futs) => out.extend(futs.into_iter().map(|f| f.get())),

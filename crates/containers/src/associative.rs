@@ -249,6 +249,33 @@ where
         self.obj.location().id()
     }
 
+    /// The asynchronous element methods: runs `op` on the store of `k`'s
+    /// bucket — here, under the borrow that located it, when this location
+    /// holds the bucket; shipped to the owner otherwise. `resizes` marks the
+    /// cached size stale (at issuer and owner); `invokes` says whether a
+    /// local run counts as an invocation.
+    fn update_async<F>(&self, k: K, resizes: bool, invokes: bool, op: F)
+    where
+        F: FnOnce(&mut S, K) + Send + 'static,
+    {
+        let mut rep = self.obj.local_mut();
+        rep.size_dirty |= resizes;
+        let bcid = rep.dist.partition().find(&k);
+        if let Some(bc) = rep.lm.get_mut(bcid) {
+            if invokes {
+                self.obj.location().note_local_invocation();
+            }
+            return op(&mut bc.store, k);
+        }
+        let owner = rep.dist.mapper().map(bcid);
+        drop(rep);
+        self.obj.invoke_at(owner, move |cell, _| {
+            let mut rep = cell.borrow_mut();
+            rep.size_dirty |= resizes;
+            op(&mut rep.lm.get_mut(bcid).expect("assoc bcid").store, k);
+        });
+    }
+
     /// Asynchronously applies `f` to the value under `k`, inserting
     /// `default` first when absent — the combining primitive MapReduce and
     /// histogramming build on.
@@ -256,21 +283,12 @@ where
     where
         F: FnOnce(&mut V) + Send + 'static,
     {
-        let (bcid, owner) = self.locate(&k);
-        let run = move |rep: &mut AssocRep<K, V, S>| {
-            rep.size_dirty = true;
-            let store = &mut rep.lm.get_mut(bcid).expect("assoc bcid").store;
+        self.update_async(k, true, false, move |store, k| {
             if store.get(&k).is_none() {
                 store.insert(k.clone(), default);
             }
             f(store.get_mut(&k).expect("just inserted"));
-        };
-        if owner == self.me() {
-            run(&mut self.obj.local_mut());
-        } else {
-            self.obj.local_mut().size_dirty = true;
-            self.obj.invoke_at(owner, move |cell, _| run(&mut cell.borrow_mut()));
-        }
+        });
     }
 
     /// Asynchronously applies `f` to an existing value (no-op when absent).
@@ -278,10 +296,8 @@ where
     where
         F: FnOnce(&mut V) + Send + 'static,
     {
-        let (bcid, owner) = self.locate(&k);
-        self.obj.invoke_at(owner, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            if let Some(v) = rep.lm.get_mut(bcid).expect("assoc bcid").store.get_mut(&k) {
+        self.update_async(k, false, true, move |store, k| {
+            if let Some(v) = store.get_mut(&k) {
                 f(v);
             }
         });
@@ -483,36 +499,25 @@ where
     type Mapped = V;
 
     fn insert_async(&self, k: K, v: V) {
-        let (bcid, owner) = self.locate(&k);
-        if owner == self.me() {
-            let mut rep = self.obj.local_mut();
-            rep.size_dirty = true;
-            rep.lm.get_mut(bcid).expect("assoc bcid").store.insert(k, v);
-        } else {
-            self.obj.local_mut().size_dirty = true;
-            self.obj.invoke_at(owner, move |cell, _| {
-                let mut rep = cell.borrow_mut();
-                rep.size_dirty = true;
-                rep.lm.get_mut(bcid).expect("assoc bcid").store.insert(k, v);
-            });
-        }
+        self.update_async(k, true, false, move |store, k| {
+            store.insert(k, v);
+        });
     }
 
     fn erase_async(&self, k: K) {
-        let (bcid, owner) = self.locate(&k);
-        self.obj.local_mut().size_dirty = true;
-        self.obj.invoke_at(owner, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
-            rep.lm.get_mut(bcid).expect("assoc bcid").store.remove(&k);
+        self.update_async(k, true, true, move |store, k| {
+            store.remove(&k);
         });
     }
 
     fn find(&self, k: K) -> Option<V> {
-        let (bcid, owner) = self.locate(&k);
-        if owner == self.me() {
-            return self.obj.local().lm.get(bcid).expect("assoc bcid").store.get(&k).cloned();
+        let rep = self.obj.local();
+        let bcid = rep.dist.partition().find(&k);
+        if let Some(bc) = rep.lm.get(bcid) {
+            return bc.store.get(&k).cloned();
         }
+        let owner = rep.dist.mapper().map(bcid);
+        drop(rep);
         self.obj.invoke_ret_at(owner, move |cell, _| {
             cell.borrow().lm.get(bcid).expect("assoc bcid").store.get(&k).cloned()
         })
@@ -831,6 +836,7 @@ mod tests {
                 assert_eq!(m.find(k), Some(format!("v{k}")));
             }
             assert_eq!(m.find(99), None);
+            loc.barrier(); // every location's finds above precede the erase
             if loc.id() == 1 {
                 m.erase_async(7);
             }

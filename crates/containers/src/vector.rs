@@ -91,6 +91,13 @@ where
     }
 }
 
+/// Cumulative upper bounds of `n` indices dealt to `nlocs` balanced blocks
+/// (the first `n % nlocs` one longer).
+fn balanced_bounds(n: usize, nlocs: usize) -> Vec<usize> {
+    let (base, extra) = (n / nlocs, n % nlocs);
+    (1..=nlocs).map(|l| l * base + l.min(extra)).collect()
+}
+
 /// The STAPL pVector.
 pub struct PVector<T: Send + Clone + 'static> {
     obj: PObject<VectorRep<T>>,
@@ -103,28 +110,22 @@ impl<T: Send + Clone + 'static> Clone for PVector<T> {
 }
 
 impl<T: Send + Clone + 'static> PVector<T> {
-    /// **Collective.** A pVector of `n` copies of `init`, balanced.
+    /// **Collective.** A pVector of `n` copies of `init`, balanced, with
+    /// the paper's dynamic-container locking policies and no lock manager.
     pub fn new(loc: &Location, n: usize, init: T) -> Self {
-        let nlocs = loc.nlocs();
-        let base = n / nlocs;
-        let extra = n % nlocs;
-        let mine = base + usize::from(loc.id() < extra);
-        let mut bounds = Vec::with_capacity(nlocs);
-        let mut acc = 0;
-        for l in 0..nlocs {
-            acc += base + usize::from(l < extra);
-            bounds.push(acc);
-        }
-        let rep = VectorRep {
-            data: vec![init; mine],
-            bounds,
-            staging: Vec::new(),
-            epoch: 0,
-            ths: ThreadSafety::new(
-                LockingPolicyTable::dynamic_default(),
-                std::sync::Arc::new(stapl_core::thread_safety::NoLockManager),
-            ),
-        };
+        let ths = ThreadSafety::new(
+            LockingPolicyTable::dynamic_default(),
+            std::sync::Arc::new(stapl_core::thread_safety::NoLockManager),
+        );
+        Self::with_thread_safety(loc, n, init, ths)
+    }
+
+    /// **Collective.** Like [`PVector::new`] under a caller-chosen
+    /// thread-safety policy (the paper's traits template argument).
+    pub fn with_thread_safety(loc: &Location, n: usize, init: T, ths: ThreadSafety) -> Self {
+        let bounds = balanced_bounds(n, loc.nlocs());
+        let mut rep = VectorRep { data: Vec::new(), bounds, staging: Vec::new(), epoch: 0, ths };
+        rep.data = vec![init; rep.bounds[loc.id()] - rep.lo(loc.id())];
         let obj = PObject::register(loc, rep);
         loc.barrier();
         PVector { obj }
@@ -219,16 +220,8 @@ impl<T: Send + Clone + 'static> PVector<T> {
         loc.rmi_fence();
         let lens = loc.allgather(self.obj.local().data.len());
         let total: usize = lens.iter().sum();
-        // Balanced target: like `new`, the first `total % nlocs`
-        // locations hold one extra element.
-        let base = total / nlocs;
-        let extra = total % nlocs;
-        let mut target = Vec::with_capacity(nlocs);
-        let mut acc = 0;
-        for l in 0..nlocs {
-            acc += base + usize::from(l < extra);
-            target.push(acc);
-        }
+        // Balanced target, like `new`.
+        let target = balanced_bounds(total, nlocs);
         let owner_of = |g: usize| target.partition_point(|&b| b <= g).min(nlocs - 1);
         let my_lo: usize = lens[..me].iter().sum();
         // Partition the local block: keepers stage locally, movers ship to
@@ -361,6 +354,7 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_split_at(owner, move |cell, _| {
             let rep = cell.borrow();
+            let _g = rep.ths.guard(methods::GET, gid as u64, owner);
             rep.data[rep.clamp(off)].clone()
         })
     }
@@ -703,6 +697,7 @@ mod tests {
             assert_eq!(v.global_size(), 5);
             assert_eq!(v.collect_ordered(), vec![0, 0, 0, 7, 8]);
             assert_eq!(v.get_element(4), 8);
+            loc.barrier(); // every location's read above precedes the pop
             if loc.id() == 1 {
                 v.pop_back();
             }

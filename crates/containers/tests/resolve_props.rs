@@ -1,0 +1,321 @@
+//! Address resolution on the local fast path (Fig. 7 as implemented):
+//! every element method resolves its target once, local sub-domains first.
+//! These tests pin what that must not change — where every gid lives under
+//! every partition × mapper, the out-of-bounds panic, the guards a locked
+//! container takes, and which methods count as local invocations.
+
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use stapl_containers::array::{ArrayStorage, PArray};
+use stapl_containers::associative::PHashMap;
+use stapl_containers::vector::PVector;
+use stapl_core::distribution::IndexDistribution;
+use stapl_core::interfaces::{
+    AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer,
+};
+use stapl_core::mapper::{BlockedMapper, CyclicMapper, GeneralMapper, PartitionMapper};
+use stapl_core::partition::{
+    BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, IndexPartition,
+};
+use stapl_core::thread_safety::{
+    methods, HashedLockManager, LockingPolicyTable, MethodPolicy, ThreadSafety,
+    ThreadSafetyManager, ThsInfo,
+};
+use stapl_rts::{execute, Location, RtsConfig};
+
+/// Every partition family over `[0, n)`, tiny blocks (many bContainers per
+/// location) and empty sub-domains included.
+fn partitions(n: usize) -> Vec<Box<dyn IndexPartition>> {
+    let mut all: Vec<Box<dyn IndexPartition>> = vec![
+        Box::new(BalancedPartition::new(n, 1)),
+        Box::new(BalancedPartition::new(n, 3)),
+        Box::new(BalancedPartition::new(n, 8)),
+        Box::new(BlockedPartition::new(n, 1)),
+        Box::new(BlockedPartition::new(n, 2)),
+        Box::new(BlockedPartition::new(n, 7)),
+        Box::new(BlockCyclicPartition::new(n, 3, 1)),
+        Box::new(BlockCyclicPartition::new(n, 2, 3)),
+        Box::new(ExplicitPartition::from_sizes(&[n])),
+    ];
+    if n >= 2 {
+        all.push(Box::new(ExplicitPartition::from_sizes(&[1, 0, n - 2, 0, 1])));
+    }
+    all
+}
+
+fn mappers(parts: usize, nlocs: usize) -> Vec<Box<dyn PartitionMapper>> {
+    vec![
+        Box::new(CyclicMapper::new(nlocs)),
+        Box::new(BlockedMapper::new(nlocs, parts)),
+        Box::new(GeneralMapper::new(nlocs, (0..parts).map(|b| (parts - 1 - b) % nlocs).collect())),
+    ]
+}
+
+fn value(g: usize, round: u64) -> u64 {
+    g as u64 * 7 + 1 + round * 1000
+}
+
+/// Checks every element method of `a` on every gid against `dist`, an
+/// independently built copy of the distribution `a` should be under:
+/// placement (`is_local`, `locate_element`), writes from a non-owner and an
+/// owner alike, blocking and split-phase reads, and — through local
+/// iteration, which walks the storage without resolving anything — that
+/// each write landed in the slot of its own gid on its own location.
+fn check_against(a: &PArray<u64>, dist: &IndexDistribution, loc: &Location, round: u64, stage: &str) {
+    let (n, me, p) = (dist.global_size(), loc.id(), loc.nlocs());
+    assert_eq!(a.global_size(), n, "{stage}");
+    for g in 0..n {
+        assert_eq!(a.locate_element(g), dist.locate(g), "{stage}: locate_element({g})");
+        assert_eq!(a.is_local(g), dist.locate(g).1 == me, "{stage}: is_local({g})");
+        if g % p == me {
+            a.set_element(g, value(g, round) - 1);
+        }
+    }
+    loc.rmi_fence();
+    for g in (0..n).filter(|g| (g + 1) % p == me) {
+        let got = a.apply_get(g, |v| {
+            *v += 1;
+            *v
+        });
+        assert_eq!(got, value(g, round), "{stage}: apply_get({g})");
+    }
+    loc.rmi_fence();
+    for g in 0..n {
+        assert_eq!(a.get_element(g), value(g, round), "{stage}: get_element({g})");
+        assert_eq!(a.split_get_element(g).get(), value(g, round), "{stage}: split_get({g})");
+    }
+    let mut mine = Vec::new();
+    a.for_each_local(|g, v| {
+        assert_eq!(*v, value(g, round), "{stage}: storage slot of {g}");
+        mine.push(g);
+    });
+    let expect: Vec<usize> = dist
+        .local_subdomains(me)
+        .iter()
+        .flat_map(|(_, sd)| sd.iter().collect::<Vec<_>>())
+        .collect();
+    assert_eq!(mine, expect, "{stage}: local gids in linearization order");
+    // Reads above must finish everywhere before the next round's writes.
+    loc.barrier();
+}
+
+#[test]
+fn resolve_agrees_with_the_distribution_on_every_gid() {
+    for p in 1..=4usize {
+        for n in [0usize, 1, 2, 23] {
+            for pi in 0..partitions(n).len() {
+                for mi in 0..3 {
+                    let what = format!("P={p} n={n} partition#{pi} mapper#{mi}");
+                    execute(RtsConfig::default(), p, |loc| {
+                        // Built per location: the boxed traits are not `Sync`.
+                        let part = partitions(n).swap_remove(pi);
+                        let mapper = mappers(part.num_subdomains(), p).swap_remove(mi);
+                        let dist = IndexDistribution::new(part.clone_box(), mapper.clone_box());
+                        let a = PArray::with_partition(loc, part.clone_box(), mapper.clone_box(), 0);
+                        check_against(&a, &dist, loc, 0, &what);
+
+                        // Onto the next partition family (and another mapper).
+                        let to_part = partitions(n).swap_remove((pi + 4) % partitions(n).len());
+                        let to_map = mappers(to_part.num_subdomains(), p).swap_remove((mi + 1) % 3);
+                        let dist = IndexDistribution::new(to_part.clone_box(), to_map.clone_box());
+                        a.redistribute(to_part, to_map);
+                        check_against(&a, &dist, loc, 1, &format!("{what}, redistributed"));
+
+                        let parts = dist.partition().num_subdomains();
+                        let rotated: Vec<usize> =
+                            (0..parts).map(|b| (dist.mapper().map(b) + 1) % p).collect();
+                        let dist = IndexDistribution::new(
+                            dist.partition().clone_box(),
+                            Box::new(GeneralMapper::new(p, rotated)),
+                        );
+                        a.rotate(1);
+                        check_against(&a, &dist, loc, 2, &format!("{what}, rotated"));
+
+                        let dist = IndexDistribution::new(
+                            Box::new(BalancedPartition::new(n, p)),
+                            Box::new(CyclicMapper::new(p)),
+                        );
+                        a.rebalance();
+                        check_against(&a, &dist, loc, 3, &format!("{what}, rebalanced"));
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "pArray index 5 out of bounds (size 5)")]
+fn out_of_bounds_get_panics_on_one_location() {
+    execute(RtsConfig::default(), 1, |loc| {
+        PArray::new(loc, 5, 0u8).get_element(5);
+    });
+}
+
+#[test]
+#[should_panic(expected = "pArray index 9 out of bounds (size 5)")]
+fn out_of_bounds_set_panics_on_one_location() {
+    execute(RtsConfig::default(), 1, |loc| PArray::new(loc, 5, 0u8).set_element(9, 1));
+}
+
+#[test]
+#[should_panic(expected = "pArray index 6 out of bounds (size 6)")]
+fn out_of_bounds_get_panics_on_two_locations() {
+    execute(RtsConfig::default(), 2, |loc| {
+        PArray::new(loc, 6, 0u8).get_element(6);
+    });
+}
+
+#[test]
+#[should_panic(expected = "pArray index 100 out of bounds (size 6)")]
+fn out_of_bounds_set_panics_on_two_locations_and_many_bcontainers() {
+    execute(RtsConfig::default(), 2, |loc| {
+        let a = PArray::with_partition(
+            loc,
+            Box::new(BlockedPartition::new(6, 1)),
+            Box::new(CyclicMapper::new(2)),
+            0u8,
+        );
+        a.set_element(100, 1);
+    });
+}
+
+/// A lock manager with an "inside" canary, shared by every location of an
+/// execution: counts the guards taken and the mutual-exclusion violations
+/// among them (the style of `thread_safety::tests::violations`).
+struct Canary {
+    locks: HashedLockManager,
+    inside: AtomicI64,
+    violations: AtomicU64,
+    entries: AtomicU64,
+}
+
+impl Canary {
+    fn new() -> Arc<Self> {
+        Arc::new(Canary {
+            // One lock: every element of every location contends for it.
+            locks: HashedLockManager::new(1),
+            inside: AtomicI64::new(0),
+            violations: AtomicU64::new(0),
+            entries: AtomicU64::new(0),
+        })
+    }
+}
+
+impl ThreadSafetyManager for Canary {
+    fn data_access_pre(&self, info: &ThsInfo, policy: &MethodPolicy) {
+        self.locks.data_access_pre(info, policy);
+        self.entries.fetch_add(1, Ordering::SeqCst);
+        if self.inside.fetch_add(1, Ordering::SeqCst) != 0 {
+            self.violations.fetch_add(1, Ordering::SeqCst);
+        }
+        // Widen the window so an unguarded overlap would be seen.
+        std::thread::yield_now();
+    }
+
+    fn data_access_post(&self, info: &ThsInfo, policy: &MethodPolicy) {
+        self.inside.fetch_sub(1, Ordering::SeqCst);
+        self.locks.data_access_post(info, policy);
+    }
+}
+
+fn locked_array(loc: &Location, n: usize, ths: ThreadSafety) -> PArray<u64> {
+    PArray::with_options(
+        loc,
+        Box::new(BalancedPartition::new(n, loc.nlocs())),
+        Box::new(CyclicMapper::new(loc.nlocs())),
+        0,
+        ArrayStorage::Contiguous,
+        ths,
+    )
+}
+
+#[test]
+fn locked_parray_takes_every_guard_and_an_unlocked_one_takes_none() {
+    let (p, n, rounds) = (4usize, 64usize, 50usize);
+    let canary = Canary::new();
+    let ths = ThreadSafety::new(LockingPolicyTable::dynamic_default(), canary.clone());
+    execute(RtsConfig::default(), p, |loc| {
+        let a = locked_array(loc, n, ths.clone());
+        // Local accesses only: the location threads race each other on the
+        // shared manager, nothing serializes them but the guards.
+        let mine: Vec<usize> = (0..n).filter(|g| a.is_local(*g)).collect();
+        for _ in 0..rounds {
+            for &g in &mine {
+                a.set_element(g, g as u64);
+                a.apply_set(g, |v| *v += 1);
+                assert_eq!(a.get_element(g), g as u64 + 1);
+                assert_eq!(a.split_get_element(g).get(), g as u64 + 1);
+            }
+        }
+    });
+    assert_eq!(canary.violations.load(Ordering::SeqCst), 0, "guards must exclude");
+    assert_eq!(canary.entries.load(Ordering::SeqCst), (4 * n * rounds) as u64, "one guard per access");
+
+    // The same manager under an all-`None` table is never called.
+    let idle = Canary::new();
+    let ths = ThreadSafety::new(LockingPolicyTable::unlocked(), idle.clone());
+    assert!(ths.guard(methods::SET, 3, 0).is_none());
+    execute(RtsConfig::default(), 2, |loc| {
+        let a = locked_array(loc, n, ths.clone());
+        (0..n).for_each(|g| a.set_element(g, 1));
+        loc.rmi_fence();
+        assert_eq!(a.get_element(n - 1), 1);
+    });
+    assert_eq!(idle.entries.load(Ordering::SeqCst), 0);
+}
+
+/// pVector's split-phase read must take the same `GET` guard its blocking
+/// read takes, or it races element writes on a locked pVector.
+#[test]
+fn pvector_split_get_takes_the_get_guard() {
+    let (p, n, rounds) = (4usize, 32usize, 50usize);
+    let canary = Canary::new();
+    let ths = ThreadSafety::new(LockingPolicyTable::dynamic_default(), canary.clone());
+    execute(RtsConfig::default(), p, |loc| {
+        let v = PVector::with_thread_safety(loc, n, 0u64, ths.clone());
+        let mine: Vec<usize> = (0..n).filter(|g| v.is_local(*g)).collect();
+        for _ in 0..rounds {
+            for &g in &mine {
+                v.set_element(g, g as u64);
+                assert_eq!(v.split_get_element(g).get(), g as u64);
+            }
+        }
+    });
+    assert_eq!(canary.violations.load(Ordering::SeqCst), 0);
+    assert_eq!(canary.entries.load(Ordering::SeqCst), (2 * n * rounds) as u64, "set + split get");
+}
+
+/// Which element methods count as a local invocation when they run on the
+/// caller's own location — the gated `local_invocations` baselines rest on
+/// exactly this table.
+#[test]
+fn owned_element_methods_count_local_invocations_as_before() {
+    execute(RtsConfig::default(), 1, |loc| {
+        let counted = |f: &dyn Fn()| {
+            let before = loc.local_stats();
+            f();
+            let d = loc.local_stats().since(&before);
+            assert_eq!(d.remote_requests, 0);
+            d.local_invocations
+        };
+        let h: PHashMap<u64, u64> = PHashMap::new(loc);
+        assert_eq!(counted(&|| h.insert_async(1, 10)), 0);
+        assert_eq!(counted(&|| h.apply_async(1, |v| *v += 1)), 1);
+        assert_eq!(counted(&|| h.apply_async(2, |_| unreachable!("absent key"))), 1);
+        assert_eq!(counted(&|| h.apply_or_insert(2, 0, |v| *v += 5)), 0);
+        assert_eq!(counted(&|| assert_eq!(h.find(1), Some(11))), 0);
+        assert_eq!(counted(&|| assert_eq!(h.split_find(2).get(), Some(5))), 1);
+        assert_eq!(counted(&|| assert!(!h.insert(2, 6))), 1);
+        assert_eq!(counted(&|| h.erase_async(2)), 1);
+        assert_eq!(counted(&|| assert_eq!(h.find(2), None)), 0);
+
+        let a = PArray::new(loc, 8, 0u64);
+        assert_eq!(counted(&|| a.set_element(3, 4)), 0);
+        assert_eq!(counted(&|| a.apply_set(3, |v| *v *= 2)), 0);
+        assert_eq!(counted(&|| assert_eq!(a.apply_get(3, |v| *v + 1), 9)), 0);
+        assert_eq!(counted(&|| assert_eq!(a.get_element(3), 8)), 0);
+        assert_eq!(counted(&|| assert_eq!(a.split_get_element(3).get(), 8)), 1);
+    });
+}

@@ -27,23 +27,14 @@ pub struct GidRun {
 }
 
 /// Distribution of a 1-D indexed container (pArray, pVector).
+#[derive(Clone)]
 pub struct IndexDistribution {
     partition: Box<dyn IndexPartition>,
     mapper: Box<dyn PartitionMapper>,
-    /// Incremented by every [`IndexDistribution::replace`]. Locality layers
+    /// Incremented by every [`IndexDistribution::replace_with`]. Locality layers
     /// (owner caches, views that memoize placement) compare epochs to
     /// detect that a redistribute/rebalance invalidated their copies.
     epoch: u64,
-}
-
-impl Clone for IndexDistribution {
-    fn clone(&self) -> Self {
-        IndexDistribution {
-            partition: self.partition.clone(),
-            mapper: self.mapper.clone(),
-            epoch: self.epoch,
-        }
-    }
 }
 
 impl IndexDistribution {
@@ -74,13 +65,6 @@ impl IndexDistribution {
     pub fn locate(&self, gid: usize) -> (Bcid, LocId) {
         let b = self.partition.find(gid);
         (b, self.mapper.map(b))
-    }
-
-    /// BCID when `gid` is owned by `loc`, else `None` (Table XII's
-    /// `is_local` with BCID out-parameter).
-    pub fn local_bcid(&self, gid: usize, loc: LocId) -> Option<Bcid> {
-        let (b, owner) = self.locate(gid);
-        (owner == loc).then_some(b)
     }
 
     /// BCIDs mapped to `loc`, ascending.
@@ -124,20 +108,11 @@ impl IndexDistribution {
         out
     }
 
-    /// Replaces partition and mapper — the redistribution entry point
-    /// (Section V.G); the caller moves the data. Bumps the epoch so stale
-    /// placement copies can be detected.
-    pub fn replace(&mut self, partition: Box<dyn IndexPartition>, mapper: Box<dyn PartitionMapper>) {
-        self.partition = partition;
-        self.mapper = mapper;
-        self.epoch += 1;
-    }
-
     /// Swaps in a freshly-constructed distribution (whose own epoch starts
-    /// at 0), carrying this one's epoch forward and bumping it — the form
-    /// redistribution uses, since it builds the new distribution ahead of
-    /// the data movement. Without the carry-over, an epoch-keyed cache
-    /// would see 0 → 0 and never invalidate.
+    /// at 0), carrying this one's epoch forward and bumping it — the
+    /// redistribution entry point (Section V.G), which builds the new
+    /// distribution ahead of the data movement. Without the carry-over, an
+    /// epoch-keyed cache would see 0 → 0 and never invalidate.
     pub fn replace_with(&mut self, new: IndexDistribution) {
         let epoch = self.epoch;
         *self = new;
@@ -206,8 +181,6 @@ mod tests {
         assert_eq!(d.locate(3), (1, 1));
         assert_eq!(d.locate(6), (2, 0));
         assert_eq!(d.locate(9), (3, 1));
-        assert_eq!(d.local_bcid(6, 0), Some(2));
-        assert_eq!(d.local_bcid(6, 1), None);
     }
 
     #[test]
@@ -280,25 +253,19 @@ mod tests {
     }
 
     #[test]
-    fn replace_swaps_partition() {
-        let mut d = IndexDistribution::new(
-            Box::new(BalancedPartition::new(10, 2)),
-            Box::new(CyclicMapper::new(2)),
-        );
+    fn replace_with_swaps_partition_and_carries_the_epoch() {
+        let dist = |p| {
+            IndexDistribution::new(Box::new(BalancedPartition::new(10, p)), Box::new(CyclicMapper::new(2)))
+        };
+        let mut d = dist(2);
         assert_eq!(d.locate(9).0, 1);
         assert_eq!(d.epoch(), 0);
-        d.replace(Box::new(BalancedPartition::new(10, 5)), Box::new(CyclicMapper::new(2)));
-        assert_eq!(d.locate(9).0, 4);
-        assert_eq!(d.locate(9).1, 0); // bcid 4 -> loc 0 cyclic over 2
-        assert_eq!(d.epoch(), 1, "replace must bump the distribution epoch");
+        d.replace_with(dist(5));
+        assert_eq!(d.locate(9), (4, 0)); // bcid 4 -> loc 0 cyclic over 2
+        assert_eq!(d.epoch(), 1, "replace_with must bump the distribution epoch");
         assert_eq!(d.clone().epoch(), 1, "clones carry the epoch");
-        // replace_with carries the epoch forward past a fresh distribution.
-        let fresh = IndexDistribution::new(
-            Box::new(BalancedPartition::new(10, 2)),
-            Box::new(CyclicMapper::new(2)),
-        );
-        assert_eq!(fresh.epoch(), 0);
-        d.replace_with(fresh);
+        // A fresh distribution's own epoch is 0; ours must not go back to it.
+        d.replace_with(dist(2));
         assert_eq!(d.epoch(), 2, "replace_with must not reset the epoch");
     }
 

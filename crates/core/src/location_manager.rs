@@ -1,22 +1,22 @@
 //! The location manager (Table IV): administers the base containers of a
 //! pContainer that are mapped to one location.
 
-use std::collections::BTreeMap;
-
 use crate::bcontainer::{BaseContainer, MemSize};
 use crate::gid::Bcid;
 
 /// Per-location owner of a pContainer's local base containers, keyed by
-/// globally unique BCID. A `BTreeMap` keeps local iteration in BCID order,
+/// globally unique BCID. A BCID-sorted `Vec` (typically of one entry — the
+/// default constructors place one base container per location) keeps lookup
+/// a compare or a short binary search and local iteration in BCID order,
 /// which — combined with an ordered partition — yields the container's
 /// linearization restricted to this location.
 pub struct LocationManager<B> {
-    bcontainers: BTreeMap<Bcid, B>,
+    bcontainers: Vec<(Bcid, B)>,
 }
 
 impl<B> Default for LocationManager<B> {
     fn default() -> Self {
-        LocationManager { bcontainers: BTreeMap::new() }
+        LocationManager { bcontainers: Vec::new() }
     }
 }
 
@@ -25,18 +25,24 @@ impl<B> LocationManager<B> {
         Self::default()
     }
 
+    fn position(&self, bcid: Bcid) -> Result<usize, usize> {
+        self.bcontainers.binary_search_by_key(&bcid, |(b, _)| *b)
+    }
+
     /// Adds a base container under `bcid`.
     ///
     /// # Panics
     /// Panics if `bcid` is already present.
     pub fn add_bcontainer(&mut self, bcid: Bcid, bc: B) {
-        let prev = self.bcontainers.insert(bcid, bc);
-        assert!(prev.is_none(), "bcid {bcid} already managed on this location");
+        match self.position(bcid) {
+            Ok(_) => panic!("bcid {bcid} already managed on this location"),
+            Err(at) => self.bcontainers.insert(at, (bcid, bc)),
+        }
     }
 
     /// Removes and returns the base container under `bcid`.
     pub fn remove_bcontainer(&mut self, bcid: Bcid) -> Option<B> {
-        self.bcontainers.remove(&bcid)
+        self.position(bcid).ok().map(|at| self.bcontainers.remove(at).1)
     }
 
     /// Number of local base containers.
@@ -45,11 +51,11 @@ impl<B> LocationManager<B> {
     }
 
     pub fn get(&self, bcid: Bcid) -> Option<&B> {
-        self.bcontainers.get(&bcid)
+        self.position(bcid).ok().map(|at| &self.bcontainers[at].1)
     }
 
     pub fn get_mut(&mut self, bcid: Bcid) -> Option<&mut B> {
-        self.bcontainers.get_mut(&bcid)
+        self.position(bcid).ok().map(|at| &mut self.bcontainers[at].1)
     }
 
     /// Local base containers in BCID order.
@@ -62,33 +68,32 @@ impl<B> LocationManager<B> {
     }
 
     pub fn bcids(&self) -> impl Iterator<Item = Bcid> + '_ {
-        self.bcontainers.keys().copied()
+        self.bcontainers.iter().map(|(b, _)| *b)
     }
 }
 
 impl<B: BaseContainer> LocationManager<B> {
     /// Total elements stored locally.
     pub fn local_len(&self) -> usize {
-        self.bcontainers.values().map(|b| b.len()).sum()
+        self.iter().map(|(_, b)| b.len()).sum()
     }
 
     pub fn local_is_empty(&self) -> bool {
-        self.bcontainers.values().all(|b| b.is_empty())
+        self.iter().all(|(_, b)| b.is_empty())
     }
 
     /// Clears every local base container (keeps the bContainers themselves,
     /// as the paper's `clear` keeps the distribution valid).
     pub fn clear(&mut self) {
-        for b in self.bcontainers.values_mut() {
+        for (_, b) in self.iter_mut() {
             b.clear();
         }
     }
 
     /// Local memory usage; the manager's own bookkeeping is metadata.
     pub fn memory_size(&self) -> MemSize {
-        let mut m: MemSize = self.bcontainers.values().map(|b| b.memory_size()).sum();
-        m.metadata += self.bcontainers.len()
-            * (std::mem::size_of::<Bcid>() + 3 * std::mem::size_of::<usize>());
+        let mut m: MemSize = self.iter().map(|(_, b)| b.memory_size()).sum();
+        m.metadata += self.bcontainers.capacity() * std::mem::size_of::<Bcid>();
         m
     }
 }

@@ -61,20 +61,20 @@ impl PartitionMapper for CyclicMapper {
 #[derive(Clone, Copy, Debug)]
 pub struct BlockedMapper {
     nlocs: usize,
-    num_bcids: usize,
+    /// Sub-domains per location: `ceil(num_bcids / nlocs)`.
+    per: usize,
 }
 
 impl BlockedMapper {
     pub fn new(nlocs: usize, num_bcids: usize) -> Self {
         assert!(nlocs >= 1 && num_bcids >= 1);
-        BlockedMapper { nlocs, num_bcids }
+        BlockedMapper { nlocs, per: num_bcids.div_ceil(nlocs) }
     }
 }
 
 impl PartitionMapper for BlockedMapper {
     fn map(&self, bcid: Bcid) -> LocId {
-        let per = self.num_bcids.div_ceil(self.nlocs);
-        (bcid / per).min(self.nlocs - 1)
+        (bcid / self.per).min(self.nlocs - 1)
     }
 
     fn nlocs(&self) -> usize {

@@ -152,12 +152,44 @@ impl Clone for Box<dyn IndexPartition> {
     }
 }
 
+/// `n` indices cut into `p` consecutive near-equal stripes, the first
+/// `n mod p` one longer. The divisions happen once, here: `find` and
+/// `range` are on every element access of the default pArray.
+#[derive(Clone, Copy, Debug)]
+struct Stripes {
+    base: usize,
+    extra: usize,
+    /// Where the longer stripes end: `extra * (base + 1)`.
+    big: usize,
+}
+
+impl Stripes {
+    fn new(n: usize, p: usize) -> Self {
+        let (base, extra) = (n / p, n % p);
+        Stripes { base, extra, big: extra * (base + 1) }
+    }
+
+    fn range(&self, i: usize) -> Range1d {
+        let lo = i * self.base + i.min(self.extra);
+        Range1d::new(lo, lo + self.base + usize::from(i < self.extra))
+    }
+
+    fn find(&self, x: usize) -> usize {
+        if x < self.big {
+            x / (self.base + 1)
+        } else {
+            self.extra + (x - self.big) / self.base.max(1)
+        }
+    }
+}
+
 /// `partition_balanced`: `p` sub-domains of size `n/p` (the first `n mod p`
 /// get one extra), pArray's default.
 #[derive(Clone, Copy, Debug)]
 pub struct BalancedPartition {
     n: usize,
     p: usize,
+    stripes: Stripes,
 }
 
 impl BalancedPartition {
@@ -165,15 +197,7 @@ impl BalancedPartition {
         assert!(p >= 1);
         // If n < p the paper creates n sub-domains of size 1.
         let p = if n == 0 { 1 } else { p.min(n) };
-        BalancedPartition { n, p }
-    }
-
-    fn bounds(&self, b: Bcid) -> (usize, usize) {
-        let base = self.n / self.p;
-        let extra = self.n % self.p;
-        let lo = b * base + b.min(extra);
-        let hi = lo + base + usize::from(b < extra);
-        (lo, hi)
+        BalancedPartition { n, p, stripes: Stripes::new(n, p) }
     }
 }
 
@@ -187,20 +211,12 @@ impl IndexPartition for BalancedPartition {
     }
 
     fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
-        let (lo, hi) = self.bounds(bcid);
-        IndexSubDomain::Contiguous(Range1d::new(lo, hi))
+        IndexSubDomain::Contiguous(self.stripes.range(bcid))
     }
 
     fn find(&self, gid: usize) -> Bcid {
         debug_assert!(gid < self.n);
-        let base = self.n / self.p;
-        let extra = self.n % self.p;
-        let big = extra * (base + 1);
-        if gid < big {
-            gid / (base + 1)
-        } else {
-            extra + (gid - big) / base.max(1)
-        }
+        self.stripes.find(gid)
     }
 
     fn clone_box(&self) -> Box<dyn IndexPartition> {
@@ -389,25 +405,6 @@ impl MatrixPartition {
         MatrixPartition { nrows, ncols, layout, nparts }
     }
 
-    fn stripe(total: usize, parts: usize, i: usize) -> Range1d {
-        let base = total / parts;
-        let extra = total % parts;
-        let lo = i * base + i.min(extra);
-        let hi = lo + base + usize::from(i < extra);
-        Range1d::new(lo, hi)
-    }
-
-    fn stripe_of(total: usize, parts: usize, x: usize) -> usize {
-        let base = total / parts;
-        let extra = total % parts;
-        let big = extra * (base + 1);
-        if x < big {
-            x / (base + 1)
-        } else {
-            extra + (x - big) / base.max(1)
-        }
-    }
-
     pub fn num_subdomains(&self) -> usize {
         self.nparts
     }
@@ -416,19 +413,19 @@ impl MatrixPartition {
     pub fn block(&self, bcid: Bcid) -> crate::domain::Range2d {
         match self.layout {
             MatrixLayout::RowBlocked => crate::domain::Range2d::new(
-                Self::stripe(self.nrows, self.nparts, bcid),
+                Stripes::new(self.nrows, self.nparts).range(bcid),
                 Range1d::with_size(self.ncols),
             ),
             MatrixLayout::ColumnBlocked => crate::domain::Range2d::new(
                 Range1d::with_size(self.nrows),
-                Self::stripe(self.ncols, self.nparts, bcid),
+                Stripes::new(self.ncols, self.nparts).range(bcid),
             ),
             MatrixLayout::Blocked2d { grid_rows, grid_cols } => {
                 let br = bcid / grid_cols;
                 let bc = bcid % grid_cols;
                 crate::domain::Range2d::new(
-                    Self::stripe(self.nrows, grid_rows, br),
-                    Self::stripe(self.ncols, grid_cols, bc),
+                    Stripes::new(self.nrows, grid_rows).range(br),
+                    Stripes::new(self.ncols, grid_cols).range(bc),
                 )
             }
         }
@@ -437,11 +434,11 @@ impl MatrixPartition {
     /// BCID of the block containing `(row, col)`.
     pub fn find(&self, g: (usize, usize)) -> Bcid {
         match self.layout {
-            MatrixLayout::RowBlocked => Self::stripe_of(self.nrows, self.nparts, g.0),
-            MatrixLayout::ColumnBlocked => Self::stripe_of(self.ncols, self.nparts, g.1),
+            MatrixLayout::RowBlocked => Stripes::new(self.nrows, self.nparts).find(g.0),
+            MatrixLayout::ColumnBlocked => Stripes::new(self.ncols, self.nparts).find(g.1),
             MatrixLayout::Blocked2d { grid_rows, grid_cols } => {
-                let br = Self::stripe_of(self.nrows, grid_rows, g.0);
-                let bc = Self::stripe_of(self.ncols, grid_cols, g.1);
+                let br = Stripes::new(self.nrows, grid_rows).find(g.0);
+                let bc = Stripes::new(self.ncols, grid_cols).find(g.1);
                 br * grid_cols + bc
             }
         }

@@ -65,6 +65,15 @@ impl<Rep: 'static> PObject<Rep> {
         &self.rep
     }
 
+    /// The local fast path of the `invoke` family: runs `f` on the
+    /// representative this `PObject` already holds, counted as one local
+    /// invocation. The registry lookup `Location::async_rmi(me, ..)` makes
+    /// could not fail here — nothing unregisters a `PObject`'s handle.
+    fn invoke_here<R>(&self, f: impl FnOnce(&RefCell<Rep>, &Location) -> R) -> R {
+        self.loc.note_local_invocation();
+        f(&self.rep, &self.loc)
+    }
+
     /// Asynchronous method execution on `dest` (the paper's
     /// distribution-manager `invoke`): returns immediately; completion is
     /// guaranteed by the next fence. Executes inline when `dest` is this
@@ -73,6 +82,9 @@ impl<Rep: 'static> PObject<Rep> {
     where
         F: FnOnce(&RefCell<Rep>, &Location) + Send + 'static,
     {
+        if dest == self.loc.id() {
+            return self.invoke_here(f);
+        }
         self.loc.async_rmi(dest, self.handle, f);
     }
 
@@ -83,6 +95,9 @@ impl<Rep: 'static> PObject<Rep> {
         R: Send + 'static,
         F: FnOnce(&RefCell<Rep>, &Location) -> R + Send + 'static,
     {
+        if dest == self.loc.id() {
+            return self.invoke_here(f);
+        }
         self.loc.sync_rmi(dest, self.handle, f)
     }
 
@@ -93,6 +108,9 @@ impl<Rep: 'static> PObject<Rep> {
         R: Send + 'static,
         F: FnOnce(&RefCell<Rep>, &Location) -> R + Send + 'static,
     {
+        if dest == self.loc.id() {
+            return RmiFuture::ready(self.invoke_here(f));
+        }
         self.loc.split_rmi(dest, self.handle, f)
     }
 

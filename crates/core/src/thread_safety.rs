@@ -16,7 +16,6 @@
 //! base containers are shared by several worker threads inside a location,
 //! which is how the tests and the ablation bench exercise them.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::lock_api::{RawMutex as RawMutexApi, RawRwLock as RawRwLockApi};
@@ -94,12 +93,13 @@ impl MethodPolicy {
 #[derive(Clone, Debug)]
 pub struct LockingPolicyTable {
     default: MethodPolicy,
-    overrides: HashMap<MethodId, MethodPolicy>,
+    /// Indexed by [`MethodId`] (small dense integers); grown by `set`.
+    overrides: Vec<Option<MethodPolicy>>,
 }
 
 impl LockingPolicyTable {
     pub fn new(default: MethodPolicy) -> Self {
-        LockingPolicyTable { default, overrides: HashMap::new() }
+        LockingPolicyTable { default, overrides: Vec::new() }
     }
 
     /// A table whose every method is `None` — the default for static
@@ -125,12 +125,17 @@ impl LockingPolicyTable {
     }
 
     pub fn set(&mut self, m: MethodId, p: MethodPolicy) {
-        self.overrides.insert(m, p);
+        let m = m as usize;
+        if self.overrides.len() <= m {
+            self.overrides.resize(m + 1, None);
+        }
+        self.overrides[m] = Some(p);
     }
 
     /// `get_locking_policy` of the paper.
+    #[inline]
     pub fn get(&self, m: MethodId) -> MethodPolicy {
-        self.overrides.get(&m).copied().unwrap_or(self.default)
+        self.overrides.get(m as usize).copied().flatten().unwrap_or(self.default)
     }
 }
 
@@ -144,6 +149,9 @@ pub struct ThsInfo {
 
 /// The thread-safety manager interface of Chapter VI.C. `*_pre` acquires,
 /// `*_post` releases; the granularity and mode come from the policy.
+///
+/// Every manager must treat a [`LockGranularity::None`] policy as a no-op:
+/// [`ThreadSafety::guard`] does not call the manager at all for one.
 pub trait ThreadSafetyManager: Send + Sync + 'static {
     fn data_access_pre(&self, info: &ThsInfo, policy: &MethodPolicy);
     fn data_access_post(&self, info: &ThsInfo, policy: &MethodPolicy);
@@ -151,18 +159,12 @@ pub trait ThreadSafetyManager: Send + Sync + 'static {
     fn metadata_access_post(&self, _info: &ThsInfo, _policy: &MethodPolicy) {}
 }
 
-/// RAII wrapper pairing `data_access_pre` with `data_access_post`.
+/// RAII wrapper pairing `data_access_pre` with `data_access_post`; made by
+/// [`ThreadSafety::guard`].
 pub struct DataGuard<'a> {
     mgr: &'a dyn ThreadSafetyManager,
     info: ThsInfo,
     policy: MethodPolicy,
-}
-
-impl<'a> DataGuard<'a> {
-    pub fn acquire(mgr: &'a dyn ThreadSafetyManager, info: ThsInfo, policy: MethodPolicy) -> Self {
-        mgr.data_access_pre(&info, &policy);
-        DataGuard { mgr, info, policy }
-    }
 }
 
 impl Drop for DataGuard<'_> {
@@ -317,10 +319,16 @@ impl ThreadSafety {
     }
 
     /// Guards a data access for `method` on the element hashing to
-    /// `gid_hash` in `bcid`; the guard releases on drop.
-    pub fn guard(&self, method: MethodId, gid_hash: u64, bcid: Bcid) -> DataGuard<'_> {
+    /// `gid_hash` in `bcid`; the guard releases on drop. A method whose
+    /// policy is [`LockGranularity::None`] gets none ([`ThreadSafetyManager`]).
+    #[inline]
+    pub fn guard(&self, method: MethodId, gid_hash: u64, bcid: Bcid) -> Option<DataGuard<'_>> {
         let policy = self.table.get(method);
-        DataGuard::acquire(self.manager.as_ref(), ThsInfo { method, gid_hash, bcid }, policy)
+        (policy.granularity != LockGranularity::None).then(|| {
+            let (mgr, info) = (self.manager.as_ref(), ThsInfo { method, gid_hash, bcid });
+            mgr.data_access_pre(&info, &policy);
+            DataGuard { mgr, info, policy }
+        })
     }
 }
 
@@ -436,9 +444,12 @@ mod tests {
     }
 
     #[test]
-    fn none_granularity_skips_locking() {
-        let ths = ThreadSafety::unlocked();
-        let _a = ths.guard(methods::SET, 1, 0);
-        let _b = ths.guard(methods::SET, 1, 0); // would deadlock if locked
+    fn none_granularity_constructs_no_guard() {
+        assert!(ThreadSafety::unlocked().guard(methods::SET, 1, 0).is_none());
+        // The policy decides, not the manager: a locking manager under an
+        // all-`None` table is not called either.
+        let ths =
+            ThreadSafety::new(LockingPolicyTable::unlocked(), Arc::new(GlobalMutexManager::default()));
+        assert!(ths.guard(methods::SET, 1, 0).is_none());
     }
 }

@@ -1,0 +1,93 @@
+//! The local fast path of the core layer: a `PObject` invokes on itself
+//! through the representative it holds (counted, but no registry lookup),
+//! and the location manager stays a BCID-ordered map whatever order base
+//! containers come and go in.
+
+use stapl_core::bcontainer::{BaseContainer, MemSize};
+use stapl_core::location_manager::LocationManager;
+use stapl_core::pobject::PObject;
+use stapl_rts::{execute, RtsConfig};
+
+/// Every member of the `invoke` family counts exactly one local invocation
+/// (and no request) for `dest == me`, and one request (and no local
+/// invocation) for a remote `dest` — what `Location::{async,sync,split}_rmi`
+/// counted when the self-invoke still went through the registry.
+#[test]
+fn pobject_invoke_family_counts_like_the_rmi_primitives() {
+    execute(RtsConfig::default(), 2, |loc| {
+        let obj = PObject::register(loc, 0u64);
+        loc.rmi_fence();
+        let (me, peer) = (loc.id(), 1 - loc.id());
+        let before = loc.local_stats();
+        obj.invoke_at(me, |rep, _| *rep.borrow_mut() += 1);
+        assert_eq!(obj.invoke_ret_at(me, |rep, l| *rep.borrow() + l.id() as u64), 1 + me as u64);
+        {
+            let fut = obj.invoke_split_at(me, |rep, _| *rep.borrow() * 10);
+            assert!(fut.is_ready(), "a self-invoke completes inline");
+            assert_eq!(fut.get(), 10);
+        }
+        let local = loc.local_stats().since(&before);
+        assert_eq!((local.local_invocations, local.remote_requests), (3, 0));
+
+        let before = loc.local_stats();
+        obj.invoke_at(peer, |rep, _| *rep.borrow_mut() += 100);
+        loc.rmi_fence();
+        let remote = loc.local_stats().since(&before);
+        assert_eq!((remote.local_invocations, remote.remote_requests), (0, 1));
+        assert_eq!(*obj.local(), 101);
+    });
+}
+
+struct Bc(usize);
+
+impl BaseContainer for Bc {
+    type Value = ();
+
+    fn len(&self) -> usize {
+        self.0
+    }
+
+    fn clear(&mut self) {
+        self.0 = 0;
+    }
+
+    fn memory_size(&self) -> MemSize {
+        MemSize::new(0, self.0)
+    }
+}
+
+#[test]
+fn location_manager_stays_bcid_ordered_across_adds_and_removes() {
+    let mut lm = LocationManager::new();
+    let order = |lm: &LocationManager<Bc>| lm.iter().map(|(b, bc)| (b, bc.0)).collect::<Vec<_>>();
+    for b in [40, 7, 19, 3, 1000, 0] {
+        lm.add_bcontainer(b, Bc(b + 1));
+    }
+    assert_eq!(order(&lm), [(0, 1), (3, 4), (7, 8), (19, 20), (40, 41), (1000, 1001)]);
+    assert_eq!(lm.remove_bcontainer(19).map(|bc| bc.0), Some(20));
+    assert!(lm.remove_bcontainer(19).is_none(), "already removed");
+    assert_eq!(lm.remove_bcontainer(0).map(|bc| bc.0), Some(1));
+    lm.add_bcontainer(5, Bc(6));
+    lm.add_bcontainer(19, Bc(99)); // a removed BCID may come back
+    assert_eq!(order(&lm), [(3, 4), (5, 6), (7, 8), (19, 99), (40, 41), (1000, 1001)]);
+    assert_eq!(lm.bcids().collect::<Vec<_>>(), [3, 5, 7, 19, 40, 1000]);
+    for (b, bc) in lm.iter_mut() {
+        bc.0 = b;
+    }
+    // Lookup agrees with iteration for present and absent BCIDs alike.
+    for b in 0..=1001 {
+        assert_eq!(lm.get(b).map(|bc| bc.0), lm.iter().find(|(x, _)| *x == b).map(|(_, bc)| bc.0));
+        assert_eq!(lm.get_mut(b).is_some(), lm.get(b).is_some());
+    }
+    assert_eq!((lm.num_bcontainers(), lm.local_len()), (6, 3 + 5 + 7 + 19 + 40 + 1000));
+}
+
+#[test]
+#[should_panic(expected = "bcid 7 already managed")]
+fn location_manager_rejects_a_duplicate_bcid_wherever_it_sorts() {
+    let mut lm = LocationManager::new();
+    for b in [9, 7, 8] {
+        lm.add_bcontainer(b, Bc(0));
+    }
+    lm.add_bcontainer(7, Bc(0));
+}

@@ -237,6 +237,13 @@ impl Location {
             .map(|t| t.borrow_mut().take_data(self.id(), self.local_stats()))
     }
 
+    /// Records one method run inline on this location's own representative
+    /// (a `PObject` invoking on itself — it needs no registry lookup, so it
+    /// does not come through [`Location::async_rmi`]).
+    pub fn note_local_invocation(&self) {
+        self.bump(Counter::local_invocations, 1);
+    }
+
     // ------------------------------------------------------------------
     // Executor instrumentation (used by `stapl-paragraph`)
     // ------------------------------------------------------------------
