@@ -71,16 +71,17 @@ pub fn bfs(g: &AlgoGraph, root: VertexDesc) -> (usize, usize) {
     g.apply_vertex(root, |v| v.property.level = 0);
     loc.rmi_fence();
     let mut round: i64 = 0;
+    let mut targets: Vec<VertexDesc> = Vec::new();
     loop {
         // Edges out of this round's frontier.
-        let mut targets: Vec<VertexDesc> = Vec::new();
+        targets.clear();
         g.for_each_local_vertex(|v| {
             if v.property.level == round {
                 targets.extend(v.edges.iter().map(|e| e.target));
             }
         });
         let next = round + 1;
-        for t in targets {
+        for &t in &targets {
             g.apply_vertex(t, move |tv| {
                 if tv.property.level < 0 {
                     tv.property.level = next;
@@ -119,15 +120,16 @@ pub fn connected_components(g: &AlgoGraph) -> usize {
     let loc = g.location().clone();
     g.for_each_local_vertex_mut(|v| v.property.comp = v.descriptor as u64);
     loc.barrier();
+    let mut pushes: Vec<(VertexDesc, u64)> = Vec::new();
     loop {
         // Push my label to every neighbor; keep the minimum.
-        let mut pushes: Vec<(VertexDesc, u64)> = Vec::new();
+        pushes.clear();
         g.for_each_local_vertex(|v| {
             for e in &v.edges {
                 pushes.push((e.target, v.property.comp));
             }
         });
-        for (t, label) in pushes {
+        for &(t, label) in &pushes {
             g.apply_vertex(t, move |tv| {
                 if label < tv.property.comp {
                     tv.property.comp = label;
@@ -168,10 +170,11 @@ pub fn page_rank(g: &AlgoGraph, iters: usize, d: f64) -> f64 {
         v.property.acc = 0.0;
     });
     loc.barrier();
+    let mut pushes: Vec<(VertexDesc, f64)> = Vec::new();
     for _ in 0..iters {
         // Push contributions along out-edges; dangling mass is gathered
         // and spread uniformly.
-        let mut pushes: Vec<(VertexDesc, f64)> = Vec::new();
+        pushes.clear();
         let mut dangling = 0.0f64;
         g.for_each_local_vertex(|v| {
             if v.edges.is_empty() {
@@ -183,7 +186,7 @@ pub fn page_rank(g: &AlgoGraph, iters: usize, d: f64) -> f64 {
                 }
             }
         });
-        for (t, share) in pushes {
+        for &(t, share) in &pushes {
             g.apply_vertex(t, move |tv| tv.property.acc += share);
         }
         let dangling_total = loc.allreduce(dangling, |a, b| a + b);

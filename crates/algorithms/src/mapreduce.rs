@@ -4,6 +4,7 @@
 //! reduce happens incrementally as pairs arrive — no separate shuffle
 //! materialization.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -49,10 +50,15 @@ pub fn map_reduce<I, K, V, M, C>(
 /// makes word-count / histogram / group-by scale; the per-pair
 /// [`map_reduce`] remains the streaming fallback.
 ///
+/// `map` emits each key **borrowed** (`&Q`, e.g. `&str` for `String`
+/// keys): a key already seen on this location combines in place, and only
+/// a first sight pays `to_owned` — one owned key per distinct key, not
+/// per emitted pair.
+///
 /// `identity` must be `combine`'s identity, and `combine` must be
 /// associative and commutative (pairs arrive from all locations in
 /// nondeterministic order).
-pub fn p_map_reduce_kv<K, V, S, K2, V2, M, C>(
+pub fn p_map_reduce_kv<K, V, S, K2, Q, V2, M, C>(
     input: &MapView<K, V, S>,
     out: &PHashMap<K2, V2>,
     map: M,
@@ -62,17 +68,18 @@ pub fn p_map_reduce_kv<K, V, S, K2, V2, M, C>(
     K: Key,
     V: Send + Clone + 'static,
     S: KvStore<K, V>,
-    K2: Key + Hash,
+    K2: Key + Hash + Borrow<Q>,
+    Q: ?Sized + Hash + Eq + ToOwned<Owned = K2>,
     V2: Send + Clone + 'static,
-    M: Fn(&K, &V, &mut dyn FnMut(K2, V2)),
+    M: Fn(&K, &V, &mut dyn FnMut(&Q, V2)),
     C: Fn(&mut V2, V2) + Clone + Send + 'static,
 {
     // Map + local combine: one entry per distinct output key.
     let mut partial: HashMap<K2, V2> = HashMap::new();
     input.for_each_kv(|k, v| {
-        map(k, v, &mut |k2, v2| {
-            let slot = partial.entry(k2).or_insert_with(|| identity.clone());
-            combine(slot, v2);
+        map(k, v, &mut |q, v2| match partial.get_mut(q) {
+            Some(slot) => combine(slot, v2),
+            None => combine(partial.entry(q.to_owned()).or_insert(identity.clone()), v2),
         })
     });
     // Shuffle: group by destination bucket, one bulk merge per bucket.
@@ -99,17 +106,7 @@ pub fn word_count_kv<S>(
     p_map_reduce_kv(
         docs,
         out,
-        |_, text, emit| {
-            // Pre-count within the document so the allocation (to_string)
-            // happens once per distinct word, not once per occurrence.
-            let mut counts: HashMap<&str, u64> = HashMap::new();
-            for w in text.split_whitespace() {
-                *counts.entry(w).or_insert(0) += 1;
-            }
-            for (w, n) in counts {
-                emit(w.to_string(), n);
-            }
-        },
+        |_, text, emit| text.split_whitespace().for_each(|w| emit(w, 1)),
         0,
         |acc, v| *acc += v,
     );

@@ -16,15 +16,20 @@
 //!   requester performs a synchronous lookup first ("no forwarding").
 //!
 //! Operations on a vertex that is already local bypass resolution entirely
-//! (the local fast path).
+//! (the local fast path): one probe of the location's vertex table
+//! ([`GraphBc`] — dense slots behind a descriptor → slot hash index, the
+//! hashed adjacency list STAPL's dynamic pGraph uses) finds the vertex and
+//! runs the operation on it.
 
-use std::collections::BTreeMap;
+use std::cell::{Ref, RefCell};
+use std::collections::{hash_map::Entry, BTreeMap};
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
     dir_insert, dir_insert_bulk, dir_migrate, dir_remove, dir_route, dir_route_ret,
     DirectoryShard, HasDirectory, OwnerCache, Resolution,
 };
+use stapl_core::gid::IdHashMap;
 use stapl_core::interfaces::{PContainer, RelationalContainer, SegmentId, SegmentedContainer};
 use stapl_core::partition::{BalancedPartition, IndexPartition};
 use stapl_core::pobject::PObject;
@@ -72,31 +77,106 @@ pub enum GraphPartitionKind {
     DynamicTwoPhase,
 }
 
-/// Graph base container: the vertices owned by one location, ordered by
-/// descriptor for deterministic iteration.
+/// Graph base container: the vertices owned by one location, stored
+/// densely, found through a descriptor → slot hash index — a lookup is one
+/// hash probe and one `Vec` index — and *iterated in descriptor order*.
+/// The order is a contract: seeded generators walk the local vertices, and
+/// what they emit must not depend on the order racing migrations landed
+/// in. Creation in ascending descriptor order (`add_vertex`, static
+/// construction) keeps the slots ordered; a migration or deletion may
+/// leave them unordered until the next ordered read sorts them — once per
+/// burst, not per change. A vertex's `descriptor` is its key: operations
+/// on a stored vertex must not change it.
 pub struct GraphBc<VP, EP> {
-    vertices: BTreeMap<VertexDesc, Vertex<VP, EP>>,
+    slots: Vec<Vertex<VP, EP>>,
+    index: IdHashMap<VertexDesc, u32>,
+    /// `slots` is in ascending descriptor order.
+    sorted: bool,
+}
+
+impl<VP, EP> Default for GraphBc<VP, EP> {
+    fn default() -> Self {
+        GraphBc { slots: Vec::new(), index: IdHashMap::default(), sorted: true }
+    }
+}
+
+impl<VP, EP> GraphBc<VP, EP> {
+    pub fn get_mut(&mut self, vd: VertexDesc) -> Option<&mut Vertex<VP, EP>> {
+        self.index.get(&vd).map(|&slot| &mut self.slots[slot as usize])
+    }
+
+    pub fn contains(&self, vd: VertexDesc) -> bool {
+        self.index.contains_key(&vd)
+    }
+
+    /// Stores `v` under its descriptor, returning the vertex it replaces.
+    pub fn insert(&mut self, v: Vertex<VP, EP>) -> Option<Vertex<VP, EP>> {
+        match self.index.entry(v.descriptor) {
+            Entry::Occupied(e) => Some(std::mem::replace(&mut self.slots[*e.get() as usize], v)),
+            Entry::Vacant(e) => {
+                e.insert(u32::try_from(self.slots.len()).expect("pGraph: 2^32 local vertices"));
+                self.sorted &= self.slots.last().map_or(true, |last| last.descriptor < v.descriptor);
+                self.slots.push(v);
+                None
+            }
+        }
+    }
+
+    pub fn remove(&mut self, vd: VertexDesc) -> Option<Vertex<VP, EP>> {
+        let slot = self.index.remove(&vd)? as usize;
+        let v = self.slots.swap_remove(slot);
+        if let Some(moved) = self.slots.get(slot) {
+            self.index.insert(moved.descriptor, slot as u32);
+            self.sorted = false;
+        }
+        Some(v)
+    }
+
+    /// The vertices in descriptor order, restoring it first if a
+    /// migration or deletion disturbed it.
+    pub fn ordered(&mut self) -> &mut [Vertex<VP, EP>] {
+        if !self.sorted {
+            self.slots.sort_unstable_by_key(|v| v.descriptor);
+            for (slot, v) in self.slots.iter().enumerate() {
+                self.index.insert(v.descriptor, slot as u32);
+            }
+            self.sorted = true;
+        }
+        &mut self.slots
+    }
 }
 
 impl<VP: 'static, EP: 'static> BaseContainer for GraphBc<VP, EP> {
     type Value = Vertex<VP, EP>;
 
     fn len(&self) -> usize {
-        self.vertices.len()
+        self.slots.len()
     }
 
     fn clear(&mut self) {
-        self.vertices.clear();
+        *self = Self::default();
     }
 
     fn memory_size(&self) -> MemSize {
-        let per_vertex = std::mem::size_of::<Vertex<VP, EP>>() + 4 * std::mem::size_of::<usize>();
-        let edges: usize = self.vertices.values().map(|v| v.edges.capacity()).sum();
+        let edges: usize = self.slots.iter().map(|v| v.edges.capacity()).sum();
         MemSize::new(
-            self.vertices.len() * 4 * std::mem::size_of::<usize>(),
-            self.vertices.len() * per_vertex + edges * std::mem::size_of::<Edge<EP>>(),
+            self.index.capacity() * (std::mem::size_of::<(VertexDesc, u32)>() + 1),
+            self.slots.capacity() * std::mem::size_of::<Vertex<VP, EP>>()
+                + edges * std::mem::size_of::<Edge<EP>>(),
         )
     }
+}
+
+/// The representative's vertices in descriptor order, under a shared
+/// borrow. Restoring the order takes the cell mutably, and that never
+/// nests: a reader inside an outer shared borrow cannot find the table
+/// unordered — the outer reader ordered it, and nothing could have
+/// changed it under that borrow.
+fn in_order<VP, EP>(cell: &RefCell<GraphRep<VP, EP>>) -> Ref<'_, [Vertex<VP, EP>]> {
+    if !cell.borrow().bc.sorted {
+        cell.borrow_mut().bc.ordered();
+    }
+    Ref::map(cell.borrow(), |rep| &rep.bc.slots[..])
 }
 
 /// Per-location representative.
@@ -139,7 +219,7 @@ impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
     }
 
     fn owns_gid(&self, vd: &VertexDesc) -> bool {
-        self.bc.vertices.contains_key(vd)
+        self.bc.contains(*vd)
     }
 }
 
@@ -157,20 +237,20 @@ impl<VP, EP> GraphRep<VP, EP> {
         }
     }
 
-    fn add_edge_local(&mut self, e: Edge<EP>) {
-        let v = self
-            .vertices_mut()
-            .get_mut(&e.source)
-            .expect("pGraph: edge source vertex not on executing location");
-        v.edges.push(e);
-    }
-
-    fn vertices(&self) -> &BTreeMap<VertexDesc, Vertex<VP, EP>> {
-        &self.bc.vertices
-    }
-
-    fn vertices_mut(&mut self) -> &mut BTreeMap<VertexDesc, Vertex<VP, EP>> {
-        &mut self.bc.vertices
+    /// The vertex-method skeleton on one location's representative: one
+    /// probe of the vertex table, and — when `vd` is stored here — `f` on
+    /// the vertex; else `f` is handed back, to be shipped to the owner,
+    /// where the same function runs it. An `f` that changed the out-degree
+    /// has made this location's cached counts stale.
+    fn with_vertex<R, F>(&mut self, vd: VertexDesc, f: F) -> Result<R, F>
+    where
+        F: FnOnce(&mut Vertex<VP, EP>) -> R,
+    {
+        let Some(v) = self.bc.get_mut(vd) else { return Err(f) };
+        let degree = v.edges.len();
+        let r = f(v);
+        self.counts_dirty |= v.edges.len() != degree;
+        Ok(r)
     }
 }
 
@@ -213,16 +293,16 @@ where
     /// panics on static graphs, per the paper.
     pub fn new_static(loc: &Location, n: usize, directedness: Directedness, init: VP) -> Self {
         let partition = BalancedPartition::new(n, loc.nlocs());
-        let mut vertices = BTreeMap::new();
+        let mut bc = GraphBc::default();
         // bcid == location id for the single per-location base container.
         let sd = partition.subdomain(loc.id().min(partition.num_subdomains() - 1));
         if loc.id() < partition.num_subdomains() {
             for vd in sd.iter() {
-                vertices.insert(vd, Vertex { descriptor: vd, property: init.clone(), edges: Vec::new() });
+                bc.insert(Vertex { descriptor: vd, property: init.clone(), edges: Vec::new() });
             }
         }
         let rep = GraphRep {
-            bc: GraphBc { vertices },
+            bc,
             dir: DirectoryShard::new(),
             cache: OwnerCache::from_config(loc.config()),
             kind: GraphPartitionKind::Static,
@@ -249,7 +329,7 @@ where
     ) -> Self {
         assert_ne!(kind, GraphPartitionKind::Static, "use new_static for static graphs");
         let rep = GraphRep {
-            bc: GraphBc { vertices: BTreeMap::new() },
+            bc: GraphBc::default(),
             dir: DirectoryShard::new(),
             cache: OwnerCache::from_config(loc.config()),
             kind,
@@ -294,53 +374,43 @@ where
         p.find(vd) // bcid == location for one bc per location
     }
 
-    /// Routes `f` to the location owning `vd` (asynchronous). Local
-    /// vertices run inline without any resolution traffic.
-    fn route(&self, vd: VertexDesc, f: impl FnOnce(&mut GraphRep<VP, EP>, &Location) + Send + 'static) {
-        // Local fast path.
-        if self.obj.local().vertices().contains_key(&vd) {
-            f(&mut self.obj.local_mut(), self.obj.location());
-            return;
-        }
+    /// Runs `f` on vertex `vd` at its owner (asynchronous). A local vertex
+    /// is found with one probe and runs inline, without any resolution
+    /// traffic; `f` is dropped if the vertex is gone when it lands (a
+    /// racing `delete_vertex`; as the paper notes, not a transaction).
+    fn route(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
+        let here = self.obj.local_mut().with_vertex(vd, f);
+        let Err(f) = here else { return };
         match self.resolution() {
-            None => {
-                let owner = self.static_owner(vd);
-                self.obj.invoke_at(owner, move |cell, loc| f(&mut cell.borrow_mut(), loc));
-            }
-            Some(policy) => {
-                dir_route(&self.obj, policy, vd, move |cell, loc, bcid| {
-                    assert!(
-                        bcid.is_some(),
-                        "pGraph: vertex {vd} not found (did you fence after add_vertex?)"
-                    );
-                    f(&mut cell.borrow_mut(), loc)
-                });
-            }
+            None => self.obj.invoke_at(self.static_owner(vd), move |cell, _| {
+                let _ = cell.borrow_mut().with_vertex(vd, f);
+            }),
+            Some(policy) => dir_route(&self.obj, policy, vd, move |cell, _, bcid| {
+                assert!(bcid.is_some(), "{}", not_found(vd));
+                let _ = cell.borrow_mut().with_vertex(vd, f);
+            }),
         }
     }
 
-    /// Routes a returning `f` to the owner of `vd` (synchronous result via
-    /// future).
+    /// [`PGraph::route`] with a result (split-phase): `None` when the
+    /// vertex was gone by the time `f` landed.
     fn route_ret<R: Send + 'static>(
         &self,
         vd: VertexDesc,
-        f: impl FnOnce(&mut GraphRep<VP, EP>, &Location) -> R + Send + 'static,
-    ) -> RmiFuture<R> {
-        if self.obj.local().vertices().contains_key(&vd) {
-            let r = f(&mut self.obj.local_mut(), self.obj.location());
-            return RmiFuture::ready(r);
-        }
+        f: impl FnOnce(&mut Vertex<VP, EP>) -> R + Send + 'static,
+    ) -> RmiFuture<Option<R>> {
+        let here = self.obj.local_mut().with_vertex(vd, f);
+        let f = match here {
+            Ok(r) => return RmiFuture::ready(Some(r)),
+            Err(f) => f,
+        };
         match self.resolution() {
-            None => {
-                let owner = self.static_owner(vd);
-                self.obj.invoke_split_at(owner, move |cell, loc| f(&mut cell.borrow_mut(), loc))
-            }
-            Some(policy) => dir_route_ret(&self.obj, policy, vd, move |cell, loc, bcid| {
-                assert!(
-                    bcid.is_some(),
-                    "pGraph: vertex {vd} not found (did you fence after add_vertex?)"
-                );
-                f(&mut cell.borrow_mut(), loc)
+            None => self.obj.invoke_split_at(self.static_owner(vd), move |cell, _| {
+                cell.borrow_mut().with_vertex(vd, f).ok()
+            }),
+            Some(policy) => dir_route_ret(&self.obj, policy, vd, move |cell, _, bcid| {
+                assert!(bcid.is_some(), "{}", not_found(vd));
+                cell.borrow_mut().with_vertex(vd, f).ok()
             }),
         }
     }
@@ -363,8 +433,7 @@ where
             let mut rep = self.obj.local_mut();
             let vd = rep.next_vd;
             rep.next_vd += rep.nlocs;
-            let vertex = Vertex { descriptor: vd, property, edges: Vec::new() };
-            rep.vertices_mut().insert(vd, vertex);
+            rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
             rep.counts_dirty = true;
             vd
         };
@@ -383,8 +452,7 @@ where
         let me = self.me();
         {
             let mut rep = self.obj.local_mut();
-            let vertex = Vertex { descriptor: vd, property, edges: Vec::new() };
-            rep.vertices_mut().insert(vd, vertex);
+            rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
             rep.counts_dirty = true;
             rep.reserve_descriptor(vd, me);
         }
@@ -400,11 +468,20 @@ where
             GraphPartitionKind::Static,
             "pGraph: delete_vertex on a static pGraph"
         );
-        self.obj.local_mut().counts_dirty = true;
-        self.route(vd, move |rep, _| {
-            rep.vertices_mut().remove(&vd);
+        let policy = self.resolution().expect("dynamic graph");
+        // Marks the counts stale here, where the op is issued, and at the
+        // owner, where it lands.
+        let remove = move |cell: &RefCell<GraphRep<VP, EP>>| {
+            let rep = &mut *cell.borrow_mut();
             rep.counts_dirty = true;
-        });
+            rep.bc.remove(vd).is_some()
+        };
+        if !remove(self.obj.rep_cell()) {
+            dir_route(&self.obj, policy, vd, move |cell, _, bcid| {
+                assert!(bcid.is_some(), "{}", not_found(vd));
+                remove(cell);
+            });
+        }
         dir_remove(&self.obj, vd);
     }
 
@@ -430,18 +507,18 @@ where
             dest,
             move |rep| {
                 rep.segment_epoch += 1;
-                rep.vertices_mut().remove(&vd)
+                rep.bc.remove(vd)
             },
             move |rep, v| {
                 rep.segment_epoch += 1;
-                rep.vertices_mut().insert(vd, v);
+                rep.bc.insert(v);
             },
         );
     }
 
     /// Synchronous existence check.
     pub fn find_vertex(&self, vd: VertexDesc) -> bool {
-        if self.obj.local().vertices().contains_key(&vd) {
+        if self.is_local_vertex(vd) {
             return true;
         }
         match self.resolution() {
@@ -456,29 +533,18 @@ where
 
     /// Synchronous vertex property read.
     pub fn vertex_property(&self, vd: VertexDesc) -> VP {
-        self.route_ret(vd, move |rep, _| {
-            rep.vertices().get(&vd).expect("pGraph: vertex vanished").property.clone()
-        })
-        .get()
+        self.route_ret(vd, |v| v.property.clone()).get().expect(VANISHED)
     }
 
     /// Asynchronous vertex property update.
     pub fn set_vertex_property(&self, vd: VertexDesc, p: VP) {
-        self.route(vd, move |rep, _| {
-            if let Some(v) = rep.vertices_mut().get_mut(&vd) {
-                v.property = p;
-            }
-        });
+        self.route(vd, move |v| v.property = p);
     }
 
     /// Asynchronously applies `f` to the vertex (property + edges) at its
     /// owner — the workhorse of the graph algorithms.
     pub fn apply_vertex(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
-        self.route(vd, move |rep, _| {
-            if let Some(v) = rep.vertices_mut().get_mut(&vd) {
-                f(v);
-            }
-        });
+        self.route(vd, f);
     }
 
     /// Synchronously applies `f` to the vertex and returns its result.
@@ -487,10 +553,7 @@ where
         vd: VertexDesc,
         f: impl FnOnce(&mut Vertex<VP, EP>) -> R + Send + 'static,
     ) -> R {
-        self.route_ret(vd, move |rep, _| {
-            f(rep.vertices_mut().get_mut(&vd).expect("pGraph: vertex vanished"))
-        })
-        .get()
+        self.route_ret(vd, f).get().expect(VANISHED)
     }
 
     // ------------------------------------------------------------------
@@ -500,18 +563,14 @@ where
     /// Asynchronously adds an edge (the paper's `add_edge_async`). For
     /// undirected graphs the edge is stored at both endpoints.
     pub fn add_edge_async(&self, source: VertexDesc, target: VertexDesc, property: EP) {
-        let directedness = self.obj.local().directedness;
-        let p2 = property.clone();
-        self.obj.local_mut().counts_dirty = true;
-        self.route(source, move |rep, _| {
-            rep.add_edge_local(Edge { source, target, property });
+        let mirror = {
+            let rep = &mut *self.obj.local_mut();
             rep.counts_dirty = true;
-        });
-        if directedness == Directedness::Undirected && source != target {
-            self.route(target, move |rep, _| {
-                rep.add_edge_local(Edge { source: target, target: source, property: p2 });
-                rep.counts_dirty = true;
-            });
+            (rep.directedness == Directedness::Undirected && source != target).then(|| property.clone())
+        };
+        self.route(source, move |v| v.edges.push(Edge { source, target, property }));
+        if let Some(property) = mirror {
+            self.route(target, move |v| v.edges.push(Edge { source: target, target: source, property }));
         }
     }
 
@@ -520,51 +579,32 @@ where
     pub fn delete_edge_async(&self, source: VertexDesc, target: VertexDesc) {
         let directedness = self.obj.local().directedness;
         self.obj.local_mut().counts_dirty = true;
-        self.route(source, move |rep, _| {
-            if let Some(v) = rep.vertices_mut().get_mut(&source) {
-                if let Some(k) = v.edges.iter().position(|e| e.target == target) {
+        let unlink = |to| {
+            move |v: &mut Vertex<VP, EP>| {
+                if let Some(k) = v.edges.iter().position(|e| e.target == to) {
                     v.edges.remove(k);
                 }
             }
-            rep.counts_dirty = true;
-        });
+        };
+        self.route(source, unlink(target));
         if directedness == Directedness::Undirected && source != target {
-            self.route(target, move |rep, _| {
-                if let Some(v) = rep.vertices_mut().get_mut(&target) {
-                    if let Some(k) = v.edges.iter().position(|e| e.target == source) {
-                        v.edges.remove(k);
-                    }
-                }
-                rep.counts_dirty = true;
-            });
+            self.route(target, unlink(source));
         }
     }
 
     /// Synchronous edge existence check.
     pub fn find_edge(&self, source: VertexDesc, target: VertexDesc) -> bool {
-        self.route_ret(source, move |rep, _| {
-            rep.vertices()
-                .get(&source)
-                .map(|v| v.edges.iter().any(|e| e.target == target))
-                .unwrap_or(false)
-        })
-        .get()
+        self.route_ret(source, move |v| v.edges.iter().any(|e| e.target == target)).get().unwrap_or(false)
     }
 
     /// Synchronous out-degree.
     pub fn out_degree(&self, vd: VertexDesc) -> usize {
-        self.route_ret(vd, move |rep, _| {
-            rep.vertices().get(&vd).map(|v| v.edges.len()).unwrap_or(0)
-        })
-        .get()
+        self.route_ret(vd, |v| v.edges.len()).get().unwrap_or(0)
     }
 
     /// Synchronous copy of a vertex's out-edges.
     pub fn out_edges(&self, vd: VertexDesc) -> Vec<Edge<EP>> {
-        self.route_ret(vd, move |rep, _| {
-            rep.vertices().get(&vd).map(|v| v.edges.clone()).unwrap_or_default()
-        })
-        .get()
+        self.route_ret(vd, |v| v.edges.clone()).get().unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -601,9 +641,8 @@ where
             return;
         }
         let counts = crate::sweep(&self.obj, |rep: &GraphRep<VP, EP>| {
-            let nv = rep.vertices().len() as u64;
-            let ne: u64 = rep.vertices().values().map(|v| v.edges.len() as u64).sum();
-            (nv, ne)
+            let ne: u64 = rep.bc.slots.iter().map(|v| v.edges.len() as u64).sum();
+            (rep.bc.slots.len() as u64, ne)
         });
         let (mut nv, mut ne) = (0u64, 0u64);
         for (v, e) in counts {
@@ -616,39 +655,38 @@ where
     }
 
     pub fn local_num_vertices(&self) -> usize {
-        self.obj.local().vertices().len()
+        self.obj.local().bc.slots.len()
     }
 
     pub fn local_num_edges(&self) -> usize {
-        self.obj.local().vertices().values().map(|v| v.edges.len()).sum()
+        self.obj.local().bc.slots.iter().map(|v| v.edges.len()).sum()
     }
 
     /// Iterates the local vertices in descriptor order.
-    pub fn for_each_local_vertex(&self, mut f: impl FnMut(&Vertex<VP, EP>)) {
-        let rep = self.obj.local();
-        for v in rep.vertices().values() {
-            f(v);
-        }
+    pub fn for_each_local_vertex(&self, f: impl FnMut(&Vertex<VP, EP>)) {
+        in_order(self.obj.rep_cell()).iter().for_each(f);
     }
 
-    pub fn for_each_local_vertex_mut(&self, mut f: impl FnMut(&mut Vertex<VP, EP>)) {
-        let mut rep = self.obj.local_mut();
-        for v in rep.vertices_mut().values_mut() {
-            f(v);
-        }
+    pub fn for_each_local_vertex_mut(&self, f: impl FnMut(&mut Vertex<VP, EP>)) {
+        self.obj.local_mut().bc.ordered().iter_mut().for_each(f);
     }
 
-    /// Descriptors of the local vertices.
+    /// Descriptors of the local vertices, ascending.
     pub fn local_vertices(&self) -> Vec<VertexDesc> {
-        self.obj.local().vertices().keys().copied().collect()
+        in_order(self.obj.rep_cell()).iter().map(|v| v.descriptor).collect()
     }
 
     /// True when `vd` is stored on this location (no communication).
     pub fn is_local_vertex(&self, vd: VertexDesc) -> bool {
-        self.obj.local().vertices().contains_key(&vd)
+        self.obj.local().bc.contains(vd)
     }
 }
 
+const VANISHED: &str = "pGraph: vertex vanished";
+
+fn not_found(vd: VertexDesc) -> String {
+    format!("pGraph: vertex {vd} not found (did you fence after add_vertex?)")
+}
 
 /// Segment-at-a-time transport over the vertex partition: segment `l` is
 /// the set of vertices currently stored at location `l` (one graph base
@@ -685,11 +723,7 @@ where
         }
         self.obj.location().note_segment_request(0);
         self.obj.invoke_ret_at(sid, |cell, _| {
-            cell.borrow()
-                .vertices()
-                .values()
-                .map(|v| (v.descriptor, v.property.clone()))
-                .collect::<Vec<_>>()
+            in_order(cell).iter().map(|v| (v.descriptor, v.property.clone())).collect::<Vec<_>>()
         })
     }
 
@@ -728,8 +762,7 @@ where
             let mut rep = cell.borrow_mut();
             rep.counts_dirty = true;
             for (vd, property) in items {
-                rep.vertices_mut()
-                    .insert(vd, Vertex { descriptor: vd, property, edges: Vec::new() });
+                rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
             }
         });
     }
@@ -741,7 +774,7 @@ where
         self.obj.invoke_at(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
             for (vd, p) in items {
-                if let Some(v) = rep.vertices_mut().get_mut(&vd) {
+                if let Some(v) = rep.bc.get_mut(vd) {
                     v.property = p;
                 }
             }
@@ -756,8 +789,7 @@ where
             self.obj.location().note_segment_request(0);
         }
         self.obj.invoke_at(sid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            for v in rep.vertices_mut().values_mut() {
+            for v in cell.borrow_mut().bc.ordered() {
                 f(&v.descriptor, &mut v.property);
             }
         });
@@ -768,8 +800,7 @@ where
             return false;
         }
         self.obj.location().note_localized_chunk();
-        let rep = self.obj.local();
-        for v in rep.vertices().values() {
+        for v in in_order(self.obj.rep_cell()).iter() {
             f(&v.descriptor, &v.property);
         }
         true
@@ -780,8 +811,7 @@ where
             return false;
         }
         self.obj.location().note_localized_chunk();
-        let mut rep = self.obj.local_mut();
-        for v in rep.vertices_mut().values_mut() {
+        for v in self.obj.local_mut().bc.ordered() {
             f(&v.descriptor, &mut v.property);
         }
         true
@@ -917,6 +947,7 @@ mod tests {
                 let g: PGraph<u64, ()> = PGraph::new_dynamic(loc, Directedness::Directed, kind);
                 let mine: Vec<VertexDesc> =
                     (0..5).map(|k| g.add_vertex(loc.id() as u64 * 100 + k)).collect();
+                assert!(g.obj.local().cache.is_empty(), "own vertices must not take cache capacity");
                 g.commit();
                 assert_eq!(g.num_vertices(), 15);
                 // Descriptors are globally unique.
@@ -1002,7 +1033,7 @@ mod tests {
             let before = loc.stats().remote_requests;
             // Operate only on local vertices.
             for vd in 0..8 {
-                if g.obj.local().vertices().contains_key(&vd) {
+                if g.is_local_vertex(vd) {
                     g.set_vertex_property(vd, 9);
                     let _ = g.vertex_property(vd);
                 }

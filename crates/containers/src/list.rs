@@ -3,7 +3,7 @@
 //! Each location owns one or more [`SlabList`]
 //! base containers; the global linearization is base-container order
 //! (an ordered partition, Fig. 37) × within-list order. Element GIDs are
-//! stable `(bcid, seq)` pairs, so — unlike pVector — inserts and erases
+//! stable `(bcid, id)` pairs, so — unlike pVector — inserts and erases
 //! are O(1) and never invalidate other elements' GIDs. The
 //! [`PList::push_anywhere`] method is the paper's scalable insertion: it
 //! appends to a local base container with **no communication at all**.
@@ -30,16 +30,18 @@ use stapl_core::interfaces::{
 };
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
-use stapl_core::thread_safety::{methods, ThreadSafety};
+use stapl_core::thread_safety::{methods, DataGuard, MethodId, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
 use crate::slab_list::SlabList;
 
 /// Stable global identifier of a pList element: the base container it
-/// lives in plus its never-reused sequence number there.
+/// lives in plus its never-reused id there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ListGid {
     pub bcid: Bcid,
+    /// The element's [`SlabList`] id (slot and generation) — an opaque
+    /// name, not a position: list order is link order.
     pub seq: u64,
 }
 
@@ -117,6 +119,20 @@ impl<T: Send + Clone + 'static> ListRep<T> {
 
     fn bc_mut(&mut self, bcid: Bcid) -> &mut SlabList<T> {
         &mut self.lm.get_mut(bcid).expect("pList: bcid not on this location").list
+    }
+
+    /// Base container `bcid`, mutably, with `method`'s guard over it: the
+    /// two come out of one `&mut self`, so no caller clones the
+    /// thread-safety handle to split the borrow.
+    fn guarded(
+        &mut self,
+        method: MethodId,
+        gid_hash: u64,
+        bcid: Bcid,
+    ) -> (Option<DataGuard<'_>>, &mut SlabList<T>) {
+        let ListRep { ths, lm, .. } = self;
+        let bc = lm.get_mut(bcid).expect("pList: bcid not on this location");
+        (ths.guard(method, gid_hash, bcid), &mut bc.list)
     }
 
     /// This location's slabs as (bcid, values-in-list-order) — the gather
@@ -249,11 +265,9 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.obj.local_mut().size_dirty = true;
         self.route(bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
             rep.size_dirty = true;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::PUSH_BACK, 0, bcid);
-            rep.bc_mut(bcid).push_back(v);
+            let (_g, bc) = rep.guarded(methods::PUSH_BACK, 0, bcid);
+            bc.push_back(v);
         });
     }
 
@@ -262,11 +276,9 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.obj.local_mut().size_dirty = true;
         self.route(0, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
             rep.size_dirty = true;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::PUSH_FRONT, 0, 0);
-            rep.bc_mut(0).push_front(v);
+            let (_g, bc) = rep.guarded(methods::PUSH_FRONT, 0, 0);
+            bc.push_front(v);
         });
     }
 
@@ -278,17 +290,14 @@ impl<T: Send + Clone + 'static> PList<T> {
     pub fn push_anywhere(&self, v: T) -> ListGid {
         {
             let mut rep = self.obj.local_mut();
-            let rep = &mut *rep;
             let nbc = rep.lm.num_bcontainers();
             if nbc > 0 {
                 let k = rep.anywhere_cursor % nbc;
                 rep.anywhere_cursor = rep.anywhere_cursor.wrapping_add(1);
                 let bcid = rep.lm.bcids().nth(k).expect("nbc > 0");
                 rep.size_dirty = true;
-                let ths = rep.ths.clone();
-                let _g = ths.guard(methods::PUSH_ANYWHERE, 0, bcid);
-                let seq = rep.bc_mut(bcid).push_back(v);
-                return ListGid { bcid, seq };
+                let (_g, bc) = rep.guarded(methods::PUSH_ANYWHERE, 0, bcid);
+                return ListGid { bcid, seq: bc.push_back(v) };
             }
         }
         let bcid = self.me() * self.obj.local().bpl;
@@ -296,11 +305,9 @@ impl<T: Send + Clone + 'static> PList<T> {
         let seq = self
             .route_ret(bcid, move |cell, _| {
                 let mut rep = cell.borrow_mut();
-                let rep = &mut *rep;
                 rep.size_dirty = true;
-                let ths = rep.ths.clone();
-                let _g = ths.guard(methods::PUSH_ANYWHERE, 0, bcid);
-                rep.bc_mut(bcid).push_back(v)
+                let (_g, bc) = rep.guarded(methods::PUSH_ANYWHERE, 0, bcid);
+                bc.push_back(v)
             })
             .get();
         ListGid { bcid, seq }
@@ -312,13 +319,9 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.obj.local_mut().size_dirty = true;
         self.route_ret(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
             rep.size_dirty = true;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::INSERT, gid.seq, gid.bcid);
-            rep.bc_mut(gid.bcid)
-                .insert_before(gid.seq, v)
-                .map(|seq| ListGid { bcid: gid.bcid, seq })
+            let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
+            bc.insert_before(gid.seq, v).map(|seq| ListGid { bcid: gid.bcid, seq })
         })
         .get()
     }
@@ -522,10 +525,8 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     fn set_element(&self, gid: ListGid, v: T) {
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::SET, gid.seq, gid.bcid);
-            if let Some(slot) = rep.bc_mut(gid.bcid).get_mut(gid.seq) {
+            let (_g, bc) = rep.guarded(methods::SET, gid.seq, gid.bcid);
+            if let Some(slot) = bc.get_mut(gid.seq) {
                 *slot = v;
             }
         });
@@ -537,10 +538,8 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     {
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::APPLY, gid.seq, gid.bcid);
-            if let Some(slot) = rep.bc_mut(gid.bcid).get_mut(gid.seq) {
+            let (_g, bc) = rep.guarded(methods::APPLY, gid.seq, gid.bcid);
+            if let Some(slot) = bc.get_mut(gid.seq) {
                 f(slot);
             }
         });
@@ -553,10 +552,8 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     {
         self.route_ret(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::APPLY, gid.seq, gid.bcid);
-            f(rep.bc_mut(gid.bcid).get_mut(gid.seq).expect("pList: GID does not name a live element"))
+            let (_g, bc) = rep.guarded(methods::APPLY, gid.seq, gid.bcid);
+            f(bc.get_mut(gid.seq).expect("pList: GID does not name a live element"))
         })
         .get()
     }
@@ -608,11 +605,9 @@ impl<T: Send + Clone + 'static> SequenceContainer<ListGid> for PList<T> {
         self.obj.local_mut().size_dirty = true;
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
             rep.size_dirty = true;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::INSERT, gid.seq, gid.bcid);
-            rep.bc_mut(gid.bcid).insert_before(gid.seq, v);
+            let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
+            bc.insert_before(gid.seq, v);
         });
     }
 
@@ -620,11 +615,9 @@ impl<T: Send + Clone + 'static> SequenceContainer<ListGid> for PList<T> {
         self.obj.local_mut().size_dirty = true;
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
             rep.size_dirty = true;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::ERASE, gid.seq, gid.bcid);
-            rep.bc_mut(gid.bcid).erase(gid.seq);
+            let (_g, bc) = rep.guarded(methods::ERASE, gid.seq, gid.bcid);
+            bc.erase(gid.seq);
         });
     }
 }
@@ -671,11 +664,8 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         self.obj.local_mut().size_dirty = true;
         self.route(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
             rep.size_dirty = true;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::PUSH_BACK, 0, sid);
-            let bc = rep.bc_mut(sid);
+            let (_g, bc) = rep.guarded(methods::PUSH_BACK, 0, sid);
             for (_, v) in items {
                 bc.push_back(v);
             }
@@ -688,10 +678,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         }
         self.route(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::SET, 0, sid);
-            let bc = rep.bc_mut(sid);
+            let (_g, bc) = rep.guarded(methods::SET, 0, sid);
             for (seq, v) in items {
                 if let Some(slot) = bc.get_mut(seq) {
                     *slot = v;
@@ -709,12 +696,9 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         }
         self.route(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let ths = rep.ths.clone();
-            let _g = ths.guard(methods::APPLY, 0, sid);
+            let (_g, bc) = rep.guarded(methods::APPLY, 0, sid);
             // SlabList has no ordered iter_mut; walk ids, then mutate.
-            let seqs: Vec<u64> = rep.bc(sid).iter().map(|(seq, _)| seq).collect();
-            let bc = rep.bc_mut(sid);
+            let seqs: Vec<u64> = bc.iter().map(|(seq, _)| seq).collect();
             for seq in seqs {
                 f(&seq, bc.get_mut(seq).expect("live"));
             }
@@ -740,10 +724,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         };
         self.obj.location().note_localized_chunk();
         let mut rep = self.obj.local_mut();
-        let rep = &mut *rep;
-        let ths = rep.ths.clone();
-        let _g = ths.guard(methods::APPLY, 0, sid);
-        let bc = rep.bc_mut(sid);
+        let (_g, bc) = rep.guarded(methods::APPLY, 0, sid);
         for seq in seqs {
             f(&seq, bc.get_mut(seq).expect("live"));
         }

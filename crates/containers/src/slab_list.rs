@@ -3,19 +3,21 @@
 //!
 //! STAPL's pList base container is an STL list whose iterators stay valid
 //! across unrelated inserts/erases. In Rust, the equivalent stability is
-//! provided by *sequence numbers*: every inserted element gets a `u64` id
-//! that never moves; nodes live in a slab (`Vec` + free list), and an
-//! id → slot map supports O(1) access, insert-before, and erase.
-
-use std::collections::HashMap;
+//! provided by *generational ids*: nodes live in a slab (`Vec` + free
+//! list), and an element's `u64` id is its slot in the low half and the
+//! slot's generation in the high half. Access, insert-before and erase by
+//! id are a bounds-checked index and a generation compare. Erasing bumps
+//! the slot's generation, so **ids are never reused** — not after the slot
+//! finds a new tenant, not across [`SlabList::clear`], and a slot that has
+//! run out of generations is retired rather than recycled.
 
 const NIL: usize = usize::MAX;
 
 struct Node<T> {
-    seq: u64,
-    /// `None` only while the slot sits on the free list: erase moves the
-    /// value out so it drops immediately instead of lingering until the
-    /// slot is reused.
+    /// Generation of the slot's current (or, when free, next) tenant.
+    gen: u32,
+    /// `None` only while the slot is free: erase moves the value out so
+    /// it drops immediately instead of lingering until the slot is reused.
     val: Option<T>,
     prev: usize,
     next: usize,
@@ -25,22 +27,14 @@ struct Node<T> {
 pub struct SlabList<T> {
     nodes: Vec<Node<T>>,
     free: Vec<usize>,
-    index: HashMap<u64, usize>,
+    len: usize,
     head: usize,
     tail: usize,
-    next_seq: u64,
 }
 
 impl<T> Default for SlabList<T> {
     fn default() -> Self {
-        SlabList {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-            next_seq: 0,
-        }
+        SlabList { nodes: Vec::new(), free: Vec::new(), len: 0, head: NIL, tail: NIL }
     }
 }
 
@@ -50,34 +44,45 @@ impl<T> SlabList<T> {
     }
 
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
+    }
+
+    /// The id of the element living in `slot`.
+    fn id_at(&self, slot: usize) -> u64 {
+        u64::from(self.nodes[slot].gen) << 32 | slot as u64
+    }
+
+    /// The slot `id` names, if its element is still alive.
+    fn slot_of(&self, id: u64) -> Option<usize> {
+        let slot = id as u32 as usize;
+        let node = self.nodes.get(slot)?;
+        (node.gen == (id >> 32) as u32 && node.val.is_some()).then_some(slot)
     }
 
     fn alloc(&mut self, val: T) -> (u64, usize) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let node = Node { seq, val: Some(val), prev: NIL, next: NIL };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.nodes[s] = node;
+                let node = &mut self.nodes[s];
+                (node.val, node.prev, node.next) = (Some(val), NIL, NIL);
                 s
             }
             None => {
-                self.nodes.push(node);
+                assert!(self.nodes.len() < u32::MAX as usize, "SlabList: out of 32-bit slots");
+                self.nodes.push(Node { gen: 0, val: Some(val), prev: NIL, next: NIL });
                 self.nodes.len() - 1
             }
         };
-        self.index.insert(seq, slot);
-        (seq, slot)
+        self.len += 1;
+        (self.id_at(slot), slot)
     }
 
     /// Appends; returns the element's stable id.
     pub fn push_back(&mut self, val: T) -> u64 {
-        let (seq, slot) = self.alloc(val);
+        let (id, slot) = self.alloc(val);
         if self.tail == NIL {
             self.head = slot;
             self.tail = slot;
@@ -86,12 +91,12 @@ impl<T> SlabList<T> {
             self.nodes[slot].prev = self.tail;
             self.tail = slot;
         }
-        seq
+        id
     }
 
     /// Prepends; returns the element's stable id.
     pub fn push_front(&mut self, val: T) -> u64 {
-        let (seq, slot) = self.alloc(val);
+        let (id, slot) = self.alloc(val);
         if self.head == NIL {
             self.head = slot;
             self.tail = slot;
@@ -100,14 +105,14 @@ impl<T> SlabList<T> {
             self.nodes[slot].next = self.head;
             self.head = slot;
         }
-        seq
+        id
     }
 
     /// Inserts before the element with id `before`; `None` if `before`
     /// does not exist (e.g. it was concurrently erased).
     pub fn insert_before(&mut self, before: u64, val: T) -> Option<u64> {
-        let &anchor = self.index.get(&before)?;
-        let (seq, slot) = self.alloc(val);
+        let anchor = self.slot_of(before)?;
+        let (id, slot) = self.alloc(val);
         let prev = self.nodes[anchor].prev;
         self.nodes[slot].next = anchor;
         self.nodes[slot].prev = prev;
@@ -117,13 +122,13 @@ impl<T> SlabList<T> {
         } else {
             self.nodes[prev].next = slot;
         }
-        Some(seq)
+        Some(id)
     }
 
-    /// Removes the element with id `seq`, returning its value (moved out,
+    /// Removes the element with id `id`, returning its value (moved out,
     /// so it drops as soon as the caller is done with it).
-    pub fn erase(&mut self, seq: u64) -> Option<T> {
-        let slot = self.index.remove(&seq)?;
+    pub fn erase(&mut self, id: u64) -> Option<T> {
+        let slot = self.slot_of(id)?;
         let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
         if prev == NIL {
             self.head = next;
@@ -135,43 +140,47 @@ impl<T> SlabList<T> {
         } else {
             self.nodes[next].prev = prev;
         }
-        self.free.push(slot);
-        self.nodes[slot].val.take()
+        self.len -= 1;
+        let node = &mut self.nodes[slot];
+        // The next tenant gets a new generation; a slot with none left is
+        // retired (never on the free list again), not wrapped around.
+        if let Some(gen) = node.gen.checked_add(1) {
+            node.gen = gen;
+            self.free.push(slot);
+        }
+        node.val.take()
     }
 
-    pub fn get(&self, seq: u64) -> Option<&T> {
-        self.index.get(&seq).and_then(|&s| self.nodes[s].val.as_ref())
+    pub fn get(&self, id: u64) -> Option<&T> {
+        self.slot_of(id).and_then(|s| self.nodes[s].val.as_ref())
     }
 
-    pub fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
-        let &slot = self.index.get(&seq)?;
-        self.nodes[slot].val.as_mut()
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
+        self.slot_of(id).and_then(|s| self.nodes[s].val.as_mut())
     }
 
-    pub fn contains(&self, seq: u64) -> bool {
-        self.index.contains_key(&seq)
+    pub fn contains(&self, id: u64) -> bool {
+        self.slot_of(id).is_some()
     }
 
     pub fn front_id(&self) -> Option<u64> {
-        (self.head != NIL).then(|| self.nodes[self.head].seq)
+        (self.head != NIL).then(|| self.id_at(self.head))
     }
 
     pub fn back_id(&self) -> Option<u64> {
-        (self.tail != NIL).then(|| self.nodes[self.tail].seq)
+        (self.tail != NIL).then(|| self.id_at(self.tail))
     }
 
-    /// Id of the element after `seq` in list order.
-    pub fn next_id(&self, seq: u64) -> Option<u64> {
-        let &slot = self.index.get(&seq)?;
-        let n = self.nodes[slot].next;
-        (n != NIL).then(|| self.nodes[n].seq)
+    /// Id of the element after `id` in list order.
+    pub fn next_id(&self, id: u64) -> Option<u64> {
+        let n = self.nodes[self.slot_of(id)?].next;
+        (n != NIL).then(|| self.id_at(n))
     }
 
-    /// Id of the element before `seq` in list order.
-    pub fn prev_id(&self, seq: u64) -> Option<u64> {
-        let &slot = self.index.get(&seq)?;
-        let p = self.nodes[slot].prev;
-        (p != NIL).then(|| self.nodes[p].seq)
+    /// Id of the element before `id` in list order.
+    pub fn prev_id(&self, id: u64) -> Option<u64> {
+        let p = self.nodes[self.slot_of(id)?].prev;
+        (p != NIL).then(|| self.id_at(p))
     }
 
     /// In-order traversal.
@@ -179,20 +188,19 @@ impl<T> SlabList<T> {
         SlabIter { list: self, cur: self.head }
     }
 
+    /// Erases every element. The slab is kept, so that the generations —
+    /// and with them the never-reused rule — survive.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.index.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        while let Some(id) = self.front_id() {
+            self.erase(id);
+        }
     }
 
-    /// Bytes used: slab + index (metadata) and values (data).
+    /// Bytes used: slab links and free list (metadata) and values (data).
     pub fn memory_bytes(&self) -> (usize, usize) {
         let node_overhead = std::mem::size_of::<Node<T>>() - std::mem::size_of::<Option<T>>();
         let meta = self.nodes.capacity() * node_overhead
-            + self.free.capacity() * std::mem::size_of::<usize>()
-            + self.index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<usize>() * 2);
+            + self.free.capacity() * std::mem::size_of::<usize>();
         let data = self.nodes.capacity() * std::mem::size_of::<Option<T>>();
         (meta, data)
     }
@@ -210,9 +218,9 @@ impl<'a, T> Iterator for SlabIter<'a, T> {
         if self.cur == NIL {
             return None;
         }
-        let node = &self.list.nodes[self.cur];
+        let (id, node) = (self.list.id_at(self.cur), &self.list.nodes[self.cur]);
         self.cur = node.next;
-        Some((node.seq, node.val.as_ref().expect("linked node is live")))
+        Some((id, node.val.as_ref().expect("linked node is live")))
     }
 }
 
@@ -290,6 +298,13 @@ mod tests {
         assert_eq!(l.nodes.len(), 1, "slab slot must be reused");
         assert!(!l.contains(a));
         assert!(l.contains(b));
+        // A slot out of generations is retired, not wrapped around to ids
+        // it has already issued.
+        l.nodes[0].gen = u32::MAX;
+        let last = l.front_id().unwrap();
+        assert_eq!(l.erase(last), Some(2));
+        assert_eq!((l.push_back(3), l.nodes.len()), (1, 2));
+        assert!(!l.contains(last) && !l.contains(a) && l.len() == 1);
     }
 
     #[test]
@@ -345,21 +360,23 @@ mod tests {
     #[test]
     fn clear_resets() {
         let mut l = SlabList::new();
-        l.push_back(1);
-        l.push_back(2);
+        let old = [l.push_back(1), l.push_back(2)];
         l.clear();
         assert!(l.is_empty());
         assert_eq!(values(&l), Vec::<i32>::new());
-        l.push_back(9);
+        let new = l.push_back(9);
         assert_eq!(values(&l), vec![9]);
+        assert!(!old.contains(&new) && old.iter().all(|id| l.get(*id).is_none()));
     }
 
     #[test]
     fn random_model_check_against_vec() {
         // Drive SlabList and a reference Vec<(id, val)> with the same op
-        // stream; orders must agree at every step.
+        // stream — a clear() every 400 steps included; orders must agree
+        // at every step, and no id is ever issued twice.
         let mut l = SlabList::new();
         let mut model: Vec<(u64, i32)> = Vec::new();
+        let (mut issued, mut dead) = (std::collections::HashSet::new(), Vec::new());
         let mut rng: u64 = 0x9e3779b97f4a7c15;
         let mut next = || {
             rng ^= rng << 13;
@@ -368,31 +385,32 @@ mod tests {
             rng
         };
         for step in 0..2000 {
-            match next() % 4 {
-                0 => {
-                    let id = l.push_back(step);
-                    model.push((id, step));
+            let k = (next() as usize) % model.len().max(1);
+            let inserted = match next() % 4 {
+                _ if step % 400 == 399 => {
+                    l.clear();
+                    dead.extend(model.drain(..).map(|(id, _)| id));
+                    None
                 }
-                1 => {
-                    let id = l.push_front(step);
-                    model.insert(0, (id, step));
-                }
-                2 if !model.is_empty() => {
-                    let k = (next() as usize) % model.len();
-                    let (anchor, _) = model[k];
-                    let id = l.insert_before(anchor, step).unwrap();
-                    model.insert(k, (id, step));
-                }
+                0 => Some((model.len(), l.push_back(step))),
+                1 => Some((0, l.push_front(step))),
+                2 if !model.is_empty() => Some((k, l.insert_before(model[k].0, step).unwrap())),
                 3 if !model.is_empty() => {
-                    let k = (next() as usize) % model.len();
                     let (id, v) = model.remove(k);
                     assert_eq!(l.erase(id), Some(v));
+                    dead.push(id);
+                    None
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some((at, id)) = inserted {
+                assert!(issued.insert(id), "id {id:#x} issued twice");
+                model.insert(at, (id, step));
             }
             assert_eq!(l.len(), model.len());
         }
         let got: Vec<(u64, i32)> = l.iter().map(|(i, v)| (i, *v)).collect();
         assert_eq!(got, model);
+        assert!(dead.iter().all(|id| !l.contains(*id)), "an erased or cleared id resolves");
     }
 }

@@ -39,10 +39,14 @@
 //! — boundedly — instead of executing against a missing element.
 //!
 //! Invalidation is three-tier: [`dir_insert`]/[`dir_remove`] update the
-//! caller's own cache eagerly; stale hits invalidate point-wise; and bulk
-//! moves (redistribute / rebalance) call [`dir_invalidate_all`], which
-//! bumps the cache *epoch* — a collective O(1) drop-everything (dead
-//! entries are evicted lazily). Stale entries are never a correctness
+//! caller's own cache eagerly (an entry naming the caller itself is never
+//! stored: the local fast path — the containers' and [`dir_migrate`]'s —
+//! runs before the cache is consulted, so it would only take capacity);
+//! stale hits invalidate point-wise; and bulk moves (redistribute /
+//! rebalance) call [`dir_invalidate_all`], which bumps the cache *epoch* —
+//! a collective O(1) drop-everything (dead entries are evicted lazily: on
+//! lookup, and by one purge per epoch when the cache is full). Stale
+//! entries are never a correctness
 //! problem, only a latency one, which is what makes the protocol safe
 //! without any coherence traffic.
 
@@ -52,7 +56,7 @@ use std::hash::{Hash, Hasher};
 
 use stapl_rts::{Handle, LocId, Location, RmiFuture, RtsConfig};
 
-use crate::gid::{Bcid, Gid};
+use crate::gid::{Bcid, Gid, IdHashMap};
 use crate::pobject::PObject;
 
 /// The home location of a GID: a hash spread over all locations.
@@ -66,12 +70,12 @@ pub fn home_of<G: Hash>(g: &G, nlocs: usize) -> LocId {
 /// is this location.
 #[derive(Clone, Debug)]
 pub struct DirectoryShard<G: Gid> {
-    entries: HashMap<G, (Bcid, LocId)>,
+    entries: IdHashMap<G, (Bcid, LocId)>,
 }
 
 impl<G: Gid> Default for DirectoryShard<G> {
     fn default() -> Self {
-        DirectoryShard { entries: HashMap::new() }
+        DirectoryShard { entries: IdHashMap::default() }
     }
 }
 
@@ -125,7 +129,11 @@ pub struct OwnerCache<G: Gid> {
     enabled: bool,
     capacity: usize,
     epoch: Cell<u64>,
-    entries: RefCell<HashMap<G, (Bcid, LocId, u64)>>,
+    /// The epoch whose dead entries a full cache last purged.
+    purged: Cell<u64>,
+    entries: RefCell<IdHashMap<G, (Bcid, LocId, u64)>>,
+    #[cfg(test)]
+    purges: Cell<usize>,
 }
 
 impl<G: Gid> OwnerCache<G> {
@@ -136,7 +144,10 @@ impl<G: Gid> OwnerCache<G> {
             enabled: enabled && capacity > 0,
             capacity,
             epoch: Cell::new(0),
-            entries: RefCell::new(HashMap::new()),
+            purged: Cell::new(0),
+            entries: RefCell::new(IdHashMap::default()),
+            #[cfg(test)]
+            purges: Cell::new(0),
         }
     }
 
@@ -172,8 +183,9 @@ impl<G: Gid> OwnerCache<G> {
     }
 
     /// Records an authoritative mapping. When the cache is full, entries
-    /// from dead epochs are purged first; if it is still full, an
-    /// arbitrary entry is evicted.
+    /// from dead epochs are purged first — one pass over the table per
+    /// epoch, after which every stored entry is live until the next bump;
+    /// if it is still full, an arbitrary entry is evicted.
     pub fn record(&self, g: G, bcid: Bcid, owner: LocId) {
         if !self.enabled {
             return;
@@ -181,7 +193,11 @@ impl<G: Gid> OwnerCache<G> {
         let epoch = self.epoch.get();
         let mut entries = self.entries.borrow_mut();
         if entries.len() >= self.capacity && !entries.contains_key(&g) {
-            entries.retain(|_, &mut (_, _, e)| e == epoch);
+            if self.purged.replace(epoch) != epoch {
+                entries.retain(|_, &mut (_, _, e)| e == epoch);
+                #[cfg(test)]
+                self.purges.set(self.purges.get() + 1);
+            }
             if entries.len() >= self.capacity {
                 if let Some(&victim) = entries.keys().next() {
                     entries.remove(&victim);
@@ -200,8 +216,8 @@ impl<G: Gid> OwnerCache<G> {
 
     /// Invalidates every entry by advancing the epoch — O(1), the bulk
     /// invalidation used by redistribute / rebalance. Dead entries are
-    /// evicted lazily: on lookup, and wholesale when an insert finds the
-    /// cache full.
+    /// evicted lazily: on lookup, and wholesale by the first insert of
+    /// the new epoch that finds the cache full.
     pub fn bump_epoch(&self) {
         self.epoch.set(self.epoch.get() + 1);
     }
@@ -255,14 +271,17 @@ pub enum Resolution {
 
 /// Records `g` → (`bcid`, `owner`) at `g`'s home location. Asynchronous;
 /// visible after the next fence. The caller's own owner cache is primed
-/// eagerly (it just learned the authoritative mapping).
+/// eagerly (it just learned the authoritative mapping) — unless the owner
+/// is the caller, whose local fast path never reads the cache.
 pub fn dir_insert<Rep, G>(obj: &PObject<Rep>, g: G, bcid: Bcid, owner: LocId)
 where
     Rep: HasDirectory<G>,
     G: Gid,
 {
-    if let Some(c) = obj.rep_cell().borrow().owner_cache() {
-        c.record(g, bcid, owner);
+    if owner != obj.location().id() {
+        if let Some(c) = obj.rep_cell().borrow().owner_cache() {
+            c.record(g, bcid, owner);
+        }
     }
     let home = home_of(&g, obj.location().nlocs());
     obj.invoke_at(home, move |rep, _| {
@@ -274,18 +293,18 @@ where
 /// **one RMI per involved home location** instead of one per entry — the
 /// registration half of segment-grained bulk creation. Asynchronous;
 /// visible after the next fence; the caller's owner cache is primed
-/// eagerly for every entry.
+/// eagerly for every entry owned elsewhere.
 pub fn dir_insert_bulk<Rep, G>(obj: &PObject<Rep>, entries: Vec<(G, Bcid, LocId)>)
 where
     Rep: HasDirectory<G>,
     G: Gid,
 {
+    let (me, nlocs) = (obj.location().id(), obj.location().nlocs());
     if let Some(c) = obj.rep_cell().borrow().owner_cache() {
-        for (g, bcid, owner) in &entries {
+        for (g, bcid, owner) in entries.iter().filter(|e| e.2 != me) {
             c.record(*g, *bcid, *owner);
         }
     }
-    let nlocs = obj.location().nlocs();
     let mut per_home: HashMap<LocId, Vec<(G, Bcid, LocId)>> = HashMap::new();
     for e in entries {
         per_home.entry(home_of(&e.0, nlocs)).or_default().push(e);
@@ -355,8 +374,7 @@ pub fn dir_migrate<Rep, G, P>(
     P: Send + 'static,
 {
     let handle = obj.handle();
-    dir_route(obj, policy, g, move |cell, loc, found| {
-        assert!(found.is_some(), "dir_migrate: {g:?} is not registered in the directory");
+    let migrate = move |cell: &RefCell<Rep>, loc: &Location| {
         if loc.id() == dest {
             return;
         }
@@ -369,15 +387,22 @@ pub fn dir_migrate<Rep, G, P>(
         loc.async_rmi(dest, handle, move |cell2: &RefCell<Rep>, loc2| {
             let me = loc2.id();
             install(&mut cell2.borrow_mut(), payload);
-            if let Some(c) = cell2.borrow().owner_cache() {
-                c.record(g, dest_bcid, me);
-            }
             // Authoritative re-registration, strictly after landing.
             let home = home_of(&g, loc2.nlocs());
             loc2.async_rmi(home, handle, move |cell3: &RefCell<Rep>, _| {
                 cell3.borrow_mut().directory_mut().insert(g, dest_bcid, me);
             });
         });
+    };
+    // The local fast path: the owner cache holds no entry naming this
+    // location, so a migration issued by the owner would otherwise
+    // resolve through the home.
+    if obj.rep_cell().borrow().owns_gid(&g) {
+        return obj.invoke_at(obj.location().id(), migrate);
+    }
+    dir_route(obj, policy, g, move |cell, loc, found| {
+        assert!(found.is_some(), "dir_migrate: {g:?} is not registered in the directory");
+        migrate(cell, loc);
     });
 }
 
@@ -803,6 +828,25 @@ mod tests {
         c.record(8, 3, 3);
         assert_eq!(c.lookup(&7), Some((2, 2)));
         assert_eq!(c.lookup(&8), Some((3, 3)));
+    }
+
+    #[test]
+    fn full_cache_evicts_one_entry_and_purges_once_per_epoch() {
+        let cap = 64;
+        let c = OwnerCache::<u64>::new(true, cap);
+        for g in 0..11 * cap as u64 {
+            c.record(g, 0, 1);
+            assert!(c.len() <= cap);
+        }
+        assert_eq!((c.len(), c.purges.get()), (cap, 0), "no dead epoch yet: nothing to purge");
+        // A full cache of dead entries is purged by the next record, once.
+        c.bump_epoch();
+        c.record(9999, 0, 1);
+        assert_eq!((c.len(), c.purges.get()), (1, 1));
+        for g in 0..11 * cap as u64 {
+            c.record(g, 0, 1);
+        }
+        assert_eq!((c.len(), c.purges.get()), (cap, 1));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! (row, col) pairs for pMatrix, keys for pMap, vertex descriptors for
 //! pGraph, and stable (bcid, sequence) pairs for pList.
 
+use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The bound every GID type must satisfy: cheap to copy, shippable across
 /// locations, hashable (for directories), and comparable for identity.
@@ -25,6 +26,41 @@ impl<T: Clone + Send + Eq + Hash + Debug + 'static> Key for T {}
 /// BCIDs are globally unique within one container and dense from zero for
 /// static partitions.
 pub type Bcid = usize;
+
+/// Hasher for tables keyed by the ids the framework hands out itself
+/// (vertex descriptors `me + k·P`, BCIDs). `std`'s table picks the bucket
+/// from the low bits of the hash and its tag from the top seven, so an
+/// identity or plain multiplicative hash — whose low bits depend only on
+/// the key's low bits — collapses on a constant stride: multiply by an odd
+/// constant, then fold the high half down. Not for keys from outside the
+/// program, and not for placement ([`crate::directory::home_of`]).
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let m = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = m ^ (m >> 32);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` under [`IdHasher`].
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

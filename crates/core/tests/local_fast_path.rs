@@ -1,9 +1,17 @@
 //! The local fast path of the core layer: a `PObject` invokes on itself
 //! through the representative it holds (counted, but no registry lookup),
-//! and the location manager stays a BCID-ordered map whatever order base
-//! containers come and go in.
+//! the location manager stays a BCID-ordered map whatever order base
+//! containers come and go in, and a directory-backed element that is
+//! stored here is registered and migrated without touching the owner
+//! cache or the home.
+
+use std::collections::HashMap;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
+use stapl_core::directory::{
+    dir_insert, dir_lookup, dir_migrate, home_of, DirectoryShard, HasDirectory, OwnerCache,
+    Resolution,
+};
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
 use stapl_rts::{execute, RtsConfig};
@@ -90,4 +98,64 @@ fn location_manager_rejects_a_duplicate_bcid_wherever_it_sorts() {
         lm.add_bcontainer(b, Bc(0));
     }
     lm.add_bcontainer(7, Bc(0));
+}
+
+/// A directory-backed representative: the elements stored here.
+struct Rep {
+    dir: DirectoryShard<u64>,
+    cache: OwnerCache<u64>,
+    values: HashMap<u64, i64>,
+}
+
+impl HasDirectory<u64> for Rep {
+    fn directory(&self) -> &DirectoryShard<u64> {
+        &self.dir
+    }
+
+    fn directory_mut(&mut self) -> &mut DirectoryShard<u64> {
+        &mut self.dir
+    }
+
+    fn owner_cache(&self) -> Option<&OwnerCache<u64>> {
+        Some(&self.cache)
+    }
+
+    fn owns_gid(&self, g: &u64) -> bool {
+        self.values.contains_key(g)
+    }
+}
+
+/// Registering one's own elements leaves the owner cache empty (the local
+/// fast path never reads it, so such entries would only take capacity),
+/// and migrating one of them away costs the payload message and nothing
+/// else — no trip through the home to find out that it is here.
+#[test]
+fn an_element_stored_here_is_registered_and_migrated_without_resolution() {
+    execute(RtsConfig::unbuffered(), 2, |loc| {
+        let cache = OwnerCache::from_config(loc.config());
+        let obj = PObject::register(loc, Rep { dir: DirectoryShard::new(), cache, values: HashMap::new() });
+        loc.rmi_fence();
+        for g in (loc.id() as u64..64).step_by(2) {
+            obj.local_mut().values.insert(g, g as i64 * 10);
+            dir_insert(&obj, g, loc.id(), loc.id());
+        }
+        loc.rmi_fence();
+        assert!(obj.local().cache.is_empty(), "own registrations must not take cache capacity");
+        // Stored on location 0, registered at location 1.
+        let g = (0..64u64).step_by(2).find(|g| home_of(g, 2) == 1).expect("some home is 1");
+        let before = loc.stats().remote_requests;
+        loc.barrier();
+        if loc.id() == 0 {
+            let extract = move |rep: &mut Rep| rep.values.remove(&g);
+            dir_migrate(&obj, Resolution::Forwarding, g, 1, 1, extract, move |rep, v| {
+                rep.values.insert(g, v);
+            });
+        }
+        loc.rmi_fence();
+        let sent = loc.stats().remote_requests - before;
+        loc.barrier();
+        assert_eq!(sent, 1, "the payload from 0 to 1, and nothing else");
+        assert_eq!(dir_lookup(&obj, g), Some((1, 1)));
+        assert_eq!(obj.local().values.get(&g).copied(), (loc.id() == 1).then_some(g as i64 * 10));
+    });
 }

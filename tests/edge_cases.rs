@@ -20,6 +20,9 @@ fn single_element_array_across_many_locations() {
         assert_eq!(a.global_size(), 1);
         assert_eq!(loc.allreduce_sum(a.local_size() as u64), 1);
         assert_eq!(a.get_element(0), 9);
+        // Separate the read phase from the write: a fast location 3 could
+        // otherwise overwrite the element before a slow one has read it.
+        loc.barrier();
         if loc.id() == 3 {
             a.set_element(0, 5);
         }
