@@ -7,7 +7,7 @@
 //!   `p_accumulate`, `p_count_if`, `p_find_if`, `p_min_element`,
 //!   `p_copy`, `p_transform`, ...), container-native and view-based;
 //! * [`numeric`] — parallel prefix sums (`p_partial_sum`);
-//! * [`sorting`] — sample sort (`p_sort`);
+//! * [`sorting`] — regular-sampling sample sort (`p_sort`);
 //! * [`list_ranking`] — Wyllie pointer jumping;
 //! * [`euler`] — the Euler-tour technique and its applications
 //!   (rooting, depth, subtree size);
@@ -41,10 +41,9 @@ pub mod prelude {
     pub use crate::list_ranking::{list_positions, list_rank_after, NIL};
     pub use crate::map_func::{
         p_accumulate, p_adjacent_difference, p_copy, p_copy_elementwise, p_count_if, p_equal,
-        p_equal_elementwise, p_fill, p_find_if, p_for_each, p_for_each_view, p_generate,
-        p_generate_view, p_inner_product, p_inner_product_elementwise, p_max_element,
-        p_min_element, p_reduce, p_reduce_view, p_replace_if, p_sum, p_transform,
-        p_transform_elementwise,
+        p_fill, p_find_if, p_for_each, p_for_each_view, p_generate, p_generate_view,
+        p_inner_product, p_max_element, p_min_element, p_reduce, p_reduce_view, p_replace_if,
+        p_sum, p_transform,
     };
     pub use crate::mapreduce::{
         map_reduce, p_map_reduce_kv, synthetic_corpus, word_count, word_count_kv,

@@ -16,13 +16,17 @@
 //!   ones pay element-access routing.
 //!
 //! The `p_copy`/`p_transform`/`p_equal`/`p_inner_product` family requires
-//! [`RangedContainer`] and moves data as **one bulk RMI per (owner,
-//! contiguous run)** — O(runs) messages on misaligned distributions where
-//! the `_elementwise` fallbacks (for pList/pMatrix-style GIDs) pay O(N).
+//! [`RangedContainer`] and walks each local storage piece of the first
+//! container cut at the second's run boundaries: two runs stored here are
+//! two borrowed slices, any other run is **one bulk RMI per (owner,
+//! contiguous run)** — O(runs) messages on misaligned distributions.
+//! (`STAPL_BULK_THRESHOLD=huge` is the element-wise ablation.)
 //!
 //! All algorithms are **collective**.
 
-use stapl_core::gid::Gid;
+use stapl_core::distribution::GidRun;
+use stapl_core::domain::Range1d;
+use stapl_core::gid::{Bcid, Gid};
 use stapl_core::interfaces::{ElementWrite, LocalIteration, RangedContainer};
 use stapl_views::view::{ViewRead, ViewWrite};
 
@@ -212,29 +216,101 @@ where
     c.location().rmi_fence();
 }
 
-/// `p_copy`: copies `src` into `dst` chunk-at-a-time: each local run of
-/// `src` is borrowed as one slice and shipped with one bulk RMI per
-/// misaligned (owner, run) of `dst` — O(runs) messages where the
-/// element-wise path pays O(N). Aligned distributions degenerate to pure
-/// slice-to-slice copies.
-///
-/// `src` and `dst` must be distinct containers: copying a container onto
-/// itself borrows the same representative for reading and writing and
-/// panics (true of the element-wise variant as well).
+/// Every local storage piece of `a`, cut at the boundaries of `b`'s storage
+/// runs: (`a`'s bcid, `b`'s run) in `a`'s storage order — the cells the
+/// pairwise family walks. Metadata only, one `runs` call per piece.
+fn cuts<'c, A, B>(a: &'c A, b: &'c B) -> impl Iterator<Item = (Bcid, GidRun)> + 'c
+where
+    A: RangedContainer,
+    B: RangedContainer,
+{
+    a.local_pieces()
+        .into_iter()
+        .flat_map(move |(bcid, piece)| b.runs(piece).into_iter().map(move |run| (bcid, run)))
+}
+
+/// Runs `f` on `c`'s values over `gids`, a run inside one of its local
+/// storage pieces: the storage slice itself, or — storage that exposes
+/// none (boxed) — a `get_range` copy of the local run.
+pub(crate) fn values<C: RangedContainer, R>(
+    c: &C,
+    bcid: Bcid,
+    gids: Range1d,
+    mut f: impl FnMut(&[C::Value]) -> R,
+) -> R {
+    match c.with_slice(bcid, gids, &mut f) {
+        Some(r) => r,
+        None => f(&c.get_range(gids)),
+    }
+}
+
+/// The read walk of the pairwise family: `f(a's values, b's values)` over
+/// every cell of [`cuts`] until it returns `false`. A run of `b` stored
+/// here is borrowed in place (counted as one localized chunk, as
+/// `get_range` counts it); any other run is one `get_range` — fetched
+/// *before* `a`'s slice is borrowed, so no future is awaited under a
+/// representative borrow.
+fn zip_runs<A, B>(a: &A, b: &B, mut f: impl FnMut(&[A::Value], &[B::Value]) -> bool)
+where
+    A: RangedContainer,
+    B: RangedContainer,
+{
+    for (bcid, run) in cuts(a, b) {
+        let near = b.with_slice(run.bcid, run.gids, |sb| values(a, bcid, run.gids, |sa| f(sa, sb)));
+        let go = match near {
+            Some(go) => {
+                a.location().note_localized_chunk();
+                go
+            }
+            None => {
+                let theirs = b.get_range(run.gids);
+                values(a, bcid, run.gids, |sa| f(sa, &theirs))
+            }
+        };
+        if !go {
+            return;
+        }
+    }
+}
+
+/// The write walk of the pairwise family over every cell of [`cuts`]: a
+/// run of `dst` stored here is written in place, `near(src's values, dst's
+/// slice)` under both borrows (one localized chunk, as `set_range` counts
+/// it); any other run is `far(first GID, src's values)`, which ships it
+/// with `dst.set_range*` (asynchronous: nothing is awaited under `src`'s
+/// borrow).
+fn write_runs<S: RangedContainer, D: RangedContainer>(
+    src: &S,
+    dst: &D,
+    near: impl Fn(&[S::Value], &mut [D::Value]),
+    far: impl Fn(usize, &[S::Value]),
+) {
+    for (bcid, run) in cuts(src, dst) {
+        // `dst` may be `src` itself (a transform in place): one storage
+        // cannot be borrowed both ways, so such a cell is copied out first.
+        let at = src.with_slice(bcid, run.gids, |s| s.as_ptr().cast::<()>());
+        if at.is_some() && at == dst.with_slice(run.bcid, run.gids, |d| d.as_ptr().cast::<()>()) {
+            far(run.gids.lo, &values(src, bcid, run.gids, |s| s.to_vec()));
+            continue;
+        }
+        let served = dst.with_slice_mut(run.bcid, run.gids, |d| values(src, bcid, run.gids, |s| near(s, d)));
+        match served {
+            Some(()) => src.location().note_localized_chunk(),
+            None => values(src, bcid, run.gids, |s| far(run.gids.lo, s)),
+        }
+    }
+    src.location().rmi_fence();
+}
+
+/// `p_copy`: copies `src` into `dst` slice by slice: a local run of `src`
+/// over a local run of `dst` is one slice-to-slice copy, each misaligned
+/// (owner, run) of `dst` one bulk RMI.
 pub fn p_copy<S, D>(src: &S, dst: &D)
 where
     S: RangedContainer,
     D: RangedContainer<Value = S::Value>,
 {
-    for (bcid, piece) in src.local_pieces() {
-        let served = src.with_slice(bcid, piece, |s| dst.set_range_slice(piece.lo, s));
-        if served.is_none() {
-            // Non-sliceable storage: still one buffer per run.
-            let vals = src.get_range(piece);
-            dst.set_range(piece.lo, vals);
-        }
-    }
-    src.location().rmi_fence();
+    write_runs(src, dst, |s, d| d.clone_from_slice(s), |lo, s| dst.set_range_slice(lo, s));
 }
 
 /// `p_copy` for containers without bulk-range transport (non-`usize`
@@ -249,9 +325,8 @@ where
     src.location().rmi_fence();
 }
 
-/// `p_transform`: `dst[g] = f(src[g])`, chunk-at-a-time: each local run
-/// of `src` is mapped through `f` into one buffer and written with one
-/// bulk RMI per (owner, run) of `dst`.
+/// `p_transform`: `dst[g] = f(src[g])`, slice by slice like [`p_copy`];
+/// `dst` may be `src` (runs stored here are then copied out first).
 pub fn p_transform<S, D, F, W>(src: &S, dst: &D, f: F)
 where
     S: RangedContainer,
@@ -259,32 +334,17 @@ where
     W: Send + Clone + 'static,
     F: Fn(&S::Value) -> W,
 {
-    for (bcid, piece) in src.local_pieces() {
-        let vals = src
-            .with_slice(bcid, piece, |s| s.iter().map(&f).collect::<Vec<W>>())
-            .unwrap_or_else(|| src.get_range(piece).iter().map(&f).collect());
-        dst.set_range(piece.lo, vals);
-    }
-    src.location().rmi_fence();
-}
-
-/// `p_transform` for containers without bulk-range transport.
-pub fn p_transform_elementwise<S, D, G, F, W>(src: &S, dst: &D, f: F)
-where
-    G: Gid,
-    S: LocalIteration<G>,
-    D: ElementWrite<G, Value = W>,
-    W: Send + Clone + 'static,
-    F: Fn(&S::Value) -> W,
-{
-    src.for_each_local(|g, v| dst.set_element(g, f(v)));
-    src.location().rmi_fence();
+    write_runs(
+        src,
+        dst,
+        |s, d| d.iter_mut().zip(s).for_each(|(d, s)| *d = f(s)),
+        |lo, s| dst.set_range(lo, s.iter().map(&f).collect()),
+    );
 }
 
 /// `p_equal`: true when both containers hold equal elements at every GID.
-/// Chunk-at-a-time: each local run of `a` is compared as one slice
-/// against one bulk fetch of `b`'s range, short-circuiting across runs
-/// after the first mismatch.
+/// Slice against slice per run, short-circuiting across runs after the
+/// first mismatch.
 pub fn p_equal<A, B>(a: &A, b: &B) -> bool
 where
     A: RangedContainer,
@@ -292,68 +352,25 @@ where
     A::Value: PartialEq,
 {
     let mut ok = true;
-    for (bcid, piece) in a.local_pieces() {
-        if !ok {
-            break;
-        }
-        let theirs = b.get_range(piece);
-        ok = a
-            .with_slice(bcid, piece, |s| s == &theirs[..])
-            .unwrap_or_else(|| a.get_range(piece) == theirs);
-    }
-    a.location().allreduce(ok, |x, y| x && y)
-}
-
-/// `p_equal` for containers without bulk-range transport.
-pub fn p_equal_elementwise<A, B, G>(a: &A, b: &B) -> bool
-where
-    G: Gid,
-    A: LocalIteration<G>,
-    B: ElementWrite<G, Value = A::Value>,
-    A::Value: PartialEq,
-{
-    let mut ok = true;
-    a.try_for_each_local(|g, v| {
-        if b.get_element(g) != *v {
-            ok = false;
-        }
+    zip_runs(a, b, |sa, sb| {
+        ok = sa == sb;
         ok
     });
     a.location().allreduce(ok, |x, y| x && y)
 }
 
-/// `p_inner_product` over two u64 containers sharing GIDs, one slice /
-/// bulk fetch per run.
+/// `p_inner_product` over two u64 containers sharing GIDs, one pair of
+/// slices (or one bulk fetch) per run.
 pub fn p_inner_product<A, B>(a: &A, b: &B) -> u64
 where
     A: RangedContainer<Value = u64>,
     B: RangedContainer<Value = u64>,
 {
     let mut acc = 0u64;
-    for (bcid, piece) in a.local_pieces() {
-        let theirs = b.get_range(piece);
-        let dot = |s: &[u64]| {
-            s.iter()
-                .zip(&theirs)
-                .fold(0u64, |t, (x, y)| t.wrapping_add(x.wrapping_mul(*y)))
-        };
-        acc = acc.wrapping_add(
-            a.with_slice(bcid, piece, dot).unwrap_or_else(|| dot(&a.get_range(piece))),
-        );
-    }
-    a.location().allreduce_sum(acc)
-}
-
-/// `p_inner_product` for containers without bulk-range transport
-/// (non-`usize` GIDs: pList, pMatrix, …).
-pub fn p_inner_product_elementwise<A, B, G>(a: &A, b: &B) -> u64
-where
-    G: Gid,
-    A: LocalIteration<G, Value = u64>,
-    B: ElementWrite<G, Value = u64>,
-{
-    let mut acc = 0u64;
-    a.for_each_local(|g, v| acc = acc.wrapping_add(v.wrapping_mul(b.get_element(g))));
+    zip_runs(a, b, |sa, sb| {
+        acc = sa.iter().zip(sb).fold(acc, |t, (x, y)| t.wrapping_add(x.wrapping_mul(*y)));
+        true
+    });
     a.location().allreduce_sum(acc)
 }
 
@@ -551,7 +568,6 @@ mod tests {
             );
             p_copy(&src, &dst);
             assert!(p_equal(&src, &dst));
-            assert!(p_equal_elementwise(&src, &dst));
             for g in 0..40 {
                 assert_eq!(dst.get_element(g), g as u64 + 1);
             }
@@ -565,10 +581,6 @@ mod tests {
             assert_eq!(
                 p_inner_product(&src, &dst),
                 (1..=40u64).map(|x| x * x).sum::<u64>()
-            );
-            assert_eq!(
-                p_inner_product(&src, &dst),
-                p_inner_product_elementwise(&src, &dst)
             );
             // A genuine mismatch is detected.
             if loc.id() == 0 {

@@ -1,102 +1,81 @@
 //! Numeric pAlgorithms: parallel prefix sums (`p_partial_sum`, the
 //! "important parallel algorithmic technique" of Chapter III) and scans.
+//!
+//! A scan is a loop over storage slices: each location scans its storage
+//! pieces in place, the piece totals (keyed by the piece's first GID, which
+//! *is* the prefix order whatever the partition and mapper) meet in one
+//! collective, and every piece but the globally first takes its carry in a
+//! second slice loop — at P=1 with one piece the algorithm is one pass.
 
-use stapl_core::interfaces::IndexedContainer;
+use stapl_core::domain::Range1d;
+use stapl_core::gid::Bcid;
+use stapl_core::interfaces::RangedContainer;
+
+/// Runs `f` on the values of one local storage piece, in place: on the
+/// slice itself, or — storage that exposes none (boxed) — on a copy that is
+/// written back (the piece is local, so neither way is an RMI).
+fn on_piece<C: RangedContainer, R>(
+    c: &C,
+    bcid: Bcid,
+    piece: Range1d,
+    f: impl Fn(&mut [C::Value]) -> R,
+) -> R {
+    c.with_slice_mut(bcid, piece, &f).unwrap_or_else(|| {
+        let mut vals = c.get_range(piece);
+        let r = f(&mut vals);
+        c.set_range(piece.lo, vals);
+        r
+    })
+}
 
 /// `p_partial_sum`: in-place inclusive prefix sum over an indexed
-/// container. Three phases: local scan per sub-domain, exclusive scan of
-/// the sub-domain totals (collective), local offset add.
+/// container. Three phases: inclusive scan of each local storage piece,
+/// exclusive scan of the piece totals in GID order (collective), carry
+/// applied to every piece that has one.
 ///
-/// **Collective.** `op` must be associative with identity `identity`.
+/// **Collective.** `op` must be associative with identity `identity`; it
+/// need not be commutative (the carry is always the left operand).
 pub fn p_partial_sum<C, F>(c: &C, identity: C::Value, op: F)
 where
-    C: IndexedContainer,
+    C: RangedContainer,
     C::Value: Send + Clone + 'static,
     F: Fn(&C::Value, &C::Value) -> C::Value,
 {
     let loc = c.location().clone();
-    // Phase 1: local inclusive scan within each sub-domain; record each
-    // sub-domain's (bcid, total).
-    let mut totals: Vec<(usize, C::Value)> = Vec::new();
-    {
-        let mut current_bcid = usize::MAX;
-        let mut acc = identity.clone();
-        // Sub-domain boundaries come from the container's partition;
-        // for_each_local iterates bcid-ordered, gid-ordered.
-        let bounds: Vec<(usize, usize, usize)> = c
-            .local_subdomains()
-            .iter()
-            .flat_map(|(b, sd)| {
-                let mut v = Vec::new();
-                let mut iter = sd.iter().peekable();
-                if let Some(&first) = iter.peek() {
-                    let mut last = first;
-                    for g in iter {
-                        last = g;
-                    }
-                    v.push((*b, first, last));
+    let mut pieces = c.local_pieces();
+    pieces.sort_unstable_by_key(|(_, piece)| piece.lo);
+    // Phase 1: scan each piece; record (first GID, total).
+    let totals: Vec<(usize, C::Value)> = pieces
+        .iter()
+        .map(|&(bcid, piece)| {
+            let total = on_piece(c, bcid, piece, |s| {
+                let mut acc = identity.clone();
+                for v in s {
+                    acc = op(&acc, v);
+                    *v = acc.clone();
                 }
-                v
-            })
-            .collect();
-        let _ = &bounds;
-        c.for_each_local_mut(|g, v| {
-            // Detect sub-domain change by bcid of gid.
-            let b = bounds
-                .iter()
-                .find(|(_, lo, hi)| g >= *lo && g <= *hi)
-                .map(|(b, _, _)| *b)
-                .expect("gid outside local sub-domains");
-            if b != current_bcid {
-                if current_bcid != usize::MAX {
-                    totals.push((current_bcid, acc.clone()));
-                }
-                current_bcid = b;
-                acc = identity.clone();
+                acc
+            });
+            (piece.lo, total)
+        })
+        .collect();
+    // Phase 2: every piece of the container in GID order; the carry into a
+    // piece is the fold of the totals before it.
+    let mut all: Vec<(usize, C::Value)> = loc.allgather(totals).into_iter().flatten().collect();
+    all.sort_unstable_by_key(|(lo, _)| *lo);
+    // Phase 3: the globally first piece has no carry (`op(identity, v)` is
+    // `v`) and is not walked again.
+    let mut mine = pieces.into_iter().peekable();
+    let mut carry: Option<C::Value> = None;
+    for (lo, total) in all {
+        if let Some((bcid, piece)) = mine.next_if(|(_, piece)| piece.lo == lo) {
+            if let Some(carry) = &carry {
+                on_piece(c, bcid, piece, |s| s.iter_mut().for_each(|v| *v = op(carry, v)));
             }
-            acc = op(&acc, v);
-            *v = acc.clone();
-        });
-        if current_bcid != usize::MAX {
-            totals.push((current_bcid, acc.clone()));
         }
-    }
-    // Phase 2: exclusive scan of sub-domain totals in bcid order.
-    let all = loc.allgather(totals);
-    let mut flat: Vec<(usize, C::Value)> = all.into_iter().flatten().collect();
-    flat.sort_by_key(|(b, _)| *b);
-    let my_bcids: Vec<usize> = c.local_subdomains().iter().map(|(b, _)| *b).collect();
-    let mut offsets: std::collections::HashMap<usize, C::Value> = std::collections::HashMap::new();
-    {
-        let mut acc = identity.clone();
-        for (b, t) in &flat {
-            if my_bcids.contains(b) {
-                offsets.insert(*b, acc.clone());
-            }
-            acc = op(&acc, t);
-        }
-    }
-    // Phase 3: add the sub-domain offset to every local element.
-    {
-        let bounds: Vec<(usize, usize, usize)> = c
-            .local_subdomains()
-            .iter()
-            .filter_map(|(b, sd)| {
-                let mut iter = sd.iter();
-                let first = iter.next()?;
-                let last = iter.last().unwrap_or(first);
-                Some((*b, first, last))
-            })
-            .collect();
-        c.for_each_local_mut(|g, v| {
-            let b = bounds
-                .iter()
-                .find(|(_, lo, hi)| g >= *lo && g <= *hi)
-                .map(|(b, _, _)| *b)
-                .expect("gid outside local sub-domains");
-            if let Some(off) = offsets.get(&b) {
-                *v = op(off, v);
-            }
+        carry = Some(match carry {
+            Some(carry) => op(&carry, &total),
+            None => total,
         });
     }
     loc.barrier();
@@ -105,7 +84,7 @@ where
 /// Convenience: integer inclusive prefix sum.
 pub fn p_prefix_sum_u64<C>(c: &C)
 where
-    C: IndexedContainer<Value = u64>,
+    C: RangedContainer<Value = u64>,
 {
     p_partial_sum(c, 0u64, |a, b| a + b);
 }
@@ -114,7 +93,7 @@ where
 /// computation where weights are ±1).
 pub fn p_prefix_sum_i64<C>(c: &C)
 where
-    C: IndexedContainer<Value = i64>,
+    C: RangedContainer<Value = i64>,
 {
     p_partial_sum(c, 0i64, |a, b| a + b);
 }
@@ -125,7 +104,7 @@ mod tests {
     use stapl_containers::array::PArray;
     use stapl_core::interfaces::ElementRead;
     use stapl_core::mapper::CyclicMapper;
-    use stapl_core::partition::BlockedPartition;
+    use stapl_core::partition::{BlockCyclicPartition, BlockedPartition, IndexPartition};
     use stapl_rts::{execute, RtsConfig};
 
     #[test]
@@ -145,20 +124,21 @@ mod tests {
     #[test]
     fn prefix_sum_with_multiple_bcontainers_per_location() {
         execute(RtsConfig::default(), 2, |loc| {
-            let a = PArray::with_partition(
-                loc,
-                Box::new(BlockedPartition::new(20, 3)), // 7 sub-domains over 2 locs
-                Box::new(CyclicMapper::new(loc.nlocs())),
-                0u64,
-            );
-            crate::map_func::p_generate(&a, |g| g as u64);
-            p_prefix_sum_u64(&a);
-            let mut expect = 0u64;
-            for i in 0..20 {
-                expect += i as u64;
-                assert_eq!(a.get_element(i), expect);
+            // 7 contiguous sub-domains over 2 locations; then interleaving
+            // block-cyclic ones, where BCID order is not a prefix order.
+            let partitions: [Box<dyn IndexPartition>; 2] =
+                [Box::new(BlockedPartition::new(20, 3)), Box::new(BlockCyclicPartition::new(23, 3, 4))];
+            for partition in partitions {
+                let n = partition.global_size();
+                let a = PArray::with_partition(loc, partition, Box::new(CyclicMapper::new(loc.nlocs())), 0u64);
+                crate::map_func::p_generate(&a, |g| g as u64);
+                p_prefix_sum_u64(&a);
+                let mut expect = 0u64;
+                for i in 0..n {
+                    expect += i as u64;
+                    assert_eq!(a.get_element(i), expect, "prefix mismatch at {i} of {n}");
+                }
             }
-            let _ = loc;
         });
     }
 

@@ -1,69 +1,80 @@
 //! `p_sort`: parallel sample sort — the algorithm the paper uses to
 //! motivate commutative-task thread safety (Chapter VI's bucket-insert
-//! example).
+//! example) — as a regular-sampling sort: every location sorts its block
+//! **once**, regular quantiles of the sorted blocks give the splitters, the
+//! sorted block is cut at the splitters and each cut ships as one sorted
+//! run, and the receiver merges presorted runs. Not stable: runs from
+//! different sources arrive in either order.
 
-use stapl_core::interfaces::{ElementRead, LocalIteration, PContainer, RangedContainer};
+use stapl_core::interfaces::{ElementRead, PContainer, RangedContainer};
 use stapl_core::pobject::PObject;
 use stapl_containers::array::PArray;
 
-/// **Collective.** Sorts the pArray in place (ascending) with sample
-/// sort: sample → splitters → bucket exchange → local sort → write-back
-/// at globally scanned offsets.
+use crate::map_func::values;
+
+/// **Collective.** Sorts the pArray in place (ascending, not stable):
+/// local sort → splitters from regular samples → exchange of sorted runs →
+/// merge → write-back at globally scanned offsets.
 pub fn p_sort<T>(a: &PArray<T>)
 where
     T: Ord + Send + Clone + 'static,
 {
     let loc = a.location().clone();
     let nlocs = loc.nlocs();
-    // 1. Local data and samples (regular quantiles of the sorted local
-    //    block give robust splitters).
+    // 1. The local block, copied out slice by slice and sorted once;
+    //    regular quantiles of it are the samples.
     let mut local: Vec<T> = Vec::with_capacity(a.local_size());
-    a.for_each_local(|_, v| local.push(v.clone()));
-    let mut sample_src = local.clone();
-    sample_src.sort();
+    for (bcid, piece) in a.local_pieces() {
+        values(a, bcid, piece, |s| local.extend_from_slice(s));
+    }
+    local.sort_unstable();
     let oversample = 4;
     let samples: Vec<T> = (0..nlocs * oversample)
-        .filter_map(|k| {
-            if sample_src.is_empty() {
-                None
-            } else {
-                Some(sample_src[(k * sample_src.len()) / (nlocs * oversample)].clone())
-            }
-        })
+        .filter_map(|k| local.get((k * local.len()) / (nlocs * oversample)).cloned())
         .collect();
     let mut all_samples: Vec<T> = loc
         .allgather(samples)
         .into_iter()
         .flatten()
         .collect();
-    all_samples.sort();
+    all_samples.sort_unstable();
     let splitters: Vec<T> = (1..nlocs)
         .filter_map(|k| all_samples.get(k * all_samples.len() / nlocs).cloned())
         .collect();
-    // 2. Bucket exchange, coarsened: elements are grouped per destination
-    //    locally and each group ships as ONE bulk append per peer — the
-    //    boundary-exchange analog of the bulk-range transport (O(P)
-    //    messages per location instead of O(n/P)). Owner-side execution
-    //    keeps the concurrent appends atomic (the commutative-task
-    //    pattern of Ch. VI).
+    // 2. Run exchange, coarsened: the sorted block is cut where each
+    //    splitter would be inserted (keys equal to a splitter go right; no
+    //    splitters — an empty array — leave one run, for location 0) and
+    //    each cut ships as ONE bulk append per peer: O(P) messages per
+    //    location instead of O(n/P). Owner-side execution keeps the
+    //    concurrent appends atomic (the commutative-task pattern of Ch. VI).
     let buckets = PObject::register(&loc, Vec::<T>::new());
     loc.barrier();
-    let mut outgoing: Vec<Vec<T>> = (0..nlocs).map(|_| Vec::new()).collect();
-    for v in local {
-        let dest = splitters.partition_point(|s| s <= &v).min(nlocs - 1);
-        outgoing[dest].push(v);
-    }
-    for (dest, batch) in outgoing.into_iter().enumerate() {
-        if batch.is_empty() {
+    let mut runs: Vec<Vec<T>> = splitters
+        .iter()
+        .rev()
+        .map(|s| local.split_off(local.partition_point(|v| v < s)))
+        .collect();
+    runs.push(local);
+    for (dest, run) in runs.into_iter().rev().enumerate() {
+        if run.is_empty() {
             continue;
         }
         if dest != loc.id() {
-            loc.note_bulk_request(batch.len() as u64);
+            loc.note_bulk_request(run.len() as u64);
         }
-        buckets.invoke_at(dest, move |cell, _| cell.borrow_mut().extend(batch));
+        buckets.invoke_at(dest, move |cell, _| {
+            let mut mine = cell.borrow_mut();
+            // The first run to arrive is kept as it is, not copied.
+            if mine.is_empty() {
+                *mine = run;
+            } else {
+                mine.extend(run);
+            }
+        });
     }
     loc.rmi_fence();
-    // 3. Local sort.
+    // 3. Merge: `sort` finds the presorted runs and merges them (one run,
+    //    as at P=1, is one verification pass).
     let mut mine = std::mem::take(&mut *buckets.local_mut());
     mine.sort();
     // 4. Write back at scanned global offsets: the sorted block is one
@@ -75,39 +86,34 @@ where
     loc.rmi_fence();
 }
 
-/// **Collective.** True when the array is globally non-decreasing.
+/// **Collective.** True when the array is globally non-decreasing: one
+/// adjacent-pair scan per local storage slice, then one neighbour fetched
+/// per piece end that is not the array end.
 pub fn p_is_sorted<T>(a: &PArray<T>) -> bool
 where
     T: Ord + Send + Clone + 'static,
 {
-    let loc = a.location();
     let n = a.global_size();
     let mut ok = true;
-    let mut prev: Option<(usize, T)> = None;
-    a.for_each_local(|g, v| {
-        if let Some((pg, pv)) = &prev {
-            if *pg + 1 == g && pv > v {
-                ok = false;
-            }
-        }
-        prev = Some((g, v.clone()));
-    });
-    // Check the seams between locations' blocks.
-    let mut seams_ok = true;
-    a.for_each_local(|g, v| {
-        if g + 1 < n && !a.is_local(g + 1) {
-            let next = a.get_element(g + 1);
-            if *v > next {
-                seams_ok = false;
-            }
-        }
-    });
-    loc.allreduce(ok && seams_ok, |x, y| x && y)
+    // (GID after the piece, the piece's last element), collected so that no
+    // borrow is held while a neighbour is fetched.
+    let mut ends: Vec<(usize, T)> = Vec::new();
+    for (bcid, piece) in a.local_pieces() {
+        let (sorted, last) =
+            values(a, bcid, piece, |s| (s.windows(2).all(|w| w[0] <= w[1]), s.last().cloned()));
+        ok &= sorted;
+        ends.extend(last.map(|v| (piece.hi, v)));
+    }
+    for (next, last) in ends {
+        ok &= next == n || last <= a.get_element(next);
+    }
+    a.location().allreduce(ok, |x, y| x && y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stapl_core::interfaces::LocalIteration;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use stapl_rts::{execute, RtsConfig};

@@ -154,21 +154,63 @@ impl<T: Clone> ArrayBc<T> {
         }
     }
 
+    /// The sub-domain's storage-contiguous pieces, each with the slice that
+    /// backs it, in storage order — local iteration is a loop over these.
+    /// `None` for boxed storage, which has no slices and walks per element.
+    fn pieces(&self) -> Option<impl Iterator<Item = (Range1d, &[T])>> {
+        let Store::Contiguous(v) = &self.store else { return None };
+        let mut rest = v.as_slice();
+        Some(self.sd.contiguous_pieces().into_iter().map(move |r| {
+            let (s, tail) = rest.split_at(r.len());
+            rest = tail;
+            (r, s)
+        }))
+    }
+
+    /// Mutable counterpart of [`ArrayBc::pieces`].
+    fn pieces_mut(&mut self) -> Option<impl Iterator<Item = (Range1d, &mut [T])>> {
+        let Store::Contiguous(v) = &mut self.store else { return None };
+        let mut rest = v.as_mut_slice();
+        Some(self.sd.contiguous_pieces().into_iter().map(move |r| {
+            let (s, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            rest = tail;
+            (r, s)
+        }))
+    }
+
     /// Short-circuiting in-order iteration; returns false when `f` asked
-    /// to stop.
+    /// to stop. The per-element arms (here and in `for_each_mut`) are plain
+    /// loops on purpose: `FlatMap::try_fold` behind `sd.iter().all(..)` is
+    /// not inlined, and a closure handed to an opaque call keeps what it
+    /// captures (a reduction's accumulator) in memory on the slice arm too.
     fn try_for_each<F: FnMut(usize, &T) -> bool>(&self, mut f: F) -> bool {
-        self.sd.iter().enumerate().all(|(k, g)| f(g, self.at(k)))
+        let Some(mut ps) = self.pieces() else {
+            for (k, g) in self.sd.iter().enumerate() {
+                if !f(g, self.at(k)) {
+                    return false;
+                }
+            }
+            return true;
+        };
+        ps.all(|(r, s)| r.iter().zip(s).all(|(g, v)| f(g, v)))
     }
 
     /// In-order (gid, value) iteration of the sub-domain.
     fn for_each<F: FnMut(usize, &T)>(&self, mut f: F) {
-        self.sd.iter().enumerate().for_each(|(k, g)| f(g, self.at(k)));
+        self.try_for_each(|g, v| {
+            f(g, v);
+            true
+        });
     }
 
     fn for_each_mut<F: FnMut(usize, &mut T)>(&mut self, mut f: F) {
-        for (k, g) in self.sd.clone().iter().enumerate() {
-            f(g, self.at_mut(k));
-        }
+        let Some(ps) = self.pieces_mut() else {
+            for (k, g) in self.sd.iter().enumerate() {
+                f(g, self.at_mut(k));
+            }
+            return;
+        };
+        ps.for_each(|(r, s)| r.iter().zip(s).for_each(|(g, v)| f(g, v)));
     }
 }
 
@@ -433,17 +475,7 @@ impl<T: Send + Clone + 'static> PArray<T> {
         // location's first element — Some whenever the array is nonempty).
         let placeholder = {
             let rep = self.obj.local();
-            let mut first = None;
-            for (_, bc) in rep.lm.iter() {
-                bc.for_each(|_, v| {
-                    if first.is_none() {
-                        first = Some(v.clone());
-                    }
-                });
-                if first.is_some() {
-                    break;
-                }
-            }
+            let first = rep.lm.iter().find_map(|(_, bc)| (bc.len() > 0).then(|| bc.at(0).clone()));
             drop(rep);
             loc.allreduce(first, |a, b| a.or(b))
         };
@@ -633,15 +665,11 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PArray<T> {
     }
 
     fn try_local_slices_mut(&self, f: &mut dyn FnMut(&mut [T])) -> bool {
-        // Boxed storage has no slices to expose; callers fall back.
-        if self.obj.local().storage != ArrayStorage::Contiguous {
-            return false;
-        }
         let mut rep = self.obj.local_mut();
         for (_, bc) in rep.lm.iter_mut() {
-            for piece in bc.sd.contiguous_pieces() {
-                f(bc.slice_mut(piece).expect("contiguous storage exposes slices"));
-            }
+            // Boxed storage has no slices to expose; callers fall back.
+            let Some(ps) = bc.pieces_mut() else { return false };
+            ps.for_each(|(_, s)| f(s));
         }
         true
     }

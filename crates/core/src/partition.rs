@@ -55,19 +55,10 @@ impl IndexSubDomain {
         }
     }
 
-    /// GIDs of the sub-domain in linearization order.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match self {
-            IndexSubDomain::Contiguous(r) => Box::new(r.iter()),
-            IndexSubDomain::BlockCyclic { first, block, stride, global_hi } => {
-                let (first, block, stride, hi) = (*first, *block, *stride, *global_hi);
-                Box::new(
-                    (0..)
-                        .flat_map(move |q| (0..block).map(move |r| first + q * stride + r))
-                        .take_while(move |g| *g < hi),
-                )
-            }
-        }
+    /// GIDs of the sub-domain in linearization order: the storage order is
+    /// defined once, by [`IndexSubDomain::contiguous_pieces`].
+    pub fn iter(&self) -> impl Iterator<Item = usize> {
+        self.contiguous_pieces().into_iter().flat_map(|r| r.iter())
     }
 
     /// Offset of `gid` inside the sub-domain's linearization.
