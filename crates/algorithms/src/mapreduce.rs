@@ -5,14 +5,13 @@
 //! materialization.
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use stapl_containers::associative::{KvStore, PHashMap};
-use stapl_core::gid::Key;
-use stapl_core::interfaces::{PContainer, SegmentId};
+use stapl_core::gid::{Key, KeyHashMap};
+use stapl_core::interfaces::{PContainer, SegmentedContainer};
 use stapl_rts::Location;
 use stapl_views::assoc_view::MapView;
 
@@ -75,19 +74,20 @@ pub fn p_map_reduce_kv<K, V, S, K2, Q, V2, M, C>(
     C: Fn(&mut V2, V2) + Clone + Send + 'static,
 {
     // Map + local combine: one entry per distinct output key.
-    let mut partial: HashMap<K2, V2> = HashMap::new();
+    let mut partial: KeyHashMap<K2, V2> = KeyHashMap::default();
     input.for_each_kv(|k, v| {
         map(k, v, &mut |q, v2| match partial.get_mut(q) {
             Some(slot) => combine(slot, v2),
             None => combine(partial.entry(q.to_owned()).or_insert(identity.clone()), v2),
         })
     });
-    // Shuffle: group by destination bucket, one bulk merge per bucket.
-    let mut per_bucket: HashMap<SegmentId, Vec<(K2, V2)>> = HashMap::new();
+    // Shuffle: group by destination bucket (dense ids, so a `Vec`: merges
+    // leave in bucket order, the same in every run), one bulk merge each.
+    let mut per_bucket: Vec<Vec<(K2, V2)>> = vec![Vec::new(); out.segments().len()];
     for (k2, v2) in partial {
-        per_bucket.entry(out.bucket_of(&k2)).or_default().push((k2, v2));
+        per_bucket[out.bucket_of(&k2)].push((k2, v2));
     }
-    for (sid, items) in per_bucket {
+    for (sid, items) in per_bucket.into_iter().enumerate().filter(|(_, items)| !items.is_empty()) {
         out.merge_segment(sid, items, identity.clone(), combine.clone());
     }
     out.commit();

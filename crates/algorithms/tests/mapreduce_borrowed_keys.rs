@@ -6,10 +6,10 @@ use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use stapl_algorithms::mapreduce::{map_reduce, p_map_reduce_kv, synthetic_corpus};
+use stapl_algorithms::mapreduce::{map_reduce, p_map_reduce_kv, synthetic_corpus, word_count_kv};
 use stapl_containers::associative::PHashMap;
 use stapl_core::interfaces::{AssociativeContainer, PContainer};
-use stapl_rts::{execute, RtsConfig};
+use stapl_rts::{execute, execute_collect, RtsConfig};
 use stapl_views::assoc_view::MapView;
 
 thread_local! {
@@ -93,4 +93,29 @@ fn one_owned_key_per_distinct_key_per_location() {
             assert_eq!(streaming.find(k), Some(n), "count of word{k}");
         }
     });
+}
+
+/// Neither the local combine nor the output store draws a per-run hash key,
+/// and the shuffle groups by bucket in a `Vec`: two executions on one corpus
+/// merge in the same order and leave the pairs in the same store order.
+#[test]
+fn two_executions_leave_the_counts_in_the_same_store_order() {
+    let run = || {
+        execute_collect(RtsConfig::default(), 1, |loc| {
+            let docs: PHashMap<u64, String> = PHashMap::new(loc);
+            let text = synthetic_corpus(loc, 2000, 300, 5);
+            for (i, line) in text.split_inclusive(' ').collect::<Vec<_>>().chunks(25).enumerate() {
+                docs.insert_async(i as u64, line.concat());
+            }
+            docs.commit();
+            let counts: PHashMap<String, u64> = PHashMap::with_buckets(loc, 4);
+            word_count_kv(&MapView::new(docs), &counts);
+            let mut order = Vec::new();
+            counts.for_each_local(|w, n| order.push((w.clone(), *n)));
+            order
+        })
+    };
+    let first = run();
+    assert!(first[0].len() > 100, "too few distinct words to tell an order");
+    assert_eq!(first, run());
 }

@@ -75,6 +75,23 @@ impl<T: Clone> ArrayBc<T> {
         }
     }
 
+    /// The storage offset of `gid` when this sub-domain holds it — with
+    /// `at`, the accessor every element method reaches its element through.
+    /// A contiguous sub-domain (every default constructor) answers inline
+    /// with a range compare and a subtract; a strided one out of line, which
+    /// keeps its divisions out of every loop this inlines into.
+    #[inline]
+    fn offset_of(&self, gid: usize) -> Option<usize> {
+        #[cold]
+        fn strided(sd: &IndexSubDomain, gid: usize) -> Option<usize> {
+            sd.contains(gid).then(|| sd.offset(gid))
+        }
+        match &self.sd {
+            IndexSubDomain::Contiguous(r) => (r.lo <= gid && gid < r.hi).then(|| gid - r.lo),
+            sd => strided(sd, gid),
+        }
+    }
+
     /// Borrow of the storage span backing the storage-contiguous GID run
     /// `gids`; `None` for boxed (per-element) storage.
     fn slice(&self, gids: Range1d) -> Option<&[T]> {
@@ -259,59 +276,70 @@ pub struct ArrayRep<T> {
 const NOT_HERE: &str = "pArray element shipped to a location that does not hold it";
 
 impl<T: Send + Clone + 'static> ArrayRep<T> {
-    /// Address resolution (Fig. 7), local sub-domains first: the (bcid,
-    /// storage offset) of `gid` when a local bContainer holds it, else the
-    /// location to ship the method to. A gid inside a local sub-domain is
-    /// in bounds by construction, so the bounds check is on the miss path.
-    fn resolve(&self, gid: usize) -> Result<(Bcid, usize), LocId> {
-        // One local bContainer (every default constructor): "is it mine" is
-        // the sub-domain's range compare, no partition or mapper call.
-        let mut local = self.lm.iter();
-        if let (Some((bcid, bc)), None) = (local.next(), local.next()) {
-            if bc.sd.contains(gid) {
-                return Ok((bcid, bc.sd.offset(gid)));
-            }
-        }
-        let n = self.dist.global_size();
-        assert!(gid < n, "pArray index {gid} out of bounds (size {n})");
-        let bcid = self.dist.partition().find(gid);
-        match self.lm.get(bcid) {
-            Some(bc) => Ok((bcid, bc.sd.offset(gid))),
-            None => Err(self.dist.mapper().map(bcid)),
+    /// Address resolution (Fig. 7) to the element, local sub-domains first:
+    /// the only local bContainer's own accessor inline, anything else —
+    /// several bContainers, a miss, a bad index — behind [`ArrayRep::far`].
+    #[inline]
+    fn find(&self, gid: usize) -> Result<(Bcid, &T), LocId> {
+        match self.lm.only().and_then(|(bcid, bc)| Some((bcid, bc.at(bc.offset_of(gid)?)))) {
+            Some(hit) => Ok(hit),
+            None => Self::far(&self.lm, &self.dist, gid, move |lm, bcid| {
+                let bc = lm.get(bcid)?;
+                Some(bc.at(bc.offset_of(gid)?))
+            }),
         }
     }
 
+    /// The out-of-line rest of resolution, over either kind of borrow `L` of
+    /// the location manager: `elem` in the bContainer the partition assigns
+    /// `gid` to, or the location that holds it. A gid inside a local
+    /// sub-domain is in bounds by construction, so the check is here.
+    #[cold]
+    fn far<L, E>(
+        lm: L,
+        dist: &IndexDistribution,
+        gid: usize,
+        elem: impl FnOnce(L, Bcid) -> Option<E>,
+    ) -> Result<(Bcid, E), LocId> {
+        let n = dist.global_size();
+        assert!(gid < n, "pArray index {gid} out of bounds (size {n})");
+        let bcid = dist.partition().find(gid);
+        elem(lm, bcid).map(|e| (bcid, e)).ok_or_else(|| dist.mapper().map(bcid))
+    }
+
     /// The element-method skeleton on one location's representative: under
-    /// one borrow, resolves `gid` and — when a local bContainer holds it —
-    /// runs `f` on the element under `method`'s guard; else hands `f` back
-    /// with the owner to ship it to, where the same function runs it.
+    /// one borrow, finds `gid`'s element and — when a local bContainer holds
+    /// it — runs `f` on it under `method`'s guard; else hands `f` back with
+    /// the owner to ship it to, where the same function runs it.
     #[inline]
     fn with<R, F>(cell: &RefCell<Self>, method: MethodId, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&T) -> R,
     {
         let rep = cell.borrow();
-        match rep.resolve(gid) {
-            Ok((bcid, off)) => {
-                let _g = rep.ths.guard(method, gid as u64, bcid);
-                Ok(f(rep.lm.get(bcid).expect("resolved to a local bContainer").at(off)))
-            }
+        match rep.find(gid) {
+            Ok((bcid, v)) => Ok(rep.ths.guarded(method, gid as u64, bcid, || f(v))),
             Err(owner) => Err((owner, f)),
         }
     }
 
-    /// Mutable counterpart of [`ArrayRep::with`].
+    /// Mutable counterpart of [`ArrayRep::with`] (and, inline, of `find`: a
+    /// function could not hand out the hit and still lend `lm` to the miss).
     #[inline]
     fn with_mut<R, F>(cell: &RefCell<Self>, method: MethodId, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&mut T) -> R,
     {
-        let rep = &mut *cell.borrow_mut();
-        match rep.resolve(gid) {
-            Ok((bcid, off)) => {
-                let _g = rep.ths.guard(method, gid as u64, bcid);
-                Ok(f(rep.lm.get_mut(bcid).expect("resolved to a local bContainer").at_mut(off)))
-            }
+        let ArrayRep { lm, dist, ths, .. } = &mut *cell.borrow_mut();
+        let found = match lm.only_mut().and_then(|(bcid, bc)| Some((bcid, bc.at_mut(bc.offset_of(gid)?)))) {
+            Some(hit) => Ok(hit),
+            None => Self::far(lm, dist, gid, move |lm, bcid| {
+                let bc = lm.get_mut(bcid)?;
+                Some(bc.at_mut(bc.offset_of(gid)?))
+            }),
+        };
+        match found {
+            Ok((bcid, v)) => Ok(ths.guarded(method, gid as u64, bcid, || f(v))),
             Err(owner) => Err((owner, f)),
         }
     }
@@ -589,6 +617,7 @@ impl<T: Send + Clone + 'static> PContainer for PArray<T> {
 impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
     type Value = T;
 
+    #[inline]
     fn get_element(&self, gid: usize) -> T {
         ArrayRep::with(self.obj.rep_cell(), methods::GET, gid, T::clone).unwrap_or_else(|(owner, get)| {
             self.obj.invoke_ret_at(owner, move |cell, _| {
@@ -597,6 +626,7 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
         })
     }
 
+    #[inline(always)]
     fn split_get_element(&self, gid: usize) -> RmiFuture<T> {
         match ArrayRep::with(self.obj.rep_cell(), methods::GET, gid, T::clone) {
             Ok(v) => {
@@ -611,15 +641,17 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
     }
 
     fn is_local(&self, gid: usize) -> bool {
-        self.obj.local().resolve(gid).is_ok()
+        self.obj.local().find(gid).is_ok()
     }
 }
 
 impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
+    #[inline]
     fn set_element(&self, gid: usize, v: T) {
         self.update(methods::SET, gid, move |slot| *slot = v);
     }
 
+    #[inline]
     fn apply_set<F>(&self, gid: usize, f: F)
     where
         F: FnOnce(&mut T) + Send + 'static,
@@ -627,6 +659,7 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
         self.update(methods::APPLY, gid, f);
     }
 
+    #[inline]
     fn apply_get<R, F>(&self, gid: usize, f: F) -> R
     where
         R: Send + 'static,
@@ -895,6 +928,8 @@ mod tests {
             let a = PArray::from_fn(loc, 100, |i| i * i);
             let after = loc.stats().remote_requests;
             assert_eq!(before, after, "from_fn must be communication-free");
+            // `stats()` sums over locations: nobody reads on before everybody counted.
+            loc.barrier();
             assert_eq!(a.get_element(9), 81);
         });
     }

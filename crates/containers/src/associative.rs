@@ -11,11 +11,11 @@
 //! parameterized by the base-container store — the paper's "same
 //! framework, different bContainer/partition" specialization (Fig. 57).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::distribution::KeyDistribution;
-use stapl_core::gid::{Bcid, Key};
+use stapl_core::gid::{Bcid, Key, KeyHashMap};
 use stapl_core::interfaces::{
     AssociativeContainer, DynamicPContainer, PContainer, SegmentId, SegmentedContainer,
 };
@@ -41,81 +41,53 @@ pub trait KvStore<K, V>: Default + 'static {
     fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V));
 }
 
-impl<K: Ord + 'static, V: 'static> KvStore<K, V> for BTreeMap<K, V> {
-    fn insert(&mut self, k: K, v: V) -> bool {
-        BTreeMap::insert(self, k, v).is_none()
-    }
+/// `KvStore` over a `std` map type: every method is the map's own.
+macro_rules! std_map_kv_store {
+    ($map:ident, $($key_bound:tt)+) => {
+        impl<K: $($key_bound)+ + 'static, V: 'static> KvStore<K, V> for $map<K, V> {
+            fn insert(&mut self, k: K, v: V) -> bool {
+                $map::insert(self, k, v).is_none()
+            }
 
-    fn remove(&mut self, k: &K) -> Option<V> {
-        BTreeMap::remove(self, k)
-    }
+            fn remove(&mut self, k: &K) -> Option<V> {
+                $map::remove(self, k)
+            }
 
-    fn get(&self, k: &K) -> Option<&V> {
-        BTreeMap::get(self, k)
-    }
+            fn get(&self, k: &K) -> Option<&V> {
+                $map::get(self, k)
+            }
 
-    fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        BTreeMap::get_mut(self, k)
-    }
+            fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+                $map::get_mut(self, k)
+            }
 
-    fn len(&self) -> usize {
-        BTreeMap::len(self)
-    }
+            fn len(&self) -> usize {
+                $map::len(self)
+            }
 
-    fn clear(&mut self) {
-        BTreeMap::clear(self)
-    }
+            fn clear(&mut self) {
+                $map::clear(self)
+            }
 
-    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
-        for (k, v) in self.iter() {
-            f(k, v);
+            fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
+                for (k, v) in self.iter() {
+                    f(k, v);
+                }
+            }
+
+            fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V)) {
+                for (k, v) in self.iter_mut() {
+                    f(k, v);
+                }
+            }
         }
-    }
-
-    fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V)) {
-        for (k, v) in self.iter_mut() {
-            f(k, v);
-        }
-    }
+    };
 }
 
-impl<K: Eq + std::hash::Hash + 'static, V: 'static> KvStore<K, V> for HashMap<K, V> {
-    fn insert(&mut self, k: K, v: V) -> bool {
-        HashMap::insert(self, k, v).is_none()
-    }
-
-    fn remove(&mut self, k: &K) -> Option<V> {
-        HashMap::remove(self, k)
-    }
-
-    fn get(&self, k: &K) -> Option<&V> {
-        HashMap::get(self, k)
-    }
-
-    fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        HashMap::get_mut(self, k)
-    }
-
-    fn len(&self) -> usize {
-        HashMap::len(self)
-    }
-
-    fn clear(&mut self) {
-        HashMap::clear(self)
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
-        for (k, v) in self.iter() {
-            f(k, v);
-        }
-    }
-
-    fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V)) {
-        for (k, v) in self.iter_mut() {
-            f(k, v);
-        }
-    }
-}
+std_map_kv_store!(BTreeMap, Ord);
+// The hashed store is the framework's [`KeyHashMap`], not `std`'s
+// `RandomState` map: placement and store share one hasher (DESIGN.md "Hashing").
+std_map_kv_store!(KeyHashMap, Eq + std::hash::Hash);
 
 /// Associative base container: a sequential store plus accounting.
 pub struct AssocBc<K, V, S> {
@@ -152,9 +124,6 @@ where
         )
     }
 }
-
-// A helper alias is not possible for the KvStore generic without nightly
-// features; the rep carries phantom types instead.
 
 /// Per-location representative of an associative container.
 pub struct AssocRep<K: 'static, V: 'static, S: 'static> {
@@ -656,8 +625,9 @@ where
 pub type PMap<K, V> = PAssoc<K, V, BTreeMap<K, V>>;
 
 /// Hashed pair-associative container (pHashMap): hash partition over
-/// `HashMap` base containers.
-pub type PHashMap<K, V> = PAssoc<K, V, HashMap<K, V>>;
+/// [`KeyHashMap`] base containers — placement and store are two seeds of
+/// the framework's one hasher.
+pub type PHashMap<K, V> = PAssoc<K, V, KeyHashMap<K, V>>;
 
 impl<K, V> PMap<K, V>
 where

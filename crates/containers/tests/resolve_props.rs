@@ -19,8 +19,8 @@ use stapl_core::partition::{
     BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, IndexPartition,
 };
 use stapl_core::thread_safety::{
-    methods, HashedLockManager, LockingPolicyTable, MethodPolicy, ThreadSafety,
-    ThreadSafetyManager, ThsInfo,
+    methods, AccessMode, HashedLockManager, LockGranularity, LockingPolicyTable, MethodPolicy,
+    ThreadSafety, ThreadSafetyManager, ThsInfo,
 };
 use stapl_rts::{execute, Location, RtsConfig};
 
@@ -264,6 +264,75 @@ fn locked_parray_takes_every_guard_and_an_unlocked_one_takes_none() {
         assert_eq!(a.get_element(n - 1), 1);
     });
     assert_eq!(idle.entries.load(Ordering::SeqCst), 0);
+}
+
+/// Counts the guards taken per method id: `SET`, `GET`, `APPLY`, any other.
+#[derive(Default)]
+struct GuardCounts([AtomicU64; 4]);
+
+impl ThreadSafetyManager for GuardCounts {
+    fn data_access_pre(&self, info: &ThsInfo, _: &MethodPolicy) {
+        self.0[info.method.min(3) as usize].fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn data_access_post(&self, _: &ThsInfo, _: &MethodPolicy) {}
+}
+
+/// The policy axes of the grid. Whether a method locks is one bit of a mask
+/// the policy table keeps; the table stays the source of truth. Under
+/// `dynamic_default()` every element method takes exactly one guard, where
+/// the element lives — the single local bContainer, one of several, or
+/// another location's (these are the counts of the parent of the change
+/// that introduced the mask). A table that locks only a method id past the
+/// mask's width guards that method and none of the pArray's.
+#[test]
+fn guards_per_method_on_the_whole_grid_under_a_locked_and_an_overflow_policy() {
+    const FAR: u32 = 70;
+    let write = MethodPolicy::new(LockGranularity::Element, AccessMode::Write, AccessMode::Read);
+    let n = 23usize;
+    for p in 1..=3usize {
+        for pi in 0..partitions(n).len() {
+            for mi in 0..3 {
+                for storage in [ArrayStorage::Contiguous, ArrayStorage::Boxed] {
+                    for locked in [true, false] {
+                        let what = format!("P={p} partition#{pi} mapper#{mi} {storage:?} locked={locked}");
+                        let mut table = LockingPolicyTable::unlocked();
+                        if locked {
+                            table = LockingPolicyTable::dynamic_default();
+                        } else {
+                            table.set(FAR, write);
+                        }
+                        let counts = Arc::new(GuardCounts::default());
+                        let ths = ThreadSafety::new(table, counts.clone());
+                        assert!(ths.guard(FAR, 0, 0).is_some(), "{what}: past the mask's width");
+                        assert_eq!(ths.guard(FAR + 1, 0, 0).is_some(), locked, "{what}: the default");
+                        execute(RtsConfig::default(), p, |loc| {
+                            let part = partitions(n).swap_remove(pi);
+                            let mapper = mappers(part.num_subdomains(), p).swap_remove(mi);
+                            let a = PArray::with_options(loc, part, mapper, 0u64, storage, ths.clone());
+                            // Every location touches every element.
+                            for g in 0..n {
+                                a.set_element(g, 1);
+                                a.apply_set(g, |v| *v += 1);
+                                a.apply_get(g, |v| *v);
+                                a.get_element(g);
+                                a.split_get_element(g).get();
+                            }
+                            loc.rmi_fence();
+                            // The last `set` wins; whoever came after it added one.
+                            a.for_each_local(|g, v| assert!((2..=1 + p as u64).contains(v), "{what}: {g}"));
+                        });
+                        let per_method = |m: u32| counts.0[m as usize].load(Ordering::SeqCst);
+                        let each = if locked { (n * p) as u64 } else { 0 };
+                        assert_eq!(per_method(methods::SET), each, "{what}: SET");
+                        assert_eq!(per_method(methods::GET), 2 * each, "{what}: GET");
+                        assert_eq!(per_method(methods::APPLY), 2 * each, "{what}: APPLY");
+                        assert_eq!(per_method(3), 1 + locked as u64, "{what}: the two probes above");
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// pVector's split-phase read must take the same `GET` guard its blocking

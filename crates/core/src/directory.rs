@@ -51,7 +51,6 @@
 //! without any coherence traffic.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use stapl_rts::{Handle, LocId, Location, RmiFuture, RtsConfig};
@@ -305,11 +304,11 @@ where
             c.record(*g, *bcid, *owner);
         }
     }
-    let mut per_home: HashMap<LocId, Vec<(G, Bcid, LocId)>> = HashMap::new();
+    let mut per_home: Vec<Vec<(G, Bcid, LocId)>> = vec![Vec::new(); nlocs];
     for e in entries {
-        per_home.entry(home_of(&e.0, nlocs)).or_default().push(e);
+        per_home[home_of(&e.0, nlocs)].push(e);
     }
-    for (home, batch) in per_home {
+    for (home, batch) in per_home.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
         obj.invoke_at(home, move |rep, _| {
             let mut rep = rep.borrow_mut();
             let dir = rep.directory_mut();
@@ -732,6 +731,7 @@ where
 mod tests {
     use super::*;
     use stapl_rts::{execute, execute_collect, RtsConfig};
+    use std::collections::HashMap;
 
     struct Rep {
         dir: DirectoryShard<u64>,

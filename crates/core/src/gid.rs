@@ -27,24 +27,49 @@ impl<T: Clone + Send + Eq + Hash + Debug + 'static> Key for T {}
 /// static partitions.
 pub type Bcid = usize;
 
-/// Hasher for tables keyed by the ids the framework hands out itself
-/// (vertex descriptors `me + k·P`, BCIDs). `std`'s table picks the bucket
-/// from the low bits of the hash and its tag from the top seven, so an
-/// identity or plain multiplicative hash — whose low bits depend only on
-/// the key's low bits — collapses on a constant stride: multiply by an odd
-/// constant, then fold the high half down. Not for keys from outside the
-/// program, and not for placement ([`crate::directory::home_of`]).
+/// The framework's one hasher (DESIGN.md "Hashing"): key placement
+/// ([`crate::partition::HashPartition`]) and every hashed store are
+/// evaluations of it under different seeds. Each word is xored in,
+/// multiplied by an odd constant and its high half folded down; `finish`
+/// runs one more such round, so that the low bits `std`'s table indexes by,
+/// the top seven it tags by and the high 32 placement reduces all depend on
+/// every input bit, and two seeds disagree. Not keyed: not for keys an
+/// adversary chooses.
 #[derive(Clone, Copy, Default)]
-pub struct IdHasher(u64);
+pub struct KeyHasher(u64);
 
-impl Hasher for IdHasher {
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl KeyHasher {
+    /// Placement's seed: the keys of one bucket still spread over its table.
+    pub fn placement() -> Self {
+        KeyHasher(0x2545_f491_4f6c_dd1d)
+    }
+}
+
+impl Hasher for KeyHasher {
+    /// Whole words, then the length and the tail, read with fixed-width
+    /// loads: a variable-length copy into a zeroed word is a `memcpy` call
+    /// per key, slower than SipHash on short strings.
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        }
+        let (t, n) = (words.remainder(), words.remainder().len());
+        let u32_at = |i: usize| u64::from(u32::from_le_bytes(t[i..i + 4].try_into().expect("4 bytes")));
+        let tail = match n {
+            0 => 0,
+            1..=3 => u64::from(t[0]) | u64::from(t[n / 2]) << 8 | u64::from(t[n - 1]) << 16,
+            _ => u32_at(0) | u32_at(n - 4) << 32,
+        };
+        self.write_u64(tail.wrapping_add((bytes.len() as u64).wrapping_mul(MUL)));
     }
 
     #[inline]
     fn write_u64(&mut self, n: u64) {
-        let m = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let m = (self.0 ^ n).wrapping_mul(MUL);
         self.0 = m ^ (m >> 32);
     }
 
@@ -55,12 +80,18 @@ impl Hasher for IdHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.0
+        let m = self.0.wrapping_mul(MUL);
+        m ^ (m >> 32)
     }
 }
 
-/// A `HashMap` under [`IdHasher`].
-pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashMap` under [`KeyHasher`] — the store of every hashed container;
+/// its iteration order is the same in every run.
+pub type KeyHashMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// [`KeyHasher`] and [`KeyHashMap`], as named while only id-keyed tables used them.
+pub type IdHasher = KeyHasher;
+pub type IdHashMap<K, V> = KeyHashMap<K, V>;
 
 #[cfg(test)]
 mod tests {

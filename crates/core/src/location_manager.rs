@@ -58,6 +58,18 @@ impl<B> LocationManager<B> {
         self.position(bcid).ok().map(|at| &mut self.bcontainers[at].1)
     }
 
+    /// The only local base container — what every default constructor
+    /// places — or `None` when there are none or several.
+    #[inline]
+    pub fn only(&self) -> Option<(Bcid, &B)> {
+        if let [(bcid, bc)] = self.bcontainers.as_slice() { Some((*bcid, bc)) } else { None }
+    }
+
+    #[inline]
+    pub fn only_mut(&mut self) -> Option<(Bcid, &mut B)> {
+        if let [(bcid, bc)] = self.bcontainers.as_mut_slice() { Some((*bcid, bc)) } else { None }
+    }
+
     /// Local base containers in BCID order.
     pub fn iter(&self) -> impl Iterator<Item = (Bcid, &B)> {
         self.bcontainers.iter().map(|(b, c)| (*b, c))

@@ -9,7 +9,7 @@
 use std::hash::{Hash, Hasher};
 
 use crate::domain::{Domain, Range1d};
-use crate::gid::Bcid;
+use crate::gid::{Bcid, KeyHasher};
 
 // ---------------------------------------------------------------------
 // Sub-domains of 1-D index partitions
@@ -486,8 +486,10 @@ impl<K: Ord + Clone + 'static> KeyPartition<K> for SplitterPartition<K> {
     }
 }
 
-/// Hash partition for *hashed* associative containers: bucket =
-/// `hash(key) mod buckets`. Does not preserve key order.
+/// Hash partition for *hashed* associative containers. Does not preserve
+/// key order. The bucket is the high 32 bits of the key's hash under
+/// [`KeyHasher::placement`], scaled to `[0, buckets)` — never `hash %
+/// buckets` on the low bits, which the bucket's own table indexes by.
 #[derive(Clone, Copy, Debug)]
 pub struct HashPartition {
     buckets: usize,
@@ -495,7 +497,7 @@ pub struct HashPartition {
 
 impl HashPartition {
     pub fn new(buckets: usize) -> Self {
-        assert!(buckets >= 1);
+        assert!((1..=u32::MAX as usize).contains(&buckets));
         HashPartition { buckets }
     }
 }
@@ -506,9 +508,9 @@ impl<K: Hash + 'static> KeyPartition<K> for HashPartition {
     }
 
     fn find(&self, k: &K) -> Bcid {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = KeyHasher::placement();
         k.hash(&mut h);
-        (h.finish() as usize) % self.buckets
+        (((h.finish() >> 32) * self.buckets as u64) >> 32) as usize
     }
 
     fn clone_box(&self) -> Box<dyn KeyPartition<K>> {

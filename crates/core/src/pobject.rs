@@ -103,6 +103,7 @@ impl<Rep: 'static> PObject<Rep> {
 
     /// Split-phase method execution on `dest` (`invoke_opaque_ret`):
     /// returns a future immediately.
+    #[inline]
     pub fn invoke_split_at<R, F>(&self, dest: LocId, f: F) -> RmiFuture<R>
     where
         R: Send + 'static,

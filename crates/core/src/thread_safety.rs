@@ -95,11 +95,15 @@ pub struct LockingPolicyTable {
     default: MethodPolicy,
     /// Indexed by [`MethodId`] (small dense integers); grown by `set`.
     overrides: Vec<Option<MethodPolicy>>,
+    /// Which methods lock at all, kept by `new`/`set`: bit `m` for method
+    /// `m < 63`, bit 63 for "the default or some method ≥ 63 locks".
+    locked: u64,
 }
 
 impl LockingPolicyTable {
     pub fn new(default: MethodPolicy) -> Self {
-        LockingPolicyTable { default, overrides: Vec::new() }
+        let locked = if default.granularity == LockGranularity::None { 0 } else { u64::MAX };
+        LockingPolicyTable { default, overrides: Vec::new(), locked }
     }
 
     /// A table whose every method is `None` — the default for static
@@ -125,6 +129,12 @@ impl LockingPolicyTable {
     }
 
     pub fn set(&mut self, m: MethodId, p: MethodPolicy) {
+        let bit = 1u64 << m.min(63);
+        if p.granularity != LockGranularity::None {
+            self.locked |= bit;
+        } else if m < 63 {
+            self.locked &= !bit;
+        }
         let m = m as usize;
         if self.overrides.len() <= m {
             self.overrides.resize(m + 1, None);
@@ -132,8 +142,13 @@ impl LockingPolicyTable {
         self.overrides[m] = Some(p);
     }
 
-    /// `get_locking_policy` of the paper.
+    /// Whether `m` may lock: exact for `m < 63`, an over-approximation past it.
     #[inline]
+    fn may_lock(&self, m: MethodId) -> bool {
+        self.locked >> m.min(63) & 1 != 0
+    }
+
+    /// `get_locking_policy` of the paper.
     pub fn get(&self, m: MethodId) -> MethodPolicy {
         self.overrides.get(m as usize).copied().flatten().unwrap_or(self.default)
     }
@@ -323,6 +338,22 @@ impl ThreadSafety {
     /// policy is [`LockGranularity::None`] gets none ([`ThreadSafetyManager`]).
     #[inline]
     pub fn guard(&self, method: MethodId, gid_hash: u64, bcid: Bcid) -> Option<DataGuard<'_>> {
+        if self.table.may_lock(method) { self.lock(method, gid_hash, bcid) } else { None }
+    }
+
+    /// Runs `f` under [`ThreadSafety::guard`]. For a method that does not
+    /// lock this is `f` alone: no guard slot is kept across it.
+    #[inline]
+    pub fn guarded<R>(&self, method: MethodId, gid_hash: u64, bcid: Bcid, f: impl FnOnce() -> R) -> R {
+        if !self.table.may_lock(method) {
+            return f();
+        }
+        let _g = self.lock(method, gid_hash, bcid);
+        f()
+    }
+
+    #[inline(never)]
+    fn lock(&self, method: MethodId, gid_hash: u64, bcid: Bcid) -> Option<DataGuard<'_>> {
         let policy = self.table.get(method);
         (policy.granularity != LockGranularity::None).then(|| {
             let (mgr, info) = (self.manager.as_ref(), ThsInfo { method, gid_hash, bcid });

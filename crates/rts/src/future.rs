@@ -17,7 +17,6 @@
 //!   response** that fails only the issuing future, carrying the handler
 //!   name and panic message.
 
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use crate::location::Location;
@@ -84,26 +83,27 @@ impl std::fmt::Display for RmiError {
 
 impl std::error::Error for RmiError {}
 
-pub(crate) enum FutureInner<R> {
-    Ready(Cell<Option<R>>),
-    Slot {
-        loc: Location,
-        slot: u64,
-        /// Which latency span `get()` records: `SyncRmiSpan` for a sync
-        /// round trip (measured from `issued_ns`, the issue time), or
-        /// `FutureWaitSpan` for a plain split-phase wait (measured from
-        /// `get()` entry). Local fast-path futures record nothing.
-        wait_kind: TraceEventKind,
-        issued_ns: u64,
-        /// Destination location, for timeout diagnostics (`usize::MAX`
-        /// for bare reply slots with no single peer).
-        peer: usize,
-        /// Handler type name, for timeout/poison diagnostics.
-        handler: &'static str,
-    },
+enum FutureInner<R> {
+    Ready(R),
+    Pending(PendingReply),
 }
 
-/// Handle to the eventual result of a split-phase RMI.
+/// The waiting half of a reply slot of `loc` (see `ReplySlots`): dropping it
+/// un-awaited — a timeout, or a future nobody calls `get` on — hands the
+/// slot back, at once or when the late reply lands.
+struct PendingReply {
+    loc: Location,
+    slot: u64,
+}
+
+impl Drop for PendingReply {
+    fn drop(&mut self) {
+        self.loc.release_slot(self.slot);
+    }
+}
+
+/// Handle to the eventual result of a split-phase RMI: the value itself
+/// when the method ran locally, else the address of a reply slot.
 pub struct RmiFuture<R> {
     inner: FutureInner<R>,
 }
@@ -111,22 +111,24 @@ pub struct RmiFuture<R> {
 impl<R: 'static> RmiFuture<R> {
     /// A future that is already complete — the local fast path of
     /// split-phase methods (no reply slot, no polling).
+    #[inline]
     pub fn ready(r: R) -> Self {
-        RmiFuture { inner: FutureInner::Ready(Cell::new(Some(r))) }
+        RmiFuture { inner: FutureInner::Ready(r) }
     }
 
-    pub(crate) fn new(inner: FutureInner<R>) -> Self {
-        RmiFuture { inner }
+    #[inline]
+    pub(crate) fn pending(loc: Location, slot: u64) -> Self {
+        RmiFuture { inner: FutureInner::Pending(PendingReply { loc, slot }) }
     }
 
     /// True when the value is already available and `get` will not block.
     pub fn is_ready(&self) -> bool {
         match &self.inner {
             FutureInner::Ready(_) => true,
-            FutureInner::Slot { loc, slot, .. } => {
+            FutureInner::Pending(p) => {
                 // Drain anything already queued so readiness is fresh.
-                loc.poll();
-                loc.peek_slot(*slot)
+                p.loc.poll();
+                p.loc.slot_filled(p.slot)
             }
         }
     }
@@ -135,54 +137,11 @@ impl<R: 'static> RmiFuture<R> {
     /// waiting, and returns it — or fails with [`RmiError`] on timeout
     /// (when [`crate::RtsConfig::rmi_timeout_us`] is set) or when the
     /// remote handler panicked.
+    #[inline]
     pub fn try_get(self) -> Result<R, RmiError> {
         match self.inner {
-            FutureInner::Ready(cell) => {
-                Ok(cell.take().expect("stapl-rts: future value already taken"))
-            }
-            FutureInner::Slot { loc, slot, wait_kind, issued_ns, peer, handler } => {
-                let t0 = if wait_kind == TraceEventKind::SyncRmiSpan {
-                    issued_ns
-                } else {
-                    loc.trace_clock()
-                };
-                let timeout_us = loc.config().rmi_timeout_us;
-                let deadline =
-                    (timeout_us > 0).then(|| (Instant::now(), Duration::from_micros(timeout_us)));
-                loop {
-                    if let Some(v) = loc.try_take_slot(slot) {
-                        loc.trace_span_end(wait_kind, t0, 0);
-                        return match v.downcast::<R>() {
-                            Ok(v) => Ok(*v),
-                            Err(v) => match v.downcast::<PoisonedResponse>() {
-                                Ok(p) => Err(RmiError::HandlerPanicked {
-                                    handler: p.handler,
-                                    message: p.message,
-                                }),
-                                Err(_) => panic!(
-                                    "stapl-rts: location {}: future slot {slot} (handler \
-                                     `{handler}`) filled with a value of the wrong type — \
-                                     expected `{}`",
-                                    loc.id(),
-                                    std::any::type_name::<R>()
-                                ),
-                            },
-                        };
-                    }
-                    if let Some((start, limit)) = deadline {
-                        let elapsed = start.elapsed();
-                        if elapsed >= limit {
-                            return Err(RmiError::Timeout {
-                                peer,
-                                handler,
-                                elapsed,
-                                retransmits: loc.local_stats().retransmits,
-                            });
-                        }
-                    }
-                    loc.poll_or_relax();
-                }
-            }
+            FutureInner::Ready(r) => Ok(r),
+            FutureInner::Pending(p) => p.wait(),
         }
     }
 
@@ -190,14 +149,49 @@ impl<R: 'static> RmiFuture<R> {
     /// waiting, and returns it. Panics with the [`RmiError`] diagnostic on
     /// timeout or a poisoned response; use [`RmiFuture::try_get`] to
     /// handle those gracefully.
+    #[inline]
     pub fn get(self) -> R {
-        self.try_get().unwrap_or_else(|e| panic!("stapl-rts: {e}"))
+        match self.inner {
+            FutureInner::Ready(r) => r,
+            FutureInner::Pending(p) => p.wait().unwrap_or_else(|e| panic!("stapl-rts: {e}")),
+        }
     }
 }
 
-impl Location {
-    pub(crate) fn peek_slot(&self, slot: u64) -> bool {
-        // A cheap existence check without removing the value.
-        self.try_peek(slot)
+impl PendingReply {
+    /// The wait loop, out of line: what it reports — the span kind, the
+    /// issue time, the peer and handler of a timeout — it reads from the slot.
+    #[inline(never)]
+    fn wait<R: 'static>(self) -> Result<R, RmiError> {
+        let (loc, slot) = (&self.loc, self.slot);
+        let (wait_kind, issued_ns, peer, handler) = loc.slot_diagnostics(slot);
+        let t0 = if wait_kind == TraceEventKind::SyncRmiSpan { issued_ns } else { loc.trace_clock() };
+        let timeout_us = loc.config().rmi_timeout_us;
+        let deadline = (timeout_us > 0).then(|| (Instant::now(), Duration::from_micros(timeout_us)));
+        loop {
+            if let Some(v) = loc.try_take_slot(slot) {
+                loc.trace_span_end(wait_kind, t0, 0);
+                return match v.downcast::<R>() {
+                    Ok(v) => Ok(*v),
+                    Err(v) => match v.downcast::<PoisonedResponse>() {
+                        Ok(p) => Err(RmiError::HandlerPanicked { handler: p.handler, message: p.message }),
+                        Err(_) => panic!(
+                            "stapl-rts: location {}: future slot {slot} (handler `{handler}`) filled \
+                             with a value of the wrong type — expected `{}`",
+                            loc.id(),
+                            std::any::type_name::<R>()
+                        ),
+                    },
+                };
+            }
+            if let Some((start, limit)) = deadline {
+                let elapsed = start.elapsed();
+                if elapsed >= limit {
+                    let retransmits = loc.local_stats().retransmits;
+                    return Err(RmiError::Timeout { peer, handler, elapsed, retransmits });
+                }
+            }
+            loc.poll_or_relax();
+        }
     }
 }

@@ -8,7 +8,6 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -18,7 +17,7 @@ use crossbeam::channel::{Receiver, Sender};
 use crate::barrier::PollBarrier;
 use crate::collective::CollectiveBoard;
 use crate::config::RtsConfig;
-use crate::future::{FutureInner, PoisonedResponse, RmiFuture};
+use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
 use crate::trace::{LocationTrace, TraceBuf, TraceEventKind};
 use crate::transport::{
@@ -80,6 +79,64 @@ pub(crate) struct Shared {
     pub trace_sink: Mutex<Vec<Option<LocationTrace>>>,
 }
 
+/// What a reply slot holds between its request and its value being taken.
+enum SlotState {
+    Waiting,
+    Filled(Box<dyn Any>),
+    /// The future gave up (a timeout, or dropped un-awaited): the reply,
+    /// when it lands, frees the slot instead of filling it.
+    Abandoned,
+}
+
+/// One reply slot, with what a wait on it reports: the latency span
+/// (`SyncRmiSpan` from `issued_ns`, else `FutureWaitSpan` from the start of
+/// the wait), and the peer (`usize::MAX` for a bare reply token, which
+/// anyone may answer) and handler type a timeout or a poison names.
+struct ReplySlot {
+    generation: u32,
+    state: SlotState,
+    wait_kind: TraceEventKind,
+    issued_ns: u64,
+    peer: usize,
+    handler: &'static str,
+}
+
+/// The reply slots of one location: a slab indexed by the low half of the
+/// slot id, whose high half is the entry's generation — bumped when the
+/// slot is freed, so an id names one request only and a reply to a freed
+/// slot is caught, not delivered to the slot's next tenant.
+#[derive(Default)]
+struct ReplySlots {
+    entries: Vec<ReplySlot>,
+    free: Vec<u32>,
+}
+
+impl ReplySlots {
+    /// Puts `fresh` into a freed entry, under that entry's generation, or
+    /// into a new one; returns its id.
+    fn alloc(&mut self, fresh: ReplySlot) -> u64 {
+        let index = self.free.pop().unwrap_or(self.entries.len() as u32);
+        match self.entries.get_mut(index as usize) {
+            Some(e) => *e = ReplySlot { generation: e.generation, ..fresh },
+            None => self.entries.push(fresh),
+        }
+        u64::from(self.entries[index as usize].generation) << 32 | u64::from(index)
+    }
+
+    /// The entry `slot` names, unless it was freed since.
+    fn entry(&mut self, slot: u64) -> Option<&mut ReplySlot> {
+        self.entries.get_mut(slot as u32 as usize).filter(|e| e.generation == (slot >> 32) as u32)
+    }
+
+    /// Frees `slot`'s entry, handing back what it held.
+    fn free(&mut self, slot: u64) -> SlotState {
+        let e = &mut self.entries[slot as u32 as usize];
+        e.generation = e.generation.wrapping_add(1);
+        self.free.push(slot as u32);
+        std::mem::replace(&mut e.state, SlotState::Abandoned)
+    }
+}
+
 /// One registry slot: the representative (until unregistered) plus the
 /// registered Rust type name, kept after unregistration so that a late RMI
 /// panics with the name of the p_object that died instead of only a number.
@@ -112,8 +169,7 @@ struct LocInner {
     /// buffer; `None` for an empty buffer. Drives the adaptive (age-based)
     /// flush.
     outbuf_since: RefCell<Vec<Option<std::time::Instant>>>,
-    slots: RefCell<HashMap<u64, Box<dyn Any>>>,
-    next_slot: Cell<u64>,
+    slots: RefCell<ReplySlots>,
     /// This location's own block of `shared.counters`, cloned out so a
     /// bump is one load away from `LocInner`.
     counters: Arc<CounterBlock>,
@@ -148,8 +204,7 @@ impl Location {
                 scratch: RefCell::new(Vec::new()),
                 registry: RefCell::new(Vec::new()),
                 outbuf_since: RefCell::new(vec![None; nlocs]),
-                slots: RefCell::new(HashMap::new()),
-                next_slot: Cell::new(0),
+                slots: RefCell::default(),
                 counters,
                 trace,
             }),
@@ -185,6 +240,7 @@ impl Location {
         self.inner.counters.snapshot()
     }
 
+    #[inline]
     fn bump(&self, c: Counter, n: u64) {
         self.inner.counters.bump(c, n);
     }
@@ -240,6 +296,7 @@ impl Location {
     /// Records one method run inline on this location's own representative
     /// (a `PObject` invoking on itself — it needs no registry lookup, so it
     /// does not come through [`Location::async_rmi`]).
+    #[inline]
     pub fn note_local_invocation(&self) {
         self.bump(Counter::local_invocations, 1);
     }
@@ -448,30 +505,38 @@ impl Location {
         R: Send + 'static,
         F: FnOnce(&T, &Location) -> R + Send + 'static,
     {
-        // Tag the future as a sync round trip so its wait span covers
-        // issue → value arrival, not just the time spent inside `get`.
-        self.split_rmi_tagged(dest, h, f, TraceEventKind::SyncRmiSpan).get()
+        // Tagged as a sync round trip so its wait span covers issue →
+        // value arrival, not just the time spent inside `get`.
+        self.future_of(self.issue_split(dest, h, f, TraceEventKind::SyncRmiSpan)).get()
     }
 
     /// Split-phase RMI (the paper's two-phase methods, Charm++/X10 style):
     /// returns a future immediately; `RmiFuture::get` blocks until the value
     /// arrives.
+    #[inline]
     pub fn split_rmi<T, R, F>(&self, dest: LocId, h: Handle, f: F) -> RmiFuture<R>
     where
         T: 'static,
         R: Send + 'static,
         F: FnOnce(&T, &Location) -> R + Send + 'static,
     {
-        self.split_rmi_tagged(dest, h, f, TraceEventKind::FutureWaitSpan)
+        self.future_of(self.issue_split(dest, h, f, TraceEventKind::FutureWaitSpan))
     }
 
-    fn split_rmi_tagged<T, R, F>(
-        &self,
-        dest: LocId,
-        h: Handle,
-        f: F,
-        wait_kind: TraceEventKind,
-    ) -> RmiFuture<R>
+    /// The future of what [`Location::issue_split`] returned — built here,
+    /// inline, from scalars: an `RmiFuture` itself comes back through memory.
+    #[inline]
+    fn future_of<R: 'static>(&self, issued: Result<R, u64>) -> RmiFuture<R> {
+        match issued {
+            Ok(r) => RmiFuture::ready(r),
+            Err(slot) => RmiFuture::pending(self.clone(), slot),
+        }
+    }
+
+    /// Runs `f` here and returns its value, or ships it to `dest` and
+    /// returns the id of the slot its reply will land in.
+    #[inline(never)]
+    fn issue_split<T, R, F>(&self, dest: LocId, h: Handle, f: F, wait_kind: TraceEventKind) -> Result<R, u64>
     where
         T: 'static,
         R: Send + 'static,
@@ -479,45 +544,29 @@ impl Location {
     {
         if dest == self.id() {
             self.bump(Counter::local_invocations, 1);
-            let obj = self.lookup::<T>(h);
-            let r = f(&obj, self);
-            return RmiFuture::ready(r);
+            return Ok(f(&self.lookup::<T>(h), self));
         }
-        let slot = self.alloc_slot();
-        let src = self.id();
-        let issued_ns = self.trace_clock();
         let handler = std::any::type_name::<F>();
+        let slot = self.alloc_slot(wait_kind, dest, handler);
+        let src = self.id();
         self.enqueue_typed(dest, WireKind::Sync, move |loc: &Location| {
+            let run = move || f(&loc.lookup::<T>(h), loc);
+            if !loc.inner.serializes {
+                return loc.send_response(src, slot, run());
+            }
             // On the serialized path a panicking handler must not strand
             // the requester: catch it (the lookup too — an unregistered
             // handle is just as fatal to the reply) and poison the issuing
             // future instead of unwinding the whole execution.
-            if loc.inner.serializes {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let obj = loc.lookup::<T>(h);
-                    f(&obj, loc)
-                }));
-                match caught {
-                    Ok(r) => loc.send_response(src, slot, r),
-                    Err(p) => loc.send_poison(src, slot, handler, panic_message(&*p)),
-                }
-            } else {
-                let obj = loc.lookup::<T>(h);
-                let r = f(&obj, loc);
-                loc.send_response(src, slot, r);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Ok(r) => loc.send_response(src, slot, r),
+                Err(p) => loc.send_poison(src, slot, handler, panic_message(&*p)),
             }
         });
         // Bound response latency: the request (and everything ordered
         // before it) leaves the aggregation buffer now.
         self.flush(dest);
-        RmiFuture::new(FutureInner::Slot {
-            loc: self.clone(),
-            slot,
-            wait_kind,
-            issued_ns,
-            peer: dest,
-            handler,
-        })
+        Err(slot)
     }
 
     /// Ships `req` to `dest` for execution there, preserving per-pair FIFO
@@ -531,10 +580,11 @@ impl Location {
         self.enqueue_boxed(dest, req);
     }
 
-    fn alloc_slot(&self) -> u64 {
-        let s = self.inner.next_slot.get();
-        self.inner.next_slot.set(s + 1);
-        s
+    /// A `Waiting` slot for a request to `peer`'s `handler`.
+    fn alloc_slot(&self, wait_kind: TraceEventKind, peer: usize, handler: &'static str) -> u64 {
+        let (state, issued_ns) = (SlotState::Waiting, self.trace_clock());
+        let fresh = ReplySlot { generation: 0, state, wait_kind, issued_ns, peer, handler };
+        self.inner.slots.borrow_mut().alloc(fresh)
     }
 
     /// Creates a (reply token, future) pair for request/response protocols
@@ -546,19 +596,11 @@ impl Location {
     /// Ship the token inside the request; whoever ends up executing it calls
     /// [`Location::reply`]. The requester blocks on the future.
     pub fn make_reply_slot<R: Send + 'static>(&self) -> (ReplyToken<R>, RmiFuture<R>) {
-        let slot = self.alloc_slot();
+        // A bare reply slot has no single peer: anyone holding the token
+        // may answer, so the timeout diagnostic says "unknown".
+        let slot = self.alloc_slot(TraceEventKind::FutureWaitSpan, usize::MAX, "<reply token>");
         let token = ReplyToken { src: self.id(), slot, _marker: std::marker::PhantomData };
-        let fut = RmiFuture::new(FutureInner::Slot {
-            loc: self.clone(),
-            slot,
-            wait_kind: TraceEventKind::FutureWaitSpan,
-            issued_ns: self.trace_clock(),
-            // A bare reply slot has no single peer: anyone holding the
-            // token may answer, so the timeout diagnostic says "unknown".
-            peer: usize::MAX,
-            handler: "<reply token>",
-        });
-        (token, fut)
+        (token, RmiFuture::pending(self.clone(), slot))
     }
 
     /// Sends `r` back to the location that created `token`, completing its
@@ -588,33 +630,77 @@ impl Location {
 
     /// Completes the future waiting on `(dest, slot)` with a
     /// [`PoisonedResponse`] instead of a value: the handler panicked, and
-    /// only the issuing future should fail. Serialized backend only.
+    /// only the issuing future should fail. Serialized backend only. On the
+    /// wire a poison is a response like any other, and is counted as one.
     fn send_poison(&self, dest: LocId, slot: u64, handler: &'static str, message: String) {
         self.bump(Counter::poisoned_responses, 1);
         self.trace_instant(TraceEventKind::PoisonedResponse, dest as u64);
-        if dest == self.id() {
-            self.fill_slot(slot, Box::new(PoisonedResponse { handler, message }));
-            return;
+        self.send_response(dest, slot, PoisonedResponse { handler, message });
+    }
+
+    /// Delivers a reply: fills a `Waiting` slot, frees an `Abandoned` one.
+    /// A slot already filled, or freed since, was answered twice.
+    fn fill_slot(&self, slot: u64, val: Box<dyn Any>) {
+        let mut slots = self.inner.slots.borrow_mut();
+        match slots.entry(slot).map(|e| &mut e.state) {
+            Some(state @ SlotState::Waiting) => *state = SlotState::Filled(val),
+            Some(SlotState::Abandoned) => drop(slots.free(slot)),
+            _ => {
+                let handler = slots.entries.get(slot as u32 as usize).map_or("?", |e| e.handler);
+                drop(slots);
+                panic!(
+                    "stapl-rts: location {}: second reply to future slot {slot:#x} (handler \
+                     `{handler}`) — a request is answered exactly once",
+                    self.id()
+                );
+            }
         }
-        // A poison is still a response on the wire: count it as one so the
-        // responses_sent twin stays the send-side mirror of reply traffic.
-        self.bump(Counter::responses_sent, 1);
-        self.enqueue_with_kind(dest, WireKind::Response, move |loc: &Location| {
-            loc.fill_slot(slot, Box::new(PoisonedResponse { handler, message }));
-        });
-        self.flush(dest);
     }
 
-    pub(crate) fn fill_slot(&self, slot: u64, val: Box<dyn Any>) {
-        self.inner.slots.borrow_mut().insert(slot, val);
-    }
-
+    /// The value of a filled slot, freeing it.
     pub(crate) fn try_take_slot(&self, slot: u64) -> Option<Box<dyn Any>> {
-        self.inner.slots.borrow_mut().remove(&slot)
+        let mut slots = self.inner.slots.borrow_mut();
+        if !matches!(slots.entry(slot)?.state, SlotState::Filled(_)) {
+            return None;
+        }
+        match slots.free(slot) {
+            SlotState::Filled(val) => Some(val),
+            _ => None,
+        }
     }
 
-    pub(crate) fn try_peek(&self, slot: u64) -> bool {
-        self.inner.slots.borrow().contains_key(&slot)
+    pub(crate) fn slot_filled(&self, slot: u64) -> bool {
+        matches!(self.inner.slots.borrow_mut().entry(slot), Some(ReplySlot { state: SlotState::Filled(_), .. }))
+    }
+
+    /// What a wait on `slot` reports: (span kind, issue time, peer, handler).
+    pub(crate) fn slot_diagnostics(&self, slot: u64) -> (TraceEventKind, u64, usize, &'static str) {
+        let mut slots = self.inner.slots.borrow_mut();
+        let e = slots.entry(slot).expect("a pending future's slot is live");
+        (e.wait_kind, e.issued_ns, e.peer, e.handler)
+    }
+
+    /// `slot`'s future is gone: a filled slot is freed with its value, a
+    /// waiting one is left for the reply to free, one taken already is none
+    /// of its business. Runs in `Drop`, possibly while unwinding out of this
+    /// table: it leaves alone what it cannot borrow.
+    pub(crate) fn release_slot(&self, slot: u64) {
+        let Ok(mut slots) = self.inner.slots.try_borrow_mut() else { return };
+        let unread = match slots.entry(slot).map(|e| &mut e.state) {
+            Some(state @ SlotState::Waiting) => return *state = SlotState::Abandoned,
+            Some(_) => slots.free(slot),
+            None => return,
+        };
+        // The value may own futures of its own: drop it outside the borrow.
+        drop(slots);
+        drop(unread);
+    }
+
+    /// Reply slots allocated and not freed (for tests: nothing may leak).
+    #[doc(hidden)]
+    pub fn reply_slots_in_use(&self) -> usize {
+        let slots = self.inner.slots.borrow();
+        slots.entries.len() - slots.free.len()
     }
 
     // ------------------------------------------------------------------

@@ -188,6 +188,7 @@ pub(crate) struct CounterBlock {
     acked: AtomicU64,
 }
 
+#[inline]
 fn owner_add(cell: &AtomicU64, n: u64) {
     cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Release);
 }
@@ -202,6 +203,7 @@ impl CounterBlock {
     }
 
     /// Adds `n` to counter `c`. Owning thread only.
+    #[inline]
     pub(crate) fn bump(&self, c: Counter, n: u64) {
         owner_add(&self.cells[c as usize], n);
     }

@@ -5,10 +5,10 @@
 //! bucket), and remote buckets move as one segment RMI each — never one
 //! boxed request per pair.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use stapl_containers::associative::{KvStore, PAssoc};
-use stapl_core::gid::Key;
+use stapl_core::gid::{Key, KeyHashMap};
 use stapl_core::interfaces::{PContainer, SegmentId, SegmentedContainer};
 use stapl_rts::Location;
 
@@ -123,7 +123,7 @@ where
 }
 
 /// View over a hashed map ([`stapl_containers::associative::PHashMap`]).
-pub type HashMapView<K, V> = MapView<K, V, HashMap<K, V>>;
+pub type HashMapView<K, V> = MapView<K, V, KeyHashMap<K, V>>;
 
 /// View over a sorted map ([`stapl_containers::associative::PMap`]):
 /// `for_each_kv` visits pairs in global key order restricted to this
