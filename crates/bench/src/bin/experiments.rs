@@ -1413,37 +1413,32 @@ fn dynamic_exp() {
     );
 }
 
-/// Pluggable transport: the same copy / traversal kernels re-run with the
-/// **serialized** wire backend, which encodes every remote request as a
-/// byte frame and so turns `bytes_sent` / `messages_serialized` into real
-/// bytes-on-the-wire counters. Stats-asserted (wall-clock independent, so
-/// the CI perf-smoke job is stable):
+/// Bytes on the wire: the copy / traversal kernels measured in
+/// `bytes_sent`, the length of the records their remote requests are
+/// relocated into (one thunk word plus the capture, per request).
+/// Stats-asserted (wall-clock independent, so the CI perf-smoke job is
+/// stable, and the same under the chaos leg's fault schedule: recovery
+/// traffic is not counted):
 ///
-/// * copy — misaligned `p_copy`: element-wise (one frame per element) vs
-///   the bulk-range path (one frame per contiguous run);
+/// * copy — misaligned `p_copy`: element-wise (one record per element) vs
+///   the bulk-range path (one record per contiguous run);
 /// * traversal — location 0 reads a pList: per-element GID walk (a sync
-///   request + response frame pair per element) vs `get_segment` per slab;
-/// * control — the closure backend runs the same bulk copy shipping boxed
-///   closures: zero serialized messages, zero wire bytes.
-///
-/// The transport is forced per scenario (explicit field override), so the
-/// comparison means the same thing under the `STAPL_TRANSPORT=serialized`
-/// CI leg as in a default run.
+///   request + response record pair per element) vs `get_segment` per slab.
 fn transport_exp() {
     use stapl_core::partition::{BlockedPartition, IndexPartition};
-    use stapl_rts::{StatsSnapshot, TransportKind};
+    use stapl_rts::StatsSnapshot;
 
     let n = 4096usize;
     let per = 500usize;
     let mut t = Table::new(
-        "Transport: bytes on the wire, element-wise vs bulk vs segment (serialized backend)",
-        &["scenario", "P", "mode", "time", "remote reqs", "msgs serialized", "bytes sent", "bytes/msg"],
+        "Transport: bytes on the wire, element-wise vs bulk vs segment",
+        &["scenario", "P", "mode", "time", "remote reqs", "bytes sent", "bytes/msg"],
     );
 
-    // Misaligned p_copy (off-by-17 block bounds, rotated placement) under
-    // the chosen backend; counters scoped to the kernel.
-    let copy = |p: usize, localized: bool, kind: TransportKind| -> (f64, StatsSnapshot) {
-        run(RtsConfig { transport: kind, ..RtsConfig::default() }, p, move |loc| {
+    // Misaligned p_copy (off-by-17 block bounds, rotated placement);
+    // counters scoped to the kernel.
+    let copy = |p: usize, localized: bool| -> (f64, StatsSnapshot) {
+        run(RtsConfig::default(), p, move |loc| {
             let nlocs = loc.nlocs();
             let src = PArray::from_fn(loc, n, |i| i as u64);
             let part = BlockedPartition::new(n, n / nlocs + 17);
@@ -1475,10 +1470,9 @@ fn transport_exp() {
         })
     };
 
-    // Location 0 reads the whole pList over the wire backend.
+    // Location 0 reads the whole pList.
     let traverse = |p: usize, segmented: bool| -> (f64, StatsSnapshot) {
-        let cfg = RtsConfig { transport: TransportKind::Serialized, ..RtsConfig::default() };
-        run(cfg, p, move |loc| {
+        run(RtsConfig::default(), p, move |loc| {
             let l: PList<u64> = PList::new(loc);
             for i in 0..per {
                 l.push_anywhere((loc.id() * per + i) as u64);
@@ -1522,7 +1516,6 @@ fn transport_exp() {
             mode.into(),
             fmt_time(r.0),
             r.1.remote_requests.to_string(),
-            r.1.messages_serialized.to_string(),
             r.1.bytes_sent.to_string(),
             format!("{:.1}", r.1.bytes_per_message()),
         ]);
@@ -1533,7 +1526,7 @@ fn transport_exp() {
     let mut trav_p4 = [StatsSnapshot::default(); 2];
     for p in PS {
         for (ix, localized) in [(0usize, true), (1usize, false)] {
-            let r = copy(p, localized, TransportKind::Serialized);
+            let r = copy(p, localized);
             if p == 4 {
                 copy_p4[ix] = r.1;
             }
@@ -1549,8 +1542,6 @@ fn transport_exp() {
             row("plist-traversal", p, if segmented { "segmented" } else { "element-wise" }, &r);
         }
     }
-    let ctl = copy(4, true, TransportKind::Closure);
-    row("copy/misaligned", 4, "bulk (closure control)", &ctl);
     t.print();
 
     println!(
@@ -1579,32 +1570,21 @@ fn transport_exp() {
         trav_p4[0].bytes_sent,
         trav_p4[1].bytes_sent
     );
-    // Wire-backend structure: exactly one frame per remote request, every
-    // frame at least the 13-byte header (kind + handler + length + CRC32).
+    // One record per remote request, each at least its 8-byte thunk word.
     for s in [&copy_p4[0], &copy_p4[1], &trav_p4[0], &trav_p4[1]] {
-        assert_eq!(
-            s.messages_serialized, s.remote_requests,
-            "serialized backend must encode one frame per remote request"
-        );
-        assert!(
-            s.bytes_sent >= 13 * s.messages_serialized,
-            "every frame carries at least the 13-byte header"
-        );
+        assert!(s.bytes_sent >= 8 * s.remote_requests, "every record carries its thunk word");
     }
-    // And the closure backend never touches the wire counters.
-    assert_eq!(ctl.1.messages_serialized, 0, "closure backend must not serialize");
-    assert_eq!(ctl.1.bytes_sent, 0, "closure backend must not count wire bytes");
 }
 
 fn chaos_exp() {
     use stapl_core::partition::{BlockedPartition, IndexPartition};
-    use stapl_rts::{FaultSchedule, StatsSnapshot, TransportKind};
+    use stapl_rts::{FaultSchedule, StatsSnapshot};
     use std::cell::RefCell;
 
     let n = 2048usize;
     let mut t = Table::new(
         "Chaos soak: mixed container traffic under escalating fault schedules \
-         (serialized backend, ack/retransmit recovery)",
+         (reliable layer: checksum, ack/retransmit recovery)",
         &[
             "profile", "P", "time", "dropped", "retransmits", "crc rejects", "dups discarded",
             "acks", "divergence",
@@ -1668,7 +1648,7 @@ fn chaos_exp() {
         })
     };
 
-    // The clean closure-backend reference digests, per P.
+    // The clean reference digests, per P.
     let clean: Vec<Vec<Vec<u64>>> =
         PS.iter().map(|&p| soak(p, RtsConfig::default()).1).collect();
 
@@ -1681,11 +1661,12 @@ fn chaos_exp() {
     let mut severe_p4 = StatsSnapshot::default();
     for (name, profile) in profiles {
         for (pi, &p) in PS.iter().enumerate() {
-            let mut cfg =
-                RtsConfig { transport: TransportKind::Serialized, ..RtsConfig::default() };
-            cfg.faults = FaultSchedule::parse(profile).expect("soak profile parses");
-            cfg.fault_seed = 0xC4A0_5EED ^ p as u64;
-            cfg.retransmit_rto_us = 2_000;
+            let cfg = RtsConfig {
+                faults: FaultSchedule::parse(profile).expect("soak profile parses"),
+                fault_seed: 0xC4A0_5EED ^ p as u64,
+                retransmit_rto_us: 2_000,
+                ..RtsConfig::default()
+            };
             let (secs, digests, d) = soak(p, cfg);
             let diverged = digests != clean[pi];
             t.row(vec![

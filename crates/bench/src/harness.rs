@@ -16,11 +16,9 @@
 //!   gather-vs-broadcast `collect_ordered` data paths;
 //! * `executor` — the PARAGRAPH task-graph executor (PR 2): SPMD vs
 //!   executor vs executor+stealing on uniform and skewed workloads;
-//! * `transport` — the serialized wire backend (PR 8): the same copy and
-//!   traversal kernels re-run with every RMI encoded as a wire frame, so
-//!   `bytes_sent` / `messages_serialized` become real, gateable
-//!   bytes-on-the-wire counters (plus a closure-backend zero-bytes
-//!   control);
+//! * `transport` — bytes on the wire (PR 8, one format since PR 20): the
+//!   same copy and traversal kernels gated on `bytes_sent`, the length of
+//!   the records their requests are relocated into;
 //! * `chaos` — fault injection + reliable delivery (PR 9): an async-RMI
 //!   storm under seeded fault schedules (total drop, total corruption, a
 //!   mixed profile), gating the injected damage (`frames_dropped` /
@@ -52,7 +50,7 @@ use stapl_core::partition::{
 use stapl_paragraph::executor::ExecPolicy;
 use stapl_rts::{
     execute_collect_traced, Counter, FaultSchedule, Location, RtsConfig, StatsSnapshot,
-    TraceSummary, TransportKind,
+    TraceSummary,
 };
 use stapl_views::array_view::ArrayView;
 use stapl_views::assoc_view::MapView;
@@ -436,7 +434,7 @@ const DYNAMIC_GATED: &[Counter] = &[
 
 /// Location 0 reads the whole pList: one `get_segment` per slab vs the
 /// element-wise GID walk. Takes the config so the `transport` area can
-/// re-run the same kernel over the serialized wire backend.
+/// re-run the same kernel under its own knobs.
 fn dynamic_traversal(
     p: usize,
     per: usize,
@@ -729,26 +727,23 @@ fn executor_area(tier: Tier) -> Vec<BenchRecord> {
 }
 
 // ---------------------------------------------------------------------
-// Area: transport (PR 8 — pluggable serialized wire backend)
+// Area: transport (PR 8 — bytes on the wire; one staging format since PR 20)
 // ---------------------------------------------------------------------
 
-/// Under the serialized backend every remote request is encoded as a wire
-/// frame, so `bytes_sent` and `messages_serialized` are real traffic
-/// counters: frame size is the 13-byte header (kind + handler + length +
-/// CRC32) plus `size_of` the request capture, and the request mix is
-/// seeded, so both are deterministic and
-/// gateable. A capture that grows — or a path that quietly falls back
-/// from bulk frames to per-element ones — moves `bytes_sent` and fires
-/// the gate. `serialize_ns` is wall-clock and is never gated; neither are
-/// batch/flush counts (timing-dependent).
+/// Every remote request is relocated into its batch buffer as one record,
+/// so `bytes_sent` is a real traffic counter: record size is the 8-byte
+/// thunk word plus `size_of` the request capture rounded up to a word, and
+/// the request mix is seeded, so it is deterministic and gateable. A
+/// capture that grows — or a path that quietly falls back from bulk
+/// records to per-element ones — moves `bytes_sent` and fires the gate.
+/// Batch/flush counts are timing-dependent and never gated.
 ///
 /// Caveat on magnitudes: relocation is a shallow byte copy, so a `Vec`
 /// inside a bulk capture is charged as its 24-byte handle, not its heap
 /// payload. The bulk-vs-element-wise ratios below are driven by the
-/// O(runs)-vs-O(N) *frame count*, which holds either way.
+/// O(runs)-vs-O(N) *record count*, which holds either way.
 const TRANSPORT_GATED: &[Counter] = &[
     Counter::remote_requests,
-    Counter::messages_serialized,
     Counter::bytes_sent,
     Counter::bulk_requests,
     Counter::segment_requests,
@@ -757,27 +752,15 @@ const TRANSPORT_GATED: &[Counter] = &[
 fn transport_area(tier: Tier) -> Vec<BenchRecord> {
     let n = 4096usize;
     let per = 200usize;
-    // Same aggregation/bulk knobs as the localization area's default cell,
-    // with the transport swapped out from under the containers.
-    let wire = || RtsConfig {
-        transport: TransportKind::Serialized,
-        aggregation: 16,
-        bulk_threshold: 2,
-        ..RtsConfig::base()
-    };
-    let closure = || RtsConfig { aggregation: 16, bulk_threshold: 2, ..RtsConfig::base() };
+    // Same aggregation/bulk knobs as the localization area's default cell.
+    let wire = || RtsConfig { aggregation: 16, bulk_threshold: 2, ..RtsConfig::base() };
     let mut records: Vec<BenchRecord> = Vec::new();
-    let mut push = |id: String,
-                    backend: &'static str,
-                    knobs: Vec<(&'static str, String)>,
-                    r: Measured| {
-        let mut all = vec![knob("backend", backend)];
-        all.extend(knobs);
-        records.push(BenchRecord::new(id, all, TRANSPORT_GATED, r));
+    let mut push = |id: String, knobs: Vec<(&'static str, String)>, r: Measured| {
+        records.push(BenchRecord::new(id, knobs, TRANSPORT_GATED, r));
     };
 
     // Bytes on the wire, element-wise vs bulk-range: misaligned p_copy at
-    // P=4 (the paper's bandwidth argument, measured in frame bytes).
+    // P=4 (the paper's bandwidth argument, measured in record bytes).
     let mut copy_bytes = [0u64; 2]; // [bulk, element-wise]
     for (ix, localized) in [(0usize, true), (1usize, false)] {
         let mode = if localized { "bulk" } else { "element-wise" };
@@ -785,13 +768,12 @@ fn transport_area(tier: Tier) -> Vec<BenchRecord> {
         copy_bytes[ix] = r.1.bytes_sent;
         push(
             format!("wire-copy/misaligned/p4/n{n}/{mode}"),
-            "serialized",
             vec![knob("p", 4), knob("n", n), knob("mode", mode)],
             r,
         );
     }
-    // The serialized backend's acceptance claim: the bulk-range path puts
-    // >= 10x fewer bytes on the wire than element-wise at P=4.
+    // The acceptance claim: the bulk-range path puts >= 10x fewer bytes
+    // on the wire than element-wise at P=4.
     assert!(
         copy_bytes[0] * 10 <= copy_bytes[1],
         "bulk p_copy must put >= 10x fewer bytes on the wire than element-wise at P=4 \
@@ -808,7 +790,6 @@ fn transport_area(tier: Tier) -> Vec<BenchRecord> {
         trav_bytes[ix] = r.1.bytes_sent;
         push(
             format!("wire-plist-traversal/p4/per{per}/{mode}"),
-            "serialized",
             vec![knob("p", 4), knob("per_loc", per), knob("mode", mode)],
             r,
         );
@@ -821,25 +802,12 @@ fn transport_area(tier: Tier) -> Vec<BenchRecord> {
         trav_bytes[1]
     );
 
-    // Closure-backend control: the same bulk copy ships boxed closures —
-    // nothing is serialized, zero bytes on the wire.
-    let r = localization_copy(4, n, "misaligned", true, closure());
-    assert_eq!(r.1.bytes_sent, 0, "closure backend must not count wire bytes");
-    assert_eq!(r.1.messages_serialized, 0, "closure backend must not serialize");
-    push(
-        format!("wire-copy/misaligned/p4/n{n}/bulk/closure-control"),
-        "closure",
-        vec![knob("p", 4), knob("n", n), knob("mode", "bulk")],
-        r,
-    );
-
     if tier >= Tier::Lite {
         for (localized, mode) in [(true, "bulk"), (false, "element-wise")] {
             let r = localization_copy(4, 40_000, "misaligned", localized, wire());
             push(
                 format!("wire-copy/misaligned/p4/n40000/{mode}"),
-                "serialized",
-                vec![knob("p", 4), knob("n", 40_000), knob("mode", mode)],
+                    vec![knob("p", 4), knob("n", 40_000), knob("mode", mode)],
                 r,
             );
         }
@@ -847,8 +815,7 @@ fn transport_area(tier: Tier) -> Vec<BenchRecord> {
             let r = dynamic_traversal(2, per, segmented, wire());
             push(
                 format!("wire-plist-traversal/p2/per{per}/{mode}"),
-                "serialized",
-                vec![knob("p", 2), knob("per_loc", per), knob("mode", mode)],
+                    vec![knob("p", 2), knob("per_loc", per), knob("mode", mode)],
                 r,
             );
         }
@@ -858,8 +825,7 @@ fn transport_area(tier: Tier) -> Vec<BenchRecord> {
             let r = localization_copy(8, 160_000, "misaligned", localized, wire());
             push(
                 format!("wire-copy/misaligned/p8/n160000/{mode}"),
-                "serialized",
-                vec![knob("p", 8), knob("n", 160_000), knob("mode", mode)],
+                    vec![knob("p", 8), knob("n", 160_000), knob("mode", mode)],
                 r,
             );
         }
@@ -925,7 +891,8 @@ fn chaos_storm(p: usize, k: u64, rounds: u64, cfg: RtsConfig) -> Measured {
 
 fn chaos_area(tier: Tier) -> Vec<BenchRecord> {
     let cfg_for = |profile: &str| {
-        let mut cfg = RtsConfig { transport: TransportKind::Serialized, ..RtsConfig::base() };
+        // `reliable` keeps the layer on for the clean control's empty schedule.
+        let mut cfg = RtsConfig { reliable: true, ..RtsConfig::base() };
         cfg.aggregation = 1; // one batch per request: seeded draws are program-order stable
         cfg.retransmit_rto_us = 25_000;
         cfg.faults = FaultSchedule::parse(profile).expect("bundled profile parses");

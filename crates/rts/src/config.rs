@@ -1,8 +1,8 @@
 //! Runtime configuration: aggregation, directory caching, adaptive
-//! flushing, transport selection, and the simulated machine model.
+//! flushing, the reliable layer and its fault schedule, and the simulated
+//! machine model.
 
 use crate::fault::FaultSchedule;
-use crate::transport::TransportKind;
 
 /// Configuration for one SPMD execution.
 ///
@@ -24,8 +24,7 @@ use crate::transport::TransportKind;
 /// | `STAPL_BULK_THRESHOLD`      | `bulk_threshold`     |
 /// | `STAPL_TRACE`               | `trace` (0/1)        |
 /// | `STAPL_TRACE_CAPACITY`      | `trace_capacity`     |
-/// | `STAPL_TRANSPORT`           | `transport` (`closure`/`serialized`) |
-/// | `STAPL_FAULTS`              | `faults` (schedule grammar, see `rts::fault`) |
+/// | `STAPL_FAULTS`              | `faults` (schedule grammar, see `rts::fault`; active ⇒ reliable layer on) |
 /// | `STAPL_FAULT_SEED`          | `fault_seed`         |
 /// | `STAPL_RMI_TIMEOUT_US`      | `rmi_timeout_us`     |
 /// | `STAPL_RETRANSMIT_RTO_US`   | `retransmit_rto_us`  |
@@ -83,19 +82,17 @@ pub struct RtsConfig {
     /// oldest events are evicted (with an exact drop counter); per-kind
     /// counts and histograms are exact regardless. Clamped to at least 1.
     pub trace_capacity: usize,
-    /// Which message transport carries RMIs between locations (see
-    /// `rts::transport`): [`TransportKind::Closure`] ships boxed closures
-    /// through in-process channels (the default, zero-marshalling backend);
-    /// [`TransportKind::Serialized`] encodes every request/response into
-    /// byte frames and ships those, exercising the wire format a
-    /// process-crossing backend needs while staying semantically identical.
-    pub transport: TransportKind,
+    /// Asks for the reliable layer (see `rts::transport`) with nothing
+    /// injected: every batch travels sealed — sequence number, cumulative
+    /// ack, one checksum — is retained until acked, and the fence waits for
+    /// the acks. Off by default: the in-process fabric cannot lose data.
+    /// An active [`RtsConfig::faults`] schedule switches the layer on
+    /// whatever this says; read [`RtsConfig::reliable_layer`].
+    pub reliable: bool,
     /// Seeded fabric-fault schedule (see `rts::fault`). Inactive by
-    /// default; when active (and the transport is serialized) every
-    /// flushed batch may be dropped, duplicated, reordered, corrupted, or
-    /// delayed, and the reliable-delivery protocol must mask it. The
-    /// closure backend ignores the schedule (the in-process fabric cannot
-    /// lose data).
+    /// default; when active every flushed batch may be dropped, duplicated,
+    /// reordered, corrupted, or delayed, and the reliable layer — on
+    /// whenever the schedule is — must mask it.
     pub faults: FaultSchedule,
     /// Seed for the fault schedule's deterministic decisions: a fixed
     /// seed faults exactly the same batches on every run of a
@@ -107,8 +104,7 @@ pub struct RtsConfig {
     /// diagnostic: peer, handler type name, elapsed, retransmit count)
     /// instead of spinning forever on a dead peer.
     pub rmi_timeout_us: u64,
-    /// Base retransmission timeout of the serialized backend's reliable
-    /// delivery, in microseconds: an unacked batch is re-sent after this
+    /// Base retransmission timeout of the reliable layer, in microseconds: an unacked batch is re-sent after this
     /// long, then with exponential backoff plus deterministic jitter.
     /// Clamped to at least 1.
     pub retransmit_rto_us: u64,
@@ -134,7 +130,7 @@ impl RtsConfig {
             bulk_threshold: 2,
             trace: false,
             trace_capacity: 1 << 16,
-            transport: TransportKind::Closure,
+            reliable: false,
             faults: FaultSchedule::default(),
             fault_seed: 0x5EED_FA17,
             rmi_timeout_us: 0,
@@ -172,14 +168,6 @@ impl RtsConfig {
         }
         if let Some(c) = parse::<usize>(get("STAPL_TRACE_CAPACITY")) {
             self.trace_capacity = c.max(1);
-        }
-        if let Some(t) = get("STAPL_TRANSPORT") {
-            // Unknown names are ignored like any other unparsable override.
-            match t.trim().to_ascii_lowercase().as_str() {
-                "closure" => self.transport = TransportKind::Closure,
-                "serialized" => self.transport = TransportKind::Serialized,
-                _ => {}
-            }
         }
         if let Some(f) = get("STAPL_FAULTS") {
             // A malformed schedule is ignored, like any other unparsable
@@ -235,22 +223,22 @@ impl RtsConfig {
         RtsConfig { trace: true, ..Self::default() }
     }
 
-    /// A config on the serialized-message transport: every RMI is encoded
-    /// into a byte frame and decoded at its destination (see
-    /// [`RtsConfig::transport`]).
+    /// A config with the reliable layer on and nothing injected (see
+    /// [`RtsConfig::reliable`]): what the layer costs on a clean fabric.
     pub fn serialized() -> Self {
-        RtsConfig { transport: TransportKind::Serialized, ..Self::default() }
+        RtsConfig { reliable: true, ..Self::default() }
     }
 
-    /// A serialized-transport config with the given fault schedule and
-    /// seed active (see [`RtsConfig::faults`] and `rts::fault`).
+    /// A config with the given fault schedule and seed (see
+    /// [`RtsConfig::faults`] and `rts::fault`), hence the reliable layer.
     pub fn with_faults(faults: FaultSchedule, fault_seed: u64) -> Self {
-        RtsConfig {
-            transport: TransportKind::Serialized,
-            faults,
-            fault_seed,
-            ..Self::default()
-        }
+        RtsConfig { reliable: true, faults, fault_seed, ..Self::default() }
+    }
+
+    /// Whether batches travel under the reliable layer: asked for, or
+    /// needed because a fault schedule is active.
+    pub fn reliable_layer(&self) -> bool {
+        self.reliable || self.faults.active()
     }
 
     /// The adaptive flush age as a [`std::time::Duration`] — the typed
@@ -285,15 +273,20 @@ mod tests {
         assert!(c.bulk_threshold >= 1);
         assert!(!c.trace, "tracing must be off by default");
         assert!(c.trace_capacity >= 1);
-        assert_eq!(c.transport, TransportKind::Closure, "closures are the default transport");
         assert!(!c.faults.active(), "fault injection must be off by default");
+        assert!(!c.reliable_layer(), "a clean in-process fabric needs no reliable layer");
         assert_eq!(c.rmi_timeout_us, 0, "RMI waits must not time out by default");
         assert!(c.retransmit_rto_us >= 1);
     }
 
     #[test]
     fn serialized_switches_transport() {
-        assert_eq!(RtsConfig::serialized().transport, TransportKind::Serialized);
+        let c = RtsConfig::base().with_overrides(|_| None);
+        assert!(!c.reliable_layer());
+        assert!(RtsConfig { reliable: true, ..c }.reliable_layer());
+        // `serialized()` starts from the environment, which can only add a
+        // fault schedule: the layer is on either way.
+        assert!(RtsConfig::serialized().reliable_layer());
     }
 
     #[test]
@@ -345,7 +338,6 @@ mod tests {
             "STAPL_BULK_THRESHOLD" => Some("0".to_string()), // clamped to 1
             "STAPL_TRACE" => Some("1".to_string()),
             "STAPL_TRACE_CAPACITY" => Some("0".to_string()), // clamped to 1
-            "STAPL_TRANSPORT" => Some(" Serialized ".to_string()), // trimmed, case-folded
             "STAPL_FAULTS" => Some("drop:0.25,delay_us:10".to_string()),
             "STAPL_FAULT_SEED" => Some("12345".to_string()),
             "STAPL_RMI_TIMEOUT_US" => Some("500000".to_string()),
@@ -360,8 +352,8 @@ mod tests {
         assert_eq!(c.bulk_threshold, 1);
         assert!(c.trace);
         assert_eq!(c.trace_capacity, 1);
-        assert_eq!(c.transport, TransportKind::Serialized);
         assert_eq!(c.faults, FaultSchedule { drop: 0.25, delay_us: 10, ..Default::default() });
+        assert!(!c.reliable && c.reliable_layer(), "a fault schedule alone turns the layer on");
         assert_eq!(c.fault_seed, 12345);
         assert_eq!(c.rmi_timeout_us, 500_000);
         assert_eq!(c.retransmit_rto_us, 1);
@@ -376,9 +368,16 @@ mod tests {
 
     #[test]
     fn unknown_transport_override_is_ignored() {
-        let c = RtsConfig::base()
-            .with_overrides(|v| (v == "STAPL_TRANSPORT").then(|| "tcp".to_string()));
-        assert_eq!(c.transport, TransportKind::Closure);
+        // Every variable asked for is one of the table above; the transport
+        // selector is not among them (there is one transport).
+        let asked = std::cell::RefCell::new(Vec::new());
+        RtsConfig::base().with_overrides(|v| {
+            asked.borrow_mut().push(v.to_string());
+            None
+        });
+        let asked = asked.into_inner();
+        assert_eq!(asked.len(), 11, "{asked:?}");
+        assert!(!asked.iter().any(|v| v.ends_with("_TRANSPORT")), "{asked:?}");
     }
 
     #[test]
@@ -388,7 +387,7 @@ mod tests {
         assert_eq!(c.dir_cache, RtsConfig::base().dir_cache);
         assert_eq!(c.trace, RtsConfig::base().trace);
         assert_eq!(c.trace_capacity, RtsConfig::base().trace_capacity);
-        assert_eq!(c.transport, RtsConfig::base().transport);
+        assert_eq!(c.reliable, RtsConfig::base().reliable);
         assert_eq!(c.faults, RtsConfig::base().faults);
         assert_eq!(c.rmi_timeout_us, RtsConfig::base().rmi_timeout_us);
         assert_eq!(c.retransmit_rto_us, RtsConfig::base().retransmit_rto_us);
@@ -398,7 +397,7 @@ mod tests {
     fn with_faults_activates_the_serialized_backend() {
         let sched = FaultSchedule { drop: 0.5, ..Default::default() };
         let c = RtsConfig::with_faults(sched, 7);
-        assert_eq!(c.transport, TransportKind::Serialized);
+        assert!(c.reliable_layer());
         assert!(c.faults.active());
         assert_eq!(c.fault_seed, 7);
     }

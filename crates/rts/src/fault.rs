@@ -1,12 +1,12 @@
 //! Deterministic fault injection for the message fabric.
 //!
-//! [`FaultyTransport`] decorates the serialized endpoint and, driven by a
-//! seeded [`FaultSchedule`], drops, duplicates, reorders, corrupts, and
-//! delays flushed batches — the failure modes a process-crossing socket
-//! backend (ROADMAP item 1) will actually exhibit. The reliability
-//! protocol in [`crate::transport`] must mask all of them; the chaos
-//! harness (`experiments chaos`) and the fault-profile property tests
-//! prove that it does.
+//! A [`FaultInjector`] taps every batch an endpoint sends under the
+//! reliable layer and, driven by a seeded [`FaultSchedule`], drops,
+//! duplicates, reorders, corrupts, and delays it — the failure modes a
+//! process-crossing socket backend will actually exhibit. The reliable
+//! layer in [`crate::transport`] must mask all of them; the chaos harness
+//! (`experiments chaos`) and the fault-profile property tests prove that
+//! it does. An active schedule switches the layer on by itself.
 //!
 //! ## Schedule grammar
 //!
@@ -18,7 +18,7 @@
 //! | `drop`     | rate in `[0, 1]` | batch vanishes                            |
 //! | `dup`      | rate in `[0, 1]` | batch is delivered twice                  |
 //! | `reorder`  | rate in `[0, 1]` | batch is held and released *after* the next batch to the same destination |
-//! | `corrupt`  | rate in `[0, 1]` | one seeded bit of the batch is flipped    |
+//! | `corrupt`  | rate in `[0, 1]` | one seeded bit of the batch's records is flipped |
 //! | `delay_us` | microseconds     | every data batch's send is delayed        |
 //!
 //! The rates are **exclusive**: a single uniform draw per batch picks at
@@ -32,27 +32,18 @@
 //! chaos bench area gate its reliability counters exactly. Two classes
 //! of traffic always pass through unfaulted: **retransmissions** (the
 //! recovery path must be live, and faulting it would make recovery time
-//! unbounded) and **pure acks** (which carry no data and are themselves
-//! recovered by retransmission of whatever they acknowledge). A batch
-//! held for reordering is released by the next send to the same
+//! unbounded) and **standalone acks** (which carry no data and are
+//! themselves recovered by retransmission of whatever they acknowledge). A
+//! batch held for reordering is released by the next send to the same
 //! destination — including that batch's own retransmission, so a held
 //! tail batch cannot be stuck forever.
-//!
-//! The closure backend deliberately skips fault injection: it models the
-//! in-process shared-memory fabric, which cannot lose data, and serves as
-//! the fault-free reference in differential tests (see DESIGN.md "Fault
-//! model & reliable delivery").
 
 use std::cell::{Cell, RefCell};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Sender;
 
-use crate::location::LocId;
-use crate::transport::{
-    read_control, read_frame, Batch, FlushInfo, Payload, StageOutcome, Staged, Transport,
-    TransportEvents, FLAG_RETRANSMIT,
-};
+use crate::transport::Batch;
 
 /// SplitMix64 finalizer: a cheap, well-distributed 64-bit mixer used for
 /// all fault decisions and retransmit jitter.
@@ -143,57 +134,36 @@ impl FaultSchedule {
     }
 }
 
-/// The fault injector: decorates a serialized endpoint whose senders all
-/// point at an internal tap channel; every flush/tick/recv pumps the tap,
-/// applies the schedule, and forwards survivors into the real channels.
-pub(crate) struct FaultyTransport {
-    inner: Box<dyn Transport>,
+/// The fault injector of one endpoint: every outbound batch goes through
+/// [`FaultInjector::route`], which applies the schedule and forwards the
+/// survivors into the real channels. Everything it handles is a sealed raw
+/// image (see [`crate::transport`]), so dropping or copying one is free of
+/// ownership consequences.
+pub(crate) struct FaultInjector {
     real: Vec<Sender<Batch>>,
-    tap_rx: Receiver<Batch>,
     sched: FaultSchedule,
     seed: u64,
-    me: LocId,
     /// At most one reorder-held batch per destination, released by the
     /// next send to that destination.
     held: RefCell<Vec<Option<Batch>>>,
-    dropped_frames: Cell<u64>,
+    dropped: Cell<u64>,
 }
 
-impl FaultyTransport {
-    pub(crate) fn new(
-        inner: Box<dyn Transport>,
-        real: Vec<Sender<Batch>>,
-        tap_rx: Receiver<Batch>,
-        sched: FaultSchedule,
-        seed: u64,
-        me: LocId,
-    ) -> Self {
-        let n = real.len();
-        FaultyTransport {
-            inner,
-            real,
-            tap_rx,
-            sched,
-            seed,
-            me,
-            held: RefCell::new((0..n).map(|_| None).collect()),
-            dropped_frames: Cell::new(0),
-        }
+impl FaultInjector {
+    pub(crate) fn new(real: Vec<Sender<Batch>>, sched: FaultSchedule, seed: u64) -> Self {
+        let held = RefCell::new((0..real.len()).map(|_| None).collect());
+        FaultInjector { real, sched, seed, held, dropped: Cell::new(0) }
     }
 
-    /// Drains the tap and routes every outbound batch through the
-    /// schedule.
-    fn pump(&self) {
-        while let Ok(batch) = self.tap_rx.try_recv() {
-            self.route(batch);
-        }
+    /// Requests dropped by the schedule since the last call.
+    pub(crate) fn take_dropped(&self) -> u64 {
+        self.dropped.take()
     }
 
     /// Forwards to the real channel; send errors mean the peer is mid-
     /// abort (the poisoned-barrier path reports that).
     fn forward(&self, batch: Batch) {
-        let dest = batch.dest;
-        let _ = self.real[dest].send(batch);
+        let _ = self.real[batch.dest].send(batch);
     }
 
     /// Forwards `batch` and then releases any reorder-held batch to the
@@ -206,29 +176,11 @@ impl FaultyTransport {
         }
     }
 
-    fn route(&self, batch: Batch) {
-        let Payload::Frames { bytes, nreqs } = &batch.payload else {
-            // Closure batches never flow through the serialized endpoint;
-            // pass anything unexpected through untouched.
-            self.forward(batch);
-            return;
-        };
-        let nreqs = *nreqs;
-        // Our own endpoint encoded this batch; its control frame reads
-        // cleanly. Retransmissions and pure acks (seq 0) pass through so
-        // recovery stays live and deterministic.
-        let ctrl = read_frame(&mut wirecodec::Reader::new(bytes))
-            .ok()
-            .and_then(|msg| read_control(&msg).ok())
-            .unwrap_or_else(|| {
-                panic!(
-                    "stapl-rts: location {}: fault injector tapped a malformed outbound batch",
-                    self.me
-                )
-            });
-        if ctrl.seq == 0 || ctrl.flags & FLAG_RETRANSMIT != 0 {
-            self.forward_then_release(batch);
-            return;
+    pub(crate) fn route(&self, mut batch: Batch) {
+        // Retransmissions and standalone acks pass through so recovery
+        // stays live and deterministic.
+        if batch.is_recovery_traffic() {
+            return self.forward_then_release(batch);
         }
         if self.sched.delay_us > 0 {
             busy_wait(Duration::from_micros(self.sched.delay_us));
@@ -237,21 +189,14 @@ impl FaultyTransport {
         // (seed, src, dest, seq) keeps the decision independent of
         // arrival order and of wall-clock time.
         let h = mix64(
-            self.seed
-                ^ mix64((batch.src as u64) << 32 | batch.dest as u64)
-                ^ mix64(ctrl.seq),
+            self.seed ^ mix64((batch.src as u64) << 32 | batch.dest as u64) ^ mix64(batch.seq()),
         );
         let u = unit(h);
         let s = &self.sched;
         if u < s.drop {
-            self.dropped_frames.set(self.dropped_frames.get() + nreqs as u64);
+            self.dropped.set(self.dropped.get() + batch.records.len() as u64);
         } else if u < s.drop + s.dup {
-            let copy = Batch {
-                src: batch.src,
-                dest: batch.dest,
-                payload: Payload::Frames { bytes: bytes.clone(), nreqs },
-            };
-            self.forward(copy);
+            self.forward(batch.image());
             self.forward_then_release(batch);
         } else if u < s.drop + s.dup + s.reorder {
             // Hold; the next send to this destination releases it after
@@ -262,71 +207,13 @@ impl FaultyTransport {
             if let Some(prev) = prev {
                 self.forward(prev);
             }
-        } else if u < s.drop + s.dup + s.reorder + s.corrupt {
-            let Payload::Frames { mut bytes, nreqs } = batch.payload else { unreachable!() };
-            // Flip one seeded bit anywhere in the batch; the per-frame
-            // checksums guarantee the receiver rejects it un-decoded.
-            let bit = mix64(h) % (bytes.len() as u64 * 8);
-            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-            self.forward_then_release(Batch {
-                src: batch.src,
-                dest: batch.dest,
-                payload: Payload::Frames { bytes, nreqs },
-            });
         } else {
-            self.forward_then_release(batch);
-        }
-    }
-}
-
-impl Transport for FaultyTransport {
-    fn serializes(&self) -> bool {
-        self.inner.serializes()
-    }
-
-    fn stage(&self, dest: LocId, msg: Staged<'_>) -> StageOutcome {
-        self.inner.stage(dest, msg)
-    }
-
-    fn flush(&self, src: LocId, dest: LocId) -> Option<FlushInfo> {
-        let info = self.inner.flush(src, dest);
-        self.pump();
-        info
-    }
-
-    fn try_recv(&self) -> Option<Batch> {
-        let batch = self.inner.try_recv();
-        // The inner endpoint's acks went into the tap; route them now.
-        self.pump();
-        batch
-    }
-
-    fn tick(&self) {
-        self.inner.tick();
-        self.pump();
-    }
-
-    fn tracks_acks(&self) -> bool {
-        self.inner.tracks_acks()
-    }
-
-    fn take_events(&self) -> TransportEvents {
-        let mut ev = self.inner.take_events();
-        ev.frames_dropped += self.dropped_frames.take();
-        ev
-    }
-}
-
-impl Drop for FaultyTransport {
-    fn drop(&mut self) {
-        // Release anything still held so an aborting run does not strand
-        // batches inside the injector (peers may already be gone; ignore
-        // send failures).
-        for slot in self.held.get_mut() {
-            if let Some(batch) = slot.take() {
-                let dest = batch.dest;
-                let _ = self.real[dest].send(batch);
+            if u < s.drop + s.dup + s.reorder + s.corrupt {
+                // Flip one seeded bit anywhere in the records; the batch's
+                // checksum makes the receiver reject it whole, un-run.
+                batch.flip_bit(mix64(h));
             }
+            self.forward_then_release(batch);
         }
     }
 }

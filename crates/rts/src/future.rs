@@ -13,7 +13,7 @@
 //!   the deadline with a diagnostic naming the peer, the handler's type,
 //!   the elapsed time, and how many retransmissions the fabric has
 //!   attempted — instead of spinning forever on a dead peer;
-//! * a handler that panics on the serialized path sends back a **poisoned
+//! * a sync / split-phase handler that panics sends back a **poisoned
 //!   response** that fails only the issuing future, carrying the handler
 //!   name and panic message.
 
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use crate::location::Location;
 use crate::trace::TraceEventKind;
 
-/// Marker value a poisoned-response frame delivers into a reply slot: the
+/// Marker value a poisoned response delivers into a reply slot: the
 /// remote handler panicked, so the slot will never hold a real `R`.
 pub(crate) struct PoisonedResponse {
     pub handler: &'static str,
@@ -48,8 +48,8 @@ pub enum RmiError {
         /// lossless fabric means the peer never replied).
         retransmits: u64,
     },
-    /// The remote handler panicked; the serialized path caught it and
-    /// poisoned this future instead of aborting the execution.
+    /// The remote handler panicked; the panic was caught where it ran and
+    /// this future poisoned instead of aborting the execution.
     HandlerPanicked {
         /// Type name of the handler that panicked.
         handler: &'static str,

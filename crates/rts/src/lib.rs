@@ -10,9 +10,10 @@
 //! * a **location** is an OS thread with a *private address space by
 //!   convention* — no object data is shared between locations; every
 //!   cross-location interaction is a message through a channel,
-//! * an **RMI** is a boxed closure shipped to the owning location, where it
-//!   looks up the target *p_object* representative in a per-location
-//!   registry and executes against it,
+//! * an **RMI** is a closure relocated into the batch buffer bound for the
+//!   owning location (see `transport`), where it looks up the target
+//!   *p_object* representative in a per-location registry and executes
+//!   against it,
 //! * requests between a fixed (source, destination) pair are executed in
 //!   **invocation order** (the paper's point-to-point FIFO guarantee),
 //! * **`rmi_fence`** performs global termination detection over
@@ -70,4 +71,3 @@ pub use trace::{
     LatencyHistogram, LocationTrace, RunTrace, TraceEvent, TraceEventKind, TraceSummary,
     HISTOGRAM_NAMES, KIND_COUNT,
 };
-pub use transport::TransportKind;

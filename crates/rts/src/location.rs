@@ -7,7 +7,7 @@
 //! per-thread state).
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,10 +20,7 @@ use crate::config::RtsConfig;
 use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
 use crate::trace::{LocationTrace, TraceBuf, TraceEventKind};
-use crate::transport::{
-    decode_batch, encode_frame, make_endpoint, Batch, Payload, StageOutcome, Staged, Transport,
-    WireKind,
-};
+use crate::transport::{record_bytes, Batch, Endpoint, StageOutcome};
 
 /// Identifier of a location (0-based, dense).
 pub type LocId = usize;
@@ -33,10 +30,6 @@ pub type LocId = usize;
 /// all locations (SPMD).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Handle(pub(crate) u32);
-
-/// A request shipped between locations: executed on the destination thread
-/// with access to the destination's `Location`.
-pub(crate) type Request = Box<dyn FnOnce(&Location) + Send>;
 
 /// Address of a pending reply slot on the requesting location; see
 /// [`Location::make_reply_slot`].
@@ -150,22 +143,9 @@ struct LocInner {
     shared: Arc<Shared>,
     /// This location's endpoint of the message fabric (staging buffers,
     /// flush, inbound queue); see [`crate::transport`].
-    transport: Box<dyn Transport>,
-    /// Cached `transport.serializes()` so the send hot path branches on a
-    /// bool instead of a virtual call.
-    serializes: bool,
-    /// Cached `transport.tracks_acks()`: whether the endpoint runs the
-    /// reliable-delivery protocol (and therefore produces transport events
-    /// to reap and ack progress for the fence to observe).
-    tracks_acks: bool,
-    /// Wire-kind hint for the *next* staged request (consumed on enqueue);
-    /// set by `note_bulk_request` / `note_segment_request` immediately
-    /// before the container issues the tagged RMI. Serialized backend only.
-    wire_hint: Cell<Option<WireKind>>,
-    /// Reusable frame-encoding buffer (serialized backend only).
-    scratch: RefCell<Vec<u8>>,
+    endpoint: Endpoint,
     registry: RefCell<Vec<RegEntry>>,
-    /// When the oldest request staged toward `dest` entered the transport's
+    /// When the oldest request staged toward `dest` entered the endpoint's
     /// buffer; `None` for an empty buffer. Drives the adaptive (age-based)
     /// flush.
     outbuf_since: RefCell<Vec<Option<std::time::Instant>>>,
@@ -189,19 +169,13 @@ impl Location {
     pub(crate) fn new(id: LocId, shared: Arc<Shared>, rx: Receiver<Batch>) -> Self {
         let nlocs = shared.nlocs;
         let trace = shared.cfg.trace.then(|| RefCell::new(TraceBuf::new(shared.cfg.trace_capacity)));
-        let transport = make_endpoint(&shared.cfg, id, shared.senders.clone(), rx, nlocs);
-        let serializes = transport.serializes();
-        let tracks_acks = transport.tracks_acks();
+        let endpoint = Endpoint::new(&shared.cfg, id, shared.senders.clone(), rx);
         let counters = shared.counters[id].clone();
         Location {
             inner: Rc::new(LocInner {
                 id,
                 shared,
-                transport,
-                serializes,
-                tracks_acks,
-                wire_hint: Cell::new(None),
-                scratch: RefCell::new(Vec::new()),
+                endpoint,
                 registry: RefCell::new(Vec::new()),
                 outbuf_since: RefCell::new(vec![None; nlocs]),
                 slots: RefCell::default(),
@@ -361,9 +335,6 @@ impl Location {
     pub fn note_bulk_request(&self, items: u64) {
         self.bump(Counter::bulk_requests, 1);
         self.trace_instant(TraceEventKind::BulkTransfer, items);
-        if self.inner.serializes {
-            self.inner.wire_hint.set(Some(WireKind::Bulk));
-        }
     }
 
     /// Records one chunk served by a direct local slice borrow.
@@ -384,9 +355,6 @@ impl Location {
     pub fn note_segment_request(&self, items: u64) {
         self.bump(Counter::segment_requests, 1);
         self.trace_instant(TraceEventKind::SegmentTransfer, items);
-        if self.inner.serializes {
-            self.inner.wire_hint.set(Some(WireKind::Segment));
-        }
     }
 
     /// Records `n` items shipped as payload by a data-collecting gather or
@@ -490,7 +458,7 @@ impl Location {
             f(&obj, self);
             return;
         }
-        self.enqueue_typed(dest, WireKind::Async, move |loc: &Location| {
+        self.stage(dest, move |loc: &Location| {
             let obj = loc.lookup::<T>(h);
             f(&obj, loc);
         });
@@ -549,15 +517,13 @@ impl Location {
         let handler = std::any::type_name::<F>();
         let slot = self.alloc_slot(wait_kind, dest, handler);
         let src = self.id();
-        self.enqueue_typed(dest, WireKind::Sync, move |loc: &Location| {
+        self.stage(dest, move |loc: &Location| {
             let run = move || f(&loc.lookup::<T>(h), loc);
-            if !loc.inner.serializes {
-                return loc.send_response(src, slot, run());
-            }
-            // On the serialized path a panicking handler must not strand
-            // the requester: catch it (the lookup too — an unregistered
-            // handle is just as fatal to the reply) and poison the issuing
-            // future instead of unwinding the whole execution.
+            // A panicking handler must not strand the requester: catch it
+            // (the lookup too — an unregistered handle is just as fatal to
+            // the reply) and poison the issuing future instead of unwinding
+            // the whole execution. An asynchronous handler has no future to
+            // poison; its panic propagates (DESIGN.md "The message buffer").
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
                 Ok(r) => loc.send_response(src, slot, r),
                 Err(p) => loc.send_poison(src, slot, handler, panic_message(&*p)),
@@ -577,7 +543,9 @@ impl Location {
             req(self);
             return;
         }
-        self.enqueue_boxed(dest, req);
+        // The box itself is the capture: two words relocated, its pointee
+        // travelling by pointer like everything a capture points to.
+        self.stage(dest, req);
     }
 
     /// A `Waiting` slot for a request to `peer`'s `handler`.
@@ -621,17 +589,15 @@ impl Location {
         // counter no matter which path produced the reply.
         self.bump(Counter::responses_sent, 1);
         self.trace_instant(TraceEventKind::RmiReply, dest as u64);
-        self.enqueue_with_kind(dest, WireKind::Response, move |loc: &Location| {
-            loc.fill_slot(slot, Box::new(r));
-        });
+        self.stage(dest, move |loc: &Location| loc.fill_slot(slot, Box::new(r)));
         // Responses bypass aggregation: someone is spinning on this value.
         self.flush(dest);
     }
 
     /// Completes the future waiting on `(dest, slot)` with a
     /// [`PoisonedResponse`] instead of a value: the handler panicked, and
-    /// only the issuing future should fail. Serialized backend only. On the
-    /// wire a poison is a response like any other, and is counted as one.
+    /// only the issuing future should fail. In flight a poison is a response
+    /// like any other, and is counted as one.
     fn send_poison(&self, dest: LocId, slot: u64, handler: &'static str, message: String) {
         self.bump(Counter::poisoned_responses, 1);
         self.trace_instant(TraceEventKind::PoisonedResponse, dest as u64);
@@ -707,81 +673,28 @@ impl Location {
     // Message plumbing
     // ------------------------------------------------------------------
 
-    /// Routes a request whose concrete closure type is still known: the
-    /// closure backend boxes it, the serialized backend encodes it as a
-    /// wire frame (consuming any pending wire-kind hint).
-    fn enqueue_typed<F>(&self, dest: LocId, default_kind: WireKind, f: F)
+    /// Stages `f` for execution on `dest`, preserving per-pair FIFO order:
+    /// the one way a request, a response or a forwarded box leaves this
+    /// location. `f` is relocated straight into `dest`'s batch buffer — no
+    /// allocation, no clock read.
+    #[inline]
+    fn stage<F>(&self, dest: LocId, f: F)
     where
         F: FnOnce(&Location) + Send + 'static,
     {
-        let kind = if self.inner.serializes {
-            self.inner.wire_hint.take().unwrap_or(default_kind)
-        } else {
-            default_kind
-        };
-        self.enqueue_with_kind(dest, kind, f);
-    }
-
-    /// Routes an already-boxed request (raw [`Location::send_request`]
-    /// traffic). The closure backend ships the box as-is — no double
-    /// boxing; the serialized backend relocates the box itself into a
-    /// frame (its pointee still travels by pointer, like every capture).
-    fn enqueue_boxed(&self, dest: LocId, req: Request) {
-        if self.inner.serializes {
-            let kind = self.inner.wire_hint.take().unwrap_or(WireKind::Async);
-            self.stage_frame(dest, kind, req);
-        } else {
-            self.stage_closure(dest, req);
-        }
-    }
-
-    fn enqueue_with_kind<F>(&self, dest: LocId, kind: WireKind, f: F)
-    where
-        F: FnOnce(&Location) + Send + 'static,
-    {
-        if self.inner.serializes {
-            self.stage_frame(dest, kind, f);
-        } else {
-            self.stage_closure(dest, Box::new(f));
-        }
-    }
-
-    /// Closure-backend staging: the pre-transport `enqueue` body, verbatim.
-    fn stage_closure(&self, dest: LocId, req: Request) {
         debug_assert_ne!(dest, self.id());
-        // Count at enqueue time (not flush time) so the fence's quiescence
+        // Count at staging time (not flush time) so the fence's quiescence
         // check observes buffered-but-unflushed requests.
         self.bump(Counter::remote_requests, 1);
+        self.bump(Counter::bytes_sent, record_bytes::<F>() as u64);
         self.trace_instant(TraceEventKind::RmiSend, dest as u64);
-        let outcome = self.inner.transport.stage(dest, Staged::Closure(req));
+        let outcome = self.inner.endpoint.stage(dest, f);
         self.after_stage(dest, outcome);
     }
 
-    /// Serialized-backend staging: encode `f` into a wire frame (timed,
-    /// counted), then stage the frame bytes.
-    fn stage_frame<F>(&self, dest: LocId, kind: WireKind, f: F)
-    where
-        F: FnOnce(&Location) + Send + 'static,
-    {
-        debug_assert_ne!(dest, self.id());
-        let t0 = std::time::Instant::now();
-        let mut scratch = self.inner.scratch.borrow_mut();
-        scratch.clear();
-        let nbytes = encode_frame(&mut scratch, kind, f);
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        self.bump(Counter::messages_serialized, 1);
-        self.bump(Counter::bytes_sent, nbytes as u64);
-        self.bump(Counter::serialize_ns, elapsed);
-        self.trace_instant(TraceEventKind::Serialize, nbytes as u64);
-        self.bump(Counter::remote_requests, 1);
-        self.trace_instant(TraceEventKind::RmiSend, dest as u64);
-        let outcome = self.inner.transport.stage(dest, Staged::Frame(&scratch));
-        drop(scratch);
-        self.after_stage(dest, outcome);
-    }
-
-    /// Shared post-staging bookkeeping: buffer-age tracking for the
-    /// adaptive flush, and the aggregation-threshold flush.
+    /// Post-staging bookkeeping: buffer-age tracking for the adaptive
+    /// flush, and the aggregation-threshold flush.
+    #[inline]
     fn after_stage(&self, dest: LocId, outcome: StageOutcome) {
         // Timestamps are only needed by the adaptive flush; keep the
         // clock read off the send path under the default eager policy.
@@ -795,18 +708,13 @@ impl Location {
 
     /// Flushes the aggregation buffer toward `dest`.
     pub fn flush(&self, dest: LocId) {
-        let Some(info) = self.inner.transport.flush(self.id(), dest) else {
+        let Some(nreqs) = self.inner.endpoint.flush(dest) else {
             return;
         };
         self.inner.outbuf_since.borrow_mut()[dest] = None;
         self.bump(Counter::batches_sent, 1);
-        self.trace_instant(TraceEventKind::Flush, info.nreqs as u64);
-        if info.bytes != 0 {
-            self.trace_instant(TraceEventKind::WireFlush, info.bytes as u64);
-        }
-        if self.inner.tracks_acks {
-            self.reap_transport_events();
-        }
+        self.trace_instant(TraceEventKind::Flush, nreqs as u64);
+        self.reap_transport_events();
     }
 
     /// Flushes all aggregation buffers.
@@ -860,25 +768,21 @@ impl Location {
     /// of requests executed.
     pub fn poll(&self) -> usize {
         let mut n = 0;
-        if self.inner.tracks_acks {
-            // Drive retransmission of overdue unacknowledged batches; on a
-            // lossless fabric this is an early-out on a counter.
-            self.inner.transport.tick();
-        }
-        while let Some(batch) = self.inner.transport.try_recv() {
+        // Drive retransmission of overdue unacknowledged batches; on a
+        // lossless fabric this is an early-out on a counter.
+        self.inner.endpoint.tick();
+        while let Some(batch) = self.inner.endpoint.try_recv() {
             n += self.deliver(batch);
         }
-        if self.inner.tracks_acks {
-            self.reap_transport_events();
-        }
+        self.reap_transport_events();
         n
     }
 
-    /// Moves the transport's accumulated reliability events (drops,
+    /// Moves the endpoint's accumulated reliability events (drops,
     /// retransmits, checksum rejections, acks) into this location's
     /// counters, the trace timeline, and the fence's `acked` progress.
     fn reap_transport_events(&self) {
-        let ev = self.inner.transport.take_events();
+        let Some(ev) = self.inner.endpoint.take_events() else { return };
         if ev.frames_dropped != 0 {
             self.bump(Counter::frames_dropped, ev.frames_dropped);
             self.trace_instant(TraceEventKind::FaultDrop, ev.frames_dropped);
@@ -903,56 +807,23 @@ impl Location {
         }
     }
 
+    /// Runs the records of `batch` in place, in order. A panic in one
+    /// unwinds from here; the buffer then drops the records behind it.
     fn deliver(&self, batch: Batch) -> usize {
         let cfg = &self.inner.shared.cfg;
-        let n = batch.len();
-        if cfg.cross_node(batch.src, self.id()) {
+        let Batch { src, mut records, .. } = batch;
+        let n = records.len();
+        if cfg.cross_node(src, self.id()) {
             let total =
                 cfg.internode_batch_delay_ns + cfg.internode_per_msg_delay_ns * n as u64;
             if total > 0 {
                 busy_wait_ns(total);
             }
         }
-        let src = batch.src as u64;
-        match batch.payload {
-            Payload::Closures(reqs) => {
-                for req in reqs {
-                    self.trace_instant(TraceEventKind::RmiExecute, src);
-                    req(self);
-                    self.inner.counters.note_handled();
-                }
-            }
-            Payload::Frames { bytes, nreqs } => {
-                decode_batch(&bytes, batch.src, nreqs, |msg, thunk| {
-                    self.trace_instant(TraceEventKind::RmiExecute, src);
-                    // Contain handler panics to the requests they belong to:
-                    // sync requests caught here already sent a poisoned
-                    // response from their own wrapper; an async handler has
-                    // no future to poison, so its panic is absorbed and
-                    // counted, and later requests in the batch still run.
-                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        thunk(msg.payload, self)
-                    }));
-                    self.inner.counters.note_handled();
-                    if let Err(p) = caught {
-                        self.bump(Counter::poisoned_responses, 1);
-                        self.trace_instant(
-                            TraceEventKind::PoisonedResponse,
-                            self.id() as u64,
-                        );
-                        let _ = p; // payload already reported by the panic hook
-                    }
-                })
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "stapl-rts: location {}: batch from location {} failed to decode \
-                         ({e}) after its checksums verified — transport admitted an \
-                         inconsistent batch",
-                        self.id(),
-                        batch.src
-                    )
-                });
-            }
+        while records.has_next() {
+            self.trace_instant(TraceEventKind::RmiExecute, src as u64);
+            records.run_next(self);
+            self.inner.counters.note_handled();
         }
         n
     }
@@ -1040,7 +911,7 @@ impl Location {
                 };
                 let handled = sum(CounterBlock::handled);
                 let sent = sum(|b| b.get(Counter::remote_requests));
-                // On an ack-tracking fabric every request's carrying batch
+                // Under the reliable layer every request's carrying batch
                 // must also have been acknowledged: executed-but-unacked
                 // requests mean a sender may still retransmit (and the
                 // fault injector may still be holding a reordered batch),
@@ -1048,7 +919,7 @@ impl Location {
                 // is left to send, `sent` is final and `acked` only rises
                 // toward it.
                 let quiescent = handled == sent
-                    && (!self.inner.tracks_acks || sum(CounterBlock::acked) == sent);
+                    && (!self.inner.endpoint.reliable() || sum(CounterBlock::acked) == sent);
                 shared.fence_done.store(quiescent as u64, Ordering::SeqCst);
             }
             self.barrier();

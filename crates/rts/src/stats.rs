@@ -127,34 +127,29 @@ counters! {
     /// (`collect_ordered` gathers, opt-in broadcasts): the simulated
     /// bytes-on-the-wire proxy the O(N·P) → O(N) assertions measure.
     gather_items: Up,
-    /// Bytes of request/response wire frames produced by the serialized
-    /// transport (frame header + shallow closure representation). Zero
-    /// under the closure backend. Batch framing overhead (the per-flush
-    /// control frame) is *excluded*: flush counts are timing-dependent and
-    /// this counter must stay deterministic so it can be gated.
+    /// Bytes of the records staged for remote requests and responses: per
+    /// request, one thunk word plus the shallow size of its capture rounded
+    /// up to a word — what is actually handed over, a `Vec` inside a
+    /// capture counting as its 24-byte handle. The reliable layer's seals,
+    /// acks and retransmissions are *excluded*: flush and retry counts are
+    /// timing-dependent and this counter must stay deterministic so it can
+    /// be gated.
     bytes_sent: Up,
-    /// RMI requests/responses encoded into wire frames by the serialized
-    /// transport (equals `remote_requests` there; zero under closures).
-    messages_serialized: Up,
-    /// Nanoseconds spent encoding wire frames (serialized transport only).
-    serialize_ns: Timing("a nanosecond total is wall-clock, not a count"),
-    /// Wire frames lost to *injected* damage: fault-injected drops and
-    /// corrupt-batch rejections, counted in frames. A pure function of
+    /// Requests lost to *injected* damage: fault-injected drops and
+    /// corrupt-batch rejections, counted in requests. A pure function of
     /// (fault seed, src, dest, seq); zero on a fault-free fabric.
     frames_dropped: Up,
-    /// Batches re-sent by the reliable-delivery retransmit timer.
+    /// Batches re-sent by the reliable layer's retransmit timer.
     retransmits: Timing("the RTO also redrives batches that were merely late, not lost"),
-    /// Inbound batches rejected by wire validation (per-frame CRC-32 or
-    /// framing) before any frame was decoded.
+    /// Inbound batches rejected by their checksum before any record ran.
     checksum_failures: Up,
-    /// Standalone pure-ack batches sent by the reliable-delivery protocol.
+    /// Standalone ack batches sent by the reliable layer.
     acks_sent: Timing("every duplicate is re-acked, so it inherits the RTO's timing"),
-    /// Wire frames of duplicate batches discarded by the receiver's dedup
+    /// Requests of duplicate batches discarded by the receiver's dedup
     /// window: injected dups and redrives that raced the original.
     duplicates_discarded: Timing("counts spurious RTO redrives of merely-late batches"),
-    /// Handler panics caught on the serialized path and converted into
-    /// poisoned responses (failing only the issuing future) or, for
-    /// fire-and-forget requests, contained to the delivering location.
+    /// Panics of sync / split-phase handlers, caught where they ran and
+    /// sent back as poisoned responses that fail only the issuing future.
     poisoned_responses: Up,
 }
 
@@ -184,7 +179,7 @@ pub(crate) struct CounterBlock {
     /// Requests fully executed on this location.
     handled: AtomicU64,
     /// Requests this location sent whose carrying batch the destination
-    /// has acknowledged (stays 0 on fabrics that do not track acks).
+    /// has acknowledged (stays 0 without the reliable layer).
     acked: AtomicU64,
 }
 
@@ -345,14 +340,12 @@ impl StatsSnapshot {
         }
     }
 
-    /// Mean wire-frame size of the serialized transport, in bytes per
-    /// encoded message; `0.0` under the closure backend (nothing is
-    /// serialized there).
+    /// Mean record size, in bytes per remote request or response.
     pub fn bytes_per_message(&self) -> f64 {
-        if self.messages_serialized == 0 {
+        if self.remote_requests == 0 {
             0.0
         } else {
-            self.bytes_sent as f64 / self.messages_serialized as f64
+            self.bytes_sent as f64 / self.remote_requests as f64
         }
     }
 
@@ -384,7 +377,7 @@ mod tests {
 
     #[test]
     fn bytes_per_message_computes() {
-        let s = StatsSnapshot { bytes_sent: 120, messages_serialized: 4, ..Default::default() };
+        let s = StatsSnapshot { bytes_sent: 120, remote_requests: 4, ..Default::default() };
         assert!((s.bytes_per_message() - 30.0).abs() < 1e-12);
     }
 

@@ -39,7 +39,7 @@ use crate::location::LocId;
 use crate::stats::{Counter, StatsSnapshot};
 
 /// Number of [`TraceEventKind`] variants (array-index upper bound).
-pub const KIND_COUNT: usize = 27;
+pub const KIND_COUNT: usize = 25;
 
 /// Number of latency histograms kept per location; see
 /// [`TraceEventKind::histogram_index`] and [`HISTOGRAM_NAMES`].
@@ -95,27 +95,19 @@ pub enum TraceEventKind {
     FutureWaitSpan,
     /// Span: one executor task body (`arg` = task id).
     TaskSpan,
-    /// One RMI encoded into a wire frame by the serialized transport
-    /// (`arg` = frame bytes, header included).
-    Serialize,
-    /// A serialized byte batch pushed into a channel (`arg` = batch bytes,
-    /// including the leading control frame).
-    WireFlush,
-    /// Wire frames lost to injected drops or corrupt rejections (`arg` =
-    /// frames dropped since the last reap).
+    /// Requests lost to injected drops or corrupt rejections (`arg` =
+    /// requests dropped since the last reap).
     FaultDrop,
     /// Batches re-sent by the retransmit timer (`arg` = count since the
     /// last reap).
     Retransmit,
-    /// Inbound batches rejected by wire validation (`arg` = count since
+    /// Inbound batches rejected by their checksum (`arg` = count since
     /// the last reap).
     ChecksumFail,
-    /// Standalone pure-ack batches sent (`arg` = count since the last
-    /// reap).
+    /// Standalone ack batches sent (`arg` = count since the last reap).
     AckSent,
-    /// A handler panic caught on the serialized path (`arg` = the issuing
-    /// location for a poisoned response, or this location for a contained
-    /// fire-and-forget panic).
+    /// A sync / split-phase handler panic caught and sent back as a
+    /// poisoned response (`arg` = the issuing location).
     PoisonedResponse,
 }
 
@@ -142,8 +134,6 @@ impl TraceEventKind {
         TraceEventKind::SyncRmiSpan,
         TraceEventKind::FutureWaitSpan,
         TraceEventKind::TaskSpan,
-        TraceEventKind::Serialize,
-        TraceEventKind::WireFlush,
         TraceEventKind::FaultDrop,
         TraceEventKind::Retransmit,
         TraceEventKind::ChecksumFail,
@@ -175,8 +165,6 @@ impl TraceEventKind {
             TraceEventKind::SyncRmiSpan => "sync_rmi",
             TraceEventKind::FutureWaitSpan => "future_wait",
             TraceEventKind::TaskSpan => "task_run",
-            TraceEventKind::Serialize => "serialize",
-            TraceEventKind::WireFlush => "wire_flush",
             TraceEventKind::FaultDrop => "fault_drop",
             TraceEventKind::Retransmit => "retransmit",
             TraceEventKind::ChecksumFail => "checksum_fail",
@@ -226,7 +214,6 @@ impl TraceEventKind {
             | TraceEventKind::CollectiveSpan
             | TraceEventKind::Migration => Some(Counter::remote_requests),
             TraceEventKind::RmiReply => Some(Counter::responses_sent),
-            TraceEventKind::Serialize => Some(Counter::messages_serialized),
             TraceEventKind::BulkTransfer => Some(Counter::bulk_requests),
             TraceEventKind::SegmentTransfer => Some(Counter::segment_requests),
             TraceEventKind::GatherItems => Some(Counter::gather_items),
@@ -240,7 +227,6 @@ impl TraceEventKind {
             // even where the counter they carry is deterministic.
             TraceEventKind::PoisonedResponse => Some(Counter::poisoned_responses),
             TraceEventKind::Flush
-            | TraceEventKind::WireFlush
             | TraceEventKind::AgedFlush
             | TraceEventKind::StealProbe
             | TraceEventKind::StealSuccess

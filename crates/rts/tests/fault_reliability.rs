@@ -5,12 +5,12 @@
 
 use std::cell::RefCell;
 
-use stapl_rts::{execute_collect, FaultSchedule, RmiError, RtsConfig, TransportKind};
+use stapl_rts::{execute_collect, FaultSchedule, RmiError, RtsConfig};
 
-/// A serialized-backend config with the given schedule and a test-friendly
-/// retransmission timer.
+/// A config with the given schedule (hence the reliable layer) and a
+/// test-friendly retransmission timer.
 fn chaos_cfg(sched: FaultSchedule, seed: u64) -> RtsConfig {
-    let mut cfg = RtsConfig { transport: TransportKind::Serialized, ..RtsConfig::base() };
+    let mut cfg = RtsConfig::base();
     cfg.aggregation = 4;
     cfg.faults = sched;
     cfg.fault_seed = seed;
@@ -114,13 +114,15 @@ fn dup_and_reorder_storm_preserves_per_pair_fifo_exactly_once() {
 
 /// A panicking remote handler poisons only the issuing future: `try_get`
 /// surfaces the handler name and panic message, and the execution — other
-/// RMIs included — carries on.
+/// RMIs included — carries on. One rule, with or without the reliable layer.
 #[test]
 fn handler_panic_poisons_only_the_issuing_future() {
-    let cfg = RtsConfig {
-        transport: TransportKind::Serialized,
-        ..RtsConfig::base()
-    };
+    for reliable in [false, true] {
+        handler_panic_poisons_only_the_issuing_future_on(RtsConfig { reliable, ..RtsConfig::base() });
+    }
+}
+
+fn handler_panic_poisons_only_the_issuing_future_on(cfg: RtsConfig) {
     let outcomes = execute_collect(cfg, 2, |loc| {
         let (h, rep) = loc.register(RefCell::new(0u64));
         loc.rmi_fence();
@@ -161,7 +163,7 @@ fn handler_panic_poisons_only_the_issuing_future() {
 /// with a diagnostic instead of spinning forever.
 #[test]
 fn rmi_wait_timeout_reports_peer_handler_and_elapsed() {
-    let mut cfg = RtsConfig { transport: TransportKind::Serialized, ..RtsConfig::base() };
+    let mut cfg = RtsConfig::base();
     cfg.rmi_timeout_us = 20_000; // 20ms
     execute_collect(cfg, 2, |loc| {
         if loc.id() == 0 {

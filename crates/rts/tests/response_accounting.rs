@@ -6,11 +6,12 @@
 //! provoked it and `local_stats()` sums to the global. A response path
 //! that bypasses the shared `send_response` funnel (the bug this pins
 //! down: the split-phase handler used to count while `reply()` did not)
-//! breaks the exact counts below. Checked under both transports.
+//! breaks the exact counts below. Checked with and without the reliable
+//! layer.
 
 use std::cell::RefCell;
 
-use stapl_rts::{execute_collect, Location, RtsConfig, StatsSnapshot, TransportKind};
+use stapl_rts::{execute_collect, Location, RtsConfig, StatsSnapshot};
 
 const SYNCS: u64 = 3;
 const SPLITS: u64 = 2;
@@ -21,8 +22,8 @@ const FORWARDS: u64 = 1;
 /// location 0, while location 0 issues purely local sync RMIs (which
 /// must NOT count — a local return value never becomes a response
 /// message). Returns per-location and global snapshots.
-fn run_star(kind: TransportKind, p: usize) -> (Vec<StatsSnapshot>, StatsSnapshot) {
-    let cfg = RtsConfig { transport: kind, ..RtsConfig::base() };
+fn run_star(reliable: bool, p: usize) -> (Vec<StatsSnapshot>, StatsSnapshot) {
+    let cfg = RtsConfig { reliable, ..RtsConfig::base() };
     let out = execute_collect(cfg, p, |loc| {
         let me = loc.id();
         let (h, _rep) = loc.register(RefCell::new(0u64));
@@ -68,30 +69,31 @@ fn run_star(kind: TransportKind, p: usize) -> (Vec<StatsSnapshot>, StatsSnapshot
 
 #[test]
 fn responses_are_counted_once_on_the_responder() {
-    for kind in [TransportKind::Closure, TransportKind::Serialized] {
+    for reliable in [false, true] {
+        let kind = if reliable { "reliable" } else { "plain" };
         for p in [2usize, 4] {
-            let (locals, global) = run_star(kind, p);
+            let (locals, global) = run_star(reliable, p);
             let expect = (p as u64 - 1) * (SYNCS + SPLITS + FORWARDS);
             // Symmetry: one response per remote request that asks for a
             // value — no double counting, no missed paths.
             assert_eq!(
                 global.responses_sent, expect,
-                "{kind:?} P={p}: global responses_sent"
+                "{kind} P={p}: global responses_sent"
             );
             // Attribution: every response was sent by location 0, and the
             // per-location twins sum to the global.
             assert_eq!(
                 locals[0].responses_sent, expect,
-                "{kind:?} P={p}: responder's local responses_sent"
+                "{kind} P={p}: responder's local responses_sent"
             );
             for (id, l) in locals.iter().enumerate().skip(1) {
                 assert_eq!(
                     l.responses_sent, 0,
-                    "{kind:?} P={p}: location {id} sent no responses"
+                    "{kind} P={p}: location {id} sent no responses"
                 );
             }
             let sum: u64 = locals.iter().map(|l| l.responses_sent).sum();
-            assert_eq!(sum, global.responses_sent, "{kind:?} P={p}: locals sum to global");
+            assert_eq!(sum, global.responses_sent, "{kind} P={p}: locals sum to global");
         }
     }
 }

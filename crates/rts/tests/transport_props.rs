@@ -1,21 +1,20 @@
-//! Differential property tests for the pluggable transport: a random
+//! Differential property tests for the reliable layer: a random
 //! async/sync/split/bulk RMI workload — including forwarding chains, the
 //! RTS-level shape of a container migration (request hops via a third
 //! location before the owner replies to the origin) — must produce
-//! **identical results and identical deterministic counters** under the
-//! closure backend and the serialized wire backend, for P ∈ {1..4} and
-//! several aggregation widths.
+//! **identical results and identical deterministic counters** on the plain
+//! path, under the reliable layer with nothing injected, and under the
+//! reliable layer over a faulty fabric, for P ∈ {1..4} and several
+//! aggregation widths.
 //!
 //! Only the deterministic counters participate: timing-dependent ones
-//! (`batches_sent`, `fence_rounds`, `aged_flushes`) and the
-//! backend-specific wire counters (`bytes_sent`, `messages_serialized`,
-//! `serialize_ns`) are compared structurally instead (zero on the closure
-//! backend; one frame per remote request on the wire backend).
+//! (`batches_sent`, `fence_rounds`, `aged_flushes`, the recovery counters)
+//! are not compared.
 
 use std::cell::RefCell;
 
 use proptest::prelude::*;
-use stapl_rts::{execute_collect, Location, RtsConfig, StatsSnapshot, TransportKind};
+use stapl_rts::{execute_collect, Location, RtsConfig, StatsSnapshot};
 
 /// One mutation op, encoded with raw picks so a single strategy covers
 /// every P (picks are reduced mod `nlocs` at execution time):
@@ -23,9 +22,7 @@ use stapl_rts::{execute_collect, Location, RtsConfig, StatsSnapshot, TransportKi
 /// 0 = async increment, 1 = bulk-tagged async, 2 = forwarded reply.
 type RawOp = (u8, (usize, usize, usize), u64, Vec<u64>);
 
-/// The per-counter views compared between backends. `serialize_ns` is
-/// wall-clock and never compared; the other two wire counters get
-/// structural assertions.
+/// The per-counter views compared between runs.
 type CounterView = fn(&StatsSnapshot) -> u64;
 
 const DETERMINISTIC: &[(&str, CounterView)] = &[
@@ -35,6 +32,7 @@ const DETERMINISTIC: &[(&str, CounterView)] = &[
     ("bulk_requests", |s| s.bulk_requests),
     ("segment_requests", |s| s.segment_requests),
     ("gather_items", |s| s.gather_items),
+    ("bytes_sent", |s| s.bytes_sent),
 ];
 
 struct RunOut {
@@ -43,15 +41,15 @@ struct RunOut {
     global: StatsSnapshot,
 }
 
-/// Executes the workload once under `kind` and collects per-location
-/// digests (every observed value, in program order) plus stats.
-fn run(kind: TransportKind, aggregation: usize, p: usize, rounds: &[Vec<RawOp>]) -> RunOut {
-    let cfg = RtsConfig { transport: kind, aggregation, ..RtsConfig::base() };
-    run_with(cfg, p, rounds)
+/// Executes the workload once, with or without the reliable layer, and
+/// collects per-location digests (every observed value, in program order)
+/// plus stats.
+fn run(reliable: bool, aggregation: usize, p: usize, rounds: &[Vec<RawOp>]) -> RunOut {
+    run_with(RtsConfig { reliable, aggregation, ..RtsConfig::base() }, p, rounds)
 }
 
 /// Same workload under an arbitrary configuration (used by the fault
-/// differential test to aim a seeded injector at the wire backend).
+/// differential test to aim a seeded injector at the fabric).
 fn run_with(cfg: RtsConfig, p: usize, rounds: &[Vec<RawOp>]) -> RunOut {
     let out = execute_collect(cfg, p, |loc| {
         let me = loc.id();
@@ -140,7 +138,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn backends_agree_on_results_and_counters(
+    fn reliable_layer_changes_no_result_and_no_counter(
         p in 1usize..5,
         agg_pick in 0usize..3,
         rounds in proptest::collection::vec(
@@ -153,52 +151,49 @@ proptest! {
         ),
     ) {
         let aggregation = [1, 2, 16][agg_pick];
-        let closure = run(TransportKind::Closure, aggregation, p, &rounds);
-        let wire = run(TransportKind::Serialized, aggregation, p, &rounds);
+        let plain = run(false, aggregation, p, &rounds);
+        let reliable = run(true, aggregation, p, &rounds);
 
         // Identical observable results, location by location.
-        prop_assert_eq!(&closure.digests, &wire.digests);
+        prop_assert_eq!(&plain.digests, &reliable.digests);
 
         // Identical deterministic counters, per location and globally.
         for (name, get) in DETERMINISTIC {
             prop_assert_eq!(
-                get(&closure.global), get(&wire.global),
-                "global {} diverged between backends", name
+                get(&plain.global), get(&reliable.global),
+                "global {} diverged under the reliable layer", name
             );
             for id in 0..p {
                 prop_assert_eq!(
-                    get(&closure.locals[id]), get(&wire.locals[id]),
-                    "location {} {} diverged between backends", id, name
+                    get(&plain.locals[id]), get(&reliable.locals[id]),
+                    "location {} {} diverged under the reliable layer", id, name
                 );
             }
-            // The per-location twins must sum to the global under BOTH
-            // backends (the `local_stats` invariant).
-            for r in [&closure, &wire] {
+            // The per-location twins must sum to the global either way
+            // (the `local_stats` invariant).
+            for r in [&plain, &reliable] {
                 let sum: u64 = r.locals.iter().map(*get).sum();
                 prop_assert_eq!(sum, get(&r.global), "sum of local {} != global", name);
             }
         }
 
-        // Structure of the wire counters: the closure backend never
-        // serializes; the wire backend encodes exactly one frame per
-        // remote request (responses included) at >= 13 header bytes each
-        // (kind + handler + length + CRC32).
-        prop_assert_eq!(closure.global.messages_serialized, 0);
-        prop_assert_eq!(closure.global.bytes_sent, 0);
-        prop_assert_eq!(wire.global.messages_serialized, wire.global.remote_requests);
-        prop_assert!(wire.global.bytes_sent >= 13 * wire.global.messages_serialized);
+        // Every remote request or response is one record: at least its
+        // thunk word. The plain path runs no protocol at all.
+        prop_assert!(plain.global.bytes_sent >= 8 * plain.global.remote_requests);
+        prop_assert_eq!(plain.global.acks_sent + plain.global.retransmits, 0);
+        prop_assert_eq!(reliable.global.frames_dropped, 0);
     }
 
-    /// The tentpole's differential guarantee: the serialized backend under
-    /// an *adversarial fabric* — frames dropped, duplicated, reordered,
-    /// corrupted, delayed by the seeded injector — still produces exactly
-    /// the observable results of the clean closure backend, because
-    /// checksums reject corruption and the ack/retransmit protocol redrives
+    /// The differential guarantee of the reliable layer: over an
+    /// *adversarial fabric* — batches dropped, duplicated, reordered,
+    /// corrupted, delayed by the seeded injector — a run still produces
+    /// exactly the observable results of the plain path, because the
+    /// checksum rejects corruption and the ack/retransmit protocol redrives
     /// lost batches in order. Deterministic counters must agree too: the
-    /// reliability layer may only add `frames_dropped`/`retransmits`-class
-    /// traffic, never change what the program observed.
+    /// layer may only add `frames_dropped`/`retransmits`-class traffic,
+    /// never change what the program observed.
     #[test]
-    fn faulty_wire_backend_matches_clean_closure_backend(
+    fn faulty_fabric_matches_plain_delivery(
         p in 1usize..5,
         profile_pick in 0usize..4,
         seed in 1u64..u64::MAX,
@@ -217,12 +212,11 @@ proptest! {
             "drop:0.15,dup:0.1,reorder:0.15,corrupt:0.05,delay_us:10",
             "drop:1.0", // every first transmission lost; only retransmits arrive
         ][profile_pick];
-        let clean = run(TransportKind::Closure, 2, p, &rounds);
+        let clean = run(false, 2, p, &rounds);
 
-        let sched = stapl_rts::FaultSchedule::parse(profile).unwrap();
-        let mut cfg = RtsConfig { transport: TransportKind::Serialized, ..RtsConfig::base() };
-        cfg.aggregation = 2;
-        cfg.faults = sched;
+        // The schedule alone switches the layer on.
+        let mut cfg = RtsConfig { aggregation: 2, ..RtsConfig::base() };
+        cfg.faults = stapl_rts::FaultSchedule::parse(profile).unwrap();
         cfg.fault_seed = seed;
         cfg.retransmit_rto_us = 300; // keep redrives fast under test
         let faulty = run_with(cfg, p, &rounds);
@@ -235,7 +229,7 @@ proptest! {
                 "global {} diverged under profile {}", name, profile
             );
         }
-        // The fence over acked frames completed, so every injected loss
+        // The fence over acked requests completed, so every injected loss
         // was recovered; under a lossy profile the recovery machinery must
         // actually have fired.
         if profile.contains("drop:1.0") {

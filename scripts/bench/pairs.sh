@@ -10,7 +10,9 @@
 # runs seeds FIRST_SEED.. untraced, alternating which side goes first, each
 # side from its own checkout's root into its own --out directory, then
 # prints `--compare PARENT_OUT CHANGE_OUT` (medians, spreads, bounds) and,
-# per gated metric, in how many pairs the change read lower than the parent.
+# per gated metric and for the two derived P=2 values an RMI hot-path change
+# is judged on (`solve_s`, `sync_op_p50_us`), in how many pairs the change
+# read lower than the parent.
 # Use seeds that were not used while writing the change. Needs two idle
 # cores and no STAPL_* set; ~20 s per run, so ~7 min for ten pairs.
 # PAIRS_OUT overrides where both sides' results and builds go.
@@ -53,13 +55,15 @@ done
 # "value" of metric $2 in result file $1 (one `"name": {` line, then the value).
 value() { awk -v m="\"$2\":" '$1 == m { getline; gsub(/,/, "", $2); print $2; exit }' "$1"; }
 echo
-echo "per pair, change vs parent (lower is better on all three):"
-for metric in abstraction_cost_x setup_s peak_rss_mb; do
+echo "per pair, change vs parent (lower is better on all five; the last two are derived, not gated):"
+for metric in abstraction_cost_x setup_s peak_rss_mb solve_s sync_op_p50_us; do
   wins=0; losses=0; row=""
   for i in $(seq 0 $((n - 1))); do
     file=$workload-s$((first + i))-t0.json
     p=$(value "$out/parent/$workload/$file" "$metric")
     c=$(value "$out/change/$workload/$file" "$metric")
+    # A workload without blocking operations reports no sync_op_p50_us.
+    [ -n "$p" ] && [ -n "$c" ] || continue 2
     row="$row $(printf '%.4g>%.4g' "$p" "$c")"
     case $(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }') in
       win) wins=$((wins + 1)) ;;
