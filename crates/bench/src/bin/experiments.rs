@@ -1,22 +1,18 @@
-//! Regenerates every table and figure of the paper's evaluation as
-//! paper-style series (scaled to a laptop; see EXPERIMENTS.md).
+//! Regenerates the tables and figures of the paper's evaluation as
+//! paper-style series (scaled to a laptop), and renders the counter
+//! harness's areas (`stapl_bench::harness`).
 //!
-//! Usage:
-//!   cargo run --release -p stapl-bench --bin experiments            # all
-//!   cargo run --release -p stapl-bench --bin experiments fig31      # one
-//!
-//! Figure ids: fig27 fig28 fig30 fig31 fig32 fig33 fig34 fig39 fig40
-//!             fig41 fig42 fig43 fig44 fig49 fig51 fig52 fig53 fig56
-//!             fig59 fig60 fig62 agg ths executor directory localize
-//!             dynamic transport
+//! Usage (`--list` prints every id and area):
+//!   experiments                          # every figure, then the chaos soak
+//!   experiments fig31 agg                # some figures
+//!   experiments dynamic [--tier T]       # one area: its records as a table, then its claims
+//!   experiments --json DIR [--tier T]    # the areas as BENCH_<area>.json, claims checked
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use stapl_algorithms::prelude::*;
-use stapl_bench::{
-    fmt_per_op, fmt_time, harness, skewed_generate, time_kernel, time_kernel_nofence, ExecMode,
-    Table, BENCH_SEED,
-};
+use stapl_bench::harness::{self, Area, Tier};
+use stapl_bench::{fmt_per_op, fmt_time, time_kernel, time_kernel_nofence, Table, BENCH_SEED};
 use stapl_containers::associative::PHashMap;
 use stapl_containers::composed::LocalArray;
 use stapl_containers::generators::*;
@@ -29,53 +25,48 @@ use stapl_core::interfaces::*;
 use stapl_core::mapper::CyclicMapper;
 use stapl_core::partition::{BalancedPartition, MatrixLayout};
 use stapl_core::thread_safety::*;
-use stapl_rts::{execute_collect, execute_collect_traced, RtsConfig};
+use stapl_rts::{RtsConfig, RunTrace};
 
 const PS: [usize; 3] = [1, 2, 4];
 
-/// Global observability switches, set once in `main` before any
-/// experiment runs and consulted by [`run`] (the single funnel every
-/// experiment's executions go through). Chrome event lines accumulate
-/// here across executions; `runs` numbers them so each gets a disjoint
-/// pid range in the merged timeline.
+/// What `--trace` / `--metrics` asked for, set once in `main` before
+/// anything runs. Chrome event lines accumulate here across executions;
+/// `runs` numbers them so each gets a disjoint pid range in the merged
+/// timeline.
 struct TraceCtx {
-    trace: bool,
+    chrome: Option<Vec<String>>,
     metrics: bool,
-    chrome: Vec<String>,
     runs: u64,
 }
 
 static TRACE: std::sync::Mutex<TraceCtx> =
-    std::sync::Mutex::new(TraceCtx { trace: false, metrics: false, chrome: Vec::new(), runs: 0 });
+    std::sync::Mutex::new(TraceCtx { chrome: None, metrics: false, runs: 0 });
 
+/// The funnel every execution of this binary goes through — a figure's
+/// directly, an area scenario's inside the harness: `harness::run`, which
+/// traces when `main` installed [`observe`] and shows it each run's trace.
 fn run<R: Send>(cfg: RtsConfig, p: usize, f: impl Fn(&stapl_rts::Location) -> R + Send + Sync) -> R {
-    let wanted = {
-        let t = TRACE.lock().expect("trace ctx poisoned");
-        t.trace || t.metrics
-    };
-    if !wanted {
-        return execute_collect(cfg, p, f).remove(0);
-    }
-    let cfg = RtsConfig { trace: true, ..cfg };
-    let (mut results, trace) = execute_collect_traced(cfg, p, f);
-    let rt = trace.expect("tracing requested");
+    harness::run(cfg, p, f).0
+}
+
+/// The trace tap: files one execution's trace under what was asked for.
+fn observe(rt: &RunTrace) {
     let mut t = TRACE.lock().expect("trace ctx poisoned");
     let run_idx = t.runs;
     t.runs += 1;
-    if t.trace {
+    if let Some(chrome) = &mut t.chrome {
         // 1000 pids per execution keeps locations of different runs in
         // disjoint ranges of the merged timeline.
-        rt.push_chrome_events(1 + run_idx * 1000, &format!("run {run_idx}"), &mut t.chrome);
+        rt.push_chrome_events(1 + run_idx * 1000, &format!("run {run_idx}"), chrome);
     }
     if t.metrics {
-        print_run_metrics(run_idx, &rt);
+        print_run_metrics(run_idx, rt);
     }
-    results.remove(0)
 }
 
 /// `--metrics`: one row per location of one execution — event volume,
 /// RMI traffic, and the latency quantiles the trace histograms carry.
-fn print_run_metrics(run_idx: u64, rt: &stapl_rts::RunTrace) {
+fn print_run_metrics(run_idx: u64, rt: &RunTrace) {
     use stapl_rts::TraceEventKind;
     let q = |l: &stapl_rts::LocationTrace, name: &str, pick: fn(&stapl_rts::LatencyHistogram) -> u64| {
         let h = l.histogram(name).expect("known histogram");
@@ -110,16 +101,13 @@ fn print_run_metrics(run_idx: u64, rt: &stapl_rts::RunTrace) {
 /// load directly).
 fn write_chrome_trace(path: &str) {
     let t = TRACE.lock().expect("trace ctx poisoned");
-    let body = format!("[\n{}\n]\n", t.chrome.join(",\n"));
+    let chrome = t.chrome.as_deref().unwrap_or_default();
+    let body = format!("[\n{}\n]\n", chrome.join(",\n"));
     if let Err(e) = std::fs::write(path, &body) {
         eprintln!("experiments: writing trace {path}: {e}");
         std::process::exit(2);
     }
-    println!(
-        "wrote {path} ({} events from {} traced executions)",
-        t.chrome.len(),
-        t.runs
-    );
+    println!("wrote {path} ({} events from {} traced executions)", chrome.len(), t.runs);
 }
 
 /// Fig. 27: pArray constructor time for various sizes / location counts.
@@ -928,656 +916,18 @@ fn ths() {
     t.print();
 }
 
-/// PARAGRAPH executor on the skewed-workload scenario: lock-step SPMD vs
-/// executor vs executor-with-stealing. The per-element work is a
-/// simulated service latency (sleep), skewed 16x onto the last quarter
-/// of the index space — the trailing location's block under the balanced
-/// distribution. Stealing lets idle locations overlap that latency, so
-/// it wins even on a single-core host; the uniform rows show the
-/// executor's scheduling overhead when there is no skew to exploit.
-fn executor_exp() {
-    let mut t = Table::new(
-        "PARAGRAPH executor: skewed vs uniform workload (P=4, n=256)",
-        &["workload", "mode", "time", "speedup vs spmd", "stolen", "steal reqs", "steal %"],
-    );
-    for (workload, light, heavy) in [("skewed 16x", 50u64, 800u64), ("uniform", 50, 50)] {
-        let mut spmd_time = None;
-        for mode in [ExecMode::Spmd, ExecMode::Executor, ExecMode::Steal] {
-            // Best of three: single runs of a sleep-based workload carry
-            // timer-slack jitter.
-            let (secs, stats) = (0..3)
-                .map(|_| skewed_generate(4, 256, light, heavy, mode))
-                .min_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("three runs");
-            let base = *spmd_time.get_or_insert(secs);
-            t.row(vec![
-                workload.into(),
-                mode.label().into(),
-                fmt_time(secs),
-                format!("{:.2}x", base / secs),
-                stats.tasks_stolen.to_string(),
-                stats.steal_requests.to_string(),
-                format!("{:.0}%", stats.steal_fraction() * 100.0),
-            ]);
-        }
-    }
-    t.print();
-}
-
-/// Directory locality: per-location owner caches on the dynamic-pGraph
-/// resolution path, hot-key and traversal scenarios, cache on vs off.
-/// With the cache off every access pays the home hop (2 remote requests
-/// per read under forwarding); with it on, repeated accesses route
-/// straight to the cached owner (1 request) — the remote-request column
-/// is the proof.
-fn directory_exp() {
-    let mut t = Table::new(
-        "Directory locality: owner cache on/off (P=4, dynamic pGraph, forwarding)",
-        &["scenario", "cache", "time", "remote reqs", "hits", "stale", "hit rate"],
-    );
-    let mut hot_reqs = [0u64; 2]; // [on, off] for the closing summary
-    for (scenario, hot) in [("hot-key", true), ("traversal", false)] {
-        for cache in [true, false] {
-            let cfg = RtsConfig { dir_cache: cache, ..RtsConfig::base() };
-            let (secs, reqs, stats) = run(cfg, 4, move |loc| {
-                let g: PGraph<u64, ()> = PGraph::new_dynamic(
-                    loc,
-                    Directedness::Directed,
-                    GraphPartitionKind::DynamicFwd,
-                );
-                let n = 64usize;
-                for vd in 0..n {
-                    if vd % loc.nlocs() == loc.id() {
-                        g.add_vertex_with_descriptor(vd, vd as u64);
-                    }
-                }
-                g.commit();
-                let before = loc.stats().remote_requests;
-                let secs = time_kernel_nofence(loc, || {
-                    if hot {
-                        // Four hot vertices owned by the next location,
-                        // hammered — the regime the cache is built for.
-                        let base = (loc.id() + 1) % loc.nlocs();
-                        for k in 0..2000 {
-                            let vd = base + (k % 4) * loc.nlocs();
-                            std::hint::black_box(g.vertex_property(vd));
-                        }
-                    } else {
-                        // Repeated full sweeps over the vertex set.
-                        for _ in 0..40 {
-                            for vd in 0..n {
-                                std::hint::black_box(g.vertex_property(vd));
-                            }
-                        }
-                    }
-                });
-                loc.rmi_fence();
-                (secs, loc.stats().remote_requests - before, loc.stats())
-            });
-            if hot {
-                hot_reqs[usize::from(!cache)] = reqs;
-            }
-            t.row(vec![
-                scenario.into(),
-                if cache { "on" } else { "off" }.into(),
-                fmt_time(secs),
-                reqs.to_string(),
-                stats.dir_cache_hits.to_string(),
-                stats.dir_cache_stale.to_string(),
-                format!("{:.0}%", stats.dir_cache_hit_rate() * 100.0),
-            ]);
-        }
-    }
-    t.print();
-    println!(
-        "hot-key remote requests: {} cached vs {} uncached ({:.2}x reduction)",
-        hot_reqs[0],
-        hot_reqs[1],
-        hot_reqs[1] as f64 / hot_reqs[0].max(1) as f64
-    );
-}
-
-/// Localization + bulk-range transport: element-wise vs chunk-at-a-time
-/// `p_copy` over aligned / shifted / strided / misaligned placements at
-/// P ∈ {1,2,4}. The remote-request and bulk-request columns are the
-/// proof: the localized path issues O(contiguous runs) messages where the
-/// element-wise path issues O(N). Asserts the counter claims (stats-based
-/// so the CI perf-smoke job is wall-clock-independent).
-fn localize_exp() {
-    use stapl_core::partition::{BlockCyclicPartition, BlockedPartition, IndexPartition};
-
-    let n = 40_000usize;
-    let mut t = Table::new(
-        "Localization: element-wise vs localized p_copy (40k u64)",
-        &["scenario", "P", "mode", "time", "remote reqs", "bulk reqs", "localized chunks"],
-    );
-    let scenarios = ["aligned", "shifted", "strided", "misaligned"];
-    // remote-request deltas of the misaligned scenario at P=4, [localized,
-    // element-wise], for the closing assertion.
-    let mut misaligned_p4 = [0u64; 2];
-    for scenario in scenarios {
-        for p in PS {
-            let mut per_mode = [0u64; 2];
-            for (mode_ix, localized) in [(0usize, true), (1usize, false)] {
-                let (secs, remote, bulk, chunks) = run(RtsConfig::default(), p, move |loc| {
-                    let nlocs = loc.nlocs();
-                    let src = PArray::from_fn(loc, n, |i| i as u64);
-                    let dst = match scenario {
-                        "aligned" => PArray::new(loc, n, 0u64),
-                        "shifted" => {
-                            // Same blocks, placement rotated by one:
-                            // every element lands remote.
-                            let part = BalancedPartition::new(n, nlocs);
-                            let parts = IndexPartition::num_subdomains(&part);
-                            PArray::with_partition(
-                                loc,
-                                Box::new(part),
-                                Box::new(stapl_core::mapper::GeneralMapper::new(
-                                    nlocs,
-                                    (0..parts).map(|b| (b + 1) % nlocs).collect(),
-                                )),
-                                0u64,
-                            )
-                        }
-                        "strided" => PArray::with_partition(
-                            loc,
-                            Box::new(BlockCyclicPartition::new(n, nlocs, 64)),
-                            Box::new(CyclicMapper::new(nlocs)),
-                            0u64,
-                        ),
-                        _ => {
-                            // Off-by-17 block bounds AND rotated placement:
-                            // off-grid boundaries, nearly everything remote.
-                            let part = BlockedPartition::new(n, n / nlocs + 17);
-                            let parts = IndexPartition::num_subdomains(&part);
-                            PArray::with_partition(
-                                loc,
-                                Box::new(part),
-                                Box::new(stapl_core::mapper::GeneralMapper::new(
-                                    nlocs,
-                                    (0..parts).map(|b| (b + 1) % nlocs).collect(),
-                                )),
-                                0u64,
-                            )
-                        }
-                    };
-                    loc.rmi_fence();
-                    let before = loc.stats();
-                    let secs = time_kernel(loc, || {
-                        if localized {
-                            p_copy(&src, &dst);
-                        } else {
-                            p_copy_elementwise(&src, &dst);
-                        }
-                    });
-                    let after = loc.stats();
-                    loc.barrier();
-                    // Verify the copy regardless of mode.
-                    for i in (0..n).step_by(n / 16) {
-                        assert_eq!(dst.get_element(i), i as u64, "{scenario}: copy corrupted");
-                    }
-                    (
-                        secs,
-                        after.remote_requests - before.remote_requests,
-                        after.bulk_requests - before.bulk_requests,
-                        after.localized_chunks - before.localized_chunks,
-                    )
-                });
-                per_mode[mode_ix] = remote;
-                if scenario == "misaligned" && p == 4 {
-                    misaligned_p4[mode_ix] = remote;
-                }
-                t.row(vec![
-                    scenario.into(),
-                    p.to_string(),
-                    if localized { "localized" } else { "element-wise" }.into(),
-                    fmt_time(secs),
-                    remote.to_string(),
-                    bulk.to_string(),
-                    chunks.to_string(),
-                ]);
-            }
-            // The localized path must never issue more remote traffic than
-            // the element-wise baseline, on any scenario at any P.
-            assert!(
-                per_mode[0] <= per_mode[1],
-                "{scenario} P={p}: localized path sent {} remote requests vs {} element-wise",
-                per_mode[0],
-                per_mode[1]
-            );
-            // Non-degenerate (communicating) scenarios must win by >= 10x.
-            if p > 1 && scenario != "aligned" {
-                assert!(
-                    per_mode[0] * 10 <= per_mode[1],
-                    "{scenario} P={p}: localized path should coarsen remote traffic >= 10x \
-                     (got {} vs {})",
-                    per_mode[0],
-                    per_mode[1]
-                );
-            }
-        }
-    }
-    t.print();
-    println!(
-        "misaligned p_copy at P=4: {} remote requests localized vs {} element-wise \
-         ({:.0}x coarsening; O(runs) vs O(N))",
-        misaligned_p4[0],
-        misaligned_p4[1],
-        misaligned_p4[1] as f64 / misaligned_p4[0].max(1) as f64
-    );
-    assert!(
-        misaligned_p4[0] < (n / 100) as u64,
-        "misaligned localized copy must be O(runs): {} remote requests for n={n}",
-        misaligned_p4[0]
-    );
-    assert!(
-        misaligned_p4[1] >= (n / 2) as u64,
-        "element-wise baseline should be O(N): {} remote requests for n={n}",
-        misaligned_p4[1]
-    );
-}
-
-/// Dynamic-container bulk transport: segment-at-a-time vs element-wise
-/// over pList slabs and pAssoc buckets. Three stats-asserted scenarios
-/// (wall-clock-independent, so the CI perf-smoke job is stable):
+/// The chaos soak: mixed container traffic (an all-pairs async-increment
+/// storm, a misaligned bulk `p_copy`, a fenced sync-read phase) under four
+/// escalating fault schedules at P ∈ {1,2,4}, each run's observation digest
+/// compared against a clean reference run.
 ///
-/// * traversal — location 0 reads the whole pList: GID walk
-///   (`next_gid` + `try_get` per element, O(N) sync RMIs) vs one
-///   `get_segment` per slab (O(slabs));
-/// * copy — `p_copy_segmented` vs `p_copy_elementwise` between twin
-///   pLists whose destination slabs were all migrated one location over
-///   (every write remote);
-/// * word-count — `p_map_reduce_kv` over a `MapView` of documents
-///   (local combine + one merge RMI per (owner, bucket)) vs the per-pair
-///   `map_reduce` shuffle, result checked against a sequential model.
-fn dynamic_exp() {
-    use std::collections::HashMap;
-    use stapl_views::assoc_view::MapView;
-
-    let per = 500usize; // pList elements per location
-    let mut t = Table::new(
-        "Dynamic bulk transport: segmented vs element-wise (pList slabs, pAssoc buckets)",
-        &["scenario", "P", "mode", "time", "remote reqs", "segment reqs"],
-    );
-    // remote-request deltas at P=4, [segmented, element-wise], per scenario.
-    let mut traversal_p4 = [0u64; 2];
-    let mut copy_p4 = [0u64; 2];
-    let mut wordcount_p4 = [0u64; 2];
-
-    for p in PS {
-        for (mode_ix, segmented) in [(0usize, true), (1usize, false)] {
-            let (secs, remote, segs) = run(RtsConfig::default(), p, move |loc| {
-                let l: PList<u64> = PList::new(loc);
-                for i in 0..per {
-                    l.push_anywhere((loc.id() * per + i) as u64);
-                }
-                l.commit();
-                loc.rmi_fence();
-                let before = loc.stats();
-                let n = per * loc.nlocs();
-                let secs = time_kernel_nofence(loc, || {
-                    if loc.id() == 0 {
-                        let (mut sum, mut count) = (0u64, 0usize);
-                        if segmented {
-                            for sid in l.segments() {
-                                for (_, v) in l.get_segment(sid) {
-                                    sum += v;
-                                    count += 1;
-                                }
-                            }
-                        } else {
-                            let mut cur = l.front_gid();
-                            while let Some(g) = cur {
-                                sum += l.try_get(g).expect("live element");
-                                count += 1;
-                                cur = l.next_gid(g);
-                            }
-                        }
-                        assert_eq!(count, n, "traversal must visit every element");
-                        assert_eq!(sum, (n as u64 - 1) * n as u64 / 2, "traversal corrupted");
-                    }
-                });
-                loc.barrier();
-                let after = loc.stats();
-                (
-                    secs,
-                    after.remote_requests - before.remote_requests,
-                    after.segment_requests - before.segment_requests,
-                )
-            });
-            if p == 4 {
-                traversal_p4[mode_ix] = remote;
-            }
-            t.row(vec![
-                "pList traversal".into(),
-                p.to_string(),
-                if segmented { "segmented" } else { "element-wise" }.into(),
-                fmt_time(secs),
-                remote.to_string(),
-                segs.to_string(),
-            ]);
-        }
-    }
-
-    for p in PS {
-        for (mode_ix, segmented) in [(0usize, true), (1usize, false)] {
-            let (secs, remote, segs) = run(RtsConfig::default(), p, move |loc| {
-                let src: PList<u64> = PList::new(loc);
-                let dst: PList<u64> = PList::new(loc);
-                for i in 0..per {
-                    src.push_anywhere((loc.id() * per + i) as u64);
-                    dst.push_anywhere(0);
-                }
-                src.commit();
-                dst.commit();
-                // Rotate every dst slab one location over: every write is
-                // remote, and stale owner hints must self-heal.
-                if loc.id() == 0 {
-                    for sid in 0..loc.nlocs() {
-                        dst.migrate_bcontainer(sid, (sid + 1) % loc.nlocs());
-                    }
-                }
-                loc.rmi_fence();
-                let before = loc.stats();
-                loc.barrier();
-                let secs = time_kernel_nofence(loc, || {
-                    if segmented {
-                        p_copy_segmented(&src, &dst);
-                    } else {
-                        p_copy_elementwise(&src, &dst);
-                    }
-                });
-                let after = loc.stats();
-                loc.barrier();
-                assert!(p_equal_segmented(&src, &dst), "copy corrupted");
-                (
-                    secs,
-                    after.remote_requests - before.remote_requests,
-                    after.segment_requests - before.segment_requests,
-                )
-            });
-            if p == 4 {
-                copy_p4[mode_ix] = remote;
-            }
-            t.row(vec![
-                "pList copy (migrated dst)".into(),
-                p.to_string(),
-                if segmented { "segmented" } else { "element-wise" }.into(),
-                fmt_time(secs),
-                remote.to_string(),
-                segs.to_string(),
-            ]);
-        }
-    }
-
-    let words_per_loc = 2_000usize;
-    for p in PS {
-        for (mode_ix, chunked) in [(0usize, true), (1usize, false)] {
-            let (secs, remote, segs) = run(RtsConfig::default(), p, move |loc| {
-                // Distributed documents: one corpus shard per location.
-                let docs: PHashMap<u64, String> = PHashMap::new(loc);
-                let text = synthetic_corpus(loc, words_per_loc, 500, BENCH_SEED);
-                docs.insert_async(loc.id() as u64, text.clone());
-                docs.commit();
-                // Sequential model over the full collection.
-                let texts: Vec<String> = loc.allgather(text);
-                let mut model: HashMap<String, u64> = HashMap::new();
-                for t in &texts {
-                    for w in t.split_whitespace() {
-                        *model.entry(w.to_string()).or_insert(0) += 1;
-                    }
-                }
-                let counts: PHashMap<String, u64> = PHashMap::new(loc);
-                loc.rmi_fence();
-                let before = loc.stats();
-                loc.barrier();
-                let secs = time_kernel_nofence(loc, || {
-                    if chunked {
-                        word_count_kv(&MapView::new(docs.clone()), &counts);
-                    } else {
-                        let mine = &texts[loc.id()];
-                        map_reduce(
-                            &counts,
-                            mine.split_whitespace(),
-                            |w, emit| emit(w.to_string(), 1),
-                            0,
-                            |acc, v| *acc += v,
-                        );
-                    }
-                });
-                let after = loc.stats();
-                // Both shuffles must reproduce the sequential model exactly.
-                assert_eq!(counts.global_size(), model.len(), "distinct-word count");
-                if loc.id() == 0 {
-                    let mut got = counts.collect_ordered();
-                    got.sort_unstable();
-                    let mut want: Vec<(String, u64)> = model.into_iter().collect();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "word counts disagree with the sequential model");
-                }
-                loc.barrier();
-                (
-                    secs,
-                    after.remote_requests - before.remote_requests,
-                    after.segment_requests - before.segment_requests,
-                )
-            });
-            if p == 4 {
-                wordcount_p4[mode_ix] = remote;
-            }
-            t.row(vec![
-                "word count (MapView)".into(),
-                p.to_string(),
-                if chunked { "chunked kv" } else { "per-pair" }.into(),
-                fmt_time(secs),
-                remote.to_string(),
-                segs.to_string(),
-            ]);
-        }
-    }
-    t.print();
-
-    println!(
-        "P=4 remote requests, segmented vs element-wise — traversal: {} vs {} ({:.0}x), \
-         copy: {} vs {} ({:.0}x), word count: {} vs {} ({:.0}x)",
-        traversal_p4[0],
-        traversal_p4[1],
-        traversal_p4[1] as f64 / traversal_p4[0].max(1) as f64,
-        copy_p4[0],
-        copy_p4[1],
-        copy_p4[1] as f64 / copy_p4[0].max(1) as f64,
-        wordcount_p4[0],
-        wordcount_p4[1],
-        wordcount_p4[1] as f64 / wordcount_p4[0].max(1) as f64,
-    );
-    assert!(
-        traversal_p4[0] * 10 <= traversal_p4[1],
-        "segmented pList traversal must issue >= 10x fewer remote requests than the \
-         element-wise walk at P=4 (got {} vs {})",
-        traversal_p4[0],
-        traversal_p4[1]
-    );
-    assert!(
-        copy_p4[0] * 10 <= copy_p4[1],
-        "segmented pList copy must issue >= 10x fewer remote requests than the \
-         element-wise copy at P=4 (got {} vs {})",
-        copy_p4[0],
-        copy_p4[1]
-    );
-    assert!(
-        wordcount_p4[0] * 5 <= wordcount_p4[1],
-        "the bucket-grained shuffle must issue >= 5x fewer remote requests than the \
-         per-pair shuffle at P=4 (got {} vs {})",
-        wordcount_p4[0],
-        wordcount_p4[1]
-    );
-}
-
-/// Bytes on the wire: the copy / traversal kernels measured in
-/// `bytes_sent`, the length of the records their remote requests are
-/// relocated into (one thunk word plus the capture, per request).
-/// Stats-asserted (wall-clock independent, so the CI perf-smoke job is
-/// stable, and the same under the chaos leg's fault schedule: recovery
-/// traffic is not counted):
-///
-/// * copy — misaligned `p_copy`: element-wise (one record per element) vs
-///   the bulk-range path (one record per contiguous run);
-/// * traversal — location 0 reads a pList: per-element GID walk (a sync
-///   request + response record pair per element) vs `get_segment` per slab.
-fn transport_exp() {
-    use stapl_core::partition::{BlockedPartition, IndexPartition};
-    use stapl_rts::StatsSnapshot;
-
-    let n = 4096usize;
-    let per = 500usize;
-    let mut t = Table::new(
-        "Transport: bytes on the wire, element-wise vs bulk vs segment",
-        &["scenario", "P", "mode", "time", "remote reqs", "bytes sent", "bytes/msg"],
-    );
-
-    // Misaligned p_copy (off-by-17 block bounds, rotated placement);
-    // counters scoped to the kernel.
-    let copy = |p: usize, localized: bool| -> (f64, StatsSnapshot) {
-        run(RtsConfig::default(), p, move |loc| {
-            let nlocs = loc.nlocs();
-            let src = PArray::from_fn(loc, n, |i| i as u64);
-            let part = BlockedPartition::new(n, n / nlocs + 17);
-            let parts = IndexPartition::num_subdomains(&part);
-            let dst = PArray::with_partition(
-                loc,
-                Box::new(part),
-                Box::new(stapl_core::mapper::GeneralMapper::new(
-                    nlocs,
-                    (0..parts).map(|b| (b + 1) % nlocs).collect(),
-                )),
-                0u64,
-            );
-            loc.rmi_fence();
-            let before = loc.stats();
-            let secs = time_kernel(loc, || {
-                if localized {
-                    p_copy(&src, &dst);
-                } else {
-                    p_copy_elementwise(&src, &dst);
-                }
-            });
-            let delta = loc.stats().since(&before);
-            loc.barrier();
-            for i in (0..n).step_by(n / 16) {
-                assert_eq!(dst.get_element(i), i as u64, "copy corrupted");
-            }
-            (secs, delta)
-        })
-    };
-
-    // Location 0 reads the whole pList.
-    let traverse = |p: usize, segmented: bool| -> (f64, StatsSnapshot) {
-        run(RtsConfig::default(), p, move |loc| {
-            let l: PList<u64> = PList::new(loc);
-            for i in 0..per {
-                l.push_anywhere((loc.id() * per + i) as u64);
-            }
-            l.commit();
-            loc.rmi_fence();
-            let before = loc.stats();
-            let n = per * loc.nlocs();
-            let secs = time_kernel_nofence(loc, || {
-                if loc.id() == 0 {
-                    let (mut sum, mut count) = (0u64, 0usize);
-                    if segmented {
-                        for sid in l.segments() {
-                            for (_, v) in l.get_segment(sid) {
-                                sum += v;
-                                count += 1;
-                            }
-                        }
-                    } else {
-                        let mut cur = l.front_gid();
-                        while let Some(g) = cur {
-                            sum += l.try_get(g).expect("live element");
-                            count += 1;
-                            cur = l.next_gid(g);
-                        }
-                    }
-                    assert_eq!(count, n, "traversal must visit every element");
-                    assert_eq!(sum, (n as u64 - 1) * n as u64 / 2, "traversal corrupted");
-                }
-            });
-            let delta = loc.stats().since(&before);
-            loc.barrier();
-            (secs, delta)
-        })
-    };
-
-    let mut row = |scenario: &str, p: usize, mode: &str, r: &(f64, StatsSnapshot)| {
-        t.row(vec![
-            scenario.into(),
-            p.to_string(),
-            mode.into(),
-            fmt_time(r.0),
-            r.1.remote_requests.to_string(),
-            r.1.bytes_sent.to_string(),
-            format!("{:.1}", r.1.bytes_per_message()),
-        ]);
-    };
-
-    // Kernel deltas at P=4, [coarse, element-wise], for the closing asserts.
-    let mut copy_p4 = [StatsSnapshot::default(); 2];
-    let mut trav_p4 = [StatsSnapshot::default(); 2];
-    for p in PS {
-        for (ix, localized) in [(0usize, true), (1usize, false)] {
-            let r = copy(p, localized);
-            if p == 4 {
-                copy_p4[ix] = r.1;
-            }
-            row("copy/misaligned", p, if localized { "bulk" } else { "element-wise" }, &r);
-        }
-    }
-    for p in PS {
-        for (ix, segmented) in [(0usize, true), (1usize, false)] {
-            let r = traverse(p, segmented);
-            if p == 4 {
-                trav_p4[ix] = r.1;
-            }
-            row("plist-traversal", p, if segmented { "segmented" } else { "element-wise" }, &r);
-        }
-    }
-    t.print();
-
-    println!(
-        "P=4 bytes on the wire, coarse vs element-wise — copy: {} vs {} ({:.0}x), \
-         plist traversal: {} vs {} ({:.0}x)",
-        copy_p4[0].bytes_sent,
-        copy_p4[1].bytes_sent,
-        copy_p4[1].bytes_sent as f64 / copy_p4[0].bytes_sent.max(1) as f64,
-        trav_p4[0].bytes_sent,
-        trav_p4[1].bytes_sent,
-        trav_p4[1].bytes_sent as f64 / trav_p4[0].bytes_sent.max(1) as f64,
-    );
-    // The acceptance claim: the bulk-range path must move >= 10x fewer
-    // bytes than element-wise transfer at P=4.
-    assert!(
-        copy_p4[0].bytes_sent * 10 <= copy_p4[1].bytes_sent,
-        "bulk p_copy must put >= 10x fewer bytes on the wire than element-wise at P=4 \
-         (got {} vs {})",
-        copy_p4[0].bytes_sent,
-        copy_p4[1].bytes_sent
-    );
-    assert!(
-        trav_p4[0].bytes_sent * 10 <= trav_p4[1].bytes_sent,
-        "segmented pList traversal must put >= 10x fewer bytes on the wire than the \
-         GID walk at P=4 (got {} vs {})",
-        trav_p4[0].bytes_sent,
-        trav_p4[1].bytes_sent
-    );
-    // One record per remote request, each at least its 8-byte thunk word.
-    for s in [&copy_p4[0], &copy_p4[1], &trav_p4[0], &trav_p4[1]] {
-        assert!(s.bytes_sent >= 8 * s.remote_requests, "every record carries its thunk word");
-    }
-}
-
+/// This is a differential test, not the `chaos` area rendered: the area's
+/// storm (`harness::CHAOS_GATED`) sends no replies and runs at aggregation
+/// 1 so that its fault draws are program-order stable and gateable; the
+/// soak's replies and bulk copy make batch sequence numbers
+/// timing-dependent, so it gates nothing and asserts zero divergence
+/// instead. The two share only the misaligned destination's constructor.
 fn chaos_exp() {
-    use stapl_core::partition::{BlockedPartition, IndexPartition};
     use stapl_rts::{FaultSchedule, StatsSnapshot};
     use std::cell::RefCell;
 
@@ -1591,31 +941,16 @@ fn chaos_exp() {
         ],
     );
 
-    // Mixed soak workload: an all-pairs async-increment storm (many small
-    // batches), a misaligned bulk p_copy (container traffic), and a fenced
-    // sync-read phase. Returns every location's observation digest (via
-    // allgather, so one run() result carries all of them) plus the kernel
-    // counter delta.
+    // Returns every location's observation digest (via allgather, so one
+    // run() result carries all of them) plus the kernel counter delta.
     let soak = |p: usize, cfg: RtsConfig| -> (f64, Vec<Vec<u64>>, StatsSnapshot) {
         run(cfg, p, move |loc| {
             let nlocs = loc.nlocs();
             let me = loc.id();
             let (h, rep) = loc.register(RefCell::new(0u64));
             let src = PArray::from_fn(loc, n, |i| (i * 3 + 1) as u64);
-            let part = BlockedPartition::new(n, n / nlocs + 17);
-            let parts = IndexPartition::num_subdomains(&part);
-            let dst = PArray::with_partition(
-                loc,
-                Box::new(part),
-                Box::new(stapl_core::mapper::GeneralMapper::new(
-                    nlocs,
-                    (0..parts).map(|b| (b + 1) % nlocs).collect(),
-                )),
-                0u64,
-            );
-            loc.rmi_fence();
-            let before = loc.stats();
-            let secs = time_kernel(loc, || {
+            let dst = harness::misaligned_dst(loc, n);
+            let (secs, delta) = harness::timed_scoped(loc, || {
                 for round in 1..=3u64 {
                     for dest in 0..nlocs {
                         if dest != me {
@@ -1631,8 +966,6 @@ fn chaos_exp() {
                 }
                 p_copy(&src, &dst);
             });
-            let delta = loc.stats().since(&before);
-            loc.barrier();
             // Observation digest: own counter, every location's counter via
             // sync round trips, and sampled copy results — everything the
             // fault schedule could plausibly have corrupted or lost.
@@ -1721,8 +1054,52 @@ fn chaos_exp() {
     );
 }
 
-/// Every experiment id, in report order. Single source of truth for
-/// dispatch, `--list`, and the unknown-id error message.
+/// `experiments <area>`: the area's records over the environment's config
+/// as one table — knob columns, gated-counter columns, the kernel's seconds
+/// and, where a scenario sweeps `mode`, its speed relative to the first
+/// mode listed (never asserted) — then the area's claims.
+fn area_table(area: &'static Area, tier: Option<Tier>) {
+    let report = area.run(tier.unwrap_or(area.claims_tier), &RtsConfig::default());
+    let mut knobs: Vec<&str> = Vec::new();
+    for (k, _) in report.records.iter().flat_map(|r| &r.knobs) {
+        if *k != "scenario" && !knobs.contains(k) {
+            knobs.push(k);
+        }
+    }
+    let modes = knobs.contains(&"mode");
+    let mut headers = vec!["scenario"];
+    headers.extend(&knobs);
+    headers.extend(area.gated.iter().map(|c| c.name()));
+    headers.push("time");
+    if modes {
+        headers.push("speedup vs 1st mode");
+    }
+    let mut t = Table::new(&format!("{} (tier {})", area.name, report.tier.name()), &headers);
+    for r in &report.records {
+        let mut row = vec![r.scenario().to_string()];
+        row.extend(knobs.iter().map(|k| match r.knob(k) {
+            "" => "-".to_string(),
+            v => v.to_string(),
+        }));
+        row.extend(area.gated.iter().map(|&c| r.counters.get(c).to_string()));
+        row.push(fmt_time(r.wall_s));
+        if modes {
+            let first = report.records.iter().find(|b| b.same_but(r, "mode")).expect("r itself");
+            row.push(format!("{:.2}x", first.wall_s / r.wall_s));
+        }
+        t.row(row);
+    }
+    t.print();
+    if report.check_claims() {
+        println!("{}: claims hold", area.name);
+    } else {
+        println!("{}: claims need tier {} — not checked", area.name, area.claims_tier.name());
+    }
+}
+
+/// Every printer that is not an area table, in report order: the paper's
+/// figures, the two ablations, and the chaos soak (which shadows the
+/// `chaos` area's table — see [`chaos_exp`]).
 const EXPERIMENTS: &[(&str, fn())] = &[
     ("fig27", fig27),
     ("fig28", fig28),
@@ -1747,28 +1124,49 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("fig62", fig62),
     ("agg", agg),
     ("ths", ths),
-    ("executor", executor_exp),
-    ("directory", directory_exp),
-    ("localize", localize_exp),
-    ("dynamic", dynamic_exp),
-    ("transport", transport_exp),
     ("chaos", chaos_exp),
 ];
 
-fn list_experiments() {
-    println!("experiments: {}", EXPERIMENTS.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" "));
-    println!("harness areas (--json): {}", harness::AREAS.join(" "));
+/// An area by its CLI spelling: its name, or `localize` — the id CI and the
+/// README have always used for `localization`.
+fn cli_area(name: &str) -> Option<&'static Area> {
+    harness::area(if name == "localize" { "localization" } else { name })
 }
 
-const USAGE: &str = "usage: experiments [--trace FILE] [--metrics] [all | <id>...] \
+/// What an id on the command line runs: a printer, else an area's table.
+enum Pick {
+    Printer(fn()),
+    Table(&'static Area),
+}
+
+fn pick(name: &str) -> Option<Pick> {
+    let printer = EXPERIMENTS.iter().find(|(n, _)| *n == name).map(|(_, f)| Pick::Printer(*f));
+    printer.or_else(|| cli_area(name).map(Pick::Table))
+}
+
+fn ids() -> String {
+    EXPERIMENTS.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" ")
+}
+
+fn areas() -> String {
+    harness::AREAS.iter().map(|a| a.name).collect::<Vec<_>>().join(" ")
+}
+
+fn list_experiments() {
+    println!("experiments: {}", ids());
+    println!("areas (a table + its claims; --json): {}", areas());
+}
+
+const USAGE: &str = "usage: experiments [--trace FILE] [--metrics] [--tier T] [all | <id|area>...] \
      | --list | --json DIR [--tier T] [<area>...] | --validate-trace FILE";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("experiments: {msg}");
     eprintln!("{USAGE}");
-    eprintln!("  ids: {}", EXPERIMENTS.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(" "));
-    eprintln!("  areas: {} (default all)", harness::AREAS.join(" "));
-    eprintln!("  tiers: kick-tires lite full (default kick-tires)");
+    eprintln!("  ids: {}", ids());
+    eprintln!("  areas: {} (--json: default all)", areas());
+    eprintln!("  tiers: kick-tires lite full (default: kick-tires for --json, else the");
+    eprintln!("         smallest tier that carries every claim of the area)");
     eprintln!("  --trace FILE: write a Chrome trace-event JSON timeline of every execution");
     eprintln!("  --metrics: print per-location event counts and latency quantiles");
     eprintln!("  --validate-trace FILE: check a trace file's structure and exit");
@@ -1797,83 +1195,54 @@ fn run_validate_trace(path: &str) -> ! {
     }
 }
 
-/// `--json DIR [--tier T] [<area>...]`: run the tiered harness and write
-/// one `BENCH_<area>.json` per area into DIR. The paper-style figure
-/// experiments above print tables for humans; this mode is the
-/// machine-readable perf-trajectory feed that `bench-compare` gates on.
-fn run_json_mode(mut rest: std::iter::Peekable<impl Iterator<Item = String>>) {
-    let Some(dir) = rest.next() else { usage_error("--json needs an output DIR") };
+/// `--json DIR [<area>...]`: run the areas over `RtsConfig::base()`, check
+/// their claims, and write one `BENCH_<area>.json` per area into DIR — the
+/// machine-readable feed `bench-compare` gates on.
+fn run_json_mode(mut names: impl Iterator<Item = String>, tier: Tier) {
+    let Some(dir) = names.next() else { usage_error("--json needs an output DIR") };
     let dir = std::path::PathBuf::from(dir);
-    let mut tier = harness::Tier::KickTires;
-    let mut areas: Vec<String> = Vec::new();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--tier" => {
-                let t = rest.next().unwrap_or_default();
-                tier = harness::Tier::parse(&t)
-                    .unwrap_or_else(|| usage_error(&format!("unknown tier {t:?}")));
-            }
-            a if harness::AREAS.contains(&a) => areas.push(a.to_string()),
-            // Accept the experiment spelling for the localization area.
-            "localize" => areas.push("localization".to_string()),
-            other => usage_error(&format!("unknown area {other:?}")),
-        }
+    let mut picked: Vec<&'static Area> = names
+        .map(|a| cli_area(&a).unwrap_or_else(|| usage_error(&format!("unknown area {a:?}"))))
+        .collect();
+    if picked.is_empty() {
+        picked = harness::AREAS.iter().collect();
     }
-    if areas.is_empty() {
-        areas = harness::AREAS.iter().map(|a| a.to_string()).collect();
-    }
-    for area in &areas {
-        let report = harness::run_area(area, tier).expect("area validated above");
+    for area in picked {
+        let report = area.run(tier, &RtsConfig::base());
+        report.check_claims();
         let path = report.write_to(&dir).unwrap_or_else(|e| {
-            eprintln!("experiments: writing {area}: {e}");
+            eprintln!("experiments: writing {}: {e}", area.name);
             std::process::exit(2);
         });
-        println!(
-            "wrote {} ({} records, tier {})",
-            path.display(),
-            report.records.len(),
-            tier.name()
-        );
+        println!("wrote {} ({} records, tier {})", path.display(), report.records.len(), tier.name());
     }
 }
 
 fn main() {
-    // Peel off the observability flags first: they compose with any list
-    // of experiment ids (but not with --json, whose harness runs scope
-    // their own tracing into BENCH_*.json).
+    // Peel off the flags that compose with any mode first.
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut trace_path: Option<String> = None;
-    let mut i = 0;
-    while i < raw.len() {
-        match raw[i].as_str() {
-            "--trace" => {
-                if i + 1 >= raw.len() {
-                    usage_error("--trace needs an output FILE");
-                }
-                trace_path = Some(raw.remove(i + 1));
-                raw.remove(i);
-                TRACE.lock().expect("trace ctx poisoned").trace = true;
-            }
-            "--metrics" => {
-                raw.remove(i);
-                TRACE.lock().expect("trace ctx poisoned").metrics = true;
-            }
-            "--validate-trace" => {
-                if i + 1 >= raw.len() {
-                    usage_error("--validate-trace needs a FILE");
-                }
-                run_validate_trace(&raw[i + 1]);
-            }
-            _ => i += 1,
+    let mut take = |flag: &str| -> Option<String> {
+        let i = raw.iter().position(|a| a == flag)?;
+        if i + 1 >= raw.len() {
+            usage_error(&format!("{flag} needs a value"));
         }
+        raw.remove(i);
+        Some(raw.remove(i))
+    };
+    if let Some(path) = take("--validate-trace") {
+        run_validate_trace(&path);
+    }
+    let trace_path = take("--trace");
+    let tier = take("--tier")
+        .map(|t| Tier::parse(&t).unwrap_or_else(|| usage_error(&format!("unknown tier {t:?}"))));
+    let metrics = raw.iter().position(|a| a == "--metrics").map(|i| raw.remove(i)).is_some();
+    if trace_path.is_some() || metrics {
+        let chrome = trace_path.as_ref().map(|_| Vec::new());
+        *TRACE.lock().expect("trace ctx poisoned") = TraceCtx { chrome, metrics, runs: 0 };
+        harness::tap_traces(observe);
     }
     let mut args = raw.into_iter().peekable();
     match args.peek().map(String::as_str) {
-        None => {
-            for (_, f) in EXPERIMENTS {
-                f();
-            }
-        }
         Some("--list") | Some("-l") => list_experiments(),
         Some("--help") | Some("-h") => {
             println!("{USAGE}");
@@ -1881,30 +1250,33 @@ fn main() {
         }
         Some("--json") => {
             args.next();
-            run_json_mode(args);
+            run_json_mode(args, tier.unwrap_or(Tier::KickTires));
         }
-        Some(_) => {
-            let names: Vec<String> = args.collect();
+        _ => {
+            let mut names: Vec<String> = args.collect();
             if names.iter().any(|n| n == "all") {
                 if names.len() > 1 {
                     usage_error("'all' cannot be combined with other ids");
                 }
-                for (_, f) in EXPERIMENTS {
-                    f();
-                }
-            } else {
-                // Validate every name before running anything: a typo
-                // half-way through a list must not leave a partial
-                // (expensive) run.
-                let mut picked: Vec<fn()> = Vec::new();
-                for name in &names {
-                    match EXPERIMENTS.iter().find(|(n, _)| n == name) {
-                        Some((_, f)) => picked.push(*f),
-                        None => usage_error(&format!("unknown experiment id {name:?}")),
-                    }
-                }
-                for f in picked {
-                    f();
+                names.clear();
+            }
+            if names.is_empty() {
+                // Everything: each printer, then each area table no printer shadows.
+                names = EXPERIMENTS.iter().map(|(n, _)| n.to_string()).collect();
+                let tables = harness::AREAS.iter().map(|a| a.name.to_string());
+                names.extend(tables.filter(|a| EXPERIMENTS.iter().all(|(n, _)| n != a)));
+            }
+            // Validate every name before running anything: a typo
+            // half-way through a list must not leave a partial
+            // (expensive) run.
+            let picked: Vec<Pick> = names
+                .iter()
+                .map(|n| pick(n).unwrap_or_else(|| usage_error(&format!("unknown experiment id {n:?}"))))
+                .collect();
+            for p in picked {
+                match p {
+                    Pick::Printer(f) => f(),
+                    Pick::Table(area) => area_table(area, tier),
                 }
             }
         }

@@ -1,9 +1,9 @@
 //! Baseline comparison for `BENCH_*.json` reports: the policy half of the
 //! perf-regression gate (`bench-compare` is a thin CLI over this).
 //!
-//! Wall-clock is **advisory** — CI machines are too noisy to gate on —
-//! so the gate runs on the deterministic `StatsSnapshot` counters each
-//! record declares in its `"gated"` list. Which way drift is a
+//! The gate runs on the deterministic `StatsSnapshot` counters a baseline
+//! record holds — a `BENCH_*.json` holds the gated counters and nothing
+//! else, so there is no time in it to compare. Which way drift is a
 //! regression is the counter's [`Class`] in the `counters!` table of
 //! `stapl-rts`, not a list kept here:
 //!
@@ -12,7 +12,7 @@
 //! * `Down` (benefit) regresses **downward** — the optimization silently
 //!   stopped applying;
 //! * `Exact`: any move beyond tolerance is a regression;
-//! * a baseline that gates a `Timing` counter, or a name that is no
+//! * a baseline that holds a `Timing` counter, or a name that is no
 //!   counter at all, is itself a gate failure.
 //!
 //! Tolerance per counter is `max(tol_abs, baseline * tol_rel)`; `--exact`
@@ -107,13 +107,6 @@ fn bench_files(dir: &Path) -> Result<Vec<std::path::PathBuf>, String> {
     Ok(out)
 }
 
-fn pct(baseline: f64, fresh: f64) -> String {
-    if baseline <= 0.0 {
-        return "n/a".into();
-    }
-    format!("{:+.1}%", (fresh - baseline) / baseline * 100.0)
-}
-
 /// Diffs every `BENCH_*.json` under `baseline_dir` against its
 /// counterpart in `fresh_dir`. `Err` means the inputs themselves were
 /// unusable (missing baseline dir, malformed JSON) — callers exit 2;
@@ -192,7 +185,7 @@ fn compare_record(
     out: &mut CompareOutcome,
 ) {
     let record = format!("{area}/{}", b.id);
-    for counter in &b.gated {
+    for (counter, &base) in &b.counters {
         let class = match Counter::from_name(counter).map(Counter::class) {
             Some(class @ (Class::Up | Class::Down | Class::Exact)) => class,
             ungateable => {
@@ -203,11 +196,6 @@ fn compare_record(
                 out.regress(&record, format!("baseline gates {counter}, which {why}"));
                 continue;
             }
-        };
-        let base = match b.counters.get(counter) {
-            Some(v) => *v,
-            // Baseline predates the counter: nothing to gate against.
-            None => continue,
         };
         let Some(&val) = f.counters.get(counter) else {
             out.regress(&record, format!("gated counter {counter} missing from fresh run"));
@@ -234,38 +222,21 @@ fn compare_record(
             ));
         }
     }
-    // Wall-clock: advisory only. Flag big swings so a human looks, but
-    // never gate — CI machines are shared and noisy.
-    if b.wall_s > 0.0 && f.wall_s > 0.0 {
-        let ratio = f.wall_s / b.wall_s;
-        if !(0.5..=2.0).contains(&ratio) {
-            out.lines.push(format!(
-                "wall-clock {record}: {:.2e}s -> {:.2e}s ({}) [advisory]",
-                b.wall_s,
-                f.wall_s,
-                pct(b.wall_s, f.wall_s)
-            ));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(id: &str, gated: &[&str], counters: &[(&str, u64)], wall_s: f64) -> ParsedRecord {
+    fn rec(id: &str, counters: &[(&str, u64)]) -> ParsedRecord {
         ParsedRecord {
             id: id.into(),
-            wall_s,
-            gated: gated.iter().map(|s| s.to_string()).collect(),
             counters: counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            trace_events: Default::default(),
         }
     }
 
     fn area(records: Vec<ParsedRecord>) -> ParsedArea {
         ParsedArea {
-            schema: crate::harness::SCHEMA_VERSION,
             area: "localization".into(),
             tier: "kick-tires".into(),
             records,
@@ -278,8 +249,8 @@ mod tests {
 
     #[test]
     fn identical_records_pass() {
-        let b = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 100)], 1.0)]);
-        let f = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 100)], 1.0)]);
+        let b = area(vec![rec("a", &[("remote_requests", 100)])]);
+        let f = area(vec![rec("a", &[("remote_requests", 100)])]);
         let mut out = outcome();
         compare_area(&b, &f, Tolerance::exact(), &mut out);
         assert_eq!(out.regressions, 0);
@@ -289,9 +260,9 @@ mod tests {
     #[test]
     fn traffic_counter_up_is_regression_down_is_improvement() {
         let tol = Tolerance::default_gate();
-        let b = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 100)], 1.0)]);
-        let worse = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 120)], 1.0)]);
-        let better = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 50)], 1.0)]);
+        let b = area(vec![rec("a", &[("remote_requests", 100)])]);
+        let worse = area(vec![rec("a", &[("remote_requests", 120)])]);
+        let better = area(vec![rec("a", &[("remote_requests", 50)])]);
         let mut out = outcome();
         compare_area(&b, &worse, tol, &mut out);
         assert_eq!((out.regressions, out.improvements), (1, 0));
@@ -303,8 +274,8 @@ mod tests {
     #[test]
     fn benefit_counter_down_is_regression() {
         let tol = Tolerance::default_gate();
-        let b = area(vec![rec("a", &["localized_chunks"], &[("localized_chunks", 40)], 1.0)]);
-        let worse = area(vec![rec("a", &["localized_chunks"], &[("localized_chunks", 0)], 1.0)]);
+        let b = area(vec![rec("a", &[("localized_chunks", 40)])]);
+        let worse = area(vec![rec("a", &[("localized_chunks", 0)])]);
         let mut out = outcome();
         compare_area(&b, &worse, tol, &mut out);
         assert_eq!(out.regressions, 1);
@@ -313,9 +284,9 @@ mod tests {
 
     #[test]
     fn exactness_counter_drifts_both_ways() {
-        let b = area(vec![rec("a", &["tasks_executed"], &[("tasks_executed", 128)], 1.0)]);
+        let b = area(vec![rec("a", &[("tasks_executed", 128)])]);
         for fresh_v in [120u64, 136] {
-            let f = area(vec![rec("a", &["tasks_executed"], &[("tasks_executed", fresh_v)], 1.0)]);
+            let f = area(vec![rec("a", &[("tasks_executed", fresh_v)])]);
             let mut out = outcome();
             compare_area(&b, &f, Tolerance::exact(), &mut out);
             assert_eq!(out.regressions, 1, "{fresh_v} should regress");
@@ -326,9 +297,9 @@ mod tests {
     fn tolerance_slack_absorbs_small_drift() {
         let tol = Tolerance { rel: 0.05, abs: 2 };
         // 5% of 100 = 5: drift of 5 passes, 6 fails.
-        let b = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 100)], 1.0)]);
-        let ok = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 105)], 1.0)]);
-        let bad = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 106)], 1.0)]);
+        let b = area(vec![rec("a", &[("remote_requests", 100)])]);
+        let ok = area(vec![rec("a", &[("remote_requests", 105)])]);
+        let bad = area(vec![rec("a", &[("remote_requests", 106)])]);
         let mut out = outcome();
         compare_area(&b, &ok, tol, &mut out);
         assert_eq!(out.regressions, 0);
@@ -336,8 +307,8 @@ mod tests {
         compare_area(&b, &bad, tol, &mut out);
         assert_eq!(out.regressions, 1);
         // abs floor dominates for tiny baselines: 3 -> 5 passes.
-        let b = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 3)], 1.0)]);
-        let f = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 5)], 1.0)]);
+        let b = area(vec![rec("a", &[("remote_requests", 3)])]);
+        let f = area(vec![rec("a", &[("remote_requests", 5)])]);
         let mut out = outcome();
         compare_area(&b, &f, tol, &mut out);
         assert_eq!(out.regressions, 0);
@@ -346,10 +317,10 @@ mod tests {
     #[test]
     fn missing_record_and_counter_are_regressions() {
         let b = area(vec![
-            rec("a", &["remote_requests"], &[("remote_requests", 10)], 1.0),
-            rec("b", &["remote_requests"], &[("remote_requests", 10)], 1.0),
+            rec("a", &[("remote_requests", 10)]),
+            rec("b", &[("remote_requests", 10)]),
         ]);
-        let f = area(vec![rec("a", &["remote_requests"], &[], 1.0)]);
+        let f = area(vec![rec("a", &[])]);
         let mut out = outcome();
         compare_area(&b, &f, Tolerance::default_gate(), &mut out);
         // record "b" missing + counter missing from record "a".
@@ -361,8 +332,8 @@ mod tests {
     #[test]
     fn gating_an_unknown_or_timing_counter_is_a_gate_failure() {
         for (name, why) in [("no_such_counter", "not a counter"), ("retransmits", "timing")] {
-            let b = area(vec![rec("a", &[name], &[(name, 10)], 1.0)]);
-            let f = area(vec![rec("a", &[name], &[(name, 10)], 1.0)]);
+            let b = area(vec![rec("a", &[(name, 10)])]);
+            let f = area(vec![rec("a", &[(name, 10)])]);
             let mut out = outcome();
             compare_area(&b, &f, Tolerance::default_gate(), &mut out);
             assert_eq!((out.regressions, out.compared), (1, 0), "{name}");
@@ -372,24 +343,14 @@ mod tests {
 
     #[test]
     fn extra_fresh_records_are_informational() {
-        let b = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 10)], 1.0)]);
+        let b = area(vec![rec("a", &[("remote_requests", 10)])]);
         let f = area(vec![
-            rec("a", &["remote_requests"], &[("remote_requests", 10)], 1.0),
-            rec("lite-only", &["remote_requests"], &[("remote_requests", 999)], 1.0),
+            rec("a", &[("remote_requests", 10)]),
+            rec("lite-only", &[("remote_requests", 999)]),
         ]);
         let mut out = outcome();
         compare_area(&b, &f, Tolerance::exact(), &mut out);
         assert_eq!(out.regressions, 0);
         assert!(out.lines.iter().any(|l| l.contains("no baseline")));
-    }
-
-    #[test]
-    fn wall_clock_is_advisory_only() {
-        let b = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 10)], 0.001)]);
-        let f = area(vec![rec("a", &["remote_requests"], &[("remote_requests", 10)], 0.1)]);
-        let mut out = outcome();
-        compare_area(&b, &f, Tolerance::exact(), &mut out);
-        assert_eq!(out.regressions, 0, "100x wall-clock must not gate");
-        assert!(out.lines.iter().any(|l| l.contains("advisory")));
     }
 }

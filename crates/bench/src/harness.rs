@@ -1,41 +1,46 @@
-//! Tiered benchmark harness: parameterized scenarios → `BENCH_*.json`.
+//! The counter harness: one table of **areas**, each scenario defined once.
 //!
-//! This is the repo's perf-trajectory subsystem (ROADMAP item 5, shaped
-//! after pSTL-Bench's micro-benchmark suites and the ruler artifact's
-//! kick-tires / lite / full tier scripts). Each **area** groups scenarios
-//! around one optimization the repo reproduced and must not regress:
+//! An [`Area`] groups the scenarios around one optimization the repo
+//! reproduced and must not regress (shaped after pSTL-Bench's suites and
+//! the ruler artifact's kick-tires / lite / full tiers). It names the
+//! counters it gates, builds its records for a tier, and states the
+//! paper-style claims those records must satisfy. Two renderers read the
+//! same records: `experiments --json` writes them as `BENCH_<area>.json`
+//! (what `bench-compare` gates CI on), `experiments <area>` prints them as
+//! a table; both then run the claims.
 //!
-//! * `localization` — bulk-range transport + view localization (PR 4):
-//!   `p_copy` localized vs element-wise over aligned / shifted / strided /
+//! * `localization` — bulk-range transport + view localization: `p_copy`
+//!   localized vs element-wise over aligned / shifted / strided /
 //!   misaligned placements, aggregation and `bulk_threshold` knobs;
-//! * `directory` — owner caches with epoch invalidation (PR 3): hot-key
-//!   and traversal access on a dynamic pGraph, cache on vs off;
-//! * `dynamic` — segment-at-a-time transport for pList / pAssoc (PR 5):
-//!   segmented vs element-wise traversal and copy-onto-migrated-slabs,
-//!   bucket-grained vs per-pair MapReduce shuffle, and the
-//!   gather-vs-broadcast `collect_ordered` data paths;
-//! * `executor` — the PARAGRAPH task-graph executor (PR 2): SPMD vs
-//!   executor vs executor+stealing on uniform and skewed workloads;
-//! * `transport` — bytes on the wire (PR 8, one format since PR 20): the
-//!   same copy and traversal kernels gated on `bytes_sent`, the length of
-//!   the records their requests are relocated into;
-//! * `chaos` — fault injection + reliable delivery (PR 9): an async-RMI
-//!   storm under seeded fault schedules (total drop, total corruption, a
-//!   mixed profile), gating the injected damage (`frames_dropped` /
-//!   `checksum_failures`) exactly and bounding the timing-driven recovery
-//!   cost by assertion — with zero divergence of the final container
-//!   state asserted in-run.
+//! * `directory` — owner caches with epoch invalidation: hot-key and
+//!   traversal reads on a dynamic pGraph, cache on vs off, and the stale
+//!   self-heal after a vertex migrates;
+//! * `dynamic` — segment-at-a-time transport for pList / pAssoc: segmented
+//!   vs element-wise traversal and copy-onto-migrated-slabs, bucket-grained
+//!   vs per-pair MapReduce shuffle, gather-vs-broadcast `collect_ordered`;
+//! * `executor` — the PARAGRAPH task-graph executor: SPMD vs executor vs
+//!   executor+stealing on uniform and skewed workloads;
+//! * `transport` — bytes on the wire: the copy and traversal kernels gated
+//!   on `bytes_sent`, the length of the records their requests are
+//!   relocated into;
+//! * `chaos` — fault injection + reliable delivery: an async-RMI storm
+//!   under seeded fault schedules, gating the injected damage exactly and
+//!   bounding the timing-driven recovery cost by claim — with zero
+//!   divergence of the final state asserted in-run.
 //!
-//! Each scenario runs in its **own** [`execute_collect_traced`] execution
-//! with an explicit [`RtsConfig`] built from [`RtsConfig::base`] (environment
-//! `STAPL_*` overrides deliberately do **not** apply — records must mean
-//! the same thing on every machine), and counters are scoped with
-//! [`StatsSnapshot::since`] around the timed kernel, so back-to-back
-//! scenarios in one process cannot cross-contaminate records. All
-//! generators are seeded from [`BENCH_SEED`]: two runs at the same knobs
-//! produce **identical** gated counter values (asserted by
-//! `tests/harness_determinism.rs`), which is what lets `bench-compare`
-//! gate CI on counters while wall-clock stays advisory.
+//! Each scenario runs in its **own** execution through [`run`], under a
+//! config that overrides the *base* its area was handed: `--json` passes
+//! [`RtsConfig::base`] (no `STAPL_*` override applies — records mean the
+//! same on every machine), the table passes `RtsConfig::default()` (so the
+//! CI fault leg's `experiments transport` really runs under its fault
+//! schedule). Counters are scoped with [`StatsSnapshot::since`] around the
+//! timed kernel and every generator is seeded from [`BENCH_SEED`]: two runs
+//! at the same knobs write **byte-identical** files (asserted by
+//! `tests/harness_determinism.rs`). Time and memory are `benchmark/`'s job;
+//! a record's seconds are a table column, never written and never asserted.
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use stapl_algorithms::prelude::*;
 use stapl_containers::array::PArray;
@@ -49,13 +54,13 @@ use stapl_core::partition::{
 };
 use stapl_paragraph::executor::ExecPolicy;
 use stapl_rts::{
-    execute_collect_traced, Counter, FaultSchedule, Location, RtsConfig, StatsSnapshot,
+    execute_collect_traced, Counter, FaultSchedule, Location, RtsConfig, RunTrace, StatsSnapshot,
     TraceSummary,
 };
 use stapl_views::array_view::ArrayView;
 use stapl_views::assoc_view::MapView;
 
-use crate::json::{escape, fmt_f64, Json};
+use crate::json::{escape, Json};
 use crate::time_kernel;
 
 /// The one fixed seed threaded through every scenario generator (corpus
@@ -65,12 +70,8 @@ pub const BENCH_SEED: u64 = 0x57A9_15EED;
 
 /// Schema version stamped into every `BENCH_*.json`; bump on breaking
 /// format changes so `bench-compare` can refuse mixed-schema diffs.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// The benchmark areas, in emission order. `BENCH_<area>.json` baselines
-/// for each are checked into `bench/baselines/`.
-pub const AREAS: [&str; 6] =
-    ["localization", "directory", "dynamic", "executor", "transport", "chaos"];
+/// Schema 2 holds only what is gated: `id`, `knobs`, the gated counters.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Benchmark tiers, each a strict superset of the previous one — so a
 /// lite or full run still contains every kick-tires record and can be
@@ -104,49 +105,192 @@ impl Tier {
     }
 }
 
-/// One measured scenario: a stable id, the knobs it ran under, its
-/// wall-clock (advisory), the counter snapshot scoped to the kernel, and
-/// the subset of counters that are deterministic for this scenario and
-/// therefore CI-gated. Timing-dependent counters (batches, fence rounds,
-/// steals) stay in `counters` for the record but are never gated.
+type Knobs = Vec<(&'static str, String)>;
+
+/// One measured scenario: a stable id, the knobs it ran under, the kernel's
+/// seconds (a table column only) and the counter snapshot scoped to the
+/// kernel. Of the snapshot, the counters its area gates ([`Area::gated`] —
+/// deterministic for every scenario of the area) are written and CI-gated;
+/// timing-dependent ones (batches, fence rounds, steals) stay here for the
+/// claims and are never written.
 pub struct BenchRecord {
     pub id: String,
-    pub knobs: Vec<(&'static str, String)>,
+    pub knobs: Knobs,
     pub wall_s: f64,
-    pub gated: Vec<Counter>,
     pub counters: StatsSnapshot,
     /// Trace summary of the whole scenario execution (setup + kernel +
-    /// verification — tracing is per-run, not scoped like `counters`).
-    /// Serialized as the advisory `"trace"` block: event counts are
-    /// deterministic for gated kinds, histogram durations never are.
+    /// verification — tracing is per-run, not scoped like `counters`):
+    /// event counts are deterministic for gated kinds
+    /// (`tests/trace_determinism.rs`), histogram durations never are.
     pub trace: TraceSummary,
 }
 
-/// What one scenario run measured: wall-clock seconds, the counter delta
+/// What one scenario run measured: kernel seconds, the counter delta
 /// scoped to its kernel, and the trace summary of the whole execution.
 type Measured = (f64, StatsSnapshot, TraceSummary);
 
 impl BenchRecord {
-    fn new(
-        id: String,
-        knobs: Vec<(&'static str, String)>,
-        gated: &[Counter],
-        (wall_s, counters, trace): Measured,
-    ) -> BenchRecord {
-        BenchRecord { id, knobs, wall_s, gated: gated.to_vec(), counters, trace }
+    fn new(id: String, knobs: Knobs, (wall_s, counters, trace): Measured) -> BenchRecord {
+        BenchRecord { id, knobs, wall_s, counters, trace }
+    }
+
+    /// The value of knob `name` (`""` when the record has no such knob).
+    pub fn knob(&self, name: &str) -> &str {
+        self.knobs.iter().find(|(k, _)| *k == name).map_or("", |(_, v)| v)
+    }
+
+    /// The scenario this record belongs to: the first segment of its id.
+    pub fn scenario(&self) -> &str {
+        self.id.split('/').next().unwrap_or_default()
+    }
+
+    /// Whether `other` is a record of the same scenario whose knobs differ
+    /// from this one's in `knob` at most.
+    pub fn same_but(&self, other: &BenchRecord, knob: &str) -> bool {
+        type Knob = (&'static str, String);
+        fn rest<'a>(r: &'a BenchRecord, knob: &'a str) -> impl Iterator<Item = &'a Knob> {
+            r.knobs.iter().filter(move |(k, _)| *k != knob)
+        }
+        self.scenario() == other.scenario() && rest(self, knob).eq(rest(other, knob))
+    }
+}
+
+/// One benchmark area: a row of [`AREAS`].
+pub struct Area {
+    /// `BENCH_<name>.json`; also the `experiments <name>` table id.
+    pub name: &'static str,
+    /// The counters every record of the area writes and gates.
+    pub gated: &'static [Counter],
+    /// Runs the area's scenarios at a tier, each under a config that
+    /// overrides the given base (never replaces it).
+    pub records: fn(Tier, &RtsConfig) -> Vec<BenchRecord>,
+    /// The paper-style claims, as assertions over the records (looked up by
+    /// knobs: mostly pairs that differ only in `mode`).
+    pub claims: fn(&[BenchRecord]),
+    /// The smallest tier that carries every record `claims` reads — what
+    /// `experiments <name>` runs by default.
+    pub claims_tier: Tier,
+}
+
+/// The benchmark areas, in emission order. `BENCH_<area>.json` baselines
+/// for each are checked into `bench/baselines/`.
+pub const AREAS: &[Area] = &[
+    Area {
+        name: "localization",
+        gated: LOCALIZATION_GATED,
+        records: localization_area,
+        claims: localization_claims,
+        claims_tier: Tier::Lite,
+    },
+    Area {
+        name: "directory",
+        gated: DIRECTORY_GATED,
+        records: directory_area,
+        claims: directory_claims,
+        claims_tier: Tier::KickTires,
+    },
+    Area {
+        name: "dynamic",
+        gated: DYNAMIC_GATED,
+        records: dynamic_area,
+        claims: dynamic_claims,
+        claims_tier: Tier::Lite,
+    },
+    Area {
+        name: "executor",
+        gated: EXECUTOR_GATED,
+        records: executor_area,
+        claims: executor_claims,
+        claims_tier: Tier::Lite,
+    },
+    Area {
+        name: "transport",
+        gated: TRANSPORT_GATED,
+        records: transport_area,
+        claims: transport_claims,
+        claims_tier: Tier::KickTires,
+    },
+    Area {
+        name: "chaos",
+        gated: CHAOS_GATED,
+        records: chaos_area,
+        claims: chaos_claims,
+        claims_tier: Tier::KickTires,
+    },
+];
+
+/// The area called `name`, if there is one.
+pub fn area(name: &str) -> Option<&'static Area> {
+    AREAS.iter().find(|a| a.name == name)
+}
+
+impl Area {
+    /// Runs every scenario of the area at `tier` over `base`.
+    pub fn run(&'static self, tier: Tier, base: &RtsConfig) -> AreaReport {
+        AreaReport { area: self, tier, records: (self.records)(tier, base) }
     }
 }
 
 /// All records of one area at one tier.
 pub struct AreaReport {
-    pub area: &'static str,
+    pub area: &'static Area,
     pub tier: Tier,
     pub records: Vec<BenchRecord>,
 }
 
+impl AreaReport {
+    /// Runs the area's claims over the records when the tier carries every
+    /// record they read; says whether it did.
+    pub fn check_claims(&self) -> bool {
+        let carried = self.tier >= self.area.claims_tier;
+        if carried {
+            (self.area.claims)(&self.records);
+        }
+        carried
+    }
+}
+
 // ---------------------------------------------------------------------
-// Measurement scoping
+// Execution + measurement scoping
 // ---------------------------------------------------------------------
+
+static TRACE_TAP: OnceLock<fn(&RunTrace)> = OnceLock::new();
+
+/// Installs the process-wide observer every traced execution is shown to
+/// (`experiments --trace` / `--metrics`). With a tap installed, [`run`]
+/// traces every execution. Once per process; a second call is ignored.
+pub fn tap_traces(tap: fn(&RunTrace)) {
+    let _ = TRACE_TAP.set(tap);
+}
+
+/// The one way this crate starts an execution: runs `f` on `p` locations
+/// and returns location 0's result, plus the run's trace when `cfg.trace`
+/// is set or a tap is installed — after showing it to the tap. Tracing
+/// does not touch the counters (asserted by `tests/trace_overhead.rs`).
+pub fn run<R: Send>(
+    cfg: RtsConfig,
+    p: usize,
+    f: impl Fn(&Location) -> R + Send + Sync,
+) -> (R, Option<RunTrace>) {
+    let tap = TRACE_TAP.get();
+    let cfg = RtsConfig { trace: cfg.trace || tap.is_some(), ..cfg };
+    let (mut results, trace) = execute_collect_traced(cfg, p, f);
+    if let (Some(tap), Some(rt)) = (tap, &trace) {
+        tap(rt);
+    }
+    (results.remove(0), trace)
+}
+
+/// Runs one scenario with tracing forced on, so that records measured
+/// with and without a tap carry the same trace summary.
+fn traced(
+    cfg: RtsConfig,
+    p: usize,
+    f: impl Fn(&Location) -> (f64, StatsSnapshot) + Send + Sync,
+) -> Measured {
+    let ((secs, delta), trace) = run(RtsConfig { trace: true, ..cfg }, p, f);
+    (secs, delta, trace.expect("tracing enabled for harness runs").summary())
+}
 
 /// Times `kernel` collectively and returns `(max-over-locations seconds,
 /// counter delta scoped to the kernel)`. The leading fence drains setup
@@ -168,23 +312,47 @@ fn knob(name: &'static str, value: impl ToString) -> (&'static str, String) {
     (name, value.to_string())
 }
 
-/// Runs one scenario with tracing forced on and returns `(wall_s, counter
-/// delta, run-wide trace summary)`. Tracing does not touch the Stats
-/// counters (asserted by `tests/trace_overhead.rs`), so records measured
-/// through this helper gate on exactly the same values as untraced runs.
-fn traced(
-    cfg: RtsConfig,
-    p: usize,
-    f: impl Fn(&Location) -> (f64, StatsSnapshot) + Send + Sync,
-) -> Measured {
-    let cfg = RtsConfig { trace: true, ..cfg };
-    let (mut results, trace) = execute_collect_traced(cfg, p, f);
-    let (secs, delta) = results.remove(0);
-    (secs, delta, trace.expect("tracing enabled for harness runs").summary())
+/// The two-valued `mode` knob most scenarios sweep: the coarse path first.
+const SEGMENTED: [(bool, &str); 2] = [(true, "segmented"), (false, "element-wise")];
+
+// ---------------------------------------------------------------------
+// Claims: lookups by knobs
+// ---------------------------------------------------------------------
+
+/// Every `(coarse, fine)` pair of records of one scenario whose knobs
+/// differ only in `knob`, which reads `coarse` in the first and `fine` in
+/// the second. Panics when there is none: a claim must not hold vacuously.
+fn pairs<'a>(
+    records: &'a [BenchRecord],
+    scenario: &str,
+    knob: &str,
+    (coarse, fine): (&str, &str),
+) -> Vec<(&'a BenchRecord, &'a BenchRecord)> {
+    let mut found = Vec::new();
+    for a in records.iter().filter(|a| a.scenario() == scenario && a.knob(knob) == coarse) {
+        if let Some(b) = records.iter().find(|b| b.knob(knob) == fine && a.same_but(b, knob)) {
+            found.push((a, b));
+        }
+    }
+    assert!(!found.is_empty(), "no {scenario} records paired on {knob}={coarse}|{fine}");
+    found
+}
+
+/// Asserts `coarse` issues at least `factor` times less of counter `c`
+/// than `fine` does.
+fn assert_coarsens(coarse: &BenchRecord, fine: &BenchRecord, c: Counter, factor: u64) {
+    let (a, b) = (coarse.counters.get(c), fine.counters.get(c));
+    assert!(
+        a * factor <= b,
+        "{} must cost >= {factor}x less {} than {} (got {a} vs {b})",
+        coarse.id,
+        c.name(),
+        fine.id
+    );
 }
 
 // ---------------------------------------------------------------------
-// Area: localization (PR 4 — bulk-range transport + view localization)
+// Area: localization (bulk-range transport + view localization)
 // ---------------------------------------------------------------------
 
 const LOCALIZATION_GATED: &[Counter] = &[
@@ -192,13 +360,30 @@ const LOCALIZATION_GATED: &[Counter] = &[
     Counter::bulk_requests,
     Counter::localized_chunks,
     Counter::element_fallbacks,
-    // Localization converts remote element traffic into direct local
-    // invocations, so their count is placement-determined too.
-    Counter::local_invocations,
 ];
+
+/// A pArray of `n` zeros whose block bounds are off the balanced grid by
+/// 17 **and** whose placement is rotated one location over: off-grid
+/// boundaries, nearly everything remote. The one spelling of the
+/// "misaligned" destination — the `localization` and `transport` areas copy
+/// onto it, and so does the `experiments chaos` soak.
+///
+/// **Collective.**
+pub fn misaligned_dst(loc: &Location, n: usize) -> PArray<u64> {
+    rotated(loc, BlockedPartition::new(n, n / loc.nlocs() + 17))
+}
+
+/// A pArray of zeros over `part` whose block `b` lives on location `b + 1`.
+fn rotated(loc: &Location, part: impl IndexPartition + 'static) -> PArray<u64> {
+    let nlocs = loc.nlocs();
+    let owners = (0..part.num_subdomains()).map(|b| (b + 1) % nlocs).collect();
+    PArray::with_partition(loc, Box::new(part), Box::new(GeneralMapper::new(nlocs, owners)), 0u64)
+}
 
 /// `p_copy` between a balanced source and a destination whose placement
 /// forces the given amount of misalignment; localized vs element-wise.
+/// Takes the config so the `transport` area can re-run the same kernel
+/// gated on its own counters.
 fn localization_copy(
     p: usize,
     n: usize,
@@ -211,36 +396,16 @@ fn localization_copy(
         let src = PArray::from_fn(loc, n, |i| i as u64);
         let dst = match placement {
             "aligned" => PArray::new(loc, n, 0u64),
-            "shifted" => {
-                // Same block bounds, placement rotated by one location:
-                // every element lands remote, but runs stay whole blocks.
-                let part = BalancedPartition::new(n, nlocs);
-                let parts = IndexPartition::num_subdomains(&part);
-                PArray::with_partition(
-                    loc,
-                    Box::new(part),
-                    Box::new(GeneralMapper::new(nlocs, (0..parts).map(|b| (b + 1) % nlocs).collect())),
-                    0u64,
-                )
-            }
+            // Same block bounds, placement rotated by one location:
+            // every element lands remote, but runs stay whole blocks.
+            "shifted" => rotated(loc, BalancedPartition::new(n, nlocs)),
             "strided" => PArray::with_partition(
                 loc,
                 Box::new(BlockCyclicPartition::new(n, nlocs, 64)),
                 Box::new(CyclicMapper::new(nlocs)),
                 0u64,
             ),
-            "misaligned" => {
-                // Off-by-17 block bounds AND rotated placement: off-grid
-                // boundaries, nearly everything remote.
-                let part = BlockedPartition::new(n, n / nlocs + 17);
-                let parts = IndexPartition::num_subdomains(&part);
-                PArray::with_partition(
-                    loc,
-                    Box::new(part),
-                    Box::new(GeneralMapper::new(nlocs, (0..parts).map(|b| (b + 1) % nlocs).collect())),
-                    0u64,
-                )
-            }
+            "misaligned" => misaligned_dst(loc, n),
             other => panic!("unknown placement {other}"),
         };
         let (secs, delta) = timed_scoped(loc, || {
@@ -257,13 +422,18 @@ fn localization_copy(
     })
 }
 
-fn localization_area(tier: Tier) -> Vec<BenchRecord> {
+const PLACEMENTS: [&str; 4] = ["aligned", "shifted", "strided", "misaligned"];
+const LOCALIZED: [(bool, &str); 2] = [(true, "localized"), (false, "element-wise")];
+/// The size the localization claims are stated at (lite tier and up).
+const CLAIM_N: usize = 40_000;
+
+fn localization_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
     let n = 4096usize;
-    let mut specs: Vec<(usize, usize, &'static str, bool, usize, usize)> = Vec::new();
     // (p, n, placement, localized, aggregation, bulk_threshold)
+    let mut specs: Vec<(usize, usize, &'static str, bool, usize, usize)> = Vec::new();
     for placement in ["aligned", "misaligned"] {
         for p in [1usize, 4] {
-            for localized in [true, false] {
+            for (localized, _) in LOCALIZED {
                 specs.push((p, n, placement, localized, 16, 2));
             }
         }
@@ -275,19 +445,24 @@ fn localization_area(tier: Tier) -> Vec<BenchRecord> {
     }
     specs.push((4, n, "misaligned", true, 16, usize::MAX / 2));
     if tier >= Tier::Lite {
+        // The placement x P grid the claims are stated over.
+        for placement in PLACEMENTS {
+            for p in [1usize, 2, 4] {
+                for (localized, _) in LOCALIZED {
+                    specs.push((p, CLAIM_N, placement, localized, 16, 2));
+                }
+            }
+        }
         for placement in ["shifted", "strided"] {
-            for localized in [true, false] {
+            for (localized, _) in LOCALIZED {
                 specs.push((2, n, placement, localized, 16, 2));
-                specs.push((4, 40_000, placement, localized, 16, 2));
             }
         }
         specs.push((2, n, "misaligned", true, 16, 2));
-        specs.push((4, 40_000, "misaligned", true, 16, 2));
-        specs.push((4, 40_000, "misaligned", false, 16, 2));
     }
     if tier >= Tier::Full {
-        for placement in ["aligned", "shifted", "strided", "misaligned"] {
-            for localized in [true, false] {
+        for placement in PLACEMENTS {
+            for (localized, _) in LOCALIZED {
                 specs.push((8, 160_000, placement, localized, 16, 2));
             }
         }
@@ -295,12 +470,8 @@ fn localization_area(tier: Tier) -> Vec<BenchRecord> {
     specs
         .into_iter()
         .map(|(p, n, placement, localized, agg, bulk)| {
-            let cfg = RtsConfig {
-                aggregation: agg,
-                bulk_threshold: bulk,
-                ..RtsConfig::base()
-            };
-            let mode = if localized { "localized" } else { "element-wise" };
+            let cfg = RtsConfig { aggregation: agg, bulk_threshold: bulk, ..base.clone() };
+            let mode = LOCALIZED[usize::from(!localized)].1;
             let bulk_label = if bulk > n { "off".to_string() } else { bulk.to_string() };
             BenchRecord::new(
                 format!("copy/{placement}/p{p}/n{n}/{mode}/agg{agg}/bulk{bulk_label}"),
@@ -312,15 +483,36 @@ fn localization_area(tier: Tier) -> Vec<BenchRecord> {
                     knob("aggregation", agg),
                     knob("bulk_threshold", bulk_label),
                 ],
-                LOCALIZATION_GATED,
                 localization_copy(p, n, placement, localized, cfg),
             )
         })
         .collect()
 }
 
+/// The localized path issues O(contiguous runs) remote requests where the
+/// element-wise path issues O(N).
+fn localization_claims(records: &[BenchRecord]) {
+    let cells = pairs(records, "copy", "mode", ("localized", "element-wise"));
+    for &(loc, elem) in &cells {
+        // Never more remote traffic than the element-wise baseline, on any
+        // placement at any P; >= 10x less on every communicating cell.
+        let communicating = loc.knob("p") != "1" && loc.knob("placement") != "aligned";
+        assert_coarsens(loc, elem, Counter::remote_requests, if communicating { 10 } else { 1 });
+    }
+    let grid = cells.iter().filter(|(l, _)| l.knob("n") == CLAIM_N.to_string()).count();
+    assert_eq!(grid, PLACEMENTS.len() * 3, "the n={CLAIM_N} placement x P grid is incomplete");
+    let at = |l: &BenchRecord, knobs: [&str; 3]| ["placement", "p", "n"].map(|k| l.knob(k)) == knobs;
+    let (loc, elem) = cells
+        .iter()
+        .find(|(l, _)| at(l, ["misaligned", "4", &CLAIM_N.to_string()]))
+        .expect("misaligned P=4 cell");
+    let (runs, each) = (loc.counters.remote_requests, elem.counters.remote_requests);
+    assert!(runs < (CLAIM_N / 100) as u64, "misaligned localized copy must be O(runs): {runs}");
+    assert!(each >= (CLAIM_N / 2) as u64, "element-wise baseline should be O(N): {each}");
+}
+
 // ---------------------------------------------------------------------
-// Area: directory (PR 3 — owner caches with epoch invalidation)
+// Area: directory (owner caches with epoch invalidation)
 // ---------------------------------------------------------------------
 
 const DIRECTORY_GATED: &[Counter] = &[
@@ -331,27 +523,27 @@ const DIRECTORY_GATED: &[Counter] = &[
     // Every routed read replies exactly once, so the reply count tracks
     // the (deterministic) read schedule.
     Counter::responses_sent,
+    // A read of a vertex its reader owns, or that its home owns, runs
+    // where it is issued: placement-determined, like the rest.
+    Counter::local_invocations,
 ];
 
-/// Hot-key or sweep reads over a dynamic (forwarding) pGraph; the owner
-/// cache turns the 2-hop home-forwarded read into 1 hop on repeats.
-fn directory_access(
-    p: usize,
-    nverts: usize,
-    reads: usize,
-    hot: bool,
-    cfg: RtsConfig,
-) -> Measured {
+/// A dynamic (forwarding) pGraph of `nverts` vertices dealt round-robin.
+fn directory_graph(loc: &Location, nverts: usize) -> PGraph<u64, ()> {
+    let g = PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
+    for vd in (loc.id()..nverts).step_by(loc.nlocs()) {
+        g.add_vertex_with_descriptor(vd, vd as u64);
+    }
+    g.commit();
+    g
+}
+
+/// Hot-key or sweep reads over a dynamic pGraph; the owner cache turns the
+/// 2-hop home-forwarded read into 1 hop on repeats.
+fn directory_access(p: usize, nverts: usize, reads: usize, hot: bool, cfg: RtsConfig) -> Measured {
     traced(cfg, p, move |loc| {
-        let g: PGraph<u64, ()> =
-            PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
-        for vd in 0..nverts {
-            if vd % loc.nlocs() == loc.id() {
-                g.add_vertex_with_descriptor(vd, vd as u64);
-            }
-        }
-        g.commit();
-        let (secs, delta) = timed_scoped(loc, || {
+        let g = directory_graph(loc, nverts);
+        timed_scoped(loc, || {
             if hot {
                 // Four hot vertices owned by the next location, hammered.
                 let base = (loc.id() + 1) % loc.nlocs();
@@ -361,19 +553,43 @@ fn directory_access(
                 }
             } else {
                 // Repeated full sweeps over the vertex set.
-                let sweeps = reads / nverts;
-                for _ in 0..sweeps {
+                for _ in 0..reads / nverts {
                     for vd in 0..nverts {
                         std::hint::black_box(g.vertex_property(vd));
                     }
                 }
             }
-        });
-        (secs, delta)
+        })
     })
 }
 
-fn directory_area(tier: Tier) -> Vec<BenchRecord> {
+/// The price of churn: every cache is warmed, then each round location 0
+/// migrates a vertex and every location re-reads it — with the cache on, a
+/// read sent to the cached owner finds the vertex gone and self-heals (it
+/// re-forwards through the home and the cache refills). The only scenario
+/// that drives that path, hence the only one where `dir_cache_stale` is
+/// not gated on a constant zero.
+fn directory_churn(p: usize, rounds: usize, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
+        let g = directory_graph(loc, loc.nlocs());
+        for vd in 0..loc.nlocs() {
+            assert_eq!(g.vertex_property(vd), vd as u64);
+        }
+        timed_scoped(loc, || {
+            for round in 0..rounds {
+                let victim = round % loc.nlocs();
+                if loc.id() == 0 {
+                    g.migrate_vertex(victim, (round + 1) % loc.nlocs());
+                }
+                loc.rmi_fence();
+                assert_eq!(g.vertex_property(victim), victim as u64, "vertex lost in flight");
+                loc.rmi_fence();
+            }
+        })
+    })
+}
+
+fn directory_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
     let nverts = 64usize;
     let reads = 640usize;
     // (p, reads, hot, cache, aggregation)
@@ -398,31 +614,60 @@ fn directory_area(tier: Tier) -> Vec<BenchRecord> {
             specs.push((8, 25_600, false, cache, 16));
         }
     }
-    specs
+    let cache_label = |cache: bool| if cache { "on" } else { "off" };
+    let mut records: Vec<BenchRecord> = specs
         .into_iter()
         .map(|(p, reads, hot, cache, agg)| {
-            let cfg = RtsConfig { dir_cache: cache, aggregation: agg, ..RtsConfig::base() };
+            let cfg = RtsConfig { dir_cache: cache, aggregation: agg, ..base.clone() };
             let scenario = if hot { "hot-key" } else { "traversal" };
-            let cache_label = if cache { "on" } else { "off" };
             BenchRecord::new(
-                format!("{scenario}/p{p}/reads{reads}/cache-{cache_label}/agg{agg}"),
+                format!("{scenario}/p{p}/reads{reads}/cache-{}/agg{agg}", cache_label(cache)),
                 vec![
                     knob("p", p),
                     knob("vertices", nverts),
                     knob("reads", reads),
                     knob("scenario", scenario),
-                    knob("dir_cache", cache_label),
+                    knob("dir_cache", cache_label(cache)),
                     knob("aggregation", agg),
                 ],
-                DIRECTORY_GATED,
                 directory_access(p, nverts, reads, hot, cfg),
             )
         })
-        .collect()
+        .collect();
+    let (p, rounds) = (4usize, 8usize);
+    for cache in [true, false] {
+        let cfg = RtsConfig { dir_cache: cache, ..base.clone() };
+        records.push(BenchRecord::new(
+            format!("churn/p{p}/rounds{rounds}/cache-{}", cache_label(cache)),
+            vec![knob("p", p), knob("rounds", rounds), knob("dir_cache", cache_label(cache))],
+            directory_churn(p, rounds, cfg),
+        ));
+    }
+    records
+}
+
+/// With the cache off every routed read pays the home hop; with it on,
+/// repeats go straight to the cached owner — and a cached owner that moved
+/// away costs one stale re-forward, once.
+fn directory_claims(records: &[BenchRecord]) {
+    for scenario in ["hot-key", "traversal"] {
+        for (on, off) in pairs(records, scenario, "dir_cache", ("on", "off")) {
+            // At P=2 a vertex's home is its reader or its owner: no hop to save.
+            if on.knob("p") == "2" {
+                continue;
+            }
+            let (a, b) = (on.counters.remote_requests, off.counters.remote_requests);
+            assert!(a < b, "{}: the owner cache must save remote requests ({a} vs {b})", on.id);
+        }
+    }
+    for (on, off) in pairs(records, "churn", "dir_cache", ("on", "off")) {
+        assert!(on.counters.dir_cache_stale > 0, "{}: no stale entry self-healed", on.id);
+        assert_eq!(off.counters.dir_cache_stale, 0, "{}: stale without a cache", off.id);
+    }
 }
 
 // ---------------------------------------------------------------------
-// Area: dynamic (PR 5 — segment transport, kv shuffle, gather paths)
+// Area: dynamic (segment transport, kv shuffle, gather paths)
 // ---------------------------------------------------------------------
 
 const DYNAMIC_GATED: &[Counter] = &[
@@ -433,14 +678,10 @@ const DYNAMIC_GATED: &[Counter] = &[
 ];
 
 /// Location 0 reads the whole pList: one `get_segment` per slab vs the
-/// element-wise GID walk. Takes the config so the `transport` area can
-/// re-run the same kernel under its own knobs.
-fn dynamic_traversal(
-    p: usize,
-    per: usize,
-    segmented: bool,
-    cfg: RtsConfig,
-) -> Measured {
+/// element-wise GID walk (`next_gid` + `try_get` per element, O(N) sync
+/// RMIs). Takes the config so the `transport` area can re-run the same
+/// kernel gated on its own counters.
+fn dynamic_traversal(p: usize, per: usize, segmented: bool, cfg: RtsConfig) -> Measured {
     traced(cfg, p, move |loc| {
         let l: PList<u64> = PList::new(loc);
         for i in 0..per {
@@ -448,7 +689,7 @@ fn dynamic_traversal(
         }
         l.commit();
         let n = per * loc.nlocs();
-        let (secs, delta) = timed_scoped(loc, || {
+        timed_scoped(loc, || {
             if loc.id() == 0 {
                 let (mut sum, mut count) = (0u64, 0usize);
                 if segmented {
@@ -469,15 +710,14 @@ fn dynamic_traversal(
                 assert_eq!(count, n, "traversal must visit every element");
                 assert_eq!(sum, (n as u64 - 1) * n as u64 / 2, "traversal corrupted");
             }
-        });
-        (secs, delta)
+        })
     })
 }
 
 /// `p_copy` between twin pLists after every destination slab migrated one
 /// location over (every write remote, stale owner hints self-heal).
-fn dynamic_copy_migrated(p: usize, per: usize, segmented: bool) -> Measured {
-    traced(RtsConfig::base(), p, move |loc| {
+fn dynamic_copy_migrated(p: usize, per: usize, segmented: bool, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
         let src: PList<u64> = PList::new(loc);
         let dst: PList<u64> = PList::new(loc);
         for i in 0..per {
@@ -491,7 +731,7 @@ fn dynamic_copy_migrated(p: usize, per: usize, segmented: bool) -> Measured {
                 dst.migrate_bcontainer(sid, (sid + 1) % loc.nlocs());
             }
         }
-        let (secs, delta) = timed_scoped(loc, || {
+        let measured = timed_scoped(loc, || {
             if segmented {
                 p_copy_segmented(&src, &dst);
             } else {
@@ -499,49 +739,56 @@ fn dynamic_copy_migrated(p: usize, per: usize, segmented: bool) -> Measured {
             }
         });
         assert!(p_equal_segmented(&src, &dst), "copy corrupted");
-        (secs, delta)
+        measured
     })
 }
 
 /// MapReduce word count over a `MapView` of per-location documents:
-/// bucket-grained local-combine shuffle vs the per-pair shuffle.
-fn dynamic_wordcount(p: usize, words_per_loc: usize, chunked: bool) -> Measured {
-    traced(RtsConfig::base(), p, move |loc| {
+/// bucket-grained local-combine shuffle (one merge RMI per (owner, bucket))
+/// vs the per-pair shuffle. Either must reproduce a sequential model of
+/// the corpus exactly.
+fn dynamic_wordcount(p: usize, words_per_loc: usize, chunked: bool, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
         let docs: PHashMap<u64, String> = PHashMap::new(loc);
         let text = synthetic_corpus(loc, words_per_loc, 300, BENCH_SEED);
         docs.insert_async(loc.id() as u64, text.clone());
         docs.commit();
         let texts: Vec<String> = loc.allgather(text);
         let counts: PHashMap<String, u64> = PHashMap::new(loc);
-        let (secs, delta) = timed_scoped(loc, || {
+        let measured = timed_scoped(loc, || {
             if chunked {
                 word_count_kv(&MapView::new(docs.clone()), &counts);
             } else {
-                let mine = &texts[loc.id()];
                 map_reduce(
                     &counts,
-                    mine.split_whitespace(),
+                    texts[loc.id()].split_whitespace(),
                     |w, emit| emit(w.to_string(), 1),
                     0,
                     |acc, v| *acc += v,
                 );
             }
         });
-        // Distinct-word count must match a sequential model of the corpus.
-        let mut distinct: Vec<&str> =
-            texts.iter().flat_map(|t| t.split_whitespace()).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(counts.global_size(), distinct.len(), "distinct-word count diverged");
-        (secs, delta)
+        let mut model: HashMap<String, u64> = HashMap::new();
+        for w in texts.iter().flat_map(|t| t.split_whitespace()) {
+            *model.entry(w.to_string()).or_insert(0) += 1;
+        }
+        assert_eq!(counts.global_size(), model.len(), "distinct-word count diverged");
+        if loc.id() == 0 {
+            let mut got = counts.collect_ordered();
+            got.sort_unstable();
+            let mut want: Vec<(String, u64)> = model.into_iter().collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "word counts disagree with the sequential model");
+        }
+        measured
     })
 }
 
 /// The data-collecting paths: `collect_ordered` one-sided gather (O(N) on
 /// the wire) and the opt-in `collect_ordered_bcast` (O(N·P)); the
 /// `gather_items` counter is the bytes-on-the-wire proxy.
-fn dynamic_collect(p: usize, per: usize, bcast: bool) -> Measured {
-    traced(RtsConfig::base(), p, move |loc| {
+fn dynamic_collect(p: usize, per: usize, bcast: bool, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
         let m: PHashMap<u64, u64> = PHashMap::new(loc);
         for i in 0..per {
             let k = (loc.id() * per + i) as u64;
@@ -549,125 +796,106 @@ fn dynamic_collect(p: usize, per: usize, bcast: bool) -> Measured {
         }
         m.commit();
         let n = per * loc.nlocs();
-        let (secs, delta) = timed_scoped(loc, || {
+        timed_scoped(loc, || {
             if bcast {
-                let all = m.collect_ordered_bcast();
-                assert_eq!(all.len(), n);
+                assert_eq!(m.collect_ordered_bcast().len(), n);
             } else if loc.id() == 0 {
-                let all = m.collect_ordered();
-                assert_eq!(all.len(), n);
+                assert_eq!(m.collect_ordered().len(), n);
             }
-        });
-        (secs, delta)
+        })
     })
 }
 
-fn dynamic_area(tier: Tier) -> Vec<BenchRecord> {
-    let per = 200usize;
-    let words = 800usize;
+fn dynamic_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
     let mut records = Vec::new();
-    let mut push = |id: String, knobs: Vec<(&'static str, String)>, r: Measured| {
-        records.push(BenchRecord::new(id, knobs, DYNAMIC_GATED, r));
+    let mut push = |scenario: &str, p: usize, size: (&'static str, usize), mode: &str, m| {
+        // The id abbreviates the size knob to its first word (`per200`).
+        let short = size.0.split('_').next().unwrap_or_default();
+        records.push(BenchRecord::new(
+            format!("{scenario}/p{p}/{short}{}/{mode}", size.1),
+            vec![knob("p", p), knob(size.0, size.1), knob("mode", mode)],
+            m,
+        ));
     };
-    for segmented in [true, false] {
-        let mode = if segmented { "segmented" } else { "element-wise" };
-        push(
-            format!("plist-traversal/p4/per{per}/{mode}"),
-            vec![knob("p", 4), knob("per_loc", per), knob("mode", mode)],
-            dynamic_traversal(4, per, segmented, RtsConfig::base()),
-        );
-    }
-    for chunked in [true, false] {
-        let mode = if chunked { "chunked-kv" } else { "per-pair" };
-        push(
-            format!("word-count/p4/words{words}/{mode}"),
-            vec![knob("p", 4), knob("words_per_loc", words), knob("mode", mode)],
-            dynamic_wordcount(4, words, chunked),
-        );
-    }
-    for bcast in [false, true] {
-        let mode = if bcast { "bcast" } else { "gather" };
-        push(
-            format!("collect-ordered/p4/per{per}/{mode}"),
-            vec![knob("p", 4), knob("per_loc", per), knob("mode", mode)],
-            dynamic_collect(4, per, bcast),
-        );
-    }
-    if tier >= Tier::Lite {
-        for segmented in [true, false] {
-            let mode = if segmented { "segmented" } else { "element-wise" };
-            push(
-                format!("plist-copy-migrated/p4/per{per}/{mode}"),
-                vec![knob("p", 4), knob("per_loc", per), knob("mode", mode)],
-                dynamic_copy_migrated(4, per, segmented),
-            );
-            push(
-                format!("plist-traversal/p2/per{per}/{mode}"),
-                vec![knob("p", 2), knob("per_loc", per), knob("mode", mode)],
-                dynamic_traversal(2, per, segmented, RtsConfig::base()),
-            );
+    let mut traversal = |p: usize, per: usize| {
+        for (segmented, mode) in SEGMENTED {
+            let m = dynamic_traversal(p, per, segmented, base.clone());
+            push("plist-traversal", p, ("per_loc", per), mode, m);
         }
+    };
+    traversal(4, 200);
+    if tier >= Tier::Lite {
+        traversal(2, 200);
     }
     if tier >= Tier::Full {
-        for segmented in [true, false] {
-            let mode = if segmented { "segmented" } else { "element-wise" };
-            push(
-                format!("plist-traversal/p8/per2000/{mode}"),
-                vec![knob("p", 8), knob("per_loc", 2000), knob("mode", mode)],
-                dynamic_traversal(8, 2000, segmented, RtsConfig::base()),
-            );
+        traversal(8, 2000);
+    }
+    let mut wordcount = |p: usize, words: usize| {
+        for (chunked, mode) in [(true, "chunked-kv"), (false, "per-pair")] {
+            let m = dynamic_wordcount(p, words, chunked, base.clone());
+            push("word-count", p, ("words_per_loc", words), mode, m);
         }
-        for chunked in [true, false] {
-            let mode = if chunked { "chunked-kv" } else { "per-pair" };
-            push(
-                format!("word-count/p8/words8000/{mode}"),
-                vec![knob("p", 8), knob("words_per_loc", 8000), knob("mode", mode)],
-                dynamic_wordcount(8, 8000, chunked),
-            );
+    };
+    wordcount(4, 800);
+    if tier >= Tier::Full {
+        wordcount(8, 8000);
+    }
+    for (bcast, mode) in [(false, "gather"), (true, "bcast")] {
+        let m = dynamic_collect(4, 200, bcast, base.clone());
+        push("collect-ordered", 4, ("per_loc", 200), mode, m);
+    }
+    if tier >= Tier::Lite {
+        for (segmented, mode) in SEGMENTED {
+            let m = dynamic_copy_migrated(4, 200, segmented, base.clone());
+            push("plist-copy-migrated", 4, ("per_loc", 200), mode, m);
         }
     }
     records
 }
 
+/// Segment-at-a-time transport issues O(segments) remote requests where
+/// the element-wise paths issue O(N).
+fn dynamic_claims(records: &[BenchRecord]) {
+    let p4 = |pairs: Vec<(&BenchRecord, &BenchRecord)>, factor: u64| {
+        let (a, b) = *pairs.iter().find(|(a, _)| a.knob("p") == "4").expect("a P=4 pair");
+        assert_coarsens(a, b, Counter::remote_requests, factor);
+    };
+    p4(pairs(records, "plist-traversal", "mode", ("segmented", "element-wise")), 10);
+    p4(pairs(records, "plist-copy-migrated", "mode", ("segmented", "element-wise")), 10);
+    p4(pairs(records, "word-count", "mode", ("chunked-kv", "per-pair")), 5);
+}
+
 // ---------------------------------------------------------------------
-// Area: executor (PR 2 — PARAGRAPH task-graph executor)
+// Area: executor (the PARAGRAPH task-graph executor)
 // ---------------------------------------------------------------------
 
 /// Only the task count is deterministic: how many tasks get *stolen* (and
 /// the steal-probe RMI traffic with them) depends on thread timing, so
-/// those counters ship in the record but are never gated.
+/// those counters are never gated.
 const EXECUTOR_GATED: &[Counter] = &[Counter::tasks_executed];
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ExecutorMode {
-    Spmd,
-    NoSteal,
-    Steal,
-}
+/// How `executor_generate` schedules its element work: the lock-step SPMD
+/// loop over local chunks, or the PARAGRAPH executor — every task on its
+/// home location, or with work stealing.
+const EXECUTOR_MODES: [&str; 3] = ["spmd", "executor", "executor-steal"];
 
-impl ExecutorMode {
-    fn label(self) -> &'static str {
-        match self {
-            ExecutorMode::Spmd => "spmd",
-            ExecutorMode::NoSteal => "executor",
-            ExecutorMode::Steal => "executor-steal",
-        }
-    }
-}
-
-/// `p_generate` of `dst[k] = k` with a simulated per-element service time:
-/// `light_us` µs except the last quarter of the index space at `heavy_us`
-/// µs (the PR 2 skewed scenario). Kick-tires runs it at zero sleep — the
-/// scheduling overhead and task accounting are the signal, and the record
-/// stays sub-millisecond.
+/// `p_generate` of `dst[k] = k` with a simulated per-element service time
+/// (a sleep): `light_us` µs, except the last quarter of the index space —
+/// the trailing location's block under the balanced distribution — at
+/// `heavy_us` µs. This models irregular per-element latency (out-of-core
+/// fetches, remote lookups): sleeps overlap across location threads even
+/// on one core, so SPMD serializes the heavy quarter on one location while
+/// the stealing executor spreads it. Kick-tires runs it at zero sleep —
+/// the task accounting is the signal there.
 fn executor_generate(
     p: usize,
     n: usize,
     light_us: u64,
     heavy_us: u64,
-    mode: ExecutorMode,
+    mode: &'static str,
+    cfg: RtsConfig,
 ) -> Measured {
-    traced(RtsConfig::base(), p, move |loc| {
+    traced(cfg, p, move |loc| {
         let a = PArray::new(loc, n, 0u64);
         let v = ArrayView::new(a.clone());
         let gen = move |k: usize| {
@@ -677,31 +905,35 @@ fn executor_generate(
             }
             k as u64
         };
-        let (secs, delta) = timed_scoped(loc, || match mode {
-            ExecutorMode::Spmd => p_generate_view(&v, gen),
-            ExecutorMode::NoSteal => p_generate_pg(&v, ExecPolicy::no_stealing(), gen),
-            ExecutorMode::Steal => p_generate_pg(&v, ExecPolicy::default(), gen),
+        let policy = match mode {
+            "spmd" => None,
+            "executor" => Some(ExecPolicy::no_stealing()),
+            _ => Some(ExecPolicy::default()),
+        };
+        let measured = timed_scoped(loc, || match policy {
+            None => p_generate_view(&v, gen),
+            Some(policy) => p_generate_pg(&v, policy, gen),
         });
         for i in (0..n).step_by((n / 16).max(1)) {
-            assert_eq!(a.get_element(i), i as u64, "mode {} corrupted {i}", mode.label());
+            assert_eq!(a.get_element(i), i as u64, "mode {mode} corrupted {i}");
         }
-        (secs, delta)
+        measured
     })
 }
 
-fn executor_area(tier: Tier) -> Vec<BenchRecord> {
-    // (p, n, light_us, heavy_us, workload label)
-    let mut specs: Vec<(usize, usize, u64, u64, &'static str, ExecutorMode)> = Vec::new();
-    for mode in [ExecutorMode::Spmd, ExecutorMode::NoSteal, ExecutorMode::Steal] {
+fn executor_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+    // (p, n, light_us, heavy_us, workload label, mode)
+    let mut specs: Vec<(usize, usize, u64, u64, &'static str, &'static str)> = Vec::new();
+    for mode in EXECUTOR_MODES {
         specs.push((4, 128, 0, 0, "uniform-0us", mode));
     }
     if tier >= Tier::Lite {
-        for mode in [ExecutorMode::Spmd, ExecutorMode::Steal] {
+        for mode in ["spmd", "executor-steal"] {
             specs.push((4, 256, 50, 800, "skewed-16x", mode));
         }
     }
     if tier >= Tier::Full {
-        for mode in [ExecutorMode::Spmd, ExecutorMode::NoSteal, ExecutorMode::Steal] {
+        for mode in EXECUTOR_MODES {
             specs.push((4, 1024, 50, 800, "skewed-16x-large", mode));
             specs.push((8, 512, 50, 50, "uniform-50us", mode));
         }
@@ -710,30 +942,47 @@ fn executor_area(tier: Tier) -> Vec<BenchRecord> {
         .into_iter()
         .map(|(p, n, light, heavy, workload, mode)| {
             BenchRecord::new(
-                format!("generate/{workload}/p{p}/n{n}/{}", mode.label()),
+                format!("generate/{workload}/p{p}/n{n}/{mode}"),
                 vec![
                     knob("p", p),
                     knob("n", n),
                     knob("workload", workload),
                     knob("light_us", light),
                     knob("heavy_us", heavy),
-                    knob("mode", mode.label()),
+                    knob("mode", mode),
                 ],
-                EXECUTOR_GATED,
-                executor_generate(p, n, light, heavy, mode),
+                executor_generate(p, n, light, heavy, mode, base.clone()),
             )
         })
         .collect()
 }
 
+/// Scheduling changes where a task runs, never how many there are: the
+/// SPMD loop runs none, and stealing runs exactly the tasks the
+/// no-stealing executor runs.
+fn executor_claims(records: &[BenchRecord]) {
+    for (spmd, steal) in pairs(records, "generate", "mode", ("spmd", "executor-steal")) {
+        assert_eq!(spmd.counters.tasks_executed, 0, "{}: SPMD ran tasks", spmd.id);
+        assert!(steal.counters.tasks_executed > 0, "{}: the executor ran no task", steal.id);
+    }
+    for (home, steal) in pairs(records, "generate", "mode", ("executor", "executor-steal")) {
+        assert_eq!(
+            home.counters.tasks_executed, steal.counters.tasks_executed,
+            "{}: stealing changed the task count",
+            steal.id
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
-// Area: transport (PR 8 — bytes on the wire; one staging format since PR 20)
+// Area: transport (bytes on the wire; one staging format)
 // ---------------------------------------------------------------------
 
 /// Every remote request is relocated into its batch buffer as one record,
 /// so `bytes_sent` is a real traffic counter: record size is the 8-byte
 /// thunk word plus `size_of` the request capture rounded up to a word, and
-/// the request mix is seeded, so it is deterministic and gateable. A
+/// the request mix is seeded, so it is deterministic and gateable — also
+/// under a fault schedule, since recovery traffic is not counted. A
 /// capture that grows — or a path that quietly falls back from bulk
 /// records to per-element ones — moves `bytes_sent` and fires the gate.
 /// Batch/flush counts are timing-dependent and never gated.
@@ -749,92 +998,57 @@ const TRANSPORT_GATED: &[Counter] = &[
     Counter::segment_requests,
 ];
 
-fn transport_area(tier: Tier) -> Vec<BenchRecord> {
-    let n = 4096usize;
-    let per = 200usize;
+fn transport_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
     // Same aggregation/bulk knobs as the localization area's default cell.
-    let wire = || RtsConfig { aggregation: 16, bulk_threshold: 2, ..RtsConfig::base() };
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let mut push = |id: String, knobs: Vec<(&'static str, String)>, r: Measured| {
-        records.push(BenchRecord::new(id, knobs, TRANSPORT_GATED, r));
-    };
-
-    // Bytes on the wire, element-wise vs bulk-range: misaligned p_copy at
-    // P=4 (the paper's bandwidth argument, measured in record bytes).
-    let mut copy_bytes = [0u64; 2]; // [bulk, element-wise]
-    for (ix, localized) in [(0usize, true), (1usize, false)] {
-        let mode = if localized { "bulk" } else { "element-wise" };
-        let r = localization_copy(4, n, "misaligned", localized, wire());
-        copy_bytes[ix] = r.1.bytes_sent;
-        push(
-            format!("wire-copy/misaligned/p4/n{n}/{mode}"),
-            vec![knob("p", 4), knob("n", n), knob("mode", mode)],
-            r,
-        );
-    }
-    // The acceptance claim: the bulk-range path puts >= 10x fewer bytes
-    // on the wire than element-wise at P=4.
-    assert!(
-        copy_bytes[0] * 10 <= copy_bytes[1],
-        "bulk p_copy must put >= 10x fewer bytes on the wire than element-wise at P=4 \
-         (got {} vs {})",
-        copy_bytes[0],
-        copy_bytes[1]
-    );
-
-    // Segment-at-a-time vs per-element GID walk over a pList, on the wire.
-    let mut trav_bytes = [0u64; 2]; // [segmented, element-wise]
-    for (ix, segmented) in [(0usize, true), (1usize, false)] {
-        let mode = if segmented { "segmented" } else { "element-wise" };
-        let r = dynamic_traversal(4, per, segmented, wire());
-        trav_bytes[ix] = r.1.bytes_sent;
-        push(
-            format!("wire-plist-traversal/p4/per{per}/{mode}"),
-            vec![knob("p", 4), knob("per_loc", per), knob("mode", mode)],
-            r,
-        );
-    }
-    assert!(
-        trav_bytes[0] * 10 <= trav_bytes[1],
-        "segmented traversal must put >= 10x fewer bytes on the wire than the GID walk \
-         at P=4 (got {} vs {})",
-        trav_bytes[0],
-        trav_bytes[1]
-    );
-
+    let wire = || RtsConfig { aggregation: 16, bulk_threshold: 2, ..base.clone() };
+    // (p, n) of the misaligned p_copy; (p, per_loc) of the pList traversal.
+    let (mut copies, mut traversals) = (vec![(4usize, 4096usize)], vec![(4usize, 200usize)]);
     if tier >= Tier::Lite {
-        for (localized, mode) in [(true, "bulk"), (false, "element-wise")] {
-            let r = localization_copy(4, 40_000, "misaligned", localized, wire());
-            push(
-                format!("wire-copy/misaligned/p4/n40000/{mode}"),
-                    vec![knob("p", 4), knob("n", 40_000), knob("mode", mode)],
-                r,
-            );
-        }
-        for (segmented, mode) in [(true, "segmented"), (false, "element-wise")] {
-            let r = dynamic_traversal(2, per, segmented, wire());
-            push(
-                format!("wire-plist-traversal/p2/per{per}/{mode}"),
-                    vec![knob("p", 2), knob("per_loc", per), knob("mode", mode)],
-                r,
-            );
-        }
+        copies.push((4, 40_000));
+        traversals.push((2, 200));
     }
     if tier >= Tier::Full {
+        copies.push((8, 160_000));
+    }
+    let mut records = Vec::new();
+    for (p, n) in copies {
         for (localized, mode) in [(true, "bulk"), (false, "element-wise")] {
-            let r = localization_copy(8, 160_000, "misaligned", localized, wire());
-            push(
-                format!("wire-copy/misaligned/p8/n160000/{mode}"),
-                    vec![knob("p", 8), knob("n", 160_000), knob("mode", mode)],
-                r,
-            );
+            records.push(BenchRecord::new(
+                format!("wire-copy/misaligned/p{p}/n{n}/{mode}"),
+                vec![knob("p", p), knob("n", n), knob("mode", mode)],
+                localization_copy(p, n, "misaligned", localized, wire()),
+            ));
+        }
+    }
+    for (p, per) in traversals {
+        for (segmented, mode) in SEGMENTED {
+            records.push(BenchRecord::new(
+                format!("wire-plist-traversal/p{p}/per{per}/{mode}"),
+                vec![knob("p", p), knob("per_loc", per), knob("mode", mode)],
+                dynamic_traversal(p, per, segmented, wire()),
+            ));
         }
     }
     records
 }
 
+/// The paper's bandwidth argument, measured in record bytes: the bulk-range
+/// and segment paths put >= 10x fewer bytes on the wire than element-wise
+/// transfer, and every record carries at least its 8-byte thunk word.
+fn transport_claims(records: &[BenchRecord]) {
+    let copies = pairs(records, "wire-copy", "mode", ("bulk", "element-wise"));
+    let walks = pairs(records, "wire-plist-traversal", "mode", ("segmented", "element-wise"));
+    for (coarse, fine) in copies.into_iter().chain(walks) {
+        assert_coarsens(coarse, fine, Counter::bytes_sent, 10);
+    }
+    for r in records {
+        let s = &r.counters;
+        assert!(s.bytes_sent >= 8 * s.remote_requests, "{}: a record without its thunk word", r.id);
+    }
+}
+
 // ---------------------------------------------------------------------
-// Area: chaos (PR 9 — fault injection + reliable delivery)
+// Area: chaos (fault injection + reliable delivery)
 // ---------------------------------------------------------------------
 
 /// Injected damage under a *fixed seeded fault schedule*: at
@@ -846,7 +1060,11 @@ fn transport_area(tier: Tier) -> Vec<BenchRecord> {
 /// *costs* (`retransmits`, `duplicates_discarded`, `acks_sent`) follows the
 /// retransmit timer — a merely-late batch is redriven, discarded as a
 /// duplicate and re-acked — so those are `Timing` counters, bounded
-/// relative to the injected damage by the assertions in `chaos_area`.
+/// relative to the injected damage by `chaos_claims`.
+///
+/// This is why the storm sends no replies, and why `experiments chaos` —
+/// the differential soak whose sync reads and bulk copy make batch sequence
+/// numbers timing-dependent — is a separate kernel that gates nothing.
 const CHAOS_GATED: &[Counter] = &[
     Counter::remote_requests,
     Counter::frames_dropped,
@@ -862,7 +1080,7 @@ fn chaos_storm(p: usize, k: u64, rounds: u64, cfg: RtsConfig) -> Measured {
     traced(cfg, p, move |loc| {
         let (h, rep) = loc.register(std::cell::RefCell::new(0u64));
         loc.rmi_fence();
-        let (secs, delta) = timed_scoped(loc, || {
+        let measured = timed_scoped(loc, || {
             for round in 1..=rounds {
                 for dest in 0..loc.nlocs() {
                     if dest != loc.id() {
@@ -885,246 +1103,167 @@ fn chaos_storm(p: usize, k: u64, rounds: u64, cfg: RtsConfig) -> Measured {
              the reliability layer",
             loc.id()
         );
-        (secs, delta)
+        measured
     })
 }
 
-fn chaos_area(tier: Tier) -> Vec<BenchRecord> {
-    let cfg_for = |profile: &str| {
-        // `reliable` keeps the layer on for the clean control's empty schedule.
-        let mut cfg = RtsConfig { reliable: true, ..RtsConfig::base() };
-        cfg.aggregation = 1; // one batch per request: seeded draws are program-order stable
-        cfg.retransmit_rto_us = 25_000;
-        cfg.faults = FaultSchedule::parse(profile).expect("bundled profile parses");
-        cfg.fault_seed = BENCH_SEED;
-        cfg
-    };
-    let (p, k, rounds) = (4usize, 5u64, 4u64);
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let mut push = |id: String, profile: &'static str, p: usize, r: Measured| {
-        let knobs = vec![
-            knob("profile", if profile.is_empty() { "none" } else { profile }),
-            knob("p", p),
-            knob("k", k),
-            knob("rounds", rounds),
-            knob("aggregation", 1),
-            knob("rto_us", 25_000),
-        ];
-        records.push(BenchRecord::new(id, knobs, CHAOS_GATED, r));
-    };
+const CHAOS_MIXED: &str = "drop:0.2,dup:0.1,reorder:0.2,corrupt:0.1,delay_us:5";
 
-    // Lossless control: the reliability machinery must be free when the
-    // fabric is clean — any nonzero recovery counter is a protocol bug
-    // (e.g. the retransmission timer firing on acknowledged batches).
-    let r = chaos_storm(p, k, rounds, cfg_for(""));
-    let d = &r.1;
-    assert_eq!(d.frames_dropped, 0, "clean fabric must drop nothing");
-    assert_eq!(d.retransmits, 0, "clean fabric must not redrive");
-    assert_eq!(d.checksum_failures, 0, "clean fabric must not reject");
-    push(format!("storm/clean/p{p}"), "", p, r);
-
-    // Total loss: every first transmission is dropped, so every batch is
-    // recovered by exactly one redrive — drops and retransmits both equal
-    // the request count (one request per batch at aggregation 1).
-    let r = chaos_storm(p, k, rounds, cfg_for("drop:1.0"));
-    let d = &r.1;
-    assert!(d.frames_dropped >= d.remote_requests, "every batch must be dropped once");
-    assert!(d.retransmits >= d.remote_requests, "every dropped batch must be redriven");
-    assert_eq!(d.checksum_failures, 0, "drops are not corruption");
-    push(format!("storm/drop-all/p{p}"), "drop:1.0", p, r);
-
-    // Total corruption: every first transmission has one bit flipped, is
-    // rejected by its CRC (never executed), and is redriven.
-    let r = chaos_storm(p, k, rounds, cfg_for("corrupt:1.0"));
-    let d = &r.1;
-    assert!(d.checksum_failures >= d.remote_requests, "every batch must be rejected once");
-    assert!(d.retransmits >= d.remote_requests, "every rejected batch must be redriven");
-    push(format!("storm/corrupt-all/p{p}"), "corrupt:1.0", p, r);
-
-    // Mixed profile: the realistic soak point — all five fault kinds at
-    // once, with the retransmit overhead bounded relative to the injected
-    // damage (redrives answer losses, they don't multiply).
-    let mixed = "drop:0.2,dup:0.1,reorder:0.2,corrupt:0.1,delay_us:5";
-    let r = chaos_storm(p, k, rounds, cfg_for(mixed));
-    let d = &r.1;
-    assert!(d.frames_dropped > 0 && d.retransmits > 0 && d.checksum_failures > 0);
-    assert!(
-        d.retransmits <= 4 * (d.frames_dropped + d.checksum_failures) + 16,
-        "retransmit overhead unbounded: {} redrives for {} drops + {} rejections",
-        d.retransmits,
-        d.frames_dropped,
-        d.checksum_failures
-    );
-    // The same shape for the other two recovery counters: a duplicate is
-    // an injected dup (at most one per request) or a redrive that raced
-    // its original; an ack answers a delivered batch or a duplicate.
-    assert!(d.duplicates_discarded <= d.remote_requests + d.retransmits, "duplicates: {d:?}");
-    assert!(d.acks_sent <= d.remote_requests + d.duplicates_discarded, "acks: {d:?}");
-    push(format!("storm/mixed/p{p}"), mixed, p, r);
-
+fn chaos_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+    let (k, rounds, rto_us) = (5u64, 4u64, 25_000u64);
+    // (id, fault profile, p)
+    let mut specs = vec![
+        ("storm/clean/p4", "", 4usize),
+        ("storm/drop-all/p4", "drop:1.0", 4),
+        ("storm/corrupt-all/p4", "corrupt:1.0", 4),
+        ("storm/mixed/p4", CHAOS_MIXED, 4),
+    ];
     if tier >= Tier::Lite {
-        let r = chaos_storm(2, k, rounds, cfg_for(mixed));
-        push("storm/mixed/p2".to_string(), mixed, 2, r);
-        let severe = "drop:0.4,dup:0.2,reorder:0.2,corrupt:0.2";
-        let r = chaos_storm(p, k, rounds, cfg_for(severe));
-        push(format!("storm/severe/p{p}"), severe, p, r);
+        specs.push(("storm/mixed/p2", CHAOS_MIXED, 2));
+        specs.push(("storm/severe/p4", "drop:0.4,dup:0.2,reorder:0.2,corrupt:0.2", 4));
     }
     if tier >= Tier::Full {
-        let r = chaos_storm(8, k, rounds, cfg_for(mixed));
-        push("storm/mixed/p8".to_string(), mixed, 8, r);
+        specs.push(("storm/mixed/p8", CHAOS_MIXED, 8));
     }
-    records
+    specs
+        .into_iter()
+        .map(|(id, profile, p)| {
+            let cfg = RtsConfig {
+                // Keeps the layer on for the clean control's empty schedule.
+                reliable: true,
+                // One batch per request: seeded draws are program-order stable.
+                aggregation: 1,
+                retransmit_rto_us: rto_us,
+                faults: FaultSchedule::parse(profile).expect("bundled profile parses"),
+                fault_seed: BENCH_SEED,
+                ..base.clone()
+            };
+            BenchRecord::new(
+                id.to_string(),
+                vec![
+                    knob("profile", if profile.is_empty() { "none" } else { profile }),
+                    knob("p", p),
+                    knob("k", k),
+                    knob("rounds", rounds),
+                    knob("aggregation", 1),
+                    knob("rto_us", rto_us),
+                ],
+                chaos_storm(p, k, rounds, cfg),
+            )
+        })
+        .collect()
+}
+
+/// Recovery pays for injected damage and never multiplies it; on a clean
+/// fabric the reliability machinery is free.
+fn chaos_claims(records: &[BenchRecord]) {
+    for r in records {
+        let (d, id) = (&r.counters, &r.id);
+        match r.knob("profile") {
+            // Any nonzero recovery counter is a protocol bug (e.g. the
+            // retransmission timer firing on acknowledged batches).
+            "none" => {
+                assert_eq!(d.frames_dropped, 0, "{id}: clean fabric must drop nothing");
+                assert_eq!(d.retransmits, 0, "{id}: clean fabric must not redrive");
+                assert_eq!(d.checksum_failures, 0, "{id}: clean fabric must not reject");
+            }
+            // Every first transmission is dropped, so every batch (one
+            // request each at aggregation 1) is recovered by a redrive.
+            "drop:1.0" => {
+                assert!(d.frames_dropped >= d.remote_requests, "{id}: every batch drops once");
+                assert!(d.retransmits >= d.remote_requests, "{id}: every drop is redriven");
+                assert_eq!(d.checksum_failures, 0, "{id}: drops are not corruption");
+            }
+            // Every first transmission has one bit flipped, is rejected by
+            // its CRC (never executed), and is redriven.
+            "corrupt:1.0" => {
+                assert!(d.checksum_failures >= d.remote_requests, "{id}: every batch is rejected");
+                assert!(d.retransmits >= d.remote_requests, "{id}: every rejection is redriven");
+            }
+            // The realistic soak points — every fault kind at once.
+            _ => {
+                assert!(d.frames_dropped > 0 && d.checksum_failures > 0, "{id}: no damage: {d:?}");
+                assert!(d.retransmits > 0, "{id}: damage never redriven");
+                let damage = d.frames_dropped + d.checksum_failures;
+                assert!(d.retransmits <= 4 * damage + 16, "{id}: unbounded redrives: {d:?}");
+                // A duplicate is an injected dup (at most one per request)
+                // or a redrive that raced its original; an ack answers a
+                // delivered batch or a duplicate.
+                assert!(d.duplicates_discarded <= d.remote_requests + d.retransmits, "{id}: {d:?}");
+                assert!(d.acks_sent <= d.remote_requests + d.duplicates_discarded, "{id}: {d:?}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
-// Driver + serialization
+// Serialization
 // ---------------------------------------------------------------------
-
-/// Runs every scenario of `area` at `tier`. Returns `None` for an unknown
-/// area name (callers print [`AREAS`]).
-pub fn run_area(area: &str, tier: Tier) -> Option<AreaReport> {
-    let records = match area {
-        "localization" => localization_area(tier),
-        "directory" => directory_area(tier),
-        "dynamic" => dynamic_area(tier),
-        "executor" => executor_area(tier),
-        "transport" => transport_area(tier),
-        "chaos" => chaos_area(tier),
-        _ => return None,
-    };
-    let area = AREAS.iter().find(|a| **a == area).expect("known area");
-    Some(AreaReport { area, tier, records })
-}
 
 impl AreaReport {
-    /// Serializes the report as the `BENCH_<area>.json` schema: pretty
-    /// enough for line-oriented git diffs (one counter per line), strict
-    /// enough for [`Json::parse`].
+    /// Serializes the report as the `BENCH_<area>.json` schema: per record
+    /// its id, its knobs and its gated counters, nothing that differs
+    /// between two runs of one commit. Pretty enough for line-oriented git
+    /// diffs (one counter per line), strict enough for [`Json::parse`].
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": {},\n", SCHEMA_VERSION));
-        s.push_str(&format!("  \"area\": \"{}\",\n", escape(self.area)));
-        s.push_str(&format!("  \"tier\": \"{}\",\n", self.tier.name()));
-        s.push_str("  \"records\": [\n");
+        let mut s = format!(
+            "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"area\": \"{}\",\n  \"tier\": \"{}\",\n  \
+             \"records\": [\n",
+            escape(self.area.name),
+            self.tier.name()
+        );
         for (i, r) in self.records.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"id\": \"{}\",\n", escape(&r.id)));
-            s.push_str("      \"knobs\": {");
-            for (j, (k, v)) in r.knobs.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\": \"{}\"", escape(k), escape(v)));
-            }
-            s.push_str("},\n");
-            s.push_str(&format!("      \"wall_s\": {},\n", fmt_f64(r.wall_s)));
-            s.push_str("      \"gated\": [");
-            for (j, g) in r.gated.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("\"{}\"", g.name()));
-            }
-            s.push_str("],\n");
-            s.push_str("      \"counters\": {\n");
-            let counters = r.counters.counters();
-            for (j, (name, v)) in counters.iter().enumerate() {
-                let comma = if j + 1 < counters.len() { "," } else { "" };
-                s.push_str(&format!("        \"{name}\": {v}{comma}\n"));
-            }
-            s.push_str("      },\n");
-            s.push_str("      \"derived\": {\n");
-            let derived = [
-                ("aggregation_ratio", r.counters.aggregation_ratio()),
-                ("steal_fraction", r.counters.steal_fraction()),
-                ("dir_cache_hit_rate", r.counters.dir_cache_hit_rate()),
-                ("localization_rate", r.counters.localization_rate()),
-                ("remote_fraction", r.counters.remote_fraction()),
-                ("bytes_per_message", r.counters.bytes_per_message()),
-            ];
-            for (j, (name, v)) in derived.iter().enumerate() {
-                let comma = if j + 1 < derived.len() { "," } else { "" };
-                s.push_str(&format!("        \"{name}\": {}{comma}\n", fmt_f64(*v)));
-            }
-            s.push_str("      },\n");
-            // Advisory observability block (rts::trace): event counts are
-            // deterministic for the gated kinds; histogram durations are
-            // wall-clock-like and must never be gated or diffed strictly.
-            s.push_str("      \"trace\": {\n");
-            s.push_str(&format!("        \"dropped\": {},\n", r.trace.dropped));
-            s.push_str("        \"events\": {\n");
-            let events = r.trace.event_counts();
-            for (j, (name, v)) in events.iter().enumerate() {
-                let comma = if j + 1 < events.len() { "," } else { "" };
-                s.push_str(&format!("          \"{name}\": {v}{comma}\n"));
-            }
-            s.push_str("        },\n");
-            s.push_str("        \"histograms\": {\n");
-            let hists = r.trace.histograms();
-            for (j, (name, h)) in hists.iter().enumerate() {
-                let comma = if j + 1 < hists.len() { "," } else { "" };
-                s.push_str(&format!(
-                    "          \"{name}\": {{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-                     \"p99_ns\": {}, \"max_ns\": {}}}{comma}\n",
-                    h.count(),
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.max_ns()
-                ));
-            }
-            s.push_str("        }\n");
-            s.push_str("      }\n");
-            s.push_str(if i + 1 < self.records.len() { "    },\n" } else { "    }\n" });
+            let knobs: Vec<String> =
+                r.knobs.iter().map(|(k, v)| format!("\"{}\": \"{}\"", escape(k), escape(v))).collect();
+            let counters: Vec<String> = self
+                .area
+                .gated
+                .iter()
+                .map(|&g| format!("        \"{}\": {}", g.name(), r.counters.get(g)))
+                .collect();
+            s.push_str(&format!(
+                "    {{\n      \"id\": \"{}\",\n      \"knobs\": {{{}}},\n      \"counters\": \
+                 {{\n{}\n      }}\n    }}{}\n",
+                escape(&r.id),
+                knobs.join(", "),
+                counters.join(",\n"),
+                if i + 1 < self.records.len() { "," } else { "" }
+            ));
         }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
+        s.push_str("  ]\n}\n");
         s
     }
 
-    /// The `BENCH_<area>.json` file name for this report.
-    pub fn file_name(&self) -> String {
-        format!("BENCH_{}.json", self.area)
-    }
-
-    /// Writes the report into `dir` (created if missing); returns the path.
+    /// Writes the report as `BENCH_<area>.json` into `dir` (created if
+    /// missing); returns the path.
     pub fn write_to(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(self.file_name());
+        let path = dir.join(format!("BENCH_{}.json", self.area.name));
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
 }
 
-/// A `BENCH_*.json` file read back for comparison (schema-tolerant: any
-/// counter name is accepted, so old binaries can diff newer files).
+/// A `BENCH_*.json` file read back for comparison (any counter name is
+/// accepted here; `compare` decides what a name it cannot gate means).
 #[derive(Debug)]
 pub struct ParsedArea {
-    pub schema: u64,
     pub area: String,
     pub tier: String,
     pub records: Vec<ParsedRecord>,
 }
 
+/// One record read back: its id and its gated counters.
 #[derive(Debug)]
 pub struct ParsedRecord {
     pub id: String,
-    pub wall_s: f64,
-    pub gated: Vec<String>,
-    pub counters: std::collections::BTreeMap<String, u64>,
-    /// Event counts from the advisory `"trace"` block; empty when the
-    /// file predates tracing. Never gated — kept for inspection only.
-    pub trace_events: std::collections::BTreeMap<String, u64>,
+    pub counters: BTreeMap<String, u64>,
 }
 
 impl ParsedArea {
     pub fn parse(text: &str) -> Result<ParsedArea, String> {
         let v = Json::parse(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_u64)
-            .ok_or("missing \"schema\"")?;
+        let schema = v.get("schema").and_then(Json::as_u64).ok_or("missing \"schema\"")?;
         if schema != SCHEMA_VERSION {
             return Err(format!("schema {schema} != supported {SCHEMA_VERSION}"));
         }
@@ -1133,34 +1272,16 @@ impl ParsedArea {
         let mut records = Vec::new();
         for r in v.get("records").and_then(Json::as_arr).ok_or("missing \"records\"")? {
             let id = r.get("id").and_then(Json::as_str).ok_or("record missing \"id\"")?;
-            let wall_s = r.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0);
-            let gated = r
-                .get("gated")
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(|g| g.as_str().map(String::from)).collect())
-                .unwrap_or_default();
-            let mut counters = std::collections::BTreeMap::new();
+            let mut counters = BTreeMap::new();
             if let Some(obj) = r.get("counters").and_then(Json::as_obj) {
                 for (k, v) in obj {
-                    counters.insert(
-                        k.clone(),
-                        v.as_u64().ok_or_else(|| format!("counter {k} not a u64 in {id}"))?,
-                    );
+                    let v = v.as_u64().ok_or_else(|| format!("counter {k} not a u64 in {id}"))?;
+                    counters.insert(k.clone(), v);
                 }
             }
-            let mut trace_events = std::collections::BTreeMap::new();
-            if let Some(obj) =
-                r.get("trace").and_then(|t| t.get("events")).and_then(Json::as_obj)
-            {
-                for (k, v) in obj {
-                    if let Some(n) = v.as_u64() {
-                        trace_events.insert(k.clone(), n);
-                    }
-                }
-            }
-            records.push(ParsedRecord { id: id.to_string(), wall_s, gated, counters, trace_events });
+            records.push(ParsedRecord { id: id.to_string(), counters });
         }
-        Ok(ParsedArea { schema, area, tier, records })
+        Ok(ParsedArea { area, tier, records })
     }
 }
 
@@ -1168,6 +1289,7 @@ impl ParsedArea {
 mod tests {
     use super::*;
     use stapl_rts::Class;
+    use std::collections::BTreeSet;
 
     #[test]
     fn tiers_parse_and_order() {
@@ -1179,46 +1301,61 @@ mod tests {
         assert_eq!(Tier::KickTires.name(), "kick-tires");
     }
 
-    /// Half of what lint L4 used to check across files (the other half —
-    /// stale or misspelt names — no longer compiles): every deterministic
-    /// counter is gated by some area, and no timing counter is.
+    /// A gate must be able to fire: no area gates a timing counter, and
+    /// every deterministic counter is gated by some kick-tires record of
+    /// the checked-in baselines **at a non-zero value** — a counter gated
+    /// only at zero is gated on a constant. `poisoned_responses` is the one
+    /// exception: no handler of the storm panics, and zero is the point.
     #[test]
     fn a_counter_is_gated_somewhere_iff_it_is_deterministic() {
-        let lists = [
-            LOCALIZATION_GATED,
-            DIRECTORY_GATED,
-            DYNAMIC_GATED,
-            EXECUTOR_GATED,
-            TRANSPORT_GATED,
-            CHAOS_GATED,
-        ];
+        let baselines =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines");
+        let mut fires = BTreeSet::new();
+        for area in AREAS {
+            let path = baselines.join(format!("BENCH_{}.json", area.name));
+            let text = std::fs::read_to_string(&path).expect("a baseline per area");
+            let parsed = ParsedArea::parse(&text).expect("baseline parses");
+            assert_eq!(parsed.tier, "kick-tires", "{}", path.display());
+            let gated: BTreeSet<&str> = area.gated.iter().map(|c| c.name()).collect();
+            for r in &parsed.records {
+                let held: BTreeSet<&str> = r.counters.keys().map(String::as_str).collect();
+                assert_eq!(held, gated, "{}/{} holds other than the area's gates", area.name, r.id);
+                fires.extend(r.counters.iter().filter(|(_, v)| **v > 0).map(|(k, _)| k.clone()));
+            }
+        }
         for &c in Counter::ALL {
-            let gated = lists.iter().any(|l| l.contains(&c));
+            let gated = AREAS.iter().any(|a| a.gated.contains(&c));
             match c.class() {
                 Class::Timing(why) => assert!(!gated, "{} is gated but timing: {why}", c.name()),
-                _ => assert!(gated, "{} is deterministic but no area gates it", c.name()),
+                _ if c == Counter::poisoned_responses => assert!(gated),
+                _ => assert!(
+                    fires.contains(c.name()),
+                    "{} is deterministic but no kick-tires baseline gates it above zero",
+                    c.name()
+                ),
             }
         }
     }
 
     #[test]
     fn unknown_area_is_none() {
-        assert!(run_area("no-such-area", Tier::KickTires).is_none());
+        assert!(area("no-such-area").is_none());
+        assert_eq!(area("dynamic").map(|a| a.name), Some("dynamic"));
     }
 
     #[test]
     fn report_json_round_trips() {
         let report = AreaReport {
-            area: "localization",
+            area: area("localization").unwrap(),
             tier: Tier::KickTires,
             records: vec![BenchRecord {
                 id: "copy/misaligned/p4".into(),
                 knobs: vec![("p", "4".into()), ("mode", "localized".into())],
                 wall_s: 1.25e-4,
-                gated: vec![Counter::remote_requests],
                 counters: StatsSnapshot {
                     remote_requests: 4,
                     bulk_requests: 3,
+                    batches_sent: 2,
                     ..Default::default()
                 },
                 trace: TraceSummary::default(),
@@ -1231,23 +1368,21 @@ mod tests {
         assert_eq!(parsed.records.len(), 1);
         let r = &parsed.records[0];
         assert_eq!(r.id, "copy/misaligned/p4");
-        assert_eq!(r.wall_s, 1.25e-4);
-        assert_eq!(r.gated, vec!["remote_requests".to_string()]);
-        assert_eq!(r.counters["remote_requests"], 4);
-        assert_eq!(r.counters["bulk_requests"], 3);
-        assert_eq!(r.counters["local_invocations"], 0);
-        // The advisory trace block round-trips: every kind serialized,
-        // parsed back as plain (name, count) pairs.
-        assert_eq!(r.trace_events.len(), stapl_rts::KIND_COUNT);
-        assert_eq!(r.trace_events["rmi_send"], 0);
-        assert_eq!(r.trace_events["task_run"], 0);
+        // The file holds the area's gated counters and nothing else.
+        let held: Vec<(&str, u64)> = r.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let gated =
+            [("bulk_requests", 3), ("element_fallbacks", 0), ("localized_chunks", 0), ("remote_requests", 4)];
+        assert_eq!(held, gated);
+        assert!(!text.contains("wall_s") && !text.contains("batches_sent"), "{text}");
     }
 
     #[test]
     fn parse_rejects_other_schemas() {
-        let err = ParsedArea::parse("{\"schema\": 99, \"area\": \"x\", \"records\": []}")
-            .unwrap_err();
-        assert!(err.contains("schema"), "{err}");
+        for other in [1, 99] {
+            let text = format!("{{\"schema\": {other}, \"area\": \"x\", \"records\": []}}");
+            let err = ParsedArea::parse(&text).unwrap_err();
+            assert!(err.contains("schema"), "{err}");
+        }
         assert!(ParsedArea::parse("{}").is_err());
         assert!(ParsedArea::parse("not json").is_err());
     }

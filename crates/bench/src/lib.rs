@@ -1,15 +1,16 @@
-//! # stapl-bench — harness shared by the evaluation benchmarks
+//! # stapl-bench — the evaluation's measuring code
 //!
 //! Implements the measurement kernel of Fig. 24 (time `N/P` method
 //! invocations per location plus the closing fence; report the maximum
-//! over locations) and table printing for the paper-style series.
+//! over locations), table printing for the paper-style series, and the
+//! counter [`harness`]: one table of areas whose records `experiments
+//! --json` writes as `BENCH_<area>.json` for [`compare`] to gate, and
+//! `experiments <area>` prints and checks against the paper-style claims.
 //!
 //! Every table and figure of the paper's evaluation (Chapters VIII–XIII)
-//! maps to a Criterion bench target in `benches/` and to a subcommand of
-//! the `experiments` binary (`cargo run --release -p stapl-bench --bin
-//! experiments`), which prints the same rows/series the paper reports.
-//! `EXPERIMENTS.md` records the measured shapes next to the paper's
-//! claims.
+//! maps to a subcommand of the `experiments` binary (`cargo run --release
+//! -p stapl-bench --bin experiments -- --list`). This crate owns
+//! deterministic counters; time and memory are measured by `benchmark/`.
 
 use std::time::Instant;
 
@@ -89,82 +90,6 @@ impl Table {
     }
 }
 
-// ---------------------------------------------------------------------
-// Skewed-workload scenario (PARAGRAPH executor evaluation)
-// ---------------------------------------------------------------------
-
-/// How the skewed-workload scenario schedules its element work.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Lock-step SPMD loop over local chunks + fence (the pre-PARAGRAPH
-    /// baseline): each location grinds through its own elements.
-    Spmd,
-    /// PARAGRAPH executor with stealing disabled: task scheduling, but
-    /// every task runs on its home location.
-    Executor,
-    /// PARAGRAPH executor with the work-stealing path enabled.
-    Steal,
-}
-
-impl ExecMode {
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecMode::Spmd => "spmd",
-            ExecMode::Executor => "executor",
-            ExecMode::Steal => "executor+steal",
-        }
-    }
-}
-
-/// **The skewed scenario.** Fills a balanced pArray with `dst[k] = k`,
-/// where deriving each element takes a simulated per-element service
-/// time (sleep): `light_us` µs for the first three quarters of the index
-/// space and `heavy_us` µs for the last quarter — so under the balanced
-/// distribution the trailing location(s) carry most of the work. This
-/// models irregular per-element latency (out-of-core fetches, remote
-/// lookups), the regime where a task-dependence-graph executor pays off:
-/// sleeps overlap across location threads even on a single core, so the
-/// lock-step SPMD baseline serializes the heavy quarter on one location
-/// while the stealing executor spreads it.
-///
-/// Returns (max-over-locations seconds, global runtime stats) and
-/// asserts the result array is correct in every mode.
-pub fn skewed_generate(
-    p: usize,
-    n: usize,
-    light_us: u64,
-    heavy_us: u64,
-    mode: ExecMode,
-) -> (f64, stapl_rts::StatsSnapshot) {
-    use stapl_algorithms::map_func::p_generate_view;
-    use stapl_algorithms::paragraph_algos::p_generate_pg;
-    use stapl_containers::array::PArray;
-    use stapl_core::interfaces::ElementRead;
-    use stapl_paragraph::executor::ExecPolicy;
-    use stapl_views::array_view::ArrayView;
-
-    stapl_rts::execute_collect(stapl_rts::RtsConfig::default(), p, move |loc| {
-        let a = PArray::new(loc, n, 0u64);
-        let v = ArrayView::new(a.clone());
-        let gen = move |k: usize| {
-            let us = if k >= n - n / 4 { heavy_us } else { light_us };
-            std::thread::sleep(std::time::Duration::from_micros(us));
-            k as u64
-        };
-        let secs = time_kernel(loc, || match mode {
-            ExecMode::Spmd => p_generate_view(&v, gen),
-            ExecMode::Executor => p_generate_pg(&v, ExecPolicy::no_stealing(), gen),
-            ExecMode::Steal => p_generate_pg(&v, ExecPolicy::default(), gen),
-        });
-        // Every mode must produce the identical array.
-        for i in (0..n).step_by((n / 16).max(1)) {
-            assert_eq!(a.get_element(i), i as u64, "mode {mode:?} corrupted element {i}");
-        }
-        (secs, loc.stats())
-    })
-    .remove(0)
-}
-
 /// Formats seconds with µs resolution.
 pub fn fmt_time(secs: f64) -> String {
     if secs >= 1.0 {
@@ -178,8 +103,7 @@ pub fn fmt_time(secs: f64) -> String {
 
 /// Per-element cost — the normalization that makes weak scaling legible
 /// on a single-core host: flat per-element cost across P means the
-/// framework adds no per-location overhead (see EXPERIMENTS.md,
-/// "Reading the numbers on one core").
+/// framework adds no per-location overhead.
 pub fn fmt_per_op(secs: f64, ops: usize) -> String {
     if ops == 0 || secs == 0.0 {
         return "-".into();

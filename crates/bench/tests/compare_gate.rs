@@ -18,22 +18,19 @@ fn scratch(test: &str) -> PathBuf {
     dir
 }
 
+/// Writes a schema-2 `BENCH_<area>.json`: per record its id and its gated
+/// counters.
 fn write_area(dir: &Path, area: &str, records: &[(&str, &[(&str, u64)])]) {
-    let mut recs = String::new();
-    for (i, (id, counters)) in records.iter().enumerate() {
-        let gated: Vec<String> =
-            counters.iter().map(|(k, _)| format!("\"{k}\"")).collect();
-        let body: Vec<String> =
-            counters.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
-        recs.push_str(&format!(
-            "{}{{\"id\": \"{id}\", \"wall_s\": 0.001, \"gated\": [{}], \"counters\": {{{}}}}}",
-            if i > 0 { ", " } else { "" },
-            gated.join(", "),
-            body.join(", ")
-        ));
-    }
+    let recs: Vec<String> = records
+        .iter()
+        .map(|(id, counters)| {
+            let body: Vec<String> = counters.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("{{\"id\": \"{id}\", \"knobs\": {{}}, \"counters\": {{{}}}}}", body.join(", "))
+        })
+        .collect();
     let text = format!(
-        "{{\"schema\": 1, \"area\": \"{area}\", \"tier\": \"kick-tires\", \"records\": [{recs}]}}"
+        "{{\"schema\": 2, \"area\": \"{area}\", \"tier\": \"kick-tires\", \"records\": [{}]}}",
+        recs.join(", ")
     );
     std::fs::write(dir.join(format!("BENCH_{area}.json")), text).unwrap();
 }
@@ -163,4 +160,23 @@ fn unusable_inputs_exit_2() {
     // Bad usage.
     let out = Command::new(BIN).arg("only-one-dir").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn a_schema_1_baseline_is_refused() {
+    let root = scratch("mixed-schema");
+    let (base, fresh) = (root.join("base"), root.join("fresh"));
+    std::fs::create_dir_all(&base).unwrap();
+    std::fs::create_dir_all(&fresh).unwrap();
+    // What a pre-schema-2 baseline looked like: a `gated` list beside the
+    // full counter block, wall-clock and all.
+    let old = "{\"schema\": 1, \"area\": \"localization\", \"tier\": \"kick-tires\", \"records\": \
+               [{\"id\": \"copy/a\", \"wall_s\": 0.001, \"gated\": [\"remote_requests\"], \
+               \"counters\": {\"remote_requests\": 100, \"batches_sent\": 7}}]}";
+    std::fs::write(base.join("BENCH_localization.json"), old).unwrap();
+    write_area(&fresh, "localization", &[("copy/a", &[("remote_requests", 100)])]);
+    let out = run_compare(&base, &fresh, &[]);
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("schema 1 != supported 2"), "{err}");
 }

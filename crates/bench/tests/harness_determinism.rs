@@ -1,30 +1,19 @@
 //! Run-to-run determinism of the harness: the whole point of gating CI
-//! on counters instead of wall-clock is that two runs at the same knobs
-//! produce *identical* gated counter values. This re-runs every area at
-//! the kick-tires tier and asserts exact equality, counter by counter —
-//! if a scenario picks up an unseeded RNG or a timing-dependent counter
-//! sneaks into a `gated` list, this is the test that catches it.
+//! on counters is that two runs at the same knobs produce *identical*
+//! gated values — and since a `BENCH_*.json` holds nothing else, identical
+//! **files**. This runs every area twice at the kick-tires tier and
+//! compares what would be written byte for byte: if a scenario picks up an
+//! unseeded RNG, or a timing-dependent value sneaks into the schema or a
+//! `gated` list, this is the test that catches it.
 
-use stapl_bench::harness::{run_area, Tier, AREAS};
+use stapl_bench::harness::{Tier, AREAS};
+use stapl_rts::RtsConfig;
 
 #[test]
 fn gated_counters_are_identical_across_runs() {
     for area in AREAS {
-        let a = run_area(area, Tier::KickTires).expect("known area");
-        let b = run_area(area, Tier::KickTires).expect("known area");
-        assert_eq!(a.records.len(), b.records.len(), "{area}: record count drifted");
-        for (ra, rb) in a.records.iter().zip(&b.records) {
-            assert_eq!(ra.id, rb.id, "{area}: record order drifted");
-            assert_eq!(ra.gated, rb.gated, "{area}/{}: gated set drifted", ra.id);
-            for &g in &ra.gated {
-                assert_eq!(
-                    ra.counters.get(g),
-                    rb.counters.get(g),
-                    "{area}/{}: gated counter {} differs between runs",
-                    ra.id,
-                    g.name()
-                );
-            }
-        }
+        let a = area.run(Tier::KickTires, &RtsConfig::base());
+        let b = area.run(Tier::KickTires, &RtsConfig::base());
+        assert_eq!(a.to_json(), b.to_json(), "{}: two runs wrote different files", area.name);
     }
 }

@@ -7,21 +7,22 @@
 //! timing-dependent by design and deliberately skipped, exactly like the
 //! non-gated counters in the harness.
 
-use stapl_bench::harness::{run_area, Tier, AREAS};
-use stapl_rts::TraceEventKind;
+use stapl_bench::harness::{Tier, AREAS};
+use stapl_rts::{RtsConfig, TraceEventKind};
 
 #[test]
 fn gated_trace_counts_are_identical_across_runs() {
     for area in AREAS {
-        let a = run_area(area, Tier::KickTires).expect("known area");
-        let b = run_area(area, Tier::KickTires).expect("known area");
+        let a = area.run(Tier::KickTires, &RtsConfig::base());
+        let b = area.run(Tier::KickTires, &RtsConfig::base());
+        let (area, gated) = (area.name, area.gated);
         assert_eq!(a.records.len(), b.records.len(), "{area}: record count drifted");
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.id, rb.id, "{area}: record order drifted");
             let mut compared = 0usize;
             for kind in TraceEventKind::ALL {
                 let Some(counter) = kind.gating_counter() else { continue };
-                if !ra.gated.contains(&counter) {
+                if !gated.contains(&counter) {
                     continue;
                 }
                 assert_eq!(

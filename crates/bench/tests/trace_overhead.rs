@@ -4,9 +4,9 @@
 //! writes it. Pure timing counters (batching, fence rounds, steals) are
 //! excluded exactly as they are from the harness's gated lists.
 //!
-//! The wall-clock side of the overhead claim lives in
-//! `benches/trace_overhead.rs`; this test is the stats-level guard CI can
-//! gate on.
+//! The wall-clock side of the overhead claim is `benchmark/`'s
+//! `rts.trace_overhead_x`; this test is the stats-level guard CI can gate
+//! on.
 
 use stapl_rts::{execute_collect, execute_collect_traced, RtsConfig, StatsSnapshot};
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Self-test of the regression gate itself (run by CI after kick-tires):
-#   1. determinism: two kick-tires runs must agree with --exact (zero
-#      tolerance) — the property the whole counter gate rests on;
+#   1. determinism: two kick-tires runs must write byte-identical files
+#      (a BENCH_*.json holds only what is gated) and agree with --exact
+#      (zero tolerance) — the property the whole counter gate rests on;
 #   2. sensitivity: a synthetic counter regression injected into one run
 #      must make bench-compare exit nonzero.
 . "$(dirname "$0")/common.sh"
@@ -15,7 +16,8 @@ rm -rf "$out_a" "$out_b"
 "$REPO_ROOT/target/release/experiments" --json "$out_a" --tier kick-tires
 "$REPO_ROOT/target/release/experiments" --json "$out_b" --tier kick-tires
 
-echo "== selftest 1: run-to-run determinism (--exact) =="
+echo "== selftest 1: run-to-run determinism (diff -r, --exact) =="
+diff -r "$out_a" "$out_b"
 "$REPO_ROOT/target/release/bench-compare" "$out_a" "$out_b" --exact
 
 echo "== selftest 2: synthetic regression must be caught =="
