@@ -38,10 +38,11 @@ use stapl_rts::{LocId, Location, RmiFuture};
 /// Vertex descriptor (the vertex GID).
 pub type VertexDesc = usize;
 
-/// A directed edge with a property (Table XXVI's edge reference).
+/// A directed edge with a property (Table XXVI's edge reference). Its
+/// source is not stored: an edge lives in the out-edge list of its source
+/// vertex, whose [`Vertex::descriptor`] it is.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Edge<EP> {
-    pub source: VertexDesc,
     pub target: VertexDesc,
     pub property: EP,
 }
@@ -568,9 +569,9 @@ where
             rep.counts_dirty = true;
             (rep.directedness == Directedness::Undirected && source != target).then(|| property.clone())
         };
-        self.route(source, move |v| v.edges.push(Edge { source, target, property }));
+        self.route(source, move |v| v.edges.push(Edge { target, property }));
         if let Some(property) = mirror {
-            self.route(target, move |v| v.edges.push(Edge { source: target, target: source, property }));
+            self.route(target, move |v| v.edges.push(Edge { target: source, property }));
         }
     }
 
@@ -1018,7 +1019,7 @@ mod tests {
             g.commit();
             assert_eq!(g.vertex_property(0), 50);
             let deg = g.apply_vertex_ret(0, |v| {
-                v.edges.push(Edge { source: 0, target: 1, property: () });
+                v.edges.push(Edge { target: 1, property: () });
                 v.out_degree()
             });
             assert!(deg >= 1);

@@ -6,6 +6,9 @@
 //! representative with the RTS (a collective operation — all locations must
 //! construct the same objects in the same order so handles agree), after
 //! which the `invoke` family routes method executions to any location.
+//! Dropping the last `PObject` of a handle on a location retires it there;
+//! no collective destructor exists or is needed (DESIGN.md "p_object
+//! lifetime").
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
@@ -14,15 +17,40 @@ use stapl_rts::{Handle, LocId, Location, RmiFuture};
 
 /// One location's view of a distributed object whose per-location
 /// representative has type `Rep`.
+///
+/// **Lifetime.** Clones share the representative and keep the handle alive
+/// (a view holding a clone of its container is enough). When the last
+/// clone on a location is dropped the location retires the handle
+/// ([`Location::retire`]): peers may go on invoking methods here, and the
+/// representative is freed at the first `rmi_fence` this location enters
+/// after *every* location has dropped its last clone. Drop order and
+/// timing are free — no fence is needed before a drop, asynchronous
+/// requests still unfenced are executed — but memory comes back only at a
+/// fence.
 pub struct PObject<Rep: 'static> {
     loc: Location,
     handle: Handle,
     rep: Rc<RefCell<Rep>>,
+    /// Shared by this location's clones and by nothing else (`rep` is also
+    /// held by the registry and by running handlers): dropped with the
+    /// last of them.
+    last: Rc<RetireOnDrop>,
+}
+
+struct RetireOnDrop {
+    loc: Location,
+    handle: Handle,
+}
+
+impl Drop for RetireOnDrop {
+    fn drop(&mut self) {
+        self.loc.retire(self.handle);
+    }
 }
 
 impl<Rep: 'static> Clone for PObject<Rep> {
     fn clone(&self) -> Self {
-        PObject { loc: self.loc.clone(), handle: self.handle, rep: self.rep.clone() }
+        PObject { loc: self.loc.clone(), handle: self.handle, rep: self.rep.clone(), last: self.last.clone() }
     }
 }
 
@@ -32,8 +60,9 @@ impl<Rep: 'static> PObject<Rep> {
     /// **Collective**: every location must call this at the same point of
     /// the SPMD program (the paper's collective constructors).
     pub fn register(loc: &Location, rep: Rep) -> Self {
-        let (handle, rc) = loc.register(RefCell::new(rep));
-        PObject { loc: loc.clone(), handle, rep: rc }
+        let (handle, rep) = loc.register(RefCell::new(rep));
+        let last = Rc::new(RetireOnDrop { loc: loc.clone(), handle });
+        PObject { loc: loc.clone(), handle, rep, last }
     }
 
     pub fn location(&self) -> &Location {
@@ -68,7 +97,8 @@ impl<Rep: 'static> PObject<Rep> {
     /// The local fast path of the `invoke` family: runs `f` on the
     /// representative this `PObject` already holds, counted as one local
     /// invocation. The registry lookup `Location::async_rmi(me, ..)` makes
-    /// could not fail here — nothing unregisters a `PObject`'s handle.
+    /// could not fail here — the handle is retired only when the last
+    /// `PObject` holding this `Rc` is gone.
     fn invoke_here<R>(&self, f: impl FnOnce(&RefCell<Rep>, &Location) -> R) -> R {
         self.loc.note_local_invocation();
         f(&self.rep, &self.loc)
@@ -190,6 +220,46 @@ mod tests {
             *obj.local_mut() = 9;
             assert_eq!(*other.local(), 9);
             assert_eq!(obj.handle(), other.handle());
+        });
+    }
+
+    #[test]
+    fn the_last_clone_retires_wherever_it_is_dropped() {
+        struct Selfish(Option<PObject<Selfish>>);
+        execute(RtsConfig::default(), 2, |loc| {
+            let obj = PObject::register(loc, Selfish(None));
+            let h = obj.handle();
+            // A clone — a view's, here the representative's own — keeps
+            // the handle alive.
+            obj.local_mut().0 = Some(obj.clone());
+            drop(obj);
+            loc.barrier();
+            loc.rmi_fence();
+            assert_eq!(loc.live_p_objects(), 1);
+            // Dropped by a handler on the object's own representative,
+            // while the runtime's lookup holds that `Rc` too.
+            let drop_it = |rep: &RefCell<Selfish>, _: &Location| drop(rep.borrow_mut().0.take());
+            loc.async_rmi((loc.id() + 1) % 2, h, drop_it);
+            loc.rmi_fence();
+            loc.rmi_fence();
+            assert_eq!(loc.live_p_objects(), 0);
+        });
+    }
+
+    #[test]
+    fn a_nested_p_object_goes_one_fence_after_its_owner() {
+        execute(RtsConfig::default(), 2, |loc| {
+            let outer = PObject::register(loc, PObject::register(loc, 0u64));
+            assert_eq!(loc.live_p_objects(), 2);
+            drop(outer);
+            loc.barrier();
+            loc.rmi_fence();
+            // Reclaiming the owner dropped its representative, which
+            // retired the p_object inside.
+            assert_eq!(loc.live_p_objects(), 1);
+            loc.barrier();
+            loc.rmi_fence();
+            assert_eq!(loc.live_p_objects(), 0);
         });
     }
 

@@ -10,7 +10,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crossbeam::channel::{Receiver, Sender};
 
@@ -62,6 +62,10 @@ pub(crate) struct Shared {
     pub counters: Vec<Arc<CounterBlock>>,
     pub barrier: PollBarrier,
     pub fence_done: AtomicU64, // 0 = undecided/no, 1 = done (leader-written)
+    /// Indexed by handle: how many locations have retired it
+    /// ([`Location::retire`]). A location reclaims a representative only
+    /// once this reads `nlocs` (DESIGN.md "p_object lifetime").
+    pub retired: Mutex<Vec<u32>>,
     pub board: CollectiveBoard,
     /// Epoch of this execution: all trace timestamps are monotonic
     /// nanoseconds relative to this instant, so the per-location timelines
@@ -145,6 +149,8 @@ struct LocInner {
     /// flush, inbound queue); see [`crate::transport`].
     endpoint: Endpoint,
     registry: RefCell<Vec<RegEntry>>,
+    /// Handles this location retired and has not reclaimed yet.
+    retiring: RefCell<Vec<Handle>>,
     /// When the oldest request staged toward `dest` entered the endpoint's
     /// buffer; `None` for an empty buffer. Drives the adaptive (age-based)
     /// flush.
@@ -177,6 +183,7 @@ impl Location {
                 shared,
                 endpoint,
                 registry: RefCell::new(Vec::new()),
+                retiring: RefCell::default(),
                 outbuf_since: RefCell::new(vec![None; nlocs]),
                 slots: RefCell::default(),
                 counters,
@@ -374,6 +381,11 @@ impl Location {
     /// **Collective**: every location must register its representative of
     /// the same object at the same point in the SPMD program, so handles
     /// agree across locations (the paper's `p_object` registration).
+    ///
+    /// The registry keeps the representative until it is reclaimed (see
+    /// [`Location::retire`]) or [`Location::unregister`]ed; a handle that
+    /// is never retired stays registered until the execution ends. Handles
+    /// are not reused.
     pub fn register<T: 'static>(&self, rep: T) -> (Handle, Rc<T>) {
         let rc = Rc::new(rep);
         let mut reg = self.inner.registry.borrow_mut();
@@ -385,13 +397,63 @@ impl Location {
         (h, rc)
     }
 
-    /// Removes a representative from the registry. Subsequent RMIs to this
-    /// handle on this location panic, naming the unregistered p_object.
-    pub fn unregister(&self, h: Handle) {
-        let mut reg = self.inner.registry.borrow_mut();
-        if let Some(slot) = reg.get_mut(h.0 as usize) {
-            slot.rep = None;
+    /// Declares that this location will issue no further request to `h`:
+    /// what a p_object's destructor calls, once per handle and location.
+    /// Sends nothing. The representative stays registered — peers may
+    /// still invoke on it — until every location has retired `h`; this
+    /// location then reclaims it on completion of the first
+    /// [`Location::rmi_fence`] it enters after that (DESIGN.md "p_object
+    /// lifetime").
+    ///
+    /// Runs in `Drop`, possibly while unwinding after a peer's panic: it
+    /// leaves alone what it cannot borrow and survives a poisoned lock.
+    pub fn retire(&self, h: Handle) {
+        let Ok(mut retiring) = self.inner.retiring.try_borrow_mut() else { return };
+        let mut retired = self.inner.shared.retired.lock().unwrap_or_else(PoisonError::into_inner);
+        let i = h.0 as usize;
+        if retired.len() <= i {
+            retired.resize(i + 1, 0);
         }
+        retired[i] += 1;
+        retiring.push(h);
+    }
+
+    /// Takes out of the retiring list the handles every location has
+    /// retired. With nothing retiring this is one `is_empty`: no lock.
+    fn take_retired_everywhere(&self) -> Vec<Handle> {
+        let mut retiring = self.inner.retiring.borrow_mut();
+        if retiring.is_empty() {
+            return Vec::new();
+        }
+        let retired = self.inner.shared.retired.lock().expect("a location panicked while retiring a p_object");
+        let mut agreed = Vec::new();
+        retiring.retain(|&h| {
+            let everywhere = retired[h.0 as usize] as usize == self.nlocs();
+            if everywhere {
+                agreed.push(h);
+            }
+            !everywhere
+        });
+        agreed
+    }
+
+    /// Removes a representative from the registry, leaving its type name.
+    /// Subsequent RMIs to this handle on this location panic, naming the
+    /// unregistered p_object. Immediate and local: the caller vouches that
+    /// no request to `(this location, h)` is in flight or will be issued,
+    /// which [`Location::retire`] establishes on its own.
+    pub fn unregister(&self, h: Handle) {
+        let rep = self.inner.registry.borrow_mut().get_mut(h.0 as usize).and_then(|slot| slot.rep.take());
+        // Outside the registry borrow: the representative may own p_objects
+        // of its own, whose destructors come back to this location.
+        drop(rep);
+    }
+
+    /// Representatives registered here and not reclaimed or unregistered
+    /// (for tests: a dropped p_object must not stay).
+    #[doc(hidden)]
+    pub fn live_p_objects(&self) -> usize {
+        self.inner.registry.borrow().iter().filter(|e| e.rep.is_some()).count()
     }
 
     /// Looks up the local representative registered under `h`.
@@ -877,10 +939,18 @@ impl Location {
     /// rounds until, with all locations inside the fence, the requests
     /// handled and the requests sent — summed over the per-location
     /// counter blocks — are equal.
+    ///
+    /// Also where a dropped p_object's memory comes back: the handles every
+    /// location had retired ([`Location::retire`]) when this location
+    /// *entered* the fence are reclaimed when it completes. A fence with
+    /// nothing retiring pays one `is_empty` for that.
     pub fn rmi_fence(&self) {
         let t0 = self.trace_clock();
         let mut rounds = 0u64;
         let shared = self.inner.shared.clone();
+        // Decided on entry: a peer that has left this fence may send to a
+        // handle and retire it before this location gets out.
+        let reclaim = self.take_retired_everywhere();
         loop {
             self.bump(Counter::fence_rounds, 1);
             rounds += 1;
@@ -928,6 +998,7 @@ impl Location {
             // (or the caller) disturb the counters again.
             self.barrier();
             if done {
+                reclaim.into_iter().for_each(|h| self.unregister(h));
                 self.trace_span_end(TraceEventKind::FenceSpan, t0, rounds);
                 return;
             }

@@ -56,6 +56,7 @@ where
         counters: (0..nlocs).map(|_| Arc::new(CounterBlock::new())).collect(),
         barrier: PollBarrier::new(nlocs),
         fence_done: AtomicU64::new(0),
+        retired: Mutex::default(),
         board: CollectiveBoard::new(nlocs),
         epoch: std::time::Instant::now(),
         trace_sink: Mutex::new((0..nlocs).map(|_| None).collect()),
@@ -341,6 +342,42 @@ mod tests {
             assert!(msg.contains("RefCell"), "panic must name the type: {msg}");
             assert!(msg.contains("String"), "panic must name the type: {msg}");
             assert!(msg.contains("unregistered"), "panic must say what happened: {msg}");
+        });
+    }
+
+    #[test]
+    fn unregister_drops_the_representative_outside_the_registry_borrow() {
+        /// A representative whose destructor comes back to the registry,
+        /// as one that owns another p_object may.
+        struct Nosy(Location);
+        impl Drop for Nosy {
+            fn drop(&mut self) {
+                assert_eq!(self.0.live_p_objects(), 0);
+            }
+        }
+        execute(RtsConfig::default(), 1, |loc| {
+            let (h, rep) = loc.register(Nosy(loc.clone()));
+            drop(rep);
+            loc.unregister(h);
+        });
+    }
+
+    #[test]
+    fn a_handle_is_reclaimed_at_the_fence_after_every_location_retired_it() {
+        execute(RtsConfig::default(), 3, |loc| {
+            let (h, _) = loc.register(RefCell::new(0u64));
+            if loc.id() != 2 {
+                loc.retire(h);
+            }
+            loc.rmi_fence();
+            loc.rmi_fence();
+            assert_eq!(loc.live_p_objects(), 1, "location 2 may still send to it");
+            if loc.id() == 2 {
+                loc.retire(h);
+            }
+            loc.barrier();
+            loc.rmi_fence();
+            assert_eq!(loc.live_p_objects(), 0);
         });
     }
 

@@ -1,8 +1,9 @@
-//! Where a P=1 pass of a `benchmark/` workload goes, phase by phase.
+//! Where a P=1 pass of a `benchmark/` workload goes, phase by phase — and,
+//! with `--mem`, what each pass holds and asks of the allocator.
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path scripts/bench/phase-probe/Cargo.toml -- \
-//!     <workload> [--seed N] [--passes N] [--quick]
+//!     <workload> [--seed N] [--passes N] [--quick] [--mem [--p N]]
 //! ```
 //!
 //! Runs the workload's own `generate` / `setup` / `pass` on one location
@@ -11,7 +12,19 @@
 //! phase (same-named phases of one pass summed), of the whole pass and of
 //! the reference pass, in ms. No verification, no JSON, no comparison:
 //! point one checkout's probe at the parent and one at the change.
+//!
+//! `--mem` adds one line per pass from a counting global allocator: the
+//! most bytes live at once during the pass and the bytes live after its
+//! closing fence, both over what was live when pass 0 began, and the
+//! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made. A
+//! program that frees what it builds prints the same `live after` for
+//! every pass but the first. `--p N` runs N locations: the figures are
+//! process-wide, read by location 0 between barriers, and the reference
+//! pass (location 0's alone) stays outside the window; phase times at
+//! N > 1 are location 0's and do not repeat on a small host.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -19,6 +32,57 @@ use stapl::rts::{execute, RtsConfig};
 use stapl_benchmark::harness::Workload;
 use stapl_benchmark::spans::{now_ns, PassRec};
 use stapl_benchmark::workloads::{array_bulk, dynamic_graph_kv, rmi_reads, rmi_writes};
+
+/// Whether the allocator counts (`--mem`): off, a pass pays one load per call.
+static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Bytes live now; the most that were live since the last reset; calls made.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+impl Counting {
+    fn resized(&self, from: usize, to: usize) {
+        if !COUNTING.load(Relaxed) {
+            return;
+        }
+        CALLS.fetch_add(1, Relaxed);
+        if to >= from {
+            PEAK.fetch_max(LIVE.fetch_add(to - from, Relaxed) + (to - from), Relaxed);
+        } else {
+            LIVE.fetch_sub(from - to, Relaxed);
+        }
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are a side effect only.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's obligations are those of `System.alloc`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.resized(0, layout.size());
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.resized(layout.size(), 0);
+        // SAFETY: forwarded as received.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.resized(layout.size(), new_size);
+        // SAFETY: forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 /// Folds `ns` into `name`'s entry of a first-seen-ordered table.
 fn merge(table: &mut Vec<(&'static str, u64)>, name: &'static str, ns: u64, fold: fn(u64, u64) -> u64) {
@@ -28,24 +92,43 @@ fn merge(table: &mut Vec<(&'static str, u64)>, name: &'static str, ns: u64, fold
     }
 }
 
-fn probe<W: Workload>(seed: u64, passes: usize, quick: bool) {
+fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
     let input = W::generate(seed, quick);
-    println!("{} (seed {seed}, min of {passes} passes, ms): {}", W::NAME, W::describe(&input));
+    println!("{} (seed {seed}, P={nlocs}, min of {passes} passes, ms): {}", W::NAME, W::describe(&input));
     let reference = Mutex::new(W::ref_setup(&input));
-    execute(RtsConfig::default(), 1, |loc| {
-        let mut reference = reference.lock().expect("one location");
+    execute(RtsConfig::default(), nlocs, |loc| {
         let mut st = W::setup(loc, &input);
         // (name, min ns) in first-seen order; the pass and the reference last.
         let mut mins: Vec<(&'static str, u64)> = Vec::new();
         let (mut pass_min, mut ref_min) = (u64::MAX, u64::MAX);
+        // Per pass: (peak live, live after) over `base`, allocator calls.
+        let mut mem = Vec::with_capacity(passes);
+        loc.barrier();
+        let base = LIVE.load(Relaxed);
         for pass in 0..passes {
+            let calls = CALLS.load(Relaxed);
+            PEAK.store(LIVE.load(Relaxed), Relaxed);
+            loc.barrier();
             let mut rec = PassRec { start_ns: now_ns(), ..PassRec::default() };
             W::pass(loc, &mut st, &input, pass, &mut rec);
+            // Not the harness's: with every location's drops before any
+            // location's fence entry, all reclaim at this fence. Without
+            // it a location that runs ahead reclaims one fence later and
+            // `live after` wobbles by its share.
+            loc.barrier();
             loc.rmi_fence();
             pass_min = pass_min.min(now_ns() - rec.start_ns);
-            let t = Instant::now();
-            W::ref_pass(&mut reference, &input, pass);
-            ref_min = ref_min.min(t.elapsed().as_nanos() as u64);
+            // Every location is out of the fence, so has reclaimed what
+            // the pass dropped; none is into the next pass.
+            loc.barrier();
+            let over_base = |bytes: &AtomicUsize| bytes.load(Relaxed).wrapping_sub(base) as isize;
+            mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls));
+            if loc.id() == 0 {
+                let t = Instant::now();
+                W::ref_pass(&mut reference.lock().expect("location 0 only"), &input, pass);
+                ref_min = ref_min.min(t.elapsed().as_nanos() as u64);
+            }
+            loc.barrier();
             let mut sums = Vec::new();
             for p in &rec.phases {
                 merge(&mut sums, p.name, p.end_ns - p.start_ns, |sum, ns| sum + ns);
@@ -54,28 +137,43 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool) {
                 merge(&mut mins, name, ns, u64::min);
             }
         }
+        if loc.id() != 0 {
+            return;
+        }
         for (name, ns) in mins.iter().chain(&[("pass", pass_min), ("reference pass", ref_min)]) {
             println!("  {name:<36} {:>9.3}", *ns as f64 / 1e6);
+        }
+        if COUNTING.load(Relaxed) {
+            println!("  pass   peak live MiB   live after MiB   allocator calls   (over {:.2} MiB live before pass 0)", mib(base as isize));
+            for (pass, (peak, after, calls)) in mem.iter().enumerate() {
+                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}", mib(*peak), mib(*after));
+            }
         }
     });
 }
 
+fn mib(bytes: isize) -> f64 {
+    bytes as f64 / (1 << 20) as f64
+}
+
 fn main() {
+    // First, so that nothing counted as freed was allocated uncounted.
+    COUNTING.store(std::env::args().any(|a| a == "--mem"), Relaxed);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let value = |flag: &str, default: u64| {
         args.iter().position(|a| a == flag).map_or(default, |i| {
             args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("{flag} takes a number"))
         })
     };
-    let (seed, passes) = (value("--seed", 1), value("--passes", 12) as usize);
+    let (seed, passes, nlocs) = (value("--seed", 1), value("--passes", 12) as usize, value("--p", 1) as usize);
     let quick = args.iter().any(|a| a == "--quick");
     match args.first().map(String::as_str) {
-        Some("array-bulk") => probe::<array_bulk::ArrayBulk>(seed, passes, quick),
-        Some("rmi-writes") => probe::<rmi_writes::RmiWrites>(seed, passes, quick),
-        Some("rmi-reads") => probe::<rmi_reads::RmiReads>(seed, passes, quick),
-        Some("dynamic-graph-kv") => probe::<dynamic_graph_kv::DynamicGraphKv>(seed, passes, quick),
+        Some("array-bulk") => probe::<array_bulk::ArrayBulk>(seed, passes, quick, nlocs),
+        Some("rmi-writes") => probe::<rmi_writes::RmiWrites>(seed, passes, quick, nlocs),
+        Some("rmi-reads") => probe::<rmi_reads::RmiReads>(seed, passes, quick, nlocs),
+        Some("dynamic-graph-kv") => probe::<dynamic_graph_kv::DynamicGraphKv>(seed, passes, quick, nlocs),
         _ => {
-            eprintln!("usage: phase-probe <array-bulk|rmi-writes|rmi-reads|dynamic-graph-kv> [--seed N] [--passes N] [--quick]");
+            eprintln!("usage: phase-probe <array-bulk|rmi-writes|rmi-reads|dynamic-graph-kv> [--seed N] [--passes N] [--quick] [--mem [--p N]]");
             std::process::exit(2);
         }
     }
