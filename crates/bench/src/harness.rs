@@ -21,8 +21,8 @@
 //! * `executor` — the PARAGRAPH task-graph executor: SPMD vs executor vs
 //!   executor+stealing on uniform and skewed workloads;
 //! * `transport` — bytes on the wire: the copy and traversal kernels gated
-//!   on `bytes_sent`, the length of the records their requests are
-//!   relocated into;
+//!   on `bytes_sent`, the length of the capture images their requests are
+//!   relocated as;
 //! * `chaos` — fault injection + reliable delivery: an async-RMI storm
 //!   under seeded fault schedules, gating the injected damage exactly and
 //!   bounding the timing-driven recovery cost by claim — with zero
@@ -978,19 +978,21 @@ fn executor_claims(records: &[BenchRecord]) {
 // Area: transport (bytes on the wire; one staging format)
 // ---------------------------------------------------------------------
 
-/// Every remote request is relocated into its batch buffer as one record,
-/// so `bytes_sent` is a real traffic counter: record size is the 8-byte
-/// thunk word plus `size_of` the request capture rounded up to a word, and
-/// the request mix is seeded, so it is deterministic and gateable — also
-/// under a fault schedule, since recovery traffic is not counted. A
-/// capture that grows — or a path that quietly falls back from bulk
-/// records to per-element ones — moves `bytes_sent` and fires the gate.
-/// Batch/flush counts are timing-dependent and never gated.
+/// Every remote request is relocated into its batch buffer as the image of
+/// its capture, so `bytes_sent` is a real traffic counter: `size_of` the
+/// capture rounded up to a word, summed over requests. Headers are not in
+/// it — a run of requests to one method of one p_object shares one, and
+/// where runs break follows flush timing, as seals and acks do — so with a
+/// seeded request mix it is deterministic and gateable, also under a fault
+/// schedule, since recovery traffic is not counted. A capture that grows —
+/// or a path that quietly falls back from bulk requests to per-element
+/// ones — moves `bytes_sent` and fires the gate. Batch/flush counts are
+/// timing-dependent and never gated.
 ///
 /// Caveat on magnitudes: relocation is a shallow byte copy, so a `Vec`
 /// inside a bulk capture is charged as its 24-byte handle, not its heap
 /// payload. The bulk-vs-element-wise ratios below are driven by the
-/// O(runs)-vs-O(N) *record count*, which holds either way.
+/// O(runs)-vs-O(N) *request count*, which holds either way.
 const TRANSPORT_GATED: &[Counter] = &[
     Counter::remote_requests,
     Counter::bytes_sent,
@@ -1032,9 +1034,10 @@ fn transport_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
     records
 }
 
-/// The paper's bandwidth argument, measured in record bytes: the bulk-range
+/// The paper's bandwidth argument, measured in capture bytes: the bulk-range
 /// and segment paths put >= 10x fewer bytes on the wire than element-wise
-/// transfer, and every record carries at least its 8-byte thunk word.
+/// transfer, and the bytes are the requests' own: whole words, none without
+/// a request (a capture-less request in a run adds none).
 fn transport_claims(records: &[BenchRecord]) {
     let copies = pairs(records, "wire-copy", "mode", ("bulk", "element-wise"));
     let walks = pairs(records, "wire-plist-traversal", "mode", ("segmented", "element-wise"));
@@ -1043,7 +1046,8 @@ fn transport_claims(records: &[BenchRecord]) {
     }
     for r in records {
         let s = &r.counters;
-        assert!(s.bytes_sent >= 8 * s.remote_requests, "{}: a record without its thunk word", r.id);
+        assert!(s.bytes_sent % 8 == 0, "{}: images are whole words", r.id);
+        assert!(s.bytes_sent == 0 || s.remote_requests > 0, "{}: bytes without a request", r.id);
     }
 }
 

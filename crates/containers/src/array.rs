@@ -309,16 +309,18 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
 
     /// The element-method skeleton on one location's representative: under
     /// one borrow, finds `gid`'s element and — when a local bContainer holds
-    /// it — runs `f` on it under `method`'s guard; else hands `f` back with
-    /// the owner to ship it to, where the same function runs it.
+    /// it — runs `f` on it under method `M`'s guard; else hands `f` back with
+    /// the owner to ship it to, where the same function runs it. The method
+    /// is part of the function, not of what is shipped: a remote request's
+    /// capture is the method's arguments (`gid`, and what `f` holds).
     #[inline]
-    fn with<R, F>(cell: &RefCell<Self>, method: MethodId, gid: usize, f: F) -> Result<R, (LocId, F)>
+    fn with<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&T) -> R,
     {
         let rep = cell.borrow();
         match rep.find(gid) {
-            Ok((bcid, v)) => Ok(rep.ths.guarded(method, gid as u64, bcid, || f(v))),
+            Ok((bcid, v)) => Ok(rep.ths.guarded(M, gid as u64, bcid, || f(v))),
             Err(owner) => Err((owner, f)),
         }
     }
@@ -326,7 +328,7 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
     /// Mutable counterpart of [`ArrayRep::with`] (and, inline, of `find`: a
     /// function could not hand out the hit and still lend `lm` to the miss).
     #[inline]
-    fn with_mut<R, F>(cell: &RefCell<Self>, method: MethodId, gid: usize, f: F) -> Result<R, (LocId, F)>
+    fn with_mut<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&mut T) -> R,
     {
@@ -339,7 +341,7 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
             }),
         };
         match found {
-            Ok((bcid, v)) => Ok(ths.guarded(method, gid as u64, bcid, || f(v))),
+            Ok((bcid, v)) => Ok(ths.guarded(M, gid as u64, bcid, || f(v))),
             Err(owner) => Err((owner, f)),
         }
     }
@@ -465,10 +467,10 @@ impl<T: Send + Clone + 'static> PArray<T> {
 
     /// The asynchronous element methods: `f` on element `gid`, here or shipped.
     #[inline]
-    fn update(&self, method: MethodId, gid: usize, f: impl FnOnce(&mut T) + Send + 'static) {
-        if let Err((owner, f)) = ArrayRep::with_mut(self.obj.rep_cell(), method, gid, f) {
+    fn update<const M: MethodId>(&self, gid: usize, f: impl FnOnce(&mut T) + Send + 'static) {
+        if let Err((owner, f)) = ArrayRep::with_mut::<M, _, _>(self.obj.rep_cell(), gid, f) {
             self.obj.invoke_at(owner, move |cell, _| {
-                ArrayRep::with_mut(cell, method, gid, f).ok().expect(NOT_HERE)
+                ArrayRep::with_mut::<M, _, _>(cell, gid, f).ok().expect(NOT_HERE)
             });
         }
     }
@@ -619,23 +621,23 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
 
     #[inline]
     fn get_element(&self, gid: usize) -> T {
-        ArrayRep::with(self.obj.rep_cell(), methods::GET, gid, T::clone).unwrap_or_else(|(owner, get)| {
+        ArrayRep::with::<{ methods::GET }, _, _>(self.obj.rep_cell(), gid, T::clone).unwrap_or_else(|(owner, get)| {
             self.obj.invoke_ret_at(owner, move |cell, _| {
-                ArrayRep::with(cell, methods::GET, gid, get).ok().expect(NOT_HERE)
+                ArrayRep::with::<{ methods::GET }, _, _>(cell, gid, get).ok().expect(NOT_HERE)
             })
         })
     }
 
     #[inline(always)]
     fn split_get_element(&self, gid: usize) -> RmiFuture<T> {
-        match ArrayRep::with(self.obj.rep_cell(), methods::GET, gid, T::clone) {
+        match ArrayRep::with::<{ methods::GET }, _, _>(self.obj.rep_cell(), gid, T::clone) {
             Ok(v) => {
                 // A split-phase method counts as an invocation wherever it runs.
                 self.obj.location().note_local_invocation();
                 RmiFuture::ready(v)
             }
             Err((owner, get)) => self.obj.invoke_split_at(owner, move |cell, _| {
-                ArrayRep::with(cell, methods::GET, gid, get).ok().expect(NOT_HERE)
+                ArrayRep::with::<{ methods::GET }, _, _>(cell, gid, get).ok().expect(NOT_HERE)
             }),
         }
     }
@@ -648,7 +650,7 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
 impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
     #[inline]
     fn set_element(&self, gid: usize, v: T) {
-        self.update(methods::SET, gid, move |slot| *slot = v);
+        self.update::<{ methods::SET }>(gid, move |slot| *slot = v);
     }
 
     #[inline]
@@ -656,7 +658,7 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
     where
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.update(methods::APPLY, gid, f);
+        self.update::<{ methods::APPLY }>(gid, f);
     }
 
     #[inline]
@@ -665,9 +667,9 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        ArrayRep::with_mut(self.obj.rep_cell(), methods::APPLY, gid, f).unwrap_or_else(|(owner, f)| {
+        ArrayRep::with_mut::<{ methods::APPLY }, _, _>(self.obj.rep_cell(), gid, f).unwrap_or_else(|(owner, f)| {
             self.obj.invoke_ret_at(owner, move |cell, _| {
-                ArrayRep::with_mut(cell, methods::APPLY, gid, f).ok().expect(NOT_HERE)
+                ArrayRep::with_mut::<{ methods::APPLY }, _, _>(cell, gid, f).ok().expect(NOT_HERE)
             })
         })
     }

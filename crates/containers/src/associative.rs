@@ -220,18 +220,19 @@ where
 
     /// The asynchronous element methods: runs `op` on the store of `k`'s
     /// bucket — here, under the borrow that located it, when this location
-    /// holds the bucket; shipped to the owner otherwise. `resizes` marks the
-    /// cached size stale (at issuer and owner); `invokes` says whether a
-    /// local run counts as an invocation.
-    fn update_async<F>(&self, k: K, resizes: bool, invokes: bool, op: F)
+    /// holds the bucket; shipped to the owner otherwise. `RESIZES` marks the
+    /// cached size stale (at issuer and owner); `INVOKES` says whether a
+    /// local run counts as an invocation. Both are the method's, so part of
+    /// the function: what is shipped is the method's arguments.
+    fn update_async<const RESIZES: bool, const INVOKES: bool, F>(&self, k: K, op: F)
     where
         F: FnOnce(&mut S, K) + Send + 'static,
     {
         let mut rep = self.obj.local_mut();
-        rep.size_dirty |= resizes;
+        rep.size_dirty |= RESIZES;
         let bcid = rep.dist.partition().find(&k);
         if let Some(bc) = rep.lm.get_mut(bcid) {
-            if invokes {
+            if INVOKES {
                 self.obj.location().note_local_invocation();
             }
             return op(&mut bc.store, k);
@@ -240,7 +241,7 @@ where
         drop(rep);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty |= resizes;
+            rep.size_dirty |= RESIZES;
             op(&mut rep.lm.get_mut(bcid).expect("assoc bcid").store, k);
         });
     }
@@ -252,7 +253,7 @@ where
     where
         F: FnOnce(&mut V) + Send + 'static,
     {
-        self.update_async(k, true, false, move |store, k| {
+        self.update_async::<true, false, _>(k, move |store, k| {
             if store.get(&k).is_none() {
                 store.insert(k.clone(), default);
             }
@@ -265,7 +266,7 @@ where
     where
         F: FnOnce(&mut V) + Send + 'static,
     {
-        self.update_async(k, false, true, move |store, k| {
+        self.update_async::<false, true, _>(k, move |store, k| {
             if let Some(v) = store.get_mut(&k) {
                 f(v);
             }
@@ -468,13 +469,13 @@ where
     type Mapped = V;
 
     fn insert_async(&self, k: K, v: V) {
-        self.update_async(k, true, false, move |store, k| {
+        self.update_async::<true, false, _>(k, move |store, k| {
             store.insert(k, v);
         });
     }
 
     fn erase_async(&self, k: K) {
-        self.update_async(k, true, true, move |store, k| {
+        self.update_async::<true, true, _>(k, move |store, k| {
             store.remove(&k);
         });
     }

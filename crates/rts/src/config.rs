@@ -145,45 +145,31 @@ impl RtsConfig {
     }
 
     fn with_overrides(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
-        fn parse<T: std::str::FromStr>(v: Option<String>) -> Option<T> {
-            v.and_then(|v| v.parse().ok())
+        // `field <- VARIABLE: type, adjusted by`; an unparsable value is
+        // ignored.
+        macro_rules! overrides {
+            ($($field:ident <- $var:literal: $ty:ty, $adjust:expr;)*) => {$(
+                if let Some(v) = get($var).and_then(|v| v.parse::<$ty>().ok()) {
+                    self.$field = $adjust(v);
+                }
+            )*};
         }
-        if let Some(a) = parse::<usize>(get("STAPL_AGGREGATION")) {
-            self.aggregation = a.max(1);
+        overrides! {
+            aggregation <- "STAPL_AGGREGATION": usize, |a: usize| a.max(1);
+            dir_cache <- "STAPL_DIR_CACHE": u8, |c| c != 0;
+            dir_cache_capacity <- "STAPL_DIR_CACHE_CAPACITY": usize, |c| c;
+            flush_age_us <- "STAPL_FLUSH_AGE_US": u64, |a| a;
+            bulk_threshold <- "STAPL_BULK_THRESHOLD": usize, |t: usize| t.max(1);
+            trace <- "STAPL_TRACE": u8, |t| t != 0;
+            trace_capacity <- "STAPL_TRACE_CAPACITY": usize, |c: usize| c.max(1);
+            fault_seed <- "STAPL_FAULT_SEED": u64, |s| s;
+            rmi_timeout_us <- "STAPL_RMI_TIMEOUT_US": u64, |t| t;
+            retransmit_rto_us <- "STAPL_RETRANSMIT_RTO_US": u64, |t: u64| t.max(1);
         }
-        if let Some(c) = parse::<u8>(get("STAPL_DIR_CACHE")) {
-            self.dir_cache = c != 0;
-        }
-        if let Some(c) = parse::<usize>(get("STAPL_DIR_CACHE_CAPACITY")) {
-            self.dir_cache_capacity = c;
-        }
-        if let Some(a) = parse::<u64>(get("STAPL_FLUSH_AGE_US")) {
-            self.flush_age_us = a;
-        }
-        if let Some(t) = parse::<usize>(get("STAPL_BULK_THRESHOLD")) {
-            self.bulk_threshold = t.max(1);
-        }
-        if let Some(t) = parse::<u8>(get("STAPL_TRACE")) {
-            self.trace = t != 0;
-        }
-        if let Some(c) = parse::<usize>(get("STAPL_TRACE_CAPACITY")) {
-            self.trace_capacity = c.max(1);
-        }
-        if let Some(f) = get("STAPL_FAULTS") {
-            // A malformed schedule is ignored, like any other unparsable
-            // override (the empty string parses to "no faults").
-            if let Ok(sched) = FaultSchedule::parse(&f) {
-                self.faults = sched;
-            }
-        }
-        if let Some(s) = parse::<u64>(get("STAPL_FAULT_SEED")) {
-            self.fault_seed = s;
-        }
-        if let Some(t) = parse::<u64>(get("STAPL_RMI_TIMEOUT_US")) {
-            self.rmi_timeout_us = t;
-        }
-        if let Some(t) = parse::<u64>(get("STAPL_RETRANSMIT_RTO_US")) {
-            self.retransmit_rto_us = t.max(1);
+        // A malformed schedule is ignored like any other unparsable
+        // override (the empty string parses to "no faults").
+        if let Some(Ok(sched)) = get("STAPL_FAULTS").map(|f| FaultSchedule::parse(&f)) {
+            self.faults = sched;
         }
         self
     }

@@ -218,7 +218,7 @@ impl FaultInjector {
     }
 }
 
-fn busy_wait(d: Duration) {
+pub(crate) fn busy_wait(d: Duration) {
     let start = Instant::now();
     while start.elapsed() < d {
         std::hint::spin_loop();

@@ -20,7 +20,7 @@ use crate::config::RtsConfig;
 use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
 use crate::trace::{LocationTrace, TraceBuf, TraceEventKind};
-use crate::transport::{record_bytes, Batch, Endpoint, StageOutcome};
+use crate::transport::{image_bytes, Batch, Endpoint, Image, Staging};
 
 /// Identifier of a location (0-based, dense).
 pub type LocId = usize;
@@ -71,9 +71,6 @@ pub(crate) struct Shared {
     /// nanoseconds relative to this instant, so the per-location timelines
     /// of one run share a clock.
     pub epoch: std::time::Instant,
-    /// Where each location deposits its [`LocationTrace`] after the final
-    /// fence (only under `cfg.trace`); drained by `execute_collect_traced`.
-    pub trace_sink: Mutex<Vec<Option<LocationTrace>>>,
 }
 
 /// What a reply slot holds between its request and its value being taken.
@@ -458,45 +455,44 @@ impl Location {
 
     /// Looks up the local representative registered under `h`.
     ///
+    /// A delivered run of requests looks its handle up once and holds the
+    /// `Rc` while its images run: if one of them unregisters the handle, the
+    /// rest still run on that representative; the next run panics as below.
+    ///
     /// # Panics
     /// Panics if the handle is unregistered or the type does not match; the
     /// message names the registered p_object type so the failing RMI can be
     /// traced to a container, not just a numeric handle.
     pub fn lookup<T: 'static>(&self, h: Handle) -> Rc<T> {
-        let reg = self.inner.registry.borrow();
-        let entry = reg.get(h.0 as usize).unwrap_or_else(|| {
-            panic!(
-                "stapl-rts: RMI to handle {:?} on location {}, but only {} p_objects were ever \
+        self.try_lookup(h).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`Location::lookup`], or the message it would panic with.
+    #[inline]
+    pub(crate) fn try_lookup<T: 'static>(&self, h: Handle) -> Result<Rc<T>, String> {
+        let rep = self.inner.registry.borrow().get(h.0 as usize).and_then(|entry| entry.rep.clone());
+        rep.and_then(|rc| rc.downcast::<T>().ok()).ok_or_else(|| self.lookup_failure(h, std::any::type_name::<T>()))
+    }
+
+    /// Why `h` did not resolve to a representative of type `expected`.
+    #[cold]
+    fn lookup_failure(&self, h: Handle, expected: &str) -> String {
+        let (reg, me) = (self.inner.registry.borrow(), self.id());
+        match reg.get(h.0 as usize) {
+            None => format!(
+                "stapl-rts: RMI to handle {h:?} on location {me}, but only {} p_objects were ever \
                  registered here (registration is collective — did a location skip a constructor?)",
-                h,
-                self.id(),
                 reg.len()
-            )
-        });
-        let rc = entry
-            .rep
-            .as_ref()
-            .unwrap_or_else(|| {
-                panic!(
-                    "stapl-rts: RMI delivered to handle {:?} on location {} after its p_object \
-                     `{}` was unregistered (the object was destroyed while requests to it were \
-                     still in flight — fence before dropping p_objects)",
-                    h,
-                    self.id(),
-                    entry.type_name
-                )
-            })
-            .clone();
-        let registered = entry.type_name;
-        drop(reg);
-        rc.downcast::<T>().unwrap_or_else(|_| {
-            panic!(
-                "stapl-rts: handle {:?} is registered as `{}` but the RMI expected `{}`",
-                h,
-                registered,
-                std::any::type_name::<T>()
-            )
-        })
+            ),
+            Some(RegEntry { rep: None, type_name }) => format!(
+                "stapl-rts: RMI delivered to handle {h:?} on location {me} after its p_object \
+                 `{type_name}` was unregistered (the object was destroyed while requests to it \
+                 were still in flight — fence before dropping p_objects)"
+            ),
+            Some(RegEntry { type_name, .. }) => {
+                format!("stapl-rts: handle {h:?} is registered as `{type_name}` but the RMI expected `{expected}`")
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -520,10 +516,7 @@ impl Location {
             f(&obj, self);
             return;
         }
-        self.stage(dest, move |loc: &Location| {
-            let obj = loc.lookup::<T>(h);
-            f(&obj, loc);
-        });
+        self.stage_on(dest, h, move |obj: Result<&T, &str>, loc: &Location| f(resolved(obj), loc));
     }
 
     /// Synchronous RMI (the paper's `sync_rmi`): runs `f` on `dest` and
@@ -576,19 +569,19 @@ impl Location {
             self.bump(Counter::local_invocations, 1);
             return Ok(f(&self.lookup::<T>(h), self));
         }
-        let handler = std::any::type_name::<F>();
-        let slot = self.alloc_slot(wait_kind, dest, handler);
+        let slot = self.alloc_slot(wait_kind, dest, std::any::type_name::<F>());
         let src = self.id();
-        self.stage(dest, move |loc: &Location| {
-            let run = move || f(&loc.lookup::<T>(h), loc);
+        self.stage_on(dest, h, move |obj: Result<&T, &str>, loc: &Location| {
+            let run = move || f(resolved(obj), loc);
             // A panicking handler must not strand the requester: catch it
-            // (the lookup too — an unregistered handle is just as fatal to
-            // the reply) and poison the issuing future instead of unwinding
-            // the whole execution. An asynchronous handler has no future to
-            // poison; its panic propagates (DESIGN.md "The message buffer").
+            // (a failed lookup too — an unregistered handle is just as fatal
+            // to the reply) and poison the issuing future instead of
+            // unwinding the whole execution. An asynchronous handler has no
+            // future to poison; its panic propagates (DESIGN.md "The
+            // message buffer").
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
                 Ok(r) => loc.send_response(src, slot, r),
-                Err(p) => loc.send_poison(src, slot, handler, panic_message(&*p)),
+                Err(p) => loc.send_poison(src, slot, std::any::type_name::<F>(), panic_message(&*p)),
             }
         });
         // Bound response latency: the request (and everything ordered
@@ -736,34 +729,41 @@ impl Location {
     // ------------------------------------------------------------------
 
     /// Stages `f` for execution on `dest`, preserving per-pair FIFO order:
-    /// the one way a request, a response or a forwarded box leaves this
-    /// location. `f` is relocated straight into `dest`'s batch buffer — no
-    /// allocation, no clock read.
+    /// how a response or a forwarded box leaves this location.
     #[inline]
     fn stage<F>(&self, dest: LocId, f: F)
     where
         F: FnOnce(&Location) + Send + 'static,
     {
+        self.staged(dest, image_bytes::<F>(), |buf| buf.push(f));
+    }
+
+    /// Stages `g` for application to the representative of `h` on `dest`,
+    /// in the run of its neighbours of the same method and handle: how a
+    /// request leaves this location.
+    #[inline]
+    fn stage_on<T: 'static, G: Image<T>>(&self, dest: LocId, h: Handle, g: G) {
+        self.staged(dest, image_bytes::<G>(), |buf| buf.push_on::<T, G>(h, g));
+    }
+
+    /// The one way anything leaves this location: `push` relocates a capture
+    /// of `bytes` straight into `dest`'s batch buffer — no allocation, no
+    /// clock read.
+    #[inline]
+    fn staged(&self, dest: LocId, bytes: usize, push: impl FnOnce(&mut Staging)) {
         debug_assert_ne!(dest, self.id());
         // Count at staging time (not flush time) so the fence's quiescence
         // check observes buffered-but-unflushed requests.
         self.bump(Counter::remote_requests, 1);
-        self.bump(Counter::bytes_sent, record_bytes::<F>() as u64);
+        self.bump(Counter::bytes_sent, bytes as u64);
         self.trace_instant(TraceEventKind::RmiSend, dest as u64);
-        let outcome = self.inner.endpoint.stage(dest, f);
-        self.after_stage(dest, outcome);
-    }
-
-    /// Post-staging bookkeeping: buffer-age tracking for the adaptive
-    /// flush, and the aggregation-threshold flush.
-    #[inline]
-    fn after_stage(&self, dest: LocId, outcome: StageOutcome) {
-        // Timestamps are only needed by the adaptive flush; keep the
+        let staged = self.inner.endpoint.stage(dest, push);
+        // Buffer ages are only needed by the adaptive flush; keep the
         // clock read off the send path under the default eager policy.
-        if outcome.first_in_buffer && self.config().flush_age_us != 0 {
+        if staged == 1 && self.config().flush_age_us != 0 {
             self.inner.outbuf_since.borrow_mut()[dest] = Some(std::time::Instant::now());
         }
-        if outcome.flush_now {
+        if staged >= self.config().aggregation {
             self.flush(dest);
         }
     }
@@ -781,11 +781,7 @@ impl Location {
 
     /// Flushes all aggregation buffers.
     pub fn flush_all(&self) {
-        for dest in 0..self.nlocs() {
-            if dest != self.id() {
-                self.flush(dest);
-            }
-        }
+        (0..self.nlocs()).filter(|&dest| dest != self.id()).for_each(|dest| self.flush(dest));
     }
 
     /// Flushes only the aggregation buffers whose oldest request has been
@@ -845,49 +841,43 @@ impl Location {
     /// counters, the trace timeline, and the fence's `acked` progress.
     fn reap_transport_events(&self) {
         let Some(ev) = self.inner.endpoint.take_events() else { return };
-        if ev.frames_dropped != 0 {
-            self.bump(Counter::frames_dropped, ev.frames_dropped);
-            self.trace_instant(TraceEventKind::FaultDrop, ev.frames_dropped);
+        let traced = [
+            (ev.frames_dropped, Counter::frames_dropped, TraceEventKind::FaultDrop),
+            (ev.retransmits, Counter::retransmits, TraceEventKind::Retransmit),
+            (ev.checksum_failures, Counter::checksum_failures, TraceEventKind::ChecksumFail),
+            (ev.acks_sent, Counter::acks_sent, TraceEventKind::AckSent),
+        ];
+        for (n, counter, kind) in traced.into_iter().filter(|(n, ..)| *n != 0) {
+            self.bump(counter, n);
+            self.trace_instant(kind, n);
         }
-        if ev.retransmits != 0 {
-            self.bump(Counter::retransmits, ev.retransmits);
-            self.trace_instant(TraceEventKind::Retransmit, ev.retransmits);
-        }
-        if ev.checksum_failures != 0 {
-            self.bump(Counter::checksum_failures, ev.checksum_failures);
-            self.trace_instant(TraceEventKind::ChecksumFail, ev.checksum_failures);
-        }
-        if ev.acks_sent != 0 {
-            self.bump(Counter::acks_sent, ev.acks_sent);
-            self.trace_instant(TraceEventKind::AckSent, ev.acks_sent);
-        }
-        if ev.duplicates_discarded != 0 {
-            self.bump(Counter::duplicates_discarded, ev.duplicates_discarded);
-        }
-        if ev.frames_acked != 0 {
-            self.inner.counters.note_acked(ev.frames_acked);
-        }
+        self.bump(Counter::duplicates_discarded, ev.duplicates_discarded);
+        self.inner.counters.note_acked(ev.frames_acked);
     }
 
-    /// Runs the records of `batch` in place, in order. A panic in one
-    /// unwinds from here; the buffer then drops the records behind it.
+    /// Runs the requests of `batch` in place, in order. A panic in one
+    /// unwinds from here; the buffer then drops the images behind it.
     fn deliver(&self, batch: Batch) -> usize {
         let cfg = &self.inner.shared.cfg;
         let Batch { src, mut records, .. } = batch;
         let n = records.len();
         if cfg.cross_node(src, self.id()) {
-            let total =
-                cfg.internode_batch_delay_ns + cfg.internode_per_msg_delay_ns * n as u64;
-            if total > 0 {
-                busy_wait_ns(total);
-            }
+            let ns = cfg.internode_batch_delay_ns + cfg.internode_per_msg_delay_ns * n as u64;
+            crate::fault::busy_wait(std::time::Duration::from_nanos(ns));
         }
         while records.has_next() {
-            self.trace_instant(TraceEventKind::RmiExecute, src as u64);
-            records.run_next(self);
-            self.inner.counters.note_handled();
+            records.step(Some((self, src)));
         }
         n
+    }
+
+    /// Runs one delivered request from `src`: traced before, counted handled
+    /// after (the fence's proof reads `handled` per request, run or not).
+    #[inline]
+    pub(crate) fn run_record(&self, src: LocId, request: impl FnOnce()) {
+        self.trace_instant(TraceEventKind::RmiExecute, src as u64);
+        request();
+        self.inner.counters.note_handled();
     }
 
     /// One iteration of the wait loop used by futures and barriers: poll,
@@ -989,7 +979,7 @@ impl Location {
                 // is left to send, `sent` is final and `acked` only rises
                 // toward it.
                 let quiescent = handled == sent
-                    && (!self.inner.endpoint.reliable() || sum(CounterBlock::acked) == sent);
+                    && (!self.config().reliable_layer() || sum(CounterBlock::acked) == sent);
                 shared.fence_done.store(quiescent as u64, Ordering::SeqCst);
             }
             self.barrier();
@@ -1023,10 +1013,9 @@ fn panic_message(p: &(dyn Any + Send)) -> String {
     }
 }
 
-fn busy_wait_ns(ns: u64) {
-    let start = std::time::Instant::now();
-    let dur = std::time::Duration::from_nanos(ns);
-    while start.elapsed() < dur {
-        std::hint::spin_loop();
-    }
+/// The representative a run's handle resolved to, or the panic
+/// [`Location::lookup`] raises — here, inside the request that needed it.
+fn resolved<'a, T>(obj: Result<&'a T, &str>) -> &'a T {
+    obj.unwrap_or_else(|why| panic!("{why}"))
 }
+

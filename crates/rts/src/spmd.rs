@@ -59,10 +59,9 @@ where
         retired: Mutex::default(),
         board: CollectiveBoard::new(nlocs),
         epoch: std::time::Instant::now(),
-        trace_sink: Mutex::new((0..nlocs).map(|_| None).collect()),
     });
     let f = &f;
-    let mut results: Vec<Option<R>> = (0..nlocs).map(|_| None).collect();
+    let mut results = Vec::with_capacity(nlocs);
     std::thread::scope(|s| {
         let handles: Vec<_> = receivers
             .into_iter()
@@ -71,38 +70,24 @@ where
                 let shared = shared.clone();
                 s.spawn(move || {
                     let loc = Location::new(id, shared, rx);
-                    let mut guard = PanicGuard { loc: loc.clone(), defused: false };
+                    let _guard = PanicGuard(loc.clone());
                     let r = f(&loc);
                     loc.rmi_fence();
-                    guard.defused = true;
-                    drop(guard);
                     // Post-fence the execution is globally quiescent, so
                     // the buffer already holds every event this location
                     // will ever record.
-                    if let Some(t) = loc.take_trace() {
-                        loc.shared().trace_sink.lock().expect("trace sink poisoned")[id] = Some(t);
-                    }
-                    r
+                    (r, loc.take_trace())
                 })
             })
             .collect();
-        for (id, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => results[id] = Some(r),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+        for h in handles {
+            results.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
         }
     });
-    let trace = if shared.cfg.trace {
-        let mut sink = shared.trace_sink.lock().expect("trace sink poisoned");
-        let locs = sink.iter_mut().map(|s| s.take().expect("location left no trace")).collect();
-        Some(RunTrace { nlocs, locs })
-    } else {
-        None
-    };
-    let results =
-        results.into_iter().map(|r| r.expect("location produced no result")).collect();
-    (results, trace)
+    let (results, traces): (Vec<R>, Vec<_>) = results.into_iter().unzip();
+    // Every location hands back a trace, or (tracing off) none does.
+    let locs = traces.into_iter().collect::<Option<Vec<_>>>();
+    (results, locs.map(|locs| RunTrace { nlocs, locs }))
 }
 
 /// Runs `f` on `nlocs` locations, discarding results. See
@@ -114,18 +99,15 @@ where
     execute_collect(cfg, nlocs, |loc| f(loc));
 }
 
-/// Marks the whole execution as poisoned if the location's closure panics,
-/// so peers spinning at barriers or futures abort with a clear message
-/// instead of hanging forever.
-struct PanicGuard {
-    loc: Location,
-    defused: bool,
-}
+/// Marks the whole execution as poisoned if the location's closure (or its
+/// closing fence) panics, so peers spinning at barriers or futures abort
+/// with a clear message instead of hanging forever.
+struct PanicGuard(Location);
 
 impl Drop for PanicGuard {
     fn drop(&mut self) {
-        if !self.defused {
-            self.loc.mark_panicked();
+        if std::thread::panicking() {
+            self.0.mark_panicked();
         }
     }
 }

@@ -127,13 +127,13 @@ counters! {
     /// (`collect_ordered` gathers, opt-in broadcasts): the simulated
     /// bytes-on-the-wire proxy the O(N·P) → O(N) assertions measure.
     gather_items: Up,
-    /// Bytes of the records staged for remote requests and responses: per
-    /// request, one thunk word plus the shallow size of its capture rounded
-    /// up to a word — what is actually handed over, a `Vec` inside a
-    /// capture counting as its 24-byte handle. The reliable layer's seals,
-    /// acks and retransmissions are *excluded*: flush and retry counts are
-    /// timing-dependent and this counter must stay deterministic so it can
-    /// be gated.
+    /// Bytes of the capture images staged for remote requests and
+    /// responses: per request, the shallow size of its capture rounded up
+    /// to a word — what is actually handed over, a `Vec` inside a capture
+    /// counting as its 24-byte handle. Run and record headers and the
+    /// reliable layer's seals, acks and retransmissions are *excluded*:
+    /// where a run breaks, flush and retry counts are timing-dependent and
+    /// this counter must stay deterministic so it can be gated.
     bytes_sent: Up,
     /// Requests lost to *injected* damage: fault-injected drops and
     /// corrupt-batch rejections, counted in requests. A pure function of
@@ -293,38 +293,34 @@ impl StatsSnapshot {
     }
 }
 
+/// `part / whole` in f64 (saturated counters must not overflow a sum);
+/// `0.0` of nothing.
+fn ratio(part: u64, whole: f64) -> f64 {
+    if whole == 0.0 {
+        0.0
+    } else {
+        part as f64 / whole
+    }
+}
+
 impl StatsSnapshot {
     /// Requests per batch actually achieved; measures aggregation
     /// effectiveness.
     pub fn aggregation_ratio(&self) -> f64 {
-        if self.batches_sent == 0 {
-            0.0
-        } else {
-            self.remote_requests as f64 / self.batches_sent as f64
-        }
+        ratio(self.remote_requests, self.batches_sent as f64)
     }
 
     /// Fraction of executed PARAGRAPH tasks that were stolen (migrated to
     /// an idle location); measures how much the work-stealing path fires.
     pub fn steal_fraction(&self) -> f64 {
-        if self.tasks_executed == 0 {
-            0.0
-        } else {
-            self.tasks_stolen as f64 / self.tasks_executed as f64
-        }
+        ratio(self.tasks_stolen, self.tasks_executed as f64)
     }
 
     /// Fraction of directory-routed requests served by the owner cache
     /// (one-hop instead of home-forwarding). Stale guesses still count as
     /// hits here; subtract `dir_cache_stale` for the useful-hit rate.
     pub fn dir_cache_hit_rate(&self) -> f64 {
-        // Sum in f64: saturated counters must not overflow the total.
-        let total = self.dir_cache_hits as f64 + self.dir_cache_misses as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.dir_cache_hits as f64 / total
-        }
+        ratio(self.dir_cache_hits, self.dir_cache_hits as f64 + self.dir_cache_misses as f64)
     }
 
     /// Fraction of chunk-layer work served by direct slice borrows rather
@@ -332,31 +328,17 @@ impl StatsSnapshot {
     /// coarse health signal: 1.0 means every chunk localized, values near
     /// 0.0 mean the element-wise fallback dominated.
     pub fn localization_rate(&self) -> f64 {
-        let total = self.localized_chunks as f64 + self.element_fallbacks as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.localized_chunks as f64 / total
-        }
+        ratio(self.localized_chunks, self.localized_chunks as f64 + self.element_fallbacks as f64)
     }
 
-    /// Mean record size, in bytes per remote request or response.
+    /// Mean image size, in bytes per remote request or response.
     pub fn bytes_per_message(&self) -> f64 {
-        if self.remote_requests == 0 {
-            0.0
-        } else {
-            self.bytes_sent as f64 / self.remote_requests as f64
-        }
+        ratio(self.bytes_sent, self.remote_requests as f64)
     }
 
     /// Fraction of element-wise invocations that were remote.
     pub fn remote_fraction(&self) -> f64 {
-        let total = self.local_invocations as f64 + self.remote_requests as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            self.remote_requests as f64 / total
-        }
+        ratio(self.remote_requests, self.local_invocations as f64 + self.remote_requests as f64)
     }
 }
 

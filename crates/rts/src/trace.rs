@@ -51,128 +51,90 @@ pub const HISTOGRAM_COUNT: usize = 4;
 pub const HISTOGRAM_NAMES: [&str; HISTOGRAM_COUNT] =
     ["sync_rmi", "future_wait", "task_body", "barrier_wait"];
 
-/// The typed event vocabulary of the trace layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum TraceEventKind {
+/// Declares every event kind once: `/// doc`, then `Kind => "name",`.
+macro_rules! kinds {
+    ($($(#[$doc:meta])* $kind:ident => $name:literal,)*) => {
+        /// The typed event vocabulary of the trace layer.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum TraceEventKind {
+            $($(#[$doc])* $kind,)*
+        }
+
+        impl TraceEventKind {
+            /// Every kind, in declaration order (the order all count
+            /// exports use).
+            pub const ALL: [TraceEventKind; KIND_COUNT] = [$(TraceEventKind::$kind),*];
+
+            /// Stable snake-case name, used as the Chrome trace event name
+            /// and the JSON key in bench records.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(TraceEventKind::$kind => $name,)*
+                }
+            }
+        }
+    };
+}
+
+kinds! {
     /// A request enqueued toward a remote location (`arg` = destination).
-    RmiSend,
+    RmiSend => "rmi_send",
     /// A delivered request about to execute here (`arg` = source).
-    RmiExecute,
+    RmiExecute => "rmi_execute",
     /// A sync / split-phase response shipped back (`arg` = destination).
-    RmiReply,
+    RmiReply => "rmi_reply",
     /// An aggregation buffer pushed into a channel (`arg` = batch size).
-    Flush,
+    Flush => "flush",
     /// An aged buffer force-flushed by the adaptive policy (`arg` = dest).
-    AgedFlush,
+    AgedFlush => "aged_flush",
     /// A steal probe issued by an idle executor.
-    StealProbe,
+    StealProbe => "steal_probe",
     /// A steal probe that came back with work (`arg` = tasks taken).
-    StealSuccess,
+    StealSuccess => "steal_success",
     /// One bulk-range RMI (`arg` = elements in the run).
-    BulkTransfer,
+    BulkTransfer => "bulk_transfer",
     /// One segment RMI of the dynamic-container transport (`arg` = items).
-    SegmentTransfer,
+    SegmentTransfer => "segment_transfer",
     /// Items shipped by a data-collecting gather/broadcast (`arg` = items).
-    GatherItems,
+    GatherItems => "gather_items",
     /// Directory-routed request served by a cached owner.
-    DirCacheHit,
+    DirCacheHit => "dir_cache_hit",
     /// Directory-routed request that paid the home-location hop.
-    DirCacheMiss,
+    DirCacheMiss => "dir_cache_miss",
     /// A stale cached-owner guess that re-forwarded through home.
-    DirCacheStale,
+    DirCacheStale => "dir_cache_stale",
     /// An element / base-container migration (`arg` = moved key or count).
-    Migration,
+    Migration => "migration",
     /// Span: a [`crate::Location::barrier`] enter–exit.
-    BarrierSpan,
+    BarrierSpan => "barrier",
     /// Span: a [`crate::Location::rmi_fence`] enter–exit.
-    FenceSpan,
+    FenceSpan => "fence",
     /// Span: a collective operation (allreduce and friends).
-    CollectiveSpan,
+    CollectiveSpan => "collective",
     /// Span: a sync-RMI round trip (issue to value arrival).
-    SyncRmiSpan,
+    SyncRmiSpan => "sync_rmi",
     /// Span: a split-RMI / reply-slot future wait inside `get()`.
-    FutureWaitSpan,
+    FutureWaitSpan => "future_wait",
     /// Span: one executor task body (`arg` = task id).
-    TaskSpan,
+    TaskSpan => "task_run",
     /// Requests lost to injected drops or corrupt rejections (`arg` =
     /// requests dropped since the last reap).
-    FaultDrop,
+    FaultDrop => "fault_drop",
     /// Batches re-sent by the retransmit timer (`arg` = count since the
     /// last reap).
-    Retransmit,
+    Retransmit => "retransmit",
     /// Inbound batches rejected by their checksum (`arg` = count since
     /// the last reap).
-    ChecksumFail,
+    ChecksumFail => "checksum_fail",
     /// Standalone ack batches sent (`arg` = count since the last reap).
-    AckSent,
+    AckSent => "ack_sent",
     /// A sync / split-phase handler panic caught and sent back as a
     /// poisoned response (`arg` = the issuing location).
-    PoisonedResponse,
+    PoisonedResponse => "poisoned_response",
 }
 
 impl TraceEventKind {
-    /// Every kind, in declaration order (the order all count exports use).
-    pub const ALL: [TraceEventKind; KIND_COUNT] = [
-        TraceEventKind::RmiSend,
-        TraceEventKind::RmiExecute,
-        TraceEventKind::RmiReply,
-        TraceEventKind::Flush,
-        TraceEventKind::AgedFlush,
-        TraceEventKind::StealProbe,
-        TraceEventKind::StealSuccess,
-        TraceEventKind::BulkTransfer,
-        TraceEventKind::SegmentTransfer,
-        TraceEventKind::GatherItems,
-        TraceEventKind::DirCacheHit,
-        TraceEventKind::DirCacheMiss,
-        TraceEventKind::DirCacheStale,
-        TraceEventKind::Migration,
-        TraceEventKind::BarrierSpan,
-        TraceEventKind::FenceSpan,
-        TraceEventKind::CollectiveSpan,
-        TraceEventKind::SyncRmiSpan,
-        TraceEventKind::FutureWaitSpan,
-        TraceEventKind::TaskSpan,
-        TraceEventKind::FaultDrop,
-        TraceEventKind::Retransmit,
-        TraceEventKind::ChecksumFail,
-        TraceEventKind::AckSent,
-        TraceEventKind::PoisonedResponse,
-    ];
-
-    /// Stable snake-case name, used as the Chrome trace event name and the
-    /// JSON key in bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceEventKind::RmiSend => "rmi_send",
-            TraceEventKind::RmiExecute => "rmi_execute",
-            TraceEventKind::RmiReply => "rmi_reply",
-            TraceEventKind::Flush => "flush",
-            TraceEventKind::AgedFlush => "aged_flush",
-            TraceEventKind::StealProbe => "steal_probe",
-            TraceEventKind::StealSuccess => "steal_success",
-            TraceEventKind::BulkTransfer => "bulk_transfer",
-            TraceEventKind::SegmentTransfer => "segment_transfer",
-            TraceEventKind::GatherItems => "gather_items",
-            TraceEventKind::DirCacheHit => "dir_cache_hit",
-            TraceEventKind::DirCacheMiss => "dir_cache_miss",
-            TraceEventKind::DirCacheStale => "dir_cache_stale",
-            TraceEventKind::Migration => "migration",
-            TraceEventKind::BarrierSpan => "barrier",
-            TraceEventKind::FenceSpan => "fence",
-            TraceEventKind::CollectiveSpan => "collective",
-            TraceEventKind::SyncRmiSpan => "sync_rmi",
-            TraceEventKind::FutureWaitSpan => "future_wait",
-            TraceEventKind::TaskSpan => "task_run",
-            TraceEventKind::FaultDrop => "fault_drop",
-            TraceEventKind::Retransmit => "retransmit",
-            TraceEventKind::ChecksumFail => "checksum_fail",
-            TraceEventKind::AckSent => "ack_sent",
-            TraceEventKind::PoisonedResponse => "poisoned_response",
-        }
-    }
-
     /// True for enter–exit span kinds (exported as Chrome `B`/`E` pairs);
     /// false for instants (`i`).
     pub fn is_span(self) -> bool {
@@ -377,12 +339,7 @@ impl TraceBuf {
             events: VecDeque::with_capacity(cap),
             dropped: 0,
             counts: [0; KIND_COUNT],
-            hists: [
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-            ],
+            hists: Default::default(),
         }
     }
 
@@ -605,26 +562,11 @@ impl RunTrace {
 
 /// Aggregated (all-locations) event counts and latency histograms of one
 /// run — what the bench harness embeds into `BENCH_*.json` records.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TraceSummary {
     counts: [u64; KIND_COUNT],
     hists: [LatencyHistogram; HISTOGRAM_COUNT],
     pub dropped: u64,
-}
-
-impl Default for TraceSummary {
-    fn default() -> Self {
-        TraceSummary {
-            counts: [0; KIND_COUNT],
-            hists: [
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-                LatencyHistogram::default(),
-            ],
-            dropped: 0,
-        }
-    }
 }
 
 impl TraceSummary {

@@ -10,11 +10,18 @@
 //! Only the deterministic counters participate: timing-dependent ones
 //! (`batches_sent`, `fence_rounds`, `aged_flushes`, the recovery counters)
 //! are not compared.
+//!
+//! And FIFO across runs: whatever the interleaving of methods, handles and
+//! forwarded boxes toward one destination, execution order is staging
+//! order — combining joins only *consecutive* requests of one method on
+//! one handle — on all three paths, at the aggregation widths of the CI
+//! matrix.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
-use stapl_rts::{execute_collect, Location, RtsConfig, StatsSnapshot};
+use stapl_rts::{execute_collect, FaultSchedule, Location, RtsConfig, StatsSnapshot};
 
 /// One mutation op, encoded with raw picks so a single strategy covers
 /// every P (picks are reduced mod `nlocs` at execution time):
@@ -134,6 +141,85 @@ fn run_with(cfg: RtsConfig, p: usize, rounds: &[Vec<RawOp>]) -> RunOut {
     }
 }
 
+/// One representative of the FIFO property: which p_object it is, and the
+/// log every p_object of its location appends `(sequence number, p_object)`
+/// to.
+struct Logged {
+    id: usize,
+    log: Rc<RefCell<Vec<(usize, usize)>>>,
+}
+
+impl Logged {
+    fn note(&self, seq: usize) {
+        self.log.borrow_mut().push((seq, self.id));
+    }
+}
+
+/// Location 0 stages `ops` — `(method, handle)` picks: four methods of
+/// different capture sizes (one of them none) and a forwarded box, over
+/// three handles — toward location 1; returns location 1's log and
+/// location 0's `(remote_requests, bytes_sent)`.
+fn staged_order(cfg: RtsConfig, ops: &[(u8, usize)]) -> (Vec<(usize, usize)>, (u64, u64)) {
+    let out = execute_collect(cfg, 2, |loc| {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let handles: Vec<_> = (0..3).map(|id| loc.register(Logged { id, log: log.clone() }).0).collect();
+        loc.rmi_fence();
+        let before = loc.local_stats();
+        if loc.id() == 0 {
+            for (seq, &(method, pick)) in ops.iter().enumerate() {
+                let h = handles[pick];
+                match method {
+                    // No capture: it claims the sequence number it must have.
+                    0 => loc.async_rmi(1, h, |o: &Logged, _| {
+                        let seq = o.log.borrow().len();
+                        o.note(seq)
+                    }),
+                    1 => loc.async_rmi(1, h, move |o: &Logged, _| o.note(seq)),
+                    2 => {
+                        let pad = [seq as u64; 3];
+                        loc.async_rmi(1, h, move |o: &Logged, _| o.note(pad[2] as usize))
+                    }
+                    3 => {
+                        let small = seq as u16;
+                        loc.async_rmi(1, h, move |o: &Logged, _| o.note(small as usize))
+                    }
+                    _ => loc.send_request(1, Box::new(move |l: &Location| l.lookup::<Logged>(h).note(seq))),
+                }
+            }
+        }
+        loc.rmi_fence();
+        let sent = loc.local_stats().since(&before);
+        let seen = log.borrow().clone();
+        (seen, (sent.remote_requests, sent.bytes_sent))
+    });
+    (out[1].0.clone(), out[0].1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn execution_order_is_staging_order_across_runs(
+        seed in 1u64..u64::MAX,
+        ops in proptest::collection::vec((0u8..5, 0usize..3), 0..200),
+    ) {
+        let expect: Vec<(usize, usize)> = ops.iter().enumerate().map(|(seq, &(_, pick))| (seq, pick)).collect();
+        for aggregation in [1, 16, 64] {
+            let plain = staged_order(RtsConfig { aggregation, ..RtsConfig::base() }, &ops);
+            prop_assert_eq!(&plain.0, &expect, "plain path, aggregation {}", aggregation);
+            prop_assert_eq!(plain.1 .0, ops.len() as u64);
+
+            let reliable = staged_order(RtsConfig { aggregation, reliable: true, ..RtsConfig::base() }, &ops);
+            prop_assert_eq!(&reliable, &plain, "reliable layer, aggregation {}", aggregation);
+
+            let mut cfg = RtsConfig { aggregation, retransmit_rto_us: 300, fault_seed: seed, ..RtsConfig::base() };
+            cfg.faults = FaultSchedule::parse("drop:0.1,dup:0.15,reorder:0.25,corrupt:0.05").unwrap();
+            let faulty = staged_order(cfg, &ops);
+            prop_assert_eq!(&faulty, &plain, "faulty fabric, aggregation {}, seed {}", aggregation, seed);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -177,9 +263,7 @@ proptest! {
             }
         }
 
-        // Every remote request or response is one record: at least its
-        // thunk word. The plain path runs no protocol at all.
-        prop_assert!(plain.global.bytes_sent >= 8 * plain.global.remote_requests);
+        // The plain path runs no protocol at all.
         prop_assert_eq!(plain.global.acks_sent + plain.global.retransmits, 0);
         prop_assert_eq!(reliable.global.frames_dropped, 0);
     }
@@ -216,7 +300,7 @@ proptest! {
 
         // The schedule alone switches the layer on.
         let mut cfg = RtsConfig { aggregation: 2, ..RtsConfig::base() };
-        cfg.faults = stapl_rts::FaultSchedule::parse(profile).unwrap();
+        cfg.faults = FaultSchedule::parse(profile).unwrap();
         cfg.fault_seed = seed;
         cfg.retransmit_rto_us = 300; // keep redrives fast under test
         let faulty = run_with(cfg, p, &rounds);

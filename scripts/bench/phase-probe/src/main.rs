@@ -15,13 +15,16 @@
 //!
 //! `--mem` adds one line per pass from a counting global allocator: the
 //! most bytes live at once during the pass and the bytes live after its
-//! closing fence, both over what was live when pass 0 began, and the
-//! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made. A
-//! program that frees what it builds prints the same `live after` for
-//! every pass but the first. `--p N` runs N locations: the figures are
-//! process-wide, read by location 0 between barriers, and the reference
-//! pass (location 0's alone) stays outside the window; phase times at
-//! N > 1 are location 0's and do not repeat on a small host.
+//! closing fence, both over what was live when pass 0 began, the
+//! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made, and
+//! the pass's `remote_requests` and `bytes_sent` summed over locations
+//! with the peak bytes live per remote request beside them (a peer drains
+//! only at its fence, so at P > 1 the peak is the pass's requests in
+//! flight). A program that frees what it builds prints the same `live
+//! after` for every pass but the first. `--p N` runs N locations: the
+//! figures are process-wide, read by location 0 between barriers, and the
+//! reference pass (location 0's alone) stays outside the window; phase
+//! times at N > 1 are location 0's and do not repeat on a small host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
@@ -101,13 +104,16 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
         // (name, min ns) in first-seen order; the pass and the reference last.
         let mut mins: Vec<(&'static str, u64)> = Vec::new();
         let (mut pass_min, mut ref_min) = (u64::MAX, u64::MAX);
-        // Per pass: (peak live, live after) over `base`, allocator calls.
+        // Per pass: (peak live, live after) over `base`, allocator calls,
+        // remote requests and bytes sent by all locations.
         let mut mem = Vec::with_capacity(passes);
         loc.barrier();
         let base = LIVE.load(Relaxed);
         for pass in 0..passes {
             let calls = CALLS.load(Relaxed);
             PEAK.store(LIVE.load(Relaxed), Relaxed);
+            // Every location's, read while none is in a pass.
+            let sent = loc.stats();
             loc.barrier();
             let mut rec = PassRec { start_ns: now_ns(), ..PassRec::default() };
             W::pass(loc, &mut st, &input, pass, &mut rec);
@@ -122,7 +128,8 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             // the pass dropped; none is into the next pass.
             loc.barrier();
             let over_base = |bytes: &AtomicUsize| bytes.load(Relaxed).wrapping_sub(base) as isize;
-            mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls));
+            let sent = loc.stats().since(&sent);
+            mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls, sent.remote_requests, sent.bytes_sent));
             if loc.id() == 0 {
                 let t = Instant::now();
                 W::ref_pass(&mut reference.lock().expect("location 0 only"), &input, pass);
@@ -144,9 +151,10 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             println!("  {name:<36} {:>9.3}", *ns as f64 / 1e6);
         }
         if COUNTING.load(Relaxed) {
-            println!("  pass   peak live MiB   live after MiB   allocator calls   (over {:.2} MiB live before pass 0)", mib(base as isize));
-            for (pass, (peak, after, calls)) in mem.iter().enumerate() {
-                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}", mib(*peak), mib(*after));
+            println!("  pass   peak live MiB   live after MiB   allocator calls   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
+            for (pass, (peak, after, calls, requests, bytes)) in mem.iter().enumerate() {
+                let per_request = *peak as f64 / (*requests).max(1) as f64;
+                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}   {requests:>15}   {bytes:>10}   {per_request:>19.1}", mib(*peak), mib(*after));
             }
         }
     });
