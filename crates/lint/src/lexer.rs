@@ -31,8 +31,7 @@ pub enum TokKind {
 pub struct Tok {
     pub kind: TokKind,
     /// The token text. For `Lit` this is the raw source slice (quotes
-    /// included for strings); rules that care about string contents strip
-    /// the quotes via [`str_lit_value`].
+    /// included for strings).
     pub text: String,
     /// 1-based source line of the token's first character.
     pub line: u32,
@@ -344,14 +343,6 @@ fn lex_string(b: &[char], i: &mut usize) -> (String, u32) {
     (b[start..(*i).min(b.len())].iter().collect(), nl)
 }
 
-/// Unquotes a plain string `Lit` token (`"x"` → `x`); `None` for
-/// non-string literals. Escape sequences are left as-is — the rules only
-/// compare literals that contain none.
-pub fn str_lit_value(text: &str) -> Option<&str> {
-    let t = text.strip_prefix('"')?;
-    t.strip_suffix('"')
-}
-
 /// Index of the `Close` matching the `Open` at `toks[open]`, or
 /// `toks.len()` if unbalanced (graceful degradation on malformed input).
 pub fn matching_close(toks: &[Tok], open: usize) -> usize {
@@ -383,7 +374,6 @@ mod tests {
     fn strings_hide_identifiers() {
         let f = lex(r#"let x = "sync_rmi(barrier)"; call();"#);
         assert!(f.toks.iter().all(|t| t.kind != TokKind::Ident || t.text != "sync_rmi"));
-        assert_eq!(str_lit_value("\"abc\""), Some("abc"));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The STAPL runtime's correctness story rests on discipline the type
 //! system cannot see: handlers must not block (they run inside the
 //! polling loop), collectives must be reached by every location, storage
-//! borrows must not be held across poll points, knobs must stay wired to
-//! docs, and `unsafe` to stated invariants. This crate
+//! borrows must not be held across poll points, and `unsafe` must state
+//! its invariants. This crate
 //! checks those rules as named, suppressible lints over a hand-rolled
 //! token-level lexer (no `syn` — the workspace builds offline with
 //! vendored deps only). See DESIGN.md "Static analysis: stapl-lint".
@@ -16,16 +16,16 @@
 //! | L1   | blocking-in-handler   | blocking calls in RMI-handler closures   |
 //! | L2   | borrow-across-poll    | borrow guards live across poll points    |
 //! | L3   | divergent-collective  | collectives under location-id guards     |
-//! | L5   | knob-doc-drift        | `STAPL_*` env vars ↔ README knob table   |
 //! | L6   | undocumented-unsafe   | `unsafe` without `// SAFETY:`            |
 //!
 //! (L4, counter-gate-drift, is retired: counters are declared once in the
-//! `counters!` table of `stapl-rts`, so there is no drift to detect.)
+//! `counters!` table of `stapl-rts`, so there is no drift to detect. L5,
+//! knob-doc-drift, is retired as L4: knobs are declared once in the
+//! `knobs!` table, which also generates their documented table.)
 
 pub mod lexer;
 pub mod rules;
 pub mod suppress;
-pub mod workspace;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -40,16 +40,14 @@ pub enum Rule {
     BlockingInHandler,
     BorrowAcrossPoll,
     DivergentCollective,
-    KnobDocDrift,
     UndocumentedUnsafe,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 5] = [
+    pub const ALL: [Rule; 4] = [
         Rule::BlockingInHandler,
         Rule::BorrowAcrossPoll,
         Rule::DivergentCollective,
-        Rule::KnobDocDrift,
         Rule::UndocumentedUnsafe,
     ];
 
@@ -59,19 +57,17 @@ impl Rule {
             Rule::BlockingInHandler => "blocking-in-handler",
             Rule::BorrowAcrossPoll => "borrow-across-poll",
             Rule::DivergentCollective => "divergent-collective",
-            Rule::KnobDocDrift => "knob-doc-drift",
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
         }
     }
 
-    /// Short code (`L1`..`L6`; `L4` is retired), also accepted in
+    /// Short code (`L1`..`L6`; `L4` and `L5` are retired), also accepted in
     /// `allow(...)`.
     pub fn code(self) -> &'static str {
         match self {
             Rule::BlockingInHandler => "L1",
             Rule::BorrowAcrossPoll => "L2",
             Rule::DivergentCollective => "L3",
-            Rule::KnobDocDrift => "L5",
             Rule::UndocumentedUnsafe => "L6",
         }
     }
@@ -157,10 +153,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lints the given files (paths shown relative to `root` when possible)
-/// plus, when `root` is a stapl workspace and `with_workspace_checks`,
-/// the cross-file L5 rule.
-pub fn run(root: &Path, files: &[PathBuf], with_workspace_checks: bool) -> LintRun {
+/// Lints the given files (paths shown relative to `root` when possible).
+pub fn run(root: &Path, files: &[PathBuf]) -> LintRun {
     let mut lexed: BTreeMap<String, LexedFile> = BTreeMap::new();
     for path in files {
         let Ok(src) = std::fs::read_to_string(path) else { continue };
@@ -180,9 +174,6 @@ pub fn run(root: &Path, files: &[PathBuf], with_workspace_checks: bool) -> LintR
         findings.extend(rules::divergent_collective(rel, file));
         findings.extend(rules::undocumented_unsafe(rel, file));
         sups.extend(suppress::collect(rel, file));
-    }
-    if with_workspace_checks && workspace::is_workspace_root(root) {
-        findings.extend(workspace::check(root));
     }
 
     findings.sort_by(|a, b| {
@@ -317,7 +308,7 @@ mod tests {
                 Finding {
                     file: "c.rs".into(),
                     line: 1,
-                    rule: Rule::KnobDocDrift,
+                    rule: Rule::DivergentCollective,
                     message: "m".into(),
                     hint: "tab\there".into(),
                 },

@@ -6,9 +6,8 @@
 //!
 //! With no PATHs, sweeps the workspace under `--root` (default: the
 //! current directory, walking up to the workspace root if invoked from a
-//! crate directory) and runs the cross-file L5 check. With explicit
-//! PATHs, lints just those files/directories and skips L5 (it only
-//! makes sense against the whole workspace).
+//! crate directory). With explicit PATHs, lints just those
+//! files/directories.
 //!
 //! Exit status: 0 clean, 1 findings present (or, under `--deny-all`,
 //! unused suppressions), 2 usage error.
@@ -29,8 +28,7 @@ options:
   --help                show this help
 
 rules: blocking-in-handler (L1), borrow-across-poll (L2),
-       divergent-collective (L3), knob-doc-drift (L5),
-       undocumented-unsafe (L6)
+       divergent-collective (L3), undocumented-unsafe (L6)
 suppress with: // stapl-lint: allow(<rule>[, <rule>...]) — justification";
 
 fn main() -> ExitCode {
@@ -66,8 +64,7 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(find_root);
-    let explicit = !paths.is_empty();
-    let files = if explicit {
+    let files = if !paths.is_empty() {
         let mut out = Vec::new();
         for p in &paths {
             let p = if p.is_absolute() { p.clone() } else { root.join(p) };
@@ -90,7 +87,7 @@ fn main() -> ExitCode {
         lint::sweep_files(&root)
     };
 
-    let run = lint::run(&root, &files, !explicit);
+    let run = lint::run(&root, &files);
 
     if list_sups {
         for s in &run.suppressions {

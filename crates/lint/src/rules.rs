@@ -1,6 +1,5 @@
 //! The per-file token rules: L1 blocking-in-handler, L2
 //! borrow-across-poll, L3 divergent-collective, L6 undocumented-unsafe.
-//! (L5 is a cross-file workspace check; see `workspace.rs`.)
 //!
 //! Every rule is a linear scan over the lexed token stream with a little
 //! delimiter bookkeeping — deliberately syntactic. The rules accept a

@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use stapl_lint::{findings_from_json, run, sweep_files, to_json, LintRun, Rule};
+use stapl_lint::{findings_from_json, run, to_json, LintRun, Rule};
 
 fn fixtures() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures")
@@ -24,7 +24,7 @@ fn marker_lines(file: &Path, code: &str) -> Vec<u32> {
 
 fn run_single(name: &str) -> LintRun {
     let dir = fixtures();
-    run(&dir, &[dir.join(name)], false)
+    run(&dir, &[dir.join(name)])
 }
 
 fn check_bad(name: &str, rule: Rule) {
@@ -76,30 +76,6 @@ fn l3_divergent_collective() {
 fn l6_undocumented_unsafe() {
     check_bad("l6_bad.rs", Rule::UndocumentedUnsafe);
     check_good("l6_good.rs");
-}
-
-/// Runs the cross-file check over a mini-workspace fixture tree.
-fn run_workspace(tree: &str) -> LintRun {
-    let root = fixtures().join(tree);
-    let files = sweep_files(&root);
-    assert!(!files.is_empty(), "{tree}: sweep must find the mini crates");
-    run(&root, &files, true)
-}
-
-#[test]
-fn l5_knob_doc_drift() {
-    let lints = run_workspace("l5_bad");
-    let has = |file: &str, frag: &str| {
-        lints.findings.iter().any(|f| f.file.ends_with(file) && f.message.contains(frag))
-    };
-    assert!(has("config.rs", "STAPL_BETA"), "{:#?}", lints.findings);
-    assert!(has("README.md", "STAPL_GAMMA"));
-    assert!(has("fault.rs", "`spin`"));
-    assert_eq!(lints.findings.len(), 3, "{:#?}", lints.findings);
-    assert!(lints.findings.iter().all(|f| f.rule == Rule::KnobDocDrift));
-
-    let clean = run_workspace("l5_good");
-    assert!(clean.findings.is_empty(), "{:#?}", clean.findings);
 }
 
 #[test]

@@ -1,179 +1,192 @@
-//! Runtime configuration: aggregation, directory caching, adaptive
-//! flushing, the reliable layer and its fault schedule, and the simulated
+//! Runtime configuration: aggregation, directory caching, bulk transport,
+//! tracing, the reliable layer and its fault schedule, and the simulated
 //! machine model.
+//!
+//! A knob is declared **once**, as a row of the `knobs!` table below: doc,
+//! `field: Type = default`, and optionally `"STAPL_VAR" => parse`. The
+//! table generates [`RtsConfig`]'s fields, [`RtsConfig::base`], the
+//! environment parser behind [`RtsConfig::default`], the list of accepted
+//! variables, and the table in `RtsConfig`'s rustdoc.
 
 use crate::fault::FaultSchedule;
 
-/// Configuration for one SPMD execution.
-///
-/// The defaults model a single shared-memory node with moderate request
-/// aggregation, matching the paper's default ARMI settings.
-///
-/// ## Environment overrides
-///
-/// [`RtsConfig::default`] starts from [`RtsConfig::base`] and then applies
-/// environment overrides, so a whole test run can be swept without touching
-/// code (the CI test matrix drives these):
-///
-/// | variable                    | field                |
-/// |-----------------------------|----------------------|
-/// | `STAPL_AGGREGATION`         | `aggregation`        |
-/// | `STAPL_DIR_CACHE`           | `dir_cache` (0/1)    |
-/// | `STAPL_DIR_CACHE_CAPACITY`  | `dir_cache_capacity` |
-/// | `STAPL_FLUSH_AGE_US`        | `flush_age_us`       |
-/// | `STAPL_BULK_THRESHOLD`      | `bulk_threshold`     |
-/// | `STAPL_TRACE`               | `trace` (0/1)        |
-/// | `STAPL_TRACE_CAPACITY`      | `trace_capacity`     |
-/// | `STAPL_FAULTS`              | `faults` (schedule grammar, see `rts::fault`; active ⇒ reliable layer on) |
-/// | `STAPL_FAULT_SEED`          | `fault_seed`         |
-/// | `STAPL_RMI_TIMEOUT_US`      | `rmi_timeout_us`     |
-/// | `STAPL_RETRANSMIT_RTO_US`   | `retransmit_rto_us`  |
-///
-/// Explicit constructors ([`RtsConfig::unbuffered`],
-/// [`RtsConfig::with_aggregation`]) still win over the environment for the
-/// field they set.
-#[derive(Clone, Debug)]
-pub struct RtsConfig {
+/// The env-override cell of a row in the generated table.
+macro_rules! knob_var {
+    () => {
+        "—"
+    };
+    ($var:literal) => {
+        concat!("`", $var, "`")
+    };
+}
+
+/// Declares every knob: `/// doc`, then `field: Type = default`, then
+/// optionally `, "STAPL_VAR" => parse` with `parse: fn(&str) ->
+/// Option<Type>` (any clamp lives there); `;` ends the row.
+macro_rules! knobs {
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $ty:ty = $default:expr $(, $var:literal => $parse:expr)?;
+    )*) => {
+        macro_rules! knob_table {
+            () => {
+                concat!(
+                    "| field | default | env override |\n|---|---|---|\n",
+                    $("| [`", stringify!($field), "`](RtsConfig::", stringify!($field), ") | `",
+                      stringify!($default), "` | ", knob_var!($($var)?), " |\n",)*
+                )
+            };
+        }
+
+        /// Configuration for one SPMD execution.
+        ///
+        /// The defaults model a single shared-memory node with moderate
+        /// request aggregation, matching the paper's default ARMI settings.
+        ///
+        /// ## Environment overrides
+        ///
+        /// [`RtsConfig::default`] starts from [`RtsConfig::base`] and then
+        /// applies the `STAPL_*` environment overrides of the table below, so
+        /// a whole test run can be swept without touching code (the CI test
+        /// matrix drives these). An empty value means unset; any other
+        /// `STAPL_*` variable, or a value its row cannot parse, panics with
+        /// the variables accepted. Explicit constructors
+        /// ([`RtsConfig::unbuffered`], [`RtsConfig::with_aggregation`]) still
+        /// win over the environment for the field they set.
+        ///
+        #[doc = knob_table!()]
+        #[derive(Clone, Debug)]
+        pub struct RtsConfig {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl RtsConfig {
+            /// Every `STAPL_*` variable [`RtsConfig::default`] reads, in
+            /// table order.
+            const ENV_VARS: &'static [&'static str] = &[$($($var,)?)*];
+
+            /// The built-in defaults, with *no* environment overrides applied.
+            pub fn base() -> Self {
+                RtsConfig { $($field: $default,)* }
+            }
+
+            /// Applies the `STAPL_*` overrides among `env`'s `(name, value)`
+            /// pairs; names without the prefix and empty values are skipped.
+            fn with_env<K: AsRef<str>, V: AsRef<str>>(
+                mut self,
+                env: impl IntoIterator<Item = (K, V)>,
+            ) -> Result<Self, String> {
+                for (name, value) in env {
+                    let (name, value) = (name.as_ref(), value.as_ref());
+                    if !name.starts_with("STAPL_") || value.is_empty() {
+                        continue;
+                    }
+                    match name {
+                        $($($var => {
+                            let parse: fn(&str) -> Option<$ty> = $parse;
+                            self.$field = parse(value).ok_or_else(|| {
+                                env_error(name, value, concat!("is not a valid `", stringify!($field), "`"))
+                            })?;
+                        })?)*
+                        _ => return Err(env_error(name, value, "is not a runtime knob")),
+                    }
+                }
+                Ok(self)
+            }
+        }
+    };
+}
+
+knobs! {
     /// Maximum number of RMI requests buffered per destination before the
     /// buffer is flushed as a single message. `1` disables aggregation.
     ///
     /// The paper's ARMI aggregates requests "to use bandwidth and reduce
     /// overhead"; this knob is swept in the aggregation ablation bench.
-    pub aggregation: usize,
+    aggregation: usize = 16, "STAPL_AGGREGATION" => |s| s.parse().ok().map(|a: usize| a.max(1));
     /// Number of locations per simulated node. `0` means all locations live
     /// on one node (no inter-node traffic). With `node_size = 4`, locations
     /// 0..4 share a node, 4..8 the next, and so on — the placement study of
     /// Fig. 41 compares `node_size = nlocs` against `node_size = 1`.
-    pub node_size: usize,
+    node_size: usize = 0;
     /// Busy-wait injected at delivery for every *message batch* that
     /// crosses a node boundary, in nanoseconds (models network latency).
-    pub internode_batch_delay_ns: u64,
+    internode_batch_delay_ns: u64 = 0;
     /// Additional busy-wait per *request* inside a cross-node batch, in
     /// nanoseconds (models serialization / bandwidth cost).
-    pub internode_per_msg_delay_ns: u64,
+    internode_per_msg_delay_ns: u64 = 0;
     /// Enables the per-location directory owner caches consulted by
     /// `dir_route`/`dir_route_ret` before falling back to home-forwarding
-    /// (the BCL-style locality optimization for dynamic containers).
-    pub dir_cache: bool,
+    /// (the BCL-style locality optimization for dynamic containers). `0`
+    /// in the environment switches them off, any other integer on.
+    dir_cache: bool = true, "STAPL_DIR_CACHE" => |s| s.parse().ok().map(|c: u8| c != 0);
     /// Maximum number of cached `gid → (bcid, owner)` entries per location
     /// *per container*. When full, an arbitrary entry is evicted.
-    pub dir_cache_capacity: usize,
-    /// Adaptive flush age in microseconds. `0` (the default) flushes every
-    /// aggregation buffer as soon as a location goes idle — maximum
-    /// responsiveness, minimum batching. A non-zero age lets buffers for
-    /// cold destinations keep filling across brief waits: an idle location
-    /// only force-flushes buffers whose *oldest* request has waited longer
-    /// than this, so batching survives the frequent micro-waits of
-    /// synchronous methods while staleness stays bounded.
-    pub flush_age_us: u64,
+    dir_cache_capacity: usize = 4096, "STAPL_DIR_CACHE_CAPACITY" => |s| s.parse().ok();
     /// Crossover for the bulk-range transport: a remote contiguous run of
     /// at least this many elements ships as **one** bulk RMI
     /// (`get_range`/`set_range`/`apply_range`); shorter runs fall back to
     /// element-wise RMIs, which the aggregation layer already batches
     /// well. `1` makes every remote run bulk; a huge value disables bulk
     /// transport entirely (the element-wise ablation baseline).
-    pub bulk_threshold: usize,
+    bulk_threshold: usize = 2, "STAPL_BULK_THRESHOLD" => |s| s.parse().ok().map(|t: usize| t.max(1));
     /// Enables the per-location trace layer (`rts::trace`): typed events
     /// with monotonic timestamps plus latency histograms, collected by
     /// [`crate::execute_collect_traced`]. Off by default; when off the hot
-    /// paths pay a single branch and record nothing.
-    pub trace: bool,
-    /// Capacity of each location's trace event ring buffer. When full, the
-    /// oldest events are evicted (with an exact drop counter); per-kind
-    /// counts and histograms are exact regardless. Clamped to at least 1.
-    pub trace_capacity: usize,
+    /// paths pay a single branch and record nothing. Environment: `0`/`1`.
+    trace: bool = false, "STAPL_TRACE" => |s| s.parse().ok().map(|t: u8| t != 0);
     /// Asks for the reliable layer (see `rts::transport`) with nothing
     /// injected: every batch travels sealed — sequence number, cumulative
     /// ack, one checksum — is retained until acked, and the fence waits for
     /// the acks. Off by default: the in-process fabric cannot lose data.
     /// An active [`RtsConfig::faults`] schedule switches the layer on
     /// whatever this says; read [`RtsConfig::reliable_layer`].
-    pub reliable: bool,
-    /// Seeded fabric-fault schedule (see `rts::fault`). Inactive by
+    reliable: bool = false;
+    /// Seeded fabric-fault schedule (grammar in `rts::fault`). Inactive by
     /// default; when active every flushed batch may be dropped, duplicated,
     /// reordered, corrupted, or delayed, and the reliable layer — on
     /// whenever the schedule is — must mask it.
-    pub faults: FaultSchedule,
+    faults: FaultSchedule = FaultSchedule::default(), "STAPL_FAULTS" => |s| FaultSchedule::parse(s).ok();
     /// Seed for the fault schedule's deterministic decisions: a fixed
     /// seed faults exactly the same batches on every run of a
     /// deterministic workload.
-    pub fault_seed: u64,
+    fault_seed: u64 = 0x5EED_FA17, "STAPL_FAULT_SEED" => |s| s.parse().ok();
     /// Sync-RMI / future wait timeout in microseconds. `0` (the default)
-    /// waits forever, as before. Non-zero makes `RmiFuture::try_get`
-    /// return [`crate::RmiError::Timeout`] (and `get` panic with the same
+    /// waits forever. Non-zero makes `RmiFuture::try_get` return
+    /// [`crate::RmiError::Timeout`] (and `get` panic with the same
     /// diagnostic: peer, handler type name, elapsed, retransmit count)
-    /// instead of spinning forever on a dead peer.
-    pub rmi_timeout_us: u64,
-    /// Base retransmission timeout of the reliable layer, in microseconds: an unacked batch is re-sent after this
-    /// long, then with exponential backoff plus deterministic jitter.
-    /// Clamped to at least 1.
-    pub retransmit_rto_us: u64,
+    /// instead of spinning forever on a dead peer. Only tests set it: it is
+    /// error handling, turning a hang into a diagnosable failure.
+    rmi_timeout_us: u64 = 0, "STAPL_RMI_TIMEOUT_US" => |s| s.parse().ok();
+    /// Base retransmission timeout of the reliable layer, in microseconds:
+    /// an unacked batch is re-sent after this long, then with exponential
+    /// backoff plus deterministic jitter. Clamped to at least 1.
+    retransmit_rto_us: u64 = 5_000, "STAPL_RETRANSMIT_RTO_US" => |s| s.parse().ok().map(|t: u64| t.max(1));
+}
+
+/// Why an environment override was refused, naming what the table accepts.
+fn env_error(name: &str, value: &str, why: &str) -> String {
+    format!(
+        "stapl-rts: {name}={value:?} {why}; the STAPL_* variables are {} (an empty value means unset)",
+        RtsConfig::ENV_VARS.join(", ")
+    )
 }
 
 impl Default for RtsConfig {
+    /// [`RtsConfig::base`] with the process's `STAPL_*` overrides applied.
+    ///
+    /// # Panics
+    ///
+    /// On a `STAPL_*` variable the table does not know, or a non-empty value
+    /// its row cannot parse.
     fn default() -> Self {
-        Self::base().with_env_overrides()
+        let env = std::env::vars_os()
+            .map(|(k, v)| (k.to_string_lossy().into_owned(), v.to_string_lossy().into_owned()));
+        Self::base().with_env(env).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 impl RtsConfig {
-    /// The built-in defaults, with *no* environment overrides applied.
-    pub fn base() -> Self {
-        RtsConfig {
-            aggregation: 16,
-            node_size: 0,
-            internode_batch_delay_ns: 0,
-            internode_per_msg_delay_ns: 0,
-            dir_cache: true,
-            dir_cache_capacity: 4096,
-            flush_age_us: 0,
-            bulk_threshold: 2,
-            trace: false,
-            trace_capacity: 1 << 16,
-            reliable: false,
-            faults: FaultSchedule::default(),
-            fault_seed: 0x5EED_FA17,
-            rmi_timeout_us: 0,
-            retransmit_rto_us: 5_000,
-        }
-    }
-
-    /// Applies the `STAPL_*` environment overrides documented on
-    /// [`RtsConfig`] to this config.
-    pub fn with_env_overrides(self) -> Self {
-        self.with_overrides(|var| std::env::var(var).ok())
-    }
-
-    fn with_overrides(mut self, get: impl Fn(&str) -> Option<String>) -> Self {
-        // `field <- VARIABLE: type, adjusted by`; an unparsable value is
-        // ignored.
-        macro_rules! overrides {
-            ($($field:ident <- $var:literal: $ty:ty, $adjust:expr;)*) => {$(
-                if let Some(v) = get($var).and_then(|v| v.parse::<$ty>().ok()) {
-                    self.$field = $adjust(v);
-                }
-            )*};
-        }
-        overrides! {
-            aggregation <- "STAPL_AGGREGATION": usize, |a: usize| a.max(1);
-            dir_cache <- "STAPL_DIR_CACHE": u8, |c| c != 0;
-            dir_cache_capacity <- "STAPL_DIR_CACHE_CAPACITY": usize, |c| c;
-            flush_age_us <- "STAPL_FLUSH_AGE_US": u64, |a| a;
-            bulk_threshold <- "STAPL_BULK_THRESHOLD": usize, |t: usize| t.max(1);
-            trace <- "STAPL_TRACE": u8, |t| t != 0;
-            trace_capacity <- "STAPL_TRACE_CAPACITY": usize, |c: usize| c.max(1);
-            fault_seed <- "STAPL_FAULT_SEED": u64, |s| s;
-            rmi_timeout_us <- "STAPL_RMI_TIMEOUT_US": u64, |t| t;
-            retransmit_rto_us <- "STAPL_RETRANSMIT_RTO_US": u64, |t: u64| t.max(1);
-        }
-        // A malformed schedule is ignored like any other unparsable
-        // override (the empty string parses to "no faults").
-        if let Some(Ok(sched)) = get("STAPL_FAULTS").map(|f| FaultSchedule::parse(&f)) {
-            self.faults = sched;
-        }
-        self
-    }
-
     /// A config with no aggregation and no node model; useful in tests that
     /// reason about exact message counts.
     pub fn unbuffered() -> Self {
@@ -183,13 +196,6 @@ impl RtsConfig {
     /// A config with the given aggregation factor.
     pub fn with_aggregation(aggregation: usize) -> Self {
         RtsConfig { aggregation: aggregation.max(1), ..Self::default() }
-    }
-
-    /// A config with the directory owner caches switched off (every dynamic
-    /// access resolves through the home location, as in the plain paper
-    /// protocol).
-    pub fn without_dir_cache() -> Self {
-        RtsConfig { dir_cache: false, ..Self::default() }
     }
 
     /// A cluster-like config: nodes of `node_size` locations and the given
@@ -227,14 +233,6 @@ impl RtsConfig {
         self.reliable || self.faults.active()
     }
 
-    /// The adaptive flush age as a [`std::time::Duration`] — the typed
-    /// counterpart of the raw [`RtsConfig::flush_age_us`] field, and the
-    /// accessor `Location::flush_idle` routes through. Zero means "flush
-    /// immediately when idle".
-    pub fn flush_age(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.flush_age_us)
-    }
-
     /// Returns true when `a` and `b` are placed on different simulated nodes.
     pub fn cross_node(&self, a: usize, b: usize) -> bool {
         if self.node_size == 0 {
@@ -248,6 +246,17 @@ impl RtsConfig {
 mod tests {
     use super::*;
 
+    /// The table as rendered into `RtsConfig`'s rustdoc.
+    const DOC_TABLE: &str = knob_table!();
+
+    fn env(pairs: &[(&str, &str)]) -> Result<RtsConfig, String> {
+        RtsConfig::base().with_env(pairs.iter().copied())
+    }
+
+    fn debug(c: &RtsConfig) -> String {
+        format!("{c:?}")
+    }
+
     #[test]
     fn base_is_single_node() {
         let c = RtsConfig::base();
@@ -255,10 +264,8 @@ mod tests {
         assert!(c.aggregation > 1);
         assert!(c.dir_cache);
         assert!(c.dir_cache_capacity > 0);
-        assert_eq!(c.flush_age_us, 0);
         assert!(c.bulk_threshold >= 1);
         assert!(!c.trace, "tracing must be off by default");
-        assert!(c.trace_capacity >= 1);
         assert!(!c.faults.active(), "fault injection must be off by default");
         assert!(!c.reliable_layer(), "a clean in-process fabric needs no reliable layer");
         assert_eq!(c.rmi_timeout_us, 0, "RMI waits must not time out by default");
@@ -267,7 +274,7 @@ mod tests {
 
     #[test]
     fn serialized_switches_transport() {
-        let c = RtsConfig::base().with_overrides(|_| None);
+        let c = RtsConfig::base();
         assert!(!c.reliable_layer());
         assert!(RtsConfig { reliable: true, ..c }.reliable_layer());
         // `serialized()` starts from the environment, which can only add a
@@ -278,14 +285,6 @@ mod tests {
     #[test]
     fn traced_turns_tracing_on() {
         assert!(RtsConfig::traced().trace);
-    }
-
-    #[test]
-    fn flush_age_accessor_matches_raw_field() {
-        let mut c = RtsConfig::base();
-        assert!(c.flush_age().is_zero());
-        c.flush_age_us = 2500;
-        assert_eq!(c.flush_age(), std::time::Duration::from_micros(2500));
     }
 
     #[test]
@@ -308,75 +307,110 @@ mod tests {
     }
 
     #[test]
-    fn without_dir_cache_turns_caching_off() {
-        assert!(!RtsConfig::without_dir_cache().dir_cache);
-    }
-
-    #[test]
     fn overrides_apply_and_clamp() {
-        // Exercised through the injection point rather than the process
-        // env: tests run concurrently and env mutation would race.
-        let fake = |var: &str| match var {
-            "STAPL_AGGREGATION" => Some("0".to_string()), // clamped to 1
-            "STAPL_DIR_CACHE" => Some("0".to_string()),
-            "STAPL_FLUSH_AGE_US" => Some("250".to_string()),
-            "STAPL_DIR_CACHE_CAPACITY" => Some("not a number".to_string()),
-            "STAPL_BULK_THRESHOLD" => Some("0".to_string()), // clamped to 1
-            "STAPL_TRACE" => Some("1".to_string()),
-            "STAPL_TRACE_CAPACITY" => Some("0".to_string()), // clamped to 1
-            "STAPL_FAULTS" => Some("drop:0.25,delay_us:10".to_string()),
-            "STAPL_FAULT_SEED" => Some("12345".to_string()),
-            "STAPL_RMI_TIMEOUT_US" => Some("500000".to_string()),
-            "STAPL_RETRANSMIT_RTO_US" => Some("0".to_string()), // clamped to 1
-            _ => None,
-        };
-        let c = RtsConfig::base().with_overrides(fake);
-        assert_eq!(c.aggregation, 1);
+        // Fed as pairs rather than through the process env: tests run
+        // concurrently and env mutation would race.
+        let c = env(&[
+            ("STAPL_AGGREGATION", "0"),
+            ("STAPL_DIR_CACHE", "0"),
+            ("STAPL_BULK_THRESHOLD", "0"),
+            ("STAPL_TRACE", "1"),
+            ("STAPL_FAULTS", "drop:0.25,delay_us:10"),
+            ("STAPL_FAULT_SEED", "12345"),
+            ("STAPL_RMI_TIMEOUT_US", "500000"),
+            ("STAPL_RETRANSMIT_RTO_US", "0"),
+            ("PATH", "/bin"),
+        ])
+        .unwrap();
+        assert_eq!(c.aggregation, 1, "clamped");
         assert!(!c.dir_cache);
-        assert_eq!(c.flush_age_us, 250);
         assert_eq!(c.dir_cache_capacity, RtsConfig::base().dir_cache_capacity);
-        assert_eq!(c.bulk_threshold, 1);
+        assert_eq!(c.bulk_threshold, 1, "clamped");
         assert!(c.trace);
-        assert_eq!(c.trace_capacity, 1);
         assert_eq!(c.faults, FaultSchedule { drop: 0.25, delay_us: 10, ..Default::default() });
         assert!(!c.reliable && c.reliable_layer(), "a fault schedule alone turns the layer on");
         assert_eq!(c.fault_seed, 12345);
         assert_eq!(c.rmi_timeout_us, 500_000);
-        assert_eq!(c.retransmit_rto_us, 1);
+        assert_eq!(c.retransmit_rto_us, 1, "clamped");
     }
 
     #[test]
-    fn malformed_fault_schedule_is_ignored() {
-        let c = RtsConfig::base()
-            .with_overrides(|v| (v == "STAPL_FAULTS").then(|| "drop:2.0".to_string()));
-        assert!(!c.faults.active());
+    fn each_row_sets_its_own_field_and_no_other() {
+        let base = RtsConfig::base();
+        let rows = [
+            ("STAPL_AGGREGATION", "64", RtsConfig { aggregation: 64, ..RtsConfig::base() }),
+            ("STAPL_DIR_CACHE", "0", RtsConfig { dir_cache: false, ..RtsConfig::base() }),
+            ("STAPL_DIR_CACHE_CAPACITY", "8", RtsConfig { dir_cache_capacity: 8, ..RtsConfig::base() }),
+            ("STAPL_BULK_THRESHOLD", "7", RtsConfig { bulk_threshold: 7, ..RtsConfig::base() }),
+            ("STAPL_TRACE", "1", RtsConfig { trace: true, ..RtsConfig::base() }),
+            (
+                "STAPL_FAULTS",
+                "corrupt:0.5",
+                RtsConfig { faults: FaultSchedule { corrupt: 0.5, ..Default::default() }, ..RtsConfig::base() },
+            ),
+            ("STAPL_FAULT_SEED", "9", RtsConfig { fault_seed: 9, ..RtsConfig::base() }),
+            ("STAPL_RMI_TIMEOUT_US", "3", RtsConfig { rmi_timeout_us: 3, ..RtsConfig::base() }),
+            ("STAPL_RETRANSMIT_RTO_US", "500", RtsConfig { retransmit_rto_us: 500, ..RtsConfig::base() }),
+        ];
+        assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), RtsConfig::ENV_VARS, "a row per variable");
+        for (var, value, want) in &rows {
+            let got = env(&[(var, value)]).unwrap();
+            assert_eq!(debug(&got), debug(want), "{var}={value} set the wrong field");
+            assert_ne!(debug(&got), debug(&base), "{var}={value} is the default");
+        }
+    }
+
+    #[test]
+    fn doc_table_lists_each_variable_once() {
+        for var in RtsConfig::ENV_VARS {
+            assert_eq!(DOC_TABLE.matches(&format!("`{var}`")).count(), 1, "{var}\n{DOC_TABLE}");
+        }
+        // One row per field: 13 fields, 9 of them with a variable.
+        assert_eq!(DOC_TABLE.lines().count(), 2 + 13);
+        assert_eq!(DOC_TABLE.matches("| — |").count(), 13 - RtsConfig::ENV_VARS.len());
+    }
+
+    #[test]
+    fn unknown_or_unparsable_overrides_are_reported() {
+        for (var, value) in [
+            ("STAPL_FLUSH_AGE_US", "250"),
+            ("STAPL_TRACE_CAPACITY", "1024"),
+            ("STAPL_AGREGATION", "64"),
+            ("STAPL_AGGREGATION", "sixteen"),
+            ("STAPL_DIR_CACHE_CAPACITY", "-1"),
+        ] {
+            let err = env(&[(var, value)]).unwrap_err();
+            assert!(err.contains(&format!("{var}=\"{value}\"")), "{err}");
+            assert!(RtsConfig::ENV_VARS.iter().all(|v| err.contains(v)), "{err}");
+        }
+        let err = env(&[("STAPL_AGGREGATION", "sixteen")]).unwrap_err();
+        assert!(err.contains("`aggregation`"), "{err}");
+    }
+
+    #[test]
+    fn malformed_fault_schedule_is_reported() {
+        let err = env(&[("STAPL_FAULTS", "drop:2.0")]).unwrap_err();
+        assert!(err.contains("STAPL_FAULTS=\"drop:2.0\"") && err.contains("`faults`"), "{err}");
+    }
+
+    #[test]
+    fn empty_values_mean_unset() {
+        // What the CI matrix exports for the knobs a leg does not set.
+        let unset: Vec<(&str, &str)> = RtsConfig::ENV_VARS.iter().map(|v| (*v, "")).collect();
+        assert_eq!(debug(&env(&unset).unwrap()), debug(&RtsConfig::base()));
+        assert_eq!(debug(&env(&[("STAPL_NO_SUCH_KNOB", "")]).unwrap()), debug(&RtsConfig::base()));
     }
 
     #[test]
     fn unknown_transport_override_is_ignored() {
-        // Every variable asked for is one of the table above; the transport
-        // selector is not among them (there is one transport).
-        let asked = std::cell::RefCell::new(Vec::new());
-        RtsConfig::base().with_overrides(|v| {
-            asked.borrow_mut().push(v.to_string());
-            None
-        });
-        let asked = asked.into_inner();
-        assert_eq!(asked.len(), 11, "{asked:?}");
-        assert!(!asked.iter().any(|v| v.ends_with("_TRANSPORT")), "{asked:?}");
+        // There is one transport: no variable of the table selects one.
+        assert!(!RtsConfig::ENV_VARS.iter().any(|v| v.ends_with("_TRANSPORT")), "{:?}", RtsConfig::ENV_VARS);
+        assert!(RtsConfig::ENV_VARS.iter().all(|v| v.starts_with("STAPL_")));
     }
 
     #[test]
     fn no_overrides_is_identity() {
-        let c = RtsConfig::base().with_overrides(|_| None);
-        assert_eq!(c.aggregation, RtsConfig::base().aggregation);
-        assert_eq!(c.dir_cache, RtsConfig::base().dir_cache);
-        assert_eq!(c.trace, RtsConfig::base().trace);
-        assert_eq!(c.trace_capacity, RtsConfig::base().trace_capacity);
-        assert_eq!(c.reliable, RtsConfig::base().reliable);
-        assert_eq!(c.faults, RtsConfig::base().faults);
-        assert_eq!(c.rmi_timeout_us, RtsConfig::base().rmi_timeout_us);
-        assert_eq!(c.retransmit_rto_us, RtsConfig::base().retransmit_rto_us);
+        assert_eq!(debug(&env(&[]).unwrap()), debug(&RtsConfig::base()));
     }
 
     #[test]

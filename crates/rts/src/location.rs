@@ -19,7 +19,7 @@ use crate::collective::CollectiveBoard;
 use crate::config::RtsConfig;
 use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
-use crate::trace::{LocationTrace, TraceBuf, TraceEventKind};
+use crate::trace::{LocationTrace, TraceBuf, TraceEventKind, TRACE_CAPACITY};
 use crate::transport::{image_bytes, Batch, Endpoint, Image, Staging};
 
 /// Identifier of a location (0-based, dense).
@@ -148,10 +148,6 @@ struct LocInner {
     registry: RefCell<Vec<RegEntry>>,
     /// Handles this location retired and has not reclaimed yet.
     retiring: RefCell<Vec<Handle>>,
-    /// When the oldest request staged toward `dest` entered the endpoint's
-    /// buffer; `None` for an empty buffer. Drives the adaptive (age-based)
-    /// flush.
-    outbuf_since: RefCell<Vec<Option<std::time::Instant>>>,
     slots: RefCell<ReplySlots>,
     /// This location's own block of `shared.counters`, cloned out so a
     /// bump is one load away from `LocInner`.
@@ -170,8 +166,7 @@ pub struct Location {
 
 impl Location {
     pub(crate) fn new(id: LocId, shared: Arc<Shared>, rx: Receiver<Batch>) -> Self {
-        let nlocs = shared.nlocs;
-        let trace = shared.cfg.trace.then(|| RefCell::new(TraceBuf::new(shared.cfg.trace_capacity)));
+        let trace = shared.cfg.trace.then(|| RefCell::new(TraceBuf::new(TRACE_CAPACITY)));
         let endpoint = Endpoint::new(&shared.cfg, id, shared.senders.clone(), rx);
         let counters = shared.counters[id].clone();
         Location {
@@ -181,7 +176,6 @@ impl Location {
                 endpoint,
                 registry: RefCell::new(Vec::new()),
                 retiring: RefCell::default(),
-                outbuf_since: RefCell::new(vec![None; nlocs]),
                 slots: RefCell::default(),
                 counters,
                 trace,
@@ -227,11 +221,6 @@ impl Location {
     // Tracing (see `crate::trace`; all of these are no-ops — one branch —
     // unless `RtsConfig::trace` is set)
     // ------------------------------------------------------------------
-
-    /// Whether the trace layer is recording on this location.
-    pub fn trace_enabled(&self) -> bool {
-        self.inner.trace.is_some()
-    }
 
     /// Monotonic nanoseconds since the execution epoch; `0` when tracing
     /// is off (callers use it only to open spans, so the value is then
@@ -757,13 +746,7 @@ impl Location {
         self.bump(Counter::remote_requests, 1);
         self.bump(Counter::bytes_sent, bytes as u64);
         self.trace_instant(TraceEventKind::RmiSend, dest as u64);
-        let staged = self.inner.endpoint.stage(dest, push);
-        // Buffer ages are only needed by the adaptive flush; keep the
-        // clock read off the send path under the default eager policy.
-        if staged == 1 && self.config().flush_age_us != 0 {
-            self.inner.outbuf_since.borrow_mut()[dest] = Some(std::time::Instant::now());
-        }
-        if staged >= self.config().aggregation {
+        if self.inner.endpoint.stage(dest, push) >= self.config().aggregation {
             self.flush(dest);
         }
     }
@@ -773,7 +756,6 @@ impl Location {
         let Some(nreqs) = self.inner.endpoint.flush(dest) else {
             return;
         };
-        self.inner.outbuf_since.borrow_mut()[dest] = None;
         self.bump(Counter::batches_sent, 1);
         self.trace_instant(TraceEventKind::Flush, nreqs as u64);
         self.reap_transport_events();
@@ -782,44 +764,6 @@ impl Location {
     /// Flushes all aggregation buffers.
     pub fn flush_all(&self) {
         (0..self.nlocs()).filter(|&dest| dest != self.id()).for_each(|dest| self.flush(dest));
-    }
-
-    /// Flushes only the aggregation buffers whose oldest request has been
-    /// waiting at least `max_age` — the adaptive-flush primitive: young
-    /// buffers keep aggregating, aged ones are pushed out so a cold
-    /// destination cannot stall a request indefinitely.
-    ///
-    /// Buffer ages are only recorded when `RtsConfig::flush_age_us` is
-    /// non-zero (the default eager policy skips the clock read on the send
-    /// path), so this is a no-op under `flush_age_us == 0`.
-    pub fn flush_aged(&self, max_age: std::time::Duration) {
-        let now = std::time::Instant::now();
-        for dest in 0..self.nlocs() {
-            if dest == self.id() {
-                continue;
-            }
-            let aged = matches!(
-                self.inner.outbuf_since.borrow()[dest],
-                Some(since) if now.duration_since(since) >= max_age
-            );
-            if aged {
-                self.bump(Counter::aged_flushes, 1);
-                self.trace_instant(TraceEventKind::AgedFlush, dest as u64);
-                self.flush(dest);
-            }
-        }
-    }
-
-    /// The flush policy applied when this location goes idle: eager
-    /// (`flush_age_us == 0`, every buffer) or adaptive (only buffers older
-    /// than the configured age).
-    pub(crate) fn flush_idle(&self) {
-        let age = self.config().flush_age();
-        if age.is_zero() {
-            self.flush_all();
-        } else {
-            self.flush_aged(age);
-        }
     }
 
     /// Services all currently queued incoming batches; returns the number
@@ -886,15 +830,13 @@ impl Location {
     /// A blocked location also flushes its own aggregation buffers —
     /// otherwise a request this location itself depends on (e.g. the first
     /// hop of a forwarded synchronous method) could sit buffered forever
-    /// while the location spins on the reply. Under the adaptive flush
-    /// policy (`flush_age_us > 0`) only aged buffers go out, so brief
-    /// waits do not defeat aggregation; staleness stays bounded by the age.
+    /// while the location spins on the reply.
     pub(crate) fn poll_or_relax(&self) {
         if self.inner.shared.barrier.poisoned.load(Ordering::Relaxed) {
             panic!("stapl-rts: a peer location panicked while this location waited");
         }
         if self.poll() == 0 {
-            self.flush_idle();
+            self.flush_all();
             std::thread::yield_now();
         }
     }
@@ -915,7 +857,7 @@ impl Location {
         let me = self.clone();
         self.inner.shared.barrier.wait(move || {
             if me.poll() == 0 {
-                me.flush_idle();
+                me.flush_all();
             }
         });
         self.trace_span_end(TraceEventKind::BarrierSpan, t0, 0);

@@ -382,58 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_aged_skips_young_buffers_and_flushes_old_ones() {
-        // flush_age_us must be non-zero for buffer ages to be recorded.
-        let cfg = RtsConfig { aggregation: 1024, flush_age_us: 60_000_000, ..RtsConfig::base() };
-        execute(cfg, 2, |loc| {
-            let (h, rep) = loc.register(RefCell::new(0u64));
-            loc.rmi_fence();
-            if loc.id() == 0 {
-                for _ in 0..5 {
-                    loc.async_rmi(1, h, |c: &RefCell<u64>, _| *c.borrow_mut() += 1);
-                }
-                let before = loc.stats().batches_sent;
-                // A young buffer must keep aggregating.
-                loc.flush_aged(std::time::Duration::from_secs(3600));
-                assert_eq!(loc.stats().batches_sent, before, "young buffer must not flush");
-                std::thread::sleep(std::time::Duration::from_millis(3));
-                loc.flush_aged(std::time::Duration::from_millis(1));
-                assert_eq!(loc.stats().batches_sent, before + 1, "aged buffer must flush");
-                assert!(loc.stats().aged_flushes >= 1);
-            }
-            loc.rmi_fence();
-            if loc.id() == 1 {
-                assert_eq!(*rep.borrow(), 5);
-            }
-        });
-    }
-
-    #[test]
-    fn adaptive_flush_delivers_while_blocked() {
-        // With a non-zero flush age and huge aggregation, a buffered async
-        // only leaves through the adaptive flush in the idle loop; the
-        // waiting peer must still observe it (bounded staleness).
-        let cfg = RtsConfig { aggregation: 1024, flush_age_us: 500, ..RtsConfig::base() };
-        execute(cfg, 2, |loc| {
-            let (h, rep) = loc.register(RefCell::new(0u64));
-            loc.rmi_fence();
-            if loc.id() == 0 {
-                loc.async_rmi(1, h, |c: &RefCell<u64>, _| *c.borrow_mut() = 1);
-            } else {
-                while *rep.borrow() == 0 {
-                    loc.poll();
-                    std::thread::yield_now();
-                }
-            }
-            // Location 0 idles at this barrier; its buffered request ages
-            // out and flushes from the barrier's poll loop, releasing
-            // location 1's spin above.
-            loc.barrier();
-            loc.rmi_fence();
-        });
-    }
-
-    #[test]
     fn local_stats_sum_to_global() {
         use crate::stats::StatsSnapshot;
         // A mixed workload touching many counters: local + remote asyncs,

@@ -39,8 +39,9 @@ macro_rules! counters {
         }
 
         impl Counter {
-            /// Every counter, in declaration order (the order `to_json`
-            /// emits and the benchmark JSON schema uses).
+            /// Every counter, in declaration order (the order
+            /// [`StatsSnapshot::counters`] lists and the benchmark JSON
+            /// schema uses).
             pub const ALL: &'static [Counter] = &[$(Counter::$name),*];
             const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
 
@@ -105,9 +106,6 @@ counters! {
     /// Cached-owner guesses that turned out stale: the element had moved,
     /// and the request self-healed by re-forwarding through its home.
     dir_cache_stale: Up,
-    /// Aggregation buffers force-flushed because their oldest request
-    /// exceeded `flush_age_us` (the adaptive-flush path).
-    aged_flushes: Timing("fires on a wall-clock age threshold"),
     /// Bulk-range RMIs issued: one per (owner, contiguous run) shipped as a
     /// single message by `get_range`/`set_range`/`apply_range`.
     bulk_requests: Up,
@@ -231,11 +229,6 @@ impl CounterBlock {
 }
 
 impl StatsSnapshot {
-    /// Every counter name, in declaration order.
-    pub fn counter_names() -> &'static [&'static str] {
-        Counter::NAMES
-    }
-
     /// Looks a counter up by name; `None` for unknown names.
     pub fn counter(&self, name: &str) -> Option<u64> {
         Counter::from_name(name).map(|c| self.get(c))
@@ -260,206 +253,18 @@ impl StatsSnapshot {
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot::from_fn(|c| self.get(c).saturating_sub(earlier.get(c)))
     }
-
-    /// Serializes the counters as a single-line JSON object,
-    /// `{"local_invocations":N,...}`, in declaration order.
-    pub fn to_json(&self) -> String {
-        let pairs: Vec<String> =
-            self.counters().iter().map(|(name, v)| format!("\"{name}\":{v}")).collect();
-        format!("{{{}}}", pairs.join(","))
-    }
-
-    /// Parses a JSON object of `"name": integer` pairs as produced by
-    /// [`StatsSnapshot::to_json`]. Unknown keys are ignored (schema
-    /// forward-compatibility); missing keys stay zero. Returns `None` on
-    /// malformed input (no braces, an unterminated string, or a
-    /// non-integer value).
-    pub fn from_json(json: &str) -> Option<StatsSnapshot> {
-        let body = json.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut vals = [0u64; Counter::ALL.len()];
-        for pair in body.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair.split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value: u64 = value.trim().parse().ok()?;
-            if let Some(c) = Counter::from_name(key) {
-                vals[c as usize] = value;
-            }
-        }
-        Some(StatsSnapshot::from_fn(|c| vals[c as usize]))
-    }
-}
-
-/// `part / whole` in f64 (saturated counters must not overflow a sum);
-/// `0.0` of nothing.
-fn ratio(part: u64, whole: f64) -> f64 {
-    if whole == 0.0 {
-        0.0
-    } else {
-        part as f64 / whole
-    }
-}
-
-impl StatsSnapshot {
-    /// Requests per batch actually achieved; measures aggregation
-    /// effectiveness.
-    pub fn aggregation_ratio(&self) -> f64 {
-        ratio(self.remote_requests, self.batches_sent as f64)
-    }
-
-    /// Fraction of executed PARAGRAPH tasks that were stolen (migrated to
-    /// an idle location); measures how much the work-stealing path fires.
-    pub fn steal_fraction(&self) -> f64 {
-        ratio(self.tasks_stolen, self.tasks_executed as f64)
-    }
-
-    /// Fraction of directory-routed requests served by the owner cache
-    /// (one-hop instead of home-forwarding). Stale guesses still count as
-    /// hits here; subtract `dir_cache_stale` for the useful-hit rate.
-    pub fn dir_cache_hit_rate(&self) -> f64 {
-        ratio(self.dir_cache_hits, self.dir_cache_hits as f64 + self.dir_cache_misses as f64)
-    }
-
-    /// Fraction of chunk-layer work served by direct slice borrows rather
-    /// than element fallbacks. Units are chunks vs elements, so this is a
-    /// coarse health signal: 1.0 means every chunk localized, values near
-    /// 0.0 mean the element-wise fallback dominated.
-    pub fn localization_rate(&self) -> f64 {
-        ratio(self.localized_chunks, self.localized_chunks as f64 + self.element_fallbacks as f64)
-    }
-
-    /// Mean image size, in bytes per remote request or response.
-    pub fn bytes_per_message(&self) -> f64 {
-        ratio(self.bytes_sent, self.remote_requests as f64)
-    }
-
-    /// Fraction of element-wise invocations that were remote.
-    pub fn remote_fraction(&self) -> f64 {
-        ratio(self.remote_requests, self.local_invocations as f64 + self.remote_requests as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn ratio_handles_zero() {
-        let s = StatsSnapshot::default();
-        assert_eq!(s.aggregation_ratio(), 0.0);
-        assert_eq!(s.remote_fraction(), 0.0);
-        assert_eq!(s.steal_fraction(), 0.0);
-        assert_eq!(s.dir_cache_hit_rate(), 0.0);
-        assert_eq!(s.localization_rate(), 0.0);
-        assert_eq!(s.bytes_per_message(), 0.0);
-    }
-
-    #[test]
-    fn bytes_per_message_computes() {
-        let s = StatsSnapshot { bytes_sent: 120, remote_requests: 4, ..Default::default() };
-        assert!((s.bytes_per_message() - 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn localization_rate_computes() {
-        let s = StatsSnapshot {
-            localized_chunks: 9,
-            element_fallbacks: 3,
-            ..Default::default()
-        };
-        assert!((s.localization_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dir_cache_hit_rate_computes() {
-        let s = StatsSnapshot { dir_cache_hits: 30, dir_cache_misses: 10, ..Default::default() };
-        assert!((s.dir_cache_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn steal_fraction_computes() {
-        let s = StatsSnapshot { tasks_executed: 8, tasks_stolen: 2, ..Default::default() };
-        assert!((s.steal_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratios_compute() {
-        let s = StatsSnapshot {
-            local_invocations: 50,
-            remote_requests: 150,
-            batches_sent: 15,
-            ..Default::default()
-        };
-        assert!((s.aggregation_ratio() - 10.0).abs() < 1e-12);
-        assert!((s.remote_fraction() - 0.75).abs() < 1e-12);
-    }
-
-    /// Every counter at its max: the derived ratios must stay finite,
-    /// non-negative, and (for the fraction-shaped ones) within [0, 1] —
-    /// no overflow panic, NaN, or infinity anywhere.
-    #[test]
-    fn ratios_survive_saturated_counters() {
-        for name in StatsSnapshot::counter_names() {
-            // Set each field by name through from_json; each single-field
-            // saturation must leave every ratio well-defined.
-            let patched =
-                StatsSnapshot::from_json(&format!("{{\"{name}\":{}}}", u64::MAX)).unwrap();
-            assert_eq!(patched.counter(name), Some(u64::MAX));
-            for r in [
-                patched.aggregation_ratio(),
-                patched.steal_fraction(),
-                patched.dir_cache_hit_rate(),
-                patched.localization_rate(),
-                patched.remote_fraction(),
-                patched.bytes_per_message(),
-            ] {
-                assert!(r.is_finite() && r >= 0.0, "{name} saturated: bad ratio {r}");
-            }
-        }
-        let all_max = StatsSnapshot::from_json(
-            &StatsSnapshot::default().to_json().replace(":0", &format!(":{}", u64::MAX)),
-        )
-        .unwrap();
-        assert_eq!(all_max.remote_requests, u64::MAX);
-        for r in [
-            all_max.aggregation_ratio(),
-            all_max.steal_fraction(),
-            all_max.dir_cache_hit_rate(),
-            all_max.localization_rate(),
-            all_max.remote_fraction(),
-            all_max.bytes_per_message(),
-        ] {
-            assert!(r.is_finite(), "ratio must be finite, got {r}");
-            assert!(r >= 0.0, "ratio must be non-negative, got {r}");
-        }
-        // `hits + misses` sums past u64::MAX in f64 space without wrapping,
-        // so the fractions stay in [0, 1].
-        assert!(all_max.steal_fraction() <= 1.0 + 1e-9);
-        assert!(all_max.dir_cache_hit_rate() <= 1.0);
-        assert!(all_max.localization_rate() <= 1.0);
-        assert!(all_max.remote_fraction() <= 1.0);
-    }
-
-    /// One-sided saturation: numerator maxed while the denominator is tiny.
-    #[test]
-    fn ratios_with_lopsided_saturation() {
-        let s = StatsSnapshot { remote_requests: u64::MAX, batches_sent: 1, ..Default::default() };
-        assert!(s.aggregation_ratio().is_finite());
-        assert!((s.aggregation_ratio() - u64::MAX as f64).abs() < 1e30);
-        let s = StatsSnapshot { tasks_stolen: u64::MAX, tasks_executed: 1, ..Default::default() };
-        assert!(s.steal_fraction().is_finite()); // >1 is fine; it must not be NaN/inf
-    }
-
-    /// The table's four projections agree: `Counter::ALL`, the name list,
-    /// `from_name`, the snapshot fields behind `get`/`counter`, and JSON.
+    /// The table's projections agree: `Counter::ALL`, the name list,
+    /// `from_name`, and the snapshot fields behind `get`/`counter`.
     #[test]
     fn table_projections_agree() {
-        let names = StatsSnapshot::counter_names();
+        let names = Counter::NAMES;
         assert_eq!(names.len(), Counter::ALL.len());
-        let mut json = String::from("{");
         for (i, (&c, &name)) in Counter::ALL.iter().zip(names).enumerate() {
             assert_eq!(c as usize, i, "{name} out of declaration order");
             assert_eq!(c.name(), name);
@@ -468,19 +273,16 @@ mod tests {
             if let Class::Timing(why) = c.class() {
                 assert!(!why.is_empty(), "{name}: a Timing counter must say why");
             }
-            // A distinct value per counter, so a swapped pair cannot pass.
-            json.push_str(&format!("{}\"{name}\":{}", if i > 0 { "," } else { "" }, i * 3 + 1));
         }
-        json.push('}');
         assert_eq!(Counter::from_name("no_such_counter"), None);
-        let snap = StatsSnapshot::from_json(&json).unwrap();
+        // A distinct value per counter, so a swapped pair cannot pass.
+        let snap = StatsSnapshot::from_fn(|c| c as u64 * 3 + 1);
         assert_eq!(snap.counter("no_such_counter"), None);
         for (i, (&c, (name, v))) in Counter::ALL.iter().zip(snap.counters()).enumerate() {
             assert_eq!((name, v), (c.name(), i as u64 * 3 + 1));
             assert_eq!(snap.get(c), v);
             assert_eq!(snap.counter(name), Some(v));
         }
-        assert_eq!(StatsSnapshot::from_json(&snap.to_json()), Some(snap));
     }
 
     #[test]
@@ -494,40 +296,6 @@ mod tests {
         assert_eq!(block.snapshot(), expect);
         assert_eq!((block.handled(), block.acked()), (1, 3));
         assert_eq!(std::mem::align_of::<CounterBlock>(), 128);
-    }
-
-    #[test]
-    fn json_round_trips_extremes() {
-        let snap = StatsSnapshot {
-            remote_requests: u64::MAX,
-            gather_items: u64::MAX - 1,
-            ..Default::default()
-        };
-        assert_eq!(StatsSnapshot::from_json(&snap.to_json()), Some(snap));
-        // Whitespace tolerance and unknown-key forward compatibility.
-        let s = StatsSnapshot::from_json(
-            "{ \"remote_requests\" : 7 , \"a_future_counter\": 1 }",
-        )
-        .unwrap();
-        assert_eq!(s.remote_requests, 7);
-        assert_eq!(s.local_invocations, 0);
-    }
-
-    #[test]
-    fn json_rejects_malformed_input() {
-        for bad in [
-            "",
-            "remote_requests:1",
-            "{\"remote_requests\":}",
-            "{\"remote_requests\":-1}",
-            "{\"remote_requests\":1.5}",
-            "{\"remote_requests\" 1}",
-            "{unquoted:1}",
-        ] {
-            assert_eq!(StatsSnapshot::from_json(bad), None, "should reject {bad:?}");
-        }
-        // Empty object is valid: all counters zero.
-        assert_eq!(StatsSnapshot::from_json("{}"), Some(StatsSnapshot::default()));
     }
 
     #[test]

@@ -10,16 +10,16 @@
 //!
 //! Recorded events:
 //!
-//! * instants — RMI send / execute / reply, aggregation-buffer flushes and
-//!   aged (adaptive) flushes, steal probes and successes, bulk-range and
-//!   segment transfers with item counts, directory-cache hit / miss /
-//!   stale-heal, migrations;
+//! * instants — RMI send / execute / reply, aggregation-buffer flushes,
+//!   steal probes and successes, bulk-range and segment transfers with item
+//!   counts, directory-cache hit / miss / stale-heal, migrations, and the
+//!   reliable layer's drops, retransmits, checksum failures and acks;
 //! * spans (enter–exit with duration) — barrier waits, fences, collectives,
 //!   sync-RMI round trips, split-RMI future waits, executor task bodies.
 //!
-//! Span durations also feed the latency histograms, which report
-//! p50/p90/p99/max for sync-RMI round trips, split-RMI future waits, task
-//! bodies, and barrier waits.
+//! Span durations also feed the latency histograms, which report any
+//! quantile (p50 and p99 by name) and the exact max for sync-RMI round
+//! trips, split-RMI future waits, task bodies, and barrier waits.
 //!
 //! Two export paths sit on top ([`RunTrace`]): a Chrome trace-event JSON
 //! timeline (one pid per location; loadable in Perfetto or
@@ -39,7 +39,12 @@ use crate::location::LocId;
 use crate::stats::{Counter, StatsSnapshot};
 
 /// Number of [`TraceEventKind`] variants (array-index upper bound).
-pub const KIND_COUNT: usize = 25;
+pub const KIND_COUNT: usize = 24;
+
+/// Capacity of each location's trace event ring, in events. When full,
+/// the oldest events are evicted (with an exact drop counter); per-kind
+/// counts and histograms are exact regardless.
+pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Number of latency histograms kept per location; see
 /// [`TraceEventKind::histogram_index`] and [`HISTOGRAM_NAMES`].
@@ -86,8 +91,6 @@ kinds! {
     RmiReply => "rmi_reply",
     /// An aggregation buffer pushed into a channel (`arg` = batch size).
     Flush => "flush",
-    /// An aged buffer force-flushed by the adaptive policy (`arg` = dest).
-    AgedFlush => "aged_flush",
     /// A steal probe issued by an idle executor.
     StealProbe => "steal_probe",
     /// A steal probe that came back with work (`arg` = tasks taken).
@@ -189,7 +192,6 @@ impl TraceEventKind {
             // even where the counter they carry is deterministic.
             TraceEventKind::PoisonedResponse => Some(Counter::poisoned_responses),
             TraceEventKind::Flush
-            | TraceEventKind::AgedFlush
             | TraceEventKind::StealProbe
             | TraceEventKind::StealSuccess
             | TraceEventKind::BarrierSpan
@@ -293,11 +295,6 @@ impl LatencyHistogram {
     /// Median (see [`LatencyHistogram::quantile`] for bucket rounding).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
     }
 
     /// 99th percentile.
@@ -575,11 +572,6 @@ impl TraceSummary {
         self.counts[kind as usize]
     }
 
-    /// All `(name, count)` pairs in [`TraceEventKind::ALL`] order.
-    pub fn event_counts(&self) -> Vec<(&'static str, u64)> {
-        TraceEventKind::ALL.iter().map(|k| (k.name(), self.counts[*k as usize])).collect()
-    }
-
     /// The merged histogram named `name` (see [`HISTOGRAM_NAMES`]).
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         HISTOGRAM_NAMES.iter().position(|n| *n == name).map(|i| &self.hists[i])
@@ -626,7 +618,7 @@ mod tests {
         assert_eq!(h.quantile(0.5), 4);
         // The top occupied bucket reports the exact max, not a power of 2.
         assert_eq!(h.quantile(1.0), 1_000_000);
-        assert!(h.p99() >= h.p90() && h.p90() >= h.p50());
+        assert!(h.p99() >= h.quantile(0.9) && h.quantile(0.9) >= h.p50());
     }
 
     #[test]
@@ -716,7 +708,6 @@ mod tests {
         let s = run.summary();
         assert_eq!(s.count(TraceEventKind::RmiSend), 2);
         assert_eq!(s.histogram("sync_rmi").unwrap().count(), 1);
-        assert_eq!(s.event_counts().len(), KIND_COUNT);
         assert_eq!(run.total_events(), 3);
     }
 }

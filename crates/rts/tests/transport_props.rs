@@ -8,7 +8,7 @@
 //! aggregation widths.
 //!
 //! Only the deterministic counters participate: timing-dependent ones
-//! (`batches_sent`, `fence_rounds`, `aged_flushes`, the recovery counters)
+//! (`batches_sent`, `fence_rounds`, the recovery counters)
 //! are not compared.
 //!
 //! And FIFO across runs: whatever the interleaving of methods, handles and
