@@ -75,11 +75,23 @@ impl<T: Clone> ArrayBc<T> {
         }
     }
 
-    /// The storage offset of `gid` when this sub-domain holds it — with
-    /// `at`, the accessor every element method reaches its element through.
-    /// A contiguous sub-domain (every default constructor) answers inline
-    /// with a range compare and a subtract; a strided one out of line, which
-    /// keeps its divisions out of every loop this inlines into.
+    /// The storage offset of `gid` when this sub-domain is contiguous (every
+    /// default constructor's) and holds it: a range compare and a subtract,
+    /// no call — the element methods' inline probe ([`ArrayRep::with`]).
+    #[inline(always)]
+    fn contiguous_offset(&self, gid: usize) -> Option<usize> {
+        match &self.sd {
+            IndexSubDomain::Contiguous(r) => (r.lo <= gid && gid < r.hi).then(|| gid - r.lo),
+            _ => None,
+        }
+    }
+
+    /// The storage offset of `gid` when this sub-domain, of either shape,
+    /// holds it: resolution's out-of-line rest ([`ArrayRep::with_cold`],
+    /// `is_local`). A strided sub-domain is asked in a `#[cold]` call of its
+    /// own, which keeps its divisions out of what this inlines into — and is
+    /// why the probe does not use it: no call may sit between the probe's
+    /// `RefCell` borrow and its release.
     #[inline]
     fn offset_of(&self, gid: usize) -> Option<usize> {
         #[cold]
@@ -87,7 +99,7 @@ impl<T: Clone> ArrayBc<T> {
             sd.contains(gid).then(|| sd.offset(gid))
         }
         match &self.sd {
-            IndexSubDomain::Contiguous(r) => (r.lo <= gid && gid < r.hi).then(|| gid - r.lo),
+            IndexSubDomain::Contiguous(_) => self.contiguous_offset(gid),
             sd => strided(sd, gid),
         }
     }
@@ -307,14 +319,57 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         elem(lm, bcid).map(|e| (bcid, e)).ok_or_else(|| dist.mapper().map(bcid))
     }
 
-    /// The element-method skeleton on one location's representative: under
-    /// one borrow, finds `gid`'s element and — when a local bContainer holds
-    /// it — runs `f` on it under method `M`'s guard; else hands `f` back with
-    /// the owner to ship it to, where the same function runs it. The method
-    /// is part of the function, not of what is shipped: a remote request's
-    /// capture is the method's arguments (`gid`, and what `f` holds).
-    #[inline]
+    /// The element-method skeleton on one location's representative: runs
+    /// `f` on `gid`'s element under method `M`'s guard when a local
+    /// bContainer holds it; else hands `f` back with the owner to ship it
+    /// to, where the same function runs it. The method is part of the
+    /// function, not of what is shipped: a remote request's capture is the
+    /// method's arguments (`gid`, and what `f` holds).
+    ///
+    /// This is the inline probe, with no call on any arm between the borrow
+    /// and its release (a call there makes the flag's restore a
+    /// read-modify-write): `M` does not lock, the only local bContainer's
+    /// contiguous sub-domain holds `gid` — then `f` on the element. Anything
+    /// else is [`ArrayRep::with_cold`], under a borrow of its own.
+    #[inline(always)]
     fn with<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    where
+        F: FnOnce(&T) -> R,
+    {
+        {
+            let rep = cell.borrow();
+            if !rep.ths.may_lock(M) {
+                if let Some(v) = rep.lm.only().and_then(|(_, bc)| Some(bc.at(bc.contiguous_offset(gid)?))) {
+                    return Ok(f(v));
+                }
+            }
+        }
+        Self::with_cold::<M, R, F>(cell, gid, f)
+    }
+
+    /// Mutable counterpart of [`ArrayRep::with`].
+    #[inline(always)]
+    fn with_mut<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    where
+        F: FnOnce(&mut T) -> R,
+    {
+        {
+            let ArrayRep { lm, ths, .. } = &mut *cell.borrow_mut();
+            if !ths.may_lock(M) {
+                if let Some(v) = lm.only_mut().and_then(|(_, bc)| Some(bc.at_mut(bc.contiguous_offset(gid)?))) {
+                    return Ok(f(v));
+                }
+            }
+        }
+        Self::with_mut_cold::<M, R, F>(cell, gid, f)
+    }
+
+    /// What [`ArrayRep::with`]'s probe does not take, out of line: under one
+    /// borrow, finds `gid`'s element (strided sub-domains, several
+    /// bContainers, the bounds check, the owner of a miss) and runs `f` on
+    /// it under `M`'s guard.
+    #[inline(never)]
+    fn with_cold<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&T) -> R,
     {
@@ -325,10 +380,11 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         }
     }
 
-    /// Mutable counterpart of [`ArrayRep::with`] (and, inline, of `find`: a
-    /// function could not hand out the hit and still lend `lm` to the miss).
-    #[inline]
-    fn with_mut<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    /// Mutable counterpart of [`ArrayRep::with_cold`] (and, inline, of
+    /// `find`: a function could not hand out the hit and still lend `lm` to
+    /// the miss).
+    #[inline(never)]
+    fn with_mut_cold<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&mut T) -> R,
     {

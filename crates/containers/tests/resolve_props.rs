@@ -1,9 +1,11 @@
 //! Address resolution on the local fast path (Fig. 7 as implemented):
 //! every element method resolves its target once, local sub-domains first.
 //! These tests pin what that must not change — where every gid lives under
-//! every partition × mapper, the out-of-bounds panic, the guards a locked
-//! container takes, and which methods count as local invocations.
+//! every partition × mapper, the out-of-bounds panic of every method, the
+//! guards a locked container takes, which methods count as local
+//! invocations, and that a panic inside the inline probe releases its borrow.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -145,25 +147,50 @@ fn resolve_agrees_with_the_distribution_on_every_gid() {
     }
 }
 
+/// The message `f` panicked with, or `None` when it returned.
+fn panic_message<R>(f: impl FnOnce() -> R) -> Option<String> {
+    let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+    let text = payload.downcast_ref::<String>().cloned();
+    Some(text.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string())).unwrap_or_default())
+}
+
+/// The two reads that are not the test's own uncaught call — split-phase
+/// and `apply_get` — panic on `gid` with the blocking methods' message.
+fn reads_panic_out_of_bounds(a: &PArray<u8>, gid: usize) {
+    let want = format!("pArray index {gid} out of bounds (size {})", a.global_size());
+    let split = panic_message(|| a.split_get_element(gid));
+    assert_eq!(split.as_deref(), Some(want.as_str()), "split_get_element");
+    let apply = panic_message(|| a.apply_get(gid, |v| *v));
+    assert_eq!(apply.as_deref(), Some(want.as_str()), "apply_get");
+}
+
 #[test]
 #[should_panic(expected = "pArray index 5 out of bounds (size 5)")]
 fn out_of_bounds_get_panics_on_one_location() {
     execute(RtsConfig::default(), 1, |loc| {
-        PArray::new(loc, 5, 0u8).get_element(5);
+        let a = PArray::new(loc, 5, 0u8);
+        reads_panic_out_of_bounds(&a, 5);
+        a.get_element(5);
     });
 }
 
 #[test]
 #[should_panic(expected = "pArray index 9 out of bounds (size 5)")]
 fn out_of_bounds_set_panics_on_one_location() {
-    execute(RtsConfig::default(), 1, |loc| PArray::new(loc, 5, 0u8).set_element(9, 1));
+    execute(RtsConfig::default(), 1, |loc| {
+        let a = PArray::new(loc, 5, 0u8);
+        reads_panic_out_of_bounds(&a, 9);
+        a.set_element(9, 1);
+    });
 }
 
 #[test]
 #[should_panic(expected = "pArray index 6 out of bounds (size 6)")]
 fn out_of_bounds_get_panics_on_two_locations() {
     execute(RtsConfig::default(), 2, |loc| {
-        PArray::new(loc, 6, 0u8).get_element(6);
+        let a = PArray::new(loc, 6, 0u8);
+        reads_panic_out_of_bounds(&a, 6);
+        a.get_element(6);
     });
 }
 
@@ -177,7 +204,79 @@ fn out_of_bounds_set_panics_on_two_locations_and_many_bcontainers() {
             Box::new(CyclicMapper::new(2)),
             0u8,
         );
+        reads_panic_out_of_bounds(&a, 100);
         a.set_element(100, 1);
+    });
+}
+
+/// An element whose `Clone` panics on one value: reading that value panics
+/// inside the probe, between the borrow and its release.
+#[derive(Debug, PartialEq)]
+struct Touchy(u64);
+
+const UNCLONABLE: u64 = 13;
+
+impl Clone for Touchy {
+    fn clone(&self) -> Self {
+        assert_ne!(self.0, UNCLONABLE, "cloned the unclonable value");
+        Touchy(self.0)
+    }
+}
+
+#[test]
+fn a_panic_inside_the_probe_releases_the_borrow_and_keeps_the_value() {
+    execute(RtsConfig::default(), 1, |loc| {
+        let a = PArray::new(loc, 8, 5u64);
+        assert!(panic_message(|| a.apply_get(3, |_| -> u64 { panic!("apply_get closure") })).is_some());
+        assert!(panic_message(|| a.apply_set(3, |_| panic!("apply_set closure"))).is_some());
+        // Neither left the element borrowed ("already borrowed") or changed.
+        assert_eq!(a.get_element(3), 5);
+        a.set_element(3, 6);
+        assert_eq!(a.get_element(3), 6);
+
+        let t = PArray::new(loc, 8, Touchy(1));
+        t.set_element(3, Touchy(UNCLONABLE));
+        assert!(panic_message(|| t.get_element(3)).is_some(), "get_element");
+        assert!(panic_message(|| t.split_get_element(3)).is_some(), "split_get_element");
+        assert_eq!(t.apply_get(3, |v| v.0), UNCLONABLE);
+        t.set_element(3, Touchy(2));
+        assert_eq!(t.get_element(3), Touchy(2));
+        assert_eq!(t.split_get_element(3).get(), Touchy(2));
+    });
+}
+
+/// Boxed storage takes the probe too: it reads and writes every element
+/// through `at`/`at_mut` on the one local bContainer, sending nothing.
+#[test]
+fn boxed_storage_on_one_location_reads_and_writes_through_the_probe() {
+    execute(RtsConfig::default(), 1, |loc| {
+        let n = 16usize;
+        let a = PArray::with_options(
+            loc,
+            Box::new(BalancedPartition::new(n, 1)),
+            Box::new(CyclicMapper::new(1)),
+            0u64,
+            ArrayStorage::Boxed,
+            ThreadSafety::unlocked(),
+        );
+        let want = |g: usize| 3 * g as u64 + 1;
+        for g in 0..n {
+            a.set_element(g, g as u64);
+            a.apply_set(g, |v| *v *= 3);
+            let bumped = a.apply_get(g, |v| {
+                *v += 1;
+                *v
+            });
+            assert_eq!(bumped, want(g));
+        }
+        for g in 0..n {
+            assert_eq!(a.get_element(g), want(g));
+            assert_eq!(a.split_get_element(g).get(), want(g));
+        }
+        let mut seen = Vec::new();
+        a.for_each_local(|g, v| seen.push((g, *v)));
+        assert_eq!(seen, (0..n).map(|g| (g, want(g))).collect::<Vec<_>>());
+        assert_eq!(loc.stats().remote_requests, 0);
     });
 }
 

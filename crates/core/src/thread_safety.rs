@@ -142,12 +142,6 @@ impl LockingPolicyTable {
         self.overrides[m] = Some(p);
     }
 
-    /// Whether `m` may lock: exact for `m < 63`, an over-approximation past it.
-    #[inline]
-    fn may_lock(&self, m: MethodId) -> bool {
-        self.locked >> m.min(63) & 1 != 0
-    }
-
     /// `get_locking_policy` of the paper.
     pub fn get(&self, m: MethodId) -> MethodPolicy {
         self.overrides.get(m as usize).copied().flatten().unwrap_or(self.default)
@@ -317,20 +311,28 @@ impl ThreadSafetyManager for RwLockManager {
 /// Bundle of policy table + manager carried by a container representative.
 #[derive(Clone)]
 pub struct ThreadSafety {
-    pub table: Arc<LockingPolicyTable>,
+    /// Private, and immutable behind the `Arc`: `locked` cannot drift from it.
+    table: Arc<LockingPolicyTable>,
     pub manager: Arc<dyn ThreadSafetyManager>,
+    /// The table's lock mask, copied at construction, so that testing it is
+    /// one load from whatever holds this bundle, not two dependent heap loads.
+    locked: u64,
 }
 
 impl ThreadSafety {
     pub fn unlocked() -> Self {
-        ThreadSafety {
-            table: Arc::new(LockingPolicyTable::unlocked()),
-            manager: Arc::new(NoLockManager),
-        }
+        Self::new(LockingPolicyTable::unlocked(), Arc::new(NoLockManager))
     }
 
     pub fn new(table: LockingPolicyTable, manager: Arc<dyn ThreadSafetyManager>) -> Self {
-        ThreadSafety { table: Arc::new(table), manager }
+        ThreadSafety { locked: table.locked, table: Arc::new(table), manager }
+    }
+
+    /// Whether `method` may lock: exact for a method id below 63, an
+    /// over-approximation past it (the mask's bit 63).
+    #[inline]
+    pub fn may_lock(&self, method: MethodId) -> bool {
+        self.locked >> method.min(63) & 1 != 0
     }
 
     /// Guards a data access for `method` on the element hashing to
@@ -338,14 +340,14 @@ impl ThreadSafety {
     /// policy is [`LockGranularity::None`] gets none ([`ThreadSafetyManager`]).
     #[inline]
     pub fn guard(&self, method: MethodId, gid_hash: u64, bcid: Bcid) -> Option<DataGuard<'_>> {
-        if self.table.may_lock(method) { self.lock(method, gid_hash, bcid) } else { None }
+        if self.may_lock(method) { self.lock(method, gid_hash, bcid) } else { None }
     }
 
     /// Runs `f` under [`ThreadSafety::guard`]. For a method that does not
     /// lock this is `f` alone: no guard slot is kept across it.
     #[inline]
     pub fn guarded<R>(&self, method: MethodId, gid_hash: u64, bcid: Bcid, f: impl FnOnce() -> R) -> R {
-        if !self.table.may_lock(method) {
+        if !self.may_lock(method) {
             return f();
         }
         let _g = self.lock(method, gid_hash, bcid);
