@@ -174,24 +174,19 @@ where
     )
 }
 
-/// `p_fill`: sets every element to `v`. Containers exposing contiguous
-/// storage are filled one slice at a time — one clone of `v` handed to
-/// `slice::fill` per chunk instead of one clone per element.
+/// `p_fill`: sets every element to `v`. On pArray and pVector the local
+/// walk is a loop over storage slices.
 pub fn p_fill<C, G>(c: &C, v: C::Value)
 where
     G: Gid,
     C: LocalIteration<G>,
     C::Value: Clone,
 {
-    let chunked = c.try_local_slices_mut(&mut |s: &mut [C::Value]| s.fill(v.clone()));
-    if !chunked {
-        c.for_each_local_mut(|_, slot| *slot = v.clone());
-    }
+    c.for_each_local_mut(|_, slot| *slot = v.clone());
     c.location().rmi_fence();
 }
 
-/// `p_replace_if`: chunk-at-a-time where the container exposes slices
-/// (no per-element closure dispatch through the GID iteration).
+/// `p_replace_if`: replaces every element matching `pred` with `with`.
 pub fn p_replace_if<C, G, P>(c: &C, pred: P, with: C::Value)
 where
     G: Gid,
@@ -199,20 +194,11 @@ where
     C::Value: Clone,
     P: Fn(&C::Value) -> bool,
 {
-    let chunked = c.try_local_slices_mut(&mut |s: &mut [C::Value]| {
-        for v in s {
-            if pred(v) {
-                *v = with.clone();
-            }
+    c.for_each_local_mut(|_, v| {
+        if pred(v) {
+            *v = with.clone();
         }
     });
-    if !chunked {
-        c.for_each_local_mut(|_, v| {
-            if pred(v) {
-                *v = with.clone();
-            }
-        });
-    }
     c.location().rmi_fence();
 }
 
@@ -592,9 +578,43 @@ mod tests {
     }
 
     #[test]
+    fn fill_and_replace_reach_every_local_storage_piece() {
+        use stapl_containers::array::ArrayStorage;
+        use stapl_containers::vector::PVector;
+        use stapl_core::mapper::CyclicMapper;
+        use stapl_core::partition::{BalancedPartition, BlockCyclicPartition};
+        use stapl_core::thread_safety::ThreadSafety;
+        execute(RtsConfig::default(), 2, |loc| {
+            // Several slices per location, no slices at all, one block.
+            let cyclic = PArray::with_partition(
+                loc,
+                Box::new(BlockCyclicPartition::new(17, 4, 2)),
+                Box::new(CyclicMapper::new(loc.nlocs())),
+                0u64,
+            );
+            let boxed = PArray::with_options(
+                loc,
+                Box::new(BalancedPartition::new(8, loc.nlocs())),
+                Box::new(CyclicMapper::new(loc.nlocs())),
+                0u64,
+                ArrayStorage::Boxed,
+                ThreadSafety::unlocked(),
+            );
+            let v = PVector::from_fn(loc, 10, |i| i as u32);
+            p_fill(&cyclic, 7);
+            p_fill(&boxed, 7);
+            p_replace_if(&v, |x| x % 2 == 0, 100);
+            assert_eq!(p_count_if(&cyclic, |x| *x == 7), 17);
+            assert_eq!(p_count_if(&boxed, |x| *x == 7), 8);
+            assert_eq!(p_count_if(&v, |x| *x == 100), 5);
+            assert_eq!(v.get_element(9), 9);
+        });
+    }
+
+    #[test]
     fn fill_and_replace_fall_back_without_slices() {
-        // pList exposes no contiguous slices: p_fill/p_replace_if take the
-        // element-wise fallback and must still be correct.
+        // pList's elements live one per node: p_fill/p_replace_if walk them
+        // element by element and must still be correct.
         execute(RtsConfig::default(), 2, |loc| {
             let l: PList<u64> = PList::new(loc);
             for i in 0..12 {

@@ -754,16 +754,6 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PArray<T> {
             }
         }
     }
-
-    fn try_local_slices_mut(&self, f: &mut dyn FnMut(&mut [T])) -> bool {
-        let mut rep = self.obj.local_mut();
-        for (_, bc) in rep.lm.iter_mut() {
-            // Boxed storage has no slices to expose; callers fall back.
-            let Some(ps) = bc.pieces_mut() else { return false };
-            ps.for_each(|(_, s)| f(s));
-        }
-        true
-    }
 }
 
 impl<T: Send + Clone + 'static> IndexedContainer for PArray<T> {
@@ -1274,34 +1264,6 @@ mod tests {
             });
             assert_eq!(visited, 3.min(a.local_size()));
             let _ = loc;
-        });
-    }
-
-    #[test]
-    fn try_local_slices_mut_covers_local_elements() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let a = PArray::with_partition(
-                loc,
-                Box::new(BlockCyclicPartition::new(17, 4, 2)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
-                0u64,
-            );
-            let supported = a.try_local_slices_mut(&mut |s| s.fill(7));
-            assert!(supported);
-            loc.barrier();
-            for i in 0..17 {
-                assert_eq!(a.get_element(i), 7);
-            }
-            // Boxed storage refuses (caller falls back).
-            let boxed = PArray::with_options(
-                loc,
-                Box::new(BalancedPartition::new(8, loc.nlocs())),
-                Box::new(CyclicMapper::new(loc.nlocs())),
-                0u64,
-                ArrayStorage::Boxed,
-                ThreadSafety::unlocked(),
-            );
-            assert!(!boxed.try_local_slices_mut(&mut |_| unreachable!("no slices in boxed storage")));
         });
     }
 

@@ -1138,7 +1138,10 @@ mod tests {
                     g.commit();
                     let all = loc.allgather(vd);
                     let hot = all[(loc.id() + 1) % loc.nlocs()];
+                    // Snapshot, then barrier, so no location starts the
+                    // measured phase before every location has its baseline.
                     let before = loc.stats().remote_requests;
+                    loc.barrier();
                     for _ in 0..40 {
                         let _ = g.vertex_property(hot);
                     }

@@ -437,11 +437,6 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PVector<T> {
             }
         }
     }
-
-    fn try_local_slices_mut(&self, f: &mut dyn FnMut(&mut [T])) -> bool {
-        f(&mut self.obj.local_mut().data);
-        true
-    }
 }
 
 impl<T: Send + Clone + 'static> stapl_core::interfaces::SequenceContainer<usize> for PVector<T> {
@@ -867,20 +862,6 @@ mod tests {
             let e0 = v.distribution_epoch();
             v.commit();
             assert!(v.distribution_epoch() > e0);
-        });
-    }
-
-    #[test]
-    fn try_local_slices_mut_writes_block() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let v = PVector::from_fn(loc, 10, |i| i as u32);
-            assert!(v.try_local_slices_mut(&mut |s| {
-                for x in s {
-                    *x += 100;
-                }
-            }));
-            loc.barrier();
-            assert_eq!(v.get_element(9), 109);
         });
     }
 }

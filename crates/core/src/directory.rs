@@ -963,7 +963,10 @@ mod tests {
                 let obj = setup(loc);
                 // Pick a hot gid owned by the next location and hammer it.
                 let hot = (loc.id() as u64 + 1) % loc.nlocs() as u64;
+                // Snapshot, then barrier, so no location starts the measured
+                // phase before every location has its baseline.
                 let before = loc.stats().remote_requests;
+                loc.barrier();
                 for _ in 0..50 {
                     let v = dir_route_ret(&obj, Resolution::Forwarding, hot, move |rep, _, _| {
                         rep.borrow().values[&hot]

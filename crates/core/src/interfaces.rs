@@ -98,17 +98,6 @@ pub trait LocalIteration<G: Gid>: ElementRead<G> {
             }
         });
     }
-
-    /// Calls `f` over the maximal contiguous *storage* slices holding this
-    /// location's elements, when the container can expose them; returns
-    /// `false` when it cannot (per-element storage, non-slice layouts) and
-    /// the caller must fall back to element-wise iteration. One call per
-    /// slice lets algorithms like `p_fill` pay one clone + one borrow per
-    /// chunk instead of per element.
-    fn try_local_slices_mut(&self, f: &mut dyn FnMut(&mut [Self::Value])) -> bool {
-        let _ = f;
-        false
-    }
 }
 
 /// Static indexed pContainers (pArray, pMatrix rows flattened, pVector

@@ -24,22 +24,8 @@ const HANDLER_ENTRY: &[&str] = &[
     "dir_route_ret_hinted",
 ];
 
-/// Calls that block on remote progress: waiting inside a handler deadlocks
-/// the polling loop that would deliver the awaited response.
-const BLOCKING: &[&str] = &[
-    "sync_rmi",
-    "rmi_fence",
-    "barrier",
-    "allreduce",
-    "allreduce_sum",
-    "allreduce_max_f64",
-    "broadcast",
-    "allgather",
-    "exclusive_scan",
-];
-
-/// Collective operations every location must reach (L3's subject, and
-/// blocking calls for L1's purposes — they are all in [`BLOCKING`]).
+/// Collective operations every location must reach: L3's subject, and
+/// with `sync_rmi` the calls that block (see [`blocks`]).
 const COLLECTIVES: &[&str] = &[
     "barrier",
     "rmi_fence",
@@ -51,10 +37,25 @@ const COLLECTIVES: &[&str] = &[
     "exclusive_scan",
 ];
 
+/// Calls that block on remote progress: waiting inside a handler deadlocks
+/// the polling loop that would deliver the awaited response.
+fn blocks(name: &str) -> bool {
+    name == "sync_rmi" || COLLECTIVES.contains(&name)
+}
+
 /// Calls that poll the runtime (and may execute handlers reentrantly):
-/// holding a `RefCell` storage borrow across one risks a double-borrow
-/// panic when a delivered handler touches the same container.
-const POLL_POINTS: &[&str] = &["poll", "poll_or_relax", "barrier", "rmi_fence", "sync_rmi"];
+/// every blocking call, which polls while it waits, and the wait loop and
+/// `poll` themselves. Holding a `RefCell` storage borrow across one risks a
+/// double-borrow panic when a delivered handler touches the same container.
+fn polls(name: &str) -> bool {
+    blocks(name) || name == "poll" || name == "wait_until"
+}
+
+/// True when `toks[i]` reaches a poll point: a call [`polls`] names, or a
+/// `.wait()`.
+fn is_poll_point(toks: &[Tok], i: usize) -> bool {
+    (is_call(toks, i) && polls(&toks[i].text)) || is_method_call(toks, i, "wait")
+}
 
 /// Direct-borrow accessors whose closure runs with the container storage
 /// borrowed: a poll point inside is a borrow held across a poll.
@@ -160,7 +161,7 @@ pub fn blocking_in_handler(path: &str, file: &LexedFile) -> Vec<Finding> {
         let close = matching_close(toks, i + 1);
         for_each_closure_body(toks, (i + 2, close), &mut |(b0, b1)| {
             for k in b0..b1 {
-                let blocked = if is_call(toks, k) && BLOCKING.contains(&toks[k].text.as_str()) {
+                let blocked = if is_call(toks, k) && blocks(&toks[k].text) {
                     Some(toks[k].text.clone())
                 } else if is_method_call(toks, k, "wait") {
                     Some("wait".to_string())
@@ -202,6 +203,26 @@ pub fn borrow_across_poll(path: &str, file: &LexedFile) -> Vec<Finding> {
         depth: u32,
     }
     let mut guards: Vec<Guard> = Vec::new();
+    // A poll point at `toks[k]` while a guard is live.
+    let flag = |k: usize, guards: &[Guard], out: &mut Vec<Finding>| {
+        let Some(g) = guards.last() else { return };
+        out.push(Finding {
+            file: path.to_string(),
+            line: toks[k].line,
+            rule: Rule::BorrowAcrossPoll,
+            message: format!(
+                "`{}` reached while the borrow guard `{}` (line {}) is \
+                 still live — a handler delivered by the poll can hit a \
+                 double borrow",
+                toks[k].text, g.name, g.line
+            ),
+            hint: format!(
+                "drop `{}` (end its scope or call `drop`) before polling, \
+                 fencing, or waiting",
+                g.name
+            ),
+        });
+    };
     let mut i = 0;
     while i < toks.len() {
         let t = &toks[i];
@@ -233,10 +254,15 @@ pub fn borrow_across_poll(path: &str, file: &LexedFile) -> Vec<Finding> {
             let rhs_is_closure = eq.is_some_and(|e| {
                 toks.get(e + 1).is_some_and(|t| t.text == "|" || t.text == "move")
             });
-            let borrows = !rhs_is_closure
-                && (i..end).any(|k| {
-                    is_method_call(toks, k, "borrow") || is_method_call(toks, k, "borrow_mut")
-                });
+            if rhs_is_closure {
+                i = end.max(i + 1);
+                continue;
+            }
+            // The initializer runs under the guards already live.
+            (i..end).filter(|&k| is_poll_point(toks, k)).for_each(|k| flag(k, &guards, &mut out));
+            let borrows = (i..end).any(|k| {
+                is_method_call(toks, k, "borrow") || is_method_call(toks, k, "borrow_mut")
+            });
             if let (Some(name), true) = (name, borrows) {
                 if name != "_" {
                     guards.push(Guard { name, line: t.line, depth: stmt_depth });
@@ -253,27 +279,8 @@ pub fn borrow_across_poll(path: &str, file: &LexedFile) -> Vec<Finding> {
                 }
             }
         }
-        let polls = (is_call(toks, i) && POLL_POINTS.contains(&t.text.as_str()))
-            || is_method_call(toks, i, "wait");
-        if polls {
-            if let Some(g) = guards.last() {
-                out.push(Finding {
-                    file: path.to_string(),
-                    line: t.line,
-                    rule: Rule::BorrowAcrossPoll,
-                    message: format!(
-                        "`{}` reached while the borrow guard `{}` (line {}) is \
-                         still live — a handler delivered by the poll can hit a \
-                         double borrow",
-                        t.text, g.name, g.line
-                    ),
-                    hint: format!(
-                        "drop `{}` (end its scope or call `drop`) before polling, \
-                         fencing, or waiting",
-                        g.name
-                    ),
-                });
-            }
+        if is_poll_point(toks, i) {
+            flag(i, &guards, &mut out);
         }
         i += 1;
     }
@@ -287,9 +294,7 @@ pub fn borrow_across_poll(path: &str, file: &LexedFile) -> Vec<Finding> {
         let close = matching_close(toks, i + 1);
         for_each_closure_body(toks, (i + 2, close), &mut |(b0, b1)| {
             for k in b0..b1 {
-                let polls = (is_call(toks, k) && POLL_POINTS.contains(&toks[k].text.as_str()))
-                    || is_method_call(toks, k, "wait");
-                if polls {
+                if is_poll_point(toks, k) {
                     out.push(Finding {
                         file: path.to_string(),
                         line: toks[k].line,

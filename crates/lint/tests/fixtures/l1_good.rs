@@ -10,6 +10,6 @@ fn notify_peer(loc: &Location, peer: usize) {
 
 fn read_split_phase(loc: &Location, gid: usize) {
     let fut = loc.split_request(gid, |elem| elem.fetch_neighbor());
-    loc.poll_or_relax();
+    loc.poll();
     fut.wait();
 }

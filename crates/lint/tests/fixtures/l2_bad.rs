@@ -8,6 +8,18 @@ fn drain(loc: &Location, store: &RefCell<Vec<u64>>) {
     drop(guard);
 }
 
+fn read_under_guard(loc: &Location, store: &RefCell<Vec<u64>>, h: Handle) {
+    let guard = store.borrow();
+    let v = loc.sync_rmi(1, h, |c: &Counter, _| c.get()); // EXPECT-L2
+    report(&guard, v);
+}
+
+fn count_under_guard(loc: &Location, store: &RefCell<Vec<u64>>) {
+    let guard = store.borrow_mut();
+    loc.allreduce_sum(guard.len() as u64); // EXPECT-L2
+    drop(guard);
+}
+
 fn scan(view: &VectorView) {
     view.with_slice(|s| {
         let mut sum = 0;

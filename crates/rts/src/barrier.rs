@@ -1,15 +1,21 @@
-//! A polling barrier: locations waiting at the barrier keep servicing
-//! incoming RMI requests, so a location can never be blocked at a barrier
-//! while a peer waits on a synchronous reply from it.
+//! The rendezvous behind every barrier, fence round and collective: the
+//! last location to arrive runs a closure before it releases the others,
+//! and every location returns that closure's value. Waiting is the
+//! caller's (`Location::wait_until`, which services incoming RMI requests),
+//! so a location can never be blocked at a barrier while a peer waits on a
+//! synchronous reply from it.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 pub(crate) struct PollBarrier {
     total: usize,
     arrived: AtomicUsize,
     generation: AtomicUsize,
-    /// Set when any location panics so waiters abort instead of hanging.
-    pub(crate) poisoned: AtomicBool,
+    /// What the last arriver of the current generation computed, and how
+    /// many locations have yet to read it.
+    published: Mutex<Option<(Box<dyn Any + Send>, usize)>>,
 }
 
 impl PollBarrier {
@@ -18,33 +24,55 @@ impl PollBarrier {
             total,
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
-            poisoned: AtomicBool::new(false),
+            published: Mutex::new(None),
         }
     }
 
-    /// Waits for all locations, invoking `service` repeatedly while waiting.
-    /// `service` is expected to poll the incoming request queue.
-    pub(crate) fn wait(&self, mut service: impl FnMut()) {
+    /// Arrives at the barrier. The last arriver runs `last`, publishes its
+    /// value and releases the generation; the others `wait` until the
+    /// predicate they are handed reads true. Every location returns the
+    /// published value, and the last to read it takes it out, so nothing
+    /// of it outlives the rendezvous.
+    ///
+    /// The next generation cannot publish before every location has read
+    /// this one's value: its last arriver is, by definition, the last of
+    /// them to leave this one.
+    pub(crate) fn rendezvous<T: Clone + Send + 'static>(
+        &self,
+        wait: impl FnOnce(&dyn Fn() -> bool),
+        last: impl FnOnce() -> T,
+    ) -> T {
         let gen = self.generation.load(Ordering::Acquire);
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arriver releases the others.
+            let value: Box<dyn Any + Send> = Box::new(last());
+            *self.published.lock().unwrap_or_else(PoisonError::into_inner) = Some((value, self.total));
             self.arrived.store(0, Ordering::Relaxed);
             self.generation.fetch_add(1, Ordering::Release);
         } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                if self.poisoned.load(Ordering::Relaxed) {
-                    panic!("stapl-rts: a peer location panicked while this location waited at a barrier");
-                }
-                service();
-                spins += 1;
-                if spins > 64 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
+            wait(&|| self.generation.load(Ordering::Acquire) != gen);
         }
+        self.read()
+    }
+
+    /// This location's copy of the published value; the last reader takes
+    /// the value itself.
+    fn read<T: Clone + 'static>(&self) -> T {
+        let mut published = self.published.lock().unwrap_or_else(PoisonError::into_inner);
+        let (value, unread) = published.as_mut().expect("a released generation has published its value");
+        *unread -= 1;
+        let out = if *unread == 0 {
+            published.take().and_then(|(value, _)| value.downcast::<T>().ok()).map(|v| *v)
+        } else {
+            value.downcast_ref::<T>().cloned()
+        };
+        drop(published);
+        out.unwrap_or_else(|| {
+            panic!(
+                "stapl-rts: a barrier's last arriver published something other than `{}` — \
+                 locations disagree on which barrier or collective they are executing",
+                std::any::type_name::<T>()
+            )
+        })
     }
 }
 
@@ -53,6 +81,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
+
+    /// Waits without a location to poll: these tests run the barrier alone.
+    fn busy(released: &dyn Fn() -> bool) {
+        while !released() {}
+    }
 
     #[test]
     fn all_threads_pass_each_generation_together() {
@@ -69,12 +102,15 @@ mod tests {
                         // current round, never a future one.
                         assert_eq!(phase.load(Ordering::SeqCst) / n as u64, round);
                         phase.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait(|| {});
+                        // The last arriver sees every arrival of the round.
+                        let seen = barrier.rendezvous(busy, || phase.load(Ordering::SeqCst));
+                        assert_eq!(seen, (round + 1) * n as u64);
                     }
                 });
             }
         });
         assert_eq!(phase.load(Ordering::SeqCst), 50 * n as u64);
+        assert!(barrier.published.lock().unwrap().is_none(), "the last reader took the value");
     }
 
     #[test]
@@ -85,13 +121,18 @@ mod tests {
             let b = barrier.clone();
             let sv = serviced.clone();
             s.spawn(move || {
-                b.wait(|| {
-                    sv.fetch_add(1, Ordering::Relaxed);
-                });
+                b.rendezvous(
+                    |released| {
+                        while !released() {
+                            sv.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                    || (),
+                );
             });
             // Give the first thread time to spin in the barrier.
             std::thread::sleep(std::time::Duration::from_millis(20));
-            barrier.wait(|| {});
+            barrier.rendezvous(busy, || ());
         });
         assert!(serviced.load(Ordering::Relaxed) > 0);
     }
@@ -99,8 +140,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "peer location panicked")]
     fn poisoned_barrier_panics_waiters() {
-        let barrier = PollBarrier::new(2);
-        barrier.poisoned.store(true, Ordering::Relaxed);
-        barrier.wait(|| {});
+        // Location 0 waits at the barrier location 1 never reaches.
+        crate::execute(crate::RtsConfig::default(), 2, |loc| {
+            if loc.id() == 1 {
+                panic!("location 1 dies before the barrier");
+            }
+            loc.barrier();
+        });
     }
 }

@@ -2,31 +2,15 @@
 //!
 //! The paper's ARMI provides collective operations "with the same semantics
 //! as the traditional MPI collective operations". Because all locations of
-//! the simulated machine live in one process, the collectives exchange
-//! values through a shared scoreboard guarded by the polling barrier; this
-//! is a control-plane shortcut (the paper's RTS similarly implements
-//! collectives below the RMI layer) and does not let p_object data bypass
-//! the message-passing discipline.
-
-use std::any::Any;
-use std::sync::Mutex;
+//! the simulated machine live in one process, each location leaves its
+//! contribution on a shared board and one rendezvous does the rest: its
+//! last arriver folds the board in location order, and every location
+//! returns the fold. This is a control-plane shortcut (the paper's RTS
+//! similarly implements collectives below the RMI layer) and does not let
+//! p_object data bypass the message-passing discipline.
 
 use crate::location::Location;
 use crate::trace::TraceEventKind;
-
-pub(crate) struct CollectiveBoard {
-    slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
-    result: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-impl CollectiveBoard {
-    pub(crate) fn new(nlocs: usize) -> Self {
-        CollectiveBoard {
-            slots: (0..nlocs).map(|_| Mutex::new(None)).collect(),
-            result: Mutex::new(None),
-        }
-    }
-}
 
 impl Location {
     /// All-reduce: every location contributes `val`; every location receives
@@ -41,71 +25,32 @@ impl Location {
     {
         let t0 = self.trace_clock();
         let board = &self.shared().board;
-        *board.slots[self.id()].lock().unwrap() = Some(Box::new(val));
-        self.barrier();
-        if self.id() == 0 {
-            let mut acc: Option<T> = None;
-            for (who, slot) in board.slots.iter().enumerate() {
-                let v = slot
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "stapl-rts: collective over `{}`: location {who} contributed \
-                             nothing — a location skipped the collective call, or two \
-                             collectives raced (collectives must be called by all \
-                             locations at the same program point)",
-                            std::any::type_name::<T>()
-                        )
-                    })
-                    .downcast::<T>()
-                    .unwrap_or_else(|_| {
-                        panic!(
-                            "stapl-rts: collective type mismatch: location {who} \
-                             contributed a value that is not `{}` — locations disagree \
-                             on which collective they are executing",
-                            std::any::type_name::<T>()
-                        )
-                    });
-                acc = Some(match acc {
-                    None => *v,
-                    Some(a) => op(a, *v),
+        *board[self.id()].lock().unwrap() = Some(Box::new(val));
+        // Every contribution is on the board before the last arriver folds
+        // it, and the board is empty again before anyone is released into
+        // the next collective.
+        let out = self.rendezvous(|| {
+            let contributions = board.iter().enumerate().map(|(who, slot)| {
+                let v = slot.lock().unwrap().take().unwrap_or_else(|| {
+                    panic!(
+                        "stapl-rts: collective over `{}`: location {who} contributed \
+                         nothing — a location skipped the collective call, or two \
+                         collectives raced (collectives must be called by all \
+                         locations at the same program point)",
+                        std::any::type_name::<T>()
+                    )
                 });
-            }
-            *board.result.lock().unwrap() = Some(Box::new(acc.unwrap()));
-        }
-        self.barrier();
-        let out = {
-            let guard = board.result.lock().unwrap();
-            guard
-                .as_ref()
-                .unwrap_or_else(|| {
+                *v.downcast::<T>().unwrap_or_else(|_| {
                     panic!(
-                        "stapl-rts: collective result of type `{}` missing on location {} \
-                         — the reducing location (0) never published it",
-                        std::any::type_name::<T>(),
-                        self.id()
+                        "stapl-rts: collective type mismatch: location {who} \
+                         contributed a value that is not `{}` — locations disagree \
+                         on which collective they are executing",
+                        std::any::type_name::<T>()
                     )
                 })
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| {
-                    panic!(
-                        "stapl-rts: collective result is not `{}` on location {} — \
-                         overlapping collectives of different types",
-                        std::any::type_name::<T>(),
-                        self.id()
-                    )
-                })
-                .clone()
-        };
-        // Everyone has read the result; location 0 may clear it and the
-        // board can be reused by the next collective.
-        self.barrier();
-        if self.id() == 0 {
-            *board.result.lock().unwrap() = None;
-        }
-        self.barrier();
+            });
+            contributions.reduce(op).expect("an execution has at least one location")
+        });
         // Every collective funnels through allreduce, so this one span
         // kind covers broadcast / allgather / scans too.
         self.trace_span_end(TraceEventKind::CollectiveSpan, t0, 0);

@@ -122,12 +122,14 @@ impl<R: 'static> RmiFuture<R> {
     }
 
     /// True when the value is already available and `get` will not block.
+    /// Takes one pass of the wait loop, so readiness is fresh and a caller
+    /// spinning on it learns of a panicked peer as `get` would.
     pub fn is_ready(&self) -> bool {
         match &self.inner {
             FutureInner::Ready(_) => true,
             FutureInner::Pending(p) => {
-                // Drain anything already queued so readiness is fresh.
-                p.loc.poll();
+                let mut passed = false;
+                p.loc.wait_until(|| std::mem::replace(&mut passed, true));
                 p.loc.slot_filled(p.slot)
             }
         }
@@ -159,8 +161,10 @@ impl<R: 'static> RmiFuture<R> {
 }
 
 impl PendingReply {
-    /// The wait loop, out of line: what it reports — the span kind, the
-    /// issue time, the peer and handler of a timeout — it reads from the slot.
+    /// The wait, out of line: [`Location::wait_until`] the slot is filled
+    /// or the `rmi_timeout_us` deadline passes. What it reports — the span
+    /// kind, the issue time, the peer and handler of a timeout — it reads
+    /// from the slot.
     #[inline(never)]
     fn wait<R: 'static>(self) -> Result<R, RmiError> {
         let (loc, slot) = (&self.loc, self.slot);
@@ -168,30 +172,28 @@ impl PendingReply {
         let t0 = if wait_kind == TraceEventKind::SyncRmiSpan { issued_ns } else { loc.trace_clock() };
         let timeout_us = loc.config().rmi_timeout_us;
         let deadline = (timeout_us > 0).then(|| (Instant::now(), Duration::from_micros(timeout_us)));
-        loop {
-            if let Some(v) = loc.try_take_slot(slot) {
-                loc.trace_span_end(wait_kind, t0, 0);
-                return match v.downcast::<R>() {
-                    Ok(v) => Ok(*v),
-                    Err(v) => match v.downcast::<PoisonedResponse>() {
-                        Ok(p) => Err(RmiError::HandlerPanicked { handler: p.handler, message: p.message }),
-                        Err(_) => panic!(
-                            "stapl-rts: location {}: future slot {slot} (handler `{handler}`) filled \
-                             with a value of the wrong type — expected `{}`",
-                            loc.id(),
-                            std::any::type_name::<R>()
-                        ),
-                    },
-                };
-            }
-            if let Some((start, limit)) = deadline {
-                let elapsed = start.elapsed();
-                if elapsed >= limit {
-                    let retransmits = loc.local_stats().retransmits;
-                    return Err(RmiError::Timeout { peer, handler, elapsed, retransmits });
-                }
-            }
-            loc.poll_or_relax();
+        let mut taken = None;
+        loc.wait_until(|| {
+            taken = loc.try_take_slot(slot);
+            taken.is_some() || deadline.is_some_and(|(start, limit)| start.elapsed() >= limit)
+        });
+        let Some(v) = taken else {
+            let (start, _) = deadline.expect("a wait ends without its value only at its deadline");
+            let retransmits = loc.local_stats().retransmits;
+            return Err(RmiError::Timeout { peer, handler, elapsed: start.elapsed(), retransmits });
+        };
+        loc.trace_span_end(wait_kind, t0, 0);
+        match v.downcast::<R>() {
+            Ok(v) => Ok(*v),
+            Err(v) => match v.downcast::<PoisonedResponse>() {
+                Ok(p) => Err(RmiError::HandlerPanicked { handler: p.handler, message: p.message }),
+                Err(_) => panic!(
+                    "stapl-rts: location {}: future slot {slot} (handler `{handler}`) filled \
+                     with a value of the wrong type — expected `{}`",
+                    loc.id(),
+                    std::any::type_name::<R>()
+                ),
+            },
         }
     }
 }

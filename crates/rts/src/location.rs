@@ -9,13 +9,12 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crossbeam::channel::{Receiver, Sender};
 
 use crate::barrier::PollBarrier;
-use crate::collective::CollectiveBoard;
 use crate::config::RtsConfig;
 use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
@@ -61,12 +60,16 @@ pub(crate) struct Shared {
     /// fence's quiescence test sum over it at read time.
     pub counters: Vec<Arc<CounterBlock>>,
     pub barrier: PollBarrier,
-    pub fence_done: AtomicU64, // 0 = undecided/no, 1 = done (leader-written)
+    /// Set when any location panics, so every wait aborts instead of
+    /// hanging ([`Location::wait_until`]).
+    pub poisoned: AtomicBool,
     /// Indexed by handle: how many locations have retired it
     /// ([`Location::retire`]). A location reclaims a representative only
     /// once this reads `nlocs` (DESIGN.md "p_object lifetime").
     pub retired: Mutex<Vec<u32>>,
-    pub board: CollectiveBoard,
+    /// Indexed by location: its contribution to the collective in progress,
+    /// taken out by the fold ([`Location::allreduce`]).
+    pub board: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
     /// Epoch of this execution: all trace timestamps are monotonic
     /// nanoseconds relative to this instant, so the per-location timelines
     /// of one run share a clock.
@@ -824,25 +827,34 @@ impl Location {
         self.inner.counters.note_handled();
     }
 
-    /// One iteration of the wait loop used by futures and barriers: poll,
-    /// and back off briefly if nothing arrived.
-    ///
-    /// A blocked location also flushes its own aggregation buffers —
-    /// otherwise a request this location itself depends on (e.g. the first
-    /// hop of a forwarded synchronous method) could sit buffered forever
-    /// while the location spins on the reply.
-    pub(crate) fn poll_or_relax(&self) {
-        if self.inner.shared.barrier.poisoned.load(Ordering::Relaxed) {
-            panic!("stapl-rts: a peer location panicked while this location waited");
-        }
-        if self.poll() == 0 {
-            self.flush_all();
-            std::thread::yield_now();
+    /// The one wait loop: every blocking wait of the runtime — barriers,
+    /// and through them fences and collectives, futures, and
+    /// [`RmiFuture::is_ready`] — returns from here once `ready()` reads true.
+    /// Each pass aborts if a location has panicked, then polls. A pass that
+    /// ran nothing flushes this location's aggregation buffers — a request
+    /// this location itself depends on (e.g. the first hop of a forwarded
+    /// synchronous method) must not sit buffered while it waits — and
+    /// relaxes: a spin hint for the first 64 empty polls, a yield after.
+    pub(crate) fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+        let mut empty_polls = 0u32;
+        while !ready() {
+            if self.inner.shared.poisoned.load(Ordering::Relaxed) {
+                panic!("stapl-rts: a peer location panicked while this location waited");
+            }
+            if self.poll() == 0 {
+                self.flush_all();
+                empty_polls += 1;
+                if empty_polls > 64 {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
         }
     }
 
     pub(crate) fn mark_panicked(&self) {
-        self.inner.shared.barrier.poisoned.store(true, Ordering::SeqCst);
+        self.inner.shared.poisoned.store(true, Ordering::SeqCst);
     }
 
     // ------------------------------------------------------------------
@@ -853,14 +865,17 @@ impl Location {
     /// waiting. Unlike [`Location::rmi_fence`] it does *not* guarantee that
     /// pending asynchronous RMIs have completed.
     pub fn barrier(&self) {
+        self.rendezvous(|| ());
+    }
+
+    /// A [`Location::barrier`] whose last arriver runs `last` before it
+    /// releases the others; every location returns that value. A fence
+    /// round's verdict and a collective's result are computed here.
+    pub(crate) fn rendezvous<T: Clone + Send + 'static>(&self, last: impl FnOnce() -> T) -> T {
         let t0 = self.trace_clock();
-        let me = self.clone();
-        self.inner.shared.barrier.wait(move || {
-            if me.poll() == 0 {
-                me.flush_all();
-            }
-        });
+        let out = self.inner.shared.barrier.rendezvous(|released| self.wait_until(released), last);
         self.trace_span_end(TraceEventKind::BarrierSpan, t0, 0);
+        out
     }
 
     /// The paper's `rmi_fence`: completes only when every RMI issued before
@@ -870,7 +885,9 @@ impl Location {
     /// Implemented as termination detection: repeat (flush, drain, barrier)
     /// rounds until, with all locations inside the fence, the requests
     /// handled and the requests sent — summed over the per-location
-    /// counter blocks — are equal.
+    /// counter blocks — are equal. A round is two barriers; the second is
+    /// a rendezvous whose last arriver takes the sums, so every location
+    /// leaves the round with the same verdict.
     ///
     /// Also where a dropped p_object's memory comes back: the handles every
     /// location had retired ([`Location::retire`]) when this location
@@ -879,7 +896,6 @@ impl Location {
     pub fn rmi_fence(&self) {
         let t0 = self.trace_clock();
         let mut rounds = 0u64;
-        let shared = self.inner.shared.clone();
         // Decided on entry: a peer that has left this fence may send to a
         // handle and retire it before this location gets out.
         let reclaim = self.take_retired_everywhere();
@@ -893,48 +909,37 @@ impl Location {
             // enqueued new requests; push those out and drain again.
             self.flush_all();
             while self.poll() > 0 {}
-            self.barrier();
-            if self.id() == 0 {
-                // Peers are still polling — and running handlers — inside
-                // the barrier below while these sums are taken, so the read
-                // order carries the proof: `handled` first, `remote_requests`
-                // (= sent) second. A request is counted sent before it can
-                // run and handled only after its handler, forwards
-                // included, has returned; so whatever the first scan counts
-                // as handled the second counts as sent, along with
-                // everything those handlers sent. Equality therefore means
-                // nothing was in flight between the scans, and with every
-                // location in the fence only a request in flight could send
-                // another. Reading `sent` first lets a forwarding handler
-                // run between the scans, move both sums by one, and balance
-                // the books with its hop unexecuted.
-                let sum = |f: fn(&CounterBlock) -> u64| -> u64 {
-                    shared.counters.iter().map(|b| f(b)).sum()
-                };
-                let handled = sum(CounterBlock::handled);
-                let sent = sum(|b| b.get(Counter::remote_requests));
-                // Under the reliable layer every request's carrying batch
-                // must also have been acknowledged: executed-but-unacked
-                // requests mean a sender may still retransmit (and the
-                // fault injector may still be holding a reordered batch),
-                // so the system is not yet quiet. Read last: once nothing
-                // is left to send, `sent` is final and `acked` only rises
-                // toward it.
-                let quiescent = handled == sent
-                    && (!self.config().reliable_layer() || sum(CounterBlock::acked) == sent);
-                shared.fence_done.store(quiescent as u64, Ordering::SeqCst);
-            }
-            self.barrier();
-            let done = shared.fence_done.load(Ordering::SeqCst) == 1;
-            // All locations observed the verdict; only now may a new round
-            // (or the caller) disturb the counters again.
-            self.barrier();
-            if done {
+            if self.rendezvous(|| self.quiescent()) {
                 reclaim.into_iter().for_each(|h| self.unregister(h));
                 self.trace_span_end(TraceEventKind::FenceSpan, t0, rounds);
                 return;
             }
         }
+    }
+
+    /// A fence round's verdict, taken by the last location to arrive at the
+    /// round's rendezvous. Its peers are still polling — and running
+    /// handlers — inside that rendezvous while these sums are taken, so the
+    /// read order carries the proof: `handled` first, `remote_requests`
+    /// (= sent) second. A request is counted sent before it can run and
+    /// handled only after its handler, forwards included, has returned; so
+    /// whatever the first scan counts as handled the second counts as sent,
+    /// along with everything those handlers sent. Equality therefore means
+    /// nothing was in flight between the scans, and with every location in
+    /// the fence only a request in flight could send another. Reading
+    /// `sent` first lets a forwarding handler run between the scans, move
+    /// both sums by one, and balance the books with its hop unexecuted.
+    fn quiescent(&self) -> bool {
+        let sum = |f: fn(&CounterBlock) -> u64| -> u64 { self.inner.shared.counters.iter().map(|b| f(b)).sum() };
+        let handled = sum(CounterBlock::handled);
+        let sent = sum(|b| b.get(Counter::remote_requests));
+        // Under the reliable layer every request's carrying batch must also
+        // have been acknowledged: executed-but-unacked requests mean a
+        // sender may still retransmit (and the fault injector may still be
+        // holding a reordered batch), so the system is not yet quiet. Read
+        // last: once nothing is left to send, `sent` is final and `acked`
+        // only rises toward it.
+        handled == sent && (!self.config().reliable_layer() || sum(CounterBlock::acked) == sent)
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {

@@ -1,13 +1,12 @@
 //! SPMD execution: run the same closure on every location, as STAPL runs
 //! `stapl_main` on every location of the machine.
 
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 use crossbeam::channel::unbounded;
 
 use crate::barrier::PollBarrier;
-use crate::collective::CollectiveBoard;
 use crate::config::RtsConfig;
 use crate::location::{Location, Shared};
 use crate::transport::Batch;
@@ -55,9 +54,9 @@ where
         senders,
         counters: (0..nlocs).map(|_| Arc::new(CounterBlock::new())).collect(),
         barrier: PollBarrier::new(nlocs),
-        fence_done: AtomicU64::new(0),
+        poisoned: AtomicBool::new(false),
         retired: Mutex::default(),
-        board: CollectiveBoard::new(nlocs),
+        board: (0..nlocs).map(|_| Mutex::default()).collect(),
         epoch: std::time::Instant::now(),
     });
     let f = &f;
