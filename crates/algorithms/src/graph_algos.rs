@@ -19,7 +19,8 @@ pub struct VProps {
     pub level: i64,
     /// Connected-component label.
     pub comp: u64,
-    /// PageRank value and incoming accumulator.
+    /// PageRank value and incoming accumulator (connected components'
+    /// label-lowered flag, 1.0 when set).
     pub rank: f64,
     pub acc: f64,
 }
@@ -118,7 +119,10 @@ pub fn bfs_level(g: &AlgoGraph, vd: VertexDesc) -> i64 {
 /// undirected graphs). Returns the number of components.
 pub fn connected_components(g: &AlgoGraph) -> usize {
     let loc = g.location().clone();
-    g.for_each_local_vertex_mut(|v| v.property.comp = v.descriptor as u64);
+    g.for_each_local_vertex_mut(|v| {
+        v.property.comp = v.descriptor as u64;
+        v.property.acc = 0.0;
+    });
     loc.barrier();
     let mut pushes: Vec<(VertexDesc, u64)> = Vec::new();
     loop {
@@ -133,19 +137,19 @@ pub fn connected_components(g: &AlgoGraph) -> usize {
             g.apply_vertex(t, move |tv| {
                 if label < tv.property.comp {
                     tv.property.comp = label;
+                    tv.property.acc = 1.0;
                 }
             });
         }
         loc.rmi_fence();
-        // Converged when no label changed this round; the previous round's
-        // labels are kept in the `acc` scratch field.
+        // Converged when no label was lowered this round: the lowering
+        // flags it in the `acc` scratch field (a `u64` label does not
+        // survive a round trip through `f64` above 2^53).
         let mut changed = 0u64;
-        g.for_each_local_vertex(|v| {
-            if v.property.acc != v.property.comp as f64 {
-                changed += 1;
-            }
+        g.for_each_local_vertex_mut(|v| {
+            changed += v.property.acc as u64;
+            v.property.acc = 0.0;
         });
-        g.for_each_local_vertex_mut(|v| v.property.acc = v.property.comp as f64);
         if loc.allreduce_sum(changed) == 0 {
             break;
         }
@@ -324,6 +328,36 @@ mod tests {
             g.commit();
             assert_eq!(connected_components(&g), 4);
         });
+    }
+
+    /// Above 2^53 neighbouring labels share an `f64`: 2^60 + 2 and 2^60
+    /// do, so a convergence test through one stopped while 2^60 + 2 still
+    /// carried its own label.
+    #[test]
+    fn connected_components_labels_are_exact_above_2_pow_53() {
+        for base in [0, 1usize << 60] {
+            for path in [&[2usize, 7, 8, 0][..], &[2, 7, 8, 9, 0]] {
+                execute(RtsConfig::default(), 1, |loc| {
+                    let g: AlgoGraph = PGraph::new_dynamic(
+                        loc,
+                        Directedness::Undirected,
+                        GraphPartitionKind::DynamicFwd,
+                    );
+                    for &k in path {
+                        g.add_vertex_with_descriptor(base + k, VProps::default());
+                    }
+                    for w in path.windows(2) {
+                        g.add_edge_async(base + w[0], base + w[1], ());
+                    }
+                    g.commit();
+                    assert_eq!(connected_components(&g), 1, "path {base} + {path:?}");
+                    for &k in path {
+                        let label = g.apply_vertex_ret(base + k, |v| v.property.comp);
+                        assert_eq!(label, base as u64, "label of {base} + {k}");
+                    }
+                });
+            }
+        }
     }
 
     #[test]

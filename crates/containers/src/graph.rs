@@ -17,19 +17,20 @@
 //!
 //! Operations on a vertex that is already local bypass resolution entirely
 //! (the local fast path): one probe of the location's vertex table
-//! ([`GraphBc`] — dense slots behind a descriptor → slot hash index, the
-//! hashed adjacency list STAPL's dynamic pGraph uses) finds the vertex and
-//! runs the operation on it.
+//! ([`GraphBc`] — dense slots behind an open-addressed table of slot
+//! numbers keyed by the slots' own descriptors, the hashed adjacency list
+//! STAPL's dynamic pGraph uses) finds the vertex and runs the operation on
+//! it.
 
 use std::cell::{Ref, RefCell};
-use std::collections::{hash_map::Entry, BTreeMap};
+use std::collections::BTreeMap;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
     dir_insert, dir_insert_bulk, dir_migrate, dir_remove, dir_route, dir_route_ret,
     DirectoryShard, HasDirectory, OwnerCache, Resolution,
 };
-use stapl_core::gid::IdHashMap;
+use stapl_core::gid::MUL;
 use stapl_core::interfaces::{PContainer, RelationalContainer, SegmentId, SegmentedContainer};
 use stapl_core::partition::{BalancedPartition, IndexPartition};
 use stapl_core::pobject::PObject;
@@ -79,55 +80,144 @@ pub enum GraphPartitionKind {
 }
 
 /// Graph base container: the vertices owned by one location, stored
-/// densely, found through a descriptor → slot hash index — a lookup is one
-/// hash probe and one `Vec` index — and *iterated in descriptor order*.
+/// densely, found through an open-addressed index of slot numbers, and
+/// *iterated in descriptor order*.
+///
+/// The index is a power-of-two `Vec<u32>` at load ≤ 1/2 with linear
+/// probing; an entry is a slot number or `u32::MAX` (empty), and its key
+/// is the `descriptor` of the slot it names, so the table stores no key of
+/// its own. A vertex's home entry is the top bits of `descriptor × MUL`
+/// (Fibonacci hashing; `gid::MUL` is `KeyHasher`'s multiplier), and a hit
+/// costs one multiply, one 4-byte load and the slot load the operation
+/// makes anyway. Removal shifts the rest of the probe run back, so the
+/// table holds no tombstones.
+///
 /// The order is a contract: seeded generators walk the local vertices, and
 /// what they emit must not depend on the order racing migrations landed
 /// in. Creation in ascending descriptor order (`add_vertex`, static
 /// construction) keeps the slots ordered; a migration or deletion may
-/// leave them unordered until the next ordered read sorts them — once per
-/// burst, not per change. A vertex's `descriptor` is its key: operations
-/// on a stored vertex must not change it.
+/// leave them unordered until the next ordered read sorts them — and
+/// rebuilds the index — once per burst, not per change. A vertex's
+/// `descriptor` is its key: operations on a stored vertex must not change
+/// it.
 pub struct GraphBc<VP, EP> {
     slots: Vec<Vertex<VP, EP>>,
-    index: IdHashMap<VertexDesc, u32>,
+    index: Vec<u32>,
+    /// `64 − log2(index.len())`: a home entry is the hash's top bits.
+    shift: u32,
     /// `slots` is in ascending descriptor order.
     sorted: bool,
 }
 
+/// An index entry that names no slot.
+const EMPTY: u32 = u32::MAX;
+
+/// The smallest index: the shift stays below 64.
+const MIN_INDEX: usize = 8;
+
 impl<VP, EP> Default for GraphBc<VP, EP> {
     fn default() -> Self {
-        GraphBc { slots: Vec::new(), index: IdHashMap::default(), sorted: true }
+        let mut bc = GraphBc { slots: Vec::new(), index: Vec::new(), shift: 0, sorted: true };
+        bc.reindex(MIN_INDEX);
+        bc
     }
 }
 
 impl<VP, EP> GraphBc<VP, EP> {
+    #[inline]
+    fn home(&self, vd: VertexDesc) -> usize {
+        ((vd as u64).wrapping_mul(MUL) >> self.shift) as usize
+    }
+
+    /// The index entry naming `vd`'s slot, or the empty entry that ends
+    /// its probe run.
+    #[inline]
+    fn probe(&self, vd: VertexDesc) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(vd);
+        loop {
+            match self.index[i] {
+                EMPTY => return Err(i),
+                s if self.slots[s as usize].descriptor == vd => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The first entry from `vd`'s home on that holds `entry`.
+    fn seek(&self, vd: VertexDesc, entry: u32) -> usize {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(vd);
+        while self.index[i] != entry {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Rebuilds the index at `len` entries from the slots.
+    fn reindex(&mut self, len: usize) {
+        self.index.clear();
+        self.index.resize(len, EMPTY);
+        self.shift = 64 - len.trailing_zeros();
+        for slot in 0..self.slots.len() {
+            let i = self.seek(self.slots[slot].descriptor, EMPTY);
+            self.index[i] = slot as u32;
+        }
+    }
+
+    #[inline]
     pub fn get_mut(&mut self, vd: VertexDesc) -> Option<&mut Vertex<VP, EP>> {
-        self.index.get(&vd).map(|&slot| &mut self.slots[slot as usize])
+        let i = self.probe(vd).ok()?;
+        Some(&mut self.slots[self.index[i] as usize])
     }
 
     pub fn contains(&self, vd: VertexDesc) -> bool {
-        self.index.contains_key(&vd)
+        self.probe(vd).is_ok()
     }
 
     /// Stores `v` under its descriptor, returning the vertex it replaces.
     pub fn insert(&mut self, v: Vertex<VP, EP>) -> Option<Vertex<VP, EP>> {
-        match self.index.entry(v.descriptor) {
-            Entry::Occupied(e) => Some(std::mem::replace(&mut self.slots[*e.get() as usize], v)),
-            Entry::Vacant(e) => {
-                e.insert(u32::try_from(self.slots.len()).expect("pGraph: 2^32 local vertices"));
+        match self.probe(v.descriptor) {
+            Ok(i) => Some(std::mem::replace(&mut self.slots[self.index[i] as usize], v)),
+            Err(i) => {
+                assert!(self.slots.len() < EMPTY as usize, "pGraph: 2^32 local vertices");
+                self.index[i] = self.slots.len() as u32;
                 self.sorted &= self.slots.last().map_or(true, |last| last.descriptor < v.descriptor);
                 self.slots.push(v);
+                if 2 * self.slots.len() > self.index.len() {
+                    self.reindex(2 * self.index.len());
+                }
                 None
             }
         }
     }
 
     pub fn remove(&mut self, vd: VertexDesc) -> Option<Vertex<VP, EP>> {
-        let slot = self.index.remove(&vd)? as usize;
+        let mut hole = self.probe(vd).ok()?;
+        let slot = self.index[hole] as usize;
+        // Backward-shift deletion: an entry later in the run moves into
+        // the hole unless its home lies cyclically after the hole.
+        let mask = self.index.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.index[i];
+            if s == EMPTY {
+                break;
+            }
+            let home = self.home(self.slots[s as usize].descriptor);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.index[hole] = s;
+                hole = i;
+            }
+        }
+        self.index[hole] = EMPTY;
         let v = self.slots.swap_remove(slot);
         if let Some(moved) = self.slots.get(slot) {
-            self.index.insert(moved.descriptor, slot as u32);
+            // The last slot moved into `slot`: its entry still names the
+            // old number, `slots.len()`.
+            let i = self.seek(moved.descriptor, self.slots.len() as u32);
+            self.index[i] = slot as u32;
             self.sorted = false;
         }
         Some(v)
@@ -138,9 +228,7 @@ impl<VP, EP> GraphBc<VP, EP> {
     pub fn ordered(&mut self) -> &mut [Vertex<VP, EP>] {
         if !self.sorted {
             self.slots.sort_unstable_by_key(|v| v.descriptor);
-            for (slot, v) in self.slots.iter().enumerate() {
-                self.index.insert(v.descriptor, slot as u32);
-            }
+            self.reindex(self.index.len());
             self.sorted = true;
         }
         &mut self.slots
@@ -161,7 +249,7 @@ impl<VP: 'static, EP: 'static> BaseContainer for GraphBc<VP, EP> {
     fn memory_size(&self) -> MemSize {
         let edges: usize = self.slots.iter().map(|v| v.edges.capacity()).sum();
         MemSize::new(
-            self.index.capacity() * (std::mem::size_of::<(VertexDesc, u32)>() + 1),
+            self.index.capacity() * std::mem::size_of::<u32>(),
             self.slots.capacity() * std::mem::size_of::<Vertex<VP, EP>>()
                 + edges * std::mem::size_of::<Edge<EP>>(),
         )
@@ -839,8 +927,8 @@ where
     fn commit(&self) {
         let loc = self.obj.location().clone();
         loc.rmi_fence();
-        let nv = loc.allreduce_sum(self.local_num_vertices() as u64) as usize;
-        let ne = loc.allreduce_sum(self.local_num_edges() as u64) as usize;
+        let local = (self.local_num_vertices(), self.local_num_edges());
+        let (nv, ne) = loc.allreduce(local, |a, b| (a.0 + b.0, a.1 + b.1));
         {
             let mut rep = self.obj.local_mut();
             rep.cached_nvertices = nv;

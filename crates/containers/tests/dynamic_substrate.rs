@@ -1,12 +1,15 @@
 //! The sequential substrates under the dynamic containers, through their
 //! public interfaces. The pGraph vertex table (`GraphBc`: dense slots
-//! behind a descriptor → slot hash index) against an ordered-map model,
-//! with the contract that makes its lazy re-ordering invisible: whatever
-//! order racing migrations land in, every ordered read of a location's
-//! vertices is ascending. The id hasher on the strided descriptors it
-//! exists for. `SlabList`'s generational ids: a stale one names nothing.
+//! behind an open-addressed table of slot numbers keyed by the slots' own
+//! descriptors) against an ordered-map model — with the table's edge
+//! cases: emptied and refilled, a probe run that wraps past its end, keys
+//! past 2^32 — and what its index costs, with the contract that makes its
+//! lazy re-ordering invisible: whatever order racing migrations land in,
+//! every ordered read of a location's vertices is ascending. The id hasher
+//! on the strided descriptors the directory keys by. `SlabList`'s
+//! generational ids: a stale one names nothing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use stapl_containers::graph::{
@@ -14,7 +17,7 @@ use stapl_containers::graph::{
 };
 use stapl_containers::slab_list::SlabList;
 use stapl_core::bcontainer::BaseContainer;
-use stapl_core::gid::IdHasher;
+use stapl_core::gid::{IdHasher, MUL};
 use stapl_core::interfaces::{PContainer, SegmentedContainer};
 use stapl_rts::{execute, RtsConfig};
 
@@ -22,53 +25,142 @@ fn vertex(descriptor: VertexDesc, property: u64) -> Vertex<u64, ()> {
     Vertex { descriptor, property, edges: Vec::new() }
 }
 
+/// A vertex table and the ordered map it must agree with; `gone` holds
+/// every descriptor removed and not stored again.
+#[derive(Default)]
+struct Modelled {
+    bc: GraphBc<u64, ()>,
+    model: BTreeMap<VertexDesc, u64>,
+    gone: BTreeSet<VertexDesc>,
+}
+
+impl Modelled {
+    fn insert(&mut self, vd: VertexDesc, p: u64) {
+        assert_eq!(self.bc.insert(vertex(vd, p)).map(|v| v.property), self.model.insert(vd, p), "insert {vd}");
+        self.gone.remove(&vd);
+        assert_eq!(self.bc.len(), self.model.len());
+    }
+
+    fn remove(&mut self, vd: VertexDesc) {
+        let expect = self.model.remove(&vd);
+        assert_eq!(self.bc.remove(vd).map(|v| v.property), expect, "remove {vd}");
+        if expect.is_some() {
+            self.gone.insert(vd);
+        }
+        assert_eq!(self.bc.len(), self.model.len());
+    }
+
+    fn lookup(&mut self, vd: VertexDesc) {
+        assert_eq!(self.bc.get_mut(vd).map(|v| v.property), self.model.get(&vd).copied(), "get {vd}");
+        assert_eq!(self.bc.contains(vd), self.model.contains_key(&vd), "contains {vd}");
+    }
+
+    /// Every stored descriptor hits and every removed one misses.
+    fn lookups(&mut self) {
+        for (vd, p) in &self.model {
+            assert_eq!(self.bc.get_mut(*vd).map(|v| v.property), Some(*p), "vertex {vd}");
+        }
+        for vd in &self.gone {
+            assert!(!self.bc.contains(*vd) && self.bc.get_mut(*vd).is_none(), "removed {vd} found");
+        }
+    }
+
+    /// Lookups before and after an ordered read, which must be the model's.
+    fn check(&mut self) {
+        self.lookups();
+        let ordered: Vec<_> = self.bc.ordered().iter().map(|v| (v.descriptor, v.property)).collect();
+        assert_eq!(ordered, self.model.iter().map(|(vd, p)| (*vd, *p)).collect::<Vec<_>>());
+        self.lookups();
+    }
+}
+
 /// A random insert / remove / re-insert / lookup stream over descriptors
 /// `me + k·P` (what `add_vertex` hands out on one of P locations) mixed
-/// with explicit out-of-order ones: same membership and values as a
-/// `BTreeMap` at every step, the same ordered iteration after every burst.
+/// with explicit out-of-order ones, each mapped into a family of
+/// descriptors — small, past 2^32, multiples of 2^40, near `usize::MAX` —
+/// with every eighth burst removing every vertex: same membership and
+/// values as a `BTreeMap` at every step, the same ordered iteration after
+/// every burst. Then a probe run that wraps past the index's end, losing
+/// entries from its middle and its start.
 #[test]
 fn vertex_table_agrees_with_an_ordered_map_model() {
-    for stride in [1usize, 2, 3, 64] {
-        let mut bc: GraphBc<u64, ()> = GraphBc::default();
-        let mut model: BTreeMap<VertexDesc, u64> = BTreeMap::new();
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ stride as u64;
-        let mut next = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let mut auto = 5 % stride;
-        for _burst in 0..40 {
-            for _ in 0..50 {
-                let r = next();
-                // A present descriptor half of the time, else any (often
-                // absent, or removed earlier) one.
-                let vd = match model.keys().nth(next() as usize % model.len().max(1)) {
-                    Some(vd) if r & 8 == 0 => *vd,
-                    _ => next() as usize % (1024 * stride),
-                };
-                match r % 5 {
-                    0 | 1 => {
-                        assert_eq!(bc.insert(vertex(auto, r)).map(|v| v.property), model.insert(auto, r));
-                        auto += stride;
+    let families: [fn(usize) -> usize; 4] = [|d| d, |d| d + (1 << 32), |d| d << 40, |d| usize::MAX - d];
+    for (family, &f) in families.iter().enumerate() {
+        for stride in [1usize, 2, 3, 64] {
+            let mut t = Modelled::default();
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ stride as u64 ^ (family as u64) << 8;
+            let mut next = || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut auto = 5 % stride;
+            for burst in 0..40 {
+                if burst % 8 == 7 {
+                    // Empty the table; the next bursts refill it.
+                    for vd in t.model.keys().copied().collect::<Vec<_>>() {
+                        t.remove(vd);
                     }
-                    2 => assert_eq!(bc.insert(vertex(vd, r)).map(|v| v.property), model.insert(vd, r)),
-                    3 => assert_eq!(bc.remove(vd).map(|v| v.property), model.remove(&vd)),
-                    _ => {
-                        assert_eq!(bc.get_mut(vd).map(|v| v.property), model.get(&vd).copied());
-                        assert_eq!(bc.contains(vd), model.contains_key(&vd));
+                    t.check();
+                    continue;
+                }
+                for _ in 0..50 {
+                    let r = next();
+                    // A present descriptor half of the time, else any (often
+                    // absent, or removed earlier) one.
+                    let vd = match t.model.keys().nth(next() as usize % t.model.len().max(1)) {
+                        Some(vd) if r & 8 == 0 => *vd,
+                        _ => f(next() as usize % (1024 * stride)),
+                    };
+                    match r % 5 {
+                        0 | 1 => {
+                            t.insert(f(auto), r);
+                            auto += stride;
+                        }
+                        2 => t.insert(vd, r),
+                        3 => t.remove(vd),
+                        _ => t.lookup(vd),
                     }
                 }
-                assert_eq!(bc.len(), model.len());
-            }
-            let ordered: Vec<_> = bc.ordered().iter().map(|v| (v.descriptor, v.property)).collect();
-            assert_eq!(ordered, model.iter().map(|(vd, p)| (*vd, *p)).collect::<Vec<_>>());
-            for (vd, p) in &model {
-                assert_eq!(bc.get_mut(*vd).map(|v| v.property), Some(*p), "stride {stride}, vertex {vd}");
+                t.check();
             }
         }
     }
+
+    // The top twelve bits of `vd × MUL` pick the home entry of any index
+    // up to 4096 entries: all ones is its last entry, all zeros its first.
+    let homed = |top: u64| (0usize..).filter(move |vd| (*vd as u64).wrapping_mul(MUL) >> 52 == top);
+    let (last, first): (Vec<_>, Vec<_>) = (homed(0xfff).take(6).collect(), homed(0).take(3).collect());
+    let mut t = Modelled::default();
+    for (k, &vd) in last.iter().enumerate() {
+        t.insert(vd, k as u64);
+        if let Some(&vd) = first.get(k) {
+            t.insert(vd, 100 + k as u64);
+        }
+    }
+    t.lookups();
+    for vd in [last[2], first[0], last[0], last[4], first[2]] {
+        t.remove(vd);
+        t.lookups();
+    }
+    t.check();
+    for (k, &vd) in last.iter().chain(&first).enumerate() {
+        t.insert(vd, 200 + k as u64);
+    }
+    t.check();
+}
+
+/// The index holds a 4-byte slot number per entry at load ≤ 1/2, so it
+/// costs 8 to 16 bytes per vertex.
+#[test]
+fn vertex_index_costs_at_most_16_bytes_per_vertex() {
+    let mut bc: GraphBc<u64, ()> = GraphBc::default();
+    for k in 0..1usize << 12 {
+        bc.insert(vertex(5 + k * 64, 0));
+    }
+    let per_vertex = bc.memory_size().metadata as f64 / bc.len() as f64;
+    assert!(per_vertex <= 16.0, "index metadata is {per_vertex} bytes per vertex");
 }
 
 /// Two locations migrate disjoint vertex sets into the third with no
@@ -104,9 +196,10 @@ fn racing_migrations_leave_every_location_in_descriptor_order() {
     }
 }
 
-/// `std`'s table takes the bucket from the low bits of the hash and its
-/// tag from the top seven: both must vary over what one of 64 locations'
-/// `add_vertex` hands out, `me + k·64`.
+/// `std`'s table — the directory shard's and the owner cache's — takes
+/// the bucket from the low bits of the hash and its tag from the top
+/// seven: both must vary over what one of 64 locations' `add_vertex` hands
+/// out, `me + k·64`.
 #[test]
 fn id_hasher_spreads_strided_descriptors() {
     let build = BuildHasherDefault::<IdHasher>::default();

@@ -38,7 +38,9 @@ pub type Bcid = usize;
 #[derive(Clone, Copy, Default)]
 pub struct KeyHasher(u64);
 
-const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// [`KeyHasher`]'s odd multiplier, 2^64 / φ; also, alone, the Fibonacci
+/// hash of an integer key whose top bits index a power-of-two table.
+pub const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl KeyHasher {
     /// Placement's seed: the keys of one bucket still spread over its table.
