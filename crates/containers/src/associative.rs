@@ -25,6 +25,8 @@ use stapl_core::partition::{HashPartition, SplitterPartition};
 use stapl_core::pobject::PObject;
 use stapl_rts::{LocId, Location, RmiFuture};
 
+use crate::LazySize;
+
 /// Sequential key-value store usable as an associative base container.
 pub trait KvStore<K, V>: Default + 'static {
     /// Inserts or overwrites; returns true when the key was new.
@@ -129,15 +131,7 @@ where
 pub struct AssocRep<K: 'static, V: 'static, S: 'static> {
     lm: LocationManager<AssocBc<K, V, S>>,
     dist: KeyDistribution<K>,
-    cached_size: usize,
-    /// Set on every size-changing mutation — at the issuing location when
-    /// the op is sent, and at the owning location when it lands — so a
-    /// `global_size()` read can tell that `cached_size` may be stale.
-    /// Cleared only by `commit()`/`clear()` (the collective refreshes).
-    size_dirty: bool,
-    /// Bucket placement is static (the key distribution never changes), so
-    /// this only moves on `clear()` — the collective content reset.
-    segment_epoch: u64,
+    size: LazySize<usize>,
     _marker: std::marker::PhantomData<fn() -> V>,
 }
 
@@ -190,14 +184,7 @@ where
         for bcid in dist.bcids_of(loc.id()) {
             lm.add_bcontainer(bcid, AssocBc::default());
         }
-        let rep = AssocRep {
-            lm,
-            dist,
-            cached_size: 0,
-            size_dirty: false,
-            segment_epoch: 0,
-            _marker: std::marker::PhantomData,
-        };
+        let rep = AssocRep { lm, dist, size: LazySize::default(), _marker: std::marker::PhantomData };
         let obj = PObject::register(loc, rep);
         loc.barrier();
         PAssoc { obj }
@@ -221,7 +208,7 @@ where
     /// The asynchronous element methods: runs `op` on the store of `k`'s
     /// bucket — here, under the borrow that located it, when this location
     /// holds the bucket; shipped to the owner otherwise. `RESIZES` marks the
-    /// cached size stale (at issuer and owner); `INVOKES` says whether a
+    /// lazy size stale (at issuer and owner); `INVOKES` says whether a
     /// local run counts as an invocation. Both are the method's, so part of
     /// the function: what is shipped is the method's arguments.
     fn update_async<const RESIZES: bool, const INVOKES: bool, F>(&self, k: K, op: F)
@@ -229,7 +216,7 @@ where
         F: FnOnce(&mut S, K) + Send + 'static,
     {
         let mut rep = self.obj.local_mut();
-        rep.size_dirty |= RESIZES;
+        rep.size.mark(RESIZES);
         let bcid = rep.dist.partition().find(&k);
         if let Some(bc) = rep.lm.get_mut(bcid) {
             if INVOKES {
@@ -241,7 +228,7 @@ where
         drop(rep);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty |= RESIZES;
+            rep.size.mark(RESIZES);
             op(&mut rep.lm.get_mut(bcid).expect("assoc bcid").store, k);
         });
     }
@@ -276,10 +263,10 @@ where
     /// Synchronous insert that reports whether the key was new.
     pub fn insert(&self, k: K, v: V) -> bool {
         let (bcid, owner) = self.locate(&k);
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.obj.invoke_ret_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             rep.lm.get_mut(bcid).expect("assoc bcid").store.insert(k, v)
         })
     }
@@ -344,10 +331,10 @@ where
         if owner != self.me() {
             self.obj.location().note_segment_request(items.len() as u64);
         }
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             let store = &mut rep.lm.get_mut(sid).expect("assoc bcid").store;
             for (k, v) in items {
                 // One lookup per existing key: this is the per-pair inner
@@ -395,27 +382,11 @@ where
         self.obj.location()
     }
 
-    /// The committed size when clean; after uncommitted mutations (the
-    /// local `size_dirty` flag is set) the count is recomputed with a
-    /// one-sided sweep over all locations, so a location always observes
-    /// at least its *own* earlier inserts/erases without a collective
-    /// `commit()` (per-pair FIFO orders the count query behind them).
-    /// Mutations still in flight from *other* locations may be missed;
-    /// only `commit()` yields the globally agreed count — and restores
-    /// O(1) reads.
+    /// The lazily replicated size (`LazySize::read`): the committed
+    /// count, or after this location issued or received a size-changing
+    /// mutation, a one-sided recount over all locations.
     fn global_size(&self) -> usize {
-        if !self.obj.local().size_dirty {
-            return self.obj.local().cached_size;
-        }
-        // No point caching the sweep result: reads stay on this path (and
-        // re-pay the O(P) sweep) until the collective commit() clears the
-        // dirty flag and installs the agreed count.
-        let total: u64 = crate::sweep(&self.obj, |rep: &AssocRep<K, V, S>| {
-            rep.lm.local_len() as u64
-        })
-        .into_iter()
-        .sum();
-        total as usize
+        LazySize::read(&self.obj, |rep| rep.size, |rep| rep.lm.local_len())
     }
 
     fn local_size(&self) -> usize {
@@ -423,15 +394,7 @@ where
     }
 
     fn commit(&self) {
-        let loc = self.obj.location().clone();
-        loc.rmi_fence();
-        let total = loc.allreduce_sum(self.local_size() as u64);
-        {
-            let mut rep = self.obj.local_mut();
-            rep.cached_size = total as usize;
-            rep.size_dirty = false;
-        }
-        loc.barrier();
+        LazySize::commit(&self.obj, |rep| &mut rep.size, |rep| rep.lm.local_len());
     }
 
     fn memory_size(&self) -> MemSize {
@@ -452,9 +415,7 @@ where
         {
             let mut rep = self.obj.local_mut();
             rep.lm.clear();
-            rep.cached_size = 0;
-            rep.size_dirty = false;
-            rep.segment_epoch += 1;
+            rep.size = LazySize::default();
         }
         loc.barrier();
     }
@@ -522,10 +483,6 @@ where
         self.obj.local().lm.get(sid).is_some()
     }
 
-    fn segment_epoch(&self) -> u64 {
-        self.obj.local().segment_epoch
-    }
-
     fn get_segment(&self, sid: SegmentId) -> Vec<(K, V)> {
         let mut out = Vec::new();
         if self.with_segment(sid, &mut |k, v| out.push((k.clone(), v.clone()))) {
@@ -545,30 +502,6 @@ where
         })
     }
 
-    /// Bulk insert-or-overwrite of the pairs into bucket `sid` — one RMI
-    /// to the owner. The keys must belong to `sid` under the container's
-    /// key distribution (group with [`PAssoc::bucket_of`]; checked in
-    /// debug builds).
-    fn append_segment(&self, sid: SegmentId, items: Vec<(K, V)>) {
-        debug_assert!(
-            items.iter().all(|(k, _)| self.locate(k).0 == sid),
-            "append_segment: a key does not belong to bucket {sid} (group with bucket_of)"
-        );
-        let owner = self.obj.local().dist.mapper().map(sid);
-        if owner != self.me() {
-            self.obj.location().note_segment_request(items.len() as u64);
-        }
-        self.obj.local_mut().size_dirty = true;
-        self.obj.invoke_at(owner, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
-            let store = &mut rep.lm.get_mut(sid).expect("assoc bcid").store;
-            for (k, v) in items {
-                store.insert(k, v);
-            }
-        });
-    }
-
     fn set_segment(&self, sid: SegmentId, items: Vec<(K, V)>) {
         let owner = self.obj.local().dist.mapper().map(sid);
         if owner != self.me() {
@@ -582,21 +515,6 @@ where
                     *slot = v;
                 }
             }
-        });
-    }
-
-    fn apply_segment<F>(&self, sid: SegmentId, f: F)
-    where
-        F: Fn(&K, &mut V) + Clone + Send + 'static,
-    {
-        let owner = self.obj.local().dist.mapper().map(sid);
-        if owner != self.me() {
-            self.obj.location().note_segment_request(0);
-        }
-        self.obj.invoke_at(owner, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            let store = &mut rep.lm.get_mut(sid).expect("assoc bcid").store;
-            store.for_each_mut(&mut |k, v| f(k, v));
         });
     }
 
@@ -1052,10 +970,11 @@ mod tests {
             union.sort_unstable();
             assert_eq!(union, (0..30).map(|k| (k, k + 1)).collect::<Vec<_>>());
             loc.barrier();
-            // Owner-side sweep: one closure per (owner, bucket).
+            // Bucket write-back: one RMI per remote bucket.
             if loc.id() == 1 {
                 for sid in m.segments() {
-                    m.apply_segment(sid, |k, v| *v += *k);
+                    let items = m.get_segment(sid).into_iter().map(|(k, v)| (k, v + k)).collect();
+                    m.set_segment(sid, items);
                 }
             }
             m.commit();

@@ -23,18 +23,19 @@
 //! it.
 
 use std::cell::{Ref, RefCell};
-use std::collections::BTreeMap;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
-    dir_insert, dir_insert_bulk, dir_migrate, dir_remove, dir_route, dir_route_ret,
-    DirectoryShard, HasDirectory, OwnerCache, Resolution,
+    dir_insert, dir_migrate, dir_remove, dir_route, dir_route_ret, DirectoryShard, HasDirectory,
+    OwnerCache, Resolution,
 };
 use stapl_core::gid::MUL;
 use stapl_core::interfaces::{PContainer, RelationalContainer, SegmentId, SegmentedContainer};
 use stapl_core::partition::{BalancedPartition, IndexPartition};
 use stapl_core::pobject::PObject;
 use stapl_rts::{LocId, Location, RmiFuture};
+
+use crate::LazySize;
 
 /// Vertex descriptor (the vertex GID).
 pub type VertexDesc = usize;
@@ -282,16 +283,8 @@ pub struct GraphRep<VP, EP> {
     nlocs: usize,
     /// Next locally generated descriptor: id + k·nlocs.
     next_vd: usize,
-    cached_nvertices: usize,
-    cached_nedges: usize,
-    /// Set on every count-changing mutation — at the issuing location when
-    /// the op is sent, and at the owning location when it lands — so
-    /// `num_vertices`/`num_edges` reads can tell the cached counts may be
-    /// stale. Cleared only by `commit()` (the collective refresh).
-    counts_dirty: bool,
-    /// Bumped whenever this location's vertex-partition membership changes
-    /// through migration (the segment-placement epoch).
-    segment_epoch: u64,
+    /// (vertices, edges).
+    counts: LazySize<(usize, usize)>,
 }
 
 impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
@@ -313,13 +306,18 @@ impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
 }
 
 impl<VP, EP> GraphRep<VP, EP> {
+    /// This location's (vertices, edges).
+    fn local_counts(&self) -> (usize, usize) {
+        (self.bc.slots.len(), self.bc.slots.iter().map(|v| v.edges.len()).sum())
+    }
+
     /// Keeps this location's auto-descriptor generator (`add_vertex`
     /// hands out `me + k·nlocs`) ahead of an explicitly chosen
     /// descriptor that lands in its stride, so a later `add_vertex`
     /// cannot silently reuse — and overwrite — an explicitly created
     /// vertex. Descriptors in *other* locations' strides cannot be
-    /// protected from here; see the `add_vertex_with_descriptor` /
-    /// `append_segment` contract.
+    /// protected from here; see the `add_vertex_with_descriptor`
+    /// contract.
     fn reserve_descriptor(&mut self, vd: VertexDesc, me: LocId) {
         if vd % self.nlocs == me % self.nlocs && vd >= self.next_vd {
             self.next_vd = vd + self.nlocs;
@@ -338,7 +336,7 @@ impl<VP, EP> GraphRep<VP, EP> {
         let Some(v) = self.bc.get_mut(vd) else { return Err(f) };
         let degree = v.edges.len();
         let r = f(v);
-        self.counts_dirty |= v.edges.len() != degree;
+        self.counts.mark(v.edges.len() != degree);
         Ok(r)
     }
 }
@@ -399,10 +397,7 @@ where
             static_partition: Some(partition),
             nlocs: loc.nlocs(),
             next_vd: loc.id(),
-            cached_nvertices: n,
-            cached_nedges: 0,
-            counts_dirty: false,
-            segment_epoch: 0,
+            counts: LazySize::new((n, 0)),
         };
         let obj = PObject::register(loc, rep);
         loc.barrier();
@@ -426,10 +421,7 @@ where
             static_partition: None,
             nlocs: loc.nlocs(),
             next_vd: loc.id(),
-            cached_nvertices: 0,
-            cached_nedges: 0,
-            counts_dirty: false,
-            segment_epoch: 0,
+            counts: LazySize::default(),
         };
         let obj = PObject::register(loc, rep);
         loc.barrier();
@@ -474,7 +466,7 @@ where
             None => self.obj.invoke_at(self.static_owner(vd), move |cell, _| {
                 let _ = cell.borrow_mut().with_vertex(vd, f);
             }),
-            Some(policy) => dir_route(&self.obj, policy, vd, move |cell, _, bcid| {
+            Some(policy) => dir_route(&self.obj, policy, vd, None, move |cell, _, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
                 let _ = cell.borrow_mut().with_vertex(vd, f);
             }),
@@ -497,7 +489,7 @@ where
             None => self.obj.invoke_split_at(self.static_owner(vd), move |cell, _| {
                 cell.borrow_mut().with_vertex(vd, f).ok()
             }),
-            Some(policy) => dir_route_ret(&self.obj, policy, vd, move |cell, _, bcid| {
+            Some(policy) => dir_route_ret(&self.obj, policy, vd, None, move |cell, _, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
                 cell.borrow_mut().with_vertex(vd, f).ok()
             }),
@@ -523,7 +515,7 @@ where
             let vd = rep.next_vd;
             rep.next_vd += rep.nlocs;
             rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
-            rep.counts_dirty = true;
+            rep.counts.mark(true);
             vd
         };
         dir_insert(&self.obj, vd, me, me);
@@ -542,7 +534,7 @@ where
         {
             let mut rep = self.obj.local_mut();
             rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
-            rep.counts_dirty = true;
+            rep.counts.mark(true);
             rep.reserve_descriptor(vd, me);
         }
         dir_insert(&self.obj, vd, me, me);
@@ -562,11 +554,11 @@ where
         // owner, where it lands.
         let remove = move |cell: &RefCell<GraphRep<VP, EP>>| {
             let rep = &mut *cell.borrow_mut();
-            rep.counts_dirty = true;
+            rep.counts.mark(true);
             rep.bc.remove(vd).is_some()
         };
         if !remove(self.obj.rep_cell()) {
-            dir_route(&self.obj, policy, vd, move |cell, _, bcid| {
+            dir_route(&self.obj, policy, vd, None, move |cell, _, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
                 remove(cell);
             });
@@ -594,12 +586,8 @@ where
             vd,
             dest,
             dest,
-            move |rep| {
-                rep.segment_epoch += 1;
-                rep.bc.remove(vd)
-            },
+            move |rep| rep.bc.remove(vd),
             move |rep, v| {
-                rep.segment_epoch += 1;
                 rep.bc.insert(v);
             },
         );
@@ -654,7 +642,7 @@ where
     pub fn add_edge_async(&self, source: VertexDesc, target: VertexDesc, property: EP) {
         let mirror = {
             let rep = &mut *self.obj.local_mut();
-            rep.counts_dirty = true;
+            rep.counts.mark(true);
             (rep.directedness == Directedness::Undirected && source != target).then(|| property.clone())
         };
         self.route(source, move |v| v.edges.push(Edge { target, property }));
@@ -667,7 +655,7 @@ where
     /// directions for undirected graphs).
     pub fn delete_edge_async(&self, source: VertexDesc, target: VertexDesc) {
         let directedness = self.obj.local().directedness;
-        self.obj.local_mut().counts_dirty = true;
+        self.obj.local_mut().counts.mark(true);
         let unlink = |to| {
             move |v: &mut Vertex<VP, EP>| {
                 if let Some(k) = v.edges.iter().position(|e| e.target == to) {
@@ -701,46 +689,26 @@ where
     // ------------------------------------------------------------------
 
     /// The committed vertex count when clean (exact for static graphs);
-    /// after uncommitted `add_vertex`/`delete_vertex` (the local
-    /// `counts_dirty` flag is set) both counts are recomputed with a
-    /// one-sided sweep over all locations, so a location observes its
-    /// *own* earlier mutations without a fence when they were routed
-    /// directly — local vertices and cached/hinted owners (per-pair FIFO
-    /// orders the count query behind them). Mutations still forwarding
-    /// through a directory home — a cold owner cache, or racing a
-    /// migration — may be missed, as may mutations in flight from *other*
-    /// locations. Only `commit()` yields the globally agreed counts — and
-    /// restores O(1) reads.
+    /// after this location issued or received a count-changing mutation,
+    /// a one-sided recount over all locations (`LazySize::read`), which
+    /// sees this location's own directly-routed mutations — local
+    /// vertices and cached owners. Mutations still forwarding through a
+    /// directory home — a cold owner cache, or racing a migration — may be
+    /// missed, as may mutations in flight from *other* locations. Only
+    /// `commit()` yields the globally agreed counts — and restores O(1)
+    /// reads.
     pub fn num_vertices(&self) -> usize {
-        self.refresh_counts_if_dirty();
-        self.obj.local().cached_nvertices
+        self.counts().0
     }
 
     /// Stored directed edges (an undirected edge counts twice, once per
     /// endpoint); same staleness contract as [`PGraph::num_vertices`].
     pub fn num_edges(&self) -> usize {
-        self.refresh_counts_if_dirty();
-        self.obj.local().cached_nedges
+        self.counts().1
     }
 
-    /// One-sided (vertex, edge) recount over all locations on dirty reads;
-    /// leaves the dirty flag set — only the collective `commit()` clears it.
-    fn refresh_counts_if_dirty(&self) {
-        if !self.obj.local().counts_dirty {
-            return;
-        }
-        let counts = crate::sweep(&self.obj, |rep: &GraphRep<VP, EP>| {
-            let ne: u64 = rep.bc.slots.iter().map(|v| v.edges.len() as u64).sum();
-            (rep.bc.slots.len() as u64, ne)
-        });
-        let (mut nv, mut ne) = (0u64, 0u64);
-        for (v, e) in counts {
-            nv += v;
-            ne += e;
-        }
-        let mut rep = self.obj.local_mut();
-        rep.cached_nvertices = nv as usize;
-        rep.cached_nedges = ne as usize;
+    fn counts(&self) -> (usize, usize) {
+        LazySize::read(&self.obj, |rep| rep.counts, GraphRep::local_counts)
     }
 
     pub fn local_num_vertices(&self) -> usize {
@@ -748,7 +716,7 @@ where
     }
 
     pub fn local_num_edges(&self) -> usize {
-        self.obj.local().bc.slots.iter().map(|v| v.edges.len()).sum()
+        self.obj.local().local_counts().1
     }
 
     /// Iterates the local vertices in descriptor order.
@@ -780,7 +748,8 @@ fn not_found(vd: VertexDesc) -> String {
 /// Segment-at-a-time transport over the vertex partition: segment `l` is
 /// the set of vertices currently stored at location `l` (one graph base
 /// container per location), and items travel as (descriptor, vertex
-/// property) pairs — the bulk path for whole-partition property sweeps.
+/// property) pairs — the bulk path for whole-partition property reads and
+/// write-backs.
 impl<VP, EP> SegmentedContainer for PGraph<VP, EP>
 where
     VP: Send + Clone + 'static,
@@ -801,10 +770,6 @@ where
         sid == self.me()
     }
 
-    fn segment_epoch(&self) -> u64 {
-        self.obj.local().segment_epoch
-    }
-
     fn get_segment(&self, sid: SegmentId) -> Vec<(VertexDesc, VP)> {
         let mut out = Vec::new();
         if self.with_segment(sid, &mut |vd, p| out.push((*vd, p.clone()))) {
@@ -814,46 +779,6 @@ where
         self.obj.invoke_ret_at(sid, |cell, _| {
             in_order(cell).iter().map(|v| (v.descriptor, v.property.clone())).collect::<Vec<_>>()
         })
-    }
-
-    /// Bulk vertex creation at location `sid` under the given descriptors
-    /// (dynamic graphs only): one data RMI to the owner plus the
-    /// asynchronous directory registrations. Every involved auto-stride
-    /// owner's descriptor generator is advanced past the appended
-    /// descriptors (one async RMI per stride, amortized over the
-    /// segment), so a later `add_vertex` anywhere cannot silently reuse
-    /// one of them — the reservation, like the creation itself, is
-    /// guaranteed visible by the next fence.
-    fn append_segment(&self, sid: SegmentId, items: Vec<(VertexDesc, VP)>) {
-        assert_ne!(
-            self.obj.local().kind,
-            GraphPartitionKind::Static,
-            "pGraph: append_segment on a static pGraph"
-        );
-        if sid != self.me() {
-            self.obj.location().note_segment_request(items.len() as u64);
-        }
-        self.obj.local_mut().counts_dirty = true;
-        let nlocs = self.obj.local().nlocs;
-        let mut stride_max: BTreeMap<LocId, VertexDesc> = BTreeMap::new();
-        for (vd, _) in &items {
-            let top = stride_max.entry(vd % nlocs).or_insert(*vd);
-            *top = (*top).max(*vd);
-        }
-        // One registration RMI per involved home location, not per vertex.
-        dir_insert_bulk(&self.obj, items.iter().map(|(vd, _)| (*vd, sid, sid)).collect());
-        for (stride_owner, vd) in stride_max {
-            self.obj.invoke_at(stride_owner, move |cell, loc| {
-                cell.borrow_mut().reserve_descriptor(vd, loc.id());
-            });
-        }
-        self.obj.invoke_at(sid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.counts_dirty = true;
-            for (vd, property) in items {
-                rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
-            }
-        });
     }
 
     fn set_segment(&self, sid: SegmentId, items: Vec<(VertexDesc, VP)>) {
@@ -866,20 +791,6 @@ where
                 if let Some(v) = rep.bc.get_mut(vd) {
                     v.property = p;
                 }
-            }
-        });
-    }
-
-    fn apply_segment<F>(&self, sid: SegmentId, f: F)
-    where
-        F: Fn(&VertexDesc, &mut VP) + Clone + Send + 'static,
-    {
-        if sid != self.me() {
-            self.obj.location().note_segment_request(0);
-        }
-        self.obj.invoke_at(sid, move |cell, _| {
-            for v in cell.borrow_mut().bc.ordered() {
-                f(&v.descriptor, &mut v.property);
             }
         });
     }
@@ -925,17 +836,7 @@ where
     }
 
     fn commit(&self) {
-        let loc = self.obj.location().clone();
-        loc.rmi_fence();
-        let local = (self.local_num_vertices(), self.local_num_edges());
-        let (nv, ne) = loc.allreduce(local, |a, b| (a.0 + b.0, a.1 + b.1));
-        {
-            let mut rep = self.obj.local_mut();
-            rep.cached_nvertices = nv;
-            rep.cached_nedges = ne;
-            rep.counts_dirty = false;
-        }
-        loc.barrier();
+        LazySize::commit(&self.obj, |rep| &mut rep.counts, GraphRep::local_counts);
     }
 
     fn memory_size(&self) -> MemSize {
@@ -1277,15 +1178,9 @@ mod tests {
         execute(RtsConfig::default(), 3, |loc| {
             let g: PGraph<u64, ()> =
                 PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
-            // Bulk vertex creation: location 0 seeds every partition with
-            // one append_segment per location.
-            if loc.id() == 0 {
-                for sid in g.segments() {
-                    let items: Vec<(VertexDesc, u64)> =
-                        (0..4).map(|k| (sid * 100 + k, (sid * 100 + k) as u64)).collect();
-                    g.append_segment(sid, items);
-                }
-                assert_eq!(g.num_vertices(), 12, "dirty read sees the bulk creation");
+            // Location l's partition: vertices 100·l .. 100·l + 4.
+            for vd in (0..4).map(|k| loc.id() * 100 + k) {
+                g.add_vertex_with_descriptor(vd, vd as u64);
             }
             g.commit();
             assert_eq!(g.num_vertices(), 12);
@@ -1299,10 +1194,11 @@ mod tests {
                 }
             }
             loc.barrier();
-            // Whole-partition property sweep: one closure per location.
+            // Whole-partition property write-back: one RMI per remote one.
             if loc.id() == 1 {
                 for sid in g.segments() {
-                    g.apply_segment(sid, |vd, p| *p = *vd as u64 * 2);
+                    let items = g.get_segment(sid).into_iter().map(|(vd, _)| (vd, vd as u64 * 2)).collect();
+                    g.set_segment(sid, items);
                 }
             }
             g.commit();
@@ -1315,64 +1211,40 @@ mod tests {
             g.commit();
             assert_eq!(g.vertex_property(0), 999);
             assert!(!g.find_vertex(555_555), "set_segment must not create vertices");
-            // Migration bumps the placement epoch at both ends.
-            let e0 = g.segment_epoch();
             loc.barrier();
+            // A migrated vertex moves to its new owner's segment.
             if loc.id() == 0 {
                 g.migrate_vertex(1, 2);
             }
             g.commit();
-            if loc.id() == 2 {
-                assert!(g.segment_epoch() > e0, "migration must bump the destination epoch");
-                assert!(g.is_local_vertex(1));
-            }
+            let seg2: Vec<VertexDesc> = g.get_segment(2).into_iter().map(|(vd, _)| vd).collect();
+            assert_eq!(seg2, vec![1, 200, 201, 202, 203]);
         });
     }
 
     #[test]
-    fn append_segment_is_segment_grained() {
-        execute(RtsConfig::unbuffered(), 3, |loc| {
-            let g: PGraph<u64, ()> =
-                PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
-            loc.rmi_fence();
-            let before = loc.stats().remote_requests;
-            loc.barrier();
-            if loc.id() == 0 {
-                g.append_segment(1, (0..64).map(|k| (1000 + k, 0u64)).collect());
-            }
-            g.commit();
-            let delta = loc.stats().remote_requests - before;
-            // One data RMI + one directory RMI per involved home + one
-            // reservation per involved stride — never one per vertex.
-            assert!(
-                delta <= 16,
-                "bulk vertex creation must be O(locations), got {delta} remote requests \
-                 for 64 vertices"
-            );
-            assert_eq!(g.num_vertices(), 64);
-            assert!(g.find_vertex(1000) && g.find_vertex(1063));
-        });
-    }
-
-    #[test]
-    fn add_vertex_never_reuses_appended_descriptors() {
+    fn add_vertex_never_reuses_explicit_descriptors() {
         execute(RtsConfig::default(), 3, |loc| {
             let g: PGraph<u64, ()> =
                 PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
-            // Regression: explicit descriptors 0..6 cover every location's
-            // auto stride start; a later add_vertex used to hand out a
-            // colliding descriptor and silently overwrite the vertex.
-            if loc.id() == 0 {
-                g.append_segment(0, (0..6).map(|vd| (vd, vd as u64 + 50)).collect());
-                g.add_edge_async(0, 1, ());
+            // Regression: explicit descriptors in this location's own auto
+            // stride (`me + k·nlocs`), the highest first; a later
+            // add_vertex used to hand out a colliding descriptor and
+            // silently overwrite the vertex.
+            let mine: Vec<VertexDesc> = [2, 0, 1].iter().map(|k| loc.id() + k * loc.nlocs()).collect();
+            for &vd in &mine {
+                g.add_vertex_with_descriptor(vd, vd as u64 + 50);
             }
+            g.add_edge_async(mine[1], mine[2], ());
             g.commit();
             let auto = g.add_vertex(999);
             g.commit();
-            assert!(!(0..6).contains(&auto), "auto descriptor {auto} reused an appended one");
-            assert_eq!(g.num_vertices(), 9, "6 appended + 3 auto");
-            assert_eq!(g.vertex_property(0), 50, "appended vertex must survive");
-            assert_eq!(g.out_degree(0), 1, "its edges must survive");
+            assert!(!mine.contains(&auto), "auto descriptor {auto} reused an explicit one");
+            assert_eq!(g.num_vertices(), 12, "9 explicit + 3 auto");
+            for &vd in &mine {
+                assert_eq!(g.vertex_property(vd), vd as u64 + 50, "explicit vertex {vd} must survive");
+            }
+            assert_eq!(g.out_degree(mine[1]), 1, "its edges must survive");
         });
     }
 

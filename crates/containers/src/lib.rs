@@ -45,6 +45,8 @@ pub mod prelude {
 // Crate-internal transport helpers shared by the dynamic containers
 // ---------------------------------------------------------------------
 
+use stapl_core::pobject::PObject;
+
 /// One location's contribution to a data gather: its base containers'
 /// items, keyed by BCID.
 pub(crate) type BcidPayload<T> = Vec<(stapl_core::gid::Bcid, Vec<T>)>;
@@ -56,7 +58,7 @@ pub(crate) type BcidPayload<T> = Vec<(stapl_core::gid::Bcid, Vec<T>)>;
 /// where the old allreduce made every location materialize all n items.
 /// Peers only need to be polling (e.g. blocked in a fence or barrier).
 pub(crate) fn gather_by_bcid<Rep, T>(
-    obj: &stapl_core::pobject::PObject<Rep>,
+    obj: &PObject<Rep>,
     payload: fn(&Rep) -> BcidPayload<T>,
 ) -> Vec<T>
 where
@@ -84,14 +86,13 @@ where
     all.into_iter().flat_map(|(_, p)| p).collect()
 }
 
-/// One-sided probe sweep shared by the dirty-read recounts
-/// (`global_size`, `num_vertices`/`num_edges`): asks every location for
-/// its local contribution over split RMIs and returns the per-location
-/// results. Per-pair FIFO orders each probe behind the caller's
-/// directly-routed mutations to that location, so the caller observes
-/// its own earlier (non-forwarded) mutations.
+/// One-sided probe sweep behind [`LazySize::read`]'s dirty reads: asks
+/// every location for its local contribution over split RMIs and returns
+/// the per-location results. Per-pair FIFO orders each probe behind the
+/// caller's directly-routed mutations to that location, so the caller
+/// observes its own earlier (non-forwarded) mutations.
 pub(crate) fn sweep<Rep, V>(
-    obj: &stapl_core::pobject::PObject<Rep>,
+    obj: &PObject<Rep>,
     probe: fn(&Rep) -> V,
 ) -> Vec<V>
 where
@@ -102,4 +103,79 @@ where
         .map(|l| obj.invoke_split_at(l, move |cell, _| probe(&cell.borrow())))
         .collect();
     futs.into_iter().map(|f| f.get()).collect()
+}
+
+/// What a [`LazySize`] counts: pList's and pAssoc's elements, pGraph's
+/// (vertices, edges).
+pub(crate) trait Count: Copy + Default + Send + 'static {
+    fn add(self, other: Self) -> Self;
+}
+
+impl Count for usize {
+    fn add(self, other: usize) -> usize {
+        self + other
+    }
+}
+
+impl Count for (usize, usize) {
+    fn add(self, other: Self) -> Self {
+        (self.0 + other.0, self.1 + other.1)
+    }
+}
+
+/// The dynamic containers' lazily replicated size (Chapter VII.G): the
+/// count agreed by the last `commit`, and whether a mutation that may
+/// have changed it has been issued or executed on this location since.
+/// A size-changing mutation marks it at the issuer *and* at the owner, so
+/// any location a mutation touched stops trusting the committed count.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct LazySize<N> {
+    committed: N,
+    dirty: bool,
+}
+
+impl<N: Count> LazySize<N> {
+    pub(crate) fn new(committed: N) -> Self {
+        LazySize { committed, dirty: false }
+    }
+
+    /// Marks the committed count stale when `changed`.
+    #[inline]
+    pub(crate) fn mark(&mut self, changed: bool) {
+        self.dirty |= changed;
+    }
+
+    /// The committed count when clean. When dirty, a [`sweep`] of every
+    /// location's `count`, not cached: reads stay on this path (and re-pay
+    /// the O(P) sweep) until `commit` installs the agreed count. The sweep
+    /// sees this location's own directly-routed mutations; ones still
+    /// forwarding through a directory home, or in flight from other
+    /// locations, may be missed.
+    pub(crate) fn read<Rep: 'static>(
+        obj: &PObject<Rep>,
+        size: fn(&Rep) -> Self,
+        count: fn(&Rep) -> N,
+    ) -> N {
+        let size = size(&obj.local());
+        if !size.dirty {
+            return size.committed;
+        }
+        sweep(obj, count).into_iter().fold(N::default(), N::add)
+    }
+
+    /// **Collective.** Fence, one allreduce of every location's `count`,
+    /// install the total as the clean committed count, barrier. (`clear`
+    /// resets to `LazySize::default()` inside its own fence and barrier.)
+    pub(crate) fn commit<Rep: 'static>(
+        obj: &PObject<Rep>,
+        size: fn(&mut Rep) -> &mut Self,
+        count: fn(&Rep) -> N,
+    ) {
+        let loc = obj.location();
+        loc.rmi_fence();
+        let local = count(&obj.local());
+        let total = loc.allreduce(local, N::add);
+        *size(&mut obj.local_mut()) = Self::new(total);
+        loc.barrier();
+    }
 }

@@ -20,8 +20,8 @@ use std::cell::RefCell;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
-    dir_insert, dir_migrate, dir_route_hinted, dir_route_ret_hinted, DirectoryShard, HasDirectory,
-    OwnerCache, Resolution,
+    dir_insert, dir_migrate, dir_route, dir_route_ret, DirectoryShard, HasDirectory, OwnerCache,
+    Resolution,
 };
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::{
@@ -34,6 +34,7 @@ use stapl_core::thread_safety::{methods, DataGuard, MethodId, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
 use crate::slab_list::SlabList;
+use crate::LazySize;
 
 /// Stable global identifier of a pList element: the base container it
 /// lives in plus its never-reused id there.
@@ -75,17 +76,7 @@ pub struct ListRep<T> {
     bpl: usize,
     nlocs: usize,
     ths: ThreadSafety,
-    /// Replicated size, refreshed lazily by `commit()` (Chapter VII.G).
-    cached_size: usize,
-    /// Set on every size-changing mutation — at the issuing location when
-    /// the op is sent, and at the owning location when it lands — so a
-    /// `global_size()` read can tell that `cached_size` may be stale.
-    /// Cleared only by `commit()`/`clear()` (the collective refreshes).
-    size_dirty: bool,
-    /// Bumped whenever this location's slab placement changes
-    /// (`migrate_bcontainer`, `clear`): the epoch layers that memoize
-    /// segment placement compare against.
-    segment_epoch: u64,
+    size: LazySize<usize>,
     /// Round-robin cursor for `push_anywhere` across local bContainers.
     anywhere_cursor: usize,
     /// This location's shard of the `bcid → owner` directory.
@@ -190,9 +181,7 @@ impl<T: Send + Clone + 'static> PList<T> {
             bpl,
             nlocs: loc.nlocs(),
             ths: ThreadSafety::unlocked(),
-            cached_size: 0,
-            size_dirty: false,
-            segment_epoch: 0,
+            size: LazySize::default(),
             anywhere_cursor: 0,
             dir: DirectoryShard::new(),
             cache: OwnerCache::from_config(loc.config()),
@@ -225,7 +214,7 @@ impl<T: Send + Clone + 'static> PList<T> {
             return;
         }
         let hint = (bcid, bcid / self.obj.local().bpl);
-        dir_route_hinted(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, found| {
+        dir_route(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, found| {
             assert!(found.is_some(), "pList: base container {bcid} is not registered");
             f(cell, loc);
         });
@@ -242,16 +231,10 @@ impl<T: Send + Clone + 'static> PList<T> {
             return RmiFuture::ready(r);
         }
         let hint = (bcid, bcid / self.obj.local().bpl);
-        dir_route_ret_hinted(
-            &self.obj,
-            Resolution::Forwarding,
-            bcid,
-            Some(hint),
-            move |cell, loc, found| {
-                assert!(found.is_some(), "pList: base container {bcid} is not registered");
-                f(cell, loc)
-            },
-        )
+        dir_route_ret(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, found| {
+            assert!(found.is_some(), "pList: base container {bcid} is not registered");
+            f(cell, loc)
+        })
     }
 
     /// Appends at the global end (last base container of the global
@@ -262,10 +245,10 @@ impl<T: Send + Clone + 'static> PList<T> {
             (rep.nlocs, rep.bpl)
         };
         let bcid = nlocs * bpl - 1;
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.route(bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             let (_g, bc) = rep.guarded(methods::PUSH_BACK, 0, bcid);
             bc.push_back(v);
         });
@@ -273,10 +256,10 @@ impl<T: Send + Clone + 'static> PList<T> {
 
     /// Prepends at the global front. Asynchronous.
     pub fn push_front(&self, v: T) {
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.route(0, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             let (_g, bc) = rep.guarded(methods::PUSH_FRONT, 0, 0);
             bc.push_front(v);
         });
@@ -295,17 +278,17 @@ impl<T: Send + Clone + 'static> PList<T> {
                 let k = rep.anywhere_cursor % nbc;
                 rep.anywhere_cursor = rep.anywhere_cursor.wrapping_add(1);
                 let bcid = rep.lm.bcids().nth(k).expect("nbc > 0");
-                rep.size_dirty = true;
+                rep.size.mark(true);
                 let (_g, bc) = rep.guarded(methods::PUSH_ANYWHERE, 0, bcid);
                 return ListGid { bcid, seq: bc.push_back(v) };
             }
         }
         let bcid = self.me() * self.obj.local().bpl;
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         let seq = self
             .route_ret(bcid, move |cell, _| {
                 let mut rep = cell.borrow_mut();
-                rep.size_dirty = true;
+                rep.size.mark(true);
                 let (_g, bc) = rep.guarded(methods::PUSH_ANYWHERE, 0, bcid);
                 bc.push_back(v)
             })
@@ -316,10 +299,10 @@ impl<T: Send + Clone + 'static> PList<T> {
     /// Synchronously inserts before `gid`, returning the new GID, or
     /// `None` when `gid` no longer exists.
     pub fn insert_before(&self, gid: ListGid, v: T) -> Option<ListGid> {
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.route_ret(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
             bc.insert_before(gid.seq, v).map(|seq| ListGid { bcid: gid.bcid, seq })
         })
@@ -339,14 +322,8 @@ impl<T: Send + Clone + 'static> PList<T> {
             bcid,
             dest,
             bcid,
-            move |rep| {
-                rep.segment_epoch += 1;
-                rep.lm.remove_bcontainer(bcid)
-            },
-            move |rep, bc| {
-                rep.segment_epoch += 1;
-                rep.lm.add_bcontainer(bcid, bc);
-            },
+            move |rep| rep.lm.remove_bcontainer(bcid),
+            move |rep, bc| rep.lm.add_bcontainer(bcid, bc),
         );
     }
 
@@ -435,25 +412,11 @@ impl<T: Send + Clone + 'static> PContainer for PList<T> {
         self.obj.location()
     }
 
-    /// The committed size when clean; after uncommitted mutations (the
-    /// local `size_dirty` flag is set) the count is recomputed with a
-    /// one-sided sweep over all locations, so a location always observes
-    /// at least its *own* earlier inserts/erases without a collective
-    /// `commit()` (per-pair FIFO orders the count query behind the
-    /// caller's directly-routed mutations; ops still forwarding through a
-    /// directory home — e.g. racing a slab migration — may be missed, as
-    /// may mutations in flight from *other* locations). Only `commit()`
-    /// yields the globally agreed count — and restores O(1) reads.
+    /// The lazily replicated size (`LazySize::read`): the committed
+    /// count, or after this location issued or received a size-changing
+    /// mutation, a one-sided recount over all locations.
     fn global_size(&self) -> usize {
-        if !self.obj.local().size_dirty {
-            return self.obj.local().cached_size;
-        }
-        // No point caching the sweep result: reads stay on this path (and
-        // re-pay the O(P) sweep) until the collective commit() clears the
-        // dirty flag and installs the agreed count.
-        let total: u64 =
-            crate::sweep(&self.obj, |rep: &ListRep<T>| rep.lm.local_len() as u64).into_iter().sum();
-        total as usize
+        LazySize::read(&self.obj, |rep| rep.size, |rep| rep.lm.local_len())
     }
 
     fn local_size(&self) -> usize {
@@ -461,16 +424,7 @@ impl<T: Send + Clone + 'static> PContainer for PList<T> {
     }
 
     fn commit(&self) {
-        let loc = self.obj.location().clone();
-        loc.rmi_fence();
-        let local = self.local_size() as u64;
-        let total = loc.allreduce_sum(local);
-        {
-            let mut rep = self.obj.local_mut();
-            rep.cached_size = total as usize;
-            rep.size_dirty = false;
-        }
-        loc.barrier();
+        LazySize::commit(&self.obj, |rep| &mut rep.size, |rep| rep.lm.local_len());
     }
 
     fn memory_size(&self) -> MemSize {
@@ -491,9 +445,7 @@ impl<T: Send + Clone + 'static> DynamicPContainer for PList<T> {
         {
             let mut rep = self.obj.local_mut();
             rep.lm.clear();
-            rep.cached_size = 0;
-            rep.size_dirty = false;
-            rep.segment_epoch += 1;
+            rep.size = LazySize::default();
         }
         loc.barrier();
     }
@@ -602,20 +554,20 @@ impl<T: Send + Clone + 'static> SequenceContainer<ListGid> for PList<T> {
     }
 
     fn insert_before_async(&self, gid: ListGid, v: T) {
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
             bc.insert_before(gid.seq, v);
         });
     }
 
     fn erase_async(&self, gid: ListGid) {
-        self.obj.local_mut().size_dirty = true;
+        self.obj.local_mut().size.mark(true);
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
+            rep.size.mark(true);
             let (_g, bc) = rep.guarded(methods::ERASE, gid.seq, gid.bcid);
             bc.erase(gid.seq);
         });
@@ -639,10 +591,6 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         self.obj.local().lm.get(sid).is_some()
     }
 
-    fn segment_epoch(&self) -> u64 {
-        self.obj.local().segment_epoch
-    }
-
     fn get_segment(&self, sid: SegmentId) -> Vec<(u64, T)> {
         let mut out = Vec::new();
         if self.with_segment(sid, &mut |seq, v| out.push((*seq, v.clone()))) {
@@ -653,23 +601,6 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
             cell.borrow().bc(sid).iter().map(|(seq, v)| (seq, v.clone())).collect::<Vec<_>>()
         })
         .get()
-    }
-
-    /// Appends the payloads in order under fresh sequence numbers (the
-    /// given keys are advisory, as the trait specifies for sequences).
-    fn append_segment(&self, sid: SegmentId, items: Vec<(u64, T)>) {
-        if !self.is_local_segment(sid) {
-            self.obj.location().note_segment_request(items.len() as u64);
-        }
-        self.obj.local_mut().size_dirty = true;
-        self.route(sid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.size_dirty = true;
-            let (_g, bc) = rep.guarded(methods::PUSH_BACK, 0, sid);
-            for (_, v) in items {
-                bc.push_back(v);
-            }
-        });
     }
 
     fn set_segment(&self, sid: SegmentId, items: Vec<(u64, T)>) {
@@ -683,24 +614,6 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
                 if let Some(slot) = bc.get_mut(seq) {
                     *slot = v;
                 }
-            }
-        });
-    }
-
-    fn apply_segment<F>(&self, sid: SegmentId, f: F)
-    where
-        F: Fn(&u64, &mut T) + Clone + Send + 'static,
-    {
-        if !self.is_local_segment(sid) {
-            self.obj.location().note_segment_request(0);
-        }
-        self.route(sid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            let (_g, bc) = rep.guarded(methods::APPLY, 0, sid);
-            // SlabList has no ordered iter_mut; walk ids, then mutate.
-            let seqs: Vec<u64> = bc.iter().map(|(seq, _)| seq).collect();
-            for seq in seqs {
-                f(&seq, bc.get_mut(seq).expect("live"));
             }
         });
     }
@@ -1032,6 +945,11 @@ mod tests {
                     gids.iter().map(|g| (g.seq, l.try_get(*g).unwrap())).collect();
                 assert_eq!(seg, baseline, "segment {owner} disagrees with element-wise reads");
             }
+            // with_segment serves only a local segment: slab 1 now lives
+            // on location 2.
+            let mut n = 0;
+            assert_eq!(l.with_segment(1, &mut |_, _| n += 1), loc.id() == 2);
+            assert_eq!(n, if loc.id() == 2 { 4 } else { 0 });
             loc.barrier();
             // Whole-segment write-back: double everything, one RMI/slab.
             if loc.id() == 0 {
@@ -1042,56 +960,10 @@ mod tests {
                 }
             }
             loc.rmi_fence();
-            for gids in &all {
-                for g in gids {
-                    assert_eq!(l.try_get(*g).unwrap() % 2, 0);
-                }
-            }
-            loc.barrier();
-            // Owner-side sweep: one closure per segment.
-            if loc.id() == 1 {
-                for sid in l.segments() {
-                    l.apply_segment(sid, |_, v| *v += 1);
-                }
-            }
-            loc.rmi_fence();
-            let vals = l.collect_ordered();
             assert_eq!(
-                vals,
-                vec![1, 3, 5, 7, 21, 23, 25, 27, 41, 43, 45, 47],
-                "set_segment + apply_segment must act on every element exactly once"
-            );
-        });
-    }
-
-    #[test]
-    fn append_segment_and_epoch() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let l: PList<u32> = PList::new(loc);
-            let epoch0 = l.segment_epoch();
-            if loc.id() == 0 {
-                // Bulk append into the remote slab: one segment RMI.
-                let before = loc.stats().segment_requests;
-                l.append_segment(1, vec![(0, 7), (0, 8), (0, 9)]);
-                assert_eq!(loc.stats().segment_requests, before + 1);
-                assert_eq!(l.global_size(), 3, "dirty read sees the bulk append");
-            }
-            l.commit();
-            assert_eq!(l.collect_ordered(), vec![7, 8, 9]);
-            // with_segment only serves local segments.
-            let mut n = 0;
-            let served = l.with_segment(1, &mut |_, _| n += 1);
-            assert_eq!(served, loc.id() == 1);
-            assert_eq!(n, if loc.id() == 1 { 3 } else { 0 });
-            loc.barrier();
-            // Migration bumps the placement epoch on both ends.
-            if loc.id() == 0 {
-                l.migrate_bcontainer(1, 0);
-            }
-            loc.rmi_fence();
-            assert!(
-                l.segment_epoch() > epoch0 || !matches!(loc.id(), 0 | 1),
-                "migration must bump the epoch at source and destination"
+                l.collect_ordered(),
+                vec![0, 2, 4, 6, 20, 22, 24, 26, 40, 42, 44, 46],
+                "set_segment must write every element exactly once"
             );
         });
     }

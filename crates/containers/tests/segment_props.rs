@@ -1,6 +1,6 @@
 //! Property tests for the dynamic-container segmented transport: the
-//! segment-at-a-time paths (`get_segment`/`set_segment`/`append_segment`/
-//! `merge_segment` and the segmented algorithms) must agree with the
+//! segment-at-a-time paths (`get_segment`/`set_segment`/`merge_segment`
+//! and the segmented algorithms) must agree with the
 //! element-wise baselines on random pList/pAssoc workloads — with random
 //! slab migrations thrown in, owner cache on and off, P ∈ {1..4} (the
 //! mirror of PR 4's `bulk_props.rs` for the non-indexed containers).
@@ -110,9 +110,9 @@ proptest! {
         });
     }
 
-    /// pAssoc: bucket-grained `append_segment`/`merge_segment` produce the
-    /// same container as element-wise `insert_async`/`apply_or_insert` on
-    /// random key/value workloads with random bucket counts.
+    /// pAssoc: bucket-grained `merge_segment` produces the same container
+    /// as element-wise `apply_or_insert` on random key/value workloads
+    /// with random bucket counts.
     #[test]
     fn passoc_segmented_writes_agree_with_elementwise(
         p in 1usize..5,
@@ -124,28 +124,16 @@ proptest! {
             let bulk: PHashMap<u64, u64> = PHashMap::with_buckets(loc, buckets);
             let elem: PHashMap<u64, u64> = PHashMap::with_buckets(loc, buckets);
             // One writer so duplicate keys resolve last-write-wins
-            // identically on both sides (bucket groups preserve emission
-            // order within a bucket).
+            // identically on both sides.
             if loc.id() == 0 {
-                let mut groups: std::collections::HashMap<usize, Vec<(u64, u64)>> =
-                    Default::default();
                 for (k, v) in &pairs {
-                    groups.entry(bulk.bucket_of(k)).or_default().push((*k, *v));
-                }
-                for (sid, items) in groups {
-                    bulk.append_segment(sid, items);
-                }
-                for (k, v) in &pairs {
+                    bulk.insert_async(*k, *v);
                     elem.insert_async(*k, *v);
                 }
             }
             bulk.commit();
             elem.commit();
             assert_eq!(bulk.global_size(), elem.global_size());
-            assert!(
-                p_equal_segmented(&bulk, &elem),
-                "append_segment disagrees with insert_async"
-            );
             loc.barrier();
             // Combining writes: merge_segment vs apply_or_insert, from
             // every location concurrently (commutative combine).

@@ -288,37 +288,6 @@ where
     });
 }
 
-/// Bulk [`dir_insert`]: registers every `(g, bcid, owner)` entry with
-/// **one RMI per involved home location** instead of one per entry — the
-/// registration half of segment-grained bulk creation. Asynchronous;
-/// visible after the next fence; the caller's owner cache is primed
-/// eagerly for every entry owned elsewhere.
-pub fn dir_insert_bulk<Rep, G>(obj: &PObject<Rep>, entries: Vec<(G, Bcid, LocId)>)
-where
-    Rep: HasDirectory<G>,
-    G: Gid,
-{
-    let (me, nlocs) = (obj.location().id(), obj.location().nlocs());
-    if let Some(c) = obj.rep_cell().borrow().owner_cache() {
-        for (g, bcid, owner) in entries.iter().filter(|e| e.2 != me) {
-            c.record(*g, *bcid, *owner);
-        }
-    }
-    let mut per_home: Vec<Vec<(G, Bcid, LocId)>> = vec![Vec::new(); nlocs];
-    for e in entries {
-        per_home[home_of(&e.0, nlocs)].push(e);
-    }
-    for (home, batch) in per_home.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
-        obj.invoke_at(home, move |rep, _| {
-            let mut rep = rep.borrow_mut();
-            let dir = rep.directory_mut();
-            for (g, bcid, owner) in batch {
-                dir.insert(g, bcid, owner);
-            }
-        });
-    }
-}
-
 /// Deletes `g`'s directory entry. Asynchronous. The caller's own cached
 /// owner for `g` is dropped eagerly.
 pub fn dir_remove<Rep, G>(obj: &PObject<Rep>, g: G)
@@ -399,7 +368,7 @@ pub fn dir_migrate<Rep, G, P>(
     if obj.rep_cell().borrow().owns_gid(&g) {
         return obj.invoke_at(obj.location().id(), migrate);
     }
-    dir_route(obj, policy, g, move |cell, loc, found| {
+    dir_route(obj, policy, g, None, move |cell, loc, found| {
         assert!(found.is_some(), "dir_migrate: {g:?} is not registered in the directory");
         migrate(cell, loc);
     });
@@ -586,28 +555,17 @@ fn route_optimistic<Rep, G, F>(
 /// Executes `f` on the location owning `g` (asynchronously), resolving
 /// through the directory with the chosen protocol. `f` receives
 /// `Some(bcid)` at the owner, or `None` when `g` is unknown (executed at
-/// the home for `Forwarding`, at the caller for `TwoPhase` — but see
-/// [`dir_route_hinted`] for how optimistic routes shift this to the home).
-pub fn dir_route<Rep, G, F>(obj: &PObject<Rep>, policy: Resolution, g: G, f: F)
-where
-    Rep: HasDirectory<G>,
-    G: Gid,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
-{
-    dir_route_hinted(obj, policy, g, None, f)
-}
-
-/// [`dir_route`] with a caller-supplied *static hint* — the container's
-/// default (birth) owner of `g`, tried when the owner cache has no entry.
-/// A wrong hint self-heals exactly like a stale cache hit, so containers
-/// whose elements rarely move (e.g. pList base containers) get one-hop
-/// routing without any cache warm-up.
+/// the home for `Forwarding`, at the caller for `TwoPhase`).
 ///
-/// With a guess in hand (cached or hinted) both policies route
-/// identically; on a stale guess even `TwoPhase` heals through the
-/// forwarding chain, and `f` runs at the *home* with `None` when `g` is
-/// unknown.
-pub fn dir_route_hinted<Rep, G, F>(
+/// `hint` is an optional *static hint* — the container's default (birth)
+/// owner of `g`, tried when the owner cache has no entry. A wrong hint
+/// self-heals exactly like a stale cache hit, so containers whose elements
+/// rarely move (e.g. pList base containers) get one-hop routing without
+/// any cache warm-up. With a guess in hand (cached or hinted) both
+/// policies route identically; on a stale guess even `TwoPhase` heals
+/// through the forwarding chain, and `f` runs at the *home* with `None`
+/// when `g` is unknown.
+pub fn dir_route<Rep, G, F>(
     obj: &PObject<Rep>,
     policy: Resolution,
     g: G,
@@ -649,27 +607,12 @@ pub fn dir_route_hinted<Rep, G, F>(
     }
 }
 
-/// Like [`dir_route`] but returns a value: the executing location replies
-/// directly to the caller through a reply token, so forwarding chains cost
-/// one response regardless of hop count.
+/// [`dir_route`] with a result: `f` answers through a reply slot, so the
+/// executing location replies directly to the caller and a forwarding
+/// chain costs one response regardless of hop count. Where `f` runs on the
+/// caller (an unknown `g` under `TwoPhase`) it fills the slot in place,
+/// which sends and counts nothing.
 pub fn dir_route_ret<Rep, G, R, F>(
-    obj: &PObject<Rep>,
-    policy: Resolution,
-    g: G,
-    f: F,
-) -> RmiFuture<R>
-where
-    Rep: HasDirectory<G>,
-    G: Gid,
-    R: Send + 'static,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) -> R + Send + 'static,
-{
-    dir_route_ret_hinted(obj, policy, g, None, f)
-}
-
-/// [`dir_route_ret`] with a static default-owner hint; see
-/// [`dir_route_hinted`].
-pub fn dir_route_ret_hinted<Rep, G, R, F>(
     obj: &PObject<Rep>,
     policy: Resolution,
     g: G,
@@ -682,49 +625,9 @@ where
     R: Send + 'static,
     F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) -> R + Send + 'static,
 {
-    let (guess, cache_on) = take_guess(obj, &g, hint);
-    if let Some((bcid, owner, from_cache)) = guess {
-        let (token, fut) = obj.location().make_reply_slot::<R>();
-        route_optimistic(obj, g, bcid, owner, from_cache, cache_on, move |rep, loc, b| {
-            let r = f(rep, loc, b);
-            loc.reply(token, r);
-        });
-        return fut;
-    }
-    match policy {
-        Resolution::Forwarding => {
-            let me = obj.location().id();
-            let (token, fut) = obj.location().make_reply_slot::<R>();
-            send_via_home(
-                obj.location(),
-                obj.handle(),
-                g,
-                cache_on.then_some(me),
-                FORWARD_RETRIES,
-                move |rep, loc, b| {
-                    let r = f(rep, loc, b);
-                    loc.reply(token, r);
-                },
-            );
-            fut
-        }
-        Resolution::TwoPhase => match dir_lookup(obj, g) {
-            None => RmiFuture::ready(f(obj.rep_cell(), obj.location(), None)),
-            Some((bcid, owner)) => {
-                if let Some(c) = obj.rep_cell().borrow().owner_cache() {
-                    c.record(g, bcid, owner);
-                }
-                // Delivery is verified like any optimistic route: the
-                // owner may have changed between the lookup and arrival.
-                let (token, fut) = obj.location().make_reply_slot::<R>();
-                route_optimistic(obj, g, bcid, owner, cache_on, cache_on, move |rep, loc, b| {
-                    let r = f(rep, loc, b);
-                    loc.reply(token, r);
-                });
-                fut
-            }
-        },
-    }
+    let (token, fut) = obj.location().make_reply_slot::<R>();
+    dir_route(obj, policy, g, hint, move |rep, loc, b| loc.reply(token, f(rep, loc, b)));
+    fut
 }
 
 #[cfg(test)]
@@ -877,7 +780,7 @@ mod tests {
         execute(RtsConfig::default(), 4, |loc| {
             let obj = setup(loc);
             for g in 0..64u64 {
-                dir_route(&obj, Resolution::Forwarding, g, move |rep, loc2, bcid| {
+                dir_route(&obj, Resolution::Forwarding, g, None, move |rep, loc2, bcid| {
                     assert_eq!(bcid, Some(g as usize % loc2.nlocs()));
                     *rep.borrow_mut().values.get_mut(&g).expect("must run at owner") += 1;
                 });
@@ -895,7 +798,7 @@ mod tests {
         execute(RtsConfig::default(), 4, |loc| {
             let obj = setup(loc);
             for g in (loc.id() as u64..64).step_by(5) {
-                dir_route(&obj, Resolution::TwoPhase, g, move |rep, _, _| {
+                dir_route(&obj, Resolution::TwoPhase, g, None, move |rep, _, _| {
                     *rep.borrow_mut().values.get_mut(&g).expect("must run at owner") -= 1;
                 });
             }
@@ -911,7 +814,7 @@ mod tests {
             let obj = setup(loc);
             for g in 0..64u64 {
                 for policy in [Resolution::Forwarding, Resolution::TwoPhase] {
-                    let v = dir_route_ret(&obj, policy, g, move |rep, _, _| {
+                    let v = dir_route_ret(&obj, policy, g, None, move |rep, _, _| {
                         rep.borrow().values[&g]
                     })
                     .get();
@@ -926,10 +829,10 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let obj = setup(loc);
             let missing =
-                dir_route_ret(&obj, Resolution::Forwarding, 9999, |_, _, bcid| bcid.is_none()).get();
+                dir_route_ret(&obj, Resolution::Forwarding, 9999, None, |_, _, bcid| bcid.is_none()).get();
             assert!(missing);
             let missing2 =
-                dir_route_ret(&obj, Resolution::TwoPhase, 9999, |_, _, bcid| bcid.is_none()).get();
+                dir_route_ret(&obj, Resolution::TwoPhase, 9999, None, |_, _, bcid| bcid.is_none()).get();
             assert!(missing2);
         });
     }
@@ -947,7 +850,7 @@ mod tests {
                 dir_insert(&obj, 3, 0, 0);
             }
             loc.rmi_fence();
-            let v = dir_route_ret(&obj, Resolution::Forwarding, 3, |rep, loc2, _| {
+            let v = dir_route_ret(&obj, Resolution::Forwarding, 3, None, |rep, loc2, _| {
                 assert_eq!(loc2.id(), 0);
                 rep.borrow().values[&3]
             })
@@ -968,7 +871,7 @@ mod tests {
                 let before = loc.stats().remote_requests;
                 loc.barrier();
                 for _ in 0..50 {
-                    let v = dir_route_ret(&obj, Resolution::Forwarding, hot, move |rep, _, _| {
+                    let v = dir_route_ret(&obj, Resolution::Forwarding, hot, None, move |rep, _, _| {
                         rep.borrow().values[&hot]
                     })
                     .get();
@@ -998,7 +901,7 @@ mod tests {
             // Location 0 warms its cache for gid 7 (owned by location 1).
             if loc.id() == 0 {
                 let v =
-                    dir_route_ret(&obj, Resolution::Forwarding, 7, |rep, _, _| rep.borrow().values[&7])
+                    dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, _, _| rep.borrow().values[&7])
                         .get();
                 assert_eq!(v, 70);
             }
@@ -1014,7 +917,7 @@ mod tests {
             // Location 0's cached owner is now stale; the access must
             // self-heal through the home and still observe the value.
             if loc.id() == 0 {
-                let v = dir_route_ret(&obj, Resolution::Forwarding, 7, |rep, loc2, _| {
+                let v = dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, loc2, _| {
                     assert_eq!(loc2.id(), 2, "must execute at the new owner");
                     rep.borrow().values[&7]
                 })
@@ -1022,7 +925,7 @@ mod tests {
                 assert_eq!(v, 70);
                 // The stale entry was invalidated and re-filled by the
                 // home; the next access goes straight to the new owner.
-                let v2 = dir_route_ret(&obj, Resolution::Forwarding, 7, |rep, loc2, _| {
+                let v2 = dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, loc2, _| {
                     assert_eq!(loc2.id(), 2);
                     rep.borrow().values[&7]
                 })
@@ -1041,29 +944,16 @@ mod tests {
             let obj = setup(loc);
             // Correct hint: straight to the owner, works with caching off.
             let owner1 = 1 % loc.nlocs();
-            let v = dir_route_ret_hinted(
-                &obj,
-                Resolution::Forwarding,
-                1,
-                Some((owner1, owner1)),
-                |rep, _, _| rep.borrow().values[&1],
-            )
-            .get();
-            assert_eq!(v, 10);
+            let hint = Some((owner1, owner1));
+            let v = dir_route_ret(&obj, Resolution::Forwarding, 1, hint, |rep, _, _| rep.borrow().values[&1]);
+            assert_eq!(v.get(), 10);
             // Wrong hint: self-heals through the home.
             let wrong = (owner1 + 1) % loc.nlocs();
-            let v = dir_route_ret_hinted(
-                &obj,
-                Resolution::Forwarding,
-                1,
-                Some((wrong, wrong)),
-                |rep, loc2, _| {
-                    assert_eq!(loc2.id(), 1 % loc2.nlocs());
-                    rep.borrow().values[&1]
-                },
-            )
-            .get();
-            assert_eq!(v, 10);
+            let v = dir_route_ret(&obj, Resolution::Forwarding, 1, Some((wrong, wrong)), |rep, loc2, _| {
+                assert_eq!(loc2.id(), 1 % loc2.nlocs());
+                rep.borrow().values[&1]
+            });
+            assert_eq!(v.get(), 10);
         });
     }
 
@@ -1072,7 +962,7 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let obj = setup(loc);
             let peer_gid = (loc.id() as u64 + 1) % 2;
-            let _ = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, move |rep, _, _| {
+            let _ = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, None, move |rep, _, _| {
                 rep.borrow().values[&peer_gid]
             })
             .get();
@@ -1083,7 +973,7 @@ mod tests {
                 "bump must invalidate this location's cached owners"
             );
             // Routing still works after the bulk invalidation.
-            let v = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, move |rep, _, _| {
+            let v = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, None, move |rep, _, _| {
                 rep.borrow().values[&peer_gid]
             })
             .get();

@@ -202,12 +202,14 @@ pub type SegmentId = Bcid;
 /// non-indexed sibling of [`RangedContainer`]. Dynamic containers have no
 /// dense GID ranges to coarsen over, but they *are* organized as base
 /// containers, so a whole base container (a pList slab, a pAssoc bucket,
-/// a pGraph vertex partition) can move as **one RMI per (owner, segment)**
-/// instead of one boxed request per element, and local segments are
-/// served by a direct borrow (one `RefCell` borrow per segment).
+/// a pGraph vertex partition) can be read or written back as **one RMI
+/// per (owner, segment)** instead of one request per element, and local
+/// segments are served by a direct borrow (one `RefCell` borrow per
+/// segment). Bulk *insertion* is container-specific: pAssoc's
+/// `merge_segment`.
 ///
 /// Items travel as `(key, payload)` pairs, where the key is the item's
-/// stable identifier *within* the container (pList sequence number, pAssoc
+/// stable identifier *within* the container (pList element id, pAssoc
 /// key, pGraph vertex descriptor) so segmented writes can address existing
 /// items. Instrumentation: remote segment RMIs bump `segment_requests`,
 /// direct borrows bump `localized_chunks`.
@@ -226,39 +228,16 @@ pub trait SegmentedContainer: PContainer {
     fn local_segments(&self) -> Vec<SegmentId>;
 
     /// True when `sid` is stored on this location (no communication).
-    fn is_local_segment(&self, sid: SegmentId) -> bool {
-        self.local_segments().contains(&sid)
-    }
-
-    /// Monotone counter bumped whenever this location's segment placement
-    /// changes (slab/vertex migration, rebalance, clear). Layers that
-    /// memoize placement compare epochs to invalidate; the counter is
-    /// per-location knowledge — peers not party to a migration self-heal
-    /// through the directory instead.
-    fn segment_epoch(&self) -> u64;
+    fn is_local_segment(&self, sid: SegmentId) -> bool;
 
     /// Bulk read of a whole segment in segment order: one RMI when the
     /// segment is remote, one borrow when local.
     fn get_segment(&self, sid: SegmentId) -> Vec<(Self::ItemKey, Self::ItemVal)>;
 
-    /// Asynchronous bulk insert of `items` into segment `sid`: one RMI per
-    /// (owner, segment), complete by the next fence. Sequence containers
-    /// append in order under fresh keys (the given keys are advisory);
-    /// associative/relational containers insert-or-overwrite under the
-    /// given keys.
-    fn append_segment(&self, sid: SegmentId, items: Vec<(Self::ItemKey, Self::ItemVal)>);
-
     /// Asynchronous bulk write of the payloads of *existing* items named
     /// by the keys (absent keys are skipped) — the segmented sibling of
     /// `set_element`, one RMI per (owner, segment).
     fn set_segment(&self, sid: SegmentId, items: Vec<(Self::ItemKey, Self::ItemVal)>);
-
-    /// Asynchronous owner-side read-modify-write over every item of the
-    /// segment: ships one closure per (owner, segment) — the property-
-    /// sweep primitive.
-    fn apply_segment<F>(&self, sid: SegmentId, f: F)
-    where
-        F: Fn(&Self::ItemKey, &mut Self::ItemVal) + Clone + Send + 'static;
 
     /// Visits each (key, payload) of a **local** segment in segment order
     /// under a single borrow — the direct-borrow fast path (no clone, no

@@ -164,8 +164,6 @@ pub struct ThsInfo {
 pub trait ThreadSafetyManager: Send + Sync + 'static {
     fn data_access_pre(&self, info: &ThsInfo, policy: &MethodPolicy);
     fn data_access_post(&self, info: &ThsInfo, policy: &MethodPolicy);
-    fn metadata_access_pre(&self, _info: &ThsInfo, _policy: &MethodPolicy) {}
-    fn metadata_access_post(&self, _info: &ThsInfo, _policy: &MethodPolicy) {}
 }
 
 /// RAII wrapper pairing `data_access_pre` with `data_access_post`; made by

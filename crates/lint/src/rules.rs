@@ -20,8 +20,6 @@ const HANDLER_ENTRY: &[&str] = &[
     "send_request",
     "dir_route",
     "dir_route_ret",
-    "dir_route_hinted",
-    "dir_route_ret_hinted",
 ];
 
 /// Collective operations every location must reach: L3's subject, and
@@ -530,7 +528,7 @@ mod tests {
     fn l1_fires_on_wait_in_dir_route() {
         let f = run(
             blocking_in_handler,
-            "fn f() { dir_route(obj, pol, g, move |rep, l| { fut.wait(); }); }",
+            "fn f() { dir_route(obj, pol, g, None, move |rep, l, _| { fut.wait(); }); }",
         );
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("wait"));

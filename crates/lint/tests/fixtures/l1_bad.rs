@@ -15,3 +15,10 @@ fn read_through_directory(loc: &Location, gid: usize) {
         fut.wait() // EXPECT-L1
     });
 }
+
+fn update_with_hint(obj: &PObject<Rep>, gid: usize, hint: Option<(Bcid, LocId)>) {
+    dir_route(obj, Resolution::Forwarding, gid, hint, |rep, loc, _| {
+        let fut = fetch_neighbor(rep, loc);
+        fut.wait(); // EXPECT-L1
+    });
+}

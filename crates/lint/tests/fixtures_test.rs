@@ -109,7 +109,7 @@ fn cli_exit_codes_and_json() {
     assert_eq!(bad.status.code(), Some(1), "findings exit 1");
     let json = String::from_utf8(bad.stdout).unwrap();
     let parsed = findings_from_json(&json).expect("CLI --json parses");
-    assert_eq!(parsed.len(), 2);
+    assert_eq!(parsed.len(), 3);
     assert!(parsed.iter().all(|f| f.rule == Rule::BlockingInHandler));
 
     let good = Command::new(bin)

@@ -118,8 +118,8 @@ counters! {
     element_fallbacks: Up,
     /// Segment RMIs issued by the dynamic-container bulk transport: one
     /// per (owner, base-container segment) shipped as a single message by
-    /// `get_segment`/`append_segment`/`set_segment`/`apply_segment` and
-    /// the grouped MapReduce merge.
+    /// `get_segment`/`set_segment` and `merge_segment` (the grouped
+    /// MapReduce merge).
     segment_requests: Up,
     /// Items shipped as payload by the data-collecting operations
     /// (`collect_ordered` gathers, opt-in broadcasts): the simulated

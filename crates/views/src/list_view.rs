@@ -19,7 +19,8 @@ impl<T: Send + Clone + 'static> StaticListView<T> {
         StaticListView { list }
     }
 
-    /// Size as of the last commit.
+    /// The list's lazily replicated size (sees the caller's own
+    /// uncommitted mutations).
     pub fn len(&self) -> usize {
         self.list.global_size()
     }
@@ -126,17 +127,6 @@ impl<T: Send + Clone + 'static> ListView<T> {
         for sid in self.list.local_segments() {
             self.list.with_segment_mut(sid, &mut |seq, v| f(sid, seq, v));
         }
-    }
-
-    /// Bulk read of any slab; see [`StaticListView::read_segment`].
-    pub fn read_segment(&self, sid: SegmentId) -> Vec<(u64, T)> {
-        self.list.get_segment(sid)
-    }
-
-    /// Bulk write-back of payloads to existing elements of slab `sid`
-    /// (one segment RMI when remote).
-    pub fn write_segment(&self, sid: SegmentId, items: Vec<(u64, T)>) {
-        self.list.set_segment(sid, items);
     }
 
     pub fn location(&self) -> &Location {
