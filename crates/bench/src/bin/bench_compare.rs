@@ -2,34 +2,24 @@
 //! `BENCH_*.json` baselines.
 //!
 //! ```text
-//! bench-compare <baseline-dir> <fresh-dir> [--tol-rel R] [--tol-abs N] [--exact]
+//! bench-compare <baseline-dir> <fresh-dir> [--exact]
 //! ```
 //!
 //! Exit codes: 0 = pass (improvements allowed), 1 = counter regression /
-//! missing area / missing record, 2 = usage or unreadable input.
+//! missing area / missing or extra record, 2 = usage or unreadable input.
 
 use std::process::exit;
 
 use stapl_bench::compare::{compare_dirs, Tolerance};
 
-const USAGE: &str = "usage: bench-compare <baseline-dir> <fresh-dir> \
-                     [--tol-rel R] [--tol-abs N] [--exact]";
+const USAGE: &str = "usage: bench-compare <baseline-dir> <fresh-dir> [--exact]";
 
 fn main() {
     let mut dirs: Vec<String> = Vec::new();
     let mut tol = Tolerance::default_gate();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--exact" => tol = Tolerance::exact(),
-            "--tol-rel" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v >= 0.0 => tol.rel = v,
-                _ => usage_error("--tol-rel needs a non-negative number"),
-            },
-            "--tol-abs" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => tol.abs = v,
-                _ => usage_error("--tol-abs needs a non-negative integer"),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;

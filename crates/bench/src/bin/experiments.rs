@@ -5,13 +5,13 @@
 //! Usage (`--list` prints every id and area):
 //!   experiments                          # every figure, then the chaos soak
 //!   experiments fig31 agg                # some figures
-//!   experiments dynamic [--tier T]       # one area: its records as a table, then its claims
-//!   experiments --json DIR [--tier T]    # the areas as BENCH_<area>.json, claims checked
+//!   experiments dynamic                  # one area: its records as a table, then its claims
+//!   experiments --json DIR               # the areas as BENCH_<area>.json, claims checked
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use stapl_algorithms::prelude::*;
-use stapl_bench::harness::{self, Area, Tier};
+use stapl_bench::harness::{self, Area};
 use stapl_bench::{fmt_per_op, fmt_time, time_kernel, time_kernel_nofence, Table, BENCH_SEED};
 use stapl_containers::associative::PHashMap;
 use stapl_containers::composed::LocalArray;
@@ -1058,8 +1058,8 @@ fn chaos_exp() {
 /// as one table — knob columns, gated-counter columns, the kernel's seconds
 /// and, where a scenario sweeps `mode`, its speed relative to the first
 /// mode listed (never asserted) — then the area's claims.
-fn area_table(area: &'static Area, tier: Option<Tier>) {
-    let report = area.run(tier.unwrap_or(area.claims_tier), &RtsConfig::default());
+fn area_table(area: &'static Area) {
+    let report = area.run(&RtsConfig::default());
     let mut knobs: Vec<&str> = Vec::new();
     for (k, _) in report.records.iter().flat_map(|r| &r.knobs) {
         if *k != "scenario" && !knobs.contains(k) {
@@ -1074,7 +1074,7 @@ fn area_table(area: &'static Area, tier: Option<Tier>) {
     if modes {
         headers.push("speedup vs 1st mode");
     }
-    let mut t = Table::new(&format!("{} (tier {})", area.name, report.tier.name()), &headers);
+    let mut t = Table::new(area.name, &headers);
     for r in &report.records {
         let mut row = vec![r.scenario().to_string()];
         row.extend(knobs.iter().map(|k| match r.knob(k) {
@@ -1090,11 +1090,8 @@ fn area_table(area: &'static Area, tier: Option<Tier>) {
         t.row(row);
     }
     t.print();
-    if report.check_claims() {
-        println!("{}: claims hold", area.name);
-    } else {
-        println!("{}: claims need tier {} — not checked", area.name, area.claims_tier.name());
-    }
+    report.check_claims();
+    println!("{}: claims hold", area.name);
 }
 
 /// Every printer that is not an area table, in report order: the paper's
@@ -1157,16 +1154,14 @@ fn list_experiments() {
     println!("areas (a table + its claims; --json): {}", areas());
 }
 
-const USAGE: &str = "usage: experiments [--trace FILE] [--metrics] [--tier T] [all | <id|area>...] \
-     | --list | --json DIR [--tier T] [<area>...] | --validate-trace FILE";
+const USAGE: &str = "usage: experiments [--trace FILE] [--metrics] [all | <id|area>...] \
+     | --list | --json DIR [<area>...] | --validate-trace FILE";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("experiments: {msg}");
     eprintln!("{USAGE}");
     eprintln!("  ids: {}", ids());
     eprintln!("  areas: {} (--json: default all)", areas());
-    eprintln!("  tiers: kick-tires lite full (default: kick-tires for --json, else the");
-    eprintln!("         smallest tier that carries every claim of the area)");
     eprintln!("  --trace FILE: write a Chrome trace-event JSON timeline of every execution");
     eprintln!("  --metrics: print per-location event counts and latency quantiles");
     eprintln!("  --validate-trace FILE: check a trace file's structure and exit");
@@ -1198,7 +1193,7 @@ fn run_validate_trace(path: &str) -> ! {
 /// `--json DIR [<area>...]`: run the areas over `RtsConfig::base()`, check
 /// their claims, and write one `BENCH_<area>.json` per area into DIR — the
 /// machine-readable feed `bench-compare` gates on.
-fn run_json_mode(mut names: impl Iterator<Item = String>, tier: Tier) {
+fn run_json_mode(mut names: impl Iterator<Item = String>) {
     let Some(dir) = names.next() else { usage_error("--json needs an output DIR") };
     let dir = std::path::PathBuf::from(dir);
     let mut picked: Vec<&'static Area> = names
@@ -1208,13 +1203,13 @@ fn run_json_mode(mut names: impl Iterator<Item = String>, tier: Tier) {
         picked = harness::AREAS.iter().collect();
     }
     for area in picked {
-        let report = area.run(tier, &RtsConfig::base());
+        let report = area.run(&RtsConfig::base());
         report.check_claims();
         let path = report.write_to(&dir).unwrap_or_else(|e| {
             eprintln!("experiments: writing {}: {e}", area.name);
             std::process::exit(2);
         });
-        println!("wrote {} ({} records, tier {})", path.display(), report.records.len(), tier.name());
+        println!("wrote {} ({} records)", path.display(), report.records.len());
     }
 }
 
@@ -1233,8 +1228,6 @@ fn main() {
         run_validate_trace(&path);
     }
     let trace_path = take("--trace");
-    let tier = take("--tier")
-        .map(|t| Tier::parse(&t).unwrap_or_else(|| usage_error(&format!("unknown tier {t:?}"))));
     let metrics = raw.iter().position(|a| a == "--metrics").map(|i| raw.remove(i)).is_some();
     if trace_path.is_some() || metrics {
         let chrome = trace_path.as_ref().map(|_| Vec::new());
@@ -1250,7 +1243,7 @@ fn main() {
         }
         Some("--json") => {
             args.next();
-            run_json_mode(args, tier.unwrap_or(Tier::KickTires));
+            run_json_mode(args);
         }
         _ => {
             let mut names: Vec<String> = args.collect();
@@ -1276,7 +1269,7 @@ fn main() {
             for p in picked {
                 match p {
                     Pick::Printer(f) => f(),
-                    Pick::Table(area) => area_table(area, tier),
+                    Pick::Table(area) => area_table(area),
                 }
             }
         }

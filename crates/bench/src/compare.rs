@@ -15,13 +15,12 @@
 //! * a baseline that holds a `Timing` counter, or a name that is no
 //!   counter at all, is itself a gate failure.
 //!
-//! Tolerance per counter is `max(tol_abs, baseline * tol_rel)`; `--exact`
-//! sets both to zero, which is what the determinism self-test uses.
-//! Missing fresh files, missing record ids, and missing gated counters
-//! are regressions (a deleted benchmark must be a deliberate baseline
-//! update, not a silent skip); extra fresh records — e.g. a lite run
-//! diffed against kick-tires baselines, tiers are supersets — are
-//! informational only.
+//! The tolerance per counter is `max(2, 5 % of the baseline)`
+//! ([`Tolerance::default_gate`]); `--exact` sets it to zero, which is what
+//! the determinism self-test uses. Missing fresh files, missing or extra
+//! record ids, and missing gated counters are regressions: a deleted
+//! scenario must be a deliberate baseline update, not a silent skip, and
+//! an added one is gated from its first run.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -33,8 +32,8 @@ use crate::harness::{ParsedArea, ParsedRecord};
 /// Allowed drift for a gated counter: `max(abs, baseline * rel)`.
 #[derive(Clone, Copy, Debug)]
 pub struct Tolerance {
-    pub rel: f64,
-    pub abs: u64,
+    rel: f64,
+    abs: u64,
 }
 
 impl Tolerance {
@@ -164,16 +163,8 @@ fn compare_area(
         };
         compare_record(&baseline.area, b, f, tol, out);
     }
-    let extra = fresh
-        .records
-        .iter()
-        .filter(|f| !baseline.records.iter().any(|b| b.id == f.id))
-        .count();
-    if extra > 0 {
-        out.lines.push(format!(
-            "note {}: {extra} fresh record(s) have no baseline (higher tier?) — not gated",
-            baseline.area
-        ));
+    for f in fresh.records.iter().filter(|f| !baseline.records.iter().any(|b| b.id == f.id)) {
+        out.regress(&format!("{}/{}", baseline.area, f.id), "record has no baseline".to_string());
     }
 }
 
@@ -236,11 +227,7 @@ mod tests {
     }
 
     fn area(records: Vec<ParsedRecord>) -> ParsedArea {
-        ParsedArea {
-            area: "localization".into(),
-            tier: "kick-tires".into(),
-            records,
-        }
+        ParsedArea { area: "localization".into(), records }
     }
 
     fn outcome() -> CompareOutcome {
@@ -342,15 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn extra_fresh_records_are_informational() {
+    fn extra_fresh_record_is_a_regression() {
         let b = area(vec![rec("a", &[("remote_requests", 10)])]);
         let f = area(vec![
             rec("a", &[("remote_requests", 10)]),
-            rec("lite-only", &[("remote_requests", 999)]),
+            rec("new", &[("remote_requests", 10)]),
         ]);
         let mut out = outcome();
         compare_area(&b, &f, Tolerance::exact(), &mut out);
-        assert_eq!(out.regressions, 0);
-        assert!(out.lines.iter().any(|l| l.contains("no baseline")));
+        assert_eq!((out.regressions, out.compared), (1, 1));
+        assert_eq!(out.lines, ["REGRESSION localization/new: record has no baseline"]);
     }
 }

@@ -1,13 +1,12 @@
 //! The counter harness: one table of **areas**, each scenario defined once.
 //!
 //! An [`Area`] groups the scenarios around one optimization the repo
-//! reproduced and must not regress (shaped after pSTL-Bench's suites and
-//! the ruler artifact's kick-tires / lite / full tiers). It names the
-//! counters it gates, builds its records for a tier, and states the
-//! paper-style claims those records must satisfy. Two renderers read the
-//! same records: `experiments --json` writes them as `BENCH_<area>.json`
-//! (what `bench-compare` gates CI on), `experiments <area>` prints them as
-//! a table; both then run the claims.
+//! reproduced and must not regress (shaped after pSTL-Bench's suites). It
+//! names the counters it gates, builds its records, and states the
+//! paper-style claims those records must satisfy. There is one sweep, and
+//! two renderers read the same records: `experiments --json` writes them as
+//! `BENCH_<area>.json` (what `bench-compare` gates CI on), `experiments
+//! <area>` prints them as a table; both then run the claims.
 //!
 //! * `localization` — bulk-range transport + view localization: `p_copy`
 //!   localized vs element-wise over aligned / shifted / strided /
@@ -73,38 +72,6 @@ pub const BENCH_SEED: u64 = 0x57A9_15EED;
 /// Schema 2 holds only what is gated: `id`, `knobs`, the gated counters.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// Benchmark tiers, each a strict superset of the previous one — so a
-/// lite or full run still contains every kick-tires record and can be
-/// compared against the kick-tires baselines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Tier {
-    /// < 1 minute on a laptop; what CI gates on.
-    KickTires,
-    /// A few minutes: more placements, more P values, knob sweeps.
-    Lite,
-    /// The whole sweep, sized for a real machine evaluation.
-    Full,
-}
-
-impl Tier {
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "kick-tires" | "kick_tires" | "kicktires" => Some(Tier::KickTires),
-            "lite" => Some(Tier::Lite),
-            "full" => Some(Tier::Full),
-            _ => None,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Tier::KickTires => "kick-tires",
-            Tier::Lite => "lite",
-            Tier::Full => "full",
-        }
-    }
-}
-
 type Knobs = Vec<(&'static str, String)>;
 
 /// One measured scenario: a stable id, the knobs it ran under, the kernel's
@@ -121,7 +88,7 @@ pub struct BenchRecord {
     /// Trace summary of the whole scenario execution (setup + kernel +
     /// verification — tracing is per-run, not scoped like `counters`):
     /// event counts are deterministic for gated kinds
-    /// (`tests/trace_determinism.rs`), histogram durations never are.
+    /// (`tests/harness_determinism.rs`), histogram durations never are.
     pub trace: TraceSummary,
 }
 
@@ -161,15 +128,12 @@ pub struct Area {
     pub name: &'static str,
     /// The counters every record of the area writes and gates.
     pub gated: &'static [Counter],
-    /// Runs the area's scenarios at a tier, each under a config that
-    /// overrides the given base (never replaces it).
-    pub records: fn(Tier, &RtsConfig) -> Vec<BenchRecord>,
+    /// Runs the area's scenarios, each under a config that overrides the
+    /// given base (never replaces it).
+    pub records: fn(&RtsConfig) -> Vec<BenchRecord>,
     /// The paper-style claims, as assertions over the records (looked up by
     /// knobs: mostly pairs that differ only in `mode`).
     pub claims: fn(&[BenchRecord]),
-    /// The smallest tier that carries every record `claims` reads — what
-    /// `experiments <name>` runs by default.
-    pub claims_tier: Tier,
 }
 
 /// The benchmark areas, in emission order. `BENCH_<area>.json` baselines
@@ -180,42 +144,36 @@ pub const AREAS: &[Area] = &[
         gated: LOCALIZATION_GATED,
         records: localization_area,
         claims: localization_claims,
-        claims_tier: Tier::Lite,
     },
     Area {
         name: "directory",
         gated: DIRECTORY_GATED,
         records: directory_area,
         claims: directory_claims,
-        claims_tier: Tier::KickTires,
     },
     Area {
         name: "dynamic",
         gated: DYNAMIC_GATED,
         records: dynamic_area,
         claims: dynamic_claims,
-        claims_tier: Tier::Lite,
     },
     Area {
         name: "executor",
         gated: EXECUTOR_GATED,
         records: executor_area,
         claims: executor_claims,
-        claims_tier: Tier::Lite,
     },
     Area {
         name: "transport",
         gated: TRANSPORT_GATED,
         records: transport_area,
         claims: transport_claims,
-        claims_tier: Tier::KickTires,
     },
     Area {
         name: "chaos",
         gated: CHAOS_GATED,
         records: chaos_area,
         claims: chaos_claims,
-        claims_tier: Tier::KickTires,
     },
 ];
 
@@ -225,28 +183,23 @@ pub fn area(name: &str) -> Option<&'static Area> {
 }
 
 impl Area {
-    /// Runs every scenario of the area at `tier` over `base`.
-    pub fn run(&'static self, tier: Tier, base: &RtsConfig) -> AreaReport {
-        AreaReport { area: self, tier, records: (self.records)(tier, base) }
+    /// Runs every scenario of the area over `base`.
+    pub fn run(&'static self, base: &RtsConfig) -> AreaReport {
+        AreaReport { area: self, records: (self.records)(base) }
     }
 }
 
-/// All records of one area at one tier.
+/// All records of one area.
 pub struct AreaReport {
     pub area: &'static Area,
-    pub tier: Tier,
     pub records: Vec<BenchRecord>,
 }
 
 impl AreaReport {
-    /// Runs the area's claims over the records when the tier carries every
-    /// record they read; says whether it did.
-    pub fn check_claims(&self) -> bool {
-        let carried = self.tier >= self.area.claims_tier;
-        if carried {
-            (self.area.claims)(&self.records);
-        }
-        carried
+    /// Runs the area's claims over the records; panics naming the first
+    /// that fails.
+    pub fn check_claims(&self) {
+        (self.area.claims)(&self.records)
     }
 }
 
@@ -424,10 +377,10 @@ fn localization_copy(
 
 const PLACEMENTS: [&str; 4] = ["aligned", "shifted", "strided", "misaligned"];
 const LOCALIZED: [(bool, &str); 2] = [(true, "localized"), (false, "element-wise")];
-/// The size the localization claims are stated at (lite tier and up).
+/// The size the localization claims are stated at.
 const CLAIM_N: usize = 40_000;
 
-fn localization_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+fn localization_area(base: &RtsConfig) -> Vec<BenchRecord> {
     let n = 4096usize;
     // (p, n, placement, localized, aggregation, bulk_threshold)
     let mut specs: Vec<(usize, usize, &'static str, bool, usize, usize)> = Vec::new();
@@ -444,29 +397,20 @@ fn localization_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
         specs.push((4, n, "misaligned", true, agg, 2));
     }
     specs.push((4, n, "misaligned", true, 16, usize::MAX / 2));
-    if tier >= Tier::Lite {
-        // The placement x P grid the claims are stated over.
-        for placement in PLACEMENTS {
-            for p in [1usize, 2, 4] {
-                for (localized, _) in LOCALIZED {
-                    specs.push((p, CLAIM_N, placement, localized, 16, 2));
-                }
-            }
-        }
-        for placement in ["shifted", "strided"] {
+    // The placement x P grid the claims are stated over.
+    for placement in PLACEMENTS {
+        for p in [1usize, 2, 4] {
             for (localized, _) in LOCALIZED {
-                specs.push((2, n, placement, localized, 16, 2));
-            }
-        }
-        specs.push((2, n, "misaligned", true, 16, 2));
-    }
-    if tier >= Tier::Full {
-        for placement in PLACEMENTS {
-            for (localized, _) in LOCALIZED {
-                specs.push((8, 160_000, placement, localized, 16, 2));
+                specs.push((p, CLAIM_N, placement, localized, 16, 2));
             }
         }
     }
+    for placement in ["shifted", "strided"] {
+        for (localized, _) in LOCALIZED {
+            specs.push((2, n, placement, localized, 16, 2));
+        }
+    }
+    specs.push((2, n, "misaligned", true, 16, 2));
     specs
         .into_iter()
         .map(|(p, n, placement, localized, agg, bulk)| {
@@ -589,7 +533,7 @@ fn directory_churn(p: usize, rounds: usize, cfg: RtsConfig) -> Measured {
     })
 }
 
-fn directory_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+fn directory_area(base: &RtsConfig) -> Vec<BenchRecord> {
     let nverts = 64usize;
     let reads = 640usize;
     // (p, reads, hot, cache, aggregation)
@@ -602,17 +546,9 @@ fn directory_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
     for agg in [1usize, 64] {
         specs.push((4, reads, true, true, agg));
     }
-    if tier >= Tier::Lite {
-        for cache in [true, false] {
-            specs.push((2, reads, true, cache, 16));
-            specs.push((4, 6400, true, cache, 16));
-        }
-    }
-    if tier >= Tier::Full {
-        for cache in [true, false] {
-            specs.push((8, 25_600, true, cache, 16));
-            specs.push((8, 25_600, false, cache, 16));
-        }
+    for cache in [true, false] {
+        specs.push((2, reads, true, cache, 16));
+        specs.push((4, 6400, true, cache, 16));
     }
     let cache_label = |cache: bool| if cache { "on" } else { "off" };
     let mut records: Vec<BenchRecord> = specs
@@ -806,7 +742,7 @@ fn dynamic_collect(p: usize, per: usize, bcast: bool, cfg: RtsConfig) -> Measure
     })
 }
 
-fn dynamic_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+fn dynamic_area(base: &RtsConfig) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     let mut push = |scenario: &str, p: usize, size: (&'static str, usize), mode: &str, m| {
         // The id abbreviates the size knob to its first word (`per200`).
@@ -824,31 +760,18 @@ fn dynamic_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
         }
     };
     traversal(4, 200);
-    if tier >= Tier::Lite {
-        traversal(2, 200);
-    }
-    if tier >= Tier::Full {
-        traversal(8, 2000);
-    }
-    let mut wordcount = |p: usize, words: usize| {
-        for (chunked, mode) in [(true, "chunked-kv"), (false, "per-pair")] {
-            let m = dynamic_wordcount(p, words, chunked, base.clone());
-            push("word-count", p, ("words_per_loc", words), mode, m);
-        }
-    };
-    wordcount(4, 800);
-    if tier >= Tier::Full {
-        wordcount(8, 8000);
+    traversal(2, 200);
+    for (chunked, mode) in [(true, "chunked-kv"), (false, "per-pair")] {
+        let m = dynamic_wordcount(4, 800, chunked, base.clone());
+        push("word-count", 4, ("words_per_loc", 800), mode, m);
     }
     for (bcast, mode) in [(false, "gather"), (true, "bcast")] {
         let m = dynamic_collect(4, 200, bcast, base.clone());
         push("collect-ordered", 4, ("per_loc", 200), mode, m);
     }
-    if tier >= Tier::Lite {
-        for (segmented, mode) in SEGMENTED {
-            let m = dynamic_copy_migrated(4, 200, segmented, base.clone());
-            push("plist-copy-migrated", 4, ("per_loc", 200), mode, m);
-        }
+    for (segmented, mode) in SEGMENTED {
+        let m = dynamic_copy_migrated(4, 200, segmented, base.clone());
+        push("plist-copy-migrated", 4, ("per_loc", 200), mode, m);
     }
     records
 }
@@ -885,8 +808,8 @@ const EXECUTOR_MODES: [&str; 3] = ["spmd", "executor", "executor-steal"];
 /// `heavy_us` µs. This models irregular per-element latency (out-of-core
 /// fetches, remote lookups): sleeps overlap across location threads even
 /// on one core, so SPMD serializes the heavy quarter on one location while
-/// the stealing executor spreads it. Kick-tires runs it at zero sleep —
-/// the task accounting is the signal there.
+/// the stealing executor spreads it. The uniform workload runs it at zero
+/// sleep — the task accounting is the signal there.
 fn executor_generate(
     p: usize,
     n: usize,
@@ -921,22 +844,14 @@ fn executor_generate(
     })
 }
 
-fn executor_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+fn executor_area(base: &RtsConfig) -> Vec<BenchRecord> {
     // (p, n, light_us, heavy_us, workload label, mode)
     let mut specs: Vec<(usize, usize, u64, u64, &'static str, &'static str)> = Vec::new();
     for mode in EXECUTOR_MODES {
         specs.push((4, 128, 0, 0, "uniform-0us", mode));
     }
-    if tier >= Tier::Lite {
-        for mode in ["spmd", "executor-steal"] {
-            specs.push((4, 256, 50, 800, "skewed-16x", mode));
-        }
-    }
-    if tier >= Tier::Full {
-        for mode in EXECUTOR_MODES {
-            specs.push((4, 1024, 50, 800, "skewed-16x-large", mode));
-            specs.push((8, 512, 50, 50, "uniform-50us", mode));
-        }
+    for mode in ["spmd", "executor-steal"] {
+        specs.push((4, 256, 50, 800, "skewed-16x", mode));
     }
     specs
         .into_iter()
@@ -1000,20 +915,12 @@ const TRANSPORT_GATED: &[Counter] = &[
     Counter::segment_requests,
 ];
 
-fn transport_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+fn transport_area(base: &RtsConfig) -> Vec<BenchRecord> {
     // Same aggregation/bulk knobs as the localization area's default cell.
     let wire = || RtsConfig { aggregation: 16, bulk_threshold: 2, ..base.clone() };
-    // (p, n) of the misaligned p_copy; (p, per_loc) of the pList traversal.
-    let (mut copies, mut traversals) = (vec![(4usize, 4096usize)], vec![(4usize, 200usize)]);
-    if tier >= Tier::Lite {
-        copies.push((4, 40_000));
-        traversals.push((2, 200));
-    }
-    if tier >= Tier::Full {
-        copies.push((8, 160_000));
-    }
     let mut records = Vec::new();
-    for (p, n) in copies {
+    // (p, n) of the misaligned p_copy.
+    for (p, n) in [(4usize, 4096usize), (4, 40_000)] {
         for (localized, mode) in [(true, "bulk"), (false, "element-wise")] {
             records.push(BenchRecord::new(
                 format!("wire-copy/misaligned/p{p}/n{n}/{mode}"),
@@ -1022,7 +929,8 @@ fn transport_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
             ));
         }
     }
-    for (p, per) in traversals {
+    // (p, per_loc) of the pList traversal.
+    for (p, per) in [(4usize, 200usize), (2, 200)] {
         for (segmented, mode) in SEGMENTED {
             records.push(BenchRecord::new(
                 format!("wire-plist-traversal/p{p}/per{per}/{mode}"),
@@ -1113,22 +1021,17 @@ fn chaos_storm(p: usize, k: u64, rounds: u64, cfg: RtsConfig) -> Measured {
 
 const CHAOS_MIXED: &str = "drop:0.2,dup:0.1,reorder:0.2,corrupt:0.1,delay_us:5";
 
-fn chaos_area(tier: Tier, base: &RtsConfig) -> Vec<BenchRecord> {
+fn chaos_area(base: &RtsConfig) -> Vec<BenchRecord> {
     let (k, rounds, rto_us) = (5u64, 4u64, 25_000u64);
     // (id, fault profile, p)
-    let mut specs = vec![
+    let specs = [
         ("storm/clean/p4", "", 4usize),
         ("storm/drop-all/p4", "drop:1.0", 4),
         ("storm/corrupt-all/p4", "corrupt:1.0", 4),
         ("storm/mixed/p4", CHAOS_MIXED, 4),
+        ("storm/mixed/p2", CHAOS_MIXED, 2),
+        ("storm/severe/p4", "drop:0.4,dup:0.2,reorder:0.2,corrupt:0.2", 4),
     ];
-    if tier >= Tier::Lite {
-        specs.push(("storm/mixed/p2", CHAOS_MIXED, 2));
-        specs.push(("storm/severe/p4", "drop:0.4,dup:0.2,reorder:0.2,corrupt:0.2", 4));
-    }
-    if tier >= Tier::Full {
-        specs.push(("storm/mixed/p8", CHAOS_MIXED, 8));
-    }
     specs
         .into_iter()
         .map(|(id, profile, p)| {
@@ -1211,10 +1114,8 @@ impl AreaReport {
     /// diffs (one counter per line), strict enough for [`Json::parse`].
     pub fn to_json(&self) -> String {
         let mut s = format!(
-            "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"area\": \"{}\",\n  \"tier\": \"{}\",\n  \
-             \"records\": [\n",
-            escape(self.area.name),
-            self.tier.name()
+            "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"area\": \"{}\",\n  \"records\": [\n",
+            escape(self.area.name)
         );
         for (i, r) in self.records.iter().enumerate() {
             let knobs: Vec<String> =
@@ -1253,7 +1154,6 @@ impl AreaReport {
 #[derive(Debug)]
 pub struct ParsedArea {
     pub area: String,
-    pub tier: String,
     pub records: Vec<ParsedRecord>,
 }
 
@@ -1272,7 +1172,6 @@ impl ParsedArea {
             return Err(format!("schema {schema} != supported {SCHEMA_VERSION}"));
         }
         let area = v.get("area").and_then(Json::as_str).ok_or("missing \"area\"")?.to_string();
-        let tier = v.get("tier").and_then(Json::as_str).unwrap_or("unknown").to_string();
         let mut records = Vec::new();
         for r in v.get("records").and_then(Json::as_arr).ok_or("missing \"records\"")? {
             let id = r.get("id").and_then(Json::as_str).ok_or("record missing \"id\"")?;
@@ -1285,7 +1184,7 @@ impl ParsedArea {
             }
             records.push(ParsedRecord { id: id.to_string(), counters });
         }
-        Ok(ParsedArea { area, tier, records })
+        Ok(ParsedArea { area, records })
     }
 }
 
@@ -1295,19 +1194,9 @@ mod tests {
     use stapl_rts::Class;
     use std::collections::BTreeSet;
 
-    #[test]
-    fn tiers_parse_and_order() {
-        assert_eq!(Tier::parse("kick-tires"), Some(Tier::KickTires));
-        assert_eq!(Tier::parse("lite"), Some(Tier::Lite));
-        assert_eq!(Tier::parse("full"), Some(Tier::Full));
-        assert_eq!(Tier::parse("huge"), None);
-        assert!(Tier::KickTires < Tier::Lite && Tier::Lite < Tier::Full);
-        assert_eq!(Tier::KickTires.name(), "kick-tires");
-    }
-
     /// A gate must be able to fire: no area gates a timing counter, and
-    /// every deterministic counter is gated by some kick-tires record of
-    /// the checked-in baselines **at a non-zero value** — a counter gated
+    /// every deterministic counter is gated by some record of the
+    /// checked-in baselines **at a non-zero value** — a counter gated
     /// only at zero is gated on a constant. `poisoned_responses` is the one
     /// exception: no handler of the storm panics, and zero is the point.
     #[test]
@@ -1319,7 +1208,6 @@ mod tests {
             let path = baselines.join(format!("BENCH_{}.json", area.name));
             let text = std::fs::read_to_string(&path).expect("a baseline per area");
             let parsed = ParsedArea::parse(&text).expect("baseline parses");
-            assert_eq!(parsed.tier, "kick-tires", "{}", path.display());
             let gated: BTreeSet<&str> = area.gated.iter().map(|c| c.name()).collect();
             for r in &parsed.records {
                 let held: BTreeSet<&str> = r.counters.keys().map(String::as_str).collect();
@@ -1334,7 +1222,7 @@ mod tests {
                 _ if c == Counter::poisoned_responses => assert!(gated),
                 _ => assert!(
                     fires.contains(c.name()),
-                    "{} is deterministic but no kick-tires baseline gates it above zero",
+                    "{} is deterministic but no baseline gates it above zero",
                     c.name()
                 ),
             }
@@ -1351,7 +1239,6 @@ mod tests {
     fn report_json_round_trips() {
         let report = AreaReport {
             area: area("localization").unwrap(),
-            tier: Tier::KickTires,
             records: vec![BenchRecord {
                 id: "copy/misaligned/p4".into(),
                 knobs: vec![("p", "4".into()), ("mode", "localized".into())],
@@ -1368,7 +1255,6 @@ mod tests {
         let text = report.to_json();
         let parsed = ParsedArea::parse(&text).unwrap();
         assert_eq!(parsed.area, "localization");
-        assert_eq!(parsed.tier, "kick-tires");
         assert_eq!(parsed.records.len(), 1);
         let r = &parsed.records[0];
         assert_eq!(r.id, "copy/misaligned/p4");

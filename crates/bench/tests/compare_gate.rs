@@ -28,10 +28,8 @@ fn write_area(dir: &Path, area: &str, records: &[(&str, &[(&str, u64)])]) {
             format!("{{\"id\": \"{id}\", \"knobs\": {{}}, \"counters\": {{{}}}}}", body.join(", "))
         })
         .collect();
-    let text = format!(
-        "{{\"schema\": 2, \"area\": \"{area}\", \"tier\": \"kick-tires\", \"records\": [{}]}}",
-        recs.join(", ")
-    );
+    let text =
+        format!("{{\"schema\": 2, \"area\": \"{area}\", \"records\": [{}]}}", recs.join(", "));
     std::fs::write(dir.join(format!("BENCH_{area}.json")), text).unwrap();
 }
 
@@ -135,12 +133,25 @@ fn tolerance_flags_change_the_verdict() {
     // +4 on 100: within the default 5% gate...
     let out = run_compare(&base, &fresh, &[]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    // ...a regression under --exact...
+    // ...a regression under --exact.
     let out = run_compare(&base, &fresh, &["--exact"]);
     assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    // ...and fine again with a generous explicit tolerance.
-    let out = run_compare(&base, &fresh, &["--tol-rel", "0.10"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+    assert!(stdout(&out).contains("remote_requests 100 -> 104 (allowed +/-0)"), "{}", stdout(&out));
+}
+
+#[test]
+fn extra_fresh_record_fails() {
+    let root = scratch("extra-record");
+    let (base, fresh) = (root.join("base"), root.join("fresh"));
+    std::fs::create_dir_all(&base).unwrap();
+    std::fs::create_dir_all(&fresh).unwrap();
+    write_area(&base, "chaos", &[("storm/a", &[("remote_requests", 10)])]);
+    let records: &[(&str, &[(&str, u64)])] =
+        &[("storm/a", &[("remote_requests", 10)]), ("storm/b", &[("remote_requests", 10)])];
+    write_area(&fresh, "chaos", records);
+    let out = run_compare(&base, &fresh, &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(stdout(&out).contains("REGRESSION chaos/storm/b: record has no baseline"));
 }
 
 #[test]

@@ -1,11 +1,11 @@
-# Shared plumbing for the benchmark tier scripts. Source, don't run.
+# Shared plumbing for the counter sweep scripts. Source, don't run.
 #
 # Layout:
-#   bench/baselines/BENCH_<area>.json   checked-in kick-tires baselines
+#   bench/baselines/BENCH_<area>.json   checked-in baselines
 #   bench/out/                          fresh runs (gitignored)
 #
 # Env knobs:
-#   BENCH_OUT      output dir for the fresh run (default bench/out/<tier>)
+#   BENCH_OUT      output dir for the fresh run (default bench/out/sweep)
 #   BENCH_COMPARE  "0" to skip the baseline gate (e.g. while iterating)
 
 set -euo pipefail
@@ -13,9 +13,8 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/../.." && pwd)"
 BASELINES="$REPO_ROOT/bench/baselines"
 
-run_tier() {
-    local tier="$1"
-    local out="${BENCH_OUT:-$REPO_ROOT/bench/out/$tier}"
+run_sweep() {
+    local out="${BENCH_OUT:-$REPO_ROOT/bench/out/sweep}"
 
     # The harness must not inherit STAPL_* overrides: records are only
     # comparable if every run uses the explicit per-scenario configs.
@@ -23,11 +22,10 @@ run_tier() {
 
     cargo build --release -p stapl-bench --bin experiments --bin bench-compare
     rm -rf "$out"
-    "$REPO_ROOT/target/release/experiments" --json "$out" --tier "$tier"
+    "$REPO_ROOT/target/release/experiments" --json "$out"
 
     if [ "${BENCH_COMPARE:-1}" = "1" ]; then
-        # Tiers are supersets of kick-tires, so every tier's fresh run
-        # contains all baseline records and can be gated.
+        # Every fresh record must match a baseline record, and vice versa.
         "$REPO_ROOT/target/release/bench-compare" "$BASELINES" "$out"
     else
         echo "bench-compare skipped (BENCH_COMPARE=0); fresh run in $out"

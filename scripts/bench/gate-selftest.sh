@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Self-test of the regression gate itself (run by CI after kick-tires):
-#   1. determinism: two kick-tires runs must write byte-identical files
+# Self-test of the regression gate itself (run by CI after kick-tires.sh):
+#   1. determinism: two sweeps must write byte-identical files
 #      (a BENCH_*.json holds only what is gated) and agree with --exact
 #      (zero tolerance) — the property the whole counter gate rests on;
 #   2. sensitivity: a synthetic counter regression injected into one run
@@ -13,8 +13,8 @@ out_b="$REPO_ROOT/bench/out/selftest-b"
 unset "${!STAPL_@}" 2>/dev/null || true
 cargo build --release -p stapl-bench --bin experiments --bin bench-compare
 rm -rf "$out_a" "$out_b"
-"$REPO_ROOT/target/release/experiments" --json "$out_a" --tier kick-tires
-"$REPO_ROOT/target/release/experiments" --json "$out_b" --tier kick-tires
+"$REPO_ROOT/target/release/experiments" --json "$out_a"
+"$REPO_ROOT/target/release/experiments" --json "$out_b"
 
 echo "== selftest 1: run-to-run determinism (diff -r, --exact) =="
 diff -r "$out_a" "$out_b"
