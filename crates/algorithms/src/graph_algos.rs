@@ -2,10 +2,12 @@
 //! traversal (BFS), connected components, and PageRank (Fig. 56).
 //!
 //! All algorithms run on `PGraph<VProps, ()>` and keep their working
-//! state in the vertex property, so every relaxation is routed through
-//! the graph's address-resolution strategy — that is what makes the
-//! static / dynamic-forwarding / dynamic-two-phase comparison of Fig. 51
-//! measurable.
+//! state in the vertex property. A round's relaxations are one
+//! [`PGraph::scatter`]: those whose target is stored on the calling
+//! location run in place under one borrow, and each remote one is routed
+//! through the graph's address-resolution strategy — that is what makes
+//! the static / dynamic-forwarding / dynamic-two-phase comparison of
+//! Fig. 51 measurable.
 
 use stapl_containers::graph::{PGraph, VertexDesc};
 use stapl_core::interfaces::PContainer;
@@ -41,13 +43,7 @@ pub fn find_sources(g: &AlgoGraph) -> Vec<VertexDesc> {
     let loc = g.location().clone();
     g.for_each_local_vertex_mut(|v| v.property.indeg = 0);
     loc.barrier();
-    // Collect targets first: apply_vertex on a local target needs the
-    // representative borrow that for_each_local_vertex would be holding.
-    let mut targets: Vec<VertexDesc> = Vec::new();
-    g.for_each_local_vertex(|v| targets.extend(v.edges.iter().map(|e| e.target)));
-    for t in targets {
-        g.apply_vertex(t, |tv| tv.property.indeg += 1);
-    }
+    g.scatter(|_| Some(()), |p, ()| p.indeg += 1);
     loc.rmi_fence();
     let mut local_sources: Vec<VertexDesc> = Vec::new();
     g.for_each_local_vertex(|v| {
@@ -72,23 +68,17 @@ pub fn bfs(g: &AlgoGraph, root: VertexDesc) -> (usize, usize) {
     g.apply_vertex(root, |v| v.property.level = 0);
     loc.rmi_fence();
     let mut round: i64 = 0;
-    let mut targets: Vec<VertexDesc> = Vec::new();
     loop {
         // Edges out of this round's frontier.
-        targets.clear();
-        g.for_each_local_vertex(|v| {
-            if v.property.level == round {
-                targets.extend(v.edges.iter().map(|e| e.target));
-            }
-        });
         let next = round + 1;
-        for &t in &targets {
-            g.apply_vertex(t, move |tv| {
-                if tv.property.level < 0 {
-                    tv.property.level = next;
+        g.scatter(
+            |v| (v.property.level == round).then_some(next),
+            |p, next| {
+                if p.level < 0 {
+                    p.level = next;
                 }
-            });
-        }
+            },
+        );
         loc.rmi_fence();
         let mut discovered = 0u64;
         g.for_each_local_vertex(|v| {
@@ -119,49 +109,49 @@ pub fn bfs_level(g: &AlgoGraph, vd: VertexDesc) -> i64 {
 /// undirected graphs). Returns the number of components.
 pub fn connected_components(g: &AlgoGraph) -> usize {
     let loc = g.location().clone();
+    // A round pushes the labels its vertices began it with: not one a
+    // neighbor earlier in the sweep lowered, and not one a peer's next
+    // round lowered while this location still waited in the allreduce
+    // before it. The rounds, and so the messages, depend neither on how
+    // the vertices are placed nor on timing.
+    let mut labels: Vec<u64> = Vec::with_capacity(g.local_num_vertices());
     g.for_each_local_vertex_mut(|v| {
         v.property.comp = v.descriptor as u64;
         v.property.acc = 0.0;
+        labels.push(v.property.comp);
     });
     loc.barrier();
-    let mut pushes: Vec<(VertexDesc, u64)> = Vec::new();
     loop {
         // Push my label to every neighbor; keep the minimum.
-        pushes.clear();
-        g.for_each_local_vertex(|v| {
-            for e in &v.edges {
-                pushes.push((e.target, v.property.comp));
-            }
-        });
-        for &(t, label) in &pushes {
-            g.apply_vertex(t, move |tv| {
-                if label < tv.property.comp {
-                    tv.property.comp = label;
-                    tv.property.acc = 1.0;
+        let mut start = labels.iter().copied();
+        g.scatter(
+            |_| start.next(),
+            |p, label| {
+                if label < p.comp {
+                    p.comp = label;
+                    p.acc = 1.0;
                 }
-            });
-        }
+            },
+        );
         loc.rmi_fence();
         // Converged when no label was lowered this round: the lowering
         // flags it in the `acc` scratch field (a `u64` label does not
         // survive a round trip through `f64` above 2^53).
         let mut changed = 0u64;
+        labels.clear();
         g.for_each_local_vertex_mut(|v| {
             changed += v.property.acc as u64;
             v.property.acc = 0.0;
+            labels.push(v.property.comp);
         });
         if loc.allreduce_sum(changed) == 0 {
             break;
         }
     }
-    // Count distinct labels.
-    let mut labels: Vec<u64> = Vec::new();
-    g.for_each_local_vertex(|v| {
-        if v.property.comp == v.descriptor as u64 {
-            labels.push(v.property.comp);
-        }
-    });
-    loc.allreduce_sum(labels.len() as u64) as usize
+    // Count distinct labels: each is its component's smallest descriptor.
+    let mut roots = 0u64;
+    g.for_each_local_vertex(|v| roots += u64::from(v.property.comp == v.descriptor as u64));
+    loc.allreduce_sum(roots) as usize
 }
 
 /// **Collective.** PageRank with damping `d` for `iters` iterations
@@ -174,25 +164,20 @@ pub fn page_rank(g: &AlgoGraph, iters: usize, d: f64) -> f64 {
         v.property.acc = 0.0;
     });
     loc.barrier();
-    let mut pushes: Vec<(VertexDesc, f64)> = Vec::new();
     for _ in 0..iters {
         // Push contributions along out-edges; dangling mass is gathered
         // and spread uniformly.
-        pushes.clear();
         let mut dangling = 0.0f64;
-        g.for_each_local_vertex(|v| {
-            if v.edges.is_empty() {
-                dangling += v.property.rank;
-            } else {
-                let share = v.property.rank / v.edges.len() as f64;
-                for e in &v.edges {
-                    pushes.push((e.target, share));
+        g.scatter(
+            |v| {
+                if v.edges.is_empty() {
+                    dangling += v.property.rank;
+                    return None;
                 }
-            }
-        });
-        for &(t, share) in &pushes {
-            g.apply_vertex(t, move |tv| tv.property.acc += share);
-        }
+                Some(v.property.rank / v.edges.len() as f64)
+            },
+            |p, share| p.acc += share,
+        );
         let dangling_total = loc.allreduce(dangling, |a, b| a + b);
         loc.rmi_fence();
         g.for_each_local_vertex_mut(|v| {

@@ -518,6 +518,10 @@ where
         });
     }
 
+    // A copy in every codegen unit that walks a segment: the walk's
+    // callback is a `dyn FnMut`, and only inlined next to its caller does
+    // it become a direct, inlinable call (`word_count_kv`'s emit path).
+    #[inline]
     fn with_segment(&self, sid: SegmentId, f: &mut dyn FnMut(&K, &V)) -> bool {
         let rep = self.obj.local();
         let Some(bc) = rep.lm.get(sid) else { return false };

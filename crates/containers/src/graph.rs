@@ -462,6 +462,13 @@ where
     fn route(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
         let here = self.obj.local_mut().with_vertex(vd, f);
         let Err(f) = here else { return };
+        self.route_far(vd, f);
+    }
+
+    /// The remote half of [`PGraph::route`], for a `vd` the local probe
+    /// missed: ships `f` to the owner the static partition or the
+    /// directory names. Called with the representative unborrowed.
+    fn route_far(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
         match self.resolution() {
             None => self.obj.invoke_at(self.static_owner(vd), move |cell, _| {
                 let _ = cell.borrow_mut().with_vertex(vd, f);
@@ -624,6 +631,44 @@ where
         self.route(vd, f);
     }
 
+    /// Applies `value(u)`, where it is `Some(x)`, along every out-edge
+    /// `u → t` of every local vertex `u`, in descriptor then edge order:
+    /// `apply(&mut t.property, x)` runs at `t`'s owner (the push step of
+    /// the graph algorithms). One borrow covers the sweep: a target stored
+    /// here is found with one probe and updated in place. Any other target
+    /// is routed after the sweep, in order, as [`PGraph::apply_vertex`]
+    /// routes it — routing reads the owner cache, which the sweep's borrow
+    /// would block. `apply` sees only the property, so no out-degree
+    /// changes. Neither closure may call into the graph. Not collective:
+    /// remote updates complete at the next fence.
+    pub fn scatter<T: Copy + Send + 'static>(
+        &self,
+        mut value: impl FnMut(&Vertex<VP, EP>) -> Option<T>,
+        apply: impl Fn(&mut VP, T) + Copy + Send + 'static,
+    ) {
+        let mut far = Vec::new();
+        {
+            let bc = &mut self.obj.local_mut().bc;
+            for u in 0..bc.ordered().len() {
+                let Some(x) = value(&bc.slots[u]) else { continue };
+                // Out of the slot while the sweep probes the table: a
+                // self-loop finds its vertex with no edges, which `apply`
+                // does not see.
+                let edges = std::mem::take(&mut bc.slots[u].edges);
+                for e in &edges {
+                    match bc.get_mut(e.target) {
+                        Some(t) => apply(&mut t.property, x),
+                        None => far.push((e.target, x)),
+                    }
+                }
+                bc.slots[u].edges = edges;
+            }
+        }
+        for (t, x) in far {
+            self.route_far(t, move |v| apply(&mut v.property, x));
+        }
+    }
+
     /// Synchronously applies `f` to the vertex and returns its result.
     pub fn apply_vertex_ret<R: Send + 'static>(
         &self,
@@ -640,22 +685,16 @@ where
     /// Asynchronously adds an edge (the paper's `add_edge_async`). For
     /// undirected graphs the edge is stored at both endpoints.
     pub fn add_edge_async(&self, source: VertexDesc, target: VertexDesc, property: EP) {
-        let mirror = {
-            let rep = &mut *self.obj.local_mut();
-            rep.counts.mark(true);
-            (rep.directedness == Directedness::Undirected && source != target).then(|| property.clone())
-        };
-        self.route(source, move |v| v.edges.push(Edge { target, property }));
-        if let Some(property) = mirror {
-            self.route(target, move |v| v.edges.push(Edge { target: source, property }));
-        }
+        let link = |to, property| move |v: &mut Vertex<VP, EP>| v.edges.push(Edge { target: to, property });
+        self.at_ends(source, target, |mirror| {
+            let back = mirror.then(|| link(source, property.clone()));
+            (link(target, property), back)
+        });
     }
 
     /// Asynchronously removes the first edge `source → target` (both
     /// directions for undirected graphs).
     pub fn delete_edge_async(&self, source: VertexDesc, target: VertexDesc) {
-        let directedness = self.obj.local().directedness;
-        self.obj.local_mut().counts.mark(true);
         let unlink = |to| {
             move |v: &mut Vertex<VP, EP>| {
                 if let Some(k) = v.edges.iter().position(|e| e.target == to) {
@@ -663,9 +702,29 @@ where
                 }
             }
         };
-        self.route(source, unlink(target));
-        if directedness == Directedness::Undirected && source != target {
-            self.route(target, unlink(source));
+        self.at_ends(source, target, |mirror| (unlink(target), mirror.then(|| unlink(source))));
+    }
+
+    /// An edge method's skeleton: `ops(mirror)` gives the operation on
+    /// `source` and, when `mirror` (an undirected edge between two
+    /// vertices), the one on `target`. One borrow marks the counts and runs
+    /// each end stored here; the others are routed after it, source first.
+    #[inline]
+    fn at_ends<F>(&self, source: VertexDesc, target: VertexDesc, ops: impl FnOnce(bool) -> (F, Option<F>))
+    where
+        F: FnOnce(&mut Vertex<VP, EP>) + Send + 'static,
+    {
+        let (out, back) = {
+            let rep = &mut *self.obj.local_mut();
+            rep.counts.mark(true);
+            let (out, back) = ops(rep.directedness == Directedness::Undirected && source != target);
+            (rep.with_vertex(source, out).err(), back.and_then(|f| rep.with_vertex(target, f).err()))
+        };
+        if let Some(f) = out {
+            self.route_far(source, f);
+        }
+        if let Some(f) = back {
+            self.route_far(target, f);
         }
     }
 
