@@ -34,6 +34,14 @@ pub trait KvStore<K, V>: Default + 'static {
     fn remove(&mut self, k: &K) -> Option<V>;
     fn get(&self, k: &K) -> Option<&V>;
     fn get_mut(&mut self, k: &K) -> Option<&mut V>;
+    /// The value under `k`, inserted as `init()` first when absent — one
+    /// lookup (the map's `entry(k).or_insert_with(init)`), and `init` runs
+    /// only on a miss. The one combine primitive: `merge_segment` and
+    /// `apply_or_insert` are both `combine(store.slot(k, init), v)`.
+    fn slot(&mut self, k: K, init: impl FnOnce() -> V) -> &mut V;
+    /// Room for `additional` more keys without growing; a no-op for a
+    /// store that grows by node (`BTreeMap`).
+    fn reserve(&mut self, additional: usize);
     fn len(&self) -> usize;
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -43,9 +51,10 @@ pub trait KvStore<K, V>: Default + 'static {
     fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V));
 }
 
-/// `KvStore` over a `std` map type: every method is the map's own.
+/// `KvStore` over a `std` map type: every method is the map's own;
+/// `reserve` is given, since not every map has one.
 macro_rules! std_map_kv_store {
-    ($map:ident, $($key_bound:tt)+) => {
+    ($map:ident, [$($key_bound:tt)+], reserve: $reserve:expr) => {
         impl<K: $($key_bound)+ + 'static, V: 'static> KvStore<K, V> for $map<K, V> {
             fn insert(&mut self, k: K, v: V) -> bool {
                 $map::insert(self, k, v).is_none()
@@ -61,6 +70,16 @@ macro_rules! std_map_kv_store {
 
             fn get_mut(&mut self, k: &K) -> Option<&mut V> {
                 $map::get_mut(self, k)
+            }
+
+            #[inline]
+            fn slot(&mut self, k: K, init: impl FnOnce() -> V) -> &mut V {
+                $map::entry(self, k).or_insert_with(init)
+            }
+
+            fn reserve(&mut self, additional: usize) {
+                let reserve: fn(&mut Self, usize) = $reserve;
+                reserve(self, additional)
             }
 
             fn len(&self) -> usize {
@@ -86,10 +105,10 @@ macro_rules! std_map_kv_store {
     };
 }
 
-std_map_kv_store!(BTreeMap, Ord);
+std_map_kv_store!(BTreeMap, [Ord], reserve: |_, _| {});
 // The hashed store is the framework's [`KeyHashMap`], not `std`'s
 // `RandomState` map: placement and store share one hasher (DESIGN.md "Hashing").
-std_map_kv_store!(KeyHashMap, Eq + std::hash::Hash);
+std_map_kv_store!(KeyHashMap, [Eq + std::hash::Hash], reserve: |m, n| m.reserve(n));
 
 /// Associative base container: a sequential store plus accounting.
 pub struct AssocBc<K, V, S> {
@@ -198,7 +217,7 @@ where
     /// distribution — replicated metadata, no communication. The grouping
     /// key for segment-grained shuffles ([`PAssoc::merge_segment`]).
     pub fn bucket_of(&self, k: &K) -> SegmentId {
-        self.locate(k).0
+        self.obj.local().dist.partition().find(k)
     }
 
     fn me(&self) -> LocId {
@@ -240,12 +259,7 @@ where
     where
         F: FnOnce(&mut V) + Send + 'static,
     {
-        self.update_async::<true, false, _>(k, move |store, k| {
-            if store.get(&k).is_none() {
-                store.insert(k.clone(), default);
-            }
-            f(store.get_mut(&k).expect("just inserted"));
-        });
+        self.update_async::<true, false, _>(k, move |store, k| f(store.slot(k, || default)));
     }
 
     /// Asynchronously applies `f` to an existing value (no-op when absent).
@@ -324,7 +338,7 @@ where
         C: Fn(&mut V, V) + Clone + Send + 'static,
     {
         debug_assert!(
-            items.iter().all(|(k, _)| self.locate(k).0 == sid),
+            items.iter().all(|(k, _)| self.bucket_of(k) == sid),
             "merge_segment: a key does not belong to bucket {sid} (group with bucket_of)"
         );
         let owner = self.obj.local().dist.mapper().map(sid);
@@ -336,17 +350,13 @@ where
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
             let store = &mut rep.lm.get_mut(sid).expect("assoc bcid").store;
+            // Grow once, to what the bucket surely ends up holding: at least
+            // as many keys as the larger of the store and `items` (keys that
+            // other locations already merged need no new room).
+            store.reserve(items.len().saturating_sub(store.len()));
+            // One lookup per pair: this is the inner loop of the shuffle.
             for (k, v) in items {
-                // One lookup per existing key: this is the per-pair inner
-                // loop of the whole shuffle.
-                match store.get_mut(&k) {
-                    Some(slot) => combine(slot, v),
-                    None => {
-                        let mut fresh = identity.clone();
-                        combine(&mut fresh, v);
-                        store.insert(k, fresh);
-                    }
-                }
+                combine(store.slot(k, || identity.clone()), v);
             }
         });
     }

@@ -77,7 +77,11 @@ pub struct ListRep<T> {
     nlocs: usize,
     ths: ThreadSafety,
     size: LazySize<usize>,
-    /// Round-robin cursor for `push_anywhere` across local bContainers.
+    /// Pushes `push_anywhere` made into local base containers.
+    anywhere_pushes: usize,
+    /// Position (not BCID) of the local base container `push_anywhere`
+    /// fills next: `anywhere_pushes % nbc` (0 when `nbc == 0`), kept by
+    /// stepping, and re-derived only when a migration changes `nbc`.
     anywhere_cursor: usize,
     /// This location's shard of the `bcid → owner` directory.
     dir: DirectoryShard<Bcid>,
@@ -108,10 +112,6 @@ impl<T: Send + Clone + 'static> ListRep<T> {
         &self.lm.get(bcid).expect("pList: bcid not on this location").list
     }
 
-    fn bc_mut(&mut self, bcid: Bcid) -> &mut SlabList<T> {
-        &mut self.lm.get_mut(bcid).expect("pList: bcid not on this location").list
-    }
-
     /// Base container `bcid`, mutably, with `method`'s guard over it: the
     /// two come out of one `&mut self`, so no caller clones the
     /// thread-safety handle to split the borrow.
@@ -124,6 +124,11 @@ impl<T: Send + Clone + 'static> ListRep<T> {
         let ListRep { ths, lm, .. } = self;
         let bc = lm.get_mut(bcid).expect("pList: bcid not on this location");
         (ths.guard(method, gid_hash, bcid), &mut bc.list)
+    }
+
+    /// Re-derives `anywhere_cursor` after the local base containers changed.
+    fn reseat_anywhere_cursor(&mut self) {
+        self.anywhere_cursor = self.anywhere_pushes % self.lm.num_bcontainers().max(1);
     }
 
     /// This location's slabs as (bcid, values-in-list-order) — the gather
@@ -182,6 +187,7 @@ impl<T: Send + Clone + 'static> PList<T> {
             nlocs: loc.nlocs(),
             ths: ThreadSafety::unlocked(),
             size: LazySize::default(),
+            anywhere_pushes: 0,
             anywhere_cursor: 0,
             dir: DirectoryShard::new(),
             cache: OwnerCache::from_config(loc.config()),
@@ -267,22 +273,31 @@ impl<T: Send + Clone + 'static> PList<T> {
 
     /// Adds the element at an unspecified position — into a local base
     /// container, with no communication (the paper's `push_anywhere`).
-    /// Returns the new element's GID immediately. When every local base
-    /// container has been migrated away, falls back to a synchronous
-    /// append through this location's birth container.
+    /// Returns the new element's GID immediately. Successive pushes
+    /// round-robin over the local base containers in BCID order; when every
+    /// local base container has been migrated away, falls back to a
+    /// synchronous append through this location's birth container.
+    #[inline]
     pub fn push_anywhere(&self, v: T) -> ListGid {
         {
             let mut rep = self.obj.local_mut();
-            let nbc = rep.lm.num_bcontainers();
-            if nbc > 0 {
-                let k = rep.anywhere_cursor % nbc;
-                rep.anywhere_cursor = rep.anywhere_cursor.wrapping_add(1);
-                let bcid = rep.lm.bcids().nth(k).expect("nbc > 0");
-                rep.size.mark(true);
-                let (_g, bc) = rep.guarded(methods::PUSH_ANYWHERE, 0, bcid);
-                return ListGid { bcid, seq: bc.push_back(v) };
+            let ListRep { lm, ths, size, anywhere_pushes, anywhere_cursor, .. } = &mut *rep;
+            let (k, nbc) = (*anywhere_cursor, lm.num_bcontainers());
+            if let Some((bcid, bc)) = lm.nth_mut(k) {
+                *anywhere_cursor = if k + 1 < nbc { k + 1 } else { 0 };
+                *anywhere_pushes = anywhere_pushes.wrapping_add(1);
+                size.mark(true);
+                let seq = ths.guarded(methods::PUSH_ANYWHERE, 0, bcid, || bc.list.push_back(v));
+                return ListGid { bcid, seq };
             }
         }
+        self.push_anywhere_at_birth(v)
+    }
+
+    /// `push_anywhere` with no local base container left.
+    #[cold]
+    #[inline(never)]
+    fn push_anywhere_at_birth(&self, v: T) -> ListGid {
         let bcid = self.me() * self.obj.local().bpl;
         self.obj.local_mut().size.mark(true);
         let seq = self
@@ -322,8 +337,15 @@ impl<T: Send + Clone + 'static> PList<T> {
             bcid,
             dest,
             bcid,
-            move |rep| rep.lm.remove_bcontainer(bcid),
-            move |rep, bc| rep.lm.add_bcontainer(bcid, bc),
+            move |rep| {
+                let bc = rep.lm.remove_bcontainer(bcid);
+                rep.reseat_anywhere_cursor();
+                bc
+            },
+            move |rep, bc| {
+                rep.lm.add_bcontainer(bcid, bc);
+                rep.reseat_anywhere_cursor();
+            },
         );
     }
 
@@ -522,20 +544,9 @@ impl<T: Send + Clone + 'static> LocalIteration<ListGid> for PList<T> {
     }
 
     fn for_each_local_mut(&self, mut f: impl FnMut(ListGid, &mut T)) {
-        // SlabList has no ordered iter_mut; collect ids first (cheap: ids
-        // only), then mutate through get_mut.
-        let ids: Vec<ListGid> = {
-            let rep = self.obj.local();
-            rep.lm
-                .iter()
-                .flat_map(|(bcid, bc)| {
-                    bc.list.iter().map(move |(seq, _)| ListGid { bcid, seq }).collect::<Vec<_>>()
-                })
-                .collect()
-        };
         let mut rep = self.obj.local_mut();
-        for gid in ids {
-            f(gid, rep.bc_mut(gid.bcid).get_mut(gid.seq).expect("live"));
+        for (bcid, bc) in rep.lm.iter_mut() {
+            bc.list.for_each_mut(|seq, v| f(ListGid { bcid, seq }, v));
         }
     }
 }
@@ -618,6 +629,11 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         });
     }
 
+    // A copy in every codegen unit that walks a segment, as
+    // `PAssoc::with_segment` has: only inlined next to its caller does the
+    // `dyn FnMut` callback become a direct, inlinable call, not one `dyn`
+    // call per element (`p_reduce_segmented`).
+    #[inline]
     fn with_segment(&self, sid: SegmentId, f: &mut dyn FnMut(&u64, &T)) -> bool {
         let rep = self.obj.local();
         let Some(bc) = rep.lm.get(sid) else { return false };
@@ -630,17 +646,11 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
     }
 
     fn with_segment_mut(&self, sid: SegmentId, f: &mut dyn FnMut(&u64, &mut T)) -> bool {
-        let seqs: Vec<u64> = {
-            let rep = self.obj.local();
-            let Some(bc) = rep.lm.get(sid) else { return false };
-            bc.list.iter().map(|(seq, _)| seq).collect()
-        };
-        self.obj.location().note_localized_chunk();
         let mut rep = self.obj.local_mut();
-        let (_g, bc) = rep.guarded(methods::APPLY, 0, sid);
-        for seq in seqs {
-            f(&seq, bc.get_mut(seq).expect("live"));
-        }
+        let ListRep { lm, ths, .. } = &mut *rep;
+        let Some(bc) = lm.get_mut(sid) else { return false };
+        self.obj.location().note_localized_chunk();
+        ths.guarded(methods::APPLY, 0, sid, || bc.list.for_each_mut(|seq, v| f(&seq, v)));
         true
     }
 }

@@ -11,25 +11,35 @@
 //! finds a new tenant, not across [`SlabList::clear`], and a slot that has
 //! run out of generations is retired rather than recycled.
 
-const NIL: usize = usize::MAX;
+/// The nil link. `alloc` keeps every slot below `u32::MAX`, so no slot
+/// is ever named by it.
+const NIL: u32 = u32::MAX;
 
+/// One slab slot. Links are `u32` slot numbers, not `usize`: an id already
+/// keeps its slot in 32 bits, and the narrower links make a `u64` node 32
+/// bytes instead of 40.
 struct Node<T> {
     /// Generation of the slot's current (or, when free, next) tenant.
     gen: u32,
     /// `None` only while the slot is free: erase moves the value out so
     /// it drops immediately instead of lingering until the slot is reused.
     val: Option<T>,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
+}
+
+/// The id of generation `gen`'s tenant of `slot`.
+fn id_of(gen: u32, slot: u32) -> u64 {
+    u64::from(gen) << 32 | u64::from(slot)
 }
 
 /// Doubly-linked list with O(1) push/insert/erase by stable id.
 pub struct SlabList<T> {
     nodes: Vec<Node<T>>,
-    free: Vec<usize>,
+    free: Vec<u32>,
     len: usize,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
 }
 
 impl<T> Default for SlabList<T> {
@@ -52,28 +62,31 @@ impl<T> SlabList<T> {
     }
 
     /// The id of the element living in `slot`.
-    fn id_at(&self, slot: usize) -> u64 {
-        u64::from(self.nodes[slot].gen) << 32 | slot as u64
+    fn id_at(&self, slot: u32) -> u64 {
+        id_of(self.nodes[slot as usize].gen, slot)
     }
 
     /// The slot `id` names, if its element is still alive.
-    fn slot_of(&self, id: u64) -> Option<usize> {
-        let slot = id as u32 as usize;
-        let node = self.nodes.get(slot)?;
+    fn slot_of(&self, id: u64) -> Option<u32> {
+        let slot = id as u32;
+        let node = self.nodes.get(slot as usize)?;
         (node.gen == (id >> 32) as u32 && node.val.is_some()).then_some(slot)
     }
 
-    fn alloc(&mut self, val: T) -> (u64, usize) {
+    /// Places `val` in a free (or new) slot already linked to `prev` and
+    /// `next`; the neighbours' links are the caller's to set.
+    #[inline]
+    fn alloc(&mut self, val: T, prev: u32, next: u32) -> (u64, u32) {
         let slot = match self.free.pop() {
             Some(s) => {
-                let node = &mut self.nodes[s];
-                (node.val, node.prev, node.next) = (Some(val), NIL, NIL);
+                let node = &mut self.nodes[s as usize];
+                (node.val, node.prev, node.next) = (Some(val), prev, next);
                 s
             }
             None => {
                 assert!(self.nodes.len() < u32::MAX as usize, "SlabList: out of 32-bit slots");
-                self.nodes.push(Node { gen: 0, val: Some(val), prev: NIL, next: NIL });
-                self.nodes.len() - 1
+                self.nodes.push(Node { gen: 0, val: Some(val), prev, next });
+                (self.nodes.len() - 1) as u32
             }
         };
         self.len += 1;
@@ -81,30 +94,27 @@ impl<T> SlabList<T> {
     }
 
     /// Appends; returns the element's stable id.
+    #[inline]
     pub fn push_back(&mut self, val: T) -> u64 {
-        let (id, slot) = self.alloc(val);
-        if self.tail == NIL {
-            self.head = slot;
-            self.tail = slot;
-        } else {
-            self.nodes[self.tail].next = slot;
-            self.nodes[slot].prev = self.tail;
-            self.tail = slot;
+        let tail = self.tail;
+        let (id, slot) = self.alloc(val, tail, NIL);
+        match tail {
+            NIL => self.head = slot,
+            _ => self.nodes[tail as usize].next = slot,
         }
+        self.tail = slot;
         id
     }
 
     /// Prepends; returns the element's stable id.
     pub fn push_front(&mut self, val: T) -> u64 {
-        let (id, slot) = self.alloc(val);
-        if self.head == NIL {
-            self.head = slot;
-            self.tail = slot;
-        } else {
-            self.nodes[self.head].prev = slot;
-            self.nodes[slot].next = self.head;
-            self.head = slot;
+        let head = self.head;
+        let (id, slot) = self.alloc(val, NIL, head);
+        match head {
+            NIL => self.tail = slot,
+            _ => self.nodes[head as usize].prev = slot,
         }
+        self.head = slot;
         id
     }
 
@@ -112,15 +122,12 @@ impl<T> SlabList<T> {
     /// does not exist (e.g. it was concurrently erased).
     pub fn insert_before(&mut self, before: u64, val: T) -> Option<u64> {
         let anchor = self.slot_of(before)?;
-        let (id, slot) = self.alloc(val);
-        let prev = self.nodes[anchor].prev;
-        self.nodes[slot].next = anchor;
-        self.nodes[slot].prev = prev;
-        self.nodes[anchor].prev = slot;
-        if prev == NIL {
-            self.head = slot;
-        } else {
-            self.nodes[prev].next = slot;
+        let prev = self.nodes[anchor as usize].prev;
+        let (id, slot) = self.alloc(val, prev, anchor);
+        self.nodes[anchor as usize].prev = slot;
+        match prev {
+            NIL => self.head = slot,
+            _ => self.nodes[prev as usize].next = slot,
         }
         Some(id)
     }
@@ -129,19 +136,17 @@ impl<T> SlabList<T> {
     /// so it drops as soon as the caller is done with it).
     pub fn erase(&mut self, id: u64) -> Option<T> {
         let slot = self.slot_of(id)?;
-        let (prev, next) = (self.nodes[slot].prev, self.nodes[slot].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            _ => self.nodes[prev as usize].next = next,
         }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
+        match next {
+            NIL => self.tail = prev,
+            _ => self.nodes[next as usize].prev = prev,
         }
         self.len -= 1;
-        let node = &mut self.nodes[slot];
+        let node = &mut self.nodes[slot as usize];
         // The next tenant gets a new generation; a slot with none left is
         // retired (never on the free list again), not wrapped around.
         if let Some(gen) = node.gen.checked_add(1) {
@@ -152,11 +157,11 @@ impl<T> SlabList<T> {
     }
 
     pub fn get(&self, id: u64) -> Option<&T> {
-        self.slot_of(id).and_then(|s| self.nodes[s].val.as_ref())
+        self.slot_of(id).and_then(|s| self.nodes[s as usize].val.as_ref())
     }
 
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        self.slot_of(id).and_then(|s| self.nodes[s].val.as_mut())
+        self.slot_of(id).and_then(|s| self.nodes[s as usize].val.as_mut())
     }
 
     pub fn contains(&self, id: u64) -> bool {
@@ -173,19 +178,30 @@ impl<T> SlabList<T> {
 
     /// Id of the element after `id` in list order.
     pub fn next_id(&self, id: u64) -> Option<u64> {
-        let n = self.nodes[self.slot_of(id)?].next;
+        let n = self.nodes[self.slot_of(id)? as usize].next;
         (n != NIL).then(|| self.id_at(n))
     }
 
     /// Id of the element before `id` in list order.
     pub fn prev_id(&self, id: u64) -> Option<u64> {
-        let p = self.nodes[self.slot_of(id)?].prev;
+        let p = self.nodes[self.slot_of(id)? as usize].prev;
         (p != NIL).then(|| self.id_at(p))
     }
 
     /// In-order traversal.
     pub fn iter(&self) -> SlabIter<'_, T> {
         SlabIter { list: self, cur: self.head }
+    }
+
+    /// In-order traversal with each element's id and mutable value: one
+    /// walk along the links, no id resolved twice.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(u64, &mut T)) {
+        let mut cur = self.head;
+        while cur != NIL {
+            let node = &mut self.nodes[cur as usize];
+            f(id_of(node.gen, cur), node.val.as_mut().expect("linked node is live"));
+            cur = node.next;
+        }
     }
 
     /// Erases every element. The slab is kept, so that the generations —
@@ -200,7 +216,7 @@ impl<T> SlabList<T> {
     pub fn memory_bytes(&self) -> (usize, usize) {
         let node_overhead = std::mem::size_of::<Node<T>>() - std::mem::size_of::<Option<T>>();
         let meta = self.nodes.capacity() * node_overhead
-            + self.free.capacity() * std::mem::size_of::<usize>();
+            + self.free.capacity() * std::mem::size_of::<u32>();
         let data = self.nodes.capacity() * std::mem::size_of::<Option<T>>();
         (meta, data)
     }
@@ -208,7 +224,7 @@ impl<T> SlabList<T> {
 
 pub struct SlabIter<'a, T> {
     list: &'a SlabList<T>,
-    cur: usize,
+    cur: u32,
 }
 
 impl<'a, T> Iterator for SlabIter<'a, T> {
@@ -218,9 +234,9 @@ impl<'a, T> Iterator for SlabIter<'a, T> {
         if self.cur == NIL {
             return None;
         }
-        let (id, node) = (self.list.id_at(self.cur), &self.list.nodes[self.cur]);
+        let (slot, node) = (self.cur, &self.list.nodes[self.cur as usize]);
         self.cur = node.next;
-        Some((id, node.val.as_ref().expect("linked node is live")))
+        Some((id_of(node.gen, slot), node.val.as_ref().expect("linked node is live")))
     }
 }
 
@@ -230,6 +246,12 @@ mod tests {
 
     fn values(l: &SlabList<i32>) -> Vec<i32> {
         l.iter().map(|(_, v)| *v).collect()
+    }
+
+    #[test]
+    fn a_u64_node_is_32_bytes() {
+        // u32 links: gen (4) + Option<u64> (16) + prev, next (4 + 4), padded.
+        assert_eq!(std::mem::size_of::<Node<u64>>(), 32);
     }
 
     #[test]
@@ -372,8 +394,9 @@ mod tests {
     #[test]
     fn random_model_check_against_vec() {
         // Drive SlabList and a reference Vec<(id, val)> with the same op
-        // stream — a clear() every 400 steps included; orders must agree
-        // at every step, and no id is ever issued twice.
+        // stream — a clear() every 400 steps and in-place `for_each_mut`
+        // updates included; orders must agree at every step, and no id is
+        // ever issued twice.
         let mut l = SlabList::new();
         let mut model: Vec<(u64, i32)> = Vec::new();
         let (mut issued, mut dead) = (std::collections::HashSet::new(), Vec::new());
@@ -386,7 +409,7 @@ mod tests {
         };
         for step in 0..2000 {
             let k = (next() as usize) % model.len().max(1);
-            let inserted = match next() % 4 {
+            let inserted = match next() % 5 {
                 _ if step % 400 == 399 => {
                     l.clear();
                     dead.extend(model.drain(..).map(|(id, _)| id));
@@ -399,6 +422,16 @@ mod tests {
                     let (id, v) = model.remove(k);
                     assert_eq!(l.erase(id), Some(v));
                     dead.push(id);
+                    None
+                }
+                4 => {
+                    let mut walked = Vec::new();
+                    l.for_each_mut(|id, v| {
+                        *v += 1;
+                        walked.push(id);
+                    });
+                    model.iter_mut().for_each(|(_, v)| *v += 1);
+                    assert!(walked.iter().eq(model.iter().map(|(id, _)| id)), "for_each_mut order");
                     None
                 }
                 _ => None,

@@ -3,11 +3,15 @@
 //! and the segmented algorithms) must agree with the
 //! element-wise baselines on random pList/pAssoc workloads — with random
 //! slab migrations thrown in, owner cache on and off, P ∈ {1..4} (the
-//! mirror of PR 4's `bulk_props.rs` for the non-indexed containers).
+//! mirror of `bulk_props.rs` for the non-indexed containers). The pAssoc
+//! combines and pList's `push_anywhere` placement are also checked against
+//! sequential models.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use stapl_algorithms::segmented::{p_copy_segmented, p_equal_segmented, p_reduce_segmented};
-use stapl_containers::associative::PHashMap;
+use stapl_containers::associative::{KvStore, PAssoc, PHashMap, PMap, PMultiMap};
 use stapl_containers::list::PList;
 use stapl_core::interfaces::{
     AssociativeContainer, LocalIteration, PContainer, SegmentedContainer,
@@ -42,8 +46,136 @@ fn fuzzed_list(
     l
 }
 
+/// What location `l` contributes to a combine: the pairs from index `l`
+/// on, each value raised by `l` — so keys overlap across locations, and
+/// duplicate keys meet within one location's batch too.
+fn contribution(pairs: &[(u64, u64)], l: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pairs.iter().skip(l).map(move |&(k, v)| (k, v + l as u64))
+}
+
+/// A combine's identity that is not the sum's: a key combined from the
+/// identity more than once, or never, shows in the total.
+const IDENTITY: u64 = 1000;
+
+/// **Collective.** `merge_segment` (grouped by bucket) and per-pair
+/// `apply_or_insert` into two containers `make` builds, from every
+/// location, must each equal the sequential model: per key, `IDENTITY`
+/// plus every contributed value.
+fn combines_match_model<S: KvStore<u64, u64>>(
+    loc: &stapl_rts::Location,
+    pairs: &[(u64, u64)],
+    make: impl Fn() -> PAssoc<u64, u64, S>,
+) {
+    let (bulk, elem) = (make(), make());
+    let mut groups: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+    for (k, v) in contribution(pairs, loc.id()) {
+        groups.entry(bulk.bucket_of(&k)).or_default().push((k, v));
+        elem.apply_or_insert(k, IDENTITY, move |c| *c += v);
+    }
+    for (sid, items) in groups {
+        bulk.merge_segment(sid, items, IDENTITY, |a, b| *a += b);
+    }
+    bulk.commit();
+    elem.commit();
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    for l in 0..loc.nlocs() {
+        for (k, v) in contribution(pairs, l) {
+            *model.entry(k).or_insert(IDENTITY) += v;
+        }
+    }
+    let model: Vec<(u64, u64)> = model.into_iter().collect();
+    for (what, m) in [("merge_segment", &bulk), ("apply_or_insert", &elem)] {
+        let mut got = m.collect_ordered();
+        got.sort_unstable();
+        assert_eq!(got, model, "{what} disagrees with the sequential model");
+    }
+    loc.barrier();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The pAssoc combines against a sequential model, over both stores
+    /// (`BTreeMap` under a pMap, `KeyHashMap` under a pHashMap) and
+    /// pMultiMap's `insert_async`, with keys that overlap across locations.
+    #[test]
+    fn passoc_combines_match_a_sequential_model(
+        p in 1usize..4,
+        buckets in 1usize..7,
+        mut splitters in proptest::collection::vec(0u64..40, 0..4),
+        pairs in proptest::collection::vec((0u64..40, 0u64..1000), 0..24),
+    ) {
+        splitters.sort_unstable();
+        splitters.dedup();
+        execute(cfg(false), p, |loc| {
+            combines_match_model(loc, &pairs, || PMap::new(loc, splitters.clone()));
+            combines_match_model(loc, &pairs, || PHashMap::with_buckets(loc, buckets));
+            let multi: PMultiMap<u64, u64> = PMultiMap::new(loc, splitters.clone());
+            for (k, v) in contribution(&pairs, loc.id()) {
+                multi.insert_async(k, v);
+            }
+            multi.commit();
+            let mut model: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            for l in 0..loc.nlocs() {
+                for (k, v) in contribution(&pairs, l) {
+                    model.entry(k).or_default().push(v);
+                }
+            }
+            assert_eq!(multi.num_keys(), model.len());
+            for (k, mut want) in model {
+                let mut got = multi.find_all(k);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "pMultiMap values under {k}");
+            }
+            loc.barrier();
+        });
+    }
+
+    /// `push_anywhere` fills a location's slabs round-robin in BCID order:
+    /// push number `c` lands in the local slab at position `c % nbc` — also
+    /// once a migration has taken one slab away from, or given one to, the
+    /// location.
+    #[test]
+    fn plist_push_anywhere_fills_slabs_round_robin(
+        p in 1usize..4,
+        before in 0usize..12,
+        after in 0usize..12,
+        slab_pick in 0usize..64,
+        dest_pick in 0usize..4,
+    ) {
+        const BPL: usize = 3;
+        execute(cfg(false), p, |loc| {
+            let l: PList<u64> = PList::with_bcontainers(loc, BPL);
+            let mut mine: Vec<usize> = (0..BPL).map(|k| loc.id() * BPL + k).collect();
+            let mut pushes = 0;
+            let mut push = |mine: &[usize], n: usize| {
+                for _ in 0..n {
+                    let gid = l.push_anywhere(pushes as u64);
+                    assert_eq!(gid.bcid, mine[pushes % mine.len()], "push {pushes}");
+                    pushes += 1;
+                }
+            };
+            push(&mine, before);
+            let sid = slab_pick % (p * BPL);
+            let (from, to) = (sid / BPL, dest_pick % p);
+            if loc.id() == 0 {
+                l.migrate_bcontainer(sid, to);
+            }
+            loc.rmi_fence();
+            if loc.id() == from {
+                mine.retain(|b| *b != sid);
+            }
+            if loc.id() == to {
+                mine.push(sid);
+                mine.sort_unstable();
+            }
+            push(&mine, after);
+            l.commit();
+            assert_eq!(l.global_size(), p * (before + after));
+            loc.barrier();
+        });
+    }
 
     /// Concatenating `get_segment` over all slabs (from any location)
     /// reproduces exactly the element-wise global linearization, under

@@ -70,6 +70,13 @@ impl<B> LocationManager<B> {
         if let [(bcid, bc)] = self.bcontainers.as_mut_slice() { Some((*bcid, bc)) } else { None }
     }
 
+    /// The `k`-th local base container in BCID order, with its BCID: a
+    /// position, not a search (`k < num_bcontainers()`).
+    #[inline]
+    pub fn nth_mut(&mut self, k: usize) -> Option<(Bcid, &mut B)> {
+        self.bcontainers.get_mut(k).map(|(b, c)| (*b, c))
+    }
+
     /// Local base containers in BCID order.
     pub fn iter(&self) -> impl Iterator<Item = (Bcid, &B)> {
         self.bcontainers.iter().map(|(b, c)| (*b, c))
@@ -154,6 +161,8 @@ mod tests {
         }
         let order: Vec<Bcid> = lm.iter().map(|(b, _)| b).collect();
         assert_eq!(order, vec![1, 3, 5]);
+        let by_position: Vec<Bcid> = (0..4).filter_map(|k| lm.nth_mut(k).map(|(b, _)| b)).collect();
+        assert_eq!(by_position, order);
     }
 
     #[test]
