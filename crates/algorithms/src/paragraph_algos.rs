@@ -21,7 +21,7 @@ use stapl_core::domain::Range1d;
 use stapl_core::gid::Key;
 use stapl_core::interfaces::PContainer;
 use stapl_paragraph::executor::{ExecPolicy, Executor};
-use stapl_paragraph::prange::{map_task_graph, reduce_task_graph, PRange, TaskKind};
+use stapl_paragraph::prange::{auto_grain, map_task_graph, reduce_task_graph, PRange, TaskKind};
 use stapl_views::view::{ViewRead, ViewWrite};
 
 /// `p_for_each` on the executor: applies `f` at the owner of every
@@ -33,7 +33,7 @@ where
     F: Fn(&mut V::Value) + Clone + Send + 'static,
 {
     let loc = v.location().clone();
-    let pr = map_task_graph(v, policy.grain_for(v.len(), loc.nlocs()));
+    let pr = map_task_graph(v, 0);
     Executor::new(&pr, policy).run::<(), _>(&loc, |task, _| {
         for k in task.range.iter() {
             v.apply(k, f.clone());
@@ -52,7 +52,7 @@ where
     F: Fn(usize) -> V::Value,
 {
     let loc = v.location().clone();
-    let pr = map_task_graph(v, policy.grain_for(v.len(), loc.nlocs()));
+    let pr = map_task_graph(v, 0);
     Executor::new(&pr, policy).run::<(), _>(&loc, |task, _| {
         for k in task.range.iter() {
             v.set(k, gen(k));
@@ -74,7 +74,7 @@ where
     R: Fn(A, A) -> A + Copy,
 {
     let loc = v.location().clone();
-    let pr = reduce_task_graph(v, policy.grain_for(v.len(), loc.nlocs()));
+    let pr = reduce_task_graph(v, 0);
     let root_out: RefCell<Option<A>> = RefCell::new(None);
     Executor::new(&pr, policy).run::<A, _>(&loc, |task, inputs| match task.kind {
         TaskKind::Map => {
@@ -127,7 +127,7 @@ pub fn map_reduce_pg<I, K, V, M, C>(
     let sizes = loc.allgather(inputs.len());
     let mut pr = PRange::new();
     for (home, &n) in sizes.iter().enumerate() {
-        let grain = policy.grain_for(n, 1).max(1);
+        let grain = auto_grain(n, 1);
         let mut lo = 0;
         while lo < n {
             let hi = (lo + grain).min(n);
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn reduce_pg_matches_spmd_on_array_vector_matrix() {
-        for policy in [ExecPolicy::default(), ExecPolicy::no_stealing().with_grain(3)] {
+        for policy in [ExecPolicy::default(), ExecPolicy::no_stealing()] {
             execute(RtsConfig::default(), 3, |loc| {
                 let a = PArray::from_fn(loc, 37, |i| i as u64);
                 let av = ArrayView::new(a);

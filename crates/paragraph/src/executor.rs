@@ -13,17 +13,21 @@
 //! Execution interleaves task bodies with [`Location::poll`], so steal
 //! probes and readiness notifications are serviced between tasks — the
 //! executor is "driven by" the same polling loop that makes sync RMIs
-//! deadlock-free. When a location runs dry it first polls, then (if
-//! stealing is enabled) probes peers round-robin with a synchronous RMI
-//! that pops **half of the victim's migratable ready tasks** — and their
-//! inboxes — from the cold end of its deque (steal-half, so one probe
-//! moves enough work to matter even when the victim only answers between
-//! long task bodies); the thief enqueues the batch, leaving it stealable
-//! in turn, and executes the tasks against its own per-location
-//! workfunction and view handles, so element accesses route through the
-//! normal container RMI paths. Global termination is a completion counter on
-//! location 0's representative: every task completion increments it
-//! asynchronously, and idle locations probe it until all tasks are done.
+//! deadlock-free. When a location runs dry it (if stealing is enabled)
+//! probes peers round-robin with a synchronous RMI that pops **half of the
+//! victim's migratable ready tasks** — and their inboxes — from the cold
+//! end of its deque (steal-half, so one probe moves enough work to matter
+//! even when the victim only answers between long task bodies); the thief
+//! enqueues the batch, leaving it stealable in turn, and executes the
+//! tasks against its own per-location workfunction and view handles, so
+//! element accesses route through the normal container RMI paths. A probe
+//! that finds nothing leaves the thief on the victim's *hungry* list, and
+//! the thief waits in [`Location::wait_until`] for an event, never for a
+//! span of time: a task readied at home, a wake-up (one async RMI from a
+//! victim that holds migratable ready tasks again), or `done`. Termination
+//! is pushed: a location whose deque runs dry reports the tasks it ran
+//! since its last report to location 0, which sends `done` to every
+//! location once the reports cover every task.
 //!
 //! Steal and execution counters are surfaced through
 //! [`stapl_rts::StatsSnapshot`] (`tasks_executed`, `tasks_stolen`,
@@ -36,20 +40,17 @@ use stapl_rts::{LocId, Location};
 
 use crate::prange::{PRange, Task, TaskId};
 
-/// Scheduling knobs for one executor run.
+/// Scheduling policy of one executor run. Task size is the graph's: the
+/// `_pg` entry points build theirs at [`auto_grain`](crate::prange::auto_grain).
 #[derive(Clone, Copy, Debug)]
 pub struct ExecPolicy {
     /// Allow idle locations to steal migratable ready tasks from peers.
     pub stealing: bool,
-    /// Task coarsening used by the `_pg` algorithm entry points when they
-    /// build their graph: maximum view indices per task. `0` selects
-    /// [`auto_grain`](crate::prange::auto_grain).
-    pub grain: usize,
 }
 
 impl Default for ExecPolicy {
     fn default() -> Self {
-        ExecPolicy { stealing: true, grain: 0 }
+        ExecPolicy { stealing: true }
     }
 }
 
@@ -57,23 +58,7 @@ impl ExecPolicy {
     /// Executor scheduling without the stealing path (tasks run only on
     /// their home locations, but still in dependence-graph order).
     pub fn no_stealing() -> Self {
-        ExecPolicy { stealing: false, grain: 0 }
-    }
-
-    /// Overrides the task grain.
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        self.grain = grain;
-        self
-    }
-
-    /// Resolves the grain for a view of `len` indices on `nlocs`
-    /// locations.
-    pub fn grain_for(&self, len: usize, nlocs: usize) -> usize {
-        if self.grain == 0 {
-            crate::prange::auto_grain(len, nlocs)
-        } else {
-            self.grain
-        }
+        ExecPolicy { stealing: false }
     }
 }
 
@@ -88,7 +73,7 @@ pub struct ExecReport {
 }
 
 /// Per-location scheduler state, registered as a p_object so peers can
-/// notify successors, deliver payloads, and steal.
+/// notify successors, deliver payloads, steal, wake and report.
 struct ExecRep<P> {
     /// Ready home tasks: popped from the front locally, stolen from the
     /// back.
@@ -101,8 +86,14 @@ struct ExecRep<P> {
     /// Replicated migratability flags (indexed by task id) so steal
     /// probes can be answered without access to the caller's `PRange`.
     migratable: Vec<bool>,
-    /// Completed-task counter; authoritative only on location 0.
-    completed_total: u64,
+    /// Tasks not yet reported run; counted down on location 0 only.
+    unreported: u64,
+    /// Every task has run (location 0 decides, then tells the others).
+    done: bool,
+    /// Thieves that found nothing to steal here since they were last woken.
+    hungry: Vec<LocId>,
+    /// A victim woke this location since it last cleared the flag.
+    woken: bool,
 }
 
 impl<P> ExecRep<P> {
@@ -120,7 +111,8 @@ impl<P> ExecRep<P> {
     }
 
     /// Pops half (rounded up) of the migratable ready tasks — and their
-    /// inboxes — from the cold end of the deque, for a thief.
+    /// inboxes — from the cold end of the deque, for `thief`; an empty
+    /// batch puts the thief on the hungry list.
     ///
     /// Steal-half instead of steal-one: a victim busy in a long task body
     /// only answers probes between tasks, so each probe must transfer
@@ -128,7 +120,7 @@ impl<P> ExecRep<P> {
     /// thief enqueues the batch, which keeps it stealable in turn (by
     /// third locations or by the original owner stealing back), so the
     /// load keeps diffusing.
-    fn steal_some(&mut self) -> Vec<(TaskId, Vec<P>)> {
+    fn steal_some(&mut self, thief: LocId) -> Vec<(TaskId, Vec<P>)> {
         let candidates = self.ready.iter().filter(|&&t| self.migratable[t]).count();
         let take = candidates.div_ceil(2);
         let mut got = Vec::with_capacity(take);
@@ -141,7 +133,19 @@ impl<P> ExecRep<P> {
                 got.push((tid, inputs));
             }
         }
+        if got.is_empty() && !self.hungry.contains(&thief) {
+            self.hungry.push(thief);
+        }
         got
+    }
+
+    /// The hungry thieves, taken off the list, once a migratable task is
+    /// ready here (the scan only runs while someone is hungry).
+    fn thieves_to_wake(&mut self) -> Vec<LocId> {
+        if self.hungry.is_empty() || !self.ready.iter().any(|&t| self.migratable[t]) {
+            return Vec::new();
+        }
+        std::mem::take(&mut self.hungry)
     }
 }
 
@@ -202,27 +206,20 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        let obj: PObject<ExecRep<P>> = PObject::register(
-            loc,
-            ExecRep { ready, pending, inbox: HashMap::new(), migratable, completed_total: 0 },
-        );
+        let (inbox, hungry, done, woken) = (HashMap::new(), Vec::new(), total == 0, false);
+        let rep = ExecRep { ready, pending, inbox, migratable, unreported: total, done, hungry, woken };
+        let obj: PObject<ExecRep<P>> = PObject::register(loc, rep);
         // Handles must agree before any peer can notify or steal.
         loc.barrier();
 
         let mut report = ExecReport::default();
         let mut next_victim = (me + 1) % loc.nlocs();
-        // Consecutive iterations that found nothing to run, steal, or
-        // service — used to back off the completion probing so idle
-        // locations don't serialize on location 0's polling cadence.
-        let mut dry = 0u32;
-        // The scheduling loop exits through the completion probe; an
-        // empty graph is already complete.
+        // Tasks run here since this location's last report.
+        let mut ran = 0;
         loop {
-            if total == 0 {
-                break;
-            }
-            // 1. Run one ready home task, then poll so steal probes and
-            //    notifications are serviced *between* task bodies.
+            // 1. Run one ready task, then poll so steal probes and
+            //    notifications are serviced *between* task bodies. Tasks
+            //    it leaves behind may feed the thieves that found none.
             let next = {
                 let mut rep = obj.local_mut();
                 rep.ready
@@ -230,29 +227,37 @@ impl<'a> Executor<'a> {
                     .map(|tid| (tid, rep.inbox.remove(&tid).unwrap_or_default()))
             };
             if let Some((tid, inputs)) = next {
+                wake_thieves(loc, &obj);
                 self.run_task(loc, &obj, tid, inputs, &mut work);
                 report.executed += 1;
+                ran += 1;
                 if self.pr.task(tid).home != me {
                     report.stolen += 1;
                     loc.note_task_stolen();
                 }
                 loc.poll();
-                dry = 0;
                 continue;
             }
-            // 2. Dry deque: service incoming traffic, which may deliver
-            //    readiness.
-            if loc.poll() > 0 {
-                dry = 0;
-                continue;
+            // 2. Dry deque: report what ran since the last report (in place
+            //    on location 0).
+            if ran > 0 {
+                obj.invoke_at(0, move |cell, _| {
+                    let mut rep = cell.borrow_mut();
+                    rep.unreported -= ran;
+                    rep.done = rep.unreported == 0;
+                });
+                ran = 0;
             }
-            // Push out buffered notifications peers may be waiting on.
-            loc.flush_all();
+            if obj.local().done {
+                break;
+            }
             // 3. Steal: probe peers round-robin; a victim yields half of
             //    its migratable ready tasks, which we enqueue (and which
             //    thereby stay stealable by others, or by the owner
-            //    stealing them back).
+            //    stealing them back). A wake-up that lands during the
+            //    sweep sets `woken` again: the wait below cannot miss it.
             if self.policy.stealing && loc.nlocs() > 1 {
+                obj.local_mut().woken = false;
                 let batch = self.try_steal(loc, &obj, &mut next_victim);
                 if !batch.is_empty() {
                     let mut rep = obj.local_mut();
@@ -262,37 +267,27 @@ impl<'a> Executor<'a> {
                         }
                         rep.ready.push_back(tid);
                     }
-                    dry = 0;
                     continue;
                 }
             }
-            // 4. Nothing runnable anywhere we can see: probe global
-            //    completion at location 0, backing off as dry sweeps
-            //    accumulate so idle locations neither hammer location 0
-            //    with sync RMIs nor serialize on its polling cadence.
-            let done = obj.invoke_ret_at(0, |cell, _| cell.borrow().completed_total);
-            if done == total {
-                break;
-            }
-            dry = dry.saturating_add(1);
-            if dry < 16 {
-                std::thread::yield_now();
-            } else {
-                // Capped backoff: stay responsive to incoming probes and
-                // notifications (the next poll services them) while idle.
-                std::thread::sleep(std::time::Duration::from_micros(
-                    50 * u64::from(dry.min(20)),
-                ));
-            }
+            // 4. Nothing to run or steal: wait for a task readied here, a
+            //    victim's wake-up, or the end of the run.
+            loc.wait_until(|| {
+                let rep = obj.local();
+                rep.done || !rep.ready.is_empty() || rep.woken
+            });
         }
-        // Drain in-flight RMIs (view writes from task bodies, stray
-        // notifications, peers' steal probes) before handing back.
+        if me == 0 && total > 0 {
+            obj.invoke_everywhere(|cell, _| cell.borrow_mut().done = true);
+        }
+        // Drain in-flight RMIs (view writes from task bodies, the `done`
+        // messages, peers' last steal probes) before handing back.
         loc.rmi_fence();
         report
     }
 
-    /// Executes one task body and publishes its completion: payload to
-    /// each successor's home, plus the global completion counter.
+    /// Executes one task body and notifies each successor's home,
+    /// delivering the task's payload.
     fn run_task<P, F>(
         &self,
         loc: &Location,
@@ -315,7 +310,6 @@ impl<'a> Executor<'a> {
                 cell.borrow_mut().notify(s, payload);
             });
         }
-        obj.invoke_at(0, |cell, _| cell.borrow_mut().completed_total += 1);
     }
 
     /// One round-robin sweep over the peers; returns the first nonempty
@@ -337,7 +331,7 @@ impl<'a> Executor<'a> {
                 continue;
             }
             loc.note_steal_request();
-            let got = obj.invoke_ret_at(victim, |cell, _| cell.borrow_mut().steal_some());
+            let got = obj.invoke_ret_at(victim, move |cell, _| cell.borrow_mut().steal_some(me));
             if !got.is_empty() {
                 loc.trace_instant(stapl_rts::TraceEventKind::StealSuccess, got.len() as u64);
                 // Keep hitting a productive victim first next time.
@@ -350,13 +344,24 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// Wakes the hungry thieves once migratable tasks are ready here, from the
+/// scheduling loop (no handler sends): one async RMI each, flushed so it
+/// does not wait behind the next task body.
+fn wake_thieves<P: 'static>(loc: &Location, obj: &PObject<ExecRep<P>>) {
+    let thieves = obj.local_mut().thieves_to_wake();
+    for thief in thieves {
+        obj.invoke_at(thief, |cell, _| cell.borrow_mut().woken = true);
+        loc.flush(thief);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prange::{
-        map_task_graph, pipeline_task_graph, prange_from_view, reduce_task_graph, TaskKind,
-    };
+    use crate::prange::{map_task_graph, pipeline_task_graph, reduce_task_graph, TaskKind};
     use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
     use stapl_containers::array::PArray;
     use stapl_core::domain::Range1d;
     use stapl_core::interfaces::ElementRead;
@@ -486,66 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn steal_path_executes_remote_homes_exactly_once() {
-        // All tasks homed on location 0, each sleeping briefly: the other
-        // three locations have nothing to do except steal. Verify
-        // exactly-once execution plus a nonzero steal count.
-        let reports = execute_collect(RtsConfig::default(), 4, |loc| {
-            let a = PArray::new(loc, 32, 0u64);
-            let v = ArrayView::new(a.clone());
-            let mut pr = PRange::new();
-            for t in 0..16 {
-                pr.add_task(Range1d::new(t * 2, t * 2 + 2), 0, true, TaskKind::Map);
-            }
-            let rep = Executor::new(&pr, ExecPolicy::default()).run::<(), _>(loc, |task, _| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                for k in task.range.iter() {
-                    v.apply(k, |x| *x += 1);
-                }
-                None
-            });
-            for i in 0..32 {
-                assert_eq!(a.get_element(i), 1, "element {i} must be processed exactly once");
-            }
-            let snap = loc.stats();
-            assert_eq!(snap.tasks_executed, 16);
-            assert!(snap.steal_requests > 0);
-            rep
-        });
-        let executed: u64 = reports.iter().map(|r| r.executed).sum();
-        let stolen: u64 = reports.iter().map(|r| r.stolen).sum();
-        assert_eq!(executed, 16);
-        assert!(stolen > 0, "idle locations should have stolen from the loaded one");
-        assert_eq!(reports[0].stolen, 0, "the home location cannot steal its own tasks");
-    }
-
-    #[test]
-    fn stealing_disabled_keeps_tasks_home() {
-        let reports = execute_collect(RtsConfig::default(), 3, |loc| {
-            let a = PArray::new(loc, 30, 0u64);
-            let v = ArrayView::new(a.clone());
-            let pr = prange_from_view(&v, 5);
-            let my_tasks = pr.tasks().iter().filter(|t| t.home == loc.id()).count() as u64;
-            let rep = Executor::new(&pr, ExecPolicy::no_stealing()).run::<(), _>(loc, |task, _| {
-                assert_eq!(task.home, loc.id(), "without stealing every task runs at home");
-                for k in task.range.iter() {
-                    v.apply(k, |x| *x += 1);
-                }
-                None
-            });
-            assert_eq!(rep.executed, my_tasks);
-            assert_eq!(rep.stolen, 0);
-            for i in 0..30 {
-                assert_eq!(a.get_element(i), 1);
-            }
-            assert_eq!(loc.stats().tasks_stolen, 0);
-            rep
-        });
-        // 30 elements at grain 5 -> 6 tasks across the 3 locations.
-        assert_eq!(reports.iter().map(|r| r.executed).sum::<u64>(), 6);
-    }
-
-    #[test]
     fn non_migratable_tasks_never_move() {
         execute(RtsConfig::default(), 3, |loc| {
             let mut pr = PRange::new();
@@ -590,5 +535,71 @@ mod tests {
             let r = loc.allreduce(last_out.into_inner(), |a, b| a.or(b));
             assert_eq!(r, Some((1 << 12) - 1));
         });
+    }
+
+    #[test]
+    fn termination_sends_one_report_and_one_done_per_peer() {
+        // Without stealing every task runs at home, so the only remote
+        // traffic of a run is termination: each peer reports once (its
+        // deque runs dry once) and location 0 answers with one `done`.
+        // Nothing is polled, so no synchronous RMI runs.
+        const P: u64 = 4;
+        let runs = execute_collect(RtsConfig::default(), P as usize, |loc| {
+            let a = PArray::new(loc, 128, 0u64);
+            let v = ArrayView::new(a.clone());
+            let pr = map_task_graph(&v, 0);
+            let mine = pr.tasks().iter().filter(|t| t.home == loc.id()).count() as u64;
+            let exec = Executor::new(&pr, ExecPolicy::no_stealing());
+            loc.rmi_fence();
+            let before = loc.stats();
+            loc.barrier();
+            let rep = exec.run::<(), _>(loc, |task, _| {
+                assert_eq!(task.home, loc.id(), "without stealing every task runs at home");
+                task.range.iter().for_each(|k| v.apply(k, |x| *x += 1));
+                None
+            });
+            loc.barrier();
+            let run = loc.stats().since(&before);
+            loc.barrier();
+            assert_eq!((rep.executed, rep.stolen), (mine, 0));
+            assert!((0..128).all(|i| a.get_element(i) == 1), "every element once");
+            (pr.num_tasks(), run)
+        });
+        let (tasks, run) = runs[0];
+        assert_eq!((tasks, run.tasks_executed, run.tasks_stolen), (64, 64, 0));
+        assert_eq!(run.responses_sent, 0, "termination must not be polled");
+        let bound = 2 * (P - 1);
+        assert!(run.remote_requests <= bound, "{} remote requests > {bound}", run.remote_requests);
+    }
+
+    #[test]
+    fn late_work_is_stolen_by_thieves_that_found_none() {
+        // Location 1 runs `a` (not migratable, 20 ms); the eight `b`s homed
+        // on location 0 depend on it. Locations 2 and 3 find nothing to
+        // steal while `a` runs and must still get some `b`s: an empty probe
+        // leaves the thief on the victim's list, and the victim wakes it
+        // once the `b`s are ready.
+        let runs: [AtomicU32; 9] = Default::default();
+        let reports = execute_collect(RtsConfig::default(), 4, |loc| {
+            let mut pr = PRange::new();
+            let a = pr.add_task(Range1d::new(0, 1), 1, false, TaskKind::Map);
+            for b in 1..9 {
+                let b = pr.add_task(Range1d::new(b, b + 1), 0, true, TaskKind::Map);
+                pr.add_edge(a, b);
+            }
+            let rep = Executor::new(&pr, ExecPolicy::default()).run::<(), _>(loc, |task, _| {
+                runs[task.id].fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(if task.id == a { 20 } else { 2 }));
+                None
+            });
+            (rep, loc.stats())
+        });
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "every task runs exactly once");
+        let (home, stats) = reports[0];
+        assert_eq!(stats.tasks_executed, 9);
+        assert!(stats.steal_requests > 0);
+        assert_eq!(home.stolen, 0, "the home location cannot steal its own tasks");
+        let late = reports[2].0.stolen + reports[3].0.stolen;
+        assert!(late >= 1, "locations 2 and 3 probed before the b's were ready and were never woken");
     }
 }

@@ -123,11 +123,6 @@ impl PRange {
         self.tasks.is_empty()
     }
 
-    /// Total number of view indices covered by all task ranges.
-    pub fn total_elements(&self) -> usize {
-        self.tasks.iter().map(|t| t.range.len()).sum()
-    }
-
     /// Kahn's algorithm: true when the dependence edges admit a schedule
     /// (no cycle). `Executor::new` asserts this in every build — cyclic
     /// tasks never become ready, so running one would spin forever.
@@ -167,14 +162,15 @@ fn push_split(pr: &mut PRange, r: Range1d, grain: usize, home: LocId, kind: Task
     ids
 }
 
-/// **Collective.** Coarsens `v`'s domain into an edge-free pRange: each
+/// **Collective.** The parallel-do graph behind `p_for_each_pg` and
+/// friends: `v`'s domain coarsened into an edge-free pRange. Each
 /// location's [`ViewRead::local_chunks`] are split into tasks of at most
 /// `grain` indices, homed on that location and migratable. Pass `0` for
 /// the [`auto_grain`] default.
 ///
 /// The per-location chunk lists are allgathered so every location builds
 /// the identical replicated graph.
-pub fn prange_from_view<V: ViewRead>(v: &V, grain: usize) -> PRange {
+pub fn map_task_graph<V: ViewRead>(v: &V, grain: usize) -> PRange {
     let loc = v.location();
     let grain = if grain == 0 { auto_grain(v.len(), loc.nlocs()) } else { grain };
     let mine: Vec<Range1d> = v.local_chunks();
@@ -188,21 +184,14 @@ pub fn prange_from_view<V: ViewRead>(v: &V, grain: usize) -> PRange {
     pr
 }
 
-/// **Collective.** The parallel-do graph behind `p_for_each_pg` and
-/// friends: an alias of [`prange_from_view`], named for symmetry with the
-/// other factories.
-pub fn map_task_graph<V: ViewRead>(v: &V, grain: usize) -> PRange {
-    prange_from_view(v, grain)
-}
-
 /// **Collective.** A two-level reduction tree: migratable leaf tasks per
-/// [`prange_from_view`], a non-migratable [`TaskKind::Combine`] task per
+/// [`map_task_graph`], a non-migratable [`TaskKind::Combine`] task per
 /// location folding that location's leaf payloads, and a single
 /// [`TaskKind::Root`] task on location 0 folding the combines. Empty for
 /// an empty view.
 pub fn reduce_task_graph<V: ViewRead>(v: &V, grain: usize) -> PRange {
     let loc = v.location();
-    let mut pr = prange_from_view(v, grain);
+    let mut pr = map_task_graph(v, grain);
     if pr.is_empty() {
         return pr;
     }
@@ -275,7 +264,6 @@ mod tests {
         assert_eq!(pr.num_tasks(), 3);
         assert_eq!(pr.task(c).num_preds, 2);
         assert_eq!(pr.task(a).succs, vec![c]);
-        assert_eq!(pr.total_elements(), 8);
         assert!(pr.is_acyclic());
     }
 
@@ -302,7 +290,7 @@ mod tests {
         execute(RtsConfig::default(), 3, |loc| {
             let a = PArray::from_fn(loc, 50, |i| i as u64);
             let v = ArrayView::new(a);
-            let pr = prange_from_view(&v, 7);
+            let pr = map_task_graph(&v, 7);
             // Replicated: every location builds the same graph.
             let sizes = loc.allgather(pr.num_tasks());
             assert!(sizes.iter().all(|&s| s == sizes[0]));
@@ -316,7 +304,6 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&c| c == 1));
-            assert_eq!(pr.total_elements(), 50);
             // Homes follow the native chunks.
             for t in pr.tasks() {
                 assert!(t.home < loc.nlocs());
@@ -391,7 +378,7 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let a = PArray::new(loc, 0, 0u64);
             let v = ArrayView::new(a);
-            assert!(prange_from_view(&v, 0).is_empty());
+            assert!(map_task_graph(&v, 0).is_empty());
             assert!(reduce_task_graph(&v, 0).is_empty());
             let _ = loc;
         });

@@ -39,7 +39,7 @@
 //! tail batch cannot be stuck forever.
 
 use std::cell::{Cell, RefCell};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Sender;
 
@@ -141,7 +141,7 @@ impl FaultSchedule {
 /// ownership consequences.
 pub(crate) struct FaultInjector {
     real: Vec<Sender<Batch>>,
-    sched: FaultSchedule,
+    pub(crate) sched: FaultSchedule,
     seed: u64,
     /// At most one reorder-held batch per destination, released by the
     /// next send to that destination.
@@ -182,9 +182,6 @@ impl FaultInjector {
         if batch.is_recovery_traffic() {
             return self.forward_then_release(batch);
         }
-        if self.sched.delay_us > 0 {
-            busy_wait(Duration::from_micros(self.sched.delay_us));
-        }
         // One seeded draw per batch picks at most one fault; hashing
         // (seed, src, dest, seq) keeps the decision independent of
         // arrival order and of wall-clock time.
@@ -218,9 +215,11 @@ impl FaultInjector {
     }
 }
 
-pub(crate) fn busy_wait(d: Duration) {
-    let start = Instant::now();
-    while start.elapsed() < d {
+/// The runtime's one timed delay: spins until the location's clock `now`
+/// has advanced by `d`.
+pub(crate) fn busy_wait(now: impl Fn() -> Duration, d: Duration) {
+    let end = now() + d;
+    while now() < end {
         std::hint::spin_loop();
     }
 }

@@ -17,7 +17,7 @@
 //!   response** that fails only the issuing future, carrying the handler
 //!   name and panic message.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::location::Location;
 use crate::trace::TraceEventKind;
@@ -171,16 +171,16 @@ impl PendingReply {
         let (wait_kind, issued_ns, peer, handler) = loc.slot_diagnostics(slot);
         let t0 = if wait_kind == TraceEventKind::SyncRmiSpan { issued_ns } else { loc.trace_clock() };
         let timeout_us = loc.config().rmi_timeout_us;
-        let deadline = (timeout_us > 0).then(|| (Instant::now(), Duration::from_micros(timeout_us)));
+        let deadline = (timeout_us > 0).then(|| (loc.now(), Duration::from_micros(timeout_us)));
         let mut taken = None;
         loc.wait_until(|| {
             taken = loc.try_take_slot(slot);
-            taken.is_some() || deadline.is_some_and(|(start, limit)| start.elapsed() >= limit)
+            taken.is_some() || deadline.is_some_and(|(start, limit)| loc.now() - start >= limit)
         });
         let Some(v) = taken else {
             let (start, _) = deadline.expect("a wait ends without its value only at its deadline");
             let retransmits = loc.local_stats().retransmits;
-            return Err(RmiError::Timeout { peer, handler, elapsed: start.elapsed(), retransmits });
+            return Err(RmiError::Timeout { peer, handler, elapsed: loc.now() - start, retransmits });
         };
         loc.trace_span_end(wait_kind, t0, 0);
         match v.downcast::<R>() {

@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 
 use crossbeam::channel::{Receiver, Sender};
 
@@ -70,9 +71,7 @@ pub(crate) struct Shared {
     /// Indexed by location: its contribution to the collective in progress,
     /// taken out by the fold ([`Location::allreduce`]).
     pub board: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
-    /// Epoch of this execution: all trace timestamps are monotonic
-    /// nanoseconds relative to this instant, so the per-location timelines
-    /// of one run share a clock.
+    /// The instant [`Location::now`] counts from, shared by every location.
     pub epoch: std::time::Instant,
 }
 
@@ -225,22 +224,22 @@ impl Location {
     // unless `RtsConfig::trace` is set)
     // ------------------------------------------------------------------
 
-    /// Monotonic nanoseconds since the execution epoch; `0` when tracing
-    /// is off (callers use it only to open spans, so the value is then
-    /// never observed).
+    /// Time since the execution's epoch: the runtime's one clock, read by
+    /// every trace timestamp, RMI deadline, retransmit timer and delay.
+    pub fn now(&self) -> Duration {
+        self.inner.shared.epoch.elapsed()
+    }
+
+    /// [`Location::now`] in nanoseconds; `0` when tracing is off (callers
+    /// use it only to open spans, so the value is then never observed).
     pub fn trace_clock(&self) -> u64 {
-        if self.inner.trace.is_some() {
-            self.inner.shared.epoch.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
+        self.inner.trace.as_ref().map_or(0, |_| self.now().as_nanos() as u64)
     }
 
     /// Records an instant event of `kind` with a kind-specific argument.
     pub fn trace_instant(&self, kind: TraceEventKind, arg: u64) {
         if let Some(t) = &self.inner.trace {
-            let now = self.inner.shared.epoch.elapsed().as_nanos() as u64;
-            t.borrow_mut().instant(kind, now, arg);
+            t.borrow_mut().instant(kind, self.now().as_nanos() as u64, arg);
         }
     }
 
@@ -248,8 +247,7 @@ impl Location {
     /// reading) and feeds its duration into the kind's latency histogram.
     pub fn trace_span_end(&self, kind: TraceEventKind, start_ns: u64, arg: u64) {
         if let Some(t) = &self.inner.trace {
-            let now = self.inner.shared.epoch.elapsed().as_nanos() as u64;
-            t.borrow_mut().span(kind, start_ns, now, arg);
+            t.borrow_mut().span(kind, start_ns, self.now().as_nanos() as u64, arg);
         }
     }
 
@@ -756,7 +754,7 @@ impl Location {
 
     /// Flushes the aggregation buffer toward `dest`.
     pub fn flush(&self, dest: LocId) {
-        let Some(nreqs) = self.inner.endpoint.flush(dest) else {
+        let Some(nreqs) = self.inner.endpoint.flush(dest, || self.now()) else {
             return;
         };
         self.bump(Counter::batches_sent, 1);
@@ -775,7 +773,7 @@ impl Location {
         let mut n = 0;
         // Drive retransmission of overdue unacknowledged batches; on a
         // lossless fabric this is an early-out on a counter.
-        self.inner.endpoint.tick();
+        self.inner.endpoint.tick(|| self.now());
         while let Some(batch) = self.inner.endpoint.try_recv() {
             n += self.deliver(batch);
         }
@@ -810,7 +808,7 @@ impl Location {
         let n = records.len();
         if cfg.cross_node(src, self.id()) {
             let ns = cfg.internode_batch_delay_ns + cfg.internode_per_msg_delay_ns * n as u64;
-            crate::fault::busy_wait(std::time::Duration::from_nanos(ns));
+            crate::fault::busy_wait(|| self.now(), Duration::from_nanos(ns));
         }
         while records.has_next() {
             records.step(Some((self, src)));
@@ -827,15 +825,16 @@ impl Location {
         self.inner.counters.note_handled();
     }
 
-    /// The one wait loop: every blocking wait of the runtime — barriers,
-    /// and through them fences and collectives, futures, and
-    /// [`RmiFuture::is_ready`] — returns from here once `ready()` reads true.
-    /// Each pass aborts if a location has panicked, then polls. A pass that
-    /// ran nothing flushes this location's aggregation buffers — a request
-    /// this location itself depends on (e.g. the first hop of a forwarded
-    /// synchronous method) must not sit buffered while it waits — and
-    /// relaxes: a spin hint for the first 64 empty polls, a yield after.
-    pub(crate) fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+    /// The one wait loop: every blocking wait — barriers, and through them
+    /// fences and collectives, futures, [`RmiFuture::is_ready`], and the
+    /// PARAGRAPH executor's idle wait — returns from here once `ready()`
+    /// reads true. Each pass aborts if a location has panicked, then polls.
+    /// A pass that ran nothing flushes this location's aggregation buffers
+    /// — a request this location itself depends on (e.g. the first hop of a
+    /// forwarded synchronous method) must not sit buffered while it waits
+    /// — and relaxes: a spin hint for the first 64 empty polls, a yield
+    /// after.
+    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         let mut empty_polls = 0u32;
         while !ready() {
             if self.inner.shared.poisoned.load(Ordering::Relaxed) {

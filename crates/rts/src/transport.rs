@@ -91,7 +91,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::mem::{self, MaybeUninit};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{Receiver, Sender};
 use wirecodec::Crc32;
@@ -449,7 +449,7 @@ pub(crate) struct TransportEvents {
 /// A flushed-but-unacked batch retained for retransmission (a raw image).
 struct Retained {
     batch: Batch,
-    deadline: Instant,
+    deadline: Duration,
     attempt: u32,
 }
 
@@ -551,9 +551,9 @@ impl Endpoint {
         staging.buf.nreqs
     }
 
-    /// Ships `dest`'s buffer as one batch; returns the number of requests
-    /// it carried, `None` when the buffer was empty.
-    pub(crate) fn flush(&self, dest: LocId) -> Option<usize> {
+    /// Ships `dest`'s buffer as one batch at the location's clock `now`;
+    /// returns the number of requests it carried, `None` if there were none.
+    pub(crate) fn flush(&self, dest: LocId, now: impl Fn() -> Duration) -> Option<usize> {
         let records = {
             let mut out = self.outbuf.borrow_mut();
             let staging = &mut out[dest];
@@ -575,10 +575,12 @@ impl Endpoint {
                 pair.next_seq += 1;
                 let ack = rel.rx.borrow()[dest].expect - 1;
                 let batch = Batch::sealed(src, dest, records, seq, ack);
-                let retained =
-                    Retained { batch: batch.image(), deadline: Instant::now() + rel.rto, attempt: 0 };
+                let retained = Retained { batch: batch.image(), deadline: now() + rel.rto, attempt: 0 };
                 pair.unacked.insert(seq, retained);
                 rel.unacked_total.set(rel.unacked_total.get() + 1);
+                if let Some(injector) = &rel.injector {
+                    crate::fault::busy_wait(&now, Duration::from_micros(injector.sched.delay_us));
+                }
                 batch
             }
         };
@@ -712,14 +714,14 @@ impl Endpoint {
         rel.note(|ev| ev.acks_sent += 1);
     }
 
-    /// Resends overdue unacknowledged batches (a no-op without the
-    /// reliable layer). Called from the shell's poll loop.
-    pub(crate) fn tick(&self) {
+    /// Resends overdue unacknowledged batches (a no-op without the reliable
+    /// layer); the poll loop's clock `now` is read only if one is retained.
+    pub(crate) fn tick(&self, now: impl FnOnce() -> Duration) {
         let Some(rel) = &self.reliable else { return };
         if rel.unacked_total.get() == 0 {
             return;
         }
-        let now = Instant::now();
+        let now = now();
         let mut resend: Vec<Batch> = Vec::new();
         for (dest, pair) in rel.tx.borrow_mut().iter_mut().enumerate() {
             for (&seq, r) in pair.unacked.iter_mut() {

@@ -34,9 +34,10 @@ fn forwarding_chain_of_depth_nlocs_drains_in_one_fence() {
 /// under ~4 s in a debug build on a 2-core host.
 const CHAIN_FENCES: usize = 1500;
 
-/// Pins the fence leader's read order (`handled` before `sent`). While
-/// the leader sums the counters its peers are still executing handlers,
-/// and a handler that forwards moves both sides at once — so reading
+/// Pins the read order of a fence round's verdict (`handled` before
+/// `sent`), which the last location to arrive at the round's rendezvous
+/// computes. While it sums the counters its peers are still executing
+/// handlers, and a handler that forwards moves both sides at once — so reading
 /// `sent` first can balance the books with a hop still in flight. Long
 /// bouncing chains under an unbuffered fabric keep such a handler running
 /// at nearly every verdict; each fence must still see its chain land.
