@@ -10,18 +10,24 @@
 //!
 //! * `localization` — bulk-range transport + view localization: `p_copy`
 //!   localized vs element-wise over aligned / shifted / strided /
-//!   misaligned placements, aggregation and `bulk_threshold` knobs;
+//!   misaligned placements, aggregation and `bulk_threshold` knobs; and
+//!   Fig. 62's row-min over composed containers and a pMatrix
+//!   (`fig62-row-min`);
 //! * `directory` — owner caches with epoch invalidation: hot-key and
 //!   traversal reads on a dynamic pGraph, cache on vs off, and the stale
-//!   self-heal after a vertex migrates;
+//!   self-heal after a vertex migrates; and the graph figures: Fig. 51's
+//!   find-sources under the three address-resolution strategies
+//!   (`fig51-find-sources`) and Fig. 56's PageRank on a square and a
+//!   skinny mesh (`fig56-pagerank-mesh`);
 //! * `dynamic` — segment-at-a-time transport for pList / pAssoc: segmented
 //!   vs element-wise traversal and copy-onto-migrated-slabs, bucket-grained
-//!   vs per-pair MapReduce shuffle, gather-vs-broadcast `collect_ordered`;
+//!   vs per-pair MapReduce shuffle (Fig. 59), gather-vs-broadcast
+//!   `collect_ordered`; and Fig. 39's pList pushes (`fig39-plist-push`);
 //! * `executor` — the PARAGRAPH task-graph executor: SPMD vs executor vs
 //!   executor+stealing on uniform and skewed workloads;
 //! * `transport` — bytes on the wire: the copy and traversal kernels gated
 //!   on `bytes_sent`, the length of the capture images their requests are
-//!   relocated as;
+//!   relocated as, and the aggregation ablation (`async-sets`);
 //! * `chaos` — fault injection + reliable delivery: an async-RMI storm
 //!   under seeded fault schedules, gating the injected damage exactly and
 //!   bounding the timing-driven recovery cost by claim — with zero
@@ -44,12 +50,15 @@ use std::sync::OnceLock;
 use stapl_algorithms::prelude::*;
 use stapl_containers::array::PArray;
 use stapl_containers::associative::PHashMap;
+use stapl_containers::composed::LocalArray;
+use stapl_containers::generators::{fill_dag_with_sources, fill_mesh};
 use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph};
 use stapl_containers::list::PList;
+use stapl_containers::matrix::PMatrix;
 use stapl_core::interfaces::*;
 use stapl_core::mapper::{CyclicMapper, GeneralMapper};
 use stapl_core::partition::{
-    BalancedPartition, BlockCyclicPartition, BlockedPartition, IndexPartition,
+    BalancedPartition, BlockCyclicPartition, BlockedPartition, IndexPartition, MatrixLayout,
 };
 use stapl_paragraph::executor::ExecPolicy;
 use stapl_rts::{
@@ -58,6 +67,8 @@ use stapl_rts::{
 };
 use stapl_views::array_view::ArrayView;
 use stapl_views::assoc_view::MapView;
+use stapl_views::graph_view::GraphView;
+use stapl_views::matrix_view::RowsView;
 
 use crate::json::{escape, Json};
 use crate::time_kernel;
@@ -291,6 +302,19 @@ fn pairs<'a>(
     found
 }
 
+/// The records of `scenario`. Panics when there is none: a claim must not
+/// hold vacuously.
+fn of<'a>(records: &'a [BenchRecord], scenario: &str) -> Vec<&'a BenchRecord> {
+    let found: Vec<_> = records.iter().filter(|r| r.scenario() == scenario).collect();
+    assert!(!found.is_empty(), "no {scenario} records");
+    found
+}
+
+/// The value of `r`'s numeric knob `name`.
+fn count(r: &BenchRecord, name: &str) -> u64 {
+    r.knob(name).parse().unwrap_or_else(|_| panic!("{}: knob {name} is not a count", r.id))
+}
+
 /// Asserts `coarse` issues at least `factor` times less of counter `c`
 /// than `fine` does.
 fn assert_coarsens(coarse: &BenchRecord, fine: &BenchRecord, c: Counter, factor: u64) {
@@ -411,7 +435,7 @@ fn localization_area(base: &RtsConfig) -> Vec<BenchRecord> {
         }
     }
     specs.push((2, n, "misaligned", true, 16, 2));
-    specs
+    let mut records: Vec<BenchRecord> = specs
         .into_iter()
         .map(|(p, n, placement, localized, agg, bulk)| {
             let cfg = RtsConfig { aggregation: agg, bulk_threshold: bulk, ..base.clone() };
@@ -430,12 +454,78 @@ fn localization_area(base: &RtsConfig) -> Vec<BenchRecord> {
                 localization_copy(p, n, placement, localized, cfg),
             )
         })
-        .collect()
+        .collect();
+    for container in ROW_MIN_CONTAINERS {
+        records.push(BenchRecord::new(
+            format!("fig62-row-min/p4/{container}"),
+            vec![knob("p", 4), knob("container", container)],
+            localization_row_min(4, container, base.clone()),
+        ));
+    }
+    records
+}
+
+/// The containers Fig. 62 compares: a pArray of rows, a pList of rows, and
+/// a row-blocked pMatrix read through its `RowsView`.
+const ROW_MIN_CONTAINERS: [&str; 3] = ["parray-of-rows", "plist-of-rows", "pmatrix-rows"];
+
+/// Fig. 62: the minimum of a 256 × 64 matrix, row by row where each row is
+/// stored, then one `allreduce`. A composed container keeps each inner row
+/// whole on its outer element's owner, and a row-blocked pMatrix keeps a
+/// row on one location: the kernel is local work and one collective.
+fn localization_row_min(p: usize, container: &'static str, cfg: RtsConfig) -> Measured {
+    const ROWS: usize = 256;
+    const COLS: usize = 64;
+    let cell = |r: usize, c: usize| ((r * 13 + c) % 97) as i64;
+    let row = move |r: usize| LocalArray::from_fn(COLS, move |c| cell(r, c));
+    let row_min = |r: &LocalArray<i64>| *r.iter().min().expect("a row has columns");
+    traced(cfg, p, move |loc| {
+        let local_min: Box<dyn Fn() -> i64> = match container {
+            "parray-of-rows" => {
+                let a = PArray::from_fn(loc, ROWS, row);
+                Box::new(move || {
+                    let mut best = i64::MAX;
+                    a.for_each_local(|_, r| best = best.min(row_min(r)));
+                    best
+                })
+            }
+            "plist-of-rows" => {
+                let l = PList::new(loc);
+                for r in (loc.id()..ROWS).step_by(loc.nlocs()) {
+                    l.push_anywhere(row(r));
+                }
+                l.commit();
+                Box::new(move || {
+                    let mut best = i64::MAX;
+                    l.for_each_local(|_, r| best = best.min(row_min(r)));
+                    best
+                })
+            }
+            _ => {
+                let m = PMatrix::from_fn(loc, ROWS, COLS, MatrixLayout::RowBlocked, cell);
+                let rows = RowsView::new(m);
+                Box::new(move || {
+                    let min_of = |r| rows.read_row(r).into_iter().min().expect("a row has columns");
+                    let local = rows.local_rows().into_iter().flat_map(|rr| rr.iter());
+                    local.map(min_of).min().unwrap_or(i64::MAX)
+                })
+            }
+        };
+        let mut min = i64::MAX;
+        let measured = timed_scoped(loc, || min = loc.allreduce(local_min(), i64::min));
+        assert_eq!(min, 0, "{container}: wrong row-min");
+        measured
+    })
 }
 
 /// The localized path issues O(contiguous runs) remote requests where the
-/// element-wise path issues O(N).
+/// element-wise path issues O(N); Fig. 62's row-min issues none.
 fn localization_claims(records: &[BenchRecord]) {
+    let row_mins = of(records, "fig62-row-min");
+    assert_eq!(row_mins.len(), ROW_MIN_CONTAINERS.len(), "a fig62 record per container");
+    for r in row_mins {
+        assert_eq!(r.counters.remote_requests, 0, "{}: the row-min sent a request", r.id);
+    }
     let cells = pairs(records, "copy", "mode", ("localized", "element-wise"));
     for &(loc, elem) in &cells {
         // Never more remote traffic than the element-wise baseline, on any
@@ -551,10 +641,15 @@ fn directory_area(base: &RtsConfig) -> Vec<BenchRecord> {
         specs.push((4, 6400, true, cache, 16));
     }
     let cache_label = |cache: bool| if cache { "on" } else { "off" };
+    // The claims are about a cache that holds the 64 vertices: a smaller
+    // base capacity (a test leg shrinks it to 8 to exercise eviction) would
+    // thrash it, and each refill is a request the cache-off run never sends.
+    let dir_cache_capacity = RtsConfig::base().dir_cache_capacity;
     let mut records: Vec<BenchRecord> = specs
         .into_iter()
         .map(|(p, reads, hot, cache, agg)| {
-            let cfg = RtsConfig { dir_cache: cache, aggregation: agg, ..base.clone() };
+            let cfg =
+                RtsConfig { dir_cache: cache, dir_cache_capacity, aggregation: agg, ..base.clone() };
             let scenario = if hot { "hot-key" } else { "traversal" };
             BenchRecord::new(
                 format!("{scenario}/p{p}/reads{reads}/cache-{}/agg{agg}", cache_label(cache)),
@@ -579,13 +674,128 @@ fn directory_area(base: &RtsConfig) -> Vec<BenchRecord> {
             directory_churn(p, rounds, cfg),
         ));
     }
+    for (partition, kind) in RESOLUTIONS {
+        let (p, n) = (2usize, 2000usize);
+        // The claims read the cache's misses, whatever the base says.
+        let cfg = RtsConfig { dir_cache: true, ..base.clone() };
+        records.push(BenchRecord::new(
+            format!("fig51-find-sources/p{p}/n{n}/{partition}"),
+            vec![knob("p", p), knob("n", n), knob("partition", partition), knob("dir_cache", "on")],
+            graph_find_sources(p, n, kind, cfg),
+        ));
+    }
+    for (rows, cols) in [(100usize, 100usize), (10, 1000)] {
+        let (p, iters) = (2usize, 10usize);
+        records.push(BenchRecord::new(
+            format!("fig56-pagerank-mesh/p{p}/{rows}x{cols}/iters{iters}"),
+            vec![knob("p", p), knob("rows", rows), knob("cols", cols), knob("iters", iters)],
+            graph_page_rank(p, (rows, cols), iters, base.clone()),
+        ));
+    }
     records
+}
+
+/// The address-resolution strategies Fig. 51 compares: a static graph
+/// computes a vertex's owner; a dynamic one asks the directory, either
+/// forwarding each request through the vertex's home or looking the owner
+/// up at the home first (two-phase).
+const RESOLUTIONS: [(&str, Option<GraphPartitionKind>); 3] = [
+    ("static", None),
+    ("forwarding", Some(GraphPartitionKind::DynamicFwd)),
+    ("two-phase", Some(GraphPartitionKind::DynamicTwoPhase)),
+];
+
+/// Fig. 51: find-sources over a DAG whose first fifth is its source band
+/// (`fill_dag_with_sources`), the vertices blocked as the static partition
+/// blocks them. The kernel routes one in-degree increment along every
+/// edge.
+fn graph_find_sources(
+    p: usize,
+    n: usize,
+    kind: Option<GraphPartitionKind>,
+    cfg: RtsConfig,
+) -> Measured {
+    traced(cfg, p, move |loc| {
+        let g: AlgoGraph = match kind {
+            None => PGraph::new_static(loc, n, Directedness::Directed, VProps::default()),
+            Some(kind) => {
+                let g = PGraph::new_dynamic(loc, Directedness::Directed, kind);
+                let per = n.div_ceil(loc.nlocs());
+                for vd in loc.id() * per..((loc.id() + 1) * per).min(n) {
+                    g.add_vertex_with_descriptor(vd, VProps::default());
+                }
+                g.commit();
+                g
+            }
+        };
+        fill_dag_with_sources(loc, &g, 4, 0.2, BENCH_SEED, ());
+        let mut sources = Vec::new();
+        let measured = timed_scoped(loc, || sources = find_sources(&g));
+        assert!((0..n / 5).all(|v| sources.binary_search(&v).is_ok()), "a band vertex is not a source");
+        measured
+    })
+}
+
+/// Boundary vertices of a mesh whose `p` blocks are cut between rows: one
+/// row on each side of each cut.
+fn mesh_boundary(p: u64, cols: u64) -> u64 {
+    2 * (p - 1) * cols
+}
+
+/// Fig. 56: PageRank on a `rows × cols` mesh (`fill_mesh`) over the static
+/// blocked partition, which cuts it between two rows. A boundary vertex
+/// has exactly one out-edge across the cut, so an iteration sends one
+/// share per boundary vertex (`GraphView::boundary`).
+fn graph_page_rank(p: usize, (rows, cols): (usize, usize), iters: usize, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
+        let g: AlgoGraph =
+            PGraph::new_static(loc, rows * cols, Directedness::Directed, VProps::default());
+        fill_mesh(loc, &g, rows, cols, ());
+        let boundary = loc.allreduce_sum(GraphView::boundary(g.clone()).local_len() as u64);
+        assert_eq!(boundary, mesh_boundary(p as u64, cols as u64), "the cut is not between rows");
+        let mut mass = 0.0;
+        let measured = timed_scoped(loc, || mass = page_rank(&g, iters, 0.85));
+        assert!((mass - 1.0).abs() < 1e-6, "PageRank lost mass: {mass}");
+        measured
+    })
 }
 
 /// With the cache off every routed read pays the home hop; with it on,
 /// repeats go straight to the cached owner — and a cached owner that moved
-/// away costs one stale re-forward, once.
+/// away costs one stale re-forward, once. Only a dynamic graph asks the
+/// directory (Fig. 51), and PageRank's traffic is its partition's cut
+/// (Fig. 56).
 fn directory_claims(records: &[BenchRecord]) {
+    let sources = of(records, "fig51-find-sources");
+    assert_eq!(sources.len(), RESOLUTIONS.len(), "a fig51 record per resolution");
+    for r in sources {
+        let (s, id) = (&r.counters, &r.id);
+        match r.knob("partition") {
+            "static" => {
+                assert_eq!(s.dir_cache_hits + s.dir_cache_misses, 0, "{id}: asked the directory")
+            }
+            // Through the home to the owner: asynchronous all the way.
+            "forwarding" => assert_eq!(s.responses_sent, 0, "{id}: forwarding answered"),
+            // One synchronous lookup per target not cached yet; a lookup
+            // at a home that is the caller itself sends no response.
+            _ => assert!(
+                0 < s.responses_sent && s.responses_sent <= s.dir_cache_misses,
+                "{id}: two-phase must answer one lookup per miss at most: {s:?}"
+            ),
+        }
+    }
+    let meshes = of(records, "fig56-pagerank-mesh");
+    for r in &meshes {
+        let boundary = mesh_boundary(count(r, "p"), count(r, "cols"));
+        let want = count(r, "iters") * boundary;
+        let got = r.counters.remote_requests;
+        assert_eq!(got, want, "{}: not one request per boundary vertex per iteration", r.id);
+    }
+    let sent = |rows: &str| {
+        let mesh = meshes.iter().find(|r| r.knob("rows") == rows).expect("a mesh of that shape");
+        mesh.counters.remote_requests
+    };
+    assert_eq!(sent("10"), 10 * sent("100"), "the skinny mesh must cut 10x the square's edges");
     for scenario in ["hot-key", "traversal"] {
         for (on, off) in pairs(records, scenario, "dir_cache", ("on", "off")) {
             // At P=2 a vertex's home is its reader or its owner: no hop to save.
@@ -709,6 +919,7 @@ fn dynamic_wordcount(p: usize, words_per_loc: usize, chunked: bool, cfg: RtsConf
             *model.entry(w.to_string()).or_insert(0) += 1;
         }
         assert_eq!(counts.global_size(), model.len(), "distinct-word count diverged");
+        assert_eq!(counts.segments().len(), loc.nlocs(), "the claims' bound assumes a bucket per location");
         if loc.id() == 0 {
             let mut got = counts.collect_ordered();
             got.sort_unstable();
@@ -773,11 +984,37 @@ fn dynamic_area(base: &RtsConfig) -> Vec<BenchRecord> {
         let m = dynamic_copy_migrated(4, 200, segmented, base.clone());
         push("plist-copy-migrated", 4, ("per_loc", 200), mode, m);
     }
+    for (back, mode) in [(false, "anywhere"), (true, "back")] {
+        let m = dynamic_push(4, 200, back, base.clone());
+        push("fig39-plist-push", 4, ("per_loc", 200), mode, m);
+    }
     records
 }
 
+/// Fig. 39: `per` pushes from every location onto an empty pList —
+/// `push_anywhere` into a local base container, or `push_back` onto the
+/// global end, the last base container, which the last location holds.
+fn dynamic_push(p: usize, per: usize, back: bool, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
+        let l: PList<u64> = PList::new(loc);
+        let measured = timed_scoped(loc, || {
+            for i in 0..per {
+                let v = (loc.id() * per + i) as u64;
+                if back {
+                    l.push_back(v);
+                } else {
+                    l.push_anywhere(v);
+                }
+            }
+        });
+        l.commit();
+        assert_eq!(l.global_size(), per * loc.nlocs(), "a push was lost");
+        measured
+    })
+}
+
 /// Segment-at-a-time transport issues O(segments) remote requests where
-/// the element-wise paths issue O(N).
+/// the element-wise paths issue O(N); `push_anywhere` sends nothing.
 fn dynamic_claims(records: &[BenchRecord]) {
     let p4 = |pairs: Vec<(&BenchRecord, &BenchRecord)>, factor: u64| {
         let (a, b) = *pairs.iter().find(|(a, _)| a.knob("p") == "4").expect("a P=4 pair");
@@ -785,7 +1022,22 @@ fn dynamic_claims(records: &[BenchRecord]) {
     };
     p4(pairs(records, "plist-traversal", "mode", ("segmented", "element-wise")), 10);
     p4(pairs(records, "plist-copy-migrated", "mode", ("segmented", "element-wise")), 10);
-    p4(pairs(records, "word-count", "mode", ("chunked-kv", "per-pair")), 5);
+    let word_count = pairs(records, "word-count", "mode", ("chunked-kv", "per-pair"));
+    // Fig. 59's combine: at most one merge per (location, bucket) of the
+    // output, whose `PHashMap::new` has one bucket per location.
+    for (kv, _) in &word_count {
+        let (p, merges) = (count(kv, "p"), kv.counters.segment_requests);
+        assert!(merges <= p * p, "{}: {merges} merges for {p} locations x {p} buckets", kv.id);
+    }
+    p4(word_count, 5);
+    // Fig. 39: every `push_back` off the last location is one request to
+    // it, and `push_anywhere` never leaves its location.
+    for (anywhere, back) in pairs(records, "fig39-plist-push", "mode", ("anywhere", "back")) {
+        assert_eq!(anywhere.counters.remote_requests, 0, "{}: sent a request", anywhere.id);
+        let want = (count(back, "p") - 1) * count(back, "per_loc");
+        let got = back.counters.remote_requests;
+        assert_eq!(got, want, "{}: not one request per push_back off the last location", back.id);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -939,18 +1191,55 @@ fn transport_area(base: &RtsConfig) -> Vec<BenchRecord> {
             ));
         }
     }
+    for agg in [1usize, 64] {
+        let (p, sets) = (2usize, 4096usize);
+        records.push(BenchRecord::new(
+            format!("async-sets/p{p}/sets{sets}/agg{agg}"),
+            vec![knob("p", p), knob("sets", sets), knob("aggregation", agg)],
+            transport_async_sets(p, sets, RtsConfig { aggregation: agg, ..base.clone() }),
+        ));
+    }
     records
+}
+
+/// The aggregation ablation: every location sets each element of the next
+/// location's block asynchronously. The factor decides how the requests
+/// are packed into batches, not how many there are or what they carry.
+fn transport_async_sets(p: usize, sets: usize, cfg: RtsConfig) -> Measured {
+    traced(cfg, p, move |loc| {
+        let a = PArray::new(loc, sets * loc.nlocs(), 0u64);
+        let next = (loc.id() + 1) % loc.nlocs();
+        let measured = timed_scoped(loc, || {
+            for k in 0..sets {
+                a.set_element(next * sets + k, k as u64);
+            }
+        });
+        for k in (0..sets).step_by((sets / 16).max(1)) {
+            assert_eq!(a.get_element(loc.id() * sets + k), k as u64, "set {k} lost");
+        }
+        measured
+    })
 }
 
 /// The paper's bandwidth argument, measured in capture bytes: the bulk-range
 /// and segment paths put >= 10x fewer bytes on the wire than element-wise
 /// transfer, and the bytes are the requests' own: whole words, none without
-/// a request (a capture-less request in a run adds none).
+/// a request (a capture-less request in a run adds none). Aggregation packs
+/// the same requests into fewer batches.
 fn transport_claims(records: &[BenchRecord]) {
     let copies = pairs(records, "wire-copy", "mode", ("bulk", "element-wise"));
     let walks = pairs(records, "wire-plist-traversal", "mode", ("segmented", "element-wise"));
     for (coarse, fine) in copies.into_iter().chain(walks) {
         assert_coarsens(coarse, fine, Counter::bytes_sent, 10);
+    }
+    // `batches_sent` follows flush timing, so it is read here, never gated.
+    for (packed, single) in pairs(records, "async-sets", "aggregation", ("64", "1")) {
+        for c in [Counter::remote_requests, Counter::bytes_sent] {
+            let (a, b) = (packed.counters.get(c), single.counters.get(c));
+            assert_eq!(a, b, "{}: aggregation changed {} ({a} vs {b})", packed.id, c.name());
+        }
+        let (a, b) = (packed.counters.batches_sent, single.counters.batches_sent);
+        assert!(a * 8 <= b, "{}: {a} batches at 64 per batch vs {b} at one", packed.id);
     }
     for r in records {
         let s = &r.counters;

@@ -2,15 +2,16 @@
 //!
 //! Implements the measurement kernel of Fig. 24 (time `N/P` method
 //! invocations per location plus the closing fence; report the maximum
-//! over locations), table printing for the paper-style series, and the
-//! counter [`harness`]: one table of areas whose records `experiments
-//! --json` writes as `BENCH_<area>.json` for [`compare`] to gate, and
-//! `experiments <area>` prints and checks against the paper-style claims.
+//! over locations), table printing, and the counter [`harness`]: one table
+//! of areas whose records `experiments --json` writes as
+//! `BENCH_<area>.json` for [`compare`] to gate, and `experiments <area>`
+//! prints and checks against the paper-style claims.
 //!
-//! Every table and figure of the paper's evaluation (Chapters VIII–XIII)
-//! maps to a subcommand of the `experiments` binary (`cargo run --release
-//! -p stapl-bench --bin experiments -- --list`). This crate owns
-//! deterministic counters; time and memory are measured by `benchmark/`.
+//! A figure of the paper's evaluation (Chapters VIII–XIII) that carries a
+//! claim about messages is a record of one area, its scenario named after
+//! the figure (`fig56-pagerank-mesh` in `directory`); README's figure table
+//! says where every other figure went. This crate owns deterministic
+//! counters; time and memory are measured by `benchmark/`.
 
 use std::time::Instant;
 
@@ -32,16 +33,6 @@ pub fn time_kernel(loc: &Location, f: impl FnOnce()) -> f64 {
     let t = Instant::now();
     f();
     loc.rmi_fence();
-    let elapsed = t.elapsed().as_secs_f64();
-    loc.allreduce_max_f64(elapsed)
-}
-
-/// Times `f` without an implicit fence (for synchronous-method kernels
-/// where every call already completed).
-pub fn time_kernel_nofence(loc: &Location, f: impl FnOnce()) -> f64 {
-    loc.barrier();
-    let t = Instant::now();
-    f();
     let elapsed = t.elapsed().as_secs_f64();
     loc.allreduce_max_f64(elapsed)
 }
@@ -101,16 +92,6 @@ pub fn fmt_time(secs: f64) -> String {
     }
 }
 
-/// Per-element cost — the normalization that makes weak scaling legible
-/// on a single-core host: flat per-element cost across P means the
-/// framework adds no per-location overhead.
-pub fn fmt_per_op(secs: f64, ops: usize) -> String {
-    if ops == 0 || secs == 0.0 {
-        return "-".into();
-    }
-    format!("{:.0}ns/op", secs * 1e9 / ops as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,7 +130,5 @@ mod tests {
         t.row(vec!["1".into(), fmt_time(0.001)]);
         t.row(vec!["2".into(), fmt_time(2.5)]);
         t.print();
-        assert_eq!(fmt_per_op(1.0, 1_000_000_000), "1ns/op");
-        assert_eq!(fmt_per_op(0.0, 10), "-");
     }
 }

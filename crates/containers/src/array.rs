@@ -1100,10 +1100,11 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let small = PArray::new(loc, 100, 0u64);
             let large = PArray::new(loc, 1000, 0u64);
-            let ms = small.memory_size();
-            let ml = large.memory_size();
-            assert!(ml.data >= ms.data * 9);
-            assert!(ms.data >= 100 * 8);
+            // Fig. 34's "data/theory 1.00×": contiguous storage is the
+            // elements and nothing else, summed over the locations.
+            for (a, n) in [(small, 100), (large, 1000)] {
+                assert_eq!(a.memory_size().data, n * std::mem::size_of::<u64>());
+            }
         });
     }
 

@@ -1,6 +1,5 @@
 //! Runtime configuration: aggregation, directory caching, bulk transport,
-//! tracing, the reliable layer and its fault schedule, and the simulated
-//! machine model.
+//! tracing, and the reliable layer and its fault schedule.
 //!
 //! A knob is declared **once**, as a row of the `knobs!` table below: doc,
 //! `field: Type = default`, and optionally `"STAPL_VAR" => parse`. The
@@ -104,17 +103,6 @@ knobs! {
     /// The paper's ARMI aggregates requests "to use bandwidth and reduce
     /// overhead"; this knob is swept in the aggregation ablation bench.
     aggregation: usize = 16, "STAPL_AGGREGATION" => |s| s.parse().ok().map(|a: usize| a.max(1));
-    /// Number of locations per simulated node. `0` means all locations live
-    /// on one node (no inter-node traffic). With `node_size = 4`, locations
-    /// 0..4 share a node, 4..8 the next, and so on — the placement study of
-    /// Fig. 41 compares `node_size = nlocs` against `node_size = 1`.
-    node_size: usize = 0;
-    /// Busy-wait injected at delivery for every *message batch* that
-    /// crosses a node boundary, in nanoseconds (models network latency).
-    internode_batch_delay_ns: u64 = 0;
-    /// Additional busy-wait per *request* inside a cross-node batch, in
-    /// nanoseconds (models serialization / bandwidth cost).
-    internode_per_msg_delay_ns: u64 = 0;
     /// Enables the per-location directory owner caches consulted by
     /// `dir_route`/`dir_route_ret` before falling back to home-forwarding
     /// (the BCL-style locality optimization for dynamic containers). `0`
@@ -187,8 +175,8 @@ impl Default for RtsConfig {
 }
 
 impl RtsConfig {
-    /// A config with no aggregation and no node model; useful in tests that
-    /// reason about exact message counts.
+    /// A config with no aggregation; useful in tests that reason about
+    /// exact message counts.
     pub fn unbuffered() -> Self {
         RtsConfig { aggregation: 1, ..Self::default() }
     }
@@ -196,17 +184,6 @@ impl RtsConfig {
     /// A config with the given aggregation factor.
     pub fn with_aggregation(aggregation: usize) -> Self {
         RtsConfig { aggregation: aggregation.max(1), ..Self::default() }
-    }
-
-    /// A cluster-like config: nodes of `node_size` locations and the given
-    /// per-batch inter-node latency in nanoseconds.
-    pub fn clustered(node_size: usize, batch_delay_ns: u64, per_msg_delay_ns: u64) -> Self {
-        RtsConfig {
-            node_size,
-            internode_batch_delay_ns: batch_delay_ns,
-            internode_per_msg_delay_ns: per_msg_delay_ns,
-            ..Self::default()
-        }
     }
 
     /// A config with tracing enabled (see [`RtsConfig::trace`] and
@@ -232,14 +209,6 @@ impl RtsConfig {
     pub fn reliable_layer(&self) -> bool {
         self.reliable || self.faults.active()
     }
-
-    /// Returns true when `a` and `b` are placed on different simulated nodes.
-    pub fn cross_node(&self, a: usize, b: usize) -> bool {
-        if self.node_size == 0 {
-            return false;
-        }
-        a / self.node_size != b / self.node_size
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +229,6 @@ mod tests {
     #[test]
     fn base_is_single_node() {
         let c = RtsConfig::base();
-        assert!(!c.cross_node(0, 7));
         assert!(c.aggregation > 1);
         assert!(c.dir_cache);
         assert!(c.dir_cache_capacity > 0);
@@ -285,15 +253,6 @@ mod tests {
     #[test]
     fn traced_turns_tracing_on() {
         assert!(RtsConfig::traced().trace);
-    }
-
-    #[test]
-    fn cross_node_grouping() {
-        let c = RtsConfig::clustered(4, 100, 10);
-        assert!(!c.cross_node(0, 3));
-        assert!(c.cross_node(3, 4));
-        assert!(c.cross_node(0, 15));
-        assert!(!c.cross_node(5, 6));
     }
 
     #[test]
@@ -365,9 +324,9 @@ mod tests {
         for var in RtsConfig::ENV_VARS {
             assert_eq!(DOC_TABLE.matches(&format!("`{var}`")).count(), 1, "{var}\n{DOC_TABLE}");
         }
-        // One row per field: 13 fields, 9 of them with a variable.
-        assert_eq!(DOC_TABLE.lines().count(), 2 + 13);
-        assert_eq!(DOC_TABLE.matches("| — |").count(), 13 - RtsConfig::ENV_VARS.len());
+        // One row per field: 10 fields, 9 of them with a variable.
+        assert_eq!(DOC_TABLE.lines().count(), 2 + 10);
+        assert_eq!(DOC_TABLE.matches("| — |").count(), 10 - RtsConfig::ENV_VARS.len());
     }
 
     #[test]

@@ -18,12 +18,9 @@
 //!   **invocation order** (the paper's point-to-point FIFO guarantee),
 //! * **`rmi_fence`** performs global termination detection over
 //!   (sent, handled) counters, so arbitrarily deep *method forwarding*
-//!   chains are drained before the fence completes,
+//!   chains are drained before the fence completes, and
 //! * **aggregation** packs multiple requests to the same destination into a
-//!   single message (the paper's bandwidth optimization), and
-//! * a configurable **node model** injects per-message delay between
-//!   locations placed on different simulated nodes, reproducing the paper's
-//!   same-node / cross-node placement experiments (Fig. 41).
+//!   single message (the paper's bandwidth optimization).
 //!
 //! Every blocking wait in this crate (sync RMI, [`RmiFuture::get`],
 //! [`Location::barrier`], [`Location::rmi_fence`]) *polls and executes*

@@ -803,13 +803,8 @@ impl Location {
     /// Runs the requests of `batch` in place, in order. A panic in one
     /// unwinds from here; the buffer then drops the images behind it.
     fn deliver(&self, batch: Batch) -> usize {
-        let cfg = &self.inner.shared.cfg;
         let Batch { src, mut records, .. } = batch;
         let n = records.len();
-        if cfg.cross_node(src, self.id()) {
-            let ns = cfg.internode_batch_delay_ns + cfg.internode_per_msg_delay_ns * n as u64;
-            crate::fault::busy_wait(|| self.now(), Duration::from_nanos(ns));
-        }
         while records.has_next() {
             records.step(Some((self, src)));
         }
