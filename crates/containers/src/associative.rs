@@ -48,7 +48,6 @@ pub trait KvStore<K, V>: Default + 'static {
     }
     fn clear(&mut self);
     fn for_each(&self, f: &mut dyn FnMut(&K, &V));
-    fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V));
 }
 
 /// `KvStore` over a `std` map type: every method is the map's own;
@@ -92,12 +91,6 @@ macro_rules! std_map_kv_store {
 
             fn for_each(&self, f: &mut dyn FnMut(&K, &V)) {
                 for (k, v) in self.iter() {
-                    f(k, v);
-                }
-            }
-
-            fn for_each_mut(&mut self, f: &mut dyn FnMut(&K, &mut V)) {
-                for (k, v) in self.iter_mut() {
                     f(k, v);
                 }
             }
@@ -537,14 +530,6 @@ where
         let Some(bc) = rep.lm.get(sid) else { return false };
         self.obj.location().note_localized_chunk();
         bc.store.for_each(f);
-        true
-    }
-
-    fn with_segment_mut(&self, sid: SegmentId, f: &mut dyn FnMut(&K, &mut V)) -> bool {
-        let mut rep = self.obj.local_mut();
-        let Some(bc) = rep.lm.get_mut(sid) else { return false };
-        self.obj.location().note_localized_chunk();
-        bc.store.for_each_mut(f);
         true
     }
 }

@@ -864,17 +864,6 @@ where
         }
         true
     }
-
-    fn with_segment_mut(&self, sid: SegmentId, f: &mut dyn FnMut(&VertexDesc, &mut VP)) -> bool {
-        if sid != self.me() {
-            return false;
-        }
-        self.obj.location().note_localized_chunk();
-        for v in self.obj.local_mut().bc.ordered() {
-            f(&v.descriptor, &mut v.property);
-        }
-        true
-    }
 }
 
 impl<VP, EP> PContainer for PGraph<VP, EP>

@@ -644,15 +644,6 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         }
         true
     }
-
-    fn with_segment_mut(&self, sid: SegmentId, f: &mut dyn FnMut(&u64, &mut T)) -> bool {
-        let mut rep = self.obj.local_mut();
-        let ListRep { lm, ths, .. } = &mut *rep;
-        let Some(bc) = lm.get_mut(sid) else { return false };
-        self.obj.location().note_localized_chunk();
-        ths.guarded(methods::APPLY, 0, sid, || bc.list.for_each_mut(|seq, v| f(&seq, v)));
-        true
-    }
 }
 
 #[cfg(test)]

@@ -191,17 +191,6 @@ impl<T: Send + Clone + 'static> PVector<T> {
         });
     }
 
-    /// Removes the globally last element.
-    pub fn pop_back(&self) {
-        let last = self.obj.location().nlocs() - 1;
-        self.obj.invoke_at(last, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::POP_BACK, 0, last);
-            rep.data.pop();
-        });
-    }
-
     /// **Collective.** Restores a balanced distribution after skewed
     /// `insert`/`erase` bursts — pVector's counterpart of
     /// [`PArray::rebalance`](crate::array::PArray::rebalance) (Section
@@ -692,12 +681,6 @@ mod tests {
             assert_eq!(v.global_size(), 5);
             assert_eq!(v.collect_ordered(), vec![0, 0, 0, 7, 8]);
             assert_eq!(v.get_element(4), 8);
-            loc.barrier(); // every location's read above precedes the pop
-            if loc.id() == 1 {
-                v.pop_back();
-            }
-            v.commit();
-            assert_eq!(v.global_size(), 4);
         });
     }
 

@@ -249,28 +249,6 @@ pub trait SegmentedContainer: PContainer {
         sid: SegmentId,
         f: &mut dyn FnMut(&Self::ItemKey, &Self::ItemVal),
     ) -> bool;
-
-    /// Chunk-at-a-time traversal of this location's segments: one call
-    /// per local segment with its (key, payload) pairs materialized once
-    /// (one borrow, one allocation per segment) — the traversal the
-    /// chunked views build on.
-    fn for_each_local_chunk(&self, mut f: impl FnMut(SegmentId, &[(Self::ItemKey, Self::ItemVal)]))
-    where
-        Self: Sized,
-    {
-        for sid in self.local_segments() {
-            let mut pairs = Vec::new();
-            self.with_segment(sid, &mut |k, v| pairs.push((k.clone(), v.clone())));
-            f(sid, &pairs);
-        }
-    }
-
-    /// Mutable counterpart of [`SegmentedContainer::with_segment`].
-    fn with_segment_mut(
-        &self,
-        sid: SegmentId,
-        f: &mut dyn FnMut(&Self::ItemKey, &mut Self::ItemVal),
-    ) -> bool;
 }
 
 /// Associative pContainers (Table XVI): key → value storage.

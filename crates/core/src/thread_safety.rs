@@ -37,16 +37,9 @@ pub mod methods {
     pub const INSERT: MethodId = 3;
     pub const ERASE: MethodId = 4;
     pub const PUSH_BACK: MethodId = 5;
-    pub const POP_BACK: MethodId = 6;
     pub const PUSH_FRONT: MethodId = 7;
-    pub const POP_FRONT: MethodId = 8;
     pub const PUSH_ANYWHERE: MethodId = 9;
     pub const FIND: MethodId = 10;
-    pub const ADD_VERTEX: MethodId = 11;
-    pub const DELETE_VERTEX: MethodId = 12;
-    pub const ADD_EDGE: MethodId = 13;
-    pub const DELETE_EDGE: MethodId = 14;
-    pub const SIZE: MethodId = 15;
 }
 
 /// How much of the local data a method locks (Chapter VI.D).

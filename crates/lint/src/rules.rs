@@ -61,7 +61,6 @@ const WITH_BORROW_ENTRY: &[&str] = &[
     "with_slice",
     "with_slice_mut",
     "with_segment",
-    "with_segment_mut",
     "with_row_slice",
     "with_row_slice_mut",
 ];

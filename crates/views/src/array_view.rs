@@ -1,6 +1,6 @@
-//! Views over 1-D indexed containers: `array_1d_view`,
-//! `array_1d_ro_view`, `balanced_pview`, `native_pview`,
-//! `strided_1D_pview`, `overlap_pview`, and `transform_pview` (Table II).
+//! Views over 1-D indexed containers: `array_1d_view` (native alignment
+//! built in), `balanced_pview`, `strided_1D_pview` and `overlap_pview`
+//! (Table II).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -27,7 +27,7 @@ pub struct LocalizedRun {
 
 impl LocalizedRun {
     /// The view-index range this run covers (the chunk it serves).
-    pub fn view_range(&self) -> Range1d {
+    fn view_range(&self) -> Range1d {
         Range1d::new(self.view_lo, self.view_lo + self.gids.len())
     }
 }
@@ -80,33 +80,11 @@ impl<C: IndexedContainer> ArrayView<C> {
         ArrayView { c, dom: r, memo: RefCell::new(None) }
     }
 
-    /// Restricts to a sub-range of *view* indices.
-    pub fn subview(&self, r: Range1d) -> Self
-    where
-        C: Clone,
-    {
-        assert!(r.hi <= self.dom.len());
-        ArrayView {
-            c: self.c.clone(),
-            dom: Range1d::new(self.dom.lo + r.lo, self.dom.lo + r.hi),
-            memo: RefCell::new(None),
-        }
-    }
-
     /// The mapping function `F`: view index → container GID.
-    pub fn gid_of(&self, k: usize) -> usize {
+    fn gid_of(&self, k: usize) -> usize {
         debug_assert!(k < self.dom.len());
         self.dom.lo + k
     }
-
-    pub fn container(&self) -> &C {
-        &self.c
-    }
-
-    pub fn domain(&self) -> Range1d {
-        self.dom
-    }
-
 }
 
 impl<C: RangedContainer> ArrayView<C> {
@@ -222,42 +200,6 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
                 }
             }
         }
-    }
-}
-
-/// `array_1d_ro_view`: read-only wrapper (writes are simply not offered —
-/// the type system plays the role of the paper's RO interface table).
-pub struct RoView<V: ViewRead> {
-    inner: V,
-}
-
-impl<V: ViewRead> RoView<V> {
-    pub fn new(inner: V) -> Self {
-        RoView { inner }
-    }
-}
-
-impl<V: ViewRead> ViewRead for RoView<V> {
-    type Value = V::Value;
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn get(&self, k: usize) -> V::Value {
-        self.inner.get(k)
-    }
-
-    fn location(&self) -> &Location {
-        self.inner.location()
-    }
-
-    fn local_chunks(&self) -> Vec<Range1d> {
-        self.inner.local_chunks()
-    }
-
-    fn for_each_chunk(&self, f: impl FnMut(usize, &[Self::Value])) {
-        self.inner.for_each_chunk(f);
     }
 }
 
@@ -385,52 +327,6 @@ impl<V: ViewWrite> ViewWrite for StridedView<V> {
     }
 }
 
-/// `transform_pview`: overrides the read operation with a function of the
-/// underlying value (Table II's `O` note). Read-only.
-pub struct TransformView<V: ViewRead, W, F: Fn(V::Value) -> W> {
-    inner: V,
-    f: F,
-}
-
-impl<V: ViewRead, W, F: Fn(V::Value) -> W> TransformView<V, W, F> {
-    pub fn new(inner: V, f: F) -> Self {
-        TransformView { inner, f }
-    }
-}
-
-impl<V, W, F> ViewRead for TransformView<V, W, F>
-where
-    V: ViewRead,
-    W: Send + Clone + 'static,
-    F: Fn(V::Value) -> W,
-{
-    type Value = W;
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn get(&self, k: usize) -> W {
-        (self.f)(self.inner.get(k))
-    }
-
-    fn location(&self) -> &Location {
-        self.inner.location()
-    }
-
-    fn local_chunks(&self) -> Vec<Range1d> {
-        self.inner.local_chunks()
-    }
-
-    fn for_each_chunk(&self, mut f: impl FnMut(usize, &[W])) {
-        // Inherit the inner view's localization; transform per chunk.
-        self.inner.for_each_chunk(|lo, s| {
-            let mapped: Vec<W> = s.iter().map(|v| (self.f)(v.clone())).collect();
-            f(lo, &mapped);
-        });
-    }
-}
-
 /// `overlap_pview` (Fig. 2): element `i` is the window
 /// `A[c·i, c·i + l + c + r)`; consecutive windows overlap. The natural
 /// view for adjacent-difference and string matching.
@@ -448,7 +344,7 @@ impl<V: ViewRead> OverlapView<V> {
     }
 
     /// Window width `l + c + r`.
-    pub fn window_len(&self) -> usize {
+    fn window_len(&self) -> usize {
         self.left + self.core + self.right
     }
 
@@ -470,8 +366,9 @@ impl<V: ViewRead> OverlapView<V> {
         (start..start + self.window_len()).map(|k| self.inner.get(k)).collect()
     }
 
-    /// Window-index ranges for this location, derived from the inner
-    /// chunks so windows are processed near their core elements.
+    /// Window-index ranges for this location: the windows dealt out in
+    /// balanced consecutive ranges, one per location, whatever the inner
+    /// view's chunks are.
     pub fn local_windows(&self) -> Vec<Range1d> {
         let me = self.location().id();
         let c = balanced_chunk(self.num_windows(), self.inner.location().nlocs(), me);
@@ -485,17 +382,6 @@ impl<V: ViewRead> OverlapView<V> {
     pub fn location(&self) -> &Location {
         self.inner.location()
     }
-}
-
-/// Builds the native view of any indexed container (convenience matching
-/// the paper's `native_pview(container)`).
-pub fn native_view<C: IndexedContainer>(c: C) -> ArrayView<C> {
-    ArrayView::new(c)
-}
-
-/// Builds a balanced view over the whole container.
-pub fn balanced_view<C: RangedContainer>(c: C) -> BalancedView<ArrayView<C>> {
-    BalancedView::new(ArrayView::new(c))
 }
 
 #[cfg(test)]
@@ -540,7 +426,7 @@ mod tests {
     fn subview_offsets_mapping() {
         execute(RtsConfig::default(), 2, |loc| {
             let a = PArray::from_fn(loc, 10, |i| i as i32);
-            let v = ArrayView::new(a).subview(Range1d::new(3, 8));
+            let v = ArrayView::over(a, Range1d::new(3, 8));
             assert_eq!(v.len(), 5);
             assert_eq!(v.get(0), 3);
             assert_eq!(v.get(4), 7);
@@ -575,17 +461,6 @@ mod tests {
             }
             loc.rmi_fence();
             assert_eq!(v.get(1), 99);
-        });
-    }
-
-    #[test]
-    fn transform_view_overrides_read() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let a = PArray::from_fn(loc, 6, |i| i as i64);
-            let v = TransformView::new(ArrayView::new(a), |x| x * x);
-            assert_eq!(v.get(3), 9);
-            assert_eq!(v.len(), 6);
-            let _ = loc;
         });
     }
 
@@ -678,7 +553,7 @@ mod tests {
     fn subview_chunks_localize_too() {
         execute(RtsConfig::default(), 2, |loc| {
             let a = PArray::from_fn(loc, 12, |i| i as u32);
-            let v = ArrayView::new(a).subview(Range1d::new(3, 11));
+            let v = ArrayView::over(a, Range1d::new(3, 11));
             let mut collected: Vec<(usize, u32)> = Vec::new();
             v.for_each_chunk(|lo, s| {
                 for (k, val) in s.iter().enumerate() {
@@ -691,17 +566,6 @@ mod tests {
             let covered: u64 =
                 loc.allreduce_sum(v.local_chunks().iter().map(|c| c.len() as u64).sum());
             assert_eq!(covered, 8);
-        });
-    }
-
-    #[test]
-    fn ro_view_reads() {
-        execute(RtsConfig::default(), 1, |loc| {
-            let a = PArray::from_fn(loc, 4, |i| i);
-            let v = RoView::new(ArrayView::new(a));
-            assert_eq!(v.get(2), 2);
-            assert_eq!(v.local_chunks().iter().map(|c| c.len()).sum::<usize>(), 4);
-            let _ = loc;
         });
     }
 }

@@ -1,5 +1,5 @@
-//! Graph views (Fig. 47/48): the partitioned (native) view plus the
-//! *inner* and *boundary* region views.
+//! Graph views (Fig. 47/48): the *inner* and *boundary* region views of
+//! a pGraph's partitioned (native) subgraph.
 //!
 //! The inner view of a location holds the local vertices whose edges all
 //! stay on the location; the boundary view holds the local vertices with
@@ -7,14 +7,11 @@
 //! the inner region with communication caused by the boundary region —
 //! the decomposition Fig. 48 illustrates.
 
-use stapl_containers::graph::{PGraph, Vertex, VertexDesc};
-use stapl_rts::Location;
+use stapl_containers::graph::{PGraph, Vertex};
 
 /// Which region of the per-location subgraph a view exposes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GraphRegion {
-    /// All local vertices (the paper's partitioned / native pView).
-    All,
+enum GraphRegion {
     /// Local vertices whose out-edges all target local vertices.
     Inner,
     /// Local vertices with at least one out-edge to a remote vertex.
@@ -32,13 +29,8 @@ where
     VP: Send + Clone + 'static,
     EP: Send + Clone + 'static,
 {
-    pub fn new(g: PGraph<VP, EP>, region: GraphRegion) -> Self {
+    fn new(g: PGraph<VP, EP>, region: GraphRegion) -> Self {
         GraphView { g, region }
-    }
-
-    /// The native (partitioned) view.
-    pub fn native(g: PGraph<VP, EP>) -> Self {
-        Self::new(g, GraphRegion::All)
     }
 
     pub fn inner(g: PGraph<VP, EP>) -> Self {
@@ -51,14 +43,13 @@ where
 
     fn in_region(&self, v: &Vertex<VP, EP>) -> bool {
         match self.region {
-            GraphRegion::All => true,
             GraphRegion::Inner => v.edges.iter().all(|e| self.g.is_local_vertex(e.target)),
             GraphRegion::Boundary => v.edges.iter().any(|e| !self.g.is_local_vertex(e.target)),
         }
     }
 
     /// Iterates this location's vertices belonging to the region.
-    pub fn for_each_vertex(&self, mut f: impl FnMut(&Vertex<VP, EP>)) {
+    fn for_each_vertex(&self, mut f: impl FnMut(&Vertex<VP, EP>)) {
         self.g.for_each_local_vertex(|v| {
             if self.in_region(v) {
                 f(v);
@@ -66,27 +57,11 @@ where
         });
     }
 
-    /// Descriptors in the region on this location.
-    pub fn vertices(&self) -> Vec<VertexDesc> {
-        let mut out = Vec::new();
-        self.for_each_vertex(|v| out.push(v.descriptor));
-        out
-    }
-
     /// Number of region vertices on this location.
     pub fn local_len(&self) -> usize {
         let mut n = 0;
         self.for_each_vertex(|_| n += 1);
         n
-    }
-
-    pub fn graph(&self) -> &PGraph<VP, EP> {
-        &self.g
-    }
-
-    pub fn location(&self) -> &Location {
-        use stapl_core::interfaces::PContainer;
-        self.g.location()
     }
 }
 
@@ -103,7 +78,7 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let g = static_digraph(loc, 16); // 4x4 mesh
             fill_mesh(loc, &g, 4, 4, ());
-            let all = GraphView::native(g.clone()).local_len();
+            let all = g.local_size();
             let inner = GraphView::inner(g.clone()).local_len();
             let boundary = GraphView::boundary(g.clone()).local_len();
             assert_eq!(inner + boundary, all, "inner ⊎ boundary = all");
@@ -140,7 +115,6 @@ mod tests {
             fill_mesh(loc, &g, 3, 3, ());
             assert_eq!(GraphView::boundary(g.clone()).local_len(), 0);
             assert_eq!(GraphView::inner(g.clone()).local_len(), 9);
-            assert_eq!(GraphView::native(g).vertices().len(), 9);
             let _ = loc;
         });
     }

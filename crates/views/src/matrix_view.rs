@@ -1,144 +1,14 @@
-//! Matrix views (Table II's `matrix_pview` and the row/column/linearized
-//! views of Chapter III.A): the same pMatrix used as a collection of rows,
-//! of columns, or as a flat 1-D sequence.
+//! Matrix views (Table II's `matrix_pview` and the row/linearized views
+//! of Chapter III.A): the same pMatrix used as a collection of rows or as
+//! a flat 1-D sequence.
 
 use stapl_containers::matrix::PMatrix;
-use stapl_core::domain::{Domain, Range1d};
+use stapl_core::domain::Range1d;
 use stapl_core::interfaces::{ElementRead, ElementWrite, PContainer};
 use stapl_core::partition::MatrixLayout;
 use stapl_rts::Location;
 
 use crate::view::{balanced_chunk, ViewRead, ViewWrite};
-
-/// A single row of a pMatrix as a 1-D view (view index = column).
-pub struct RowView<T: Send + Clone + 'static> {
-    m: PMatrix<T>,
-    row: usize,
-}
-
-impl<T: Send + Clone + 'static> RowView<T> {
-    pub fn new(m: PMatrix<T>, row: usize) -> Self {
-        assert!(row < m.nrows());
-        RowView { m, row }
-    }
-}
-
-impl<T: Send + Clone + 'static> ViewRead for RowView<T> {
-    type Value = T;
-
-    fn len(&self) -> usize {
-        self.m.ncols()
-    }
-
-    fn get(&self, k: usize) -> T {
-        self.m.get_element((self.row, k))
-    }
-
-    fn location(&self) -> &Location {
-        self.m.location()
-    }
-
-    fn local_chunks(&self) -> Vec<Range1d> {
-        // Columns of this row owned locally.
-        self.m
-            .local_blocks()
-            .into_iter()
-            .filter(|(_, b)| b.rows.contains(&self.row))
-            .map(|(_, b)| b.cols)
-            .collect()
-    }
-
-    fn for_each_chunk(&self, mut f: impl FnMut(usize, &[T])) {
-        // Local chunks are within-block row segments: direct slices.
-        for ch in self.local_chunks() {
-            let served = self.m.with_row_slice(self.row, ch, |s| f(ch.lo, s));
-            match served {
-                Some(()) => self.location().note_localized_chunk(),
-                None => {
-                    let buf = self.m.get_row_range(self.row, ch);
-                    f(ch.lo, &buf);
-                }
-            }
-        }
-    }
-}
-
-impl<T: Send + Clone + 'static> ViewWrite for RowView<T> {
-    fn set(&self, k: usize, v: T) {
-        self.m.set_element((self.row, k), v);
-    }
-
-    fn apply<F>(&self, k: usize, f: F)
-    where
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        self.m.apply_set((self.row, k), f);
-    }
-
-    fn fill_from(&self, mut gen: impl FnMut(Range1d) -> Vec<T>) {
-        for ch in self.local_chunks() {
-            let vals = gen(ch);
-            debug_assert_eq!(vals.len(), ch.len());
-            let served =
-                self.m.with_row_slice_mut(self.row, ch, |s| s.clone_from_slice(&vals));
-            match served {
-                Some(()) => self.location().note_localized_chunk(),
-                None => self.m.set_row_range(self.row, ch.lo, vals),
-            }
-        }
-    }
-}
-
-/// A single column of a pMatrix as a 1-D view (view index = row).
-pub struct ColView<T: Send + Clone + 'static> {
-    m: PMatrix<T>,
-    col: usize,
-}
-
-impl<T: Send + Clone + 'static> ColView<T> {
-    pub fn new(m: PMatrix<T>, col: usize) -> Self {
-        assert!(col < m.ncols());
-        ColView { m, col }
-    }
-}
-
-impl<T: Send + Clone + 'static> ViewRead for ColView<T> {
-    type Value = T;
-
-    fn len(&self) -> usize {
-        self.m.nrows()
-    }
-
-    fn get(&self, k: usize) -> T {
-        self.m.get_element((k, self.col))
-    }
-
-    fn location(&self) -> &Location {
-        self.m.location()
-    }
-
-    fn local_chunks(&self) -> Vec<Range1d> {
-        self.m
-            .local_blocks()
-            .into_iter()
-            .filter(|(_, b)| b.cols.contains(&self.col))
-            .map(|(_, b)| b.rows)
-            .collect()
-    }
-}
-
-impl<T: Send + Clone + 'static> ViewWrite for ColView<T> {
-    fn set(&self, k: usize, v: T) {
-        self.m.set_element((k, self.col), v);
-    }
-
-    fn apply<F>(&self, k: usize, f: F)
-    where
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        self.m.apply_set((k, self.col), f);
-    }
-}
 
 /// The matrix as a collection of rows: supplies each location the row
 /// indices it should process (all-local rows for row-blocked layouts —
@@ -150,14 +20,6 @@ pub struct RowsView<T: Send + Clone + 'static> {
 impl<T: Send + Clone + 'static> RowsView<T> {
     pub fn new(m: PMatrix<T>) -> Self {
         RowsView { m }
-    }
-
-    pub fn num_rows(&self) -> usize {
-        self.m.nrows()
-    }
-
-    pub fn row(&self, r: usize) -> RowView<T> {
-        RowView::new(self.m.clone(), r)
     }
 
     /// Row indices this location processes.
@@ -187,39 +49,6 @@ impl<T: Send + Clone + 'static> RowsView<T> {
             None => self.m.get_row_range(r, Range1d::with_size(self.m.ncols())),
         }
     }
-
-    /// Localization decision for each row this location processes: rows
-    /// whose storage is one local block read at sequential speed
-    /// ([`PMatrix::local_row`]); the rest pay one bulk transfer per remote
-    /// block. The matrix counterpart of `ArrayView::localize`.
-    pub fn localize(&self) -> Vec<(usize, RowLocality)> {
-        self.local_rows()
-            .into_iter()
-            .flat_map(|rr| rr.iter())
-            .map(|r| {
-                let whole_local = self
-                    .m
-                    .local_blocks()
-                    .iter()
-                    .any(|(_, b)| b.rows.contains(&r) && b.ncols() == self.m.ncols());
-                (r, if whole_local { RowLocality::Local } else { RowLocality::Distributed })
-            })
-            .collect()
-    }
-
-    pub fn location(&self) -> &Location {
-        self.m.location()
-    }
-}
-
-/// Whether a row of a [`RowsView`] is served by a single local block or
-/// needs (bulk) communication.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RowLocality {
-    /// The whole row lives in one local block: slice-speed access.
-    Local,
-    /// The row spans remote blocks: one bulk transfer per block.
-    Distributed,
 }
 
 /// The matrix linearized row-major as a 1-D view — the "same pMatrix
@@ -335,26 +164,6 @@ mod tests {
     use stapl_rts::{execute, RtsConfig};
 
     #[test]
-    fn row_and_col_views_address_correctly() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let m = PMatrix::from_fn(loc, 4, 5, MatrixLayout::RowBlocked, |r, c| (r * 10 + c) as i64);
-            let row2 = RowView::new(m.clone(), 2);
-            assert_eq!(row2.len(), 5);
-            assert_eq!(row2.get(3), 23);
-            let col4 = ColView::new(m.clone(), 4);
-            assert_eq!(col4.len(), 4);
-            assert_eq!(col4.get(1), 14);
-            if loc.id() == 0 {
-                row2.set(0, -1);
-                col4.apply(0, |v| *v += 100);
-            }
-            loc.rmi_fence();
-            assert_eq!(m.get_element((2, 0)), -1);
-            assert_eq!(m.get_element((0, 4)), 104);
-        });
-    }
-
-    #[test]
     fn rows_view_gives_whole_local_rows() {
         execute(RtsConfig::default(), 2, |loc| {
             let m = PMatrix::from_fn(loc, 6, 3, MatrixLayout::RowBlocked, |r, c| r * 3 + c);
@@ -377,74 +186,37 @@ mod tests {
             // No row is whole-local under column blocking; one bulk
             // transfer per remote block instead of per-element reads.
             assert_eq!(rows.read_row(1), vec![4, 5, 6, 7]);
-            for (_, locality) in rows.localize() {
-                assert_eq!(locality, RowLocality::Distributed);
-            }
             let _ = loc;
-        });
-    }
-
-    #[test]
-    fn rows_view_localize_classifies_row_blocked_rows_local() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let m = PMatrix::from_fn(loc, 4, 3, MatrixLayout::RowBlocked, |r, c| r * 3 + c);
-            let rows = RowsView::new(m);
-            let classified = rows.localize();
-            assert!(!classified.is_empty());
-            for (r, locality) in classified {
-                assert_eq!(locality, RowLocality::Local, "row {r}");
-            }
-            let _ = loc;
-        });
-    }
-
-    #[test]
-    fn row_view_chunked_reads_and_fills() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let m = PMatrix::from_fn(loc, 4, 6, MatrixLayout::ColumnBlocked, |r, c| (r * 6 + c) as i64);
-            let row = RowView::new(m.clone(), 2);
-            let mut got: Vec<(usize, i64)> = Vec::new();
-            row.for_each_chunk(|lo, s| {
-                for (k, v) in s.iter().enumerate() {
-                    got.push((lo + k, *v));
-                }
-            });
-            for (c, v) in &got {
-                assert_eq!(*v, (2 * 6 + c) as i64);
-            }
-            let covered = loc.allreduce_sum(got.len() as u64);
-            assert_eq!(covered, 6);
-            loc.barrier();
-            row.fill_from(|r| r.iter().map(|c| -(c as i64)).collect());
-            loc.rmi_fence();
-            for c in 0..6 {
-                assert_eq!(m.get_element((2, c)), -(c as i64));
-            }
         });
     }
 
     #[test]
     fn linear_view_chunked_matches_row_major() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let m = PMatrix::from_fn(loc, 4, 5, MatrixLayout::RowBlocked, |r, c| r * 5 + c);
-            let v = LinearView::new(m.clone());
-            let mut got: Vec<(usize, usize)> = Vec::new();
-            v.for_each_chunk(|lo, s| {
-                for (k, val) in s.iter().enumerate() {
-                    got.push((lo + k, *val));
+        // Row blocking serves every row segment as a local slice; column
+        // blocking splits each row across locations, so segments take the
+        // `get_row_range`/`set_row_range` bulk branch.
+        for layout in [MatrixLayout::RowBlocked, MatrixLayout::ColumnBlocked] {
+            execute(RtsConfig::default(), 2, move |loc| {
+                let m = PMatrix::from_fn(loc, 4, 5, layout, |r, c| r * 5 + c);
+                let v = LinearView::new(m.clone());
+                let mut got: Vec<(usize, usize)> = Vec::new();
+                v.for_each_chunk(|lo, s| {
+                    for (k, val) in s.iter().enumerate() {
+                        got.push((lo + k, *val));
+                    }
+                });
+                for (k, val) in &got {
+                    assert_eq!(val, k, "{layout:?}: linearized element {k}");
+                }
+                assert_eq!(loc.allreduce_sum(got.len() as u64), 20);
+                loc.barrier();
+                v.fill_from(|r| r.iter().map(|k| k * 10).collect());
+                loc.rmi_fence();
+                for k in 0..20 {
+                    assert_eq!(v.get(k), k * 10, "{layout:?}: element {k}");
                 }
             });
-            for (k, val) in &got {
-                assert_eq!(val, k, "linearized element {k}");
-            }
-            assert_eq!(loc.allreduce_sum(got.len() as u64), 20);
-            loc.barrier();
-            v.fill_from(|r| r.iter().map(|k| k * 10).collect());
-            loc.barrier();
-            for k in 0..20 {
-                assert_eq!(v.get(k), k * 10);
-            }
-        });
+        }
     }
 
     #[test]
