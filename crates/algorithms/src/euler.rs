@@ -20,7 +20,7 @@ use stapl_containers::graph::PGraph;
 use stapl_core::interfaces::{AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer};
 
 use crate::list_ranking::{list_positions, NIL};
-use crate::numeric::p_prefix_sum_i64;
+use crate::numeric::p_partial_sum;
 
 /// The computed tour: arc ids, their endpoints, and tour positions.
 pub struct EulerTour {
@@ -186,7 +186,7 @@ where
         }
     }
     loc.rmi_fence();
-    p_prefix_sum_i64(&weights);
+    p_partial_sum(&weights, 0, |a, b| a + b);
     let depth = PArray::new(&loc, n, 0i64);
     let subtree = PArray::new(&loc, n, 0u64);
     subtree.set_element(root, n as u64);
@@ -227,7 +227,7 @@ mod tests {
 
     fn tree(loc: &stapl_rts::Location, n: usize) -> PGraph<(), ()> {
         let g = PGraph::new_static(loc, n, Directedness::Undirected, ());
-        fill_binary_tree(loc, &g, ());
+        fill_binary_tree(&g, ());
         g
     }
 

@@ -100,11 +100,6 @@ pub fn bfs(g: &AlgoGraph, root: VertexDesc) -> (usize, usize) {
     (loc.allreduce_sum(reached) as usize, (round + 1) as usize)
 }
 
-/// BFS level of a vertex after [`bfs`] (synchronous; -1 = unreached).
-pub fn bfs_level(g: &AlgoGraph, vd: VertexDesc) -> i64 {
-    g.apply_vertex_ret(vd, |v| v.property.level)
-}
-
 /// **Collective.** Connected components by min-label propagation (use on
 /// undirected graphs). Returns the number of components.
 pub fn connected_components(g: &AlgoGraph) -> usize {
@@ -191,11 +186,6 @@ pub fn page_rank(g: &AlgoGraph, iters: usize, d: f64) -> f64 {
     loc.allreduce(local, |a, b| a + b)
 }
 
-/// Rank of one vertex after [`page_rank`] (synchronous).
-pub fn rank_of(g: &AlgoGraph, vd: VertexDesc) -> f64 {
-    g.apply_vertex_ret(vd, |v| v.property.rank)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,13 +263,14 @@ mod tests {
     fn bfs_levels_on_mesh_are_manhattan() {
         execute(RtsConfig::default(), 2, |loc| {
             let g = algo_graph(loc, 12); // 3x4 mesh
-            fill_mesh(loc, &g, 3, 4, ());
+            fill_mesh(&g, 3, 4, ());
             let (reached, levels) = bfs(&g, 0);
             assert_eq!(reached, 12);
             assert_eq!(levels, 6); // max manhattan distance = (3-1)+(4-1) = 5 → 6 levels
-            assert_eq!(bfs_level(&g, 0), 0);
-            assert_eq!(bfs_level(&g, 5), 2); // (1,1)
-            assert_eq!(bfs_level(&g, 11), 5); // (2,3)
+            let level = |vd| g.apply_vertex_ret(vd, |v| v.property.level);
+            assert_eq!(level(0), 0);
+            assert_eq!(level(5), 2); // (1,1)
+            assert_eq!(level(11), 5); // (2,3)
         });
     }
 
@@ -293,7 +284,7 @@ mod tests {
             g.commit();
             let (reached, _) = bfs(&g, 0);
             assert_eq!(reached, 2);
-            assert_eq!(bfs_level(&g, 3), -1);
+            assert_eq!(g.apply_vertex_ret(3, |v| v.property.level), -1);
         });
     }
 
@@ -357,9 +348,10 @@ mod tests {
             g.commit();
             let total = page_rank(&g, 20, 0.85);
             assert!((total - 1.0).abs() < 1e-9, "rank mass must be conserved: {total}");
-            let r0 = rank_of(&g, 0);
+            let rank = |vd| g.apply_vertex_ret(vd, |v| v.property.rank);
+            let r0 = rank(0);
             for v in 1..8 {
-                assert!((rank_of(&g, v) - r0).abs() < 1e-9);
+                assert!((rank(v) - r0).abs() < 1e-9);
             }
         });
     }
@@ -379,9 +371,10 @@ mod tests {
             }
             g.commit();
             page_rank(&g, 30, 0.85);
-            let r0 = rank_of(&g, 0);
+            let rank = |vd| g.apply_vertex_ret(vd, |v| v.property.rank);
+            let r0 = rank(0);
             for v in 2..6 {
-                assert!(r0 > rank_of(&g, v) * 2.0);
+                assert!(r0 > rank(v) * 2.0);
             }
         });
     }

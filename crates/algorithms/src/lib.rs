@@ -4,8 +4,9 @@
 //! reproducing the paper's algorithm suite:
 //!
 //! * [`map_func`] — STL counterparts (`p_generate`, `p_for_each`,
-//!   `p_accumulate`, `p_count_if`, `p_find_if`, `p_min_element`,
-//!   `p_copy`, `p_transform`, ...), container-native and view-based;
+//!   `p_reduce` — the paper's `p_accumulate` —, `p_count_if`,
+//!   `p_min_element`, `p_copy`, `p_transform`, ...), container-native and
+//!   view-based;
 //! * [`numeric`] — parallel prefix sums (`p_partial_sum`);
 //! * [`sorting`] — regular-sampling sample sort (`p_sort`);
 //! * [`list_ranking`] — Wyllie pointer jumping;
@@ -18,8 +19,9 @@
 //!   where the `_elementwise` fallbacks pay one per element;
 //! * [`mapreduce`] — MapReduce with owner-side combining + word count,
 //!   including the bucket-grained `p_map_reduce_kv` over `MapView`;
-//! * [`paragraph_algos`] — the `_pg` entry points: the same algorithms
-//!   scheduled through the PARAGRAPH task-graph executor
+//! * [`paragraph_algos`] — the `_pg` entry points (`p_generate_pg`,
+//!   `p_reduce_pg`): the same algorithms scheduled through the PARAGRAPH
+//!   task-graph executor
 //!   (`stapl-paragraph`), with optional work stealing for skewed
 //!   workloads.
 
@@ -36,22 +38,19 @@ pub mod sorting;
 pub mod prelude {
     pub use crate::euler::{euler_applications, euler_tour, EulerApps, EulerTour};
     pub use crate::graph_algos::{
-        bfs, bfs_level, connected_components, find_sources, page_rank, rank_of, AlgoGraph, VProps,
+        bfs, connected_components, find_sources, page_rank, AlgoGraph, VProps,
     };
-    pub use crate::list_ranking::{list_positions, list_rank_after, NIL};
+    pub use crate::list_ranking::{list_positions, NIL};
     pub use crate::map_func::{
-        p_accumulate, p_adjacent_difference, p_copy, p_copy_elementwise, p_count_if, p_equal,
-        p_fill, p_find_if, p_for_each, p_for_each_view, p_generate, p_generate_view,
-        p_inner_product, p_max_element, p_min_element, p_reduce, p_reduce_view, p_replace_if,
-        p_sum, p_transform,
+        p_adjacent_difference, p_copy, p_copy_elementwise, p_count_if, p_equal, p_for_each,
+        p_for_each_view, p_generate, p_generate_view, p_inner_product, p_min_element, p_reduce,
+        p_reduce_view, p_sum, p_transform,
     };
     pub use crate::mapreduce::{
         map_reduce, p_map_reduce_kv, synthetic_corpus, word_count, word_count_kv,
     };
-    pub use crate::numeric::{p_partial_sum, p_prefix_sum_i64, p_prefix_sum_u64};
-    pub use crate::paragraph_algos::{
-        map_reduce_pg, p_for_each_pg, p_generate_pg, p_reduce_pg,
-    };
+    pub use crate::numeric::p_partial_sum;
+    pub use crate::paragraph_algos::{p_generate_pg, p_reduce_pg};
     pub use crate::segmented::{p_copy_segmented, p_equal_segmented, p_reduce_segmented};
     pub use crate::sorting::{p_is_sorted, p_sort};
 }

@@ -16,7 +16,7 @@ pub const NIL: usize = usize::MAX;
 
 /// **Collective.** Computes, for every element, the number of elements
 /// *after* it in its list. `succ` is not modified.
-pub fn list_rank_after(succ: &PArray<usize>) -> PArray<u64> {
+fn list_rank_after(succ: &PArray<usize>) -> PArray<u64> {
     let loc = succ.location().clone();
     let n = succ.global_size();
     // Working copies (double-buffered).

@@ -1,5 +1,6 @@
 //! The STL-like pAlgorithms (the `p_generate` / `p_for_each` /
-//! `p_accumulate` family evaluated in Figs. 33, 40 and 60).
+//! `p_accumulate` family evaluated in Figs. 33, 40 and 60; the paper's
+//! `p_accumulate` is [`p_reduce`], and [`p_sum`] its numeric case).
 //!
 //! Two flavors are provided, mirroring the paper:
 //!
@@ -20,7 +21,8 @@
 //! container cut at the second's run boundaries: two runs stored here are
 //! two borrowed slices, any other run is **one bulk RMI per (owner,
 //! contiguous run)** — O(runs) messages on misaligned distributions.
-//! (`STAPL_BULK_THRESHOLD=huge` is the element-wise ablation.)
+//! (`STAPL_BULK_THRESHOLD=18446744073709551615`, `usize::MAX`, is the
+//! element-wise ablation.)
 //!
 //! All algorithms are **collective**.
 
@@ -52,28 +54,6 @@ where
     c.location().rmi_fence();
 }
 
-/// `p_accumulate`: folds every element with `op` starting from `init`
-/// (which must be `op`'s identity); `op` must be associative. Returns the
-/// global fold on every location.
-pub fn p_accumulate<C, G, F>(c: &C, init: C::Value, op: F) -> C::Value
-where
-    G: Gid,
-    C: LocalIteration<G>,
-    C::Value: Send + Clone + 'static,
-    F: Fn(C::Value, &C::Value) -> C::Value,
-{
-    // Fold by value: move the accumulator through `op` instead of cloning
-    // it on every element (an `Option` dance because the closure cannot
-    // move out of the captured slot directly).
-    let mut acc = Some(init.clone());
-    c.for_each_local(|_, v| {
-        let a = acc.take().expect("accumulator is always replaced");
-        acc = Some(op(a, v));
-    });
-    let partials = c.location().allgather(acc.expect("accumulator present"));
-    partials.into_iter().fold(init, |a, b| op(a, &b))
-}
-
 /// `p_reduce`: the general reduction — `map` extracts a summary from each
 /// element, `combine` merges summaries (associative). Returns the global
 /// reduction on every location; `None` for an empty container.
@@ -97,7 +77,7 @@ where
     partials.into_iter().flatten().reduce(combine)
 }
 
-/// `p_accumulate` for numeric sums — the shape the paper benchmarks.
+/// `p_reduce` for numeric sums — the `p_accumulate` the paper benchmarks.
 pub fn p_sum<C, G>(c: &C) -> u64
 where
     G: Gid,
@@ -122,30 +102,6 @@ where
     c.location().allreduce_sum(n) as usize
 }
 
-/// `p_find_if`: some GID whose element satisfies `pred`, or `None`.
-/// (Any match may be returned; the paper's find returns the first in
-/// linearization order only for sequential containers.)
-pub fn p_find_if<C, G, P>(c: &C, pred: P) -> Option<G>
-where
-    G: Gid,
-    C: LocalIteration<G>,
-    P: Fn(&C::Value) -> bool,
-{
-    // Short-circuiting scan: stop walking local storage at the first match
-    // (containers with early-exit support stop immediately; others fall
-    // back to a suppressed full walk).
-    let mut found: Option<G> = None;
-    c.try_for_each_local(|g, v| {
-        if pred(v) {
-            found = Some(g);
-            false
-        } else {
-            true
-        }
-    });
-    c.location().allreduce(found, |a, b| a.or(b))
-}
-
 /// `p_min_element`: (GID, value) of a minimum element.
 pub fn p_min_element<C, G>(c: &C) -> Option<(G, C::Value)>
 where
@@ -158,48 +114,6 @@ where
         |g, v| (g, v.clone()),
         |a, b| if b.1 < a.1 { b } else { a },
     )
-}
-
-/// `p_max_element`.
-pub fn p_max_element<C, G>(c: &C) -> Option<(G, C::Value)>
-where
-    G: Gid,
-    C: LocalIteration<G>,
-    C::Value: Ord + Send + Clone,
-{
-    p_reduce(
-        c,
-        |g, v| (g, v.clone()),
-        |a, b| if b.1 > a.1 { b } else { a },
-    )
-}
-
-/// `p_fill`: sets every element to `v`. On pArray and pVector the local
-/// walk is a loop over storage slices.
-pub fn p_fill<C, G>(c: &C, v: C::Value)
-where
-    G: Gid,
-    C: LocalIteration<G>,
-    C::Value: Clone,
-{
-    c.for_each_local_mut(|_, slot| *slot = v.clone());
-    c.location().rmi_fence();
-}
-
-/// `p_replace_if`: replaces every element matching `pred` with `with`.
-pub fn p_replace_if<C, G, P>(c: &C, pred: P, with: C::Value)
-where
-    G: Gid,
-    C: LocalIteration<G>,
-    C::Value: Clone,
-    P: Fn(&C::Value) -> bool,
-{
-    c.for_each_local_mut(|_, v| {
-        if pred(v) {
-            *v = with.clone();
-        }
-    });
-    c.location().rmi_fence();
 }
 
 /// Every local storage piece of `a`, cut at the boundaries of `b`'s storage
@@ -471,9 +385,9 @@ mod tests {
     fn same_algorithms_work_on_pmatrix() {
         execute(RtsConfig::default(), 2, |loc| {
             let m = PMatrix::from_fn(loc, 4, 4, MatrixLayout::RowBlocked, |r, c| (r * 4 + c) as u64);
-            let max = p_max_element(&m).unwrap();
-            assert_eq!(max.1, 15);
-            assert_eq!(max.0, (3, 3));
+            let min = p_min_element(&m).unwrap();
+            assert_eq!(min.1, 0);
+            assert_eq!(min.0, (0, 0));
             let n = p_count_if(&m, |v| *v % 2 == 0);
             assert_eq!(n, 8);
             let _ = loc;
@@ -485,13 +399,8 @@ mod tests {
         execute(RtsConfig::default(), 4, |loc| {
             let a = PArray::from_fn(loc, 40, |i| (i as i64 - 20).unsigned_abs());
             assert_eq!(p_count_if(&a, |v| *v == 0), 1);
-            let f = p_find_if(&a, |v| *v == 0);
-            assert_eq!(f, Some(20));
-            assert_eq!(p_find_if(&a, |v| *v == 999), None);
             let (g, v) = p_min_element(&a).unwrap();
             assert_eq!((g, v), (20, 0));
-            let (_, vmax) = p_max_element(&a).unwrap();
-            assert_eq!(vmax, 20);
             let _ = loc;
         });
     }
@@ -503,15 +412,19 @@ mod tests {
             let b = PArray::new(loc, 12, 0u64);
             p_copy(&a, &b);
             assert!(p_equal(&a, &b));
-            p_replace_if(&b, |v| *v < 6, 0);
+            p_for_each(&b, |v| {
+                if *v < 6 {
+                    *v = 0;
+                }
+            });
             assert!(!p_equal(&a, &b));
             let c = PArray::new(loc, 12, 0u64);
             p_transform(&a, &c, |v| v * v);
             assert_eq!(c.get_element(5), 25);
-            // Phase separation: without it one location's p_fill could
+            // Phase separation: without it one location's fill could
             // overwrite c[5] before the other's remote read arrives.
             loc.barrier();
-            p_fill(&c, 7);
+            p_generate(&c, |_| 7);
             assert_eq!(p_count_if(&c, |v| *v == 7), 12);
             let _ = loc;
         });
@@ -601,9 +514,13 @@ mod tests {
                 ThreadSafety::unlocked(),
             );
             let v = PVector::from_fn(loc, 10, |i| i as u32);
-            p_fill(&cyclic, 7);
-            p_fill(&boxed, 7);
-            p_replace_if(&v, |x| x % 2 == 0, 100);
+            p_generate(&cyclic, |_| 7);
+            p_generate(&boxed, |_| 7);
+            p_for_each(&v, |x| {
+                if *x % 2 == 0 {
+                    *x = 100;
+                }
+            });
             assert_eq!(p_count_if(&cyclic, |x| *x == 7), 17);
             assert_eq!(p_count_if(&boxed, |x| *x == 7), 8);
             assert_eq!(p_count_if(&v, |x| *x == 100), 5);
@@ -613,17 +530,21 @@ mod tests {
 
     #[test]
     fn fill_and_replace_fall_back_without_slices() {
-        // pList's elements live one per node: p_fill/p_replace_if walk them
-        // element by element and must still be correct.
+        // pList's elements live one per node: a fill and a replace walk
+        // them element by element and must still be correct.
         execute(RtsConfig::default(), 2, |loc| {
             let l: PList<u64> = PList::new(loc);
             for i in 0..12 {
                 l.push_anywhere(i);
             }
             l.commit();
-            p_fill(&l, 5);
+            p_generate(&l, |_| 5);
             assert_eq!(p_count_if(&l, |v| *v == 5), 24);
-            p_replace_if(&l, |v| *v == 5, 9);
+            p_for_each(&l, |v| {
+                if *v == 5 {
+                    *v = 9;
+                }
+            });
             assert_eq!(p_count_if(&l, |v| *v == 9), 24);
         });
     }

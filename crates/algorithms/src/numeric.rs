@@ -81,23 +81,6 @@ where
     loc.barrier();
 }
 
-/// Convenience: integer inclusive prefix sum.
-pub fn p_prefix_sum_u64<C>(c: &C)
-where
-    C: RangedContainer<Value = u64>,
-{
-    p_partial_sum(c, 0u64, |a, b| a + b);
-}
-
-/// Convenience: i64 inclusive prefix sum (used by the Euler-tour depth
-/// computation where weights are ±1).
-pub fn p_prefix_sum_i64<C>(c: &C)
-where
-    C: RangedContainer<Value = i64>,
-{
-    p_partial_sum(c, 0i64, |a, b| a + b);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,7 +94,7 @@ mod tests {
     fn prefix_sum_matches_sequential() {
         execute(RtsConfig::default(), 3, |loc| {
             let a = PArray::from_fn(loc, 25, |i| (i % 5 + 1) as u64);
-            p_prefix_sum_u64(&a);
+            p_partial_sum(&a, 0, |a, b| a + b);
             let mut expect = 0u64;
             for i in 0..25 {
                 expect += (i % 5 + 1) as u64;
@@ -132,7 +115,7 @@ mod tests {
                 let n = partition.global_size();
                 let a = PArray::with_partition(loc, partition, Box::new(CyclicMapper::new(loc.nlocs())), 0u64);
                 crate::map_func::p_generate(&a, |g| g as u64);
-                p_prefix_sum_u64(&a);
+                p_partial_sum(&a, 0, |a, b| a + b);
                 let mut expect = 0u64;
                 for i in 0..n {
                     expect += i as u64;
@@ -147,7 +130,7 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             // +1/-1 weights: prefix is the tree-walk depth pattern.
             let a = PArray::from_fn(loc, 8, |i| if i % 2 == 0 { 1i64 } else { -1 });
-            p_prefix_sum_i64(&a);
+            p_partial_sum(&a, 0, |a, b| a + b);
             let expect = [1, 0, 1, 0, 1, 0, 1, 0];
             for (i, e) in expect.iter().enumerate() {
                 assert_eq!(a.get_element(i), *e);
@@ -160,7 +143,7 @@ mod tests {
     fn prefix_sum_single_location() {
         execute(RtsConfig::default(), 1, |loc| {
             let a = PArray::from_fn(loc, 5, |_| 2u64);
-            p_prefix_sum_u64(&a);
+            p_partial_sum(&a, 0, |a, b| a + b);
             assert_eq!(a.get_element(4), 10);
             let _ = loc;
         });

@@ -2,8 +2,8 @@
 //! points.
 //!
 //! Each `_pg` function is semantically identical to its SPMD counterpart
-//! in [`map_func`](crate::map_func) / [`mapreduce`](crate::mapreduce) but
-//! executes through a [`PRange`] task graph scheduled by the
+//! in [`map_func`](crate::map_func) but executes through a
+//! [`PRange`](stapl_paragraph::prange::PRange) task graph scheduled by the
 //! per-location [`Executor`] — so skewed or irregular workloads can be
 //! rebalanced by work stealing instead of idling entire locations at the
 //! closing fence. The SPMD versions remain the fast path for regular
@@ -16,31 +16,9 @@
 
 use std::cell::RefCell;
 
-use stapl_containers::associative::PHashMap;
-use stapl_core::domain::Range1d;
-use stapl_core::gid::Key;
-use stapl_core::interfaces::PContainer;
 use stapl_paragraph::executor::{ExecPolicy, Executor};
-use stapl_paragraph::prange::{auto_grain, map_task_graph, reduce_task_graph, PRange, TaskKind};
+use stapl_paragraph::prange::{map_task_graph, reduce_task_graph, TaskKind};
 use stapl_views::view::{ViewRead, ViewWrite};
-
-/// `p_for_each` on the executor: applies `f` at the owner of every
-/// element of the view, scheduling coarsened tasks instead of lock-step
-/// chunks. **Collective.**
-pub fn p_for_each_pg<V, F>(v: &V, policy: ExecPolicy, f: F)
-where
-    V: ViewWrite,
-    F: Fn(&mut V::Value) + Clone + Send + 'static,
-{
-    let loc = v.location().clone();
-    let pr = map_task_graph(v, 0);
-    Executor::new(&pr, policy).run::<(), _>(&loc, |task, _| {
-        for k in task.range.iter() {
-            v.apply(k, f.clone());
-        }
-        None
-    });
-}
 
 /// `p_generate` on the executor: assigns `gen(k)` to every view index.
 /// The generator runs on whichever location executes the task (stolen
@@ -99,113 +77,43 @@ where
     loc.broadcast(0, root_out.into_inner())
 }
 
-/// MapReduce on the executor (compare
-/// [`map_reduce`](crate::mapreduce::map_reduce)): every location's
-/// `inputs` slice is coarsened into non-migratable local tasks (the
-/// input shard is location-private data), and the map phase's emitted
-/// pairs combine at the key's owner while later tasks are still
-/// running — the executor overlaps the map with the shuffle.
-/// **Collective.**
-pub fn map_reduce_pg<I, K, V, M, C>(
-    out: &PHashMap<K, V>,
-    inputs: &[I],
-    map: M,
-    identity: V,
-    combine: C,
-    policy: ExecPolicy,
-) where
-    K: Key + std::hash::Hash,
-    V: Send + Clone + 'static,
-    M: Fn(&I, &mut dyn FnMut(K, V)),
-    C: Fn(&mut V, V) + Send + Clone + 'static,
-{
-    let loc = out.location().clone();
-    let me = loc.id();
-    // Shard sizes differ per location; allgather them so the replicated
-    // graph is identical everywhere. Task ranges index into the *local*
-    // shard of their home location.
-    let sizes = loc.allgather(inputs.len());
-    let mut pr = PRange::new();
-    for (home, &n) in sizes.iter().enumerate() {
-        let grain = auto_grain(n, 1);
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + grain).min(n);
-            pr.add_task(Range1d::new(lo, hi), home, false, TaskKind::Map);
-            lo = hi;
-        }
-    }
-    Executor::new(&pr, policy).run::<(), _>(&loc, |task, _| {
-        debug_assert_eq!(task.home, me, "map tasks are pinned to their shard's location");
-        for i in task.range.iter() {
-            map(&inputs[i], &mut |k, v| {
-                let c = combine.clone();
-                out.apply_or_insert(k, identity.clone(), move |slot| c(slot, v));
-            });
-        }
-        None
-    });
-    out.commit();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map_func::{p_for_each_view, p_generate_view, p_reduce_view};
-    use crate::mapreduce::{map_reduce, synthetic_corpus};
+    use crate::map_func::{p_generate_view, p_reduce_view};
     use stapl_containers::array::PArray;
     use stapl_containers::matrix::PMatrix;
     use stapl_containers::vector::PVector;
-    use stapl_core::interfaces::{AssociativeContainer, ElementRead};
+    use stapl_core::interfaces::ElementRead;
     use stapl_core::partition::MatrixLayout;
     use stapl_rts::{execute, RtsConfig};
     use stapl_views::array_view::{ArrayView, BalancedView};
     use stapl_views::matrix_view::LinearView;
 
-    /// The equivalence the acceptance criteria demand: `_pg` entry points
-    /// must produce results identical to their SPMD counterparts, with
-    /// and without stealing.
-    #[test]
-    fn for_each_pg_matches_spmd_on_parray() {
-        for policy in [ExecPolicy::default(), ExecPolicy::no_stealing()] {
-            execute(RtsConfig::default(), 3, |loc| {
-                let spmd = PArray::from_fn(loc, 41, |i| i as u64);
-                let pg = PArray::from_fn(loc, 41, |i| i as u64);
-                p_for_each_view(&ArrayView::new(spmd.clone()), |x| *x = *x * 3 + 1);
-                p_for_each_pg(&ArrayView::new(pg.clone()), policy, |x| *x = *x * 3 + 1);
-                for i in 0..41 {
-                    assert_eq!(spmd.get_element(i), pg.get_element(i));
-                }
-                let _ = loc;
-            });
-        }
-    }
-
-    #[test]
-    fn for_each_pg_matches_spmd_on_pvector_and_balanced_view() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let v = PVector::from_fn(loc, 23, |i| i as u64);
-            p_for_each_pg(&BalancedView::new(ArrayView::new(v.clone())), ExecPolicy::default(), |x| {
-                *x += 100;
-            });
-            for i in 0..23 {
-                assert_eq!(v.get_element(i), i as u64 + 100);
-            }
-        });
-    }
-
+    /// The equivalence the `_pg` entry points promise: results identical
+    /// to their SPMD counterparts, with and without stealing, on a
+    /// localized view and on an unlocalized one over pVector.
     #[test]
     fn generate_pg_matches_spmd() {
-        execute(RtsConfig::default(), 3, |loc| {
-            let spmd = PArray::new(loc, 31, 0i64);
-            let pg = PArray::new(loc, 31, 0i64);
-            p_generate_view(&ArrayView::new(spmd.clone()), |k| -(k as i64) * 5);
-            p_generate_pg(&ArrayView::new(pg.clone()), ExecPolicy::default(), |k| -(k as i64) * 5);
-            for i in 0..31 {
-                assert_eq!(spmd.get_element(i), pg.get_element(i));
-            }
-            let _ = loc;
-        });
+        for policy in [ExecPolicy::default(), ExecPolicy::no_stealing()] {
+            execute(RtsConfig::default(), 3, |loc| {
+                let spmd = PArray::new(loc, 31, 0i64);
+                let pg = PArray::new(loc, 31, 0i64);
+                p_generate_view(&ArrayView::new(spmd.clone()), |k| -(k as i64) * 5);
+                p_generate_pg(&ArrayView::new(pg.clone()), policy, |k| -(k as i64) * 5);
+                for i in 0..31 {
+                    assert_eq!(spmd.get_element(i), pg.get_element(i));
+                }
+
+                let v = PVector::new(loc, 23, 0u64);
+                p_generate_pg(&BalancedView::new(ArrayView::new(v.clone())), policy, |k| {
+                    k as u64 + 100
+                });
+                for i in 0..23 {
+                    assert_eq!(v.get_element(i), i as u64 + 100);
+                }
+            });
+        }
     }
 
     #[test]
@@ -246,38 +154,6 @@ mod tests {
             let av = ArrayView::new(a);
             assert_eq!(p_reduce_pg(&av, ExecPolicy::default(), |_, x| x, |p, q| p + q), None);
             let _ = loc;
-        });
-    }
-
-    #[test]
-    fn map_reduce_pg_matches_spmd_word_count() {
-        execute(RtsConfig::default(), 3, |loc| {
-            let text = synthetic_corpus(loc, 400, 30, 11);
-            let words: Vec<&str> = text.split_whitespace().collect();
-
-            let spmd: PHashMap<String, u64> = PHashMap::new(loc);
-            map_reduce(&spmd, words.iter().copied(), |w, emit| emit(w.to_string(), 1), 0, |a, v| {
-                *a += v
-            });
-
-            let pg: PHashMap<String, u64> = PHashMap::new(loc);
-            map_reduce_pg(
-                &pg,
-                &words,
-                |w, emit| emit(w.to_string(), 1),
-                0,
-                |a, v| *a += v,
-                ExecPolicy::default(),
-            );
-
-            assert_eq!(spmd.global_size(), pg.global_size());
-            let mut mismatch = 0u64;
-            spmd.for_each_local(|k, c| {
-                if pg.find(k.clone()) != Some(*c) {
-                    mismatch += 1;
-                }
-            });
-            assert_eq!(loc.allreduce_sum(mismatch), 0, "word counts must agree");
         });
     }
 }

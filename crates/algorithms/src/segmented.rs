@@ -94,9 +94,7 @@ mod tests {
     use super::*;
     use stapl_containers::associative::PHashMap;
     use stapl_containers::list::PList;
-    use stapl_core::interfaces::{
-        AssociativeContainer, ElementWrite, LocalIteration, PContainer, SequenceContainer,
-    };
+    use stapl_core::interfaces::{AssociativeContainer, ElementWrite, LocalIteration, PContainer};
     use stapl_rts::{execute, RtsConfig};
 
     /// Two identically shaped pLists (same slabs, same sequence numbers).
@@ -124,7 +122,7 @@ mod tests {
             // A genuine mismatch is detected.
             if loc.id() == 0 {
                 let g = src.push_anywhere(424242);
-                SequenceContainer::erase_async(&src, g);
+                src.erase_async(g);
             }
             src.commit();
             if loc.id() == 1 {

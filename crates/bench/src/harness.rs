@@ -50,7 +50,6 @@ use std::sync::OnceLock;
 use stapl_algorithms::prelude::*;
 use stapl_containers::array::PArray;
 use stapl_containers::associative::PHashMap;
-use stapl_containers::composed::LocalArray;
 use stapl_containers::generators::{fill_dag_with_sources, fill_mesh};
 use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph};
 use stapl_containers::list::PList;
@@ -477,8 +476,8 @@ fn localization_row_min(p: usize, container: &'static str, cfg: RtsConfig) -> Me
     const ROWS: usize = 256;
     const COLS: usize = 64;
     let cell = |r: usize, c: usize| ((r * 13 + c) % 97) as i64;
-    let row = move |r: usize| LocalArray::from_fn(COLS, move |c| cell(r, c));
-    let row_min = |r: &LocalArray<i64>| *r.iter().min().expect("a row has columns");
+    let row = move |r: usize| (0..COLS).map(|c| cell(r, c)).collect::<Vec<i64>>();
+    let row_min = |r: &Vec<i64>| *r.iter().min().expect("a row has columns");
     traced(cfg, p, move |loc| {
         let local_min: Box<dyn Fn() -> i64> = match container {
             "parray-of-rows" => {
@@ -750,7 +749,7 @@ fn graph_page_rank(p: usize, (rows, cols): (usize, usize), iters: usize, cfg: Rt
     traced(cfg, p, move |loc| {
         let g: AlgoGraph =
             PGraph::new_static(loc, rows * cols, Directedness::Directed, VProps::default());
-        fill_mesh(loc, &g, rows, cols, ());
+        fill_mesh(&g, rows, cols, ());
         let boundary = loc.allreduce_sum(GraphView::boundary(g.clone()).local_len() as u64);
         assert_eq!(boundary, mesh_boundary(p as u64, cols as u64), "the cut is not between rows");
         let mut mass = 0.0;

@@ -207,29 +207,19 @@ impl<T: Clone> ArrayBc<T> {
         }))
     }
 
-    /// Short-circuiting in-order iteration; returns false when `f` asked
-    /// to stop. The per-element arms (here and in `for_each_mut`) are plain
-    /// loops on purpose: `FlatMap::try_fold` behind `sd.iter().all(..)` is
-    /// not inlined, and a closure handed to an opaque call keeps what it
-    /// captures (a reduction's accumulator) in memory on the slice arm too.
-    fn try_for_each<F: FnMut(usize, &T) -> bool>(&self, mut f: F) -> bool {
-        let Some(mut ps) = self.pieces() else {
-            for (k, g) in self.sd.iter().enumerate() {
-                if !f(g, self.at(k)) {
-                    return false;
-                }
-            }
-            return true;
-        };
-        ps.all(|(r, s)| r.iter().zip(s).all(|(g, v)| f(g, v)))
-    }
-
-    /// In-order (gid, value) iteration of the sub-domain.
+    /// In-order (gid, value) iteration of the sub-domain. The per-element
+    /// arms (here and in `for_each_mut`) are plain loops on purpose: a
+    /// closure handed to an opaque std adaptor (`FlatMap::fold` behind
+    /// `sd.iter().for_each(..)`) keeps what it captures (a reduction's
+    /// accumulator) in memory on the slice arm too.
     fn for_each<F: FnMut(usize, &T)>(&self, mut f: F) {
-        self.try_for_each(|g, v| {
-            f(g, v);
-            true
-        });
+        let Some(ps) = self.pieces() else {
+            for (k, g) in self.sd.iter().enumerate() {
+                f(g, self.at(k));
+            }
+            return;
+        };
+        ps.for_each(|(r, s)| r.iter().zip(s).for_each(|(g, v)| f(g, v)));
     }
 
     fn for_each_mut<F: FnMut(usize, &mut T)>(&mut self, mut f: F) {
@@ -745,15 +735,6 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PArray<T> {
             bc.for_each_mut(&mut f);
         }
     }
-
-    fn try_for_each_local(&self, mut f: impl FnMut(usize, &T) -> bool) {
-        let rep = self.obj.local();
-        for (_, bc) in rep.lm.iter() {
-            if !bc.try_for_each(&mut f) {
-                return;
-            }
-        }
-    }
 }
 
 impl<T: Send + Clone + 'static> IndexedContainer for PArray<T> {
@@ -1251,20 +1232,6 @@ mod tests {
                 assert_eq!(after.element_fallbacks - before.element_fallbacks, 5);
             }
             loc.barrier();
-        });
-    }
-
-    #[test]
-    fn try_for_each_local_stops_early() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let a = PArray::from_fn(loc, 40, |i| i);
-            let mut visited = 0;
-            a.try_for_each_local(|_, _| {
-                visited += 1;
-                visited < 3
-            });
-            assert_eq!(visited, 3.min(a.local_size()));
-            let _ = loc;
         });
     }
 

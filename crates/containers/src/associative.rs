@@ -16,9 +16,7 @@ use std::collections::BTreeMap;
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::distribution::KeyDistribution;
 use stapl_core::gid::{Bcid, Key, KeyHashMap};
-use stapl_core::interfaces::{
-    AssociativeContainer, DynamicPContainer, PContainer, SegmentId, SegmentedContainer,
-};
+use stapl_core::interfaces::{AssociativeContainer, PContainer, SegmentId, SegmentedContainer};
 use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::CyclicMapper;
 use stapl_core::partition::{HashPartition, SplitterPartition};
@@ -353,6 +351,18 @@ where
             }
         });
     }
+
+    /// **Collective.** Removes all elements; distribution stays valid.
+    pub fn clear(&self) {
+        let loc = self.obj.location().clone();
+        loc.rmi_fence();
+        {
+            let mut rep = self.obj.local_mut();
+            rep.lm.clear();
+            rep.size = LazySize::default();
+        }
+        loc.barrier();
+    }
 }
 
 impl<K, V, S> AssocRep<K, V, S>
@@ -403,24 +413,6 @@ where
     fn memory_size(&self) -> MemSize {
         let local = self.obj.local().lm.memory_size();
         self.obj.location().allreduce(local, |a, b| a + b)
-    }
-}
-
-impl<K, V, S> DynamicPContainer for PAssoc<K, V, S>
-where
-    K: Key,
-    V: Send + Clone + 'static,
-    S: KvStore<K, V>,
-{
-    fn clear(&self) {
-        let loc = self.obj.location().clone();
-        loc.rmi_fence();
-        {
-            let mut rep = self.obj.local_mut();
-            rep.lm.clear();
-            rep.size = LazySize::default();
-        }
-        loc.barrier();
     }
 }
 

@@ -1,7 +1,7 @@
 //! Graph workload generators for the evaluation (Chapter XI):
 //! an SSCA#2-style clustered graph, torus/mesh graphs for the PageRank
-//! inputs of Fig. 56, binary trees for the Euler-tour studies, and a
-//! uniform random graph.
+//! inputs of Fig. 56, binary trees for the Euler-tour studies, and the
+//! layered DAG of the find-sources study (Fig. 51).
 //!
 //! The DARPA SSCA#2 reference generator is proprietary-ish C; this module
 //! implements the same structure the benchmark specifies — vertices
@@ -18,7 +18,7 @@ use rand::{RngExt, SeedableRng};
 use stapl_core::interfaces::PContainer;
 use stapl_rts::Location;
 
-use crate::graph::{Directedness, GraphPartitionKind, PGraph, VertexDesc};
+use crate::graph::{Directedness, PGraph, VertexDesc};
 
 /// Parameters of the SSCA#2-style generator.
 #[derive(Clone, Copy, Debug)]
@@ -107,7 +107,7 @@ where
 /// inputs of Fig. 56: 1500×1500 vs 15×150000): each cell links to its
 /// right and down neighbors, plus reciprocal links so every vertex has
 /// incoming edges. Vertex `r * cols + c`.
-pub fn fill_mesh<VP, EP>(_loc: &Location, g: &PGraph<VP, EP>, rows: usize, cols: usize, edge_prop: EP)
+pub fn fill_mesh<VP, EP>(g: &PGraph<VP, EP>, rows: usize, cols: usize, edge_prop: EP)
 where
     VP: Send + Clone + 'static,
     EP: Send + Clone + 'static,
@@ -137,7 +137,7 @@ where
 /// (`parent(i) = (i-1)/2`) as an *undirected* graph — the Euler-tour
 /// input shape ("a single binary tree", Fig. 44). Each location adds the
 /// parent edge of its local vertices.
-pub fn fill_binary_tree<VP, EP>(_loc: &Location, g: &PGraph<VP, EP>, edge_prop: EP)
+pub fn fill_binary_tree<VP, EP>(g: &PGraph<VP, EP>, edge_prop: EP)
 where
     VP: Send + Clone + 'static,
     EP: Send + Clone + 'static,
@@ -146,29 +146,6 @@ where
         if v > 0 {
             let parent = (v - 1) / 2;
             g.add_edge_async(v, parent, edge_prop.clone());
-        }
-    }
-    g.commit();
-}
-
-/// **Collective.** Uniform random directed graph: every local vertex gets
-/// `avg_degree` edges to uniformly random targets.
-pub fn fill_random<VP, EP>(
-    loc: &Location,
-    g: &PGraph<VP, EP>,
-    avg_degree: usize,
-    seed: u64,
-    edge_prop: EP,
-) where
-    VP: Send + Clone + 'static,
-    EP: Send + Clone + 'static,
-{
-    let n = g.num_vertices();
-    let mut rng = StdRng::seed_from_u64(seed ^ (loc.id() as u64).wrapping_mul(0x5851_f42d));
-    for v in g.local_vertices() {
-        for _ in 0..avg_degree {
-            let u = rng.random_range(0..n);
-            g.add_edge_async(v, u, edge_prop.clone());
         }
     }
     g.commit();
@@ -209,27 +186,6 @@ pub fn fill_dag_with_sources<VP, EP>(
 /// shell for the generators above).
 pub fn static_digraph(loc: &Location, n: usize) -> PGraph<u64, ()> {
     PGraph::new_static(loc, n, Directedness::Directed, 0)
-}
-
-/// Convenience: a dynamic directed graph with the given resolution kind
-/// and `n` pre-added vertices with descriptors `0..n` (inserted by their
-/// eventual owner so descriptors are dense like the static case).
-pub fn dynamic_digraph_with_vertices(
-    loc: &Location,
-    n: usize,
-    kind: GraphPartitionKind,
-) -> PGraph<u64, ()> {
-    let g = PGraph::new_dynamic(loc, Directedness::Directed, kind);
-    // Balanced striping, same as the static layout, but via the dynamic
-    // add path (exercises the directory).
-    let per = n.div_ceil(loc.nlocs());
-    let lo = (loc.id() * per).min(n);
-    let hi = ((loc.id() + 1) * per).min(n);
-    for vd in lo..hi {
-        g.add_vertex_with_descriptor(vd, 0);
-    }
-    g.commit();
-    g
 }
 
 #[cfg(test)]
@@ -274,7 +230,7 @@ mod tests {
     fn mesh_degrees_match_geometry() {
         execute(RtsConfig::default(), 2, |loc| {
             let g = static_digraph(loc, 12); // 3 x 4 mesh
-            fill_mesh(loc, &g, 3, 4, ());
+            fill_mesh(&g, 3, 4, ());
             // Corner (0,0) = vertex 0: right + down = 2 out-edges.
             assert_eq!(g.out_degree(0), 2);
             // Interior (1,1) = vertex 5: 4 neighbors.
@@ -290,7 +246,7 @@ mod tests {
     fn binary_tree_has_n_minus_one_undirected_edges() {
         execute(RtsConfig::default(), 2, |loc| {
             let g: PGraph<(), ()> = PGraph::new_static(loc, 15, Directedness::Undirected, ());
-            fill_binary_tree(loc, &g, ());
+            fill_binary_tree(&g, ());
             // Undirected edges stored twice.
             assert_eq!(g.num_edges(), 2 * 14);
             // Root's children are 1 and 2.
@@ -318,28 +274,6 @@ mod tests {
             for t in all {
                 assert!(t >= 10, "vertex {t} in the source band has an incoming edge");
             }
-        });
-    }
-
-    #[test]
-    fn random_graph_has_expected_edge_count() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let g = static_digraph(loc, 50);
-            fill_random(loc, &g, 4, 99, ());
-            assert_eq!(g.num_edges(), 50 * 4);
-        });
-    }
-
-    #[test]
-    fn dynamic_with_vertices_matches_static_layout() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let g = dynamic_digraph_with_vertices(loc, 10, GraphPartitionKind::DynamicFwd);
-            assert_eq!(g.num_vertices(), 10);
-            for vd in 0..10 {
-                assert!(g.find_vertex(vd));
-            }
-            fill_mesh(loc, &g, 2, 5, ());
-            assert!(g.num_edges() > 0);
         });
     }
 }

@@ -30,7 +30,7 @@ use stapl_core::directory::{
     OwnerCache, Resolution,
 };
 use stapl_core::gid::MUL;
-use stapl_core::interfaces::{PContainer, RelationalContainer, SegmentId, SegmentedContainer};
+use stapl_core::interfaces::{PContainer, SegmentId, SegmentedContainer};
 use stapl_core::partition::{BalancedPartition, IndexPartition};
 use stapl_core::pobject::PObject;
 use stapl_rts::{LocId, Location, RmiFuture};
@@ -896,13 +896,6 @@ where
         };
         self.obj.location().allreduce(local, |a, b| a + b)
     }
-}
-
-impl<VP, EP> RelationalContainer for PGraph<VP, EP>
-where
-    VP: Send + Clone + 'static,
-    EP: Send + Clone + 'static,
-{
 }
 
 #[cfg(test)]

@@ -12,11 +12,30 @@
 //! | [`matrix::PMatrix`] | static, indexed (2-D) | [`matrix`] |
 //! | [`graph::PGraph`] | dynamic, relational | [`graph`] |
 //! | [`associative::PMap`] etc. | dynamic, associative | [`associative`] |
-//! | [`composed`] helpers | pContainer of pContainers | [`composed`] |
+//!
+//! ## Composition (Section IV.C, Chapter XIII)
+//!
+//! A composed pContainer is one whose *elements are containers*, with
+//! nested GIDs `(outer, inner)` (Eq. 4.2) and nested parallel operations.
+//! The outer container is distributed; each inner container lives entirely
+//! on its element's owning location. This is the specialization the paper
+//! itself proposes for the bottom of a composition hierarchy ("if the
+//! lower level of the composed pContainer is distributed across a single
+//! shared memory node, then its mapping F can be specialized … some
+//! methods may turn into empty function calls"), and here the inner
+//! container is a plain `Vec<T>`: inner operations execute at the owner
+//! with zero additional communication, and nested parallelism falls out of
+//! processing outer elements on their owning locations.
+//!
+//! Because a `Vec<T>` is an ordinary `Send + Clone` value, *any* container
+//! in this crate composes: `PArray<Vec<T>>`, `PList<Vec<T>>`,
+//! `PArray<Vec<Vec<T>>>` (height 3), and so on — the
+//! closure-under-composition property of Definition 12. A nested get, set,
+//! resize or whole-row algorithm is one `apply_get`/`apply_set` with a
+//! closure, executed at the owner in one hop (`tests/composition.rs`).
 
 pub mod array;
 pub mod associative;
-pub mod composed;
 pub mod generators;
 pub mod graph;
 pub mod list;
@@ -27,12 +46,8 @@ pub mod vector;
 pub mod prelude {
     pub use crate::array::{ArrayStorage, PArray};
     pub use crate::associative::{PAssoc, PHashMap, PHashSet, PMap, PMultiMap, PSet};
-    pub use crate::composed::{
-        nested_apply, nested_get, nested_resize, nested_set, LocalArray, NestedGid,
-    };
     pub use crate::generators::{
-        dynamic_digraph_with_vertices, fill_binary_tree, fill_dag_with_sources, fill_mesh,
-        fill_random, fill_ssca2, static_digraph, Ssca2Params,
+        fill_binary_tree, fill_dag_with_sources, fill_mesh, fill_ssca2, static_digraph, Ssca2Params,
     };
     pub use crate::graph::{Directedness, Edge, GraphPartitionKind, PGraph, Vertex, VertexDesc};
     pub use crate::list::{ListGid, PList};

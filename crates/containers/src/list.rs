@@ -25,8 +25,7 @@ use stapl_core::directory::{
 };
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::{
-    DynamicPContainer, ElementRead, ElementWrite, LocalIteration, PContainer, SegmentId,
-    SegmentedContainer, SequenceContainer,
+    ElementRead, ElementWrite, LocalIteration, PContainer, SegmentId, SegmentedContainer,
 };
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
@@ -324,6 +323,40 @@ impl<T: Send + Clone + 'static> PList<T> {
         .get()
     }
 
+    /// Inserts before `gid` (asynchronous).
+    pub fn insert_before_async(&self, gid: ListGid, v: T) {
+        self.obj.local_mut().size.mark(true);
+        self.route(gid.bcid, move |cell, _| {
+            let mut rep = cell.borrow_mut();
+            rep.size.mark(true);
+            let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
+            bc.insert_before(gid.seq, v);
+        });
+    }
+
+    /// Erases the element `gid` (asynchronous).
+    pub fn erase_async(&self, gid: ListGid) {
+        self.obj.local_mut().size.mark(true);
+        self.route(gid.bcid, move |cell, _| {
+            let mut rep = cell.borrow_mut();
+            rep.size.mark(true);
+            let (_g, bc) = rep.guarded(methods::ERASE, gid.seq, gid.bcid);
+            bc.erase(gid.seq);
+        });
+    }
+
+    /// **Collective.** Removes all elements; distribution stays valid.
+    pub fn clear(&self) {
+        let loc = self.obj.location().clone();
+        loc.rmi_fence();
+        {
+            let mut rep = self.obj.local_mut();
+            rep.lm.clear();
+            rep.size = LazySize::default();
+        }
+        loc.barrier();
+    }
+
     /// Asynchronously moves base container `bcid` — the whole slab — to
     /// location `dest` and re-registers it in the directory: the pList
     /// load-balancing primitive. Visible after the next fence; operations
@@ -460,19 +493,6 @@ impl<T: Send + Clone + 'static> PContainer for PList<T> {
     }
 }
 
-impl<T: Send + Clone + 'static> DynamicPContainer for PList<T> {
-    fn clear(&self) {
-        let loc = self.obj.location().clone();
-        loc.rmi_fence();
-        {
-            let mut rep = self.obj.local_mut();
-            rep.lm.clear();
-            rep.size = LazySize::default();
-        }
-        loc.barrier();
-    }
-}
-
 impl<T: Send + Clone + 'static> ElementRead<ListGid> for PList<T> {
     type Value = T;
 
@@ -548,40 +568,6 @@ impl<T: Send + Clone + 'static> LocalIteration<ListGid> for PList<T> {
         for (bcid, bc) in rep.lm.iter_mut() {
             bc.list.for_each_mut(|seq, v| f(ListGid { bcid, seq }, v));
         }
-    }
-}
-
-impl<T: Send + Clone + 'static> SequenceContainer<ListGid> for PList<T> {
-    fn push_back(&self, v: T) {
-        PList::push_back(self, v);
-    }
-
-    fn push_front(&self, v: T) {
-        PList::push_front(self, v);
-    }
-
-    fn push_anywhere(&self, v: T) {
-        PList::push_anywhere(self, v);
-    }
-
-    fn insert_before_async(&self, gid: ListGid, v: T) {
-        self.obj.local_mut().size.mark(true);
-        self.route(gid.bcid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
-            bc.insert_before(gid.seq, v);
-        });
-    }
-
-    fn erase_async(&self, gid: ListGid) {
-        self.obj.local_mut().size.mark(true);
-        self.route(gid.bcid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::ERASE, gid.seq, gid.bcid);
-            bc.erase(gid.seq);
-        });
     }
 }
 
@@ -916,7 +902,7 @@ mod tests {
                 PList::push_back(&l, 99);
                 assert_eq!(l.global_size(), 17, "must observe own remote push_back");
                 let g = l.push_anywhere(1);
-                SequenceContainer::erase_async(&l, g);
+                l.erase_async(g);
                 assert_eq!(l.global_size(), 17, "must observe own erase");
             }
             l.commit();

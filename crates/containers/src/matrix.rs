@@ -6,7 +6,7 @@
 //! Row/column/linear views live in `stapl-views`.
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
-use stapl_core::domain::{Domain, FiniteDomain, Range1d, Range2d};
+use stapl_core::domain::{Range1d, Range2d};
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::{ElementRead, ElementWrite, LocalIteration, PContainer};
 use stapl_core::location_manager::LocationManager;
@@ -28,7 +28,7 @@ pub struct MatrixBc<T> {
 
 impl<T: Clone> MatrixBc<T> {
     fn new(block: Range2d, init: &T) -> Self {
-        MatrixBc { block, data: vec![init.clone(); block.size()] }
+        MatrixBc { block, data: vec![init.clone(); block.nrows() * block.ncols()] }
     }
 
     fn offset(&self, g: (usize, usize)) -> usize {

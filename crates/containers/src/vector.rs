@@ -17,9 +17,7 @@
 
 use stapl_core::bcontainer::MemSize;
 use stapl_core::domain::Range1d;
-use stapl_core::interfaces::{
-    DynamicPContainer, ElementRead, ElementWrite, LocalIteration, PContainer,
-};
+use stapl_core::interfaces::{ElementRead, ElementWrite, LocalIteration, PContainer};
 use stapl_core::pobject::PObject;
 use stapl_core::thread_safety::{methods, LockingPolicyTable, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
@@ -261,6 +259,20 @@ impl<T: Send + Clone + 'static> PVector<T> {
         all.sort_by_key(|(l, _)| *l);
         all.into_iter().flat_map(|(_, d)| d).collect()
     }
+
+    /// **Collective.** Removes all elements; distribution stays valid.
+    pub fn clear(&self) {
+        let loc = self.obj.location().clone();
+        loc.rmi_fence();
+        {
+            let mut rep = self.obj.local_mut();
+            rep.data.clear();
+            let n = rep.bounds.len();
+            rep.bounds = vec![0; n];
+            rep.epoch += 1;
+        }
+        loc.barrier();
+    }
 }
 
 impl<T: Send + Clone + 'static> PContainer for PVector<T> {
@@ -309,21 +321,6 @@ impl<T: Send + Clone + 'static> PContainer for PVector<T> {
             )
         };
         self.obj.location().allreduce(local, |a, b| a + b)
-    }
-}
-
-impl<T: Send + Clone + 'static> DynamicPContainer for PVector<T> {
-    fn clear(&self) {
-        let loc = self.obj.location().clone();
-        loc.rmi_fence();
-        {
-            let mut rep = self.obj.local_mut();
-            rep.data.clear();
-            let n = rep.bounds.len();
-            rep.bounds = vec![0; n];
-            rep.epoch += 1;
-        }
-        loc.barrier();
     }
 }
 
@@ -415,45 +412,6 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PVector<T> {
         for (k, v) in rep.data.iter_mut().enumerate() {
             f(lo + k, v);
         }
-    }
-
-    fn try_for_each_local(&self, mut f: impl FnMut(usize, &T) -> bool) {
-        let rep = self.obj.local();
-        let lo = rep.lo(self.obj.location().id());
-        for (k, v) in rep.data.iter().enumerate() {
-            if !f(lo + k, v) {
-                return;
-            }
-        }
-    }
-}
-
-impl<T: Send + Clone + 'static> stapl_core::interfaces::SequenceContainer<usize> for PVector<T> {
-    fn push_back(&self, v: T) {
-        PVector::push_back(self, v);
-    }
-
-    /// O(first block): shifts location 0's block right.
-    fn push_front(&self, v: T) {
-        self.obj.invoke_at(0, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            rep.data.insert(0, v);
-        });
-    }
-
-    /// pVector has no position-free insertion cheaper than the last
-    /// block's end; `push_anywhere` appends to the *local* block (the
-    /// index of the new element is only exact after `commit`).
-    fn push_anywhere(&self, v: T) {
-        self.obj.local_mut().data.push(v);
-    }
-
-    fn insert_before_async(&self, gid: usize, v: T) {
-        self.insert_async(gid, v);
-    }
-
-    fn erase_async(&self, gid: usize) {
-        PVector::erase_async(self, gid);
     }
 }
 
@@ -731,23 +689,6 @@ mod tests {
             }
             v.commit();
             assert_eq!(v.global_size(), 8); // 4 inserts, 4 erases
-        });
-    }
-
-    #[test]
-    fn sequence_trait_push_front_and_anywhere() {
-        use stapl_core::interfaces::SequenceContainer;
-        execute(RtsConfig::default(), 2, |loc| {
-            let v: PVector<i32> = PVector::new(loc, 2, 0);
-            if loc.id() == 1 {
-                SequenceContainer::push_front(&v, -7);
-            }
-            SequenceContainer::push_anywhere(&v, 9); // local append, both locs
-            v.commit();
-            assert_eq!(v.global_size(), 5);
-            assert_eq!(v.get_element(0), -7);
-            let nines = v.collect_ordered().iter().filter(|x| **x == 9).count();
-            assert_eq!(nines, 2);
         });
     }
 

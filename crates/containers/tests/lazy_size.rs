@@ -9,9 +9,7 @@
 use stapl_containers::associative::PHashMap;
 use stapl_containers::graph::{Directedness, Edge, GraphPartitionKind, PGraph};
 use stapl_containers::list::PList;
-use stapl_core::interfaces::{
-    AssociativeContainer, PContainer, SegmentedContainer, SequenceContainer,
-};
+use stapl_core::interfaces::{AssociativeContainer, PContainer, SegmentedContainer};
 use stapl_rts::{execute, Location, RtsConfig};
 
 /// Location 0 runs each step in turn; after a fence location 1 must read
@@ -68,7 +66,7 @@ fn a_mutation_marks_the_size_at_its_owner() {
                 ("push_anywhere", &|| _ = l.push_anywhere(3), 4),
                 ("insert_before", &|| _ = l.insert_before(g, 4), 5),
                 ("insert_before_async", &|| l.insert_before_async(g, 5), 6),
-                ("erase_async", &|| SequenceContainer::erase_async(&l, g), 5),
+                ("erase_async", &|| l.erase_async(g), 5),
             ],
         );
     });

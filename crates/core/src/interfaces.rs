@@ -1,6 +1,20 @@
-//! Container-concept interfaces (the specifications of Tables XI–XVIII),
-//! expressed as traits so pViews and pAlgorithms stay generic over
-//! containers.
+//! Container-concept interfaces (the specifications of Tables XI–XVIII).
+//! A concept is a trait here only where some view or algorithm is generic
+//! over it; the rest are inherent methods of the containers.
+//!
+//! | Table | Concept | Here |
+//! |---|---|---|
+//! | XI | base pContainer | [`PContainer`] |
+//! | XII, XIV | element access by GID | [`ElementRead`], [`ElementWrite`] |
+//! | XIII | dynamic pContainer (`clear`) | inherent methods on pList/pVector/pAssoc: no code is generic over it |
+//! | XIV | indexed pContainer | [`IndexedContainer`], with bulk ranges [`RangedContainer`] |
+//! | XVI | associative pContainer | [`AssociativeContainer`] |
+//! | XVII | relational pContainer | inherent methods on pGraph: no code is generic over it |
+//! | XVIII | sequence pContainer (`push_*`, `insert_before_async`, `erase_async`) | inherent methods on pList/pVector: no code is generic over it |
+//!
+//! Two traits have no table: [`LocalIteration`], the native views' walk
+//! over this location's elements, and [`SegmentedContainer`], the dynamic
+//! containers' one-RMI-per-base-container transport.
 
 use stapl_rts::{Location, RmiFuture};
 
@@ -84,20 +98,6 @@ pub trait LocalIteration<G: Gid>: ElementRead<G> {
     fn for_each_local(&self, f: impl FnMut(G, &Self::Value));
 
     fn for_each_local_mut(&self, f: impl FnMut(G, &mut Self::Value));
-
-    /// Short-circuiting local iteration: stops visiting elements as soon as
-    /// `f` returns `false`. The default is correct but does not exit early
-    /// (it keeps walking with `f` suppressed); containers with cheap
-    /// storage-level early exit override it so scans like `p_find_if` stop
-    /// at the first local match.
-    fn try_for_each_local(&self, mut f: impl FnMut(G, &Self::Value) -> bool) {
-        let mut go = true;
-        self.for_each_local(|g, v| {
-            if go {
-                go = f(g, v);
-            }
-        });
-    }
 }
 
 /// Static indexed pContainers (pArray, pMatrix rows flattened, pVector
@@ -188,12 +188,6 @@ pub trait RangedContainer: IndexedContainer {
     ) -> Option<R>;
 }
 
-/// Dynamic pContainers (Table XIII): element insertion/removal at runtime.
-pub trait DynamicPContainer: PContainer {
-    /// **Collective.** Removes all elements; distribution stays valid.
-    fn clear(&self);
-}
-
 /// Identifier of one base-container *segment* of a dynamic container: the
 /// pList slab, pAssoc bucket, or pGraph vertex-partition BCID.
 pub type SegmentId = Bcid;
@@ -273,27 +267,3 @@ pub trait AssociativeContainer<K: crate::gid::Key>: PContainer {
         self.find(k).is_some()
     }
 }
-
-/// Sequence pContainers (Table XVIII): pList, pVector.
-pub trait SequenceContainer<G: Gid>: ElementRead<G> {
-    /// Append at the global end of the sequence.
-    fn push_back(&self, v: Self::Value);
-
-    /// Prepend at the global front.
-    fn push_front(&self, v: Self::Value);
-
-    /// Add at an unspecified position chosen for locality/load — the
-    /// paper's `push_anywhere`, its scalable flagship method.
-    fn push_anywhere(&self, v: Self::Value);
-
-    /// Insert before the element identified by `g` (asynchronous).
-    fn insert_before_async(&self, g: G, v: Self::Value);
-
-    /// Erase the element identified by `g` (asynchronous).
-    fn erase_async(&self, g: G);
-}
-
-/// Relational pContainers (Table XVII) are specified in
-/// `stapl-containers::graph` where the vertex/edge types live; this marker
-/// records membership in the taxonomy of Fig. 5.
-pub trait RelationalContainer: PContainer {}

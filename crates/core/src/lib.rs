@@ -61,14 +61,11 @@ pub mod prelude {
         dir_route_ret, home_of, DirectoryShard, HasDirectory, OwnerCache, Resolution,
     };
     pub use crate::distribution::{IndexDistribution, KeyDistribution};
-    pub use crate::domain::{
-        ComposedDomain, Domain, EnumeratedDomain, FilteredDomain, FiniteDomain, KeyDomain,
-        OrderedDomain, Range1d, Range2d,
-    };
+    pub use crate::domain::{Range1d, Range2d};
     pub use crate::gid::{Bcid, Gid, Key};
     pub use crate::interfaces::{
-        AssociativeContainer, DynamicPContainer, ElementRead, ElementWrite, IndexedContainer,
-        LocalIteration, PContainer, RelationalContainer, SequenceContainer,
+        AssociativeContainer, ElementRead, ElementWrite, IndexedContainer, LocalIteration,
+        PContainer,
     };
     pub use crate::location_manager::LocationManager;
     pub use crate::mapper::{BlockedMapper, CyclicMapper, GeneralMapper, PartitionMapper};

@@ -97,10 +97,6 @@ impl<B: BaseContainer> LocationManager<B> {
         self.iter().map(|(_, b)| b.len()).sum()
     }
 
-    pub fn local_is_empty(&self) -> bool {
-        self.iter().all(|(_, b)| b.is_empty())
-    }
-
     /// Clears every local base container (keeps the bContainers themselves,
     /// as the paper's `clear` keeps the distribution valid).
     pub fn clear(&mut self) {
@@ -179,7 +175,7 @@ mod tests {
         lm.add_bcontainer(0, VecBc(vec![1, 2, 3]));
         lm.clear();
         assert_eq!(lm.num_bcontainers(), 1);
-        assert!(lm.local_is_empty());
+        assert_eq!(lm.local_len(), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::domain::{Domain, Range1d};
+use crate::domain::Range1d;
 use crate::gid::{Bcid, KeyHasher};
 
 // ---------------------------------------------------------------------

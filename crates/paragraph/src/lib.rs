@@ -18,7 +18,7 @@
 //!   coarsen any [`ViewRead`](stapl_views::view::ViewRead) into the common
 //!   shapes.
 //!
-//! The `_pg` entry points in `stapl-algorithms` (e.g. `p_for_each_pg`,
+//! The `_pg` entry points in `stapl-algorithms` (`p_generate_pg`,
 //! `p_reduce_pg`) port the pAlgorithms onto this executor; the lock-step
 //! SPMD versions remain as the fast path for regular workloads. Steal
 //! and execution counters are surfaced through

@@ -162,11 +162,11 @@ fn push_split(pr: &mut PRange, r: Range1d, grain: usize, home: LocId, kind: Task
     ids
 }
 
-/// **Collective.** The parallel-do graph behind `p_for_each_pg` and
-/// friends: `v`'s domain coarsened into an edge-free pRange. Each
-/// location's [`ViewRead::local_chunks`] are split into tasks of at most
-/// `grain` indices, homed on that location and migratable. Pass `0` for
-/// the [`auto_grain`] default.
+/// **Collective.** The parallel-do graph behind `p_generate_pg`: `v`'s
+/// domain coarsened into an edge-free pRange. Each location's
+/// [`ViewRead::local_chunks`] are split into tasks of at most `grain`
+/// indices, homed on that location and migratable. Pass `0` for the
+/// [`auto_grain`] default.
 ///
 /// The per-location chunk lists are allgathered so every location builds
 /// the identical replicated graph.

@@ -77,7 +77,7 @@ mod tests {
     fn regions_partition_local_vertices() {
         execute(RtsConfig::default(), 2, |loc| {
             let g = static_digraph(loc, 16); // 4x4 mesh
-            fill_mesh(loc, &g, 4, 4, ());
+            fill_mesh(&g, 4, 4, ());
             let all = g.local_size();
             let inner = GraphView::inner(g.clone()).local_len();
             let boundary = GraphView::boundary(g.clone()).local_len();
@@ -95,7 +95,7 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let g: stapl_containers::graph::PGraph<u64, ()> =
                 stapl_containers::graph::PGraph::new_static(loc, 12, Directedness::Directed, 0);
-            fill_mesh(loc, &g, 3, 4, ());
+            fill_mesh(&g, 3, 4, ());
             let bv = GraphView::boundary(g.clone());
             bv.for_each_vertex(|v| {
                 assert!(v.edges.iter().any(|e| !g.is_local_vertex(e.target)));
@@ -112,7 +112,7 @@ mod tests {
     fn single_location_graph_is_all_inner() {
         execute(RtsConfig::default(), 1, |loc| {
             let g = static_digraph(loc, 9);
-            fill_mesh(loc, &g, 3, 3, ());
+            fill_mesh(&g, 3, 3, ());
             assert_eq!(GraphView::boundary(g.clone()).local_len(), 0);
             assert_eq!(GraphView::inner(g.clone()).local_len(), 9);
             let _ = loc;

@@ -1,10 +1,10 @@
 //! pContainer composition (Chapter XIII, Fig. 62): computing each row's
-//! minimum three ways — a composed pArray<pArray>, a composed
-//! pList<pArray>, and a pMatrix with row views — and checking they agree.
+//! minimum three ways — a composed pArray of rows, a composed pList of
+//! rows (each row a location-local `Vec`), and a pMatrix with row views —
+//! and checking they agree.
 //!
 //! Run with: `cargo run --release --example composition_rowmin [nlocs]`
 
-use stapl::containers::composed::LocalArray;
 use stapl::containers::list::PList;
 use stapl::containers::matrix::PMatrix;
 use stapl::core::partition::MatrixLayout;
@@ -21,9 +21,9 @@ fn cell(r: usize, c: usize) -> i64 {
 fn main() {
     let nlocs = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
     execute(RtsConfig::default(), nlocs, |loc| {
-        // 1. pArray of (location-local) pArrays.
-        let pa: PArray<LocalArray<i64>> =
-            PArray::from_fn(loc, ROWS, |r| LocalArray::from_fn(COLS, move |c| cell(r, c)));
+        // 1. pArray of (location-local) rows.
+        let pa: PArray<Vec<i64>> =
+            PArray::from_fn(loc, ROWS, |r| (0..COLS).map(|c| cell(r, c)).collect());
         let t = Instant::now();
         let mut mins_pa = vec![i64::MAX; ROWS];
         pa.for_each_local(|r, row| mins_pa[r] = *row.iter().min().unwrap());
@@ -32,11 +32,11 @@ fn main() {
         });
         let t_pa = loc.allreduce_max_f64(t.elapsed().as_secs_f64());
 
-        // 2. pList of pArrays (rows distributed by push_anywhere).
-        let pl: PList<LocalArray<i64>> = PList::new(loc);
+        // 2. pList of rows (distributed by push_anywhere).
+        let pl: PList<Vec<i64>> = PList::new(loc);
         for r in 0..ROWS {
             if r % loc.nlocs() == loc.id() {
-                pl.push_anywhere(LocalArray::from_fn(COLS, move |c| cell(r, c)));
+                pl.push_anywhere((0..COLS).map(|c| cell(r, c)).collect());
             }
         }
         pl.commit();

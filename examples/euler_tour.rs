@@ -15,7 +15,7 @@ fn main() {
 
     execute(RtsConfig::default(), nlocs, move |loc| {
         let g: PGraph<(), ()> = PGraph::new_static(loc, n, Directedness::Undirected, ());
-        fill_binary_tree(loc, &g, ());
+        fill_binary_tree(&g, ());
         let t = Instant::now();
         let apps = euler_applications(&g, 0);
         let elapsed = loc.allreduce_max_f64(t.elapsed().as_secs_f64());

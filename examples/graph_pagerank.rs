@@ -14,7 +14,7 @@ fn run_mesh(nlocs: usize, rows: usize, cols: usize) {
     let results = stapl::rts::execute_collect(RtsConfig::default(), nlocs, move |loc| {
         let g: AlgoGraph =
             PGraph::new_static(loc, rows * cols, Directedness::Directed, VProps::default());
-        fill_mesh(loc, &g, rows, cols, ());
+        fill_mesh(&g, rows, cols, ());
         // Boundary fraction: vertices with at least one remote neighbor.
         let bv = stapl::views::graph_view::GraphView::boundary(g.clone());
         let boundary = loc.allreduce_sum(bv.local_len() as u64);

@@ -195,7 +195,7 @@ fn list_front_back_after_cross_location_churn() {
         loc.rmi_fence();
         // Everyone erases its own element and pushes a replacement at the
         // global front; only location 0's bContainer receives them.
-        SequenceContainer::erase_async(&l, g);
+        l.erase_async(g);
         l.push_front(-(loc.id() as i32));
         l.commit();
         assert_eq!(l.global_size(), 3);
@@ -211,7 +211,7 @@ fn list_front_back_after_cross_location_churn() {
 fn mesh_bfs_from_every_corner_is_symmetric() {
     execute(RtsConfig::default(), 2, |loc| {
         let g: AlgoGraph = PGraph::new_static(loc, 20, Directedness::Directed, VProps::default());
-        fill_mesh(loc, &g, 4, 5, ());
+        fill_mesh(&g, 4, 5, ());
         let corners = [0usize, 4, 15, 19];
         let mut results = Vec::new();
         for c in corners {
@@ -236,7 +236,7 @@ fn prefix_sum_on_skewed_partition() {
             Box::new(GeneralMapper::new(2, vec![1, 1, 0, 1])),
             1u64,
         );
-        p_prefix_sum_u64(&a);
+        p_partial_sum(&a, 0, |a, b| a + b);
         for i in 0..16 {
             assert_eq!(a.get_element(i), i as u64 + 1);
         }

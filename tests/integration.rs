@@ -5,9 +5,7 @@ use stapl::containers::generators::{fill_mesh, fill_ssca2, Ssca2Params};
 use stapl::containers::graph::{Directedness, PGraph};
 use stapl::containers::list::PList;
 use stapl::containers::matrix::PMatrix;
-use stapl::core::interfaces::{
-    DynamicPContainer, ElementRead, LocalIteration, PContainer,
-};
+use stapl::core::interfaces::{ElementRead, LocalIteration, PContainer};
 use stapl::core::mapper::CyclicMapper;
 use stapl::core::partition::{BlockCyclicPartition, MatrixLayout};
 use stapl::prelude::*;
@@ -23,7 +21,7 @@ fn numeric_pipeline() {
         p_sort(&a);
         assert!(p_is_sorted(&a));
         assert_eq!(p_sum(&a), before_sum, "sorting must preserve the multiset");
-        p_prefix_sum_u64(&a);
+        p_partial_sum(&a, 0, |a, b| a + b);
         // The last prefix equals the total.
         assert_eq!(a.get_element(89), before_sum);
         let _ = loc;
@@ -162,11 +160,10 @@ fn custom_thread_safety_manager_on_array() {
 /// container invoking an inner reduction, then a global reduction.
 #[test]
 fn nested_algorithm_invocation() {
-    use stapl::containers::composed::LocalArray;
     execute(RtsConfig::default(), 2, |loc| {
         let rows = 10;
-        let pa: PArray<LocalArray<u64>> =
-            PArray::from_fn(loc, rows, |r| LocalArray::from_fn(6, move |c| (r * 6 + c) as u64));
+        let pa: PArray<Vec<u64>> =
+            PArray::from_fn(loc, rows, |r| (0..6).map(|c| (r * 6 + c) as u64).collect());
         // Inner algorithm: per-row sum at the owner; outer: global max.
         let mut local_best = 0u64;
         pa.for_each_local(|_, row| {
@@ -188,7 +185,7 @@ fn results_independent_of_location_count() {
         let r = stapl::rts::execute_collect(RtsConfig::default(), nlocs, |loc| {
             let g: AlgoGraph =
                 PGraph::new_static(loc, 30, Directedness::Directed, VProps::default());
-            fill_mesh(loc, &g, 5, 6, ());
+            fill_mesh(&g, 5, 6, ());
             let sources = find_sources(&g);
             let (reached, levels) = bfs(&g, 0);
             (sources.len(), reached, levels)

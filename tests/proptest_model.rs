@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use stapl::containers::list::PList;
-use stapl::core::domain::{FiniteDomain, Range1d, Range2d};
+use stapl::core::domain::{Range1d, Range2d};
 use stapl::core::interfaces::{AssociativeContainer, ElementRead, ElementWrite, PContainer};
 use stapl::core::partition::{
     BalancedPartition, BlockCyclicPartition, BlockedPartition, IndexPartition, SplitterPartition,
@@ -51,27 +51,32 @@ proptest! {
         }
     }
 
-    /// Range1d: offset/nth round-trip and next/prev inversion.
+    /// Range1d: `iter()` enumerates exactly the GIDs `contains` accepts,
+    /// in order, each at its offset from `lo`.
     #[test]
     fn range1d_navigation(lo in 0usize..50, len in 1usize..60) {
         let d = Range1d::new(lo, lo + len);
-        for g in d.iter() {
-            prop_assert_eq!(d.nth(d.offset(&g)), Some(g));
-            if let Some(nx) = d.next(g) {
-                prop_assert_eq!(d.prev(nx), Some(g));
-            }
+        for (k, g) in d.iter().enumerate() {
+            prop_assert_eq!(g, d.lo + k);
+            prop_assert!(d.contains(&g));
         }
-        prop_assert_eq!(d.size(), len);
+        prop_assert!(!d.contains(&d.hi));
+        prop_assert!(lo == 0 || !d.contains(&(lo - 1)));
+        prop_assert_eq!(d.iter().count(), len);
+        prop_assert_eq!(d.len(), len);
     }
 
-    /// Range2d row-major linearization: enumerate() agrees with offset().
+    /// Range2d row-major linearization: `offset` numbers the GIDs in
+    /// row-major order.
     #[test]
     fn range2d_linearization(r in 1usize..8, c in 1usize..8) {
         let d = Range2d::with_shape(r, c);
-        for (k, g) in d.enumerate().into_iter().enumerate() {
+        let row_major = d.rows.iter().flat_map(|i| d.cols.iter().map(move |j| (i, j)));
+        for (k, g) in row_major.enumerate() {
+            prop_assert!(d.contains(&g));
             prop_assert_eq!(d.offset(&g), k);
-            prop_assert_eq!(d.nth(k), Some(g));
         }
+        prop_assert!(!d.contains(&(r, 0)) && !d.contains(&(0, c)));
     }
 
     /// Splitter partitions map keys monotonically (Fig. 58's order
@@ -204,7 +209,7 @@ proptest! {
         prop_assert_eq!(&got[0], &vals);
     }
 
-    /// p_prefix_sum equals the sequential inclusive scan.
+    /// p_partial_sum with `+` equals the sequential inclusive scan.
     #[test]
     fn prefix_sum_matches_scan(vals in proptest::collection::vec(0u64..100, 1..60)) {
         let n = vals.len();
@@ -216,7 +221,7 @@ proptest! {
         let got = stapl::rts::execute_collect(RtsConfig::default(), 3, move |loc| {
             let a = PArray::new(loc, n, 0u64);
             p_generate(&a, |i| v2[i]);
-            p_prefix_sum_u64(&a);
+            p_partial_sum(&a, 0, |a, b| a + b);
             (0..n).map(|i| a.get_element(i)).collect::<Vec<_>>()
         });
         prop_assert_eq!(&got[0], &expect);
