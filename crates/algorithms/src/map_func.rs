@@ -130,8 +130,9 @@ where
 }
 
 /// Runs `f` on `c`'s values over `gids`, a run inside one of its local
-/// storage pieces: the storage slice itself, or — storage that exposes
-/// none (boxed) — a `get_range` copy of the local run.
+/// storage pieces: the storage slice itself, or — storage that lends none
+/// (a pVector block whose bounds moved) — a `get_range` copy of the local
+/// run.
 pub(crate) fn values<C: RangedContainer, R>(
     c: &C,
     bcid: Bcid,
@@ -492,37 +493,25 @@ mod tests {
 
     #[test]
     fn fill_and_replace_reach_every_local_storage_piece() {
-        use stapl_containers::array::ArrayStorage;
         use stapl_containers::vector::PVector;
         use stapl_core::mapper::CyclicMapper;
-        use stapl_core::partition::{BalancedPartition, BlockCyclicPartition};
-        use stapl_core::thread_safety::ThreadSafety;
+        use stapl_core::partition::BlockCyclicPartition;
         execute(RtsConfig::default(), 2, |loc| {
-            // Several slices per location, no slices at all, one block.
+            // Several slices per location, one block.
             let cyclic = PArray::with_partition(
                 loc,
                 Box::new(BlockCyclicPartition::new(17, 4, 2)),
                 Box::new(CyclicMapper::new(loc.nlocs())),
                 0u64,
             );
-            let boxed = PArray::with_options(
-                loc,
-                Box::new(BalancedPartition::new(8, loc.nlocs())),
-                Box::new(CyclicMapper::new(loc.nlocs())),
-                0u64,
-                ArrayStorage::Boxed,
-                ThreadSafety::unlocked(),
-            );
             let v = PVector::from_fn(loc, 10, |i| i as u32);
             p_generate(&cyclic, |_| 7);
-            p_generate(&boxed, |_| 7);
             p_for_each(&v, |x| {
                 if *x % 2 == 0 {
                     *x = 100;
                 }
             });
             assert_eq!(p_count_if(&cyclic, |x| *x == 7), 17);
-            assert_eq!(p_count_if(&boxed, |x| *x == 7), 8);
             assert_eq!(p_count_if(&v, |x| *x == 100), 5);
             assert_eq!(v.get_element(9), 9);
         });

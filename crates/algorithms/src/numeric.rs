@@ -12,8 +12,9 @@ use stapl_core::gid::Bcid;
 use stapl_core::interfaces::RangedContainer;
 
 /// Runs `f` on the values of one local storage piece, in place: on the
-/// slice itself, or — storage that exposes none (boxed) — on a copy that is
-/// written back (the piece is local, so neither way is an RMI).
+/// slice itself, or — storage that lends none (a pVector block whose
+/// bounds moved) — on a copy that is written back (the piece is local, so
+/// neither way is an RMI).
 fn on_piece<C: RangedContainer, R>(
     c: &C,
     bcid: Bcid,

@@ -1,7 +1,7 @@
 //! Property tests for the bulk algorithms that walk storage slices
 //! (`p_partial_sum`, `p_sort`, the pairwise family): on seeded random
 //! distributions — every partition shape, cyclic and arbitrary placement,
-//! contiguous and boxed storage, P = 1..3, n down to 0 — each equals the
+//! P = 1..3, n down to 0 — each equals the
 //! sequential loop it replaces. Seeded, so a failure names a case that
 //! reproduces.
 
@@ -10,14 +10,13 @@ use rand::{RngExt, SeedableRng};
 use stapl_algorithms::map_func::{p_copy, p_equal, p_generate, p_inner_product, p_transform};
 use stapl_algorithms::numeric::p_partial_sum;
 use stapl_algorithms::sorting::{p_is_sorted, p_sort};
-use stapl_containers::array::{ArrayStorage, PArray};
+use stapl_containers::array::PArray;
 use stapl_core::domain::Range1d;
 use stapl_core::interfaces::{ElementWrite, RangedContainer};
 use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{
     BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, IndexPartition,
 };
-use stapl_core::thread_safety::ThreadSafety;
 use stapl_rts::{execute, Location, RtsConfig};
 
 const CASES: u64 = 120;
@@ -39,7 +38,6 @@ struct Dist {
     part: Part,
     /// `None`: cyclic; else the location of each sub-domain.
     placement: Option<Vec<usize>>,
-    boxed: bool,
 }
 
 impl Dist {
@@ -66,7 +64,7 @@ impl Dist {
                 Part::Explicit(cuts.windows(2).map(|w| w[1] - w[0]).collect())
             }
         };
-        let mut dist = Dist { n, part, placement: None, boxed: rng.random_bool(0.3) };
+        let mut dist = Dist { n, part, placement: None };
         if rng.random_bool(0.5) {
             let subdomains = dist.partition().num_subdomains();
             dist.placement = Some((0..subdomains).map(|_| rng.random_range(0..nlocs)).collect());
@@ -80,8 +78,7 @@ impl Dist {
             None => Box::new(CyclicMapper::new(loc.nlocs())),
             Some(assignment) => Box::new(GeneralMapper::new(loc.nlocs(), assignment.clone())),
         };
-        let storage = if self.boxed { ArrayStorage::Boxed } else { ArrayStorage::Contiguous };
-        PArray::with_options(loc, self.partition(), mapper, init, storage, ThreadSafety::unlocked())
+        PArray::with_partition(loc, self.partition(), mapper, init)
     }
 }
 

@@ -24,91 +24,86 @@ use stapl_core::pobject::PObject;
 use stapl_core::thread_safety::{methods, MethodId, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
-/// Storage strategy of the pArray base containers — the knob behind the
-/// paper's memory-consumption study (Fig. 34): one contiguous allocation
-/// per base container versus one allocation per element.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ArrayStorage {
-    /// `Vec<T>` — the paper's valarray-backed default.
-    #[default]
-    Contiguous,
-    /// `Vec<Box<T>>` — models per-element allocation overhead.
-    Boxed,
-}
-
-enum Store<T> {
-    Contiguous(Vec<T>),
-    Boxed(Vec<Box<T>>),
-}
-
 /// Base container of a pArray: the values of one sub-domain, addressed by
 /// the sub-domain's linearization offset.
 pub struct ArrayBc<T> {
     sd: IndexSubDomain,
-    store: Store<T>,
+    /// Exactly `sd.len()` values, in the sub-domain's linearization.
+    store: Vec<T>,
 }
 
 impl<T: Clone> ArrayBc<T> {
-    fn new(sd: IndexSubDomain, init: &T, storage: ArrayStorage) -> Self {
-        let n = sd.len();
-        let store = match storage {
-            ArrayStorage::Contiguous => Store::Contiguous(vec![init.clone(); n]),
-            ArrayStorage::Boxed => {
-                Store::Boxed((0..n).map(|_| Box::new(init.clone())).collect())
-            }
-        };
+    fn new(sd: IndexSubDomain, init: &T) -> Self {
+        let store = vec![init.clone(); sd.len()];
         ArrayBc { sd, store }
     }
 
-    /// The value at storage offset `off` (the sub-domain's linearization).
-    fn at(&self, off: usize) -> &T {
-        match &self.store {
-            Store::Contiguous(v) => &v[off],
-            Store::Boxed(v) => &v[off],
-        }
-    }
-
-    fn at_mut(&mut self, off: usize) -> &mut T {
-        match &mut self.store {
-            Store::Contiguous(v) => &mut v[off],
-            Store::Boxed(v) => &mut v[off],
-        }
-    }
-
-    /// The storage offset of `gid` when this sub-domain is contiguous (every
-    /// default constructor's) and holds it: a range compare and a subtract,
-    /// no call — the element methods' inline probe ([`ArrayRep::with`]).
+    /// The element at `gid` when this sub-domain is contiguous (every
+    /// default constructor's) and holds it: one range test, no call — the
+    /// element methods' inline probe ([`ArrayRep::with`]). The storage has
+    /// exactly the sub-domain's length, so the slice's own bounds check on
+    /// `gid - lo` (wrapping below `lo`) is the test `lo <= gid < hi`.
     #[inline(always)]
-    fn contiguous_offset(&self, gid: usize) -> Option<usize> {
+    fn contiguous_get(&self, gid: usize) -> Option<&T> {
         match &self.sd {
-            IndexSubDomain::Contiguous(r) => (r.lo <= gid && gid < r.hi).then(|| gid - r.lo),
+            IndexSubDomain::Contiguous(r) => self.store.get(gid.wrapping_sub(r.lo)),
             _ => None,
         }
     }
 
-    /// The storage offset of `gid` when this sub-domain, of either shape,
-    /// holds it: resolution's out-of-line rest ([`ArrayRep::with_cold`],
-    /// `is_local`). A strided sub-domain is asked in a `#[cold]` call of its
-    /// own, which keeps its divisions out of what this inlines into — and is
-    /// why the probe does not use it: no call may sit between the probe's
-    /// `RefCell` borrow and its release.
-    #[inline]
-    fn offset_of(&self, gid: usize) -> Option<usize> {
-        #[cold]
-        fn strided(sd: &IndexSubDomain, gid: usize) -> Option<usize> {
-            sd.contains(gid).then(|| sd.offset(gid))
-        }
+    #[inline(always)]
+    fn contiguous_get_mut(&mut self, gid: usize) -> Option<&mut T> {
         match &self.sd {
-            IndexSubDomain::Contiguous(_) => self.contiguous_offset(gid),
-            sd => strided(sd, gid),
+            IndexSubDomain::Contiguous(r) => self.store.get_mut(gid.wrapping_sub(r.lo)),
+            _ => None,
         }
     }
 
-    /// Borrow of the storage span backing the storage-contiguous GID run
-    /// `gids`; `None` for boxed (per-element) storage.
-    fn slice(&self, gids: Range1d) -> Option<&[T]> {
+    /// The storage offset of `gid` when this strided sub-domain holds it,
+    /// asked in a `#[cold]` call of its own, which keeps its divisions out
+    /// of what [`ArrayBc::get`] inlines into — and is why the probe does not
+    /// use `get`: no call may sit between the probe's `RefCell` borrow and
+    /// its release.
+    #[cold]
+    fn strided_offset(&self, gid: usize) -> Option<usize> {
+        self.sd.contains(gid).then(|| self.sd.offset(gid))
+    }
+
+    /// The element at `gid` when this sub-domain, of either shape, holds it:
+    /// resolution's out-of-line rest ([`ArrayRep::with_cold`], `is_local`).
+    #[inline]
+    fn get(&self, gid: usize) -> Option<&T> {
+        match &self.sd {
+            IndexSubDomain::Contiguous(_) => self.contiguous_get(gid),
+            _ => Some(&self.store[self.strided_offset(gid)?]),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, gid: usize) -> Option<&mut T> {
+        match &self.sd {
+            IndexSubDomain::Contiguous(_) => self.contiguous_get_mut(gid),
+            _ => {
+                let off = self.strided_offset(gid)?;
+                Some(&mut self.store[off])
+            }
+        }
+    }
+
+    /// The storage span backing the storage-contiguous GID run `gids`.
+    fn slice(&self, gids: Range1d) -> &[T] {
+        &self.store[self.span(gids)]
+    }
+
+    /// Mutable counterpart of [`ArrayBc::slice`].
+    fn slice_mut(&mut self, gids: Range1d) -> &mut [T] {
+        let span = self.span(gids);
+        &mut self.store[span]
+    }
+
+    fn span(&self, gids: Range1d) -> std::ops::Range<usize> {
         if gids.is_empty() {
-            return Some(&[]);
+            return 0..0;
         }
         let lo = self.sd.offset(gids.lo);
         debug_assert_eq!(
@@ -116,120 +111,44 @@ impl<T: Clone> ArrayBc<T> {
             lo + gids.len() - 1,
             "bulk run {gids:?} is not storage-contiguous in this sub-domain"
         );
-        match &self.store {
-            Store::Contiguous(v) => Some(&v[lo..lo + gids.len()]),
-            Store::Boxed(_) => None,
-        }
-    }
-
-    /// Mutable counterpart of [`ArrayBc::slice`].
-    fn slice_mut(&mut self, gids: Range1d) -> Option<&mut [T]> {
-        if gids.is_empty() {
-            return Some(&mut []);
-        }
-        let lo = self.sd.offset(gids.lo);
-        debug_assert_eq!(self.sd.offset(gids.hi - 1), lo + gids.len() - 1);
-        match &mut self.store {
-            Store::Contiguous(v) => Some(&mut v[lo..lo + gids.len()]),
-            Store::Boxed(_) => None,
-        }
-    }
-
-    /// Appends clones of the run's values to `out` (slice memcpy-style for
-    /// contiguous storage, per-element for boxed).
-    fn extend_range(&self, gids: Range1d, out: &mut Vec<T>)
-    where
-        T: Clone,
-    {
-        match self.slice(gids) {
-            Some(s) => out.extend_from_slice(s),
-            None => {
-                for g in gids.iter() {
-                    out.push(self.at(self.sd.offset(g)).clone());
-                }
-            }
-        }
-    }
-
-    /// Overwrites the run with `vals` (`vals.len() == gids.len()`).
-    fn write_range(&mut self, gids: Range1d, vals: &[T])
-    where
-        T: Clone,
-    {
-        debug_assert_eq!(gids.len(), vals.len());
-        match self.slice_mut(gids) {
-            Some(s) => s.clone_from_slice(vals),
-            None => {
-                for (g, v) in gids.iter().zip(vals) {
-                    *self.at_mut(self.sd.offset(g)) = v.clone();
-                }
-            }
-        }
+        lo..lo + gids.len()
     }
 
     /// Applies `f(gid, &mut value)` across the run under one borrow.
     fn apply_range<F: FnMut(usize, &mut T)>(&mut self, gids: Range1d, mut f: F) {
-        match self.slice_mut(gids) {
-            Some(s) => {
-                for (g, v) in gids.iter().zip(s) {
-                    f(g, v);
-                }
-            }
-            None => {
-                for g in gids.iter() {
-                    f(g, self.at_mut(self.sd.offset(g)));
-                }
-            }
+        for (g, v) in gids.iter().zip(self.slice_mut(gids)) {
+            f(g, v);
         }
     }
 
     /// The sub-domain's storage-contiguous pieces, each with the slice that
     /// backs it, in storage order — local iteration is a loop over these.
-    /// `None` for boxed storage, which has no slices and walks per element.
-    fn pieces(&self) -> Option<impl Iterator<Item = (Range1d, &[T])>> {
-        let Store::Contiguous(v) = &self.store else { return None };
-        let mut rest = v.as_slice();
-        Some(self.sd.contiguous_pieces().into_iter().map(move |r| {
+    fn pieces(&self) -> impl Iterator<Item = (Range1d, &[T])> {
+        let mut rest = self.store.as_slice();
+        self.sd.contiguous_pieces().into_iter().map(move |r| {
             let (s, tail) = rest.split_at(r.len());
             rest = tail;
             (r, s)
-        }))
+        })
     }
 
     /// Mutable counterpart of [`ArrayBc::pieces`].
-    fn pieces_mut(&mut self) -> Option<impl Iterator<Item = (Range1d, &mut [T])>> {
-        let Store::Contiguous(v) = &mut self.store else { return None };
-        let mut rest = v.as_mut_slice();
-        Some(self.sd.contiguous_pieces().into_iter().map(move |r| {
+    fn pieces_mut(&mut self) -> impl Iterator<Item = (Range1d, &mut [T])> {
+        let mut rest = self.store.as_mut_slice();
+        self.sd.contiguous_pieces().into_iter().map(move |r| {
             let (s, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
             rest = tail;
             (r, s)
-        }))
+        })
     }
 
-    /// In-order (gid, value) iteration of the sub-domain. The per-element
-    /// arms (here and in `for_each_mut`) are plain loops on purpose: a
-    /// closure handed to an opaque std adaptor (`FlatMap::fold` behind
-    /// `sd.iter().for_each(..)`) keeps what it captures (a reduction's
-    /// accumulator) in memory on the slice arm too.
+    /// In-order (gid, value) iteration of the sub-domain.
     fn for_each<F: FnMut(usize, &T)>(&self, mut f: F) {
-        let Some(ps) = self.pieces() else {
-            for (k, g) in self.sd.iter().enumerate() {
-                f(g, self.at(k));
-            }
-            return;
-        };
-        ps.for_each(|(r, s)| r.iter().zip(s).for_each(|(g, v)| f(g, v)));
+        self.pieces().for_each(|(r, s)| r.iter().zip(s).for_each(|(g, v)| f(g, v)));
     }
 
     fn for_each_mut<F: FnMut(usize, &mut T)>(&mut self, mut f: F) {
-        let Some(ps) = self.pieces_mut() else {
-            for (k, g) in self.sd.iter().enumerate() {
-                f(g, self.at_mut(k));
-            }
-            return;
-        };
-        ps.for_each(|(r, s)| r.iter().zip(s).for_each(|(g, v)| f(g, v)));
+        self.pieces_mut().for_each(|(r, s)| r.iter().zip(s).for_each(|(g, v)| f(g, v)));
     }
 }
 
@@ -237,30 +156,16 @@ impl<T: 'static> BaseContainer for ArrayBc<T> {
     type Value = T;
 
     fn len(&self) -> usize {
-        match &self.store {
-            Store::Contiguous(v) => v.len(),
-            Store::Boxed(v) => v.len(),
-        }
+        self.store.len()
     }
 
     fn clear(&mut self) {
-        match &mut self.store {
-            Store::Contiguous(v) => v.clear(),
-            Store::Boxed(v) => v.clear(),
-        }
+        self.store.clear();
     }
 
     fn memory_size(&self) -> MemSize {
-        let meta = std::mem::size_of::<IndexSubDomain>() + std::mem::size_of::<Store<T>>();
-        let data = match &self.store {
-            Store::Contiguous(v) => v.capacity() * std::mem::size_of::<T>(),
-            // Boxed storage pays pointer + heap block per element; count the
-            // allocator's typical 16-byte header/rounding the way the
-            // paper's study counts malloc overhead.
-            Store::Boxed(v) => v.capacity() * std::mem::size_of::<usize>()
-                + v.len() * (std::mem::size_of::<T>().next_multiple_of(16)),
-        };
-        MemSize::new(meta, data)
+        let meta = std::mem::size_of::<IndexSubDomain>() + std::mem::size_of::<Vec<T>>();
+        MemSize::new(meta, self.store.capacity() * std::mem::size_of::<T>())
     }
 }
 
@@ -269,7 +174,6 @@ pub struct ArrayRep<T> {
     lm: LocationManager<ArrayBc<T>>,
     dist: IndexDistribution,
     ths: ThreadSafety,
-    storage: ArrayStorage,
     /// Staging area used during redistribution.
     staging: Option<(LocationManager<ArrayBc<T>>, IndexDistribution)>,
 }
@@ -283,12 +187,9 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
     /// several bContainers, a miss, a bad index — behind [`ArrayRep::far`].
     #[inline]
     fn find(&self, gid: usize) -> Result<(Bcid, &T), LocId> {
-        match self.lm.only().and_then(|(bcid, bc)| Some((bcid, bc.at(bc.offset_of(gid)?)))) {
+        match self.lm.only().and_then(|(bcid, bc)| Some((bcid, bc.get(gid)?))) {
             Some(hit) => Ok(hit),
-            None => Self::far(&self.lm, &self.dist, gid, move |lm, bcid| {
-                let bc = lm.get(bcid)?;
-                Some(bc.at(bc.offset_of(gid)?))
-            }),
+            None => Self::far(&self.lm, &self.dist, gid, move |lm, bcid| lm.get(bcid)?.get(gid)),
         }
     }
 
@@ -329,7 +230,7 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         {
             let rep = cell.borrow();
             if !rep.ths.may_lock(M) {
-                if let Some(v) = rep.lm.only().and_then(|(_, bc)| Some(bc.at(bc.contiguous_offset(gid)?))) {
+                if let Some(v) = rep.lm.only().and_then(|(_, bc)| bc.contiguous_get(gid)) {
                     return Ok(f(v));
                 }
             }
@@ -346,7 +247,7 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         {
             let ArrayRep { lm, ths, .. } = &mut *cell.borrow_mut();
             if !ths.may_lock(M) {
-                if let Some(v) = lm.only_mut().and_then(|(_, bc)| Some(bc.at_mut(bc.contiguous_offset(gid)?))) {
+                if let Some(v) = lm.only_mut().and_then(|(_, bc)| bc.contiguous_get_mut(gid)) {
                     return Ok(f(v));
                 }
             }
@@ -379,12 +280,9 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         F: FnOnce(&mut T) -> R,
     {
         let ArrayRep { lm, dist, ths, .. } = &mut *cell.borrow_mut();
-        let found = match lm.only_mut().and_then(|(bcid, bc)| Some((bcid, bc.at_mut(bc.offset_of(gid)?)))) {
+        let found = match lm.only_mut().and_then(|(bcid, bc)| Some((bcid, bc.get_mut(gid)?))) {
             Some(hit) => Ok(hit),
-            None => Self::far(lm, dist, gid, move |lm, bcid| {
-                let bc = lm.get_mut(bcid)?;
-                Some(bc.at_mut(bc.offset_of(gid)?))
-            }),
+            None => Self::far(lm, dist, gid, move |lm, bcid| lm.get_mut(bcid)?.get_mut(gid)),
         };
         match found {
             Ok((bcid, v)) => Ok(ths.guarded(M, gid as u64, bcid, || f(v))),
@@ -396,7 +294,7 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
     /// appended to `out`.
     fn get_range_local(&self, bcid: Bcid, gids: Range1d, out: &mut Vec<T>) {
         let _g = self.ths.guard(methods::GET, gids.lo as u64, bcid);
-        self.lm.get(bcid).expect("get_range: bcid not on this location").extend_range(gids, out);
+        out.extend_from_slice(self.lm.get(bcid).expect("get_range: bcid not on this location").slice(gids));
     }
 
     /// Bulk write of one storage-contiguous run.
@@ -406,7 +304,8 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         this.lm
             .get_mut(bcid)
             .expect("set_range: bcid not on this location")
-            .write_range(gids, vals);
+            .slice_mut(gids)
+            .clone_from_slice(vals);
     }
 
     /// Bulk read-modify-write of one storage-contiguous run.
@@ -470,25 +369,24 @@ impl<T: Send + Clone + 'static> PArray<T> {
         mapper: Box<dyn PartitionMapper>,
         init: T,
     ) -> Self {
-        Self::with_options(loc, partition, mapper, init, ArrayStorage::Contiguous, ThreadSafety::unlocked())
+        Self::with_options(loc, partition, mapper, init, ThreadSafety::unlocked())
     }
 
-    /// **Collective.** Full customization: partition, mapper, storage kind
-    /// and thread-safety policy (the paper's traits template arguments).
+    /// **Collective.** Full customization: partition, mapper and
+    /// thread-safety policy (the paper's traits template arguments).
     pub fn with_options(
         loc: &Location,
         partition: Box<dyn IndexPartition>,
         mapper: Box<dyn PartitionMapper>,
         init: T,
-        storage: ArrayStorage,
         ths: ThreadSafety,
     ) -> Self {
         let dist = IndexDistribution::new(partition, mapper);
         let mut lm = LocationManager::new();
         for (bcid, sd) in dist.local_subdomains(loc.id()) {
-            lm.add_bcontainer(bcid, ArrayBc::new(sd, &init, storage));
+            lm.add_bcontainer(bcid, ArrayBc::new(sd, &init));
         }
-        let obj = PObject::register(loc, ArrayRep { lm, dist, ths, storage, staging: None });
+        let obj = PObject::register(loc, ArrayRep { lm, dist, ths, staging: None });
         // Handles must be in sync before any peer can address us.
         loc.barrier();
         PArray { obj }
@@ -551,7 +449,7 @@ impl<T: Send + Clone + 'static> PArray<T> {
         // location's first element — Some whenever the array is nonempty).
         let placeholder = {
             let rep = self.obj.local();
-            let first = rep.lm.iter().find_map(|(_, bc)| (bc.len() > 0).then(|| bc.at(0).clone()));
+            let first = rep.lm.iter().find_map(|(_, bc)| bc.store.first().cloned());
             drop(rep);
             loc.allreduce(first, |a, b| a.or(b))
         };
@@ -567,7 +465,7 @@ impl<T: Send + Clone + 'static> PArray<T> {
                 let init = placeholder
                     .clone()
                     .expect("nonempty sub-domain implies a nonempty array, so a placeholder exists");
-                staging.add_bcontainer(bcid, ArrayBc::new(sd, &init, rep.storage));
+                staging.add_bcontainer(bcid, ArrayBc::new(sd, &init));
             }
             rep.staging = Some((staging, new_dist.clone()));
         }
@@ -589,7 +487,8 @@ impl<T: Send + Clone + 'static> PArray<T> {
                     let staging =
                         &mut rep.staging.as_mut().expect("staging missing during redistribution").0;
                     let bc = staging.get_mut(nb).expect("staging bcid");
-                    *bc.at_mut(bc.sd.offset(gid)) = v;
+                    let off = bc.sd.offset(gid);
+                    bc.store[off] = v;
                 });
             }
         }
@@ -861,7 +760,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         let rep = self.obj.local();
         let bc = rep.lm.get(bcid)?;
         let _g = rep.ths.guard(methods::GET, gids.lo as u64, bcid);
-        bc.slice(gids).map(f)
+        Some(f(bc.slice(gids)))
     }
 
     fn with_slice_mut<R>(
@@ -874,7 +773,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         let rep = &mut *rep;
         let _g = rep.ths.guard(methods::APPLY, gids.lo as u64, bcid);
         let bc = rep.lm.get_mut(bcid)?;
-        bc.slice_mut(gids).map(f)
+        Some(f(bc.slice_mut(gids)))
     }
 }
 
@@ -1053,30 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_storage_behaves_identically_but_costs_more() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let contiguous = PArray::new(loc, 64, 5u64);
-            let boxed = PArray::with_options(
-                loc,
-                Box::new(BalancedPartition::new(64, loc.nlocs())),
-                Box::new(CyclicMapper::new(loc.nlocs())),
-                5u64,
-                ArrayStorage::Boxed,
-                ThreadSafety::unlocked(),
-            );
-            boxed.set_element(10, 99);
-            loc.rmi_fence();
-            assert_eq!(boxed.get_element(10), 99);
-            let mc = contiguous.memory_size();
-            let mb = boxed.memory_size();
-            assert!(
-                mb.data > mc.data,
-                "boxed storage should report more data bytes: {mb:?} vs {mc:?}"
-            );
-        });
-    }
-
-    #[test]
     fn memory_size_scales_with_elements() {
         execute(RtsConfig::default(), 2, |loc| {
             let small = PArray::new(loc, 100, 0u64);
@@ -1142,7 +1017,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_ops_work_on_block_cyclic_and_boxed_storage() {
+    fn bulk_ops_work_on_block_cyclic_partitions() {
         execute(RtsConfig::default(), 2, |loc| {
             let bc = PArray::with_partition(
                 loc,
@@ -1160,20 +1035,6 @@ mod tests {
                 v[22] = 0;
                 v
             });
-
-            let boxed = PArray::with_options(
-                loc,
-                Box::new(BalancedPartition::new(10, loc.nlocs())),
-                Box::new(CyclicMapper::new(loc.nlocs())),
-                0u64,
-                ArrayStorage::Boxed,
-                ThreadSafety::unlocked(),
-            );
-            if loc.id() == 1 {
-                boxed.set_range(2, vec![9, 9, 9, 9]);
-            }
-            loc.rmi_fence();
-            assert_eq!(boxed.get_range(Range1d::new(0, 10)), vec![0, 0, 9, 9, 9, 9, 0, 0, 0, 0]);
         });
     }
 

@@ -19,7 +19,7 @@ use stapl_core::gid::{Bcid, Key, KeyHashMap};
 use stapl_core::interfaces::{AssociativeContainer, PContainer, SegmentId, SegmentedContainer};
 use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::CyclicMapper;
-use stapl_core::partition::{HashPartition, SplitterPartition};
+use stapl_core::partition::{HashPartition, KeyPartition, SplitterPartition};
 use stapl_core::pobject::PObject;
 use stapl_rts::{LocId, Location, RmiFuture};
 
@@ -27,6 +27,10 @@ use crate::LazySize;
 
 /// Sequential key-value store usable as an associative base container.
 pub trait KvStore<K, V>: Default + 'static {
+    /// The key partition that places keys into stores of this kind: a
+    /// splitter partition for a sorted store, a hash partition for a
+    /// hashed one.
+    type Partition: KeyPartition<K>;
     /// Inserts or overwrites; returns true when the key was new.
     fn insert(&mut self, k: K, v: V) -> bool;
     fn remove(&mut self, k: &K) -> Option<V>;
@@ -51,8 +55,10 @@ pub trait KvStore<K, V>: Default + 'static {
 /// `KvStore` over a `std` map type: every method is the map's own;
 /// `reserve` is given, since not every map has one.
 macro_rules! std_map_kv_store {
-    ($map:ident, [$($key_bound:tt)+], reserve: $reserve:expr) => {
+    ($map:ident, [$($key_bound:tt)+], $partition:ty, reserve: $reserve:expr) => {
         impl<K: $($key_bound)+ + 'static, V: 'static> KvStore<K, V> for $map<K, V> {
+            type Partition = $partition;
+
             fn insert(&mut self, k: K, v: V) -> bool {
                 $map::insert(self, k, v).is_none()
             }
@@ -96,10 +102,10 @@ macro_rules! std_map_kv_store {
     };
 }
 
-std_map_kv_store!(BTreeMap, [Ord], reserve: |_, _| {});
+std_map_kv_store!(BTreeMap, [Ord + Clone], SplitterPartition<K>, reserve: |_, _| {});
 // The hashed store is the framework's [`KeyHashMap`], not `std`'s
 // `RandomState` map: placement and store share one hasher (DESIGN.md "Hashing").
-std_map_kv_store!(KeyHashMap, [Eq + std::hash::Hash], reserve: |m, n| m.reserve(n));
+std_map_kv_store!(KeyHashMap, [Eq + std::hash::Hash], HashPartition, reserve: |m, n| m.reserve(n));
 
 /// Associative base container: a sequential store plus accounting.
 pub struct AssocBc<K, V, S> {
@@ -138,9 +144,9 @@ where
 }
 
 /// Per-location representative of an associative container.
-pub struct AssocRep<K: 'static, V: 'static, S: 'static> {
+pub struct AssocRep<K: 'static, V: 'static, S: KvStore<K, V>> {
     lm: LocationManager<AssocBc<K, V, S>>,
-    dist: KeyDistribution<K>,
+    dist: KeyDistribution<K, S::Partition>,
     size: LazySize<usize>,
     _marker: std::marker::PhantomData<fn() -> V>,
 }
@@ -189,7 +195,7 @@ where
     S: KvStore<K, V>,
 {
     /// **Collective.** Builds from a key distribution.
-    pub fn with_distribution(loc: &Location, dist: KeyDistribution<K>) -> Self {
+    pub fn with_distribution(loc: &Location, dist: KeyDistribution<K, S::Partition>) -> Self {
         let mut lm = LocationManager::new();
         for bcid in dist.bcids_of(loc.id()) {
             lm.add_bcontainer(bcid, AssocBc::default());
@@ -207,8 +213,18 @@ where
     /// The bucket (segment) `k` belongs to under this container's key
     /// distribution — replicated metadata, no communication. The grouping
     /// key for segment-grained shuffles ([`PAssoc::merge_segment`]).
+    #[inline]
     pub fn bucket_of(&self, k: &K) -> SegmentId {
         self.obj.local().dist.partition().find(k)
+    }
+
+    /// `find`'s miss: asks the owner of bucket `bcid`.
+    #[inline(never)]
+    fn find_at_owner(&self, bcid: Bcid, k: K) -> Option<V> {
+        let owner = self.obj.local().dist.mapper().map(bcid);
+        self.obj.invoke_ret_at(owner, move |cell, _| {
+            cell.borrow().lm.get(bcid).expect("assoc bcid").store.get(&k).cloned()
+        })
     }
 
     fn me(&self) -> LocId {
@@ -221,6 +237,11 @@ where
     /// lazy size stale (at issuer and owner); `INVOKES` says whether a
     /// local run counts as an invocation. Both are the method's, so part of
     /// the function: what is shipped is the method's arguments.
+    ///
+    /// Inline, the partition's bucket and the location manager's lookup —
+    /// the inline bucket's BCID compared first — and the hit; the miss is
+    /// [`PAssoc::update_at_owner`], out of line.
+    #[inline(always)]
     fn update_async<const RESIZES: bool, const INVOKES: bool, F>(&self, k: K, op: F)
     where
         F: FnOnce(&mut S, K) + Send + 'static,
@@ -234,8 +255,18 @@ where
             }
             return op(&mut bc.store, k);
         }
-        let owner = rep.dist.mapper().map(bcid);
         drop(rep);
+        self.update_at_owner::<RESIZES, F>(bcid, k, op);
+    }
+
+    /// [`PAssoc::update_async`]'s miss: ships `op` to the owner of bucket
+    /// `bcid`.
+    #[inline(never)]
+    fn update_at_owner<const RESIZES: bool, F>(&self, bcid: Bcid, k: K, op: F)
+    where
+        F: FnOnce(&mut S, K) + Send + 'static,
+    {
+        let owner = self.obj.local().dist.mapper().map(bcid);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(RESIZES);
@@ -436,17 +467,17 @@ where
         });
     }
 
+    // Inline, as `update_async`: the bucket, the lookup and the hit; the
+    // miss is `find_at_owner`.
+    #[inline(always)]
     fn find(&self, k: K) -> Option<V> {
         let rep = self.obj.local();
         let bcid = rep.dist.partition().find(&k);
         if let Some(bc) = rep.lm.get(bcid) {
             return bc.store.get(&k).cloned();
         }
-        let owner = rep.dist.mapper().map(bcid);
         drop(rep);
-        self.obj.invoke_ret_at(owner, move |cell, _| {
-            cell.borrow().lm.get(bcid).expect("assoc bcid").store.get(&k).cloned()
-        })
+        self.find_at_owner(bcid, k)
     }
 
     fn split_find(&self, k: K) -> RmiFuture<Option<V>> {
@@ -548,7 +579,7 @@ where
     /// splitters (one ordered interval per base container, Fig. 58).
     pub fn new(loc: &Location, splitters: Vec<K>) -> Self {
         let dist = KeyDistribution::new(
-            Box::new(SplitterPartition::new(splitters)),
+            SplitterPartition::new(splitters),
             Box::new(CyclicMapper::new(loc.nlocs())),
         );
         Self::with_distribution(loc, dist)
@@ -568,7 +599,7 @@ where
     /// **Collective.** A pHashMap with an explicit bucket count.
     pub fn with_buckets(loc: &Location, buckets: usize) -> Self {
         let dist = KeyDistribution::new(
-            Box::new(HashPartition::new(buckets)),
+            HashPartition::new(buckets),
             Box::new(CyclicMapper::new(loc.nlocs())),
         );
         Self::with_distribution(loc, dist)

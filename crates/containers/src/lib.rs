@@ -44,7 +44,7 @@ pub mod slab_list;
 pub mod vector;
 
 pub mod prelude {
-    pub use crate::array::{ArrayStorage, PArray};
+    pub use crate::array::PArray;
     pub use crate::associative::{PAssoc, PHashMap, PHashSet, PMap, PMultiMap, PSet};
     pub use crate::generators::{
         fill_binary_tree, fill_dag_with_sources, fill_mesh, fill_ssca2, static_digraph, Ssca2Params,

@@ -5,20 +5,22 @@
 //! guards a locked container takes, which methods count as local
 //! invocations, and that a panic inside the inline probe releases its borrow.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use stapl_containers::array::{ArrayStorage, PArray};
-use stapl_containers::associative::PHashMap;
+use stapl_containers::array::PArray;
+use stapl_containers::associative::{KvStore, PAssoc, PHashMap, PMap};
 use stapl_containers::vector::PVector;
 use stapl_core::distribution::IndexDistribution;
 use stapl_core::interfaces::{
-    AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer,
+    AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer, SegmentedContainer,
 };
 use stapl_core::mapper::{BlockedMapper, CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{
-    BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, IndexPartition,
+    BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, HashPartition,
+    IndexPartition, KeyPartition, SplitterPartition,
 };
 use stapl_core::thread_safety::{
     methods, AccessMode, HashedLockManager, LockGranularity, LockingPolicyTable, MethodPolicy,
@@ -245,19 +247,18 @@ fn a_panic_inside_the_probe_releases_the_borrow_and_keeps_the_value() {
     });
 }
 
-/// Boxed storage takes the probe too: it reads and writes every element
-/// through `at`/`at_mut` on the one local bContainer, sending nothing.
+/// A strided sub-domain misses the inline probe's one range test: as the
+/// only local bContainer it still serves every element method through the
+/// cold path's resolution, sending nothing.
 #[test]
-fn boxed_storage_on_one_location_reads_and_writes_through_the_probe() {
+fn strided_subdomain_on_one_location_reads_and_writes_through_the_cold_path() {
     execute(RtsConfig::default(), 1, |loc| {
         let n = 16usize;
-        let a = PArray::with_options(
+        let a = PArray::with_partition(
             loc,
-            Box::new(BalancedPartition::new(n, 1)),
+            Box::new(BlockCyclicPartition::new(n, 1, 3)),
             Box::new(CyclicMapper::new(1)),
             0u64,
-            ArrayStorage::Boxed,
-            ThreadSafety::unlocked(),
         );
         let want = |g: usize| 3 * g as u64 + 1;
         for g in 0..n {
@@ -325,7 +326,6 @@ fn locked_array(loc: &Location, n: usize, ths: ThreadSafety) -> PArray<u64> {
         Box::new(BalancedPartition::new(n, loc.nlocs())),
         Box::new(CyclicMapper::new(loc.nlocs())),
         0,
-        ArrayStorage::Contiguous,
         ths,
     )
 }
@@ -392,42 +392,40 @@ fn guards_per_method_on_the_whole_grid_under_a_locked_and_an_overflow_policy() {
     for p in 1..=3usize {
         for pi in 0..partitions(n).len() {
             for mi in 0..3 {
-                for storage in [ArrayStorage::Contiguous, ArrayStorage::Boxed] {
-                    for locked in [true, false] {
-                        let what = format!("P={p} partition#{pi} mapper#{mi} {storage:?} locked={locked}");
-                        let mut table = LockingPolicyTable::unlocked();
-                        if locked {
-                            table = LockingPolicyTable::dynamic_default();
-                        } else {
-                            table.set(FAR, write);
-                        }
-                        let counts = Arc::new(GuardCounts::default());
-                        let ths = ThreadSafety::new(table, counts.clone());
-                        assert!(ths.guard(FAR, 0, 0).is_some(), "{what}: past the mask's width");
-                        assert_eq!(ths.guard(FAR + 1, 0, 0).is_some(), locked, "{what}: the default");
-                        execute(RtsConfig::default(), p, |loc| {
-                            let part = partitions(n).swap_remove(pi);
-                            let mapper = mappers(part.num_subdomains(), p).swap_remove(mi);
-                            let a = PArray::with_options(loc, part, mapper, 0u64, storage, ths.clone());
-                            // Every location touches every element.
-                            for g in 0..n {
-                                a.set_element(g, 1);
-                                a.apply_set(g, |v| *v += 1);
-                                a.apply_get(g, |v| *v);
-                                a.get_element(g);
-                                a.split_get_element(g).get();
-                            }
-                            loc.rmi_fence();
-                            // The last `set` wins; whoever came after it added one.
-                            a.for_each_local(|g, v| assert!((2..=1 + p as u64).contains(v), "{what}: {g}"));
-                        });
-                        let per_method = |m: u32| counts.0[m as usize].load(Ordering::SeqCst);
-                        let each = if locked { (n * p) as u64 } else { 0 };
-                        assert_eq!(per_method(methods::SET), each, "{what}: SET");
-                        assert_eq!(per_method(methods::GET), 2 * each, "{what}: GET");
-                        assert_eq!(per_method(methods::APPLY), 2 * each, "{what}: APPLY");
-                        assert_eq!(per_method(3), 1 + locked as u64, "{what}: the two probes above");
+                for locked in [true, false] {
+                    let what = format!("P={p} partition#{pi} mapper#{mi} locked={locked}");
+                    let mut table = LockingPolicyTable::unlocked();
+                    if locked {
+                        table = LockingPolicyTable::dynamic_default();
+                    } else {
+                        table.set(FAR, write);
                     }
+                    let counts = Arc::new(GuardCounts::default());
+                    let ths = ThreadSafety::new(table, counts.clone());
+                    assert!(ths.guard(FAR, 0, 0).is_some(), "{what}: past the mask's width");
+                    assert_eq!(ths.guard(FAR + 1, 0, 0).is_some(), locked, "{what}: the default");
+                    execute(RtsConfig::default(), p, |loc| {
+                        let part = partitions(n).swap_remove(pi);
+                        let mapper = mappers(part.num_subdomains(), p).swap_remove(mi);
+                        let a = PArray::with_options(loc, part, mapper, 0u64, ths.clone());
+                        // Every location touches every element.
+                        for g in 0..n {
+                            a.set_element(g, 1);
+                            a.apply_set(g, |v| *v += 1);
+                            a.apply_get(g, |v| *v);
+                            a.get_element(g);
+                            a.split_get_element(g).get();
+                        }
+                        loc.rmi_fence();
+                        // The last `set` wins; whoever came after it added one.
+                        a.for_each_local(|g, v| assert!((2..=1 + p as u64).contains(v), "{what}: {g}"));
+                    });
+                    let per_method = |m: u32| counts.0[m as usize].load(Ordering::SeqCst);
+                    let each = if locked { (n * p) as u64 } else { 0 };
+                    assert_eq!(per_method(methods::SET), each, "{what}: SET");
+                    assert_eq!(per_method(methods::GET), 2 * each, "{what}: GET");
+                    assert_eq!(per_method(methods::APPLY), 2 * each, "{what}: APPLY");
+                    assert_eq!(per_method(3), 1 + locked as u64, "{what}: the two probes above");
                 }
             }
         }
@@ -485,5 +483,100 @@ fn owned_element_methods_count_local_invocations_as_before() {
         assert_eq!(counted(&|| assert_eq!(a.apply_get(3, |v| *v + 1), 9)), 0);
         assert_eq!(counted(&|| assert_eq!(a.get_element(3), 8)), 0);
         assert_eq!(counted(&|| assert_eq!(a.split_get_element(3).get(), 8)), 1);
+    });
+}
+
+/// This location's (local invocations, remote requests) during `f`.
+fn counted(loc: &Location, f: impl FnOnce()) -> (u64, u64) {
+    let before = loc.local_stats();
+    f();
+    let d = loc.local_stats().since(&before);
+    (d.local_invocations, d.remote_requests)
+}
+
+/// Every associative element method of `c` against a sequential model, on
+/// keys of every bucket: `bucket_of` against `bucket` (an independently
+/// built copy of the partition), then writes by each key's owner, then
+/// blocking and split-phase reads everywhere, then one location's updates of
+/// local and remote keys. A method on a local key counts the local
+/// invocations of the P=1 table above and sends nothing; on a remote key it
+/// sends one request and counts none.
+fn check_assoc<S: KvStore<u64, u64>>(loc: &Location, c: &PAssoc<u64, u64, S>, bucket: impl Fn(&u64) -> usize) {
+    let (me, p) = (loc.id(), loc.nlocs());
+    let keys = 0..120u64;
+    let owner = |k: &u64| bucket(k) % p;
+    // What a method on `k` that counts `local` when it runs here counts.
+    let expect = |k: u64, local: u64| if owner(&k) == me { (local, 0) } else { (0, 1) };
+    for k in keys.clone() {
+        assert_eq!(c.bucket_of(&k), bucket(&k), "bucket_of({k})");
+        assert_eq!(c.is_local_segment(bucket(&k)), owner(&k) == me, "is_local_segment of {k}");
+        if owner(&k) == me {
+            c.insert_async(k, k * 10);
+        }
+    }
+    loc.rmi_fence();
+    let mut model: BTreeMap<u64, u64> = keys.clone().map(|k| (k, k * 10)).collect();
+    let check = |model: &BTreeMap<u64, u64>, stage: &str| {
+        for k in 0..300u64 {
+            assert_eq!(c.find(k), model.get(&k).copied(), "{stage}: find({k})");
+            assert_eq!(c.split_find(k).get(), model.get(&k).copied(), "{stage}: split_find({k})");
+        }
+        loc.barrier();
+    };
+    check(&model, "inserted by owners");
+
+    // Location 1 updates keys of every bucket; the others wait in the fence.
+    if me == 1 {
+        for k in keys.clone() {
+            assert_eq!(counted(loc, || c.apply_async(k, |v| *v += 1)), expect(k, 1), "apply_async({k})");
+            let absent = k + 1000;
+            let got = counted(loc, || c.apply_async(absent, |_| unreachable!("absent")));
+            assert_eq!(got, expect(absent, 1), "apply_async({absent})");
+            let fresh = k + 200;
+            let got = counted(loc, || c.apply_or_insert(fresh, 3, |v| *v *= 2));
+            assert_eq!(got, expect(fresh, 0), "apply_or_insert({fresh})");
+            assert_eq!(counted(loc, || c.insert_async(k, k + 5)), expect(k, 0), "insert_async({k})");
+            if k % 3 == 0 {
+                assert_eq!(counted(loc, || c.erase_async(k)), expect(k, 1), "erase_async({k})");
+            }
+        }
+    }
+    for k in keys.clone() {
+        model.insert(k + 200, 6);
+        if k % 3 == 0 {
+            model.remove(&k);
+        } else {
+            model.insert(k, k + 5);
+        }
+    }
+    loc.rmi_fence();
+    check(&model, "updated by one location");
+
+    if me == 1 {
+        for k in keys {
+            assert_eq!(counted(loc, || assert_eq!(c.find(k), model.get(&k).copied())), expect(k, 0), "find({k})");
+            let split = counted(loc, || assert_eq!(c.split_find(k).get(), model.get(&k).copied()));
+            assert_eq!(split, expect(k, 1), "split_find({k})");
+        }
+    }
+    loc.barrier();
+}
+
+/// The associative paths that try the inline bucket first, on locations
+/// that hold several buckets (7 hash buckets, or 6 splitter intervals, over
+/// 3 locations): every element method agrees with a sequential model on
+/// local and remote keys, and the local-invocation counts of
+/// `owned_element_methods_count_local_invocations_as_before` hold at P=3.
+#[test]
+fn associative_methods_agree_with_a_model_when_a_location_holds_several_buckets() {
+    execute(RtsConfig::default(), 3, |loc| {
+        let h: PHashMap<u64, u64> = PHashMap::with_buckets(loc, 7);
+        let hashed = HashPartition::new(7);
+        check_assoc(loc, &h, |k| hashed.find(k));
+
+        let splitters = vec![15, 40, 41, 90, 250];
+        let m: PMap<u64, u64> = PMap::new(loc, splitters.clone());
+        let sorted = SplitterPartition::new(splitters);
+        check_assoc(loc, &m, |k| sorted.find(k));
     });
 }

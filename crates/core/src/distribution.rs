@@ -6,6 +6,8 @@
 //! location) of the target GID and then either executes locally or ships
 //! the operation (Fig. 7's address-resolution flow).
 
+use std::marker::PhantomData;
+
 use stapl_rts::LocId;
 
 use crate::domain::Range1d;
@@ -125,21 +127,18 @@ impl IndexDistribution {
     }
 }
 
-/// Distribution of an associative container: key partition + mapper.
-pub struct KeyDistribution<K> {
-    partition: Box<dyn KeyPartition<K>>,
+/// Distribution of an associative container: key partition + mapper. The
+/// partition is the concrete type `P` its store names, so locating a key is
+/// a direct, inlinable call.
+pub struct KeyDistribution<K, P> {
+    partition: P,
     mapper: Box<dyn PartitionMapper>,
+    _key: PhantomData<fn(&K)>,
 }
 
-impl<K: 'static> Clone for KeyDistribution<K> {
-    fn clone(&self) -> Self {
-        KeyDistribution { partition: self.partition.clone(), mapper: self.mapper.clone() }
-    }
-}
-
-impl<K: 'static> KeyDistribution<K> {
-    pub fn new(partition: Box<dyn KeyPartition<K>>, mapper: Box<dyn PartitionMapper>) -> Self {
-        KeyDistribution { partition, mapper }
+impl<K, P: KeyPartition<K>> KeyDistribution<K, P> {
+    pub fn new(partition: P, mapper: Box<dyn PartitionMapper>) -> Self {
+        KeyDistribution { partition, mapper, _key: PhantomData }
     }
 
     pub fn locate(&self, k: &K) -> (Bcid, LocId) {
@@ -159,8 +158,8 @@ impl<K: 'static> KeyDistribution<K> {
         self.mapper.as_ref()
     }
 
-    pub fn partition(&self) -> &dyn KeyPartition<K> {
-        self.partition.as_ref()
+    pub fn partition(&self) -> &P {
+        &self.partition
     }
 }
 
@@ -272,15 +271,15 @@ mod tests {
     #[test]
     fn key_distribution_sorted_and_hashed() {
         let sorted = KeyDistribution::new(
-            Box::new(SplitterPartition::new(vec![50, 100])),
+            SplitterPartition::new(vec![50, 100]),
             Box::new(CyclicMapper::new(3)),
         );
         assert_eq!(sorted.locate(&10).0, 0);
         assert_eq!(sorted.locate(&75).0, 1);
         assert_eq!(sorted.locate(&200).0, 2);
 
-        let hashed: KeyDistribution<i32> = KeyDistribution::new(
-            Box::new(HashPartition::new(6)),
+        let hashed: KeyDistribution<i32, _> = KeyDistribution::new(
+            HashPartition::new(6),
             Box::new(CyclicMapper::new(3)),
         );
         let (b, l) = hashed.locate(&42);

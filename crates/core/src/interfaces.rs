@@ -169,8 +169,8 @@ pub trait RangedContainer: IndexedContainer {
     /// Direct borrow of the local contiguous storage backing `gids`
     /// (which must be one storage-contiguous run inside `bcid`, as
     /// produced by [`RangedContainer::runs`]). `None` when the run is not
-    /// on this location or the storage cannot expose a slice (e.g. boxed
-    /// per-element allocation) — callers fall back to
+    /// on this location or the storage no longer holds it as one slice (a
+    /// pVector block whose bounds moved) — callers fall back to
     /// [`RangedContainer::get_range`].
     fn with_slice<R>(
         &self,

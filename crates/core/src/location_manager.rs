@@ -5,18 +5,32 @@ use crate::bcontainer::{BaseContainer, MemSize};
 use crate::gid::Bcid;
 
 /// Per-location owner of a pContainer's local base containers, keyed by
-/// globally unique BCID. A BCID-sorted `Vec` (typically of one entry — the
-/// default constructors place one base container per location) keeps lookup
-/// a compare or a short binary search and local iteration in BCID order,
+/// globally unique BCID. The one bContainer every default constructor
+/// places sits inline, so a local access reaches it with one tag test and
+/// no heap hop; any other count (none, or several) is a BCID-sorted `Vec`,
+/// searched by binary search. Either way local iteration is in BCID order,
 /// which — combined with an ordered partition — yields the container's
 /// linearization restricted to this location.
 pub struct LocationManager<B> {
-    bcontainers: Vec<(Bcid, B)>,
+    slots: Slots<B>,
+}
+
+/// The two shapes of [`LocationManager`]. `Many` never holds exactly one
+/// entry: adding and removing cross to and from `One`.
+enum Slots<B> {
+    One((Bcid, B)),
+    Many(Vec<(Bcid, B)>),
+}
+
+impl<B> Default for Slots<B> {
+    fn default() -> Self {
+        Slots::Many(Vec::new())
+    }
 }
 
 impl<B> Default for LocationManager<B> {
     fn default() -> Self {
-        LocationManager { bcontainers: Vec::new() }
+        LocationManager { slots: Slots::default() }
     }
 }
 
@@ -25,8 +39,19 @@ impl<B> LocationManager<B> {
         Self::default()
     }
 
-    fn position(&self, bcid: Bcid) -> Result<usize, usize> {
-        self.bcontainers.binary_search_by_key(&bcid, |(b, _)| *b)
+    /// Every entry, in BCID order.
+    fn entries(&self) -> &[(Bcid, B)] {
+        match &self.slots {
+            Slots::One(e) => std::slice::from_ref(e),
+            Slots::Many(v) => v,
+        }
+    }
+
+    fn entries_mut(&mut self) -> &mut [(Bcid, B)] {
+        match &mut self.slots {
+            Slots::One(e) => std::slice::from_mut(e),
+            Slots::Many(v) => v,
+        }
     }
 
     /// Adds a base container under `bcid`.
@@ -34,60 +59,91 @@ impl<B> LocationManager<B> {
     /// # Panics
     /// Panics if `bcid` is already present.
     pub fn add_bcontainer(&mut self, bcid: Bcid, bc: B) {
-        match self.position(bcid) {
-            Ok(_) => panic!("bcid {bcid} already managed on this location"),
-            Err(at) => self.bcontainers.insert(at, (bcid, bc)),
-        }
+        assert!(self.get(bcid).is_none(), "bcid {bcid} already managed on this location");
+        self.slots = match std::mem::take(&mut self.slots) {
+            Slots::Many(v) if v.is_empty() => Slots::One((bcid, bc)),
+            slots => {
+                let mut v = match slots {
+                    Slots::One(e) => vec![e],
+                    Slots::Many(v) => v,
+                };
+                v.insert(v.partition_point(|(b, _)| *b < bcid), (bcid, bc));
+                Slots::Many(v)
+            }
+        };
     }
 
     /// Removes and returns the base container under `bcid`.
     pub fn remove_bcontainer(&mut self, bcid: Bcid) -> Option<B> {
-        self.position(bcid).ok().map(|at| self.bcontainers.remove(at).1)
+        match std::mem::take(&mut self.slots) {
+            Slots::One((b, bc)) if b == bcid => Some(bc),
+            Slots::One(e) => {
+                self.slots = Slots::One(e);
+                None
+            }
+            Slots::Many(mut v) => {
+                let removed = v.binary_search_by_key(&bcid, |(b, _)| *b).ok().map(|at| v.remove(at).1);
+                self.slots = if v.len() == 1 { Slots::One(v.remove(0)) } else { Slots::Many(v) };
+                removed
+            }
+        }
     }
 
     /// Number of local base containers.
     pub fn num_bcontainers(&self) -> usize {
-        self.bcontainers.len()
+        self.entries().len()
     }
 
+    /// The base container under `bcid`: the inline one's BCID compared,
+    /// else a binary search.
+    #[inline]
     pub fn get(&self, bcid: Bcid) -> Option<&B> {
-        self.position(bcid).ok().map(|at| &self.bcontainers[at].1)
+        match &self.slots {
+            Slots::One((b, bc)) => (*b == bcid).then_some(bc),
+            Slots::Many(v) => v.binary_search_by_key(&bcid, |(b, _)| *b).ok().map(|at| &v[at].1),
+        }
     }
 
+    #[inline]
     pub fn get_mut(&mut self, bcid: Bcid) -> Option<&mut B> {
-        self.position(bcid).ok().map(|at| &mut self.bcontainers[at].1)
+        match &mut self.slots {
+            Slots::One((b, bc)) => (*b == bcid).then_some(bc),
+            Slots::Many(v) => {
+                v.binary_search_by_key(&bcid, |(b, _)| *b).ok().map(|at| &mut v[at].1)
+            }
+        }
     }
 
     /// The only local base container — what every default constructor
     /// places — or `None` when there are none or several.
     #[inline]
     pub fn only(&self) -> Option<(Bcid, &B)> {
-        if let [(bcid, bc)] = self.bcontainers.as_slice() { Some((*bcid, bc)) } else { None }
+        if let Slots::One((bcid, bc)) = &self.slots { Some((*bcid, bc)) } else { None }
     }
 
     #[inline]
     pub fn only_mut(&mut self) -> Option<(Bcid, &mut B)> {
-        if let [(bcid, bc)] = self.bcontainers.as_mut_slice() { Some((*bcid, bc)) } else { None }
+        if let Slots::One((bcid, bc)) = &mut self.slots { Some((*bcid, bc)) } else { None }
     }
 
     /// The `k`-th local base container in BCID order, with its BCID: a
     /// position, not a search (`k < num_bcontainers()`).
     #[inline]
     pub fn nth_mut(&mut self, k: usize) -> Option<(Bcid, &mut B)> {
-        self.bcontainers.get_mut(k).map(|(b, c)| (*b, c))
+        self.entries_mut().get_mut(k).map(|(b, c)| (*b, c))
     }
 
     /// Local base containers in BCID order.
     pub fn iter(&self) -> impl Iterator<Item = (Bcid, &B)> {
-        self.bcontainers.iter().map(|(b, c)| (*b, c))
+        self.entries().iter().map(|(b, c)| (*b, c))
     }
 
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (Bcid, &mut B)> {
-        self.bcontainers.iter_mut().map(|(b, c)| (*b, c))
+        self.entries_mut().iter_mut().map(|(b, c)| (*b, c))
     }
 
     pub fn bcids(&self) -> impl Iterator<Item = Bcid> + '_ {
-        self.bcontainers.iter().map(|(b, _)| *b)
+        self.entries().iter().map(|(b, _)| *b)
     }
 }
 
@@ -105,10 +161,16 @@ impl<B: BaseContainer> LocationManager<B> {
         }
     }
 
-    /// Local memory usage; the manager's own bookkeeping is metadata.
+    /// Local memory usage; the manager's own bookkeeping is metadata: a
+    /// BCID per slot it holds room for (one for the inline bContainer, the
+    /// `Vec`'s capacity otherwise).
     pub fn memory_size(&self) -> MemSize {
         let mut m: MemSize = self.iter().map(|(_, b)| b.memory_size()).sum();
-        m.metadata += self.bcontainers.capacity() * std::mem::size_of::<Bcid>();
+        let slots = match &self.slots {
+            Slots::One(_) => 1,
+            Slots::Many(v) => v.capacity(),
+        };
+        m.metadata += slots * std::mem::size_of::<Bcid>();
         m
     }
 }

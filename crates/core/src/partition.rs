@@ -440,17 +440,11 @@ impl MatrixPartition {
 // Key partitions (associative pContainers, Ch. XII)
 // ---------------------------------------------------------------------
 
-/// Maps keys to BCIDs for associative containers.
+/// Maps keys to BCIDs for associative containers. Used statically: each
+/// associative store names the one partition that places its keys.
 pub trait KeyPartition<K>: 'static {
     fn num_subdomains(&self) -> usize;
     fn find(&self, k: &K) -> Bcid;
-    fn clone_box(&self) -> Box<dyn KeyPartition<K>>;
-}
-
-impl<K: 'static> Clone for Box<dyn KeyPartition<K>> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
 }
 
 /// Value-based partition for *sorted* associative containers (Fig. 58):
@@ -477,12 +471,9 @@ impl<K: Ord + Clone + 'static> KeyPartition<K> for SplitterPartition<K> {
         self.splitters.len() + 1
     }
 
+    #[inline]
     fn find(&self, k: &K) -> Bcid {
         self.splitters.partition_point(|s| s <= k)
-    }
-
-    fn clone_box(&self) -> Box<dyn KeyPartition<K>> {
-        Box::new(self.clone())
     }
 }
 
@@ -507,14 +498,11 @@ impl<K: Hash + 'static> KeyPartition<K> for HashPartition {
         self.buckets
     }
 
+    #[inline]
     fn find(&self, k: &K) -> Bcid {
         let mut h = KeyHasher::placement();
         k.hash(&mut h);
         (((h.finish() >> 32) * self.buckets as u64) >> 32) as usize
-    }
-
-    fn clone_box(&self) -> Box<dyn KeyPartition<K>> {
-        Box::new(*self)
     }
 }
 

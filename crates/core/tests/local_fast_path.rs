@@ -5,13 +5,14 @@
 //! stored here is registered and migrated without touching the owner
 //! cache or the home.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
     dir_insert, dir_lookup, dir_migrate, home_of, DirectoryShard, HasDirectory, OwnerCache,
     Resolution,
 };
+use stapl_core::gid::Bcid;
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
 use stapl_rts::{execute, RtsConfig};
@@ -88,6 +89,65 @@ fn location_manager_stays_bcid_ordered_across_adds_and_removes() {
         assert_eq!(lm.get_mut(b).is_some(), lm.get(b).is_some());
     }
     assert_eq!((lm.num_bcontainers(), lm.local_len()), (6, 3 + 5 + 7 + 19 + 40 + 1000));
+}
+
+/// Random `add_bcontainer`/`remove_bcontainer` sequences that cross
+/// 0 ↔ 1 ↔ many bContainers — the manager's inline and `Vec` shapes —
+/// checked after every step against a `BTreeMap` model: lookup, the only
+/// bContainer, positions, iteration order, the counts and the memory
+/// report. Its metadata term is one BCID per slot the manager holds room
+/// for: exactly one for a single bContainer, the `Vec`'s capacity else.
+#[test]
+fn location_manager_matches_a_btreemap_model_across_its_two_shapes() {
+    const BCID: usize = std::mem::size_of::<Bcid>();
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    let mut crossings = BTreeMap::new();
+    for _ in 0..40 {
+        let mut lm = LocationManager::new();
+        let mut model = BTreeMap::new();
+        for _ in 0..80 {
+            let (b, before) = (next(6), model.len().min(2));
+            if next(2) == 0 && !model.contains_key(&b) {
+                let v = next(100);
+                lm.add_bcontainer(b, Bc(v));
+                model.insert(b, v);
+            } else {
+                assert_eq!(lm.remove_bcontainer(b).map(|bc| bc.0), model.remove(&b), "remove {b}");
+            }
+            *crossings.entry((before, model.len().min(2))).or_insert(0) += 1;
+
+            let entries: Vec<(Bcid, usize)> = model.iter().map(|(b, v)| (*b, *v)).collect();
+            for b in 0..8 {
+                assert_eq!(lm.get(b).map(|bc| bc.0), model.get(&b).copied(), "get {b}");
+                assert_eq!(lm.get_mut(b).map(|bc| bc.0), model.get(&b).copied(), "get_mut {b}");
+            }
+            let only = if let [e] = entries[..] { Some(e) } else { None };
+            assert_eq!(lm.only().map(|(b, bc)| (b, bc.0)), only);
+            assert_eq!(lm.only_mut().map(|(b, bc)| (b, bc.0)), only);
+            for k in 0..=entries.len() {
+                assert_eq!(lm.nth_mut(k).map(|(b, bc)| (b, bc.0)), entries.get(k).copied(), "nth_mut {k}");
+            }
+            assert_eq!(lm.iter().map(|(b, bc)| (b, bc.0)).collect::<Vec<_>>(), entries);
+            assert_eq!(lm.bcids().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+            assert_eq!(lm.num_bcontainers(), entries.len());
+            let mem = lm.memory_size();
+            assert_eq!(mem.data, model.values().sum::<usize>());
+            match entries.len() {
+                1 => assert_eq!(mem.metadata, BCID),
+                n => assert!(mem.metadata >= n * BCID && mem.metadata % BCID == 0, "{mem:?} for {n}"),
+            }
+        }
+    }
+    // Every crossing between the shapes happened, both ways.
+    for crossing in [(0, 1), (1, 0), (1, 2), (2, 1), (1, 1), (2, 2)] {
+        assert!(crossings.get(&crossing).is_some_and(|n| *n > 10), "{crossing:?}: {crossings:?}");
+    }
 }
 
 #[test]

@@ -147,7 +147,7 @@ impl<C: RangedContainer> ViewRead for ArrayView<C> {
             match served {
                 Some(()) => self.location().note_localized_chunk(),
                 None => {
-                    // Boxed / non-sliceable storage: still one borrow and
+                    // A run the container cannot lend as one slice: still
                     // one buffer per chunk, via the bulk path.
                     let buf = self.c.get_range(run.gids);
                     f(run.view_lo, &buf);

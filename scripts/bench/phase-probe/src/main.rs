@@ -7,11 +7,23 @@
 //! ```
 //!
 //! Runs the workload's own `generate` / `setup` / `pass` on one location
-//! and its `ref_pass` right after each pass on the same thread, as the
-//! harness does, and prints the minimum over the passes of every `PassRec`
-//! phase (same-named phases of one pass summed), of the whole pass and of
-//! the reference pass, in ms. No verification, no JSON, no comparison:
-//! point one checkout's probe at the parent and one at the change.
+//! and its `ref_pass` right after each pass on the same thread, and prints
+//! two tables of every `PassRec` phase (same-named phases of one pass
+//! summed), of the whole pass and of the reference pass, in ms. No
+//! verification, no JSON, no comparison: point one checkout's probe at the
+//! parent and one at the change.
+//!
+//! The first is the minimum over `--passes` passes of one instance, each
+//! pass followed by one reference pass: every phase warm, what the code
+//! costs at best. The second is shaped as the harness times
+//! `abstraction_cost_x`: 12 fresh instances of `PASSES` passes, each pass
+//! followed by `REF_REPS` reference passes, and per phase the median over
+//! the timed passes (1..) of every instance.
+//! The library pass then runs with its data evicted by the reference's,
+//! which the warm minimum hides; its `pass / reference` line is the
+//! harness's statistic — each instance's median ratio, p10 over instances.
+//! Under `--mem` the counting allocator would skew its times, so it is not
+//! run.
 //!
 //! `--mem` adds one line per pass from a counting global allocator: the
 //! most bytes live at once during the pass and the bytes live after its
@@ -32,8 +44,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use stapl::rts::{execute, RtsConfig};
-use stapl_benchmark::harness::Workload;
-use stapl_benchmark::spans::{now_ns, PassRec};
+use stapl_benchmark::estimate::{median, p10};
+use stapl_benchmark::harness::{Workload, PASSES};
+use stapl_benchmark::spans::{now_ns, Layer, PassRec};
 use stapl_benchmark::workloads::{array_bulk, dynamic_graph_kv, rmi_reads, rmi_writes};
 
 /// Whether the allocator counts (`--mem`): off, a pass pays one load per call.
@@ -158,6 +171,84 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             }
         }
     });
+    if !COUNTING.load(Relaxed) {
+        harness_shaped::<W>(&input, nlocs);
+    }
+}
+
+/// Fresh instances in the harness-shaped table.
+const INSTANCES: usize = 12;
+
+/// The harness's shape (`benchmark/src/harness.rs`, `run_instance`): per
+/// instance a fresh reference and a fresh runtime, `PASSES` passes each
+/// closed by an `rmi_fence` and followed, on location 0, by `REF_REPS`
+/// reference passes timed together. Prints, per phase, the median over
+/// every instance's timed passes and its share of the pass.
+fn harness_shaped<W: Workload>(input: &W::Input, nlocs: usize) {
+    // Per timed pass of every instance: (phase, ns) sums, the pass, the reference.
+    let mut phases: Vec<(&'static str, Vec<f64>)> = Vec::new();
+    let (mut pass_ns, mut ref_ns, mut cost_x) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..INSTANCES {
+        let reference = Mutex::new(W::ref_setup(input));
+        let runs = Mutex::new(Vec::new());
+        execute(RtsConfig::default(), nlocs, |loc| {
+            let mut st = W::setup(loc, input);
+            loc.rmi_fence();
+            for pass in 0..PASSES {
+                loc.barrier();
+                loc.barrier();
+                let mut rec = PassRec { start_ns: now_ns(), ..PassRec::default() };
+                W::pass(loc, &mut st, input, pass, &mut rec);
+                rec.phase("rmi_fence (closing)", Layer::Rts, || loc.rmi_fence());
+                rec.end_ns = now_ns();
+                if loc.id() == 0 {
+                    let mut r = reference.lock().expect("location 0 only");
+                    let t = Instant::now();
+                    for _ in 0..W::REF_REPS {
+                        W::ref_pass(&mut r, input, pass);
+                    }
+                    let ref_pass = t.elapsed().as_nanos() as f64 / W::REF_REPS as f64;
+                    runs.lock().expect("location 0 only").push((rec, ref_pass));
+                }
+            }
+        });
+        let mut ratios = Vec::new();
+        for (rec, ref_pass) in runs.into_inner().expect("no location panicked").into_iter().skip(1) {
+            let mut sums = Vec::new();
+            for p in &rec.phases {
+                merge(&mut sums, p.name, p.end_ns - p.start_ns, |sum, ns| sum + ns);
+            }
+            for (name, ns) in sums {
+                match phases.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, all)) => all.push(ns as f64),
+                    None => phases.push((name, vec![ns as f64])),
+                }
+            }
+            let pass = (rec.end_ns - rec.start_ns) as f64;
+            ratios.push(pass / ref_pass);
+            pass_ns.push(pass);
+            ref_ns.push(ref_pass);
+        }
+        cost_x.push(median(&ratios));
+    }
+    println!(
+        "{} harness-shaped (P={nlocs}, {INSTANCES} instances x passes 1..{}, each pass followed by {} reference passes; median ms, share of the pass):",
+        W::NAME,
+        PASSES - 1,
+        W::REF_REPS
+    );
+    let pass = median(&pass_ns);
+    for (name, all) in &phases {
+        let ms = median(all);
+        println!("  {name:<36} {:>9.3}   {:>5.1} %", ms / 1e6, 100.0 * ms / pass);
+    }
+    println!("  {:<36} {:>9.3}", "pass", pass / 1e6);
+    println!("  {:<36} {:>9.3}", "reference pass", median(&ref_ns) / 1e6);
+    println!(
+        "  pass / reference: p10 {:.3}, median {:.3} over instances (at P=1, p10 is abstraction_cost_x's estimator)",
+        p10(&cost_x),
+        median(&cost_x)
+    );
 }
 
 fn mib(bytes: isize) -> f64 {

@@ -145,7 +145,6 @@ fn custom_thread_safety_manager_on_array() {
             Box::new(stapl::core::partition::BalancedPartition::new(32, loc.nlocs())),
             Box::new(CyclicMapper::new(loc.nlocs())),
             0u64,
-            stapl::containers::array::ArrayStorage::Contiguous,
             ths,
         );
         for i in 0..32 {
