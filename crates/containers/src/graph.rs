@@ -1,10 +1,10 @@
 //! pGraph (Chapter XI): a distributed relational pContainer — vertices,
 //! edges, and properties on both.
 //!
-//! Vertices are distributed over locations; each vertex stores its
-//! out-edge list (adjacency-list storage, the pVector-of-pLists layout the
-//! paper motivates). Three address-resolution strategies are provided,
-//! matching the partitions compared in Figs. 51/52:
+//! Vertices are distributed over locations; a location keeps its vertices'
+//! out-edge lists in one buffer (the adjacency-list storage the paper
+//! motivates, laid out flat). Three address-resolution strategies are
+//! provided, matching the partitions compared in Figs. 51/52:
 //!
 //! * [`GraphPartitionKind::Static`] — the vertex count is fixed at
 //!   construction; vertex → location is a closed-form balanced partition
@@ -23,6 +23,7 @@
 //! it.
 
 use std::cell::{Ref, RefCell};
+use std::ops::{Deref, Range};
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
@@ -41,16 +42,16 @@ use crate::LazySize;
 pub type VertexDesc = usize;
 
 /// A directed edge with a property (Table XXVI's edge reference). Its
-/// source is not stored: an edge lives in the out-edge list of its source
-/// vertex, whose [`Vertex::descriptor`] it is.
+/// source is not stored: an edge lives among the out-edges of its source
+/// vertex, whose descriptor it is.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Edge<EP> {
     pub target: VertexDesc,
     pub property: EP,
 }
 
-/// A vertex with property and out-edge list (Table XXV's vertex
-/// reference).
+/// An owned vertex with property and out-edges: what a migration carries,
+/// and what [`GraphBc`] stores and hands back.
 #[derive(Clone, Debug)]
 pub struct Vertex<VP, EP> {
     pub descriptor: VertexDesc,
@@ -58,9 +59,65 @@ pub struct Vertex<VP, EP> {
     pub edges: Vec<Edge<EP>>,
 }
 
-impl<VP, EP> Vertex<VP, EP> {
-    pub fn out_degree(&self) -> usize {
-        self.edges.len()
+/// A stored vertex, borrowed in place (Table XXV's vertex reference).
+pub struct VertexRef<'a, VP, EP> {
+    pub descriptor: VertexDesc,
+    pub property: &'a VP,
+    pub edges: Edges<'a, EP>,
+}
+
+/// A vertex's out-edges in arrival order: its run of the edge buffer.
+pub struct Edges<'a, EP>(&'a [Edge<EP>]);
+
+impl<EP> Deref for Edges<'_, EP> {
+    type Target = [Edge<EP>];
+
+    fn deref(&self) -> &[Edge<EP>] {
+        self.0
+    }
+}
+
+impl<'a, EP> IntoIterator for &Edges<'a, EP> {
+    type Item = &'a Edge<EP>;
+    type IntoIter = std::slice::Iter<'a, Edge<EP>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// A stored vertex, borrowed mutably: its property in place, and its
+/// out-edges, which it can add to.
+pub struct VertexMut<'a, VP, EP> {
+    pub descriptor: VertexDesc,
+    pub property: &'a mut VP,
+    pub edges: EdgesMut<'a, EP>,
+}
+
+/// A vertex's out-edges, borrowed mutably: the edges pushed through this
+/// borrow go to the log.
+pub struct EdgesMut<'a, EP> {
+    buf: &'a mut Vec<Edge<EP>>,
+    log: &'a mut Vec<u32>,
+    slot: u32,
+    /// The out-degree when the borrow began.
+    degree: usize,
+    /// `buf.len()` when the borrow began: `buf[pushed..]` are its pushes.
+    pushed: usize,
+}
+
+impl<EP> EdgesMut<'_, EP> {
+    pub fn len(&self) -> usize {
+        self.degree + self.buf.len() - self.pushed
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn push(&mut self, e: Edge<EP>) {
+        self.buf.push(e);
+        self.log.push(self.slot);
     }
 }
 
@@ -80,9 +137,24 @@ pub enum GraphPartitionKind {
     DynamicTwoPhase,
 }
 
+/// A stored vertex: its out-edges are the run `edges[at..at + len]` of
+/// its [`GraphBc`].
+struct Slot<VP> {
+    descriptor: VertexDesc,
+    property: VP,
+    at: u32,
+    len: u32,
+}
+
+impl<VP> Slot<VP> {
+    fn run(&self) -> Range<usize> {
+        self.at as usize..self.at as usize + self.len as usize
+    }
+}
+
 /// Graph base container: the vertices owned by one location, stored
 /// densely, found through an open-addressed index of slot numbers, and
-/// *iterated in descriptor order*.
+/// *iterated in descriptor order*; their out-edges in one buffer.
 ///
 /// The index is a power-of-two `Vec<u32>` at load ≤ 1/2 with linear
 /// probing; an entry is a slot number or `u32::MAX` (empty), and its key
@@ -101,8 +173,21 @@ pub enum GraphPartitionKind {
 /// rebuilds the index — once per burst, not per change. A vertex's
 /// `descriptor` is its key: operations on a stored vertex must not change
 /// it.
+///
+/// The edge buffer holds each vertex's out-edges as one run, then the log:
+/// the edges added since the last merge, in arrival order, each tagged
+/// with its source's slot. The first reader that needs a vertex's edges
+/// as one run merges the log — one counting pass and one in-place
+/// permutation of the buffer, O(V + E), that keeps every vertex's edges in
+/// arrival order and drops the dead edges a deleted edge or a removed
+/// vertex left. An ordered read also lays the runs out in slot order.
 pub struct GraphBc<VP, EP> {
-    slots: Vec<Vertex<VP, EP>>,
+    slots: Vec<Slot<VP>>,
+    edges: Vec<Edge<EP>>,
+    /// The source slot of each edge in `edges[edges.len() − log.len()..]`.
+    log: Vec<u32>,
+    /// Edges before the log that no run holds.
+    dead: usize,
     index: Vec<u32>,
     /// `64 − log2(index.len())`: a home entry is the hash's top bits.
     shift: u32,
@@ -118,7 +203,15 @@ const MIN_INDEX: usize = 8;
 
 impl<VP, EP> Default for GraphBc<VP, EP> {
     fn default() -> Self {
-        let mut bc = GraphBc { slots: Vec::new(), index: Vec::new(), shift: 0, sorted: true };
+        let mut bc = GraphBc {
+            slots: Vec::new(),
+            edges: Vec::new(),
+            log: Vec::new(),
+            dead: 0,
+            index: Vec::new(),
+            shift: 0,
+            sorted: true,
+        };
         bc.reindex(MIN_INDEX);
         bc
     }
@@ -145,6 +238,11 @@ impl<VP, EP> GraphBc<VP, EP> {
         }
     }
 
+    #[inline]
+    fn slot_of(&self, vd: VertexDesc) -> Option<usize> {
+        Some(self.index[self.probe(vd).ok()?] as usize)
+    }
+
     /// The first entry from `vd`'s home on that holds `entry`.
     fn seek(&self, vd: VertexDesc, entry: u32) -> usize {
         let mask = self.index.len() - 1;
@@ -166,35 +264,22 @@ impl<VP, EP> GraphBc<VP, EP> {
         }
     }
 
-    #[inline]
-    pub fn get_mut(&mut self, vd: VertexDesc) -> Option<&mut Vertex<VP, EP>> {
-        let i = self.probe(vd).ok()?;
-        Some(&mut self.slots[self.index[i] as usize])
+    /// `vd`'s vertex, its edges merged first.
+    pub fn get_mut(&mut self, vd: VertexDesc) -> Option<VertexMut<'_, VP, EP>> {
+        let s = self.slot_of(vd)?;
+        self.group();
+        Some(self.vertex_mut(s))
     }
 
     pub fn contains(&self, vd: VertexDesc) -> bool {
         self.probe(vd).is_ok()
     }
 
-    /// Stores `v` under its descriptor, returning the vertex it replaces.
-    pub fn insert(&mut self, v: Vertex<VP, EP>) -> Option<Vertex<VP, EP>> {
-        match self.probe(v.descriptor) {
-            Ok(i) => Some(std::mem::replace(&mut self.slots[self.index[i] as usize], v)),
-            Err(i) => {
-                assert!(self.slots.len() < EMPTY as usize, "pGraph: 2^32 local vertices");
-                self.index[i] = self.slots.len() as u32;
-                self.sorted &= self.slots.last().map_or(true, |last| last.descriptor < v.descriptor);
-                self.slots.push(v);
-                if 2 * self.slots.len() > self.index.len() {
-                    self.reindex(2 * self.index.len());
-                }
-                None
-            }
-        }
-    }
-
-    pub fn remove(&mut self, vd: VertexDesc) -> Option<Vertex<VP, EP>> {
+    /// Removes `vd`'s slot from the table. Merges first: the log names
+    /// slots, and the last one moves into the hole.
+    fn take_slot(&mut self, vd: VertexDesc) -> Option<Slot<VP>> {
         let mut hole = self.probe(vd).ok()?;
+        self.group();
         let slot = self.index[hole] as usize;
         // Backward-shift deletion: an entry later in the run moves into
         // the hole unless its home lies cyclically after the hole.
@@ -224,15 +309,192 @@ impl<VP, EP> GraphBc<VP, EP> {
         Some(v)
     }
 
-    /// The vertices in descriptor order, restoring it first if a
-    /// migration or deletion disturbed it.
-    pub fn ordered(&mut self) -> &mut [Vertex<VP, EP>] {
+    /// Deletes `vd` and its out-edges, which stay in the buffer, dead,
+    /// until the next merge.
+    fn delete(&mut self, vd: VertexDesc) -> bool {
+        let Some(slot) = self.take_slot(vd) else { return false };
+        self.dead += slot.len as usize;
+        true
+    }
+
+    /// Adds an edge out of slot `s` to the log.
+    #[inline]
+    fn link(&mut self, s: usize, e: Edge<EP>) {
+        self.edges.push(e);
+        self.log.push(s as u32);
+    }
+
+    /// Removes slot `s`'s first edge to `to`: the edges after it in the
+    /// run shift down, and the run's last place becomes a dead edge.
+    fn unlink(&mut self, s: usize, to: VertexDesc) -> bool {
+        self.group();
+        let slot = &mut self.slots[s];
+        let run = &mut self.edges[slot.run()];
+        let Some(k) = run.iter().position(|e| e.target == to) else { return false };
+        run[k..].rotate_left(1);
+        slot.len -= 1;
+        self.dead += 1;
+        true
+    }
+
+    /// Slot `s`'s out-edges in arrival order, the log merged first.
+    fn out_edges(&mut self, s: usize) -> &[Edge<EP>] {
+        self.group();
+        &self.edges[self.slots[s].run()]
+    }
+
+    /// Slot `s`'s vertex; the caller has merged any log entry it has.
+    fn vertex(&self, s: usize) -> VertexRef<'_, VP, EP> {
+        let slot = &self.slots[s];
+        VertexRef { descriptor: slot.descriptor, property: &slot.property, edges: Edges(&self.edges[slot.run()]) }
+    }
+
+    /// Slot `s`'s vertex, mutably; the caller has merged any log entry it
+    /// has.
+    fn vertex_mut(&mut self, s: usize) -> VertexMut<'_, VP, EP> {
+        let slot = &mut self.slots[s];
+        let (degree, pushed) = (slot.len as usize, self.edges.len());
+        VertexMut {
+            descriptor: slot.descriptor,
+            property: &mut slot.property,
+            edges: EdgesMut { buf: &mut self.edges, log: &mut self.log, slot: s as u32, degree, pushed },
+        }
+    }
+
+    /// Merges the log if it holds an edge.
+    #[inline]
+    fn group(&mut self) {
+        if !self.log.is_empty() {
+            self.relayout();
+        }
+    }
+
+    /// Lays the buffer out as the slots' runs in slot order — each run its
+    /// old run, then its log entries in log order — with no log and no
+    /// dead edge, in place: one counting pass gives every edge its place,
+    /// the log's tags turning into places where they lie, and each cycle
+    /// of that permutation is followed once, swapping every edge home.
+    fn relayout(&mut self) {
+        assert!(self.edges.len() < EMPTY as usize, "pGraph: 2^32 local edges");
+        let runs = self.edges.len() - self.log.len();
+        // Per slot, its log entries; then where the next of them goes.
+        let mut next = vec![0u32; self.slots.len()];
+        for &s in &self.log {
+            next[s as usize] += 1;
+        }
+        // Per edge, its place; until placed, a run's edge is dead.
+        let mut place = std::mem::take(&mut self.log);
+        place.splice(0..0, std::iter::repeat(EMPTY).take(runs));
+        let mut at = 0;
+        for (slot, n) in self.slots.iter_mut().zip(&mut next) {
+            for (k, p) in place[slot.run()].iter_mut().enumerate() {
+                *p = at + k as u32;
+            }
+            (slot.at, slot.len, *n) = (at, slot.len + *n, at + slot.len);
+            at += slot.len;
+        }
+        let live = at as usize;
+        for p in &mut place[runs..] {
+            let s = *p as usize;
+            *p = next[s];
+            next[s] += 1;
+        }
+        for p in place[..runs].iter_mut().filter(|p| **p == EMPTY) {
+            *p = at;
+            at += 1;
+        }
+        for i in 0..place.len() {
+            // Edge `i` goes to `j`; the edge found there comes to `i`, and
+            // goes on to its own place, marked done with its index.
+            let mut j = place[i] as usize;
+            while j != i {
+                self.edges.swap(i, j);
+                j = std::mem::replace(&mut place[j], j as u32) as usize;
+            }
+        }
+        self.edges.truncate(live);
+        self.edges.shrink_to_fit();
+        self.dead = 0;
+    }
+
+    fn is_tidy(&self) -> bool {
+        self.sorted && self.log.is_empty() && self.dead == 0
+    }
+
+    /// Puts the table in the order sweeps read: slots in descriptor order,
+    /// their runs in slot order, no log and no dead edge.
+    fn tidy(&mut self) {
         if !self.sorted {
+            // The log names slots, which the sort renumbers.
+            self.group();
             self.slots.sort_unstable_by_key(|v| v.descriptor);
             self.reindex(self.index.len());
             self.sorted = true;
+            self.relayout();
+        } else if !self.is_tidy() {
+            self.relayout();
         }
-        &mut self.slots
+    }
+
+    fn vertices(&self) -> impl Iterator<Item = VertexRef<'_, VP, EP>> {
+        (0..self.slots.len()).map(|s| self.vertex(s))
+    }
+
+    /// The vertices in descriptor order, each vertex's edges one run of
+    /// the buffer: sorts, merges and compacts first if a change since the
+    /// last ordered read disturbed that.
+    pub fn ordered(&mut self) -> impl Iterator<Item = VertexRef<'_, VP, EP>> {
+        self.tidy();
+        self.vertices()
+    }
+}
+
+impl<VP, EP: Clone> GraphBc<VP, EP> {
+    /// Stores `v` under its descriptor, returning the vertex it replaces.
+    pub fn insert(&mut self, v: Vertex<VP, EP>) -> Option<Vertex<VP, EP>> {
+        let Vertex { descriptor, property, edges } = v;
+        let slot = Slot { descriptor, property, at: 0, len: 0 };
+        let (s, old) = match self.probe(descriptor) {
+            Ok(i) => {
+                let s = self.index[i] as usize;
+                self.group();
+                let old = std::mem::replace(&mut self.slots[s], slot);
+                (s, Some(self.owned(old)))
+            }
+            Err(i) => {
+                assert!(self.slots.len() < EMPTY as usize, "pGraph: 2^32 local vertices");
+                self.index[i] = self.slots.len() as u32;
+                self.sorted &= self.slots.last().map_or(true, |last| last.descriptor < descriptor);
+                self.slots.push(slot);
+                if 2 * self.slots.len() > self.index.len() {
+                    self.reindex(2 * self.index.len());
+                }
+                (self.slots.len() - 1, None)
+            }
+        };
+        if !edges.is_empty() {
+            // A run at the buffer's end while no log follows it.
+            if self.log.is_empty() {
+                (self.slots[s].at, self.slots[s].len) = (self.edges.len() as u32, edges.len() as u32);
+            } else {
+                self.log.resize(self.log.len() + edges.len(), s as u32);
+            }
+            self.edges.extend(edges);
+        }
+        old
+    }
+
+    pub fn remove(&mut self, vd: VertexDesc) -> Option<Vertex<VP, EP>> {
+        let slot = self.take_slot(vd)?;
+        Some(self.owned(slot))
+    }
+
+    /// A slot no longer stored, as an owned vertex; its run's edges are
+    /// copied out and left dead.
+    fn owned(&mut self, slot: Slot<VP>) -> Vertex<VP, EP> {
+        self.dead += slot.len as usize;
+        let edges = self.edges[slot.run()].to_vec();
+        Vertex { descriptor: slot.descriptor, property: slot.property, edges }
     }
 }
 
@@ -248,25 +510,25 @@ impl<VP: 'static, EP: 'static> BaseContainer for GraphBc<VP, EP> {
     }
 
     fn memory_size(&self) -> MemSize {
-        let edges: usize = self.slots.iter().map(|v| v.edges.capacity()).sum();
         MemSize::new(
             self.index.capacity() * std::mem::size_of::<u32>(),
-            self.slots.capacity() * std::mem::size_of::<Vertex<VP, EP>>()
-                + edges * std::mem::size_of::<Edge<EP>>(),
+            self.slots.capacity() * std::mem::size_of::<Slot<VP>>()
+                + self.edges.capacity() * std::mem::size_of::<Edge<EP>>()
+                + self.log.capacity() * std::mem::size_of::<u32>(),
         )
     }
 }
 
-/// The representative's vertices in descriptor order, under a shared
-/// borrow. Restoring the order takes the cell mutably, and that never
-/// nests: a reader inside an outer shared borrow cannot find the table
-/// unordered — the outer reader ordered it, and nothing could have
+/// The representative's vertex table in order (see [`GraphBc::ordered`]),
+/// under a shared borrow. Restoring the order takes the cell mutably, and
+/// that never nests: a reader inside an outer shared borrow cannot find
+/// the table untidy — the outer reader tidied it, and nothing could have
 /// changed it under that borrow.
-fn in_order<VP, EP>(cell: &RefCell<GraphRep<VP, EP>>) -> Ref<'_, [Vertex<VP, EP>]> {
-    if !cell.borrow().bc.sorted {
-        cell.borrow_mut().bc.ordered();
+fn in_order<VP, EP>(cell: &RefCell<GraphRep<VP, EP>>) -> Ref<'_, GraphBc<VP, EP>> {
+    if !cell.borrow().bc.is_tidy() {
+        cell.borrow_mut().bc.tidy();
     }
-    Ref::map(cell.borrow(), |rep| &rep.bc.slots[..])
+    Ref::map(cell.borrow(), |rep| &rep.bc)
 }
 
 /// Per-location representative.
@@ -308,7 +570,7 @@ impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
 impl<VP, EP> GraphRep<VP, EP> {
     /// This location's (vertices, edges).
     fn local_counts(&self) -> (usize, usize) {
-        (self.bc.slots.len(), self.bc.slots.iter().map(|v| v.edges.len()).sum())
+        (self.bc.slots.len(), self.bc.edges.len() - self.bc.dead)
     }
 
     /// Keeps this location's auto-descriptor generator (`add_vertex`
@@ -326,18 +588,28 @@ impl<VP, EP> GraphRep<VP, EP> {
 
     /// The vertex-method skeleton on one location's representative: one
     /// probe of the vertex table, and — when `vd` is stored here — `f` on
-    /// the vertex; else `f` is handed back, to be shipped to the owner,
-    /// where the same function runs it. An `f` that changed the out-degree
-    /// has made this location's cached counts stale.
+    /// the representative and the vertex's slot; else `f` is handed back,
+    /// to be shipped to the owner, where the same function runs it. An `f`
+    /// that changes an out-degree marks the cached counts stale itself.
+    #[inline]
     fn with_vertex<R, F>(&mut self, vd: VertexDesc, f: F) -> Result<R, F>
     where
-        F: FnOnce(&mut Vertex<VP, EP>) -> R,
+        F: FnOnce(&mut Self, usize) -> R,
     {
-        let Some(v) = self.bc.get_mut(vd) else { return Err(f) };
-        let degree = v.edges.len();
-        let r = f(v);
-        self.counts.mark(v.edges.len() != degree);
-        Ok(r)
+        match self.bc.slot_of(vd) {
+            Some(s) => Ok(f(self, s)),
+            None => Err(f),
+        }
+    }
+
+    /// `f` on slot `s`'s vertex, the log merged first; an edge `f` adds
+    /// makes the cached counts stale.
+    fn apply<R>(&mut self, s: usize, f: impl FnOnce(&mut VertexMut<'_, VP, EP>) -> R) -> R {
+        self.bc.group();
+        let logged = self.bc.log.len();
+        let r = f(&mut self.bc.vertex_mut(s));
+        self.counts.mark(self.bc.log.len() != logged);
+        r
     }
 }
 
@@ -455,11 +727,12 @@ where
         p.find(vd) // bcid == location for one bc per location
     }
 
-    /// Runs `f` on vertex `vd` at its owner (asynchronous). A local vertex
-    /// is found with one probe and runs inline, without any resolution
+    /// Runs `f` on vertex `vd` at its owner (asynchronous), with the
+    /// owner's representative and the vertex's slot. A local vertex is
+    /// found with one probe and runs inline, without any resolution
     /// traffic; `f` is dropped if the vertex is gone when it lands (a
     /// racing `delete_vertex`; as the paper notes, not a transaction).
-    fn route(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
+    fn route(&self, vd: VertexDesc, f: impl FnOnce(&mut GraphRep<VP, EP>, usize) + Send + 'static) {
         let here = self.obj.local_mut().with_vertex(vd, f);
         let Err(f) = here else { return };
         self.route_far(vd, f);
@@ -468,7 +741,7 @@ where
     /// The remote half of [`PGraph::route`], for a `vd` the local probe
     /// missed: ships `f` to the owner the static partition or the
     /// directory names. Called with the representative unborrowed.
-    fn route_far(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
+    fn route_far(&self, vd: VertexDesc, f: impl FnOnce(&mut GraphRep<VP, EP>, usize) + Send + 'static) {
         match self.resolution() {
             None => self.obj.invoke_at(self.static_owner(vd), move |cell, _| {
                 let _ = cell.borrow_mut().with_vertex(vd, f);
@@ -485,7 +758,7 @@ where
     fn route_ret<R: Send + 'static>(
         &self,
         vd: VertexDesc,
-        f: impl FnOnce(&mut Vertex<VP, EP>) -> R + Send + 'static,
+        f: impl FnOnce(&mut GraphRep<VP, EP>, usize) -> R + Send + 'static,
     ) -> RmiFuture<Option<R>> {
         let here = self.obj.local_mut().with_vertex(vd, f);
         let f = match here {
@@ -562,7 +835,7 @@ where
         let remove = move |cell: &RefCell<GraphRep<VP, EP>>| {
             let rep = &mut *cell.borrow_mut();
             rep.counts.mark(true);
-            rep.bc.remove(vd).is_some()
+            rep.bc.delete(vd)
         };
         if !remove(self.obj.rep_cell()) {
             dir_route(&self.obj, policy, vd, None, move |cell, _, bcid| {
@@ -617,55 +890,55 @@ where
 
     /// Synchronous vertex property read.
     pub fn vertex_property(&self, vd: VertexDesc) -> VP {
-        self.route_ret(vd, |v| v.property.clone()).get().expect(VANISHED)
+        self.route_ret(vd, |rep, s| rep.bc.slots[s].property.clone()).get().expect(VANISHED)
     }
 
     /// Asynchronous vertex property update.
     pub fn set_vertex_property(&self, vd: VertexDesc, p: VP) {
-        self.route(vd, move |v| v.property = p);
+        self.route(vd, move |rep, s| rep.bc.slots[s].property = p);
     }
 
     /// Asynchronously applies `f` to the vertex (property + edges) at its
-    /// owner — the workhorse of the graph algorithms.
-    pub fn apply_vertex(&self, vd: VertexDesc, f: impl FnOnce(&mut Vertex<VP, EP>) + Send + 'static) {
-        self.route(vd, f);
+    /// owner — the workhorse of the graph algorithms. `f` may add edges;
+    /// a pending merge of the owner's edge log runs first.
+    pub fn apply_vertex(&self, vd: VertexDesc, f: impl FnOnce(&mut VertexMut<'_, VP, EP>) + Send + 'static) {
+        self.route(vd, move |rep, s| rep.apply(s, f));
     }
 
     /// Applies `value(u)`, where it is `Some(x)`, along every out-edge
     /// `u → t` of every local vertex `u`, in descriptor then edge order:
     /// `apply(&mut t.property, x)` runs at `t`'s owner (the push step of
-    /// the graph algorithms). One borrow covers the sweep: a target stored
-    /// here is found with one probe and updated in place. Any other target
-    /// is routed after the sweep, in order, as [`PGraph::apply_vertex`]
-    /// routes it — routing reads the owner cache, which the sweep's borrow
-    /// would block. `apply` sees only the property, so no out-degree
-    /// changes. Neither closure may call into the graph. Not collective:
-    /// remote updates complete at the next fence.
+    /// the graph algorithms). One borrow covers the sweep, which reads the
+    /// edge buffer run by run: a target stored here is found with one
+    /// probe and updated in place — a self-loop's target is `u` itself,
+    /// whose property `apply` then updates after `value(u)` read it. Any
+    /// other target is routed after the sweep, in order, as
+    /// [`PGraph::apply_vertex`] routes it — routing reads the owner cache,
+    /// which the sweep's borrow would block. `apply` sees only the
+    /// property, so no out-degree changes. Neither closure may call into
+    /// the graph. Not collective: remote updates complete at the next
+    /// fence.
     pub fn scatter<T: Copy + Send + 'static>(
         &self,
-        mut value: impl FnMut(&Vertex<VP, EP>) -> Option<T>,
+        mut value: impl FnMut(&VertexRef<'_, VP, EP>) -> Option<T>,
         apply: impl Fn(&mut VP, T) + Copy + Send + 'static,
     ) {
         let mut far = Vec::new();
         {
             let bc = &mut self.obj.local_mut().bc;
-            for u in 0..bc.ordered().len() {
-                let Some(x) = value(&bc.slots[u]) else { continue };
-                // Out of the slot while the sweep probes the table: a
-                // self-loop finds its vertex with no edges, which `apply`
-                // does not see.
-                let edges = std::mem::take(&mut bc.slots[u].edges);
-                for e in &edges {
-                    match bc.get_mut(e.target) {
-                        Some(t) => apply(&mut t.property, x),
+            bc.tidy();
+            for u in 0..bc.slots.len() {
+                let Some(x) = value(&bc.vertex(u)) else { continue };
+                for e in &bc.edges[bc.slots[u].run()] {
+                    match bc.slot_of(e.target) {
+                        Some(t) => apply(&mut bc.slots[t].property, x),
                         None => far.push((e.target, x)),
                     }
                 }
-                bc.slots[u].edges = edges;
             }
         }
         for (t, x) in far {
-            self.route_far(t, move |v| apply(&mut v.property, x));
+            self.route_far(t, move |rep, s| apply(&mut rep.bc.slots[s].property, x));
         }
     }
 
@@ -673,9 +946,9 @@ where
     pub fn apply_vertex_ret<R: Send + 'static>(
         &self,
         vd: VertexDesc,
-        f: impl FnOnce(&mut Vertex<VP, EP>) -> R + Send + 'static,
+        f: impl FnOnce(&mut VertexMut<'_, VP, EP>) -> R + Send + 'static,
     ) -> R {
-        self.route_ret(vd, f).get().expect(VANISHED)
+        self.route_ret(vd, move |rep, s| rep.apply(s, f)).get().expect(VANISHED)
     }
 
     // ------------------------------------------------------------------
@@ -685,7 +958,12 @@ where
     /// Asynchronously adds an edge (the paper's `add_edge_async`). For
     /// undirected graphs the edge is stored at both endpoints.
     pub fn add_edge_async(&self, source: VertexDesc, target: VertexDesc, property: EP) {
-        let link = |to, property| move |v: &mut Vertex<VP, EP>| v.edges.push(Edge { target: to, property });
+        let link = |to, property| {
+            move |rep: &mut GraphRep<VP, EP>, s| {
+                rep.counts.mark(true);
+                rep.bc.link(s, Edge { target: to, property });
+            }
+        };
         self.at_ends(source, target, |mirror| {
             let back = mirror.then(|| link(source, property.clone()));
             (link(target, property), back)
@@ -695,13 +973,7 @@ where
     /// Asynchronously removes the first edge `source → target` (both
     /// directions for undirected graphs).
     pub fn delete_edge_async(&self, source: VertexDesc, target: VertexDesc) {
-        let unlink = |to| {
-            move |v: &mut Vertex<VP, EP>| {
-                if let Some(k) = v.edges.iter().position(|e| e.target == to) {
-                    v.edges.remove(k);
-                }
-            }
-        };
+        let unlink = |to| move |rep: &mut GraphRep<VP, EP>, s| rep.counts.mark(rep.bc.unlink(s, to));
         self.at_ends(source, target, |mirror| (unlink(target), mirror.then(|| unlink(source))));
     }
 
@@ -712,7 +984,7 @@ where
     #[inline]
     fn at_ends<F>(&self, source: VertexDesc, target: VertexDesc, ops: impl FnOnce(bool) -> (F, Option<F>))
     where
-        F: FnOnce(&mut Vertex<VP, EP>) + Send + 'static,
+        F: FnOnce(&mut GraphRep<VP, EP>, usize) + Send + 'static,
     {
         let (out, back) = {
             let rep = &mut *self.obj.local_mut();
@@ -730,17 +1002,19 @@ where
 
     /// Synchronous edge existence check.
     pub fn find_edge(&self, source: VertexDesc, target: VertexDesc) -> bool {
-        self.route_ret(source, move |v| v.edges.iter().any(|e| e.target == target)).get().unwrap_or(false)
+        self.route_ret(source, move |rep, s| rep.bc.out_edges(s).iter().any(|e| e.target == target))
+            .get()
+            .unwrap_or(false)
     }
 
     /// Synchronous out-degree.
     pub fn out_degree(&self, vd: VertexDesc) -> usize {
-        self.route_ret(vd, |v| v.edges.len()).get().unwrap_or(0)
+        self.route_ret(vd, |rep, s| rep.bc.out_edges(s).len()).get().unwrap_or(0)
     }
 
-    /// Synchronous copy of a vertex's out-edges.
+    /// Synchronous copy of a vertex's out-edges, in arrival order.
     pub fn out_edges(&self, vd: VertexDesc) -> Vec<Edge<EP>> {
-        self.route_ret(vd, |v| v.edges.clone()).get().unwrap_or_default()
+        self.route_ret(vd, |rep, s| rep.bc.out_edges(s).to_vec()).get().unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -779,17 +1053,25 @@ where
     }
 
     /// Iterates the local vertices in descriptor order.
-    pub fn for_each_local_vertex(&self, f: impl FnMut(&Vertex<VP, EP>)) {
-        in_order(self.obj.rep_cell()).iter().for_each(f);
+    pub fn for_each_local_vertex(&self, mut f: impl FnMut(&VertexRef<'_, VP, EP>)) {
+        in_order(self.obj.rep_cell()).vertices().for_each(|v| f(&v));
     }
 
-    pub fn for_each_local_vertex_mut(&self, f: impl FnMut(&mut Vertex<VP, EP>)) {
-        self.obj.local_mut().bc.ordered().iter_mut().for_each(f);
+    /// Iterates the local vertices in descriptor order, mutably; an edge
+    /// `f` adds makes the cached counts stale.
+    pub fn for_each_local_vertex_mut(&self, mut f: impl FnMut(&mut VertexMut<'_, VP, EP>)) {
+        let rep = &mut *self.obj.local_mut();
+        rep.bc.tidy();
+        let logged = rep.bc.log.len();
+        for s in 0..rep.bc.slots.len() {
+            f(&mut rep.bc.vertex_mut(s));
+        }
+        rep.counts.mark(rep.bc.log.len() != logged);
     }
 
     /// Descriptors of the local vertices, ascending.
     pub fn local_vertices(&self) -> Vec<VertexDesc> {
-        in_order(self.obj.rep_cell()).iter().map(|v| v.descriptor).collect()
+        in_order(self.obj.rep_cell()).slots.iter().map(|v| v.descriptor).collect()
     }
 
     /// True when `vd` is stored on this location (no communication).
@@ -836,7 +1118,7 @@ where
         }
         self.obj.location().note_segment_request(0);
         self.obj.invoke_ret_at(sid, |cell, _| {
-            in_order(cell).iter().map(|v| (v.descriptor, v.property.clone())).collect::<Vec<_>>()
+            in_order(cell).slots.iter().map(|v| (v.descriptor, v.property.clone())).collect::<Vec<_>>()
         })
     }
 
@@ -847,8 +1129,8 @@ where
         self.obj.invoke_at(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
             for (vd, p) in items {
-                if let Some(v) = rep.bc.get_mut(vd) {
-                    v.property = p;
+                if let Some(s) = rep.bc.slot_of(vd) {
+                    rep.bc.slots[s].property = p;
                 }
             }
         });
@@ -859,7 +1141,7 @@ where
             return false;
         }
         self.obj.location().note_localized_chunk();
-        for v in in_order(self.obj.rep_cell()).iter() {
+        for v in &in_order(self.obj.rep_cell()).slots {
             f(&v.descriptor, &v.property);
         }
         true
@@ -1044,13 +1326,13 @@ mod tests {
             let g: PGraph<u64, ()> = PGraph::new_static(loc, 4, Directedness::Directed, 0);
             if loc.id() == 1 {
                 g.set_vertex_property(0, 5);
-                g.apply_vertex(0, |v| v.property *= 10);
+                g.apply_vertex(0, |v| *v.property *= 10);
             }
             g.commit();
             assert_eq!(g.vertex_property(0), 50);
             let deg = g.apply_vertex_ret(0, |v| {
                 v.edges.push(Edge { target: 1, property: () });
-                v.out_degree()
+                v.edges.len()
             });
             assert!(deg >= 1);
         });
@@ -1078,11 +1360,11 @@ mod tests {
     fn local_iteration_and_counts() {
         execute(RtsConfig::default(), 4, |loc| {
             let g: PGraph<usize, ()> = PGraph::new_static(loc, 20, Directedness::Directed, 0);
-            g.for_each_local_vertex_mut(|v| v.property = v.descriptor * 2);
+            g.for_each_local_vertex_mut(|v| *v.property = v.descriptor * 2);
             loc.barrier();
             let mut n = 0;
             g.for_each_local_vertex(|v| {
-                assert_eq!(v.property, v.descriptor * 2);
+                assert_eq!(*v.property, v.descriptor * 2);
                 n += 1;
             });
             assert_eq!(n, g.local_num_vertices());
@@ -1243,7 +1525,7 @@ mod tests {
                 }
             }
             g.commit();
-            g.for_each_local_vertex(|v| assert_eq!(v.property, v.descriptor as u64 * 2));
+            g.for_each_local_vertex(|v| assert_eq!(*v.property, v.descriptor as u64 * 2));
             loc.barrier();
             // set_segment writes back existing vertices, skipping absent.
             if loc.id() == 2 {

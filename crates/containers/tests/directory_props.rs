@@ -86,7 +86,7 @@ fn run_workload(
             loc.rmi_fence();
         }
         let mut local: Vec<(usize, u64)> = Vec::new();
-        g.for_each_local_vertex(|v| local.push((v.descriptor, v.property)));
+        g.for_each_local_vertex(|v| local.push((v.descriptor, *v.property)));
         let mut all = loc.allreduce(local, |mut a: Vec<(usize, u64)>, mut b| {
             a.append(&mut b);
             a

@@ -51,14 +51,14 @@ impl Modelled {
     }
 
     fn lookup(&mut self, vd: VertexDesc) {
-        assert_eq!(self.bc.get_mut(vd).map(|v| v.property), self.model.get(&vd).copied(), "get {vd}");
+        assert_eq!(self.bc.get_mut(vd).map(|v| *v.property), self.model.get(&vd).copied(), "get {vd}");
         assert_eq!(self.bc.contains(vd), self.model.contains_key(&vd), "contains {vd}");
     }
 
     /// Every stored descriptor hits and every removed one misses.
     fn lookups(&mut self) {
         for (vd, p) in &self.model {
-            assert_eq!(self.bc.get_mut(*vd).map(|v| v.property), Some(*p), "vertex {vd}");
+            assert_eq!(self.bc.get_mut(*vd).map(|v| *v.property), Some(*p), "vertex {vd}");
         }
         for vd in &self.gone {
             assert!(!self.bc.contains(*vd) && self.bc.get_mut(*vd).is_none(), "removed {vd} found");
@@ -68,7 +68,7 @@ impl Modelled {
     /// Lookups before and after an ordered read, which must be the model's.
     fn check(&mut self) {
         self.lookups();
-        let ordered: Vec<_> = self.bc.ordered().iter().map(|v| (v.descriptor, v.property)).collect();
+        let ordered: Vec<_> = self.bc.ordered().map(|v| (v.descriptor, *v.property)).collect();
         assert_eq!(ordered, self.model.iter().map(|(vd, p)| (*vd, *p)).collect::<Vec<_>>());
         self.lookups();
     }
@@ -182,7 +182,7 @@ fn racing_migrations_leave_every_location_in_descriptor_order() {
             }
             g.commit();
             let mut local: Vec<(VertexDesc, u64)> = Vec::new();
-            g.for_each_local_vertex(|v| local.push((v.descriptor, v.property)));
+            g.for_each_local_vertex(|v| local.push((v.descriptor, *v.property)));
             assert_eq!(local.len(), if loc.id() == 2 { 32 } else { 8 });
             assert!(local.windows(2).all(|w| w[0].0 < w[1].0), "unordered: {local:?}");
             assert_eq!(g.local_vertices(), local.iter().map(|(vd, _)| *vd).collect::<Vec<_>>());

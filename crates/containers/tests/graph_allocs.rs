@@ -1,0 +1,94 @@
+//! pGraph keeps a location's out-edges in one buffer, not one heap block
+//! per vertex: adding 32768 edges grows two vectors — the buffer and its
+//! log — a doubling at a time, the first read merges the log in place,
+//! and reclaiming the graph frees a handful of blocks. Its own test
+//! binary, with a counting global allocator and one test: allocator calls
+//! are deterministic, so this holds on any host.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use stapl_algorithms::graph_algos::{page_rank, AlgoGraph, VProps};
+use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph};
+use stapl_core::interfaces::PContainer;
+use stapl_rts::{execute, RtsConfig};
+
+/// Allocations, reallocations and frees so far, by any thread.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a side effect only.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's obligations are those of `System.alloc`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded as received.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls the one location's thread makes while `call` runs (the
+/// main thread is parked in `execute`'s join meanwhile).
+fn calls<R>(call: impl FnOnce() -> R) -> (R, usize) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let r = call();
+    (r, CALLS.load(Ordering::Relaxed) - before)
+}
+
+const VERTICES: usize = 4096;
+const EDGES: usize = 8 * VERTICES;
+
+#[test]
+fn edges_cost_logarithmically_many_allocator_calls() {
+    execute(RtsConfig::base(), 1, |loc| {
+        let g: AlgoGraph = PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
+        for _ in 0..VERTICES {
+            g.add_vertex(VProps::default());
+        }
+        g.commit();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng as usize % VERTICES
+        };
+        let pairs: Vec<(usize, usize)> = (0..EDGES).map(|_| (next(), next())).collect();
+        let ((), build) = calls(|| pairs.iter().for_each(|&(s, t)| g.add_edge_async(s, t, ())));
+        g.commit();
+        assert_eq!(g.num_edges(), EDGES);
+        // The first sweep merges the log; the second run makes only
+        // PageRank's own calls.
+        let (first, merging) = calls(|| page_rank(&g, 5, 0.85));
+        let (second, rank) = calls(|| page_rank(&g, 5, 0.85));
+        assert!((first - 1.0).abs() < 1e-9 && first == second, "rank sums {first}, {second}");
+        let merge = merging - rank;
+        let ((), reclaim) = calls(|| {
+            drop(g);
+            loc.rmi_fence();
+        });
+        println!(
+            "allocator calls: {build} adding {EDGES} edges, {merge} merging them, {reclaim} reclaiming the graph ({rank} in PageRank itself)"
+        );
+        assert!(build + merge + reclaim <= 64, "{build} + {merge} + {reclaim} allocator calls");
+    });
+}

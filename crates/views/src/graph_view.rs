@@ -7,7 +7,7 @@
 //! the inner region with communication caused by the boundary region —
 //! the decomposition Fig. 48 illustrates.
 
-use stapl_containers::graph::{PGraph, Vertex};
+use stapl_containers::graph::{PGraph, VertexRef};
 
 /// Which region of the per-location subgraph a view exposes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,7 +41,7 @@ where
         Self::new(g, GraphRegion::Boundary)
     }
 
-    fn in_region(&self, v: &Vertex<VP, EP>) -> bool {
+    fn in_region(&self, v: &VertexRef<'_, VP, EP>) -> bool {
         match self.region {
             GraphRegion::Inner => v.edges.iter().all(|e| self.g.is_local_vertex(e.target)),
             GraphRegion::Boundary => v.edges.iter().any(|e| !self.g.is_local_vertex(e.target)),
@@ -49,7 +49,7 @@ where
     }
 
     /// Iterates this location's vertices belonging to the region.
-    fn for_each_vertex(&self, mut f: impl FnMut(&Vertex<VP, EP>)) {
+    fn for_each_vertex(&self, mut f: impl FnMut(&VertexRef<'_, VP, EP>)) {
         self.g.for_each_local_vertex(|v| {
             if self.in_region(v) {
                 f(v);

@@ -15,10 +15,13 @@
 //!
 //! The first is the minimum over `--passes` passes of one instance, each
 //! pass followed by one reference pass: every phase warm, what the code
-//! costs at best. The second is shaped as the harness times
-//! `abstraction_cost_x`: 12 fresh instances of `PASSES` passes, each pass
-//! followed by `REF_REPS` reference passes, and per phase the median over
-//! the timed passes (1..) of every instance.
+//! costs at best. Both tables time the fence that closes a pass as
+//! `rmi_fence (closing)`; it also runs the destructors of the p_objects
+//! the pass dropped (in the workloads, the previous pass's containers).
+//! The second is shaped as the harness times `abstraction_cost_x`: 12
+//! fresh instances of `PASSES` passes, each pass followed by `REF_REPS`
+//! reference passes, and per phase the median over the timed passes (1..)
+//! of every instance.
 //! The library pass then runs with its data evicted by the reference's,
 //! which the warm minimum hides; its `pass / reference` line is the
 //! harness's statistic — each instance's median ratio, p10 over instances.
@@ -28,7 +31,8 @@
 //! `--mem` adds one line per pass from a counting global allocator: the
 //! most bytes live at once during the pass and the bytes live after its
 //! closing fence, both over what was live when pass 0 began, the
-//! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made, and
+//! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made and
+//! those made while location 0 was in its closing fence, and
 //! the pass's `remote_requests` and `bytes_sent` summed over locations
 //! with the peak bytes live per remote request beside them (a peer drains
 //! only at its fence, so at P > 1 the peak is the pass's requests in
@@ -117,8 +121,9 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
         // (name, min ns) in first-seen order; the pass and the reference last.
         let mut mins: Vec<(&'static str, u64)> = Vec::new();
         let (mut pass_min, mut ref_min) = (u64::MAX, u64::MAX);
-        // Per pass: (peak live, live after) over `base`, allocator calls,
-        // remote requests and bytes sent by all locations.
+        // Per pass: (peak live, live after) over `base`, allocator calls in
+        // the pass and in its closing fence, remote requests and bytes sent
+        // by all locations.
         let mut mem = Vec::with_capacity(passes);
         loc.barrier();
         let base = LIVE.load(Relaxed);
@@ -135,14 +140,16 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             // it a location that runs ahead reclaims one fence later and
             // `live after` wobbles by its share.
             loc.barrier();
-            loc.rmi_fence();
+            let reclaim = CALLS.load(Relaxed);
+            rec.phase("rmi_fence (closing)", Layer::Rts, || loc.rmi_fence());
+            let reclaim = CALLS.load(Relaxed) - reclaim;
             pass_min = pass_min.min(now_ns() - rec.start_ns);
             // Every location is out of the fence, so has reclaimed what
             // the pass dropped; none is into the next pass.
             loc.barrier();
             let over_base = |bytes: &AtomicUsize| bytes.load(Relaxed).wrapping_sub(base) as isize;
             let sent = loc.stats().since(&sent);
-            mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls, sent.remote_requests, sent.bytes_sent));
+            mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls, reclaim, sent.remote_requests, sent.bytes_sent));
             if loc.id() == 0 {
                 let t = Instant::now();
                 W::ref_pass(&mut reference.lock().expect("location 0 only"), &input, pass);
@@ -164,10 +171,10 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             println!("  {name:<36} {:>9.3}", *ns as f64 / 1e6);
         }
         if COUNTING.load(Relaxed) {
-            println!("  pass   peak live MiB   live after MiB   allocator calls   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
-            for (pass, (peak, after, calls, requests, bytes)) in mem.iter().enumerate() {
+            println!("  pass   peak live MiB   live after MiB   allocator calls   in closing fence   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
+            for (pass, (peak, after, calls, reclaim, requests, bytes)) in mem.iter().enumerate() {
                 let per_request = *peak as f64 / (*requests).max(1) as f64;
-                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}   {requests:>15}   {bytes:>10}   {per_request:>19.1}", mib(*peak), mib(*after));
+                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}   {reclaim:>16}   {requests:>15}   {bytes:>10}   {per_request:>19.1}", mib(*peak), mib(*after));
             }
         }
     });
