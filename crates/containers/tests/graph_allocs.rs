@@ -6,6 +6,7 @@
 //! are deterministic, so this holds on any host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stapl_algorithms::graph_algos::{page_rank, AlgoGraph, VProps};
@@ -13,8 +14,20 @@ use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph};
 use stapl_core::interfaces::PContainer;
 use stapl_rts::{execute, RtsConfig};
 
-/// Allocations, reallocations and frees so far, by any thread.
+/// Allocations, reallocations and frees so far, by measured threads.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread's calls are measured: the harness's threads,
+    /// and any thread outside the measured region, count nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is being measured (`false` once its
+/// thread-locals are gone).
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 struct Counting;
 
@@ -23,21 +36,27 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's obligations are those of `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -46,11 +65,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocator calls the one location's thread makes while `call` runs (the
-/// main thread is parked in `execute`'s join meanwhile).
+/// Allocator calls the calling thread — the one location's — makes while
+/// `call` runs.
 fn calls<R>(call: impl FnOnce() -> R) -> (R, usize) {
     let before = CALLS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     let r = call();
+    COUNTING.set(false);
     (r, CALLS.load(Ordering::Relaxed) - before)
 }
 

@@ -14,7 +14,7 @@ use stapl_rts::{execute, Location, RtsConfig};
 
 /// Location 0 runs each step in turn; after a fence location 1 must read
 /// the step's size, and after the commit that follows a read on either
-/// location must send no request.
+/// location must send no request. A barrier ends each step.
 fn owner_side_marks<S: PartialEq + std::fmt::Debug>(
     loc: &Location,
     read: impl Fn() -> S,
@@ -41,6 +41,10 @@ fn owner_side_marks<S: PartialEq + std::fmt::Debug>(
             before,
             "a clean read after `{what}` sent a request"
         );
+        // The next step lands on location 1: not while location 1 is still
+        // in the commit's last barrier, where it would make this step's
+        // clean read dirty.
+        loc.barrier();
     }
 }
 

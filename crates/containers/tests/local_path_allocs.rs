@@ -5,6 +5,7 @@
 //! holds on a shared CI runner what a clock cannot.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stapl_containers::array::PArray;
@@ -12,8 +13,20 @@ use stapl_containers::associative::PHashMap;
 use stapl_core::interfaces::{AssociativeContainer, ElementRead, ElementWrite, PContainer};
 use stapl_rts::{execute, RmiFuture, RtsConfig};
 
-/// Bytes requested so far, by any thread.
+/// Bytes requested so far, by measured threads.
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread's calls are measured: the harness's threads,
+    /// and any thread outside the measured region, count nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is being measured (`false` once its
+/// thread-locals are gone).
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 struct Counting;
 
@@ -22,7 +35,9 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's obligations are those of `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        if counting() {
+            REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
@@ -35,7 +50,9 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        if counting() {
+            REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,10 +70,12 @@ fn local_element_methods_allocate_nothing() {
         let h: PHashMap<u64, u64> = PHashMap::new(loc);
         (0..N as u64).for_each(|k| h.insert_async(k, k));
         h.commit();
-        // The main thread is parked in `execute`'s join meanwhile.
+        // Counts the calls of this thread, the one location's, only.
         let none = |what: &str, call: &dyn Fn()| {
             let before = REQUESTED.load(Ordering::Relaxed);
+            COUNTING.set(true);
             call();
+            COUNTING.set(false);
             let bytes = REQUESTED.load(Ordering::Relaxed) - before;
             assert_eq!(bytes, 0, "{N} local {what} requested {bytes} bytes");
         };

@@ -6,14 +6,27 @@
 //! shared CI runner.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stapl_containers::associative::PHashMap;
 use stapl_core::interfaces::{AssociativeContainer, PContainer};
 use stapl_rts::{execute, RtsConfig};
 
-/// Allocations and reallocations so far, by any thread.
+/// Allocations and reallocations so far, by measured threads.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread's calls are measured: the harness's threads,
+    /// and any thread outside the measured region, count nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is being measured (`false` once its
+/// thread-locals are gone).
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 struct Counting;
 
@@ -22,7 +35,9 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's obligations are those of `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
@@ -35,7 +50,9 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -44,11 +61,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocator calls the one location's thread makes while `call` runs (the
-/// main thread is parked in `execute`'s join meanwhile).
+/// Allocator calls the calling thread — the one location's — makes while
+/// `call` runs.
 fn calls(call: impl FnOnce()) -> usize {
     let before = CALLS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     call();
+    COUNTING.set(false);
     CALLS.load(Ordering::Relaxed) - before
 }
 

@@ -40,7 +40,7 @@ macro_rules! knobs {
         /// Configuration for one SPMD execution.
         ///
         /// The defaults model a single shared-memory node with moderate
-        /// request aggregation, matching the paper's default ARMI settings.
+        /// request aggregation.
         ///
         /// ## Environment overrides
         ///
@@ -102,7 +102,24 @@ knobs! {
     ///
     /// The paper's ARMI aggregates requests "to use bandwidth and reduce
     /// overhead"; this knob is swept in the aggregation ablation bench.
-    aggregation: usize = 16, "STAPL_AGGREGATION" => |s| s.parse().ok().map(|a: usize| a.max(1));
+    ///
+    /// The default is measured: a P=2 sweep of the time benchmark under the
+    /// flush rules of DESIGN.md "The message buffer", on a 2-core x86-64
+    /// host, ten seeds per width (median \[quartiles\]):
+    ///
+    /// | width | `rmi-writes` `solve_s`, ms | its `peak_rss_mb` | `rmi-reads` `solve_s`, ms | its `sync_op_p50_us` |
+    /// |---|---|---|---|---|
+    /// | 16 | 14.7 \[14.1–16.1\] | 28.06 | 45.6 \[44.9–48.9\] | 2.04 \[1.99–2.15\] |
+    /// | 32 | 14.2 \[13.5–15.0\] | 27.08 | 47.3 \[46.2–48.8\] | 2.19 \[2.15–2.28\] |
+    /// | 64 | 13.8 \[11.5–14.8\] | 26.77 | 47.5 \[46.9–47.9\] | 2.21 \[2.16–2.24\] |
+    /// | **128** | 12.1 \[9.7–13.8\] | 26.66 | 44.1 \[42.8–46.5\] | 2.02 \[1.96–2.10\] |
+    /// | 256 | 12.7 \[10.8–13.4\] | 26.60 | 45.7 \[43.8–47.3\] | 2.14 \[2.03–2.22\] |
+    ///
+    /// 128 has the best `rmi-writes` median. 16 and 32 lose to it in 10 and
+    /// 9 of 10 seeds by more than their quartile spread; 64 does not, but
+    /// reads slower than 128 on `rmi-reads` in 9 of 10 seeds (both
+    /// columns), and 256 reads slower than 128 there in 8 and 9.
+    aggregation: usize = 128, "STAPL_AGGREGATION" => |s| s.parse().ok().map(|a: usize| a.max(1));
     /// Enables the per-location directory owner caches consulted by
     /// `dir_route`/`dir_route_ret` before falling back to home-forwarding
     /// (the BCL-style locality optimization for dynamic containers). `0`
@@ -297,7 +314,7 @@ mod tests {
     fn each_row_sets_its_own_field_and_no_other() {
         let base = RtsConfig::base();
         let rows = [
-            ("STAPL_AGGREGATION", "64", RtsConfig { aggregation: 64, ..RtsConfig::base() }),
+            ("STAPL_AGGREGATION", "16", RtsConfig { aggregation: 16, ..RtsConfig::base() }),
             ("STAPL_DIR_CACHE", "0", RtsConfig { dir_cache: false, ..RtsConfig::base() }),
             ("STAPL_DIR_CACHE_CAPACITY", "8", RtsConfig { dir_cache_capacity: 8, ..RtsConfig::base() }),
             ("STAPL_BULK_THRESHOLD", "7", RtsConfig { bulk_threshold: 7, ..RtsConfig::base() }),

@@ -122,8 +122,9 @@ impl<R: 'static> RmiFuture<R> {
     }
 
     /// True when the value is already available and `get` will not block.
-    /// Takes one pass of the wait loop, so readiness is fresh and a caller
-    /// spinning on it learns of a panicked peer as `get` would.
+    /// Takes one pass of the wait loop, so readiness is fresh, a pass that
+    /// runs nothing sends the staged window of split-phase requests, and a
+    /// caller spinning on it learns of a panicked peer as `get` would.
     pub fn is_ready(&self) -> bool {
         match &self.inner {
             FutureInner::Ready(_) => true,

@@ -7,7 +7,7 @@
 //! per-thread state).
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -154,6 +154,13 @@ struct LocInner {
     /// This location's own block of `shared.counters`, cloned out so a
     /// bump is one load away from `LocInner`.
     counters: Arc<CounterBlock>,
+    /// How many delivered batches are running on this location's stack (a
+    /// handler's wait may deliver another): while it is non-zero a reply
+    /// is staged, not flushed ([`Location::deliver`]).
+    delivering: Cell<u32>,
+    /// Where the replies staged during delivery are bound: each is flushed
+    /// once when the batch being delivered has run.
+    reply_dests: RefCell<Vec<LocId>>,
     /// The trace ring buffer; `None` unless `RtsConfig::trace` is set, so
     /// the disabled hot path pays exactly one branch.
     trace: Option<RefCell<TraceBuf>>,
@@ -180,6 +187,8 @@ impl Location {
                 retiring: RefCell::default(),
                 slots: RefCell::default(),
                 counters,
+                delivering: Cell::new(0),
+                reply_dests: RefCell::default(),
                 trace,
             }),
         }
@@ -520,12 +529,23 @@ impl Location {
     {
         // Tagged as a sync round trip so its wait span covers issue →
         // value arrival, not just the time spent inside `get`.
-        self.future_of(self.issue_split(dest, h, f, TraceEventKind::SyncRmiSpan)).get()
+        let issued = self.issue_split(dest, h, f, TraceEventKind::SyncRmiSpan);
+        if issued.is_err() {
+            // Nothing joins a blocking round trip's window: the request (and
+            // everything staged before it) leaves now.
+            self.flush(dest);
+        }
+        self.future_of(issued).get()
     }
 
     /// Split-phase RMI (the paper's two-phase methods, Charm++/X10 style):
     /// returns a future immediately; `RmiFuture::get` blocks until the value
     /// arrives.
+    ///
+    /// The request is staged, not flushed: the split-phase requests issued
+    /// before the first wait on any of them leave together, as a window, at
+    /// that wait (its first pass that runs nothing flushes every buffer) —
+    /// or earlier, when a buffer fills.
     #[inline]
     pub fn split_rmi<T, R, F>(&self, dest: LocId, h: Handle, f: F) -> RmiFuture<R>
     where
@@ -574,9 +594,6 @@ impl Location {
                 Err(p) => loc.send_poison(src, slot, std::any::type_name::<F>(), panic_message(&*p)),
             }
         });
-        // Bound response latency: the request (and everything ordered
-        // before it) leaves the aggregation buffer now.
-        self.flush(dest);
         Err(slot)
     }
 
@@ -635,8 +652,14 @@ impl Location {
         self.bump(Counter::responses_sent, 1);
         self.trace_instant(TraceEventKind::RmiReply, dest as u64);
         self.stage(dest, move |loc: &Location| loc.fill_slot(slot, Box::new(r)));
-        // Responses bypass aggregation: someone is spinning on this value.
-        self.flush(dest);
+        // Someone waits on this value. A reply to a delivered request leaves
+        // with its batch's other replies, once that batch has run; any other
+        // (a `reply` from user code) leaves now.
+        if self.inner.delivering.get() == 0 {
+            self.flush(dest);
+        } else if !self.inner.reply_dests.borrow().contains(&dest) {
+            self.inner.reply_dests.borrow_mut().push(dest);
+        }
     }
 
     /// Completes the future waiting on `(dest, slot)` with a
@@ -800,13 +823,23 @@ impl Location {
         self.inner.counters.note_acked(ev.frames_acked);
     }
 
-    /// Runs the requests of `batch` in place, in order. A panic in one
-    /// unwinds from here; the buffer then drops the images behind it.
+    /// Runs the requests of `batch` in place, in order, then flushes the
+    /// replies they staged: one reply batch per destination per delivered
+    /// batch. A panic in one unwinds from here; the buffer then drops the
+    /// images behind it.
     fn deliver(&self, batch: Batch) -> usize {
         let Batch { src, mut records, .. } = batch;
         let n = records.len();
+        let depth = &self.inner.delivering;
+        depth.set(depth.get() + 1);
         while records.has_next() {
             records.step(Some((self, src)));
+        }
+        depth.set(depth.get() - 1);
+        // A batch delivered inside one of these handlers' waits flushed what
+        // was staged by then; this flushes the rest.
+        for dest in self.inner.reply_dests.borrow_mut().drain(..) {
+            self.flush(dest);
         }
         n
     }
@@ -826,8 +859,9 @@ impl Location {
     /// reads true. Each pass aborts if a location has panicked, then polls.
     /// A pass that ran nothing flushes this location's aggregation buffers
     /// — a request this location itself depends on (e.g. the first hop of a
-    /// forwarded synchronous method) must not sit buffered while it waits
-    /// — and relaxes: a spin hint for the first 64 empty polls, a yield
+    /// forwarded synchronous method, or the window of split-phase requests
+    /// a future is waited on in) must not sit buffered while it waits — and
+    /// relaxes: a spin hint for the first 64 empty polls, a yield
     /// after.
     pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         let mut empty_polls = 0u32;

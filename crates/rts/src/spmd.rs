@@ -401,7 +401,13 @@ mod tests {
             // fence before a slow one snapshots the globals. Bracket the
             // snapshots with barriers (which bump nothing while the
             // system is quiescent) so every local snapshot happens before
-            // any location's post-snapshot traffic.
+            // any location's post-snapshot traffic. Under the reliable layer
+            // a retransmission that raced its ack may still sit in a channel
+            // after the fence, and its re-ack bumps `acks_sent`; the fence
+            // leaves nothing unacked, so none is sent after it, and one poll
+            // between two barriers drains them all.
+            loc.barrier();
+            loc.poll();
             loc.barrier();
             let snap = (loc.local_stats(), loc.stats());
             loc.barrier();

@@ -17,14 +17,26 @@
 //! and every run is a run of one).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stapl_rts::{execute_collect, Handle, Location, RtsConfig};
 
-/// Allocation calls and bytes requested so far, by any thread.
+/// Allocation calls and bytes requested so far, by measured threads.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set while this thread's calls are measured: the harness's threads,
+    /// and any thread outside the measured region, count nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is being measured (`false` once its
+/// thread-locals are gone).
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 struct Counting;
 
@@ -33,8 +45,10 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's obligations are those of `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.alloc(layout) }
     }
@@ -47,8 +61,10 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        if counting() {
+            CALLS.fetch_add(1, Ordering::Relaxed);
+            REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        }
         // SAFETY: forwarded as received.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -65,8 +81,9 @@ const ASYNCS: usize = 16_000;
 const AGGREGATION: usize = 16;
 
 /// Runs `burst` on location 0 of two — location 1 only waits in a barrier,
-/// running what arrives, and the main thread is parked in `execute`'s join,
-/// so everything counted belongs to the burst — and returns the allocator
+/// running what arrives, and only the two locations' threads count, each
+/// from after the fence to the barrier, so everything counted belongs to
+/// the burst — and returns the allocator
 /// calls and bytes requested, the `bytes_sent` and the batches it took.
 fn counted(burst: impl Fn(&Location, Handle) + Send + Sync) -> (usize, usize, u64, u64) {
     // The plain path whatever the environment says: a fault schedule would
@@ -76,11 +93,13 @@ fn counted(burst: impl Fn(&Location, Handle) + Send + Sync) -> (usize, usize, u6
         let (h, cell) = loc.register(RefCell::new(0u64));
         loc.rmi_fence();
         let (stats, before) = (loc.stats(), counts());
+        COUNTING.set(true);
         if loc.id() == 0 {
             burst(loc, h);
             loc.flush_all();
         }
         loc.barrier();
+        COUNTING.set(false);
         let (calls, bytes) = (counts().0 - before.0, counts().1 - before.1);
         loc.rmi_fence();
         if loc.id() == 1 {
@@ -145,6 +164,7 @@ fn a_round_trip_allocates_its_two_buffers_and_its_reply_slot() {
         // Both sides counted together: the request's buffer, the response's
         // buffer, the reply slot's box.
         let before = counts().0;
+        COUNTING.set(true);
         if loc.id() == 0 {
             for _ in 0..SYNCS {
                 let v = loc.sync_rmi(1, h, |c: &Sum, _| *c.borrow());
@@ -152,6 +172,7 @@ fn a_round_trip_allocates_its_two_buffers_and_its_reply_slot() {
             }
         }
         loc.barrier();
+        COUNTING.set(false);
         if loc.id() == 0 {
             let calls = counts().0 - before;
             assert!(calls <= 4 * SYNCS, "{SYNCS} sync_rmi round trips: {calls} allocation calls");
