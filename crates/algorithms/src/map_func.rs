@@ -450,20 +450,20 @@ mod tests {
             // chunk boundary is misaligned.
             let src = PArray::with_partition(
                 loc,
-                Box::new(BlockCyclicPartition::new(40, 3, 4)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
+                BlockCyclicPartition::new(40, 3, 4),
+                CyclicMapper::new(loc.nlocs()),
                 0u64,
             );
             p_generate(&src, |g| g as u64 + 1);
-            let blocked = BlockedPartition::new(40, 9);
-            let parts = IndexPartition::num_subdomains(&blocked);
+            let blocked = IndexPartition::from(BlockedPartition::new(40, 9));
+            let parts = blocked.num_subdomains();
             let dst = PArray::with_partition(
                 loc,
-                Box::new(blocked),
-                Box::new(GeneralMapper::new(
+                blocked,
+                GeneralMapper::new(
                     loc.nlocs(),
                     (0..parts).map(|b| (b + 2) % loc.nlocs()).collect(),
-                )),
+                ),
                 0u64,
             );
             p_copy(&src, &dst);
@@ -500,8 +500,8 @@ mod tests {
             // Several slices per location, one block.
             let cyclic = PArray::with_partition(
                 loc,
-                Box::new(BlockCyclicPartition::new(17, 4, 2)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
+                BlockCyclicPartition::new(17, 4, 2),
+                CyclicMapper::new(loc.nlocs()),
                 0u64,
             );
             let v = PVector::from_fn(loc, 10, |i| i as u32);

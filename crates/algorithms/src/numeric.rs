@@ -110,11 +110,11 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             // 7 contiguous sub-domains over 2 locations; then interleaving
             // block-cyclic ones, where BCID order is not a prefix order.
-            let partitions: [Box<dyn IndexPartition>; 2] =
-                [Box::new(BlockedPartition::new(20, 3)), Box::new(BlockCyclicPartition::new(23, 3, 4))];
+            let partitions: [IndexPartition; 2] =
+                [BlockedPartition::new(20, 3).into(), BlockCyclicPartition::new(23, 3, 4).into()];
             for partition in partitions {
                 let n = partition.global_size();
-                let a = PArray::with_partition(loc, partition, Box::new(CyclicMapper::new(loc.nlocs())), 0u64);
+                let a = PArray::with_partition(loc, partition, CyclicMapper::new(loc.nlocs()), 0u64);
                 crate::map_func::p_generate(&a, |g| g as u64);
                 p_partial_sum(&a, 0, |a, b| a + b);
                 let mut expect = 0u64;

@@ -31,16 +31,16 @@ fn delta(loc: &Location, call: impl FnOnce()) -> (u64, u64, u64) {
 fn misaligned_pair(loc: &Location) -> (PArray<u64>, PArray<u64>) {
     let src = PArray::with_partition(
         loc,
-        Box::new(BlockCyclicPartition::new(40, 3, 4)),
-        Box::new(CyclicMapper::new(loc.nlocs())),
+        BlockCyclicPartition::new(40, 3, 4),
+        CyclicMapper::new(loc.nlocs()),
         0u64,
     );
-    let blocked = BlockedPartition::new(40, 9);
-    let parts = IndexPartition::num_subdomains(&blocked);
+    let blocked = IndexPartition::from(BlockedPartition::new(40, 9));
+    let parts = blocked.num_subdomains();
     let dst = PArray::with_partition(
         loc,
-        Box::new(blocked),
-        Box::new(GeneralMapper::new(loc.nlocs(), (0..parts).map(|b| (b + 2) % loc.nlocs()).collect())),
+        blocked,
+        GeneralMapper::new(loc.nlocs(), (0..parts).map(|b| (b + 2) % loc.nlocs()).collect()),
         0u64,
     );
     (src, dst)

@@ -18,13 +18,13 @@ const P: usize = 4;
 /// produces a run, but there are O(P) of them, not O(N).
 fn misaligned_pair(loc: &stapl_rts::Location) -> (PArray<u64>, PArray<u64>) {
     let src = PArray::from_fn(loc, N, |i| i as u64 * 3 + 1);
-    let blocked = BlockedPartition::new(N, N / P + 7);
-    let parts = stapl_core::partition::IndexPartition::num_subdomains(&blocked);
+    let blocked = stapl_core::partition::IndexPartition::from(BlockedPartition::new(N, N / P + 7));
+    let parts = blocked.num_subdomains();
     let assignment: Vec<usize> = (0..parts).map(|b| (b + 1) % loc.nlocs()).collect();
     let dst = PArray::with_partition(
         loc,
-        Box::new(blocked),
-        Box::new(GeneralMapper::new(loc.nlocs(), assignment)),
+        blocked,
+        GeneralMapper::new(loc.nlocs(), assignment),
         0u64,
     );
     (src, dst)
@@ -97,8 +97,8 @@ fn aligned_p_copy_is_communication_free_except_fence() {
         let src = PArray::from_fn(loc, N, |i| i as u64);
         let dst = PArray::with_partition(
             loc,
-            Box::new(BalancedPartition::new(N, loc.nlocs())),
-            Box::new(CyclicMapper::new(loc.nlocs())),
+            BalancedPartition::new(N, loc.nlocs()),
+            CyclicMapper::new(loc.nlocs()),
             0u64,
         );
         loc.rmi_fence();

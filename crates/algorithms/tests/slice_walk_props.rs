@@ -41,12 +41,12 @@ struct Dist {
 }
 
 impl Dist {
-    fn partition(&self) -> Box<dyn IndexPartition> {
+    fn partition(&self) -> IndexPartition {
         match &self.part {
-            Part::Balanced(p) => Box::new(BalancedPartition::new(self.n, *p)),
-            Part::Blocked(b) => Box::new(BlockedPartition::new(self.n, *b)),
-            Part::BlockCyclic(p, b) => Box::new(BlockCyclicPartition::new(self.n, *p, *b)),
-            Part::Explicit(sizes) => Box::new(ExplicitPartition::from_sizes(sizes)),
+            Part::Balanced(p) => BalancedPartition::new(self.n, *p).into(),
+            Part::Blocked(b) => BlockedPartition::new(self.n, *b).into(),
+            Part::BlockCyclic(p, b) => BlockCyclicPartition::new(self.n, *p, *b).into(),
+            Part::Explicit(sizes) => ExplicitPartition::from_sizes(sizes).into(),
         }
     }
 
@@ -74,9 +74,9 @@ impl Dist {
 
     /// **Collective.** An array of `init` under this distribution.
     fn array<T: Send + Clone + 'static>(&self, loc: &Location, init: T) -> PArray<T> {
-        let mapper: Box<dyn PartitionMapper> = match &self.placement {
-            None => Box::new(CyclicMapper::new(loc.nlocs())),
-            Some(assignment) => Box::new(GeneralMapper::new(loc.nlocs(), assignment.clone())),
+        let mapper: PartitionMapper = match &self.placement {
+            None => CyclicMapper::new(loc.nlocs()).into(),
+            Some(assignment) => GeneralMapper::new(loc.nlocs(), assignment.clone()).into(),
         };
         PArray::with_partition(loc, self.partition(), mapper, init)
     }

@@ -350,10 +350,10 @@ pub fn misaligned_dst(loc: &Location, n: usize) -> PArray<u64> {
 }
 
 /// A pArray of zeros over `part` whose block `b` lives on location `b + 1`.
-fn rotated(loc: &Location, part: impl IndexPartition + 'static) -> PArray<u64> {
-    let nlocs = loc.nlocs();
+fn rotated(loc: &Location, part: impl Into<IndexPartition>) -> PArray<u64> {
+    let (part, nlocs) = (part.into(), loc.nlocs());
     let owners = (0..part.num_subdomains()).map(|b| (b + 1) % nlocs).collect();
-    PArray::with_partition(loc, Box::new(part), Box::new(GeneralMapper::new(nlocs, owners)), 0u64)
+    PArray::with_partition(loc, part, GeneralMapper::new(nlocs, owners), 0u64)
 }
 
 /// `p_copy` between a balanced source and a destination whose placement
@@ -377,8 +377,8 @@ fn localization_copy(
             "shifted" => rotated(loc, BalancedPartition::new(n, nlocs)),
             "strided" => PArray::with_partition(
                 loc,
-                Box::new(BlockCyclicPartition::new(n, nlocs, 64)),
-                Box::new(CyclicMapper::new(nlocs)),
+                BlockCyclicPartition::new(n, nlocs, 64),
+                CyclicMapper::new(nlocs),
                 0u64,
             ),
             "misaligned" => misaligned_dst(loc, n),

@@ -18,7 +18,7 @@ use stapl_core::interfaces::{
     ElementRead, ElementWrite, IndexedContainer, LocalIteration, PContainer, RangedContainer,
 };
 use stapl_core::location_manager::LocationManager;
-use stapl_core::mapper::{CyclicMapper, PartitionMapper};
+use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{BalancedPartition, IndexPartition, IndexSubDomain};
 use stapl_core::pobject::PObject;
 use stapl_core::thread_safety::{methods, MethodId, ThreadSafety};
@@ -349,14 +349,35 @@ impl<T: Send + Clone + 'static> Clone for PArray<T> {
     }
 }
 
+/// The distribution of `partition` placed by `mapper`, after checking that
+/// every sub-domain's owner is one of `loc`'s locations: a placement beyond
+/// them would leave its elements stored nowhere.
+fn placed(
+    loc: &Location,
+    partition: impl Into<IndexPartition>,
+    mapper: impl Into<PartitionMapper>,
+) -> IndexDistribution {
+    let dist = IndexDistribution::new(partition, mapper);
+    let nlocs = loc.nlocs();
+    for bcid in 0..dist.partition().num_subdomains() {
+        let owner = dist.mapper().owner(bcid);
+        assert!(
+            owner.is_some_and(|l| l < nlocs),
+            "pArray sub-domain {bcid} is placed on location {}, but nlocs is {nlocs}",
+            owner.map_or("none".to_string(), |l| l.to_string())
+        );
+    }
+    dist
+}
+
 impl<T: Send + Clone + 'static> PArray<T> {
     /// **Collective.** A pArray of `n` copies of `init` with the default
     /// balanced partition (one sub-domain per location) and cyclic mapper.
     pub fn new(loc: &Location, n: usize, init: T) -> Self {
         Self::with_partition(
             loc,
-            Box::new(BalancedPartition::new(n, loc.nlocs())),
-            Box::new(CyclicMapper::new(loc.nlocs())),
+            BalancedPartition::new(n, loc.nlocs()),
+            CyclicMapper::new(loc.nlocs()),
             init,
         )
     }
@@ -365,8 +386,8 @@ impl<T: Send + Clone + 'static> PArray<T> {
     /// the instance-specific customization path of Section V.H.
     pub fn with_partition(
         loc: &Location,
-        partition: Box<dyn IndexPartition>,
-        mapper: Box<dyn PartitionMapper>,
+        partition: impl Into<IndexPartition>,
+        mapper: impl Into<PartitionMapper>,
         init: T,
     ) -> Self {
         Self::with_options(loc, partition, mapper, init, ThreadSafety::unlocked())
@@ -376,12 +397,12 @@ impl<T: Send + Clone + 'static> PArray<T> {
     /// thread-safety policy (the paper's traits template arguments).
     pub fn with_options(
         loc: &Location,
-        partition: Box<dyn IndexPartition>,
-        mapper: Box<dyn PartitionMapper>,
+        partition: impl Into<IndexPartition>,
+        mapper: impl Into<PartitionMapper>,
         init: T,
         ths: ThreadSafety,
     ) -> Self {
-        let dist = IndexDistribution::new(partition, mapper);
+        let dist = placed(loc, partition, mapper);
         let mut lm = LocationManager::new();
         for (bcid, sd) in dist.local_subdomains(loc.id()) {
             lm.add_bcontainer(bcid, ArrayBc::new(sd, &init));
@@ -432,12 +453,13 @@ impl<T: Send + Clone + 'static> PArray<T> {
     /// every element moves to its position under the new distribution.
     pub fn redistribute(
         &self,
-        new_partition: Box<dyn IndexPartition>,
-        new_mapper: Box<dyn PartitionMapper>,
+        new_partition: impl Into<IndexPartition>,
+        new_mapper: impl Into<PartitionMapper>,
     ) {
         let loc = self.obj.location().clone();
+        let new_dist = placed(&loc, new_partition, new_mapper);
         assert_eq!(
-            new_partition.global_size(),
+            new_dist.global_size(),
             self.global_size(),
             "redistribution must preserve the domain"
         );
@@ -453,7 +475,6 @@ impl<T: Send + Clone + 'static> PArray<T> {
             drop(rep);
             loc.allreduce(first, |a, b| a.or(b))
         };
-        let new_dist = IndexDistribution::new(new_partition, new_mapper);
         {
             let mut rep = self.obj.local_mut();
             let mut staging = LocationManager::new();
@@ -509,8 +530,8 @@ impl<T: Send + Clone + 'static> PArray<T> {
     pub fn rebalance(&self) {
         let loc = self.obj.location();
         self.redistribute(
-            Box::new(BalancedPartition::new(self.global_size(), loc.nlocs())),
-            Box::new(CyclicMapper::new(loc.nlocs())),
+            BalancedPartition::new(self.global_size(), loc.nlocs()),
+            CyclicMapper::new(loc.nlocs()),
         );
     }
 
@@ -522,16 +543,13 @@ impl<T: Send + Clone + 'static> PArray<T> {
         let nlocs = loc.nlocs();
         let (partition, assignment) = {
             let rep = self.obj.local();
-            let p = rep.dist.partition().clone_box();
+            let p = rep.dist.partition().clone();
             let assignment: Vec<usize> = (0..p.num_subdomains())
                 .map(|b| (rep.dist.mapper().map(b) + shift) % nlocs)
                 .collect();
             (p, assignment)
         };
-        self.redistribute(
-            partition,
-            Box::new(stapl_core::mapper::GeneralMapper::new(nlocs, assignment)),
-        );
+        self.redistribute(partition, GeneralMapper::new(nlocs, assignment));
     }
 }
 
@@ -908,8 +926,8 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let blocked = PArray::with_partition(
                 loc,
-                Box::new(BlockedPartition::new(10, 3)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
+                BlockedPartition::new(10, 3),
+                CyclicMapper::new(loc.nlocs()),
                 0usize,
             );
             // 4 sub-domains cyclic over 2 locations.
@@ -919,8 +937,8 @@ mod tests {
 
             let bc = PArray::with_partition(
                 loc,
-                Box::new(BlockCyclicPartition::new(12, 2, 2)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
+                BlockCyclicPartition::new(12, 2, 2),
+                CyclicMapper::new(loc.nlocs()),
                 0usize,
             );
             for i in 0..12 {
@@ -938,8 +956,8 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let a = PArray::with_partition(
                 loc,
-                Box::new(ExplicitPartition::from_sizes(&[3, 4, 4])),
-                Box::new(stapl_core::mapper::GeneralMapper::new(2, vec![1, 0, 1])),
+                ExplicitPartition::from_sizes(&[3, 4, 4]),
+                GeneralMapper::new(2, vec![1, 0, 1]),
                 -1i64,
             );
             assert_eq!(a.locate_element(0).1, 1);
@@ -971,8 +989,8 @@ mod tests {
             // Rebalance to a blocked partition with block 3, reversed-ish
             // cyclic placement.
             a.redistribute(
-                Box::new(BlockedPartition::new(20, 3)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
+                BlockedPartition::new(20, 3),
+                CyclicMapper::new(loc.nlocs()),
             );
             for i in 0..20 {
                 assert_eq!(a.get_element(i), i as i64 * 7, "element {i} lost in redistribution");
@@ -1021,8 +1039,8 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let bc = PArray::with_partition(
                 loc,
-                Box::new(BlockCyclicPartition::new(23, 2, 3)),
-                Box::new(CyclicMapper::new(loc.nlocs())),
+                BlockCyclicPartition::new(23, 2, 3),
+                CyclicMapper::new(loc.nlocs()),
                 0usize,
             );
             if loc.id() == 0 {

@@ -578,10 +578,8 @@ where
     /// **Collective.** A pMap whose key space is cut by the given
     /// splitters (one ordered interval per base container, Fig. 58).
     pub fn new(loc: &Location, splitters: Vec<K>) -> Self {
-        let dist = KeyDistribution::new(
-            SplitterPartition::new(splitters),
-            Box::new(CyclicMapper::new(loc.nlocs())),
-        );
+        let mapper = CyclicMapper::new(loc.nlocs());
+        let dist = KeyDistribution::new(SplitterPartition::new(splitters), mapper);
         Self::with_distribution(loc, dist)
     }
 }
@@ -598,10 +596,8 @@ where
 
     /// **Collective.** A pHashMap with an explicit bucket count.
     pub fn with_buckets(loc: &Location, buckets: usize) -> Self {
-        let dist = KeyDistribution::new(
-            HashPartition::new(buckets),
-            Box::new(CyclicMapper::new(loc.nlocs())),
-        );
+        let mapper = CyclicMapper::new(loc.nlocs());
+        let dist = KeyDistribution::new(HashPartition::new(buckets), mapper);
         Self::with_distribution(loc, dist)
     }
 }

@@ -541,7 +541,7 @@ pub struct GraphRep<VP, EP> {
     kind: GraphPartitionKind,
     directedness: Directedness,
     /// Balanced vertex partition for static graphs.
-    static_partition: Option<BalancedPartition>,
+    static_partition: Option<IndexPartition>,
     nlocs: usize,
     /// Next locally generated descriptor: id + k·nlocs.
     next_vd: usize,
@@ -651,7 +651,7 @@ where
     /// (balanced over locations) holding `init` properties. `add_vertex`
     /// panics on static graphs, per the paper.
     pub fn new_static(loc: &Location, n: usize, directedness: Directedness, init: VP) -> Self {
-        let partition = BalancedPartition::new(n, loc.nlocs());
+        let partition = IndexPartition::from(BalancedPartition::new(n, loc.nlocs()));
         let mut bc = GraphBc::default();
         // bcid == location id for the single per-location base container.
         let sd = partition.subdomain(loc.id().min(partition.num_subdomains() - 1));

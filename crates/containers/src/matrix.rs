@@ -160,12 +160,10 @@ impl<T: Send + Clone + 'static> PMatrix<T> {
             _ => loc.nlocs(),
         };
         let partition = MatrixPartition::new(nrows, ncols, layout, nparts);
-        let mapper = CyclicMapper::new(loc.nlocs());
+        let mapper = PartitionMapper::from(CyclicMapper::new(loc.nlocs()));
         let mut lm = LocationManager::new();
-        for bcid in 0..nparts {
-            if mapper.map(bcid) == loc.id() {
-                lm.add_bcontainer(bcid, MatrixBc::new(partition.block(bcid), &init));
-            }
+        for bcid in mapper.local_bcids(loc.id(), nparts) {
+            lm.add_bcontainer(bcid, MatrixBc::new(partition.block(bcid), &init));
         }
         let rep = MatrixRep { lm, partition, nlocs: loc.nlocs(), ths: ThreadSafety::unlocked() };
         let obj = PObject::register(loc, rep);

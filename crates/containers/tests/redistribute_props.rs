@@ -13,11 +13,11 @@ use stapl_rts::{execute, RtsConfig};
 
 /// Builds one of the partition families over `[0, n)` from fuzzed
 /// parameters, never empty-sub-domain-free by construction.
-fn make_partition(n: usize, family: usize, a: usize, b: usize) -> Box<dyn IndexPartition> {
+fn make_partition(n: usize, family: usize, a: usize, b: usize) -> IndexPartition {
     match family % 4 {
-        0 => Box::new(BalancedPartition::new(n, a % 5 + 1)),
-        1 => Box::new(BlockedPartition::new(n, a % 7 + 1)),
-        2 => Box::new(BlockCyclicPartition::new(n, a % 4 + 1, b % 5 + 1)),
+        0 => BalancedPartition::new(n, a % 5 + 1).into(),
+        1 => BlockedPartition::new(n, a % 7 + 1).into(),
+        2 => BlockCyclicPartition::new(n, a % 4 + 1, b % 5 + 1).into(),
         _ => {
             // Explicit partition from random cut points.
             let mut cuts: Vec<usize> = vec![a % n, b % n, (a + b) % n];
@@ -35,19 +35,19 @@ fn make_partition(n: usize, family: usize, a: usize, b: usize) -> Box<dyn IndexP
             if sizes.is_empty() {
                 sizes.push(n);
             }
-            Box::new(ExplicitPartition::from_sizes(&sizes))
+            ExplicitPartition::from_sizes(&sizes).into()
         }
     }
 }
 
 /// A mapper for `parts` sub-domains over `nlocs` locations: cyclic or a
 /// fuzzed explicit assignment.
-fn make_mapper(parts: usize, nlocs: usize, style: usize, seed: &[usize]) -> Box<dyn PartitionMapper> {
+fn make_mapper(parts: usize, nlocs: usize, style: usize, seed: &[usize]) -> PartitionMapper {
     if style % 2 == 0 || seed.is_empty() {
-        Box::new(CyclicMapper::new(nlocs))
+        CyclicMapper::new(nlocs).into()
     } else {
         let assignment: Vec<usize> = (0..parts).map(|i| seed[i % seed.len()] % nlocs).collect();
-        Box::new(GeneralMapper::new(nlocs, assignment))
+        GeneralMapper::new(nlocs, assignment).into()
     }
 }
 

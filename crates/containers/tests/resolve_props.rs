@@ -17,7 +17,7 @@ use stapl_core::distribution::IndexDistribution;
 use stapl_core::interfaces::{
     AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer, SegmentedContainer,
 };
-use stapl_core::mapper::{BlockedMapper, CyclicMapper, GeneralMapper, PartitionMapper};
+use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{
     BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, HashPartition,
     IndexPartition, KeyPartition, SplitterPartition,
@@ -30,29 +30,32 @@ use stapl_rts::{execute, Location, RtsConfig};
 
 /// Every partition family over `[0, n)`, tiny blocks (many bContainers per
 /// location) and empty sub-domains included.
-fn partitions(n: usize) -> Vec<Box<dyn IndexPartition>> {
-    let mut all: Vec<Box<dyn IndexPartition>> = vec![
-        Box::new(BalancedPartition::new(n, 1)),
-        Box::new(BalancedPartition::new(n, 3)),
-        Box::new(BalancedPartition::new(n, 8)),
-        Box::new(BlockedPartition::new(n, 1)),
-        Box::new(BlockedPartition::new(n, 2)),
-        Box::new(BlockedPartition::new(n, 7)),
-        Box::new(BlockCyclicPartition::new(n, 3, 1)),
-        Box::new(BlockCyclicPartition::new(n, 2, 3)),
-        Box::new(ExplicitPartition::from_sizes(&[n])),
+fn partitions(n: usize) -> Vec<IndexPartition> {
+    let mut all: Vec<IndexPartition> = vec![
+        BalancedPartition::new(n, 1).into(),
+        BalancedPartition::new(n, 3).into(),
+        BalancedPartition::new(n, 8).into(),
+        BlockedPartition::new(n, 1).into(),
+        BlockedPartition::new(n, 2).into(),
+        BlockedPartition::new(n, 7).into(),
+        BlockCyclicPartition::new(n, 3, 1).into(),
+        BlockCyclicPartition::new(n, 2, 3).into(),
+        ExplicitPartition::from_sizes(&[n]).into(),
     ];
     if n >= 2 {
-        all.push(Box::new(ExplicitPartition::from_sizes(&[1, 0, n - 2, 0, 1])));
+        all.push(ExplicitPartition::from_sizes(&[1, 0, n - 2, 0, 1]).into());
     }
     all
 }
 
-fn mappers(parts: usize, nlocs: usize) -> Vec<Box<dyn PartitionMapper>> {
+/// Cyclic, blocked (`ceil(parts / nlocs)` consecutive sub-domains per
+/// location) and reversed placements of `parts` sub-domains.
+fn mappers(parts: usize, nlocs: usize) -> Vec<PartitionMapper> {
+    let per = parts.div_ceil(nlocs);
     vec![
-        Box::new(CyclicMapper::new(nlocs)),
-        Box::new(BlockedMapper::new(nlocs, parts)),
-        Box::new(GeneralMapper::new(nlocs, (0..parts).map(|b| (parts - 1 - b) % nlocs).collect())),
+        CyclicMapper::new(nlocs).into(),
+        GeneralMapper::new(nlocs, (0..parts).map(|b| (b / per).min(nlocs - 1)).collect()).into(),
+        GeneralMapper::new(nlocs, (0..parts).map(|b| (parts - 1 - b) % nlocs).collect()).into(),
     ]
 }
 
@@ -112,17 +115,16 @@ fn resolve_agrees_with_the_distribution_on_every_gid() {
                 for mi in 0..3 {
                     let what = format!("P={p} n={n} partition#{pi} mapper#{mi}");
                     execute(RtsConfig::default(), p, |loc| {
-                        // Built per location: the boxed traits are not `Sync`.
                         let part = partitions(n).swap_remove(pi);
                         let mapper = mappers(part.num_subdomains(), p).swap_remove(mi);
-                        let dist = IndexDistribution::new(part.clone_box(), mapper.clone_box());
-                        let a = PArray::with_partition(loc, part.clone_box(), mapper.clone_box(), 0);
+                        let dist = IndexDistribution::new(part.clone(), mapper.clone());
+                        let a = PArray::with_partition(loc, part, mapper, 0);
                         check_against(&a, &dist, loc, 0, &what);
 
                         // Onto the next partition family (and another mapper).
                         let to_part = partitions(n).swap_remove((pi + 4) % partitions(n).len());
                         let to_map = mappers(to_part.num_subdomains(), p).swap_remove((mi + 1) % 3);
-                        let dist = IndexDistribution::new(to_part.clone_box(), to_map.clone_box());
+                        let dist = IndexDistribution::new(to_part.clone(), to_map.clone());
                         a.redistribute(to_part, to_map);
                         check_against(&a, &dist, loc, 1, &format!("{what}, redistributed"));
 
@@ -130,15 +132,15 @@ fn resolve_agrees_with_the_distribution_on_every_gid() {
                         let rotated: Vec<usize> =
                             (0..parts).map(|b| (dist.mapper().map(b) + 1) % p).collect();
                         let dist = IndexDistribution::new(
-                            dist.partition().clone_box(),
-                            Box::new(GeneralMapper::new(p, rotated)),
+                            dist.partition().clone(),
+                            GeneralMapper::new(p, rotated),
                         );
                         a.rotate(1);
                         check_against(&a, &dist, loc, 2, &format!("{what}, rotated"));
 
                         let dist = IndexDistribution::new(
-                            Box::new(BalancedPartition::new(n, p)),
-                            Box::new(CyclicMapper::new(p)),
+                            BalancedPartition::new(n, p),
+                            CyclicMapper::new(p),
                         );
                         a.rebalance();
                         check_against(&a, &dist, loc, 3, &format!("{what}, rebalanced"));
@@ -202,12 +204,33 @@ fn out_of_bounds_set_panics_on_two_locations_and_many_bcontainers() {
     execute(RtsConfig::default(), 2, |loc| {
         let a = PArray::with_partition(
             loc,
-            Box::new(BlockedPartition::new(6, 1)),
-            Box::new(CyclicMapper::new(2)),
+            BlockedPartition::new(6, 1),
+            CyclicMapper::new(2),
             0u8,
         );
         reads_panic_out_of_bounds(&a, 100);
         a.set_element(100, 1);
+    });
+}
+
+/// A placement onto a location that does not exist is refused when the
+/// array is built, not when an element stored nowhere is first reached.
+#[test]
+#[should_panic(expected = "pArray sub-domain 2 is placed on location 2, but nlocs is 2")]
+fn placement_beyond_the_locations_panics_at_construction() {
+    execute(RtsConfig::default(), 2, |loc| {
+        let a = PArray::with_partition(loc, BalancedPartition::new(8, 4), CyclicMapper::new(4), 0u8);
+        a.get_element(5);
+    });
+}
+
+/// So is a placement table shorter than the partition, by `redistribute`.
+#[test]
+#[should_panic(expected = "pArray sub-domain 2 is placed on location none, but nlocs is 2")]
+fn placement_table_too_short_panics_at_redistribute() {
+    execute(RtsConfig::default(), 2, |loc| {
+        let a = PArray::new(loc, 8, 0u8);
+        a.redistribute(BalancedPartition::new(8, 4), GeneralMapper::new(2, vec![0, 1]));
     });
 }
 
@@ -256,8 +279,8 @@ fn strided_subdomain_on_one_location_reads_and_writes_through_the_cold_path() {
         let n = 16usize;
         let a = PArray::with_partition(
             loc,
-            Box::new(BlockCyclicPartition::new(n, 1, 3)),
-            Box::new(CyclicMapper::new(1)),
+            BlockCyclicPartition::new(n, 1, 3),
+            CyclicMapper::new(1),
             0u64,
         );
         let want = |g: usize| 3 * g as u64 + 1;
@@ -323,8 +346,8 @@ impl ThreadSafetyManager for Canary {
 fn locked_array(loc: &Location, n: usize, ths: ThreadSafety) -> PArray<u64> {
     PArray::with_options(
         loc,
-        Box::new(BalancedPartition::new(n, loc.nlocs())),
-        Box::new(CyclicMapper::new(loc.nlocs())),
+        BalancedPartition::new(n, loc.nlocs()),
+        CyclicMapper::new(loc.nlocs()),
         0,
         ths,
     )

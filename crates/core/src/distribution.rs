@@ -31,8 +31,8 @@ pub struct GidRun {
 /// Distribution of a 1-D indexed container (pArray, pVector).
 #[derive(Clone)]
 pub struct IndexDistribution {
-    partition: Box<dyn IndexPartition>,
-    mapper: Box<dyn PartitionMapper>,
+    partition: IndexPartition,
+    mapper: PartitionMapper,
     /// Incremented by every [`IndexDistribution::replace_with`]. Locality layers
     /// (owner caches, views that memoize placement) compare epochs to
     /// detect that a redistribute/rebalance invalidated their copies.
@@ -40,8 +40,8 @@ pub struct IndexDistribution {
 }
 
 impl IndexDistribution {
-    pub fn new(partition: Box<dyn IndexPartition>, mapper: Box<dyn PartitionMapper>) -> Self {
-        IndexDistribution { partition, mapper, epoch: 0 }
+    pub fn new(partition: impl Into<IndexPartition>, mapper: impl Into<PartitionMapper>) -> Self {
+        IndexDistribution { partition: partition.into(), mapper: mapper.into(), epoch: 0 }
     }
 
     /// The distribution epoch: how many times this distribution has been
@@ -50,12 +50,12 @@ impl IndexDistribution {
         self.epoch
     }
 
-    pub fn partition(&self) -> &dyn IndexPartition {
-        self.partition.as_ref()
+    pub fn partition(&self) -> &IndexPartition {
+        &self.partition
     }
 
-    pub fn mapper(&self) -> &dyn PartitionMapper {
-        self.mapper.as_ref()
+    pub fn mapper(&self) -> &PartitionMapper {
+        &self.mapper
     }
 
     pub fn global_size(&self) -> usize {
@@ -64,6 +64,7 @@ impl IndexDistribution {
 
     /// (BCID, owning location) of `gid` — the `get_info` + mapper lookup of
     /// the paper's invoke skeleton.
+    #[inline]
     pub fn locate(&self, gid: usize) -> (Bcid, LocId) {
         let b = self.partition.find(gid);
         (b, self.mapper.map(b))
@@ -132,13 +133,13 @@ impl IndexDistribution {
 /// a direct, inlinable call.
 pub struct KeyDistribution<K, P> {
     partition: P,
-    mapper: Box<dyn PartitionMapper>,
+    mapper: PartitionMapper,
     _key: PhantomData<fn(&K)>,
 }
 
 impl<K, P: KeyPartition<K>> KeyDistribution<K, P> {
-    pub fn new(partition: P, mapper: Box<dyn PartitionMapper>) -> Self {
-        KeyDistribution { partition, mapper, _key: PhantomData }
+    pub fn new(partition: P, mapper: impl Into<PartitionMapper>) -> Self {
+        KeyDistribution { partition, mapper: mapper.into(), _key: PhantomData }
     }
 
     pub fn locate(&self, k: &K) -> (Bcid, LocId) {
@@ -154,8 +155,8 @@ impl<K, P: KeyPartition<K>> KeyDistribution<K, P> {
         self.mapper.local_bcids(loc, self.partition.num_subdomains())
     }
 
-    pub fn mapper(&self) -> &dyn PartitionMapper {
-        self.mapper.as_ref()
+    pub fn mapper(&self) -> &PartitionMapper {
+        &self.mapper
     }
 
     pub fn partition(&self) -> &P {
@@ -172,10 +173,7 @@ mod tests {
     #[test]
     fn locate_agrees_with_partition_and_mapper() {
         // 12 elements, 4 sub-domains, 2 locations, cyclic — Fig. 10 setup.
-        let d = IndexDistribution::new(
-            Box::new(BalancedPartition::new(12, 4)),
-            Box::new(CyclicMapper::new(2)),
-        );
+        let d = IndexDistribution::new(BalancedPartition::new(12, 4), CyclicMapper::new(2));
         assert_eq!(d.locate(0), (0, 0));
         assert_eq!(d.locate(3), (1, 1));
         assert_eq!(d.locate(6), (2, 0));
@@ -184,10 +182,7 @@ mod tests {
 
     #[test]
     fn local_subdomains_cover_location_elements() {
-        let d = IndexDistribution::new(
-            Box::new(BalancedPartition::new(100, 8)),
-            Box::new(CyclicMapper::new(4)),
-        );
+        let d = IndexDistribution::new(BalancedPartition::new(100, 8), CyclicMapper::new(4));
         let mut total = 0;
         for loc in 0..4 {
             for (b, sd) in d.local_subdomains(loc) {
@@ -204,17 +199,14 @@ mod tests {
     fn contiguous_runs_cover_in_order_and_match_locate() {
         // Mix of contiguous (balanced) and strided (block-cyclic) shapes.
         let dists = [
+            IndexDistribution::new(BalancedPartition::new(37, 5), CyclicMapper::new(3)),
             IndexDistribution::new(
-                Box::new(BalancedPartition::new(37, 5)),
-                Box::new(CyclicMapper::new(3)),
+                crate::partition::BlockCyclicPartition::new(29, 3, 4),
+                CyclicMapper::new(2),
             ),
             IndexDistribution::new(
-                Box::new(crate::partition::BlockCyclicPartition::new(29, 3, 4)),
-                Box::new(CyclicMapper::new(2)),
-            ),
-            IndexDistribution::new(
-                Box::new(crate::partition::ExplicitPartition::from_sizes(&[3, 9, 1, 8])),
-                Box::new(CyclicMapper::new(4)),
+                crate::partition::ExplicitPartition::from_sizes(&[3, 9, 1, 8]),
+                CyclicMapper::new(4),
             ),
         ];
         for d in &dists {
@@ -244,18 +236,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the distributed domain")]
     fn contiguous_runs_rejects_out_of_bounds() {
-        let d = IndexDistribution::new(
-            Box::new(BalancedPartition::new(10, 2)),
-            Box::new(CyclicMapper::new(2)),
-        );
+        let d = IndexDistribution::new(BalancedPartition::new(10, 2), CyclicMapper::new(2));
         d.contiguous_runs(Range1d::new(5, 11));
     }
 
     #[test]
     fn replace_with_swaps_partition_and_carries_the_epoch() {
-        let dist = |p| {
-            IndexDistribution::new(Box::new(BalancedPartition::new(10, p)), Box::new(CyclicMapper::new(2)))
-        };
+        let dist = |p| IndexDistribution::new(BalancedPartition::new(10, p), CyclicMapper::new(2));
         let mut d = dist(2);
         assert_eq!(d.locate(9).0, 1);
         assert_eq!(d.epoch(), 0);
@@ -270,18 +257,14 @@ mod tests {
 
     #[test]
     fn key_distribution_sorted_and_hashed() {
-        let sorted = KeyDistribution::new(
-            SplitterPartition::new(vec![50, 100]),
-            Box::new(CyclicMapper::new(3)),
-        );
+        let sorted =
+            KeyDistribution::new(SplitterPartition::new(vec![50, 100]), CyclicMapper::new(3));
         assert_eq!(sorted.locate(&10).0, 0);
         assert_eq!(sorted.locate(&75).0, 1);
         assert_eq!(sorted.locate(&200).0, 2);
 
-        let hashed: KeyDistribution<i32, _> = KeyDistribution::new(
-            HashPartition::new(6),
-            Box::new(CyclicMapper::new(3)),
-        );
+        let hashed: KeyDistribution<i32, _> =
+            KeyDistribution::new(HashPartition::new(6), CyclicMapper::new(3));
         let (b, l) = hashed.locate(&42);
         assert!(b < 6 && l < 3);
         assert_eq!(hashed.locate(&42), (b, l));

@@ -68,7 +68,7 @@ pub mod prelude {
         PContainer,
     };
     pub use crate::location_manager::LocationManager;
-    pub use crate::mapper::{BlockedMapper, CyclicMapper, GeneralMapper, PartitionMapper};
+    pub use crate::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
     pub use crate::partition::{
         BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition,
         HashPartition, IndexPartition, IndexSubDomain, KeyPartition, MatrixLayout,

@@ -98,17 +98,6 @@ impl IndexSubDomain {
             }
         }
     }
-
-    /// GID at offset `k` of the linearization.
-    pub fn nth(&self, k: usize) -> Option<usize> {
-        match self {
-            IndexSubDomain::Contiguous(r) => r.iter().nth(k),
-            IndexSubDomain::BlockCyclic { first, block, stride, global_hi } => {
-                let g = first + (k / block) * stride + k % block;
-                (g < *global_hi).then_some(g)
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -116,30 +105,101 @@ impl IndexSubDomain {
 // ---------------------------------------------------------------------
 
 /// Partition of the index domain `[0, n)` into ordered sub-domains; the
-/// paper's indexed-partition concept with a closed-form `find`.
-pub trait IndexPartition: 'static {
+/// paper's indexed-partition concept with a closed-form `find`. The shapes
+/// are a closed set, so each query is one `match` the compiler sees
+/// through: locating a GID makes no indirect call.
+#[derive(Clone, Debug)]
+pub enum IndexPartition {
+    Balanced(BalancedPartition),
+    Blocked(BlockedPartition),
+    BlockCyclic(BlockCyclicPartition),
+    Explicit(ExplicitPartition),
+}
+
+impl IndexPartition {
     /// Total number of indices partitioned.
-    fn global_size(&self) -> usize;
+    pub fn global_size(&self) -> usize {
+        match self {
+            IndexPartition::Balanced(p) => p.n,
+            IndexPartition::Blocked(p) => p.n,
+            IndexPartition::BlockCyclic(p) => p.n,
+            IndexPartition::Explicit(p) => *p.bounds.last().unwrap(),
+        }
+    }
 
     /// Number of sub-domains (== number of base containers).
-    fn num_subdomains(&self) -> usize;
+    pub fn num_subdomains(&self) -> usize {
+        match self {
+            IndexPartition::Balanced(p) => p.p,
+            IndexPartition::Blocked(p) => p.n.div_ceil(p.block).max(1),
+            IndexPartition::BlockCyclic(p) => p.p,
+            IndexPartition::Explicit(p) => p.bounds.len(),
+        }
+    }
 
     /// The sub-domain assigned to `bcid`.
-    fn subdomain(&self, bcid: Bcid) -> IndexSubDomain;
+    pub fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
+        match self {
+            IndexPartition::Balanced(p) => IndexSubDomain::Contiguous(p.stripes.range(bcid)),
+            IndexPartition::Blocked(p) => {
+                let lo = (bcid * p.block).min(p.n);
+                IndexSubDomain::Contiguous(Range1d::new(lo, (lo + p.block).min(p.n)))
+            }
+            IndexPartition::BlockCyclic(p) => IndexSubDomain::BlockCyclic {
+                first: bcid * p.block,
+                block: p.block,
+                stride: p.p * p.block,
+                global_hi: p.n,
+            },
+            IndexPartition::Explicit(p) => {
+                let lo = if bcid == 0 { 0 } else { p.bounds[bcid - 1] };
+                IndexSubDomain::Contiguous(Range1d::new(lo, p.bounds[bcid]))
+            }
+        }
+    }
 
     /// The BCID whose sub-domain contains `gid` (the paper's `get_info`).
-    fn find(&self, gid: usize) -> Bcid;
-
-    fn clone_box(&self) -> Box<dyn IndexPartition>;
-
-    fn subdomain_sizes(&self) -> Vec<usize> {
-        (0..self.num_subdomains()).map(|b| self.subdomain(b).len()).collect()
+    #[inline]
+    pub fn find(&self, gid: usize) -> Bcid {
+        debug_assert!(gid < self.global_size());
+        match self {
+            IndexPartition::Balanced(p) => p.stripes.find(gid),
+            IndexPartition::Blocked(p) => gid / p.block,
+            IndexPartition::BlockCyclic(p) => (gid / p.block) % p.p,
+            IndexPartition::Explicit(p) => p.bounds.partition_point(|&b| b <= gid),
+        }
     }
 }
 
-impl Clone for Box<dyn IndexPartition> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+impl From<BalancedPartition> for IndexPartition {
+    fn from(p: BalancedPartition) -> Self {
+        IndexPartition::Balanced(p)
+    }
+}
+
+impl From<BlockedPartition> for IndexPartition {
+    fn from(p: BlockedPartition) -> Self {
+        IndexPartition::Blocked(p)
+    }
+}
+
+impl From<BlockCyclicPartition> for IndexPartition {
+    fn from(p: BlockCyclicPartition) -> Self {
+        IndexPartition::BlockCyclic(p)
+    }
+}
+
+impl From<ExplicitPartition> for IndexPartition {
+    fn from(p: ExplicitPartition) -> Self {
+        IndexPartition::Explicit(p)
+    }
+}
+
+/// A boxed partition, as `benchmark/` still passes one; it exists only for
+/// that crate's two call sites.
+impl<P: Into<IndexPartition>> From<Box<P>> for IndexPartition {
+    fn from(p: Box<P>) -> Self {
+        (*p).into()
     }
 }
 
@@ -192,29 +252,6 @@ impl BalancedPartition {
     }
 }
 
-impl IndexPartition for BalancedPartition {
-    fn global_size(&self) -> usize {
-        self.n
-    }
-
-    fn num_subdomains(&self) -> usize {
-        self.p
-    }
-
-    fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
-        IndexSubDomain::Contiguous(self.stripes.range(bcid))
-    }
-
-    fn find(&self, gid: usize) -> Bcid {
-        debug_assert!(gid < self.n);
-        self.stripes.find(gid)
-    }
-
-    fn clone_box(&self) -> Box<dyn IndexPartition> {
-        Box::new(*self)
-    }
-}
-
 /// `partition_blocked`: fixed block size; `ceil(n / block)` sub-domains,
 /// the last possibly smaller.
 #[derive(Clone, Copy, Debug)]
@@ -227,35 +264,6 @@ impl BlockedPartition {
     pub fn new(n: usize, block: usize) -> Self {
         assert!(block >= 1);
         BlockedPartition { n, block }
-    }
-}
-
-impl IndexPartition for BlockedPartition {
-    fn global_size(&self) -> usize {
-        self.n
-    }
-
-    fn num_subdomains(&self) -> usize {
-        if self.n == 0 {
-            1
-        } else {
-            self.n.div_ceil(self.block)
-        }
-    }
-
-    fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
-        let lo = (bcid * self.block).min(self.n);
-        let hi = (lo + self.block).min(self.n);
-        IndexSubDomain::Contiguous(Range1d::new(lo, hi))
-    }
-
-    fn find(&self, gid: usize) -> Bcid {
-        debug_assert!(gid < self.n);
-        gid / self.block
-    }
-
-    fn clone_box(&self) -> Box<dyn IndexPartition> {
-        Box::new(*self)
     }
 }
 
@@ -272,34 +280,6 @@ impl BlockCyclicPartition {
     pub fn new(n: usize, p: usize, block: usize) -> Self {
         assert!(p >= 1 && block >= 1);
         BlockCyclicPartition { n, p, block }
-    }
-}
-
-impl IndexPartition for BlockCyclicPartition {
-    fn global_size(&self) -> usize {
-        self.n
-    }
-
-    fn num_subdomains(&self) -> usize {
-        self.p
-    }
-
-    fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
-        IndexSubDomain::BlockCyclic {
-            first: bcid * self.block,
-            block: self.block,
-            stride: self.p * self.block,
-            global_hi: self.n,
-        }
-    }
-
-    fn find(&self, gid: usize) -> Bcid {
-        debug_assert!(gid < self.n);
-        (gid / self.block) % self.p
-    }
-
-    fn clone_box(&self) -> Box<dyn IndexPartition> {
-        Box::new(*self)
     }
 }
 
@@ -323,42 +303,6 @@ impl ExplicitPartition {
             bounds.push(acc);
         }
         ExplicitPartition { bounds }
-    }
-
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut prev = 0;
-        self.bounds
-            .iter()
-            .map(|&b| {
-                let s = b - prev;
-                prev = b;
-                s
-            })
-            .collect()
-    }
-}
-
-impl IndexPartition for ExplicitPartition {
-    fn global_size(&self) -> usize {
-        *self.bounds.last().unwrap()
-    }
-
-    fn num_subdomains(&self) -> usize {
-        self.bounds.len()
-    }
-
-    fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
-        let lo = if bcid == 0 { 0 } else { self.bounds[bcid - 1] };
-        IndexSubDomain::Contiguous(Range1d::new(lo, self.bounds[bcid]))
-    }
-
-    fn find(&self, gid: usize) -> Bcid {
-        debug_assert!(gid < self.global_size());
-        self.bounds.partition_point(|&b| b <= gid)
-    }
-
-    fn clone_box(&self) -> Box<dyn IndexPartition> {
-        Box::new(self.clone())
     }
 }
 
@@ -460,10 +404,6 @@ impl<K: Ord + Clone + 'static> SplitterPartition<K> {
         splitters.sort();
         SplitterPartition { splitters }
     }
-
-    pub fn splitters(&self) -> &[K] {
-        &self.splitters
-    }
 }
 
 impl<K: Ord + Clone + 'static> KeyPartition<K> for SplitterPartition<K> {
@@ -510,43 +450,44 @@ impl<K: Hash + 'static> KeyPartition<K> for HashPartition {
 mod tests {
     use super::*;
 
-    fn check_cover(p: &dyn IndexPartition) {
-        // Sub-domains are disjoint and cover [0, n) — Definition 9.
+    /// The sub-domain sizes of `p`, after checking that its sub-domains are
+    /// disjoint, cover `[0, n)` (Definition 9) and agree with `find`.
+    fn check_cover(p: &IndexPartition) -> Vec<usize> {
         let n = p.global_size();
         let mut seen = vec![0u32; n];
+        let mut sizes = Vec::new();
         for b in 0..p.num_subdomains() {
-            for g in p.subdomain(b).iter() {
+            let sd = p.subdomain(b);
+            for g in sd.iter() {
                 seen[g] += 1;
                 assert_eq!(p.find(g), b, "find({g}) disagrees with subdomain({b})");
             }
+            sizes.push(sd.len());
         }
         assert!(seen.iter().all(|&c| c == 1), "not a partition: {seen:?}");
+        sizes
     }
 
     #[test]
     fn balanced_partition_covers_and_balances() {
-        let p = BalancedPartition::new(10, 4);
-        check_cover(&p);
-        let sizes = p.subdomain_sizes();
+        let sizes = check_cover(&BalancedPartition::new(10, 4).into());
         assert_eq!(sizes.iter().sum::<usize>(), 10);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3));
     }
 
     #[test]
     fn balanced_with_fewer_elements_than_parts() {
-        let p = BalancedPartition::new(3, 8);
+        let p = IndexPartition::from(BalancedPartition::new(3, 8));
         assert_eq!(p.num_subdomains(), 3);
-        check_cover(&p);
-        assert!(p.subdomain_sizes().iter().all(|&s| s == 1));
+        assert!(check_cover(&p).iter().all(|&s| s == 1));
     }
 
     #[test]
     fn blocked_partition_example_from_paper() {
         // partition_blocked([0..11), 3) -> {0..2, 3..5, 6..8, 9..10}
-        let p = BlockedPartition::new(11, 3);
+        let p = IndexPartition::from(BlockedPartition::new(11, 3));
         assert_eq!(p.num_subdomains(), 4);
-        check_cover(&p);
-        assert_eq!(p.subdomain_sizes(), vec![3, 3, 3, 2]);
+        assert_eq!(check_cover(&p), vec![3, 3, 3, 2]);
         assert_eq!(p.find(9), 3);
     }
 
@@ -554,33 +495,24 @@ mod tests {
     fn block_cyclic_matches_paper_example() {
         // partition_block_cyclic([0..11), 2, BLOCK_CYCLIC(3))
         //   -> { {0,1,2, 6,7,8}, {3,4,5, 9,10} }
-        let p = BlockCyclicPartition::new(11, 2, 3);
+        let p = IndexPartition::from(BlockCyclicPartition::new(11, 2, 3));
         check_cover(&p);
-        assert_eq!(
-            p.subdomain(0).iter().collect::<Vec<_>>(),
-            vec![0, 1, 2, 6, 7, 8]
-        );
-        assert_eq!(
-            p.subdomain(1).iter().collect::<Vec<_>>(),
-            vec![3, 4, 5, 9, 10]
-        );
+        assert_eq!(p.subdomain(0).iter().collect::<Vec<_>>(), vec![0, 1, 2, 6, 7, 8]);
+        assert_eq!(p.subdomain(1).iter().collect::<Vec<_>>(), vec![3, 4, 5, 9, 10]);
     }
 
     #[test]
     fn block_cyclic_block_one_is_cyclic() {
         // partition_block_cyclic([0..11), 2, BLOCK_CYCLIC(1))
         //   -> { {0,2,4,6,8,10}, {1,3,5,7,9} }
-        let p = BlockCyclicPartition::new(11, 2, 1);
+        let p = IndexPartition::from(BlockCyclicPartition::new(11, 2, 1));
         check_cover(&p);
-        assert_eq!(
-            p.subdomain(0).iter().collect::<Vec<_>>(),
-            vec![0, 2, 4, 6, 8, 10]
-        );
+        assert_eq!(p.subdomain(0).iter().collect::<Vec<_>>(), vec![0, 2, 4, 6, 8, 10]);
     }
 
     #[test]
     fn contiguous_pieces_cover_in_order() {
-        let p = BlockCyclicPartition::new(23, 3, 4);
+        let p = IndexPartition::from(BlockCyclicPartition::new(23, 3, 4));
         for b in 0..3 {
             let sd = p.subdomain(b);
             let pieces = sd.contiguous_pieces();
@@ -602,12 +534,11 @@ mod tests {
 
     #[test]
     fn block_cyclic_subdomain_offsets_roundtrip() {
-        let p = BlockCyclicPartition::new(23, 3, 4);
+        let p = IndexPartition::from(BlockCyclicPartition::new(23, 3, 4));
         for b in 0..3 {
             let sd = p.subdomain(b);
             for (k, g) in sd.iter().enumerate() {
                 assert_eq!(sd.offset(g), k);
-                assert_eq!(sd.nth(k), Some(g));
             }
             assert_eq!(sd.len(), sd.iter().count());
         }
@@ -616,20 +547,19 @@ mod tests {
     #[test]
     fn explicit_partition_example_from_paper() {
         // partition_blocked_explicit(BLOCK(v{3,4,4})) -> {0..2, 3..6, 7..10}
-        let p = ExplicitPartition::from_sizes(&[3, 4, 4]);
-        check_cover(&p);
+        let p = IndexPartition::from(ExplicitPartition::from_sizes(&[3, 4, 4]));
+        assert_eq!(check_cover(&p), vec![3, 4, 4]);
         assert_eq!(p.find(0), 0);
         assert_eq!(p.find(3), 1);
         assert_eq!(p.find(6), 1);
         assert_eq!(p.find(7), 2);
-        assert_eq!(p.sizes(), vec![3, 4, 4]);
     }
 
     #[test]
     fn ordered_partition_preserves_order() {
         // Definition 10: contiguous ordered partitions preserve the global
         // order: every gid in sub-domain i precedes every gid in i+1.
-        let p = BalancedPartition::new(37, 5);
+        let p = IndexPartition::from(BalancedPartition::new(37, 5));
         let mut prev_max: Option<usize> = None;
         for b in 0..p.num_subdomains() {
             let gids: Vec<_> = p.subdomain(b).iter().collect();

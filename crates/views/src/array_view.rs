@@ -491,8 +491,8 @@ mod tests {
             assert_eq!(chunks, v.local_chunks());
             // Redistribution bumps the epoch and invalidates the memo.
             a.redistribute(
-                Box::new(stapl_core::partition::BlockedPartition::new(16, 3)),
-                Box::new(stapl_core::mapper::CyclicMapper::new(loc.nlocs())),
+                stapl_core::partition::BlockedPartition::new(16, 3),
+                stapl_core::mapper::CyclicMapper::new(loc.nlocs()),
             );
             let l3 = v.localize();
             assert!(!std::rc::Rc::ptr_eq(&l1, &l3), "epoch change must invalidate the memo");

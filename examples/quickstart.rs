@@ -15,8 +15,8 @@ fn main() {
         let pa = PArray::new(loc, 100, 0i64);
         let blocked = PArray::with_partition(
             loc,
-            Box::new(stapl::core::partition::BlockedPartition::new(100, 10)),
-            Box::new(stapl::core::mapper::CyclicMapper::new(loc.nlocs())),
+            stapl::core::partition::BlockedPartition::new(100, 10),
+            stapl::core::mapper::CyclicMapper::new(loc.nlocs()),
             0i64,
         );
 

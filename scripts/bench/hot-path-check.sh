@@ -1,13 +1,19 @@
 #!/usr/bin/env bash
 # The pArray element hit and the pHashMap hit are inline in the workloads'
-# loops (DESIGN.md "Address resolution (Fig. 7) as implemented" and
-# "Hashing"). Builds the phase probe, which links the `benchmark/`
-# workloads, with `--emit=asm` and fails, naming the symbol, if the
-# `rmi-reads` or `rmi-writes` `Workload::pass` calls one of the functions
-# the inline paths exist to keep out of it — pArray's probe and
-# resolution, pHashMap's `find` and `update_async`, any `KeyPartition`
-# method — or calls through a vtable slot (`call *N(%reg)`, or `call
-# *%reg` on a register the function loads no GOT entry into).
+# loops, and their misses locate the owner without an indirect call
+# (DESIGN.md "Address resolution (Fig. 7) as implemented" and "Hashing").
+# Builds the phase probe, which links the `benchmark/` workloads, with
+# `--emit=asm` and fails, naming the symbol, if:
+#   - the `rmi-reads` or `rmi-writes` `Workload::pass` calls one of the
+#     functions the inline paths exist to keep out of it — pArray's probe
+#     and resolution, pHashMap's `find` and `update_async`, any
+#     `KeyPartition` method;
+#   - that pass, or a miss path — `ArrayRep::far`, `PAssoc::find_at_owner`,
+#     `PAssoc::update_at_owner` — calls through a vtable slot (`call
+#     *N(%reg)`, or `call *%reg` on a register the function loads no GOT
+#     entry into);
+#   - one of those five functions is not in the assembly (the newest `.s`
+#     of every crate the probe builds).
 #
 #   scripts/bench/hot-path-check.sh [CHECKOUT=this one]
 #
@@ -21,7 +27,9 @@ out=${HOT_PATH_OUT:-$root/bench/out/hot-path}
 
 RUSTFLAGS=--emit=asm CARGO_TARGET_DIR=$out \
   cargo build --release --offline --quiet --manifest-path "$root/scripts/bench/phase-probe/Cargo.toml"
-asm=$(ls -t "$out"/release/deps/stapl_benchmark-*.s | head -1)
+# The newest `.s` of each crate: a generic the workloads share with an
+# upstream crate (`ArrayRep::far`) is emitted there, not in the benchmark's.
+asm=$(ls -t "$out"/release/deps/*.s | awk '{ c = $0; sub(/-[0-9a-f]+\.s$/, "", c) } !(c in s) { s[c]; print }')
 
 # Demangled, hash suffix included, so that `with` does not match `with_cold`.
 # Any reference counts: a call may go through a register loaded from the GOT.
@@ -29,38 +37,45 @@ array='stapl_containers::array::ArrayRep<T>::(with|with_mut)|stapl_containers::a
 assoc='<stapl_containers::associative::PAssoc<K,V,S> as stapl_core::interfaces::AssociativeContainer<K>>::find|stapl_containers::associative::PAssoc<K,V,S>::update_async(::\{\{closure\}\})?|as stapl_core::partition::KeyPartition<K>>::[a-z_]+'
 forbidden="($array|$assoc)::h[0-9a-f]+"
 
-c++filt <"$asm" | awk -v forbidden="$forbidden" '
+cat $asm | c++filt | awk -v forbidden="$forbidden" '
   # A function label (not a local .L label, not a directive): is it the pass
-  # of one of the two RMI workloads, or a closure of one?
+  # of one of the two RMI workloads, or a miss path? `cur` names it in a
+  # FAIL line; only a pass is held to the forbidden symbols.
   /^[^ \t.]/ && /:$/ {
     cur = ""
+    pass = 0
     split("", got)
     split("", via)
     if ($0 ~ /^<stapl_benchmark::workloads::rmi_(reads::RmiReads|writes::RmiWrites) as stapl_benchmark::harness::Workload>::pass/) {
-      cur = $0 ~ /rmi_reads/ ? "rmi-reads" : "rmi-writes"
-      seen[cur] = 1
+      cur = ($0 ~ /rmi_reads/ ? "rmi-reads" : "rmi-writes") " Workload::pass"
+      pass = 1
+    } else if ($0 ~ /^stapl_containers::array::ArrayRep<T>::far::h[0-9a-f]+:$/) {
+      cur = "ArrayRep::far"
+    } else if ($0 ~ /^stapl_containers::associative::PAssoc<K,V,S>::(find|update)_at_owner::h[0-9a-f]+:$/) {
+      cur = $0 ~ /find_at_owner/ ? "PAssoc::find_at_owner" : "PAssoc::update_at_owner"
     }
+    if (cur != "") seen[cur] = 1
     next
   }
   /^\.Lfunc_end/ && cur != "" {
     for (reg in via) if (!(reg in got)) {
       sym = "a vtable slot, *" reg
-      if (!((cur, sym) in said)) printf "FAIL %s Workload::pass calls %s\n", cur, sym
+      if (!((cur, sym) in said)) printf "FAIL %s calls %s\n", cur, sym
       said[cur, sym] = 1
     }
     cur = ""
     next
   }
-  cur != "" && match($0, forbidden) {
+  pass && cur != "" && match($0, forbidden) {
     sym = substr($0, RSTART, RLENGTH)
-    if (!((cur, sym) in said)) printf "FAIL %s Workload::pass calls %s\n", cur, sym
+    if (!((cur, sym) in said)) printf "FAIL %s calls %s\n", cur, sym
     said[cur, sym] = 1
   }
   # A call through a memory operand on a register base is a vtable slot (a
   # GOT entry is `sym@GOTPCREL(%rip)`).
   cur != "" && $1 ~ /^call/ && $2 ~ /^\*-?[0-9]*\(%r[a-z0-9]+\)$/ && $2 !~ /%rip/ {
     sym = "a vtable slot, " $2
-    if (!((cur, sym) in said)) printf "FAIL %s Workload::pass calls %s\n", cur, sym
+    if (!((cur, sym) in said)) printf "FAIL %s calls %s\n", cur, sym
     said[cur, sym] = 1
   }
   # So is a call through a register, unless the function loads a GOT entry
@@ -69,11 +84,12 @@ c++filt <"$asm" | awk -v forbidden="$forbidden" '
   # control flow, so the register is judged at the function end.
   cur != "" && $1 ~ /^call/ && $2 ~ /^\*%r[a-z0-9]+$/ { via[substr($2, 2)] = 1 }
   cur != "" && /@GOTPCREL\(%rip\), %r[a-z0-9]+$/ { got[$NF] = 1 }
-  cur != "" && $1 ~ /^call/ { calls[cur]++ }
+  pass && cur != "" && $1 ~ /^call/ { calls[cur]++ }
   END {
-    for (w in seen) n++
-    if (n != 2) { print "FAIL: did not find both rmi-reads and rmi-writes Workload::pass in the assembly"; exit 1 }
+    split("rmi-reads Workload::pass,rmi-writes Workload::pass,ArrayRep::far,PAssoc::find_at_owner,PAssoc::update_at_owner", want, ",")
+    for (i in want) if (!(want[i] in seen)) { printf "FAIL: did not find %s in the assembly\n", want[i]; missing = 1 }
+    if (missing) exit 1
     for (k in said) exit 1
-    printf "PASS: rmi-reads and rmi-writes Workload::pass call none of ArrayRep::with, ArrayRep::with_mut, ArrayBc::strided_offset, ThreadSafety::lock, PAssoc::find, PAssoc::update_async, a KeyPartition method or a vtable slot (%d and %d calls to other functions)\n", calls["rmi-reads"], calls["rmi-writes"]
+    printf "PASS: rmi-reads and rmi-writes Workload::pass call none of ArrayRep::with, ArrayRep::with_mut, ArrayBc::strided_offset, ThreadSafety::lock, PAssoc::find, PAssoc::update_async, a KeyPartition method or a vtable slot (%d and %d calls to other functions); ArrayRep::far, PAssoc::find_at_owner and PAssoc::update_at_owner call no vtable slot\n", calls["rmi-reads Workload::pass"], calls["rmi-writes Workload::pass"]
   }
 '

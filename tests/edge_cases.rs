@@ -54,8 +54,8 @@ fn all_elements_on_one_location() {
         // give correct global semantics.
         let a = PArray::with_partition(
             loc,
-            Box::new(BalancedPartition::new(30, 3)),
-            Box::new(GeneralMapper::new(3, vec![1, 1, 1])),
+            BalancedPartition::new(30, 3),
+            GeneralMapper::new(3, vec![1, 1, 1]),
             0u64,
         );
         p_generate(&a, |i| i as u64);
@@ -232,8 +232,8 @@ fn prefix_sum_on_skewed_partition() {
         // correct (exercises the bcid-ordered scan).
         let a = PArray::with_partition(
             loc,
-            Box::new(BalancedPartition::new(16, 4)),
-            Box::new(GeneralMapper::new(2, vec![1, 1, 0, 1])),
+            BalancedPartition::new(16, 4),
+            GeneralMapper::new(2, vec![1, 1, 0, 1]),
             1u64,
         );
         p_partial_sum(&a, 0, |a, b| a + b);
@@ -273,14 +273,15 @@ fn cyclic_vs_blocked_mapper_changes_placement_not_semantics() {
     execute(RtsConfig::default(), 2, |loc| {
         let cyc = PArray::with_partition(
             loc,
-            Box::new(BalancedPartition::new(24, 6)),
-            Box::new(CyclicMapper::new(2)),
+            BalancedPartition::new(24, 6),
+            CyclicMapper::new(2),
             0u64,
         );
         let blk = PArray::with_partition(
             loc,
-            Box::new(BalancedPartition::new(24, 6)),
-            Box::new(stapl::core::mapper::BlockedMapper::new(2, 6)),
+            BalancedPartition::new(24, 6),
+            // Blocked: three consecutive sub-domains per location.
+            GeneralMapper::new(2, vec![0, 0, 0, 1, 1, 1]),
             0u64,
         );
         p_generate(&cyc, |i| i as u64);

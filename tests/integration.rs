@@ -52,8 +52,8 @@ fn partition_transparency() {
         let balanced = PArray::from_fn(loc, 60, |i| i as u64);
         let cyclic = PArray::with_partition(
             loc,
-            Box::new(BlockCyclicPartition::new(60, 4, 3)),
-            Box::new(CyclicMapper::new(loc.nlocs())),
+            BlockCyclicPartition::new(60, 4, 3),
+            CyclicMapper::new(loc.nlocs()),
             0u64,
         );
         p_generate(&cyclic, |i| i as u64);
@@ -72,8 +72,8 @@ fn redistribute_between_phases() {
         let a = PArray::from_fn(loc, 40, |i| i as u64);
         let sum_before = p_sum(&a);
         a.redistribute(
-            Box::new(stapl::core::partition::BlockedPartition::new(40, 5)),
-            Box::new(CyclicMapper::new(loc.nlocs())),
+            stapl::core::partition::BlockedPartition::new(40, 5),
+            CyclicMapper::new(loc.nlocs()),
         );
         assert_eq!(p_sum(&a), sum_before);
         // The new partition actually changed ownership granularity.
@@ -142,8 +142,8 @@ fn custom_thread_safety_manager_on_array() {
         );
         let a = PArray::with_options(
             loc,
-            Box::new(stapl::core::partition::BalancedPartition::new(32, loc.nlocs())),
-            Box::new(CyclicMapper::new(loc.nlocs())),
+            stapl::core::partition::BalancedPartition::new(32, loc.nlocs()),
+            CyclicMapper::new(loc.nlocs()),
             0u64,
             ths,
         );

@@ -12,8 +12,8 @@ use stapl::prelude::*;
 fn dekker_flags(loc: &stapl_rts::Location) -> PArray<u64> {
     PArray::with_partition(
         loc,
-        Box::new(BalancedPartition::new(2, 2)),
-        Box::new(GeneralMapper::new(2, vec![1, 0])),
+        BalancedPartition::new(2, 2),
+        GeneralMapper::new(2, vec![1, 0]),
         0u64,
     )
 }

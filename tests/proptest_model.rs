@@ -11,7 +11,8 @@ use stapl::core::partition::{
 use stapl::core::partition::KeyPartition;
 use stapl::prelude::*;
 
-fn cover_exactly_once(p: &dyn IndexPartition) {
+fn cover_exactly_once(p: impl Into<IndexPartition>) {
+    let p = p.into();
     let n = p.global_size();
     let mut seen = vec![0u8; n];
     for b in 0..p.num_subdomains() {
@@ -30,16 +31,16 @@ proptest! {
     /// disjoint sub-domains, and `find` inverts `subdomain`.
     #[test]
     fn partitions_are_partitions(n in 1usize..400, p in 1usize..12, block in 1usize..17) {
-        cover_exactly_once(&BalancedPartition::new(n, p));
-        cover_exactly_once(&BlockedPartition::new(n, block));
-        cover_exactly_once(&BlockCyclicPartition::new(n, p, block));
+        cover_exactly_once(BalancedPartition::new(n, p));
+        cover_exactly_once(BlockedPartition::new(n, block));
+        cover_exactly_once(BlockCyclicPartition::new(n, p, block));
     }
 
     /// Ordered partitions preserve the element order across sub-domains
     /// (Definition 10) for contiguous families.
     #[test]
     fn ordered_partition_preserves_order(n in 1usize..300, p in 1usize..10) {
-        let part = BalancedPartition::new(n, p);
+        let part = IndexPartition::from(BalancedPartition::new(n, p));
         let mut last: Option<usize> = None;
         for b in 0..part.num_subdomains() {
             for g in part.subdomain(b).iter() {
