@@ -599,7 +599,8 @@ fn directory_access(p: usize, nverts: usize, reads: usize, hot: bool, cfg: RtsCo
 /// The price of churn: every cache is warmed, then each round location 0
 /// migrates a vertex and every location re-reads it — with the cache on, a
 /// read sent to the cached owner finds the vertex gone and self-heals (it
-/// re-forwards through the home and the cache refills). The only scenario
+/// follows the old owner's forwarding pointer, which re-points the
+/// reader's cache). The only scenario
 /// that drives that path, hence the only one where `dir_cache_stale` is
 /// not gated on a constant zero.
 fn directory_churn(p: usize, rounds: usize, cfg: RtsConfig) -> Measured {

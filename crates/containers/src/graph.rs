@@ -30,7 +30,7 @@ use stapl_core::directory::{
     dir_insert, dir_migrate, dir_remove, dir_route, dir_route_ret, DirectoryShard, HasDirectory,
     OwnerCache, Resolution,
 };
-use stapl_core::gid::MUL;
+use stapl_core::gid::{Bcid, MUL};
 use stapl_core::interfaces::{PContainer, SegmentId, SegmentedContainer};
 use stapl_core::partition::{BalancedPartition, IndexPartition};
 use stapl_core::pobject::PObject;
@@ -565,6 +565,12 @@ impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
     fn owns_gid(&self, vd: &VertexDesc) -> bool {
         self.bc.contains(*vd)
     }
+
+    /// `add_vertex` on location `l` hands out `l + k·nlocs`, stored on `l`.
+    fn birth(&self, vd: &VertexDesc) -> Option<(Bcid, LocId)> {
+        let l = vd % self.nlocs;
+        Some((l, l))
+    }
 }
 
 impl<VP, EP> GraphRep<VP, EP> {
@@ -781,24 +787,20 @@ where
     // ------------------------------------------------------------------
 
     /// Adds a vertex with a locally generated descriptor; O(1), no
-    /// communication beyond the asynchronous directory registration.
-    /// Dynamic graphs only.
+    /// communication: the descriptor names the location it is born on, so
+    /// the directory needs no entry for it until it migrates. Dynamic
+    /// graphs only.
     pub fn add_vertex(&self, property: VP) -> VertexDesc {
         assert_ne!(
             self.obj.local().kind,
             GraphPartitionKind::Static,
             "pGraph: add_vertex on a static pGraph (the paper's assertion)"
         );
-        let me = self.me();
-        let vd = {
-            let mut rep = self.obj.local_mut();
-            let vd = rep.next_vd;
-            rep.next_vd += rep.nlocs;
-            rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
-            rep.counts.mark(true);
-            vd
-        };
-        dir_insert(&self.obj, vd, me, me);
+        let mut rep = self.obj.local_mut();
+        let vd = rep.next_vd;
+        rep.next_vd += rep.nlocs;
+        rep.bc.insert(Vertex { descriptor: vd, property, edges: Vec::new() });
+        rep.counts.mark(true);
         vd
     }
 
@@ -848,10 +850,10 @@ where
 
     /// Asynchronously moves vertex `vd` — property and out-edges — to
     /// location `dest`, re-registering it in the directory (dynamic graphs
-    /// only). The move is visible after the next fence; operations on `vd`
-    /// concurrent with the migration re-forward through the home until the
-    /// new registration lands. Peers' cached owners for `vd` go stale and
-    /// self-heal on their next access.
+    /// only). The move is visible after the next fence; an operation on
+    /// `vd` concurrent with the migration that reaches the old owner
+    /// follows its forwarding pointer to `dest`. Peers' cached owners for
+    /// `vd` go stale and self-heal on their next access.
     pub fn migrate_vertex(&self, vd: VertexDesc, dest: LocId) {
         assert_ne!(
             self.obj.local().kind,
@@ -873,7 +875,8 @@ where
         );
     }
 
-    /// Synchronous existence check.
+    /// Synchronous existence check: asks the location that would store
+    /// `vd` (a dynamic graph's directory names it, or `vd`'s birth).
     pub fn find_vertex(&self, vd: VertexDesc) -> bool {
         if self.is_local_vertex(vd) {
             return true;
@@ -884,7 +887,10 @@ where
                 let p = rep.static_partition.as_ref().unwrap();
                 vd < p.global_size()
             }
-            Some(_) => stapl_core::directory::dir_lookup(&self.obj, vd).is_some(),
+            Some(policy) => dir_route_ret(&self.obj, policy, vd, None, move |cell, _, bcid| {
+                bcid.is_some() && cell.borrow().bc.contains(vd)
+            })
+            .get(),
         }
     }
 
@@ -1426,8 +1432,8 @@ mod tests {
                 g.migrate_vertex(all[1], 2);
             }
             // Deliberately no fence: reads race the in-flight migration and
-            // must re-forward through the home until the payload lands,
-            // never observing a missing vertex.
+            // must follow the old owner's pointer or re-forward through the
+            // home until the payload lands, never observing a missing vertex.
             assert_eq!(g.vertex_property(all[1]), 2);
             g.commit();
             assert_eq!(g.num_vertices(), 3);

@@ -12,15 +12,17 @@
 //! `bcid → owner` directory (plus the per-location owner cache of the
 //! locality layer) resolves where each base container currently lives, so
 //! [`PList::migrate_bcontainer`] can move whole slabs between locations —
-//! the pList load-balancing primitive. Accesses route optimistically to
-//! the *birth* owner (`bcid / bpl`) as a static hint; after a migration
-//! the stale hint or cache entry self-heals through the home location.
+//! the pList load-balancing primitive. A base container is registered
+//! only once it migrates: until then its *birth* owner (`bcid / bpl`) is
+//! its placement, and accesses route optimistically to it as a static
+//! hint; after a migration the stale hint or cache entry self-heals along
+//! the old owner's forwarding pointer.
 
 use std::cell::RefCell;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
-    dir_insert, dir_migrate, dir_route, dir_route_ret, DirectoryShard, HasDirectory, OwnerCache,
+    dir_migrate, dir_route, dir_route_ret, DirectoryShard, HasDirectory, OwnerCache,
     Resolution,
 };
 use stapl_core::gid::Bcid;
@@ -103,6 +105,10 @@ impl<T: 'static> HasDirectory<Bcid> for ListRep<T> {
 
     fn owns_gid(&self, bcid: &Bcid) -> bool {
         self.lm.get(*bcid).is_some()
+    }
+
+    fn birth(&self, bcid: &Bcid) -> Option<(Bcid, LocId)> {
+        (*bcid < self.nlocs * self.bpl).then(|| (*bcid, bcid / self.bpl))
     }
 }
 
@@ -191,17 +197,11 @@ impl<T: Send + Clone + 'static> PList<T> {
             dir: DirectoryShard::new(),
             cache: OwnerCache::from_config(loc.config()),
         };
+        // Every base container is where it was born: the directory needs
+        // no entry for it until it migrates.
         let obj = PObject::register(loc, rep);
         loc.barrier();
-        let list = PList { obj };
-        // Register this location's base containers at their homes; the
-        // fence makes the directory authoritative before any routing.
-        for k in 0..bpl {
-            let bcid = loc.id() * bpl + k;
-            dir_insert(&list.obj, bcid, bcid, loc.id());
-        }
-        loc.rmi_fence();
-        list
+        PList { obj }
     }
 
     fn me(&self) -> LocId {
@@ -359,10 +359,10 @@ impl<T: Send + Clone + 'static> PList<T> {
 
     /// Asynchronously moves base container `bcid` — the whole slab — to
     /// location `dest` and re-registers it in the directory: the pList
-    /// load-balancing primitive. Visible after the next fence; operations
-    /// on the container's elements concurrent with the move re-forward
-    /// through the home until the new registration lands. Peers' stale
-    /// hints and cached owners self-heal on their next access.
+    /// load-balancing primitive. Visible after the next fence; an
+    /// operation on the container's elements concurrent with the move that
+    /// reaches the old owner follows its forwarding pointer to `dest`.
+    /// Peers' stale hints and cached owners self-heal on their next access.
     pub fn migrate_bcontainer(&self, bcid: Bcid, dest: LocId) {
         dir_migrate(
             &self.obj,

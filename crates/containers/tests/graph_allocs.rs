@@ -1,7 +1,9 @@
 //! pGraph keeps a location's out-edges in one buffer, not one heap block
-//! per vertex: adding 32768 edges grows two vectors — the buffer and its
-//! log — a doubling at a time, the first read merges the log in place,
-//! and reclaiming the graph frees a handful of blocks. Its own test
+//! per vertex: adding 4096 vertices grows the slots and the index a
+//! doubling at a time (a vertex born where its descriptor names needs no
+//! directory entry), adding 32768 edges grows two vectors — the buffer
+//! and its log — a doubling at a time, the first read merges the log in
+//! place, and reclaiming the graph frees a handful of blocks. Its own test
 //! binary, with a counting global allocator and one test: allocator calls
 //! are deterministic, so this holds on any host.
 
@@ -82,9 +84,14 @@ const EDGES: usize = 8 * VERTICES;
 fn edges_cost_logarithmically_many_allocator_calls() {
     execute(RtsConfig::base(), 1, |loc| {
         let g: AlgoGraph = PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicFwd);
-        for _ in 0..VERTICES {
-            g.add_vertex(VProps::default());
-        }
+        let ((), births) = calls(|| {
+            for _ in 0..VERTICES {
+                g.add_vertex(VProps::default());
+            }
+        });
+        // The slots and the index: one allocation, then a doubling at a time.
+        let growth = 2 * (VERTICES.ilog2() as usize + 1);
+        assert!(births <= growth, "{births} allocator calls adding {VERTICES} vertices (> {growth})");
         g.commit();
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
@@ -108,7 +115,7 @@ fn edges_cost_logarithmically_many_allocator_calls() {
             loc.rmi_fence();
         });
         println!(
-            "allocator calls: {build} adding {EDGES} edges, {merge} merging them, {reclaim} reclaiming the graph ({rank} in PageRank itself)"
+            "allocator calls: {births} adding {VERTICES} vertices, {build} adding {EDGES} edges, {merge} merging them, {reclaim} reclaiming the graph ({rank} in PageRank itself)"
         );
         assert!(build + merge + reclaim <= 64, "{build} + {merge} + {reclaim} allocator calls");
     });

@@ -26,17 +26,41 @@
 //! * a **hit** skips the home hop entirely — O(1) messages per access;
 //! * a **stale hit** (the element migrated since the entry was cached) is
 //!   detected at the target with [`HasDirectory::owns_gid`] and
-//!   *self-heals*: the target re-forwards the request through the
-//!   authoritative home (the paper's forwarding chain makes executing a
-//!   request after extra hops indistinguishable from executing it after
-//!   one), and piggybacks an invalidation back to the requester;
+//!   *self-heals*: the target follows its forwarding pointer (below) and
+//!   re-points the requester's entry, or else re-forwards the request
+//!   through the authoritative home and piggybacks an invalidation back to
+//!   the requester (the paper's forwarding chain makes executing a request
+//!   after extra hops indistinguishable from executing it after one);
 //! * a **miss** resolves through the home as before, and the home sends
 //!   the authoritative mapping back to the requester (a cache fill).
 //!
 //! Delivery through the home is verified the same way: if the
 //! directory-recorded owner no longer stores the element (a
-//! [`dir_migrate`] in flight), the request bounces back through the home
-//! — boundedly — instead of executing against a missing element.
+//! [`dir_migrate`] in flight), the request follows that location's
+//! forwarding pointer or bounces back through the home — boundedly —
+//! instead of executing against a missing element.
+//!
+//! ## Births, departures and absence
+//!
+//! Three rules keep the directory off the path of an element that never
+//! moves and on the path of one that did:
+//!
+//! * **Implicit birth entry.** A GID still stored where it was born has no
+//!   entry: [`HasDirectory::birth`] computes that placement (a pGraph
+//!   descriptor `l + k·P` was born on `l`), and a home with no entry
+//!   answers with it, marking the request *by birth*. Creating an element
+//!   there sends nothing.
+//! * **Forwarding pointer, set on extraction, cleared on install.**
+//!   [`dir_migrate`]'s extraction leaves `g → (dest_bcid, dest)` in the
+//!   old owner's shard, and the install clears the installer's own
+//!   pointer. A delivery that finds `g` not stored follows the pointer
+//!   before anything else; the payload left on the same per-pair FIFO
+//!   channel first, so the request lands behind it. A request that reaches
+//!   an old owner therefore goes straight to the new one, whether or not
+//!   the new registration has reached the home.
+//! * **By-birth absence.** A by-birth delivery that ends where `g` is
+//!   neither stored nor pointed on runs `f` with `None` — the answer the
+//!   home gives an unregistered GID with no birth placement.
 //!
 //! Invalidation is three-tier: [`dir_insert`]/[`dir_remove`] update the
 //! caller's own cache eagerly (an entry naming the caller itself is never
@@ -65,16 +89,20 @@ pub fn home_of<G: Hash>(g: &G, nlocs: usize) -> LocId {
     (h.finish() as usize) % nlocs
 }
 
-/// One location's shard of the directory: entries for every GID whose home
-/// is this location.
+/// One location's shard of the directory: entries for the registered GIDs
+/// whose home is this location, and forwarding pointers for the GIDs that
+/// left it.
 #[derive(Clone, Debug)]
 pub struct DirectoryShard<G: Gid> {
     entries: IdHashMap<G, (Bcid, LocId)>,
+    /// `g → (bcid, dest)` for every `g` [`dir_migrate`] extracted here and
+    /// no install brought back.
+    pointers: IdHashMap<G, (Bcid, LocId)>,
 }
 
 impl<G: Gid> Default for DirectoryShard<G> {
     fn default() -> Self {
-        DirectoryShard { entries: IdHashMap::default() }
+        DirectoryShard { entries: IdHashMap::default(), pointers: IdHashMap::default() }
     }
 }
 
@@ -105,7 +133,7 @@ impl<G: Gid> DirectoryShard<G> {
 
     /// Approximate bytes used — counted as container metadata.
     pub fn memory_size(&self) -> usize {
-        self.entries.len()
+        (self.entries.len() + self.pointers.len())
             * (std::mem::size_of::<G>() + std::mem::size_of::<(Bcid, LocId)>() + std::mem::size_of::<u64>())
     }
 }
@@ -119,8 +147,8 @@ impl<G: Gid> DirectoryShard<G> {
 /// [`dir_route_ret`] before falling back to home-forwarding.
 ///
 /// Entries are only ever *hints*: a stale entry routes the request to a
-/// location that no longer owns the element, which re-forwards it through
-/// the home (self-healing). The cache therefore needs no coherence
+/// location that no longer owns the element, which follows its forwarding
+/// pointer or re-forwards it through the home (self-healing). The cache therefore needs no coherence
 /// protocol — point-wise invalidations and the epoch are pure latency
 /// optimizations.
 #[derive(Debug)]
@@ -253,10 +281,19 @@ pub trait HasDirectory<G: Gid>: 'static {
     /// This is the delivery check of the locality layer: every routed
     /// request — optimistic (cached/hinted) *and* home-forwarded — is
     /// verified at its target, and a request landing where `g` no longer
-    /// lives re-forwards through the home instead of executing against a
-    /// missing element. Answer honestly; a blanket `true` opts out of
-    /// verification (acceptable only for replicated state).
+    /// lives follows a forwarding pointer or re-forwards through the home
+    /// instead of executing against a missing element. Answer honestly; a
+    /// blanket `true` opts out of verification (acceptable only for
+    /// replicated state).
     fn owns_gid(&self, g: &G) -> bool;
+
+    /// Where `g` is stored from its birth, when its name says so: a home
+    /// holding no entry for `g` answers with this placement, and `g`
+    /// needs no registration until it moves. The default (`None`) makes
+    /// every element register, and an unregistered `g` unknown.
+    fn birth(&self, _g: &G) -> Option<(Bcid, LocId)> {
+        None
+    }
 }
 
 /// GID resolution protocol for dynamic containers (Fig. 51's comparison).
@@ -320,14 +357,16 @@ where
 
 /// Asynchronously migrates the element (or whole base container) behind
 /// `g` to location `dest`: routes to the current owner, `extract`s the
-/// payload there, ships it to `dest`, `install`s it, and only then
-/// re-registers `(g → dest_bcid, dest)` at the home — so the directory
-/// never points at a location the payload has not reached. The caches on
-/// the old owner and (on their next access) every peer self-heal.
+/// payload there and leaves a forwarding pointer `g → (dest_bcid, dest)`,
+/// ships the payload to `dest`, `install`s it (clearing `dest`'s own
+/// pointer for `g`), and only then re-registers `(g → dest_bcid, dest)` at
+/// the home — so the directory never points at a location the payload has
+/// not reached. The caches on the old owner and (on their next access)
+/// every peer self-heal.
 ///
-/// The move is visible after the next fence; operations on `g` concurrent
-/// with the migration re-forward through the home (bounded) until the new
-/// registration lands.
+/// The move is visible after the next fence; an operation on `g`
+/// concurrent with the migration that reaches the old owner follows the
+/// pointer to `dest`, behind the payload.
 pub fn dir_migrate<Rep, G, P>(
     obj: &PObject<Rep>,
     policy: Resolution,
@@ -349,12 +388,20 @@ pub fn dir_migrate<Rep, G, P>(
         let payload = extract(&mut cell.borrow_mut());
         let Some(payload) = payload else { return };
         loc.note_migration(dest as u64);
-        if let Some(c) = cell.borrow().owner_cache() {
-            c.invalidate(&g);
+        {
+            let mut rep = cell.borrow_mut();
+            rep.directory_mut().pointers.insert(g, (dest_bcid, dest));
+            if let Some(c) = rep.owner_cache() {
+                c.invalidate(&g);
+            }
         }
         loc.async_rmi(dest, handle, move |cell2: &RefCell<Rep>, loc2| {
             let me = loc2.id();
-            install(&mut cell2.borrow_mut(), payload);
+            {
+                let mut rep = cell2.borrow_mut();
+                install(&mut rep, payload);
+                rep.directory_mut().pointers.remove(&g);
+            }
             // Authoritative re-registration, strictly after landing.
             let home = home_of(&g, loc2.nlocs());
             loc2.async_rmi(home, handle, move |cell3: &RefCell<Rep>, _| {
@@ -374,14 +421,38 @@ pub fn dir_migrate<Rep, G, P>(
     });
 }
 
-/// Synchronously resolves `g` at its home.
+/// `g`'s placement as its home knows it: its entry, else — marked `true`,
+/// *by birth* — the placement it was born with.
+fn resolve<Rep, G>(rep: &RefCell<Rep>, g: &G) -> Option<(Bcid, LocId, bool)>
+where
+    Rep: HasDirectory<G>,
+    G: Gid,
+{
+    let rep = rep.borrow();
+    match rep.directory().get(g) {
+        Some((bcid, owner)) => Some((bcid, owner, false)),
+        None => rep.birth(g).map(|(bcid, owner)| (bcid, owner, true)),
+    }
+}
+
+/// Synchronously resolves `g` at its home: its registered placement, else
+/// its birth placement ([`HasDirectory::birth`]), else `None`.
 pub fn dir_lookup<Rep, G>(obj: &PObject<Rep>, g: G) -> Option<(Bcid, LocId)>
 where
     Rep: HasDirectory<G>,
     G: Gid,
 {
+    lookup(obj, g).map(|(bcid, owner, _)| (bcid, owner))
+}
+
+/// [`dir_lookup`], with whether the answer is by birth.
+fn lookup<Rep, G>(obj: &PObject<Rep>, g: G) -> Option<(Bcid, LocId, bool)>
+where
+    Rep: HasDirectory<G>,
+    G: Gid,
+{
     let home = home_of(&g, obj.location().nlocs());
-    obj.invoke_ret_at(home, move |rep, _| rep.borrow().directory().get(&g))
+    obj.invoke_ret_at(home, move |rep, _| resolve(rep, &g))
 }
 
 /// Consults the owner cache (with hit/miss accounting), falling back to a
@@ -413,15 +484,15 @@ where
     (hint.map(|(b, o)| (b, o, false)), cache_on)
 }
 
-/// Re-forward budget for requests that land where `g` no longer lives
-/// (a migration in flight): each bounce goes back through the home, whose
-/// pending ownership update is delivered as the bouncing locations drain
-/// their queues. When the budget is exhausted the request executes at the
-/// directory-recorded owner anyway (the pre-locality-layer behavior).
+/// Hop budget for requests that land where `g` is not stored (a migration
+/// in flight): each pointer followed and each bounce back through the home
+/// spends one. When the budget is exhausted the request executes where it
+/// is (the pre-locality-layer behavior) — or, by birth, reports `g`
+/// absent.
 const FORWARD_RETRIES: u8 = 16;
 
-/// Where a home-resolved request is headed: everything needed to verify
-/// delivery and, on a mismatch, bounce back through the home.
+/// Where a routed request is headed: everything needed to verify delivery
+/// and, on a mismatch, follow a pointer or bounce back through the home.
 #[derive(Clone, Copy)]
 struct Delivery<G> {
     handle: Handle,
@@ -429,13 +500,39 @@ struct Delivery<G> {
     bcid: Bcid,
     fill_to: Option<LocId>,
     retries: u8,
+    /// The home answered with `g`'s birth placement: a location that
+    /// neither stores `g` nor points on from it reports `g` absent.
+    by_birth: bool,
 }
 
-/// Executes `f` at a location the directory believes owns the GID, after
-/// verifying with [`HasDirectory::owns_gid`] that it still does. On a
-/// mismatch (migration in flight) the request re-forwards through the
-/// home, `d.retries` more times at most; an exhausted budget executes `f`
-/// where the directory pointed, as the un-verified protocol did.
+/// Runs `op` on `to`'s owner cache, if it has one: in place when `to` is
+/// this location, else as a message.
+fn on_cache<Rep, G>(
+    rep: &RefCell<Rep>,
+    loc: &Location,
+    handle: Handle,
+    to: LocId,
+    op: impl FnOnce(&OwnerCache<G>) + Send + 'static,
+) where
+    Rep: HasDirectory<G>,
+    G: Gid,
+{
+    if to == loc.id() {
+        if let Some(c) = rep.borrow().owner_cache() {
+            op(c);
+        }
+    } else {
+        loc.async_rmi(to, handle, move |r2: &RefCell<Rep>, _| {
+            if let Some(c) = r2.borrow().owner_cache() {
+                op(c);
+            }
+        });
+    }
+}
+
+/// Executes `f` at a location the request was routed to, after verifying
+/// with [`HasDirectory::owns_gid`] that `d.g` is stored there; else see
+/// [`redeliver`].
 fn deliver_verified<Rep, G, F>(rep: &RefCell<Rep>, loc: &Location, d: Delivery<G>, f: F)
 where
     Rep: HasDirectory<G>,
@@ -443,18 +540,43 @@ where
     F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
 {
     let owns = rep.borrow().owns_gid(&d.g);
-    if owns || d.retries == 0 {
+    if owns {
         f(rep, loc, Some(d.bcid));
     } else {
-        send_via_home(loc, d.handle, d.g, d.fill_to, d.retries - 1, f);
+        redeliver(rep, loc, d, f);
     }
 }
 
-/// Ships `f` through `g`'s home location: the home resolves the
-/// authoritative owner, optionally sends a cache fill to `fill_to`, and
-/// forwards `f` to the owner — where delivery is verified (see
-/// [`deliver_verified`]). `f` runs at the home with `None` when `g` is
-/// unknown.
+/// A delivery that found `d.g` not stored here: it follows this location's
+/// forwarding pointer; without one, a by-birth delivery runs `f` with
+/// `None`, and any other re-forwards through the home. Each hop spends
+/// one of `d.retries`; an exhausted budget executes `f` here, as the
+/// un-verified protocol did.
+fn redeliver<Rep, G, F>(rep: &RefCell<Rep>, loc: &Location, d: Delivery<G>, f: F)
+where
+    Rep: HasDirectory<G>,
+    G: Gid,
+    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
+{
+    let pointer = rep.borrow().directory().pointers.get(&d.g).copied();
+    match pointer {
+        Some((bcid, to)) if d.retries > 0 => {
+            let d = Delivery { bcid, retries: d.retries - 1, ..d };
+            loc.async_rmi(to, d.handle, move |rep2: &RefCell<Rep>, loc2| {
+                deliver_verified(rep2, loc2, d, f);
+            });
+        }
+        _ if d.by_birth => f(rep, loc, None),
+        _ if d.retries == 0 => f(rep, loc, Some(d.bcid)),
+        _ => send_via_home(loc, d.handle, d.g, d.fill_to, d.retries - 1, f),
+    }
+}
+
+/// Ships `f` through `g`'s home location: the home resolves `g`'s
+/// registered or birth placement (see [`resolve`]), optionally sends a
+/// cache fill to `fill_to`, and forwards `f` there — where delivery is
+/// verified (see [`deliver_verified`]). `f` runs at the home with `None`
+/// when `g` has neither.
 fn send_via_home<Rep, G, F>(
     loc: &Location,
     handle: Handle,
@@ -469,49 +591,36 @@ fn send_via_home<Rep, G, F>(
 {
     let home = home_of(&g, loc.nlocs());
     loc.async_rmi(home, handle, move |rep: &RefCell<Rep>, hloc| {
-        let entry = { rep.borrow().directory().get(&g) };
-        match entry {
-            None => f(rep, hloc, None),
-            Some((bcid, owner)) => {
-                match fill_to {
-                    Some(req) if req == hloc.id() => {
-                        if let Some(c) = rep.borrow().owner_cache() {
-                            c.record(g, bcid, owner);
-                        }
-                    }
-                    Some(req) => {
-                        hloc.async_rmi(req, handle, move |r2: &RefCell<Rep>, _| {
-                            if let Some(c) = r2.borrow().owner_cache() {
-                                c.record(g, bcid, owner);
-                            }
-                        });
-                    }
-                    None => {}
-                }
-                let d = Delivery { handle, g, bcid, fill_to, retries };
-                if owner == hloc.id() {
-                    deliver_verified(rep, hloc, d, f);
-                } else {
-                    // Method forwarding: migrate the computation.
-                    hloc.async_rmi(owner, handle, move |rep2: &RefCell<Rep>, loc2| {
-                        deliver_verified(rep2, loc2, d, f);
-                    });
-                }
-            }
+        let Some((bcid, owner, by_birth)) = resolve(rep, &g) else {
+            return f(rep, hloc, None);
+        };
+        if let Some(req) = fill_to {
+            on_cache(rep, hloc, handle, req, move |c| c.record(g, bcid, owner));
+        }
+        let d = Delivery { handle, g, bcid, fill_to, retries, by_birth };
+        if owner == hloc.id() {
+            deliver_verified(rep, hloc, d, f);
+        } else {
+            // Method forwarding: migrate the computation.
+            hloc.async_rmi(owner, handle, move |rep2: &RefCell<Rep>, loc2| {
+                deliver_verified(rep2, loc2, d, f);
+            });
         }
     });
 }
 
-/// Ships `f` straight to a guessed owner. The target confirms ownership
-/// with [`HasDirectory::owns_gid`]; a stale guess self-heals by
-/// re-forwarding through the home, piggybacking an invalidation back to
-/// the requester when the guess came from its cache.
+/// Ships `f` straight to a guessed owner — `guess` is `(bcid, owner,
+/// guess-came-from-cache)`. The target confirms ownership with
+/// [`HasDirectory::owns_gid`]; a stale guess self-heals: the target
+/// follows its forwarding pointer, re-pointing the requester's cache at
+/// the pointer's target, or else re-forwards through the home,
+/// piggybacking an invalidation back to the requester when the guess came
+/// from its cache.
 fn route_optimistic<Rep, G, F>(
     obj: &PObject<Rep>,
     g: G,
-    bcid: Bcid,
-    owner: LocId,
-    from_cache: bool,
+    guess: (Bcid, LocId, bool),
+    by_birth: bool,
     fill_requester: bool,
     f: F,
 ) where
@@ -519,6 +628,7 @@ fn route_optimistic<Rep, G, F>(
     G: Gid,
     F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
 {
+    let (bcid, owner, from_cache) = guess;
     let handle = obj.handle();
     let requester = obj.location().id();
     obj.invoke_at(owner, move |rep: &RefCell<Rep>, tloc| {
@@ -528,34 +638,26 @@ fn route_optimistic<Rep, G, F>(
             return;
         }
         tloc.note_dir_cache_stale();
-        if from_cache {
-            if requester == tloc.id() {
-                if let Some(c) = rep.borrow().owner_cache() {
-                    c.invalidate(&g);
-                }
-            } else {
-                tloc.async_rmi(requester, handle, move |r2: &RefCell<Rep>, _| {
-                    if let Some(c) = r2.borrow().owner_cache() {
-                        c.invalidate(&g);
-                    }
-                });
+        let pointer = rep.borrow().directory().pointers.get(&g).copied();
+        match pointer {
+            Some((bcid, to)) if fill_requester => {
+                on_cache(rep, tloc, handle, requester, move |c| c.record(g, bcid, to))
             }
+            _ if from_cache => on_cache(rep, tloc, handle, requester, move |c| c.invalidate(&g)),
+            _ => {}
         }
-        send_via_home::<Rep, G, F>(
-            tloc,
-            handle,
-            g,
-            fill_requester.then_some(requester),
-            FORWARD_RETRIES,
-            f,
-        );
+        let fill_to = fill_requester.then_some(requester);
+        let d = Delivery { handle, g, bcid, fill_to, retries: FORWARD_RETRIES, by_birth };
+        redeliver(rep, tloc, d, f);
     });
 }
 
 /// Executes `f` on the location owning `g` (asynchronously), resolving
 /// through the directory with the chosen protocol. `f` receives
 /// `Some(bcid)` at the owner, or `None` when `g` is unknown (executed at
-/// the home for `Forwarding`, at the caller for `TwoPhase`).
+/// the home for `Forwarding`, at the caller for `TwoPhase`) or, resolved
+/// by birth, stored nowhere along its pointers (executed at the last
+/// location asked).
 ///
 /// `hint` is an optional *static hint* — the container's default (birth)
 /// owner of `g`, tried when the owner cache has no entry. A wrong hint
@@ -577,8 +679,8 @@ pub fn dir_route<Rep, G, F>(
     F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
 {
     let (guess, cache_on) = take_guess(obj, &g, hint);
-    if let Some((bcid, owner, from_cache)) = guess {
-        route_optimistic(obj, g, bcid, owner, from_cache, cache_on, f);
+    if let Some(guess) = guess {
+        route_optimistic(obj, g, guess, false, cache_on, f);
         return;
     }
     match policy {
@@ -593,15 +695,15 @@ pub fn dir_route<Rep, G, F>(
                 f,
             );
         }
-        Resolution::TwoPhase => match dir_lookup(obj, g) {
+        Resolution::TwoPhase => match lookup(obj, g) {
             None => f(obj.rep_cell(), obj.location(), None),
-            Some((bcid, owner)) => {
+            Some((bcid, owner, by_birth)) => {
                 if let Some(c) = obj.rep_cell().borrow().owner_cache() {
                     c.record(g, bcid, owner);
                 }
                 // Delivery is verified like any optimistic route: the
                 // owner may have changed between the lookup and arrival.
-                route_optimistic(obj, g, bcid, owner, cache_on, cache_on, f);
+                route_optimistic(obj, g, (bcid, owner, cache_on), by_birth, cache_on, f);
             }
         },
     }
