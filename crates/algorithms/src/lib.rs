@@ -25,6 +25,8 @@
 //!   (`stapl-paragraph`), with optional work stealing for skewed
 //!   workloads.
 
+#![forbid(unsafe_code)]
+
 pub mod euler;
 pub mod graph_algos;
 pub mod list_ranking;

@@ -21,7 +21,6 @@ use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{BalancedPartition, IndexPartition, IndexSubDomain};
 use stapl_core::pobject::PObject;
-use stapl_core::thread_safety::{methods, MethodId, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
 /// Base container of a pArray: the values of one sub-domain, addressed by
@@ -173,7 +172,6 @@ impl<T: 'static> BaseContainer for ArrayBc<T> {
 pub struct ArrayRep<T> {
     lm: LocationManager<ArrayBc<T>>,
     dist: IndexDistribution,
-    ths: ThreadSafety,
     /// Staging area used during redistribution.
     staging: Option<(LocationManager<ArrayBc<T>>, IndexDistribution)>,
 }
@@ -186,8 +184,8 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
     /// the only local bContainer's own accessor inline, anything else —
     /// several bContainers, a miss, a bad index — behind [`ArrayRep::far`].
     #[inline]
-    fn find(&self, gid: usize) -> Result<(Bcid, &T), LocId> {
-        match self.lm.only().and_then(|(bcid, bc)| Some((bcid, bc.get(gid)?))) {
+    fn find(&self, gid: usize) -> Result<&T, LocId> {
+        match self.lm.only().and_then(|(_, bc)| bc.get(gid)) {
             Some(hit) => Ok(hit),
             None => Self::far(&self.lm, &self.dist, gid, move |lm, bcid| lm.get(bcid)?.get(gid)),
         }
@@ -203,70 +201,65 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
         dist: &IndexDistribution,
         gid: usize,
         elem: impl FnOnce(L, Bcid) -> Option<E>,
-    ) -> Result<(Bcid, E), LocId> {
+    ) -> Result<E, LocId> {
         let n = dist.global_size();
         assert!(gid < n, "pArray index {gid} out of bounds (size {n})");
         let bcid = dist.partition().find(gid);
-        elem(lm, bcid).map(|e| (bcid, e)).ok_or_else(|| dist.mapper().map(bcid))
+        elem(lm, bcid).ok_or_else(|| dist.mapper().map(bcid))
     }
 
     /// The element-method skeleton on one location's representative: runs
-    /// `f` on `gid`'s element under method `M`'s guard when a local
-    /// bContainer holds it; else hands `f` back with the owner to ship it
-    /// to, where the same function runs it. The method is part of the
-    /// function, not of what is shipped: a remote request's capture is the
-    /// method's arguments (`gid`, and what `f` holds).
+    /// `f` on `gid`'s element when a local bContainer holds it; else hands
+    /// `f` back with the owner to ship it to, where the same function runs
+    /// it. A remote request's capture is the method's arguments (`gid`, and
+    /// what `f` holds).
     ///
     /// This is the inline probe, with no call on any arm between the borrow
     /// and its release (a call there makes the flag's restore a
-    /// read-modify-write): `M` does not lock, the only local bContainer's
-    /// contiguous sub-domain holds `gid` — then `f` on the element. Anything
-    /// else is [`ArrayRep::with_cold`], under a borrow of its own.
+    /// read-modify-write): the only local bContainer's contiguous sub-domain
+    /// holds `gid` — then `f` on the element. Anything else is
+    /// [`ArrayRep::with_cold`], under a borrow of its own.
     #[inline(always)]
-    fn with<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    fn with<R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&T) -> R,
     {
         {
             let rep = cell.borrow();
-            if !rep.ths.may_lock(M) {
-                if let Some(v) = rep.lm.only().and_then(|(_, bc)| bc.contiguous_get(gid)) {
-                    return Ok(f(v));
-                }
+            if let Some(v) = rep.lm.only().and_then(|(_, bc)| bc.contiguous_get(gid)) {
+                return Ok(f(v));
             }
         }
-        Self::with_cold::<M, R, F>(cell, gid, f)
+        Self::with_cold(cell, gid, f)
     }
 
     /// Mutable counterpart of [`ArrayRep::with`].
     #[inline(always)]
-    fn with_mut<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    fn with_mut<R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&mut T) -> R,
     {
         {
-            let ArrayRep { lm, ths, .. } = &mut *cell.borrow_mut();
-            if !ths.may_lock(M) {
-                if let Some(v) = lm.only_mut().and_then(|(_, bc)| bc.contiguous_get_mut(gid)) {
-                    return Ok(f(v));
-                }
+            let ArrayRep { lm, .. } = &mut *cell.borrow_mut();
+            if let Some(v) = lm.only_mut().and_then(|(_, bc)| bc.contiguous_get_mut(gid)) {
+                return Ok(f(v));
             }
         }
-        Self::with_mut_cold::<M, R, F>(cell, gid, f)
+        Self::with_mut_cold(cell, gid, f)
     }
 
     /// What [`ArrayRep::with`]'s probe does not take, out of line: under one
     /// borrow, finds `gid`'s element (strided sub-domains, several
     /// bContainers, the bounds check, the owner of a miss) and runs `f` on
-    /// it under `M`'s guard.
+    /// it.
     #[inline(never)]
-    fn with_cold<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    fn with_cold<R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&T) -> R,
     {
         let rep = cell.borrow();
         match rep.find(gid) {
-            Ok((bcid, v)) => Ok(rep.ths.guarded(M, gid as u64, bcid, || f(v))),
+            Ok(v) => Ok(f(v)),
             Err(owner) => Err((owner, f)),
         }
     }
@@ -275,33 +268,30 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
     /// `find`: a function could not hand out the hit and still lend `lm` to
     /// the miss).
     #[inline(never)]
-    fn with_mut_cold<const M: MethodId, R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
+    fn with_mut_cold<R, F>(cell: &RefCell<Self>, gid: usize, f: F) -> Result<R, (LocId, F)>
     where
         F: FnOnce(&mut T) -> R,
     {
-        let ArrayRep { lm, dist, ths, .. } = &mut *cell.borrow_mut();
-        let found = match lm.only_mut().and_then(|(bcid, bc)| Some((bcid, bc.get_mut(gid)?))) {
+        let ArrayRep { lm, dist, .. } = &mut *cell.borrow_mut();
+        let found = match lm.only_mut().and_then(|(_, bc)| bc.get_mut(gid)) {
             Some(hit) => Ok(hit),
             None => Self::far(lm, dist, gid, move |lm, bcid| lm.get_mut(bcid)?.get_mut(gid)),
         };
         match found {
-            Ok((bcid, v)) => Ok(ths.guarded(M, gid as u64, bcid, || f(v))),
+            Ok(v) => Ok(f(v)),
             Err(owner) => Err((owner, f)),
         }
     }
 
-    /// Bulk read of one storage-contiguous run (one guard, one borrow),
-    /// appended to `out`.
+    /// Bulk read of one storage-contiguous run (one borrow), appended to
+    /// `out`.
     fn get_range_local(&self, bcid: Bcid, gids: Range1d, out: &mut Vec<T>) {
-        let _g = self.ths.guard(methods::GET, gids.lo as u64, bcid);
         out.extend_from_slice(self.lm.get(bcid).expect("get_range: bcid not on this location").slice(gids));
     }
 
     /// Bulk write of one storage-contiguous run.
     fn set_range_local(&mut self, bcid: Bcid, gids: Range1d, vals: &[T]) {
-        let this = &mut *self;
-        let _g = this.ths.guard(methods::SET, gids.lo as u64, bcid);
-        this.lm
+        self.lm
             .get_mut(bcid)
             .expect("set_range: bcid not on this location")
             .slice_mut(gids)
@@ -310,9 +300,7 @@ impl<T: Send + Clone + 'static> ArrayRep<T> {
 
     /// Bulk read-modify-write of one storage-contiguous run.
     fn apply_range_local(&mut self, bcid: Bcid, gids: Range1d, f: impl FnMut(usize, &mut T)) {
-        let this = &mut *self;
-        let _g = this.ths.guard(methods::APPLY, gids.lo as u64, bcid);
-        this.lm
+        self.lm
             .get_mut(bcid)
             .expect("apply_range: bcid not on this location")
             .apply_range(gids, f);
@@ -390,24 +378,12 @@ impl<T: Send + Clone + 'static> PArray<T> {
         mapper: impl Into<PartitionMapper>,
         init: T,
     ) -> Self {
-        Self::with_options(loc, partition, mapper, init, ThreadSafety::unlocked())
-    }
-
-    /// **Collective.** Full customization: partition, mapper and
-    /// thread-safety policy (the paper's traits template arguments).
-    pub fn with_options(
-        loc: &Location,
-        partition: impl Into<IndexPartition>,
-        mapper: impl Into<PartitionMapper>,
-        init: T,
-        ths: ThreadSafety,
-    ) -> Self {
         let dist = placed(loc, partition, mapper);
         let mut lm = LocationManager::new();
         for (bcid, sd) in dist.local_subdomains(loc.id()) {
             lm.add_bcontainer(bcid, ArrayBc::new(sd, &init));
         }
-        let obj = PObject::register(loc, ArrayRep { lm, dist, ths, staging: None });
+        let obj = PObject::register(loc, ArrayRep { lm, dist, staging: None });
         // Handles must be in sync before any peer can address us.
         loc.barrier();
         PArray { obj }
@@ -432,10 +408,10 @@ impl<T: Send + Clone + 'static> PArray<T> {
 
     /// The asynchronous element methods: `f` on element `gid`, here or shipped.
     #[inline]
-    fn update<const M: MethodId>(&self, gid: usize, f: impl FnOnce(&mut T) + Send + 'static) {
-        if let Err((owner, f)) = ArrayRep::with_mut::<M, _, _>(self.obj.rep_cell(), gid, f) {
+    fn update(&self, gid: usize, f: impl FnOnce(&mut T) + Send + 'static) {
+        if let Err((owner, f)) = ArrayRep::with_mut(self.obj.rep_cell(), gid, f) {
             self.obj.invoke_at(owner, move |cell, _| {
-                ArrayRep::with_mut::<M, _, _>(cell, gid, f).ok().expect(NOT_HERE)
+                ArrayRep::with_mut(cell, gid, f).ok().expect(NOT_HERE)
             });
         }
     }
@@ -584,23 +560,23 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
 
     #[inline]
     fn get_element(&self, gid: usize) -> T {
-        ArrayRep::with::<{ methods::GET }, _, _>(self.obj.rep_cell(), gid, T::clone).unwrap_or_else(|(owner, get)| {
+        ArrayRep::with(self.obj.rep_cell(), gid, T::clone).unwrap_or_else(|(owner, get)| {
             self.obj.invoke_ret_at(owner, move |cell, _| {
-                ArrayRep::with::<{ methods::GET }, _, _>(cell, gid, get).ok().expect(NOT_HERE)
+                ArrayRep::with(cell, gid, get).ok().expect(NOT_HERE)
             })
         })
     }
 
     #[inline(always)]
     fn split_get_element(&self, gid: usize) -> RmiFuture<T> {
-        match ArrayRep::with::<{ methods::GET }, _, _>(self.obj.rep_cell(), gid, T::clone) {
+        match ArrayRep::with(self.obj.rep_cell(), gid, T::clone) {
             Ok(v) => {
                 // A split-phase method counts as an invocation wherever it runs.
                 self.obj.location().note_local_invocation();
                 RmiFuture::ready(v)
             }
             Err((owner, get)) => self.obj.invoke_split_at(owner, move |cell, _| {
-                ArrayRep::with::<{ methods::GET }, _, _>(cell, gid, get).ok().expect(NOT_HERE)
+                ArrayRep::with(cell, gid, get).ok().expect(NOT_HERE)
             }),
         }
     }
@@ -613,7 +589,7 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
 impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
     #[inline]
     fn set_element(&self, gid: usize, v: T) {
-        self.update::<{ methods::SET }>(gid, move |slot| *slot = v);
+        self.update(gid, move |slot| *slot = v);
     }
 
     #[inline]
@@ -621,7 +597,7 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
     where
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.update::<{ methods::APPLY }>(gid, f);
+        self.update(gid, f);
     }
 
     #[inline]
@@ -630,9 +606,9 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PArray<T> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        ArrayRep::with_mut::<{ methods::APPLY }, _, _>(self.obj.rep_cell(), gid, f).unwrap_or_else(|(owner, f)| {
+        ArrayRep::with_mut(self.obj.rep_cell(), gid, f).unwrap_or_else(|(owner, f)| {
             self.obj.invoke_ret_at(owner, move |cell, _| {
-                ArrayRep::with_mut::<{ methods::APPLY }, _, _>(cell, gid, f).ok().expect(NOT_HERE)
+                ArrayRep::with_mut(cell, gid, f).ok().expect(NOT_HERE)
             })
         })
     }
@@ -777,7 +753,6 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
     fn with_slice<R>(&self, bcid: Bcid, gids: Range1d, f: impl FnOnce(&[T]) -> R) -> Option<R> {
         let rep = self.obj.local();
         let bc = rep.lm.get(bcid)?;
-        let _g = rep.ths.guard(methods::GET, gids.lo as u64, bcid);
         Some(f(bc.slice(gids)))
     }
 
@@ -788,8 +763,6 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         f: impl FnOnce(&mut [T]) -> R,
     ) -> Option<R> {
         let mut rep = self.obj.local_mut();
-        let rep = &mut *rep;
-        let _g = rep.ths.guard(methods::APPLY, gids.lo as u64, bcid);
         let bc = rep.lm.get_mut(bcid)?;
         Some(f(bc.slice_mut(gids)))
     }

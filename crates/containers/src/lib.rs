@@ -34,6 +34,8 @@
 //! resize or whole-row algorithm is one `apply_get`/`apply_set` with a
 //! closure, executed at the owner in one hop (`tests/composition.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod associative;
 pub mod generators;

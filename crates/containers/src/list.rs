@@ -31,7 +31,6 @@ use stapl_core::interfaces::{
 };
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
-use stapl_core::thread_safety::{methods, DataGuard, MethodId, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
 use crate::slab_list::SlabList;
@@ -76,7 +75,6 @@ pub struct ListRep<T> {
     /// is *born* on `loc` (the static routing hint) but may migrate.
     bpl: usize,
     nlocs: usize,
-    ths: ThreadSafety,
     size: LazySize<usize>,
     /// Pushes `push_anywhere` made into local base containers.
     anywhere_pushes: usize,
@@ -117,18 +115,8 @@ impl<T: Send + Clone + 'static> ListRep<T> {
         &self.lm.get(bcid).expect("pList: bcid not on this location").list
     }
 
-    /// Base container `bcid`, mutably, with `method`'s guard over it: the
-    /// two come out of one `&mut self`, so no caller clones the
-    /// thread-safety handle to split the borrow.
-    fn guarded(
-        &mut self,
-        method: MethodId,
-        gid_hash: u64,
-        bcid: Bcid,
-    ) -> (Option<DataGuard<'_>>, &mut SlabList<T>) {
-        let ListRep { ths, lm, .. } = self;
-        let bc = lm.get_mut(bcid).expect("pList: bcid not on this location");
-        (ths.guard(method, gid_hash, bcid), &mut bc.list)
+    fn bc_mut(&mut self, bcid: Bcid) -> &mut SlabList<T> {
+        &mut self.lm.get_mut(bcid).expect("pList: bcid not on this location").list
     }
 
     /// Re-derives `anywhere_cursor` after the local base containers changed.
@@ -190,7 +178,6 @@ impl<T: Send + Clone + 'static> PList<T> {
             lm,
             bpl,
             nlocs: loc.nlocs(),
-            ths: ThreadSafety::unlocked(),
             size: LazySize::default(),
             anywhere_pushes: 0,
             anywhere_cursor: 0,
@@ -254,8 +241,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.route(bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::PUSH_BACK, 0, bcid);
-            bc.push_back(v);
+            rep.bc_mut(bcid).push_back(v);
         });
     }
 
@@ -265,8 +251,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.route(0, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::PUSH_FRONT, 0, 0);
-            bc.push_front(v);
+            rep.bc_mut(0).push_front(v);
         });
     }
 
@@ -280,13 +265,13 @@ impl<T: Send + Clone + 'static> PList<T> {
     pub fn push_anywhere(&self, v: T) -> ListGid {
         {
             let mut rep = self.obj.local_mut();
-            let ListRep { lm, ths, size, anywhere_pushes, anywhere_cursor, .. } = &mut *rep;
+            let ListRep { lm, size, anywhere_pushes, anywhere_cursor, .. } = &mut *rep;
             let (k, nbc) = (*anywhere_cursor, lm.num_bcontainers());
             if let Some((bcid, bc)) = lm.nth_mut(k) {
                 *anywhere_cursor = if k + 1 < nbc { k + 1 } else { 0 };
                 *anywhere_pushes = anywhere_pushes.wrapping_add(1);
                 size.mark(true);
-                let seq = ths.guarded(methods::PUSH_ANYWHERE, 0, bcid, || bc.list.push_back(v));
+                let seq = bc.list.push_back(v);
                 return ListGid { bcid, seq };
             }
         }
@@ -303,8 +288,7 @@ impl<T: Send + Clone + 'static> PList<T> {
             .route_ret(bcid, move |cell, _| {
                 let mut rep = cell.borrow_mut();
                 rep.size.mark(true);
-                let (_g, bc) = rep.guarded(methods::PUSH_ANYWHERE, 0, bcid);
-                bc.push_back(v)
+                rep.bc_mut(bcid).push_back(v)
             })
             .get();
         ListGid { bcid, seq }
@@ -317,8 +301,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.route_ret(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
-            bc.insert_before(gid.seq, v).map(|seq| ListGid { bcid: gid.bcid, seq })
+            rep.bc_mut(gid.bcid).insert_before(gid.seq, v).map(|seq| ListGid { bcid: gid.bcid, seq })
         })
         .get()
     }
@@ -329,8 +312,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::INSERT, gid.seq, gid.bcid);
-            bc.insert_before(gid.seq, v);
+            rep.bc_mut(gid.bcid).insert_before(gid.seq, v);
         });
     }
 
@@ -340,8 +322,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            let (_g, bc) = rep.guarded(methods::ERASE, gid.seq, gid.bcid);
-            bc.erase(gid.seq);
+            rep.bc_mut(gid.bcid).erase(gid.seq);
         });
     }
 
@@ -519,8 +500,7 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     fn set_element(&self, gid: ListGid, v: T) {
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let (_g, bc) = rep.guarded(methods::SET, gid.seq, gid.bcid);
-            if let Some(slot) = bc.get_mut(gid.seq) {
+            if let Some(slot) = rep.bc_mut(gid.bcid).get_mut(gid.seq) {
                 *slot = v;
             }
         });
@@ -532,8 +512,7 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     {
         self.route(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let (_g, bc) = rep.guarded(methods::APPLY, gid.seq, gid.bcid);
-            if let Some(slot) = bc.get_mut(gid.seq) {
+            if let Some(slot) = rep.bc_mut(gid.bcid).get_mut(gid.seq) {
                 f(slot);
             }
         });
@@ -546,8 +525,7 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     {
         self.route_ret(gid.bcid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let (_g, bc) = rep.guarded(methods::APPLY, gid.seq, gid.bcid);
-            f(bc.get_mut(gid.seq).expect("pList: GID does not name a live element"))
+            f(rep.bc_mut(gid.bcid).get_mut(gid.seq).expect("pList: GID does not name a live element"))
         })
         .get()
     }
@@ -606,7 +584,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         }
         self.route(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let (_g, bc) = rep.guarded(methods::SET, 0, sid);
+            let bc = rep.bc_mut(sid);
             for (seq, v) in items {
                 if let Some(slot) = bc.get_mut(seq) {
                     *slot = v;
@@ -624,7 +602,6 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         let rep = self.obj.local();
         let Some(bc) = rep.lm.get(sid) else { return false };
         self.obj.location().note_localized_chunk();
-        let _g = rep.ths.guard(methods::GET, 0, sid);
         for (seq, v) in bc.list.iter() {
             f(&seq, v);
         }

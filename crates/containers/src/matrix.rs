@@ -13,7 +13,6 @@ use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::{CyclicMapper, PartitionMapper};
 use stapl_core::partition::{MatrixLayout, MatrixPartition};
 use stapl_core::pobject::PObject;
-use stapl_core::thread_safety::{methods, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
 /// A pending piece of a bulk row read: a local (bcid, cols) segment or
@@ -81,7 +80,6 @@ pub struct MatrixRep<T> {
     lm: LocationManager<MatrixBc<T>>,
     partition: MatrixPartition,
     nlocs: usize,
-    ths: ThreadSafety,
 }
 
 impl<T: Send + Clone + 'static> MatrixRep<T> {
@@ -90,42 +88,30 @@ impl<T: Send + Clone + 'static> MatrixRep<T> {
     }
 
     fn get_local(&self, bcid: Bcid, g: (usize, usize)) -> T {
-        let _gd = self.ths.guard(methods::GET, pack(g), bcid);
         self.lm.get(bcid).expect("pMatrix: block not local").get(g).clone()
     }
 
     fn set_local(&mut self, bcid: Bcid, g: (usize, usize), v: T) {
-        let this = &mut *self;
-        let _gd = this.ths.guard(methods::SET, pack(g), bcid);
-        *this.lm.get_mut(bcid).expect("pMatrix: block not local").get_mut(g) = v;
+        *self.lm.get_mut(bcid).expect("pMatrix: block not local").get_mut(g) = v;
     }
 
     fn apply_local<R>(&mut self, bcid: Bcid, g: (usize, usize), f: impl FnOnce(&mut T) -> R) -> R {
-        let this = &mut *self;
-        let _gd = this.ths.guard(methods::APPLY, pack(g), bcid);
-        f(this.lm.get_mut(bcid).expect("pMatrix: block not local").get_mut(g))
+        f(self.lm.get_mut(bcid).expect("pMatrix: block not local").get_mut(g))
     }
 
-    /// Bulk read of one within-block row segment (one guard, one borrow).
+    /// Bulk read of one within-block row segment (one borrow).
     fn row_segment_local(&self, bcid: Bcid, r: usize, cols: Range1d) -> Vec<T> {
-        let _gd = self.ths.guard(methods::GET, pack((r, cols.lo)), bcid);
         self.lm.get(bcid).expect("pMatrix: block not local").row_slice(r, cols).to_vec()
     }
 
     /// Bulk write of one within-block row segment.
     fn set_row_segment_local(&mut self, bcid: Bcid, r: usize, cols: Range1d, vals: &[T]) {
-        let this = &mut *self;
-        let _gd = this.ths.guard(methods::SET, pack((r, cols.lo)), bcid);
-        this.lm
+        self.lm
             .get_mut(bcid)
             .expect("pMatrix: block not local")
             .row_slice_mut(r, cols)
             .clone_from_slice(vals);
     }
-}
-
-fn pack(g: (usize, usize)) -> u64 {
-    (g.0 as u64) << 32 ^ g.1 as u64
 }
 
 /// The STAPL pMatrix.
@@ -165,7 +151,7 @@ impl<T: Send + Clone + 'static> PMatrix<T> {
         for bcid in mapper.local_bcids(loc.id(), nparts) {
             lm.add_bcontainer(bcid, MatrixBc::new(partition.block(bcid), &init));
         }
-        let rep = MatrixRep { lm, partition, nlocs: loc.nlocs(), ths: ThreadSafety::unlocked() };
+        let rep = MatrixRep { lm, partition, nlocs: loc.nlocs() };
         let obj = PObject::register(loc, rep);
         loc.barrier();
         PMatrix { obj }
@@ -341,7 +327,6 @@ impl<T: Send + Clone + 'static> PMatrix<T> {
         if cols.hi > bc.block.cols.hi {
             return None;
         }
-        let _gd = rep.ths.guard(methods::GET, pack((r, cols.lo)), bcid);
         Some(f(bc.row_slice(r, cols)))
     }
 
@@ -356,13 +341,11 @@ impl<T: Send + Clone + 'static> PMatrix<T> {
             return Some(f(&mut []));
         }
         let mut rep = self.obj.local_mut();
-        let rep = &mut *rep;
         let bcid = rep.partition.find((r, cols.lo));
         let bc = rep.lm.get_mut(bcid)?;
         if cols.hi > bc.block.cols.hi {
             return None;
         }
-        let _gd = rep.ths.guard(methods::APPLY, pack((r, cols.lo)), bcid);
         Some(f(bc.row_slice_mut(r, cols)))
     }
 }

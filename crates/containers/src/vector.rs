@@ -19,7 +19,6 @@ use stapl_core::bcontainer::MemSize;
 use stapl_core::domain::Range1d;
 use stapl_core::interfaces::{ElementRead, ElementWrite, LocalIteration, PContainer};
 use stapl_core::pobject::PObject;
-use stapl_core::thread_safety::{methods, LockingPolicyTable, ThreadSafety};
 use stapl_rts::{LocId, Location, RmiFuture};
 
 /// Per-location representative: one contiguous block per location.
@@ -33,7 +32,6 @@ pub struct VectorRep<T> {
     /// Bumped whenever the replicated bounds are rebuilt (commit,
     /// rebalance, clear) so placement-memoizing layers can invalidate.
     epoch: u64,
-    ths: ThreadSafety,
 }
 
 impl<T> VectorRep<T> {
@@ -59,11 +57,10 @@ impl<T> VectorRep<T> {
 
 /// Writes `vals` at local offsets `off..`, clamped into the owner's
 /// current block like `set_element` (the relaxed window between commits).
-fn write_clamped<T>(rep: &mut VectorRep<T>, owner: LocId, gid_lo: usize, off: usize, vals: &[T])
+fn write_clamped<T>(rep: &mut VectorRep<T>, off: usize, vals: &[T])
 where
     T: Clone,
 {
-    let _g = rep.ths.guard(methods::SET, gid_lo as u64, owner);
     if rep.data.is_empty() {
         return;
     }
@@ -75,11 +72,10 @@ where
 
 /// Applies `f(gid, &mut value)` over a run at local offsets `off..`,
 /// clamped like `apply_set` (and dropped when the block emptied).
-fn apply_clamped<T, F>(rep: &mut VectorRep<T>, owner: LocId, off: usize, gids: Range1d, f: &F)
+fn apply_clamped<T, F>(rep: &mut VectorRep<T>, off: usize, gids: Range1d, f: &F)
 where
     F: Fn(usize, &mut T),
 {
-    let _g = rep.ths.guard(methods::APPLY, gids.lo as u64, owner);
     if rep.data.is_empty() {
         return;
     }
@@ -108,21 +104,10 @@ impl<T: Send + Clone + 'static> Clone for PVector<T> {
 }
 
 impl<T: Send + Clone + 'static> PVector<T> {
-    /// **Collective.** A pVector of `n` copies of `init`, balanced, with
-    /// the paper's dynamic-container locking policies and no lock manager.
+    /// **Collective.** A pVector of `n` copies of `init`, balanced.
     pub fn new(loc: &Location, n: usize, init: T) -> Self {
-        let ths = ThreadSafety::new(
-            LockingPolicyTable::dynamic_default(),
-            std::sync::Arc::new(stapl_core::thread_safety::NoLockManager),
-        );
-        Self::with_thread_safety(loc, n, init, ths)
-    }
-
-    /// **Collective.** Like [`PVector::new`] under a caller-chosen
-    /// thread-safety policy (the paper's traits template argument).
-    pub fn with_thread_safety(loc: &Location, n: usize, init: T, ths: ThreadSafety) -> Self {
         let bounds = balanced_bounds(n, loc.nlocs());
-        let mut rep = VectorRep { data: Vec::new(), bounds, staging: Vec::new(), epoch: 0, ths };
+        let mut rep = VectorRep { data: Vec::new(), bounds, staging: Vec::new(), epoch: 0 };
         rep.data = vec![init; rep.bounds[loc.id()] - rep.lo(loc.id())];
         let obj = PObject::register(loc, rep);
         loc.barrier();
@@ -157,8 +142,6 @@ impl<T: Send + Clone + 'static> PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::INSERT, gid as u64, owner);
             let at = off.min(rep.data.len());
             rep.data.insert(at, v);
         });
@@ -169,8 +152,6 @@ impl<T: Send + Clone + 'static> PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::ERASE, gid as u64, owner);
             if !rep.data.is_empty() {
                 let at = rep.clamp(off);
                 rep.data.remove(at);
@@ -181,12 +162,7 @@ impl<T: Send + Clone + 'static> PVector<T> {
     /// Appends at the global end (amortized O(1) at the last location).
     pub fn push_back(&self, v: T) {
         let last = self.obj.location().nlocs() - 1;
-        self.obj.invoke_at(last, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::PUSH_BACK, 0, last);
-            rep.data.push(v);
-        });
+        self.obj.invoke_at(last, move |cell, _| cell.borrow_mut().data.push(v));
     }
 
     /// **Collective.** Restores a balanced distribution after skewed
@@ -331,7 +307,6 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_ret_at(owner, move |cell, _| {
             let rep = cell.borrow();
-            let _g = rep.ths.guard(methods::GET, gid as u64, owner);
             rep.data[rep.clamp(off)].clone()
         })
     }
@@ -340,7 +315,6 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_split_at(owner, move |cell, _| {
             let rep = cell.borrow();
-            let _g = rep.ths.guard(methods::GET, gid as u64, owner);
             rep.data[rep.clamp(off)].clone()
         })
     }
@@ -355,8 +329,6 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::SET, gid as u64, owner);
             if !rep.data.is_empty() {
                 let at = rep.clamp(off);
                 rep.data[at] = v;
@@ -371,8 +343,6 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::APPLY, gid as u64, owner);
             if !rep.data.is_empty() {
                 let at = rep.clamp(off);
                 f(&mut rep.data[at]);
@@ -388,8 +358,6 @@ impl<T: Send + Clone + 'static> ElementWrite<usize> for PVector<T> {
         let (owner, off) = self.locate(gid);
         self.obj.invoke_ret_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
-            let rep = &mut *rep;
-            let _g = rep.ths.guard(methods::APPLY, gid as u64, owner);
             let at = rep.clamp(off);
             f(&mut rep.data[at])
         })
@@ -467,7 +435,6 @@ impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVec
                 loc.note_localized_chunk();
                 let rep = self.obj.local();
                 let lo = rep.lo(me);
-                let _g = rep.ths.guard(methods::GET, run.gids.lo as u64, run.bcid);
                 // Like `get_element`, a read of a block drained to empty
                 // since the last commit panics — there is no value to
                 // return (writes, which can be dropped, return instead).
@@ -513,12 +480,12 @@ impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVec
             let off = run.gids.lo - self.obj.local().lo(run.owner);
             if run.owner == me {
                 loc.note_localized_chunk();
-                write_clamped(&mut self.obj.local_mut(), me, run.gids.lo, off, chunk);
+                write_clamped(&mut self.obj.local_mut(), off, chunk);
             } else {
                 loc.note_bulk_request(run.gids.len() as u64);
-                let (gid_lo, owned) = (run.gids.lo, chunk.to_vec());
-                self.obj.invoke_at(run.owner, move |cell, l| {
-                    write_clamped(&mut cell.borrow_mut(), l.id(), gid_lo, off, &owned);
+                let owned = chunk.to_vec();
+                self.obj.invoke_at(run.owner, move |cell, _| {
+                    write_clamped(&mut cell.borrow_mut(), off, &owned);
                 });
             }
         }
@@ -535,12 +502,12 @@ impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVec
             if run.owner == me {
                 // Direct local mutation: one borrow for the whole run.
                 loc.note_localized_chunk();
-                apply_clamped(&mut self.obj.local_mut(), me, off, run.gids, &f);
+                apply_clamped(&mut self.obj.local_mut(), off, run.gids, &f);
             } else {
                 loc.note_bulk_request(run.gids.len() as u64);
                 let (gids, f) = (run.gids, f.clone());
-                self.obj.invoke_at(run.owner, move |cell, l| {
-                    apply_clamped(&mut cell.borrow_mut(), l.id(), off, gids, &f);
+                self.obj.invoke_at(run.owner, move |cell, _| {
+                    apply_clamped(&mut cell.borrow_mut(), off, gids, &f);
                 });
             }
         }

@@ -1,18 +1,15 @@
 //! Address resolution on the local fast path (Fig. 7 as implemented):
 //! every element method resolves its target once, local sub-domains first.
 //! These tests pin what that must not change — where every gid lives under
-//! every partition × mapper, the out-of-bounds panic of every method, the
-//! guards a locked container takes, which methods count as local
-//! invocations, and that a panic inside the inline probe releases its borrow.
+//! every partition × mapper, the out-of-bounds panic of every method, which
+//! methods count as local invocations, and that a panic inside the inline
+//! probe releases its borrow.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use stapl_containers::array::PArray;
 use stapl_containers::associative::{KvStore, PAssoc, PHashMap, PMap};
-use stapl_containers::vector::PVector;
 use stapl_core::distribution::IndexDistribution;
 use stapl_core::interfaces::{
     AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer, SegmentedContainer,
@@ -21,10 +18,6 @@ use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{
     BalancedPartition, BlockCyclicPartition, BlockedPartition, ExplicitPartition, HashPartition,
     IndexPartition, KeyPartition, SplitterPartition,
-};
-use stapl_core::thread_safety::{
-    methods, AccessMode, HashedLockManager, LockGranularity, LockingPolicyTable, MethodPolicy,
-    ThreadSafety, ThreadSafetyManager, ThsInfo,
 };
 use stapl_rts::{execute, Location, RtsConfig};
 
@@ -60,15 +53,16 @@ fn mappers(parts: usize, nlocs: usize) -> Vec<PartitionMapper> {
 }
 
 fn value(g: usize, round: u64) -> u64 {
-    g as u64 * 7 + 1 + round * 1000
+    g as u64 * 7 + 2 + round * 1000
 }
 
 /// Checks every element method of `a` on every gid against `dist`, an
 /// independently built copy of the distribution `a` should be under:
 /// placement (`is_local`, `locate_element`), writes from a non-owner and an
-/// owner alike, blocking and split-phase reads, and — through local
-/// iteration, which walks the storage without resolving anything — that
-/// each write landed in the slot of its own gid on its own location.
+/// owner alike, an `apply_set` from a non-owner (the owner itself at P=1),
+/// blocking and split-phase reads, and — through local iteration, which
+/// walks the storage without resolving anything — that each write landed
+/// in the slot of its own gid on its own location.
 fn check_against(a: &PArray<u64>, dist: &IndexDistribution, loc: &Location, round: u64, stage: &str) {
     let (n, me, p) = (dist.global_size(), loc.id(), loc.nlocs());
     assert_eq!(a.global_size(), n, "{stage}");
@@ -76,8 +70,12 @@ fn check_against(a: &PArray<u64>, dist: &IndexDistribution, loc: &Location, roun
         assert_eq!(a.locate_element(g), dist.locate(g), "{stage}: locate_element({g})");
         assert_eq!(a.is_local(g), dist.locate(g).1 == me, "{stage}: is_local({g})");
         if g % p == me {
-            a.set_element(g, value(g, round) - 1);
+            a.set_element(g, value(g, round) - 2);
         }
+    }
+    loc.rmi_fence();
+    for g in (0..n).filter(|&g| (dist.locate(g).1 + 1) % p == me) {
+        a.apply_set(g, |v| *v += 1);
     }
     loc.rmi_fence();
     for g in (0..n).filter(|g| (g + 1) % p == me) {
@@ -302,178 +300,6 @@ fn strided_subdomain_on_one_location_reads_and_writes_through_the_cold_path() {
         assert_eq!(seen, (0..n).map(|g| (g, want(g))).collect::<Vec<_>>());
         assert_eq!(loc.stats().remote_requests, 0);
     });
-}
-
-/// A lock manager with an "inside" canary, shared by every location of an
-/// execution: counts the guards taken and the mutual-exclusion violations
-/// among them (the style of `thread_safety::tests::violations`).
-struct Canary {
-    locks: HashedLockManager,
-    inside: AtomicI64,
-    violations: AtomicU64,
-    entries: AtomicU64,
-}
-
-impl Canary {
-    fn new() -> Arc<Self> {
-        Arc::new(Canary {
-            // One lock: every element of every location contends for it.
-            locks: HashedLockManager::new(1),
-            inside: AtomicI64::new(0),
-            violations: AtomicU64::new(0),
-            entries: AtomicU64::new(0),
-        })
-    }
-}
-
-impl ThreadSafetyManager for Canary {
-    fn data_access_pre(&self, info: &ThsInfo, policy: &MethodPolicy) {
-        self.locks.data_access_pre(info, policy);
-        self.entries.fetch_add(1, Ordering::SeqCst);
-        if self.inside.fetch_add(1, Ordering::SeqCst) != 0 {
-            self.violations.fetch_add(1, Ordering::SeqCst);
-        }
-        // Widen the window so an unguarded overlap would be seen.
-        std::thread::yield_now();
-    }
-
-    fn data_access_post(&self, info: &ThsInfo, policy: &MethodPolicy) {
-        self.inside.fetch_sub(1, Ordering::SeqCst);
-        self.locks.data_access_post(info, policy);
-    }
-}
-
-fn locked_array(loc: &Location, n: usize, ths: ThreadSafety) -> PArray<u64> {
-    PArray::with_options(
-        loc,
-        BalancedPartition::new(n, loc.nlocs()),
-        CyclicMapper::new(loc.nlocs()),
-        0,
-        ths,
-    )
-}
-
-#[test]
-fn locked_parray_takes_every_guard_and_an_unlocked_one_takes_none() {
-    let (p, n, rounds) = (4usize, 64usize, 50usize);
-    let canary = Canary::new();
-    let ths = ThreadSafety::new(LockingPolicyTable::dynamic_default(), canary.clone());
-    execute(RtsConfig::default(), p, |loc| {
-        let a = locked_array(loc, n, ths.clone());
-        // Local accesses only: the location threads race each other on the
-        // shared manager, nothing serializes them but the guards.
-        let mine: Vec<usize> = (0..n).filter(|g| a.is_local(*g)).collect();
-        for _ in 0..rounds {
-            for &g in &mine {
-                a.set_element(g, g as u64);
-                a.apply_set(g, |v| *v += 1);
-                assert_eq!(a.get_element(g), g as u64 + 1);
-                assert_eq!(a.split_get_element(g).get(), g as u64 + 1);
-            }
-        }
-    });
-    assert_eq!(canary.violations.load(Ordering::SeqCst), 0, "guards must exclude");
-    assert_eq!(canary.entries.load(Ordering::SeqCst), (4 * n * rounds) as u64, "one guard per access");
-
-    // The same manager under an all-`None` table is never called.
-    let idle = Canary::new();
-    let ths = ThreadSafety::new(LockingPolicyTable::unlocked(), idle.clone());
-    assert!(ths.guard(methods::SET, 3, 0).is_none());
-    execute(RtsConfig::default(), 2, |loc| {
-        let a = locked_array(loc, n, ths.clone());
-        (0..n).for_each(|g| a.set_element(g, 1));
-        loc.rmi_fence();
-        assert_eq!(a.get_element(n - 1), 1);
-    });
-    assert_eq!(idle.entries.load(Ordering::SeqCst), 0);
-}
-
-/// Counts the guards taken per method id: `SET`, `GET`, `APPLY`, any other.
-#[derive(Default)]
-struct GuardCounts([AtomicU64; 4]);
-
-impl ThreadSafetyManager for GuardCounts {
-    fn data_access_pre(&self, info: &ThsInfo, _: &MethodPolicy) {
-        self.0[info.method.min(3) as usize].fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn data_access_post(&self, _: &ThsInfo, _: &MethodPolicy) {}
-}
-
-/// The policy axes of the grid. Whether a method locks is one bit of a mask
-/// the policy table keeps; the table stays the source of truth. Under
-/// `dynamic_default()` every element method takes exactly one guard, where
-/// the element lives — the single local bContainer, one of several, or
-/// another location's (these are the counts of the parent of the change
-/// that introduced the mask). A table that locks only a method id past the
-/// mask's width guards that method and none of the pArray's.
-#[test]
-fn guards_per_method_on_the_whole_grid_under_a_locked_and_an_overflow_policy() {
-    const FAR: u32 = 70;
-    let write = MethodPolicy::new(LockGranularity::Element, AccessMode::Write, AccessMode::Read);
-    let n = 23usize;
-    for p in 1..=3usize {
-        for pi in 0..partitions(n).len() {
-            for mi in 0..3 {
-                for locked in [true, false] {
-                    let what = format!("P={p} partition#{pi} mapper#{mi} locked={locked}");
-                    let mut table = LockingPolicyTable::unlocked();
-                    if locked {
-                        table = LockingPolicyTable::dynamic_default();
-                    } else {
-                        table.set(FAR, write);
-                    }
-                    let counts = Arc::new(GuardCounts::default());
-                    let ths = ThreadSafety::new(table, counts.clone());
-                    assert!(ths.guard(FAR, 0, 0).is_some(), "{what}: past the mask's width");
-                    assert_eq!(ths.guard(FAR + 1, 0, 0).is_some(), locked, "{what}: the default");
-                    execute(RtsConfig::default(), p, |loc| {
-                        let part = partitions(n).swap_remove(pi);
-                        let mapper = mappers(part.num_subdomains(), p).swap_remove(mi);
-                        let a = PArray::with_options(loc, part, mapper, 0u64, ths.clone());
-                        // Every location touches every element.
-                        for g in 0..n {
-                            a.set_element(g, 1);
-                            a.apply_set(g, |v| *v += 1);
-                            a.apply_get(g, |v| *v);
-                            a.get_element(g);
-                            a.split_get_element(g).get();
-                        }
-                        loc.rmi_fence();
-                        // The last `set` wins; whoever came after it added one.
-                        a.for_each_local(|g, v| assert!((2..=1 + p as u64).contains(v), "{what}: {g}"));
-                    });
-                    let per_method = |m: u32| counts.0[m as usize].load(Ordering::SeqCst);
-                    let each = if locked { (n * p) as u64 } else { 0 };
-                    assert_eq!(per_method(methods::SET), each, "{what}: SET");
-                    assert_eq!(per_method(methods::GET), 2 * each, "{what}: GET");
-                    assert_eq!(per_method(methods::APPLY), 2 * each, "{what}: APPLY");
-                    assert_eq!(per_method(3), 1 + locked as u64, "{what}: the two probes above");
-                }
-            }
-        }
-    }
-}
-
-/// pVector's split-phase read must take the same `GET` guard its blocking
-/// read takes, or it races element writes on a locked pVector.
-#[test]
-fn pvector_split_get_takes_the_get_guard() {
-    let (p, n, rounds) = (4usize, 32usize, 50usize);
-    let canary = Canary::new();
-    let ths = ThreadSafety::new(LockingPolicyTable::dynamic_default(), canary.clone());
-    execute(RtsConfig::default(), p, |loc| {
-        let v = PVector::with_thread_safety(loc, n, 0u64, ths.clone());
-        let mine: Vec<usize> = (0..n).filter(|g| v.is_local(*g)).collect();
-        for _ in 0..rounds {
-            for &g in &mine {
-                v.set_element(g, g as u64);
-                assert_eq!(v.split_get_element(g).get(), g as u64);
-            }
-        }
-    });
-    assert_eq!(canary.violations.load(Ordering::SeqCst), 0);
-    assert_eq!(canary.entries.load(Ordering::SeqCst), (2 * n * rounds) as u64, "set + split get");
 }
 
 /// Which element methods count as a local invocation when they run on the

@@ -66,7 +66,10 @@
 //! caller's own cache eagerly (an entry naming the caller itself is never
 //! stored: the local fast path — the containers' and [`dir_migrate`]'s —
 //! runs before the cache is consulted, so it would only take capacity);
-//! stale hits invalidate point-wise; and bulk moves (redistribute /
+//! stale hits invalidate point-wise, and conditionally — the requester's
+//! entry goes only while it still names the target that found `g` missing,
+//! so a fill from the home that overtook the invalidation survives it; and
+//! bulk moves (redistribute /
 //! rebalance) call [`dir_invalidate_all`], which bumps the cache *epoch* —
 //! a collective O(1) drop-everything (dead entries are evicted lazily: on
 //! lookup, and by one purge per epoch when the cache is full). Stale
@@ -238,6 +241,15 @@ impl<G: Gid> OwnerCache<G> {
     pub fn invalidate(&self, g: &G) {
         if self.enabled {
             self.entries.borrow_mut().remove(g);
+        }
+    }
+
+    /// Drops the entry for `g` only if it still names `stale` as the owner:
+    /// a fill that overtook the invalidation names another and survives it.
+    pub fn invalidate_if_owner(&self, g: &G, stale: LocId) {
+        let mut entries = self.entries.borrow_mut();
+        if entries.get(g).is_some_and(|&(_, owner, _)| owner == stale) {
+            entries.remove(g);
         }
     }
 
@@ -615,7 +627,7 @@ fn send_via_home<Rep, G, F>(
 /// follows its forwarding pointer, re-pointing the requester's cache at
 /// the pointer's target, or else re-forwards through the home,
 /// piggybacking an invalidation back to the requester when the guess came
-/// from its cache.
+/// from its cache (conditionally: see the module docs).
 fn route_optimistic<Rep, G, F>(
     obj: &PObject<Rep>,
     g: G,
@@ -643,7 +655,10 @@ fn route_optimistic<Rep, G, F>(
             Some((bcid, to)) if fill_requester => {
                 on_cache(rep, tloc, handle, requester, move |c| c.record(g, bcid, to))
             }
-            _ if from_cache => on_cache(rep, tloc, handle, requester, move |c| c.invalidate(&g)),
+            _ if from_cache => {
+                let stale = tloc.id();
+                on_cache(rep, tloc, handle, requester, move |c| c.invalidate_if_owner(&g, stale))
+            }
             _ => {}
         }
         let fill_to = fill_requester.then_some(requester);
@@ -818,6 +833,12 @@ mod tests {
         assert_eq!(c.lookup(&3), Some((2, 2)));
         // Point invalidation.
         c.invalidate(&3);
+        assert_eq!(c.lookup(&3), None);
+        // An entry naming owner 2 survives an invalidation naming 1.
+        c.record(3, 2, 2);
+        c.invalidate_if_owner(&3, 1);
+        assert_eq!(c.lookup(&3), Some((2, 2)));
+        c.invalidate_if_owner(&3, 2);
         assert_eq!(c.lookup(&3), None);
         // Epoch bump kills every entry (lazily: the stale entry is evicted
         // on its next lookup).

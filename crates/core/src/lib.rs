@@ -18,10 +18,11 @@
 //!   partition + mapper answering "where does GID g live?";
 //! * **a directory** ([`directory`]) — the dynamic-container resolution
 //!   path with method forwarding;
-//! * **a thread-safety layer** ([`thread_safety`]) — per-method locking
-//!   policies dispatched through pluggable managers;
 //! * **the `PObject` base** ([`pobject`]) — SPMD registration and the
 //!   `invoke` / `invoke_ret` / `invoke_split` execution skeleton (Fig. 8).
+//!   It is also where thread safety (S) lives: a representative is reached
+//!   only by its own location's thread, and the compiler enforces that, so
+//!   no method takes a lock.
 //!
 //! The container library built from these parts lives in
 //! `stapl-containers`; views and algorithms in `stapl-views` and
@@ -42,6 +43,8 @@
 //!    algorithm can read two zeros, see `tests/mcm.rs`), but using only
 //!    synchronous methods restores sequential consistency.
 
+#![forbid(unsafe_code)]
+
 pub mod bcontainer;
 pub mod directory;
 pub mod distribution;
@@ -52,7 +55,6 @@ pub mod location_manager;
 pub mod mapper;
 pub mod partition;
 pub mod pobject;
-pub mod thread_safety;
 
 pub mod prelude {
     pub use crate::bcontainer::{BaseContainer, MemSize};
@@ -75,9 +77,4 @@ pub mod prelude {
         MatrixPartition, SplitterPartition,
     };
     pub use crate::pobject::PObject;
-    pub use crate::thread_safety::{
-        methods, AccessMode, DataGuard, GlobalMutexManager, HashedLockManager, LockGranularity,
-        LockingPolicyTable, MethodId, MethodPolicy, NoLockManager, RwLockManager, ThreadSafety,
-        ThreadSafetyManager, ThsInfo,
-    };
 }

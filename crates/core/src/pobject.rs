@@ -27,6 +27,15 @@ use stapl_rts::{Handle, LocId, Location, RmiFuture};
 /// timing are free — no fence is needed before a drop, asynchronous
 /// requests still unfenced are executed — but memory comes back only at a
 /// fence.
+///
+/// **Thread safety (S).** Only the representative's own location thread
+/// reaches it — `Rc<RefCell<_>>` is neither `Send` nor `Sync` — so no
+/// container method takes a lock. The compiler checks it:
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<stapl_core::pobject::PObject<u64>>();
+/// ```
 pub struct PObject<Rep: 'static> {
     loc: Location,
     handle: Handle,

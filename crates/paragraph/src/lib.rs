@@ -49,6 +49,8 @@
 //! });
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 pub mod prange;
 

@@ -23,6 +23,8 @@
 //! | `graph_pview` inner / boundary regions | [`graph_view::GraphView`] |
 //! | "views that generate values dynamically" | dropped: no caller |
 
+#![forbid(unsafe_code)]
+
 pub mod array_view;
 pub mod assoc_view;
 pub mod graph_view;

@@ -33,7 +33,7 @@ asm=$(ls -t "$out"/release/deps/*.s | awk '{ c = $0; sub(/-[0-9a-f]+\.s$/, "", c
 
 # Demangled, hash suffix included, so that `with` does not match `with_cold`.
 # Any reference counts: a call may go through a register loaded from the GOT.
-array='stapl_containers::array::ArrayRep<T>::(with|with_mut)|stapl_containers::array::ArrayBc<T>::strided_offset|stapl_core::thread_safety::ThreadSafety::lock'
+array='stapl_containers::array::ArrayRep<T>::(with|with_mut)|stapl_containers::array::ArrayBc<T>::strided_offset'
 assoc='<stapl_containers::associative::PAssoc<K,V,S> as stapl_core::interfaces::AssociativeContainer<K>>::find|stapl_containers::associative::PAssoc<K,V,S>::update_async(::\{\{closure\}\})?|as stapl_core::partition::KeyPartition<K>>::[a-z_]+'
 forbidden="($array|$assoc)::h[0-9a-f]+"
 
@@ -90,6 +90,6 @@ cat $asm | c++filt | awk -v forbidden="$forbidden" '
     for (i in want) if (!(want[i] in seen)) { printf "FAIL: did not find %s in the assembly\n", want[i]; missing = 1 }
     if (missing) exit 1
     for (k in said) exit 1
-    printf "PASS: rmi-reads and rmi-writes Workload::pass call none of ArrayRep::with, ArrayRep::with_mut, ArrayBc::strided_offset, ThreadSafety::lock, PAssoc::find, PAssoc::update_async, a KeyPartition method or a vtable slot (%d and %d calls to other functions); ArrayRep::far, PAssoc::find_at_owner and PAssoc::update_at_owner call no vtable slot\n", calls["rmi-reads Workload::pass"], calls["rmi-writes Workload::pass"]
+    printf "PASS: rmi-reads and rmi-writes Workload::pass call none of ArrayRep::with, ArrayRep::with_mut, ArrayBc::strided_offset, PAssoc::find, PAssoc::update_async, a KeyPartition method or a vtable slot (%d and %d calls to other functions); ArrayRep::far, PAssoc::find_at_owner and PAssoc::update_at_owner call no vtable slot\n", calls["rmi-reads Workload::pass"], calls["rmi-writes Workload::pass"]
   }
 '

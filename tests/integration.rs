@@ -129,32 +129,6 @@ fn matrix_linear_view_with_algorithms() {
     });
 }
 
-/// The thread-safety managers plug into containers end-to-end.
-#[test]
-fn custom_thread_safety_manager_on_array() {
-    use stapl::core::thread_safety::{
-        HashedLockManager, LockingPolicyTable, ThreadSafety,
-    };
-    execute(RtsConfig::default(), 2, |loc| {
-        let ths = ThreadSafety::new(
-            LockingPolicyTable::dynamic_default(),
-            std::sync::Arc::new(HashedLockManager::new(8)),
-        );
-        let a = PArray::with_options(
-            loc,
-            stapl::core::partition::BalancedPartition::new(32, loc.nlocs()),
-            CyclicMapper::new(loc.nlocs()),
-            0u64,
-            ths,
-        );
-        for i in 0..32 {
-            a.set_element(i, i as u64);
-        }
-        loc.rmi_fence();
-        assert_eq!(p_sum(&a), (0..32).sum::<u64>());
-    });
-}
-
 /// Nested-parallelism composition (Fig. 61): outer map over a composed
 /// container invoking an inner reduction, then a global reduction.
 #[test]
