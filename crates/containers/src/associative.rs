@@ -151,6 +151,26 @@ pub struct AssocRep<K: 'static, V: 'static, S: KvStore<K, V>> {
     _marker: std::marker::PhantomData<fn() -> V>,
 }
 
+impl<K, V, S> AssocRep<K, V, S>
+where
+    K: Key,
+    V: Send + Clone + 'static,
+    S: KvStore<K, V>,
+{
+    /// The store of `k`'s bucket, at the bucket's owner. The owner
+    /// recomputes the bucket from the replicated partition, so a request
+    /// carries only the key and the method's arguments.
+    fn store_of(&self, k: &K) -> &S {
+        &self.lm.get(self.dist.partition().find(k)).expect("assoc bcid").store
+    }
+
+    /// [`AssocRep::store_of`], mutably.
+    fn store_of_mut(&mut self, k: &K) -> &mut S {
+        let bcid = self.dist.partition().find(k);
+        &mut self.lm.get_mut(bcid).expect("assoc bcid").store
+    }
+}
+
 /// Generic associative pContainer over a pluggable sequential store.
 ///
 /// ```
@@ -206,8 +226,9 @@ where
         PAssoc { obj }
     }
 
-    fn locate(&self, k: &K) -> (Bcid, LocId) {
-        self.obj.local().dist.locate(k)
+    /// The location owning `k`'s bucket.
+    fn owner_of(&self, k: &K) -> LocId {
+        self.obj.local().dist.locate(k).1
     }
 
     /// The bucket (segment) `k` belongs to under this container's key
@@ -222,9 +243,7 @@ where
     #[inline(never)]
     fn find_at_owner(&self, bcid: Bcid, k: K) -> Option<V> {
         let owner = self.obj.local().dist.mapper().map(bcid);
-        self.obj.invoke_ret_at(owner, move |cell, _| {
-            cell.borrow().lm.get(bcid).expect("assoc bcid").store.get(&k).cloned()
-        })
+        self.obj.invoke_ret_at(owner, move |cell, _| cell.borrow().store_of(&k).get(&k).cloned())
     }
 
     fn me(&self) -> LocId {
@@ -259,8 +278,8 @@ where
         self.update_at_owner::<RESIZES, F>(bcid, k, op);
     }
 
-    /// [`PAssoc::update_async`]'s miss: ships `op` to the owner of bucket
-    /// `bcid`.
+    /// [`PAssoc::update_async`]'s miss: ships `op` and `k` to the owner of
+    /// bucket `bcid`, which finds the bucket again.
     #[inline(never)]
     fn update_at_owner<const RESIZES: bool, F>(&self, bcid: Bcid, k: K, op: F)
     where
@@ -270,7 +289,7 @@ where
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(RESIZES);
-            op(&mut rep.lm.get_mut(bcid).expect("assoc bcid").store, k);
+            op(rep.store_of_mut(&k), k);
         });
     }
 
@@ -298,12 +317,12 @@ where
 
     /// Synchronous insert that reports whether the key was new.
     pub fn insert(&self, k: K, v: V) -> bool {
-        let (bcid, owner) = self.locate(&k);
+        let owner = self.owner_of(&k);
         self.obj.local_mut().size.mark(true);
         self.obj.invoke_ret_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            rep.lm.get_mut(bcid).expect("assoc bcid").store.insert(k, v)
+            rep.store_of_mut(&k).insert(k, v)
         })
     }
 
@@ -481,10 +500,8 @@ where
     }
 
     fn split_find(&self, k: K) -> RmiFuture<Option<V>> {
-        let (bcid, owner) = self.locate(&k);
-        self.obj.invoke_split_at(owner, move |cell, _| {
-            cell.borrow().lm.get(bcid).expect("assoc bcid").store.get(&k).cloned()
-        })
+        let owner = self.owner_of(&k);
+        self.obj.invoke_split_at(owner, move |cell, _| cell.borrow().store_of(&k).get(&k).cloned())
     }
 }
 
@@ -825,7 +842,7 @@ mod tests {
             let before = loc.stats().remote_requests;
             let mut local_keys = 0;
             for k in 0..50u64 {
-                let (_, owner) = m.locate(&k);
+                let owner = m.owner_of(&k);
                 if owner == loc.id() {
                     m.insert_async(k, k);
                     assert_eq!(m.find(k), Some(k));

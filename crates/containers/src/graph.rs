@@ -27,8 +27,8 @@ use std::ops::{Deref, Range};
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
-    dir_insert, dir_migrate, dir_remove, dir_route, dir_route_ret, DirectoryShard, HasDirectory,
-    OwnerCache, Resolution,
+    dir_insert, dir_migrate, dir_register, dir_remove, dir_route, dir_route_ret, DirectoryShard,
+    HasDirectory, OwnerCache, Resolution,
 };
 use stapl_core::gid::{Bcid, MUL};
 use stapl_core::interfaces::{PContainer, SegmentId, SegmentedContainer};
@@ -542,6 +542,8 @@ pub struct GraphRep<VP, EP> {
     directedness: Directedness,
     /// Balanced vertex partition for static graphs.
     static_partition: Option<IndexPartition>,
+    /// This location's id, which is also its one base container's bcid.
+    me: LocId,
     nlocs: usize,
     /// Next locally generated descriptor: id + k·nlocs.
     next_vd: usize,
@@ -562,8 +564,8 @@ impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
         Some(&self.cache)
     }
 
-    fn owns_gid(&self, vd: &VertexDesc) -> bool {
-        self.bc.contains(*vd)
+    fn owns_gid(&self, vd: &VertexDesc) -> Option<Bcid> {
+        self.bc.contains(*vd).then_some(self.me)
     }
 
     /// `add_vertex` on location `l` hands out `l + k·nlocs`, stored on `l`.
@@ -673,11 +675,12 @@ where
             kind: GraphPartitionKind::Static,
             directedness,
             static_partition: Some(partition),
+            me: loc.id(),
             nlocs: loc.nlocs(),
             next_vd: loc.id(),
             counts: LazySize::new((n, 0)),
         };
-        let obj = PObject::register(loc, rep);
+        let obj = dir_register(loc, rep);
         loc.barrier();
         PGraph { obj }
     }
@@ -697,11 +700,12 @@ where
             kind,
             directedness,
             static_partition: None,
+            me: loc.id(),
             nlocs: loc.nlocs(),
             next_vd: loc.id(),
             counts: LazySize::default(),
         };
-        let obj = PObject::register(loc, rep);
+        let obj = dir_register(loc, rep);
         loc.barrier();
         PGraph { obj }
     }
@@ -752,7 +756,7 @@ where
             None => self.obj.invoke_at(self.static_owner(vd), move |cell, _| {
                 let _ = cell.borrow_mut().with_vertex(vd, f);
             }),
-            Some(policy) => dir_route(&self.obj, policy, vd, None, move |cell, _, bcid| {
+            Some(policy) => dir_route(&self.obj, policy, vd, None, move |cell, _, vd, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
                 let _ = cell.borrow_mut().with_vertex(vd, f);
             }),
@@ -775,7 +779,7 @@ where
             None => self.obj.invoke_split_at(self.static_owner(vd), move |cell, _| {
                 cell.borrow_mut().with_vertex(vd, f).ok()
             }),
-            Some(policy) => dir_route_ret(&self.obj, policy, vd, None, move |cell, _, bcid| {
+            Some(policy) => dir_route_ret(&self.obj, policy, vd, None, move |cell, _, vd, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
                 cell.borrow_mut().with_vertex(vd, f).ok()
             }),
@@ -834,15 +838,15 @@ where
         let policy = self.resolution().expect("dynamic graph");
         // Marks the counts stale here, where the op is issued, and at the
         // owner, where it lands.
-        let remove = move |cell: &RefCell<GraphRep<VP, EP>>| {
+        let remove = |cell: &RefCell<GraphRep<VP, EP>>, vd| {
             let rep = &mut *cell.borrow_mut();
             rep.counts.mark(true);
             rep.bc.delete(vd)
         };
-        if !remove(self.obj.rep_cell()) {
-            dir_route(&self.obj, policy, vd, None, move |cell, _, bcid| {
+        if !remove(self.obj.rep_cell(), vd) {
+            dir_route(&self.obj, policy, vd, None, move |cell, _, vd, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
-                remove(cell);
+                remove(cell, vd);
             });
         }
         dir_remove(&self.obj, vd);
@@ -887,10 +891,8 @@ where
                 let p = rep.static_partition.as_ref().unwrap();
                 vd < p.global_size()
             }
-            Some(policy) => dir_route_ret(&self.obj, policy, vd, None, move |cell, _, bcid| {
-                bcid.is_some() && cell.borrow().bc.contains(vd)
-            })
-            .get(),
+            // The owner names a bcid only while it stores `vd`.
+            Some(policy) => dir_route_ret(&self.obj, policy, vd, None, |_, _, _, bcid| bcid.is_some()).get(),
         }
     }
 

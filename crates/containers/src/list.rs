@@ -22,8 +22,8 @@ use std::cell::RefCell;
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
-    dir_migrate, dir_route, dir_route_ret, DirectoryShard, HasDirectory, OwnerCache,
-    Resolution,
+    dir_migrate, dir_register, dir_route, dir_route_ret, DirectoryShard, HasDirectory,
+    OwnerCache, Resolution,
 };
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::{
@@ -101,8 +101,9 @@ impl<T: 'static> HasDirectory<Bcid> for ListRep<T> {
         Some(&self.cache)
     }
 
-    fn owns_gid(&self, bcid: &Bcid) -> bool {
-        self.lm.get(*bcid).is_some()
+    /// A base container is its own gid.
+    fn owns_gid(&self, bcid: &Bcid) -> Option<Bcid> {
+        self.lm.get(*bcid).is_some().then_some(*bcid)
     }
 
     fn birth(&self, bcid: &Bcid) -> Option<(Bcid, LocId)> {
@@ -186,7 +187,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         };
         // Every base container is where it was born: the directory needs
         // no entry for it until it migrates.
-        let obj = PObject::register(loc, rep);
+        let obj = dir_register(loc, rep);
         loc.barrier();
         PList { obj }
     }
@@ -199,16 +200,17 @@ impl<T: Send + Clone + 'static> PList<T> {
     /// (asynchronous): local fast path, then owner cache, then the birth
     /// owner `bcid / bpl` as a static hint, then the directory home. `f`
     /// receives the representative's cell so read-only operations can take
-    /// a shared borrow (nested reads from local iteration stay legal).
-    fn route(&self, bcid: Bcid, f: impl FnOnce(&RefCell<ListRep<T>>, &Location) + Send + 'static) {
+    /// a shared borrow (nested reads from local iteration stay legal), and
+    /// `bcid`, which the request carries once.
+    fn route(&self, bcid: Bcid, f: impl FnOnce(&RefCell<ListRep<T>>, &Location, Bcid) + Send + 'static) {
         if self.obj.local().lm.get(bcid).is_some() {
-            f(self.obj.rep_cell(), self.obj.location());
+            f(self.obj.rep_cell(), self.obj.location(), bcid);
             return;
         }
-        let hint = (bcid, bcid / self.obj.local().bpl);
-        dir_route(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, found| {
+        let hint = bcid / self.obj.local().bpl;
+        dir_route(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, bcid, found| {
             assert!(found.is_some(), "pList: base container {bcid} is not registered");
-            f(cell, loc);
+            f(cell, loc, bcid);
         });
     }
 
@@ -216,16 +218,16 @@ impl<T: Send + Clone + 'static> PList<T> {
     fn route_ret<R: Send + 'static>(
         &self,
         bcid: Bcid,
-        f: impl FnOnce(&RefCell<ListRep<T>>, &Location) -> R + Send + 'static,
+        f: impl FnOnce(&RefCell<ListRep<T>>, &Location, Bcid) -> R + Send + 'static,
     ) -> RmiFuture<R> {
         if self.obj.local().lm.get(bcid).is_some() {
-            let r = f(self.obj.rep_cell(), self.obj.location());
+            let r = f(self.obj.rep_cell(), self.obj.location(), bcid);
             return RmiFuture::ready(r);
         }
-        let hint = (bcid, bcid / self.obj.local().bpl);
-        dir_route_ret(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, found| {
+        let hint = bcid / self.obj.local().bpl;
+        dir_route_ret(&self.obj, Resolution::Forwarding, bcid, Some(hint), move |cell, loc, bcid, found| {
             assert!(found.is_some(), "pList: base container {bcid} is not registered");
-            f(cell, loc)
+            f(cell, loc, bcid)
         })
     }
 
@@ -238,7 +240,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         };
         let bcid = nlocs * bpl - 1;
         self.obj.local_mut().size.mark(true);
-        self.route(bcid, move |cell, _| {
+        self.route(bcid, move |cell, _, bcid| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
             rep.bc_mut(bcid).push_back(v);
@@ -248,10 +250,10 @@ impl<T: Send + Clone + 'static> PList<T> {
     /// Prepends at the global front. Asynchronous.
     pub fn push_front(&self, v: T) {
         self.obj.local_mut().size.mark(true);
-        self.route(0, move |cell, _| {
+        self.route(0, move |cell, _, bcid| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            rep.bc_mut(0).push_front(v);
+            rep.bc_mut(bcid).push_front(v);
         });
     }
 
@@ -285,7 +287,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         let bcid = self.me() * self.obj.local().bpl;
         self.obj.local_mut().size.mark(true);
         let seq = self
-            .route_ret(bcid, move |cell, _| {
+            .route_ret(bcid, move |cell, _, bcid| {
                 let mut rep = cell.borrow_mut();
                 rep.size.mark(true);
                 rep.bc_mut(bcid).push_back(v)
@@ -298,10 +300,11 @@ impl<T: Send + Clone + 'static> PList<T> {
     /// `None` when `gid` no longer exists.
     pub fn insert_before(&self, gid: ListGid, v: T) -> Option<ListGid> {
         self.obj.local_mut().size.mark(true);
-        self.route_ret(gid.bcid, move |cell, _| {
+        let ListGid { bcid, seq: before } = gid;
+        self.route_ret(bcid, move |cell, _, bcid| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            rep.bc_mut(gid.bcid).insert_before(gid.seq, v).map(|seq| ListGid { bcid: gid.bcid, seq })
+            rep.bc_mut(bcid).insert_before(before, v).map(|seq| ListGid { bcid, seq })
         })
         .get()
     }
@@ -309,20 +312,22 @@ impl<T: Send + Clone + 'static> PList<T> {
     /// Inserts before `gid` (asynchronous).
     pub fn insert_before_async(&self, gid: ListGid, v: T) {
         self.obj.local_mut().size.mark(true);
-        self.route(gid.bcid, move |cell, _| {
+        let seq = gid.seq;
+        self.route(gid.bcid, move |cell, _, bcid| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            rep.bc_mut(gid.bcid).insert_before(gid.seq, v);
+            rep.bc_mut(bcid).insert_before(seq, v);
         });
     }
 
     /// Erases the element `gid` (asynchronous).
     pub fn erase_async(&self, gid: ListGid) {
         self.obj.local_mut().size.mark(true);
-        self.route(gid.bcid, move |cell, _| {
+        let seq = gid.seq;
+        self.route(gid.bcid, move |cell, _, bcid| {
             let mut rep = cell.borrow_mut();
             rep.size.mark(true);
-            rep.bc_mut(gid.bcid).erase(gid.seq);
+            rep.bc_mut(bcid).erase(seq);
         });
     }
 
@@ -372,7 +377,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         };
         for bcid in 0..nlocs * bpl {
             let found: Option<u64> =
-                self.route_ret(bcid, move |cell, _| cell.borrow().bc(bcid).front_id()).get();
+                self.route_ret(bcid, |cell, _, bcid| cell.borrow().bc(bcid).front_id()).get();
             if let Some(seq) = found {
                 return Some(ListGid { bcid, seq });
             }
@@ -387,7 +392,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         };
         for bcid in (0..nlocs * bpl).rev() {
             let found: Option<u64> =
-                self.route_ret(bcid, move |cell, _| cell.borrow().bc(bcid).back_id()).get();
+                self.route_ret(bcid, |cell, _, bcid| cell.borrow().bc(bcid).back_id()).get();
             if let Some(seq) = found {
                 return Some(ListGid { bcid, seq });
             }
@@ -397,9 +402,9 @@ impl<T: Send + Clone + 'static> PList<T> {
 
     /// GID following `gid` in the global linearization (synchronous).
     pub fn next_gid(&self, gid: ListGid) -> Option<ListGid> {
-        let within: Option<u64> = self
-            .route_ret(gid.bcid, move |cell, _| cell.borrow().bc(gid.bcid).next_id(gid.seq))
-            .get();
+        let seq = gid.seq;
+        let within: Option<u64> =
+            self.route_ret(gid.bcid, move |cell, _, bcid| cell.borrow().bc(bcid).next_id(seq)).get();
         if let Some(seq) = within {
             return Some(ListGid { bcid: gid.bcid, seq });
         }
@@ -410,7 +415,7 @@ impl<T: Send + Clone + 'static> PList<T> {
         };
         for bcid in gid.bcid + 1..nlocs * bpl {
             let found: Option<u64> =
-                self.route_ret(bcid, move |cell, _| cell.borrow().bc(bcid).front_id()).get();
+                self.route_ret(bcid, |cell, _, bcid| cell.borrow().bc(bcid).front_id()).get();
             if let Some(seq) = found {
                 return Some(ListGid { bcid, seq });
             }
@@ -420,13 +425,14 @@ impl<T: Send + Clone + 'static> PList<T> {
 
     /// Synchronous existence check.
     pub fn contains(&self, gid: ListGid) -> bool {
-        self.route_ret(gid.bcid, move |cell, _| cell.borrow().bc(gid.bcid).contains(gid.seq)).get()
+        let seq = gid.seq;
+        self.route_ret(gid.bcid, move |cell, _, bcid| cell.borrow().bc(bcid).contains(seq)).get()
     }
 
     /// Fallible synchronous read.
     pub fn try_get(&self, gid: ListGid) -> Option<T> {
-        self.route_ret(gid.bcid, move |cell, _| cell.borrow().bc(gid.bcid).get(gid.seq).cloned())
-            .get()
+        let seq = gid.seq;
+        self.route_ret(gid.bcid, move |cell, _, bcid| cell.borrow().bc(bcid).get(seq).cloned()).get()
     }
 
     /// All elements in global linearization order — a test/debug helper.
@@ -482,12 +488,9 @@ impl<T: Send + Clone + 'static> ElementRead<ListGid> for PList<T> {
     }
 
     fn split_get_element(&self, gid: ListGid) -> RmiFuture<T> {
-        self.route_ret(gid.bcid, move |cell, _| {
-            cell.borrow()
-                .bc(gid.bcid)
-                .get(gid.seq)
-                .cloned()
-                .expect("pList: GID does not name a live element")
+        let seq = gid.seq;
+        self.route_ret(gid.bcid, move |cell, _, bcid| {
+            cell.borrow().bc(bcid).get(seq).cloned().expect("pList: GID does not name a live element")
         })
     }
 
@@ -498,9 +501,9 @@ impl<T: Send + Clone + 'static> ElementRead<ListGid> for PList<T> {
 
 impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     fn set_element(&self, gid: ListGid, v: T) {
-        self.route(gid.bcid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            if let Some(slot) = rep.bc_mut(gid.bcid).get_mut(gid.seq) {
+        let seq = gid.seq;
+        self.route(gid.bcid, move |cell, _, bcid| {
+            if let Some(slot) = cell.borrow_mut().bc_mut(bcid).get_mut(seq) {
                 *slot = v;
             }
         });
@@ -510,9 +513,9 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
     where
         F: FnOnce(&mut T) + Send + 'static,
     {
-        self.route(gid.bcid, move |cell, _| {
-            let mut rep = cell.borrow_mut();
-            if let Some(slot) = rep.bc_mut(gid.bcid).get_mut(gid.seq) {
+        let seq = gid.seq;
+        self.route(gid.bcid, move |cell, _, bcid| {
+            if let Some(slot) = cell.borrow_mut().bc_mut(bcid).get_mut(seq) {
                 f(slot);
             }
         });
@@ -523,9 +526,10 @@ impl<T: Send + Clone + 'static> ElementWrite<ListGid> for PList<T> {
         R: Send + 'static,
         F: FnOnce(&mut T) -> R + Send + 'static,
     {
-        self.route_ret(gid.bcid, move |cell, _| {
+        let seq = gid.seq;
+        self.route_ret(gid.bcid, move |cell, _, bcid| {
             let mut rep = cell.borrow_mut();
-            f(rep.bc_mut(gid.bcid).get_mut(gid.seq).expect("pList: GID does not name a live element"))
+            f(rep.bc_mut(bcid).get_mut(seq).expect("pList: GID does not name a live element"))
         })
         .get()
     }
@@ -572,7 +576,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
             return out;
         }
         self.obj.location().note_segment_request(0);
-        self.route_ret(sid, move |cell, _| {
+        self.route_ret(sid, |cell, _, sid| {
             cell.borrow().bc(sid).iter().map(|(seq, v)| (seq, v.clone())).collect::<Vec<_>>()
         })
         .get()
@@ -582,7 +586,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         if !self.is_local_segment(sid) {
             self.obj.location().note_segment_request(items.len() as u64);
         }
-        self.route(sid, move |cell, _| {
+        self.route(sid, move |cell, _, sid| {
             let mut rep = cell.borrow_mut();
             let bc = rep.bc_mut(sid);
             for (seq, v) in items {

@@ -3,29 +3,47 @@
 //!
 //! STAPL's pList base container is an STL list whose iterators stay valid
 //! across unrelated inserts/erases. In Rust, the equivalent stability is
-//! provided by *generational ids*: nodes live in a slab (`Vec` + free
+//! provided by *generational ids*: elements live in a slab (`Vec` + free
 //! list), and an element's `u64` id is its slot in the low half and the
 //! slot's generation in the high half. Access, insert-before and erase by
 //! id are a bounds-checked index and a generation compare. Erasing bumps
 //! the slot's generation, so **ids are never reused** — not after the slot
 //! finds a new tenant, not across [`SlabList::clear`], and a slot that has
 //! run out of generations is retired rather than recycled.
+//!
+//! A slot is a `Live` element — its value, generation and two `u32`
+//! links — or a `Free` one that keeps only the generation
+//! its next tenant gets. The live/free tag sits in the padding beside the
+//! three `u32`s, so a `u64` element takes 24 bytes ([`SlabList::SLOT_BYTES`]):
+//! its value and 16 bytes of list.
+
+use std::mem;
 
 /// The nil link. `alloc` keeps every slot below `u32::MAX`, so no slot
 /// is ever named by it.
 const NIL: u32 = u32::MAX;
 
 /// One slab slot. Links are `u32` slot numbers, not `usize`: an id already
-/// keeps its slot in 32 bits, and the narrower links make a `u64` node 32
-/// bytes instead of 40.
-struct Node<T> {
-    /// Generation of the slot's current (or, when free, next) tenant.
-    gen: u32,
-    /// `None` only while the slot is free: erase moves the value out so
-    /// it drops immediately instead of lingering until the slot is reused.
-    val: Option<T>,
-    prev: u32,
-    next: u32,
+/// keeps its slot in 32 bits.
+enum Slot<T> {
+    Live {
+        val: T,
+        /// Generation of the slot's current tenant.
+        gen: u32,
+        prev: u32,
+        next: u32,
+    },
+    /// Erase moves the value out, so it drops at once instead of lingering
+    /// until the slot is reused; `gen` is the next tenant's generation.
+    Free { gen: u32 },
+}
+
+impl<T> Slot<T> {
+    fn gen(&self) -> u32 {
+        match self {
+            Slot::Live { gen, .. } | Slot::Free { gen } => *gen,
+        }
+    }
 }
 
 /// The id of generation `gen`'s tenant of `slot`.
@@ -33,9 +51,17 @@ fn id_of(gen: u32, slot: u32) -> u64 {
     u64::from(gen) << 32 | u64::from(slot)
 }
 
+/// A linked slot: every slot the links reach is live.
+fn linked<T>(slot: &Slot<T>) -> (&T, u32, u32) {
+    match slot {
+        Slot::Live { val, gen, next, .. } => (val, *gen, *next),
+        Slot::Free { .. } => unreachable!("a linked slot is live"),
+    }
+}
+
 /// Doubly-linked list with O(1) push/insert/erase by stable id.
 pub struct SlabList<T> {
-    nodes: Vec<Node<T>>,
+    slots: Vec<Slot<T>>,
     free: Vec<u32>,
     len: usize,
     head: u32,
@@ -44,11 +70,14 @@ pub struct SlabList<T> {
 
 impl<T> Default for SlabList<T> {
     fn default() -> Self {
-        SlabList { nodes: Vec::new(), free: Vec::new(), len: 0, head: NIL, tail: NIL }
+        SlabList { slots: Vec::new(), free: Vec::new(), len: 0, head: NIL, tail: NIL }
     }
 }
 
 impl<T> SlabList<T> {
+    /// Bytes one element takes in the slab (24 for a `u64`).
+    pub const SLOT_BYTES: usize = mem::size_of::<Slot<T>>();
+
     pub fn new() -> Self {
         Self::default()
     }
@@ -63,14 +92,37 @@ impl<T> SlabList<T> {
 
     /// The id of the element living in `slot`.
     fn id_at(&self, slot: u32) -> u64 {
-        id_of(self.nodes[slot as usize].gen, slot)
+        id_of(self.slots[slot as usize].gen(), slot)
+    }
+
+    /// The live slot `id` names, if its element is still alive.
+    fn live(&self, id: u64) -> Option<(u32, &Slot<T>)> {
+        let slot = id as u32;
+        match self.slots.get(slot as usize)? {
+            s @ Slot::Live { gen, .. } if *gen == (id >> 32) as u32 => Some((slot, s)),
+            _ => None,
+        }
     }
 
     /// The slot `id` names, if its element is still alive.
     fn slot_of(&self, id: u64) -> Option<u32> {
-        let slot = id as u32;
-        let node = self.nodes.get(slot as usize)?;
-        (node.gen == (id >> 32) as u32 && node.val.is_some()).then_some(slot)
+        self.live(id).map(|(slot, _)| slot)
+    }
+
+    /// `slot`'s `prev` link; the slot must be live.
+    fn prev_mut(&mut self, slot: u32) -> &mut u32 {
+        match &mut self.slots[slot as usize] {
+            Slot::Live { prev, .. } => prev,
+            Slot::Free { .. } => unreachable!("a linked slot is live"),
+        }
+    }
+
+    /// `slot`'s `next` link; the slot must be live.
+    fn next_mut(&mut self, slot: u32) -> &mut u32 {
+        match &mut self.slots[slot as usize] {
+            Slot::Live { next, .. } => next,
+            Slot::Free { .. } => unreachable!("a linked slot is live"),
+        }
     }
 
     /// Places `val` in a free (or new) slot already linked to `prev` and
@@ -79,14 +131,14 @@ impl<T> SlabList<T> {
     fn alloc(&mut self, val: T, prev: u32, next: u32) -> (u64, u32) {
         let slot = match self.free.pop() {
             Some(s) => {
-                let node = &mut self.nodes[s as usize];
-                (node.val, node.prev, node.next) = (Some(val), prev, next);
+                let gen = self.slots[s as usize].gen();
+                self.slots[s as usize] = Slot::Live { val, gen, prev, next };
                 s
             }
             None => {
-                assert!(self.nodes.len() < u32::MAX as usize, "SlabList: out of 32-bit slots");
-                self.nodes.push(Node { gen: 0, val: Some(val), prev, next });
-                (self.nodes.len() - 1) as u32
+                assert!(self.slots.len() < u32::MAX as usize, "SlabList: out of 32-bit slots");
+                self.slots.push(Slot::Live { val, gen: 0, prev, next });
+                (self.slots.len() - 1) as u32
             }
         };
         self.len += 1;
@@ -100,7 +152,7 @@ impl<T> SlabList<T> {
         let (id, slot) = self.alloc(val, tail, NIL);
         match tail {
             NIL => self.head = slot,
-            _ => self.nodes[tail as usize].next = slot,
+            _ => *self.next_mut(tail) = slot,
         }
         self.tail = slot;
         id
@@ -112,7 +164,7 @@ impl<T> SlabList<T> {
         let (id, slot) = self.alloc(val, NIL, head);
         match head {
             NIL => self.tail = slot,
-            _ => self.nodes[head as usize].prev = slot,
+            _ => *self.prev_mut(head) = slot,
         }
         self.head = slot;
         id
@@ -122,12 +174,12 @@ impl<T> SlabList<T> {
     /// does not exist (e.g. it was concurrently erased).
     pub fn insert_before(&mut self, before: u64, val: T) -> Option<u64> {
         let anchor = self.slot_of(before)?;
-        let prev = self.nodes[anchor as usize].prev;
+        let prev = *self.prev_mut(anchor);
         let (id, slot) = self.alloc(val, prev, anchor);
-        self.nodes[anchor as usize].prev = slot;
+        *self.prev_mut(anchor) = slot;
         match prev {
             NIL => self.head = slot,
-            _ => self.nodes[prev as usize].next = slot,
+            _ => *self.next_mut(prev) = slot,
         }
         Some(id)
     }
@@ -136,36 +188,42 @@ impl<T> SlabList<T> {
     /// so it drops as soon as the caller is done with it).
     pub fn erase(&mut self, id: u64) -> Option<T> {
         let slot = self.slot_of(id)?;
-        let Node { prev, next, .. } = self.nodes[slot as usize];
+        let Slot::Live { gen, prev, next, .. } = self.slots[slot as usize] else { unreachable!() };
         match prev {
             NIL => self.head = next,
-            _ => self.nodes[prev as usize].next = next,
+            _ => *self.next_mut(prev) = next,
         }
         match next {
             NIL => self.tail = prev,
-            _ => self.nodes[next as usize].prev = prev,
+            _ => *self.prev_mut(next) = prev,
         }
         self.len -= 1;
-        let node = &mut self.nodes[slot as usize];
         // The next tenant gets a new generation; a slot with none left is
         // retired (never on the free list again), not wrapped around.
-        if let Some(gen) = node.gen.checked_add(1) {
-            node.gen = gen;
+        let next_gen = gen.checked_add(1);
+        if next_gen.is_some() {
             self.free.push(slot);
         }
-        node.val.take()
+        match mem::replace(&mut self.slots[slot as usize], Slot::Free { gen: next_gen.unwrap_or(gen) }) {
+            Slot::Live { val, .. } => Some(val),
+            Slot::Free { .. } => unreachable!(),
+        }
     }
 
     pub fn get(&self, id: u64) -> Option<&T> {
-        self.slot_of(id).and_then(|s| self.nodes[s as usize].val.as_ref())
+        self.live(id).map(|(_, s)| linked(s).0)
     }
 
     pub fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        self.slot_of(id).and_then(|s| self.nodes[s as usize].val.as_mut())
+        let slot = self.slot_of(id)?;
+        match &mut self.slots[slot as usize] {
+            Slot::Live { val, .. } => Some(val),
+            Slot::Free { .. } => None,
+        }
     }
 
     pub fn contains(&self, id: u64) -> bool {
-        self.slot_of(id).is_some()
+        self.live(id).is_some()
     }
 
     pub fn front_id(&self) -> Option<u64> {
@@ -178,14 +236,14 @@ impl<T> SlabList<T> {
 
     /// Id of the element after `id` in list order.
     pub fn next_id(&self, id: u64) -> Option<u64> {
-        let n = self.nodes[self.slot_of(id)? as usize].next;
+        let (_, _, n) = linked(self.live(id)?.1);
         (n != NIL).then(|| self.id_at(n))
     }
 
     /// Id of the element before `id` in list order.
     pub fn prev_id(&self, id: u64) -> Option<u64> {
-        let p = self.nodes[self.slot_of(id)? as usize].prev;
-        (p != NIL).then(|| self.id_at(p))
+        let Slot::Live { prev: p, .. } = self.live(id)?.1 else { unreachable!() };
+        (*p != NIL).then(|| self.id_at(*p))
     }
 
     /// In-order traversal.
@@ -198,9 +256,11 @@ impl<T> SlabList<T> {
     pub fn for_each_mut(&mut self, mut f: impl FnMut(u64, &mut T)) {
         let mut cur = self.head;
         while cur != NIL {
-            let node = &mut self.nodes[cur as usize];
-            f(id_of(node.gen, cur), node.val.as_mut().expect("linked node is live"));
-            cur = node.next;
+            let Slot::Live { val, gen, next, .. } = &mut self.slots[cur as usize] else {
+                unreachable!("a linked slot is live")
+            };
+            f(id_of(*gen, cur), val);
+            cur = *next;
         }
     }
 
@@ -212,13 +272,12 @@ impl<T> SlabList<T> {
         }
     }
 
-    /// Bytes used: slab links and free list (metadata) and values (data).
+    /// Bytes used: slab tags, generations and links and the free list
+    /// (metadata), and values (data).
     pub fn memory_bytes(&self) -> (usize, usize) {
-        let node_overhead = std::mem::size_of::<Node<T>>() - std::mem::size_of::<Option<T>>();
-        let meta = self.nodes.capacity() * node_overhead
-            + self.free.capacity() * std::mem::size_of::<u32>();
-        let data = self.nodes.capacity() * std::mem::size_of::<Option<T>>();
-        (meta, data)
+        let meta = self.slots.capacity() * (Self::SLOT_BYTES - mem::size_of::<T>())
+            + self.free.capacity() * mem::size_of::<u32>();
+        (meta, self.slots.capacity() * mem::size_of::<T>())
     }
 }
 
@@ -234,9 +293,10 @@ impl<'a, T> Iterator for SlabIter<'a, T> {
         if self.cur == NIL {
             return None;
         }
-        let (slot, node) = (self.cur, &self.list.nodes[self.cur as usize]);
-        self.cur = node.next;
-        Some((id_of(node.gen, slot), node.val.as_ref().expect("linked node is live")))
+        let slot = self.cur;
+        let (val, gen, next) = linked(&self.list.slots[slot as usize]);
+        self.cur = next;
+        Some((id_of(gen, slot), val))
     }
 }
 
@@ -246,12 +306,6 @@ mod tests {
 
     fn values(l: &SlabList<i32>) -> Vec<i32> {
         l.iter().map(|(_, v)| *v).collect()
-    }
-
-    #[test]
-    fn a_u64_node_is_32_bytes() {
-        // u32 links: gen (4) + Option<u64> (16) + prev, next (4 + 4), padded.
-        assert_eq!(std::mem::size_of::<Node<u64>>(), 32);
     }
 
     #[test]
@@ -317,15 +371,16 @@ mod tests {
         l.erase(a);
         let b = l.push_back(2);
         assert_ne!(a, b, "ids must be stable / never reused");
-        assert_eq!(l.nodes.len(), 1, "slab slot must be reused");
+        assert_eq!(l.slots.len(), 1, "slab slot must be reused");
         assert!(!l.contains(a));
         assert!(l.contains(b));
         // A slot out of generations is retired, not wrapped around to ids
         // it has already issued.
-        l.nodes[0].gen = u32::MAX;
+        let Slot::Live { gen, .. } = &mut l.slots[0] else { unreachable!() };
+        *gen = u32::MAX;
         let last = l.front_id().unwrap();
         assert_eq!(l.erase(last), Some(2));
-        assert_eq!((l.push_back(3), l.nodes.len()), (1, 2));
+        assert_eq!((l.push_back(3), l.slots.len()), (1, 2));
         assert!(!l.contains(last) && !l.contains(a) && l.len() == 1);
     }
 

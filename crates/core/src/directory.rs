@@ -62,6 +62,15 @@
 //!   neither stored nor pointed on runs `f` with `None` — the answer the
 //!   home gives an unregistered GID with no birth placement.
 //!
+//! ## What a request carries
+//!
+//! Each leg of a routed request carries `g` once, the method's own
+//! capture and one routing word, and nothing its receiver can know: `f`
+//! receives `g`, the owner names its bcid ([`HasDirectory::owns_gid`]),
+//! and a hop that sends on reads the handle from its [`DirectoryShard`]
+//! (set by [`dir_register`]). A `u64` pGraph `scatter` request is 24
+//! bytes.
+//!
 //! Invalidation is three-tier: [`dir_insert`]/[`dir_remove`] update the
 //! caller's own cache eagerly (an entry naming the caller itself is never
 //! stored: the local fast path — the containers' and [`dir_migrate`]'s —
@@ -93,10 +102,13 @@ pub fn home_of<G: Hash>(g: &G, nlocs: usize) -> LocId {
 }
 
 /// One location's shard of the directory: entries for the registered GIDs
-/// whose home is this location, and forwarding pointers for the GIDs that
-/// left it.
+/// whose home is this location, forwarding pointers for the GIDs that
+/// left it, and the container's handle.
 #[derive(Clone, Debug)]
 pub struct DirectoryShard<G: Gid> {
+    /// Recorded by [`dir_register`]: a routed request that travels on
+    /// reads it here instead of carrying it.
+    handle: Option<Handle>,
     entries: IdHashMap<G, (Bcid, LocId)>,
     /// `g → (bcid, dest)` for every `g` [`dir_migrate`] extracted here and
     /// no install brought back.
@@ -105,13 +117,18 @@ pub struct DirectoryShard<G: Gid> {
 
 impl<G: Gid> Default for DirectoryShard<G> {
     fn default() -> Self {
-        DirectoryShard { entries: IdHashMap::default(), pointers: IdHashMap::default() }
+        DirectoryShard { handle: None, entries: IdHashMap::default(), pointers: IdHashMap::default() }
     }
 }
 
 impl<G: Gid> DirectoryShard<G> {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The handle of the container this shard belongs to.
+    fn handle(&self) -> Handle {
+        self.handle.expect("directory shard of a container not built with dir_register")
     }
 
     pub fn insert(&mut self, g: G, bcid: Bcid, owner: LocId) {
@@ -289,15 +306,16 @@ pub trait HasDirectory<G: Gid>: 'static {
         None
     }
 
-    /// Whether the element `g` is currently stored on this representative.
-    /// This is the delivery check of the locality layer: every routed
-    /// request — optimistic (cached/hinted) *and* home-forwarded — is
-    /// verified at its target, and a request landing where `g` no longer
-    /// lives follows a forwarding pointer or re-forwards through the home
-    /// instead of executing against a missing element. Answer honestly; a
-    /// blanket `true` opts out of verification (acceptable only for
-    /// replicated state).
-    fn owns_gid(&self, g: &G) -> bool;
+    /// The base container storing the element `g` on this representative,
+    /// if it is stored here. This is the delivery check of the locality
+    /// layer: every routed request — optimistic (cached/hinted) *and*
+    /// home-forwarded — is verified at its target, which names the bcid
+    /// itself (no request carries it), and a request landing where `g` no
+    /// longer lives follows a forwarding pointer or re-forwards through the
+    /// home instead of executing against a missing element. Answer
+    /// honestly; a blanket `Some` opts out of verification (acceptable only
+    /// for replicated state).
+    fn owns_gid(&self, g: &G) -> Option<Bcid>;
 
     /// Where `g` is stored from its birth, when its name says so: a home
     /// holding no entry for `g` answers with this placement, and `g`
@@ -315,6 +333,20 @@ pub enum Resolution {
     Forwarding,
     /// Ask the home for the owner (synchronous), then ship the operation.
     TwoPhase,
+}
+
+/// Registers `rep` as this location's representative — **collective**, as
+/// [`PObject::register`] — and records the handle in its directory shard,
+/// where a routed request reads it when it travels on. Every container
+/// routed through the directory is built with it.
+pub fn dir_register<Rep, G>(loc: &Location, rep: Rep) -> PObject<Rep>
+where
+    Rep: HasDirectory<G>,
+    G: Gid,
+{
+    let obj = PObject::register(loc, rep);
+    obj.local_mut().directory_mut().handle = Some(obj.handle());
+    obj
 }
 
 /// Records `g` → (`bcid`, `owner`) at `g`'s home location. Asynchronous;
@@ -424,10 +456,10 @@ pub fn dir_migrate<Rep, G, P>(
     // The local fast path: the owner cache holds no entry naming this
     // location, so a migration issued by the owner would otherwise
     // resolve through the home.
-    if obj.rep_cell().borrow().owns_gid(&g) {
+    if obj.rep_cell().borrow().owns_gid(&g).is_some() {
         return obj.invoke_at(obj.location().id(), migrate);
     }
-    dir_route(obj, policy, g, None, move |cell, loc, found| {
+    dir_route(obj, policy, g, None, move |cell, loc, g, found| {
         assert!(found.is_some(), "dir_migrate: {g:?} is not registered in the directory");
         migrate(cell, loc);
     });
@@ -468,13 +500,10 @@ where
 }
 
 /// Consults the owner cache (with hit/miss accounting), falling back to a
-/// caller-supplied static hint. Returns the guess — `(bcid, owner,
-/// guess-came-from-cache)` — and whether caching is active for `obj`.
-fn take_guess<Rep, G>(
-    obj: &PObject<Rep>,
-    g: &G,
-    hint: Option<(Bcid, LocId)>,
-) -> (Option<(Bcid, LocId, bool)>, bool)
+/// caller-supplied static hint. Returns the guessed owner — and whether
+/// the guess came from the cache — and whether caching is active for
+/// `obj`.
+fn take_guess<Rep, G>(obj: &PObject<Rep>, g: &G, hint: Option<LocId>) -> (Option<(LocId, bool)>, bool)
 where
     Rep: HasDirectory<G>,
     G: Gid,
@@ -483,9 +512,9 @@ where
     let cache = rep.owner_cache().filter(|c| c.enabled());
     let cache_on = cache.is_some();
     if let Some(c) = cache {
-        if let Some((bcid, owner)) = c.lookup(g) {
+        if let Some((_, owner)) = c.lookup(g) {
             obj.location().note_dir_cache_hit();
-            return (Some((bcid, owner, true)), cache_on);
+            return (Some((owner, true)), cache_on);
         }
         // A hinted route is still one-hop; only count a miss when the
         // request actually pays the home-location trip.
@@ -493,28 +522,58 @@ where
             obj.location().note_dir_cache_miss();
         }
     }
-    (hint.map(|(b, o)| (b, o, false)), cache_on)
+    (hint.map(|owner| (owner, false)), cache_on)
 }
 
 /// Hop budget for requests that land where `g` is not stored (a migration
 /// in flight): each pointer followed and each bounce back through the home
-/// spends one. When the budget is exhausted the request executes where it
-/// is (the pre-locality-layer behavior) — or, by birth, reports `g`
-/// absent.
+/// spends one. When the budget is exhausted the request runs `f` where it
+/// is, with `None`: `g` is not stored there.
 const FORWARD_RETRIES: u8 = 16;
 
-/// Where a routed request is headed: everything needed to verify delivery
-/// and, on a mismatch, follow a pointer or bounce back through the home.
+/// How a routed request travels, in one word: who issued it, what that
+/// location's owner cache is owed, whether the placement it follows is a
+/// birth, and the hops it has left. A request carries this, `g` once and
+/// the method's own capture — nothing its receiver can know: the owner
+/// names the bcid ([`HasDirectory::owns_gid`]), and a hop that sends on
+/// reads the handle from its directory shard.
 #[derive(Clone, Copy)]
-struct Delivery<G> {
-    handle: Handle,
-    g: G,
-    bcid: Bcid,
-    fill_to: Option<LocId>,
+struct Route {
+    requester: u32,
     retries: u8,
+    /// Send the requester the placement the home resolves (a cache fill).
+    fill: bool,
+    /// The guess came from the requester's cache: a target that finds `g`
+    /// gone invalidates it there.
+    invalidate: bool,
     /// The home answered with `g`'s birth placement: a location that
     /// neither stores `g` nor points on from it reports `g` absent.
     by_birth: bool,
+}
+
+impl Route {
+    fn new(requester: LocId, fill: bool, invalidate: bool, by_birth: bool) -> Self {
+        let requester = u32::try_from(requester).expect("location ids fit 32 bits");
+        Route { requester, retries: FORWARD_RETRIES, fill, invalidate, by_birth }
+    }
+
+    fn requester(self) -> LocId {
+        self.requester as LocId
+    }
+
+    /// This route with one hop spent.
+    fn hop(self) -> Self {
+        Route { retries: self.retries - 1, ..self }
+    }
+}
+
+/// The handle of the container whose representative is `rep`.
+fn handle_of<Rep, G>(rep: &RefCell<Rep>) -> Handle
+where
+    Rep: HasDirectory<G>,
+    G: Gid,
+{
+    rep.borrow().directory().handle()
 }
 
 /// Runs `op` on `to`'s owner cache, if it has one: in place when `to` is
@@ -522,7 +581,6 @@ struct Delivery<G> {
 fn on_cache<Rep, G>(
     rep: &RefCell<Rep>,
     loc: &Location,
-    handle: Handle,
     to: LocId,
     op: impl FnOnce(&OwnerCache<G>) + Send + 'static,
 ) where
@@ -534,7 +592,7 @@ fn on_cache<Rep, G>(
             op(c);
         }
     } else {
-        loc.async_rmi(to, handle, move |r2: &RefCell<Rep>, _| {
+        loc.async_rmi(to, handle_of(rep), move |r2: &RefCell<Rep>, _| {
             if let Some(c) = r2.borrow().owner_cache() {
                 op(c);
             }
@@ -542,137 +600,115 @@ fn on_cache<Rep, G>(
     }
 }
 
-/// Executes `f` at a location the request was routed to, after verifying
-/// with [`HasDirectory::owns_gid`] that `d.g` is stored there; else see
+/// Executes `f` at a location the request was routed to, with the bcid
+/// [`HasDirectory::owns_gid`] names when `g` is stored there; else see
 /// [`redeliver`].
-fn deliver_verified<Rep, G, F>(rep: &RefCell<Rep>, loc: &Location, d: Delivery<G>, f: F)
+fn deliver_verified<Rep, G, F>(rep: &RefCell<Rep>, loc: &Location, g: G, route: Route, f: F)
 where
     Rep: HasDirectory<G>,
     G: Gid,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
+    F: FnOnce(&RefCell<Rep>, &Location, G, Option<Bcid>) + Send + 'static,
 {
-    let owns = rep.borrow().owns_gid(&d.g);
-    if owns {
-        f(rep, loc, Some(d.bcid));
-    } else {
-        redeliver(rep, loc, d, f);
+    let owned = rep.borrow().owns_gid(&g);
+    match owned {
+        Some(bcid) => f(rep, loc, g, Some(bcid)),
+        None => redeliver(rep, loc, g, route, f),
     }
 }
 
-/// A delivery that found `d.g` not stored here: it follows this location's
+/// A delivery that found `g` not stored here: it follows this location's
 /// forwarding pointer; without one, a by-birth delivery runs `f` with
-/// `None`, and any other re-forwards through the home. Each hop spends
-/// one of `d.retries`; an exhausted budget executes `f` here, as the
-/// un-verified protocol did.
-fn redeliver<Rep, G, F>(rep: &RefCell<Rep>, loc: &Location, d: Delivery<G>, f: F)
+/// `None`, and any other re-forwards through the home. Each hop spends one
+/// of `route.retries`; an exhausted budget runs `f` here with `None`.
+fn redeliver<Rep, G, F>(rep: &RefCell<Rep>, loc: &Location, g: G, route: Route, f: F)
 where
     Rep: HasDirectory<G>,
     G: Gid,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
+    F: FnOnce(&RefCell<Rep>, &Location, G, Option<Bcid>) + Send + 'static,
 {
-    let pointer = rep.borrow().directory().pointers.get(&d.g).copied();
+    let pointer = rep.borrow().directory().pointers.get(&g).copied();
     match pointer {
-        Some((bcid, to)) if d.retries > 0 => {
-            let d = Delivery { bcid, retries: d.retries - 1, ..d };
-            loc.async_rmi(to, d.handle, move |rep2: &RefCell<Rep>, loc2| {
-                deliver_verified(rep2, loc2, d, f);
+        Some((_, to)) if route.retries > 0 => {
+            let route = route.hop();
+            loc.async_rmi(to, handle_of(rep), move |rep2: &RefCell<Rep>, loc2| {
+                deliver_verified(rep2, loc2, g, route, f);
             });
         }
-        _ if d.by_birth => f(rep, loc, None),
-        _ if d.retries == 0 => f(rep, loc, Some(d.bcid)),
-        _ => send_via_home(loc, d.handle, d.g, d.fill_to, d.retries - 1, f),
+        _ if route.by_birth || route.retries == 0 => f(rep, loc, g, None),
+        _ => send_via_home(loc, handle_of(rep), g, route.hop(), f),
     }
 }
 
 /// Ships `f` through `g`'s home location: the home resolves `g`'s
-/// registered or birth placement (see [`resolve`]), optionally sends a
-/// cache fill to `fill_to`, and forwards `f` there — where delivery is
+/// registered or birth placement (see [`resolve`]), sends the requester a
+/// cache fill when `route.fill`, and forwards `f` there — where delivery is
 /// verified (see [`deliver_verified`]). `f` runs at the home with `None`
 /// when `g` has neither.
-fn send_via_home<Rep, G, F>(
-    loc: &Location,
-    handle: Handle,
-    g: G,
-    fill_to: Option<LocId>,
-    retries: u8,
-    f: F,
-) where
+fn send_via_home<Rep, G, F>(loc: &Location, handle: Handle, g: G, route: Route, f: F)
+where
     Rep: HasDirectory<G>,
     G: Gid,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
+    F: FnOnce(&RefCell<Rep>, &Location, G, Option<Bcid>) + Send + 'static,
 {
     let home = home_of(&g, loc.nlocs());
     loc.async_rmi(home, handle, move |rep: &RefCell<Rep>, hloc| {
         let Some((bcid, owner, by_birth)) = resolve(rep, &g) else {
-            return f(rep, hloc, None);
+            return f(rep, hloc, g, None);
         };
-        if let Some(req) = fill_to {
-            on_cache(rep, hloc, handle, req, move |c| c.record(g, bcid, owner));
+        if route.fill {
+            on_cache(rep, hloc, route.requester(), move |c| c.record(g, bcid, owner));
         }
-        let d = Delivery { handle, g, bcid, fill_to, retries, by_birth };
+        let route = Route { by_birth, ..route };
         if owner == hloc.id() {
-            deliver_verified(rep, hloc, d, f);
+            deliver_verified(rep, hloc, g, route, f);
         } else {
             // Method forwarding: migrate the computation.
-            hloc.async_rmi(owner, handle, move |rep2: &RefCell<Rep>, loc2| {
-                deliver_verified(rep2, loc2, d, f);
+            hloc.async_rmi(owner, handle_of(rep), move |rep2: &RefCell<Rep>, loc2| {
+                deliver_verified(rep2, loc2, g, route, f);
             });
         }
     });
 }
 
-/// Ships `f` straight to a guessed owner — `guess` is `(bcid, owner,
-/// guess-came-from-cache)`. The target confirms ownership with
-/// [`HasDirectory::owns_gid`]; a stale guess self-heals: the target
-/// follows its forwarding pointer, re-pointing the requester's cache at
-/// the pointer's target, or else re-forwards through the home,
-/// piggybacking an invalidation back to the requester when the guess came
-/// from its cache (conditionally: see the module docs).
-fn route_optimistic<Rep, G, F>(
-    obj: &PObject<Rep>,
-    g: G,
-    guess: (Bcid, LocId, bool),
-    by_birth: bool,
-    fill_requester: bool,
-    f: F,
-) where
+/// Ships `f` straight to a guessed `owner`. The target confirms ownership
+/// with [`HasDirectory::owns_gid`]; a stale guess self-heals: the target
+/// follows its forwarding pointer, re-pointing the requester's cache at the
+/// pointer's target, or else re-forwards through the home, piggybacking an
+/// invalidation back to the requester when the guess came from its cache
+/// (conditionally: see the module docs).
+fn route_optimistic<Rep, G, F>(obj: &PObject<Rep>, g: G, owner: LocId, route: Route, f: F)
+where
     Rep: HasDirectory<G>,
     G: Gid,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
+    F: FnOnce(&RefCell<Rep>, &Location, G, Option<Bcid>) + Send + 'static,
 {
-    let (bcid, owner, from_cache) = guess;
-    let handle = obj.handle();
-    let requester = obj.location().id();
     obj.invoke_at(owner, move |rep: &RefCell<Rep>, tloc| {
-        let owns = rep.borrow().owns_gid(&g);
-        if owns {
-            f(rep, tloc, Some(bcid));
-            return;
+        let owned = rep.borrow().owns_gid(&g);
+        if let Some(bcid) = owned {
+            return f(rep, tloc, g, Some(bcid));
         }
         tloc.note_dir_cache_stale();
         let pointer = rep.borrow().directory().pointers.get(&g).copied();
         match pointer {
-            Some((bcid, to)) if fill_requester => {
-                on_cache(rep, tloc, handle, requester, move |c| c.record(g, bcid, to))
+            Some((bcid, to)) if route.fill => {
+                on_cache(rep, tloc, route.requester(), move |c| c.record(g, bcid, to))
             }
-            _ if from_cache => {
+            _ if route.invalidate => {
                 let stale = tloc.id();
-                on_cache(rep, tloc, handle, requester, move |c| c.invalidate_if_owner(&g, stale))
+                on_cache(rep, tloc, route.requester(), move |c| c.invalidate_if_owner(&g, stale))
             }
             _ => {}
         }
-        let fill_to = fill_requester.then_some(requester);
-        let d = Delivery { handle, g, bcid, fill_to, retries: FORWARD_RETRIES, by_birth };
-        redeliver(rep, tloc, d, f);
+        redeliver(rep, tloc, g, route, f);
     });
 }
 
 /// Executes `f` on the location owning `g` (asynchronously), resolving
-/// through the directory with the chosen protocol. `f` receives
+/// through the directory with the chosen protocol. `f` receives `g` and
 /// `Some(bcid)` at the owner, or `None` when `g` is unknown (executed at
 /// the home for `Forwarding`, at the caller for `TwoPhase`) or, resolved
 /// by birth, stored nowhere along its pointers (executed at the last
-/// location asked).
+/// location asked). `f` need not capture `g`: the request carries it once.
 ///
 /// `hint` is an optional *static hint* — the container's default (birth)
 /// owner of `g`, tried when the owner cache has no entry. A wrong hint
@@ -682,43 +718,30 @@ fn route_optimistic<Rep, G, F>(
 /// policies route identically; on a stale guess even `TwoPhase` heals
 /// through the forwarding chain, and `f` runs at the *home* with `None`
 /// when `g` is unknown.
-pub fn dir_route<Rep, G, F>(
-    obj: &PObject<Rep>,
-    policy: Resolution,
-    g: G,
-    hint: Option<(Bcid, LocId)>,
-    f: F,
-) where
+pub fn dir_route<Rep, G, F>(obj: &PObject<Rep>, policy: Resolution, g: G, hint: Option<LocId>, f: F)
+where
     Rep: HasDirectory<G>,
     G: Gid,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) + Send + 'static,
+    F: FnOnce(&RefCell<Rep>, &Location, G, Option<Bcid>) + Send + 'static,
 {
     let (guess, cache_on) = take_guess(obj, &g, hint);
-    if let Some(guess) = guess {
-        route_optimistic(obj, g, guess, false, cache_on, f);
-        return;
+    let me = obj.location().id();
+    if let Some((owner, from_cache)) = guess {
+        return route_optimistic(obj, g, owner, Route::new(me, cache_on, from_cache, false), f);
     }
     match policy {
         Resolution::Forwarding => {
-            let me = obj.location().id();
-            send_via_home(
-                obj.location(),
-                obj.handle(),
-                g,
-                cache_on.then_some(me),
-                FORWARD_RETRIES,
-                f,
-            );
+            send_via_home(obj.location(), obj.handle(), g, Route::new(me, cache_on, false, false), f)
         }
         Resolution::TwoPhase => match lookup(obj, g) {
-            None => f(obj.rep_cell(), obj.location(), None),
+            None => f(obj.rep_cell(), obj.location(), g, None),
             Some((bcid, owner, by_birth)) => {
                 if let Some(c) = obj.rep_cell().borrow().owner_cache() {
                     c.record(g, bcid, owner);
                 }
                 // Delivery is verified like any optimistic route: the
                 // owner may have changed between the lookup and arrival.
-                route_optimistic(obj, g, (bcid, owner, cache_on), by_birth, cache_on, f);
+                route_optimistic(obj, g, owner, Route::new(me, cache_on, cache_on, by_birth), f);
             }
         },
     }
@@ -733,17 +756,17 @@ pub fn dir_route_ret<Rep, G, R, F>(
     obj: &PObject<Rep>,
     policy: Resolution,
     g: G,
-    hint: Option<(Bcid, LocId)>,
+    hint: Option<LocId>,
     f: F,
 ) -> RmiFuture<R>
 where
     Rep: HasDirectory<G>,
     G: Gid,
     R: Send + 'static,
-    F: FnOnce(&RefCell<Rep>, &Location, Option<Bcid>) -> R + Send + 'static,
+    F: FnOnce(&RefCell<Rep>, &Location, G, Option<Bcid>) -> R + Send + 'static,
 {
     let (token, fut) = obj.location().make_reply_slot::<R>();
-    dir_route(obj, policy, g, hint, move |rep, loc, b| loc.reply(token, f(rep, loc, b)));
+    dir_route(obj, policy, g, hint, move |rep, loc, g, b| loc.reply(token, f(rep, loc, g, b)));
     fut
 }
 
@@ -754,6 +777,7 @@ mod tests {
     use std::collections::HashMap;
 
     struct Rep {
+        me: LocId,
         dir: DirectoryShard<u64>,
         cache: OwnerCache<u64>,
         values: HashMap<u64, i64>, // elements living on this location
@@ -772,15 +796,17 @@ mod tests {
             Some(&self.cache)
         }
 
-        fn owns_gid(&self, g: &u64) -> bool {
-            self.values.contains_key(g)
+        /// Each location stores its elements in bcid = its id.
+        fn owns_gid(&self, g: &u64) -> Option<Bcid> {
+            self.values.contains_key(g).then_some(self.me)
         }
     }
 
     fn setup(loc: &Location) -> PObject<Rep> {
-        let obj = PObject::register(
+        let obj = dir_register(
             loc,
             Rep {
+                me: loc.id(),
                 dir: DirectoryShard::new(),
                 cache: OwnerCache::from_config(loc.config()),
                 values: HashMap::new(),
@@ -903,7 +929,7 @@ mod tests {
         execute(RtsConfig::default(), 4, |loc| {
             let obj = setup(loc);
             for g in 0..64u64 {
-                dir_route(&obj, Resolution::Forwarding, g, None, move |rep, loc2, bcid| {
+                dir_route(&obj, Resolution::Forwarding, g, None, move |rep, loc2, _, bcid| {
                     assert_eq!(bcid, Some(g as usize % loc2.nlocs()));
                     *rep.borrow_mut().values.get_mut(&g).expect("must run at owner") += 1;
                 });
@@ -921,7 +947,7 @@ mod tests {
         execute(RtsConfig::default(), 4, |loc| {
             let obj = setup(loc);
             for g in (loc.id() as u64..64).step_by(5) {
-                dir_route(&obj, Resolution::TwoPhase, g, None, move |rep, _, _| {
+                dir_route(&obj, Resolution::TwoPhase, g, None, move |rep, _, _, _| {
                     *rep.borrow_mut().values.get_mut(&g).expect("must run at owner") -= 1;
                 });
             }
@@ -937,7 +963,7 @@ mod tests {
             let obj = setup(loc);
             for g in 0..64u64 {
                 for policy in [Resolution::Forwarding, Resolution::TwoPhase] {
-                    let v = dir_route_ret(&obj, policy, g, None, move |rep, _, _| {
+                    let v = dir_route_ret(&obj, policy, g, None, move |rep, _, _, _| {
                         rep.borrow().values[&g]
                     })
                     .get();
@@ -952,10 +978,10 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let obj = setup(loc);
             let missing =
-                dir_route_ret(&obj, Resolution::Forwarding, 9999, None, |_, _, bcid| bcid.is_none()).get();
+                dir_route_ret(&obj, Resolution::Forwarding, 9999, None, |_, _, _, bcid| bcid.is_none()).get();
             assert!(missing);
             let missing2 =
-                dir_route_ret(&obj, Resolution::TwoPhase, 9999, None, |_, _, bcid| bcid.is_none()).get();
+                dir_route_ret(&obj, Resolution::TwoPhase, 9999, None, |_, _, _, bcid| bcid.is_none()).get();
             assert!(missing2);
         });
     }
@@ -973,7 +999,7 @@ mod tests {
                 dir_insert(&obj, 3, 0, 0);
             }
             loc.rmi_fence();
-            let v = dir_route_ret(&obj, Resolution::Forwarding, 3, None, |rep, loc2, _| {
+            let v = dir_route_ret(&obj, Resolution::Forwarding, 3, None, |rep, loc2, _, _| {
                 assert_eq!(loc2.id(), 0);
                 rep.borrow().values[&3]
             })
@@ -994,7 +1020,7 @@ mod tests {
                 let before = loc.stats().remote_requests;
                 loc.barrier();
                 for _ in 0..50 {
-                    let v = dir_route_ret(&obj, Resolution::Forwarding, hot, None, move |rep, _, _| {
+                    let v = dir_route_ret(&obj, Resolution::Forwarding, hot, None, move |rep, _, _, _| {
                         rep.borrow().values[&hot]
                     })
                     .get();
@@ -1024,7 +1050,7 @@ mod tests {
             // Location 0 warms its cache for gid 7 (owned by location 1).
             if loc.id() == 0 {
                 let v =
-                    dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, _, _| rep.borrow().values[&7])
+                    dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, _, _, _| rep.borrow().values[&7])
                         .get();
                 assert_eq!(v, 70);
             }
@@ -1040,7 +1066,7 @@ mod tests {
             // Location 0's cached owner is now stale; the access must
             // self-heal through the home and still observe the value.
             if loc.id() == 0 {
-                let v = dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, loc2, _| {
+                let v = dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, loc2, _, _| {
                     assert_eq!(loc2.id(), 2, "must execute at the new owner");
                     rep.borrow().values[&7]
                 })
@@ -1048,7 +1074,7 @@ mod tests {
                 assert_eq!(v, 70);
                 // The stale entry was invalidated and re-filled by the
                 // home; the next access goes straight to the new owner.
-                let v2 = dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, loc2, _| {
+                let v2 = dir_route_ret(&obj, Resolution::Forwarding, 7, None, |rep, loc2, _, _| {
                     assert_eq!(loc2.id(), 2);
                     rep.borrow().values[&7]
                 })
@@ -1067,12 +1093,12 @@ mod tests {
             let obj = setup(loc);
             // Correct hint: straight to the owner, works with caching off.
             let owner1 = 1 % loc.nlocs();
-            let hint = Some((owner1, owner1));
-            let v = dir_route_ret(&obj, Resolution::Forwarding, 1, hint, |rep, _, _| rep.borrow().values[&1]);
+            let hint = Some(owner1);
+            let v = dir_route_ret(&obj, Resolution::Forwarding, 1, hint, |rep, _, _, _| rep.borrow().values[&1]);
             assert_eq!(v.get(), 10);
             // Wrong hint: self-heals through the home.
             let wrong = (owner1 + 1) % loc.nlocs();
-            let v = dir_route_ret(&obj, Resolution::Forwarding, 1, Some((wrong, wrong)), |rep, loc2, _| {
+            let v = dir_route_ret(&obj, Resolution::Forwarding, 1, Some(wrong), |rep, loc2, _, _| {
                 assert_eq!(loc2.id(), 1 % loc2.nlocs());
                 rep.borrow().values[&1]
             });
@@ -1085,7 +1111,7 @@ mod tests {
         execute(RtsConfig::default(), 2, |loc| {
             let obj = setup(loc);
             let peer_gid = (loc.id() as u64 + 1) % 2;
-            let _ = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, None, move |rep, _, _| {
+            let _ = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, None, move |rep, _, _, _| {
                 rep.borrow().values[&peer_gid]
             })
             .get();
@@ -1096,7 +1122,7 @@ mod tests {
                 "bump must invalidate this location's cached owners"
             );
             // Routing still works after the bulk invalidation.
-            let v = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, None, move |rep, _, _| {
+            let v = dir_route_ret(&obj, Resolution::Forwarding, peer_gid, None, move |rep, _, _, _| {
                 rep.borrow().values[&peer_gid]
             })
             .get();

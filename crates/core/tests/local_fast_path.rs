@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
-    dir_insert, dir_lookup, dir_migrate, home_of, DirectoryShard, HasDirectory, OwnerCache,
-    Resolution,
+    dir_insert, dir_lookup, dir_migrate, dir_register, home_of, DirectoryShard, HasDirectory,
+    OwnerCache, Resolution,
 };
 use stapl_core::gid::Bcid;
 use stapl_core::location_manager::LocationManager;
@@ -180,8 +180,9 @@ impl HasDirectory<u64> for Rep {
         Some(&self.cache)
     }
 
-    fn owns_gid(&self, g: &u64) -> bool {
-        self.values.contains_key(g)
+    /// The bcid is never read: nothing here is routed to an owner.
+    fn owns_gid(&self, g: &u64) -> Option<Bcid> {
+        self.values.contains_key(g).then_some(0)
     }
 }
 
@@ -193,7 +194,7 @@ impl HasDirectory<u64> for Rep {
 fn an_element_stored_here_is_registered_and_migrated_without_resolution() {
     execute(RtsConfig::unbuffered(), 2, |loc| {
         let cache = OwnerCache::from_config(loc.config());
-        let obj = PObject::register(loc, Rep { dir: DirectoryShard::new(), cache, values: HashMap::new() });
+        let obj = dir_register(loc, Rep { dir: DirectoryShard::new(), cache, values: HashMap::new() });
         loc.rmi_fence();
         for g in (loc.id() as u64..64).step_by(2) {
             obj.local_mut().values.insert(g, g as i64 * 10);

@@ -28,7 +28,13 @@
 //! Under `--mem` the counting allocator would skew its times, so it is not
 //! run.
 //!
-//! `--mem` adds one line per pass from a counting global allocator: the
+//! `--mem` adds a column to the first table: each phase's peak live bytes,
+//! over what was live when pass 0 began and the most over the passes. The
+//! counting allocator stamps every call with `(now_ns, live)` in a
+//! preallocated buffer, and after each pass the samples are attributed to
+//! location 0's `PassRec` phases by timestamp (a phase's peak is the most
+//! live at its start or at any call inside it).
+//! It also adds one line per pass from the counting allocator: the
 //! most bytes live at once during the pass and the bytes live after its
 //! closing fence, both over what was live when pass 0 began, the
 //! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made and
@@ -43,7 +49,7 @@
 //! times at N > 1 are location 0's and do not repeat on a small host.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -60,6 +66,15 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
+/// Room for one pass's allocator calls (a P=2 `dynamic-graph-kv` pass
+/// makes ≈ 18 k); calls past it go unsampled, and the table says so.
+const SAMPLES: usize = 1 << 20;
+/// `(now_ns, live)` after each allocator call of the pass, in call order;
+/// `SAMPLED` counts the calls, sampled or not.
+static SAMPLE_NS: [AtomicU64; SAMPLES] = [const { AtomicU64::new(0) }; SAMPLES];
+static SAMPLE_LIVE: [AtomicUsize; SAMPLES] = [const { AtomicUsize::new(0) }; SAMPLES];
+static SAMPLED: AtomicUsize = AtomicUsize::new(0);
+
 struct Counting;
 
 impl Counting {
@@ -68,12 +83,34 @@ impl Counting {
             return;
         }
         CALLS.fetch_add(1, Relaxed);
-        if to >= from {
-            PEAK.fetch_max(LIVE.fetch_add(to - from, Relaxed) + (to - from), Relaxed);
+        let live = if to >= from {
+            let live = LIVE.fetch_add(to - from, Relaxed) + (to - from);
+            PEAK.fetch_max(live, Relaxed);
+            live
         } else {
-            LIVE.fetch_sub(from - to, Relaxed);
+            LIVE.fetch_sub(from - to, Relaxed).wrapping_sub(from - to)
+        };
+        let i = SAMPLED.fetch_add(1, Relaxed);
+        if i < SAMPLES {
+            SAMPLE_NS[i].store(now_ns(), Relaxed);
+            SAMPLE_LIVE[i].store(live, Relaxed);
         }
     }
+}
+
+/// Each phase's peak bytes live over `base`, from the pass's samples: the
+/// most live at any call inside the phase, or at the last call before it.
+fn phase_peaks(rec: &PassRec, base: usize) -> Vec<(&'static str, u64)> {
+    let n = SAMPLED.load(Relaxed).min(SAMPLES);
+    let samples: Vec<(u64, usize)> = (0..n).map(|i| (SAMPLE_NS[i].load(Relaxed), SAMPLE_LIVE[i].load(Relaxed))).collect();
+    let mut peaks = Vec::new();
+    for p in &rec.phases {
+        let before = samples.iter().filter(|(t, _)| *t < p.start_ns).max_by_key(|(t, _)| *t);
+        let inside = samples.iter().filter(|(t, _)| (p.start_ns..=p.end_ns).contains(t));
+        let over_base = before.into_iter().chain(inside).map(|(_, live)| live.wrapping_sub(base) as isize).max();
+        merge(&mut peaks, p.name, over_base.unwrap_or(0).max(0) as u64, u64::max);
+    }
+    peaks
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -125,6 +162,9 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
         // the pass and in its closing fence, remote requests and bytes sent
         // by all locations.
         let mut mem = Vec::with_capacity(passes);
+        // (name, most bytes live over `base`) in first-seen order, `--mem` only.
+        let mut peaks: Vec<(&'static str, u64)> = Vec::new();
+        let mut unsampled = 0;
         loc.barrier();
         let base = LIVE.load(Relaxed);
         for pass in 0..passes {
@@ -132,6 +172,9 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             PEAK.store(LIVE.load(Relaxed), Relaxed);
             // Every location's, read while none is in a pass.
             let sent = loc.stats();
+            if loc.id() == 0 {
+                SAMPLED.store(0, Relaxed);
+            }
             loc.barrier();
             let mut rec = PassRec { start_ns: now_ns(), ..PassRec::default() };
             W::pass(loc, &mut st, &input, pass, &mut rec);
@@ -150,6 +193,12 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             let over_base = |bytes: &AtomicUsize| bytes.load(Relaxed).wrapping_sub(base) as isize;
             let sent = loc.stats().since(&sent);
             mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls, reclaim, sent.remote_requests, sent.bytes_sent));
+            if COUNTING.load(Relaxed) && loc.id() == 0 {
+                unsampled = unsampled.max(SAMPLED.load(Relaxed).saturating_sub(SAMPLES));
+                for (name, peak) in phase_peaks(&rec, base) {
+                    merge(&mut peaks, name, peak, u64::max);
+                }
+            }
             if loc.id() == 0 {
                 let t = Instant::now();
                 W::ref_pass(&mut reference.lock().expect("location 0 only"), &input, pass);
@@ -167,8 +216,21 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
         if loc.id() != 0 {
             return;
         }
+        if COUNTING.load(Relaxed) {
+            println!("  {:<36} {:>9}   {:>13}", "phase", "min ms", "peak live KiB");
+        }
         for (name, ns) in mins.iter().chain(&[("pass", pass_min), ("reference pass", ref_min)]) {
-            println!("  {name:<36} {:>9.3}", *ns as f64 / 1e6);
+            let peak = match *name {
+                "pass" => mem.iter().map(|m| m.0.max(0) as u64).max(),
+                _ => peaks.iter().find(|(n, _)| n == name).map(|(_, b)| *b),
+            };
+            match peak {
+                Some(bytes) => println!("  {name:<36} {:>9.3}   {:>13}", *ns as f64 / 1e6, bytes / 1024),
+                None => println!("  {name:<36} {:>9.3}", *ns as f64 / 1e6),
+            }
+        }
+        if unsampled > 0 {
+            println!("  ({unsampled} allocator calls of the busiest pass went unsampled: its phase peaks are low bounds)");
         }
         if COUNTING.load(Relaxed) {
             println!("  pass   peak live MiB   live after MiB   allocator calls   in closing fence   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
