@@ -64,9 +64,9 @@ fn add_edge_via_home(home: usize, dir_cache: bool) -> (u64, u64) {
     })
 }
 
-/// Every row: its name, the bytes a request of it carries, and the
-/// measured `(requests, bytes)`.
-fn rows() -> Vec<(&'static str, u64, (u64, u64))> {
+/// Every row: its name, the bytes each request of one round of it carries,
+/// and the measured `(requests, bytes)` of whole rounds.
+fn rows() -> Vec<(&'static str, &'static [u64], (u64, u64))> {
     let set_element = at_p2(RtsConfig::base(), |loc| {
         let a = PArray::new(loc, 64, 0u64);
         window(loc, || {
@@ -103,14 +103,15 @@ fn rows() -> Vec<(&'static str, u64, (u64, u64))> {
         window(loc, || l.set_element(theirs, 8))
     });
     vec![
-        ("PArray::set_element", 16, set_element),
-        ("PHashMap::insert_async", 16, hash_map(false)),
-        ("PHashMap::apply_async", 16, hash_map(true)),
-        ("AlgoGraph scatter, warm owner cache", 24, warm_scatter),
-        ("add_edge_async, requester -> home (the owner)", 24, add_edge_via_home(1, false)),
-        ("add_edge_async, home (the requester) -> owner", 24, add_edge_via_home(0, false)),
-        ("add_edge_async, requester -> home (the owner), and its cache fill back", 24, add_edge_via_home(1, true)),
-        ("PList::set_element, to the birth owner", 32, list_set),
+        ("PArray::set_element", &[16], set_element),
+        ("PHashMap::insert_async", &[16], hash_map(false)),
+        ("PHashMap::apply_async", &[16], hash_map(true)),
+        ("AlgoGraph scatter, warm owner cache", &[24], warm_scatter),
+        ("add_edge_async, requester -> home (the owner)", &[24], add_edge_via_home(1, false)),
+        ("add_edge_async, home (the requester) -> owner", &[24], add_edge_via_home(0, false)),
+        // The fill carries `g` and the owner: the owner names its bcid.
+        ("add_edge_async, requester -> home (the owner), and its cache fill back", &[24, 16], add_edge_via_home(1, true)),
+        ("PList::set_element, to the birth owner", &[32], list_set),
     ]
 }
 
@@ -119,9 +120,12 @@ fn each_request_carries_its_pinned_bytes() {
     let rows = rows();
     let wrong: Vec<String> = rows
         .iter()
-        .filter(|(_, pinned, (requests, bytes))| *requests == 0 || *bytes != pinned * requests)
+        .filter(|(_, pinned, (requests, bytes))| {
+            let (round, n) = (pinned.iter().sum::<u64>(), pinned.len() as u64);
+            *requests == 0 || requests % n != 0 || *bytes != round * (requests / n)
+        })
         .map(|(name, pinned, (requests, bytes))| {
-            format!("{name}: pinned {pinned} B/request, sent {bytes} B in {requests} requests")
+            format!("{name}: pinned {pinned:?} B per round, sent {bytes} B in {requests} requests")
         })
         .collect();
     assert!(wrong.is_empty(), "request sizes moved:\n  {}", wrong.join("\n  "));

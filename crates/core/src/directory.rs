@@ -19,7 +19,7 @@
 //!
 //! Both protocols pay the home hop on *every* access, including for keys a
 //! location touches thousands of times in a row. The locality layer caches
-//! resolved `gid → (bcid, owner)` mappings at the requesting location (an
+//! resolved `gid → owner` mappings at the requesting location (an
 //! [`OwnerCache`] embedded in the representative via
 //! [`HasDirectory::owner_cache`]) and routes straight to the cached owner:
 //!
@@ -32,7 +32,8 @@
 //!   the requester (the paper's forwarding chain makes executing a request
 //!   after extra hops indistinguishable from executing it after one);
 //! * a **miss** resolves through the home as before, and the home sends
-//!   the authoritative mapping back to the requester (a cache fill).
+//!   the authoritative owner back to the requester (a cache fill: `g` and
+//!   the owner, 16 bytes for a `u64` GID — the owner names its own bcid).
 //!
 //! Delivery through the home is verified the same way: if the
 //! directory-recorded owner no longer stores the element (a
@@ -51,7 +52,7 @@
 //!   answers with it, marking the request *by birth*. Creating an element
 //!   there sends nothing.
 //! * **Forwarding pointer, set on extraction, cleared on install.**
-//!   [`dir_migrate`]'s extraction leaves `g → (dest_bcid, dest)` in the
+//!   [`dir_migrate`]'s extraction leaves `g → dest` in the
 //!   old owner's shard, and the install clears the installer's own
 //!   pointer. A delivery that finds `g` not stored follows the pointer
 //!   before anything else; the payload left on the same per-pair FIFO
@@ -110,9 +111,9 @@ pub struct DirectoryShard<G: Gid> {
     /// reads it here instead of carrying it.
     handle: Option<Handle>,
     entries: IdHashMap<G, (Bcid, LocId)>,
-    /// `g → (bcid, dest)` for every `g` [`dir_migrate`] extracted here and
-    /// no install brought back.
-    pointers: IdHashMap<G, (Bcid, LocId)>,
+    /// `g → dest` for every `g` [`dir_migrate`] extracted here and no
+    /// install brought back.
+    pointers: IdHashMap<G, LocId>,
 }
 
 impl<G: Gid> Default for DirectoryShard<G> {
@@ -153,8 +154,9 @@ impl<G: Gid> DirectoryShard<G> {
 
     /// Approximate bytes used — counted as container metadata.
     pub fn memory_size(&self) -> usize {
-        (self.entries.len() + self.pointers.len())
-            * (std::mem::size_of::<G>() + std::mem::size_of::<(Bcid, LocId)>() + std::mem::size_of::<u64>())
+        let slot = std::mem::size_of::<G>() + std::mem::size_of::<u64>();
+        self.entries.len() * (slot + std::mem::size_of::<(Bcid, LocId)>())
+            + self.pointers.len() * (slot + std::mem::size_of::<LocId>())
     }
 }
 
@@ -162,7 +164,7 @@ impl<G: Gid> DirectoryShard<G> {
 // Owner cache
 // ---------------------------------------------------------------------
 
-/// A per-location cache of resolved `gid → (bcid, owner)` mappings with
+/// A per-location cache of resolved `gid → owner` mappings with
 /// epoch-based bulk invalidation, consulted by [`dir_route`] /
 /// [`dir_route_ret`] before falling back to home-forwarding.
 ///
@@ -178,7 +180,8 @@ pub struct OwnerCache<G: Gid> {
     epoch: Cell<u64>,
     /// The epoch whose dead entries a full cache last purged.
     purged: Cell<u64>,
-    entries: RefCell<IdHashMap<G, (Bcid, LocId, u64)>>,
+    /// `g → (owner, epoch recorded in)`.
+    entries: RefCell<IdHashMap<G, (LocId, u64)>>,
     #[cfg(test)]
     purges: Cell<usize>,
 }
@@ -214,13 +217,13 @@ impl<G: Gid> OwnerCache<G> {
     }
 
     /// The cached owner of `g`, if fresh.
-    pub fn lookup(&self, g: &G) -> Option<(Bcid, LocId)> {
+    pub fn lookup(&self, g: &G) -> Option<LocId> {
         if !self.enabled {
             return None;
         }
         let mut entries = self.entries.borrow_mut();
         match entries.get(g) {
-            Some(&(bcid, owner, epoch)) if epoch == self.epoch.get() => Some((bcid, owner)),
+            Some(&(owner, epoch)) if epoch == self.epoch.get() => Some(owner),
             Some(_) => {
                 entries.remove(g);
                 None
@@ -229,11 +232,11 @@ impl<G: Gid> OwnerCache<G> {
         }
     }
 
-    /// Records an authoritative mapping. When the cache is full, entries
+    /// Records `g`'s authoritative owner. When the cache is full, entries
     /// from dead epochs are purged first — one pass over the table per
     /// epoch, after which every stored entry is live until the next bump;
     /// if it is still full, an arbitrary entry is evicted.
-    pub fn record(&self, g: G, bcid: Bcid, owner: LocId) {
+    pub fn record(&self, g: G, owner: LocId) {
         if !self.enabled {
             return;
         }
@@ -241,7 +244,7 @@ impl<G: Gid> OwnerCache<G> {
         let mut entries = self.entries.borrow_mut();
         if entries.len() >= self.capacity && !entries.contains_key(&g) {
             if self.purged.replace(epoch) != epoch {
-                entries.retain(|_, &mut (_, _, e)| e == epoch);
+                entries.retain(|_, &mut (_, e)| e == epoch);
                 #[cfg(test)]
                 self.purges.set(self.purges.get() + 1);
             }
@@ -251,7 +254,7 @@ impl<G: Gid> OwnerCache<G> {
                 }
             }
         }
-        entries.insert(g, (bcid, owner, epoch));
+        entries.insert(g, (owner, epoch));
     }
 
     /// Drops the entry for `g`, if any.
@@ -265,7 +268,7 @@ impl<G: Gid> OwnerCache<G> {
     /// a fill that overtook the invalidation names another and survives it.
     pub fn invalidate_if_owner(&self, g: &G, stale: LocId) {
         let mut entries = self.entries.borrow_mut();
-        if entries.get(g).is_some_and(|&(_, owner, _)| owner == stale) {
+        if entries.get(g).is_some_and(|&(owner, _)| owner == stale) {
             entries.remove(g);
         }
     }
@@ -291,7 +294,7 @@ impl<G: Gid> OwnerCache<G> {
     /// Approximate bytes used — counted as container metadata.
     pub fn memory_size(&self) -> usize {
         self.entries.borrow().len()
-            * (std::mem::size_of::<G>() + std::mem::size_of::<(Bcid, LocId, u64)>())
+            * (std::mem::size_of::<G>() + std::mem::size_of::<(LocId, u64)>())
     }
 }
 
@@ -360,7 +363,7 @@ where
 {
     if owner != obj.location().id() {
         if let Some(c) = obj.rep_cell().borrow().owner_cache() {
-            c.record(g, bcid, owner);
+            c.record(g, owner);
         }
     }
     let home = home_of(&g, obj.location().nlocs());
@@ -401,7 +404,7 @@ where
 
 /// Asynchronously migrates the element (or whole base container) behind
 /// `g` to location `dest`: routes to the current owner, `extract`s the
-/// payload there and leaves a forwarding pointer `g → (dest_bcid, dest)`,
+/// payload there and leaves a forwarding pointer `g → dest`,
 /// ships the payload to `dest`, `install`s it (clearing `dest`'s own
 /// pointer for `g`), and only then re-registers `(g → dest_bcid, dest)` at
 /// the home — so the directory never points at a location the payload has
@@ -434,7 +437,7 @@ pub fn dir_migrate<Rep, G, P>(
         loc.note_migration(dest as u64);
         {
             let mut rep = cell.borrow_mut();
-            rep.directory_mut().pointers.insert(g, (dest_bcid, dest));
+            rep.directory_mut().pointers.insert(g, dest);
             if let Some(c) = rep.owner_cache() {
                 c.invalidate(&g);
             }
@@ -512,7 +515,7 @@ where
     let cache = rep.owner_cache().filter(|c| c.enabled());
     let cache_on = cache.is_some();
     if let Some(c) = cache {
-        if let Some((_, owner)) = c.lookup(g) {
+        if let Some(owner) = c.lookup(g) {
             obj.location().note_dir_cache_hit();
             return (Some((owner, true)), cache_on);
         }
@@ -628,7 +631,7 @@ where
 {
     let pointer = rep.borrow().directory().pointers.get(&g).copied();
     match pointer {
-        Some((_, to)) if route.retries > 0 => {
+        Some(to) if route.retries > 0 => {
             let route = route.hop();
             loc.async_rmi(to, handle_of(rep), move |rep2: &RefCell<Rep>, loc2| {
                 deliver_verified(rep2, loc2, g, route, f);
@@ -652,11 +655,11 @@ where
 {
     let home = home_of(&g, loc.nlocs());
     loc.async_rmi(home, handle, move |rep: &RefCell<Rep>, hloc| {
-        let Some((bcid, owner, by_birth)) = resolve(rep, &g) else {
+        let Some((_, owner, by_birth)) = resolve(rep, &g) else {
             return f(rep, hloc, g, None);
         };
         if route.fill {
-            on_cache(rep, hloc, route.requester(), move |c| c.record(g, bcid, owner));
+            on_cache(rep, hloc, route.requester(), move |c| c.record(g, owner));
         }
         let route = Route { by_birth, ..route };
         if owner == hloc.id() {
@@ -690,9 +693,7 @@ where
         tloc.note_dir_cache_stale();
         let pointer = rep.borrow().directory().pointers.get(&g).copied();
         match pointer {
-            Some((bcid, to)) if route.fill => {
-                on_cache(rep, tloc, route.requester(), move |c| c.record(g, bcid, to))
-            }
+            Some(to) if route.fill => on_cache(rep, tloc, route.requester(), move |c| c.record(g, to)),
             _ if route.invalidate => {
                 let stale = tloc.id();
                 on_cache(rep, tloc, route.requester(), move |c| c.invalidate_if_owner(&g, stale))
@@ -735,9 +736,9 @@ where
         }
         Resolution::TwoPhase => match lookup(obj, g) {
             None => f(obj.rep_cell(), obj.location(), g, None),
-            Some((bcid, owner, by_birth)) => {
+            Some((_, owner, by_birth)) => {
                 if let Some(c) = obj.rep_cell().borrow().owner_cache() {
-                    c.record(g, bcid, owner);
+                    c.record(g, owner);
                 }
                 // Delivery is verified like any optimistic route: the
                 // owner may have changed between the lookup and arrival.
@@ -849,37 +850,37 @@ mod tests {
     fn cache_basics_epoch_and_eviction() {
         let c = OwnerCache::<u64>::new(true, 2);
         assert!(c.is_empty());
-        c.record(1, 0, 0);
-        c.record(2, 1, 1);
-        assert_eq!(c.lookup(&1), Some((0, 0)));
-        assert_eq!(c.lookup(&2), Some((1, 1)));
+        c.record(1, 0);
+        c.record(2, 1);
+        assert_eq!(c.lookup(&1), Some(0));
+        assert_eq!(c.lookup(&2), Some(1));
         // Capacity bound: a third entry evicts one of the existing two.
-        c.record(3, 2, 2);
+        c.record(3, 2);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(&3), Some((2, 2)));
+        assert_eq!(c.lookup(&3), Some(2));
         // Point invalidation.
         c.invalidate(&3);
         assert_eq!(c.lookup(&3), None);
         // An entry naming owner 2 survives an invalidation naming 1.
-        c.record(3, 2, 2);
+        c.record(3, 2);
         c.invalidate_if_owner(&3, 1);
-        assert_eq!(c.lookup(&3), Some((2, 2)));
+        assert_eq!(c.lookup(&3), Some(2));
         c.invalidate_if_owner(&3, 2);
         assert_eq!(c.lookup(&3), None);
         // Epoch bump kills every entry (lazily: the stale entry is evicted
         // on its next lookup).
-        c.record(4, 3, 3);
+        c.record(4, 3);
         c.bump_epoch();
         assert_eq!(c.epoch(), 1);
         assert_eq!(c.lookup(&4), None);
         // Dead-epoch entries also yield to capacity pressure.
-        c.record(5, 0, 0);
-        c.record(6, 1, 1);
+        c.record(5, 0);
+        c.record(6, 1);
         c.bump_epoch();
-        c.record(7, 2, 2);
-        c.record(8, 3, 3);
-        assert_eq!(c.lookup(&7), Some((2, 2)));
-        assert_eq!(c.lookup(&8), Some((3, 3)));
+        c.record(7, 2);
+        c.record(8, 3);
+        assert_eq!(c.lookup(&7), Some(2));
+        assert_eq!(c.lookup(&8), Some(3));
     }
 
     #[test]
@@ -887,16 +888,16 @@ mod tests {
         let cap = 64;
         let c = OwnerCache::<u64>::new(true, cap);
         for g in 0..11 * cap as u64 {
-            c.record(g, 0, 1);
+            c.record(g, 1);
             assert!(c.len() <= cap);
         }
         assert_eq!((c.len(), c.purges.get()), (cap, 0), "no dead epoch yet: nothing to purge");
         // A full cache of dead entries is purged by the next record, once.
         c.bump_epoch();
-        c.record(9999, 0, 1);
+        c.record(9999, 1);
         assert_eq!((c.len(), c.purges.get()), (1, 1));
         for g in 0..11 * cap as u64 {
-            c.record(g, 0, 1);
+            c.record(g, 1);
         }
         assert_eq!((c.len(), c.purges.get()), (cap, 1));
     }
@@ -904,7 +905,7 @@ mod tests {
     #[test]
     fn disabled_cache_is_inert() {
         let c = OwnerCache::<u64>::new(false, 64);
-        c.record(1, 0, 0);
+        c.record(1, 0);
         assert_eq!(c.lookup(&1), None);
         assert!(c.is_empty());
         let zero_cap = OwnerCache::<u64>::new(true, 0);

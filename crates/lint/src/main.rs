@@ -1,7 +1,7 @@
 //! CLI for `stapl-lint`.
 //!
 //! ```text
-//! stapl-lint [--root DIR] [--json] [--deny-all] [--list-suppressions] [PATH...]
+//! stapl-lint [--root DIR] [--deny-all] [PATH...]
 //! ```
 //!
 //! With no PATHs, sweeps the workspace under `--root` (default: the
@@ -9,10 +9,10 @@
 //! crate directory). With explicit PATHs, lints just those
 //! files/directories.
 //!
-//! Exit status: 0 clean, 1 findings present (or, under `--deny-all`,
-//! unused suppressions), 2 usage error.
+//! Exit status: 0 when clean, or when findings were only reported; 1 on
+//! any finding under `--deny-all`; 2 on a usage error.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use stapl_lint as lint;
@@ -21,21 +21,15 @@ const USAGE: &str = "\
 usage: stapl-lint [options] [PATH...]
 
 options:
-  --root DIR            workspace root to sweep and resolve paths against
-  --json                emit the machine-readable report on stdout
-  --deny-all            exit 1 on any finding or unused suppression (CI mode)
-  --list-suppressions   audit every `stapl-lint: allow(...)` comment
-  --help                show this help
+  --root DIR   workspace root to sweep and resolve paths against
+  --deny-all   exit 1 on any finding (CI mode)
+  --help       show this help
 
-rules: blocking-in-handler (L1), borrow-across-poll (L2),
-       divergent-collective (L3), undocumented-unsafe (L6)
-suppress with: // stapl-lint: allow(<rule>[, <rule>...]) — justification";
+rule: borrow-across-poll (L2) — a RefCell borrow live across a poll point";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     let mut deny_all = false;
-    let mut list_sups = false;
     let mut paths: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -48,9 +42,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--json" => json = true,
             "--deny-all" => deny_all = true,
-            "--list-suppressions" => list_sups = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -64,15 +56,14 @@ fn main() -> ExitCode {
     }
 
     let root = root.unwrap_or_else(find_root);
-    let files = if !paths.is_empty() {
+    let files = if paths.is_empty() {
+        lint::sweep_files(&root)
+    } else {
         let mut out = Vec::new();
         for p in &paths {
             let p = if p.is_absolute() { p.clone() } else { root.join(p) };
             if p.is_dir() {
-                out.extend(lint::sweep_files(&p));
-                // sweep_files only looks in the standard subdirs; also
-                // take .rs files directly under an arbitrary dir arg.
-                collect_dir(&p, &mut out);
+                lint::collect_rs(&p, &mut out);
             } else if p.is_file() {
                 out.push(p);
             } else {
@@ -83,52 +74,14 @@ fn main() -> ExitCode {
         out.sort();
         out.dedup();
         out
-    } else {
-        lint::sweep_files(&root)
     };
 
-    let run = lint::run(&root, &files);
-
-    if list_sups {
-        for s in &run.suppressions {
-            let rules: Vec<&str> = s
-                .rules
-                .iter()
-                .map(|r| r.map_or("all", |r| r.slug()))
-                .collect();
-            let status = if s.used { "used" } else { "UNUSED" };
-            let note = if s.note.is_empty() { "(no justification)" } else { s.note.as_str() };
-            println!(
-                "{}:{}: allow({}) [{}] lines {}-{} — {}",
-                s.file, s.line, rules.join(", "), status, s.from, s.to, note
-            );
-        }
-        println!(
-            "{} suppression(s), {} unused",
-            run.suppressions.len(),
-            run.suppressions.iter().filter(|s| !s.used).count()
-        );
+    let findings = lint::run(&root, &files);
+    for f in &findings {
+        println!("{}", f.render());
     }
-
-    if json {
-        print!("{}", lint::to_json(&run));
-    } else if !list_sups {
-        for f in &run.findings {
-            println!("{}", f.render());
-        }
-        println!(
-            "stapl-lint: {} file(s) scanned, {} finding(s), {} suppressed",
-            run.files_scanned,
-            run.findings.len(),
-            run.suppressed
-        );
-    }
-
-    let unused = run.suppressions.iter().filter(|s| !s.used).count();
-    if !run.findings.is_empty() || (deny_all && unused > 0) {
-        if deny_all && unused > 0 && run.findings.is_empty() {
-            eprintln!("stapl-lint: {unused} unused suppression(s) — remove stale allows (--list-suppressions shows them)");
-        }
+    println!("stapl-lint: {} file(s) scanned, {} finding(s)", files.len(), findings.len());
+    if deny_all && !findings.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -146,23 +99,6 @@ fn find_root() -> PathBuf {
         match dir.parent() {
             Some(p) => dir = p,
             None => return cwd,
-        }
-    }
-}
-
-/// Recursively collects `.rs` files under `dir` (used for explicit
-/// directory args that aren't one of the standard sweep roots).
-fn collect_dir(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        if path.components().any(|c| c.as_os_str() == "target") {
-            continue;
-        }
-        if path.is_dir() {
-            collect_dir(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
         }
     }
 }

@@ -3,11 +3,19 @@
 //! and every location returns that closure's value. Waiting is the
 //! caller's (`Location::wait_until`, which services incoming RMI requests),
 //! so a location can never be blocked at a barrier while a peer waits on a
-//! synchronous reply from it.
+//! synchronous reply from it. Every location of one generation must arrive
+//! for the same [`Kind`] (DESIGN.md "The RMI discipline").
 
 use std::any::Any;
+use std::panic::Location;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
+
+/// What a rendezvous is for; `Exit` is `execute`'s closing fence. Only
+/// kinds are compared, so a symmetric split (`broadcast` on both arms of an
+/// `if`) still meets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind { Barrier, Fence, Allreduce, Broadcast, Allgather, Scan, Exit }
 
 pub(crate) struct PollBarrier {
     total: usize,
@@ -16,6 +24,9 @@ pub(crate) struct PollBarrier {
     /// What the last arriver of the current generation computed, and how
     /// many locations have yet to read it.
     published: Mutex<Option<(Box<dyn Any + Send>, usize)>>,
+    /// The generation, kind and call site of the latest generation's first
+    /// arriver: an entry of an older generation is no entry.
+    first: Mutex<Option<(usize, Kind, &'static Location<'static>)>>,
 }
 
 impl PollBarrier {
@@ -25,6 +36,7 @@ impl PollBarrier {
             arrived: AtomicUsize::new(0),
             generation: AtomicUsize::new(0),
             published: Mutex::new(None),
+            first: Mutex::new(None),
         }
     }
 
@@ -37,12 +49,23 @@ impl PollBarrier {
     /// The next generation cannot publish before every location has read
     /// this one's value: its last arriver is, by definition, the last of
     /// them to leave this one.
+    #[track_caller]
     pub(crate) fn rendezvous<T: Clone + Send + 'static>(
         &self,
+        kind: Kind,
         wait: impl FnOnce(&dyn Fn() -> bool),
         last: impl FnOnce() -> T,
     ) -> T {
-        let gen = self.generation.load(Ordering::Acquire);
+        let (site, gen) = (Location::caller(), self.generation.load(Ordering::Acquire));
+        let mut first = self.first.lock().unwrap_or_else(PoisonError::into_inner);
+        let (_, first_kind, at) = first.filter(|f| f.0 == gen).unwrap_or((gen, kind, site));
+        *first = Some((gen, first_kind, at));
+        drop(first);
+        assert!(
+            first_kind == kind,
+            "stapl-rts: divergent collectives: `{kind:?}` at {site} meets `{first_kind:?}` at {at} — \
+             every location must reach the same barrier, fence or collective"
+        );
         if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
             let value: Box<dyn Any + Send> = Box::new(last());
             *self.published.lock().unwrap_or_else(PoisonError::into_inner) = Some((value, self.total));
@@ -103,7 +126,7 @@ mod tests {
                         assert_eq!(phase.load(Ordering::SeqCst) / n as u64, round);
                         phase.fetch_add(1, Ordering::SeqCst);
                         // The last arriver sees every arrival of the round.
-                        let seen = barrier.rendezvous(busy, || phase.load(Ordering::SeqCst));
+                        let seen = barrier.rendezvous(Kind::Barrier, busy, || phase.load(Ordering::SeqCst));
                         assert_eq!(seen, (round + 1) * n as u64);
                     }
                 });
@@ -122,6 +145,7 @@ mod tests {
             let sv = serviced.clone();
             s.spawn(move || {
                 b.rendezvous(
+                    Kind::Barrier,
                     |released| {
                         while !released() {
                             sv.fetch_add(1, Ordering::Relaxed);
@@ -132,7 +156,7 @@ mod tests {
             });
             // Give the first thread time to spin in the barrier.
             std::thread::sleep(std::time::Duration::from_millis(20));
-            barrier.rendezvous(busy, || ());
+            barrier.rendezvous(Kind::Barrier, busy, || ());
         });
         assert!(serviced.load(Ordering::Relaxed) > 0);
     }

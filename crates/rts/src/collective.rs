@@ -9,6 +9,7 @@
 //! similarly implements collectives below the RMI layer) and does not let
 //! p_object data bypass the message-passing discipline.
 
+use crate::barrier::Kind;
 use crate::location::Location;
 use crate::trace::TraceEventKind;
 
@@ -18,18 +19,21 @@ impl Location {
     /// order, so non-commutative `op` still gives a deterministic result).
     ///
     /// **Collective**: must be called by all locations.
-    pub fn allreduce<T, F>(&self, val: T, op: F) -> T
-    where
-        T: Send + Clone + 'static,
-        F: Fn(T, T) -> T,
-    {
+    #[track_caller]
+    pub fn allreduce<T: Send + Clone + 'static>(&self, val: T, op: impl Fn(T, T) -> T) -> T {
+        self.collective(Kind::Allreduce, val, op)
+    }
+
+    /// [`Location::allreduce`], its rendezvous of `kind`.
+    #[track_caller]
+    fn collective<T: Send + Clone + 'static>(&self, kind: Kind, val: T, op: impl Fn(T, T) -> T) -> T {
         let t0 = self.trace_clock();
         let board = &self.shared().board;
         *board[self.id()].lock().unwrap() = Some(Box::new(val));
         // Every contribution is on the board before the last arriver folds
         // it, and the board is empty again before anyone is released into
         // the next collective.
-        let out = self.rendezvous(|| {
+        let out = self.rendezvous(kind, || {
             let contributions = board.iter().enumerate().map(|(who, slot)| {
                 let v = slot.lock().unwrap().take().unwrap_or_else(|| {
                     panic!(
@@ -51,7 +55,7 @@ impl Location {
             });
             contributions.reduce(op).expect("an execution has at least one location")
         });
-        // Every collective funnels through allreduce, so this one span
+        // Every collective funnels through here, so this one span
         // kind covers broadcast / allgather / scans too.
         self.trace_span_end(TraceEventKind::CollectiveSpan, t0, 0);
         out
@@ -61,12 +65,13 @@ impl Location {
     /// are ignored.
     ///
     /// **Collective**.
+    #[track_caller]
     pub fn broadcast<T>(&self, root: super::LocId, val: T) -> T
     where
         T: Send + Clone + 'static,
     {
         let rooted = (self.id() == root).then_some(val);
-        self.allreduce(rooted, |a, b| a.or(b)).unwrap_or_else(|| {
+        self.collective(Kind::Broadcast, rooted, |a, b| a.or(b)).unwrap_or_else(|| {
             panic!(
                 "stapl-rts: broadcast of `{}` from root {root}, but the execution has only \
                  {} locations (roots are 0..nlocs)",
@@ -80,11 +85,12 @@ impl Location {
     /// location id, visible on all locations.
     ///
     /// **Collective**.
+    #[track_caller]
     pub fn allgather<T>(&self, val: T) -> Vec<T>
     where
         T: Send + Clone + 'static,
     {
-        self.allreduce(vec![val], |mut a, mut b| {
+        self.collective(Kind::Allgather, vec![val], |mut a, mut b| {
             a.append(&mut b);
             a
         })
@@ -95,12 +101,16 @@ impl Location {
     /// Also returns the global total as the second tuple element.
     ///
     /// **Collective**. Used for, e.g., computing global index offsets.
+    #[track_caller]
     pub fn exclusive_scan<T, F>(&self, val: T, identity: T, op: F) -> (T, T)
     where
         T: Send + Clone + 'static,
         F: Fn(T, T) -> T,
     {
-        let all = self.allgather(val);
+        let all = self.collective(Kind::Scan, vec![val], |mut a, mut b| {
+            a.append(&mut b);
+            a
+        });
         let mut acc = identity.clone();
         let mut mine = identity;
         for (i, v) in all.into_iter().enumerate() {
@@ -114,12 +124,14 @@ impl Location {
 
     /// Global sum of `u64` contributions — the most common collective in
     /// the containers (sizes, counters).
+    #[track_caller]
     pub fn allreduce_sum(&self, val: u64) -> u64 {
         self.allreduce(val, |a, b| a + b)
     }
 
     /// Global max — used by the benchmark kernel (Fig. 24 reports the max
     /// time over all locations).
+    #[track_caller]
     pub fn allreduce_max_f64(&self, val: f64) -> f64 {
         self.allreduce(val, f64::max)
     }

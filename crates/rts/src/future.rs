@@ -125,6 +125,7 @@ impl<R: 'static> RmiFuture<R> {
     /// Takes one pass of the wait loop, so readiness is fresh, a pass that
     /// runs nothing sends the staged window of split-phase requests, and a
     /// caller spinning on it learns of a panicked peer as `get` would.
+    #[track_caller]
     pub fn is_ready(&self) -> bool {
         match &self.inner {
             FutureInner::Ready(_) => true,
@@ -141,6 +142,7 @@ impl<R: 'static> RmiFuture<R> {
     /// (when [`crate::RtsConfig::rmi_timeout_us`] is set) or when the
     /// remote handler panicked.
     #[inline]
+    #[track_caller]
     pub fn try_get(self) -> Result<R, RmiError> {
         match self.inner {
             FutureInner::Ready(r) => Ok(r),
@@ -153,6 +155,7 @@ impl<R: 'static> RmiFuture<R> {
     /// timeout or a poisoned response; use [`RmiFuture::try_get`] to
     /// handle those gracefully.
     #[inline]
+    #[track_caller]
     pub fn get(self) -> R {
         match self.inner {
             FutureInner::Ready(r) => r,
@@ -167,6 +170,7 @@ impl PendingReply {
     /// kind, the issue time, the peer and handler of a timeout — it reads
     /// from the slot.
     #[inline(never)]
+    #[track_caller]
     fn wait<R: 'static>(self) -> Result<R, RmiError> {
         let (loc, slot) = (&self.loc, self.slot);
         let (wait_kind, issued_ns, peer, handler) = loc.slot_diagnostics(slot);

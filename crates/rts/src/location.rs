@@ -9,13 +9,12 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use crate::barrier::PollBarrier;
+use crate::barrier::{Kind, PollBarrier};
 use crate::config::RtsConfig;
 use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
@@ -61,9 +60,9 @@ pub(crate) struct Shared {
     /// fence's quiescence test sum over it at read time.
     pub counters: Vec<Arc<CounterBlock>>,
     pub barrier: PollBarrier,
-    /// Set when any location panics, so every wait aborts instead of
-    /// hanging ([`Location::wait_until`]).
-    pub poisoned: AtomicBool,
+    /// The message of the first location to panic: once set, every wait
+    /// aborts naming it instead of hanging ([`Location::wait_until`]).
+    pub poisoned: OnceLock<String>,
     /// Indexed by handle: how many locations have retired it
     /// ([`Location::retire`]). A location reclaims a representative only
     /// once this reads `nlocs` (DESIGN.md "p_object lifetime").
@@ -154,10 +153,9 @@ struct LocInner {
     /// This location's own block of `shared.counters`, cloned out so a
     /// bump is one load away from `LocInner`.
     counters: Arc<CounterBlock>,
-    /// How many delivered batches are running on this location's stack (a
-    /// handler's wait may deliver another): while it is non-zero a reply
-    /// is staged, not flushed ([`Location::deliver`]).
-    delivering: Cell<u32>,
+    /// Set while a delivered batch runs: a reply is then staged, not flushed
+    /// ([`Location::deliver`]), and a wait panics ([`Location::poll`]).
+    delivering: Cell<bool>,
     /// Where the replies staged during delivery are bound: each is flushed
     /// once when the batch being delivered has run.
     reply_dests: RefCell<Vec<LocId>>,
@@ -187,7 +185,7 @@ impl Location {
                 retiring: RefCell::default(),
                 slots: RefCell::default(),
                 counters,
-                delivering: Cell::new(0),
+                delivering: Cell::new(false),
                 reply_dests: RefCell::default(),
                 trace,
             }),
@@ -521,6 +519,7 @@ impl Location {
     /// Synchronous RMI (the paper's `sync_rmi`): runs `f` on `dest` and
     /// blocks until the result arrives, servicing incoming requests while
     /// waiting.
+    #[track_caller]
     pub fn sync_rmi<T, R, F>(&self, dest: LocId, h: Handle, f: F) -> R
     where
         T: 'static,
@@ -655,7 +654,7 @@ impl Location {
         // Someone waits on this value. A reply to a delivered request leaves
         // with its batch's other replies, once that batch has run; any other
         // (a `reply` from user code) leaves now.
-        if self.inner.delivering.get() == 0 {
+        if !self.inner.delivering.get() {
             self.flush(dest);
         } else if !self.inner.reply_dests.borrow().contains(&dest) {
             self.inner.reply_dests.borrow_mut().push(dest);
@@ -792,7 +791,10 @@ impl Location {
 
     /// Services all currently queued incoming batches; returns the number
     /// of requests executed.
+    /// Panics inside an RMI handler, naming the call's site: every wait polls.
+    #[track_caller]
     pub fn poll(&self) -> usize {
+        self.refuse_in_handler();
         let mut n = 0;
         // Drive retransmission of overdue unacknowledged batches; on a
         // lossless fabric this is an early-out on a counter.
@@ -830,14 +832,11 @@ impl Location {
     fn deliver(&self, batch: Batch) -> usize {
         let Batch { src, mut records, .. } = batch;
         let n = records.len();
-        let depth = &self.inner.delivering;
-        depth.set(depth.get() + 1);
+        self.inner.delivering.set(true);
         while records.has_next() {
             records.step(Some((self, src)));
         }
-        depth.set(depth.get() - 1);
-        // A batch delivered inside one of these handlers' waits flushed what
-        // was staged by then; this flushes the rest.
+        self.inner.delivering.set(false);
         for dest in self.inner.reply_dests.borrow_mut().drain(..) {
             self.flush(dest);
         }
@@ -863,11 +862,12 @@ impl Location {
     /// a future is waited on in) must not sit buffered while it waits — and
     /// relaxes: a spin hint for the first 64 empty polls, a yield
     /// after.
+    #[track_caller]
     pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         let mut empty_polls = 0u32;
         while !ready() {
-            if self.inner.shared.poisoned.load(Ordering::Relaxed) {
-                panic!("stapl-rts: a peer location panicked while this location waited");
+            if let Some(why) = self.inner.shared.poisoned.get() {
+                panic!("stapl-rts: a peer location panicked while this location waited: {why}");
             }
             if self.poll() == 0 {
                 self.flush_all();
@@ -881,8 +881,22 @@ impl Location {
         }
     }
 
-    pub(crate) fn mark_panicked(&self) {
-        self.inner.shared.poisoned.store(true, Ordering::SeqCst);
+    /// Poisons the execution with `payload`'s message, unless one came first.
+    pub(crate) fn mark_panicked(&self, payload: &(dyn Any + Send)) {
+        let _ = self.inner.shared.poisoned.set(panic_message(payload));
+    }
+
+    /// Panics, naming the caller's site, while a delivered batch runs here.
+    #[track_caller]
+    fn refuse_in_handler(&self) {
+        let site = std::panic::Location::caller();
+        assert!(
+            !self.inner.delivering.get(),
+            "stapl-rts: location {}: an RMI handler waits at {site} — a handler runs inside its \
+             location's progress engine, so it must not poll, fence, wait on a future or enter a \
+             barrier or collective",
+            self.id()
+        );
     }
 
     // ------------------------------------------------------------------
@@ -892,16 +906,19 @@ impl Location {
     /// A barrier across all locations that services incoming requests while
     /// waiting. Unlike [`Location::rmi_fence`] it does *not* guarantee that
     /// pending asynchronous RMIs have completed.
+    #[track_caller]
     pub fn barrier(&self) {
-        self.rendezvous(|| ());
+        self.rendezvous(Kind::Barrier, || ());
     }
 
-    /// A [`Location::barrier`] whose last arriver runs `last` before it
-    /// releases the others; every location returns that value. A fence
-    /// round's verdict and a collective's result are computed here.
-    pub(crate) fn rendezvous<T: Clone + Send + 'static>(&self, last: impl FnOnce() -> T) -> T {
+    /// A [`Location::barrier`] of `kind` whose last arriver runs `last`
+    /// before it releases the others; every location returns that value. A
+    /// fence round's verdict and a collective's result are computed here.
+    #[track_caller]
+    pub(crate) fn rendezvous<T: Clone + Send + 'static>(&self, kind: Kind, last: impl FnOnce() -> T) -> T {
+        self.refuse_in_handler();
         let t0 = self.trace_clock();
-        let out = self.inner.shared.barrier.rendezvous(|released| self.wait_until(released), last);
+        let out = self.inner.shared.barrier.rendezvous(kind, |released| self.wait_until(released), last);
         self.trace_span_end(TraceEventKind::BarrierSpan, t0, 0);
         out
     }
@@ -921,7 +938,16 @@ impl Location {
     /// location had retired ([`Location::retire`]) when this location
     /// *entered* the fence are reclaimed when it completes. A fence with
     /// nothing retiring pays one `is_empty` for that.
+    #[track_caller]
     pub fn rmi_fence(&self) {
+        self.fence(Kind::Fence);
+    }
+
+    /// [`Location::rmi_fence`], its rendezvous of `kind`: `Exit` is
+    /// `execute`'s closing fence.
+    #[track_caller]
+    pub(crate) fn fence(&self, kind: Kind) {
+        self.refuse_in_handler();
         let t0 = self.trace_clock();
         let mut rounds = 0u64;
         // Decided on entry: a peer that has left this fence may send to a
@@ -932,12 +958,12 @@ impl Location {
             rounds += 1;
             self.flush_all();
             while self.poll() > 0 {}
-            self.barrier();
+            self.rendezvous(kind, || ());
             // Polling inside the barrier may have executed handlers that
             // enqueued new requests; push those out and drain again.
             self.flush_all();
             while self.poll() > 0 {}
-            if self.rendezvous(|| self.quiescent()) {
+            if self.rendezvous(kind, || self.quiescent()) {
                 reclaim.into_iter().for_each(|h| self.unregister(h));
                 self.trace_span_end(TraceEventKind::FenceSpan, t0, rounds);
                 return;

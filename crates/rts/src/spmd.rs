@@ -1,12 +1,12 @@
 //! SPMD execution: run the same closure on every location, as STAPL runs
 //! `stapl_main` on every location of the machine.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crossbeam::channel::unbounded;
 
-use crate::barrier::PollBarrier;
+use crate::barrier::{Kind, PollBarrier};
 use crate::config::RtsConfig;
 use crate::location::{Location, Shared};
 use crate::transport::Batch;
@@ -21,7 +21,7 @@ use crate::trace::RunTrace;
 /// `execute_collect` returns (the paper's program-exit guarantee).
 ///
 /// If any location panics, the panic is propagated and the remaining
-/// locations abort their waits instead of hanging.
+/// locations abort their waits instead of hanging, naming the first panic.
 pub fn execute_collect<R, F>(cfg: RtsConfig, nlocs: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -54,7 +54,7 @@ where
         senders,
         counters: (0..nlocs).map(|_| Arc::new(CounterBlock::new())).collect(),
         barrier: PollBarrier::new(nlocs),
-        poisoned: AtomicBool::new(false),
+        poisoned: OnceLock::new(),
         retired: Mutex::default(),
         board: (0..nlocs).map(|_| Mutex::default()).collect(),
         epoch: std::time::Instant::now(),
@@ -69,18 +69,25 @@ where
                 let shared = shared.clone();
                 s.spawn(move || {
                     let loc = Location::new(id, shared, rx);
-                    let _guard = PanicGuard(loc.clone());
-                    let r = f(&loc);
-                    loc.rmi_fence();
-                    // Post-fence the execution is globally quiescent, so
-                    // the buffer already holds every event this location
-                    // will ever record.
-                    (r, loc.take_trace())
+                    // A panic poisons the execution, so peers waiting at
+                    // barriers or futures abort instead of hanging.
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let r = f(&loc);
+                        loc.fence(Kind::Exit);
+                        // Post-fence the execution is globally quiescent, so
+                        // the buffer already holds every event this location
+                        // will ever record.
+                        (r, loc.take_trace())
+                    }))
+                    .unwrap_or_else(|payload| {
+                        loc.mark_panicked(&*payload);
+                        resume_unwind(payload)
+                    })
                 })
             })
             .collect();
         for h in handles {
-            results.push(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+            results.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
         }
     });
     let (results, traces): (Vec<R>, Vec<_>) = results.into_iter().unzip();
@@ -96,19 +103,6 @@ where
     F: Fn(&Location) + Send + Sync,
 {
     execute_collect(cfg, nlocs, |loc| f(loc));
-}
-
-/// Marks the whole execution as poisoned if the location's closure (or its
-/// closing fence) panics, so peers spinning at barriers or futures abort
-/// with a clear message instead of hanging forever.
-struct PanicGuard(Location);
-
-impl Drop for PanicGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.mark_panicked();
-        }
-    }
 }
 
 #[cfg(test)]

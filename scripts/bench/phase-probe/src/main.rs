@@ -42,7 +42,7 @@
 //! the pass's `remote_requests` and `bytes_sent` summed over locations
 //! with the peak bytes live per remote request beside them (a peer drains
 //! only at its fence, so at P > 1 the peak is the pass's requests in
-//! flight). A program that frees what it builds prints the same `live
+//! flight; a pass that sent none, as every pass at P=1, prints `–`). A program that frees what it builds prints the same `live
 //! after` for every pass but the first. `--p N` runs N locations: the
 //! figures are process-wide, read by location 0 between barriers, and the
 //! reference pass (location 0's alone) stays outside the window; phase
@@ -235,8 +235,12 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
         if COUNTING.load(Relaxed) {
             println!("  pass   peak live MiB   live after MiB   allocator calls   in closing fence   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
             for (pass, (peak, after, calls, reclaim, requests, bytes)) in mem.iter().enumerate() {
-                let per_request = *peak as f64 / (*requests).max(1) as f64;
-                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}   {reclaim:>16}   {requests:>15}   {bytes:>10}   {per_request:>19.1}", mib(*peak), mib(*after));
+                // Without a remote request (P=1) the column has nothing to divide by.
+                let per_request = match requests {
+                    0 => "–".to_string(),
+                    n => format!("{:.1}", *peak as f64 / *n as f64),
+                };
+                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}   {reclaim:>16}   {requests:>15}   {bytes:>10}   {per_request:>19}", mib(*peak), mib(*after));
             }
         }
     });
