@@ -1,7 +1,7 @@
 //! CLI for `stapl-lint`.
 //!
 //! ```text
-//! stapl-lint [--root DIR] [--deny-all] [PATH...]
+//! stapl-lint [--root DIR] [PATH...]
 //! ```
 //!
 //! With no PATHs, sweeps the workspace under `--root` (default: the
@@ -9,8 +9,9 @@
 //! crate directory). With explicit PATHs, lints just those
 //! files/directories.
 //!
-//! Exit status: 0 when clean, or when findings were only reported; 1 on
-//! any finding under `--deny-all`; 2 on a usage error.
+//! Exit status: 0 when clean, 1 on any finding, 2 on a usage error.
+//! `--deny-all` is accepted and ignored, so a script that passes it keeps
+//! working.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,14 +23,12 @@ usage: stapl-lint [options] [PATH...]
 
 options:
   --root DIR   workspace root to sweep and resolve paths against
-  --deny-all   exit 1 on any finding (CI mode)
   --help       show this help
 
 rule: borrow-across-poll (L2) — a RefCell borrow live across a poll point";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut deny_all = false;
     let mut paths: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -42,7 +41,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--deny-all" => deny_all = true,
+            "--deny-all" => {}
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -81,7 +80,7 @@ fn main() -> ExitCode {
         println!("{}", f.render());
     }
     println!("stapl-lint: {} file(s) scanned, {} finding(s)", files.len(), findings.len());
-    if deny_all && !findings.is_empty() {
+    if !findings.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -42,10 +42,9 @@ fn cli_exit_codes() {
         (out.status.code(), String::from_utf8(out.stdout).unwrap())
     };
 
-    let (code, report) = exit(&["--deny-all", "l2_bad.rs"]);
-    assert_eq!(code, Some(1), "findings under --deny-all exit 1");
+    let (code, report) = exit(&["l2_bad.rs"]);
+    assert_eq!(code, Some(1), "any finding exits 1");
     assert_eq!(report.matches("borrow-across-poll [L2]").count(), 4, "{report}");
-    assert_eq!(exit(&["l2_bad.rs"]).0, Some(0), "without --deny-all findings are only reported");
-    assert_eq!(exit(&["--deny-all", "l2_good.rs"]).0, Some(0), "clean file exits 0");
+    assert_eq!(exit(&["l2_good.rs"]).0, Some(0), "clean file exits 0");
     assert_eq!(exit(&["--no-such-flag"]).0, Some(2), "usage error exits 2");
 }

@@ -1,7 +1,8 @@
 //! The RMI discipline, held by the runtime (DESIGN.md "The RMI discipline:
 //! where each rule is held"). A handler that waits — on a fence, a barrier,
-//! a collective, a future or `poll` itself — panics on its first delivery
-//! (L1, blocking-in-handler). Locations that reach different rendezvous
+//! a collective, a future or `poll` itself — panics on its first remote
+//! delivery (L1, blocking-in-handler); every case runs at P=2 and targets
+//! the other location, since a handler run in place is not checked. Locations that reach different rendezvous
 //! kinds panic there (L3, divergent-collective). Each run fails within a
 //! second, and the message `execute` re-raises names the offending sites.
 
