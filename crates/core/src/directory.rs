@@ -88,18 +88,18 @@
 //! without any coherence traffic.
 
 use std::cell::{Cell, RefCell};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 use stapl_rts::{Handle, LocId, Location, RmiFuture, RtsConfig};
 
 use crate::gid::{Bcid, Gid, IdHashMap};
+use crate::partition::{HashPartition, KeyPartition};
 use crate::pobject::PObject;
 
-/// The home location of a GID: a hash spread over all locations.
-pub fn home_of<G: Hash>(g: &G, nlocs: usize) -> LocId {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    g.hash(&mut h);
-    (h.finish() as usize) % nlocs
+/// The home location of a GID: its bucket when [`HashPartition`] spreads
+/// GIDs over all locations — the framework's one hasher.
+pub fn home_of<G: Hash + 'static>(g: &G, nlocs: usize) -> LocId {
+    HashPartition::new(nlocs).find(g)
 }
 
 /// One location's shard of the directory: entries for the registered GIDs
@@ -837,12 +837,19 @@ mod tests {
         assert_eq!(s.get(&4), None);
     }
 
+    /// A pGraph's descriptors `l + k·P` are born on `l`: each birth
+    /// location's must spread over every home, not one.
     #[test]
     fn home_is_stable_and_in_range() {
-        for g in 0..100u64 {
-            let h = home_of(&g, 7);
-            assert!(h < 7);
-            assert_eq!(h, home_of(&g, 7));
+        for p in [2, 3, 7] {
+            let mut homes = vec![vec![0usize; p]; p];
+            for g in 0..4096usize {
+                let h = home_of(&g, p);
+                assert_eq!(h, home_of(&g, p));
+                homes[g % p][h] += 1;
+            }
+            let fair = 4096 / (p * p);
+            assert!(homes.iter().flatten().all(|&n| n > fair * 3 / 4), "P={p}: {homes:?}");
         }
     }
 
