@@ -10,8 +10,6 @@
 //! files/directories.
 //!
 //! Exit status: 0 when clean, 1 on any finding, 2 on a usage error.
-//! `--deny-all` is accepted and ignored, so a script that passes it keeps
-//! working.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -41,7 +39,6 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--deny-all" => {}
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;

@@ -47,4 +47,5 @@ fn cli_exit_codes() {
     assert_eq!(report.matches("borrow-across-poll [L2]").count(), 4, "{report}");
     assert_eq!(exit(&["l2_good.rs"]).0, Some(0), "clean file exits 0");
     assert_eq!(exit(&["--no-such-flag"]).0, Some(2), "usage error exits 2");
+    assert_eq!(exit(&["--deny-all", "l2_good.rs"]).0, Some(2), "--deny-all is an unknown option");
 }
