@@ -569,9 +569,8 @@ impl<VP: 'static, EP: 'static> HasDirectory<VertexDesc> for GraphRep<VP, EP> {
     }
 
     /// `add_vertex` on location `l` hands out `l + k·nlocs`, stored on `l`.
-    fn birth(&self, vd: &VertexDesc) -> Option<(Bcid, LocId)> {
-        let l = vd % self.nlocs;
-        Some((l, l))
+    fn birth(&self, vd: &VertexDesc) -> Option<LocId> {
+        Some(vd % self.nlocs)
     }
 }
 
@@ -823,7 +822,7 @@ where
             rep.counts.mark(true);
             rep.reserve_descriptor(vd, me);
         }
-        dir_insert(&self.obj, vd, me, me);
+        dir_insert(&self.obj, vd);
     }
 
     /// Asynchronously deletes a vertex and its out-edges. As the paper
@@ -837,19 +836,24 @@ where
         );
         let policy = self.resolution().expect("dynamic graph");
         // Marks the counts stale here, where the op is issued, and at the
-        // owner, where it lands.
-        let remove = |cell: &RefCell<GraphRep<VP, EP>>, vd| {
-            let rep = &mut *cell.borrow_mut();
-            rep.counts.mark(true);
-            rep.bc.delete(vd)
+        // owner, where it lands and unregisters `vd` after deleting it.
+        let remove = |cell: &RefCell<GraphRep<VP, EP>>, loc: &Location, vd| {
+            let deleted = {
+                let rep = &mut *cell.borrow_mut();
+                rep.counts.mark(true);
+                rep.bc.delete(vd)
+            };
+            if deleted {
+                dir_remove(cell, loc, vd);
+            }
+            deleted
         };
-        if !remove(self.obj.rep_cell(), vd) {
-            dir_route(&self.obj, policy, vd, None, move |cell, _, vd, bcid| {
+        if !remove(self.obj.rep_cell(), self.obj.location(), vd) {
+            dir_route(&self.obj, policy, vd, None, move |cell, loc, vd, bcid| {
                 assert!(bcid.is_some(), "{}", not_found(vd));
-                remove(cell, vd);
+                remove(cell, loc, vd);
             });
         }
-        dir_remove(&self.obj, vd);
     }
 
     /// Asynchronously moves vertex `vd` — property and out-edges — to
@@ -865,12 +869,10 @@ where
             "pGraph: migrate_vertex on a static pGraph"
         );
         let policy = self.resolution().expect("dynamic graph");
-        // bcid == owning location for the single per-location graph bc.
         dir_migrate(
             &self.obj,
             policy,
             vd,
-            dest,
             dest,
             move |rep| rep.bc.remove(vd),
             move |rep, v| {

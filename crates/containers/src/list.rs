@@ -106,8 +106,8 @@ impl<T: 'static> HasDirectory<Bcid> for ListRep<T> {
         self.lm.get(*bcid).is_some().then_some(*bcid)
     }
 
-    fn birth(&self, bcid: &Bcid) -> Option<(Bcid, LocId)> {
-        (*bcid < self.nlocs * self.bpl).then(|| (*bcid, bcid / self.bpl))
+    fn birth(&self, bcid: &Bcid) -> Option<LocId> {
+        (*bcid < self.nlocs * self.bpl).then(|| bcid / self.bpl)
     }
 }
 
@@ -355,7 +355,6 @@ impl<T: Send + Clone + 'static> PList<T> {
             Resolution::Forwarding,
             bcid,
             dest,
-            bcid,
             move |rep| {
                 let bc = rep.lm.remove_bcontainer(bcid);
                 rep.reseat_anywhere_cursor();

@@ -17,7 +17,7 @@ use stapl_containers::graph::{
 };
 use stapl_containers::slab_list::SlabList;
 use stapl_core::bcontainer::BaseContainer;
-use stapl_core::gid::{IdHasher, MUL};
+use stapl_core::gid::{KeyHasher, MUL};
 use stapl_core::interfaces::{PContainer, SegmentedContainer};
 use stapl_rts::{execute, RtsConfig};
 
@@ -202,7 +202,7 @@ fn racing_migrations_leave_every_location_in_descriptor_order() {
 /// out, `me + k·64`.
 #[test]
 fn id_hasher_spreads_strided_descriptors() {
-    let build = BuildHasherDefault::<IdHasher>::default();
+    let build = BuildHasherDefault::<KeyHasher>::default();
     let (mut buckets, mut tags) = (vec![false; 4096], [false; 128]);
     for k in 0..4096usize {
         let h = build.hash_one(5 + k * 64);

@@ -40,9 +40,8 @@ enum Op {
     AddEdge(VertexDesc, VertexDesc),
     DeleteEdge(VertexDesc, VertexDesc),
     /// Its in-edges from other vertices are deleted first, so no edge
-    /// dangles. Issued at its owner: a remote `delete_vertex` unregisters
-    /// the vertex at its home while its own removal may still be on the way
-    /// there, to be forwarded.
+    /// dangles. Issued anywhere: the owner unregisters the vertex after
+    /// deleting it.
     DeleteVertex(VertexDesc),
     Migrate(VertexDesc, LocId),
     /// `Read(v, t)`: `out_edges(v)`, `out_degree(v)`, `find_edge(v, t)`.
@@ -224,10 +223,7 @@ fn run(case: &Case) {
         };
         for step in 0..OPS {
             let op = world.draw(&mut rng, case);
-            let issuer = match op {
-                Op::DeleteVertex(vd) => world.model[&vd].0,
-                _ => rng.random_range(0..nlocs),
-            };
+            let issuer = rng.random_range(0..nlocs);
             let what = format!("after step {step} ({op:?} at {issuer}) of {}", case.name());
             match op {
                 Op::AddVertex => {

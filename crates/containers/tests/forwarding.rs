@@ -88,6 +88,49 @@ fn there_and_back_then_delete_reads_as_absent() {
     }
 }
 
+/// A remote `delete_vertex` whose issuer is neither the owner nor the home
+/// and whose cache names a stale owner. The vertex was born on S and read
+/// from X, so X caches S; S deleted it, and D created it again with
+/// `add_vertex_with_descriptor`. X's delete goes to S, which sleeps, and
+/// from there through the home to D. The owner unregisters the vertex
+/// after deleting it, so nothing X sends can reach the home ahead of the
+/// delete and leave it resolving to a location without the vertex.
+#[test]
+fn remote_delete_through_a_stale_cache_reaches_the_owner() {
+    for kind in KINDS {
+        execute(RtsConfig::base(), 4, |loc| {
+            let s = 0;
+            let g = dynamic(loc, kind);
+            let born = loc.allgather((0..8).map(|_| g.add_vertex(1)).collect::<Vec<_>>()).swap_remove(s);
+            g.commit();
+            let vd = born.into_iter().find(|vd| home_of(vd, 4) != s).expect("a vertex of S homed elsewhere");
+            let others: Vec<usize> = (1..4).filter(|&l| l != home_of(&vd, 4)).collect();
+            let (x, d) = (others[0], others[1]);
+            if loc.id() == x {
+                assert_eq!(g.vertex_property(vd), 1);
+            }
+            g.commit();
+            if loc.id() == s {
+                g.delete_vertex(vd);
+            }
+            g.commit();
+            if loc.id() == d {
+                g.add_vertex_with_descriptor(vd, 2);
+            }
+            g.commit();
+            if loc.id() == s {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            if loc.id() == x {
+                g.delete_vertex(vd);
+            }
+            g.commit();
+            assert!(!g.find_vertex(vd), "{kind:?}: location {} still finds {vd}", loc.id());
+            assert_eq!(g.num_vertices(), 31);
+        });
+    }
+}
+
 /// `find_vertex` is false for a vertex never created, one deleted where it
 /// was born and one deleted after it migrated — asked from every location,
 /// under both protocols, at P=2 and P=3 — and true for every other vertex.

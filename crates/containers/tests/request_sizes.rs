@@ -64,6 +64,31 @@ fn add_edge_via_home(home: usize, dir_cache: bool) -> (u64, u64) {
     })
 }
 
+/// `migrate_vertex` from location 0 of one of its vertices whose home is
+/// `home`: the payload crosses to location 1 and — when the home is 0 —
+/// the re-registration crosses back.
+fn migrate_homed_at(home: usize) -> (u64, u64) {
+    at_p2(RtsConfig::base(), move |loc| {
+        let g = crossing_graph(loc);
+        let v = (0..64).step_by(2).find(|v| home_of(v, 2) == home).expect("a vertex of location 0 homed there");
+        window(loc, || g.migrate_vertex(v, 1))
+    })
+}
+
+/// A `TwoPhase` `add_edge_async` from location 0, on a cold owner cache, to
+/// a source stored on location 1 and homed there: the lookup, its answer,
+/// then the request to the owner.
+fn two_phase_add_edge() -> (u64, u64) {
+    at_p2(RtsConfig::base(), |loc| {
+        let g: AlgoGraph = PGraph::new_dynamic(loc, Directedness::Directed, GraphPartitionKind::DynamicTwoPhase);
+        let mine: Vec<VertexDesc> = (0..8).map(|_| g.add_vertex(VProps::default())).collect();
+        g.commit();
+        let theirs = loc.allgather(mine).swap_remove(1);
+        let s = theirs.into_iter().find(|s| home_of(s, 2) == 1).expect("a vertex of location 1 homed there");
+        window(loc, || g.add_edge_async(s, 0, ()))
+    })
+}
+
 /// Every row: its name, the bytes each request of one round of it carries,
 /// and the measured `(requests, bytes)` of whole rounds.
 fn rows() -> Vec<(&'static str, &'static [u64], (u64, u64))> {
@@ -112,6 +137,13 @@ fn rows() -> Vec<(&'static str, &'static [u64], (u64, u64))> {
         // The fill carries `g` and the owner: the owner names its bcid.
         ("add_edge_async, requester -> home (the owner), and its cache fill back", &[24, 16], add_edge_via_home(1, true)),
         ("PList::set_element, to the birth owner", &[32], list_set),
+        // The vertex, `g` and its move count, and the install's capture.
+        ("migrate_vertex, the payload to its home", &[96], migrate_homed_at(1)),
+        // The re-registration is `g`, the owner and the move count.
+        ("migrate_vertex, the payload, then the re-registration", &[96, 24], migrate_homed_at(0)),
+        // The lookup is `g`, a reply slot and the requester; its answer the
+        // slot, the owner and whether it is a birth.
+        ("TwoPhase add_edge_async: the lookup, its answer, the request", &[24, 24, 24], two_phase_add_edge()),
     ]
 }
 
@@ -133,6 +165,7 @@ fn each_request_carries_its_pinned_bytes() {
     assert_eq!(rows[3].2 .0, 8, "{rows:?}");
     assert_eq!((rows[4].2 .0, rows[5].2 .0), (1, 1), "one leg crosses: {rows:?}");
     assert_eq!(rows[6].2 .0, 2, "the leg and the fill: {rows:?}");
+    assert_eq!((rows[8].2 .0, rows[9].2 .0, rows[10].2 .0), (1, 2, 3), "{rows:?}");
 }
 
 #[test]

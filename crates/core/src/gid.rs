@@ -91,10 +91,6 @@ impl Hasher for KeyHasher {
 /// its iteration order is the same in every run.
 pub type KeyHashMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// [`KeyHasher`] and [`KeyHashMap`], as named while only id-keyed tables used them.
-pub type IdHasher = KeyHasher;
-pub type IdHashMap<K, V> = KeyHashMap<K, V>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

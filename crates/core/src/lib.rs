@@ -59,7 +59,7 @@ pub mod pobject;
 pub mod prelude {
     pub use crate::bcontainer::{BaseContainer, MemSize};
     pub use crate::directory::{
-        dir_insert, dir_invalidate_all, dir_lookup, dir_migrate, dir_register, dir_remove, dir_route,
+        dir_insert, dir_lookup, dir_migrate, dir_register, dir_remove, dir_route,
         dir_route_ret, home_of, DirectoryShard, HasDirectory, OwnerCache, Resolution,
     };
     pub use crate::distribution::{IndexDistribution, KeyDistribution};

@@ -198,7 +198,7 @@ fn an_element_stored_here_is_registered_and_migrated_without_resolution() {
         loc.rmi_fence();
         for g in (loc.id() as u64..64).step_by(2) {
             obj.local_mut().values.insert(g, g as i64 * 10);
-            dir_insert(&obj, g, loc.id(), loc.id());
+            dir_insert(&obj, g);
         }
         loc.rmi_fence();
         assert!(obj.local().cache.is_empty(), "own registrations must not take cache capacity");
@@ -208,7 +208,7 @@ fn an_element_stored_here_is_registered_and_migrated_without_resolution() {
         loc.barrier();
         if loc.id() == 0 {
             let extract = move |rep: &mut Rep| rep.values.remove(&g);
-            dir_migrate(&obj, Resolution::Forwarding, g, 1, 1, extract, move |rep, v| {
+            dir_migrate(&obj, Resolution::Forwarding, g, 1, extract, move |rep, v| {
                 rep.values.insert(g, v);
             });
         }
@@ -216,7 +216,7 @@ fn an_element_stored_here_is_registered_and_migrated_without_resolution() {
         let sent = loc.stats().remote_requests - before;
         loc.barrier();
         assert_eq!(sent, 1, "the payload from 0 to 1, and nothing else");
-        assert_eq!(dir_lookup(&obj, g), Some((1, 1)));
+        assert_eq!(dir_lookup(&obj, g), Some(1));
         assert_eq!(obj.local().values.get(&g).copied(), (loc.id() == 1).then_some(g as i64 * 10));
     });
 }
