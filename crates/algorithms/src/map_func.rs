@@ -21,8 +21,6 @@
 //! container cut at the second's run boundaries: two runs stored here are
 //! two borrowed slices, any other run is **one bulk RMI per (owner,
 //! contiguous run)** — O(runs) messages on misaligned distributions.
-//! (`STAPL_BULK_THRESHOLD=18446744073709551615`, `usize::MAX`, is the
-//! element-wise ablation.)
 //!
 //! All algorithms are **collective**.
 

@@ -3,7 +3,9 @@
 //! over all locations) on the misaligned pair of `map_func.rs`'s bulk
 //! test. The numbers were read off the implementation that cloned `b`'s
 //! range / built a `Vec` per piece, before the shared slice walk replaced
-//! it: the walk may change how data is borrowed, not what is counted.
+//! it: the walk may change how data is borrowed, not what is counted. A
+//! remote run of one element is one bulk RMI like any other, so no call
+//! here falls back to element RMIs.
 
 use stapl_algorithms::map_func::{p_copy, p_equal, p_generate, p_inner_product, p_transform};
 use stapl_algorithms::sorting::p_sort;
@@ -48,16 +50,15 @@ fn misaligned_pair(loc: &Location) -> (PArray<u64>, PArray<u64>) {
 
 #[test]
 fn pairwise_family_and_sort_count_what_they_counted() {
-    // The bulk/element crossover is what `element_fallbacks` counts: pin it.
-    execute(RtsConfig { bulk_threshold: 2, ..RtsConfig::default() }, 3, |loc| {
+    execute(RtsConfig::default(), 3, |loc| {
         let (src, dst) = misaligned_pair(loc);
         p_generate(&src, |g| (g as u64 * 7919) % 41);
-        // 13 (src piece x dst run) pairs: 5 on the piece's own location, 7
-        // remote of length >= 2, one remote single element.
-        assert_eq!(delta(loc, || p_copy(&src, &dst)), (5, 7, 1));
-        assert_eq!(delta(loc, || assert!(p_equal(&src, &dst))), (5, 7, 1));
-        assert_eq!(delta(loc, || p_transform(&src, &dst, |v| v + 1)), (5, 7, 1));
-        assert_eq!(delta(loc, || assert_eq!(p_inner_product(&src, &dst), 21_700)), (5, 7, 1));
+        // 13 (src piece x dst run) pairs: 5 on the piece's own location and
+        // 8 remote, one of them a single element.
+        assert_eq!(delta(loc, || p_copy(&src, &dst)), (5, 8, 0));
+        assert_eq!(delta(loc, || assert!(p_equal(&src, &dst))), (5, 8, 0));
+        assert_eq!(delta(loc, || p_transform(&src, &dst, |v| v + 1)), (5, 8, 0));
+        assert_eq!(delta(loc, || assert_eq!(p_inner_product(&src, &dst), 21_700)), (5, 8, 0));
         // 4 bucket batches leave their location; the write-back of the
         // sorted blocks is 4 local and 10 remote runs.
         assert_eq!(delta(loc, || p_sort(&src)), (4, 14, 0));

@@ -195,7 +195,7 @@ struct Case {
     /// (vertex, destination), each issued by the vertex's creator, which
     /// caches no owner for it.
     moves: Vec<(VertexDesc, usize)>,
-    dir_cache: bool,
+    cached: bool,
     root: VertexDesc,
 }
 
@@ -224,7 +224,7 @@ impl Case {
             owner,
             edges,
             moves,
-            dir_cache: rng.random_bool(0.75),
+            cached: rng.random_bool(0.75),
             root: rng.random_range(0..n),
         }
     }
@@ -306,7 +306,9 @@ fn scatter_algorithms_equal_the_per_edge_model() {
     for case_id in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5ca7 ^ case_id);
         let case = Case::draw(&mut rng);
-        let config = RtsConfig { dir_cache: case.dir_cache, ..RtsConfig::base() };
+        let base = RtsConfig::base();
+        let dir_cache_capacity = if case.cached { base.dir_cache_capacity } else { 0 };
+        let config = RtsConfig { dir_cache_capacity, ..base };
         let exact = case.nlocs == 1;
         for kind in [
             GraphPartitionKind::Static,

@@ -44,9 +44,9 @@ fn observe(rt: &RunTrace) {
 }
 
 /// `--metrics`: one row per location of one execution — event volume,
-/// RMI traffic, and the latency quantiles the trace histograms carry.
+/// RMI traffic and tasks (from the location's counters), and the latency
+/// quantiles the trace histograms carry.
 fn print_run_metrics(run_idx: u64, rt: &RunTrace) {
-    use stapl_rts::TraceEventKind;
     let q = |l: &stapl_rts::LocationTrace, name: &str, pick: fn(&stapl_rts::LatencyHistogram) -> u64| {
         let h = l.histogram(name).expect("known histogram");
         if h.count() == 0 { "-".to_string() } else { fmt_time(pick(h) as f64 * 1e-9) }
@@ -62,9 +62,9 @@ fn print_run_metrics(run_idx: u64, rt: &RunTrace) {
         t.row(vec![
             l.loc.to_string(),
             (l.events.len() as u64 + l.dropped).to_string(),
-            l.count(TraceEventKind::RmiSend).to_string(),
-            l.count(TraceEventKind::RmiExecute).to_string(),
-            l.count(TraceEventKind::TaskSpan).to_string(),
+            l.stats.remote_requests.to_string(),
+            l.handled.to_string(),
+            l.stats.tasks_executed.to_string(),
             l.histogram("sync_rmi").expect("known histogram").count().to_string(),
             q(l, "sync_rmi", stapl_rts::LatencyHistogram::p50),
             q(l, "sync_rmi", stapl_rts::LatencyHistogram::p99),
@@ -155,7 +155,6 @@ fn chaos_exp() {
             let all = loc.allgather(digest);
             (secs, all, delta)
         })
-        .0
     };
 
     // The clean reference digests, per P.

@@ -10,7 +10,7 @@
 //!
 //! * `localization` — bulk-range transport + view localization: `p_copy`
 //!   localized vs element-wise over aligned / shifted / strided /
-//!   misaligned placements, aggregation and `bulk_threshold` knobs; and
+//!   misaligned placements and aggregation widths; and
 //!   Fig. 62's row-min over composed containers and a pMatrix
 //!   (`fig62-row-min`);
 //! * `directory` — owner caches with epoch invalidation: hot-key and
@@ -62,9 +62,8 @@ use stapl_core::partition::{
 use stapl_paragraph::executor::ExecPolicy;
 use stapl_rts::{
     execute_collect_traced, Counter, FaultSchedule, Location, RtsConfig, RunTrace, StatsSnapshot,
-    TraceSummary,
 };
-use stapl_views::array_view::ArrayView;
+use stapl_views::array_view::{ArrayView, BalancedView};
 use stapl_views::assoc_view::MapView;
 use stapl_views::graph_view::GraphView;
 use stapl_views::matrix_view::RowsView;
@@ -95,20 +94,15 @@ pub struct BenchRecord {
     pub knobs: Knobs,
     pub wall_s: f64,
     pub counters: StatsSnapshot,
-    /// Trace summary of the whole scenario execution (setup + kernel +
-    /// verification — tracing is per-run, not scoped like `counters`):
-    /// event counts are deterministic for gated kinds
-    /// (`tests/harness_determinism.rs`), histogram durations never are.
-    pub trace: TraceSummary,
 }
 
-/// What one scenario run measured: kernel seconds, the counter delta
-/// scoped to its kernel, and the trace summary of the whole execution.
-type Measured = (f64, StatsSnapshot, TraceSummary);
+/// What one scenario run measured: kernel seconds and the counter delta
+/// scoped to its kernel.
+type Measured = (f64, StatsSnapshot);
 
 impl BenchRecord {
-    fn new(id: String, knobs: Knobs, (wall_s, counters, trace): Measured) -> BenchRecord {
-        BenchRecord { id, knobs, wall_s, counters, trace }
+    fn new(id: String, knobs: Knobs, (wall_s, counters): Measured) -> BenchRecord {
+        BenchRecord { id, knobs, wall_s, counters }
     }
 
     /// The value of knob `name` (`""` when the record has no such knob).
@@ -227,32 +221,17 @@ pub fn tap_traces(tap: fn(&RunTrace)) {
 }
 
 /// The one way this crate starts an execution: runs `f` on `p` locations
-/// and returns location 0's result, plus the run's trace when `cfg.trace`
-/// is set or a tap is installed — after showing it to the tap. Tracing
-/// does not touch the counters (asserted by `tests/trace_overhead.rs`).
-pub fn run<R: Send>(
-    cfg: RtsConfig,
-    p: usize,
-    f: impl Fn(&Location) -> R + Send + Sync,
-) -> (R, Option<RunTrace>) {
+/// and returns location 0's result. With a tap installed the run is traced
+/// and its trace shown to the tap. Tracing does not touch the counters
+/// (asserted by `tests/trace_overhead.rs`).
+pub fn run<R: Send>(cfg: RtsConfig, p: usize, f: impl Fn(&Location) -> R + Send + Sync) -> R {
     let tap = TRACE_TAP.get();
     let cfg = RtsConfig { trace: cfg.trace || tap.is_some(), ..cfg };
     let (mut results, trace) = execute_collect_traced(cfg, p, f);
     if let (Some(tap), Some(rt)) = (tap, &trace) {
         tap(rt);
     }
-    (results.remove(0), trace)
-}
-
-/// Runs one scenario with tracing forced on, so that records measured
-/// with and without a tap carry the same trace summary.
-fn traced(
-    cfg: RtsConfig,
-    p: usize,
-    f: impl Fn(&Location) -> (f64, StatsSnapshot) + Send + Sync,
-) -> Measured {
-    let ((secs, delta), trace) = run(RtsConfig { trace: true, ..cfg }, p, f);
-    (secs, delta, trace.expect("tracing enabled for harness runs").summary())
+    results.remove(0)
 }
 
 /// Times `kernel` collectively and returns `(max-over-locations seconds,
@@ -367,7 +346,7 @@ fn localization_copy(
     localized: bool,
     cfg: RtsConfig,
 ) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let nlocs = loc.nlocs();
         let src = PArray::from_fn(loc, n, |i| i as u64);
         let dst = match placement {
@@ -405,55 +384,40 @@ const CLAIM_N: usize = 40_000;
 
 fn localization_area(base: &RtsConfig) -> Vec<BenchRecord> {
     let n = 4096usize;
-    // (p, n, placement, localized, aggregation, bulk_threshold)
-    let mut specs: Vec<(usize, usize, &'static str, bool, usize, usize)> = Vec::new();
+    let mut records = Vec::new();
+    let mut copy = |p: usize, n: usize, placement: &'static str, (localized, mode), agg: usize| {
+        let cfg = RtsConfig { aggregation: agg, ..base.clone() };
+        records.push(BenchRecord::new(
+            format!("copy/{placement}/p{p}/n{n}/{mode}/agg{agg}"),
+            vec![
+                knob("p", p),
+                knob("n", n),
+                knob("placement", placement),
+                knob("mode", mode),
+                knob("aggregation", agg),
+            ],
+            localization_copy(p, n, placement, localized, cfg),
+        ));
+    };
     for placement in ["aligned", "misaligned"] {
-        for p in [1usize, 4] {
-            for (localized, _) in LOCALIZED {
-                specs.push((p, n, placement, localized, 16, 2));
-            }
+        for p in [1, 4] {
+            LOCALIZED.into_iter().for_each(|l| copy(p, n, placement, l, 16));
         }
     }
-    // Knob sweep on the interesting cell: aggregation and the
-    // bulk-threshold ablation (huge threshold = bulk path disabled).
-    for agg in [1usize, 64] {
-        specs.push((4, n, "misaligned", true, agg, 2));
+    // Aggregation sweep on the interesting cell.
+    for agg in [1, 64] {
+        copy(4, n, "misaligned", LOCALIZED[0], agg);
     }
-    specs.push((4, n, "misaligned", true, 16, usize::MAX / 2));
     // The placement x P grid the claims are stated over.
     for placement in PLACEMENTS {
-        for p in [1usize, 2, 4] {
-            for (localized, _) in LOCALIZED {
-                specs.push((p, CLAIM_N, placement, localized, 16, 2));
-            }
+        for p in [1, 2, 4] {
+            LOCALIZED.into_iter().for_each(|l| copy(p, CLAIM_N, placement, l, 16));
         }
     }
     for placement in ["shifted", "strided"] {
-        for (localized, _) in LOCALIZED {
-            specs.push((2, n, placement, localized, 16, 2));
-        }
+        LOCALIZED.into_iter().for_each(|l| copy(2, n, placement, l, 16));
     }
-    specs.push((2, n, "misaligned", true, 16, 2));
-    let mut records: Vec<BenchRecord> = specs
-        .into_iter()
-        .map(|(p, n, placement, localized, agg, bulk)| {
-            let cfg = RtsConfig { aggregation: agg, bulk_threshold: bulk, ..base.clone() };
-            let mode = LOCALIZED[usize::from(!localized)].1;
-            let bulk_label = if bulk > n { "off".to_string() } else { bulk.to_string() };
-            BenchRecord::new(
-                format!("copy/{placement}/p{p}/n{n}/{mode}/agg{agg}/bulk{bulk_label}"),
-                vec![
-                    knob("p", p),
-                    knob("n", n),
-                    knob("placement", placement),
-                    knob("mode", mode),
-                    knob("aggregation", agg),
-                    knob("bulk_threshold", bulk_label),
-                ],
-                localization_copy(p, n, placement, localized, cfg),
-            )
-        })
-        .collect();
+    copy(2, n, "misaligned", LOCALIZED[0], 16);
     for container in ROW_MIN_CONTAINERS {
         records.push(BenchRecord::new(
             format!("fig62-row-min/p4/{container}"),
@@ -461,7 +425,32 @@ fn localization_area(base: &RtsConfig) -> Vec<BenchRecord> {
             localization_row_min(4, container, base.clone()),
         ));
     }
+    for view in ["array", "balanced"] {
+        records.push(BenchRecord::new(
+            format!("view-sum/p2/n{n}/{view}"),
+            vec![knob("p", 2), knob("n", n), knob("view", view)],
+            localization_view_sum(2, n, view, base.clone()),
+        ));
+    }
     records
+}
+
+/// `p_reduce_view` sums a pArray through its localized `ArrayView`, which
+/// lends one slice per local chunk, or a `BalancedView` over it, which has
+/// no localized override and counts every element in `element_fallbacks`.
+fn localization_view_sum(p: usize, n: usize, view: &'static str, cfg: RtsConfig) -> Measured {
+    run(cfg, p, move |loc| {
+        let v = ArrayView::new(PArray::from_fn(loc, n, |i| i as u64));
+        let (mut sum, add) = (None, |a: u64, b: u64| a + b);
+        let measured = timed_scoped(loc, || {
+            sum = match view {
+                "array" => p_reduce_view(&v, |_, x| x, add),
+                _ => p_reduce_view(&BalancedView::new(v.clone()), |_, x| x, add),
+            }
+        });
+        assert_eq!(sum, Some((n * (n - 1) / 2) as u64), "{view}: wrong sum");
+        measured
+    })
 }
 
 /// The containers Fig. 62 compares: a pArray of rows, a pList of rows, and
@@ -478,7 +467,7 @@ fn localization_row_min(p: usize, container: &'static str, cfg: RtsConfig) -> Me
     let cell = |r: usize, c: usize| ((r * 13 + c) % 97) as i64;
     let row = move |r: usize| (0..COLS).map(|c| cell(r, c)).collect::<Vec<i64>>();
     let row_min = |r: &Vec<i64>| *r.iter().min().expect("a row has columns");
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let local_min: Box<dyn Fn() -> i64> = match container {
             "parray-of-rows" => {
                 let a = PArray::from_fn(loc, ROWS, row);
@@ -524,6 +513,11 @@ fn localization_claims(records: &[BenchRecord]) {
     assert_eq!(row_mins.len(), ROW_MIN_CONTAINERS.len(), "a fig62 record per container");
     for r in row_mins {
         assert_eq!(r.counters.remote_requests, 0, "{}: the row-min sent a request", r.id);
+    }
+    // Only a view without a localized override reads element by element.
+    for r in of(records, "view-sum") {
+        let want = if r.knob("view") == "balanced" { count(r, "n") } else { 0 };
+        assert_eq!(r.counters.element_fallbacks, want, "{}: element fallbacks", r.id);
     }
     let cells = pairs(records, "copy", "mode", ("localized", "element-wise"));
     for &(loc, elem) in &cells {
@@ -574,7 +568,7 @@ fn directory_graph(loc: &Location, nverts: usize) -> PGraph<u64, ()> {
 /// Hot-key or sweep reads over a dynamic pGraph; the owner cache turns the
 /// 2-hop home-forwarded read into 1 hop on repeats.
 fn directory_access(p: usize, nverts: usize, reads: usize, hot: bool, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let g = directory_graph(loc, nverts);
         timed_scoped(loc, || {
             if hot {
@@ -604,7 +598,7 @@ fn directory_access(p: usize, nverts: usize, reads: usize, hot: bool, cfg: RtsCo
 /// that drives that path, hence the only one where `dir_cache_stale` is
 /// not gated on a constant zero.
 fn directory_churn(p: usize, rounds: usize, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let g = directory_graph(loc, loc.nlocs());
         for vd in 0..loc.nlocs() {
             assert_eq!(g.vertex_property(vd), vd as u64);
@@ -626,48 +620,44 @@ fn directory_churn(p: usize, rounds: usize, cfg: RtsConfig) -> Measured {
 fn directory_area(base: &RtsConfig) -> Vec<BenchRecord> {
     let nverts = 64usize;
     let reads = 640usize;
-    // (p, reads, hot, cache, aggregation)
-    let mut specs: Vec<(usize, usize, bool, bool, usize)> = Vec::new();
+    let cache_label = |cache: bool| if cache { "on" } else { "off" };
+    // A cache that is on has the built-in capacity, whatever the base says:
+    // the claims are about a cache that holds the 64 vertices, and a
+    // smaller one (a test leg shrinks it to 8 to exercise eviction) would
+    // thrash, each refill a request the cache-off run never sends.
+    let capacity = |cache: bool| if cache { RtsConfig::base().dir_cache_capacity } else { 0 };
+    let mut records = Vec::new();
+    let mut access = |p: usize, reads: usize, hot: bool, cache: bool, agg: usize| {
+        let cfg = RtsConfig { dir_cache_capacity: capacity(cache), aggregation: agg, ..base.clone() };
+        let scenario = if hot { "hot-key" } else { "traversal" };
+        records.push(BenchRecord::new(
+            format!("{scenario}/p{p}/reads{reads}/cache-{}/agg{agg}", cache_label(cache)),
+            vec![
+                knob("p", p),
+                knob("vertices", nverts),
+                knob("reads", reads),
+                knob("scenario", scenario),
+                knob("dir_cache", cache_label(cache)),
+                knob("aggregation", agg),
+            ],
+            directory_access(p, nverts, reads, hot, cfg),
+        ));
+    };
     for hot in [true, false] {
         for cache in [true, false] {
-            specs.push((4, reads, hot, cache, 16));
+            access(4, reads, hot, cache, 16);
         }
     }
-    for agg in [1usize, 64] {
-        specs.push((4, reads, true, true, agg));
+    for agg in [1, 64] {
+        access(4, reads, true, true, agg);
     }
     for cache in [true, false] {
-        specs.push((2, reads, true, cache, 16));
-        specs.push((4, 6400, true, cache, 16));
+        access(2, reads, true, cache, 16);
+        access(4, 6400, true, cache, 16);
     }
-    let cache_label = |cache: bool| if cache { "on" } else { "off" };
-    // The claims are about a cache that holds the 64 vertices: a smaller
-    // base capacity (a test leg shrinks it to 8 to exercise eviction) would
-    // thrash it, and each refill is a request the cache-off run never sends.
-    let dir_cache_capacity = RtsConfig::base().dir_cache_capacity;
-    let mut records: Vec<BenchRecord> = specs
-        .into_iter()
-        .map(|(p, reads, hot, cache, agg)| {
-            let cfg =
-                RtsConfig { dir_cache: cache, dir_cache_capacity, aggregation: agg, ..base.clone() };
-            let scenario = if hot { "hot-key" } else { "traversal" };
-            BenchRecord::new(
-                format!("{scenario}/p{p}/reads{reads}/cache-{}/agg{agg}", cache_label(cache)),
-                vec![
-                    knob("p", p),
-                    knob("vertices", nverts),
-                    knob("reads", reads),
-                    knob("scenario", scenario),
-                    knob("dir_cache", cache_label(cache)),
-                    knob("aggregation", agg),
-                ],
-                directory_access(p, nverts, reads, hot, cfg),
-            )
-        })
-        .collect();
     let (p, rounds) = (4usize, 8usize);
     for cache in [true, false] {
-        let cfg = RtsConfig { dir_cache: cache, ..base.clone() };
+        let cfg = RtsConfig { dir_cache_capacity: capacity(cache), ..base.clone() };
         records.push(BenchRecord::new(
             format!("churn/p{p}/rounds{rounds}/cache-{}", cache_label(cache)),
             vec![knob("p", p), knob("rounds", rounds), knob("dir_cache", cache_label(cache))],
@@ -677,7 +667,7 @@ fn directory_area(base: &RtsConfig) -> Vec<BenchRecord> {
     for (partition, kind) in RESOLUTIONS {
         let (p, n) = (2usize, 2000usize);
         // The claims read the cache's misses, whatever the base says.
-        let cfg = RtsConfig { dir_cache: true, ..base.clone() };
+        let cfg = RtsConfig { dir_cache_capacity: capacity(true), ..base.clone() };
         records.push(BenchRecord::new(
             format!("fig51-find-sources/p{p}/n{n}/{partition}"),
             vec![knob("p", p), knob("n", n), knob("partition", partition), knob("dir_cache", "on")],
@@ -715,7 +705,7 @@ fn graph_find_sources(
     kind: Option<GraphPartitionKind>,
     cfg: RtsConfig,
 ) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let g: AlgoGraph = match kind {
             None => PGraph::new_static(loc, n, Directedness::Directed, VProps::default()),
             Some(kind) => {
@@ -747,7 +737,7 @@ fn mesh_boundary(p: u64, cols: u64) -> u64 {
 /// has exactly one out-edge across the cut, so an iteration sends one
 /// share per boundary vertex (`GraphView::boundary`).
 fn graph_page_rank(p: usize, (rows, cols): (usize, usize), iters: usize, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let g: AlgoGraph =
             PGraph::new_static(loc, rows * cols, Directedness::Directed, VProps::default());
         fill_mesh(&g, rows, cols, ());
@@ -828,7 +818,7 @@ const DYNAMIC_GATED: &[Counter] = &[
 /// RMIs). Takes the config so the `transport` area can re-run the same
 /// kernel gated on its own counters.
 fn dynamic_traversal(p: usize, per: usize, segmented: bool, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let l: PList<u64> = PList::new(loc);
         for i in 0..per {
             l.push_anywhere((loc.id() * per + i) as u64);
@@ -863,7 +853,7 @@ fn dynamic_traversal(p: usize, per: usize, segmented: bool, cfg: RtsConfig) -> M
 /// `p_copy` between twin pLists after every destination slab migrated one
 /// location over (every write remote, stale owner hints self-heal).
 fn dynamic_copy_migrated(p: usize, per: usize, segmented: bool, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let src: PList<u64> = PList::new(loc);
         let dst: PList<u64> = PList::new(loc);
         for i in 0..per {
@@ -894,7 +884,7 @@ fn dynamic_copy_migrated(p: usize, per: usize, segmented: bool, cfg: RtsConfig) 
 /// vs the per-pair shuffle. Either must reproduce a sequential model of
 /// the corpus exactly.
 fn dynamic_wordcount(p: usize, words_per_loc: usize, chunked: bool, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let docs: PHashMap<u64, String> = PHashMap::new(loc);
         let text = synthetic_corpus(loc, words_per_loc, 300, BENCH_SEED);
         docs.insert_async(loc.id() as u64, text.clone());
@@ -935,7 +925,7 @@ fn dynamic_wordcount(p: usize, words_per_loc: usize, chunked: bool, cfg: RtsConf
 /// the wire) and the opt-in `collect_ordered_bcast` (O(N·P)); the
 /// `gather_items` counter is the bytes-on-the-wire proxy.
 fn dynamic_collect(p: usize, per: usize, bcast: bool, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let m: PHashMap<u64, u64> = PHashMap::new(loc);
         for i in 0..per {
             let k = (loc.id() * per + i) as u64;
@@ -995,7 +985,7 @@ fn dynamic_area(base: &RtsConfig) -> Vec<BenchRecord> {
 /// `push_anywhere` into a local base container, or `push_back` onto the
 /// global end, the last base container, which the last location holds.
 fn dynamic_push(p: usize, per: usize, back: bool, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let l: PList<u64> = PList::new(loc);
         let measured = timed_scoped(loc, || {
             for i in 0..per {
@@ -1070,7 +1060,7 @@ fn executor_generate(
     mode: &'static str,
     cfg: RtsConfig,
 ) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let a = PArray::new(loc, n, 0u64);
         let v = ArrayView::new(a.clone());
         let gen = move |k: usize| {
@@ -1168,8 +1158,8 @@ const TRANSPORT_GATED: &[Counter] = &[
 ];
 
 fn transport_area(base: &RtsConfig) -> Vec<BenchRecord> {
-    // Same aggregation/bulk knobs as the localization area's default cell.
-    let wire = || RtsConfig { aggregation: 16, bulk_threshold: 2, ..base.clone() };
+    // Same aggregation width as the localization area's default cell.
+    let wire = || RtsConfig { aggregation: 16, ..base.clone() };
     let mut records = Vec::new();
     // (p, n) of the misaligned p_copy.
     for (p, n) in [(4usize, 4096usize), (4, 40_000)] {
@@ -1206,7 +1196,7 @@ fn transport_area(base: &RtsConfig) -> Vec<BenchRecord> {
 /// location's block asynchronously. The factor decides how the requests
 /// are packed into batches, not how many there are or what they carry.
 fn transport_async_sets(p: usize, sets: usize, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let a = PArray::new(loc, sets * loc.nlocs(), 0u64);
         let next = (loc.id() + 1) % loc.nlocs();
         let measured = timed_scoped(loc, || {
@@ -1278,7 +1268,7 @@ const CHAOS_GATED: &[Counter] = &[
 /// location — zero divergence under the fault schedule is part of every
 /// record, not a separate test.
 fn chaos_storm(p: usize, k: u64, rounds: u64, cfg: RtsConfig) -> Measured {
-    traced(cfg, p, move |loc| {
+    run(cfg, p, move |loc| {
         let (h, rep) = loc.register(std::cell::RefCell::new(0u64));
         loc.rmi_fence();
         let measured = timed_scoped(loc, || {
@@ -1538,7 +1528,6 @@ mod tests {
                     batches_sent: 2,
                     ..Default::default()
                 },
-                trace: TraceSummary::default(),
             }],
         };
         let text = report.to_json();

@@ -5,8 +5,7 @@
 //! written byte for byte: if a scenario picks up an unseeded RNG, or a
 //! timing-dependent value sneaks into the schema or a `gated` list, this is
 //! the test that catches it. Then it checks the area's claims on the first
-//! run, so `cargo test` checks them all. The trace layer's counts are
-//! compared in `trace_determinism.rs`.
+//! run, so `cargo test` checks them all.
 
 use stapl_bench::harness::AREAS;
 use stapl_rts::RtsConfig;

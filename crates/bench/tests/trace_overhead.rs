@@ -1,30 +1,17 @@
 //! The trace-disabled path must be free: `RtsConfig::base()` (trace off)
 //! and a traced run of the *same* seeded scenario must produce identical
 //! deterministic counters — tracing reads the counters' world but never
-//! writes it. Pure timing counters (batching, fence rounds, steals) are
-//! excluded exactly as they are from the harness's gated lists.
+//! writes it. Timing counters (batching, fence rounds, steals) are
+//! excluded by their [`Class`], as the bench gate excludes them.
 //!
 //! The wall-clock side of the overhead claim is `benchmark/`'s
 //! `rts.trace_overhead_x`; this test is the stats-level guard CI can gate
 //! on.
 
-use stapl_rts::{execute_collect, execute_collect_traced, RtsConfig, StatsSnapshot};
+use stapl_rts::{execute_collect, execute_collect_traced, Class, Counter, RtsConfig, StatsSnapshot};
 
-/// Counters whose values depend only on program flow, never on timing.
-const DETERMINISTIC: &[&str] = &[
-    "local_invocations",
-    "remote_requests",
-    "responses_sent",
-    "tasks_executed",
-    "dir_cache_hits",
-    "dir_cache_misses",
-    "dir_cache_stale",
-    "bulk_requests",
-    "localized_chunks",
-    "element_fallbacks",
-    "segment_requests",
-    "gather_items",
-];
+/// Sync round trips each location makes to its successor.
+const SYNC_RMIS: u64 = 16;
 
 /// A fixed mixed-traffic scenario: async fan-out, sync round trips, and a
 /// collective, all flow-deterministic at a given P.
@@ -40,7 +27,7 @@ fn scenario(loc: &stapl_rts::Location) -> StatsSnapshot {
         loc.async_rmi(peer, h, |c: &std::cell::Cell<u64>, _| c.set(c.get() + 1));
     }
     let next = (loc.id() + 1) % loc.nlocs();
-    for i in 0..16u64 {
+    for i in 0..SYNC_RMIS {
         let got: u64 = loc.sync_rmi(next, h, move |c: &std::cell::Cell<u64>, _| c.get() + i);
         std::hint::black_box(got);
     }
@@ -58,12 +45,13 @@ fn tracing_adds_zero_counter_traffic() {
     let on = traced.remove(0);
     let trace = trace.expect("tracing enabled");
     assert!(trace.total_events() > 0, "traced run must actually record events");
-    for name in DETERMINISTIC {
-        assert_eq!(
-            off.counter(name),
-            on.counter(name),
-            "counter {name} changed when tracing was enabled"
-        );
+    for &c in Counter::ALL.iter().filter(|c| !matches!(c.class(), Class::Timing(_))) {
+        assert_eq!(off.get(c), on.get(c), "counter {} changed when tracing was enabled", c.name());
+    }
+    // A span's duration is one histogram sample: exactly one per round trip.
+    for l in &trace.locs {
+        let samples = l.histogram("sync_rmi").expect("known histogram").count();
+        assert_eq!(samples, SYNC_RMIS, "location {}: sync_rmi samples", l.loc);
     }
     // And the untraced run really ran untraced: no buffers were kept.
     let (_, none) = execute_collect_traced(RtsConfig::base(), p, scenario);

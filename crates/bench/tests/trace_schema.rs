@@ -30,7 +30,8 @@ fn exported_trace_passes_the_validator() {
     assert_eq!(check.lanes, 4, "one (pid, tid) lane per location");
     assert!(check.spans > 0, "barrier/fence/sync-rmi spans expected");
     assert!(check.instants > 0, "rmi_send/rmi_execute instants expected");
-    let sends: u64 = rt.locs.iter().map(|l| l.count(TraceEventKind::RmiSend)).sum();
+    let sends = rt.locs.iter().flat_map(|l| &l.events).filter(|e| e.kind == TraceEventKind::RmiSend);
+    let sends = sends.count();
     assert!(sends >= 8 * 4, "every sync_rmi issues at least one send");
 }
 

@@ -643,7 +643,6 @@ impl<T: Send + Clone + 'static> IndexedContainer for PArray<T> {
 enum RangePart<T: Send + 'static> {
     Local(Bcid, Range1d),
     Bulk(RmiFuture<Vec<T>>),
-    Elems(Vec<RmiFuture<T>>),
 }
 
 impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
@@ -658,26 +657,21 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
     fn get_range(&self, r: Range1d) -> Vec<T> {
         let loc = self.obj.location().clone();
         let me = loc.id();
-        let threshold = loc.config().bulk_threshold;
         // Phase 1: launch every remote fetch before awaiting any reply.
         let parts: Vec<RangePart<T>> = self
             .runs(r)
             .into_iter()
             .map(|run| {
                 if run.owner == me {
-                    RangePart::Local(run.bcid, run.gids)
-                } else if run.gids.len() >= threshold {
-                    loc.note_bulk_request(run.gids.len() as u64);
-                    let (bcid, gids) = (run.bcid, run.gids);
-                    RangePart::Bulk(self.obj.invoke_split_at(run.owner, move |cell, _| {
-                        let mut vals = Vec::with_capacity(gids.len());
-                        cell.borrow().get_range_local(bcid, gids, &mut vals);
-                        vals
-                    }))
-                } else {
-                    loc.note_element_fallbacks(run.gids.len() as u64);
-                    RangePart::Elems(run.gids.iter().map(|g| self.split_get_element(g)).collect())
+                    return RangePart::Local(run.bcid, run.gids);
                 }
+                loc.note_bulk_request(run.gids.len() as u64);
+                let (bcid, gids) = (run.bcid, run.gids);
+                RangePart::Bulk(self.obj.invoke_split_at(run.owner, move |cell, _| {
+                    let mut vals = Vec::with_capacity(gids.len());
+                    cell.borrow().get_range_local(bcid, gids, &mut vals);
+                    vals
+                }))
             })
             .collect();
         // Phase 2: assemble in GID order. Local borrows are scoped per run
@@ -691,7 +685,6 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
                     self.obj.local().get_range_local(bcid, gids, &mut out);
                 }
                 RangePart::Bulk(fut) => out.extend(fut.get()),
-                RangePart::Elems(futs) => out.extend(futs.into_iter().map(|f| f.get())),
             }
         }
         out
@@ -700,25 +693,19 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
     fn set_range_slice(&self, lo: usize, vals: &[T]) {
         let loc = self.obj.location().clone();
         let me = loc.id();
-        let threshold = loc.config().bulk_threshold;
         let r = Range1d::new(lo, lo + vals.len());
         for run in self.runs(r) {
             let chunk = &vals[run.gids.lo - lo..run.gids.hi - lo];
             if run.owner == me {
                 loc.note_localized_chunk();
                 self.obj.local_mut().set_range_local(run.bcid, run.gids, chunk);
-            } else if run.gids.len() >= threshold {
+            } else {
                 loc.note_bulk_request(run.gids.len() as u64);
                 let (bcid, gids) = (run.bcid, run.gids);
                 let owned = chunk.to_vec();
                 self.obj.invoke_at(run.owner, move |cell, _| {
                     cell.borrow_mut().set_range_local(bcid, gids, &owned);
                 });
-            } else {
-                loc.note_element_fallbacks(run.gids.len() as u64);
-                for (g, v) in run.gids.iter().zip(chunk) {
-                    self.set_element(g, v.clone());
-                }
             }
         }
     }
@@ -729,23 +716,16 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
     {
         let loc = self.obj.location().clone();
         let me = loc.id();
-        let threshold = loc.config().bulk_threshold;
         for run in self.runs(r) {
             if run.owner == me {
                 loc.note_localized_chunk();
                 self.obj.local_mut().apply_range_local(run.bcid, run.gids, &f);
-            } else if run.gids.len() >= threshold {
+            } else {
                 loc.note_bulk_request(run.gids.len() as u64);
                 let (bcid, gids, f) = (run.bcid, run.gids, f.clone());
                 self.obj.invoke_at(run.owner, move |cell, _| {
                     cell.borrow_mut().apply_range_local(bcid, gids, f);
                 });
-            } else {
-                loc.note_element_fallbacks(run.gids.len() as u64);
-                for g in run.gids.iter() {
-                    let f = f.clone();
-                    self.apply_set(g, move |v| f(g, v));
-                }
             }
         }
     }
@@ -1065,23 +1045,6 @@ mod tests {
                     after.remote_requests - before.remote_requests
                 );
                 assert_eq!(after.element_fallbacks, before.element_fallbacks);
-            }
-            loc.barrier();
-        });
-    }
-
-    #[test]
-    fn short_remote_runs_fall_back_to_element_rmis() {
-        let cfg = RtsConfig { bulk_threshold: usize::MAX, ..RtsConfig::base() };
-        execute(cfg, 2, |loc| {
-            let a = PArray::from_fn(loc, 10, |i| i as u64);
-            loc.rmi_fence();
-            if loc.id() == 0 {
-                let before = loc.stats();
-                assert_eq!(a.get_range(Range1d::new(0, 10)), (0..10).collect::<Vec<u64>>());
-                let after = loc.stats();
-                assert_eq!(after.bulk_requests, before.bulk_requests);
-                assert_eq!(after.element_fallbacks - before.element_fallbacks, 5);
             }
             loc.barrier();
         });

@@ -1446,9 +1446,9 @@ mod tests {
 
     #[test]
     fn hot_vertex_access_uses_cache_and_cuts_traffic() {
-        let run = |dir_cache: bool| {
+        let run = |dir_cache_capacity| {
             stapl_rts::execute_collect(
-                RtsConfig { dir_cache, ..RtsConfig::base() },
+                RtsConfig { dir_cache_capacity, ..RtsConfig::base() },
                 4,
                 |loc| {
                     let g: PGraph<u64, ()> = PGraph::new_dynamic(
@@ -1473,8 +1473,8 @@ mod tests {
             )
             .remove(0)
         };
-        let (cached, stats) = run(true);
-        let (uncached, _) = run(false);
+        let (cached, stats) = run(RtsConfig::base().dir_cache_capacity);
+        let (uncached, _) = run(0);
         assert!(stats.dir_cache_hits > 0, "hot accesses must hit the cache: {stats:?}");
         assert!(
             cached < uncached,

@@ -444,12 +444,11 @@ impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVec
                     .map(|g| rep.data[rep.clamp(g - lo)].clone())
                     .collect()));
             } else {
-                // pVector runs are whole per-location blocks — always worth
-                // one bulk RMI, no element-fallback crossover. Like the
-                // element path, offsets are computed at the *sender* from
-                // the routing-time bounds and only clamped at the owner
-                // (the relaxed window of the module docs) — the owner's
-                // bounds may already have moved on.
+                // A remote run is one bulk RMI, as in every indexed
+                // container. Like the element path, offsets are computed at
+                // the *sender* from the routing-time bounds and only
+                // clamped at the owner (the relaxed window of the module
+                // docs) — the owner's bounds may already have moved on.
                 loc.note_bulk_request(run.gids.len() as u64);
                 let off = run.gids.lo - self.obj.local().lo(run.owner);
                 let len = run.gids.len();

@@ -24,10 +24,11 @@ const VD_SPACE: usize = 12;
 fn run_workload(
     p: usize,
     kind: GraphPartitionKind,
-    dir_cache: bool,
+    cached: bool,
     ops: Vec<RawOp>,
 ) -> Vec<(usize, u64)> {
-    let cfg = RtsConfig { dir_cache, ..RtsConfig::base() };
+    let base = RtsConfig::base();
+    let cfg = RtsConfig { dir_cache_capacity: if cached { base.dir_cache_capacity } else { 0 }, ..base };
     execute_collect(cfg, p, move |loc| {
         let g: PGraph<u64, ()> = PGraph::new_dynamic(loc, Directedness::Directed, kind);
         loc.rmi_fence();
@@ -78,7 +79,7 @@ fn run_workload(
                             g.vertex_property(vd),
                             expect,
                             "read of vd {vd} diverged from the model (kind {kind:?}, \
-                             cache {dir_cache})"
+                             cache {cached})"
                         );
                     }
                 }
@@ -117,11 +118,11 @@ proptest! {
     ) {
         let mut results = Vec::new();
         for kind in [GraphPartitionKind::DynamicFwd, GraphPartitionKind::DynamicTwoPhase] {
-            for dir_cache in [true, false] {
+            for cached in [true, false] {
                 results.push((
                     kind,
-                    dir_cache,
-                    run_workload(p, kind, dir_cache, ops.clone()),
+                    cached,
+                    run_workload(p, kind, cached, ops.clone()),
                 ));
             }
         }

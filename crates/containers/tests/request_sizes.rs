@@ -56,8 +56,10 @@ fn push_rank(g: &AlgoGraph) {
 /// home is `home`, on a cold owner cache: the request takes the home path,
 /// one leg of it between the two locations — and, with the cache on, the
 /// home's fill comes back.
-fn add_edge_via_home(home: usize, dir_cache: bool) -> (u64, u64) {
-    at_p2(RtsConfig { dir_cache, ..RtsConfig::base() }, move |loc| {
+fn add_edge_via_home(home: usize, cached: bool) -> (u64, u64) {
+    let base = RtsConfig::base();
+    let dir_cache_capacity = if cached { base.dir_cache_capacity } else { 0 };
+    at_p2(RtsConfig { dir_cache_capacity, ..base }, move |loc| {
         let g = crossing_graph(loc);
         let s = (1..64).step_by(2).find(|s| home_of(s, 2) == home).expect("a vertex of location 1 homed there");
         window(loc, || g.add_edge_async(s, 0, ()))

@@ -19,7 +19,8 @@ use stapl_core::interfaces::{
 use stapl_rts::{execute, RtsConfig};
 
 fn cfg(cache: bool) -> RtsConfig {
-    RtsConfig { dir_cache: cache, ..RtsConfig::base() }
+    let base = RtsConfig::base();
+    RtsConfig { dir_cache_capacity: if cache { base.dir_cache_capacity } else { 0 }, ..base }
 }
 
 /// Builds a pList with `per` elements pushed on every location, then

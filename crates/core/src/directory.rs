@@ -194,26 +194,24 @@ impl<G: Gid> DirectoryShard<G> {
 /// pure latency optimizations.
 #[derive(Debug)]
 pub struct OwnerCache<G: Gid> {
-    enabled: bool,
     capacity: usize,
     entries: RefCell<KeyHashMap<G, LocId>>,
 }
 
 impl<G: Gid> OwnerCache<G> {
-    /// A cache holding at most `capacity` entries; `enabled = false` makes
+    /// A cache holding at most `capacity` entries; capacity `0` makes
     /// every operation a no-op (the container then always home-routes).
-    pub fn new(enabled: bool, capacity: usize) -> Self {
-        OwnerCache { enabled: enabled && capacity > 0, capacity, entries: RefCell::new(KeyHashMap::default()) }
+    pub fn new(capacity: usize) -> Self {
+        OwnerCache { capacity, entries: RefCell::new(KeyHashMap::default()) }
     }
 
-    /// A cache configured from the runtime's `dir_cache` /
-    /// `dir_cache_capacity` knobs.
+    /// A cache sized by the runtime's `dir_cache_capacity` knob.
     pub fn from_config(cfg: &RtsConfig) -> Self {
-        Self::new(cfg.dir_cache, cfg.dir_cache_capacity)
+        Self::new(cfg.dir_cache_capacity)
     }
 
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.capacity > 0
     }
 
     /// The cached owner of `g`.
@@ -224,7 +222,7 @@ impl<G: Gid> OwnerCache<G> {
     /// Records `g`'s authoritative owner; a full cache first evicts an
     /// arbitrary entry.
     pub fn record(&self, g: G, owner: LocId) {
-        if !self.enabled {
+        if !self.enabled() {
             return;
         }
         let mut entries = self.entries.borrow_mut();
@@ -834,7 +832,7 @@ mod tests {
 
     #[test]
     fn cache_basics_and_eviction() {
-        let c = OwnerCache::<u64>::new(true, 2);
+        let c = OwnerCache::<u64>::new(2);
         assert!(c.is_empty());
         c.record(1, 0);
         c.record(2, 1);
@@ -854,7 +852,7 @@ mod tests {
         c.invalidate_if_owner(&3, 2);
         assert_eq!(c.lookup(&3), None);
         // A full cache evicts one entry per record, and never grows.
-        let c = OwnerCache::<u64>::new(true, 64);
+        let c = OwnerCache::<u64>::new(64);
         for g in 0..11 * 64 {
             c.record(g, 1);
             assert!(c.len() <= 64);
@@ -864,12 +862,11 @@ mod tests {
 
     #[test]
     fn disabled_cache_is_inert() {
-        let c = OwnerCache::<u64>::new(false, 64);
+        let c = OwnerCache::<u64>::new(0);
+        assert!(!c.enabled());
         c.record(1, 0);
         assert_eq!(c.lookup(&1), None);
         assert!(c.is_empty());
-        let zero_cap = OwnerCache::<u64>::new(true, 0);
-        assert!(!zero_cap.enabled());
     }
 
     #[test]
@@ -969,8 +966,8 @@ mod tests {
 
     #[test]
     fn repeated_access_hits_cache_and_cuts_messages() {
-        let run = |dir_cache: bool| {
-            execute_collect(RtsConfig { dir_cache, ..RtsConfig::base() }, 4, |loc| {
+        let run = |dir_cache_capacity| {
+            execute_collect(RtsConfig { dir_cache_capacity, ..RtsConfig::base() }, 4, |loc| {
                 let obj = setup(loc);
                 // Pick a hot gid owned by the next location and hammer it.
                 let hot = (loc.id() as u64 + 1) % loc.nlocs() as u64;
@@ -990,8 +987,8 @@ mod tests {
             })
             .remove(0)
         };
-        let (cached_reqs, stats) = run(true);
-        let (uncached_reqs, _) = run(false);
+        let (cached_reqs, stats) = run(RtsConfig::base().dir_cache_capacity);
+        let (uncached_reqs, _) = run(0);
         // The fill arrives asynchronously, so the first few accesses may
         // miss; the vast majority must hit.
         assert!(stats.dir_cache_hits >= 40 * 4, "hot key must hit: {stats:?}");
@@ -1004,7 +1001,7 @@ mod tests {
 
     #[test]
     fn stale_cache_hit_self_heals_and_invalidates() {
-        let snaps = execute_collect(RtsConfig { dir_cache: true, ..RtsConfig::base() }, 3, |loc| {
+        let snaps = execute_collect(RtsConfig::base(), 3, |loc| {
             let obj = setup(loc);
             // Location 0 warms its cache for gid 7 (owned by location 1).
             if loc.id() == 0 {
@@ -1048,7 +1045,7 @@ mod tests {
 
     #[test]
     fn hinted_route_skips_home_and_heals_wrong_hints() {
-        execute(RtsConfig { dir_cache: false, ..RtsConfig::base() }, 2, |loc| {
+        execute(RtsConfig { dir_cache_capacity: 0, ..RtsConfig::base() }, 2, |loc| {
             let obj = setup(loc);
             // Correct hint: straight to the owner, works with caching off.
             let owner1 = 1 % loc.nlocs();

@@ -115,12 +115,9 @@ pub trait IndexedContainer: ElementWrite<usize> + LocalIteration<usize> {
 /// one `RefCell` borrow per chunk. This is the coarsening the paper's
 /// localized views rely on to run pAlgorithms at sequential speed.
 ///
-/// The crossover between bulk and element-wise remote transport is
-/// `RtsConfig::bulk_threshold` (`STAPL_BULK_THRESHOLD`): remote runs
-/// shorter than the threshold fall back to element RMIs (which the
-/// aggregation layer batches anyway). Instrumentation: bulk RMIs bump
-/// `bulk_requests`, direct slice borrows bump `localized_chunks`, and
-/// every element-wise fallback bumps `element_fallbacks`.
+/// Every remote run, of any length, ships as one bulk RMI. Instrumentation:
+/// bulk RMIs bump `bulk_requests` and direct slice borrows bump
+/// `localized_chunks`.
 pub trait RangedContainer: IndexedContainer {
     /// Decomposes `[r.lo, r.hi)` into its maximal storage-contiguous runs
     /// in GID order (O(runs), replicated metadata only — no communication).

@@ -1,5 +1,5 @@
-//! Runtime configuration: aggregation, directory caching, bulk transport,
-//! tracing, and the reliable layer and its fault schedule.
+//! Runtime configuration: aggregation, directory caching, tracing, and the
+//! reliable layer and its fault schedule.
 //!
 //! A knob is declared **once**, as a row of the `knobs!` table below: doc,
 //! `field: Type = default`, and optionally `"STAPL_VAR" => parse`. The
@@ -120,21 +120,12 @@ knobs! {
     /// reads slower than 128 on `rmi-reads` in 9 of 10 seeds (both
     /// columns), and 256 reads slower than 128 there in 8 and 9.
     aggregation: usize = 128, "STAPL_AGGREGATION" => |s| s.parse().ok().map(|a: usize| a.max(1));
-    /// Enables the per-location directory owner caches consulted by
+    /// Maximum number of cached `gid → owner` entries per location *per
+    /// container* in the directory owner caches consulted by
     /// `dir_route`/`dir_route_ret` before falling back to home-forwarding
-    /// (the BCL-style locality optimization for dynamic containers). `0`
-    /// in the environment switches them off, any other integer on.
-    dir_cache: bool = true, "STAPL_DIR_CACHE" => |s| s.parse().ok().map(|c: u8| c != 0);
-    /// Maximum number of cached `gid → (bcid, owner)` entries per location
-    /// *per container*. When full, an arbitrary entry is evicted.
+    /// (the BCL-style locality optimization for dynamic containers). When
+    /// full, an arbitrary entry is evicted; `0` switches the caches off.
     dir_cache_capacity: usize = 4096, "STAPL_DIR_CACHE_CAPACITY" => |s| s.parse().ok();
-    /// Crossover for the bulk-range transport: a remote contiguous run of
-    /// at least this many elements ships as **one** bulk RMI
-    /// (`get_range`/`set_range`/`apply_range`); shorter runs fall back to
-    /// element-wise RMIs, which the aggregation layer already batches
-    /// well. `1` makes every remote run bulk; a huge value disables bulk
-    /// transport entirely (the element-wise ablation baseline).
-    bulk_threshold: usize = 2, "STAPL_BULK_THRESHOLD" => |s| s.parse().ok().map(|t: usize| t.max(1));
     /// Enables the per-location trace layer (`rts::trace`): typed events
     /// with monotonic timestamps plus latency histograms, collected by
     /// [`crate::execute_collect_traced`]. Off by default; when off the hot
@@ -247,9 +238,7 @@ mod tests {
     fn base_is_single_node() {
         let c = RtsConfig::base();
         assert!(c.aggregation > 1);
-        assert!(c.dir_cache);
         assert!(c.dir_cache_capacity > 0);
-        assert!(c.bulk_threshold >= 1);
         assert!(!c.trace, "tracing must be off by default");
         assert!(!c.faults.active(), "fault injection must be off by default");
         assert!(!c.reliable_layer(), "a clean in-process fabric needs no reliable layer");
@@ -288,8 +277,7 @@ mod tests {
         // concurrently and env mutation would race.
         let c = env(&[
             ("STAPL_AGGREGATION", "0"),
-            ("STAPL_DIR_CACHE", "0"),
-            ("STAPL_BULK_THRESHOLD", "0"),
+            ("STAPL_DIR_CACHE_CAPACITY", "0"),
             ("STAPL_TRACE", "1"),
             ("STAPL_FAULTS", "drop:0.25,delay_us:10"),
             ("STAPL_FAULT_SEED", "12345"),
@@ -299,9 +287,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(c.aggregation, 1, "clamped");
-        assert!(!c.dir_cache);
-        assert_eq!(c.dir_cache_capacity, RtsConfig::base().dir_cache_capacity);
-        assert_eq!(c.bulk_threshold, 1, "clamped");
+        assert_eq!(c.dir_cache_capacity, 0);
         assert!(c.trace);
         assert_eq!(c.faults, FaultSchedule { drop: 0.25, delay_us: 10, ..Default::default() });
         assert!(!c.reliable && c.reliable_layer(), "a fault schedule alone turns the layer on");
@@ -315,9 +301,7 @@ mod tests {
         let base = RtsConfig::base();
         let rows = [
             ("STAPL_AGGREGATION", "16", RtsConfig { aggregation: 16, ..RtsConfig::base() }),
-            ("STAPL_DIR_CACHE", "0", RtsConfig { dir_cache: false, ..RtsConfig::base() }),
             ("STAPL_DIR_CACHE_CAPACITY", "8", RtsConfig { dir_cache_capacity: 8, ..RtsConfig::base() }),
-            ("STAPL_BULK_THRESHOLD", "7", RtsConfig { bulk_threshold: 7, ..RtsConfig::base() }),
             ("STAPL_TRACE", "1", RtsConfig { trace: true, ..RtsConfig::base() }),
             (
                 "STAPL_FAULTS",
@@ -341,9 +325,10 @@ mod tests {
         for var in RtsConfig::ENV_VARS {
             assert_eq!(DOC_TABLE.matches(&format!("`{var}`")).count(), 1, "{var}\n{DOC_TABLE}");
         }
-        // One row per field: 10 fields, 9 of them with a variable.
-        assert_eq!(DOC_TABLE.lines().count(), 2 + 10);
-        assert_eq!(DOC_TABLE.matches("| — |").count(), 10 - RtsConfig::ENV_VARS.len());
+        // One row per field: 8 fields, 7 of them with a variable.
+        assert_eq!(RtsConfig::ENV_VARS.len(), 7);
+        assert_eq!(DOC_TABLE.lines().count(), 2 + 8);
+        assert_eq!(DOC_TABLE.matches("| — |").count(), 8 - RtsConfig::ENV_VARS.len());
     }
 
     #[test]

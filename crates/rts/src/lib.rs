@@ -65,6 +65,5 @@ pub use location::{Handle, LocId, Location, ReplyToken};
 pub use spmd::{execute, execute_collect, execute_collect_traced};
 pub use stats::{Class, Counter, StatsSnapshot};
 pub use trace::{
-    LatencyHistogram, LocationTrace, RunTrace, TraceEvent, TraceEventKind, TraceSummary,
-    HISTOGRAM_NAMES, KIND_COUNT,
+    LatencyHistogram, LocationTrace, RunTrace, TraceEvent, TraceEventKind, HISTOGRAM_NAMES,
 };

@@ -258,14 +258,14 @@ impl Location {
         }
     }
 
-    /// Drains this location's trace buffer (events, counts, histograms,
-    /// plus a [`Location::local_stats`] snapshot); `None` when tracing is
-    /// off. Called by the SPMD driver after the final fence.
+    /// Drains this location's trace buffer (events and histograms, plus a
+    /// [`Location::local_stats`] snapshot and the requests run here);
+    /// `None` when tracing is off. Called by [`crate::execute_collect_traced`]
+    /// after the final fence.
     pub(crate) fn take_trace(&self) -> Option<LocationTrace> {
-        self.inner
-            .trace
-            .as_ref()
-            .map(|t| t.borrow_mut().take_data(self.id(), self.local_stats()))
+        let handled = self.inner.counters.handled();
+        let trace = self.inner.trace.as_ref()?;
+        Some(trace.borrow_mut().take_data(self.id(), self.local_stats(), handled))
     }
 
     /// Records one method run inline on this location's own representative

@@ -112,9 +112,8 @@ counters! {
     /// Chunks served by a direct local slice borrow (one `RefCell` borrow
     /// for the whole chunk) — the view-localization fast path.
     localized_chunks: Down,
-    /// Elements processed one-at-a-time where a chunk/bulk path was asked
-    /// for but unavailable (non-contiguous storage, runs below
-    /// `bulk_threshold`, or a view without a localized override).
+    /// Elements processed one-at-a-time where a chunk path was asked for
+    /// but unavailable (a view without a localized override).
     element_fallbacks: Up,
     /// Segment RMIs issued by the dynamic-container bulk transport: one
     /// per (owner, base-container segment) shipped as a single message by

@@ -21,29 +21,22 @@
 //! quantile (p50 and p99 by name) and the exact max for sync-RMI round
 //! trips, split-RMI future waits, task bodies, and barrier waits.
 //!
-//! Two export paths sit on top ([`RunTrace`]): a Chrome trace-event JSON
-//! timeline (one pid per location; loadable in Perfetto or
-//! `chrome://tracing`) and aggregated [`TraceSummary`] counts + quantiles
-//! for the bench harness.
+//! [`RunTrace`] exports the timeline as Chrome trace-event JSON (one pid
+//! per location; loadable in Perfetto or `chrome://tracing`).
 //!
-//! **Determinism contract** (mirrors the counter gating of the bench
-//! harness): *event and histogram-sample counts* of kinds whose
-//! [`TraceEventKind::gating_counter`] is deterministic for a scenario are
-//! themselves deterministic under a fixed seed; *timestamps and durations*
-//! are always advisory. Timing-dependent kinds (flushes, fence rounds,
-//! barriers, steals) report `None` and must never be gated.
+//! The trace keeps time, not counts: how many requests, replies, bulk
+//! transfers or tasks a run made is what the counters say, and each
+//! [`LocationTrace`] carries its location's counter snapshot. Timestamps
+//! and durations are always advisory.
 
 use std::collections::VecDeque;
 
 use crate::location::LocId;
-use crate::stats::{Counter, StatsSnapshot};
-
-/// Number of [`TraceEventKind`] variants (array-index upper bound).
-pub const KIND_COUNT: usize = 24;
+use crate::stats::StatsSnapshot;
 
 /// Capacity of each location's trace event ring, in events. When full,
-/// the oldest events are evicted (with an exact drop counter); per-kind
-/// counts and histograms are exact regardless.
+/// the oldest events are evicted (with an exact drop counter); the
+/// histograms are exact regardless.
 pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 
 /// Number of latency histograms kept per location; see
@@ -67,12 +60,10 @@ macro_rules! kinds {
         }
 
         impl TraceEventKind {
-            /// Every kind, in declaration order (the order all count
-            /// exports use).
-            pub const ALL: [TraceEventKind; KIND_COUNT] = [$(TraceEventKind::$kind),*];
+            /// Every kind, in declaration order.
+            pub const ALL: &[TraceEventKind] = &[$(TraceEventKind::$kind),*];
 
-            /// Stable snake-case name, used as the Chrome trace event name
-            /// and the JSON key in bench records.
+            /// Stable snake-case name, used as the Chrome trace event name.
             pub fn name(self) -> &'static str {
                 match self {
                     $(TraceEventKind::$kind => $name,)*
@@ -161,45 +152,6 @@ impl TraceEventKind {
             TraceEventKind::TaskSpan => Some(2),
             TraceEventKind::BarrierSpan => Some(3),
             _ => None,
-        }
-    }
-
-    /// The stats counter whose determinism implies this kind's *count* is
-    /// deterministic for a scenario: when a bench record gates that counter,
-    /// the event count may be gated too. `None` marks timing-dependent kinds
-    /// (flush activity, fence rounds, barriers, steals) that must never be
-    /// gated — the same split the harness applies to the counters
-    /// themselves.
-    pub fn gating_counter(self) -> Option<Counter> {
-        match self {
-            TraceEventKind::RmiSend
-            | TraceEventKind::RmiExecute
-            | TraceEventKind::SyncRmiSpan
-            | TraceEventKind::FutureWaitSpan
-            | TraceEventKind::CollectiveSpan
-            | TraceEventKind::Migration => Some(Counter::remote_requests),
-            TraceEventKind::RmiReply => Some(Counter::responses_sent),
-            TraceEventKind::BulkTransfer => Some(Counter::bulk_requests),
-            TraceEventKind::SegmentTransfer => Some(Counter::segment_requests),
-            TraceEventKind::GatherItems => Some(Counter::gather_items),
-            TraceEventKind::DirCacheHit => Some(Counter::dir_cache_hits),
-            TraceEventKind::DirCacheMiss => Some(Counter::dir_cache_misses),
-            TraceEventKind::DirCacheStale => Some(Counter::dir_cache_stale),
-            TraceEventKind::TaskSpan => Some(Counter::tasks_executed),
-            // A caught handler panic is as deterministic as the workload
-            // that panicked; the reliability events below are recorded
-            // once per reap, so their *event* count follows poll timing
-            // even where the counter they carry is deterministic.
-            TraceEventKind::PoisonedResponse => Some(Counter::poisoned_responses),
-            TraceEventKind::Flush
-            | TraceEventKind::StealProbe
-            | TraceEventKind::StealSuccess
-            | TraceEventKind::BarrierSpan
-            | TraceEventKind::FenceSpan
-            | TraceEventKind::FaultDrop
-            | TraceEventKind::Retransmit
-            | TraceEventKind::ChecksumFail
-            | TraceEventKind::AckSent => None,
         }
     }
 }
@@ -317,14 +269,13 @@ impl LatencyHistogram {
 // ---------------------------------------------------------------------
 
 /// Per-location trace state: a bounded event ring (oldest events drop
-/// first, with an exact drop counter), exact per-kind counts (immune to
-/// ring eviction), and the latency histograms. Lives behind a `RefCell` in
-/// the location's thread-local state; no atomics anywhere on this path.
+/// first, with an exact drop counter) and the latency histograms. Lives
+/// behind a `RefCell` in the location's thread-local state; no atomics
+/// anywhere on this path.
 pub(crate) struct TraceBuf {
     cap: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    counts: [u64; KIND_COUNT],
     hists: [LatencyHistogram; HISTOGRAM_COUNT],
 }
 
@@ -335,13 +286,11 @@ impl TraceBuf {
             cap,
             events: VecDeque::with_capacity(cap),
             dropped: 0,
-            counts: [0; KIND_COUNT],
             hists: Default::default(),
         }
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        self.counts[ev.kind as usize] += 1;
         if self.events.len() == self.cap {
             self.events.pop_front();
             self.dropped += 1;
@@ -364,13 +313,18 @@ impl TraceBuf {
     }
 
     /// Drains this buffer into an exportable [`LocationTrace`].
-    pub(crate) fn take_data(&mut self, loc: LocId, stats: StatsSnapshot) -> LocationTrace {
+    pub(crate) fn take_data(
+        &mut self,
+        loc: LocId,
+        stats: StatsSnapshot,
+        handled: u64,
+    ) -> LocationTrace {
         LocationTrace {
             loc,
             events: std::mem::take(&mut self.events).into(),
             dropped: self.dropped,
             stats,
-            counts: self.counts,
+            handled,
             hists: self.hists.clone(),
         }
     }
@@ -381,25 +335,21 @@ impl TraceBuf {
 // ---------------------------------------------------------------------
 
 /// Everything one location recorded: the surviving events, how many were
-/// evicted from the ring, the per-kind counts and histograms (both exact
-/// regardless of eviction), and that location's counter snapshot
-/// ([`crate::Location::local_stats`]).
+/// evicted from the ring, the histograms (exact regardless of eviction),
+/// and that location's counter snapshot ([`crate::Location::local_stats`])
+/// and count of requests it ran.
 #[derive(Clone)]
 pub struct LocationTrace {
     pub loc: LocId,
     pub events: Vec<TraceEvent>,
     pub dropped: u64,
     pub stats: StatsSnapshot,
-    counts: [u64; KIND_COUNT],
+    /// Requests delivered to and run on this location.
+    pub handled: u64,
     hists: [LatencyHistogram; HISTOGRAM_COUNT],
 }
 
 impl LocationTrace {
-    /// Exact number of events of `kind` recorded (including evicted ones).
-    pub fn count(&self, kind: TraceEventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
     /// The histogram named `name` (see [`HISTOGRAM_NAMES`]).
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         HISTOGRAM_NAMES.iter().position(|n| *n == name).map(|i| &self.hists[i])
@@ -521,21 +471,6 @@ impl RunTrace {
         self.locs.iter().map(|l| l.events.len()).sum()
     }
 
-    /// Aggregates counts and histograms over all locations.
-    pub fn summary(&self) -> TraceSummary {
-        let mut s = TraceSummary::default();
-        for l in &self.locs {
-            for i in 0..KIND_COUNT {
-                s.counts[i] += l.counts[i];
-            }
-            for (a, b) in s.hists.iter_mut().zip(&l.hists) {
-                a.merge(b);
-            }
-            s.dropped += l.dropped;
-        }
-        s
-    }
-
     /// Appends Chrome trace events for every location, with pids offset by
     /// `pid_base` and process names prefixed by `label` — so several runs
     /// can share one trace file without pid collisions.
@@ -557,39 +492,12 @@ impl RunTrace {
     }
 }
 
-/// Aggregated (all-locations) event counts and latency histograms of one
-/// run — what the bench harness embeds into `BENCH_*.json` records.
-#[derive(Clone, Default)]
-pub struct TraceSummary {
-    counts: [u64; KIND_COUNT],
-    hists: [LatencyHistogram; HISTOGRAM_COUNT],
-    pub dropped: u64,
-}
-
-impl TraceSummary {
-    /// Exact number of events of `kind` across all locations.
-    pub fn count(&self, kind: TraceEventKind) -> u64 {
-        self.counts[kind as usize]
-    }
-
-    /// The merged histogram named `name` (see [`HISTOGRAM_NAMES`]).
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        HISTOGRAM_NAMES.iter().position(|n| *n == name).map(|i| &self.hists[i])
-    }
-
-    /// `(name, histogram)` pairs in [`HISTOGRAM_NAMES`] order.
-    pub fn histograms(&self) -> Vec<(&'static str, &LatencyHistogram)> {
-        HISTOGRAM_NAMES.iter().copied().zip(self.hists.iter()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn kind_table_is_consistent() {
-        assert_eq!(TraceEventKind::ALL.len(), KIND_COUNT);
         for (i, k) in TraceEventKind::ALL.iter().enumerate() {
             assert_eq!(*k as usize, i, "{:?} out of declaration order", k);
         }
@@ -597,8 +505,8 @@ mod tests {
         let mut names: Vec<&str> = TraceEventKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), KIND_COUNT, "duplicate event-kind names");
-        for k in TraceEventKind::ALL {
+        assert_eq!(names.len(), TraceEventKind::ALL.len(), "duplicate event-kind names");
+        for &k in TraceEventKind::ALL {
             if k.histogram_index().is_some() {
                 assert!(k.is_span(), "{:?}: only spans feed histograms", k);
             }
@@ -647,12 +555,12 @@ mod tests {
     fn ring_drops_oldest_but_counts_stay_exact() {
         let mut buf = TraceBuf::new(4);
         for i in 0..10u64 {
-            buf.instant(TraceEventKind::RmiSend, i, i);
+            buf.span(TraceEventKind::SyncRmiSpan, i, i + 1, i);
         }
-        let data = buf.take_data(0, StatsSnapshot::default());
+        let data = buf.take_data(0, StatsSnapshot::default(), 0);
         assert_eq!(data.events.len(), 4);
         assert_eq!(data.dropped, 6);
-        assert_eq!(data.count(TraceEventKind::RmiSend), 10, "counts ignore eviction");
+        assert_eq!(data.histogram("sync_rmi").unwrap().count(), 10, "histograms ignore eviction");
         // The survivors are the most recent events.
         assert_eq!(data.events[0].t_ns, 6);
         assert_eq!(data.events[3].t_ns, 9);
@@ -663,7 +571,7 @@ mod tests {
         let mut buf = TraceBuf::new(16);
         buf.span(TraceEventKind::SyncRmiSpan, 100, 1100, 0);
         buf.span(TraceEventKind::BarrierSpan, 0, 50, 0);
-        let data = buf.take_data(2, StatsSnapshot::default());
+        let data = buf.take_data(2, StatsSnapshot::default(), 0);
         assert_eq!(data.histogram("sync_rmi").unwrap().count(), 1);
         assert_eq!(data.histogram("sync_rmi").unwrap().max_ns(), 1000);
         assert_eq!(data.histogram("barrier_wait").unwrap().count(), 1);
@@ -680,7 +588,7 @@ mod tests {
         buf.span(TraceEventKind::FenceSpan, 100, 500, 0);
         buf.instant(TraceEventKind::RmiSend, 150, 1);
         let run =
-            RunTrace { nlocs: 1, locs: vec![buf.take_data(0, StatsSnapshot::default())] };
+            RunTrace { nlocs: 1, locs: vec![buf.take_data(0, StatsSnapshot::default(), 0)] };
         let json = run.to_chrome_json();
         let fence_b = json.find("\"name\":\"fence\",\"cat\":\"rts\",\"ph\":\"B\"").unwrap();
         let barrier_b = json.find("\"name\":\"barrier\",\"cat\":\"rts\",\"ph\":\"B\"").unwrap();
@@ -689,25 +597,5 @@ mod tests {
         assert!(fence_b < barrier_b && barrier_b < barrier_e && barrier_e < fence_e);
         assert!(json.contains("\"ph\":\"i\""), "instants present");
         assert!(json.contains("\"name\":\"process_name\""), "pid metadata present");
-    }
-
-    #[test]
-    fn summary_aggregates_locations() {
-        let mut a = TraceBuf::new(8);
-        let mut b = TraceBuf::new(8);
-        a.instant(TraceEventKind::RmiSend, 1, 0);
-        a.span(TraceEventKind::SyncRmiSpan, 0, 10, 0);
-        b.instant(TraceEventKind::RmiSend, 2, 0);
-        let run = RunTrace {
-            nlocs: 2,
-            locs: vec![
-                a.take_data(0, StatsSnapshot::default()),
-                b.take_data(1, StatsSnapshot::default()),
-            ],
-        };
-        let s = run.summary();
-        assert_eq!(s.count(TraceEventKind::RmiSend), 2);
-        assert_eq!(s.histogram("sync_rmi").unwrap().count(), 1);
-        assert_eq!(run.total_events(), 3);
     }
 }
