@@ -88,7 +88,6 @@ mod tests {
     use stapl_core::partition::MatrixLayout;
     use stapl_rts::{execute, RtsConfig};
     use stapl_views::array_view::{ArrayView, BalancedView};
-    use stapl_views::matrix_view::LinearView;
 
     /// The equivalence the `_pg` entry points promise: results identical
     /// to their SPMD counterparts, with and without stealing, on a
@@ -137,7 +136,7 @@ mod tests {
                 let m = PMatrix::from_fn(loc, 4, 5, MatrixLayout::RowBlocked, |r, c| {
                     (r * 5 + c) as u64
                 });
-                let mv = LinearView::new(m);
+                let mv = ArrayView::new(m.linear().clone());
                 assert_eq!(
                     p_reduce_pg(&mv, policy, |_, x| x, |p, q| p + q),
                     p_reduce_view(&mv, |_, x| x, |p, q| p + q),

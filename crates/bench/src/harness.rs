@@ -13,7 +13,7 @@
 //!   misaligned placements and aggregation widths; and
 //!   Fig. 62's row-min over composed containers and a pMatrix
 //!   (`fig62-row-min`);
-//! * `directory` — owner caches with epoch invalidation: hot-key and
+//! * `directory` — the directory's owner caches: hot-key and
 //!   traversal reads on a dynamic pGraph, cache on vs off, and the stale
 //!   self-heal after a vertex migrates; and the graph figures: Fig. 51's
 //!   find-sources under the three address-resolution strategies
@@ -539,7 +539,7 @@ fn localization_claims(records: &[BenchRecord]) {
 }
 
 // ---------------------------------------------------------------------
-// Area: directory (owner caches with epoch invalidation)
+// Area: directory (owner caches)
 // ---------------------------------------------------------------------
 
 const DIRECTORY_GATED: &[Counter] = &[

@@ -734,10 +734,6 @@ impl<K: Key + Ord, V: Send + Clone + 'static> PMultiMap<K, V> {
     pub fn commit(&self) {
         self.map.commit();
     }
-
-    pub fn erase_key_async(&self, k: K) {
-        self.map.erase_async(k);
-    }
 }
 
 #[cfg(test)]

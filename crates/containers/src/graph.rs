@@ -709,10 +709,6 @@ where
         PGraph { obj }
     }
 
-    pub fn partition_kind(&self) -> GraphPartitionKind {
-        self.obj.local().kind
-    }
-
     pub fn directedness(&self) -> Directedness {
         self.obj.local().directedness
     }
@@ -1056,10 +1052,6 @@ where
 
     pub fn local_num_vertices(&self) -> usize {
         self.obj.local().bc.slots.len()
-    }
-
-    pub fn local_num_edges(&self) -> usize {
-        self.obj.local().local_counts().1
     }
 
     /// Iterates the local vertices in descriptor order.

@@ -8,6 +8,7 @@ use stapl_containers::array::PArray;
 use stapl_containers::associative::PHashMap;
 use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph, VertexDesc};
 use stapl_containers::list::PList;
+use stapl_containers::matrix::PMatrix;
 use stapl_containers::slab_list::SlabList;
 use stapl_core::directory::home_of;
 use stapl_core::interfaces::{AssociativeContainer, ElementRead, ElementWrite, PContainer};
@@ -102,6 +103,14 @@ fn rows() -> Vec<(&'static str, &'static [u64], (u64, u64))> {
             }
         })
     });
+    let matrix_set_element = at_p2(RtsConfig::base(), |loc| {
+        let m = PMatrix::new(loc, 8, 8, 0u64);
+        window(loc, || {
+            for g in (0..64).map(|i| (i / 8, i % 8)).filter(|&g| !m.is_local(g)) {
+                m.set_element(g, 7);
+            }
+        })
+    });
     let hash_map = |apply: bool| {
         at_p2(RtsConfig::base(), move |loc| {
             let m: PHashMap<u64, u64> = PHashMap::new(loc);
@@ -146,6 +155,8 @@ fn rows() -> Vec<(&'static str, &'static [u64], (u64, u64))> {
         // The lookup is `g`, a reply slot and the requester; its answer the
         // slot, the owner and whether it is a birth.
         ("TwoPhase add_edge_async: the lookup, its answer, the request", &[24, 24, 24], two_phase_add_edge()),
+        // pArray's request on the linear gid: no bcid, no (row, col).
+        ("PMatrix::set_element", &[16], matrix_set_element),
     ]
 }
 

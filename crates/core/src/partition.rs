@@ -101,7 +101,7 @@ impl IndexSubDomain {
 }
 
 // ---------------------------------------------------------------------
-// 1-D index partitions (pArray / pVector, Table XV)
+// 1-D index partitions (pArray / pVector / pMatrix, Table XV)
 // ---------------------------------------------------------------------
 
 /// Partition of the index domain `[0, n)` into ordered sub-domains; the
@@ -114,6 +114,8 @@ pub enum IndexPartition {
     Blocked(BlockedPartition),
     BlockCyclic(BlockCyclicPartition),
     Explicit(ExplicitPartition),
+    /// A matrix's blocks over its row-major linearization `r * ncols + c`.
+    Matrix(MatrixPartition),
 }
 
 impl IndexPartition {
@@ -124,6 +126,7 @@ impl IndexPartition {
             IndexPartition::Blocked(p) => p.n,
             IndexPartition::BlockCyclic(p) => p.n,
             IndexPartition::Explicit(p) => *p.bounds.last().unwrap(),
+            IndexPartition::Matrix(p) => p.nrows * p.ncols,
         }
     }
 
@@ -134,6 +137,7 @@ impl IndexPartition {
             IndexPartition::Blocked(p) => p.n.div_ceil(p.block).max(1),
             IndexPartition::BlockCyclic(p) => p.p,
             IndexPartition::Explicit(p) => p.bounds.len(),
+            IndexPartition::Matrix(p) => p.nparts,
         }
     }
 
@@ -155,6 +159,7 @@ impl IndexPartition {
                 let lo = if bcid == 0 { 0 } else { p.bounds[bcid - 1] };
                 IndexSubDomain::Contiguous(Range1d::new(lo, p.bounds[bcid]))
             }
+            IndexPartition::Matrix(p) => p.subdomain(bcid),
         }
     }
 
@@ -167,6 +172,7 @@ impl IndexPartition {
             IndexPartition::Blocked(p) => gid / p.block,
             IndexPartition::BlockCyclic(p) => (gid / p.block) % p.p,
             IndexPartition::Explicit(p) => p.bounds.partition_point(|&b| b <= gid),
+            IndexPartition::Matrix(p) => p.find((gid / p.ncols, gid % p.ncols)),
         }
     }
 }
@@ -192,6 +198,12 @@ impl From<BlockCyclicPartition> for IndexPartition {
 impl From<ExplicitPartition> for IndexPartition {
     fn from(p: ExplicitPartition) -> Self {
         IndexPartition::Explicit(p)
+    }
+}
+
+impl From<MatrixPartition> for IndexPartition {
+    fn from(p: MatrixPartition) -> Self {
+        IndexPartition::Matrix(p)
     }
 }
 
@@ -322,7 +334,9 @@ pub enum MatrixLayout {
 }
 
 /// `p_matrix_partition`: blocked decompositions of a 2-D domain; BCIDs
-/// enumerate the blocks row-major.
+/// enumerate the blocks row-major. As an [`IndexPartition`] it cuts the
+/// row-major linearization `r * ncols + c`, and a block's sub-domain keeps
+/// the block's own row-major order.
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixPartition {
     pub nrows: usize,
@@ -338,10 +352,6 @@ impl MatrixPartition {
             assert_eq!(grid_rows * grid_cols, nparts, "grid must have nparts tiles");
         }
         MatrixPartition { nrows, ncols, layout, nparts }
-    }
-
-    pub fn num_subdomains(&self) -> usize {
-        self.nparts
     }
 
     /// The rectangular block assigned to `bcid`.
@@ -376,6 +386,22 @@ impl MatrixPartition {
                 let bc = Stripes::new(self.ncols, grid_cols).find(g.1);
                 br * grid_cols + bc
             }
+        }
+    }
+
+    /// Block `bcid` as a sub-domain of the linearization: a full-width row
+    /// stripe is contiguous; a column stripe or a tile is one run of the
+    /// block's width per row, `ncols` indices apart.
+    fn subdomain(&self, bcid: Bcid) -> IndexSubDomain {
+        let (b, n) = (self.block(bcid), self.ncols);
+        let first = b.rows.lo * n + b.cols.lo;
+        if b.nrows() == 0 || b.ncols() == 0 {
+            IndexSubDomain::Contiguous(Range1d::new(first, first))
+        } else if b.ncols() == n {
+            IndexSubDomain::Contiguous(Range1d::new(first, b.rows.hi * n))
+        } else {
+            let global_hi = (b.rows.hi - 1) * n + b.cols.hi;
+            IndexSubDomain::BlockCyclic { first, block: b.ncols(), stride: n, global_hi }
         }
     }
 }
@@ -591,7 +617,7 @@ mod tests {
     fn matrix_blocked_2d_tiles_cover() {
         let p = MatrixPartition::new(6, 6, MatrixLayout::Blocked2d { grid_rows: 2, grid_cols: 3 }, 6);
         let mut count = 0;
-        for b in 0..p.num_subdomains() {
+        for b in 0..p.nparts {
             let blk = p.block(b);
             for r in blk.rows.iter() {
                 for c in blk.cols.iter() {
@@ -601,6 +627,38 @@ mod tests {
             }
         }
         assert_eq!(count, 36);
+    }
+
+    #[test]
+    fn matrix_partition_linearizes_every_layout() {
+        // Fewer columns than stripes, fewer rows than grid rows, and 1 x 1.
+        for (nrows, ncols) in [(5, 7), (6, 2), (1, 5), (1, 1)] {
+            for (layout, nparts) in [
+                (MatrixLayout::RowBlocked, 3),
+                (MatrixLayout::ColumnBlocked, 3),
+                (MatrixLayout::Blocked2d { grid_rows: 2, grid_cols: 3 }, 6),
+            ] {
+                let m = MatrixPartition::new(nrows, ncols, layout, nparts);
+                let p = IndexPartition::from(m);
+                let sds: Vec<_> = (0..p.num_subdomains()).map(|b| p.subdomain(b)).collect();
+                for g in 0..nrows * ncols {
+                    let holders: Vec<_> = (0..nparts).filter(|&b| sds[b].contains(g)).collect();
+                    assert_eq!(holders, vec![p.find(g)], "{layout:?} {nrows}x{ncols}: gid {g}");
+                }
+                assert_eq!(sds.iter().map(IndexSubDomain::len).sum::<usize>(), nrows * ncols);
+                // Offsets are the block's own row-major order: 0..len, once each.
+                for (b, sd) in sds.iter().enumerate() {
+                    let blk = m.block(b);
+                    let mut offs = Vec::new();
+                    for g in (0..nrows * ncols).filter(|&g| sd.contains(g)) {
+                        assert_eq!(sd.offset(g), blk.offset(&(g / ncols, g % ncols)));
+                        offs.push(sd.offset(g));
+                    }
+                    offs.sort_unstable();
+                    assert_eq!(offs, (0..sd.len()).collect::<Vec<_>>(), "{layout:?} block {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,8 +21,7 @@ const POLLS: &[&str] = &[
 
 /// Direct-borrow accessors whose closure runs with the container storage
 /// borrowed: a poll point inside is a borrow held across a poll.
-const WITH_BORROW_ENTRY: &[&str] =
-    &["with_slice", "with_slice_mut", "with_segment", "with_row_slice", "with_row_slice_mut"];
+const WITH_BORROW_ENTRY: &[&str] = &["with_slice", "with_slice_mut", "with_segment"];
 
 /// True when `toks[i]` is a *call* of the identifier (followed by `(`,
 /// and not a declaration `fn name(`).

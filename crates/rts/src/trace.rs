@@ -253,15 +253,6 @@ impl LatencyHistogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
-
-    /// Adds every sample of `other` into `self`.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -537,18 +528,6 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.max_ns(), u64::MAX);
         assert_eq!(h.quantile(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_merge_adds_samples() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        a.record(10);
-        b.record(1000);
-        b.record(2000);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max_ns(), 2000);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | `overlap_pview` | [`array_view::OverlapView`] |
 //! | `static_list_pview` / `list_pview` | `PList` itself, through `LocalIteration` / `SegmentedContainer` |
 //! | associative views (pMap/pHashMap) | [`assoc_view::MapView`] |
-//! | `matrix_pview` rows / linear | [`matrix_view::RowsView`] / [`matrix_view::LinearView`] |
+//! | `matrix_pview` rows / linear | [`matrix_view::RowsView`] / [`array_view::ArrayView`] over `PMatrix::linear` |
 //! | `matrix_pview` single row / column | dropped: no caller |
 //! | `graph_pview` inner / boundary regions | [`graph_view::GraphView`] |
 //! | "views that generate values dynamically" | dropped: no caller |
@@ -35,6 +35,6 @@ pub mod prelude {
     pub use crate::array_view::{ArrayView, BalancedView, OverlapView, StridedView};
     pub use crate::assoc_view::MapView;
     pub use crate::graph_view::GraphView;
-    pub use crate::matrix_view::{LinearView, RowsView};
+    pub use crate::matrix_view::RowsView;
     pub use crate::view::{ViewRead, ViewWrite};
 }

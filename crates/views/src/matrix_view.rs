@@ -1,14 +1,14 @@
 //! Matrix views (Table II's `matrix_pview` and the row/linearized views
 //! of Chapter III.A): the same pMatrix used as a collection of rows or as
-//! a flat 1-D sequence.
+//! a flat 1-D sequence. The flat sequence is the pArray the matrix stores,
+//! so its view is `ArrayView::new(m.linear().clone())`.
 
 use stapl_containers::matrix::PMatrix;
 use stapl_core::domain::Range1d;
-use stapl_core::interfaces::{ElementRead, ElementWrite, PContainer};
+use stapl_core::interfaces::{PContainer, RangedContainer};
 use stapl_core::partition::MatrixLayout;
-use stapl_rts::Location;
 
-use crate::view::{balanced_chunk, ViewRead, ViewWrite};
+use crate::view::balanced_chunk;
 
 /// The matrix as a collection of rows: supplies each location the row
 /// indices it should process (all-local rows for row-blocked layouts —
@@ -22,11 +22,16 @@ impl<T: Send + Clone + 'static> RowsView<T> {
         RowsView { m }
     }
 
-    /// Row indices this location processes.
+    /// Row indices this location processes. A row-blocked matrix gives
+    /// each row to the location that stores its first element, which
+    /// covers every row once also after `linear()` was redistributed.
     pub fn local_rows(&self) -> Vec<Range1d> {
         match self.m.partition().layout {
             MatrixLayout::RowBlocked => {
-                self.m.local_blocks().into_iter().map(|(_, b)| b.rows).collect()
+                let n = self.m.ncols();
+                let pieces = self.m.linear().local_pieces().into_iter();
+                let rows = pieces.map(|(_, g)| Range1d::new(g.lo.div_ceil(n), g.hi.div_ceil(n)));
+                rows.filter(|r| !r.is_empty()).collect()
             }
             _ => {
                 let me = self.m.location().id();
@@ -51,116 +56,11 @@ impl<T: Send + Clone + 'static> RowsView<T> {
     }
 }
 
-/// The matrix linearized row-major as a 1-D view — the "same pMatrix
-/// viewed as a vector" example of Chapter III.
-pub struct LinearView<T: Send + Clone + 'static> {
-    m: PMatrix<T>,
-}
-
-impl<T: Send + Clone + 'static> LinearView<T> {
-    pub fn new(m: PMatrix<T>) -> Self {
-        LinearView { m }
-    }
-
-    fn map(&self, k: usize) -> (usize, usize) {
-        (k / self.m.ncols(), k % self.m.ncols())
-    }
-}
-
-impl<T: Send + Clone + 'static> ViewRead for LinearView<T> {
-    type Value = T;
-
-    fn len(&self) -> usize {
-        self.m.global_size()
-    }
-
-    fn get(&self, k: usize) -> T {
-        self.m.get_element(self.map(k))
-    }
-
-    fn location(&self) -> &Location {
-        self.m.location()
-    }
-
-    fn local_chunks(&self) -> Vec<Range1d> {
-        let ncols = self.m.ncols();
-        match self.m.partition().layout {
-            MatrixLayout::RowBlocked => self
-                .m
-                .local_blocks()
-                .into_iter()
-                .map(|(_, b)| Range1d::new(b.rows.lo * ncols, b.rows.hi * ncols))
-                .collect(),
-            _ => {
-                let me = self.m.location().id();
-                let c = balanced_chunk(self.len(), self.m.location().nlocs(), me);
-                if c.is_empty() {
-                    vec![]
-                } else {
-                    vec![c]
-                }
-            }
-        }
-    }
-
-    fn for_each_chunk(&self, mut f: impl FnMut(usize, &[T])) {
-        let ncols = self.m.ncols();
-        for ch in self.local_chunks() {
-            // A linear chunk decomposes into per-row segments; each is a
-            // local slice or one bulk transfer per remote block.
-            let mut k = ch.lo;
-            while k < ch.hi {
-                let (r, c) = (k / ncols, k % ncols);
-                let cols = Range1d::new(c, ncols.min(c + (ch.hi - k)));
-                let served = self.m.with_row_slice(r, cols, |s| f(k, s));
-                match served {
-                    Some(()) => self.location().note_localized_chunk(),
-                    None => {
-                        let buf = self.m.get_row_range(r, cols);
-                        f(k, &buf);
-                    }
-                }
-                k += cols.len();
-            }
-        }
-    }
-}
-
-impl<T: Send + Clone + 'static> ViewWrite for LinearView<T> {
-    fn set(&self, k: usize, v: T) {
-        self.m.set_element(self.map(k), v);
-    }
-
-    fn apply<F>(&self, k: usize, f: F)
-    where
-        F: FnOnce(&mut T) + Send + 'static,
-    {
-        self.m.apply_set(self.map(k), f);
-    }
-
-    fn fill_from(&self, mut gen: impl FnMut(Range1d) -> Vec<T>) {
-        let ncols = self.m.ncols();
-        for ch in self.local_chunks() {
-            let mut k = ch.lo;
-            while k < ch.hi {
-                let (r, c) = (k / ncols, k % ncols);
-                let cols = Range1d::new(c, ncols.min(c + (ch.hi - k)));
-                let vals = gen(Range1d::new(k, k + cols.len()));
-                debug_assert_eq!(vals.len(), cols.len());
-                let served = self.m.with_row_slice_mut(r, cols, |s| s.clone_from_slice(&vals));
-                match served {
-                    Some(()) => self.location().note_localized_chunk(),
-                    None => self.m.set_row_range(r, cols.lo, vals),
-                }
-                k += cols.len();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array_view::ArrayView;
+    use crate::view::{ViewRead, ViewWrite};
     use stapl_rts::{execute, RtsConfig};
 
     #[test]
@@ -179,6 +79,25 @@ mod tests {
     }
 
     #[test]
+    fn rows_view_covers_every_row_after_a_redistribution() {
+        use stapl_core::mapper::CyclicMapper;
+        use stapl_core::partition::BlockedPartition;
+        execute(RtsConfig::default(), 2, |loc| {
+            let m = PMatrix::from_fn(loc, 6, 4, MatrixLayout::RowBlocked, |r, c| r * 4 + c);
+            // Blocks of 5 elements: most rows now start in one block and end in the next.
+            m.linear().redistribute(BlockedPartition::new(24, 5), CyclicMapper::new(2));
+            let rows = RowsView::new(m);
+            let mine: Vec<usize> = rows.local_rows().iter().flat_map(|r| r.iter()).collect();
+            for &r in &mine {
+                assert_eq!(rows.read_row(r), (0..4).map(|c| r * 4 + c).collect::<Vec<_>>());
+            }
+            let mut all = loc.allgather(mine).concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..6).collect::<Vec<_>>());
+        });
+    }
+
+    #[test]
     fn read_row_works_for_column_layout_too() {
         execute(RtsConfig::default(), 2, |loc| {
             let m = PMatrix::from_fn(loc, 3, 4, MatrixLayout::ColumnBlocked, |r, c| r * 4 + c);
@@ -192,13 +111,12 @@ mod tests {
 
     #[test]
     fn linear_view_chunked_matches_row_major() {
-        // Row blocking serves every row segment as a local slice; column
-        // blocking splits each row across locations, so segments take the
-        // `get_row_range`/`set_row_range` bulk branch.
+        // Row blocking makes one chunk per stripe; column blocking one per
+        // row of each local stripe, every chunk a local slice.
         for layout in [MatrixLayout::RowBlocked, MatrixLayout::ColumnBlocked] {
             execute(RtsConfig::default(), 2, move |loc| {
                 let m = PMatrix::from_fn(loc, 4, 5, layout, |r, c| r * 5 + c);
-                let v = LinearView::new(m.clone());
+                let v = ArrayView::new(m.linear().clone());
                 let mut got: Vec<(usize, usize)> = Vec::new();
                 v.for_each_chunk(|lo, s| {
                     for (k, val) in s.iter().enumerate() {
@@ -223,7 +141,7 @@ mod tests {
     fn linear_view_is_row_major() {
         execute(RtsConfig::default(), 2, |loc| {
             let m = PMatrix::from_fn(loc, 3, 4, MatrixLayout::RowBlocked, |r, c| r * 4 + c);
-            let v = LinearView::new(m);
+            let v = ArrayView::new(m.linear().clone());
             assert_eq!(v.len(), 12);
             for k in 0..12 {
                 assert_eq!(v.get(k), k);

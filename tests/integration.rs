@@ -119,7 +119,7 @@ fn list_array_interop() {
 fn matrix_linear_view_with_algorithms() {
     execute(RtsConfig::default(), 2, |loc| {
         let m = PMatrix::from_fn(loc, 8, 8, MatrixLayout::RowBlocked, |r, c| (r * 8 + c) as u64);
-        let lin = stapl::views::matrix_view::LinearView::new(m.clone());
+        let lin = ArrayView::new(m.linear().clone());
         let sum = p_reduce_view(&lin, |_, v| v, |a, b| a + b).unwrap();
         assert_eq!(sum, (0..64).sum::<u64>());
         // Mutate through the view, observe through the matrix.
