@@ -209,7 +209,7 @@ where
     S: RangedContainer,
     D: RangedContainer<Value = S::Value>,
 {
-    write_runs(src, dst, |s, d| d.clone_from_slice(s), |lo, s| dst.set_range_slice(lo, s));
+    write_runs(src, dst, |s, d| d.clone_from_slice(s), |lo, s| dst.set_range(lo, s));
 }
 
 /// `p_copy` for containers without bulk-range transport (non-`usize`
@@ -237,7 +237,7 @@ where
         src,
         dst,
         |s, d| d.iter_mut().zip(s).for_each(|(d, s)| *d = f(s)),
-        |lo, s| dst.set_range(lo, s.iter().map(&f).collect()),
+        |lo, s| dst.set_range(lo, &s.iter().map(&f).collect::<Vec<_>>()),
     );
 }
 

@@ -24,7 +24,7 @@ fn on_piece<C: RangedContainer, R>(
     c.with_slice_mut(bcid, piece, &f).unwrap_or_else(|| {
         let mut vals = c.get_range(piece);
         let r = f(&mut vals);
-        c.set_range(piece.lo, vals);
+        c.set_range(piece.lo, &vals);
         r
     })
 }

@@ -72,7 +72,6 @@ where
             *root_out.borrow_mut() = r.clone();
             r
         }
-        TaskKind::Stage(_) => None,
     });
     loc.broadcast(0, root_out.into_inner())
 }

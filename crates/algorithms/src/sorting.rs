@@ -82,7 +82,7 @@ where
     //    one set_element per element.
     let (start, total) = loc.exclusive_scan(mine.len(), 0, |x, y| x + y);
     debug_assert_eq!(total, a.global_size());
-    a.set_range(start, mine);
+    a.set_range(start, &mine);
     loc.rmi_fence();
 }
 

@@ -5,9 +5,6 @@
 //! allocator and one test: bytes requested from the allocator are
 //! deterministic, so this holds on a shared CI runner.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use stapl_algorithms::graph_algos::{
@@ -17,44 +14,13 @@ use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph};
 use stapl_core::interfaces::PContainer;
 use stapl_rts::{execute, Location, RtsConfig};
 
-/// Bytes requested so far, by any thread.
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations are those of `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
-        // SAFETY: forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded as received.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        // SAFETY: forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Bytes the one location's thread requests while `call` runs (the main
-/// thread is parked in `execute`'s join meanwhile).
+/// Bytes the calling thread — the one location's — requests while `call`
+/// runs.
 fn requested(call: impl FnOnce()) -> usize {
-    let before = REQUESTED.load(Ordering::Relaxed);
-    call();
-    REQUESTED.load(Ordering::Relaxed) - before
+    counting_alloc::measure(call).1.bytes
 }
 
 const VERTICES: usize = 4096;

@@ -15,7 +15,7 @@ use stapl_core::distribution::{GidRun, IndexDistribution};
 use stapl_core::domain::Range1d;
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::{
-    ElementRead, ElementWrite, IndexedContainer, LocalIteration, PContainer, RangedContainer,
+    ElementRead, ElementWrite, LocalIteration, PContainer, RangedContainer,
 };
 use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
@@ -495,9 +495,7 @@ impl<T: Send + Clone + 'static> PArray<T> {
             let mut rep = self.obj.local_mut();
             let (staging, new_dist) = rep.staging.take().expect("staging vanished");
             rep.lm = staging;
-            // Carries the placement epoch forward (+1) so epoch-keyed
-            // caches (view localization memos) invalidate.
-            rep.dist.replace_with(new_dist);
+            rep.dist = new_dist;
         }
         loc.barrier();
     }
@@ -630,13 +628,6 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PArray<T> {
     }
 }
 
-impl<T: Send + Clone + 'static> IndexedContainer for PArray<T> {
-    fn local_subdomains(&self) -> Vec<(Bcid, IndexSubDomain)> {
-        let rep = self.obj.local();
-        rep.dist.local_subdomains(self.obj.location().id())
-    }
-}
-
 /// A pending piece of a `get_range`: remote fetches are launched for every
 /// run up front (split-phase, so round trips overlap) before any reply is
 /// awaited.
@@ -650,8 +641,14 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         self.obj.local().dist.contiguous_runs(r)
     }
 
-    fn distribution_epoch(&self) -> u64 {
-        self.obj.local().dist.epoch()
+    /// One piece per block of each local sub-domain.
+    fn local_pieces(&self) -> Vec<(Bcid, Range1d)> {
+        let rep = self.obj.local();
+        let subdomains = rep.dist.local_subdomains(self.obj.location().id());
+        subdomains
+            .into_iter()
+            .flat_map(|(bcid, sd)| sd.contiguous_pieces().into_iter().map(move |p| (bcid, p)))
+            .collect()
     }
 
     fn get_range(&self, r: Range1d) -> Vec<T> {
@@ -690,7 +687,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         out
     }
 
-    fn set_range_slice(&self, lo: usize, vals: &[T]) {
+    fn set_range(&self, lo: usize, vals: &[T]) {
         let loc = self.obj.location().clone();
         let me = loc.id();
         let r = Range1d::new(lo, lo + vals.len());
@@ -977,7 +974,7 @@ mod tests {
             loc.barrier();
             // One location bulk-writes a misaligned stripe.
             if loc.id() == 2 {
-                a.set_range(5, (5..30).map(|i| i as i64 * 10).collect());
+                a.set_range(5, &(5..30).map(|i| i as i64 * 10).collect::<Vec<_>>());
             }
             loc.rmi_fence();
             for i in 0..41 {
@@ -997,7 +994,7 @@ mod tests {
                 0usize,
             );
             if loc.id() == 0 {
-                bc.set_range(1, (1..22).collect());
+                bc.set_range(1, &(1..22).collect::<Vec<_>>());
             }
             loc.rmi_fence();
             assert_eq!(bc.get_range(Range1d::new(0, 23)), {

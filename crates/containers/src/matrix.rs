@@ -196,8 +196,6 @@ impl<T: Send + Clone + 'static> LocalIteration<(usize, usize)> for PMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stapl_core::interfaces::IndexedContainer;
-    use stapl_core::partition::IndexSubDomain;
     use stapl_rts::{execute, RtsConfig, StatsSnapshot};
 
     #[test]
@@ -223,7 +221,7 @@ mod tests {
             assert_eq!(m.is_local((0, 3)), loc.id() == 0);
             assert_eq!(m.is_local((3, 0)), loc.id() == 1);
             let stripe = Range1d::new(loc.id() * 8, loc.id() * 8 + 8);
-            assert_eq!(m.linear().local_subdomains(), vec![(loc.id(), IndexSubDomain::Contiguous(stripe))]);
+            assert_eq!(m.linear().local_pieces(), vec![(loc.id(), stripe)]);
         });
     }
 
@@ -326,7 +324,7 @@ mod tests {
                 assert_eq!(seg, (1..7).map(|c| (3 * 8 + c) as i64).collect::<Vec<_>>());
                 loc.barrier();
                 if loc.id() == 0 {
-                    m.linear().set_range(4 * 8 + 2, vec![-1, -2, -3, -4]);
+                    m.linear().set_range(4 * 8 + 2, &[-1, -2, -3, -4]);
                 }
                 loc.rmi_fence();
                 for c in 0..8 {

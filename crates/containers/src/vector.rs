@@ -16,8 +16,11 @@
 //! paper's mixed-operation experiments run in.
 
 use stapl_core::bcontainer::MemSize;
+use stapl_core::distribution::GidRun;
 use stapl_core::domain::Range1d;
-use stapl_core::interfaces::{ElementRead, ElementWrite, LocalIteration, PContainer};
+use stapl_core::interfaces::{
+    ElementRead, ElementWrite, LocalIteration, PContainer, RangedContainer,
+};
 use stapl_core::pobject::PObject;
 use stapl_rts::{LocId, Location, RmiFuture};
 
@@ -29,9 +32,6 @@ pub struct VectorRep<T> {
     bounds: Vec<usize>,
     /// (global index, value) pairs arriving during a [`PVector::rebalance`].
     staging: Vec<(usize, T)>,
-    /// Bumped whenever the replicated bounds are rebuilt (commit,
-    /// rebalance, clear) so placement-memoizing layers can invalidate.
-    epoch: u64,
 }
 
 impl<T> VectorRep<T> {
@@ -107,7 +107,7 @@ impl<T: Send + Clone + 'static> PVector<T> {
     /// **Collective.** A pVector of `n` copies of `init`, balanced.
     pub fn new(loc: &Location, n: usize, init: T) -> Self {
         let bounds = balanced_bounds(n, loc.nlocs());
-        let mut rep = VectorRep { data: Vec::new(), bounds, staging: Vec::new(), epoch: 0 };
+        let mut rep = VectorRep { data: Vec::new(), bounds, staging: Vec::new() };
         rep.data = vec![init; rep.bounds[loc.id()] - rep.lo(loc.id())];
         let obj = PObject::register(loc, rep);
         loc.barrier();
@@ -220,7 +220,6 @@ impl<T: Send + Clone + 'static> PVector<T> {
             debug_assert!(staged.windows(2).all(|w| w[0].0 + 1 == w[1].0));
             rep.data = staged.into_iter().map(|(_, v)| v).collect();
             rep.bounds = target;
-            rep.epoch += 1;
         }
         loc.barrier();
     }
@@ -245,7 +244,6 @@ impl<T: Send + Clone + 'static> PVector<T> {
             rep.data.clear();
             let n = rep.bounds.len();
             rep.bounds = vec![0; n];
-            rep.epoch += 1;
         }
         loc.barrier();
     }
@@ -279,11 +277,7 @@ impl<T: Send + Clone + 'static> PContainer for PVector<T> {
                 acc
             })
             .collect();
-        {
-            let mut rep = self.obj.local_mut();
-            rep.bounds = bounds;
-            rep.epoch += 1;
-        }
+        self.obj.local_mut().bounds = bounds;
         loc.barrier();
     }
 
@@ -383,26 +377,12 @@ impl<T: Send + Clone + 'static> LocalIteration<usize> for PVector<T> {
     }
 }
 
-impl<T: Send + Clone + 'static> stapl_core::interfaces::IndexedContainer for PVector<T> {
-    fn local_subdomains(&self) -> Vec<(usize, stapl_core::partition::IndexSubDomain)> {
-        let me = self.obj.location().id();
-        let rep = self.obj.local();
-        let lo = rep.lo(me);
-        vec![(
-            me,
-            stapl_core::partition::IndexSubDomain::Contiguous(
-                stapl_core::domain::Range1d::new(lo, lo + rep.data.len()),
-            ),
-        )]
-    }
-}
-
-impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVector<T> {
+impl<T: Send + Clone + 'static> RangedContainer for PVector<T> {
     /// Run decomposition from the replicated bounds: one run per owning
     /// location (each location's block is one contiguous `Vec<T>`). Like
     /// element routing, runs follow the *last-committed* bounds — the
     /// relaxed window of the module docs.
-    fn runs(&self, r: Range1d) -> Vec<stapl_core::distribution::GidRun> {
+    fn runs(&self, r: Range1d) -> Vec<GidRun> {
         let rep = self.obj.local();
         assert!(
             r.hi <= *rep.bounds.last().unwrap(),
@@ -416,14 +396,26 @@ impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVec
             let block = Range1d::new(rep.lo(l), rep.bounds[l]);
             let i = block.intersect(&r);
             if !i.is_empty() {
-                out.push(stapl_core::distribution::GidRun { gids: i, bcid: l, owner: l });
+                out.push(GidRun { gids: i, bcid: l, owner: l });
             }
         }
         out
     }
 
-    fn distribution_epoch(&self) -> u64 {
-        self.obj.local().epoch
+    /// This location's *committed* block, the piece [`RangedContainer::runs`]
+    /// routes to it — not the live one, which an `insert_async` or
+    /// `erase_async` before the next commit may have grown or shrunk. A
+    /// piece the live block no longer holds is refused by `with_slice`, and
+    /// its reader falls back to `get_range`.
+    fn local_pieces(&self) -> Vec<(usize, Range1d)> {
+        let me = self.obj.location().id();
+        let rep = self.obj.local();
+        let block = Range1d::new(rep.lo(me), rep.bounds[me]);
+        if block.is_empty() {
+            vec![]
+        } else {
+            vec![(me, block)]
+        }
     }
 
     fn get_range(&self, r: Range1d) -> Vec<T> {
@@ -468,7 +460,7 @@ impl<T: Send + Clone + 'static> stapl_core::interfaces::RangedContainer for PVec
         out
     }
 
-    fn set_range_slice(&self, lo: usize, vals: &[T]) {
+    fn set_range(&self, lo: usize, vals: &[T]) {
         let loc = self.obj.location().clone();
         let me = loc.id();
         let r = Range1d::new(lo, lo + vals.len());
@@ -728,8 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_range_round_trip_and_epoch() {
-        use stapl_core::interfaces::RangedContainer;
+    fn bulk_range_round_trip() {
         execute(RtsConfig::default(), 3, |loc| {
             let v = PVector::from_fn(loc, 20, |i| i as i64);
             assert_eq!(
@@ -737,7 +728,7 @@ mod tests {
                 (2..18).map(|i| i as i64).collect::<Vec<_>>()
             );
             if loc.id() == 1 {
-                v.set_range(4, (4..15).map(|i| -(i as i64)).collect());
+                v.set_range(4, &(4..15).map(|i| -(i as i64)).collect::<Vec<_>>());
             }
             loc.rmi_fence();
             for i in 0..20 {
@@ -748,10 +739,6 @@ mod tests {
             let runs = v.runs(Range1d::new(0, 20));
             assert_eq!(runs.len(), 3);
             assert!(runs.windows(2).all(|w| w[0].gids.hi == w[1].gids.lo));
-            // Commit bumps the placement epoch.
-            let e0 = v.distribution_epoch();
-            v.commit();
-            assert!(v.distribution_epoch() > e0);
         });
     }
 }

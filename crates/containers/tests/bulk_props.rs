@@ -131,7 +131,7 @@ proptest! {
                 *m += k as u64 % 5;
             }
             if loc.id() == writer % loc.nlocs() {
-                arr.set_range(lo, (lo..hi).map(|k| k as u64 + 100).collect());
+                arr.set_range(lo, &(lo..hi).map(|k| k as u64 + 100).collect::<Vec<_>>());
                 arr.apply_range(Range1d::new(lo, hi), |g, v| *v += g as u64 % 5);
             }
             loc.rmi_fence();

@@ -7,74 +7,19 @@
 //! binary, with a counting global allocator and one test: allocator calls
 //! are deterministic, so this holds on any host.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use stapl_algorithms::graph_algos::{page_rank, AlgoGraph, VProps};
 use stapl_containers::graph::{Directedness, GraphPartitionKind, PGraph};
 use stapl_core::interfaces::PContainer;
 use stapl_rts::{execute, RtsConfig};
 
-/// Allocations, reallocations and frees so far, by measured threads.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Set while this thread's calls are measured: the harness's threads,
-    /// and any thread outside the measured region, count nothing.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is being measured (`false` once its
-/// thread-locals are gone).
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations are those of `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocator calls the calling thread — the one location's — makes while
-/// `call` runs.
+/// Allocations, reallocations and frees the calling thread — the one
+/// location's — makes while `call` runs.
 fn calls<R>(call: impl FnOnce() -> R) -> (R, usize) {
-    let before = CALLS.load(Ordering::Relaxed);
-    COUNTING.set(true);
-    let r = call();
-    COUNTING.set(false);
-    (r, CALLS.load(Ordering::Relaxed) - before)
+    let (r, counted) = counting_alloc::measure(call);
+    (r, counted.calls + counted.frees)
 }
 
 const VERTICES: usize = 4096;

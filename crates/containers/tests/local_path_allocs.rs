@@ -4,62 +4,14 @@
 //! allocator and one test — bytes requested are deterministic, so this
 //! holds on a shared CI runner what a clock cannot.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use stapl_containers::array::PArray;
 use stapl_containers::associative::PHashMap;
 use stapl_core::interfaces::{AssociativeContainer, ElementRead, ElementWrite, PContainer};
 use stapl_rts::{execute, RmiFuture, RtsConfig};
 
-/// Bytes requested so far, by measured threads.
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Set while this thread's calls are measured: the harness's threads,
-    /// and any thread outside the measured region, count nothing.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is being measured (`false` once its
-/// thread-locals are gone).
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations are those of `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded as received.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::measure;
 
 #[test]
 fn local_element_methods_allocate_nothing() {
@@ -72,11 +24,7 @@ fn local_element_methods_allocate_nothing() {
         h.commit();
         // Counts the calls of this thread, the one location's, only.
         let none = |what: &str, call: &dyn Fn()| {
-            let before = REQUESTED.load(Ordering::Relaxed);
-            COUNTING.set(true);
-            call();
-            COUNTING.set(false);
-            let bytes = REQUESTED.load(Ordering::Relaxed) - before;
+            let bytes = measure(call).1.bytes;
             assert_eq!(bytes, 0, "{N} local {what} requested {bytes} bytes");
         };
         let sum = std::cell::Cell::new(0u64);

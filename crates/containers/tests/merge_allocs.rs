@@ -5,70 +5,17 @@
 //! and one test: allocator calls are deterministic, so this holds on a
 //! shared CI runner.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use stapl_containers::associative::PHashMap;
 use stapl_core::interfaces::{AssociativeContainer, PContainer};
 use stapl_rts::{execute, RtsConfig};
 
-/// Allocations and reallocations so far, by measured threads.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-thread_local! {
-    /// Set while this thread's calls are measured: the harness's threads,
-    /// and any thread outside the measured region, count nothing.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is being measured (`false` once its
-/// thread-locals are gone).
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations are those of `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded as received.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocator calls the calling thread — the one location's — makes while
-/// `call` runs.
+/// Allocations and reallocations the calling thread — the one location's
+/// — makes while `call` runs.
 fn calls(call: impl FnOnce()) -> usize {
-    let before = CALLS.load(Ordering::Relaxed);
-    COUNTING.set(true);
-    call();
-    COUNTING.set(false);
-    CALLS.load(Ordering::Relaxed) - before
+    counting_alloc::measure(call).1.calls
 }
 
 const KEYS: usize = 4096;

@@ -33,21 +33,11 @@ pub struct GidRun {
 pub struct IndexDistribution {
     partition: IndexPartition,
     mapper: PartitionMapper,
-    /// Incremented by every [`IndexDistribution::replace_with`]. Locality layers
-    /// (owner caches, views that memoize placement) compare epochs to
-    /// detect that a redistribute/rebalance invalidated their copies.
-    epoch: u64,
 }
 
 impl IndexDistribution {
     pub fn new(partition: impl Into<IndexPartition>, mapper: impl Into<PartitionMapper>) -> Self {
-        IndexDistribution { partition: partition.into(), mapper: mapper.into(), epoch: 0 }
-    }
-
-    /// The distribution epoch: how many times this distribution has been
-    /// replaced since construction.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+        IndexDistribution { partition: partition.into(), mapper: mapper.into() }
     }
 
     pub fn partition(&self) -> &IndexPartition {
@@ -109,17 +99,6 @@ impl IndexDistribution {
             g = run_hi;
         }
         out
-    }
-
-    /// Swaps in a freshly-constructed distribution (whose own epoch starts
-    /// at 0), carrying this one's epoch forward and bumping it — the
-    /// redistribution entry point (Section V.G), which builds the new
-    /// distribution ahead of the data movement. Without the carry-over, an
-    /// epoch-keyed cache would see 0 → 0 and never invalidate.
-    pub fn replace_with(&mut self, new: IndexDistribution) {
-        let epoch = self.epoch;
-        *self = new;
-        self.epoch = epoch + 1;
     }
 
     /// Approximate metadata bytes of the replicated distribution.
@@ -238,21 +217,6 @@ mod tests {
     fn contiguous_runs_rejects_out_of_bounds() {
         let d = IndexDistribution::new(BalancedPartition::new(10, 2), CyclicMapper::new(2));
         d.contiguous_runs(Range1d::new(5, 11));
-    }
-
-    #[test]
-    fn replace_with_swaps_partition_and_carries_the_epoch() {
-        let dist = |p| IndexDistribution::new(BalancedPartition::new(10, p), CyclicMapper::new(2));
-        let mut d = dist(2);
-        assert_eq!(d.locate(9).0, 1);
-        assert_eq!(d.epoch(), 0);
-        d.replace_with(dist(5));
-        assert_eq!(d.locate(9), (4, 0)); // bcid 4 -> loc 0 cyclic over 2
-        assert_eq!(d.epoch(), 1, "replace_with must bump the distribution epoch");
-        assert_eq!(d.clone().epoch(), 1, "clones carry the epoch");
-        // A fresh distribution's own epoch is 0; ours must not go back to it.
-        d.replace_with(dist(2));
-        assert_eq!(d.epoch(), 2, "replace_with must not reset the epoch");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! | XI | base pContainer | [`PContainer`] |
 //! | XII, XIV | element access by GID | [`ElementRead`], [`ElementWrite`] |
 //! | XIII | dynamic pContainer (`clear`) | inherent methods on pList/pVector/pAssoc: no code is generic over it |
-//! | XIV | indexed pContainer | [`IndexedContainer`], with bulk ranges [`RangedContainer`] |
+//! | XIV | indexed pContainer | [`RangedContainer`]: element access by index, bulk ranges and local pieces |
 //! | XVI | associative pContainer | [`AssociativeContainer`] |
 //! | XVII | relational pContainer | inherent methods on pGraph: no code is generic over it |
 //! | XVIII | sequence pContainer (`push_*`, `insert_before_async`, `erase_async`) | inherent methods on pList/pVector: no code is generic over it |
@@ -22,7 +22,6 @@ use crate::bcontainer::MemSize;
 use crate::distribution::GidRun;
 use crate::domain::Range1d;
 use crate::gid::{Bcid, Gid};
-use crate::partition::IndexSubDomain;
 
 /// Base pContainer interface (Table XI): a distributed object with a
 /// (possibly lazily tracked) global size.
@@ -100,61 +99,38 @@ pub trait LocalIteration<G: Gid>: ElementRead<G> {
     fn for_each_local_mut(&self, f: impl FnMut(G, &mut Self::Value));
 }
 
-/// Static indexed pContainers (pArray, pMatrix rows flattened, pVector
-/// between rebalances): GIDs are dense indices `[0, n)` and the partition
-/// exposes per-location sub-domains (Table XIV).
-pub trait IndexedContainer: ElementWrite<usize> + LocalIteration<usize> {
-    /// (BCID, sub-domain) pairs owned by this location, ascending by BCID.
-    fn local_subdomains(&self) -> Vec<(Bcid, IndexSubDomain)>;
-}
-
-/// Indexed containers with **bulk-range transport** (the localization
-/// layer's container half): contiguous GID ranges move as one RMI per
+/// Indexed pContainers (Table XIV: pArray, pMatrix through its row-major
+/// linearization, pVector as of its last commit): GIDs are dense indices
+/// `[0, n)`, and contiguous GID ranges have **bulk-range transport** (the
+/// localization layer's container half). A range moves as one RMI per
 /// (owner, storage-contiguous run) instead of one boxed request per
-/// element, and fully-local runs are served by a direct slice borrow —
+/// element, and a fully-local run is served by a direct slice borrow —
 /// one `RefCell` borrow per chunk. This is the coarsening the paper's
 /// localized views rely on to run pAlgorithms at sequential speed.
 ///
 /// Every remote run, of any length, ships as one bulk RMI. Instrumentation:
 /// bulk RMIs bump `bulk_requests` and direct slice borrows bump
 /// `localized_chunks`.
-pub trait RangedContainer: IndexedContainer {
+pub trait RangedContainer: ElementWrite<usize> + LocalIteration<usize> {
     /// Decomposes `[r.lo, r.hi)` into its maximal storage-contiguous runs
     /// in GID order (O(runs), replicated metadata only — no communication).
     fn runs(&self, r: Range1d) -> Vec<GidRun>;
 
-    /// The storage-contiguous pieces of *this location's* sub-domains,
+    /// The storage-contiguous pieces of *this location's* elements,
     /// ascending by BCID — the chunk decomposition localized algorithms
     /// and views walk. One (bcid, GID-range) pair per maximal
-    /// slice-backed run.
-    fn local_pieces(&self) -> Vec<(Bcid, Range1d)> {
-        let mut out = Vec::new();
-        for (bcid, sd) in self.local_subdomains() {
-            for piece in sd.contiguous_pieces() {
-                out.push((bcid, piece));
-            }
-        }
-        out
-    }
-
-    /// Monotone counter bumped whenever element placement changes
-    /// (redistribute, rebalance, commit). Layers that memoize placement —
-    /// view localization caches — compare epochs to invalidate.
-    fn distribution_epoch(&self) -> u64;
+    /// slice-backed run, none empty; the same placement [`RangedContainer::runs`]
+    /// routes by.
+    fn local_pieces(&self) -> Vec<(Bcid, Range1d)>;
 
     /// Bulk read of `[r.lo, r.hi)` in GID order: one RMI per remote run,
     /// one slice borrow per local run.
     fn get_range(&self, r: Range1d) -> Vec<Self::Value>;
 
     /// Bulk write of `vals` to GIDs `lo..lo + vals.len()`: asynchronous
-    /// (complete by the next fence), one RMI per remote run.
-    fn set_range(&self, lo: usize, vals: Vec<Self::Value>) {
-        self.set_range_slice(lo, &vals);
-    }
-
-    /// [`RangedContainer::set_range`] from a borrowed slice; only the
-    /// remote chunks are copied out of `vals`.
-    fn set_range_slice(&self, lo: usize, vals: &[Self::Value]);
+    /// (complete by the next fence), one RMI per remote run. Only the
+    /// remote runs are copied out of `vals`.
+    fn set_range(&self, lo: usize, vals: &[Self::Value]);
 
     /// Owner-side bulk read-modify-write: applies `f(gid, &mut value)`
     /// over the range, shipping one closure per remote run

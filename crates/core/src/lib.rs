@@ -66,8 +66,8 @@ pub mod prelude {
     pub use crate::domain::{Range1d, Range2d};
     pub use crate::gid::{Bcid, Gid, Key};
     pub use crate::interfaces::{
-        AssociativeContainer, ElementRead, ElementWrite, IndexedContainer, LocalIteration,
-        PContainer,
+        AssociativeContainer, ElementRead, ElementWrite, LocalIteration, PContainer,
+        RangedContainer,
     };
     pub use crate::location_manager::LocationManager;
     pub use crate::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};

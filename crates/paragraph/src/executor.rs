@@ -358,7 +358,7 @@ fn wake_thieves<P: 'static>(loc: &Location, obj: &PObject<ExecRep<P>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prange::{map_task_graph, pipeline_task_graph, reduce_task_graph, TaskKind};
+    use crate::prange::{map_task_graph, reduce_task_graph, TaskKind};
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
@@ -444,29 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_stages_run_in_order_per_chunk() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let n = 12;
-            let a = PArray::new(loc, n, 0u64);
-            let v = ArrayView::new(a.clone());
-            let pr = pipeline_task_graph(&v, 3, 3);
-            // Each stage multiplies by 10 and adds the stage number; the
-            // final value proves stage order 0,1,2 per element.
-            Executor::new(&pr, ExecPolicy::default()).run::<(), _>(loc, |task, _| {
-                if let TaskKind::Stage(s) = task.kind {
-                    for k in task.range.iter() {
-                        v.apply(k, move |x| *x = *x * 10 + s as u64);
-                    }
-                }
-                None
-            });
-            for i in 0..n {
-                assert_eq!(a.get_element(i), 12, "element {i}: stages must apply as 0,1,2");
-            }
-        });
-    }
-
-    #[test]
     fn reduce_graph_folds_through_combines_to_root() {
         execute(RtsConfig::default(), 3, |loc| {
             let a = PArray::from_fn(loc, 30, |i| i as u64);
@@ -482,7 +459,6 @@ mod tests {
                         *root_out.borrow_mut() = Some(r);
                         Some(r)
                     }
-                    TaskKind::Stage(_) => None,
                 }
             });
             let r = loc.broadcast(0, root_out.into_inner());

@@ -14,9 +14,8 @@
 //!   locations pull migratable ready tasks from loaded peers over
 //!   synchronous RMIs;
 //! * graph factories ([`prange::map_task_graph`],
-//!   [`prange::reduce_task_graph`], [`prange::pipeline_task_graph`]) that
-//!   coarsen any [`ViewRead`](stapl_views::view::ViewRead) into the common
-//!   shapes.
+//!   [`prange::reduce_task_graph`]) that coarsen any
+//!   [`ViewRead`](stapl_views::view::ViewRead) into the common shapes.
 //!
 //! The `_pg` entry points in `stapl-algorithms` (`p_generate_pg`,
 //! `p_reduce_pg`) port the pAlgorithms onto this executor; the lock-step
@@ -57,7 +56,6 @@ pub mod prange;
 pub mod prelude {
     pub use crate::executor::{ExecPolicy, ExecReport, Executor};
     pub use crate::prange::{
-        auto_grain, map_task_graph, pipeline_task_graph, reduce_task_graph, PRange, Task, TaskId,
-        TaskKind,
+        auto_grain, map_task_graph, reduce_task_graph, PRange, Task, TaskId, TaskKind,
     };
 }

@@ -14,8 +14,8 @@
 //! Construction is SPMD-deterministic: every location builds the same
 //! replicated task list (like a partition, the graph is metadata — the
 //! element data stays distributed). The factories at the bottom coarsen
-//! any [`ViewRead`] into the common graph shapes: flat map graphs,
-//! per-location reduction trees, and stage pipelines.
+//! any [`ViewRead`] into the common graph shapes: flat map graphs and
+//! per-location reduction trees.
 
 use stapl_core::domain::Range1d;
 use stapl_rts::LocId;
@@ -35,8 +35,6 @@ pub enum TaskKind {
     Combine,
     /// Final fold of the per-location combines; homed on location 0.
     Root,
-    /// Stage `s` of a pipeline over a fixed chunk ([`pipeline_task_graph`]).
-    Stage(u32),
 }
 
 /// One schedulable unit: a coarsened range of view indices plus its place
@@ -216,36 +214,6 @@ pub fn reduce_task_graph<V: ViewRead>(v: &V, grain: usize) -> PRange {
     pr
 }
 
-/// **Collective.** A `stages`-deep pipeline: the view's chunks become one
-/// column of tasks per stage, with task `(s, chunk)` depending on
-/// `(s-1, chunk)` — so different chunks flow through different stages
-/// concurrently. Stage tasks carry [`TaskKind::Stage`] and are
-/// migratable.
-pub fn pipeline_task_graph<V: ViewRead>(v: &V, grain: usize, stages: u32) -> PRange {
-    assert!(stages >= 1, "a pipeline needs at least one stage");
-    let loc = v.location();
-    let grain = if grain == 0 { auto_grain(v.len(), loc.nlocs()) } else { grain };
-    let all: Vec<Vec<Range1d>> = loc.allgather(v.local_chunks());
-    let mut pr = PRange::new();
-    let mut prev_stage: Vec<TaskId> = Vec::new();
-    for s in 0..stages {
-        let mut this_stage = Vec::new();
-        for (home, chunks) in all.iter().enumerate() {
-            for &c in chunks {
-                this_stage.extend(push_split(&mut pr, c, grain, home, TaskKind::Stage(s)));
-            }
-        }
-        if s > 0 {
-            debug_assert_eq!(prev_stage.len(), this_stage.len());
-            for (&p, &q) in prev_stage.iter().zip(&this_stage) {
-                pr.add_edge(p, q);
-            }
-        }
-        prev_stage = this_stage;
-    }
-    pr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,35 +307,6 @@ mod tests {
             for t in pr.tasks().iter().filter(|t| t.kind == TaskKind::Map) {
                 assert_eq!(t.succs.len(), 1);
                 assert_eq!(pr.task(t.succs[0]).home, t.home);
-            }
-            let _ = loc;
-        });
-    }
-
-    #[test]
-    fn pipeline_graph_chains_stages() {
-        execute(RtsConfig::default(), 2, |loc| {
-            let a = PArray::from_fn(loc, 12, |i| i as u64);
-            let v = ArrayView::new(a);
-            let pr = pipeline_task_graph(&v, 3, 4);
-            assert!(pr.is_acyclic());
-            let per_stage = pr.num_tasks() / 4;
-            for t in pr.tasks() {
-                match t.kind {
-                    TaskKind::Stage(0) => assert_eq!(t.num_preds, 0),
-                    TaskKind::Stage(_) => assert_eq!(t.num_preds, 1),
-                    other => panic!("unexpected kind {other:?}"),
-                }
-                if let TaskKind::Stage(s) = t.kind {
-                    if s < 3 {
-                        assert_eq!(t.succs.len(), 1);
-                        // Successor is the same chunk in the next stage.
-                        let succ = pr.task(t.succs[0]);
-                        assert_eq!(succ.range, t.range);
-                        assert_eq!(succ.kind, TaskKind::Stage(s + 1));
-                        assert_eq!(succ.id, t.id + per_stage);
-                    }
-                }
             }
             let _ = loc;
         });

@@ -16,66 +16,13 @@
 //! same burst asks for 490 800 bytes (731 312 when two methods alternate
 //! and every run is a run of one).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::RefCell;
 
 use stapl_rts::{execute_collect, Handle, Location, RtsConfig};
 
-/// Allocation calls and bytes requested so far, by measured threads.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Set while this thread's calls are measured: the harness's threads,
-    /// and any thread outside the measured region, count nothing.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the calling thread is being measured (`false` once its
-/// thread-locals are gone).
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations are those of `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded as received.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            CALLS.fetch_add(1, Ordering::Relaxed);
-            REQUESTED.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
-        }
-        // SAFETY: forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-fn counts() -> (usize, usize) {
-    (CALLS.load(Ordering::Relaxed), REQUESTED.load(Ordering::Relaxed))
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{count_this_thread, totals};
 
 const ASYNCS: usize = 16_000;
 const AGGREGATION: usize = 16;
@@ -92,21 +39,21 @@ fn counted(burst: impl Fn(&Location, Handle) + Send + Sync) -> (usize, usize, u6
     let out = execute_collect(cfg, 2, |loc| {
         let (h, cell) = loc.register(RefCell::new(0u64));
         loc.rmi_fence();
-        let (stats, before) = (loc.stats(), counts());
-        COUNTING.set(true);
+        let (stats, before) = (loc.stats(), totals());
+        count_this_thread(true);
         if loc.id() == 0 {
             burst(loc, h);
             loc.flush_all();
         }
         loc.barrier();
-        COUNTING.set(false);
-        let (calls, bytes) = (counts().0 - before.0, counts().1 - before.1);
+        count_this_thread(false);
+        let counted = totals().since(before);
         loc.rmi_fence();
         if loc.id() == 1 {
             assert_eq!(*cell.borrow(), (0..ASYNCS as u64).sum::<u64>());
         }
         let sent = loc.stats().since(&stats);
-        (calls, bytes, sent.bytes_sent, sent.batches_sent)
+        (counted.calls, counted.bytes, sent.bytes_sent, sent.batches_sent)
     });
     out[0]
 }
@@ -163,8 +110,8 @@ fn a_round_trip_allocates_its_two_buffers_and_its_reply_slot() {
         loc.rmi_fence();
         // Both sides counted together: the request's buffer, the response's
         // buffer, the reply slot's box.
-        let before = counts().0;
-        COUNTING.set(true);
+        let before = totals();
+        count_this_thread(true);
         if loc.id() == 0 {
             for _ in 0..SYNCS {
                 let v = loc.sync_rmi(1, h, |c: &Sum, _| *c.borrow());
@@ -172,9 +119,9 @@ fn a_round_trip_allocates_its_two_buffers_and_its_reply_slot() {
             }
         }
         loc.barrier();
-        COUNTING.set(false);
+        count_this_thread(false);
         if loc.id() == 0 {
-            let calls = counts().0 - before;
+            let calls = totals().since(before).calls;
             assert!(calls <= 4 * SYNCS, "{SYNCS} sync_rmi round trips: {calls} allocation calls");
         }
     });

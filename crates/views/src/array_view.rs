@@ -2,82 +2,34 @@
 //! built in), `balanced_pview`, `strided_1D_pview` and `overlap_pview`
 //! (Table II).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use stapl_core::domain::Range1d;
 use stapl_core::gid::Bcid;
-use stapl_core::interfaces::{IndexedContainer, RangedContainer};
+use stapl_core::interfaces::RangedContainer;
 use stapl_rts::Location;
 
 use crate::view::{balanced_chunk, ViewRead, ViewWrite};
 
-/// One chunk of a localized view: a maximal run that is contiguous both in
-/// view indices and in the owning base container's storage.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalizedRun {
-    /// First view index of the run.
-    pub view_lo: usize,
-    /// Container GIDs of the run.
-    pub gids: Range1d,
-    /// Base container holding the run (always on this location for a
-    /// native view).
-    pub bcid: Bcid,
-}
-
-impl LocalizedRun {
-    /// The view-index range this run covers (the chunk it serves).
-    fn view_range(&self) -> Range1d {
-        Range1d::new(self.view_lo, self.view_lo + self.gids.len())
-    }
-}
-
-/// The memoized result of [`ArrayView::localize`]: this location's chunks
-/// as storage runs, valid for one distribution epoch.
-/// [`ViewRead::local_chunks`] is derived from the runs, so the two can
-/// never fall out of sync.
-pub struct Localized {
-    /// Placement epoch of the container when this decomposition was built.
-    pub epoch: u64,
-    /// One entry per chunk: the storage run behind it, ascending by BCID.
-    pub runs: Vec<LocalizedRun>,
-}
-
 /// `array_1d_view`: identity-mapped view over a sub-range of an indexed
 /// container, with **native** alignment: this location's chunks are the
-/// intersection of the view's domain with the container's local
-/// sub-domains, so processing a native view touches only local storage.
-///
-/// The chunk decomposition ([`ArrayView::localize`]) is memoized per view
-/// and invalidated by the container's distribution epoch, so repeated
-/// algorithm calls on the same view do not recompute it.
-pub struct ArrayView<C: IndexedContainer> {
+/// intersection of the view's domain with the container's local pieces,
+/// so processing a native view touches only local storage.
+#[derive(Clone)]
+pub struct ArrayView<C> {
     c: C,
     dom: Range1d,
-    memo: RefCell<Option<Rc<Localized>>>,
 }
 
-impl<C: IndexedContainer + Clone> Clone for ArrayView<C> {
-    fn clone(&self) -> Self {
-        ArrayView {
-            c: self.c.clone(),
-            dom: self.dom,
-            memo: RefCell::new(self.memo.borrow().clone()),
-        }
-    }
-}
-
-impl<C: IndexedContainer> ArrayView<C> {
+impl<C: RangedContainer> ArrayView<C> {
     /// View over the whole container (the container's native pView).
     pub fn new(c: C) -> Self {
         let dom = Range1d::with_size(c.global_size());
-        ArrayView { c, dom, memo: RefCell::new(None) }
+        ArrayView { c, dom }
     }
 
     /// View over GIDs `[r.lo, r.hi)` of the container.
     pub fn over(c: C, r: Range1d) -> Self {
         assert!(r.hi <= c.global_size());
-        ArrayView { c, dom: r, memo: RefCell::new(None) }
+        ArrayView { c, dom: r }
     }
 
     /// The mapping function `F`: view index → container GID.
@@ -85,39 +37,24 @@ impl<C: IndexedContainer> ArrayView<C> {
         debug_assert!(k < self.dom.len());
         self.dom.lo + k
     }
-}
 
-impl<C: RangedContainer> ArrayView<C> {
-    /// Computes this location's chunk/run decomposition: the intersection
-    /// of the view domain with the local storage-contiguous pieces
-    /// ([`RangedContainer::local_pieces`] — one run per block for
-    /// block-cyclic sub-domains).
-    fn compute_localized(&self, epoch: u64) -> Localized {
-        let mut runs = Vec::new();
-        for (bcid, piece) in self.c.local_pieces() {
-            let i = piece.intersect(&self.dom);
-            if i.is_empty() {
-                continue;
-            }
-            runs.push(LocalizedRun { view_lo: i.lo - self.dom.lo, gids: i, bcid });
-        }
-        Localized { epoch, runs }
+    /// The view indices of the container GIDs `gids`.
+    fn view_range(&self, gids: Range1d) -> Range1d {
+        Range1d::new(gids.lo - self.dom.lo, gids.hi - self.dom.lo)
     }
 
-    /// The localized decomposition of this view, memoized per distribution
-    /// epoch: repeated algorithm calls on the same view reuse it instead
-    /// of re-walking the partition metadata.
-    pub fn localize(&self) -> Rc<Localized> {
-        let epoch = self.c.distribution_epoch();
-        let mut memo = self.memo.borrow_mut();
-        if let Some(l) = memo.as_ref() {
-            if l.epoch == epoch {
-                return l.clone();
-            }
-        }
-        let l = Rc::new(self.compute_localized(epoch));
-        *memo = Some(l.clone());
-        l
+    /// This location's chunks as storage runs: the container's
+    /// [`RangedContainer::local_pieces`] cut to the view's domain, each a
+    /// (BCID, GID range) contiguous both in view indices and in the base
+    /// container's storage. Asked of the container on every call, so it
+    /// follows every redistribution, rebalance and commit.
+    pub fn localize(&self) -> Vec<(Bcid, Range1d)> {
+        let mut runs = self.c.local_pieces();
+        runs.retain_mut(|(_, gids)| {
+            *gids = gids.intersect(&self.dom);
+            !gids.is_empty()
+        });
+        runs
     }
 }
 
@@ -137,20 +74,19 @@ impl<C: RangedContainer> ViewRead for ArrayView<C> {
     }
 
     fn local_chunks(&self) -> Vec<Range1d> {
-        // Native alignment, served from the memoized decomposition.
-        self.localize().runs.iter().map(|r| r.view_range()).collect()
+        self.localize().into_iter().map(|(_, gids)| self.view_range(gids)).collect()
     }
 
     fn for_each_chunk(&self, mut f: impl FnMut(usize, &[C::Value])) {
-        for run in &self.localize().runs {
-            let served = self.c.with_slice(run.bcid, run.gids, |s| f(run.view_lo, s));
-            match served {
+        for (bcid, gids) in self.localize() {
+            let lo = self.view_range(gids).lo;
+            match self.c.with_slice(bcid, gids, |s| f(lo, s)) {
                 Some(()) => self.location().note_localized_chunk(),
                 None => {
                     // A run the container cannot lend as one slice: still
                     // one buffer per chunk, via the bulk path.
-                    let buf = self.c.get_range(run.gids);
-                    f(run.view_lo, &buf);
+                    let buf = self.c.get_range(gids);
+                    f(lo, &buf);
                 }
             }
         }
@@ -170,14 +106,13 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
     }
 
     fn fill_from(&self, mut gen: impl FnMut(Range1d) -> Vec<C::Value>) {
-        for run in &self.localize().runs {
-            let view = Range1d::new(run.view_lo, run.view_lo + run.gids.len());
+        for (bcid, gids) in self.localize() {
+            let view = self.view_range(gids);
             let vals = gen(view);
             debug_assert_eq!(vals.len(), view.len(), "fill_from generator length mismatch");
-            let served = self.c.with_slice_mut(run.bcid, run.gids, |s| s.clone_from_slice(&vals));
-            match served {
+            match self.c.with_slice_mut(bcid, gids, |s| s.clone_from_slice(&vals)) {
                 Some(()) => self.location().note_localized_chunk(),
-                None => self.c.set_range(run.gids.lo, vals),
+                None => self.c.set_range(gids.lo, &vals),
             }
         }
     }
@@ -186,8 +121,8 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
     where
         F: Fn(&mut C::Value) + Clone + Send + 'static,
     {
-        for run in &self.localize().runs {
-            let served = self.c.with_slice_mut(run.bcid, run.gids, |s| {
+        for (bcid, gids) in self.localize() {
+            let served = self.c.with_slice_mut(bcid, gids, |s| {
                 for v in s {
                     f(v);
                 }
@@ -196,7 +131,7 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
                 Some(()) => self.location().note_localized_chunk(),
                 None => {
                     let f = f.clone();
-                    self.c.apply_range(run.gids, move |_, v| f(v));
+                    self.c.apply_range(gids, move |_, v| f(v));
                 }
             }
         }
@@ -388,6 +323,7 @@ impl<V: ViewRead> OverlapView<V> {
 mod tests {
     use super::*;
     use stapl_containers::array::PArray;
+    use stapl_containers::vector::PVector;
     use stapl_core::interfaces::{ElementRead, PContainer};
     use stapl_rts::{execute, RtsConfig};
 
@@ -480,25 +416,91 @@ mod tests {
     }
 
     #[test]
-    fn localize_is_memoized_until_redistribution() {
+    fn localize_follows_redistribution() {
         execute(RtsConfig::default(), 2, |loc| {
             let a = PArray::from_fn(loc, 16, |i| i as u64);
             let v = ArrayView::new(a.clone());
-            let l1 = v.localize();
-            let l2 = v.localize();
-            assert!(std::rc::Rc::ptr_eq(&l1, &l2), "second call must reuse the memo");
-            let chunks: Vec<_> = l1.runs.iter().map(|r| r.view_range()).collect();
-            assert_eq!(chunks, v.local_chunks());
-            // Redistribution bumps the epoch and invalidates the memo.
             a.redistribute(
                 stapl_core::partition::BlockedPartition::new(16, 3),
                 stapl_core::mapper::CyclicMapper::new(loc.nlocs()),
             );
-            let l3 = v.localize();
-            assert!(!std::rc::Rc::ptr_eq(&l1, &l3), "epoch change must invalidate the memo");
-            let covered: u64 =
-                loc.allreduce_sum(l3.runs.iter().map(|r| r.gids.len() as u64).sum());
+            // Every run is stored here under the new placement, and the
+            // runs of all locations cover the array exactly once.
+            let runs = v.localize();
+            for &(bcid, gids) in &runs {
+                for g in gids.iter() {
+                    assert_eq!(a.locate_element(g), (bcid, loc.id()));
+                }
+            }
+            let covered: u64 = loc.allreduce_sum(runs.iter().map(|(_, g)| g.len() as u64).sum());
             assert_eq!(covered, 16);
+            let mut seen = 0;
+            v.for_each_chunk(|lo, s| {
+                for (k, val) in s.iter().enumerate() {
+                    assert_eq!(*val, (lo + k) as u64);
+                    seen += 1;
+                }
+            });
+            assert_eq!(loc.allreduce_sum(seen), 16);
+        });
+    }
+
+    #[test]
+    fn pvector_chunks_tile_the_view_before_commit() {
+        execute(RtsConfig::default(), 2, |loc| {
+            let v = PVector::from_fn(loc, 8, |i| i as u64);
+            // Location 0's live block grows to 5; the committed one is 4.
+            if loc.id() == 0 {
+                v.insert_async(0, 100);
+            }
+            loc.rmi_fence();
+            let view = ArrayView::new(v.clone());
+            let mut hits = [0u64; 8];
+            for chunks in loc.allgather(view.local_chunks()) {
+                for k in chunks.iter().flat_map(|c| c.iter()) {
+                    hits[k] += 1;
+                }
+            }
+            assert_eq!(hits, [1; 8], "chunks must tile 0..8 exactly once");
+            let mut seen = 0;
+            view.for_each_chunk(|_, s| seen += s.len() as u64);
+            assert_eq!(loc.allreduce_sum(seen), 8);
+        });
+    }
+
+    #[test]
+    fn pvector_view_follows_commit_and_rebalance() {
+        execute(RtsConfig::default(), 3, |loc| {
+            let v = PVector::from_fn(loc, 12, |i| i as i64);
+            let view = ArrayView::new(v.clone());
+            // Location 0 grows by four, location 2 empties: the size holds.
+            if loc.id() == 0 {
+                for k in 0..4 {
+                    v.insert_async(0, 100 + k);
+                }
+            }
+            if loc.id() == 2 {
+                for _ in 0..4 {
+                    v.erase_async(8);
+                }
+            }
+            v.commit();
+            v.rebalance();
+            let before = loc.local_stats();
+            let mut vals = Vec::new();
+            view.for_each_chunk(|lo, s| vals.extend(s.iter().enumerate().map(|(k, x)| (lo + k, *x))));
+            let after = loc.local_stats().since(&before);
+            let chunks = view.local_chunks().len() as u64;
+            assert!(chunks > 0);
+            assert_eq!(after.localized_chunks, chunks, "every chunk is a slice borrow");
+            assert_eq!(after.bulk_requests, 0);
+            let mut all = loc.allreduce(vals, |mut a, mut b| {
+                a.append(&mut b);
+                a
+            });
+            all.sort_unstable();
+            let expect = [103, 102, 101, 100, 0, 1, 2, 3, 4, 5, 6, 7];
+            assert_eq!(all, expect.iter().copied().enumerate().collect::<Vec<_>>());
         });
     }
 

@@ -77,9 +77,9 @@ fn redistribute_between_phases() {
         );
         assert_eq!(p_sum(&a), sum_before);
         // The new partition actually changed ownership granularity.
-        assert_eq!(a.local_subdomains().len(), 4); // 8 blocks cyclic over 2
+        assert_eq!(a.local_pieces().len(), 4); // 8 blocks cyclic over 2
         a.rebalance();
-        assert_eq!(a.local_subdomains().len(), 1);
+        assert_eq!(a.local_pieces().len(), 1);
         assert_eq!(p_sum(&a), sum_before);
         let _ = loc;
     });

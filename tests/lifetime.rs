@@ -1,14 +1,12 @@
 //! Nothing built inside `execute` outlives its last handle by more than one
 //! fence. Its own test binary, with a counting global allocator and one
-//! test (live bytes are a process-wide figure): for every p_object user —
-//! the six container families, the PARAGRAPH executor, `p_sort`'s bucket
-//! object — fifty rounds of construct → use through remote methods → drop →
-//! `rmi_fence` hold what three rounds hold, and the registry is back at its
-//! base size. What a handle leaves behind for good is its tombstone (a
-//! `RegEntry` per location) and its retire count: `RESIDUE` bounds that.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+//! test (live bytes are summed over every location's thread): for every
+//! p_object user — the six container families, the PARAGRAPH executor,
+//! `p_sort`'s bucket object — fifty rounds of construct → use through
+//! remote methods → drop → `rmi_fence` hold what three rounds hold, and the
+//! registry is back at its base size. What a handle leaves behind for good
+//! is its tombstone (a `RegEntry` per location) and its retire count:
+//! `RESIDUE` bounds that.
 
 use stapl::containers::graph::{Directedness, GraphPartitionKind, PGraph};
 use stapl::containers::list::PList;
@@ -16,38 +14,16 @@ use stapl::containers::matrix::PMatrix;
 use stapl::core::interfaces::{AssociativeContainer, ElementRead, ElementWrite, PContainer};
 use stapl::prelude::*;
 
-/// Bytes allocated and not freed, over all threads.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{count_this_thread, totals};
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: the caller's obligations are those of `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: forwarded as received.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: `ptr` came from `System` with this `layout` (see `alloc`).
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: forwarded as received.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
+/// Bytes the measured threads — every location's — allocated and have not
+/// freed.
+fn live_bytes() -> isize {
+    let t = totals();
+    t.bytes as isize - t.freed as isize
 }
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 /// Elements per container: a round that leaked would leave ≥ 32 KiB.
 const N: usize = 4096;
@@ -156,6 +132,7 @@ fn a_dropped_p_object_is_gone_after_the_next_fence() {
     for nlocs in [1, 2, 4] {
         for (family, round) in FAMILIES {
             execute(RtsConfig::default(), nlocs, |loc| {
+                count_this_thread(true);
                 let base = loc.live_p_objects();
                 let mut live = [0; ROUNDS];
                 for (r, live) in live.iter_mut().enumerate() {
@@ -170,7 +147,7 @@ fn a_dropped_p_object_is_gone_after_the_next_fence() {
                     // Read with every location past its reclaim and none
                     // into the next round.
                     loc.barrier();
-                    *live = LIVE.load(Ordering::Relaxed);
+                    *live = live_bytes();
                     loc.barrier();
                 }
                 let grown = live[ROUNDS - 1] - live[2];
@@ -178,6 +155,7 @@ fn a_dropped_p_object_is_gone_after_the_next_fence() {
                     grown <= RESIDUE,
                     "{family}, P={nlocs}: {grown} bytes more live after round {ROUNDS} than after round 3"
                 );
+                count_this_thread(false);
             });
         }
     }
