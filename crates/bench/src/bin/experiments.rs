@@ -123,7 +123,7 @@ fn chaos_exp() {
         harness::run(cfg, p, move |loc| {
             let nlocs = loc.nlocs();
             let me = loc.id();
-            let (h, rep) = loc.register(RefCell::new(0u64));
+            let (h, rep) = loc.register_cell(0u64);
             let src = PArray::from_fn(loc, n, |i| (i * 3 + 1) as u64);
             let dst = harness::misaligned_dst(loc, n);
             let (secs, delta) = harness::timed_scoped(loc, || {

@@ -1269,7 +1269,7 @@ const CHAOS_GATED: &[Counter] = &[
 /// record, not a separate test.
 fn chaos_storm(p: usize, k: u64, rounds: u64, cfg: RtsConfig) -> Measured {
     run(cfg, p, move |loc| {
-        let (h, rep) = loc.register(std::cell::RefCell::new(0u64));
+        let (h, rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         let measured = timed_scoped(loc, || {
             for round in 1..=rounds {

@@ -181,7 +181,8 @@ impl<T: Send + Clone + 'static> PVector<T> {
         let nlocs = loc.nlocs();
         // Drain in-flight inserts/erases so sizes are stable.
         loc.rmi_fence();
-        let lens = loc.allgather(self.obj.local().data.len());
+        let len = self.obj.local().data.len();
+        let lens = loc.allgather(len);
         let total: usize = lens.iter().sum();
         // Balanced target, like `new`.
         let target = balanced_bounds(total, nlocs);
@@ -268,7 +269,8 @@ impl<T: Send + Clone + 'static> PContainer for PVector<T> {
     fn commit(&self) {
         let loc = self.obj.location().clone();
         loc.rmi_fence();
-        let lens = loc.allgather(self.obj.local().data.len());
+        let len = self.obj.local().data.len();
+        let lens = loc.allgather(len);
         let mut acc = 0;
         let bounds: Vec<usize> = lens
             .into_iter()

@@ -69,7 +69,7 @@ impl<Rep: 'static> PObject<Rep> {
     /// **Collective**: every location must call this at the same point of
     /// the SPMD program (the paper's collective constructors).
     pub fn register(loc: &Location, rep: Rep) -> Self {
-        let (handle, rep) = loc.register(RefCell::new(rep));
+        let (handle, rep) = loc.register_cell(rep);
         let last = Rc::new(RetireOnDrop { loc: loc.clone(), handle });
         PObject { loc: loc.clone(), handle, rep, last }
     }
@@ -84,15 +84,17 @@ impl<Rep: 'static> PObject<Rep> {
 
     /// Immutable access to the local representative.
     ///
-    /// Do not hold the borrow across any call that may poll the runtime
-    /// (sync RMIs, fences, collectives): incoming requests also borrow the
-    /// representative.
+    /// # Panics
+    /// While the borrow is held, a wait of this location (a sync RMI, a
+    /// fence, a barrier or collective, a poll) panics, naming its site and
+    /// the representative's type ([`Location::poll`]). A borrow in a call's
+    /// argument lives to the end of the statement: bind what it reads first.
     pub fn local(&self) -> Ref<'_, Rep> {
         self.rep.borrow()
     }
 
-    /// Mutable access to the local representative. Same caveat as
-    /// [`PObject::local`].
+    /// Mutable access to the local representative. Panics as
+    /// [`PObject::local`] does.
     pub fn local_mut(&self) -> RefMut<'_, Rep> {
         self.rep.borrow_mut()
     }
@@ -103,14 +105,14 @@ impl<Rep: 'static> PObject<Rep> {
         &self.rep
     }
 
-    /// The local fast path of the `invoke` family: runs `f` on the
+    /// The local fast path of the `invoke` family: runs `f` in place on the
     /// representative this `PObject` already holds, counted as one local
     /// invocation. The registry lookup `Location::async_rmi(me, ..)` makes
     /// could not fail here — the handle is retired only when the last
     /// `PObject` holding this `Rc` is gone.
     fn invoke_here<R>(&self, f: impl FnOnce(&RefCell<Rep>, &Location) -> R) -> R {
         self.loc.note_local_invocation();
-        f(&self.rep, &self.loc)
+        self.loc.run_in_place(|| f(&self.rep, &self.loc))
     }
 
     /// Asynchronous method execution on `dest` (the paper's

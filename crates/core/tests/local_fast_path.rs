@@ -1,11 +1,14 @@
 //! The local fast path of the core layer: a `PObject` invokes on itself
-//! through the representative it holds (counted, but no registry lookup),
+//! through the representative it holds (counted, but no registry lookup)
+//! and in place (a wait there panics, a reply made there leaves at once),
 //! the location manager stays a BCID-ordered map whatever order base
 //! containers come and go in, and a directory-backed element that is
 //! stored here is registered and migrated without touching the owner
 //! cache or the home.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use stapl_core::bcontainer::{BaseContainer, MemSize};
 use stapl_core::directory::{
@@ -15,7 +18,10 @@ use stapl_core::directory::{
 use stapl_core::gid::Bcid;
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
-use stapl_rts::{execute, RtsConfig};
+use stapl_rts::{execute, Location, RtsConfig};
+
+#[path = "../../../tests/support/run_panic.rs"]
+mod run_panic;
 
 /// Every member of the `invoke` family counts exactly one local invocation
 /// (and no request) for `dest == me`, and one request (and no local
@@ -44,6 +50,42 @@ fn pobject_invoke_family_counts_like_the_rmi_primitives() {
         let remote = loc.local_stats().since(&before);
         assert_eq!((remote.local_invocations, remote.remote_requests), (0, 1));
         assert_eq!(*obj.local(), 101);
+    });
+}
+
+/// `invoke_at(me, ..)` with a handler that fences fails at P=1, naming the
+/// fence (L1 in place, DESIGN.md "The RMI discipline").
+#[test]
+fn a_pobject_handler_run_in_place_may_not_wait() {
+    let (fence, line): (fn(&Location), u32) = (|l| l.rmi_fence(), line!());
+    let msg = run_panic::panic_of(1, move |loc| {
+        let obj = PObject::register(loc, 0u64);
+        obj.invoke_at(loc.id(), move |_, l| fence(l));
+    });
+    assert!(msg.contains("location 0: an RMI handler waits at"), "{msg}");
+    run_panic::names(&msg, file!(), line);
+}
+
+/// Location 1 waits on a reply token that location 0 answers from an
+/// in-place `invoke_at` while it waits outside the runtime: the reply must
+/// not sit staged until location 0 next delivers a batch.
+#[test]
+fn a_reply_from_an_in_place_run_leaves_at_once() {
+    let answered = AtomicBool::new(false);
+    execute(RtsConfig::default(), 2, |loc| {
+        let obj = PObject::register(loc, 41u64);
+        let (token, answer) = loc.make_reply_slot::<u64>();
+        let token = loc.broadcast(1, token);
+        if loc.id() == 1 {
+            assert_eq!(answer.get(), 42);
+            return answered.store(true, Ordering::Release);
+        }
+        obj.invoke_at(0, move |rep, l| l.reply(token, *rep.borrow() + 1));
+        let start = Instant::now();
+        while !answered.load(Ordering::Acquire) {
+            assert!(start.elapsed() < Duration::from_secs(5), "location 1 never got its reply");
+            std::thread::yield_now();
+        }
     });
 }
 

@@ -27,6 +27,7 @@ impl Location {
     /// [`Location::allreduce`], its rendezvous of `kind`.
     #[track_caller]
     fn collective<T: Send + Clone + 'static>(&self, kind: Kind, val: T, op: impl Fn(T, T) -> T) -> T {
+        self.refuse_to_wait();
         let t0 = self.trace_clock();
         let board = &self.shared().board;
         *board[self.id()].lock().unwrap() = Some(Box::new(val));

@@ -36,7 +36,7 @@
 //! // One counter per location; location 0 asks everyone to increment the
 //! // counter of location 1, then reads it back synchronously.
 //! execute(RtsConfig::default(), 4, |loc| {
-//!     let (h, _rep) = loc.register(RefCell::new(0u64));
+//!     let (h, _rep) = loc.register_cell(0u64);
 //!     loc.rmi_fence(); // registration is collective
 //!     loc.async_rmi(1, h, |c: &RefCell<u64>, _| *c.borrow_mut() += 1);
 //!     loc.rmi_fence();

@@ -140,6 +140,8 @@ struct RegEntry {
     type_name: &'static str,
 }
 
+type IsBorrowed = fn(&dyn Any) -> bool;
+
 struct LocInner {
     id: LocId,
     shared: Arc<Shared>,
@@ -147,6 +149,9 @@ struct LocInner {
     /// flush, inbound queue); see [`crate::transport`].
     endpoint: Endpoint,
     registry: RefCell<Vec<RegEntry>>,
+    /// The live [`Location::register_cell`] representatives, each with how
+    /// to read its borrow flag ([`Location::refuse_to_wait`]).
+    cells: RefCell<Vec<(Handle, IsBorrowed)>>,
     /// Handles this location retired and has not reclaimed yet.
     retiring: RefCell<Vec<Handle>>,
     slots: RefCell<ReplySlots>,
@@ -156,6 +161,9 @@ struct LocInner {
     /// Set while a delivered batch runs: a reply is then staged, not flushed
     /// ([`Location::deliver`]), and a wait panics ([`Location::poll`]).
     delivering: Cell<bool>,
+    /// Set while a handler runs in place ([`Location::run_in_place`]): a
+    /// wait panics, as in a delivered batch, but a reply leaves at once.
+    in_place: Cell<bool>,
     /// Where the replies staged during delivery are bound: each is flushed
     /// once when the batch being delivered has run.
     reply_dests: RefCell<Vec<LocId>>,
@@ -182,10 +190,12 @@ impl Location {
                 shared,
                 endpoint,
                 registry: RefCell::new(Vec::new()),
+                cells: RefCell::default(),
                 retiring: RefCell::default(),
                 slots: RefCell::default(),
                 counters,
                 delivering: Cell::new(false),
+                in_place: Cell::new(false),
                 reply_dests: RefCell::default(),
                 trace,
             }),
@@ -268,12 +278,26 @@ impl Location {
         Some(trace.borrow_mut().take_data(self.id(), self.local_stats(), handled))
     }
 
-    /// Records one method run inline on this location's own representative
-    /// (a `PObject` invoking on itself — it needs no registry lookup, so it
-    /// does not come through [`Location::async_rmi`]).
+    /// Records one method run inline under a borrow its caller holds (a
+    /// container's element hit), where a wait fails on that borrow.
     #[inline]
     pub fn note_local_invocation(&self) {
         self.bump(Counter::local_invocations, 1);
+    }
+
+    /// Runs `f`, a handler aimed at this location, here: a wait inside it
+    /// panics ([`Location::poll`]), and a reply it makes leaves at once.
+    #[inline]
+    pub fn run_in_place<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Restores the in-place state on return and on unwind.
+        struct Restore<'a>(&'a Cell<bool>, bool);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.1);
+            }
+        }
+        let _restore = Restore(&self.inner.in_place, self.inner.in_place.replace(true));
+        f()
     }
 
     // ------------------------------------------------------------------
@@ -380,6 +404,7 @@ impl Location {
     /// [`Location::retire`]) or [`Location::unregister`]ed; a handle that
     /// is never retired stays registered until the execution ends. Handles
     /// are not reused.
+    /// A wait does not see into `rep`: see [`Location::register_cell`].
     pub fn register<T: 'static>(&self, rep: T) -> (Handle, Rc<T>) {
         let rc = Rc::new(rep);
         let mut reg = self.inner.registry.borrow_mut();
@@ -388,6 +413,17 @@ impl Location {
             rep: Some(rc.clone() as Rc<dyn Any>),
             type_name: std::any::type_name::<T>(),
         });
+        (h, rc)
+    }
+
+    /// [`Location::register`]s `rep` in a `RefCell`, whose borrow flag every
+    /// wait here reads while it is live ([`Location::poll`]).
+    pub fn register_cell<R: 'static>(&self, rep: R) -> (Handle, Rc<RefCell<R>>) {
+        fn borrowed<R: 'static>(rep: &dyn Any) -> bool {
+            rep.downcast_ref::<RefCell<R>>().is_some_and(|cell| cell.try_borrow_mut().is_err())
+        }
+        let (h, rc) = self.register(RefCell::new(rep));
+        self.inner.cells.borrow_mut().push((h, borrowed::<R>));
         (h, rc)
     }
 
@@ -437,6 +473,7 @@ impl Location {
     /// no request to `(this location, h)` is in flight or will be issued,
     /// which [`Location::retire`] establishes on its own.
     pub fn unregister(&self, h: Handle) {
+        self.inner.cells.borrow_mut().retain(|&(cell, _)| cell != h);
         let rep = self.inner.registry.borrow_mut().get_mut(h.0 as usize).and_then(|slot| slot.rep.take());
         // Outside the registry borrow: the representative may own p_objects
         // of its own, whose destructors come back to this location.
@@ -510,15 +547,14 @@ impl Location {
         if dest == self.id() {
             self.bump(Counter::local_invocations, 1);
             let obj = self.lookup::<T>(h);
-            f(&obj, self);
-            return;
+            return self.run_in_place(|| f(&obj, self));
         }
         self.stage_on(dest, h, move |obj: Result<&T, &str>, loc: &Location| f(resolved(obj), loc));
     }
 
     /// Synchronous RMI (the paper's `sync_rmi`): runs `f` on `dest` and
     /// blocks until the result arrives, servicing incoming requests while
-    /// waiting.
+    /// waiting. Run in place, it is still checked as a wait.
     #[track_caller]
     pub fn sync_rmi<T, R, F>(&self, dest: LocId, h: Handle, f: F) -> R
     where
@@ -526,6 +562,9 @@ impl Location {
         R: Send + 'static,
         F: FnOnce(&T, &Location) -> R + Send + 'static,
     {
+        if dest == self.id() {
+            self.refuse_to_wait();
+        }
         // Tagged as a sync round trip so its wait span covers issue →
         // value arrival, not just the time spent inside `get`.
         let issued = self.issue_split(dest, h, f, TraceEventKind::SyncRmiSpan);
@@ -576,7 +615,8 @@ impl Location {
     {
         if dest == self.id() {
             self.bump(Counter::local_invocations, 1);
-            return Ok(f(&self.lookup::<T>(h), self));
+            let obj = self.lookup::<T>(h);
+            return Ok(self.run_in_place(|| f(&obj, self)));
         }
         let slot = self.alloc_slot(wait_kind, dest, std::any::type_name::<F>());
         let src = self.id();
@@ -601,8 +641,7 @@ impl Location {
     /// request routing without a registry lookup baked in.
     pub fn send_request(&self, dest: LocId, req: Box<dyn FnOnce(&Location) + Send>) {
         if dest == self.id() {
-            req(self);
-            return;
+            return self.run_in_place(|| req(self));
         }
         // The box itself is the capture: two words relocated, its pointee
         // travelling by pointer like everything a capture points to.
@@ -791,10 +830,20 @@ impl Location {
 
     /// Services all currently queued incoming batches; returns the number
     /// of requests executed.
-    /// Panics inside an RMI handler, naming the call's site: every wait polls.
+    ///
+    /// # Panics
+    /// As every wait does (a fence, a barrier, a collective, a sync RMI, a
+    /// future's wait that begins), naming the call's site: inside an RMI
+    /// handler, delivered or run in place (L1), and while a
+    /// [`Location::register_cell`] representative is borrowed here (L2).
     #[track_caller]
     pub fn poll(&self) -> usize {
-        self.refuse_in_handler();
+        self.refuse_to_wait();
+        self.drain()
+    }
+
+    /// [`Location::poll`], unchecked: a wait's passes after its first.
+    fn drain(&self) -> usize {
         let mut n = 0;
         // Drive retransmission of overdue unacknowledged batches; on a
         // lossless fabric this is an early-out on a counter.
@@ -861,15 +910,25 @@ impl Location {
     /// forwarded synchronous method, or the window of split-phase requests
     /// a future is waited on in) must not sit buffered while it waits — and
     /// relaxes: a spin hint for the first 64 empty polls, a yield
-    /// after.
+    /// after. Its first poll is checked as [`Location::poll`] is; a wait
+    /// whose condition already holds runs no check.
     #[track_caller]
-    pub fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+    pub fn wait_until(&self, ready: impl FnMut() -> bool) {
+        self.spin(ready, false);
+    }
+
+    /// [`Location::wait_until`], its first poll unchecked when `checked`.
+    #[track_caller]
+    fn spin(&self, mut ready: impl FnMut() -> bool, mut checked: bool) {
         let mut empty_polls = 0u32;
         while !ready() {
             if let Some(why) = self.inner.shared.poisoned.get() {
                 panic!("stapl-rts: a peer location panicked while this location waited: {why}");
             }
-            if self.poll() == 0 {
+            if !std::mem::replace(&mut checked, true) {
+                self.refuse_to_wait();
+            }
+            if self.drain() == 0 {
                 self.flush_all();
                 empty_polls += 1;
                 if empty_polls > 64 {
@@ -886,17 +945,26 @@ impl Location {
         let _ = self.inner.shared.poisoned.set(panic_message(payload));
     }
 
-    /// Panics, naming the caller's site, while a delivered batch runs here.
+    /// Panics, naming the caller's site, where this location must not wait
+    /// ([`Location::poll`]).
     #[track_caller]
-    fn refuse_in_handler(&self) {
-        let site = std::panic::Location::caller();
+    pub(crate) fn refuse_to_wait(&self) {
+        let (site, me) = (std::panic::Location::caller(), self.id());
         assert!(
-            !self.inner.delivering.get(),
-            "stapl-rts: location {}: an RMI handler waits at {site} — a handler runs inside its \
+            !self.inner.delivering.get() && !self.inner.in_place.get(),
+            "stapl-rts: location {me}: an RMI handler waits at {site} — a handler runs inside its \
              location's progress engine, so it must not poll, fence, wait on a future or enter a \
-             barrier or collective",
-            self.id()
+             barrier or collective"
         );
+        let reg = self.inner.registry.borrow();
+        for &(h, borrowed) in self.inner.cells.borrow().iter() {
+            let RegEntry { rep, type_name } = &reg[h.0 as usize];
+            assert!(
+                !rep.as_deref().is_some_and(borrowed),
+                "stapl-rts: location {me}: a wait at {site} begins while `{type_name}` is borrowed \
+                 — a handler the wait runs may borrow it again; end the borrow before the wait"
+            );
+        }
     }
 
     // ------------------------------------------------------------------
@@ -908,17 +976,18 @@ impl Location {
     /// pending asynchronous RMIs have completed.
     #[track_caller]
     pub fn barrier(&self) {
+        self.refuse_to_wait();
         self.rendezvous(Kind::Barrier, || ());
     }
 
     /// A [`Location::barrier`] of `kind` whose last arriver runs `last`
     /// before it releases the others; every location returns that value. A
     /// fence round's verdict and a collective's result are computed here.
+    /// Unchecked: its caller has checked the wait ([`Location::poll`]).
     #[track_caller]
     pub(crate) fn rendezvous<T: Clone + Send + 'static>(&self, kind: Kind, last: impl FnOnce() -> T) -> T {
-        self.refuse_in_handler();
         let t0 = self.trace_clock();
-        let out = self.inner.shared.barrier.rendezvous(kind, |released| self.wait_until(released), last);
+        let out = self.inner.shared.barrier.rendezvous(kind, |released| self.spin(released, true), last);
         self.trace_span_end(TraceEventKind::BarrierSpan, t0, 0);
         out
     }
@@ -947,7 +1016,7 @@ impl Location {
     /// `execute`'s closing fence.
     #[track_caller]
     pub(crate) fn fence(&self, kind: Kind) {
-        self.refuse_in_handler();
+        self.refuse_to_wait();
         let t0 = self.trace_clock();
         let mut rounds = 0u64;
         // Decided on entry: a peer that has left this fence may send to a
@@ -957,12 +1026,12 @@ impl Location {
             self.bump(Counter::fence_rounds, 1);
             rounds += 1;
             self.flush_all();
-            while self.poll() > 0 {}
+            while self.drain() > 0 {}
             self.rendezvous(kind, || ());
             // Polling inside the barrier may have executed handlers that
             // enqueued new requests; push those out and drain again.
             self.flush_all();
-            while self.poll() > 0 {}
+            while self.drain() > 0 {}
             if self.rendezvous(kind, || self.quiescent()) {
                 reclaim.into_iter().for_each(|h| self.unregister(h));
                 self.trace_span_end(TraceEventKind::FenceSpan, t0, rounds);

@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn async_rmi_visible_after_fence() {
         execute(RtsConfig::default(), 4, |loc| {
-            let (h, rep) = loc.register(RefCell::new(Vec::<usize>::new()));
+            let (h, rep) = loc.register_cell(Vec::<usize>::new());
             loc.rmi_fence();
             // Everyone appends its id to location 0's vector.
             let me = loc.id();
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn sync_rmi_round_trip() {
         execute(RtsConfig::default(), 3, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(loc.id() as u64 * 100));
+            let (h, _rep) = loc.register_cell(loc.id() as u64 * 100);
             loc.rmi_fence();
             for peer in 0..loc.nlocs() {
                 let v = loc.sync_rmi(peer, h, |c: &RefCell<u64>, _| *c.borrow());
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn split_phase_overlaps_computation() {
         execute(RtsConfig::default(), 2, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(7u32));
+            let (h, _rep) = loc.register_cell(7u32);
             loc.rmi_fence();
             let peer = (loc.id() + 1) % loc.nlocs();
             let fut = loc.split_rmi(peer, h, |c: &RefCell<u32>, _| *c.borrow() + 1);
@@ -170,7 +170,7 @@ mod tests {
         // Both locations block in sync_rmi simultaneously; polling while
         // waiting must let each serve the other's request.
         execute(RtsConfig::default(), 2, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(loc.id() as u64));
+            let (h, _rep) = loc.register_cell(loc.id() as u64);
             loc.rmi_fence();
             let peer = 1 - loc.id();
             let v = loc.sync_rmi(peer, h, |c: &RefCell<u64>, _| *c.borrow());
@@ -183,7 +183,7 @@ mod tests {
         // Location 0 sends to 1, whose handler forwards to 2, whose handler
         // forwards to 3, which records. One fence must drain the chain.
         execute(RtsConfig::default(), 4, |loc| {
-            let (h, rep) = loc.register(RefCell::new(0u64));
+            let (h, rep) = loc.register_cell(0u64);
             loc.rmi_fence();
             if loc.id() == 0 {
                 loc.async_rmi(1, h, move |_: &RefCell<u64>, l| {
@@ -206,7 +206,7 @@ mod tests {
         // Writes from one source to one destination must apply in order,
         // even with aggregation enabled.
         execute(RtsConfig::with_aggregation(8), 2, |loc| {
-            let (h, rep) = loc.register(RefCell::new(Vec::<u32>::new()));
+            let (h, rep) = loc.register_cell(Vec::<u32>::new());
             loc.rmi_fence();
             if loc.id() == 0 {
                 for i in 0..100u32 {
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn stats_count_local_vs_remote() {
         let snaps = execute_collect(RtsConfig::unbuffered(), 2, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(0u64));
+            let (h, _rep) = loc.register_cell(0u64);
             loc.rmi_fence();
             if loc.id() == 0 {
                 loc.async_rmi(0, h, |c: &RefCell<u64>, _| *c.borrow_mut() += 1);
@@ -267,7 +267,7 @@ mod tests {
     fn aggregation_reduces_batches() {
         let run = |agg: usize| {
             let snaps = execute_collect(RtsConfig::with_aggregation(agg), 2, |loc| {
-                let (h, _rep) = loc.register(RefCell::new(0u64));
+                let (h, _rep) = loc.register_cell(0u64);
                 loc.rmi_fence();
                 if loc.id() == 0 {
                     for _ in 0..256 {
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn unregistered_handle_panic_names_the_p_object() {
         execute(RtsConfig::default(), 1, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(String::from("payload")));
+            let (h, _rep) = loc.register_cell(String::from("payload"));
             loc.unregister(h);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 loc.lookup::<RefCell<String>>(h);
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn a_handle_is_reclaimed_at_the_fence_after_every_location_retired_it() {
         execute(RtsConfig::default(), 3, |loc| {
-            let (h, _) = loc.register(RefCell::new(0u64));
+            let (h, _) = loc.register_cell(0u64);
             if loc.id() != 2 {
                 loc.retire(h);
             }
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn type_mismatch_panic_names_both_types() {
         execute(RtsConfig::default(), 1, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(7u32));
+            let (h, _rep) = loc.register_cell(7u32);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 loc.lookup::<RefCell<i64>>(h);
             }))
@@ -380,7 +380,7 @@ mod tests {
         // A mixed workload touching many counters: local + remote asyncs,
         // sync round trips, aggregation batches, fence rounds.
         let per_loc = execute_collect(RtsConfig::with_aggregation(4), 4, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(0u64));
+            let (h, _rep) = loc.register_cell(0u64);
             loc.rmi_fence();
             for peer in 0..loc.nlocs() {
                 for _ in 0..10 {
@@ -427,7 +427,7 @@ mod tests {
         use crate::trace::TraceEventKind;
         let cfg = RtsConfig { trace: true, ..RtsConfig::unbuffered() };
         let (_results, trace) = execute_collect_traced(cfg, 3, |loc| {
-            let (h, _rep) = loc.register(RefCell::new(0u64));
+            let (h, _rep) = loc.register_cell(0u64);
             loc.rmi_fence();
             let peer = (loc.id() + 1) % loc.nlocs();
             let _ = loc.sync_rmi(peer, h, |c: &RefCell<u64>, _| *c.borrow());
@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn many_locations_smoke() {
         execute(RtsConfig::default(), 16, |loc| {
-            let (h, rep) = loc.register(RefCell::new(0u64));
+            let (h, rep) = loc.register_cell(0u64);
             loc.rmi_fence();
             let dest = (loc.id() + 1) % loc.nlocs();
             for _ in 0..100 {

@@ -25,7 +25,7 @@ fn chaos_cfg(sched: FaultSchedule, seed: u64) -> RtsConfig {
 fn fence_terminates_and_delivers_everything_under_total_drop() {
     let sched = FaultSchedule { drop: 1.0, ..FaultSchedule::default() };
     let sums = execute_collect(chaos_cfg(sched, 7), 4, |loc| {
-        let (h, rep) = loc.register(RefCell::new(0u64));
+        let (h, rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         for round in 1..=10u64 {
             for dest in 0..loc.nlocs() {
@@ -52,7 +52,7 @@ fn fence_terminates_and_delivers_everything_under_total_drop() {
 fn corrupt_batches_are_rejected_by_checksum_and_redriven() {
     let sched = FaultSchedule { corrupt: 1.0, ..FaultSchedule::default() };
     let sums = execute_collect(chaos_cfg(sched, 11), 3, |loc| {
-        let (h, rep) = loc.register(RefCell::new(0u64));
+        let (h, rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         for dest in 0..loc.nlocs() {
             if dest != loc.id() {
@@ -80,7 +80,7 @@ fn dup_and_reorder_storm_preserves_per_pair_fifo_exactly_once() {
     let mut cfg = chaos_cfg(sched, 23);
     cfg.aggregation = 1; // one batch per request: maximal reordering surface
     let logs = execute_collect(cfg, 4, |loc| {
-        let (h, rep) = loc.register(RefCell::new(Vec::<(usize, u64)>::new()));
+        let (h, rep) = loc.register_cell(Vec::<(usize, u64)>::new());
         loc.rmi_fence();
         let me = loc.id();
         for k in 0..20u64 {
@@ -124,7 +124,7 @@ fn handler_panic_poisons_only_the_issuing_future() {
 
 fn handler_panic_poisons_only_the_issuing_future_on(cfg: RtsConfig) {
     let outcomes = execute_collect(cfg, 2, |loc| {
-        let (h, rep) = loc.register(RefCell::new(0u64));
+        let (h, rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         let mut outcome = String::new();
         if loc.id() == 0 {
@@ -213,7 +213,7 @@ fn fence_terminates_under_every_bundled_profile() {
         let sched = FaultSchedule::parse(profile).unwrap();
         for p in 1..=4usize {
             let sums = execute_collect(chaos_cfg(sched, 100 + i as u64), p, |loc| {
-                let (h, rep) = loc.register(RefCell::new(0u64));
+                let (h, rep) = loc.register_cell(0u64);
                 loc.rmi_fence();
                 for dest in 0..loc.nlocs() {
                     if dest != loc.id() {

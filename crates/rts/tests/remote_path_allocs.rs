@@ -37,7 +37,7 @@ fn counted(burst: impl Fn(&Location, Handle) + Send + Sync) -> (usize, usize, u6
     // add the reliable layer's retained copies and acks.
     let cfg = RtsConfig { aggregation: AGGREGATION, ..RtsConfig::base() };
     let out = execute_collect(cfg, 2, |loc| {
-        let (h, cell) = loc.register(RefCell::new(0u64));
+        let (h, cell) = loc.register_cell(0u64);
         loc.rmi_fence();
         let (stats, before) = (loc.stats(), totals());
         count_this_thread(true);
@@ -106,7 +106,7 @@ fn alternating_methods_cost_what_their_records_cost() {
 fn a_round_trip_allocates_its_two_buffers_and_its_reply_slot() {
     const SYNCS: usize = 1_000;
     execute_collect(RtsConfig { aggregation: AGGREGATION, ..RtsConfig::base() }, 2, |loc| {
-        let (h, _cell) = loc.register(RefCell::new(1u64));
+        let (h, _cell) = loc.register_cell(1u64);
         loc.rmi_fence();
         // Both sides counted together: the request's buffer, the response's
         // buffer, the reply slot's box.

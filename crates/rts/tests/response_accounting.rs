@@ -26,7 +26,7 @@ fn run_star(reliable: bool, p: usize) -> (Vec<StatsSnapshot>, StatsSnapshot) {
     let cfg = RtsConfig { reliable, ..RtsConfig::base() };
     let out = execute_collect(cfg, p, |loc| {
         let me = loc.id();
-        let (h, _rep) = loc.register(RefCell::new(0u64));
+        let (h, _rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         if me != 0 {
             for _ in 0..SYNCS {

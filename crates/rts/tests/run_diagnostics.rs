@@ -32,9 +32,9 @@ fn poison_of<R: std::fmt::Debug>(outcome: Result<R, RmiError>) -> String {
 #[test]
 fn a_failed_lookup_behind_other_runs_names_the_p_object_and_poisons_only_its_future() {
     execute(cfg(), 2, |loc| {
-        let (good, count) = loc.register(RefCell::new(0u64));
-        let (dead, _) = loc.register(RefCell::new(String::from("payload")));
-        let (narrow, _) = loc.register(RefCell::new(7u32));
+        let (good, count) = loc.register_cell(0u64);
+        let (dead, _) = loc.register_cell(String::from("payload"));
+        let (narrow, _) = loc.register_cell(7u32);
         loc.rmi_fence();
         if loc.id() == 1 {
             loc.unregister(dead);
@@ -65,8 +65,8 @@ fn an_asynchronous_run_on_a_dead_handle_aborts_with_the_p_object_named_and_runs_
     static ON_DEAD: AtomicUsize = AtomicUsize::new(0);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         execute(cfg(), 2, |loc| {
-            let (good, _) = loc.register(RefCell::new(0u64));
-            let (dead, _) = loc.register(RefCell::new(String::new()));
+            let (good, _) = loc.register_cell(0u64);
+            let (dead, _) = loc.register_cell(String::new());
             loc.rmi_fence();
             // Location 0 is the one to die: `execute` reports the panic of
             // the lowest location that has one.
@@ -98,7 +98,7 @@ fn an_asynchronous_run_on_a_dead_handle_aborts_with_the_p_object_named_and_runs_
 #[test]
 fn a_handler_that_unregisters_its_own_handle_leaves_its_run_on_the_representative() {
     execute(cfg(), 2, |loc| {
-        let (h, count) = loc.register(RefCell::new(0u64));
+        let (h, count) = loc.register_cell(0u64);
         loc.rmi_fence();
         if loc.id() == 0 {
             // One method, one handle: a run of four whose first image takes

@@ -9,7 +9,7 @@ use stapl_rts::{execute, execute_collect, Location, ReplyToken, RtsConfig};
 #[test]
 fn forwarding_chain_of_depth_nlocs_drains_in_one_fence() {
     execute(RtsConfig::with_aggregation(4), 6, |loc| {
-        let (h, rep) = loc.register(RefCell::new(0u32));
+        let (h, rep) = loc.register_cell(0u32);
         loc.rmi_fence();
         // A request that hops through every location before landing.
         fn hop(loc: &Location, h: stapl_rts::Handle, remaining: usize) {
@@ -25,7 +25,8 @@ fn forwarding_chain_of_depth_nlocs_drains_in_one_fence() {
             hop(loc, h, loc.nlocs() * 3);
         }
         loc.rmi_fence();
-        let total = loc.allreduce_sum(*rep.borrow() as u64);
+        let mine = *rep.borrow() as u64;
+        let total = loc.allreduce_sum(mine);
         assert_eq!(total, 1, "exactly one landing after the chain");
     });
 }
@@ -54,14 +55,15 @@ fn fence_waits_for_every_hop_of_a_bouncing_chain() {
     }
     for p in [3usize, 4, 6] {
         execute(RtsConfig::unbuffered(), p, move |loc| {
-            let (h, rep) = loc.register(RefCell::new(0u64));
+            let (h, rep) = loc.register_cell(0u64);
             loc.rmi_fence();
             for iter in 1..=CHAIN_FENCES {
                 if loc.id() == iter % p {
                     hop(loc, h, 40 + iter % 17);
                 }
                 loc.rmi_fence();
-                let landed = loc.allreduce_sum(*rep.borrow());
+                let mine = *rep.borrow();
+                let landed = loc.allreduce_sum(mine);
                 assert_eq!(landed, iter as u64, "P={p}: fence {iter} returned before its chain");
             }
         });
@@ -71,7 +73,7 @@ fn fence_waits_for_every_hop_of_a_bouncing_chain() {
 #[test]
 fn reply_token_completes_across_forward() {
     execute(RtsConfig::default(), 3, |loc| {
-        let (h, _rep) = loc.register(RefCell::new(0u64));
+        let (h, _rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         // Request goes 0 -> 1 -> 2, and 2 replies directly to 0.
         if loc.id() == 0 {
@@ -90,7 +92,7 @@ fn reply_token_completes_across_forward() {
 #[test]
 fn heavy_aggregation_preserves_pairwise_fifo() {
     execute(RtsConfig::with_aggregation(512), 3, |loc| {
-        let (h, rep) = loc.register(RefCell::new(Vec::<(usize, u32)>::new()));
+        let (h, rep) = loc.register_cell(Vec::<(usize, u32)>::new());
         loc.rmi_fence();
         let me = loc.id();
         for k in 0..1_000u32 {
@@ -125,7 +127,7 @@ fn noncommutative_collectives_use_location_order() {
 #[test]
 fn many_registered_objects_are_isolated() {
     execute(RtsConfig::default(), 2, |loc| {
-        let objs: Vec<_> = (0..50).map(|k| loc.register(RefCell::new(k as u64 * 10)).0).collect();
+        let objs: Vec<_> = (0..50).map(|k| loc.register_cell(k as u64 * 10).0).collect();
         loc.rmi_fence();
         for (k, h) in objs.iter().enumerate() {
             let peer = 1 - loc.id();
@@ -138,7 +140,7 @@ fn many_registered_objects_are_isolated() {
 #[test]
 fn interleaved_fences_and_barriers_stay_aligned() {
     execute(RtsConfig::default(), 3, |loc| {
-        let (h, rep) = loc.register(RefCell::new(0u64));
+        let (h, rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         for round in 0..20u64 {
             loc.async_rmi((loc.id() + 1) % 3, h, |c: &RefCell<u64>, _| {
@@ -163,7 +165,7 @@ fn interleaved_fences_and_barriers_stay_aligned() {
 #[test]
 fn sync_rmi_storm_from_all_locations() {
     let totals = execute_collect(RtsConfig::default(), 4, |loc| {
-        let (h, _rep) = loc.register(RefCell::new(loc.id() as u64));
+        let (h, _rep) = loc.register_cell(loc.id() as u64);
         loc.rmi_fence();
         let mut acc = 0u64;
         for k in 0..200 {
@@ -179,7 +181,7 @@ fn sync_rmi_storm_from_all_locations() {
 #[test]
 fn stats_fence_rounds_bounded() {
     let snaps = execute_collect(RtsConfig::default(), 4, |loc| {
-        let (h, _rep) = loc.register(RefCell::new(0u64));
+        let (h, _rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         loc.async_rmi((loc.id() + 1) % 4, h, |c: &RefCell<u64>, _| {
             *c.borrow_mut() += 1;

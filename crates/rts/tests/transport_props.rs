@@ -61,7 +61,7 @@ fn run_with(cfg: RtsConfig, p: usize, rounds: &[Vec<RawOp>]) -> RunOut {
     let out = execute_collect(cfg, p, |loc| {
         let me = loc.id();
         let n = loc.nlocs();
-        let (h, _rep) = loc.register(RefCell::new(0u64));
+        let (h, _rep) = loc.register_cell(0u64);
         loc.rmi_fence();
         let mut digest: Vec<u64> = Vec::new();
         for (ri, round) in rounds.iter().enumerate() {

@@ -92,14 +92,14 @@ fn a_collective_result_does_not_outlive_the_collective() {
 }
 
 /// Where the library may relax, spin or read the clock: `(file, enclosing
-/// fn, token)`. Everything else waits through `Location::wait_until` and
-/// reads `Location::now`, so a scheduler that owns those two owns every
-/// wait and every timestamp of a run.
+/// fn, token)`. Everything else waits through `Location::wait_until` (its
+/// loop `spin`) and reads `Location::now`, so a scheduler that owns those
+/// two owns every wait and every timestamp of a run.
 const SEAM: &[(&str, &str, &str)] = &[
     ("rts/src/location.rs", "now", ".elapsed()"),
     ("rts/src/spmd.rs", "execute_collect_traced", "Instant::now"),
-    ("rts/src/location.rs", "wait_until", "yield_now"),
-    ("rts/src/location.rs", "wait_until", "spin_loop"),
+    ("rts/src/location.rs", "spin", "yield_now"),
+    ("rts/src/location.rs", "spin", "spin_loop"),
     ("rts/src/fault.rs", "busy_wait", "spin_loop"),
 ];
 
