@@ -28,6 +28,7 @@ use stapl_core::distribution::GidRun;
 use stapl_core::domain::Range1d;
 use stapl_core::gid::{Bcid, Gid};
 use stapl_core::interfaces::{ElementWrite, LocalIteration, RangedContainer};
+use stapl_rts::Counter;
 use stapl_views::view::{ViewRead, ViewWrite};
 
 /// `p_generate`: assigns `gen(gid)` to every element.
@@ -158,7 +159,7 @@ where
         let near = b.with_slice(run.bcid, run.gids, |sb| values(a, bcid, run.gids, |sa| f(sa, sb)));
         let go = match near {
             Some(go) => {
-                a.location().note_localized_chunk();
+                a.location().count(Counter::localized_chunks, 1);
                 go
             }
             None => {
@@ -194,7 +195,7 @@ fn write_runs<S: RangedContainer, D: RangedContainer>(
         }
         let served = dst.with_slice_mut(run.bcid, run.gids, |d| values(src, bcid, run.gids, |s| near(s, d)));
         match served {
-            Some(()) => src.location().note_localized_chunk(),
+            Some(()) => src.location().count(Counter::localized_chunks, 1),
             None => values(src, bcid, run.gids, |s| far(run.gids.lo, s)),
         }
     }

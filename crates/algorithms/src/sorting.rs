@@ -9,6 +9,7 @@
 use stapl_core::interfaces::{ElementRead, PContainer, RangedContainer};
 use stapl_core::pobject::PObject;
 use stapl_containers::array::PArray;
+use stapl_rts::Counter;
 
 use crate::map_func::values;
 
@@ -60,7 +61,7 @@ where
             continue;
         }
         if dest != loc.id() {
-            loc.note_bulk_request(run.len() as u64);
+            loc.count(Counter::bulk_requests, 1);
         }
         buckets.invoke_at(dest, move |cell, _| {
             let mut mine = cell.borrow_mut();

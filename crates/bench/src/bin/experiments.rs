@@ -47,8 +47,9 @@ fn observe(rt: &RunTrace) {
 /// RMI traffic and tasks (from the location's counters), and the latency
 /// quantiles the trace histograms carry.
 fn print_run_metrics(run_idx: u64, rt: &RunTrace) {
-    let q = |l: &stapl_rts::LocationTrace, name: &str, pick: fn(&stapl_rts::LatencyHistogram) -> u64| {
-        let h = l.histogram(name).expect("known histogram");
+    use stapl_rts::{LatencyHistogram, LocationTrace, SpanKind};
+    let q = |l: &LocationTrace, kind: SpanKind, pick: fn(&LatencyHistogram) -> u64| {
+        let h = l.histogram(kind);
         if h.count() == 0 { "-".to_string() } else { fmt_time(pick(h) as f64 * 1e-9) }
     };
     let mut t = Table::new(
@@ -63,13 +64,13 @@ fn print_run_metrics(run_idx: u64, rt: &RunTrace) {
             l.loc.to_string(),
             (l.events.len() as u64 + l.dropped).to_string(),
             l.stats.remote_requests.to_string(),
-            l.handled.to_string(),
+            l.stats.requests_handled.to_string(),
             l.stats.tasks_executed.to_string(),
-            l.histogram("sync_rmi").expect("known histogram").count().to_string(),
-            q(l, "sync_rmi", stapl_rts::LatencyHistogram::p50),
-            q(l, "sync_rmi", stapl_rts::LatencyHistogram::p99),
-            q(l, "future_wait", stapl_rts::LatencyHistogram::p99),
-            q(l, "barrier_wait", stapl_rts::LatencyHistogram::p99),
+            l.histogram(SpanKind::SyncRmi).count().to_string(),
+            q(l, SpanKind::SyncRmi, LatencyHistogram::p50),
+            q(l, SpanKind::SyncRmi, LatencyHistogram::p99),
+            q(l, SpanKind::FutureWait, LatencyHistogram::p99),
+            q(l, SpanKind::Barrier, LatencyHistogram::p99),
         ]);
     }
     t.print();

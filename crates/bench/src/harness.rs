@@ -553,6 +553,8 @@ const DIRECTORY_GATED: &[Counter] = &[
     // A read of a vertex its reader owns, or that its home owns, runs
     // where it is issued: placement-determined, like the rest.
     Counter::local_invocations,
+    // Churn moves one vertex a round; nothing else here migrates.
+    Counter::migrations,
 ];
 
 /// A dynamic (forwarding) pGraph of `nverts` vertices dealt round-robin.
@@ -595,8 +597,8 @@ fn directory_access(p: usize, nverts: usize, reads: usize, hot: bool, cfg: RtsCo
 /// read sent to the cached owner finds the vertex gone and self-heals (it
 /// follows the old owner's forwarding pointer, which re-points the
 /// reader's cache). The only scenario
-/// that drives that path, hence the only one where `dir_cache_stale` is
-/// not gated on a constant zero.
+/// that drives that path, hence the only one where `dir_cache_stale` and
+/// `migrations` are not gated on a constant zero.
 fn directory_churn(p: usize, rounds: usize, cfg: RtsConfig) -> Measured {
     run(cfg, p, move |loc| {
         let g = directory_graph(loc, loc.nlocs());

@@ -98,7 +98,7 @@ pub fn escape(s: &str) -> String {
 /// Formats a float so it parses back to the same value (Rust's shortest
 /// round-trip `Display`); non-finite values degrade to 0, which JSON
 /// cannot represent anyway.
-pub fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".into();
     }

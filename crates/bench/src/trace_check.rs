@@ -13,11 +13,15 @@
 //!   brackets — every `E` closes the innermost open `B` **of the same
 //!   name**, and no lane ends with an unclosed span;
 //! * timestamps within a lane are monotonically non-decreasing (the rts
-//!   serializer sorts before emitting; a violation means a merge bug).
+//!   serializer sorts before emitting; a violation means a merge bug);
+//! * the trace names nothing the runtime does not: an instant is named
+//!   after a traced [`Counter`] and a `B`/`E` pair after a [`SpanKind`].
 //!
 //! Used by the `--validate-trace` subcommand of `experiments` and the
 //! `trace-smoke` CI step, so a schema regression fails the build rather
 //! than a later by-hand Perfetto load.
+
+use stapl_rts::{Counter, SpanKind};
 
 use crate::json::Json;
 
@@ -76,6 +80,12 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
         }
         lane.1 = ts;
         match ph {
+            "B" if !SpanKind::ALL.iter().any(|k| k.name() == name) => {
+                return Err(format!("event {i}: B \"{name}\" is no span kind"));
+            }
+            "i" if !Counter::from_name(name).is_some_and(Counter::traced) => {
+                return Err(format!("event {i}: instant \"{name}\" is no traced counter"));
+            }
             "B" => lane.0.push(name.to_string()),
             "E" => {
                 let open = lane.0.pop().ok_or_else(|| {
@@ -115,7 +125,7 @@ mod tests {
              "args": {"name": "location 0"}},
             {"name": "fence", "ph": "B", "ts": 1.0, "pid": 1, "tid": 0},
             {"name": "sync_rmi", "ph": "B", "ts": 2.0, "pid": 1, "tid": 0},
-            {"name": "rmi_send", "ph": "i", "ts": 2.5, "pid": 1, "tid": 0, "s": "t"},
+            {"name": "remote_requests", "ph": "i", "ts": 2.5, "pid": 1, "tid": 0, "s": "t"},
             {"name": "sync_rmi", "ph": "E", "ts": 3.0, "pid": 1, "tid": 0},
             {"name": "fence", "ph": "E", "ts": 4.0, "pid": 1, "tid": 0}
         ]"#;
@@ -126,13 +136,13 @@ mod tests {
     #[test]
     fn rejects_mismatched_and_unclosed_spans() {
         let crossed = r#"[
-            {"name": "a", "ph": "B", "ts": 1.0, "pid": 1, "tid": 0},
-            {"name": "b", "ph": "E", "ts": 2.0, "pid": 1, "tid": 0}
+            {"name": "fence", "ph": "B", "ts": 1.0, "pid": 1, "tid": 0},
+            {"name": "barrier", "ph": "E", "ts": 2.0, "pid": 1, "tid": 0}
         ]"#;
         assert!(validate_chrome_trace(crossed).unwrap_err().contains("closes B"));
-        let unclosed = r#"[{"name": "a", "ph": "B", "ts": 1.0, "pid": 1, "tid": 0}]"#;
+        let unclosed = r#"[{"name": "fence", "ph": "B", "ts": 1.0, "pid": 1, "tid": 0}]"#;
         assert!(validate_chrome_trace(unclosed).unwrap_err().contains("unclosed"));
-        let stray = r#"[{"name": "a", "ph": "E", "ts": 1.0, "pid": 1, "tid": 0}]"#;
+        let stray = r#"[{"name": "fence", "ph": "E", "ts": 1.0, "pid": 1, "tid": 0}]"#;
         assert!(validate_chrome_trace(stray).unwrap_err().contains("no open B"));
     }
 
@@ -154,15 +164,32 @@ mod tests {
     #[test]
     fn rejects_time_travel_within_a_lane() {
         let text = r#"[
-            {"name": "a", "ph": "i", "ts": 5.0, "pid": 1, "tid": 0},
-            {"name": "b", "ph": "i", "ts": 4.0, "pid": 1, "tid": 0}
+            {"name": "remote_requests", "ph": "i", "ts": 5.0, "pid": 1, "tid": 0},
+            {"name": "batches_sent", "ph": "i", "ts": 4.0, "pid": 1, "tid": 0}
         ]"#;
         assert!(validate_chrome_trace(text).unwrap_err().contains("decreases"));
         // Different lanes are independent timelines: no ordering constraint.
         let cross = r#"[
-            {"name": "a", "ph": "i", "ts": 5.0, "pid": 1, "tid": 0},
-            {"name": "b", "ph": "i", "ts": 4.0, "pid": 2, "tid": 0}
+            {"name": "remote_requests", "ph": "i", "ts": 5.0, "pid": 1, "tid": 0},
+            {"name": "batches_sent", "ph": "i", "ts": 4.0, "pid": 2, "tid": 0}
         ]"#;
         assert_eq!(validate_chrome_trace(cross).unwrap().lanes, 2);
+    }
+
+    #[test]
+    fn rejects_names_the_runtime_does_not_record() {
+        let event = |name: &str, ph: &str| {
+            format!(r#"[{{"name": "{name}", "ph": "{ph}", "ts": 1.0, "pid": 1, "tid": 0}}]"#)
+        };
+        // An instant is a traced counter's move: not an old event name,
+        // not an untraced row.
+        for name in ["rmi_send", "bytes_sent"] {
+            let why = validate_chrome_trace(&event(name, "i")).unwrap_err();
+            assert!(why.contains("no traced counter"), "{name}: {why}");
+        }
+        // A span is named after its kind, as its histogram is.
+        let why = validate_chrome_trace(&event("barrier_wait", "B")).unwrap_err();
+        assert!(why.contains("no span kind"), "{why}");
+        assert_eq!(validate_chrome_trace(&event("migrations", "i")).unwrap().instants, 1);
     }
 }

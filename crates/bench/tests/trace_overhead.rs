@@ -8,7 +8,7 @@
 //! `rts.trace_overhead_x`; this test is the stats-level guard CI can gate
 //! on.
 
-use stapl_rts::{execute_collect, execute_collect_traced, Class, Counter, RtsConfig, StatsSnapshot};
+use stapl_rts::{execute_collect, execute_collect_traced, Class, Counter, RtsConfig, SpanKind, StatsSnapshot};
 
 /// Sync round trips each location makes to its successor.
 const SYNC_RMIS: u64 = 16;
@@ -50,7 +50,7 @@ fn tracing_adds_zero_counter_traffic() {
     }
     // A span's duration is one histogram sample: exactly one per round trip.
     for l in &trace.locs {
-        let samples = l.histogram("sync_rmi").expect("known histogram").count();
+        let samples = l.histogram(SpanKind::SyncRmi).count();
         assert_eq!(samples, SYNC_RMIS, "location {}: sync_rmi samples", l.loc);
     }
     // And the untraced run really ran untraced: no buffers were kept.

@@ -21,7 +21,7 @@ use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
 use stapl_core::partition::{BalancedPartition, IndexPartition, IndexSubDomain};
 use stapl_core::pobject::PObject;
-use stapl_rts::{LocId, Location, RmiFuture};
+use stapl_rts::{Counter, LocId, Location, RmiFuture};
 
 /// Base container of a pArray: the values of one sub-domain, addressed by
 /// the sub-domain's linearization offset.
@@ -570,7 +570,7 @@ impl<T: Send + Clone + 'static> ElementRead<usize> for PArray<T> {
         match ArrayRep::with(self.obj.rep_cell(), gid, T::clone) {
             Ok(v) => {
                 // A split-phase method counts as an invocation wherever it runs.
-                self.obj.location().note_local_invocation();
+                self.obj.location().count(Counter::local_invocations, 1);
                 RmiFuture::ready(v)
             }
             Err((owner, get)) => self.obj.invoke_split_at(owner, move |cell, _| {
@@ -662,7 +662,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
                 if run.owner == me {
                     return RangePart::Local(run.bcid, run.gids);
                 }
-                loc.note_bulk_request(run.gids.len() as u64);
+                loc.count(Counter::bulk_requests, 1);
                 let (bcid, gids) = (run.bcid, run.gids);
                 RangePart::Bulk(self.obj.invoke_split_at(run.owner, move |cell, _| {
                     let mut vals = Vec::with_capacity(gids.len());
@@ -678,7 +678,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         for part in parts {
             match part {
                 RangePart::Local(bcid, gids) => {
-                    loc.note_localized_chunk();
+                    loc.count(Counter::localized_chunks, 1);
                     self.obj.local().get_range_local(bcid, gids, &mut out);
                 }
                 RangePart::Bulk(fut) => out.extend(fut.get()),
@@ -694,10 +694,10 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         for run in self.runs(r) {
             let chunk = &vals[run.gids.lo - lo..run.gids.hi - lo];
             if run.owner == me {
-                loc.note_localized_chunk();
+                loc.count(Counter::localized_chunks, 1);
                 self.obj.local_mut().set_range_local(run.bcid, run.gids, chunk);
             } else {
-                loc.note_bulk_request(run.gids.len() as u64);
+                loc.count(Counter::bulk_requests, 1);
                 let (bcid, gids) = (run.bcid, run.gids);
                 let owned = chunk.to_vec();
                 self.obj.invoke_at(run.owner, move |cell, _| {
@@ -715,10 +715,10 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
         let me = loc.id();
         for run in self.runs(r) {
             if run.owner == me {
-                loc.note_localized_chunk();
+                loc.count(Counter::localized_chunks, 1);
                 self.obj.local_mut().apply_range_local(run.bcid, run.gids, &f);
             } else {
-                loc.note_bulk_request(run.gids.len() as u64);
+                loc.count(Counter::bulk_requests, 1);
                 let (bcid, gids, f) = (run.bcid, run.gids, f.clone());
                 self.obj.invoke_at(run.owner, move |cell, _| {
                     cell.borrow_mut().apply_range_local(bcid, gids, f);

@@ -21,7 +21,7 @@ use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::CyclicMapper;
 use stapl_core::partition::{HashPartition, KeyPartition, SplitterPartition};
 use stapl_core::pobject::PObject;
-use stapl_rts::{LocId, Location, RmiFuture};
+use stapl_rts::{Counter, LocId, Location, RmiFuture};
 
 use crate::LazySize;
 
@@ -215,7 +215,7 @@ where
     S: KvStore<K, V>,
 {
     /// **Collective.** Builds from a key distribution.
-    pub fn with_distribution(loc: &Location, dist: KeyDistribution<K, S::Partition>) -> Self {
+    fn with_distribution(loc: &Location, dist: KeyDistribution<K, S::Partition>) -> Self {
         let mut lm = LocationManager::new();
         for bcid in dist.bcids_of(loc.id()) {
             lm.add_bcontainer(bcid, AssocBc::default());
@@ -270,7 +270,7 @@ where
         let bcid = rep.dist.partition().find(&k);
         if let Some(bc) = rep.lm.get_mut(bcid) {
             if INVOKES {
-                self.obj.location().note_local_invocation();
+                self.obj.location().count(Counter::local_invocations, 1);
             }
             return op(&mut bc.store, k);
         }
@@ -362,7 +362,7 @@ where
         if loc.id() == 0 {
             // The replication payload of the broadcast below (the board is
             // the simulated wire).
-            loc.note_gather_items((merged.len() * (loc.nlocs() - 1)) as u64);
+            loc.count(Counter::gather_items, (merged.len() * (loc.nlocs() - 1)) as u64);
         }
         loc.broadcast(0, merged)
     }
@@ -384,7 +384,7 @@ where
         );
         let owner = self.obj.local().dist.mapper().map(sid);
         if owner != self.me() {
-            self.obj.location().note_segment_request(items.len() as u64);
+            self.obj.location().count(Counter::segment_requests, 1);
         }
         self.obj.local_mut().size.mark(true);
         self.obj.invoke_at(owner, move |cell, _| {
@@ -531,7 +531,7 @@ where
         if self.with_segment(sid, &mut |k, v| out.push((k.clone(), v.clone()))) {
             return out;
         }
-        self.obj.location().note_segment_request(0);
+        self.obj.location().count(Counter::segment_requests, 1);
         let owner = self.obj.local().dist.mapper().map(sid);
         self.obj.invoke_ret_at(owner, move |cell, _| {
             let rep = cell.borrow();
@@ -548,7 +548,7 @@ where
     fn set_segment(&self, sid: SegmentId, items: Vec<(K, V)>) {
         let owner = self.obj.local().dist.mapper().map(sid);
         if owner != self.me() {
-            self.obj.location().note_segment_request(items.len() as u64);
+            self.obj.location().count(Counter::segment_requests, 1);
         }
         self.obj.invoke_at(owner, move |cell, _| {
             let mut rep = cell.borrow_mut();
@@ -568,7 +568,7 @@ where
     fn with_segment(&self, sid: SegmentId, f: &mut dyn FnMut(&K, &V)) -> bool {
         let rep = self.obj.local();
         let Some(bc) = rep.lm.get(sid) else { return false };
-        self.obj.location().note_localized_chunk();
+        self.obj.location().count(Counter::localized_chunks, 1);
         bc.store.for_each(f);
         true
     }

@@ -34,7 +34,7 @@ use stapl_core::gid::{Bcid, MUL};
 use stapl_core::interfaces::{PContainer, SegmentId, SegmentedContainer};
 use stapl_core::partition::{BalancedPartition, IndexPartition};
 use stapl_core::pobject::PObject;
-use stapl_rts::{LocId, Location, RmiFuture};
+use stapl_rts::{Counter, LocId, Location, RmiFuture};
 
 use crate::LazySize;
 
@@ -1118,7 +1118,7 @@ where
         if self.with_segment(sid, &mut |vd, p| out.push((*vd, p.clone()))) {
             return out;
         }
-        self.obj.location().note_segment_request(0);
+        self.obj.location().count(Counter::segment_requests, 1);
         self.obj.invoke_ret_at(sid, |cell, _| {
             in_order(cell).slots.iter().map(|v| (v.descriptor, v.property.clone())).collect::<Vec<_>>()
         })
@@ -1126,7 +1126,7 @@ where
 
     fn set_segment(&self, sid: SegmentId, items: Vec<(VertexDesc, VP)>) {
         if sid != self.me() {
-            self.obj.location().note_segment_request(items.len() as u64);
+            self.obj.location().count(Counter::segment_requests, 1);
         }
         self.obj.invoke_at(sid, move |cell, _| {
             let mut rep = cell.borrow_mut();
@@ -1142,7 +1142,7 @@ where
         if sid != self.me() {
             return false;
         }
-        self.obj.location().note_localized_chunk();
+        self.obj.location().count(Counter::localized_chunks, 1);
         for v in &in_order(self.obj.rep_cell()).slots {
             f(&v.descriptor, &v.property);
         }

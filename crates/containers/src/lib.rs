@@ -63,6 +63,7 @@ pub mod prelude {
 // ---------------------------------------------------------------------
 
 use stapl_core::pobject::PObject;
+use stapl_rts::Counter;
 
 /// One location's contribution to a data gather: its base containers'
 /// items, keyed by BCID.
@@ -90,7 +91,7 @@ where
             obj.invoke_split_at(l, move |cell, loc| {
                 let out = payload(&cell.borrow());
                 let items: usize = out.iter().map(|(_, p)| p.len()).sum();
-                loc.note_gather_items(items as u64);
+                loc.count(Counter::gather_items, items as u64);
                 out
             })
         })

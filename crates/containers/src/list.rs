@@ -31,7 +31,7 @@ use stapl_core::interfaces::{
 };
 use stapl_core::location_manager::LocationManager;
 use stapl_core::pobject::PObject;
-use stapl_rts::{LocId, Location, RmiFuture};
+use stapl_rts::{Counter, LocId, Location, RmiFuture};
 
 use crate::slab_list::SlabList;
 use crate::LazySize;
@@ -384,21 +384,6 @@ impl<T: Send + Clone + 'static> PList<T> {
         None
     }
 
-    pub fn back_gid(&self) -> Option<ListGid> {
-        let (nlocs, bpl) = {
-            let rep = self.obj.local();
-            (rep.nlocs, rep.bpl)
-        };
-        for bcid in (0..nlocs * bpl).rev() {
-            let found: Option<u64> =
-                self.route_ret(bcid, |cell, _, bcid| cell.borrow().bc(bcid).back_id()).get();
-            if let Some(seq) = found {
-                return Some(ListGid { bcid, seq });
-            }
-        }
-        None
-    }
-
     /// GID following `gid` in the global linearization (synchronous).
     pub fn next_gid(&self, gid: ListGid) -> Option<ListGid> {
         let seq = gid.seq;
@@ -574,7 +559,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
         if self.with_segment(sid, &mut |seq, v| out.push((*seq, v.clone()))) {
             return out;
         }
-        self.obj.location().note_segment_request(0);
+        self.obj.location().count(Counter::segment_requests, 1);
         self.route_ret(sid, |cell, _, sid| {
             cell.borrow().bc(sid).iter().map(|(seq, v)| (seq, v.clone())).collect::<Vec<_>>()
         })
@@ -583,7 +568,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
 
     fn set_segment(&self, sid: SegmentId, items: Vec<(u64, T)>) {
         if !self.is_local_segment(sid) {
-            self.obj.location().note_segment_request(items.len() as u64);
+            self.obj.location().count(Counter::segment_requests, 1);
         }
         self.route(sid, move |cell, _, sid| {
             let mut rep = cell.borrow_mut();
@@ -604,7 +589,7 @@ impl<T: Send + Clone + 'static> SegmentedContainer for PList<T> {
     fn with_segment(&self, sid: SegmentId, f: &mut dyn FnMut(&u64, &T)) -> bool {
         let rep = self.obj.local();
         let Some(bc) = rep.lm.get(sid) else { return false };
-        self.obj.location().note_localized_chunk();
+        self.obj.location().count(Counter::localized_chunks, 1);
         for (seq, v) in bc.list.iter() {
             f(&seq, v);
         }
@@ -660,7 +645,8 @@ mod tests {
             let v = l.collect_ordered();
             assert_eq!(v, vec![-1, 99]);
             let front = l.front_gid().unwrap();
-            let back = l.back_gid().unwrap();
+            let back = l.next_gid(front).unwrap();
+            assert_eq!(l.next_gid(back), None);
             assert_eq!(l.get_element(front), -1);
             assert_eq!(l.get_element(back), 99);
             assert_eq!(front.bcid, 0);
@@ -839,7 +825,7 @@ mod tests {
             }
             l.commit();
             assert_eq!(l.collect_ordered(), vec![42]);
-            let back = l.back_gid().unwrap();
+            let back = l.front_gid().unwrap();
             assert_eq!(back.bcid, 1);
             if loc.id() == 0 {
                 assert!(l.is_local(back), "the tail slab now lives on location 0");

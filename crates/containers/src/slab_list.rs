@@ -230,10 +230,6 @@ impl<T> SlabList<T> {
         (self.head != NIL).then(|| self.id_at(self.head))
     }
 
-    pub fn back_id(&self) -> Option<u64> {
-        (self.tail != NIL).then(|| self.id_at(self.tail))
-    }
-
     /// Id of the element after `id` in list order.
     pub fn next_id(&self, id: u64) -> Option<u64> {
         let (_, _, n) = linked(self.live(id)?.1);
@@ -355,7 +351,6 @@ mod tests {
         assert_eq!(l.erase(c), Some(3));
         assert!(l.is_empty());
         assert_eq!(l.front_id(), None);
-        assert_eq!(l.back_id(), None);
     }
 
     #[test]
@@ -426,7 +421,7 @@ mod tests {
             forward.push(n);
         }
         assert_eq!(forward, ids);
-        let mut backward = vec![l.back_id().unwrap()];
+        let mut backward = vec![ids[4]];
         while let Some(p) = l.prev_id(*backward.last().unwrap()) {
             backward.push(p);
         }

@@ -22,7 +22,7 @@ use stapl_core::interfaces::{
     ElementRead, ElementWrite, LocalIteration, PContainer, RangedContainer,
 };
 use stapl_core::pobject::PObject;
-use stapl_rts::{LocId, Location, RmiFuture};
+use stapl_rts::{Counter, LocId, Location, RmiFuture};
 
 /// Per-location representative: one contiguous block per location.
 pub struct VectorRep<T> {
@@ -426,7 +426,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PVector<T> {
         let mut parts: Vec<Result<Vec<T>, RmiFuture<Vec<T>>>> = Vec::new();
         for run in self.runs(r) {
             if run.owner == me {
-                loc.note_localized_chunk();
+                loc.count(Counter::localized_chunks, 1);
                 let rep = self.obj.local();
                 let lo = rep.lo(me);
                 // Like `get_element`, a read of a block drained to empty
@@ -443,7 +443,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PVector<T> {
                 // the *sender* from the routing-time bounds and only
                 // clamped at the owner (the relaxed window of the module
                 // docs) — the owner's bounds may already have moved on.
-                loc.note_bulk_request(run.gids.len() as u64);
+                loc.count(Counter::bulk_requests, 1);
                 let off = run.gids.lo - self.obj.local().lo(run.owner);
                 let len = run.gids.len();
                 parts.push(Err(self.obj.invoke_split_at(run.owner, move |cell, _| {
@@ -472,10 +472,10 @@ impl<T: Send + Clone + 'static> RangedContainer for PVector<T> {
             let chunk = &vals[run.gids.lo - lo..run.gids.hi - lo];
             let off = run.gids.lo - self.obj.local().lo(run.owner);
             if run.owner == me {
-                loc.note_localized_chunk();
+                loc.count(Counter::localized_chunks, 1);
                 write_clamped(&mut self.obj.local_mut(), off, chunk);
             } else {
-                loc.note_bulk_request(run.gids.len() as u64);
+                loc.count(Counter::bulk_requests, 1);
                 let owned = chunk.to_vec();
                 self.obj.invoke_at(run.owner, move |cell, _| {
                     write_clamped(&mut cell.borrow_mut(), off, &owned);
@@ -494,10 +494,10 @@ impl<T: Send + Clone + 'static> RangedContainer for PVector<T> {
             let off = run.gids.lo - self.obj.local().lo(run.owner);
             if run.owner == me {
                 // Direct local mutation: one borrow for the whole run.
-                loc.note_localized_chunk();
+                loc.count(Counter::localized_chunks, 1);
                 apply_clamped(&mut self.obj.local_mut(), off, run.gids, &f);
             } else {
-                loc.note_bulk_request(run.gids.len() as u64);
+                loc.count(Counter::bulk_requests, 1);
                 let (gids, f) = (run.gids, f.clone());
                 self.obj.invoke_at(run.owner, move |cell, _| {
                     apply_clamped(&mut cell.borrow_mut(), off, gids, &f);

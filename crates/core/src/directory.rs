@@ -82,7 +82,7 @@
 use std::cell::RefCell;
 use std::hash::Hash;
 
-use stapl_rts::{Handle, LocId, Location, RmiFuture, RtsConfig};
+use stapl_rts::{Counter, Handle, LocId, Location, RmiFuture, RtsConfig};
 
 use crate::gid::{Bcid, Gid, KeyHashMap};
 use crate::partition::{HashPartition, KeyPartition};
@@ -241,7 +241,7 @@ impl<G: Gid> OwnerCache<G> {
 
     /// Drops the entry for `g` only if it still names `stale` as the owner:
     /// a fill that overtook the invalidation names another and survives it.
-    pub fn invalidate_if_owner(&self, g: &G, stale: LocId) {
+    fn invalidate_if_owner(&self, g: &G, stale: LocId) {
         let mut entries = self.entries.borrow_mut();
         if entries.get(g) == Some(&stale) {
             entries.remove(g);
@@ -383,7 +383,7 @@ pub fn dir_migrate<Rep, G, P>(
         }
         let payload = extract(&mut cell.borrow_mut());
         let Some(payload) = payload else { return };
-        loc.note_migration(dest as u64);
+        loc.count(Counter::migrations, 1);
         let version = {
             let mut rep = cell.borrow_mut();
             if let Some(c) = rep.owner_cache() {
@@ -470,13 +470,13 @@ where
     let cache_on = cache.is_some();
     if let Some(c) = cache {
         if let Some(owner) = c.lookup(g) {
-            obj.location().note_dir_cache_hit();
+            obj.location().count(Counter::dir_cache_hits, 1);
             return (Some((owner, true)), cache_on);
         }
         // A hinted route is still one-hop; only count a miss when the
         // request actually pays the home-location trip.
         if hint.is_none() {
-            obj.location().note_dir_cache_miss();
+            obj.location().count(Counter::dir_cache_misses, 1);
         }
     }
     (hint.map(|owner| (owner, false)), cache_on)
@@ -627,7 +627,7 @@ where
         if let Some(bcid) = owned {
             return f(rep, tloc, g, Some(bcid));
         }
-        tloc.note_dir_cache_stale();
+        tloc.count(Counter::dir_cache_stale, 1);
         let pointer = rep.borrow().directory().pointers.get(&g).copied();
         match pointer {
             Some(to) if route.fill => on_cache(rep, tloc, route.requester(), move |c| c.record(g, to)),

@@ -13,7 +13,7 @@
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 
-use stapl_rts::{Handle, LocId, Location, RmiFuture};
+use stapl_rts::{Counter, Handle, LocId, Location, RmiFuture};
 
 /// One location's view of a distributed object whose per-location
 /// representative has type `Rep`.
@@ -111,7 +111,7 @@ impl<Rep: 'static> PObject<Rep> {
     /// could not fail here — the handle is retired only when the last
     /// `PObject` holding this `Rc` is gone.
     fn invoke_here<R>(&self, f: impl FnOnce(&RefCell<Rep>, &Location) -> R) -> R {
-        self.loc.note_local_invocation();
+        self.loc.count(Counter::local_invocations, 1);
         self.loc.run_in_place(|| f(&self.rep, &self.loc))
     }
 

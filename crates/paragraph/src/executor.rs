@@ -36,7 +36,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use stapl_core::pobject::PObject;
-use stapl_rts::{LocId, Location};
+use stapl_rts::{Counter, LocId, Location};
 
 use crate::prange::{PRange, Task, TaskId};
 
@@ -233,7 +233,7 @@ impl<'a> Executor<'a> {
                 ran += 1;
                 if self.pr.task(tid).home != me {
                     report.stolen += 1;
-                    loc.note_task_stolen();
+                    loc.count(Counter::tasks_stolen, 1);
                 }
                 loc.poll();
                 continue;
@@ -302,8 +302,8 @@ impl<'a> Executor<'a> {
         let task = self.pr.task(tid);
         let t0 = loc.trace_clock();
         let out = work(task, inputs);
-        loc.trace_span_end(stapl_rts::TraceEventKind::TaskSpan, t0, tid as u64);
-        loc.note_task_executed();
+        loc.trace_span_end(stapl_rts::SpanKind::Task, t0, tid as u64);
+        loc.count(Counter::tasks_executed, 1);
         for &s in &task.succs {
             let payload = out.clone();
             obj.invoke_at(self.pr.task(s).home, move |cell, _| {
@@ -330,10 +330,9 @@ impl<'a> Executor<'a> {
             if victim == me {
                 continue;
             }
-            loc.note_steal_request();
+            loc.count(Counter::steal_requests, 1);
             let got = obj.invoke_ret_at(victim, move |cell, _| cell.borrow_mut().steal_some(me));
             if !got.is_empty() {
-                loc.trace_instant(stapl_rts::TraceEventKind::StealSuccess, got.len() as u64);
                 // Keep hitting a productive victim first next time.
                 *next_victim = victim;
                 return got;

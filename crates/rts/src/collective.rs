@@ -11,7 +11,7 @@
 
 use crate::barrier::Kind;
 use crate::location::Location;
-use crate::trace::TraceEventKind;
+use crate::trace::SpanKind;
 
 impl Location {
     /// All-reduce: every location contributes `val`; every location receives
@@ -58,7 +58,7 @@ impl Location {
         });
         // Every collective funnels through here, so this one span
         // kind covers broadcast / allgather / scans too.
-        self.trace_span_end(TraceEventKind::CollectiveSpan, t0, 0);
+        self.trace_span_end(SpanKind::Collective, t0, 0);
         out
     }
 

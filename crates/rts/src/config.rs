@@ -126,8 +126,10 @@ knobs! {
     /// (the BCL-style locality optimization for dynamic containers). When
     /// full, an arbitrary entry is evicted; `0` switches the caches off.
     dir_cache_capacity: usize = 4096, "STAPL_DIR_CACHE_CAPACITY" => |s| s.parse().ok();
-    /// Enables the per-location trace layer (`rts::trace`): typed events
-    /// with monotonic timestamps plus latency histograms, collected by
+    /// Enables the per-location trace layer (`rts::trace`): with
+    /// monotonic timestamps, an instant per move of a traced counter row
+    /// (named after the row, carrying the increment) and the six span
+    /// kinds, each with its latency histogram; collected by
     /// [`crate::execute_collect_traced`]. Off by default; when off the hot
     /// paths pay a single branch and record nothing. Environment: `0`/`1`.
     trace: bool = false, "STAPL_TRACE" => |s| s.parse().ok().map(|t: u8| t != 0);

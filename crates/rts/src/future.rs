@@ -20,7 +20,7 @@
 use std::time::Duration;
 
 use crate::location::Location;
-use crate::trace::TraceEventKind;
+use crate::trace::SpanKind;
 
 /// Marker value a poisoned response delivers into a reply slot: the
 /// remote handler panicked, so the slot will never hold a real `R`.
@@ -174,7 +174,7 @@ impl PendingReply {
     fn wait<R: 'static>(self) -> Result<R, RmiError> {
         let (loc, slot) = (&self.loc, self.slot);
         let (wait_kind, issued_ns, peer, handler) = loc.slot_diagnostics(slot);
-        let t0 = if wait_kind == TraceEventKind::SyncRmiSpan { issued_ns } else { loc.trace_clock() };
+        let t0 = if wait_kind == SpanKind::SyncRmi { issued_ns } else { loc.trace_clock() };
         let timeout_us = loc.config().rmi_timeout_us;
         let deadline = (timeout_us > 0).then(|| (loc.now(), Duration::from_micros(timeout_us)));
         let mut taken = None;

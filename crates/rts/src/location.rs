@@ -18,7 +18,7 @@ use crate::barrier::{Kind, PollBarrier};
 use crate::config::RtsConfig;
 use crate::future::{PoisonedResponse, RmiFuture};
 use crate::stats::{Counter, CounterBlock, StatsSnapshot};
-use crate::trace::{LocationTrace, TraceBuf, TraceEventKind, TRACE_CAPACITY};
+use crate::trace::{LocationTrace, SpanKind, TraceBuf, TRACE_CAPACITY};
 use crate::transport::{image_bytes, Batch, Endpoint, Image, Staging};
 
 /// Identifier of a location (0-based, dense).
@@ -84,13 +84,13 @@ enum SlotState {
 }
 
 /// One reply slot, with what a wait on it reports: the latency span
-/// (`SyncRmiSpan` from `issued_ns`, else `FutureWaitSpan` from the start of
+/// (`SyncRmi` from `issued_ns`, else `FutureWait` from the start of
 /// the wait), and the peer (`usize::MAX` for a bare reply token, which
 /// anyone may answer) and handler type a timeout or a poison names.
 struct ReplySlot {
     generation: u32,
     state: SlotState,
-    wait_kind: TraceEventKind,
+    wait_kind: SpanKind,
     issued_ns: u64,
     peer: usize,
     handler: &'static str,
@@ -168,8 +168,9 @@ struct LocInner {
     /// once when the batch being delivered has run.
     reply_dests: RefCell<Vec<LocId>>,
     /// The trace ring buffer; `None` unless `RtsConfig::trace` is set, so
-    /// the disabled hot path pays exactly one branch.
-    trace: Option<RefCell<TraceBuf>>,
+    /// the disabled hot path pays exactly one branch. Boxed: an untraced
+    /// location does not carry a histogram per span kind.
+    trace: Option<Box<RefCell<TraceBuf>>>,
 }
 
 /// A per-thread handle to the runtime. Cloning is cheap; the clone refers
@@ -181,7 +182,7 @@ pub struct Location {
 
 impl Location {
     pub(crate) fn new(id: LocId, shared: Arc<Shared>, rx: Receiver<Batch>) -> Self {
-        let trace = shared.cfg.trace.then(|| RefCell::new(TraceBuf::new(TRACE_CAPACITY)));
+        let trace = shared.cfg.trace.then(|| Box::new(RefCell::new(TraceBuf::new(TRACE_CAPACITY))));
         let endpoint = Endpoint::new(&shared.cfg, id, shared.senders.clone(), rx);
         let counters = shared.counters[id].clone();
         Location {
@@ -231,9 +232,21 @@ impl Location {
         self.inner.counters.snapshot()
     }
 
+    /// Adds `n` to this location's counter `c`. Under `RtsConfig::trace`,
+    /// a move of a traced row is also an instant named `c.name()` that
+    /// carries `n`; an untraced row compiles to the bare bump.
     #[inline]
-    fn bump(&self, c: Counter, n: u64) {
+    pub fn count(&self, c: Counter, n: u64) {
         self.inner.counters.bump(c, n);
+        if c.traced() && n != 0 {
+            self.trace_count(c, n);
+        }
+    }
+
+    fn trace_count(&self, c: Counter, n: u64) {
+        if let Some(t) = &self.inner.trace {
+            t.borrow_mut().instant(c, self.now().as_nanos() as u64, n);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -253,36 +266,20 @@ impl Location {
         self.inner.trace.as_ref().map_or(0, |_| self.now().as_nanos() as u64)
     }
 
-    /// Records an instant event of `kind` with a kind-specific argument.
-    pub fn trace_instant(&self, kind: TraceEventKind, arg: u64) {
-        if let Some(t) = &self.inner.trace {
-            t.borrow_mut().instant(kind, self.now().as_nanos() as u64, arg);
-        }
-    }
-
     /// Closes a span of `kind` opened at `start_ns` (a [`Location::trace_clock`]
     /// reading) and feeds its duration into the kind's latency histogram.
-    pub fn trace_span_end(&self, kind: TraceEventKind, start_ns: u64, arg: u64) {
+    pub fn trace_span_end(&self, kind: SpanKind, start_ns: u64, arg: u64) {
         if let Some(t) = &self.inner.trace {
             t.borrow_mut().span(kind, start_ns, self.now().as_nanos() as u64, arg);
         }
     }
 
     /// Drains this location's trace buffer (events and histograms, plus a
-    /// [`Location::local_stats`] snapshot and the requests run here);
-    /// `None` when tracing is off. Called by [`crate::execute_collect_traced`]
-    /// after the final fence.
+    /// [`Location::local_stats`] snapshot); `None` when tracing is off.
+    /// Called by [`crate::execute_collect_traced`] after the final fence.
     pub(crate) fn take_trace(&self) -> Option<LocationTrace> {
-        let handled = self.inner.counters.handled();
         let trace = self.inner.trace.as_ref()?;
-        Some(trace.borrow_mut().take_data(self.id(), self.local_stats(), handled))
-    }
-
-    /// Records one method run inline under a borrow its caller holds (a
-    /// container's element hit), where a wait fails on that borrow.
-    #[inline]
-    pub fn note_local_invocation(&self) {
-        self.bump(Counter::local_invocations, 1);
+        Some(trace.borrow_mut().take_data(self.id(), self.local_stats()))
     }
 
     /// Runs `f`, a handler aimed at this location, here: a wait inside it
@@ -298,95 +295,6 @@ impl Location {
         }
         let _restore = Restore(&self.inner.in_place, self.inner.in_place.replace(true));
         f()
-    }
-
-    // ------------------------------------------------------------------
-    // Executor instrumentation (used by `stapl-paragraph`)
-    // ------------------------------------------------------------------
-
-    /// Records one executed PARAGRAPH task in the global counters.
-    pub fn note_task_executed(&self) {
-        self.bump(Counter::tasks_executed, 1);
-    }
-
-    /// Records one PARAGRAPH task that ran away from its home location.
-    pub fn note_task_stolen(&self) {
-        self.bump(Counter::tasks_stolen, 1);
-    }
-
-    /// Records one steal probe issued by an idle executor.
-    pub fn note_steal_request(&self) {
-        self.bump(Counter::steal_requests, 1);
-        self.trace_instant(TraceEventKind::StealProbe, 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Directory-cache instrumentation (used by `stapl-core`'s directory)
-    // ------------------------------------------------------------------
-
-    /// Records one directory-routed request sent straight to a cached owner.
-    pub fn note_dir_cache_hit(&self) {
-        self.bump(Counter::dir_cache_hits, 1);
-        self.trace_instant(TraceEventKind::DirCacheHit, 0);
-    }
-
-    /// Records one directory-routed request that paid the home-location hop.
-    pub fn note_dir_cache_miss(&self) {
-        self.bump(Counter::dir_cache_misses, 1);
-        self.trace_instant(TraceEventKind::DirCacheMiss, 0);
-    }
-
-    /// Records one stale cached-owner guess that re-forwarded through home.
-    pub fn note_dir_cache_stale(&self) {
-        self.bump(Counter::dir_cache_stale, 1);
-        self.trace_instant(TraceEventKind::DirCacheStale, 0);
-    }
-
-    /// Records one element / base-container migration leaving this
-    /// location (`dest` is where the payload is headed — advisory, for the
-    /// trace timeline).
-    pub fn note_migration(&self, dest: u64) {
-        self.trace_instant(TraceEventKind::Migration, dest);
-    }
-
-    // ------------------------------------------------------------------
-    // Localization / bulk-transport instrumentation (used by containers
-    // and views for the chunk-at-a-time fast paths)
-    // ------------------------------------------------------------------
-
-    /// Records one bulk-range RMI: a whole (owner, contiguous run) of
-    /// `items` elements shipped as a single message (`0` when the count is
-    /// not known at issue time, e.g. a fetch).
-    pub fn note_bulk_request(&self, items: u64) {
-        self.bump(Counter::bulk_requests, 1);
-        self.trace_instant(TraceEventKind::BulkTransfer, items);
-    }
-
-    /// Records one chunk served by a direct local slice borrow.
-    pub fn note_localized_chunk(&self) {
-        self.bump(Counter::localized_chunks, 1);
-    }
-
-    /// Records `n` elements that fell back to element-at-a-time processing
-    /// where a chunk/bulk path was requested.
-    pub fn note_element_fallbacks(&self, n: u64) {
-        self.bump(Counter::element_fallbacks, n);
-    }
-
-    /// Records one segment RMI: a whole (owner, base-container segment) of
-    /// `items` elements shipped as a single message by the
-    /// dynamic-container bulk transport (`0` when the count is not known at
-    /// issue time).
-    pub fn note_segment_request(&self, items: u64) {
-        self.bump(Counter::segment_requests, 1);
-        self.trace_instant(TraceEventKind::SegmentTransfer, items);
-    }
-
-    /// Records `n` items shipped as payload by a data-collecting gather or
-    /// broadcast — the bytes-on-the-wire proxy of the simulated machine.
-    pub fn note_gather_items(&self, n: u64) {
-        self.bump(Counter::gather_items, n);
-        self.trace_instant(TraceEventKind::GatherItems, n);
     }
 
     // ------------------------------------------------------------------
@@ -545,7 +453,7 @@ impl Location {
         F: FnOnce(&T, &Location) + Send + 'static,
     {
         if dest == self.id() {
-            self.bump(Counter::local_invocations, 1);
+            self.count(Counter::local_invocations, 1);
             let obj = self.lookup::<T>(h);
             return self.run_in_place(|| f(&obj, self));
         }
@@ -567,7 +475,7 @@ impl Location {
         }
         // Tagged as a sync round trip so its wait span covers issue →
         // value arrival, not just the time spent inside `get`.
-        let issued = self.issue_split(dest, h, f, TraceEventKind::SyncRmiSpan);
+        let issued = self.issue_split(dest, h, f, SpanKind::SyncRmi);
         if issued.is_err() {
             // Nothing joins a blocking round trip's window: the request (and
             // everything staged before it) leaves now.
@@ -591,7 +499,7 @@ impl Location {
         R: Send + 'static,
         F: FnOnce(&T, &Location) -> R + Send + 'static,
     {
-        self.future_of(self.issue_split(dest, h, f, TraceEventKind::FutureWaitSpan))
+        self.future_of(self.issue_split(dest, h, f, SpanKind::FutureWait))
     }
 
     /// The future of what [`Location::issue_split`] returned — built here,
@@ -607,14 +515,14 @@ impl Location {
     /// Runs `f` here and returns its value, or ships it to `dest` and
     /// returns the id of the slot its reply will land in.
     #[inline(never)]
-    fn issue_split<T, R, F>(&self, dest: LocId, h: Handle, f: F, wait_kind: TraceEventKind) -> Result<R, u64>
+    fn issue_split<T, R, F>(&self, dest: LocId, h: Handle, f: F, wait_kind: SpanKind) -> Result<R, u64>
     where
         T: 'static,
         R: Send + 'static,
         F: FnOnce(&T, &Location) -> R + Send + 'static,
     {
         if dest == self.id() {
-            self.bump(Counter::local_invocations, 1);
+            self.count(Counter::local_invocations, 1);
             let obj = self.lookup::<T>(h);
             return Ok(self.run_in_place(|| f(&obj, self)));
         }
@@ -649,7 +557,7 @@ impl Location {
     }
 
     /// A `Waiting` slot for a request to `peer`'s `handler`.
-    fn alloc_slot(&self, wait_kind: TraceEventKind, peer: usize, handler: &'static str) -> u64 {
+    fn alloc_slot(&self, wait_kind: SpanKind, peer: usize, handler: &'static str) -> u64 {
         let (state, issued_ns) = (SlotState::Waiting, self.trace_clock());
         let fresh = ReplySlot { generation: 0, state, wait_kind, issued_ns, peer, handler };
         self.inner.slots.borrow_mut().alloc(fresh)
@@ -666,7 +574,7 @@ impl Location {
     pub fn make_reply_slot<R: Send + 'static>(&self) -> (ReplyToken<R>, RmiFuture<R>) {
         // A bare reply slot has no single peer: anyone holding the token
         // may answer, so the timeout diagnostic says "unknown".
-        let slot = self.alloc_slot(TraceEventKind::FutureWaitSpan, usize::MAX, "<reply token>");
+        let slot = self.alloc_slot(SpanKind::FutureWait, usize::MAX, "<reply token>");
         let token = ReplyToken { src: self.id(), slot, _marker: std::marker::PhantomData };
         (token, RmiFuture::pending(self.clone(), slot))
     }
@@ -687,8 +595,7 @@ impl Location {
         // per-location twin of `responses_sent` is bumped on the thread
         // that sends the response and `local_stats()` sums to the global
         // counter no matter which path produced the reply.
-        self.bump(Counter::responses_sent, 1);
-        self.trace_instant(TraceEventKind::RmiReply, dest as u64);
+        self.count(Counter::responses_sent, 1);
         self.stage(dest, move |loc: &Location| loc.fill_slot(slot, Box::new(r)));
         // Someone waits on this value. A reply to a delivered request leaves
         // with its batch's other replies, once that batch has run; any other
@@ -705,8 +612,7 @@ impl Location {
     /// only the issuing future should fail. In flight a poison is a response
     /// like any other, and is counted as one.
     fn send_poison(&self, dest: LocId, slot: u64, handler: &'static str, message: String) {
-        self.bump(Counter::poisoned_responses, 1);
-        self.trace_instant(TraceEventKind::PoisonedResponse, dest as u64);
+        self.count(Counter::poisoned_responses, 1);
         self.send_response(dest, slot, PoisonedResponse { handler, message });
     }
 
@@ -746,7 +652,7 @@ impl Location {
     }
 
     /// What a wait on `slot` reports: (span kind, issue time, peer, handler).
-    pub(crate) fn slot_diagnostics(&self, slot: u64) -> (TraceEventKind, u64, usize, &'static str) {
+    pub(crate) fn slot_diagnostics(&self, slot: u64) -> (SpanKind, u64, usize, &'static str) {
         let mut slots = self.inner.slots.borrow_mut();
         let e = slots.entry(slot).expect("a pending future's slot is live");
         (e.wait_kind, e.issued_ns, e.peer, e.handler)
@@ -805,9 +711,8 @@ impl Location {
         debug_assert_ne!(dest, self.id());
         // Count at staging time (not flush time) so the fence's quiescence
         // check observes buffered-but-unflushed requests.
-        self.bump(Counter::remote_requests, 1);
-        self.bump(Counter::bytes_sent, bytes as u64);
-        self.trace_instant(TraceEventKind::RmiSend, dest as u64);
+        self.count(Counter::bytes_sent, bytes as u64);
+        self.count(Counter::remote_requests, 1);
         if self.inner.endpoint.stage(dest, push) >= self.config().aggregation {
             self.flush(dest);
         }
@@ -815,12 +720,10 @@ impl Location {
 
     /// Flushes the aggregation buffer toward `dest`.
     pub fn flush(&self, dest: LocId) {
-        let Some(nreqs) = self.inner.endpoint.flush(dest, || self.now()) else {
-            return;
-        };
-        self.bump(Counter::batches_sent, 1);
-        self.trace_instant(TraceEventKind::Flush, nreqs as u64);
-        self.reap_transport_events();
+        if self.inner.endpoint.flush(dest, || self.now()) {
+            self.count(Counter::batches_sent, 1);
+            self.reap_transport_events();
+        }
     }
 
     /// Flushes all aggregation buffers.
@@ -855,23 +758,13 @@ impl Location {
         n
     }
 
-    /// Moves the endpoint's accumulated reliability events (drops,
-    /// retransmits, checksum rejections, acks) into this location's
-    /// counters, the trace timeline, and the fence's `acked` progress.
+    /// Counts the reliability events the endpoint accumulated since the
+    /// last reap (drops, retransmits, checksum rejections, acks).
     fn reap_transport_events(&self) {
         let Some(ev) = self.inner.endpoint.take_events() else { return };
-        let traced = [
-            (ev.frames_dropped, Counter::frames_dropped, TraceEventKind::FaultDrop),
-            (ev.retransmits, Counter::retransmits, TraceEventKind::Retransmit),
-            (ev.checksum_failures, Counter::checksum_failures, TraceEventKind::ChecksumFail),
-            (ev.acks_sent, Counter::acks_sent, TraceEventKind::AckSent),
-        ];
-        for (n, counter, kind) in traced.into_iter().filter(|(n, ..)| *n != 0) {
-            self.bump(counter, n);
-            self.trace_instant(kind, n);
+        for &c in Counter::ALL {
+            self.count(c, ev.get(c));
         }
-        self.bump(Counter::duplicates_discarded, ev.duplicates_discarded);
-        self.inner.counters.note_acked(ev.frames_acked);
     }
 
     /// Runs the requests of `batch` in place, in order, then flushes the
@@ -879,11 +772,11 @@ impl Location {
     /// batch. A panic in one unwinds from here; the buffer then drops the
     /// images behind it.
     fn deliver(&self, batch: Batch) -> usize {
-        let Batch { src, mut records, .. } = batch;
+        let Batch { mut records, .. } = batch;
         let n = records.len();
         self.inner.delivering.set(true);
         while records.has_next() {
-            records.step(Some((self, src)));
+            records.step(Some(self));
         }
         self.inner.delivering.set(false);
         for dest in self.inner.reply_dests.borrow_mut().drain(..) {
@@ -892,13 +785,12 @@ impl Location {
         n
     }
 
-    /// Runs one delivered request from `src`: traced before, counted handled
-    /// after (the fence's proof reads `handled` per request, run or not).
+    /// Runs one delivered request, then counts it handled (the fence's
+    /// proof reads `requests_handled` per request, run or not).
     #[inline]
-    pub(crate) fn run_record(&self, src: LocId, request: impl FnOnce()) {
-        self.trace_instant(TraceEventKind::RmiExecute, src as u64);
+    pub(crate) fn run_record(&self, request: impl FnOnce()) {
         request();
-        self.inner.counters.note_handled();
+        self.count(Counter::requests_handled, 1);
     }
 
     /// The one wait loop: every blocking wait — barriers, and through them
@@ -977,7 +869,9 @@ impl Location {
     #[track_caller]
     pub fn barrier(&self) {
         self.refuse_to_wait();
+        let t0 = self.trace_clock();
         self.rendezvous(Kind::Barrier, || ());
+        self.trace_span_end(SpanKind::Barrier, t0, 0);
     }
 
     /// A [`Location::barrier`] of `kind` whose last arriver runs `last`
@@ -986,10 +880,7 @@ impl Location {
     /// Unchecked: its caller has checked the wait ([`Location::poll`]).
     #[track_caller]
     pub(crate) fn rendezvous<T: Clone + Send + 'static>(&self, kind: Kind, last: impl FnOnce() -> T) -> T {
-        let t0 = self.trace_clock();
-        let out = self.inner.shared.barrier.rendezvous(kind, |released| self.spin(released, true), last);
-        self.trace_span_end(TraceEventKind::BarrierSpan, t0, 0);
-        out
+        self.inner.shared.barrier.rendezvous(kind, |released| self.spin(released, true), last)
     }
 
     /// The paper's `rmi_fence`: completes only when every RMI issued before
@@ -1023,7 +914,7 @@ impl Location {
         // handle and retire it before this location gets out.
         let reclaim = self.take_retired_everywhere();
         loop {
-            self.bump(Counter::fence_rounds, 1);
+            self.count(Counter::fence_rounds, 1);
             rounds += 1;
             self.flush_all();
             while self.drain() > 0 {}
@@ -1034,7 +925,7 @@ impl Location {
             while self.drain() > 0 {}
             if self.rendezvous(kind, || self.quiescent()) {
                 reclaim.into_iter().for_each(|h| self.unregister(h));
-                self.trace_span_end(TraceEventKind::FenceSpan, t0, rounds);
+                self.trace_span_end(SpanKind::Fence, t0, rounds);
                 return;
             }
         }
@@ -1053,16 +944,16 @@ impl Location {
     /// `sent` first lets a forwarding handler run between the scans, move
     /// both sums by one, and balance the books with its hop unexecuted.
     fn quiescent(&self) -> bool {
-        let sum = |f: fn(&CounterBlock) -> u64| -> u64 { self.inner.shared.counters.iter().map(|b| f(b)).sum() };
-        let handled = sum(CounterBlock::handled);
-        let sent = sum(|b| b.get(Counter::remote_requests));
+        let sum = |c: Counter| -> u64 { self.inner.shared.counters.iter().map(|b| b.get(c)).sum() };
+        let handled = sum(Counter::requests_handled);
+        let sent = sum(Counter::remote_requests);
         // Under the reliable layer every request's carrying batch must also
         // have been acknowledged: executed-but-unacked requests mean a
         // sender may still retransmit (and the fault injector may still be
         // holding a reordered batch), so the system is not yet quiet. Read
         // last: once nothing is left to send, `sent` is final and `acked`
         // only rises toward it.
-        handled == sent && (!self.config().reliable_layer() || sum(CounterBlock::acked) == sent)
+        handled == sent && (!self.config().reliable_layer() || sum(Counter::requests_acked) == sent)
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {

@@ -108,6 +108,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::Counter;
+    use crate::trace::{LocationTrace, SpanKind, TraceEvent};
     use std::cell::RefCell;
 
     #[test]
@@ -422,9 +424,13 @@ mod tests {
         assert!(sum.local_invocations > 0);
     }
 
+    /// How many spans of `kind` location trace `l` holds.
+    fn spans_of(l: &LocationTrace, kind: SpanKind) -> usize {
+        l.events.iter().filter(|e| matches!(e, TraceEvent::Span { kind: k, .. } if *k == kind)).count()
+    }
+
     #[test]
     fn traced_run_collects_per_location_traces() {
-        use crate::trace::TraceEventKind;
         let cfg = RtsConfig { trace: true, ..RtsConfig::unbuffered() };
         let (_results, trace) = execute_collect_traced(cfg, 3, |loc| {
             let (h, _rep) = loc.register_cell(0u64);
@@ -439,14 +445,40 @@ mod tests {
             // The run is far too small to evict from the ring: it holds
             // every event recorded.
             assert_eq!(l.dropped, 0);
-            let count = |kind| l.events.iter().filter(|e| e.kind == kind).count() as u64;
-            assert!(count(TraceEventKind::RmiSend) > 0, "loc {} sent nothing", l.loc);
-            assert!(count(TraceEventKind::BarrierSpan) > 0);
-            assert_eq!(count(TraceEventKind::SyncRmiSpan), 1, "exactly one sync round trip per location");
-            assert!(count(TraceEventKind::FenceSpan) >= 2, "an explicit and the implicit fence");
-            assert_eq!(l.histogram("sync_rmi").unwrap().count(), 1);
-            assert_eq!(l.stats.remote_requests, count(TraceEventKind::RmiSend));
-            assert_eq!(l.handled, count(TraceEventKind::RmiExecute));
+            let spans = |k| spans_of(l, k);
+            let moved = |c| {
+                let n = l.events.iter().map(|e| match *e {
+                    TraceEvent::Count { counter, n, .. } if counter == c => n,
+                    _ => 0,
+                });
+                n.sum::<u64>()
+            };
+            assert!(moved(Counter::remote_requests) > 0, "loc {} sent nothing", l.loc);
+            assert_eq!(spans(SpanKind::Barrier), 1);
+            assert_eq!(spans(SpanKind::SyncRmi), 1, "exactly one sync round trip per location");
+            assert!(spans(SpanKind::Fence) >= 2, "an explicit and the implicit fence");
+            assert_eq!(l.histogram(SpanKind::SyncRmi).count(), 1);
+            assert_eq!(l.stats.remote_requests, moved(Counter::remote_requests));
+            assert_eq!(l.stats.requests_handled, moved(Counter::requests_handled));
+        }
+    }
+
+    /// A `barrier` span is a `Location::barrier` call: the rendezvous
+    /// inside a fence round or a collective records none.
+    #[test]
+    fn only_a_barrier_records_a_barrier_span() {
+        let cfg = RtsConfig { trace: true, ..RtsConfig::base() };
+        let (_, trace) = execute_collect_traced(cfg, 2, |loc| {
+            loc.rmi_fence();
+            assert_eq!(loc.allreduce_sum(1), 2);
+            loc.barrier();
+        });
+        for l in &trace.expect("trace requested").locs {
+            let spans = |k| spans_of(l, k);
+            assert_eq!(spans(SpanKind::Fence), 2, "the explicit and the closing fence");
+            assert_eq!(spans(SpanKind::Collective), 1);
+            assert_eq!(spans(SpanKind::Barrier), 1, "location {}", l.loc);
+            assert_eq!(l.histogram(SpanKind::Barrier).count(), 1);
         }
     }
 

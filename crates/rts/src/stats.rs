@@ -2,9 +2,10 @@
 //! behavior (e.g., counting forwarding hops or aggregation effectiveness).
 //!
 //! A counter is declared **once**, as a row of the [`counters!`] table
-//! below: name, doc comment, and gate [`Class`]. The table generates
-//! [`Counter`], the public fields of [`StatsSnapshot`], and the slots of
-//! the per-location [`CounterBlock`] — the only place counts are stored.
+//! below: name, doc comment, gate [`Class`], and whether a move of it is
+//! a trace instant. The table generates [`Counter`], the public fields of
+//! [`StatsSnapshot`], and the slots of the per-location [`CounterBlock`] —
+//! the only place counts are stored.
 //! Global numbers ([`crate::Location::stats`], the fence's quiescence
 //! test) are sums over the blocks taken at read time.
 
@@ -27,9 +28,12 @@ pub enum Class {
     Timing(&'static str),
 }
 
-/// Declares every counter: `/// doc` then `name: Class,`.
+/// Declares every counter: `/// doc` then `name: Class, traced;` or
+/// `name: Class, untraced;`.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident: $class:expr,)*) => {
+    (@traced traced) => { true };
+    (@traced untraced) => { false };
+    ($($(#[$doc:meta])* $name:ident: $class:expr, $trace:ident;)*) => {
         /// One runtime counter; variants are spelled like the
         /// [`StatsSnapshot`] field they index.
         #[allow(non_camel_case_types)]
@@ -50,6 +54,15 @@ macro_rules! counters {
                 use Class::*;
                 match self {
                     $(Counter::$name => $class,)*
+                }
+            }
+
+            /// Whether a move of this counter is also a trace instant
+            /// ([`crate::Location::count`]).
+            #[inline]
+            pub const fn traced(self) -> bool {
+                match self {
+                    $(Counter::$name => counters!(@traced $trace),)*
                 }
             }
         }
@@ -79,51 +92,58 @@ macro_rules! counters {
 
 counters! {
     /// RMI requests executed on the location that issued them (fast path).
-    local_invocations: Exact,
+    local_invocations: Exact, untraced;
     /// RMI requests shipped to another location. Bumped *before* the
     /// request becomes visible (even while it sits in an aggregation
     /// buffer), so the sum over locations is the fence's `sent` count.
-    remote_requests: Up,
+    remote_requests: Up, traced;
+    /// Delivered requests run to completion here, forwards included. The
+    /// fence reads it: at a fence the sum over locations is
+    /// `remote_requests`.
+    requests_handled: Timing("a request counts where it ran, when its destination polled it in"), traced;
     /// Message batches actually pushed into channels.
-    batches_sent: Timing("batch boundaries depend on when the poller drains the buffer"),
+    batches_sent: Timing("batch boundaries depend on when the poller drains the buffer"), traced;
     /// Synchronous / split-phase responses sent back.
-    responses_sent: Exact,
+    responses_sent: Exact, traced;
     /// Number of `rmi_fence` rounds executed (termination-detection loops).
-    fence_rounds: Timing("rounds repeat until traffic quiesces; how many is scheduling"),
+    fence_rounds: Timing("rounds repeat until traffic quiesces; how many is scheduling"), untraced;
     /// PARAGRAPH tasks executed (on any location, home or thief).
-    tasks_executed: Exact,
+    tasks_executed: Exact, untraced;
     /// PARAGRAPH tasks that ran on a location other than their home
     /// because an idle location stole them.
-    tasks_stolen: Timing("which tasks get stolen depends on thread timing"),
+    tasks_stolen: Timing("which tasks get stolen depends on thread timing"), traced;
     /// Steal probes issued by idle executors (successful or not).
-    steal_requests: Timing("probe traffic tracks idle time"),
+    steal_requests: Timing("probe traffic tracks idle time"), traced;
     /// Directory-routed requests sent straight to a cached owner (the
     /// optimistic one-hop path that skips the home location).
-    dir_cache_hits: Down,
+    dir_cache_hits: Down, traced;
     /// Directory-routed requests that had no usable cache entry and paid
     /// the home-location hop (counted only when caching is enabled).
-    dir_cache_misses: Up,
+    dir_cache_misses: Up, traced;
     /// Cached-owner guesses that turned out stale: the element had moved,
     /// and the request self-healed by re-forwarding through its home.
-    dir_cache_stale: Up,
+    dir_cache_stale: Up, traced;
+    /// Elements or base containers that left this location by
+    /// `dir_migrate` (counted where the payload was extracted).
+    migrations: Up, traced;
     /// Bulk-range RMIs issued: one per (owner, contiguous run) shipped as a
     /// single message by `get_range`/`set_range`/`apply_range`.
-    bulk_requests: Up,
+    bulk_requests: Up, traced;
     /// Chunks served by a direct local slice borrow (one `RefCell` borrow
     /// for the whole chunk) — the view-localization fast path.
-    localized_chunks: Down,
+    localized_chunks: Down, untraced;
     /// Elements processed one-at-a-time where a chunk path was asked for
     /// but unavailable (a view without a localized override).
-    element_fallbacks: Up,
+    element_fallbacks: Up, untraced;
     /// Segment RMIs issued by the dynamic-container bulk transport: one
     /// per (owner, base-container segment) shipped as a single message by
     /// `get_segment`/`set_segment` and `merge_segment` (the grouped
     /// MapReduce merge).
-    segment_requests: Up,
+    segment_requests: Up, traced;
     /// Items shipped as payload by the data-collecting operations
     /// (`collect_ordered` gathers, opt-in broadcasts): the simulated
     /// bytes-on-the-wire proxy the O(N·P) → O(N) assertions measure.
-    gather_items: Up,
+    gather_items: Up, traced;
     /// Bytes of the capture images staged for remote requests and
     /// responses: per request, the shallow size of its capture rounded up
     /// to a word — what is actually handed over, a `Vec` inside a capture
@@ -131,23 +151,27 @@ counters! {
     /// reliable layer's seals, acks and retransmissions are *excluded*:
     /// where a run breaks, flush and retry counts are timing-dependent and
     /// this counter must stay deterministic so it can be gated.
-    bytes_sent: Up,
+    bytes_sent: Up, untraced;
     /// Requests lost to *injected* damage: fault-injected drops and
     /// corrupt-batch rejections, counted in requests. A pure function of
     /// (fault seed, src, dest, seq); zero on a fault-free fabric.
-    frames_dropped: Up,
+    frames_dropped: Up, traced;
     /// Batches re-sent by the reliable layer's retransmit timer.
-    retransmits: Timing("the RTO also redrives batches that were merely late, not lost"),
+    retransmits: Timing("the RTO also redrives batches that were merely late, not lost"), traced;
     /// Inbound batches rejected by their checksum before any record ran.
-    checksum_failures: Up,
+    checksum_failures: Up, traced;
     /// Standalone ack batches sent by the reliable layer.
-    acks_sent: Timing("every duplicate is re-acked, so it inherits the RTO's timing"),
+    acks_sent: Timing("every duplicate is re-acked, so it inherits the RTO's timing"), traced;
+    /// Requests this location sent whose carrying batch the destination
+    /// has acknowledged; 0 without the reliable layer. At a fence under
+    /// the reliable layer the sum over locations is `remote_requests`.
+    requests_acked: Timing("an ack counts when its sender polls it in"), untraced;
     /// Requests of duplicate batches discarded by the receiver's dedup
     /// window: injected dups and redrives that raced the original.
-    duplicates_discarded: Timing("counts spurious RTO redrives of merely-late batches"),
+    duplicates_discarded: Timing("counts spurious RTO redrives of merely-late batches"), untraced;
     /// Panics of sync / split-phase handlers, caught where they ran and
     /// sent back as poisoned responses that fail only the issuing future.
-    poisoned_responses: Up,
+    poisoned_responses: Up, traced;
 }
 
 impl Counter {
@@ -173,53 +197,22 @@ impl Counter {
 #[repr(align(128))]
 pub(crate) struct CounterBlock {
     cells: [AtomicU64; Counter::ALL.len()],
-    /// Requests fully executed on this location.
-    handled: AtomicU64,
-    /// Requests this location sent whose carrying batch the destination
-    /// has acknowledged (stays 0 without the reliable layer).
-    acked: AtomicU64,
-}
-
-#[inline]
-fn owner_add(cell: &AtomicU64, n: u64) {
-    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Release);
 }
 
 impl CounterBlock {
     pub(crate) fn new() -> CounterBlock {
-        CounterBlock {
-            cells: std::array::from_fn(|_| AtomicU64::new(0)),
-            handled: AtomicU64::new(0),
-            acked: AtomicU64::new(0),
-        }
+        CounterBlock { cells: std::array::from_fn(|_| AtomicU64::new(0)) }
     }
 
     /// Adds `n` to counter `c`. Owning thread only.
     #[inline]
     pub(crate) fn bump(&self, c: Counter, n: u64) {
-        owner_add(&self.cells[c as usize], n);
-    }
-
-    /// Records one request fully executed here. Owning thread only.
-    pub(crate) fn note_handled(&self) {
-        owner_add(&self.handled, 1);
-    }
-
-    /// Records `n` sent requests newly covered by an ack. Owning thread only.
-    pub(crate) fn note_acked(&self, n: u64) {
-        owner_add(&self.acked, n);
+        let cell = &self.cells[c as usize];
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Release);
     }
 
     pub(crate) fn get(&self, c: Counter) -> u64 {
         self.cells[c as usize].load(Ordering::Acquire)
-    }
-
-    pub(crate) fn handled(&self) -> u64 {
-        self.handled.load(Ordering::Acquire)
-    }
-
-    pub(crate) fn acked(&self) -> u64 {
-        self.acked.load(Ordering::Acquire)
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
@@ -289,11 +282,8 @@ mod tests {
         let block = CounterBlock::new();
         block.bump(Counter::gather_items, 4);
         block.bump(Counter::gather_items, 5);
-        block.note_handled();
-        block.note_acked(3);
         let expect = StatsSnapshot { gather_items: 9, ..Default::default() };
         assert_eq!(block.snapshot(), expect);
-        assert_eq!((block.handled(), block.acked()), (1, 3));
         assert_eq!(std::mem::align_of::<CounterBlock>(), 128);
     }
 

@@ -3,23 +3,20 @@
 //! The stats counters ([`crate::StatsSnapshot`]) answer *how much*
 //! communication happened, aggregated over the whole execution. This module
 //! answers *where and when*: every location owns a fixed-capacity ring
-//! buffer of typed, monotonically timestamped [`TraceEvent`]s plus a small
-//! set of HDR-style power-of-two [`LatencyHistogram`]s, recorded with **no
+//! buffer of monotonically timestamped [`TraceEvent`]s plus one HDR-style
+//! power-of-two [`LatencyHistogram`] per span kind, recorded with **no
 //! allocation on the hot path** and a single cheap branch when tracing is
 //! off (the `RtsConfig::trace` knob, default off).
 //!
-//! Recorded events:
+//! The trace names nothing twice. Its events are of two shapes:
 //!
-//! * instants — RMI send / execute / reply, aggregation-buffer flushes,
-//!   steal probes and successes, bulk-range and segment transfers with item
-//!   counts, directory-cache hit / miss / stale-heal, migrations, and the
-//!   reliable layer's drops, retransmits, checksum failures and acks;
-//! * spans (enter–exit with duration) — barrier waits, fences, collectives,
-//!   sync-RMI round trips, split-RMI future waits, executor task bodies.
-//!
-//! Span durations also feed the latency histograms, which report any
-//! quantile (p50 and p99 by name) and the exact max for sync-RMI round
-//! trips, split-RMI future waits, task bodies, and barrier waits.
+//! * instants — a traced counter row moving ([`crate::Location::count`]):
+//!   the instant is named after the row and carries the increment;
+//! * spans (enter–exit with duration) — the six [`SpanKind`]s: barrier
+//!   waits, fences, collectives, sync-RMI round trips, split-RMI future
+//!   waits, executor task bodies. Each span's duration is one sample of
+//!   its kind's histogram, which reports any quantile (p50 and p99 by
+//!   name) and the exact max.
 //!
 //! [`RunTrace`] exports the timeline as Chrome trace-event JSON (one pid
 //! per location; loadable in Perfetto or `chrome://tracing`).
@@ -32,139 +29,62 @@
 use std::collections::VecDeque;
 
 use crate::location::LocId;
-use crate::stats::StatsSnapshot;
+use crate::stats::{Counter, StatsSnapshot};
 
 /// Capacity of each location's trace event ring, in events. When full,
 /// the oldest events are evicted (with an exact drop counter); the
 /// histograms are exact regardless.
 pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 
-/// Number of latency histograms kept per location; see
-/// [`TraceEventKind::histogram_index`] and [`HISTOGRAM_NAMES`].
-pub const HISTOGRAM_COUNT: usize = 4;
-
-/// Histogram names, indexed by [`TraceEventKind::histogram_index`]:
-/// sync-RMI round trips, split-RMI future waits, executor task bodies, and
-/// barrier waits.
-pub const HISTOGRAM_NAMES: [&str; HISTOGRAM_COUNT] =
-    ["sync_rmi", "future_wait", "task_body", "barrier_wait"];
-
-/// Declares every event kind once: `/// doc`, then `Kind => "name",`.
-macro_rules! kinds {
+/// Declares every span kind once: `/// doc`, then `Kind => "name",`.
+macro_rules! spans {
     ($($(#[$doc:meta])* $kind:ident => $name:literal,)*) => {
-        /// The typed event vocabulary of the trace layer.
+        /// What a span measures; each kind has its own latency histogram.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(u8)]
-        pub enum TraceEventKind {
+        pub enum SpanKind {
             $($(#[$doc])* $kind,)*
         }
 
-        impl TraceEventKind {
+        impl SpanKind {
             /// Every kind, in declaration order.
-            pub const ALL: &[TraceEventKind] = &[$(TraceEventKind::$kind),*];
+            pub const ALL: &[SpanKind] = &[$(SpanKind::$kind),*];
 
-            /// Stable snake-case name, used as the Chrome trace event name.
+            /// Stable snake-case name: the Chrome event's and the
+            /// histogram's.
             pub fn name(self) -> &'static str {
                 match self {
-                    $(TraceEventKind::$kind => $name,)*
+                    $(SpanKind::$kind => $name,)*
                 }
             }
         }
     };
 }
 
-kinds! {
-    /// A request enqueued toward a remote location (`arg` = destination).
-    RmiSend => "rmi_send",
-    /// A delivered request about to execute here (`arg` = source).
-    RmiExecute => "rmi_execute",
-    /// A sync / split-phase response shipped back (`arg` = destination).
-    RmiReply => "rmi_reply",
-    /// An aggregation buffer pushed into a channel (`arg` = batch size).
-    Flush => "flush",
-    /// A steal probe issued by an idle executor.
-    StealProbe => "steal_probe",
-    /// A steal probe that came back with work (`arg` = tasks taken).
-    StealSuccess => "steal_success",
-    /// One bulk-range RMI (`arg` = elements in the run).
-    BulkTransfer => "bulk_transfer",
-    /// One segment RMI of the dynamic-container transport (`arg` = items).
-    SegmentTransfer => "segment_transfer",
-    /// Items shipped by a data-collecting gather/broadcast (`arg` = items).
-    GatherItems => "gather_items",
-    /// Directory-routed request served by a cached owner.
-    DirCacheHit => "dir_cache_hit",
-    /// Directory-routed request that paid the home-location hop.
-    DirCacheMiss => "dir_cache_miss",
-    /// A stale cached-owner guess that re-forwarded through home.
-    DirCacheStale => "dir_cache_stale",
-    /// An element / base-container migration (`arg` = moved key or count).
-    Migration => "migration",
-    /// Span: a [`crate::Location::barrier`] enter–exit.
-    BarrierSpan => "barrier",
-    /// Span: a [`crate::Location::rmi_fence`] enter–exit.
-    FenceSpan => "fence",
-    /// Span: a collective operation (allreduce and friends).
-    CollectiveSpan => "collective",
-    /// Span: a sync-RMI round trip (issue to value arrival).
-    SyncRmiSpan => "sync_rmi",
-    /// Span: a split-RMI / reply-slot future wait inside `get()`.
-    FutureWaitSpan => "future_wait",
-    /// Span: one executor task body (`arg` = task id).
-    TaskSpan => "task_run",
-    /// Requests lost to injected drops or corrupt rejections (`arg` =
-    /// requests dropped since the last reap).
-    FaultDrop => "fault_drop",
-    /// Batches re-sent by the retransmit timer (`arg` = count since the
-    /// last reap).
-    Retransmit => "retransmit",
-    /// Inbound batches rejected by their checksum (`arg` = count since
-    /// the last reap).
-    ChecksumFail => "checksum_fail",
-    /// Standalone ack batches sent (`arg` = count since the last reap).
-    AckSent => "ack_sent",
-    /// A sync / split-phase handler panic caught and sent back as a
-    /// poisoned response (`arg` = the issuing location).
-    PoisonedResponse => "poisoned_response",
+spans! {
+    /// A [`crate::Location::barrier`] enter–exit.
+    Barrier => "barrier",
+    /// A [`crate::Location::rmi_fence`] enter–exit (`arg` = rounds).
+    Fence => "fence",
+    /// A collective operation (allreduce and friends).
+    Collective => "collective",
+    /// A sync-RMI round trip (issue to value arrival).
+    SyncRmi => "sync_rmi",
+    /// A split-RMI / reply-slot future wait inside `get()`.
+    FutureWait => "future_wait",
+    /// One executor task body (`arg` = task id).
+    Task => "task_run",
 }
 
-impl TraceEventKind {
-    /// True for enter–exit span kinds (exported as Chrome `B`/`E` pairs);
-    /// false for instants (`i`).
-    pub fn is_span(self) -> bool {
-        matches!(
-            self,
-            TraceEventKind::BarrierSpan
-                | TraceEventKind::FenceSpan
-                | TraceEventKind::CollectiveSpan
-                | TraceEventKind::SyncRmiSpan
-                | TraceEventKind::FutureWaitSpan
-                | TraceEventKind::TaskSpan
-        )
-    }
-
-    /// Index into the per-location histogram array for span kinds whose
-    /// duration is sampled; `None` for everything else.
-    pub fn histogram_index(self) -> Option<usize> {
-        match self {
-            TraceEventKind::SyncRmiSpan => Some(0),
-            TraceEventKind::FutureWaitSpan => Some(1),
-            TraceEventKind::TaskSpan => Some(2),
-            TraceEventKind::BarrierSpan => Some(3),
-            _ => None,
-        }
-    }
-}
-
-/// One recorded event: monotonic nanoseconds since the execution epoch,
-/// a duration (`0` for instants), the kind, and one kind-specific argument
-/// (peer id, item count, task id — see the [`TraceEventKind`] docs).
+/// One recorded event, stamped in monotonic nanoseconds since the
+/// execution epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub t_ns: u64,
-    pub dur_ns: u64,
-    pub kind: TraceEventKind,
-    pub arg: u64,
+pub enum TraceEvent {
+    /// Traced counter `counter` moved by `n` at `t_ns`.
+    Count { t_ns: u64, counter: Counter, n: u64 },
+    /// A span of `kind` from `t_ns`, lasting `dur_ns`, with the
+    /// kind-specific `arg` its [`SpanKind`] doc names (else `0`).
+    Span { t_ns: u64, dur_ns: u64, kind: SpanKind, arg: u64 },
 }
 
 // ---------------------------------------------------------------------
@@ -173,9 +93,9 @@ pub struct TraceEvent {
 
 /// An HDR-style log-bucketed latency histogram: bucket `0` holds exact
 /// zeros, bucket `i` holds durations in `[2^(i-1), 2^i)` nanoseconds
-/// (clamped at the top). Recording is O(1) with no allocation; quantiles
-/// report the bucket's upper bound, except the topmost occupied bucket
-/// where the exact maximum is known.
+/// (clamped at the top). Recording is O(1) with no allocation; the p50 and
+/// p99 report the bucket's upper bound, except in the topmost occupied
+/// bucket, where the exact maximum is known.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; 64],
@@ -205,7 +125,7 @@ impl LatencyHistogram {
     }
 
     /// Records one duration sample.
-    pub fn record(&mut self, ns: u64) {
+    fn record(&mut self, ns: u64) {
         self.buckets[Self::bucket_of(ns)] += 1;
         self.count += 1;
         self.max_ns = self.max_ns.max(ns);
@@ -216,15 +136,10 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// The exact maximum recorded duration (`0` when empty).
-    pub fn max_ns(&self) -> u64 {
-        self.max_ns
-    }
-
     /// The `q`-quantile (`0.0 ..= 1.0`) in nanoseconds: the upper bound of
     /// the bucket containing the target rank, or the exact maximum when the
     /// rank falls in the topmost occupied bucket. `0` when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -244,7 +159,7 @@ impl LatencyHistogram {
         self.max_ns
     }
 
-    /// Median (see [`LatencyHistogram::quantile`] for bucket rounding).
+    /// Median (rounded up to its bucket's bound, as the type's docs say).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
@@ -260,14 +175,14 @@ impl LatencyHistogram {
 // ---------------------------------------------------------------------
 
 /// Per-location trace state: a bounded event ring (oldest events drop
-/// first, with an exact drop counter) and the latency histograms. Lives
-/// behind a `RefCell` in the location's thread-local state; no atomics
-/// anywhere on this path.
+/// first, with an exact drop counter) and a latency histogram per span
+/// kind. Lives behind a `RefCell` in the location's thread-local state; no
+/// atomics anywhere on this path.
 pub(crate) struct TraceBuf {
     cap: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
-    hists: [LatencyHistogram; HISTOGRAM_COUNT],
+    hists: [LatencyHistogram; SpanKind::ALL.len()],
 }
 
 impl TraceBuf {
@@ -289,33 +204,23 @@ impl TraceBuf {
         self.events.push_back(ev);
     }
 
-    pub(crate) fn instant(&mut self, kind: TraceEventKind, now_ns: u64, arg: u64) {
-        debug_assert!(!kind.is_span());
-        self.push(TraceEvent { t_ns: now_ns, dur_ns: 0, kind, arg });
+    pub(crate) fn instant(&mut self, counter: Counter, now_ns: u64, n: u64) {
+        self.push(TraceEvent::Count { t_ns: now_ns, counter, n });
     }
 
-    pub(crate) fn span(&mut self, kind: TraceEventKind, start_ns: u64, end_ns: u64, arg: u64) {
-        debug_assert!(kind.is_span());
+    pub(crate) fn span(&mut self, kind: SpanKind, start_ns: u64, end_ns: u64, arg: u64) {
         let dur_ns = end_ns.saturating_sub(start_ns);
-        if let Some(h) = kind.histogram_index() {
-            self.hists[h].record(dur_ns);
-        }
-        self.push(TraceEvent { t_ns: start_ns, dur_ns, kind, arg });
+        self.hists[kind as usize].record(dur_ns);
+        self.push(TraceEvent::Span { t_ns: start_ns, dur_ns, kind, arg });
     }
 
     /// Drains this buffer into an exportable [`LocationTrace`].
-    pub(crate) fn take_data(
-        &mut self,
-        loc: LocId,
-        stats: StatsSnapshot,
-        handled: u64,
-    ) -> LocationTrace {
+    pub(crate) fn take_data(&mut self, loc: LocId, stats: StatsSnapshot) -> LocationTrace {
         LocationTrace {
             loc,
             events: std::mem::take(&mut self.events).into(),
             dropped: self.dropped,
             stats,
-            handled,
             hists: self.hists.clone(),
         }
     }
@@ -327,28 +232,20 @@ impl TraceBuf {
 
 /// Everything one location recorded: the surviving events, how many were
 /// evicted from the ring, the histograms (exact regardless of eviction),
-/// and that location's counter snapshot ([`crate::Location::local_stats`])
-/// and count of requests it ran.
+/// and that location's counter snapshot ([`crate::Location::local_stats`]).
 #[derive(Clone)]
 pub struct LocationTrace {
     pub loc: LocId,
     pub events: Vec<TraceEvent>,
     pub dropped: u64,
     pub stats: StatsSnapshot,
-    /// Requests delivered to and run on this location.
-    pub handled: u64,
-    hists: [LatencyHistogram; HISTOGRAM_COUNT],
+    hists: [LatencyHistogram; SpanKind::ALL.len()],
 }
 
 impl LocationTrace {
-    /// The histogram named `name` (see [`HISTOGRAM_NAMES`]).
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        HISTOGRAM_NAMES.iter().position(|n| *n == name).map(|i| &self.hists[i])
-    }
-
-    /// `(name, histogram)` pairs in [`HISTOGRAM_NAMES`] order.
-    pub fn histograms(&self) -> Vec<(&'static str, &LatencyHistogram)> {
-        HISTOGRAM_NAMES.iter().copied().zip(self.hists.iter()).collect()
+    /// The durations of this location's spans of `kind`.
+    pub fn histogram(&self, kind: SpanKind) -> &LatencyHistogram {
+        &self.hists[kind as usize]
     }
 
     /// Appends this location's Chrome trace events (a metadata
@@ -368,12 +265,13 @@ impl LocationTrace {
         fn ts_us(ns: u64) -> String {
             format!("{:.3}", ns as f64 / 1000.0)
         }
-        fn end_event(e: &TraceEvent, pid: u64) -> (u64, String) {
-            let end = e.t_ns + e.dur_ns;
+        // A span as (start, duration, name, arg).
+        type Span = (u64, u64, &'static str, u64);
+        fn end_event(&(t_ns, dur_ns, name, _): &Span, pid: u64) -> (u64, String) {
+            let end = t_ns + dur_ns;
             let json = format!(
-                "{{\"name\":\"{}\",\"cat\":\"rts\",\"ph\":\"E\",\"ts\":{},\"pid\":{pid},\
+                "{{\"name\":\"{name}\",\"cat\":\"rts\",\"ph\":\"E\",\"ts\":{},\"pid\":{pid},\
                  \"tid\":0}}",
-                e.kind.name(),
                 ts_us(end)
             );
             (end, json)
@@ -383,27 +281,41 @@ impl LocationTrace {
         // closed as soon as the next one starts at or after its end. The
         // single-threaded stack discipline of the recorder guarantees the
         // intervals are properly nested or disjoint.
-        let mut spans: Vec<&TraceEvent> = self.events.iter().filter(|e| e.kind.is_span()).collect();
-        spans.sort_by(|a, b| a.t_ns.cmp(&b.t_ns).then(b.dur_ns.cmp(&a.dur_ns)));
+        let mut spans: Vec<Span> = Vec::new();
+        let mut instants: Vec<(u64, String)> = Vec::new();
+        for e in &self.events {
+            match *e {
+                TraceEvent::Span { t_ns, dur_ns, kind, arg } => spans.push((t_ns, dur_ns, kind.name(), arg)),
+                TraceEvent::Count { t_ns, counter, n } => instants.push((
+                    t_ns,
+                    format!(
+                        "{{\"name\":\"{}\",\"cat\":\"rts\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
+                         \"pid\":{pid},\"tid\":0,\"args\":{{\"v\":{n}}}}}",
+                        counter.name(),
+                        ts_us(t_ns),
+                    ),
+                )),
+            }
+        }
+        spans.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         let mut be: Vec<(u64, String)> = Vec::with_capacity(spans.len() * 2);
-        let mut stack: Vec<&TraceEvent> = Vec::new();
-        for s in spans {
+        let mut stack: Vec<&Span> = Vec::new();
+        for s in &spans {
             while let Some(top) = stack.last() {
-                if top.t_ns + top.dur_ns <= s.t_ns {
+                if top.0 + top.1 <= s.0 {
                     let top = stack.pop().expect("non-empty stack");
                     be.push(end_event(top, pid));
                 } else {
                     break;
                 }
             }
+            let &(t_ns, _, name, arg) = s;
             be.push((
-                s.t_ns,
+                t_ns,
                 format!(
-                    "{{\"name\":\"{}\",\"cat\":\"rts\",\"ph\":\"B\",\"ts\":{},\"pid\":{pid},\
-                     \"tid\":0,\"args\":{{\"v\":{}}}}}",
-                    s.kind.name(),
-                    ts_us(s.t_ns),
-                    s.arg
+                    "{{\"name\":\"{name}\",\"cat\":\"rts\",\"ph\":\"B\",\"ts\":{},\"pid\":{pid},\
+                     \"tid\":0,\"args\":{{\"v\":{arg}}}}}",
+                    ts_us(t_ns),
                 ),
             ));
             stack.push(s);
@@ -411,23 +323,6 @@ impl LocationTrace {
         while let Some(top) = stack.pop() {
             be.push(end_event(top, pid));
         }
-        let instants: Vec<(u64, String)> = self
-            .events
-            .iter()
-            .filter(|e| !e.kind.is_span())
-            .map(|e| {
-                (
-                    e.t_ns,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"rts\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-                         \"pid\":{pid},\"tid\":0,\"args\":{{\"v\":{}}}}}",
-                        e.kind.name(),
-                        ts_us(e.t_ns),
-                        e.arg
-                    ),
-                )
-            })
-            .collect();
         // Merge the two (already chronologically sorted) streams, keeping
         // B/E relative order intact on timestamp ties.
         let (mut i, mut j) = (0, 0);
@@ -441,7 +336,7 @@ impl LocationTrace {
                 out.push(std::mem::take(&mut be[i].1));
                 i += 1;
             } else {
-                out.push(instants[j].1.clone());
+                out.push(std::mem::take(&mut instants[j].1));
                 j += 1;
             }
         }
@@ -489,19 +384,13 @@ mod tests {
 
     #[test]
     fn kind_table_is_consistent() {
-        for (i, k) in TraceEventKind::ALL.iter().enumerate() {
+        for (i, k) in SpanKind::ALL.iter().enumerate() {
             assert_eq!(*k as usize, i, "{:?} out of declaration order", k);
         }
-        // Names are unique except the deliberate span/histogram aliases.
-        let mut names: Vec<&str> = TraceEventKind::ALL.iter().map(|k| k.name()).collect();
+        let mut names: Vec<&str> = SpanKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), TraceEventKind::ALL.len(), "duplicate event-kind names");
-        for &k in TraceEventKind::ALL {
-            if k.histogram_index().is_some() {
-                assert!(k.is_span(), "{:?}: only spans feed histograms", k);
-            }
-        }
+        assert_eq!(names.len(), SpanKind::ALL.len(), "duplicate span names");
     }
 
     #[test]
@@ -512,7 +401,7 @@ mod tests {
             h.record(ns);
         }
         assert_eq!(h.count(), 8);
-        assert_eq!(h.max_ns(), 1_000_000);
+        assert_eq!(h.max_ns, 1_000_000);
         // p50 falls in the 2-3ns bucket → upper bound 4.
         assert_eq!(h.quantile(0.5), 4);
         // The top occupied bucket reports the exact max, not a power of 2.
@@ -526,7 +415,7 @@ mod tests {
         h.record(0);
         assert_eq!(h.p50(), 0);
         h.record(u64::MAX);
-        assert_eq!(h.max_ns(), u64::MAX);
+        assert_eq!(h.max_ns, u64::MAX);
         assert_eq!(h.quantile(1.0), u64::MAX);
     }
 
@@ -534,28 +423,30 @@ mod tests {
     fn ring_drops_oldest_but_counts_stay_exact() {
         let mut buf = TraceBuf::new(4);
         for i in 0..10u64 {
-            buf.span(TraceEventKind::SyncRmiSpan, i, i + 1, i);
+            buf.span(SpanKind::SyncRmi, i, i + 1, i);
         }
-        let data = buf.take_data(0, StatsSnapshot::default(), 0);
+        let data = buf.take_data(0, StatsSnapshot::default());
         assert_eq!(data.events.len(), 4);
         assert_eq!(data.dropped, 6);
-        assert_eq!(data.histogram("sync_rmi").unwrap().count(), 10, "histograms ignore eviction");
+        assert_eq!(data.histogram(SpanKind::SyncRmi).count(), 10, "histograms ignore eviction");
         // The survivors are the most recent events.
-        assert_eq!(data.events[0].t_ns, 6);
-        assert_eq!(data.events[3].t_ns, 9);
+        let starts: Vec<u64> = data.events.iter().map(|e| match *e {
+            TraceEvent::Span { t_ns, .. } | TraceEvent::Count { t_ns, .. } => t_ns,
+        }).collect();
+        assert_eq!(starts, [6, 7, 8, 9]);
     }
 
     #[test]
     fn spans_feed_histograms() {
         let mut buf = TraceBuf::new(16);
-        buf.span(TraceEventKind::SyncRmiSpan, 100, 1100, 0);
-        buf.span(TraceEventKind::BarrierSpan, 0, 50, 0);
-        let data = buf.take_data(2, StatsSnapshot::default(), 0);
-        assert_eq!(data.histogram("sync_rmi").unwrap().count(), 1);
-        assert_eq!(data.histogram("sync_rmi").unwrap().max_ns(), 1000);
-        assert_eq!(data.histogram("barrier_wait").unwrap().count(), 1);
-        assert_eq!(data.histogram("task_body").unwrap().count(), 0);
-        assert!(data.histogram("no_such").is_none());
+        buf.span(SpanKind::SyncRmi, 100, 1100, 0);
+        buf.span(SpanKind::Barrier, 0, 50, 0);
+        buf.instant(Counter::remote_requests, 60, 1);
+        let data = buf.take_data(2, StatsSnapshot::default());
+        assert_eq!(data.histogram(SpanKind::SyncRmi).count(), 1);
+        assert_eq!(data.histogram(SpanKind::SyncRmi).max_ns, 1000);
+        assert_eq!(data.histogram(SpanKind::Barrier).count(), 1);
+        assert_eq!(data.histogram(SpanKind::Task).count(), 0);
     }
 
     #[test]
@@ -563,18 +454,17 @@ mod tests {
         let mut buf = TraceBuf::new(64);
         // Inner span completes (and is recorded) before the outer one — the
         // exporter must still emit outer-B, inner-B, inner-E, outer-E.
-        buf.span(TraceEventKind::BarrierSpan, 200, 300, 0);
-        buf.span(TraceEventKind::FenceSpan, 100, 500, 0);
-        buf.instant(TraceEventKind::RmiSend, 150, 1);
-        let run =
-            RunTrace { nlocs: 1, locs: vec![buf.take_data(0, StatsSnapshot::default(), 0)] };
+        buf.span(SpanKind::Barrier, 200, 300, 0);
+        buf.span(SpanKind::Fence, 100, 500, 0);
+        buf.instant(Counter::remote_requests, 150, 1);
+        let run = RunTrace { nlocs: 1, locs: vec![buf.take_data(0, StatsSnapshot::default())] };
         let json = run.to_chrome_json();
         let fence_b = json.find("\"name\":\"fence\",\"cat\":\"rts\",\"ph\":\"B\"").unwrap();
         let barrier_b = json.find("\"name\":\"barrier\",\"cat\":\"rts\",\"ph\":\"B\"").unwrap();
         let barrier_e = json.find("\"name\":\"barrier\",\"cat\":\"rts\",\"ph\":\"E\"").unwrap();
         let fence_e = json.find("\"name\":\"fence\",\"cat\":\"rts\",\"ph\":\"E\"").unwrap();
         assert!(fence_b < barrier_b && barrier_b < barrier_e && barrier_e < fence_e);
-        assert!(json.contains("\"ph\":\"i\""), "instants present");
+        assert!(json.contains("\"name\":\"remote_requests\",\"cat\":\"rts\",\"ph\":\"i\""), "instants present");
         assert!(json.contains("\"name\":\"process_name\""), "pid metadata present");
     }
 }

@@ -85,8 +85,8 @@
 //! deterministic for a deterministic scenario; run headers, seals, acks and
 //! retransmissions are excluded because run boundaries, flush and retry
 //! counts follow timing. The endpoint never touches counters: it
-//! accumulates [`TransportEvents`] that the shell reaps into stats, traces
-//! and the fence's acked-request accounting.
+//! accumulates a counter delta ([`StatsSnapshot`]) of its reliability
+//! events that the shell reaps into the location's counters.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -99,6 +99,7 @@ use wirecodec::Crc32;
 use crate::config::RtsConfig;
 use crate::fault::{mix64, FaultInjector};
 use crate::location::{Handle, LocId, Location};
+use crate::stats::StatsSnapshot;
 
 /// One word of a batch buffer. Capture images carry their padding, so a
 /// word is never assumed to be an initialised integer except through
@@ -114,9 +115,9 @@ const RUN_HEADER: usize = 2;
 /// [`BatchBuf::run`] of a buffer whose cursor is between runs.
 const NO_RUN: usize = usize::MAX;
 
-/// What a thunk does with an image: run it on a location, as sent by a
-/// source, or (`None`) drop it.
-type On<'a> = Option<(&'a Location, LocId)>;
+/// What a thunk does with an image: run it on a location, or (`None`) drop
+/// it.
+type On<'a> = Option<&'a Location>;
 
 /// A header word: given the buffer and the index `at` of that word, moves
 /// the cursor past each image behind it, completes the move of the capture,
@@ -132,7 +133,7 @@ fn thunk<F: FnOnce(&Location) + Send + 'static>(buf: &mut BatchBuf, at: usize, o
     buf.cursor = at + 1;
     let f: F = buf.take();
     match on {
-        Some((loc, src)) => loc.run_record(src, || f(loc)),
+        Some(loc) => loc.run_record(|| f(loc)),
         None => drop(f),
     }
 }
@@ -143,7 +144,7 @@ fn run_thunk<T: 'static, G: Image<T>>(buf: &mut BatchBuf, at: usize, on: On) {
         // Entering the run; otherwise resuming it behind a panicked image.
         (buf.run, buf.cursor, buf.left) = (at, at + RUN_HEADER, header as u32);
     }
-    let Some((loc, src)) = on else {
+    let Some(loc) = on else {
         while buf.next_of_run() {
             drop(buf.take::<G>());
         }
@@ -153,7 +154,7 @@ fn run_thunk<T: 'static, G: Image<T>>(buf: &mut BatchBuf, at: usize, on: On) {
     let obj = obj.as_deref().map_err(String::as_str);
     while buf.next_of_run() {
         let g: G = buf.take();
-        loc.run_record(src, || g(obj, loc));
+        loc.run_record(|| g(obj, loc));
     }
 }
 
@@ -425,27 +426,6 @@ impl Batch {
     }
 }
 
-/// Reliability events accumulated inside an endpoint since the last reap;
-/// the shell drains them into counters, trace events and the fence's
-/// acked-request accounting.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct TransportEvents {
-    /// Requests lost to injected damage: fault-injected drops and
-    /// corrupt-batch rejections.
-    pub frames_dropped: u64,
-    /// Requests of duplicate batches discarded by the dedup window.
-    pub duplicates_discarded: u64,
-    /// Batches re-sent by the retransmit timer.
-    pub retransmits: u64,
-    /// Batches rejected by their checksum before any record ran.
-    pub checksum_failures: u64,
-    /// Standalone ack batches sent.
-    pub acks_sent: u64,
-    /// Requests newly covered by a cumulative ack (the fence's quiescence
-    /// check requires `acked == sent` under the reliable layer).
-    pub frames_acked: u64,
-}
-
 /// A flushed-but-unacked batch retained for retransmission (a raw image).
 struct Retained {
     batch: Batch,
@@ -480,13 +460,14 @@ struct Reliable {
     unacked_total: Cell<usize>,
     /// Total stashed out-of-order batches across all sources.
     stash_total: Cell<usize>,
-    events: Cell<TransportEvents>,
+    /// Reliability events since the last reap, as counter moves.
+    events: Cell<StatsSnapshot>,
     /// The tap on every outbound batch, when a fault schedule is active.
     injector: Option<FaultInjector>,
 }
 
 impl Reliable {
-    fn note(&self, event: impl FnOnce(&mut TransportEvents)) {
+    fn note(&self, event: impl FnOnce(&mut StatsSnapshot)) {
         let mut events = self.events.get();
         event(&mut events);
         self.events.set(events);
@@ -552,13 +533,13 @@ impl Endpoint {
     }
 
     /// Ships `dest`'s buffer as one batch at the location's clock `now`;
-    /// returns the number of requests it carried, `None` if there were none.
-    pub(crate) fn flush(&self, dest: LocId, now: impl Fn() -> Duration) -> Option<usize> {
+    /// `false` if it held no request.
+    pub(crate) fn flush(&self, dest: LocId, now: impl Fn() -> Duration) -> bool {
         let records = {
             let mut out = self.outbuf.borrow_mut();
             let staging = &mut out[dest];
             if staging.buf.nreqs == 0 {
-                return None;
+                return false;
             }
             // Sized for the batch just flushed: exact for a steady stream,
             // small for request/response ping-pong.
@@ -591,7 +572,7 @@ impl Endpoint {
                  a peer location panic?)"
             );
         }
-        Some(nreqs)
+        true
     }
 
     /// Hands `batch` to the fabric, through the fault injector when one is
@@ -700,7 +681,7 @@ impl Endpoint {
                 break;
             }
             let acked = entry.remove().batch.records.nreqs as u64;
-            rel.note(|ev| ev.frames_acked += acked);
+            rel.note(|ev| ev.requests_acked += acked);
             rel.unacked_total.set(rel.unacked_total.get() - 1);
         }
     }
@@ -753,7 +734,7 @@ impl Endpoint {
 
     /// Drains the reliability events accumulated since the last call;
     /// `None` without the reliable layer.
-    pub(crate) fn take_events(&self) -> Option<TransportEvents> {
+    pub(crate) fn take_events(&self) -> Option<StatsSnapshot> {
         let rel = self.reliable.as_ref()?;
         let mut events = rel.events.take();
         events.frames_dropped += rel.injector.as_ref().map_or(0, FaultInjector::take_dropped);

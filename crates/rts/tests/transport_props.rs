@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use stapl_rts::{execute_collect, FaultSchedule, Location, RtsConfig, StatsSnapshot};
+use stapl_rts::{execute_collect, Counter, FaultSchedule, Location, RtsConfig, StatsSnapshot};
 
 /// One mutation op, encoded with raw picks so a single strategy covers
 /// every P (picks are reduced mod `nlocs` at execution time):
@@ -83,7 +83,7 @@ fn run_with(cfg: RtsConfig, p: usize, rounds: &[Vec<RawOp>]) -> RunOut {
                             if dest != me {
                                 // Mirror the containers' bulk path: tag the
                                 // request immediately before issuing it.
-                                loc.note_bulk_request(items.len() as u64);
+                                loc.count(Counter::bulk_requests, 1);
                             }
                             loc.async_rmi(dest, h, move |c: &RefCell<u64>, _| {
                                 *c.borrow_mut() += items.iter().sum::<u64>();

@@ -5,7 +5,7 @@
 use stapl_core::domain::Range1d;
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::RangedContainer;
-use stapl_rts::Location;
+use stapl_rts::{Counter, Location};
 
 use crate::view::{balanced_chunk, ViewRead, ViewWrite};
 
@@ -81,7 +81,7 @@ impl<C: RangedContainer> ViewRead for ArrayView<C> {
         for (bcid, gids) in self.localize() {
             let lo = self.view_range(gids).lo;
             match self.c.with_slice(bcid, gids, |s| f(lo, s)) {
-                Some(()) => self.location().note_localized_chunk(),
+                Some(()) => self.location().count(Counter::localized_chunks, 1),
                 None => {
                     // A run the container cannot lend as one slice: still
                     // one buffer per chunk, via the bulk path.
@@ -111,7 +111,7 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
             let vals = gen(view);
             debug_assert_eq!(vals.len(), view.len(), "fill_from generator length mismatch");
             match self.c.with_slice_mut(bcid, gids, |s| s.clone_from_slice(&vals)) {
-                Some(()) => self.location().note_localized_chunk(),
+                Some(()) => self.location().count(Counter::localized_chunks, 1),
                 None => self.c.set_range(gids.lo, &vals),
             }
         }
@@ -128,7 +128,7 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
                 }
             });
             match served {
-                Some(()) => self.location().note_localized_chunk(),
+                Some(()) => self.location().count(Counter::localized_chunks, 1),
                 None => {
                     let f = f.clone();
                     self.c.apply_range(gids, move |_, v| f(v));

@@ -9,7 +9,7 @@
 //! split otherwise (the paper's base-view/bView mechanism).
 
 use stapl_core::domain::Range1d;
-use stapl_rts::Location;
+use stapl_rts::{Counter, Location};
 
 /// Read operations of a one-dimensional view over value type `Value`.
 pub trait ViewRead {
@@ -48,7 +48,7 @@ pub trait ViewRead {
             if ch.is_empty() {
                 continue;
             }
-            self.location().note_element_fallbacks(ch.len() as u64);
+            self.location().count(Counter::element_fallbacks, ch.len() as u64);
             let buf: Vec<Self::Value> = ch.iter().map(|k| self.get(k)).collect();
             f(ch.lo, &buf);
         }
@@ -81,7 +81,7 @@ pub trait ViewWrite: ViewRead {
             }
             let vals = gen(ch);
             debug_assert_eq!(vals.len(), ch.len(), "fill_from generator length mismatch");
-            self.location().note_element_fallbacks(ch.len() as u64);
+            self.location().count(Counter::element_fallbacks, ch.len() as u64);
             for (k, v) in ch.iter().zip(vals) {
                 self.set(k, v);
             }
@@ -102,7 +102,7 @@ pub trait ViewWrite: ViewRead {
             if ch.is_empty() {
                 continue;
             }
-            self.location().note_element_fallbacks(ch.len() as u64);
+            self.location().count(Counter::element_fallbacks, ch.len() as u64);
             for k in ch.iter() {
                 self.apply(k, f.clone());
             }
