@@ -340,8 +340,8 @@ fn run_validate_trace(path: &str) -> ! {
 }
 
 /// `--json DIR [<area>...]`: run the areas over `RtsConfig::base()`, check
-/// their claims, and write one `BENCH_<area>.json` per area into DIR — the
-/// machine-readable feed `bench-compare` gates on.
+/// their claims, and write one `BENCH_<area>.json` per area into DIR. A
+/// sweep of every area must reproduce `bench/baselines/` byte for byte.
 fn run_json_mode(mut names: impl Iterator<Item = String>) {
     let Some(dir) = names.next() else { usage_error("--json needs an output DIR") };
     let dir = std::path::PathBuf::from(dir);

@@ -5,8 +5,9 @@
 //! names the counters it gates, builds its records, and states the
 //! paper-style claims those records must satisfy. There is one sweep, and
 //! two renderers read the same records: `experiments --json` writes them as
-//! `BENCH_<area>.json` (what `bench-compare` gates CI on), `experiments
-//! <area>` prints them as a table; both then run the claims.
+//! `BENCH_<area>.json`, `experiments <area>` prints them as a table; both
+//! then run the claims. The files checked into `bench/baselines/` are the
+//! gate: a sweep must reproduce them byte for byte.
 //!
 //! * `localization` — bulk-range transport + view localization: `p_copy`
 //!   localized vs element-wise over aligned / shifted / strided /
@@ -40,11 +41,12 @@
 //! CI fault leg's `experiments transport` really runs under its fault
 //! schedule). Counters are scoped with [`StatsSnapshot::since`] around the
 //! timed kernel and every generator is seeded from [`BENCH_SEED`]: two runs
-//! at the same knobs write **byte-identical** files (asserted by
+//! at the same knobs write **byte-identical** files, and over
+//! [`RtsConfig::base`] the files in `bench/baselines/` (both asserted by
 //! `tests/harness_determinism.rs`). Time and memory are `benchmark/`'s job;
 //! a record's seconds are a table column, never written and never asserted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use stapl_algorithms::prelude::*;
@@ -68,7 +70,7 @@ use stapl_views::assoc_view::MapView;
 use stapl_views::graph_view::GraphView;
 use stapl_views::matrix_view::RowsView;
 
-use crate::json::{escape, Json};
+use crate::json::escape;
 use crate::time_kernel;
 
 /// The one fixed seed threaded through every scenario generator (corpus
@@ -76,9 +78,9 @@ use crate::time_kernel;
 /// harness runs reproducible and makes "is this seeded?" greppable.
 pub const BENCH_SEED: u64 = 0x57A9_15EED;
 
-/// Schema version stamped into every `BENCH_*.json`; bump on breaking
-/// format changes so `bench-compare` can refuse mixed-schema diffs.
-/// Schema 2 holds only what is gated: `id`, `knobs`, the gated counters.
+/// Schema version stamped into every `BENCH_*.json`; bump on a format
+/// change, which moves every baseline. Schema 2 holds only what is gated:
+/// `id`, `knobs`, the gated counters.
 pub const SCHEMA_VERSION: u64 = 2;
 
 type Knobs = Vec<(&'static str, String)>;
@@ -1392,7 +1394,8 @@ impl AreaReport {
     /// Serializes the report as the `BENCH_<area>.json` schema: per record
     /// its id, its knobs and its gated counters, nothing that differs
     /// between two runs of one commit. Pretty enough for line-oriented git
-    /// diffs (one counter per line), strict enough for [`Json::parse`].
+    /// diffs (one counter per line), strict enough for
+    /// [`Json::parse`](crate::json::Json::parse).
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"area\": \"{}\",\n  \"records\": [\n",
@@ -1430,85 +1433,10 @@ impl AreaReport {
     }
 }
 
-/// A `BENCH_*.json` file read back for comparison (any counter name is
-/// accepted here; `compare` decides what a name it cannot gate means).
-#[derive(Debug)]
-pub struct ParsedArea {
-    pub area: String,
-    pub records: Vec<ParsedRecord>,
-}
-
-/// One record read back: its id and its gated counters.
-#[derive(Debug)]
-pub struct ParsedRecord {
-    pub id: String,
-    pub counters: BTreeMap<String, u64>,
-}
-
-impl ParsedArea {
-    pub fn parse(text: &str) -> Result<ParsedArea, String> {
-        let v = Json::parse(text)?;
-        let schema = v.get("schema").and_then(Json::as_u64).ok_or("missing \"schema\"")?;
-        if schema != SCHEMA_VERSION {
-            return Err(format!("schema {schema} != supported {SCHEMA_VERSION}"));
-        }
-        let area = v.get("area").and_then(Json::as_str).ok_or("missing \"area\"")?.to_string();
-        let mut records = Vec::new();
-        for r in v.get("records").and_then(Json::as_arr).ok_or("missing \"records\"")? {
-            let id = r.get("id").and_then(Json::as_str).ok_or("record missing \"id\"")?;
-            let mut counters = BTreeMap::new();
-            if let Some(obj) = r.get("counters").and_then(Json::as_obj) {
-                for (k, v) in obj {
-                    let v = v.as_u64().ok_or_else(|| format!("counter {k} not a u64 in {id}"))?;
-                    counters.insert(k.clone(), v);
-                }
-            }
-            records.push(ParsedRecord { id: id.to_string(), counters });
-        }
-        Ok(ParsedArea { area, records })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stapl_rts::Class;
-    use std::collections::BTreeSet;
-
-    /// A gate must be able to fire: no area gates a timing counter, and
-    /// every deterministic counter is gated by some record of the
-    /// checked-in baselines **at a non-zero value** — a counter gated
-    /// only at zero is gated on a constant. `poisoned_responses` is the one
-    /// exception: no handler of the storm panics, and zero is the point.
-    #[test]
-    fn a_counter_is_gated_somewhere_iff_it_is_deterministic() {
-        let baselines =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines");
-        let mut fires = BTreeSet::new();
-        for area in AREAS {
-            let path = baselines.join(format!("BENCH_{}.json", area.name));
-            let text = std::fs::read_to_string(&path).expect("a baseline per area");
-            let parsed = ParsedArea::parse(&text).expect("baseline parses");
-            let gated: BTreeSet<&str> = area.gated.iter().map(|c| c.name()).collect();
-            for r in &parsed.records {
-                let held: BTreeSet<&str> = r.counters.keys().map(String::as_str).collect();
-                assert_eq!(held, gated, "{}/{} holds other than the area's gates", area.name, r.id);
-                fires.extend(r.counters.iter().filter(|(_, v)| **v > 0).map(|(k, _)| k.clone()));
-            }
-        }
-        for &c in Counter::ALL {
-            let gated = AREAS.iter().any(|a| a.gated.contains(&c));
-            match c.class() {
-                Class::Timing(why) => assert!(!gated, "{} is gated but timing: {why}", c.name()),
-                _ if c == Counter::poisoned_responses => assert!(gated),
-                _ => assert!(
-                    fires.contains(c.name()),
-                    "{} is deterministic but no baseline gates it above zero",
-                    c.name()
-                ),
-            }
-        }
-    }
+    use crate::json::Json;
 
     #[test]
     fn unknown_area_is_none() {
@@ -1533,27 +1461,20 @@ mod tests {
             }],
         };
         let text = report.to_json();
-        let parsed = ParsedArea::parse(&text).unwrap();
-        assert_eq!(parsed.area, "localization");
-        assert_eq!(parsed.records.len(), 1);
-        let r = &parsed.records[0];
-        assert_eq!(r.id, "copy/misaligned/p4");
+        let parsed = Json::parse(&text).unwrap();
+        assert_eq!(parsed.get("schema").and_then(Json::as_u64), Some(SCHEMA_VERSION));
+        assert_eq!(parsed.get("area").and_then(Json::as_str), Some("localization"));
+        let records = parsed.get("records").and_then(Json::as_arr).unwrap();
+        assert_eq!(records.len(), 1);
+        let r = &records[0];
+        assert_eq!(r.get("id").and_then(Json::as_str), Some("copy/misaligned/p4"));
         // The file holds the area's gated counters and nothing else.
-        let held: Vec<(&str, u64)> = r.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let counters = r.get("counters").and_then(Json::as_obj).unwrap();
+        let held: Vec<(&str, u64)> =
+            counters.iter().map(|(k, v)| (k.as_str(), v.as_u64().unwrap())).collect();
         let gated =
             [("bulk_requests", 3), ("element_fallbacks", 0), ("localized_chunks", 0), ("remote_requests", 4)];
         assert_eq!(held, gated);
         assert!(!text.contains("wall_s") && !text.contains("batches_sent"), "{text}");
-    }
-
-    #[test]
-    fn parse_rejects_other_schemas() {
-        for other in [1, 99] {
-            let text = format!("{{\"schema\": {other}, \"area\": \"x\", \"records\": []}}");
-            let err = ParsedArea::parse(&text).unwrap_err();
-            assert!(err.contains("schema"), "{err}");
-        }
-        assert!(ParsedArea::parse("{}").is_err());
-        assert!(ParsedArea::parse("not json").is_err());
     }
 }

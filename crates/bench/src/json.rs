@@ -1,16 +1,15 @@
-//! Minimal JSON reader/writer for the `BENCH_*.json` trajectory files.
+//! Minimal JSON reader, and the string escape the `BENCH_*.json` writer
+//! uses.
 //!
 //! The workspace builds with no registry access (vendor/README.md), so
-//! instead of serde this module hand-rolls the small subset the benchmark
-//! schema needs: objects, arrays, strings, numbers, booleans, and null.
-//! The writer only emits what the parser accepts, so harness output always
-//! round-trips through `bench-compare`.
+//! instead of serde this module hand-rolls the small subset a Chrome trace
+//! needs ([`crate::trace_check`] reads one): objects, arrays, strings,
+//! numbers, booleans, and null.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-/// A parsed JSON value. Objects use a `BTreeMap` so emission order (and
-/// therefore checked-in baseline diffs) is deterministic.
+/// A parsed JSON value. Objects use a `BTreeMap`, so keys iterate in
+/// order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     Null,
@@ -93,48 +92,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Formats a float so it parses back to the same value (Rust's shortest
-/// round-trip `Display`); non-finite values degrade to 0, which JSON
-/// cannot represent anyway.
-fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".into();
-    }
-    let s = format!("{v}");
-    s
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => write!(f, "{}", fmt_f64(*n)),
-            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
-            Json::Arr(a) => {
-                write!(f, "[")?;
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(o) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in o.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "\"{}\":{}", escape(k), v)?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
 }
 
 struct Parser<'a> {
@@ -346,24 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn display_round_trips() {
-        let src = r#"{"area":"dir","records":[{"id":"a/b","wall_s":0.000123,"counters":{"remote_requests":42},"ok":true,"note":null}]}"#;
-        let v = Json::parse(src).unwrap();
-        let emitted = v.to_string();
-        assert_eq!(Json::parse(&emitted).unwrap(), v);
-    }
-
-    #[test]
-    fn floats_round_trip_exactly() {
-        for f in [0.1, 1e-9, 123456.789, 2f64.powi(53), 5.7e-3] {
-            let s = fmt_f64(f);
-            assert_eq!(s.parse::<f64>().unwrap(), f, "{f} via {s}");
-        }
-        assert_eq!(fmt_f64(f64::NAN), "0");
-        assert_eq!(fmt_f64(f64::INFINITY), "0");
-    }
-
-    #[test]
     fn u64_view_guards_precision() {
         assert_eq!(Json::Num(7.0).as_u64(), Some(7));
         assert_eq!(Json::Num(7.5).as_u64(), None);
@@ -374,8 +313,8 @@ mod tests {
     #[test]
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let v = Json::Str("quote \" slash \\ tab \t".into());
-        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        let s = "quote \" slash \\ tab \t";
+        assert_eq!(Json::parse(&format!("\"{}\"", escape(s))).unwrap(), Json::Str(s.into()));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! invocations per location plus the closing fence; report the maximum
 //! over locations), table printing, and the counter [`harness`]: one table
 //! of areas whose records `experiments --json` writes as
-//! `BENCH_<area>.json` for [`compare`] to gate, and `experiments <area>`
-//! prints and checks against the paper-style claims.
+//! `BENCH_<area>.json` (a sweep must reproduce the checked-in
+//! `bench/baselines/` byte for byte), and `experiments <area>` prints and
+//! checks against the paper-style claims.
 //!
 //! A figure of the paper's evaluation (Chapters VIII–XIII) that carries a
 //! claim about messages is a record of one area, its scenario named after
@@ -17,7 +18,6 @@ use std::time::Instant;
 
 use stapl_rts::Location;
 
-pub mod compare;
 pub mod harness;
 pub mod json;
 pub mod trace_check;

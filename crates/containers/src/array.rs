@@ -467,25 +467,29 @@ impl<T: Send + Clone + 'static> PArray<T> {
             rep.staging = Some((staging, new_dist.clone()));
         }
         loc.barrier();
-        // Phase 2: move every local element to its new home.
+        // Phase 2: move every local element to its new home, one request
+        // per destination carrying all of its (bcid, gid, value) moves.
         {
             let rep = self.obj.local();
-            let mut moves: Vec<(usize, usize, Bcid, T)> = Vec::new(); // (dest, gid, bcid, v)
+            let mut moves: Vec<Vec<(Bcid, usize, T)>> =
+                (0..loc.nlocs()).map(|_| Vec::new()).collect();
             for (_, bc) in rep.lm.iter() {
                 bc.for_each(|gid, v| {
                     let (nb, nl) = new_dist.locate(gid);
-                    moves.push((nl, gid, nb, v.clone()));
+                    moves[nl].push((nb, gid, v.clone()));
                 });
             }
             drop(rep);
-            for (dest, gid, nb, v) in moves {
+            for (dest, batch) in moves.into_iter().enumerate().filter(|(_, b)| !b.is_empty()) {
                 self.obj.invoke_at(dest, move |cell, _| {
                     let mut rep = cell.borrow_mut();
                     let staging =
                         &mut rep.staging.as_mut().expect("staging missing during redistribution").0;
-                    let bc = staging.get_mut(nb).expect("staging bcid");
-                    let off = bc.sd.offset(gid);
-                    bc.store[off] = v;
+                    for (nb, gid, v) in batch {
+                        let bc = staging.get_mut(nb).expect("staging bcid");
+                        let off = bc.sd.offset(gid);
+                        bc.store[off] = v;
+                    }
                 });
             }
         }
@@ -949,6 +953,25 @@ mod tests {
             a.rebalance();
             for i in 0..20 {
                 assert_eq!(a.get_element(i), i as i64 * 7);
+            }
+        });
+    }
+
+    /// A redistribution ships one request per (source, destination) pair,
+    /// not one per element.
+    #[test]
+    fn rotate_sends_one_request_per_destination() {
+        let (p, n) = (4, 4096);
+        execute(RtsConfig::base(), p, |loc| {
+            let a = PArray::from_fn(loc, n, |i| i as u64);
+            loc.rmi_fence();
+            let before = loc.stats();
+            a.rotate(1);
+            let sent = loc.stats().since(&before).remote_requests;
+            loc.barrier();
+            assert!(sent <= (p * (p - 1)) as u64, "rotate(1) sent {sent} remote requests");
+            for i in 0..n {
+                assert_eq!(a.get_element(i), i as u64, "element {i} lost in rotate");
             }
         });
     }

@@ -234,15 +234,17 @@ impl Location {
 
     /// Adds `n` to this location's counter `c`. Under `RtsConfig::trace`,
     /// a move of a traced row is also an instant named `c.name()` that
-    /// carries `n`; an untraced row compiles to the bare bump.
+    /// carries `n`; an untraced row compiles to the bare bump, and a traced
+    /// one, untraced run, to the bump and one test of `inner.trace`.
     #[inline]
     pub fn count(&self, c: Counter, n: u64) {
         self.inner.counters.bump(c, n);
-        if c.traced() && n != 0 {
+        if c.traced() && n != 0 && self.inner.trace.is_some() {
             self.trace_count(c, n);
         }
     }
 
+    #[cold]
     fn trace_count(&self, c: Counter, n: u64) {
         if let Some(t) = &self.inner.trace {
             t.borrow_mut().instant(c, self.now().as_nanos() as u64, n);

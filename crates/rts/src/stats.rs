@@ -11,18 +11,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How the bench gate may treat a counter (see `stapl-bench`'s
-/// `compare`). The first three are deterministic for a seeded scenario
-/// and name the drift direction that is a regression; `Timing` counters
-/// depend on thread interleaving or the wall clock and are never gated —
-/// the string says why.
+/// Whether the counter sweep (`stapl-bench`'s harness) may gate a counter.
+/// An `Exact` counter is deterministic for a seeded scenario, so a gated
+/// one must reproduce its baseline exactly; a `Timing` counter depends on
+/// thread interleaving or the wall clock and is never gated — the string
+/// says why.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Class {
-    /// Traffic or cost: doing more for the same scenario is the failure.
-    Up,
-    /// Benefit: the optimization silently stopped applying.
-    Down,
-    /// Exactness check: drift either way is a regression.
+    /// Deterministic: any move is a change the baselines must record.
     Exact,
     /// Not reproducible run to run, so not gateable.
     Timing(&'static str),
@@ -96,7 +92,7 @@ counters! {
     /// RMI requests shipped to another location. Bumped *before* the
     /// request becomes visible (even while it sits in an aggregation
     /// buffer), so the sum over locations is the fence's `sent` count.
-    remote_requests: Up, traced;
+    remote_requests: Exact, traced;
     /// Delivered requests run to completion here, forwards included. The
     /// fence reads it: at a fence the sum over locations is
     /// `remote_requests`.
@@ -116,34 +112,34 @@ counters! {
     steal_requests: Timing("probe traffic tracks idle time"), traced;
     /// Directory-routed requests sent straight to a cached owner (the
     /// optimistic one-hop path that skips the home location).
-    dir_cache_hits: Down, traced;
+    dir_cache_hits: Exact, traced;
     /// Directory-routed requests that had no usable cache entry and paid
     /// the home-location hop (counted only when caching is enabled).
-    dir_cache_misses: Up, traced;
+    dir_cache_misses: Exact, traced;
     /// Cached-owner guesses that turned out stale: the element had moved,
     /// and the request self-healed by re-forwarding through its home.
-    dir_cache_stale: Up, traced;
+    dir_cache_stale: Exact, traced;
     /// Elements or base containers that left this location by
     /// `dir_migrate` (counted where the payload was extracted).
-    migrations: Up, traced;
+    migrations: Exact, traced;
     /// Bulk-range RMIs issued: one per (owner, contiguous run) shipped as a
     /// single message by `get_range`/`set_range`/`apply_range`.
-    bulk_requests: Up, traced;
+    bulk_requests: Exact, traced;
     /// Chunks served by a direct local slice borrow (one `RefCell` borrow
     /// for the whole chunk) — the view-localization fast path.
-    localized_chunks: Down, untraced;
+    localized_chunks: Exact, untraced;
     /// Elements processed one-at-a-time where a chunk path was asked for
     /// but unavailable (a view without a localized override).
-    element_fallbacks: Up, untraced;
+    element_fallbacks: Exact, untraced;
     /// Segment RMIs issued by the dynamic-container bulk transport: one
     /// per (owner, base-container segment) shipped as a single message by
     /// `get_segment`/`set_segment` and `merge_segment` (the grouped
     /// MapReduce merge).
-    segment_requests: Up, traced;
+    segment_requests: Exact, traced;
     /// Items shipped as payload by the data-collecting operations
     /// (`collect_ordered` gathers, opt-in broadcasts): the simulated
     /// bytes-on-the-wire proxy the O(N·P) → O(N) assertions measure.
-    gather_items: Up, traced;
+    gather_items: Exact, traced;
     /// Bytes of the capture images staged for remote requests and
     /// responses: per request, the shallow size of its capture rounded up
     /// to a word — what is actually handed over, a `Vec` inside a capture
@@ -151,15 +147,15 @@ counters! {
     /// reliable layer's seals, acks and retransmissions are *excluded*:
     /// where a run breaks, flush and retry counts are timing-dependent and
     /// this counter must stay deterministic so it can be gated.
-    bytes_sent: Up, untraced;
+    bytes_sent: Exact, untraced;
     /// Requests lost to *injected* damage: fault-injected drops and
     /// corrupt-batch rejections, counted in requests. A pure function of
     /// (fault seed, src, dest, seq); zero on a fault-free fabric.
-    frames_dropped: Up, traced;
+    frames_dropped: Exact, traced;
     /// Batches re-sent by the reliable layer's retransmit timer.
     retransmits: Timing("the RTO also redrives batches that were merely late, not lost"), traced;
     /// Inbound batches rejected by their checksum before any record ran.
-    checksum_failures: Up, traced;
+    checksum_failures: Exact, traced;
     /// Standalone ack batches sent by the reliable layer.
     acks_sent: Timing("every duplicate is re-acked, so it inherits the RTO's timing"), traced;
     /// Requests this location sent whose carrying batch the destination
@@ -171,7 +167,7 @@ counters! {
     duplicates_discarded: Timing("counts spurious RTO redrives of merely-late batches"), untraced;
     /// Panics of sync / split-phase handlers, caught where they ran and
     /// sent back as poisoned responses that fail only the issuing future.
-    poisoned_responses: Up, traced;
+    poisoned_responses: Exact, traced;
 }
 
 impl Counter {
