@@ -1437,6 +1437,48 @@ impl AreaReport {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use stapl_rts::Class;
+    use std::collections::BTreeSet;
+
+    /// A gate must be able to fire: no area gates a timing counter, and
+    /// every deterministic counter is gated by some record of the
+    /// checked-in baselines **at a non-zero value** — a counter gated
+    /// only at zero is gated on a constant. `poisoned_responses` is the one
+    /// exception: no handler of the storm panics, and zero is the point.
+    /// `tests/harness_determinism.rs` holds a sweep to these files byte for
+    /// byte and checks the same rules on that sweep's in-process records.
+    #[test]
+    fn a_counter_is_gated_somewhere_iff_it_is_deterministic() {
+        let baselines =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines");
+        let mut fires = BTreeSet::new();
+        for area in AREAS {
+            let path = baselines.join(format!("BENCH_{}.json", area.name));
+            let text = std::fs::read_to_string(&path).expect("a baseline per area");
+            let parsed = Json::parse(&text).expect("baseline parses");
+            let gated: BTreeSet<&str> = area.gated.iter().map(|c| c.name()).collect();
+            for r in parsed.get("records").and_then(Json::as_arr).expect("records") {
+                let id = r.get("id").and_then(Json::as_str).expect("an id");
+                let counters = r.get("counters").and_then(Json::as_obj).expect("counters");
+                let held: BTreeSet<&str> = counters.keys().map(String::as_str).collect();
+                assert_eq!(held, gated, "{}/{id} holds other than the area's gates", area.name);
+                let above_zero = counters.iter().filter(|(_, v)| v.as_u64() != Some(0));
+                fires.extend(above_zero.map(|(k, _)| k.clone()));
+            }
+        }
+        for &c in Counter::ALL {
+            let gated = AREAS.iter().any(|a| a.gated.contains(&c));
+            match c.class() {
+                Class::Timing(why) => assert!(!gated, "{} is gated but timing: {why}", c.name()),
+                _ if c == Counter::poisoned_responses => assert!(gated),
+                Class::Exact => assert!(
+                    fires.contains(c.name()),
+                    "{} is deterministic but no baseline gates it above zero",
+                    c.name()
+                ),
+            }
+        }
+    }
 
     #[test]
     fn unknown_area_is_none() {
