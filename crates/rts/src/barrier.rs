@@ -162,9 +162,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "peer location panicked")]
+    #[should_panic(expected = "location 1 dies before the barrier")]
     fn poisoned_barrier_panics_waiters() {
-        // Location 0 waits at the barrier location 1 never reaches.
+        // Location 0 aborts its wait at the barrier location 1 never reaches.
         crate::execute(crate::RtsConfig::default(), 2, |loc| {
             if loc.id() == 1 {
                 panic!("location 1 dies before the barrier");

@@ -2,9 +2,9 @@
 //!
 //! A [`Location`] is the paper's abstraction of "a component of a parallel
 //! machine that has a contiguous address space and associated execution
-//! capabilities". Each location runs on its own OS thread; the `Location`
-//! handle is `!Send` and cheap to clone (it is an `Rc` around the
-//! per-thread state).
+//! capabilities". Each location runs on its own OS thread, location 0 on
+//! the caller of `execute`; the `Location` handle is `!Send` and cheap to
+//! clone (it is an `Rc` around the per-thread state).
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -60,9 +60,9 @@ pub(crate) struct Shared {
     /// fence's quiescence test sum over it at read time.
     pub counters: Vec<Arc<CounterBlock>>,
     pub barrier: PollBarrier,
-    /// The message of the first location to panic: once set, every wait
-    /// aborts naming it instead of hanging ([`Location::wait_until`]).
-    pub poisoned: OnceLock<String>,
+    /// The first location to panic and its message: once set, every wait
+    /// aborts naming it ([`Location::wait_until`]); `execute` re-raises it.
+    pub poisoned: OnceLock<(usize, String)>,
     /// Indexed by handle: how many locations have retired it
     /// ([`Location::retire`]). A location reclaims a representative only
     /// once this reads `nlocs` (DESIGN.md "p_object lifetime").
@@ -816,7 +816,7 @@ impl Location {
     fn spin(&self, mut ready: impl FnMut() -> bool, mut checked: bool) {
         let mut empty_polls = 0u32;
         while !ready() {
-            if let Some(why) = self.inner.shared.poisoned.get() {
+            if let Some((_, why)) = self.inner.shared.poisoned.get() {
                 panic!("stapl-rts: a peer location panicked while this location waited: {why}");
             }
             if !std::mem::replace(&mut checked, true) {
@@ -836,7 +836,7 @@ impl Location {
 
     /// Poisons the execution with `payload`'s message, unless one came first.
     pub(crate) fn mark_panicked(&self, payload: &(dyn Any + Send)) {
-        let _ = self.inner.shared.poisoned.set(panic_message(payload));
+        let _ = self.inner.shared.poisoned.set((self.id(), panic_message(payload)));
     }
 
     /// Panics, naming the caller's site, where this location must not wait
@@ -966,7 +966,7 @@ impl Location {
 /// Extracts the human-readable message out of a caught panic payload
 /// (panics raise `&str` or `String` in practice; anything else gets a
 /// placeholder rather than a second panic inside the handler shim).
-fn panic_message(p: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

@@ -13,15 +13,19 @@ use crate::transport::Batch;
 use crate::stats::CounterBlock;
 use crate::trace::RunTrace;
 
-/// Runs `f` on `nlocs` locations (one OS thread each) in SPMD fashion and
-/// returns each location's result, indexed by location id.
+/// Runs `f` on `nlocs` locations in SPMD fashion and returns each
+/// location's result, indexed by location id. Location 0 is the calling
+/// thread; locations 1.. each run on a thread of their own, so `nlocs = 1`
+/// starts none. The caller's thread-local state is location 0's, and it
+/// persists from one `execute` to the next.
 ///
 /// An implicit [`Location::rmi_fence`] runs after `f` returns on every
 /// location, so all asynchronous RMIs issued by `f` complete before
 /// `execute_collect` returns (the paper's program-exit guarantee).
 ///
-/// If any location panics, the panic is propagated and the remaining
-/// locations abort their waits instead of hanging, naming the first panic.
+/// If any location panics, the remaining locations abort their waits
+/// instead of hanging, naming the first panic, and that panic (the first
+/// location's to panic, not a peer's report of it) is propagated.
 pub fn execute_collect<R, F>(cfg: RtsConfig, nlocs: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -41,13 +45,7 @@ where
     F: Fn(&Location) -> R + Send + Sync,
 {
     assert!(nlocs >= 1, "need at least one location");
-    let mut senders = Vec::with_capacity(nlocs);
-    let mut receivers = Vec::with_capacity(nlocs);
-    for _ in 0..nlocs {
-        let (tx, rx) = unbounded::<Batch>();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..nlocs).map(|_| unbounded::<Batch>()).unzip();
     let shared = Arc::new(Shared {
         nlocs,
         cfg,
@@ -59,39 +57,38 @@ where
         board: (0..nlocs).map(|_| Mutex::default()).collect(),
         epoch: std::time::Instant::now(),
     });
-    let f = &f;
-    let mut results = Vec::with_capacity(nlocs);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(id, rx)| {
-                let shared = shared.clone();
-                s.spawn(move || {
-                    let loc = Location::new(id, shared, rx);
-                    // A panic poisons the execution, so peers waiting at
-                    // barriers or futures abort instead of hanging.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let r = f(&loc);
-                        loc.fence(Kind::Exit);
-                        // Post-fence the execution is globally quiescent, so
-                        // the buffer already holds every event this location
-                        // will ever record.
-                        (r, loc.take_trace())
-                    }))
-                    .unwrap_or_else(|payload| {
-                        loc.mark_panicked(&*payload);
-                        resume_unwind(payload)
-                    })
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().unwrap_or_else(|payload| resume_unwind(payload)));
-        }
+    let run = |id, rx| {
+        let loc = Location::new(id, shared.clone(), rx);
+        // A panic poisons the execution, so peers waiting at barriers or
+        // futures abort instead of hanging.
+        catch_unwind(AssertUnwindSafe(|| {
+            let r = f(&loc);
+            loc.fence(Kind::Exit);
+            // Post-fence the execution is globally quiescent, so the buffer
+            // already holds every event this location will ever record.
+            (r, loc.take_trace())
+        }))
+        .map_err(|payload| {
+            loc.mark_panicked(&*payload);
+            payload
+        })
+    };
+    let outcomes: Vec<_> = std::thread::scope(|s| {
+        let mut receivers = receivers.into_iter().enumerate();
+        let (_, rx0) = receivers.next().expect("location 0's channel");
+        let peers: Vec<_> = receivers.map(|(id, rx)| s.spawn(move || run(id, rx))).collect();
+        let theirs = peers.into_iter().map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)));
+        std::iter::once(run(0, rx0)).chain(theirs).collect()
     });
-    let (results, traces): (Vec<R>, Vec<_>) = results.into_iter().unzip();
-    // Every location hands back a trace, or (tracing off) none does.
+    // Re-raise the panic that poisoned the execution, not a peer's report
+    // of it (a wait that aborted, a flush to a location that had exited).
+    if let Some(&(first, _)) = shared.poisoned.get() {
+        let payload = outcomes.into_iter().nth(first).and_then(Result::err);
+        resume_unwind(payload.expect("the location that poisoned the execution panicked"))
+    }
+    // No location panicked. Every location hands back a trace, or (tracing
+    // off) none does.
+    let (results, traces): (Vec<R>, Vec<_>) = outcomes.into_iter().flatten().unzip();
     let locs = traces.into_iter().collect::<Option<Vec<_>>>();
     (results, locs.map(|locs| RunTrace { nlocs, locs }))
 }
@@ -108,9 +105,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::location::panic_message;
     use crate::stats::Counter;
     use crate::trace::{LocationTrace, SpanKind, TraceEvent};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn single_location_runs() {
@@ -301,6 +299,57 @@ mod tests {
     }
 
     #[test]
+    fn location_0_is_the_calling_thread_and_keeps_its_thread_locals() {
+        thread_local!(static RUNS: Cell<u32> = const { Cell::new(0) });
+        let me = std::thread::current().id();
+        let run = |nlocs| {
+            execute_collect(RtsConfig::default(), nlocs, |_| {
+                RUNS.with(|n| n.set(n.get() + 1));
+                std::thread::current().id()
+            })
+        };
+        assert_eq!(run(1), vec![me]);
+        let ids = run(3);
+        assert!(ids[0] == me && ids[1] != me && ids[2] != me && ids[1] != ids[2], "caller {me:?}, locations {ids:?}");
+        assert_eq!(RUNS.with(Cell::get), 2, "location 0's runs, not its peers'");
+    }
+
+    /// `waits.rs::is_ready_reports_a_panicked_peer` with the roles swapped:
+    /// the caller's location panics while one peer probes `is_ready` and
+    /// another waits at a barrier. Both waits abort naming it, and it is the
+    /// panic `execute` re-raises.
+    #[test]
+    fn a_panic_on_location_0_aborts_waiting_peers_and_is_reraised() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let (waiting, reported) = (AtomicUsize::new(0), Mutex::new(Vec::new()));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            execute(RtsConfig::default(), 3, |loc| {
+                if loc.id() == 0 {
+                    loc.wait_until(|| waiting.load(SeqCst) == 2);
+                    panic!("location 0 dies without replying");
+                }
+                // A reply only location 0 could have sent.
+                let (_token, fut) = loc.make_reply_slot::<u64>();
+                waiting.fetch_add(1, SeqCst);
+                let wait = catch_unwind(AssertUnwindSafe(|| {
+                    if loc.id() == 2 {
+                        loc.barrier();
+                    }
+                    let start = std::time::Instant::now();
+                    while start.elapsed().as_secs() < 10 {
+                        assert!(!fut.is_ready(), "nobody replied");
+                    }
+                }));
+                reported.lock().unwrap().extend(wait.err().map(|p| panic_message(&*p)));
+            })
+        }));
+        assert_eq!(run.err().map(|p| panic_message(&*p)).as_deref(), Some("location 0 dies without replying"));
+        let reported = reported.into_inner().unwrap();
+        let told = |why: &String| why.contains("peer location panicked") && why.contains("location 0 dies");
+        assert!(reported.len() == 2 && reported.iter().all(told), "each peer's wait aborts: {reported:?}");
+    }
+
+    #[test]
     fn unregistered_handle_panic_names_the_p_object() {
         execute(RtsConfig::default(), 1, |loc| {
             let (h, _rep) = loc.register_cell(String::from("payload"));
@@ -309,11 +358,7 @@ mod tests {
                 loc.lookup::<RefCell<String>>(h);
             }))
             .expect_err("lookup of an unregistered handle must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .expect("panic payload should be a string");
+            let msg = panic_message(&*err);
             // The message must name the dead p_object's type, not just a
             // numeric handle, so the failing container can be identified.
             assert!(msg.contains("RefCell"), "panic must name the type: {msg}");
@@ -366,11 +411,7 @@ mod tests {
                 loc.lookup::<RefCell<i64>>(h);
             }))
             .expect_err("type-mismatched lookup must panic");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .expect("panic payload should be a string");
+            let msg = panic_message(&*err);
             assert!(msg.contains("u32"), "panic must name the registered type: {msg}");
             assert!(msg.contains("i64"), "panic must name the expected type: {msg}");
         });

@@ -1,33 +1,74 @@
 //! The one wait loop, the one clock and the one rendezvous
 //! (`Location::wait_until`, `Location::now`, `PollBarrier::rendezvous`):
 //! no library code waits or reads the clock anywhere else; every wait, even
-//! a single `is_ready` probe, learns of a panicked peer; and what a
-//! collective's rendezvous publishes is gone before the next collective
-//! starts.
+//! a single `is_ready` probe, learns of a panicked peer, and `execute`
+//! re-raises the panic that came first; and what a collective's rendezvous
+//! publishes is gone before the next collective starts.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stapl_rts::{execute, RtsConfig};
 
+/// A panic payload's message.
+fn message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast_ref::<&str>().map_or("<non-string panic payload>", |s| s).to_string(),
+    }
+}
+
 /// A caller that polls `is_ready` in its own loop, instead of calling `get`,
 /// is told of a dead peer too, rather than spinning forever.
 #[test]
-#[should_panic(expected = "peer location panicked")]
+#[should_panic(expected = "location 1 dies without replying")]
 fn is_ready_reports_a_panicked_peer() {
-    execute(RtsConfig::default(), 2, |loc| {
-        if loc.id() == 1 {
-            panic!("location 1 dies without replying");
-        }
-        // A reply only location 1 could have sent.
-        let (_token, fut) = loc.make_reply_slot::<u64>();
-        let start = Instant::now();
-        while start.elapsed() < Duration::from_secs(10) {
-            assert!(!fut.is_ready(), "nobody replied");
-        }
-        panic!("is_ready spun for 10 s without noticing that location 1 is gone");
-    });
+    let reported = Mutex::new(None);
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        execute(RtsConfig::default(), 2, |loc| {
+            if loc.id() == 1 {
+                panic!("location 1 dies without replying");
+            }
+            // A reply only location 1 could have sent.
+            let (_token, fut) = loc.make_reply_slot::<u64>();
+            let start = Instant::now();
+            let probe = catch_unwind(AssertUnwindSafe(|| {
+                while start.elapsed() < Duration::from_secs(10) {
+                    assert!(!fut.is_ready(), "nobody replied");
+                }
+            }));
+            *reported.lock().unwrap() = probe.err().map(message);
+        })
+    }));
+    let why = reported.into_inner().unwrap().expect("is_ready spun for 10 s without noticing that location 1 is gone");
+    // Not `why` in the message: it holds the text this test expects.
+    assert!(why.contains("peer location panicked") && why.contains("location 1 dies"), "is_ready's abort names no peer");
+    // What `execute` re-raises is location 1's panic.
+    resume_unwind(run.expect_err("location 1's panic propagates"))
+}
+
+/// Location 1 panics and exits; location 0, which never waited meanwhile,
+/// then sends to it, and its flush fails because location 1's channel hung
+/// up. `execute` must re-raise location 1's panic, the cause, not location
+/// 0's report of the hang-up.
+#[test]
+fn execute_reraises_the_first_panic_not_a_peers_hang_up() {
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        execute(RtsConfig::unbuffered(), 2, |loc| {
+            if loc.id() == 1 {
+                panic!("boom");
+            }
+            let (h, _rep) = loc.register(());
+            std::thread::sleep(Duration::from_millis(100));
+            loc.async_rmi(1, h, |_: &(), _| ());
+            loc.rmi_fence();
+        })
+    }))
+    .expect_err("location 1's panic must propagate");
+    let msg = message(err);
+    assert!(msg.contains("boom"), "re-raised {msg}");
 }
 
 /// A collective payload that counts its live copies.

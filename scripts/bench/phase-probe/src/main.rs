@@ -35,8 +35,11 @@
 //! location 0's `PassRec` phases by timestamp (a phase's peak is the most
 //! live at its start or at any call inside it).
 //! It also adds one line per pass from the counting allocator: the
-//! most bytes live at once during the pass and the bytes live after its
-//! closing fence, both over what was live when pass 0 began, the
+//! most bytes live at once during the pass, the process's resident-set
+//! high-water mark after it (`VmHWM`, read as `peak_rss_mb` reads it;
+//! absolute and never falling, so a resident-memory change can be placed
+//! in a pass) and the bytes live after its closing fence, the two
+//! allocator figures over what was live when pass 0 began, the
 //! allocator calls (`alloc` + `realloc` + `dealloc`) the pass made and
 //! those made while location 0 was in its closing fence, and
 //! the pass's `remote_requests` and `bytes_sent` summed over locations
@@ -56,6 +59,7 @@ use std::time::Instant;
 use stapl::rts::{execute, RtsConfig};
 use stapl_benchmark::estimate::{median, p10};
 use stapl_benchmark::harness::{Workload, PASSES};
+use stapl_benchmark::host::peak_rss_mib;
 use stapl_benchmark::spans::{now_ns, Layer, PassRec};
 use stapl_benchmark::workloads::{array_bulk, dynamic_graph_kv, rmi_reads, rmi_writes};
 
@@ -158,9 +162,9 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
         // (name, min ns) in first-seen order; the pass and the reference last.
         let mut mins: Vec<(&'static str, u64)> = Vec::new();
         let (mut pass_min, mut ref_min) = (u64::MAX, u64::MAX);
-        // Per pass: (peak live, live after) over `base`, allocator calls in
-        // the pass and in its closing fence, remote requests and bytes sent
-        // by all locations.
+        // Per pass: peak live over `base`, VmHWM in MiB (`--mem`, location 0),
+        // live after over `base`, allocator calls in the pass and in its
+        // closing fence, remote requests and bytes sent by all locations.
         let mut mem = Vec::with_capacity(passes);
         // (name, most bytes live over `base`) in first-seen order, `--mem` only.
         let mut peaks: Vec<(&'static str, u64)> = Vec::new();
@@ -192,7 +196,10 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             loc.barrier();
             let over_base = |bytes: &AtomicUsize| bytes.load(Relaxed).wrapping_sub(base) as isize;
             let sent = loc.stats().since(&sent);
-            mem.push((over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls, reclaim, sent.remote_requests, sent.bytes_sent));
+            let (peak, after, calls) = (over_base(&PEAK), over_base(&LIVE), CALLS.load(Relaxed) - calls);
+            // Read after the counted figures: reading the file allocates.
+            let hwm = (COUNTING.load(Relaxed) && loc.id() == 0).then(peak_rss_mib).flatten();
+            mem.push((peak, hwm, after, calls, reclaim, sent.remote_requests, sent.bytes_sent));
             if COUNTING.load(Relaxed) && loc.id() == 0 {
                 unsampled = unsampled.max(SAMPLED.load(Relaxed).saturating_sub(SAMPLES));
                 for (name, peak) in phase_peaks(&rec, base) {
@@ -233,14 +240,15 @@ fn probe<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize) {
             println!("  ({unsampled} allocator calls of the busiest pass went unsampled: its phase peaks are low bounds)");
         }
         if COUNTING.load(Relaxed) {
-            println!("  pass   peak live MiB   live after MiB   allocator calls   in closing fence   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
-            for (pass, (peak, after, calls, reclaim, requests, bytes)) in mem.iter().enumerate() {
+            println!("  pass   peak live MiB   VmHWM MiB   live after MiB   allocator calls   in closing fence   remote requests   bytes sent   peak live B/request   (over {:.2} MiB live before pass 0)", mib(base as isize));
+            for (pass, (peak, hwm, after, calls, reclaim, requests, bytes)) in mem.iter().enumerate() {
                 // Without a remote request (P=1) the column has nothing to divide by.
                 let per_request = match requests {
                     0 => "–".to_string(),
                     n => format!("{:.1}", *peak as f64 / *n as f64),
                 };
-                println!("  {pass:>4}   {:>13.2}   {:>14.2}   {calls:>15}   {reclaim:>16}   {requests:>15}   {bytes:>10}   {per_request:>19}", mib(*peak), mib(*after));
+                let hwm = hwm.map_or("–".to_string(), |mib| format!("{mib:.2}"));
+                println!("  {pass:>4}   {:>13.2}   {hwm:>9}   {:>14.2}   {calls:>15}   {reclaim:>16}   {requests:>15}   {bytes:>10}   {per_request:>19}", mib(*peak), mib(*after));
             }
         }
     });
