@@ -7,9 +7,9 @@
 //! * **Container-native** algorithms take any container implementing
 //!   [`LocalIteration`] and process each location's elements in place —
 //!   the native-view fast path (no communication except the final fence /
-//!   reduction). This works uniformly for pArray, pVector, pList and
-//!   pMatrix, which is exactly the genericity Fig. 40 and Fig. 60
-//!   measure.
+//!   reduction). This works uniformly for pArray (a pVector's `array()`
+//!   included), pList and pMatrix, which is exactly the genericity Fig. 40
+//!   and Fig. 60 measure.
 //! * **View-based** algorithms (suffix `_view`) take any
 //!   [`ViewRead`]/[`ViewWrite`] and process the view's chunks through the
 //!   chunk-at-a-time primitives (`for_each_chunk`/`fill_from`/
@@ -129,19 +129,14 @@ where
 }
 
 /// Runs `f` on `c`'s values over `gids`, a run inside one of its local
-/// storage pieces: the storage slice itself, or — storage that lends none
-/// (a pVector block whose bounds moved) — a `get_range` copy of the local
-/// run.
+/// storage pieces: on the storage slice itself.
 pub(crate) fn values<C: RangedContainer, R>(
     c: &C,
     bcid: Bcid,
     gids: Range1d,
-    mut f: impl FnMut(&[C::Value]) -> R,
+    f: impl FnOnce(&[C::Value]) -> R,
 ) -> R {
-    match c.with_slice(bcid, gids, &mut f) {
-        Some(r) => r,
-        None => f(&c.get_range(gids)),
-    }
+    c.with_slice(bcid, gids, f).expect("a local piece must lend its slice")
 }
 
 /// The read walk of the pairwise family: `f(a's values, b's values)` over
@@ -504,14 +499,15 @@ mod tests {
                 0u64,
             );
             let v = PVector::from_fn(loc, 10, |i| i as u32);
+            let v = v.array();
             p_generate(&cyclic, |_| 7);
-            p_for_each(&v, |x| {
+            p_for_each(v, |x| {
                 if *x % 2 == 0 {
                     *x = 100;
                 }
             });
             assert_eq!(p_count_if(&cyclic, |x| *x == 7), 17);
-            assert_eq!(p_count_if(&v, |x| *x == 100), 5);
+            assert_eq!(p_count_if(v, |x| *x == 100), 5);
             assert_eq!(v.get_element(9), 9);
         });
     }

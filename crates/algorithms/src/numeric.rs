@@ -11,22 +11,14 @@ use stapl_core::domain::Range1d;
 use stapl_core::gid::Bcid;
 use stapl_core::interfaces::RangedContainer;
 
-/// Runs `f` on the values of one local storage piece, in place: on the
-/// slice itself, or — storage that lends none (a pVector block whose
-/// bounds moved) — on a copy that is written back (the piece is local, so
-/// neither way is an RMI).
+/// Runs `f` on the values of one local storage piece, in place.
 fn on_piece<C: RangedContainer, R>(
     c: &C,
     bcid: Bcid,
     piece: Range1d,
-    f: impl Fn(&mut [C::Value]) -> R,
+    f: impl FnOnce(&mut [C::Value]) -> R,
 ) -> R {
-    c.with_slice_mut(bcid, piece, &f).unwrap_or_else(|| {
-        let mut vals = c.get_range(piece);
-        let r = f(&mut vals);
-        c.set_range(piece.lo, &vals);
-        r
-    })
+    c.with_slice_mut(bcid, piece, f).expect("a local piece must lend its slice")
 }
 
 /// `p_partial_sum`: in-place inclusive prefix sum over an indexed

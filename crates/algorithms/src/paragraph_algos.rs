@@ -90,7 +90,7 @@ mod tests {
 
     /// The equivalence the `_pg` entry points promise: results identical
     /// to their SPMD counterparts, with and without stealing, on a
-    /// localized view and on an unlocalized one over pVector.
+    /// localized view and on an unlocalized one over a pVector's array.
     #[test]
     fn generate_pg_matches_spmd() {
         for policy in [ExecPolicy::default(), ExecPolicy::no_stealing()] {
@@ -104,11 +104,11 @@ mod tests {
                 }
 
                 let v = PVector::new(loc, 23, 0u64);
-                p_generate_pg(&BalancedView::new(ArrayView::new(v.clone())), policy, |k| {
+                p_generate_pg(&BalancedView::new(ArrayView::new(v.array().clone())), policy, |k| {
                     k as u64 + 100
                 });
                 for i in 0..23 {
-                    assert_eq!(v.get_element(i), i as u64 + 100);
+                    assert_eq!(v.array().get_element(i), i as u64 + 100);
                 }
             });
         }
@@ -126,7 +126,7 @@ mod tests {
                 );
 
                 let v = PVector::from_fn(loc, 19, |i| i as u64 * 2);
-                let vv = ArrayView::new(v);
+                let vv = ArrayView::new(v.array().clone());
                 assert_eq!(
                     p_reduce_pg(&vv, policy, |_, x| x, u64::max),
                     p_reduce_view(&vv, |_, x| x, u64::max),

@@ -19,7 +19,7 @@ use stapl_core::interfaces::{
 };
 use stapl_core::location_manager::LocationManager;
 use stapl_core::mapper::{CyclicMapper, GeneralMapper, PartitionMapper};
-use stapl_core::partition::{BalancedPartition, IndexPartition, IndexSubDomain};
+use stapl_core::partition::{BalancedPartition, ExplicitPartition, IndexPartition, IndexSubDomain};
 use stapl_core::pobject::PObject;
 use stapl_rts::{Counter, LocId, Location, RmiFuture};
 
@@ -529,6 +529,36 @@ impl<T: Send + Clone + 'static> PArray<T> {
         };
         self.redistribute(partition, GeneralMapper::new(nlocs, assignment));
     }
+
+    /// **Collective.** Re-cuts the array into one contiguous block per
+    /// location, location `l`'s block `l` (pVector's commit). After a fence,
+    /// `edit(lo, block)` rewrites this location's elements in place — its
+    /// block, first GID `lo`; empty where it holds none. The new lengths,
+    /// allgathered, become an [`ExplicitPartition`] placed cyclically,
+    /// installed here before the closing barrier: an element method a peer
+    /// issues once it has left finds the new layout on every location. The
+    /// array is the same object, so every handle and view follows.
+    pub(crate) fn reblock(&self, edit: impl FnOnce(usize, &mut Vec<T>)) {
+        let loc = self.obj.location().clone();
+        let me = loc.id();
+        loc.rmi_fence();
+        let (lo, mut block) = {
+            let mut rep = self.obj.local_mut();
+            match (rep.lm.remove_bcontainer(me), rep.lm.num_bcontainers()) {
+                (Some(ArrayBc { sd: IndexSubDomain::Contiguous(r), store }), 0) => (r.lo, store),
+                (None, 0) => (rep.dist.global_size(), Vec::new()),
+                _ => panic!("reblock: location {me}'s elements are not its own contiguous block {me}"),
+            }
+        };
+        edit(lo, &mut block);
+        let lens = loc.allgather(block.len());
+        let dist = IndexDistribution::new(ExplicitPartition::from_sizes(&lens), CyclicMapper::new(loc.nlocs()));
+        let mut rep = self.obj.local_mut();
+        rep.lm.add_bcontainer(me, ArrayBc { sd: dist.partition().subdomain(me), store: block });
+        rep.dist = dist;
+        drop(rep);
+        loc.barrier();
+    }
 }
 
 impl<T: Send + Clone + 'static> PContainer for PArray<T> {
@@ -752,7 +782,7 @@ impl<T: Send + Clone + 'static> RangedContainer for PArray<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stapl_core::partition::{BlockCyclicPartition, BlockedPartition, ExplicitPartition};
+    use stapl_core::partition::{BlockCyclicPartition, BlockedPartition};
     use stapl_rts::{execute, RtsConfig};
 
     #[test]

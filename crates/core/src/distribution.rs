@@ -187,9 +187,20 @@ mod tests {
                 crate::partition::ExplicitPartition::from_sizes(&[3, 9, 1, 8]),
                 CyclicMapper::new(4),
             ),
+            // Blocks a pVector commit emptied, and an empty domain.
+            IndexDistribution::new(
+                crate::partition::ExplicitPartition::from_sizes(&[0, 3, 0, 2]),
+                CyclicMapper::new(4),
+            ),
+            IndexDistribution::new(
+                crate::partition::ExplicitPartition::from_sizes(&[0, 0]),
+                CyclicMapper::new(2),
+            ),
         ];
         for d in &dists {
-            for (lo, hi) in [(0, d.global_size()), (1, d.global_size() - 2), (5, 5)] {
+            // The whole domain, an inner range and an empty one, cut to `n`.
+            let (n, cut) = (d.global_size(), |g: usize| g.min(d.global_size()));
+            for (lo, hi) in [(0, n), (cut(1), cut(1).max(n.saturating_sub(2))), (cut(5), cut(5))] {
                 let r = Range1d::new(lo, hi);
                 let runs = d.contiguous_runs(r);
                 // Runs are consecutive and cover exactly [lo, hi).

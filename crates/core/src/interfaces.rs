@@ -99,14 +99,14 @@ pub trait LocalIteration<G: Gid>: ElementRead<G> {
     fn for_each_local_mut(&self, f: impl FnMut(G, &mut Self::Value));
 }
 
-/// Indexed pContainers (Table XIV: pArray, pMatrix through its row-major
-/// linearization, pVector as of its last commit): GIDs are dense indices
-/// `[0, n)`, and contiguous GID ranges have **bulk-range transport** (the
-/// localization layer's container half). A range moves as one RMI per
-/// (owner, storage-contiguous run) instead of one boxed request per
-/// element, and a fully-local run is served by a direct slice borrow —
-/// one `RefCell` borrow per chunk. This is the coarsening the paper's
-/// localized views rely on to run pAlgorithms at sequential speed.
+/// Indexed pContainers (Table XIV: pArray, and through it pMatrix's
+/// row-major linearization and pVector's committed elements): GIDs are
+/// dense indices `[0, n)`, and contiguous GID ranges have **bulk-range
+/// transport** (the localization layer's container half). A range moves
+/// as one RMI per (owner, storage-contiguous run) instead of one boxed
+/// request per element, and a fully-local run is served by a direct slice
+/// borrow — one `RefCell` borrow per chunk. This is the coarsening the
+/// paper's localized views rely on to run pAlgorithms at sequential speed.
 ///
 /// Every remote run, of any length, ships as one bulk RMI. Instrumentation:
 /// bulk RMIs bump `bulk_requests` and direct slice borrows bump
@@ -141,10 +141,8 @@ pub trait RangedContainer: ElementWrite<usize> + LocalIteration<usize> {
 
     /// Direct borrow of the local contiguous storage backing `gids`
     /// (which must be one storage-contiguous run inside `bcid`, as
-    /// produced by [`RangedContainer::runs`]). `None` when the run is not
-    /// on this location or the storage no longer holds it as one slice (a
-    /// pVector block whose bounds moved) — callers fall back to
-    /// [`RangedContainer::get_range`].
+    /// produced by [`RangedContainer::runs`]). `None` exactly when `bcid`
+    /// is not stored on this location: every local piece lends its slice.
     fn with_slice<R>(
         &self,
         bcid: Bcid,

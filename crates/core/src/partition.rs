@@ -296,8 +296,8 @@ impl BlockCyclicPartition {
 }
 
 /// `partition_blocked_explicit`: arbitrary consecutive block sizes, e.g.
-/// `BLOCK(v{3,4,4})`. Also the shape taken by pVector's partition after
-/// unbalanced inserts.
+/// `BLOCK(v{3,4,4})`, empty ones included. pVector's partition after every
+/// commit: one block per location, the lengths its edits left.
 #[derive(Clone, Debug)]
 pub struct ExplicitPartition {
     /// Cumulative upper bounds; sub-domain `i` is
@@ -579,6 +579,12 @@ mod tests {
         assert_eq!(p.find(3), 1);
         assert_eq!(p.find(6), 1);
         assert_eq!(p.find(7), 2);
+        // A pVector block a commit emptied: `find` skips empty sub-domains.
+        let p = IndexPartition::from(ExplicitPartition::from_sizes(&[0, 3, 0, 2]));
+        assert_eq!(check_cover(&p), vec![0, 3, 0, 2]);
+        assert_eq!((p.find(0), p.find(3)), (1, 3));
+        let p = IndexPartition::from(ExplicitPartition::from_sizes(&[0, 0]));
+        assert_eq!(check_cover(&p), vec![0, 0]);
     }
 
     #[test]

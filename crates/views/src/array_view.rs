@@ -9,6 +9,11 @@ use stapl_rts::{Counter, Location};
 
 use crate::view::{balanced_chunk, ViewRead, ViewWrite};
 
+/// The panic of a container that refuses the slice of one of its own local
+/// pieces: [`RangedContainer::with_slice`] is `None` only for a run stored
+/// elsewhere.
+const LOCAL: &str = "a local piece must lend its slice";
+
 /// `array_1d_view`: identity-mapped view over a sub-range of an indexed
 /// container, with **native** alignment: this location's chunks are the
 /// intersection of the view's domain with the container's local pieces,
@@ -80,15 +85,8 @@ impl<C: RangedContainer> ViewRead for ArrayView<C> {
     fn for_each_chunk(&self, mut f: impl FnMut(usize, &[C::Value])) {
         for (bcid, gids) in self.localize() {
             let lo = self.view_range(gids).lo;
-            match self.c.with_slice(bcid, gids, |s| f(lo, s)) {
-                Some(()) => self.location().count(Counter::localized_chunks, 1),
-                None => {
-                    // A run the container cannot lend as one slice: still
-                    // one buffer per chunk, via the bulk path.
-                    let buf = self.c.get_range(gids);
-                    f(lo, &buf);
-                }
-            }
+            self.c.with_slice(bcid, gids, |s| f(lo, s)).expect(LOCAL);
+            self.location().count(Counter::localized_chunks, 1);
         }
     }
 }
@@ -110,10 +108,8 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
             let view = self.view_range(gids);
             let vals = gen(view);
             debug_assert_eq!(vals.len(), view.len(), "fill_from generator length mismatch");
-            match self.c.with_slice_mut(bcid, gids, |s| s.clone_from_slice(&vals)) {
-                Some(()) => self.location().count(Counter::localized_chunks, 1),
-                None => self.c.set_range(gids.lo, &vals),
-            }
+            self.c.with_slice_mut(bcid, gids, |s| s.clone_from_slice(&vals)).expect(LOCAL);
+            self.location().count(Counter::localized_chunks, 1);
         }
     }
 
@@ -122,18 +118,13 @@ impl<C: RangedContainer> ViewWrite for ArrayView<C> {
         F: Fn(&mut C::Value) + Clone + Send + 'static,
     {
         for (bcid, gids) in self.localize() {
-            let served = self.c.with_slice_mut(bcid, gids, |s| {
+            let walked = self.c.with_slice_mut(bcid, gids, |s| {
                 for v in s {
                     f(v);
                 }
             });
-            match served {
-                Some(()) => self.location().count(Counter::localized_chunks, 1),
-                None => {
-                    let f = f.clone();
-                    self.c.apply_range(gids, move |_, v| f(v));
-                }
-            }
+            walked.expect(LOCAL);
+            self.location().count(Counter::localized_chunks, 1);
         }
     }
 }
@@ -449,12 +440,13 @@ mod tests {
     fn pvector_chunks_tile_the_view_before_commit() {
         execute(RtsConfig::default(), 2, |loc| {
             let v = PVector::from_fn(loc, 8, |i| i as u64);
-            // Location 0's live block grows to 5; the committed one is 4.
+            // An insert waits at location 0 for the commit: the committed
+            // blocks stay 4 and 4, and each lends its slice.
             if loc.id() == 0 {
                 v.insert_async(0, 100);
             }
             loc.rmi_fence();
-            let view = ArrayView::new(v.clone());
+            let view = ArrayView::new(v.array().clone());
             let mut hits = [0u64; 8];
             for chunks in loc.allgather(view.local_chunks()) {
                 for k in chunks.iter().flat_map(|c| c.iter()) {
@@ -462,9 +454,10 @@ mod tests {
                 }
             }
             assert_eq!(hits, [1; 8], "chunks must tile 0..8 exactly once");
-            let mut seen = 0;
-            view.for_each_chunk(|_, s| seen += s.len() as u64);
-            assert_eq!(loc.allreduce_sum(seen), 8);
+            let mut seen = Vec::new();
+            view.for_each_chunk(|_, s| seen.push(s.to_vec()));
+            let lo = 4 * loc.id() as u64;
+            assert_eq!(seen, [(lo..lo + 4).collect::<Vec<_>>()], "the committed block, one slice");
         });
     }
 
@@ -472,7 +465,7 @@ mod tests {
     fn pvector_view_follows_commit_and_rebalance() {
         execute(RtsConfig::default(), 3, |loc| {
             let v = PVector::from_fn(loc, 12, |i| i as i64);
-            let view = ArrayView::new(v.clone());
+            let view = ArrayView::new(v.array().clone());
             // Location 0 grows by four, location 2 empties: the size holds.
             if loc.id() == 0 {
                 for k in 0..4 {

@@ -70,7 +70,7 @@ pub trait ViewWrite: ViewRead {
     /// returned values (which must be `r.len()` long) to `r`.
     /// Implementations may subdivide a chunk. The default writes
     /// element-wise; localized views override with one slice write per
-    /// local run and one bulk RMI per remote run.
+    /// chunk.
     fn fill_from(&self, mut gen: impl FnMut(Range1d) -> Vec<Self::Value>)
     where
         Self: Sized,
@@ -91,8 +91,8 @@ pub trait ViewWrite: ViewRead {
     /// Chunk-at-a-time in-place update: applies `f` to every element of
     /// this location's chunks. The default ships `f` element-wise with
     /// [`ViewWrite::apply`] (owner-side execution, one request per
-    /// element); localized views override with direct slice mutation and
-    /// one `apply_range` RMI per remote run.
+    /// element); localized views override with direct slice mutation, one
+    /// slice per chunk.
     fn apply_chunks<F>(&self, f: F)
     where
         Self: Sized,

@@ -48,9 +48,9 @@ fn parray(loc: &Location, round: usize) {
 
 fn pvector(loc: &Location, round: usize) {
     let v = PVector::new(loc, N, 0u64);
-    v.set_element(remote(loc, round), 7);
+    v.array().set_element(remote(loc, round), 7);
     loc.rmi_fence();
-    assert_eq!(v.get_element(remote(loc, round)), 7);
+    assert_eq!(v.array().get_element(remote(loc, round)), 7);
 }
 
 fn pmatrix(loc: &Location, round: usize) {

@@ -94,6 +94,99 @@ proptest! {
     }
 }
 
+/// One pVector operation, as location 0 issues it: kind, index, value.
+/// Kinds: insert, erase, push_back, set, get (element ops address the
+/// committed size; an index is taken modulo it), commit, rebalance.
+type VecOp = (u8, usize, u64);
+
+/// The pVector commit contract, sequentially. Each location holds one block
+/// of the committed layout. An insert or erase waits at the owner of its
+/// index (an append, at the last location) and is replayed there, in issue
+/// order, at the next commit: an insert before its offset clamped to the
+/// block's live length, an erase at its offset clamped to the live last
+/// element and skipped on an empty block. An element write or read
+/// addresses the committed layout at once.
+struct VecModel {
+    blocks: Vec<Vec<u64>>,
+    /// Per owner: (index, `Some(value)` to insert or `None` to erase).
+    edits: Vec<Vec<(usize, Option<u64>)>>,
+}
+
+impl VecModel {
+    fn balanced(vals: Vec<u64>, p: usize) -> Self {
+        let (base, extra) = (vals.len() / p, vals.len() % p);
+        let mut rest = vals.into_iter();
+        let blocks = (0..p).map(|l| rest.by_ref().take(base + usize::from(l < extra)).collect()).collect();
+        VecModel { blocks, edits: vec![Vec::new(); p] }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks.iter().map(Vec::len).sum()
+    }
+
+    /// (owner, offset) of index `g` in the committed layout.
+    fn locate(&self, g: usize) -> (usize, usize) {
+        let mut lo = 0;
+        for (l, b) in self.blocks.iter().enumerate() {
+            if g < lo + b.len() {
+                return (l, g - lo);
+            }
+            lo += b.len();
+        }
+        unreachable!("index {g} past the end")
+    }
+
+    fn commit(&mut self) {
+        let mut lo = 0;
+        for (block, edits) in self.blocks.iter_mut().zip(&mut self.edits) {
+            let first = lo;
+            lo += block.len();
+            for (g, v) in edits.drain(..) {
+                let off = g - first;
+                match v {
+                    Some(v) => block.insert(off.min(block.len()), v),
+                    None if !block.is_empty() => {
+                        block.remove(off.min(block.len() - 1));
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+
+    /// Applies `op`; a read returns what it must see.
+    fn apply(&mut self, (kind, i, v): VecOp) -> Option<u64> {
+        let n = self.len();
+        let last = self.blocks.len() - 1;
+        let (owner, edit) = match kind {
+            0 if i % (n + 1) < n => (self.locate(i % (n + 1)).0, (i % (n + 1), Some(v))),
+            0 | 2 => (last, (usize::MAX, Some(v))),
+            1 if n > 0 => (self.locate(i % n).0, (i % n, None)),
+            3 if n > 0 => {
+                let (l, off) = self.locate(i % n);
+                self.blocks[l][off] = v;
+                return None;
+            }
+            4 if n > 0 => {
+                let (l, off) = self.locate(i % n);
+                return Some(self.blocks[l][off]);
+            }
+            5 => {
+                self.commit();
+                return None;
+            }
+            6 => {
+                self.commit();
+                *self = VecModel::balanced(self.blocks.concat(), last + 1);
+                return None;
+            }
+            _ => return None,
+        };
+        self.edits[owner].push(edit);
+        None
+    }
+}
+
 proptest! {
     // Distributed model checks spawn threads per case; keep cases modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -253,6 +346,51 @@ proptest! {
         });
         for (expect, &elem) in order.iter().enumerate() {
             prop_assert_eq!(got[0][elem], expect as u64);
+        }
+    }
+}
+
+proptest! {
+    // Clamped replays need several edits on one block in one epoch: many
+    // short cases, each a few threads.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// pVector against [`VecModel`]: location 0 issues a random sequence of
+    /// element and structural operations, every location joins the commits
+    /// and rebalances, at P = 1, 2 and 3.
+    #[test]
+    fn pvector_matches_commit_model(
+        n in 0usize..20,
+        p in 1usize..4,
+        ops in proptest::collection::vec((0u8..7, 0usize..64, 0u64..1000), 1..40),
+    ) {
+        let mut model = VecModel::balanced((0..n as u64).collect(), p);
+        let reads: Vec<u64> = ops.iter().filter_map(|&op| model.apply(op)).collect();
+        model.commit();
+        let ops2 = ops.clone();
+        let got = stapl::rts::execute_collect(RtsConfig::default(), p, move |loc| {
+            let v = PVector::from_fn(loc, n, |i| i as u64);
+            let mut reads = Vec::new();
+            for &(kind, i, x) in &ops2 {
+                let size = v.global_size();
+                match kind {
+                    5 => v.commit(),
+                    6 => v.rebalance(),
+                    _ if loc.id() != 0 => {}
+                    0 => v.insert_async(i % (size + 1), x),
+                    1 if size > 0 => v.erase_async(i % size),
+                    2 => v.push_back(x),
+                    3 if size > 0 => v.array().set_element(i % size, x),
+                    4 if size > 0 => reads.push(v.array().get_element(i % size)),
+                    _ => {}
+                }
+            }
+            v.commit();
+            (reads, v.collect_ordered())
+        });
+        prop_assert_eq!(&got[0].0, &reads);
+        for (_, all) in &got {
+            prop_assert_eq!(all, &model.blocks.concat());
         }
     }
 }
