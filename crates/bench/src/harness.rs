@@ -323,7 +323,7 @@ const LOCALIZATION_GATED: &[Counter] = &[
 /// 17 **and** whose placement is rotated one location over: off-grid
 /// boundaries, nearly everything remote. The one spelling of the
 /// "misaligned" destination — the `localization` and `transport` areas copy
-/// onto it, and so does the `experiments chaos` soak.
+/// onto it, and so does the chaos soak (`tests/chaos_soak.rs`).
 ///
 /// **Collective.**
 pub fn misaligned_dst(loc: &Location, n: usize) -> PArray<u64> {
@@ -925,10 +925,10 @@ fn dynamic_wordcount(p: usize, words_per_loc: usize, chunked: bool, cfg: RtsConf
     })
 }
 
-/// The data-collecting paths: `collect_ordered` one-sided gather (O(N) on
-/// the wire) and the opt-in `collect_ordered_bcast` (O(N·P)); the
-/// `gather_items` counter is the bytes-on-the-wire proxy.
-fn dynamic_collect(p: usize, per: usize, bcast: bool, cfg: RtsConfig) -> Measured {
+/// Location 0 collects a pHashMap of `per` pairs per location with
+/// `collect_ordered`, a one-sided gather: O(N) on the wire, of which the
+/// `gather_items` counter is the proxy.
+fn dynamic_collect(p: usize, per: usize, cfg: RtsConfig) -> Measured {
     run(cfg, p, move |loc| {
         let m: PHashMap<u64, u64> = PHashMap::new(loc);
         for i in 0..per {
@@ -938,9 +938,7 @@ fn dynamic_collect(p: usize, per: usize, bcast: bool, cfg: RtsConfig) -> Measure
         m.commit();
         let n = per * loc.nlocs();
         timed_scoped(loc, || {
-            if bcast {
-                assert_eq!(m.collect_ordered_bcast().len(), n);
-            } else if loc.id() == 0 {
+            if loc.id() == 0 {
                 assert_eq!(m.collect_ordered().len(), n);
             }
         })
@@ -970,10 +968,7 @@ fn dynamic_area(base: &RtsConfig) -> Vec<BenchRecord> {
         let m = dynamic_wordcount(4, 800, chunked, base.clone());
         push("word-count", 4, ("words_per_loc", 800), mode, m);
     }
-    for (bcast, mode) in [(false, "gather"), (true, "bcast")] {
-        let m = dynamic_collect(4, 200, bcast, base.clone());
-        push("collect-ordered", 4, ("per_loc", 200), mode, m);
-    }
+    push("collect-ordered", 4, ("per_loc", 200), "gather", dynamic_collect(4, 200, base.clone()));
     for (segmented, mode) in SEGMENTED {
         let m = dynamic_copy_migrated(4, 200, segmented, base.clone());
         push("plist-copy-migrated", 4, ("per_loc", 200), mode, m);
@@ -1032,6 +1027,12 @@ fn dynamic_claims(records: &[BenchRecord]) {
         let got = back.counters.remote_requests;
         assert_eq!(got, want, "{}: not one request per push_back off the last location", back.id);
     }
+    // The gather ships each remote pair once, to the one caller: one
+    // response per peer, and fewer items than the map holds.
+    let r = records.iter().find(|r| r.scenario() == "collect-ordered").expect("a collect-ordered record");
+    let (p, n) = (count(r, "p"), count(r, "p") * count(r, "per_loc"));
+    assert_eq!(r.counters.responses_sent, p - 1, "{}: not one response per peer", r.id);
+    assert!(r.counters.gather_items < n, "{}: {} items gathered of {n}", r.id, r.counters.gather_items);
 }
 
 // ---------------------------------------------------------------------
@@ -1257,9 +1258,10 @@ fn transport_claims(records: &[BenchRecord]) {
 /// duplicate and re-acked — so those are `Timing` counters, bounded
 /// relative to the injected damage by `chaos_claims`.
 ///
-/// This is why the storm sends no replies, and why `experiments chaos` —
-/// the differential soak whose sync reads and bulk copy make batch sequence
-/// numbers timing-dependent — is a separate kernel that gates nothing.
+/// This is why the storm sends no replies, and why the chaos soak
+/// (`tests/chaos_soak.rs`) — the differential test whose sync reads and
+/// bulk copy make batch sequence numbers timing-dependent — is a separate
+/// kernel that gates nothing.
 const CHAOS_GATED: &[Counter] = &[
     Counter::remote_requests,
     Counter::frames_dropped,

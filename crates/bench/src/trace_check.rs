@@ -1,6 +1,7 @@
-//! Structural validator for Chrome trace-event JSON emitted by
-//! [`stapl_rts::RunTrace::to_chrome_json`] (and merged multi-run files
-//! from `experiments --trace`).
+//! Structural validator for Chrome trace-event JSON as
+//! [`stapl_rts::chrome_json`] assembles it: one run
+//! ([`stapl_rts::RunTrace::to_chrome_json`]) or the merged multi-run file
+//! `experiments --trace` writes.
 //!
 //! The checks mirror what `chrome://tracing` / Perfetto actually require
 //! to render a timeline instead of an empty page:
@@ -17,9 +18,8 @@
 //! * the trace names nothing the runtime does not: an instant is named
 //!   after a traced [`Counter`] and a `B`/`E` pair after a [`SpanKind`].
 //!
-//! Used by the `--validate-trace` subcommand of `experiments` and the
-//! `trace-smoke` CI step, so a schema regression fails the build rather
-//! than a later by-hand Perfetto load.
+//! `tests/trace_schema.rs` runs it on real traced executions, so a schema
+//! regression fails `cargo test` rather than a later by-hand Perfetto load.
 
 use stapl_rts::{Counter, SpanKind};
 

@@ -1,7 +1,7 @@
 //! End-to-end schema check: a real traced execution, exported as Chrome
-//! trace-event JSON, must pass the structural validator the CI
-//! `trace-smoke` step uses — span pairs matched per location lane,
-//! instants present, one pid per location.
+//! trace-event JSON by the assembler `experiments --trace` writes with,
+//! must pass the structural validator — span pairs matched per location
+//! lane, instants present, one pid per location.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -15,7 +15,7 @@ use stapl_containers::list::PList;
 use stapl_core::interfaces::PContainer;
 use stapl_paragraph::executor::ExecPolicy;
 use stapl_rts::{
-    execute_collect_traced, Counter, FaultSchedule, Location, RmiError, RtsConfig, RunTrace, SpanKind,
+    chrome_json, execute_collect_traced, Counter, FaultSchedule, Location, RmiError, RtsConfig, RunTrace, SpanKind,
     TraceEvent,
 };
 use stapl_views::array_view::ArrayView;
@@ -58,7 +58,7 @@ fn merged_multi_run_trace_passes_the_validator() {
     for run in 0..3u64 {
         traced_run(2).push_chrome_events(1 + run * 1000, &format!("run {run}"), &mut lines);
     }
-    let text = format!("[\n{}\n]\n", lines.join(",\n"));
+    let text = chrome_json(&lines);
     let check = validate_chrome_trace(&text).expect("merged trace must validate");
     assert_eq!(check.lanes, 6, "3 runs x 2 locations, no pid collisions");
 }

@@ -530,27 +530,35 @@ impl<T: Send + Clone + 'static> PArray<T> {
         self.redistribute(partition, GeneralMapper::new(nlocs, assignment));
     }
 
+    /// This location's elements as [`PArray::reblock`] finds them: its own
+    /// contiguous block (empty, at the end, where it holds none), or `None`
+    /// once a redistribution left it anything else.
+    pub(crate) fn own_block(&self) -> Option<Range1d> {
+        let rep = self.obj.local();
+        match (rep.lm.get(self.obj.location().id()), rep.lm.num_bcontainers()) {
+            (Some(ArrayBc { sd: IndexSubDomain::Contiguous(r), .. }), 1) => Some(*r),
+            (None, 0) => Some(Range1d::new(rep.dist.global_size(), rep.dist.global_size())),
+            _ => None,
+        }
+    }
+
     /// **Collective.** Re-cuts the array into one contiguous block per
-    /// location, location `l`'s block `l` (pVector's commit). After a fence,
-    /// `edit(lo, block)` rewrites this location's elements in place — its
-    /// block, first GID `lo`; empty where it holds none. The new lengths,
-    /// allgathered, become an [`ExplicitPartition`] placed cyclically,
-    /// installed here before the closing barrier: an element method a peer
-    /// issues once it has left finds the new layout on every location. The
-    /// array is the same object, so every handle and view follows.
+    /// location, location `l`'s block `l` (pVector's commit). The caller
+    /// fences first. `edit(lo, block)` rewrites this location's elements in
+    /// place — its block, first GID `lo`; empty where it holds none. The new
+    /// lengths, allgathered, become an [`ExplicitPartition`] placed
+    /// cyclically, installed here before the closing barrier: an element
+    /// method a peer issues once it has left finds the new layout on every
+    /// location. The array is the same object, so every handle and view
+    /// follows.
     pub(crate) fn reblock(&self, edit: impl FnOnce(usize, &mut Vec<T>)) {
         let loc = self.obj.location().clone();
         let me = loc.id();
-        loc.rmi_fence();
-        let (lo, mut block) = {
-            let mut rep = self.obj.local_mut();
-            match (rep.lm.remove_bcontainer(me), rep.lm.num_bcontainers()) {
-                (Some(ArrayBc { sd: IndexSubDomain::Contiguous(r), store }), 0) => (r.lo, store),
-                (None, 0) => (rep.dist.global_size(), Vec::new()),
-                _ => panic!("reblock: location {me}'s elements are not its own contiguous block {me}"),
-            }
+        let Some(own) = self.own_block() else {
+            panic!("reblock: location {me}'s elements are not its own contiguous block {me}")
         };
-        edit(lo, &mut block);
+        let mut block = self.obj.local_mut().lm.remove_bcontainer(me).map_or_else(Vec::new, |bc| bc.store);
+        edit(own.lo, &mut block);
         let lens = loc.allgather(block.len());
         let dist = IndexDistribution::new(ExplicitPartition::from_sizes(&lens), CyclicMapper::new(loc.nlocs()));
         let mut rep = self.obj.local_mut();

@@ -344,27 +344,9 @@ where
     /// entire dataset — every location materialized all n pairs, O(n·P)
     /// bytes on the wire, wanted or not. Locations that need the result
     /// call this (any subset, concurrently); peers only need to be polling
-    /// (e.g. blocked in a fence or barrier). When *every* location wants
-    /// the data, [`PAssoc::collect_ordered_bcast`] is cheaper.
+    /// (e.g. blocked in a fence or barrier).
     pub fn collect_ordered(&self) -> Vec<(K, V)> {
         crate::gather_by_bcid(&self.obj, AssocRep::local_bucket_pairs)
-    }
-
-    /// **Collective.** The opt-in broadcast variant of
-    /// [`PAssoc::collect_ordered`]: location 0 gathers once (O(n) to the
-    /// root), then replicates the merged result to every location — the
-    /// pattern that *deliberately* pays the O(n·P) replication the plain
-    /// gather avoids, for the callers that want the old all-locations
-    /// semantics.
-    pub fn collect_ordered_bcast(&self) -> Vec<(K, V)> {
-        let loc = self.obj.location().clone();
-        let merged = if loc.id() == 0 { self.collect_ordered() } else { Vec::new() };
-        if loc.id() == 0 {
-            // The replication payload of the broadcast below (the board is
-            // the simulated wire).
-            loc.count(Counter::gather_items, (merged.len() * (loc.nlocs() - 1)) as u64);
-        }
-        loc.broadcast(0, merged)
     }
 
     /// Asynchronous **bulk combine** into bucket `sid`: one RMI carrying
@@ -969,19 +951,6 @@ mod tests {
             // remote pair exactly once, to the single caller.
             assert!(gathered > 0, "gather must ship payload");
             assert!(gathered <= 64, "gather-to-root must move each pair at most once: {gathered}");
-            loc.barrier();
-            // The opt-in broadcast deliberately pays the O(n·P) replication.
-            let before = loc.stats().gather_items;
-            loc.barrier();
-            let all = m.collect_ordered_bcast();
-            assert_eq!(all.len(), 64, "broadcast variant returns the data everywhere");
-            loc.barrier();
-            let bcast = loc.stats().gather_items - before;
-            assert!(
-                bcast >= 3 * gathered,
-                "replicating to P locations must cost ≥ (P-1)× the single gather \
-                 ({bcast} !>= 3×{gathered})"
-            );
         });
     }
 

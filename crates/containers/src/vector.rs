@@ -17,7 +17,9 @@
 //! edits in arrival order onto its block and the array is re-cut to the
 //! new lengths — the lazy replicated metadata of Chapter VII.G. If no
 //! element write comes between an edit and its commit, the result is that
-//! of applying each edit on arrival.
+//! of applying each edit on arrival. A commit that finds a location's
+//! block redistributed under its pending edits panics rather than replay
+//! them onto elements they were not addressed to.
 
 use stapl_core::bcontainer::MemSize;
 use stapl_core::domain::Range1d;
@@ -37,19 +39,24 @@ enum Edit<T> {
     Erase(usize),
 }
 
+/// A location's edits waiting for the next commit, and the block they
+/// address: the location's block as the last collective left it.
+struct Pending<T> {
+    edits: Vec<Edit<T>>,
+    block: Option<Range1d>,
+}
+
 /// The STAPL pVector.
 #[derive(Clone)]
 pub struct PVector<T: Send + Clone + 'static> {
     a: PArray<T>,
-    edits: PObject<Vec<Edit<T>>>,
+    pending: PObject<Pending<T>>,
 }
 
 impl<T: Send + Clone + 'static> PVector<T> {
     /// **Collective.** A pVector of `n` copies of `init`, balanced.
     pub fn new(loc: &Location, n: usize, init: T) -> Self {
-        let edits = PObject::register(loc, Vec::new());
-        // pArray's constructor ends in the barrier that syncs both handles.
-        PVector { a: PArray::new(loc, n, init), edits }
+        Self::over(loc, || PArray::new(loc, n, init))
     }
 
     /// **Collective.** Builds with `f(i)` at every index, locally.
@@ -57,20 +64,33 @@ impl<T: Send + Clone + 'static> PVector<T> {
     where
         T: Default,
     {
-        let edits = PObject::register(loc, Vec::new());
-        PVector { a: PArray::from_fn(loc, n, f), edits }
+        Self::over(loc, || PArray::from_fn(loc, n, f))
+    }
+
+    fn over(loc: &Location, array: impl FnOnce() -> PArray<T>) -> Self {
+        let pending = PObject::register(loc, Pending { edits: Vec::new(), block: None });
+        // pArray's constructor ends in the barrier that syncs both handles.
+        let v = PVector { a: array(), pending };
+        v.record_block();
+        v
     }
 
     /// The elements as of the last commit: a pArray, whose element, bulk
     /// and local methods and views are the pVector's. Redistribute it only
     /// through [`PVector::rebalance`], which commits first: an edit still
-    /// pending addresses its block as the last commit cut it.
+    /// pending addresses its block as the last commit cut it, and the next
+    /// commit panics if that block has moved.
     pub fn array(&self) -> &PArray<T> {
         &self.a
     }
 
+    /// Notes this location's block as the one later edits address.
+    fn record_block(&self) {
+        self.pending.local_mut().block = self.a.own_block();
+    }
+
     fn leave(&self, owner: LocId, edit: Edit<T>) {
-        self.edits.invoke_at(owner, move |cell, _| cell.borrow_mut().push(edit));
+        self.pending.invoke_at(owner, move |cell, _| cell.borrow_mut().edits.push(edit));
     }
 
     /// Asynchronously inserts `v` before global index `gid` at the next
@@ -101,6 +121,7 @@ impl<T: Send + Clone + 'static> PVector<T> {
     pub fn rebalance(&self) {
         self.commit();
         self.a.rebalance();
+        self.record_block();
     }
 
     /// All elements in index order as of the last commit (test/debug
@@ -111,10 +132,10 @@ impl<T: Send + Clone + 'static> PVector<T> {
 
     /// **Collective.** Removes all elements, pending edits included.
     pub fn clear(&self) {
-        self.a.reblock(|_, block| {
-            self.edits.local_mut().clear();
-            block.clear();
-        });
+        self.location().rmi_fence();
+        self.pending.local_mut().edits.clear();
+        self.a.reblock(|_, block| block.clear());
+        self.record_block();
     }
 }
 
@@ -134,9 +155,32 @@ impl<T: Send + Clone + 'static> PContainer for PVector<T> {
 
     /// **Collective.** Replays every location's pending edits, in arrival
     /// order, onto its block, and re-cuts the array to the new blocks.
+    ///
+    /// # Panics
+    ///
+    /// On a location with pending edits whose array was redistributed other
+    /// than by [`PVector::rebalance`] since the last commit.
     fn commit(&self) {
+        self.location().rmi_fence();
+        let (edits, addressed) = {
+            let mut pending = self.pending.local_mut();
+            (std::mem::take(&mut pending.edits), pending.block)
+        };
+        let now = self.a.own_block();
+        if !edits.is_empty() && now != addressed {
+            let show =
+                |b: Option<Range1d>| b.map_or("other blocks".into(), |r| format!("[{}, {})", r.lo, r.hi));
+            panic!(
+                "pVector commit: location {}'s {} pending edits address its block {}, but its array \
+                 was redistributed since and it now holds {}: commit before redistributing the \
+                 array, or use PVector::rebalance, which commits first",
+                self.location().id(),
+                edits.len(),
+                show(addressed),
+                show(now)
+            );
+        }
         self.a.reblock(|lo, block| {
-            let edits = std::mem::take(&mut *self.edits.local_mut());
             for edit in edits {
                 match edit {
                     Edit::Insert(g, v) => block.insert((g - lo).min(block.len()), v),
@@ -147,6 +191,7 @@ impl<T: Send + Clone + 'static> PContainer for PVector<T> {
                 }
             }
         });
+        self.record_block();
     }
 
     fn memory_size(&self) -> MemSize {
@@ -407,6 +452,42 @@ mod tests {
             assert_eq!(got, Some(piece.iter().map(|g| g as u32).collect()));
             v.commit();
             assert_eq!(v.array().get_element(6), 7);
+        });
+    }
+
+    /// Blocks `[8 | 4]` after the first commit, `[6 | 6]` after the array
+    /// is rebalanced under a pending `erase_async(7)`: replayed onto the new
+    /// block, the erase would remove GID 5, not the value it addressed.
+    #[test]
+    #[should_panic(expected = "pending edits address its block [0, 8)")]
+    fn a_commit_after_the_array_was_rebalanced_under_an_edit_panics() {
+        execute(RtsConfig::default(), 2, |loc| {
+            let v = PVector::from_fn(loc, 12, |i| i as i32);
+            if loc.id() == 0 {
+                v.insert_async(0, 200);
+                v.insert_async(0, 201);
+            } else {
+                v.erase_async(11);
+                v.erase_async(10);
+            }
+            v.commit();
+            assert_eq!(v.collect_ordered(), [201, 200, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+            if loc.id() == 0 {
+                v.erase_async(7); // the value 5
+            }
+            v.array().rebalance();
+            v.commit();
+        });
+    }
+
+    /// Rotated under pending edits, each location holds its peer's block.
+    #[test]
+    #[should_panic(expected = "pending edits address its block")]
+    fn a_commit_after_the_array_was_rotated_under_an_edit_panics() {
+        on_six(|v| {
+            v.erase_async(3 * v.location().id());
+            v.array().rotate(1);
+            v.commit();
         });
     }
 

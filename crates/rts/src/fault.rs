@@ -4,9 +4,9 @@
 //! reliable layer and, driven by a seeded [`FaultSchedule`], drops,
 //! duplicates, reorders, corrupts, and delays it — the failure modes a
 //! process-crossing socket backend will actually exhibit. The reliable
-//! layer in [`crate::transport`] must mask all of them; the chaos harness
-//! (`experiments chaos`) and the fault-profile property tests prove that
-//! it does. An active schedule switches the layer on by itself.
+//! layer in [`crate::transport`] must mask all of them; the chaos soak
+//! (`crates/bench/tests/chaos_soak.rs`) and the fault-profile property
+//! tests prove that it does. An active schedule switches the layer on by itself.
 //!
 //! ## Schedule grammar
 //!

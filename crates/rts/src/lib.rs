@@ -66,4 +66,4 @@ pub use future::{RmiError, RmiFuture};
 pub use location::{Handle, LocId, Location, ReplyToken};
 pub use spmd::{execute, execute_collect, execute_collect_traced};
 pub use stats::{Class, Counter, StatsSnapshot};
-pub use trace::{LatencyHistogram, LocationTrace, RunTrace, SpanKind, TraceEvent};
+pub use trace::{chrome_json, LatencyHistogram, LocationTrace, RunTrace, SpanKind, TraceEvent};

@@ -137,8 +137,8 @@ counters! {
     /// MapReduce merge).
     segment_requests: Exact, traced;
     /// Items shipped as payload by the data-collecting operations
-    /// (`collect_ordered` gathers, opt-in broadcasts): the simulated
-    /// bytes-on-the-wire proxy the O(N·P) → O(N) assertions measure.
+    /// (`collect_ordered` gathers): the simulated bytes-on-the-wire proxy
+    /// the O(N·P) → O(N) assertions measure.
     gather_items: Exact, traced;
     /// Bytes of the capture images staged for remote requests and
     /// responses: per request, the shallow size of its capture rounded up

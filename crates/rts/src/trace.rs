@@ -371,11 +371,15 @@ impl RunTrace {
     pub fn to_chrome_json(&self) -> String {
         let mut out = Vec::new();
         self.push_chrome_events(0, "", &mut out);
-        let mut s = String::from("[\n");
-        s.push_str(&out.join(",\n"));
-        s.push_str("\n]\n");
-        s
+        chrome_json(&out)
     }
+}
+
+/// Assembles Chrome trace-event lines ([`RunTrace::push_chrome_events`],
+/// of one run or several) into the JSON array file Perfetto and
+/// `chrome://tracing` load.
+pub fn chrome_json(events: &[String]) -> String {
+    format!("[\n{}\n]\n", events.join(",\n"))
 }
 
 #[cfg(test)]
