@@ -13,8 +13,16 @@
 //! Every run starts from `RtsConfig::base()`, so a `STAPL_*` override in the
 //! environment changes neither the reference nor the schedules. Its own
 //! test binary, so no other test's threads share the cores with it.
+//!
+//! A lost batch hangs a run at its fence instead of failing it, so each
+//! run is a case on a helper thread of its own, and a case that has not
+//! finished after [`DEADLINE`] fails the soak, naming its profile and P.
+//! Its stuck locations are leaked: the binary ends with the test.
 
 use std::cell::RefCell;
+use std::panic::resume_unwind;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
 
 use stapl_algorithms::prelude::*;
 use stapl_bench::harness;
@@ -24,6 +32,8 @@ use stapl_rts::{FaultSchedule, RtsConfig, StatsSnapshot};
 
 const PS: [usize; 3] = [1, 2, 4];
 const N: usize = 2048;
+/// How long one run may take: the whole soak takes well under a second.
+const DEADLINE: Duration = Duration::from_secs(60);
 
 /// Every location's observation digest (allgathered, so one run's result
 /// carries all of them) and the counter delta of the traffic.
@@ -55,12 +65,30 @@ fn soak(p: usize, cfg: RtsConfig) -> (Vec<Vec<u64>>, StatsSnapshot) {
     })
 }
 
+/// `soak(p, cfg)` on a helper thread, failing, named `case`, if it has not
+/// finished after [`DEADLINE`]; a panic in it is re-raised here.
+fn soak_within_deadline(case: &str, p: usize, cfg: RtsConfig) -> (Vec<Vec<u64>>, StatsSnapshot) {
+    let (tx, rx) = channel();
+    // The receiver outlives the send unless the deadline passed.
+    let helper = std::thread::spawn(move || drop(tx.send(soak(p, cfg))));
+    match rx.recv_timeout(DEADLINE) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("soak hung: {case} did not finish within {DEADLINE:?} (a lost batch leaves a fence waiting)")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            resume_unwind(helper.join().expect_err("a helper that sent nothing panicked"))
+        }
+    }
+}
+
 /// An adversarial fabric may cost retransmissions, but it may not change
 /// one observed value; recovery pays for injected damage, never multiplies
 /// it; and at P=4 the severe profile exercises every recovery path.
 #[test]
 fn every_fault_profile_reproduces_the_clean_run() {
-    let clean: Vec<Vec<Vec<u64>>> = PS.iter().map(|&p| soak(p, RtsConfig::base()).0).collect();
+    let clean: Vec<Vec<Vec<u64>>> =
+        PS.iter().map(|&p| soak_within_deadline(&format!("the clean run at P={p}"), p, RtsConfig::base()).0).collect();
     let profiles = [
         ("mild", "drop:0.01,corrupt:0.005"),
         ("medium", "drop:0.1,dup:0.05,reorder:0.1,corrupt:0.05"),
@@ -76,7 +104,7 @@ fn every_fault_profile_reproduces_the_clean_run() {
                 retransmit_rto_us: 2_000,
                 ..RtsConfig::base()
             };
-            let (digests, d) = soak(p, cfg);
+            let (digests, d) = soak_within_deadline(&format!("{name} (`{profile}`) at P={p}"), p, cfg);
             assert!(digests == *clean, "soak diverged from the clean reference under `{profile}` at P={p}");
             if p > 1 {
                 assert!(

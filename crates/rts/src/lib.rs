@@ -8,10 +8,10 @@
 //! Here the distributed machine is simulated inside one process:
 //!
 //! * a **location** is an OS thread with a *private address space by
-//!   convention* — location 0 is the thread that calls [`execute`], the
-//!   others are threads it spawns; no object data is shared between
-//!   locations; every cross-location interaction is a message through a
-//!   channel,
+//!   convention* — location 0 is the thread that calls [`execute`], which
+//!   wakes P−1 parked location threads for the others (starting none after
+//!   the first call); no object data is shared between locations; every
+//!   cross-location interaction is a message through a channel,
 //! * an **RMI** is a closure relocated into the batch buffer bound for the
 //!   owning location (see `transport`), where it looks up the target
 //!   *p_object* representative in a per-location registry and executes

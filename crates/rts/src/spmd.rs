@@ -1,8 +1,12 @@
 //! SPMD execution: run the same closure on every location, as STAPL runs
-//! `stapl_main` on every location of the machine.
+//! `stapl_main` on every location of the machine, which it starts once: locations 1..
+//! run on location threads parked in one process-wide pool between calls, which live
+//! as long as the process (as many as the most peers ever served at once).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 
 use crossbeam::channel::unbounded;
 
@@ -13,11 +17,82 @@ use crate::transport::Batch;
 use crate::stats::CounterBlock;
 use crate::trace::RunTrace;
 
+/// One location's run for a pooled thread, its lifetime erased (see below).
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A pooled location thread and the slot its next job arrives in.
+struct Worker {
+    thread: Thread,
+    slot: Arc<Mutex<Option<Job>>>,
+}
+
+/// The location threads no `execute` is using.
+static IDLE: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+
+impl Worker {
+    /// Takes `n` parked location threads and spawns those the pool lacks,
+    /// before any job is handed out: a failed spawn leaves none in flight.
+    fn take(n: usize) -> Vec<Worker> {
+        let mut workers = Vec::new();
+        if n > 0 {
+            let mut idle = IDLE.lock().expect("no lock is held across a panic");
+            let keep = idle.len().saturating_sub(n);
+            workers = idle.split_off(keep);
+        }
+        workers.resize_with(n, Worker::spawn);
+        workers
+    }
+
+    /// A location thread, never joined (a job catches its own panic): it runs jobs, parked in between.
+    fn spawn() -> Worker {
+        let slot = Arc::new(Mutex::new(None::<Job>));
+        let mine = slot.clone();
+        let thread = std::thread::spawn(move || loop {
+            let job = mine.lock().expect("no lock is held across a panic").take();
+            job.map_or_else(std::thread::park, |job| job());
+        });
+        Worker { thread: thread.thread().clone(), slot }
+    }
+}
+
+/// Reports its job as ended when dropped, on unwind too: its last use of a borrow.
+struct Report<'a> {
+    pending: &'a AtomicUsize,
+    caller: Thread,
+}
+
+impl Drop for Report<'_> {
+    fn drop(&mut self) {
+        if self.pending.fetch_sub(1, Ordering::Release) == 1 {
+            self.caller.unpark();
+        }
+    }
+}
+
+/// The jobs of one `execute`: dropped, on unwind too, it awaits their reports (its Acquire
+/// load pairs with each `Report`'s Release, so their outcomes are visible), then pools their threads.
+struct Handout<'a> {
+    pending: &'a AtomicUsize,
+    workers: Vec<Worker>,
+}
+
+impl Drop for Handout<'_> {
+    fn drop(&mut self) {
+        while self.pending.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        if !self.workers.is_empty() {
+            IDLE.lock().expect("no lock is held across a panic").append(&mut self.workers);
+        }
+    }
+}
+
 /// Runs `f` on `nlocs` locations in SPMD fashion and returns each
 /// location's result, indexed by location id. Location 0 is the calling
-/// thread; locations 1.. each run on a thread of their own, so `nlocs = 1`
-/// starts none. The caller's thread-local state is location 0's, and it
-/// persists from one `execute` to the next.
+/// thread; `execute` wakes P−1 parked location threads for locations 1..,
+/// starting one only when the pool has none parked, so none after the
+/// first call (`nlocs = 1` takes no lock, wakes and starts nothing). Each
+/// thread's thread-locals, location 0's too, persist from call to call.
 ///
 /// An implicit [`Location::rmi_fence`] runs after `f` returns on every
 /// location, so all asynchronous RMIs issued by `f` complete before
@@ -73,22 +148,43 @@ where
             payload
         })
     };
-    let outcomes: Vec<_> = std::thread::scope(|s| {
-        let mut receivers = receivers.into_iter().enumerate();
-        let (_, rx0) = receivers.next().expect("location 0's channel");
-        let peers: Vec<_> = receivers.map(|(id, rx)| s.spawn(move || run(id, rx))).collect();
-        let theirs = peers.into_iter().map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)));
-        std::iter::once(run(0, rx0)).chain(theirs).collect()
-    });
+    // Locations 1.. report their outcomes here, each to its slot.
+    let theirs: Vec<Mutex<Option<_>>> = (1..nlocs).map(|_| Mutex::new(None)).collect();
+    let pending = AtomicUsize::new(nlocs - 1);
+    let handout = Handout { pending: &pending, workers: Worker::take(nlocs - 1) };
+    let mut receivers = receivers.into_iter();
+    let rx0 = receivers.next().expect("location 0's channel");
+    for (((id, rx), slot), worker) in (1..).zip(receivers).zip(&theirs).zip(&handout.workers) {
+        let report = Report { pending: &pending, caller: std::thread::current() };
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            let _report = report;
+            // What escapes `run` (a representative's drop) `execute` re-raises.
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(id, rx))).unwrap_or_else(Err);
+            *slot.lock().expect("only this job locks it") = Some(outcome);
+        });
+        // SAFETY: the job borrows `run` (so `f` and `shared`), its slot in
+        // `theirs` and `pending`, which all outlive `handout`, whose drop, on
+        // return and on unwind alike, waits until every job has reported. A
+        // job reports from a drop guard, by a panic too, as its last use of
+        // a borrow. So `execute` neither returns nor unwinds while a job may
+        // use what it borrows: the invariant `std::thread::scope` relies on.
+        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+        *worker.slot.lock().expect("no lock is held across a panic") = Some(job);
+        worker.thread.unpark();
+    }
+    let ours = run(0, rx0);
+    drop(handout);
+    let mut outcomes = std::iter::once(ours)
+        .chain(theirs.into_iter().map(|slot| slot.into_inner().expect("no lock held across a panic").expect("every job reported")));
     // Re-raise the panic that poisoned the execution, not a peer's report
-    // of it (a wait that aborted, a flush to a location that had exited).
+    // of it (an aborted wait, a flush to a location that had ended).
     if let Some(&(first, _)) = shared.poisoned.get() {
-        let payload = outcomes.into_iter().nth(first).and_then(Result::err);
+        let payload = outcomes.nth(first).and_then(Result::err);
         resume_unwind(payload.expect("the location that poisoned the execution panicked"))
     }
     // No location panicked. Every location hands back a trace, or (tracing
     // off) none does.
-    let (results, traces): (Vec<R>, Vec<_>) = outcomes.into_iter().flatten().unzip();
+    let (results, traces): (Vec<R>, Vec<_>) = outcomes.map(|o| o.unwrap_or_else(|payload| resume_unwind(payload))).unzip();
     let locs = traces.into_iter().collect::<Option<Vec<_>>>();
     (results, locs.map(|locs| RunTrace { nlocs, locs }))
 }
@@ -108,7 +204,7 @@ mod tests {
     use crate::location::panic_message;
     use crate::stats::Counter;
     use crate::trace::{LocationTrace, SpanKind, TraceEvent};
-    use std::cell::{Cell, RefCell};
+    use std::cell::RefCell;
 
     #[test]
     fn single_location_runs() {
@@ -296,22 +392,6 @@ mod tests {
             }
             // Location 0 waits at the final fence; poisoning must wake it.
         });
-    }
-
-    #[test]
-    fn location_0_is_the_calling_thread_and_keeps_its_thread_locals() {
-        thread_local!(static RUNS: Cell<u32> = const { Cell::new(0) });
-        let me = std::thread::current().id();
-        let run = |nlocs| {
-            execute_collect(RtsConfig::default(), nlocs, |_| {
-                RUNS.with(|n| n.set(n.get() + 1));
-                std::thread::current().id()
-            })
-        };
-        assert_eq!(run(1), vec![me]);
-        let ids = run(3);
-        assert!(ids[0] == me && ids[1] != me && ids[2] != me && ids[1] != ids[2], "caller {me:?}, locations {ids:?}");
-        assert_eq!(RUNS.with(Cell::get), 2, "location 0's runs, not its peers'");
     }
 
     /// `waits.rs::is_ready_reports_a_panicked_peer` with the roles swapped:

@@ -132,16 +132,20 @@ fn a_collective_result_does_not_outlive_the_collective() {
     }
 }
 
-/// Where the library may relax, spin or read the clock: `(file, enclosing
-/// fn, token)`. Everything else waits through `Location::wait_until` (its
-/// loop `spin`) and reads `Location::now`, so a scheduler that owns those
-/// two owns every wait and every timestamp of a run.
+/// Where the library may relax, spin, park or read the clock: `(file,
+/// enclosing fn, token)`. Everything else waits through
+/// `Location::wait_until` (its loop `spin`) and reads `Location::now`, so a
+/// scheduler that owns those two owns every wait and every timestamp of a
+/// run. The two parks are outside any run: a pooled location thread between
+/// jobs, and `execute` until its peers' jobs have reported.
 const SEAM: &[(&str, &str, &str)] = &[
     ("rts/src/location.rs", "now", ".elapsed()"),
     ("rts/src/spmd.rs", "execute_collect_traced", "Instant::now"),
     ("rts/src/location.rs", "spin", "yield_now"),
     ("rts/src/location.rs", "spin", "spin_loop"),
     ("rts/src/fault.rs", "busy_wait", "spin_loop"),
+    ("rts/src/spmd.rs", "spawn", "thread::park"),
+    ("rts/src/spmd.rs", "drop", "thread::park"),
 ];
 
 /// The name of the `fn` whose signature is the last one at or above line
@@ -164,7 +168,7 @@ fn enclosing_fn<'a>(lines: &[&'a str], i: usize) -> &'a str {
 /// are fine.
 #[test]
 fn library_code_waits_and_reads_the_clock_only_at_the_seam() {
-    const TOKENS: [&str; 5] = ["yield_now", "spin_loop", "thread::sleep", "Instant::now", ".elapsed()"];
+    const TOKENS: [&str; 6] = ["yield_now", "spin_loop", "thread::sleep", "thread::park", "Instant::now", ".elapsed()"];
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut found = Vec::new();
     for krate in ["rts", "core", "containers", "views", "algorithms", "paragraph"] {

@@ -1,9 +1,12 @@
 //! Where a P=1 pass of a `benchmark/` workload goes, phase by phase — and,
-//! with `--mem`, what each pass holds and asks of the allocator.
+//! with `--mem`, what each pass holds and asks of the allocator; with
+//! `--setup`, where a P=2 instance's `setup_s` goes.
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path scripts/bench/phase-probe/Cargo.toml -- \
 //!     <workload> [--seed N] [--passes N] [--quick] [--mem [--p N]]
+//! cargo run --release --offline --manifest-path scripts/bench/phase-probe/Cargo.toml -- \
+//!     <workload> --setup [--instances N] [--p N] [--seed N] [--quick]
 //! ```
 //!
 //! Runs the workload's own `generate` / `setup` / `pass` on one location
@@ -50,13 +53,25 @@
 //! figures are process-wide, read by location 0 between barriers, and the
 //! reference pass (location 0's alone) stays outside the window; phase
 //! times at N > 1 are location 0's and do not repeat on a small host.
+//!
+//! `--setup` runs `--instances` (default 32, the gated run's P=2 count)
+//! fresh instances at `--p` (default 2) locations, each shaped as the
+//! harness runs one (`PASSES` passes, each followed by `REF_REPS`
+//! reference passes on location 0), and prints per location the median
+//! time from the `execute` call to its first instruction, to the end of
+//! its `W::setup` and to the end of its first fence, where the harness's
+//! `setup_s` ends: thread start, constructors and the first fence, apart.
+//! The last row is the slowest location's per instance, as `setup_s`
+//! reads it (median and p10, the gated estimator). Run it with the
+//! benchmark's `GLIBC_TUNABLES` (`benchmark/src/main.rs`) for figures
+//! comparable with `setup_s`: the probe does not set it itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use stapl::rts::{execute, RtsConfig};
+use stapl::rts::{execute, execute_collect, RtsConfig};
 use stapl_benchmark::estimate::{median, p10};
 use stapl_benchmark::harness::{Workload, PASSES};
 use stapl_benchmark::host::peak_rss_mib;
@@ -332,6 +347,56 @@ fn harness_shaped<W: Workload>(input: &W::Input, nlocs: usize) {
     );
 }
 
+/// `--setup`: per location, the median µs from the `execute` call to its
+/// first instruction, to the end of `W::setup` and to the end of the first
+/// fence, over `instances` fresh harness-shaped instances.
+fn setup_probe<W: Workload>(seed: u64, quick: bool, nlocs: usize, instances: usize) {
+    let input = W::generate(seed, quick);
+    // Per location, per mark (started, set up, fenced): µs after the call, one per instance.
+    let mut marks: Vec<[Vec<f64>; 3]> = (0..nlocs).map(|_| Default::default()).collect();
+    for _ in 0..instances {
+        let reference = Mutex::new(W::ref_setup(&input));
+        let call_ns = now_ns();
+        let per_loc = execute_collect(RtsConfig::default(), nlocs, |loc| {
+            let started = now_ns();
+            let mut st = W::setup(loc, &input);
+            let set_up = now_ns();
+            loc.rmi_fence();
+            let fenced = now_ns();
+            for pass in 0..PASSES {
+                loc.barrier();
+                loc.barrier();
+                W::pass(loc, &mut st, &input, pass, &mut PassRec::default());
+                loc.rmi_fence();
+                if loc.id() == 0 {
+                    let mut r = reference.lock().expect("location 0 only");
+                    for _ in 0..W::REF_REPS {
+                        W::ref_pass(&mut r, &input, pass);
+                    }
+                }
+            }
+            [started, set_up, fenced]
+        });
+        for (loc, ns) in marks.iter_mut().zip(&per_loc) {
+            for (mark, t) in loc.iter_mut().zip(ns) {
+                mark.push((t - call_ns) as f64 / 1e3);
+            }
+        }
+    }
+    println!(
+        "{} setup (seed {seed}, P={nlocs}, {instances} fresh instances; median µs after the `execute` call):",
+        W::NAME
+    );
+    println!("  {:<28} {:>17} {:>15} {:>16}", "", "first instruction", "W::setup done", "first fence done");
+    for (id, [started, set_up, fenced]) in marks.iter().enumerate() {
+        println!("  location {id:<19} {:>17.1} {:>15.1} {:>16.1}", median(started), median(set_up), median(fenced));
+    }
+    let slowest = |k: usize| (0..instances).map(|i| marks.iter().map(|m| m[k][i]).fold(0.0, f64::max)).collect::<Vec<_>>();
+    let (started, set_up, fenced) = (slowest(0), slowest(1), slowest(2));
+    println!("  {:<28} {:>17.1} {:>15.1} {:>16.1}", "slowest location, median", median(&started), median(&set_up), median(&fenced));
+    println!("  {:<28} {:>17.1} {:>15.1} {:>16.1}", "slowest location, p10", p10(&started), p10(&set_up), p10(&fenced));
+}
+
 fn mib(bytes: isize) -> f64 {
     bytes as f64 / (1 << 20) as f64
 }
@@ -345,15 +410,23 @@ fn main() {
             args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("{flag} takes a number"))
         })
     };
-    let (seed, passes, nlocs) = (value("--seed", 1), value("--passes", 12) as usize, value("--p", 1) as usize);
+    let setup = args.iter().any(|a| a == "--setup").then(|| value("--instances", 32) as usize);
+    let (seed, passes, nlocs) = (value("--seed", 1), value("--passes", 12) as usize, value("--p", if setup.is_some() { 2 } else { 1 }) as usize);
     let quick = args.iter().any(|a| a == "--quick");
+    fn run<W: Workload>(seed: u64, passes: usize, quick: bool, nlocs: usize, setup: Option<usize>) {
+        match setup {
+            Some(instances) => setup_probe::<W>(seed, quick, nlocs, instances),
+            None => probe::<W>(seed, passes, quick, nlocs),
+        }
+    }
     match args.first().map(String::as_str) {
-        Some("array-bulk") => probe::<array_bulk::ArrayBulk>(seed, passes, quick, nlocs),
-        Some("rmi-writes") => probe::<rmi_writes::RmiWrites>(seed, passes, quick, nlocs),
-        Some("rmi-reads") => probe::<rmi_reads::RmiReads>(seed, passes, quick, nlocs),
-        Some("dynamic-graph-kv") => probe::<dynamic_graph_kv::DynamicGraphKv>(seed, passes, quick, nlocs),
+        Some("array-bulk") => run::<array_bulk::ArrayBulk>(seed, passes, quick, nlocs, setup),
+        Some("rmi-writes") => run::<rmi_writes::RmiWrites>(seed, passes, quick, nlocs, setup),
+        Some("rmi-reads") => run::<rmi_reads::RmiReads>(seed, passes, quick, nlocs, setup),
+        Some("dynamic-graph-kv") => run::<dynamic_graph_kv::DynamicGraphKv>(seed, passes, quick, nlocs, setup),
         _ => {
             eprintln!("usage: phase-probe <array-bulk|rmi-writes|rmi-reads|dynamic-graph-kv> [--seed N] [--passes N] [--quick] [--mem [--p N]]");
+            eprintln!("       phase-probe <array-bulk|rmi-writes|rmi-reads|dynamic-graph-kv> --setup [--instances N] [--p N] [--seed N] [--quick]");
             std::process::exit(2);
         }
     }
